@@ -32,10 +32,15 @@ pub const HEADER_LEN: usize = 1 + 4 + 4;
 /// Bytes of length prefix preceding a frame on a byte stream.
 pub const LEN_PREFIX_LEN: usize = 4;
 
-const CRC_TABLE: [u32; 256] = make_crc_table();
+/// Slice-by-16 lookup tables. `CRC_TABLES[0]` is the classic byte-wise
+/// table; `CRC_TABLES[k][b]` is the CRC register after byte `b` has been
+/// followed by `k` zero bytes, which lets one step fold sixteen input
+/// bytes with sixteen independent loads instead of a sixteen-long
+/// dependency chain.
+const CRC_TABLES: [[u32; 256]; 16] = make_crc_tables();
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn make_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -48,20 +53,56 @@ const fn make_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+/// Folds `bytes` into the (pre-inverted) CRC register `c`.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// CRC-32 (IEEE) over the concatenation of `parts`.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-    }
+    let c = parts
+        .iter()
+        .fold(0xFFFF_FFFFu32, |c, part| crc32_update(c, part));
     c ^ 0xFFFF_FFFF
 }
 
@@ -232,6 +273,8 @@ pub fn read_frame(r: &mut impl Read, max_frame_len: u32) -> Result<Frame, Stream
 mod tests {
     use std::io::Cursor;
 
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -244,6 +287,60 @@ mod tests {
     fn crc32_over_parts_equals_concatenation() {
         assert_eq!(crc32(&[b"1234", b"56789"]), crc32(&[b"123456789"]));
         assert_eq!(crc32(&[b"", b"abc", b""]), crc32(&[b"abc"]));
+    }
+
+    /// Table-free CRC-32 (IEEE): one byte, then eight shift/xor steps.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_reference_at_every_short_length_and_alignment() {
+        // Every length around the 16-byte block boundaries, at every
+        // start offset within a block.
+        let data: Vec<u8> = (0..96u32).map(|i| (i * 151 + 7) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=(data.len() - start) {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(&[slice]),
+                    crc32_reference(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_reference_over_any_split(
+            data in proptest::collection::vec(any::<u8>(), 0..=4099usize + 15),
+            start in 0..16usize,
+            cuts in proptest::collection::vec(any::<usize>(), 0..=5usize),
+        ) {
+            let bytes = &data[start.min(data.len())..];
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                parts.push(&bytes[from..cut]);
+                from = cut;
+            }
+            parts.push(&bytes[from..]);
+            prop_assert_eq!(crc32(&parts), crc32_reference(bytes));
+        }
     }
 
     #[test]

@@ -2,6 +2,10 @@
 
 use crate::image::Image;
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+const FNV_PRIME_POW_16: u64 = FNV_PRIME.wrapping_pow(16);
+
 /// FNV-1a over the image's pixel bit patterns, row-major.
 ///
 /// Bit-exact digest: two images compare equal iff every `f32` component has
@@ -9,26 +13,95 @@ use crate::image::Image;
 /// result to match the reference exactly (plain BS does, since it performs
 /// the same float operations in the same order).
 pub fn fnv1a(img: &Image) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bits: u32| {
-        for byte in bits.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
+    let mut h: u64 = FNV_OFFSET;
     for p in img.pixels() {
-        eat(p.r.to_bits());
-        eat(p.g.to_bits());
-        eat(p.b.to_bits());
-        eat(p.a.to_bits());
+        let bytes = p.to_le_bytes();
+        // A zero byte's step is `(h ^ 0) * p`, so the sixteen zero bytes of
+        // a blank pixel are one wrapping multiply by `p^16` instead of
+        // sixteen dependent ones. Same digest by associativity of wrapping
+        // multiplication.
+        if bytes == [0; 16] {
+            h = h.wrapping_mul(FNV_PRIME_POW_16);
+            continue;
+        }
+        for byte in bytes {
+            h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
     }
     h
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::pixel::Pixel;
+
+    /// Textbook FNV-1a: xor one byte, multiply by the prime, every byte.
+    fn fnv1a_bytewise(img: &Image) -> u64 {
+        let mut h = FNV_OFFSET;
+        for byte in img.pixels().iter().flat_map(|p| p.to_le_bytes()) {
+            h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// Component bit patterns around the blank-pixel fold: exact zero,
+    /// `-0.0`, NaNs, zero bytes inside a non-zero word, anything.
+    fn arb_component_bits() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            4 => Just(0u32),
+            1 => Just((-0.0f32).to_bits()),
+            1 => Just(f32::NAN.to_bits()),
+            1 => Just(0xFFFF_FFFFu32),
+            1 => Just(0x00FF_0000u32),
+            1 => Just(0x0000_0001u32),
+            3 => any::<u32>(),
+        ]
+    }
+
+    fn arb_pixel() -> impl Strategy<Value = Pixel> {
+        let mixed = (
+            arb_component_bits(),
+            arb_component_bits(),
+            arb_component_bits(),
+            arb_component_bits(),
+        )
+            .prop_map(|(r, g, b, a)| {
+                Pixel::new(
+                    f32::from_bits(r),
+                    f32::from_bits(g),
+                    f32::from_bits(b),
+                    f32::from_bits(a),
+                )
+            });
+        prop_oneof![
+            2 => Just(Pixel::BLANK),
+            3 => mixed,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn zero_folding_matches_bytewise_fnv1a(
+            width in 1u16..24,
+            height in 1u16..24,
+            pool in proptest::collection::vec(arb_pixel(), 23 * 23),
+        ) {
+            let count = width as usize * height as usize;
+            let img = Image::from_pixels(width, height, pool[..count].to_vec());
+            prop_assert_eq!(fnv1a(&img), fnv1a_bytewise(&img));
+        }
+    }
+
+    #[test]
+    fn blank_and_dense_images_match_bytewise_fnv1a() {
+        let blank = Image::blank(17, 9);
+        assert_eq!(fnv1a(&blank), fnv1a_bytewise(&blank));
+        let dense = Image::from_fn(17, 9, |x, y| Pixel::gray(0.25 + x as f32, 0.5 + y as f32));
+        assert_eq!(fnv1a(&dense), fnv1a_bytewise(&dense));
+    }
 
     #[test]
     fn identical_images_same_digest() {

@@ -15,7 +15,12 @@
 //!   the client-chosen request id and may return out of order.
 //! * **Backpressure** — at most [`DaemonConfig::window`] requests are
 //!   in flight per connection; excess requests are answered
-//!   `Overloaded` immediately without touching a shard queue. All
+//!   `Overloaded` immediately without touching a shard queue. Once
+//!   admitted, a request the shard answers on the spot (cache hit,
+//!   breaker shed, admission reject) is not counted in flight: the
+//!   connection thread encodes it itself; only a queued request gets a
+//!   forwarder thread. (The window check runs first, so such a request
+//!   is still shed while `window` renders are in flight.) All
 //!   writes funnel through one writer thread behind a *bounded*
 //!   channel: a client that stops reading stalls its own connection
 //!   (TCP pushback) instead of growing server memory.
@@ -81,7 +86,8 @@ struct DaemonState {
 
 /// A running daemon: listener, acceptor thread and shard router.
 pub struct Daemon {
-    router: Arc<ShardRouter>,
+    /// `Some` until [`Daemon::shutdown`] takes the router out to drain it.
+    router: Option<Arc<ShardRouter>>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     state: Arc<DaemonState>,
@@ -113,7 +119,7 @@ impl Daemon {
                 .expect("spawn acceptor")
         };
         Ok(Daemon {
-            router,
+            router: Some(router),
             addr,
             acceptor: Some(acceptor),
             state,
@@ -127,7 +133,9 @@ impl Daemon {
 
     /// The router behind the front door (stats and tests).
     pub fn router(&self) -> &ShardRouter {
-        &self.router
+        self.router
+            .as_ref()
+            .expect("router is only taken by shutdown, which consumes the daemon")
     }
 
     /// Connections refused over the budget so far.
@@ -159,17 +167,11 @@ impl Daemon {
     /// merged counters.
     pub fn shutdown(mut self) -> ServiceStats {
         self.close();
-        match Arc::try_unwrap(std::mem::replace(
-            &mut self.router,
-            Arc::new(ShardRouter::start(
-                ServeConfig {
-                    workers: 1,
-                    render_threads: 1,
-                    ..Default::default()
-                },
-                1,
-            )),
-        )) {
+        let router = self
+            .router
+            .take()
+            .expect("router is only taken here, and shutdown runs once");
+        match Arc::try_unwrap(router) {
             Ok(router) => router.shutdown(),
             // A handler thread outlived the join (should not happen);
             // fall back to a snapshot — services still drain on Drop.
@@ -286,6 +288,15 @@ struct Outgoing {
     payload: Vec<u8>,
 }
 
+impl Outgoing {
+    fn response(id: u64, resp: &FrameResponse) -> Outgoing {
+        Outgoing {
+            kind: wire::KIND_RESPONSE,
+            payload: wire::encode_response(id, resp),
+        }
+    }
+}
+
 fn handle_conn(
     mut stream: TcpStream,
     router: &Arc<ShardRouter>,
@@ -374,13 +385,7 @@ fn handle_conn(
                     let resp = FrameResponse::Overloaded {
                         queue_depth: in_flight.load(Ordering::SeqCst),
                     };
-                    if out_tx
-                        .send(Outgoing {
-                            kind: wire::KIND_RESPONSE,
-                            payload: wire::encode_response(id, &resp),
-                        })
-                        .is_err()
-                    {
+                    if out_tx.send(Outgoing::response(id, &resp)).is_err() {
                         break;
                     }
                     continue;
@@ -390,6 +395,16 @@ fn handle_conn(
                     .entry(key)
                     .or_insert_with(|| router.open_session(config));
                 let rx = session.request(config);
+                // Cache hits, breaker sheds and admission rejections are
+                // answered before `request` returns: encode them on this
+                // thread and never count them in flight. Only a request
+                // the shard will answer later gets a forwarder.
+                if let Ok(resp) = rx.try_recv() {
+                    if out_tx.send(Outgoing::response(id, &resp)).is_err() {
+                        break;
+                    }
+                    continue;
+                }
                 in_flight.fetch_add(1, Ordering::SeqCst);
                 // Forward the (single) response when the shard answers;
                 // at most `window` forwarders are alive per connection.
@@ -404,10 +419,7 @@ fn handle_conn(
                             reason: crate::service::RejectReason::Shutdown,
                         });
                         in_flight.fetch_sub(1, Ordering::SeqCst);
-                        let _ = out_tx.send(Outgoing {
-                            kind: wire::KIND_RESPONSE,
-                            payload: wire::encode_response(id, &resp),
-                        });
+                        let _ = out_tx.send(Outgoing::response(id, &resp));
                     })
                     .expect("spawn response forwarder");
                 forwarders.push(forwarder);
@@ -454,4 +466,59 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Outgoing>) {
         seq = seq.wrapping_add(1);
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use slsvr_core::Method;
+    use vr_system::ExperimentConfig;
+
+    use super::*;
+    use crate::client::Client;
+    use crate::service::ServeSource;
+    use crate::wire::WireResponse;
+
+    #[test]
+    fn pipelined_cache_hits_never_trip_the_window() {
+        // A hit is answered inside `SessionHandle::request`, so it must
+        // never occupy a window slot: 3 × window of them pipelined on
+        // one connection all come back as frames, in order.
+        let window = 4;
+        let daemon = Daemon::start(
+            "127.0.0.1:0",
+            DaemonConfig {
+                window,
+                serve: ServeConfig {
+                    workers: 1,
+                    render_threads: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .expect("bind loopback");
+        let config = ExperimentConfig::small_test(DatasetKind::Cube, 2, Method::Bsbrc);
+        let mut client = Client::connect(daemon.local_addr()).expect("connect");
+        let WireResponse::Frame(rendered) = client.request_blocking(&config).expect("prime") else {
+            panic!("priming request must render a frame");
+        };
+
+        let ids: Vec<u64> = (0..3 * window)
+            .map(|_| client.submit(&config).expect("submit"))
+            .collect();
+        for want in ids {
+            let (id, resp) = client.recv_response().expect("response");
+            assert_eq!(id, want, "inline answers keep submission order");
+            match resp {
+                WireResponse::Frame(frame) => {
+                    assert_eq!(frame.source, ServeSource::Cache);
+                    assert_eq!(frame.image_hash, rendered.image_hash);
+                }
+                other => panic!("cache hit answered {other:?}"),
+            }
+        }
+        let stats = daemon.shutdown();
+        assert_eq!(stats.completed_cached, 3 * window as u64);
+        assert_eq!(stats.rendered_frames, 1);
+    }
 }

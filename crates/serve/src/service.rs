@@ -270,6 +270,14 @@ pub struct SessionHandle {
 impl FrameService {
     /// Starts the worker pool.
     pub fn start(cfg: ServeConfig) -> FrameService {
+        let mut service = FrameService::paused(cfg);
+        service.spawn_workers();
+        service
+    }
+
+    /// The service with admission open and no worker running yet, so a
+    /// test can pile up a queue before anything drains it.
+    fn paused(cfg: ServeConfig) -> FrameService {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.queue_depth >= 1, "queue depth must be at least 1");
         let shared = Arc::new(Shared {
@@ -283,21 +291,24 @@ impl FrameService {
             stats: Mutex::new(ServiceStats::default()),
             breakers: Mutex::new(HashMap::new()),
         });
-        let workers = (0..cfg.workers)
+        FrameService {
+            shared,
+            workers: Vec::new(),
+            next_session: AtomicU64::new(1),
+            datasets: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn spawn_workers(&mut self) {
+        self.workers = (0..self.shared.cfg.workers)
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(&self.shared);
                 std::thread::Builder::new()
                     .name(format!("vr-serve-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
-        FrameService {
-            shared,
-            workers,
-            next_session: AtomicU64::new(1),
-            datasets: Mutex::new(HashMap::new()),
-        }
     }
 
     /// Opens a session on `base`'s dataset, building the volume on first
@@ -951,40 +962,39 @@ mod tests {
 
     #[test]
     fn camera_burst_coalesces_to_the_newest_frame() {
-        // One worker, and the queue blocked behind a first job, so a
-        // burst of camera moves piles up and must collapse.
-        let service = FrameService::start(ServeConfig {
+        // The worker starts only after the whole burst is queued, so
+        // the five camera moves must collapse into one job aimed at the
+        // newest pose — whatever the host's scheduling.
+        let cfg = ServeConfig {
             workers: 1,
             cache_frames: 0,
             ..Default::default()
-        });
+        };
+        let mut service = FrameService::paused(cfg);
         let session = service.open_session(small());
         let burst: Vec<_> = (0..5)
             .map(|i| session.request_view(20.0, 30.0 + i as f32 * 3.0))
             .collect();
+        assert_eq!(service.queue_depth(), 1, "one session, one queued job");
+        service.spawn_workers();
         let replies: Vec<FrameReply> = burst
             .into_iter()
             .map(|rx| frame(rx.recv().unwrap()))
             .collect();
+        // The newest pose on its own (cache off: a separate render).
+        let newest = frame(session.request_view(20.0, 42.0).recv().unwrap());
         let stats = service.shutdown();
-        // Every request was answered with an image…
-        assert_eq!(stats.completed(), 5);
-        // …but the burst rendered far fewer frames than requests.
-        assert!(
-            stats.rendered_frames < 5,
-            "burst must coalesce: rendered {} of 5",
-            stats.rendered_frames
-        );
-        assert!(stats.completed_coalesced > 0);
-        // Superseded waiters got the same (newest) frame as the last
-        // submitter of their coalesced group.
-        let last = replies.last().unwrap();
-        let coalesced: Vec<_> = replies
-            .iter()
-            .filter(|r| r.source == ServeSource::Coalesced)
-            .collect();
-        assert!(!coalesced.is_empty());
-        for r in &coalesced {
+        assert_eq!(stats.completed(), 6);
+        // The burst rendered once (plus the standalone newest pose).
+        assert_eq!(stats.rendered_frames, 2);
+        assert_eq!(stats.completed_coalesced, 4);
+        // Superseded waiters and the last submitter all got the newest
+        // pose's frame.
+        let (last, superseded) = replies.split_last().unwrap();
+        assert_eq!(last.source, ServeSource::Fresh);
+        assert_eq!(last.frame.image_hash, newest.frame.image_hash);
+        for r in superseded {
+            assert_eq!(r.source, ServeSource::Coalesced);
             assert_eq!(r.frame.image_hash, last.frame.image_hash);
         }
     }

@@ -705,11 +705,9 @@ fn read_record(r: &mut WireReader) -> Result<FrameRecord, DecodeError> {
 fn write_image(w: &mut WireWriter, img: &Image) {
     w.u16(img.width());
     w.u16(img.height());
+    w.buf.reserve(img.pixels().len() * BYTES_PER_PIXEL);
     for p in img.pixels() {
-        w.f32(p.r);
-        w.f32(p.g);
-        w.f32(p.b);
-        w.f32(p.a);
+        w.buf.extend_from_slice(&p.to_le_bytes());
     }
 }
 
@@ -717,20 +715,14 @@ fn read_image(r: &mut WireReader) -> Result<Image, DecodeError> {
     let width = r.u16()?;
     let height = r.u16()?;
     let count = width as usize * height as usize;
-    // Validate against the bytes actually present before allocating
-    // anything proportional to the claimed dimensions.
-    if r.remaining() < count * BYTES_PER_PIXEL {
-        return Err(DecodeError::BadLength);
-    }
-    let mut pixels = Vec::with_capacity(count);
-    for _ in 0..count {
-        pixels.push(Pixel {
-            r: r.f32()?,
-            g: r.f32()?,
-            b: r.f32()?,
-            a: r.f32()?,
-        });
-    }
+    // One bounds check against the bytes actually present, before
+    // allocating anything proportional to the claimed dimensions.
+    let pixels = r
+        .take(count * BYTES_PER_PIXEL)
+        .map_err(|_| DecodeError::BadLength)?
+        .chunks_exact(BYTES_PER_PIXEL)
+        .map(|px| Pixel::from_le_bytes(px.try_into().expect("chunks_exact yields whole pixels")))
+        .collect();
     Ok(Image::from_pixels(width, height, pixels))
 }
 
@@ -999,6 +991,24 @@ mod tests {
     use std::sync::Arc;
     use vr_image::checksum::fnv1a;
 
+    /// A cache-hit reply carrying `image`.
+    pub(super) fn cached_reply(image: Image) -> FrameReply {
+        FrameReply {
+            frame: Arc::new(RenderedFrame {
+                key: 9,
+                image_hash: fnv1a(&image),
+                image,
+                record: FrameRecord {
+                    t_total_ms: 3.5,
+                    m_max: 640,
+                    ..Default::default()
+                },
+            }),
+            source: ServeSource::Cache,
+            wait_seconds: 0.5,
+        }
+    }
+
     fn sample_config() -> ExperimentConfig {
         let mut c = ExperimentConfig::small_test(DatasetKind::Head, 4, Method::Bsbrc);
         c.faults = Some(FaultConfig {
@@ -1227,6 +1237,24 @@ mod tests {
     }
 
     #[test]
+    fn frame_cut_at_every_length_is_typed_never_panics() {
+        let image = Image::from_fn(5, 3, |x, y| Pixel::gray(x as f32 + 0.5, y as f32 + 0.25));
+        let resp = FrameResponse::Frame(cached_reply(image));
+        let wire = encode_response(2, &resp);
+        let pixel_section = wire.len() - 5 * 3 * BYTES_PER_PIXEL;
+        for cut in 0..wire.len() {
+            match decode_response(&wire[..cut]) {
+                // Inside the pixel section the claimed dimensions
+                // disagree with the bytes present.
+                Err(DecodeError::BadLength) => assert!(cut >= pixel_section, "cut {cut}"),
+                Err(DecodeError::Truncated) => assert!(cut < pixel_section, "cut {cut}"),
+                other => panic!("cut at {cut}: expected BadLength/Truncated, got {other:?}"),
+            }
+        }
+        assert!(decode_response(&wire).is_ok());
+    }
+
+    #[test]
     fn hostile_image_dimensions_fail_before_allocation() {
         // Claim a 65535×65535 image with no pixel bytes behind it.
         let mut w = WireWriter::new();
@@ -1252,8 +1280,11 @@ mod proptests {
     //! corruption of a valid message either decodes to *something* or
     //! fails typed — it never panics.
 
+    use super::tests::cached_reply;
     use super::*;
+    use crate::service::FrameReply;
     use proptest::prelude::*;
+    use vr_image::checksum::fnv1a;
 
     fn config_strategy() -> impl Strategy<Value = ExperimentConfig> {
         (
@@ -1280,8 +1311,59 @@ mod proptests {
             })
     }
 
+    /// The frame response spelled out one scalar at a time — the
+    /// encoding the bulk pixel writer must reproduce byte for byte.
+    fn per_field_encoding(id: u64, reply: &FrameReply) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u64(id);
+        w.u8(RESP_FRAME);
+        w.u8(SOURCE_CACHE);
+        w.f64(reply.wait_seconds);
+        w.u64(reply.frame.image_hash);
+        write_record(&mut w, &reply.frame.record);
+        w.u16(reply.frame.image.width());
+        w.u16(reply.frame.image.height());
+        for p in reply.frame.image.pixels() {
+            w.f32(p.r);
+            w.f32(p.g);
+            w.f32(p.b);
+            w.f32(p.a);
+        }
+        w.into_vec()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn frame_responses_match_the_per_field_encoding(
+            id in any::<u64>(),
+            width in 0u16..9,
+            height in 0u16..9,
+            bits in proptest::collection::vec(any::<u32>(), 4 * 8 * 8),
+        ) {
+            // Arbitrary component bit patterns, NaNs included.
+            let pixels = bits
+                .chunks_exact(4)
+                .take(width as usize * height as usize)
+                .map(|c| Pixel::new(
+                    f32::from_bits(c[0]),
+                    f32::from_bits(c[1]),
+                    f32::from_bits(c[2]),
+                    f32::from_bits(c[3]),
+                ))
+                .collect();
+            let reply = cached_reply(Image::from_pixels(width, height, pixels));
+            let wire = encode_response(id, &FrameResponse::Frame(reply.clone()));
+            prop_assert_eq!(&wire, &per_field_encoding(id, &reply));
+            let (got_id, got) = decode_response(&wire).unwrap();
+            prop_assert_eq!(got_id, id);
+            let WireResponse::Frame(frame) = got else {
+                panic!("expected a frame");
+            };
+            // The digest is over bit patterns, so NaNs compare exactly.
+            prop_assert_eq!(fnv1a(&frame.image), reply.frame.image_hash);
+        }
 
         #[test]
         fn any_config_round_trips_bit_exactly(config in config_strategy(), id in any::<u64>()) {
