@@ -75,9 +75,10 @@ pub struct ServeConfig {
     /// size, reused across frames, so the service's total render
     /// threads are bounded by `workers × render_threads`. `0` (the
     /// default) means auto — the host's cores divided across the
-    /// workers, clamped to `1..=8`. Bit-identical at every value; this
-    /// is a resource knob, so the service value overrides per-request
-    /// configs.
+    /// workers, clamped to `1..=8`, resolved at service start (one read
+    /// of the host's parallelism sizes both the pools and every frame's
+    /// config). Bit-identical at every value; this is a resource knob,
+    /// so the service value overrides per-request configs.
     pub render_threads: usize,
     /// Ray-sample lanes in the render inner loop (1 = scalar reference;
     /// bit-identical at any width). Overrides per-request configs like
@@ -228,6 +229,8 @@ struct QueueState {
 type HealthKey = (DatasetKind, [usize; 3]);
 
 struct Shared {
+    /// The config the service was started with, `render_threads` already
+    /// resolved.
     cfg: ServeConfig,
     queue: Mutex<QueueState>,
     ready: Condvar,
@@ -280,6 +283,12 @@ impl FrameService {
     fn paused(cfg: ServeConfig) -> FrameService {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.queue_depth >= 1, "queue depth must be at least 1");
+        // `available_parallelism` re-reads the affinity mask and the
+        // cgroup quota files on every call, and two reads can disagree.
+        let cfg = ServeConfig {
+            render_threads: cfg.resolved_render_threads(),
+            ..cfg
+        };
         let shared = Arc::new(Shared {
             cfg,
             queue: Mutex::new(QueueState {
@@ -572,8 +581,9 @@ impl SessionHandle {
 /// receive deadline fill the gaps. Render *resource* knobs are the one
 /// exception: the service owns its thread budget (total render threads
 /// = workers × render_threads), so `render_threads`/`simd_lanes` are
-/// always taken from the service config — safe because both are
-/// bit-identical to the scalar reference and never change the frame.
+/// always taken from the service config (`serve` is [`Shared::cfg`],
+/// whose thread count is resolved) — safe because both are bit-identical
+/// to the scalar reference and never change the frame.
 fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentConfig {
     let mut cfg = *req;
     if cfg.faults.is_none() {
@@ -587,7 +597,7 @@ fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentCo
     if cfg.recv_deadline.is_none() {
         cfg.recv_deadline = serve.recv_deadline;
     }
-    cfg.render_threads = serve.resolved_render_threads();
+    cfg.render_threads = serve.render_threads;
     cfg.simd_lanes = serve.simd_lanes;
     cfg
 }
@@ -777,7 +787,7 @@ fn worker_loop(shared: &Shared) {
     // inside a pool worker re-raises typed on this thread and is caught
     // by `run_attempt`; the pool itself survives and serves the next
     // job.
-    let pool = RenderPool::new(shared.cfg.resolved_render_threads());
+    let pool = RenderPool::new(shared.cfg.render_threads);
     loop {
         let job = {
             let mut q = shared.queue.lock().unwrap();
@@ -1189,6 +1199,15 @@ mod tests {
         let eff = effective_config(&custom, &serve);
         assert_eq!(eff.faults.unwrap().drop, 0.5);
         assert_eq!(eff.recv_deadline, Some(Duration::from_millis(7)));
+    }
+
+    #[test]
+    fn render_thread_budget_is_resolved_once_at_start() {
+        let service = FrameService::paused(ServeConfig::default());
+        let threads = service.shared.cfg.render_threads;
+        assert!((1..=8).contains(&threads), "auto resolved to {threads}");
+        let eff = effective_config(&small(), &service.shared.cfg);
+        assert_eq!(eff.render_threads, threads);
     }
 
     #[test]

@@ -76,7 +76,42 @@ impl Volume {
 
     /// Trilinearly interpolated sample at a continuous point in voxel
     /// coordinates. Points outside the grid clamp to the boundary.
+    ///
+    /// Points whose eight corners are all in range — everything but the
+    /// one-voxel boundary shell — take a path with no clamps; both paths
+    /// blend their corners with the same [`trilerp`], so which one ran is
+    /// not observable in the result.
+    #[inline]
     pub fn sample(&self, p: Vec3) -> f32 {
+        let [nx, ny, nz] = self.dims;
+        match (interior(p.x, nx), interior(p.y, ny), interior(p.z, nz)) {
+            (Some(x), Some(y), Some(z)) => self.sample_interior(x, y, z),
+            _ => self.sample_clamped(p),
+        }
+    }
+
+    /// Trilinear blend of the cell whose low corner is the voxel
+    /// `(x.0, y.0, z.0)`, every axis split by [`interior`].
+    #[inline]
+    fn sample_interior(&self, x: (usize, f32), y: (usize, f32), z: (usize, f32)) -> f32 {
+        let [nx, ny, _] = self.dims;
+        let base = (z.0 * ny + y.0) * nx + x.0;
+        let row = |at: usize| {
+            let r = &self.data[at..at + 2];
+            [r[0] as f32, r[1] as f32]
+        };
+        let c = [
+            row(base),
+            row(base + nx),
+            row(base + nx * ny),
+            row(base + nx * ny + nx),
+        ];
+        trilerp(c, x.1, y.1, z.1)
+    }
+
+    /// The boundary-shell path: `floor`, and every corner clamped to the
+    /// grid. Correct for any point, NaN and infinities included.
+    fn sample_clamped(&self, p: Vec3) -> f32 {
         let fx = p.x.floor();
         let fy = p.y.floor();
         let fz = p.z.floor();
@@ -84,21 +119,46 @@ impl Volume {
         let ty = p.y - fy;
         let tz = p.z - fz;
         let (x0, y0, z0) = (fx as isize, fy as isize, fz as isize);
-        let c =
-            |dx: isize, dy: isize, dz: isize| self.get_clamped(x0 + dx, y0 + dy, z0 + dz) as f32;
-        let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
-        let xy00 = lerp(c(0, 0, 0), c(1, 0, 0), tx);
-        let xy10 = lerp(c(0, 1, 0), c(1, 1, 0), tx);
-        let xy01 = lerp(c(0, 0, 1), c(1, 0, 1), tx);
-        let xy11 = lerp(c(0, 1, 1), c(1, 1, 1), tx);
-        let y0v = lerp(xy00, xy10, ty);
-        let y1v = lerp(xy01, xy11, ty);
-        lerp(y0v, y1v, tz)
+        // Saturating: a coordinate of 2⁶³ or more casts to `isize::MAX`.
+        let c = |dy: isize, dz: isize| {
+            let (y, z) = (y0.saturating_add(dy), z0.saturating_add(dz));
+            [
+                self.get_clamped(x0, y, z) as f32,
+                self.get_clamped(x0.saturating_add(1), y, z) as f32,
+            ]
+        };
+        trilerp([c(0, 0), c(1, 0), c(0, 1), c(1, 1)], tx, ty, tz)
     }
 
     /// Central-difference gradient at a continuous point, in voxel
     /// coordinates — used for gray-level gradient shading.
+    ///
+    /// When all six taps are interior, each of the nine distinct
+    /// coordinates (`p.a`, `p.a + 1`, `p.a − 1`) is split once and the two
+    /// taps of a pair share the untouched axes' splits; these are the very
+    /// `f32` values six separate [`Self::sample`] calls would recompute.
+    #[inline]
     pub fn gradient(&self, p: Vec3) -> Vec3 {
+        let h = 1.0;
+        let [nx, ny, nz] = self.dims;
+        // The guards run on the coordinates actually split: `p.a < n − 2`
+        // does not stop `p.a + h` from rounding up onto `n − 1`.
+        let split =
+            |v: f32, n: usize| Some((interior(v - h, n)?, interior(v, n)?, interior(v + h, n)?));
+        let (Some((xm, x0, xp)), Some((ym, y0, yp)), Some((zm, z0, zp))) =
+            (split(p.x, nx), split(p.y, ny), split(p.z, nz))
+        else {
+            return self.gradient_shell(p);
+        };
+        let dx = self.sample_interior(xp, y0, z0) - self.sample_interior(xm, y0, z0);
+        let dy = self.sample_interior(x0, yp, z0) - self.sample_interior(x0, ym, z0);
+        let dz = self.sample_interior(x0, y0, zp) - self.sample_interior(x0, y0, zm);
+        Vec3::new(dx, dy, dz) * 0.5
+    }
+
+    /// Six independent taps, for points whose stencil touches the
+    /// boundary shell.
+    fn gradient_shell(&self, p: Vec3) -> Vec3 {
         let h = 1.0;
         let dx =
             self.sample(Vec3::new(p.x + h, p.y, p.z)) - self.sample(Vec3::new(p.x - h, p.y, p.z));
@@ -142,6 +202,42 @@ impl Volume {
         }
         self.data.iter().filter(|&&v| v > 0).count() as f64 / self.data.len() as f64
     }
+}
+
+/// Splits a coordinate into (low voxel index, weight) when both voxels
+/// it lies between exist, that is `0 ≤ v < n − 1`; `None` sends the
+/// point to the clamped path.
+///
+/// Both guards run on the `f32` before any cast, and NaN fails them. The
+/// bound converts exactly because it is capped at 2²⁴, past which `f32`
+/// has no fractional coordinates left to interpolate at. `-0.0` passes
+/// and truncates to index 0 with weight `-0.0` where `floor` gives
+/// `+0.0`; the blend is the same either way, since `a + (b − a)·±0.0 ==
+/// a` for every `a` that is not `-0.0`, and no corner or partial blend
+/// of non-negative corners ever is.
+#[inline]
+fn interior(v: f32, n: usize) -> Option<(usize, f32)> {
+    let bound = n.saturating_sub(1).min(1 << 24) as i32 as f32;
+    (v >= 0.0 && v < bound).then(|| {
+        let i = v as i32;
+        (i as usize, v - i as f32)
+    })
+}
+
+/// Blends the corners of one cell, x first, then y, then z. `c[2·dz + dy]`
+/// holds the `(x0, x0 + 1)` pair of row `(y0 + dy, z0 + dz)`. No fused
+/// multiply-add: the result is compared bit for bit across paths, hosts
+/// and releases.
+#[inline]
+fn trilerp(c: [[f32; 2]; 4], tx: f32, ty: f32, tz: f32) -> f32 {
+    let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
+    let xy00 = lerp(c[0][0], c[0][1], tx);
+    let xy10 = lerp(c[1][0], c[1][1], tx);
+    let xy01 = lerp(c[2][0], c[2][1], tx);
+    let xy11 = lerp(c[3][0], c[3][1], tx);
+    let y0v = lerp(xy00, xy10, ty);
+    let y1v = lerp(xy01, xy11, ty);
+    lerp(y0v, y1v, tz)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Property-based tests for partitioning, depth ordering, transfer
-//! functions and volume I/O.
+//! functions and volume I/O, and the differential pin of
+//! `Volume::sample`/`gradient` against the code they replaced.
 
 use proptest::prelude::*;
 use vr_volume::io;
@@ -16,7 +17,194 @@ fn arb_view() -> impl Strategy<Value = Vec3> {
     })
 }
 
+/// `Volume::sample` as it stood at `9bf801e`: `floor`, then eight clamped
+/// corner fetches. Verbatim but for `wrapping_add` on the corner offsets,
+/// which is what that commit's release build did; its debug build
+/// panicked on overflow for coordinates of 2⁶³ and beyond.
+fn sample_reference(v: &Volume, p: Vec3) -> f32 {
+    let fx = p.x.floor();
+    let fy = p.y.floor();
+    let fz = p.z.floor();
+    let tx = p.x - fx;
+    let ty = p.y - fy;
+    let tz = p.z - fz;
+    let (x0, y0, z0) = (fx as isize, fy as isize, fz as isize);
+    let c = |dx: isize, dy: isize, dz: isize| {
+        v.get_clamped(
+            x0.wrapping_add(dx),
+            y0.wrapping_add(dy),
+            z0.wrapping_add(dz),
+        ) as f32
+    };
+    let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
+    let xy00 = lerp(c(0, 0, 0), c(1, 0, 0), tx);
+    let xy10 = lerp(c(0, 1, 0), c(1, 1, 0), tx);
+    let xy01 = lerp(c(0, 0, 1), c(1, 0, 1), tx);
+    let xy11 = lerp(c(0, 1, 1), c(1, 1, 1), tx);
+    let y0v = lerp(xy00, xy10, ty);
+    let y1v = lerp(xy01, xy11, ty);
+    lerp(y0v, y1v, tz)
+}
+
+/// `Volume::gradient` as it stood at `9bf801e`, verbatim: six
+/// independent taps.
+fn gradient_reference(v: &Volume, p: Vec3) -> Vec3 {
+    let h = 1.0;
+    let dx = sample_reference(v, Vec3::new(p.x + h, p.y, p.z))
+        - sample_reference(v, Vec3::new(p.x - h, p.y, p.z));
+    let dy = sample_reference(v, Vec3::new(p.x, p.y + h, p.z))
+        - sample_reference(v, Vec3::new(p.x, p.y - h, p.z));
+    let dz = sample_reference(v, Vec3::new(p.x, p.y, p.z + h))
+        - sample_reference(v, Vec3::new(p.x, p.y, p.z - h));
+    Vec3::new(dx, dy, dz) * 0.5
+}
+
+/// Bit equality. Two NaNs count as equal whatever their payload: which
+/// operand's payload an operation on two NaNs keeps depends on operand
+/// order, which the compiler may pick differently for the two copies.
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Asserts that both kernels agree bit for bit with their references at
+/// `p`.
+fn assert_kernels_match(v: &Volume, p: Vec3) {
+    let (s, sr) = (v.sample(p), sample_reference(v, p));
+    assert!(
+        same_bits(s, sr),
+        "sample {s:?} != {sr:?} at {p:?} in {:?}",
+        v.dims()
+    );
+    let (g, gr) = (v.gradient(p), gradient_reference(v, p));
+    assert!(
+        same_bits(g.x, gr.x) && same_bits(g.y, gr.y) && same_bits(g.z, gr.z),
+        "gradient {g:?} != {gr:?} at {p:?} in {:?}",
+        v.dims()
+    );
+}
+
+/// Hashed noise (splitmix64 of the voxel index), so neighbouring corners
+/// are unrelated and a wrong index or weight shows.
+fn noise_volume(dims: [usize; 3], seed: u64) -> Volume {
+    Volume::from_fn(dims, |x, y, z| {
+        let mut h = seed
+            .wrapping_add(((z * dims[1] + y) * dims[0] + x) as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (h >> 56) as u8
+    })
+}
+
+/// The next `f32` above a finite `x` (MSRV predates `f32::next_up`).
+fn next_up(x: f32) -> f32 {
+    if x == 0.0 {
+        f32::from_bits(1)
+    } else if x > 0.0 {
+        f32::from_bits(x.to_bits() + 1)
+    } else {
+        f32::from_bits(x.to_bits() - 1)
+    }
+}
+
+fn next_down(x: f32) -> f32 {
+    -next_up(-x)
+}
+
+/// Thin axes (no interior at all), the smallest volumes with an interior
+/// for `sample` (2) and for the fused `gradient` (4), and an odd one.
+const KERNEL_DIMS: [[usize; 3]; 5] = [[9, 7, 5], [4, 4, 4], [3, 3, 3], [2, 2, 2], [1, 6, 4]];
+
+#[test]
+fn kernels_match_reference_on_a_sixteenth_voxel_lattice() {
+    // k/16 is exact in f32, so every lattice point is hit exactly,
+    // integers included. Each axis in turn is swept at 1/16 voxel with
+    // the other two at 1/2: the full 1/16³ lattice is 17 M points, a
+    // minute in a debug build.
+    let lattice = |n: usize, fine: bool| {
+        let step = if fine { 1 } else { 8 };
+        (-48..=(n as i32 + 3) * 16)
+            .step_by(step)
+            .map(|k| k as f32 / 16.0)
+    };
+    for (i, dims) in KERNEL_DIMS.into_iter().enumerate() {
+        let v = noise_volume(dims, i as u64);
+        for fine in 0..3 {
+            for z in lattice(dims[2], fine == 2) {
+                for y in lattice(dims[1], fine == 1) {
+                    for x in lattice(dims[0], fine == 0) {
+                        assert_kernels_match(&v, Vec3::new(x, y, z));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernels_match_reference_at_edge_values() {
+    fn edges(n: usize) -> Vec<f32> {
+        let mut out = vec![
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e30,
+            -1e30,
+        ];
+        // Every integer 0..=n — which covers 1, n − 2 and n − 1 — and
+        // each one's neighbours on both sides.
+        for k in 0..=n {
+            let k = k as f32;
+            out.extend([next_down(k), k, next_up(k)]);
+        }
+        out
+    }
+    for (i, dims) in KERNEL_DIMS.into_iter().enumerate() {
+        let v = noise_volume(dims, 100 + i as u64);
+        let [xs, ys, zs] = dims.map(edges);
+        for &z in &zs {
+            for &y in &ys {
+                for &x in &xs {
+                    assert_kernels_match(&v, Vec3::new(x, y, z));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gradient_guards_run_on_the_shifted_coordinate() {
+    let v = noise_volume([4, 4, 4], 7);
+    // Below n − 2 = 2, yet the +1 tap rounds up onto the last voxel,
+    // n − 1 = 3, where an unclamped `index + 1` would read the next row.
+    let below_two = next_down(2.0);
+    assert!(below_two < 2.0 && below_two + 1.0 == 3.0);
+    // The −1 tap lands exactly on 0.0, and just below it.
+    assert!(1.0f32 - 1.0 == 0.0 && next_down(1.0) - 1.0 < 0.0);
+    for a in [below_two, 1.0, next_down(1.0), next_up(1.0)] {
+        for b in [1.0, 1.25, 1.5] {
+            assert_kernels_match(&v, Vec3::new(a, b, b));
+            assert_kernels_match(&v, Vec3::new(b, a, b));
+            assert_kernels_match(&v, Vec3::new(b, b, a));
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn kernels_match_reference_on_arbitrary_volumes(
+        dims in (1usize..=9, 1usize..=9, 1usize..=9),
+        seed in any::<u64>(),
+        u in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+    ) {
+        let dims = [dims.0, dims.1, dims.2];
+        let v = noise_volume(dims, seed);
+        // A point in [−3, n + 3]³.
+        let at = |u: f32, n: usize| -3.0 + u * (n as f32 + 6.0);
+        assert_kernels_match(&v, Vec3::new(at(u.0, dims[0]), at(u.1, dims[1]), at(u.2, dims[2])));
+    }
+
     #[test]
     fn partition_covers_and_is_disjoint(dims in arb_dims(), p in 1usize..12) {
         let part = kd_partition(dims, p);

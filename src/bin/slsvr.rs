@@ -419,8 +419,17 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
         m_max,
         peak_buf
     );
-    println!("wrote {out_path}");
+    print_wrote(out_path, &image);
     Ok(())
+}
+
+/// The closing line of a render: the file, and the digest of the frame's
+/// full-precision pixels (the `.pgm` keeps only 8 bits of each).
+fn print_wrote(out_path: &str, image: &slsvr::image::Image) {
+    println!(
+        "wrote {out_path} (image fnv1a {:016x})",
+        slsvr::image::checksum::fnv1a(image)
+    );
 }
 
 fn cmd_render_stream(
@@ -461,7 +470,7 @@ fn cmd_render_stream(
         "modeled: T_comp {:.2} ms, T_comm {:.2} ms, M_max {} B, peak pixel buffers {} B/rank",
         record.t_comp_ms, record.t_comm_ms, record.m_max, record.peak_pixel_buffer_bytes,
     );
-    println!("wrote {out_path}");
+    print_wrote(out_path, &out.image);
     Ok(())
 }
 
