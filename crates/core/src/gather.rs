@@ -16,15 +16,25 @@ const KIND_SEQ: u32 = 2;
 const KIND_WHOLE: u32 = 3;
 const KIND_RECTS: u32 = 4;
 
-/// Encodes a rank's owned piece (with its pixel data) for the gather.
+/// Encodes a rank's owned piece (with its pixel data) for the gather,
+/// in a payload allocated once at the piece's exact size; rect pixels
+/// go straight from the image rows into it.
 fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
-    let mut w = MsgWriter::new();
+    const PX: usize = vr_image::BYTES_PER_PIXEL;
+    let size = match piece {
+        OwnedPiece::Nothing => 4,
+        OwnedPiece::Rect(r) => 4 + 8 + r.area() * PX,
+        OwnedPiece::Seq(seq) => 4 + 12 + seq.count * PX,
+        OwnedPiece::Whole => 4 + image.area() * PX,
+        OwnedPiece::Rects(rects) => 4 + 4 + rects.iter().map(|r| 8 + r.area() * PX).sum::<usize>(),
+    };
+    let mut w = MsgWriter::with_capacity(size);
     match piece {
         OwnedPiece::Nothing => w.put_u32(KIND_NOTHING),
         OwnedPiece::Rect(r) => {
             w.put_u32(KIND_RECT);
             w.put_rect(*r);
-            w.put_pixels(&image.extract_rect(r));
+            w.put_image_rect(image, r);
         }
         OwnedPiece::Seq(seq) => {
             w.put_u32(KIND_SEQ);
@@ -44,25 +54,21 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
             w.put_u32(rects.len() as u32);
             for r in rects {
                 w.put_rect(*r);
-                w.put_pixels(&image.extract_rect(r));
+                w.put_image_rect(image, r);
             }
         }
     }
+    debug_assert_eq!(w.len(), size, "gather piece size must be exact");
     w.freeze()
 }
 
 /// Writes one encoded piece into `out`, returning the pixel count it
-/// covered.
+/// covered. Rect pixels are decoded straight into `out`'s rows.
 fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> usize {
     let mut r = MsgReader::new(bytes);
     match r.get_u32() {
         KIND_NOTHING => 0,
-        KIND_RECT => {
-            let rect = r.get_rect();
-            let pixels = r.get_pixels(rect.area());
-            out.write_rect(&rect, &pixels);
-            rect.area()
-        }
+        KIND_RECT => apply_rect(out, &mut r),
         KIND_SEQ => {
             let seq = StridedSeq {
                 start: r.get_u32() as usize,
@@ -75,24 +81,23 @@ fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> usize {
             seq.count
         }
         KIND_WHOLE => {
-            let pixels = r.get_pixels(out.area());
             let full = out.full_rect();
-            out.write_rect(&full, &pixels);
-            out.area()
+            out.write_rect_wire(&full, &r.take_pixels(full.area()));
+            full.area()
         }
         KIND_RECTS => {
             let count = r.get_u32() as usize;
-            let mut covered = 0usize;
-            for _ in 0..count {
-                let rect = r.get_rect();
-                let pixels = r.get_pixels(rect.area());
-                out.write_rect(&rect, &pixels);
-                covered += rect.area();
-            }
-            covered
+            (0..count).map(|_| apply_rect(out, &mut r)).sum()
         }
         other => panic!("unknown gather piece kind {other}"),
     }
+}
+
+/// Reads one `rect + pixels` record and writes it into `out`.
+fn apply_rect(out: &mut Image, r: &mut MsgReader) -> usize {
+    let rect = r.get_rect();
+    out.write_rect_wire(&rect, &r.take_pixels(rect.area()));
+    rect.area()
 }
 
 /// Sends this rank's owned piece to `root` and, at the root, assembles

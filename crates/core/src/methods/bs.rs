@@ -46,11 +46,9 @@ pub fn run(
         let partner = topo.real(vpartner);
         let (keep, send) = splitter.split(stage, topo.keeps_low(stage));
 
-        let scratch = &mut run.scratch;
         let payload = run.comp.time(|| {
-            image.extract_rect_into(&send, &mut scratch.send);
             let mut w = MsgWriter::with_capacity(send.area() * vr_image::BYTES_PER_PIXEL);
-            w.put_pixels(&scratch.send);
+            w.put_image_rect(image, &send);
             w.freeze()
         });
         let mut stat = StageStat {
@@ -72,18 +70,15 @@ pub fn run(
         if let Some(received) = received {
             stat.recv_bytes = received.len() as u64;
             stat.recv_msgs = 1;
-            let scratch = &mut run.scratch;
             run.comp.time(|| {
-                let mut r = MsgReader::new(received);
-                r.get_pixels_into(keep.area(), &mut scratch.recv);
+                let wire = MsgReader::new(received).take_pixels(keep.area());
                 stat.composite_ops = if topo.received_is_front(vpartner) {
-                    image.composite_rect_over(&keep, &scratch.recv) as u64
+                    image.composite_rect_over_wire(&keep, &wire) as u64
                 } else {
-                    image.composite_rect_under(&keep, &scratch.recv) as u64
+                    image.composite_rect_under_wire(&keep, &wire) as u64
                 };
             });
         }
-        run.scratch.note_watermark();
         run.stages.push(stat);
     }
 

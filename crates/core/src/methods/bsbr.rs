@@ -52,15 +52,11 @@ pub fn run(
         let send_bounds = local_bounds.intersect(&send);
         let keep_bounds = local_bounds.intersect(&keep);
 
-        let scratch = &mut run.scratch;
         let payload = run.comp.time(|| {
             let mut w =
                 MsgWriter::with_capacity(8 + send_bounds.area() * vr_image::BYTES_PER_PIXEL);
             w.put_rect(send_bounds);
-            if !send_bounds.is_empty() {
-                image.extract_rect_into(&send_bounds, &mut scratch.send);
-                w.put_pixels(&scratch.send);
-            }
+            w.put_image_rect(image, &send_bounds);
             w.freeze()
         });
         let mut stat = StageStat {
@@ -82,7 +78,6 @@ pub fn run(
         let recv_rect = if let Some(received) = received {
             stat.recv_bytes = received.len() as u64;
             stat.recv_msgs = 1;
-            let scratch = &mut run.scratch;
             run.comp.time(|| {
                 let mut r = MsgReader::new(received);
                 let rect = r.get_rect();
@@ -92,11 +87,11 @@ pub fn run(
                         keep.contains_rect(&rect),
                         "received rect must lie in kept half"
                     );
-                    r.get_pixels_into(rect.area(), &mut scratch.recv);
+                    let wire = r.take_pixels(rect.area());
                     stat.composite_ops = if topo.received_is_front(vpartner) {
-                        image.composite_rect_over(&rect, &scratch.recv) as u64
+                        image.composite_rect_over_wire(&rect, &wire) as u64
                     } else {
-                        image.composite_rect_under(&rect, &scratch.recv) as u64
+                        image.composite_rect_under_wire(&rect, &wire) as u64
                     };
                 }
                 rect
@@ -108,7 +103,6 @@ pub fn run(
         // New local bounding rectangle: what we kept plus what arrived
         // (algorithm line 21).
         local_bounds = keep_bounds.union(&recv_rect);
-        run.scratch.note_watermark();
         run.stages.push(stat);
     }
 

@@ -59,45 +59,47 @@ pub fn run(
         // Lines 7–12: RLE over the sending bounding rectangle only: one
         // branchless run scan per rect row (positions rect-relative, the
         // same row-major order `encode_mask` walks, so the canonical
-        // codes are bit-identical). Runs are decomposed into row segments
-        // so the packed payload is built from bulk row-slice copies into
-        // the reusable scratch buffer.
-        let scratch = &mut run.scratch;
+        // codes are bit-identical). The scan fixes the payload's exact
+        // size, so the writer is allocated once; runs are decomposed into
+        // row segments and each segment's pixels go from the image row
+        // straight into the payload.
         let send_set = &mut send_set;
         let codes_buf = &mut codes_buf;
         let (payload, ncodes) = run.encode.time(|| {
-            let mut w = MsgWriter::with_capacity(8 + 4 + send_bounds.area());
-            w.put_rect(send_bounds);
-            let mut ncodes = 0u64;
-            if !send_bounds.is_empty() {
-                let row_w = send_bounds.width() as usize;
-                send_set.clear();
-                for y in send_bounds.y0..send_bounds.y1 {
-                    let base = (y - send_bounds.y0) as usize * row_w;
-                    let row = image.row_span(send_bounds.x0, y, row_w);
-                    kernel::scan_runs_into(row, base, send_set);
-                }
-                send_set.encode_codes_into(send_bounds.area(), codes_buf);
-                ncodes = codes_buf.len() as u64;
-                w.put_u32(codes_buf.len() as u32);
-                w.put_codes(codes_buf);
-                scratch.send.clear();
-                scratch.send.reserve(send_set.non_blank_total());
-                for &(start, len) in send_set.runs() {
-                    let (mut pos, mut rem) = (start, len);
-                    while rem > 0 {
-                        let col = pos % row_w;
-                        let seg = rem.min(row_w - col);
-                        let x = send_bounds.x0 + col as u16;
-                        let y = send_bounds.y0 + (pos / row_w) as u16;
-                        scratch.send.extend_from_slice(image.row_span(x, y, seg));
-                        pos += seg;
-                        rem -= seg;
-                    }
-                }
-                w.put_pixels(&scratch.send);
+            if send_bounds.is_empty() {
+                let mut w = MsgWriter::with_capacity(8);
+                w.put_rect(send_bounds);
+                return (w.freeze(), 0);
             }
-            (w.freeze(), ncodes)
+            let row_w = send_bounds.width() as usize;
+            send_set.clear();
+            for y in send_bounds.y0..send_bounds.y1 {
+                let base = (y - send_bounds.y0) as usize * row_w;
+                let row = image.row_span(send_bounds.x0, y, row_w);
+                kernel::scan_runs_into(row, base, send_set);
+            }
+            send_set.encode_codes_into(send_bounds.area(), codes_buf);
+            let mut w = MsgWriter::with_capacity(
+                8 + 4
+                    + codes_buf.len() * vr_image::BYTES_PER_RUN_CODE
+                    + send_set.non_blank_total() * vr_image::BYTES_PER_PIXEL,
+            );
+            w.put_rect(send_bounds);
+            w.put_u32(codes_buf.len() as u32);
+            w.put_codes(codes_buf);
+            for &(start, len) in send_set.runs() {
+                let (mut pos, mut rem) = (start, len);
+                while rem > 0 {
+                    let col = pos % row_w;
+                    let seg = rem.min(row_w - col);
+                    let x = send_bounds.x0 + col as u16;
+                    let y = send_bounds.y0 + (pos / row_w) as u16;
+                    w.put_pixels(image.row_span(x, y, seg));
+                    pos += seg;
+                    rem -= seg;
+                }
+            }
+            (w.freeze(), codes_buf.len() as u64)
         });
         let mut stat = StageStat {
             sent_bytes: payload.len() as u64,
@@ -119,15 +121,14 @@ pub fn run(
             "BSBRC stage",
         )?;
 
-        // Lines 15–20: unpack and composite only the non-blank pixels.
-        // The payload is parsed in one bulk pass, then each run is merged
-        // row segment by row segment through the slice kernels — the same
-        // `over` arithmetic in the same left-to-right order as the scalar
-        // loop, so the output is bit-identical.
+        // Lines 15–20: composite only the non-blank pixels, straight
+        // from their wire bytes: each run is merged row segment by row
+        // segment through the wire-form slice kernels — the same `over`
+        // arithmetic in the same left-to-right order as the scalar loop,
+        // so the output is bit-identical.
         let recv_rect = if let Some(received) = received {
             stat.recv_bytes = received.len() as u64;
             stat.recv_msgs = 1;
-            let scratch = &mut run.scratch;
             run.comp.time(|| {
                 let mut r = MsgReader::new(received);
                 let rect = r.get_rect();
@@ -136,7 +137,7 @@ pub fn run(
                     debug_assert!(keep.contains_rect(&rect));
                     let ncodes = r.get_u32() as usize;
                     let rle = MaskRle::from_codes(r.get_codes(ncodes));
-                    r.get_pixels_into(rle.non_blank_total(), &mut scratch.recv);
+                    let wire = r.take_pixels(rle.non_blank_total());
                     let front = topo.received_is_front(vpartner);
                     let row_w = rect.width() as usize;
                     let mut ops = 0u64;
@@ -148,14 +149,14 @@ pub fn run(
                             let seg = rem.min(row_w - col);
                             let x = rect.x0 + col as u16;
                             let y = rect.y0 + (pos / row_w) as u16;
-                            let incoming = &scratch.recv[src..src + seg];
+                            let incoming = &wire[src..src + seg * vr_image::BYTES_PER_PIXEL];
                             let local = image.row_span_mut(x, y, seg);
                             if front {
-                                kernel::over_slice(incoming, local);
+                                kernel::over_slice_wire(incoming, local);
                             } else {
-                                kernel::under_slice(local, incoming);
+                                kernel::under_slice_wire(local, incoming);
                             }
-                            src += seg;
+                            src += incoming.len();
                             pos += seg;
                             rem -= seg;
                         }
@@ -171,7 +172,6 @@ pub fn run(
         };
         // Line 21: merge rectangles for the next stage.
         local_bounds = keep_bounds.union(&recv_rect);
-        run.scratch.note_watermark();
         run.stages.push(stat);
     }
 

@@ -112,7 +112,7 @@ pub fn run(
             w.put_u32(rects.len() as u32);
             for r in &rects {
                 w.put_rect(*r);
-                w.put_pixels(&image.extract_rect(r));
+                w.put_image_rect(image, r);
             }
             (w.freeze(), rects.len())
         });
@@ -145,12 +145,12 @@ pub fn run(
                 for _ in 0..n {
                     let rect = r.get_rect();
                     debug_assert!(keep.contains_rect(&rect));
-                    let pixels = r.get_pixels(rect.area());
+                    let wire = r.take_pixels(rect.area());
                     // Disjoint rects from one sender commute freely.
                     ops += if front {
-                        image.composite_rect_over(&rect, &pixels) as u64
+                        image.composite_rect_over_wire(&rect, &wire) as u64
                     } else {
-                        image.composite_rect_under(&rect, &pixels) as u64
+                        image.composite_rect_under_wire(&rect, &wire) as u64
                     };
                 }
                 stat.composite_ops = ops;

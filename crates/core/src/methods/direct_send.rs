@@ -42,7 +42,7 @@ pub fn run(
         let band = band_rect(image.width(), image.height(), dst, p);
         let payload = run.comp.time(|| {
             let mut w = MsgWriter::with_capacity(band.area() * vr_image::BYTES_PER_PIXEL);
-            w.put_pixels(&image.extract_rect(&band));
+            w.put_image_rect(image, &band);
             w.freeze()
         });
         let len = payload.len() as u64;

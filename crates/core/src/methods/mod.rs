@@ -222,10 +222,11 @@ pub(crate) struct Run {
     /// Peers found dead so far (fed by the `try_*` helpers in
     /// [`crate::error`]).
     pub dead: BTreeSet<usize>,
-    /// Reusable send/recv staging buffers shared by every stage of the
-    /// schedule (the zero-copy wire path); also tracks the peak resident
-    /// staging footprint reported through
-    /// `TrafficStats::peak_pixel_buffer_bytes`.
+    /// Reusable send/recv staging buffers for the methods that pack
+    /// pixel by pixel (BSLC's strided sequences); rect- and run-shaped
+    /// payloads are written and composited without staging and leave it
+    /// empty. Tracks the peak resident staging footprint reported
+    /// through `TrafficStats::peak_pixel_buffer_bytes`.
     pub scratch: ScratchPool,
     comm_start: f64,
 }

@@ -106,9 +106,7 @@ pub fn run(
                 let mut w =
                     MsgWriter::with_capacity(8 + send_bounds.area() * vr_image::BYTES_PER_PIXEL);
                 w.put_rect(send_bounds);
-                if !send_bounds.is_empty() {
-                    w.put_pixels(&image.extract_rect(&send_bounds));
-                }
+                w.put_image_rect(image, &send_bounds);
                 w.freeze()
             });
             let len = payload.len() as u64;

@@ -184,16 +184,13 @@ pub fn fold_into_pow2(
             // Fold out: ship bounding rectangle + pixels to the partner
             // in front (virtual v−1), then retire. If that partner is
             // dead the image is lost (a hole); this rank retires anyway.
-            let (bounds, payload) = comp.time(|| {
+            let payload = comp.time(|| {
                 let bounds = image.bounding_rect();
-                let mut w = MsgWriter::with_capacity(8 + bounds.area() * 16);
+                let mut w = MsgWriter::with_capacity(8 + bounds.area() * vr_image::BYTES_PER_PIXEL);
                 w.put_rect(bounds);
-                if !bounds.is_empty() {
-                    w.put_pixels(&image.extract_rect(&bounds));
-                }
-                (bounds, w.freeze())
+                w.put_image_rect(image, &bounds);
+                w.freeze()
             });
-            let _ = bounds;
             stat.sent_bytes = payload.len() as u64;
             stat.sent_msgs = 1;
             if try_send(ep, topo.real(v - 1), tags::FOLD, payload, dead, "fold")? {
@@ -219,8 +216,8 @@ pub fn fold_into_pow2(
                     // premultiplied pixels never blanks a non-blank pixel,
                     // so no rescan is needed to keep the fast path armed.
                     let prior = image.bounds_hint();
-                    let pixels = r.get_pixels(rect.area());
-                    stat.composite_ops = image.composite_rect_under(&rect, &pixels) as u64;
+                    let wire = r.take_pixels(rect.area());
+                    stat.composite_ops = image.composite_rect_under_wire(&rect, &wire) as u64;
                     if let Some(h) = prior {
                         image.assert_bounds(h.union(&rect));
                     }

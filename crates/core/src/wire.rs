@@ -8,33 +8,30 @@
 //! the byte counters like any other payload, so no method gains an
 //! unaccounted advantage.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use vr_image::{Pixel, Rect};
-
-/// Pixels staged per bulk copy in [`MsgWriter::put_pixels`] (1 KiB of
-/// stack).
-const PIXEL_CHUNK: usize = 64;
-/// Run codes staged per bulk copy in [`MsgWriter::put_codes`].
-const CODE_CHUNK: usize = 256;
+use bytes::{Buf, BufMut, Bytes};
+use vr_image::{Image, Pixel, Rect};
 
 /// Incrementally builds a message payload.
+///
+/// The payload is a plain `Vec<u8>`: pixels and run codes are
+/// serialised straight into it (one pass over the source, no staging
+/// buffer) and [`MsgWriter::freeze`] hands the same allocation to
+/// [`Bytes`] without copying it.
 #[derive(Debug, Default)]
 pub struct MsgWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl MsgWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        MsgWriter {
-            buf: BytesMut::new(),
-        }
+        MsgWriter::default()
     }
 
     /// A writer pre-sized for `bytes` of payload.
     pub fn with_capacity(bytes: usize) -> Self {
         MsgWriter {
-            buf: BytesMut::with_capacity(bytes),
+            buf: Vec::with_capacity(bytes),
         }
     }
 
@@ -48,35 +45,28 @@ impl MsgWriter {
         self.buf.put_u32_le(v);
     }
 
-    /// Appends run codes (2 bytes each), staged through a stack buffer
-    /// so the payload lands in bulk `put_slice` calls.
+    /// Appends run codes (2 bytes each, little-endian).
     pub fn put_codes(&mut self, codes: &[u16]) {
-        self.buf.reserve(codes.len() * 2);
-        let mut staged = [0u8; 2 * CODE_CHUNK];
-        for chunk in codes.chunks(CODE_CHUNK) {
-            for (slot, &c) in staged.chunks_exact_mut(2).zip(chunk) {
-                slot.copy_from_slice(&c.to_le_bytes());
-            }
-            self.buf.put_slice(&staged[..chunk.len() * 2]);
-        }
+        put_le(&mut self.buf, codes, |c| c.to_le_bytes());
     }
 
-    /// Appends pixels (16 bytes each) as contiguous byte-slice copies:
-    /// pixels are serialized through a fixed stack buffer in chunks, so
-    /// the cost is one `memcpy` per chunk rather than a `Vec` push per
-    /// pixel. Byte layout is unchanged (`Pixel::to_le_bytes` each).
+    /// Appends pixels (16 bytes each, `Pixel::to_le_bytes` layout),
+    /// serialised straight into the payload.
     pub fn put_pixels(&mut self, pixels: &[Pixel]) {
-        self.buf.reserve(pixels.len() * vr_image::BYTES_PER_PIXEL);
-        let mut staged = [0u8; vr_image::BYTES_PER_PIXEL * PIXEL_CHUNK];
-        for chunk in pixels.chunks(PIXEL_CHUNK) {
-            for (slot, p) in staged
-                .chunks_exact_mut(vr_image::BYTES_PER_PIXEL)
-                .zip(chunk)
-            {
-                slot.copy_from_slice(&p.to_le_bytes());
-            }
-            self.buf
-                .put_slice(&staged[..chunk.len() * vr_image::BYTES_PER_PIXEL]);
+        put_le(&mut self.buf, pixels, |p| p.to_le_bytes());
+    }
+
+    /// Appends the pixels of `rect`, row by row, straight from the
+    /// image's rows: the bytes `put_pixels(&image.extract_rect(rect))`
+    /// would write, without the dense intermediate buffer.
+    pub fn put_image_rect(&mut self, image: &Image, rect: &Rect) {
+        if rect.is_empty() {
+            return;
+        }
+        self.buf.reserve(rect.area() * vr_image::BYTES_PER_PIXEL);
+        let w = rect.width() as usize;
+        for y in rect.y0..rect.y1 {
+            self.put_pixels(image.row_span(rect.x0, y, w));
         }
     }
 
@@ -100,9 +90,22 @@ impl MsgWriter {
         self.buf.is_empty()
     }
 
-    /// Finalizes into an immutable payload.
+    /// Finalizes into an immutable payload; the buffer is handed over,
+    /// not copied.
     pub fn freeze(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
+    }
+}
+
+/// Appends `items`, `N` little-endian bytes each: the payload grows
+/// once and every item is serialised in place. (Fixed-size slots keep
+/// the loop a plain vectorisable copy; an `extend` over a flattened
+/// iterator writes byte by byte.)
+fn put_le<T, const N: usize>(buf: &mut Vec<u8>, items: &[T], to_le: impl Fn(&T) -> [u8; N]) {
+    let start = buf.len();
+    buf.resize(start + items.len() * N, 0);
+    for (slot, item) in buf[start..].chunks_exact_mut(N).zip(items) {
+        slot.copy_from_slice(&to_le(item));
     }
 }
 
@@ -149,21 +152,28 @@ impl MsgReader {
         out
     }
 
-    /// Reads `n` pixels into a reusable buffer (cleared first), parsing
-    /// the payload as one contiguous byte slice — the zero-allocation
-    /// receive path for [`ScratchPool`] buffers.
+    /// Reads `n` pixels into a reusable buffer (cleared first) — the
+    /// decode for payloads that are not composited in wire order
+    /// (BSLC's strided sequences, buffered contributions).
     pub fn get_pixels_into(&mut self, n: usize, out: &mut Vec<Pixel>) {
+        let wire = self.take_pixels(n);
         out.clear();
-        out.reserve(n);
-        let bytes = n * vr_image::BYTES_PER_PIXEL;
-        let chunk = self.buf.chunk();
-        assert!(chunk.len() >= bytes, "short read: {n} pixels");
         out.extend(
-            chunk[..bytes]
-                .chunks_exact(vr_image::BYTES_PER_PIXEL)
+            wire.chunks_exact(vr_image::BYTES_PER_PIXEL)
                 .map(|raw| Pixel::from_le_bytes(raw.try_into().unwrap())),
         );
+    }
+
+    /// Consumes the next `n` pixels and returns their wire bytes
+    /// (`16 · n`, length-checked) as a view of the payload, undecoded:
+    /// the input of `vr_image`'s wire-form kernels, which composite or
+    /// store each pixel as they decode it.
+    pub fn take_pixels(&mut self, n: usize) -> Bytes {
+        let bytes = n * vr_image::BYTES_PER_PIXEL;
+        assert!(self.buf.remaining() >= bytes, "short read: {n} pixels");
+        let wire = self.buf.slice(..bytes);
         self.buf.advance(bytes);
+        wire
     }
 
     /// Reads a single pixel.
@@ -186,23 +196,26 @@ impl MsgReader {
     }
 }
 
-/// Reusable per-rank staging buffers for the compositing schedule.
+/// Reusable per-rank staging buffers for payloads that are gathered
+/// or scattered pixel by pixel.
 ///
-/// Every binary-swap stage packs an outgoing pixel payload and unpacks
-/// an incoming one. Allocating fresh `Vec`s per stage costs an allocator
-/// round-trip *per stage per rank*; the pool instead owns one send and
-/// one receive buffer that grow to the high-water mark of the schedule
-/// and are reused (`clear()`, never shrink) across stages.
+/// Rect- and run-shaped payloads (BS, BSBR, BSBRC, the fold, the
+/// gather) need no staging: [`MsgWriter::put_image_rect`] writes image
+/// rows straight into the payload and [`MsgReader::take_pixels`] feeds
+/// the received bytes straight to the `over` kernels. BSLC's interleaved
+/// sequences visit the image with a stride, so it packs through `send`
+/// and unpacks through `recv`; the pool owns one of each, grown to the
+/// schedule's high-water mark and reused (`clear()`, never shrunk)
+/// across stages instead of allocated per stage.
 ///
 /// The pool also records that high-water mark: `peak_bytes()` is the
 /// peak resident staging footprint, surfaced per rank through
-/// `TrafficStats::peak_pixel_buffer_bytes` so the absence of full-image
-/// allocations is observable in reports.
+/// `TrafficStats::peak_pixel_buffer_bytes` (zero for the methods that
+/// stage nothing).
 ///
-/// Stale-data safety: both fill paths (`Image::extract_rect_into`,
-/// `MsgReader::get_pixels_into`) clear before writing and the consumer
-/// only reads the freshly written prefix, so a buffer can never leak
-/// pixels from an earlier stage.
+/// Stale-data safety: [`MsgReader::get_pixels_into`] clears before
+/// writing and the consumer only reads the freshly written prefix, so a
+/// buffer can never leak pixels from an earlier stage.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     /// Packing buffer for outgoing pixel payloads.
@@ -270,13 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn bulk_pixel_path_crosses_chunk_boundaries() {
-        // More pixels than one staging chunk, with values that exercise
-        // every byte of the encoding.
-        let px: Vec<Pixel> = (0..PIXEL_CHUNK * 2 + 7)
+    fn bulk_pixel_and_code_round_trip() {
+        // Values that exercise every byte of the encoding.
+        let px: Vec<Pixel> = (0..135)
             .map(|i| Pixel::from_straight(i as f32 * 0.01, 0.5, 1.0 - i as f32 * 0.001, 0.75))
             .collect();
-        let codes: Vec<u16> = (0..CODE_CHUNK * 2 + 3).map(|i| i as u16).collect();
+        let codes: Vec<u16> = (0..515).map(|i| i as u16 * 127).collect();
         let mut w = MsgWriter::new();
         w.put_codes(&codes);
         w.put_pixels(&px);
@@ -296,6 +308,81 @@ mod tests {
         let mut r = MsgReader::new(w.freeze());
         r.get_pixels_into(2, &mut buf);
         assert_eq!(buf, fresh.to_vec(), "stale pixels must not survive");
+    }
+
+    #[test]
+    fn pixels_land_in_to_le_bytes_layout() {
+        let px = [
+            Pixel::new(0.125, -1.5, 3.25, 0.75),
+            Pixel::new(-0.0, f32::NAN, f32::INFINITY, 1.0),
+        ];
+        let mut w = MsgWriter::new();
+        w.put_pixels(&px);
+        let expect: Vec<u8> = px.iter().flat_map(|p| p.to_le_bytes()).collect();
+        assert_eq!(&w.freeze()[..], &expect[..]);
+    }
+
+    #[test]
+    fn put_image_rect_writes_what_extract_then_put_pixels_wrote() {
+        let img = Image::from_fn(13, 9, |x, y| Pixel::new(x as f32, y as f32, -0.0, 0.5));
+        for rect in [
+            Rect::EMPTY,
+            Rect::new(4, 2, 4, 7),   // no columns
+            Rect::new(4, 2, 9, 2),   // no rows
+            Rect::new(5, 0, 6, 9),   // one column, full height
+            Rect::new(0, 4, 13, 5),  // one row, full width
+            Rect::new(0, 0, 13, 9),  // the full frame
+            Rect::new(0, 0, 3, 3),   // top-left corner
+            Rect::new(12, 0, 13, 9), // right edge
+            Rect::new(6, 3, 13, 9),  // bottom-right corner
+            Rect::new(2, 3, 7, 6),   // interior
+        ] {
+            let mut direct = MsgWriter::new();
+            direct.put_u32(7); // appends; never overwrites
+            direct.put_image_rect(&img, &rect);
+            let mut staged = MsgWriter::new();
+            staged.put_u32(7);
+            staged.put_pixels(&img.extract_rect(&rect));
+            assert_eq!(direct.len(), 4 + rect.area() * 16, "{rect:?}");
+            assert_eq!(direct.freeze(), staged.freeze(), "{rect:?}");
+        }
+    }
+
+    #[test]
+    fn take_pixels_is_a_view_of_the_payload() {
+        let px = [Pixel::gray(0.25, 0.5), Pixel::gray(0.75, 1.0)];
+        let mut w = MsgWriter::new();
+        w.put_u32(9);
+        w.put_pixels(&px);
+        w.put_u32(11);
+        let payload = w.freeze();
+        let base = payload.as_ptr();
+        let mut r = MsgReader::new(payload);
+        assert_eq!(r.get_u32(), 9);
+        let wire = r.take_pixels(2);
+        assert_eq!(wire.as_ptr(), base.wrapping_add(4), "no copy");
+        assert_eq!(wire.len(), 32);
+        assert_eq!(wire[..16], px[0].to_le_bytes());
+        assert_eq!(r.get_u32(), 11);
+        assert_eq!(r.take_pixels(0).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "short read: 3 pixels")]
+    fn take_pixels_short_payload_panics_like_get_pixels_into() {
+        let mut w = MsgWriter::new();
+        w.put_pixels(&[Pixel::BLANK; 2]);
+        w.put_bytes(&[0; 15]);
+        MsgReader::new(w.freeze()).take_pixels(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "short read: 3 pixels")]
+    fn get_pixels_into_short_payload_panics() {
+        let mut w = MsgWriter::new();
+        w.put_pixels(&[Pixel::BLANK; 2]);
+        w.put_bytes(&[0; 15]);
+        MsgReader::new(w.freeze()).get_pixels_into(3, &mut Vec::new());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Row-major pixel image buffers.
 
 use crate::kernel;
-use crate::pixel::Pixel;
+use crate::pixel::{Pixel, BYTES_PER_PIXEL};
 use crate::rect::Rect;
 
 /// A row-major image of [`Pixel`]s.
@@ -16,7 +16,9 @@ use crate::rect::Rect;
 /// access. When the hint is live, [`Image::bounding_rect`] is `O(1)` and
 /// [`Image::bounding_rect_in`] scans only the hinted region — the
 /// BSBR/BSLC/BSBRC stage setup becomes `O(runs)` instead of `O(W×H)`.
-#[derive(Clone, Debug)]
+/// [`Clone`] uses it too: a sparse image's copy is a blank frame plus
+/// the rows of the hint.
+#[derive(Debug)]
 pub struct Image {
     width: u16,
     height: u16,
@@ -31,6 +33,35 @@ pub struct Image {
 impl PartialEq for Image {
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width && self.height == other.height && self.pixels == other.pixels
+    }
+}
+
+/// A rank's working copy of its subimage is a clone, and a sort-last
+/// subimage is mostly blank: when the hint is live and covers less than
+/// half the frame, only its rows are read (the rest of the copy is
+/// written as [`Pixel::BLANK`], which is what lies outside an exact
+/// hint). Denser or unhinted images take the plain copy, which is
+/// cheaper than fill-then-copy once most of the frame is live.
+impl Clone for Image {
+    fn clone(&self) -> Self {
+        let pixels = match self.bounds_hint {
+            Some(h) if h.area() * 2 < self.pixels.len() => {
+                let mut pixels = vec![Pixel::BLANK; self.pixels.len()];
+                let w = h.width() as usize;
+                for y in h.y0..h.y1 {
+                    let i = self.index(h.x0, y);
+                    pixels[i..i + w].copy_from_slice(&self.pixels[i..i + w]);
+                }
+                pixels
+            }
+            _ => self.pixels.clone(),
+        };
+        Image {
+            width: self.width,
+            height: self.height,
+            pixels,
+            bounds_hint: self.bounds_hint,
+        }
     }
 }
 
@@ -263,8 +294,7 @@ impl Image {
         out
     }
 
-    /// Like [`Image::extract_rect`], but reuses `out`'s allocation —
-    /// the zero-allocation packing path for scratch buffers.
+    /// Like [`Image::extract_rect`], but reuses `out`'s allocation.
     pub fn extract_rect_into(&self, rect: &Rect, out: &mut Vec<Pixel>) {
         out.clear();
         out.reserve(rect.area());
@@ -311,6 +341,43 @@ impl Image {
             kernel::under_slice(&mut self.pixels[dst..dst + w], &back[row_idx * w..][..w]);
         }
         rect.area()
+    }
+
+    /// [`Image::write_rect`] from wire-form pixels (16 little-endian
+    /// bytes each, row-major over `rect`): decodes straight into the
+    /// image rows.
+    pub fn write_rect_wire(&mut self, rect: &Rect, data: &[u8]) {
+        self.for_rows_wire(rect, data, kernel::copy_slice_wire);
+    }
+
+    /// [`Image::composite_rect_over`] with `front` in wire form: each
+    /// received pixel is decoded and composited in one pass.
+    pub fn composite_rect_over_wire(&mut self, rect: &Rect, front: &[u8]) -> usize {
+        self.for_rows_wire(rect, front, |local, wire| {
+            kernel::over_slice_wire(wire, local)
+        });
+        rect.area()
+    }
+
+    /// [`Image::composite_rect_under`] with `back` in wire form.
+    pub fn composite_rect_under_wire(&mut self, rect: &Rect, back: &[u8]) -> usize {
+        self.for_rows_wire(rect, back, kernel::under_slice_wire);
+        rect.area()
+    }
+
+    /// Applies `op(image row, that row's wire bytes)` to every row of
+    /// `rect`; `wire` must hold exactly `rect`'s pixels.
+    fn for_rows_wire(&mut self, rect: &Rect, wire: &[u8], op: impl Fn(&mut [Pixel], &[u8])) {
+        assert_eq!(wire.len(), rect.area() * BYTES_PER_PIXEL);
+        self.bounds_hint = None;
+        let w = rect.width() as usize;
+        for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
+            let dst = self.index(rect.x0, y);
+            op(
+                &mut self.pixels[dst..dst + w],
+                &wire[row_idx * w * BYTES_PER_PIXEL..][..w * BYTES_PER_PIXEL],
+            );
+        }
     }
 
     /// Composites a whole `front` image over `self` (both full size) —

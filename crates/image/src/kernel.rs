@@ -12,8 +12,15 @@
 //! scalar loops these kernels replaced. Conformance tests pin the
 //! composited images to reference hashes, so any arithmetic reassociation
 //! here would be caught immediately.
+//!
+//! The `_wire` siblings take one operand in wire form (16 little-endian
+//! bytes per pixel, [`Pixel::to_le_bytes`]) and decode each pixel as
+//! they consume it, so a received payload is composited or stored
+//! without first being unpacked into a `Vec<Pixel>`. The decoded value
+//! goes through the same expression in the same order, so they are
+//! bit-identical to decode-then-`*_slice` by construction.
 
-use crate::pixel::Pixel;
+use crate::pixel::{Pixel, BYTES_PER_PIXEL};
 use crate::rle::RunSet;
 
 /// Appends the non-blank runs of one contiguous pixel span to `table`,
@@ -67,6 +74,42 @@ pub fn under_slice(local: &mut [Pixel], back: &[Pixel]) {
     }
 }
 
+/// The pixels of a wire-form span, decoded one at a time.
+#[inline]
+fn decode(wire: &[u8]) -> impl Iterator<Item = Pixel> + '_ {
+    wire.chunks_exact(BYTES_PER_PIXEL)
+        .map(|raw| Pixel::from_le_bytes(raw.try_into().expect("chunks_exact yields 16 bytes")))
+}
+
+/// [`over_slice`] with the front operand in wire form:
+/// `back[i] = decode(front)[i] over back[i]`.
+#[inline]
+pub fn over_slice_wire(front: &[u8], back: &mut [Pixel]) {
+    assert_eq!(front.len(), back.len() * BYTES_PER_PIXEL);
+    for (b, f) in back.iter_mut().zip(decode(front)) {
+        *b = f.over(*b);
+    }
+}
+
+/// [`under_slice`] with the back operand in wire form:
+/// `local[i] = local[i] over decode(back)[i]`.
+#[inline]
+pub fn under_slice_wire(local: &mut [Pixel], back: &[u8]) {
+    assert_eq!(back.len(), local.len() * BYTES_PER_PIXEL);
+    for (l, b) in local.iter_mut().zip(decode(back)) {
+        *l = l.over(b);
+    }
+}
+
+/// Stores a wire-form span: `dst[i] = decode(src)[i]`.
+#[inline]
+pub fn copy_slice_wire(dst: &mut [Pixel], src: &[u8]) {
+    assert_eq!(src.len(), dst.len() * BYTES_PER_PIXEL);
+    for (d, p) in dst.iter_mut().zip(decode(src)) {
+        *d = p;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +139,13 @@ mod tests {
         let expect: Vec<Pixel> = local.iter().zip(&back).map(|(l, b)| l.over(*b)).collect();
         under_slice(&mut local, &back);
         assert_eq!(local, expect);
+    }
+
+    #[test]
+    #[should_panic]
+    fn wire_length_mismatch_panics() {
+        let mut back = vec![Pixel::BLANK; 4];
+        over_slice_wire(&[0u8; 4 * BYTES_PER_PIXEL - 1], &mut back);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vr_image::rle::ValueRle;
-use vr_image::{Image, MaskRle, Pixel, Rect, RunImage, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, Pixel, Rect, RunImage, StridedSeq};
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
     (0.0f32..=1.0, 0.0f32..=1.0).prop_map(|(v, a)| Pixel::gray(v * a, a))
@@ -13,6 +13,47 @@ fn arb_sparse_pixel() -> impl Strategy<Value = Pixel> {
         3 => Just(Pixel::BLANK),
         1 => arb_pixel(),
     ]
+}
+
+/// Component values the compositing arithmetic must carry through bit
+/// for bit: ordinary intensities plus both zeros, the α extremes, NaN,
+/// infinity and out-of-range values.
+fn arb_component() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        4 => 0.0f32..=1.0,
+        1 => -2.0f32..=2.0,
+        1 => Just(-0.0f32),
+        1 => Just(0.0f32),
+        1 => Just(1.0f32),
+        1 => Just(f32::NAN),
+        1 => Just(f32::INFINITY),
+    ]
+}
+
+/// A pixel of unconstrained components (not premultiplied, not clamped).
+fn arb_raw_pixel() -> impl Strategy<Value = Pixel> {
+    (
+        arb_component(),
+        arb_component(),
+        arb_component(),
+        arb_component(),
+    )
+        .prop_map(|(r, g, b, a)| Pixel::new(r, g, b, a))
+}
+
+/// Bit equality, two NaNs counting as equal whatever their payload
+/// (which operand's payload survives `NaN + NaN` is the compiler's
+/// choice and may differ between two copies of one expression).
+fn same_bits(a: &[Pixel], b: &[Pixel]) -> bool {
+    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(p, q)| same(p.r, q.r) && same(p.g, q.g) && same(p.b, q.b) && same(p.a, q.a))
+}
+
+fn to_wire(pixels: &[Pixel]) -> Vec<u8> {
+    pixels.iter().flat_map(|p| p.to_le_bytes()).collect()
 }
 
 fn arb_rect(max: u16) -> impl Strategy<Value = Rect> {
@@ -209,6 +250,63 @@ proptest! {
     }
 
     #[test]
+    fn wire_kernels_match_slice_kernels_bit_for_bit(
+        pair in proptest::collection::vec((arb_raw_pixel(), arb_raw_pixel()), 0..71)
+    ) {
+        let incoming: Vec<Pixel> = pair.iter().map(|(i, _)| *i).collect();
+        let local: Vec<Pixel> = pair.iter().map(|(_, l)| *l).collect();
+        let wire = to_wire(&incoming);
+
+        let (mut want, mut got) = (local.clone(), local.clone());
+        kernel::over_slice(&incoming, &mut want);
+        kernel::over_slice_wire(&wire, &mut got);
+        prop_assert!(same_bits(&want, &got), "over: {want:?} != {got:?}");
+
+        let (mut want, mut got) = (local.clone(), local.clone());
+        kernel::under_slice(&mut want, &incoming);
+        kernel::under_slice_wire(&mut got, &wire);
+        prop_assert!(same_bits(&want, &got), "under: {want:?} != {got:?}");
+
+        let mut got = local;
+        kernel::copy_slice_wire(&mut got, &wire);
+        prop_assert!(same_bits(&incoming, &got), "copy: {incoming:?} != {got:?}");
+    }
+
+    #[test]
+    fn wire_rect_ops_match_dense_rect_ops(
+        pixels in proptest::collection::vec(arb_sparse_pixel(), 15 * 11),
+        incoming in proptest::collection::vec(arb_raw_pixel(), 15 * 11),
+        rect in arb_rect(10),
+        flush in any::<bool>(),
+    ) {
+        // `flush` pushes the rect against the bottom-right image corner.
+        let rect = if flush { Rect::new(rect.x0, rect.y0, 15, 11) } else { rect };
+        let base = Image::from_pixels(15, 11, pixels);
+        let dense = &incoming[..rect.area()];
+        let wire = to_wire(dense);
+
+        let (mut want, mut got) = (base.clone(), base.clone());
+        prop_assert_eq!(
+            want.composite_rect_over(&rect, dense),
+            got.composite_rect_over_wire(&rect, &wire)
+        );
+        prop_assert!(same_bits(want.pixels(), got.pixels()));
+
+        let (mut want, mut got) = (base.clone(), base.clone());
+        prop_assert_eq!(
+            want.composite_rect_under(&rect, dense),
+            got.composite_rect_under_wire(&rect, &wire)
+        );
+        prop_assert!(same_bits(want.pixels(), got.pixels()));
+
+        let (mut want, mut got) = (base.clone(), base);
+        want.write_rect(&rect, dense);
+        got.write_rect_wire(&rect, &wire);
+        prop_assert!(same_bits(want.pixels(), got.pixels()));
+        prop_assert_eq!(got.bounds_hint(), None);
+    }
+
+    #[test]
     fn single_pixel_runs_at_row_boundaries(row in 1u16..10, w in 2u16..12) {
         // Non-blank pixels only at the last column of `row - 1` and the
         // first column of `row`: adjacent in row-major order, so the
@@ -278,4 +376,48 @@ fn empty_image_has_empty_bounds_everywhere() {
     let mut out = Image::blank(13, 9);
     out.write_rect(&Rect::EMPTY, &buf);
     assert_eq!(out.non_blank_count(), 0);
+}
+
+/// `Image::clone` picks its copy from the bounds hint; whichever it
+/// picks, the result is the field-wise copy: same pixel bits, same hint.
+#[test]
+fn clone_equals_field_wise_copy_on_both_sides_of_the_hint_threshold() {
+    const W: u16 = 16;
+    const H: u16 = 8; // 128 pixels: the sparse copy serves hints under 64
+    let lit = Pixel::new(0.25, -0.0, 0.5, 1.0);
+    // Non-blank at two opposite corners of `r` and along its diagonal,
+    // so the maintained hint is exactly `r`.
+    let with_hint = |r: Rect| {
+        let mut img = Image::blank(W, H);
+        for (x, y) in r.iter() {
+            let on_diagonal = (x - r.x0) * r.height() / r.width() == y - r.y0;
+            if on_diagonal || (x + 1 == r.x1 && y + 1 == r.y1) {
+                img.set(x, y, lit);
+            }
+        }
+        assert_eq!(img.bounds_hint(), Some(r));
+        img
+    };
+    let mut cases = vec![
+        ("no hint", {
+            let mut img = with_hint(Rect::new(2, 1, 5, 4));
+            img.pixels_mut()[100] = Pixel::new(-0.0, 0.0, -0.0, 0.0);
+            assert_eq!(img.bounds_hint(), None);
+            img
+        }),
+        ("empty hint", Image::blank(W, H)),
+        ("just under half", with_hint(Rect::new(3, 1, 12, 8))), // 9 x 7 = 63
+        ("exactly half", with_hint(Rect::new(8, 0, 16, 8))),    // 8 x 8 = 64
+        ("just over half", with_hint(Rect::new(2, 2, 15, 7))),  // 13 x 5 = 65
+        ("whole frame", with_hint(Rect::new(0, 0, W, H))),
+    ];
+    for (x, y) in [(0, 0), (W - 1, 0), (0, H - 1), (W - 1, H - 1)] {
+        cases.push(("one corner pixel", with_hint(Rect::new(x, y, x + 1, y + 1))));
+    }
+    for (name, img) in &cases {
+        let copy = img.clone();
+        assert_eq!((copy.width(), copy.height()), (W, H), "{name}");
+        assert!(same_bits(copy.pixels(), img.pixels()), "{name}: pixels");
+        assert_eq!(copy.bounds_hint(), img.bounds_hint(), "{name}: hint");
+    }
 }

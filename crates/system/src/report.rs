@@ -388,11 +388,15 @@ mod tests {
         assert!(record.t_bound_ms > 0.0 && record.t_bound_ms < record.t_comp_ms);
         assert!(record.t_encode_ms > 0.0 && record.t_encode_ms < record.t_comp_ms);
         assert!(record.render_max_ms > 0.0);
-        // The scratch-pool watermark flows through from TrafficStats.
-        assert!(record.peak_pixel_buffer_bytes > 0);
+        // The scratch-pool watermark flows through from TrafficStats:
+        // BSBRC writes and composites straight from the wire and stages
+        // nothing; BSLC packs its strided sequences through the pool.
+        assert_eq!(record.peak_pixel_buffer_bytes, 0);
+        let staged = exp.run(Method::Bslc);
+        assert!(staged.peak_pixel_buffer_bytes() > 0);
         assert_eq!(
-            record.peak_pixel_buffer_bytes,
-            out.peak_pixel_buffer_bytes()
+            FrameRecord::from_outcome(&staged).peak_pixel_buffer_bytes,
+            staged.peak_pixel_buffer_bytes()
         );
         assert_eq!(record.m_max, out.aggregate.m_max);
         assert_eq!(record.coverage, 1.0);

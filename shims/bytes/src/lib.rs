@@ -3,7 +3,8 @@
 //! (refcounted, zero-copy `slice`/`clone`), `BytesMut` an append buffer,
 //! and `Buf`/`BufMut` carry the cursor-style accessors the wire code
 //! uses. Semantics match the real crate for this subset, including
-//! panics on over-reads.
+//! panics on over-reads and the cost of `freeze`/`From<Vec<u8>>`: the
+//! `Vec`'s allocation is kept and shared, never copied.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
@@ -11,7 +12,9 @@ use std::sync::Arc;
 /// Cheaply clonable, immutable, shared byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The `Vec` the buffer was built from, shared as is: an
+    /// `Arc<[u8]>` would reallocate and copy it on every conversion.
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -62,7 +65,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -286,9 +289,61 @@ mod tests {
     }
 
     #[test]
+    fn freeze_and_from_vec_keep_the_allocation() {
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(&[7u8; 48]);
+        let before = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), before);
+
+        let v = vec![3u8; 4096];
+        let before = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), before);
+    }
+
+    #[test]
+    fn views_share_the_buffer() {
+        let b = Bytes::from((0u8..32).collect::<Vec<_>>());
+        let base = b.as_ptr();
+        assert_eq!(b.clone().as_ptr(), base);
+        let tail = b.slice(8..24);
+        assert_eq!(tail.as_ptr(), base.wrapping_add(8));
+        assert_eq!(tail.slice(4..).as_ptr(), base.wrapping_add(12));
+        let mut cur = b.clone();
+        cur.advance(5);
+        assert_eq!(cur.as_ptr(), base.wrapping_add(5));
+        assert_eq!(cur.chunk(), &b[5..]);
+        // A view outlives the handle it was cut from.
+        drop(b);
+        drop(cur);
+        assert_eq!(&tail[..], &(8u8..24).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
     #[should_panic]
     fn over_read_panics() {
         let mut b = Bytes::from_static(&[1, 2]);
         let _ = b.get_u32_le();
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn copy_past_a_view_panics() {
+        // The view ends before the allocation does.
+        let mut view = Bytes::from(vec![0u8; 16]).slice(..3);
+        view.copy_to_slice(&mut [0u8; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance past end")]
+    fn advance_past_a_view_panics() {
+        let mut view = Bytes::from(vec![0u8; 16]).slice(2..6);
+        view.advance(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slice_past_a_view_panics() {
+        let view = Bytes::from(vec![0u8; 16]).slice(2..6);
+        let _ = view.slice(..5);
     }
 }

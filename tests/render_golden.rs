@@ -174,6 +174,53 @@ fn cube_pixels_are_pinned() {
     );
 }
 
+/// A rank's working copy is `subimage.clone()`, and `Image::clone`
+/// copies only the rows of the bounds hint when the hint covers less
+/// than half the frame. That is exact only while every producer of a
+/// hint keeps it exact, so check it on what the renderer really
+/// produces: the copy has the subimage's bits and its hint.
+#[test]
+fn working_copies_are_bit_identical_to_rendered_subimages() {
+    let mut sparse = 0;
+    for (dataset, dims, size) in [
+        (DatasetKind::Head, [64, 64, 28], 96),
+        (DatasetKind::EngineHigh, [48, 48, 20], 80),
+        (DatasetKind::EngineLow, [48, 48, 20], 64),
+        (DatasetKind::Cube, [40, 40, 18], 72),
+    ] {
+        for processors in PROCS {
+            for (rot_x_deg, rot_y_deg) in POSES {
+                let config = ExperimentConfig {
+                    dataset,
+                    image_size: size,
+                    processors,
+                    rot_x_deg,
+                    rot_y_deg,
+                    volume_dims: Some(dims),
+                    render_threads: 1,
+                    ..Default::default()
+                };
+                for (rank, img) in Experiment::prepare(&config).subimages().iter().enumerate() {
+                    let copy = img.clone();
+                    let bits = |p: &slsvr::image::Pixel| [p.r, p.g, p.b, p.a].map(f32::to_bits);
+                    assert!(
+                        copy.pixels()
+                            .iter()
+                            .map(bits)
+                            .eq(img.pixels().iter().map(bits)),
+                        "{dataset:?} P={processors} pose=({rot_x_deg}, {rot_y_deg}) rank {rank}"
+                    );
+                    assert_eq!(copy.bounds_hint(), img.bounds_hint());
+                    sparse +=
+                        usize::from(img.bounds_hint().is_some_and(|h| h.area() * 2 < img.area()));
+                }
+            }
+        }
+    }
+    // The hinted copy ran (the other one is a plain `Vec` clone).
+    assert!(sparse > 0, "no subimage took the hinted copy");
+}
+
 /// The same pin at the sizes the repo benchmark renders: paper
 /// dimensions, six poses, rank subimages only, one constant per dataset
 /// (also recorded at `9bf801e`). Too slow for a debug build; CI's
