@@ -11,8 +11,8 @@
 //!   reports the gathered image, its hash, the deviation from
 //!   [`reference_composite`], and the schedule trace;
 //! * [`expected_traffic`] computes, *without running the methods*, the
-//!   exact per-stage byte counts the four paper methods must put on the
-//!   wire — bounding rectangles evolve by pure rectangle algebra and
+//!   exact per-stage byte counts the four paper methods (plus BSRL and
+//!   BSBM) must put on the wire — bounding rectangles evolve by pure rectangle algebra and
 //!   non-blank masks by exact `OR` (the `over` operator never blanks a
 //!   non-blank pixel, and never un-blanks a blank one);
 //! * [`CorpusEntry`] round-trips a failing `(case, seed, prefix)` into
@@ -281,7 +281,8 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
     }
 }
 
-/// Exact per-stage wire bytes the paper's four methods must move.
+/// Exact per-stage wire bytes the paper's four methods (and the BSRL /
+/// BSBM encodings of the same halves) must move.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExpectedTraffic {
     /// `sent[rank][stage]`: payload bytes rank sends at that stage.
@@ -309,7 +310,10 @@ impl ExpectedTraffic {
 
 /// Computes the exact bytes each rank sends and receives per binary-swap
 /// stage for BS, BSBR, BSLC and BSBRC — the closed forms behind the
-/// paper's Equations (2), (4), (6) and (8) — from the subimages alone.
+/// paper's Equations (2), (4), (6) and (8) — from the subimages alone,
+/// plus the two encodings that reuse the same state: BSRL
+/// (`4 + 2·R_code + 16·non_blank` over the whole spatial half) and BSBM
+/// (`8 + ⌈A_send/8⌉ + 16·non_blank`, 8 when the rectangle is empty).
 ///
 /// The derivation never composites a pixel: the non-blank mask of any
 /// partial composite is the exact `OR` of its contributors' masks
@@ -317,7 +321,7 @@ impl ExpectedTraffic {
 /// pixels carry positive alpha), and BSBR's rectangles evolve by the
 /// algorithm's own O(1) rule `bounds ← (bounds ∩ keep) ∪ recv_rect`.
 ///
-/// Returns `None` for methods outside the paper's four or when `P` is
+/// Returns `None` for any other method or when `P` is
 /// not a power of two (the fold prologue would add a non-equation
 /// stage).
 pub fn expected_traffic(
@@ -395,6 +399,27 @@ pub fn expected_traffic(
                                     masks[v][y as usize * width as usize + x as usize]
                                 }));
                             4 + rle.wire_bytes() + rle.non_blank_total() * vr_image::BYTES_PER_PIXEL
+                        }) as u64
+                }
+                Method::Bsrl => {
+                    let rle = MaskRle::encode_mask(
+                        send.iter()
+                            .map(|(x, y)| masks[v][y as usize * width as usize + x as usize]),
+                    );
+                    (4 + rle.wire_bytes() + rle.non_blank_total() * vr_image::BYTES_PER_PIXEL)
+                        as u64
+                }
+                Method::Bsbm => {
+                    let sb = bounds[v].intersect(&send);
+                    let non_blank = sb
+                        .iter()
+                        .filter(|&(x, y)| masks[v][y as usize * width as usize + x as usize])
+                        .count();
+                    (vr_image::rect::BYTES_PER_RECT
+                        + if sb.is_empty() {
+                            0
+                        } else {
+                            sb.area().div_ceil(8) + non_blank * vr_image::BYTES_PER_PIXEL
                         }) as u64
                 }
                 _ => return None,
@@ -729,8 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn expected_traffic_matches_real_runs_for_paper_methods() {
-        for method in Method::paper_methods() {
+    fn expected_traffic_matches_real_runs_for_paper_methods_and_encodings() {
+        let methods = Method::paper_methods()
+            .into_iter()
+            .chain([Method::Bsrl, Method::Bsbm]);
+        for method in methods {
             for workload in Workload::all() {
                 let case = ConformanceCase {
                     depth: DepthOrder::from_sequence(vec![2, 0, 3, 1]),

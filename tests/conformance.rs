@@ -15,11 +15,11 @@
 
 use std::io::Write as _;
 
-use slsvr::comm::{explore_schedules, FaultConfig, ScheduleSpec};
+use slsvr::comm::{explore_schedules, run_group, CostModel, FaultConfig, ScheduleSpec};
 use slsvr::compositing::conformance::{
     expected_traffic, parse_corpus, run_case, ConformanceCase, CorpusEntry, CostKind, Workload,
 };
-use slsvr::compositing::Method;
+use slsvr::compositing::{composite, CompositeResult, Method, OwnedPiece};
 use slsvr::image::checksum::fnv1a;
 use slsvr::system::{Experiment, ExperimentConfig};
 use slsvr::volume::{DatasetKind, DepthOrder};
@@ -93,18 +93,9 @@ fn all_methods_match_reference_under_virtual_schedules() {
 /// (the fold prologue plus all four paper methods and the three hybrids).
 #[test]
 fn non_pow2_groups_match_reference_for_all_bs_variants() {
-    let variants = [
-        Method::Bs,
-        Method::Bsbr,
-        Method::Bslc,
-        Method::Bsbrc,
-        Method::Bsrl,
-        Method::Bsbm,
-        Method::Bsmr,
-    ];
     for p in [3usize, 5, 6, 7, 12] {
         let depth = shuffled_depth(p, 2);
-        for method in variants {
+        for method in SWAP_FAMILY {
             let case = ConformanceCase {
                 depth: depth.clone(),
                 ..ConformanceCase::new(method, p, Workload::Sparse, 5)
@@ -441,6 +432,124 @@ fn killed_rank_degrades_coverage_deterministically() {
     assert_eq!(a.coverage, b.coverage);
 }
 
+/// The seven methods that share the binary-swap schedule.
+const SWAP_FAMILY: [Method; 7] = [
+    Method::Bs,
+    Method::Bsbr,
+    Method::Bslc,
+    Method::Bsbrc,
+    Method::Bsrl,
+    Method::Bsbm,
+    Method::Bsmr,
+];
+
+/// FNV-1a over a word stream.
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every exact (non-timing) field of every rank's compositing outcome,
+/// as words: the owned piece, `bound_pixels`, the dead partners and each
+/// `StageStat`.
+fn outcome_words(results: &[CompositeResult]) -> Vec<u64> {
+    let mut words = Vec::new();
+    for res in results {
+        match &res.piece {
+            OwnedPiece::Nothing => words.push(0),
+            OwnedPiece::Rect(r) => {
+                words.extend([1, r.x0 as u64, r.y0 as u64, r.x1 as u64, r.y1 as u64]);
+            }
+            OwnedPiece::Seq(s) => {
+                words.extend([2, s.start as u64, s.stride as u64, s.count as u64]);
+            }
+            other => panic!("swap methods never own {other:?}"),
+        }
+        words.push(res.stats.bound_pixels);
+        words.push(res.dead_partners.len() as u64);
+        words.extend(res.dead_partners.iter().map(|&d| d as u64));
+        words.push(res.stats.stages.len() as u64);
+        for s in &res.stats.stages {
+            words.extend([
+                s.sent_bytes,
+                s.recv_bytes,
+                s.sent_msgs,
+                s.recv_msgs,
+                s.encoded_pixels,
+                s.run_codes,
+                s.composite_ops,
+                s.recv_rect_empty as u64,
+                s.peer.map_or(u64::MAX, u64::from),
+            ]);
+        }
+    }
+    words
+}
+
+/// Golden counters of the binary-swap family: for every swap method ×
+/// P ∈ {4, 6 (through the fold), 8} × workload, a digest over every
+/// rank's owned piece, `bound_pixels`, dead partners and every exact
+/// `StageStat` field. The constants were recorded at `c4e72cb`, when
+/// each method still had its own stage loop; they pin the one driver to
+/// the seven loops it replaced. Never re-record to pass.
+#[test]
+fn swap_family_stage_counters_are_pinned() {
+    // Rows: method × P; columns: sparse, dense, bands.
+    #[rustfmt::skip]
+    const GOLDEN: [(Method, usize, [u64; 3]); 21] = [
+        (Method::Bs, 4, [0x7471f44105c629dd, 0x7471f44105c629dd, 0x7471f44105c629dd]),
+        (Method::Bs, 6, [0x4b5105d9dbcab441, 0x4b5105d9dbcab441, 0x83164d369cfa5dd9]),
+        (Method::Bs, 8, [0x67a26a5f21c63ba1, 0x67a26a5f21c63ba1, 0x67a26a5f21c63ba1]),
+        (Method::Bsbr, 4, [0x719b326e4fef7b75, 0x719b326e4fef7b75, 0x1c7485f755c03aed]),
+        (Method::Bsbr, 6, [0x8bb0dba5d5c41089, 0x8bb0dba5d5c41089, 0xd0a2758c7cac55cd]),
+        (Method::Bsbr, 8, [0x5f79a3a48ed0d52d, 0x5f79a3a48ed0d52d, 0xd7eaac6b298ea245]),
+        (Method::Bslc, 4, [0x4d834f41d321c070, 0x214cc29ca780d4e5, 0x815394762e5ada09]),
+        (Method::Bslc, 6, [0x5b7a1727534425ab, 0x98fdacdcece87f81, 0x69407040c0f76a85]),
+        (Method::Bslc, 8, [0x3e9a0598e9502607, 0x1d761b1455a9464d, 0x5ada41898eb0e639]),
+        (Method::Bsbrc, 4, [0x546a85d15073e5bd, 0xe74f0aacd9e8f9dd, 0xeab713595b49e95d]),
+        (Method::Bsbrc, 6, [0xde3dd6a90dc3847f, 0x535e37326d3b659d, 0x44e0b8891c09778d]),
+        (Method::Bsbrc, 8, [0x2413155efa35d431, 0xba8a67dfa5cac2f1, 0x3adb2563c18931b1]),
+        (Method::Bsrl, 4, [0xeb031d76679a3d85, 0x9e4af1abc32ee7b5, 0xe3df2b4778a9d3ed]),
+        (Method::Bsrl, 6, [0xc834d55d3409ffaf, 0x34133c1c134e75d5, 0xfea9cf7cea481b2d]),
+        (Method::Bsrl, 8, [0x77f3c876d449f809, 0x2e1540ee7cfab365, 0x7909a289f9a928a9]),
+        (Method::Bsbm, 4, [0xb000864f41bb2691, 0xcd5752ca217b539d, 0xe736e29e7777832d]),
+        (Method::Bsbm, 6, [0xb45fcfd4ad89db87, 0xaf80e5eb6af3fb25, 0xbb11379c8bdf329d]),
+        (Method::Bsbm, 8, [0x569db88c1ebed1f3, 0x42c71afa3980c129, 0xe934c22280d177f9]),
+        (Method::Bsmr, 4, [0x706fc34145980423, 0xf04cb55e66ccf9f5, 0xf265d6dd5cad047d]),
+        (Method::Bsmr, 6, [0xed426196b37121c5, 0x36714e4ce7da91e1, 0xe19240b0ec8a9b3b]),
+        (Method::Bsmr, 8, [0x00c665ad0b237672, 0x2e63f1bc5057b9bd, 0x0b70f4ab03e60bd1]),
+    ];
+    let mut mismatches = Vec::new();
+    for (method, p, expect) in GOLDEN {
+        let depth = shuffled_depth(p, 3);
+        for (workload, want) in Workload::all().into_iter().zip(expect) {
+            let images = workload.images(p, 32, 24);
+            let out = run_group(p, CostModel::free(), |ep| {
+                let mut img = images[ep.rank()].clone();
+                composite(method, ep, &mut img, &depth).expect("healthy run")
+            });
+            let got = fnv_words(outcome_words(&out.results));
+            if got != want {
+                mismatches.push(format!(
+                    "{} P={p} {}: got 0x{got:016x}, pinned 0x{want:016x}",
+                    method.name(),
+                    workload.name()
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "stage counters moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/conformance_corpus")
 }
@@ -465,7 +574,7 @@ fn corpus_entries_replay_exactly() {
         }
     }
     assert!(
-        checked >= 4,
+        checked >= 20,
         "corpus unexpectedly small ({checked} entries)"
     );
 }
@@ -577,5 +686,17 @@ fn regenerate_corpus() {
     for (case, faults_spec) in &cases {
         let out = run_case(case);
         println!("{}", CorpusEntry::from_run(case, *faults_spec, &out));
+    }
+    // One line per swap method at P = 8 (shuffled depth) and at P = 6
+    // (through the fold), under the SP2 cost model.
+    for p in [8usize, 6] {
+        for method in SWAP_FAMILY {
+            let case = ConformanceCase {
+                cost: CostKind::Sp2,
+                depth: shuffled_depth(p, 3),
+                ..ConformanceCase::new(method, p, Workload::Sparse, 61)
+            };
+            println!("{}", CorpusEntry::from_run(&case, None, &run_case(&case)));
+        }
     }
 }
