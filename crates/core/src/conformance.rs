@@ -12,7 +12,8 @@
 //!   [`reference_composite`], and the schedule trace;
 //! * [`expected_traffic`] computes, *without running the methods*, the
 //!   exact per-stage byte counts the four paper methods (plus BSRL and
-//!   BSBM) must put on the wire — bounding rectangles evolve by pure rectangle algebra and
+//!   BSBM) must put on the wire — bounding rectangles evolve by pure
+//!   rectangle algebra and
 //!   non-blank masks by exact `OR` (the `over` operator never blanks a
 //!   non-blank pixel, and never un-blanks a blank one);
 //! * [`CorpusEntry`] round-trips a failing `(case, seed, prefix)` into
@@ -558,12 +559,6 @@ impl CorpusEntry {
     }
 }
 
-fn method_from_name(s: &str) -> Option<Method> {
-    Method::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(s))
-}
-
 impl fmt::Display for CorpusEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let depth: Vec<String> = self.depth.iter().map(|r| r.to_string()).collect();
@@ -620,9 +615,7 @@ impl FromStr for CorpusEntry {
                 .ok_or_else(|| format!("token `{token}` is not key=value"))?;
             let bad = |what: &str| format!("invalid {what} `{value}`");
             match key {
-                "method" => {
-                    method = Some(method_from_name(value).ok_or_else(|| bad("method"))?);
-                }
+                "method" => method = Some(value.parse().map_err(|_| bad("method"))?),
                 "p" => p = Some(value.parse().map_err(|_| bad("p"))?),
                 "w" => width = Some(value.parse().map_err(|_| bad("w"))?),
                 "h" => height = Some(value.parse().map_err(|_| bad("h"))?),

@@ -3,10 +3,16 @@
 //! Under fault injection a rank can die mid-schedule. The methods treat a
 //! *dead peer* as survivable: the survivor keeps its own partial image
 //! and the dead rank's contribution becomes a transparent hole in the
-//! final image (reported by the tolerant gather). Two conditions remain
+//! final image (reported by the tolerant gather). Three conditions remain
 //! hard errors: *this* rank being killed (it must stop participating),
-//! and protocol-level failures such as receive timeouts or tag
-//! mismatches, which indicate a broken schedule rather than a dead peer.
+//! protocol-level failures such as receive timeouts or tag mismatches,
+//! which indicate a broken schedule rather than a dead peer, and a
+//! received payload that does not parse ([`CompositeError::Malformed`]):
+//! every receive path checks its header, counts and lengths against the
+//! region it expects *before* touching the image, so bytes damaged in
+//! transit become a typed, retryable error instead of a panic. (A flipped
+//! bit *inside* a pixel still parses — detecting that is what the
+//! reliable transport's CRC is for.)
 
 use std::collections::BTreeSet;
 
@@ -30,17 +36,52 @@ pub enum CompositeError {
         /// The underlying transport error.
         source: CommError,
     },
+    /// A received payload failed validation: a rectangle outside the
+    /// region it must lie in, counts that do not fit the bytes that
+    /// arrived, or trailing bytes.
+    Malformed {
+        /// Which protocol step was parsing (e.g. `"fold"`, `"BSBR stage"`).
+        during: &'static str,
+        /// The rank the payload came from.
+        from: usize,
+    },
+}
+
+/// Why a payload was refused, before the caller adds who sent it and
+/// during which step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Malformed;
+
+/// The result of checking a received payload.
+pub(crate) type Checked<T> = Result<T, Malformed>;
+
+impl Malformed {
+    /// `Ok` when `ok` holds — the payload checks read as a list of
+    /// conditions.
+    pub(crate) fn unless(ok: bool) -> Checked<()> {
+        if ok {
+            Ok(())
+        } else {
+            Err(Malformed)
+        }
+    }
+
+    /// The typed error for a payload from `from` refused `during` a step.
+    pub(crate) fn at(self, during: &'static str, from: usize) -> CompositeError {
+        CompositeError::Malformed { during, from }
+    }
 }
 
 impl CompositeError {
     /// True when a retry with a fresh fault-seed could plausibly
     /// succeed. `Comm` failures (timeouts, retry-budget exhaustion,
     /// tag mismatches under fault storms) re-draw their fault decisions
-    /// on the next attempt; a `Killed` rank is structural — the kill
+    /// on the next attempt, and so does the corruption behind a
+    /// `Malformed` payload; a `Killed` rank is structural — the kill
     /// spec fires deterministically regardless of seed, so retrying
     /// replays the same death.
     pub fn is_transient(&self) -> bool {
-        matches!(self, CompositeError::Comm { .. })
+        !matches!(self, CompositeError::Killed { .. })
     }
 }
 
@@ -53,6 +94,9 @@ impl std::fmt::Display for CompositeError {
             CompositeError::Comm { during, source } => {
                 write!(f, "communication failed during {during}: {source}")
             }
+            CompositeError::Malformed { during, from } => {
+                write!(f, "malformed payload from rank {from} during {during}")
+            }
         }
     }
 }
@@ -60,7 +104,7 @@ impl std::fmt::Display for CompositeError {
 impl std::error::Error for CompositeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CompositeError::Killed { .. } => None,
+            CompositeError::Killed { .. } | CompositeError::Malformed { .. } => None,
             CompositeError::Comm { source, .. } => Some(source),
         }
     }
@@ -234,6 +278,13 @@ mod tests {
         };
         assert!(comm.is_transient());
         assert!(!CompositeError::Killed { rank: 0 }.is_transient());
+        let malformed = Malformed.at("BSBR stage", 3);
+        assert!(malformed.is_transient());
+        let msg = format!("{malformed}");
+        assert!(
+            msg.contains("rank 3") && msg.contains("BSBR stage"),
+            "{msg}"
+        );
     }
 
     #[test]

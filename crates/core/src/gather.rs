@@ -5,7 +5,8 @@ use vr_comm::Endpoint;
 use vr_image::{Image, StridedSeq};
 use vr_volume::DepthOrder;
 
-use crate::error::CompositeError;
+use crate::error::{Checked, CompositeError, Malformed};
+use crate::methods::spatial::read_rect_pixels;
 use crate::methods::OwnedPiece;
 use crate::schedule::tags;
 use crate::wire::{MsgReader, MsgWriter};
@@ -63,18 +64,27 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
 }
 
 /// Writes one encoded piece into `out`, returning the pixel count it
-/// covered. Rect pixels are decoded straight into `out`'s rows.
-fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> usize {
+/// covered. Rect pixels are decoded straight into `out`'s rows. Every
+/// rectangle, sequence and length is checked against the frame before a
+/// pixel is written.
+fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> Checked<usize> {
+    const PX: usize = vr_image::BYTES_PER_PIXEL;
     let mut r = MsgReader::new(bytes);
-    match r.get_u32() {
+    Malformed::unless(r.remaining() >= 4)?;
+    let covered = match r.get_u32() {
         KIND_NOTHING => 0,
-        KIND_RECT => apply_rect(out, &mut r),
+        KIND_RECT => apply_rect(out, &mut r)?,
         KIND_SEQ => {
+            Malformed::unless(r.remaining() >= 12)?;
             let seq = StridedSeq {
                 start: r.get_u32() as usize,
                 stride: r.get_u32() as usize,
                 count: r.get_u32() as usize,
             };
+            let last = seq.start as u64 + seq.count.saturating_sub(1) as u64 * seq.stride as u64;
+            Malformed::unless(
+                r.remaining() == seq.count * PX && (seq.count == 0 || last < out.area() as u64),
+            )?;
             for idx in seq.iter() {
                 out.pixels_mut()[idx] = r.get_pixel();
             }
@@ -82,22 +92,32 @@ fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> usize {
         }
         KIND_WHOLE => {
             let full = out.full_rect();
+            Malformed::unless(r.remaining() == full.area() * PX)?;
             out.write_rect_wire(&full, &r.take_pixels(full.area()));
             full.area()
         }
         KIND_RECTS => {
+            Malformed::unless(r.remaining() >= 4)?;
             let count = r.get_u32() as usize;
-            (0..count).map(|_| apply_rect(out, &mut r)).sum()
+            let mut covered = 0;
+            for _ in 0..count {
+                covered += apply_rect(out, &mut r)?;
+            }
+            covered
         }
-        other => panic!("unknown gather piece kind {other}"),
-    }
+        _ => return Err(Malformed),
+    };
+    Malformed::unless(r.remaining() == 0)?;
+    Ok(covered)
 }
 
 /// Reads one `rect + pixels` record and writes it into `out`.
-fn apply_rect(out: &mut Image, r: &mut MsgReader) -> usize {
-    let rect = r.get_rect();
-    out.write_rect_wire(&rect, &r.take_pixels(rect.area()));
-    rect.area()
+fn apply_rect(out: &mut Image, r: &mut MsgReader) -> Checked<usize> {
+    let (rect, wire) = read_rect_pixels(r, &out.full_rect())?;
+    if !rect.is_empty() {
+        out.write_rect_wire(&rect, &wire);
+    }
+    Ok(rect.area())
 }
 
 /// Sends this rank's owned piece to `root` and, at the root, assembles
@@ -118,8 +138,9 @@ pub fn gather_image(
 
     let mut out = Image::blank(image.width(), image.height());
     let mut covered = 0usize;
-    for bytes in all {
-        covered += apply_piece(&mut out, bytes);
+    for (rank, bytes) in all.into_iter().enumerate() {
+        covered += apply_piece(&mut out, bytes)
+            .unwrap_or_else(|m| panic!("gather failed: {}", m.at("gather", rank)));
     }
     assert_eq!(
         covered,
@@ -180,7 +201,9 @@ pub fn gather_image_tolerant(
     let mut missing = Vec::new();
     for (rank, slot) in all.into_iter().enumerate() {
         match slot {
-            Some(bytes) => covered += apply_piece(&mut out, bytes),
+            Some(bytes) => {
+                covered += apply_piece(&mut out, bytes).map_err(|m| m.at("gather", rank))?;
+            }
             None => missing.push(rank),
         }
     }

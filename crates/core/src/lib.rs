@@ -2,7 +2,8 @@
 //! sort-last-sparse parallel volume rendering system.
 //!
 //! Four binary-swap variants are implemented exactly as described in
-//! Section 3:
+//! Section 3 — as one swap schedule (`methods::swap`) with a stage codec
+//! per method, the way the paper presents them:
 //!
 //! * [`Method::Bs`] — plain binary-swap (Ma et al.), the baseline: halves
 //!   travel as full frames.
@@ -14,6 +15,11 @@
 //!   pixel sequences.
 //! * [`Method::Bsbrc`] — bounding rectangle *and* RLE combined: RLE runs
 //!   only over the sending bounding rectangle.
+//!
+//! Three more codecs ride the same driver: [`Method::Bsrl`] (run-length
+//! codes over spatial halves, the ablation between BSLC and BSBRC),
+//! [`Method::Bsbm`] (rectangle + bitmask) and [`Method::Bsmr`] (several
+//! tight rectangles per stage).
 //!
 //! Three related-work baselines round out the comparison surface:
 //! [`Method::BinaryTree`] (Ahrens & Painter's compression-based tree

@@ -1,21 +1,23 @@
 //! The compositing methods and their common runtime plumbing.
+//!
+//! The seven binary-swap methods are one driver ([`swap`]) over a stage
+//! codec each: six exchange spatial halves ([`spatial`]), BSLC exchanges
+//! interleaved ones ([`interleaved`]). The related-work baselines and
+//! extensions keep their own schedules.
 
 pub mod binary_tree;
-pub mod bs;
-pub mod bsbm;
-pub mod bsbr;
-pub mod bsbrc;
-pub mod bslc;
-pub mod bsmr;
-pub mod bsrl;
 pub mod direct_send;
+mod interleaved;
 pub mod pipeline;
 pub mod radix;
+pub(crate) mod spatial;
+mod swap;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod tile_stream;
 
 use std::collections::BTreeSet;
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 use vr_comm::Endpoint;
@@ -25,7 +27,9 @@ use vr_volume::DepthOrder;
 use crate::error::CompositeError;
 use crate::stats::{MethodStats, StageStat};
 use crate::timer::Stopwatch;
-use crate::wire::ScratchPool;
+
+use interleaved::InterleavedRuns;
+use spatial::{Bitmask, Dense, Headed, Headless, MultiRect, Runs, Spatial};
 
 /// Which compositing method to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -113,6 +117,24 @@ impl Method {
     }
 }
 
+/// Parses a method by its paper name ([`Method::name`], any case) or one
+/// of the CLI's aliases (`radix`, `tile-stream`).
+impl FromStr for Method {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let alias = match s.to_ascii_lowercase().as_str() {
+            "radix" => "RADIXK",
+            "tile-stream" => "TSTREAM",
+            _ => s,
+        };
+        Method::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(alias))
+            .ok_or_else(|| format!("unknown method `{s}`"))
+    }
+}
+
 /// The part of the final image a rank owns after compositing.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OwnedPiece {
@@ -155,8 +177,9 @@ impl CompositeResult {
 /// returned piece inside `image` are final; use
 /// [`gather_image`](crate::gather::gather_image) to assemble them.
 ///
-/// Errors only when this rank itself was killed by fault injection or
-/// the schedule broke down (receive timeout / tag mismatch); a *peer*
+/// Errors only when this rank itself was killed by fault injection, the
+/// schedule broke down (receive timeout / tag mismatch) or a received
+/// payload failed validation ([`CompositeError::Malformed`]); a *peer*
 /// dying mid-run is survivable and reported via
 /// [`CompositeResult::dead_partners`].
 ///
@@ -189,13 +212,13 @@ pub fn composite(
         "depth order must cover exactly the group"
     );
     match method {
-        Method::Bs => bs::run(ep, image, depth),
-        Method::Bsbr => bsbr::run(ep, image, depth),
-        Method::Bslc => bslc::run(ep, image, depth),
-        Method::Bsbrc => bsbrc::run(ep, image, depth),
-        Method::Bsrl => bsrl::run(ep, image, depth),
-        Method::Bsbm => bsbm::run(ep, image, depth),
-        Method::Bsmr => bsmr::run(ep, image, depth),
+        Method::Bs => swap::run::<Spatial<Headless<Dense>>>(ep, image, depth, "BS stage"),
+        Method::Bsbr => swap::run::<Spatial<Headed<Dense>>>(ep, image, depth, "BSBR stage"),
+        Method::Bslc => swap::run::<InterleavedRuns>(ep, image, depth, "BSLC stage"),
+        Method::Bsbrc => swap::run::<Spatial<Headed<Runs>>>(ep, image, depth, "BSBRC stage"),
+        Method::Bsrl => swap::run::<Spatial<Headless<Runs>>>(ep, image, depth, "BSRL stage"),
+        Method::Bsbm => swap::run::<Spatial<Headed<Bitmask>>>(ep, image, depth, "BSBM stage"),
+        Method::Bsmr => swap::run::<Spatial<MultiRect>>(ep, image, depth, "BSMR stage"),
         Method::BinaryTree => binary_tree::run(ep, image, depth),
         Method::DirectSend => direct_send::run(ep, image, depth),
         Method::Pipeline => pipeline::run(ep, image, depth),
@@ -222,12 +245,6 @@ pub(crate) struct Run {
     /// Peers found dead so far (fed by the `try_*` helpers in
     /// [`crate::error`]).
     pub dead: BTreeSet<usize>,
-    /// Reusable send/recv staging buffers for the methods that pack
-    /// pixel by pixel (BSLC's strided sequences); rect- and run-shaped
-    /// payloads are written and composited without staging and leave it
-    /// empty. Tracks the peak resident staging footprint reported
-    /// through `TrafficStats::peak_pixel_buffer_bytes`.
-    pub scratch: ScratchPool,
     comm_start: f64,
 }
 
@@ -241,13 +258,11 @@ impl Run {
             bound_pixels: 0,
             pre_encoded_pixels: 0,
             dead: BTreeSet::new(),
-            scratch: ScratchPool::new(),
             comm_start: ep.stats().modeled_comm_seconds,
         }
     }
 
     pub fn finish(self, ep: &mut Endpoint, piece: OwnedPiece) -> CompositeResult {
-        ep.note_pixel_buffer_peak(self.scratch.peak_bytes());
         let stats = MethodStats {
             comp_seconds: self.comp.seconds() + self.bound.seconds() + self.encode.seconds(),
             bound_seconds: self.bound.seconds(),
@@ -294,6 +309,17 @@ mod tests {
             assert_eq!(prev_end, 77);
             assert_eq!(covered, 7700);
         }
+    }
+
+    #[test]
+    fn method_names_round_trip_through_from_str() {
+        for m in Method::all() {
+            assert_eq!(m.name().parse::<Method>(), Ok(m));
+            assert_eq!(m.name().to_ascii_lowercase().parse::<Method>(), Ok(m));
+        }
+        assert_eq!("radix".parse::<Method>(), Ok(Method::RadixK));
+        assert_eq!("Tile-Stream".parse::<Method>(), Ok(Method::TileStream));
+        assert!("nope".parse::<Method>().is_err());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! Each round picks a radix `r`: groups of `r` ranks split their current
 //! region into `r` strips, every member keeps one strip and direct-sends
-//! the other `r−1` (bounding-rectangle compressed, BSBR-style) to their
-//! owners, then composites the `r` contributions in depth order. With
+//! the other `r−1` (as BSBR's rect payload: bounding rectangle + dense
+//! pixels) to their owners, then composites the `r` contributions in
+//! depth order. With
 //! `r = 2` every round this is exactly BSBR; with one round of `r = P`
 //! it degenerates to direct send. Intermediate radices trade message
 //! *count* (`Σ (r_j − 1)` per rank) against message *size* and rounds —
@@ -17,15 +18,16 @@
 //! direct-send-style round), and each round's merged partials stay
 //! depth-contiguous because groups are contiguous virtual-rank blocks.
 
+use bytes::Bytes;
 use vr_comm::Endpoint;
-use vr_image::{Image, Pixel, Rect};
+use vr_image::{Image, Rect};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv, try_send, CompositeError};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
-use crate::wire::{MsgReader, MsgWriter};
 
+use super::spatial::{composite_rect, encode_rect, parse_rect};
 use super::{CompositeResult, OwnedPiece, Run};
 
 /// Factors `p` into per-round radices: greedy factors of 4, 3, 2; any
@@ -102,13 +104,7 @@ pub fn run(
             }
             let target = topo.real(base + d * stride);
             let send_bounds = local_bounds.intersect(part);
-            let payload = run.comp.time(|| {
-                let mut w =
-                    MsgWriter::with_capacity(8 + send_bounds.area() * vr_image::BYTES_PER_PIXEL);
-                w.put_rect(send_bounds);
-                w.put_image_rect(image, &send_bounds);
-                w.freeze()
-            });
+            let payload = run.comp.time(|| encode_rect(image, &send_bounds));
             let len = payload.len() as u64;
             if try_send(
                 ep,
@@ -125,8 +121,8 @@ pub fn run(
 
         // Receive the other digits' contributions for my strip; a dead
         // group member simply contributes nothing.
-        let mut fronts: Vec<(Rect, Vec<Pixel>)> = Vec::new(); // digits < mine
-        let mut backs: Vec<(Rect, Vec<Pixel>)> = Vec::new(); // digits > mine
+        let mut fronts: Vec<(Rect, Bytes)> = Vec::new(); // digits < mine
+        let mut backs: Vec<(Rect, Bytes)> = Vec::new(); // digits > mine
         for d in 0..radix {
             if d == my_digit {
                 continue;
@@ -144,24 +140,19 @@ pub fn run(
             };
             stat.recv_bytes += received.len() as u64;
             stat.recv_msgs += 1;
-            let (rect, pixels) = run.comp.time(|| {
-                let mut rd = MsgReader::new(received);
-                let rect = rd.get_rect();
-                let pixels = if rect.is_empty() {
-                    Vec::new()
-                } else {
-                    rd.get_pixels(rect.area())
-                };
-                (rect, pixels)
-            });
+            // Validated now, composited below: the pixels stay a view of
+            // the received bytes.
+            let (rect, wire) = run
+                .comp
+                .time(|| parse_rect(received, &keep))
+                .map_err(|m| m.at("radix-k recv", src))?;
             if rect.is_empty() {
                 continue;
             }
-            debug_assert!(keep.contains_rect(&rect));
             if d < my_digit {
-                fronts.push((rect, pixels));
+                fronts.push((rect, wire));
             } else {
-                backs.push((rect, pixels));
+                backs.push((rect, wire));
             }
         }
 
@@ -172,12 +163,12 @@ pub fn run(
         run.comp.time(|| {
             let mut ops = 0u64;
             let mut new_bounds = local_bounds.intersect(&keep);
-            for (rect, pixels) in &backs {
-                ops += image.composite_rect_under(rect, pixels) as u64;
+            for (rect, wire) in &backs {
+                ops += composite_rect(image, rect, wire, false);
                 new_bounds = new_bounds.union(rect);
             }
-            for (rect, pixels) in fronts.iter().rev() {
-                ops += image.composite_rect_over(rect, pixels) as u64;
+            for (rect, wire) in fronts.iter().rev() {
+                ops += composite_rect(image, rect, wire, true);
                 new_bounds = new_bounds.union(rect);
             }
             stat.composite_ops = ops;

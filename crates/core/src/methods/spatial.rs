@@ -1,0 +1,905 @@
+//! Codecs that exchange **spatial** halves — six of the seven methods.
+//!
+//! The region is cut along its centerline, alternating axes (Section
+//! 3.1), and what a rank knows about where its non-blank pixels lie is
+//! one rectangle kept current by `O(1)` algebra — intersect with the kept
+//! half, union with what arrived (BSBR's algorithm line 21) — never by a
+//! rescan. [`Spatial`] holds that state. The sent half is a *body*
+//! ([`Dense`] pixels, [`Runs`], a [`Bitmask`]) over a rectangle that is
+//! either the whole half, which both partners know ([`Headless`]), or the
+//! bounded part of it, sent as an 8-byte header ([`Headed`]):
+//!
+//! | method | codec | wire bytes of a half |
+//! | --- | --- | --- |
+//! | BS | `Headless<Dense>` | every pixel (Equation (2)) |
+//! | BSBR | `Headed<Dense>` | rect + its dense pixels (Equation (4)) |
+//! | BSRL | `Headless<Runs>` | code count + run codes + non-blank pixels |
+//! | BSBRC | `Headed<Runs>` | rect + the same over the rect only (Equation (8)) |
+//! | BSBM | `Headed<Bitmask>` | rect + `⌈A_send/8⌉` mask bytes + non-blank pixels |
+//! | BSMR | [`MultiRect`] | count + up to 8 tight rects, each with its dense pixels |
+//!
+//! BSRL, BSBM and BSMR are not paper methods. BSRL vs BSLC isolates what
+//! interleaving buys (`M_max` balance), BSRL vs BSBRC what the rectangle
+//! buys (encoding `A_send`, not the half); BSBM trades BSBRC's `2·R_code`
+//! bytes for one bit per rectangle pixel — it wins on fragmented content
+//! and loses on coherent runs; BSMR stops two distant clusters from
+//! costing one huge, mostly blank rectangle.
+
+use bytes::Bytes;
+use vr_image::rect::BYTES_PER_RECT;
+use vr_image::{kernel, Image, Rect, RunSet, BYTES_PER_PIXEL as PX, BYTES_PER_RUN_CODE};
+
+use crate::error::{Checked, Malformed};
+use crate::schedule::RegionSplitter;
+use crate::stats::StageStat;
+use crate::wire::{MsgReader, MsgWriter};
+
+use super::swap::{read_runs, Charge, StageCodec};
+use super::{OwnedPiece, Run};
+
+/// One method's encoding of a spatial half.
+pub(crate) trait HalfCodec: Default {
+    /// The stopwatch the encode is charged to.
+    const CHARGE: Charge;
+    /// See [`StageCodec::DEAD_IS_EMPTY`].
+    const DEAD_IS_EMPTY: bool;
+
+    /// The rectangle that bounds whatever this codec will send: the
+    /// scanned bounding rectangle, or the whole frame (nothing scanned,
+    /// every stage offers the full half).
+    fn bounds(image: &Image, run: &mut Run) -> Rect;
+
+    /// The wire bytes of `send`, the bounded part of the sent half.
+    fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes;
+
+    /// Checks `received` against the kept half, composites it and returns
+    /// the rectangle it covered.
+    fn merge(
+        &mut self,
+        image: &mut Image,
+        keep: &Rect,
+        received: Bytes,
+        front: bool,
+        stat: &mut StageStat,
+    ) -> Checked<Rect>;
+}
+
+/// The split state shared by the spatial codecs.
+pub(crate) struct Spatial<H> {
+    splitter: RegionSplitter,
+    /// Stages split so far (the cut alternates axes).
+    stage: usize,
+    /// Bounds of this rank's non-blank pixels inside its region.
+    bounds: Rect,
+    half: H,
+}
+
+impl<H: HalfCodec> StageCodec for Spatial<H> {
+    const CHARGE: Charge = H::CHARGE;
+    const DEAD_IS_EMPTY: bool = H::DEAD_IS_EMPTY;
+
+    fn begin(image: &Image, run: &mut Run) -> Self {
+        Spatial {
+            splitter: RegionSplitter::new(image.full_rect()),
+            stage: 0,
+            bounds: H::bounds(image, run),
+            half: H::default(),
+        }
+    }
+
+    fn encode(&mut self, image: &Image, keep_low: bool, stat: &mut StageStat) -> Bytes {
+        // The subimage centerline divides the local bounding rectangle
+        // into the new local and the sending bounding rectangle.
+        let (keep, send) = self.splitter.split(self.stage, keep_low);
+        self.stage += 1;
+        let send = self.bounds.intersect(&send);
+        self.bounds = self.bounds.intersect(&keep);
+        self.half.encode(image, &send, stat)
+    }
+
+    fn merge(
+        &mut self,
+        image: &mut Image,
+        received: Bytes,
+        front: bool,
+        stat: &mut StageStat,
+    ) -> Checked<()> {
+        let keep = self.splitter.region();
+        let arrived = self.half.merge(image, &keep, received, front, stat)?;
+        self.bounds = self.bounds.union(&arrived);
+        Ok(())
+    }
+
+    fn piece(&self) -> OwnedPiece {
+        OwnedPiece::Rect(self.splitter.region())
+    }
+}
+
+/// How the pixels of one rectangle travel.
+pub(crate) trait Body: Default {
+    /// The stopwatch the scan and the write are charged to.
+    const CHARGE: Charge;
+
+    /// Scans `rect`, fills the encode counters and returns the exact
+    /// number of bytes [`Body::put`] appends, so a payload is allocated
+    /// once.
+    fn scan(&mut self, image: &Image, rect: &Rect, stat: &mut StageStat) -> usize;
+
+    /// Appends the scanned body, pixels straight from the image rows.
+    fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect);
+
+    /// Checks that the rest of `r` is exactly one body over `rect`,
+    /// composites it and returns the `over` count.
+    fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64>;
+}
+
+/// The body of the whole sent half: no header, because the receiver
+/// derives the rectangle from the shared schedule.
+#[derive(Default)]
+pub(crate) struct Headless<B>(B);
+
+impl<B: Body> HalfCodec for Headless<B> {
+    const CHARGE: Charge = B::CHARGE;
+    const DEAD_IS_EMPTY: bool = false;
+
+    fn bounds(image: &Image, _run: &mut Run) -> Rect {
+        image.full_rect()
+    }
+
+    fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes {
+        let mut w = MsgWriter::with_capacity(self.0.scan(image, send, stat));
+        self.0.put(&mut w, image, send);
+        w.freeze()
+    }
+
+    fn merge(
+        &mut self,
+        image: &mut Image,
+        keep: &Rect,
+        received: Bytes,
+        front: bool,
+        stat: &mut StageStat,
+    ) -> Checked<Rect> {
+        stat.composite_ops = B::merge(image, keep, &mut MsgReader::new(received), front)?;
+        Ok(*keep)
+    }
+}
+
+/// The sending bounding rectangle as an 8-byte header, then the body of
+/// that rectangle only; an empty rectangle is the header alone.
+#[derive(Default)]
+pub(crate) struct Headed<B>(B);
+
+impl<B: Body> HalfCodec for Headed<B> {
+    const CHARGE: Charge = B::CHARGE;
+    const DEAD_IS_EMPTY: bool = true;
+
+    /// `T_bound`: the one `O(A)` scan for the initial bounding rectangle.
+    fn bounds(image: &Image, run: &mut Run) -> Rect {
+        run.bound_pixels += image.area() as u64;
+        run.bound.time(|| image.bounding_rect())
+    }
+
+    fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes {
+        if send.is_empty() {
+            return encode_rect(image, send);
+        }
+        let mut w = MsgWriter::with_capacity(BYTES_PER_RECT + self.0.scan(image, send, stat));
+        w.put_rect(*send);
+        self.0.put(&mut w, image, send);
+        w.freeze()
+    }
+
+    fn merge(
+        &mut self,
+        image: &mut Image,
+        keep: &Rect,
+        received: Bytes,
+        front: bool,
+        stat: &mut StageStat,
+    ) -> Checked<Rect> {
+        let mut r = MsgReader::new(received);
+        let rect = read_rect(&mut r, keep)?;
+        stat.recv_rect_empty = rect.is_empty();
+        if rect.is_empty() {
+            Malformed::unless(r.remaining() == 0)?;
+        } else {
+            stat.composite_ops = B::merge(image, &rect, &mut r, front)?;
+        }
+        Ok(rect)
+    }
+}
+
+/// The rect payload BSBR, the fold and radix-k share: an 8-byte bounding
+/// rectangle, then its pixels dense and row-major.
+pub(crate) fn encode_rect(image: &Image, bounds: &Rect) -> Bytes {
+    let mut w = MsgWriter::with_capacity(BYTES_PER_RECT + bounds.area() * PX);
+    w.put_rect(*bounds);
+    w.put_image_rect(image, bounds);
+    w.freeze()
+}
+
+/// Reads a rectangle header that must lie inside `within`.
+fn read_rect(r: &mut MsgReader, within: &Rect) -> Checked<Rect> {
+    Malformed::unless(r.remaining() >= BYTES_PER_RECT)?;
+    let rect = r.get_rect();
+    Malformed::unless(within.contains_rect(&rect))?;
+    Ok(rect)
+}
+
+/// Reads one `rect + dense pixels` record; the pixels stay wire bytes.
+pub(crate) fn read_rect_pixels(r: &mut MsgReader, within: &Rect) -> Checked<(Rect, Bytes)> {
+    let rect = read_rect(r, within)?;
+    Malformed::unless(r.remaining() / PX >= rect.area())?;
+    Ok((rect, r.take_pixels(rect.area())))
+}
+
+/// Parses a whole rect payload: exactly one record, nothing after it.
+pub(crate) fn parse_rect(payload: Bytes, within: &Rect) -> Checked<(Rect, Bytes)> {
+    let mut r = MsgReader::new(payload);
+    let record = read_rect_pixels(&mut r, within)?;
+    Malformed::unless(r.remaining() == 0)?;
+    Ok(record)
+}
+
+/// Composites the wire-form pixels of `rect` in front of (`front`) or
+/// behind the image's own; returns the `over` count.
+pub(crate) fn composite_rect(image: &mut Image, rect: &Rect, wire: &[u8], front: bool) -> u64 {
+    if rect.is_empty() {
+        0
+    } else if front {
+        image.composite_rect_over_wire(rect, wire) as u64
+    } else {
+        image.composite_rect_under_wire(rect, wire) as u64
+    }
+}
+
+/// Every pixel of the rectangle, blank or not, dense and row-major.
+#[derive(Default)]
+pub(crate) struct Dense;
+
+impl Body for Dense {
+    const CHARGE: Charge = |run| &mut run.comp;
+
+    fn scan(&mut self, _image: &Image, rect: &Rect, _stat: &mut StageStat) -> usize {
+        rect.area() * PX
+    }
+
+    fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
+        w.put_image_rect(image, rect);
+    }
+
+    fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
+        Malformed::unless(r.remaining() == rect.area() * PX)?;
+        let wire = r.take_pixels(rect.area());
+        Ok(composite_rect(image, rect, &wire, front))
+    }
+}
+
+/// Walks runs — `(start, len)` positions, row-major inside `rect` — as
+/// row segments `(x, y, len)`, the shape both the image rows and the
+/// slice kernels want.
+fn for_row_segments(
+    rect: &Rect,
+    runs: impl IntoIterator<Item = (usize, usize)>,
+    mut visit: impl FnMut(u16, u16, usize),
+) {
+    let row_w = rect.width() as usize;
+    for (start, len) in runs {
+        let (mut pos, mut rem) = (start, len);
+        while rem > 0 {
+            let col = pos % row_w;
+            let seg = rem.min(row_w - col);
+            visit(rect.x0 + col as u16, rect.y0 + (pos / row_w) as u16, seg);
+            pos += seg;
+            rem -= seg;
+        }
+    }
+}
+
+/// Appends the pixels of `runs`, each segment straight from its image row.
+fn put_runs(
+    w: &mut MsgWriter,
+    image: &Image,
+    rect: &Rect,
+    runs: impl IntoIterator<Item = (usize, usize)>,
+) {
+    for_row_segments(rect, runs, |x, y, seg| {
+        w.put_pixels(image.row_span(x, y, seg))
+    });
+}
+
+/// Composites `wire` — the pixels of `runs`, in order — straight from
+/// its bytes, segment by segment through the wire-form slice kernels:
+/// the same `over` expression in the same left-to-right order as a
+/// per-pixel loop, so the output is bit-identical. The ops are the
+/// non-blank pixels received, never the rectangle's area.
+fn composite_runs(
+    image: &mut Image,
+    rect: &Rect,
+    runs: impl IntoIterator<Item = (usize, usize)>,
+    wire: &[u8],
+    front: bool,
+) {
+    let mut src = 0usize;
+    for_row_segments(rect, runs, |x, y, seg| {
+        let incoming = &wire[src..src + seg * PX];
+        let local = image.row_span_mut(x, y, seg);
+        if front {
+            kernel::over_slice_wire(incoming, local);
+        } else {
+            kernel::under_slice_wire(local, incoming);
+        }
+        src += incoming.len();
+    });
+}
+
+/// Section 3.3's run-length codes over the rectangle's blank/non-blank
+/// mask: a `u32` code count, the 2-byte codes, then only the non-blank
+/// pixels. The run table and the code buffer are reused across stages.
+#[derive(Default)]
+pub(crate) struct Runs {
+    runs: RunSet,
+    codes: Vec<u16>,
+}
+
+impl Body for Runs {
+    const CHARGE: Charge = |run| &mut run.encode;
+
+    fn scan(&mut self, image: &Image, rect: &Rect, stat: &mut StageStat) -> usize {
+        // One branchless run scan per row; positions are rect-relative
+        // and row-major, so these are the canonical codes of the mask.
+        let row_w = rect.width() as usize;
+        self.runs.clear();
+        for y in rect.y0..rect.y1 {
+            let base = (y - rect.y0) as usize * row_w;
+            kernel::scan_runs_into(image.row_span(rect.x0, y, row_w), base, &mut self.runs);
+        }
+        self.runs.encode_codes_into(rect.area(), &mut self.codes);
+        stat.encoded_pixels = rect.area() as u64;
+        stat.run_codes = self.codes.len() as u64;
+        4 + self.codes.len() * BYTES_PER_RUN_CODE + self.runs.non_blank_total() * PX
+    }
+
+    fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
+        w.put_u32(self.codes.len() as u32);
+        w.put_codes(&self.codes);
+        put_runs(w, image, rect, self.runs.runs().iter().copied());
+    }
+
+    fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
+        let (rle, total) = read_runs(r, rect.area())?;
+        Malformed::unless(r.remaining() == total * PX)?;
+        let wire = r.take_pixels(total);
+        composite_runs(image, rect, rle.non_blank_runs(), &wire, front);
+        Ok(total as u64)
+    }
+}
+
+/// Packs the blank/non-blank mask of `rect` into `mask` (LSB-first within
+/// each byte, row-major scan order); returns the non-blank count.
+fn pack_bitmask(image: &Image, rect: &Rect, mask: &mut Vec<u8>) -> usize {
+    mask.clear();
+    mask.resize(rect.area().div_ceil(8), 0);
+    let row_w = rect.width() as usize;
+    let mut non_blank = 0usize;
+    for y in rect.y0..rect.y1 {
+        let base = (y - rect.y0) as usize * row_w;
+        for (i, p) in image.row_span(rect.x0, y, row_w).iter().enumerate() {
+            if !p.is_blank() {
+                mask[(base + i) / 8] |= 1 << ((base + i) % 8);
+                non_blank += 1;
+            }
+        }
+    }
+    non_blank
+}
+
+/// The runs `(start, len)` of set bits among the first `area` positions
+/// of a bitmask.
+fn mask_runs(mask: &[u8], area: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let set = move |i: usize| mask[i / 8] & (1 << (i % 8)) != 0;
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        while pos < area && !set(pos) {
+            pos += 1;
+        }
+        let start = pos;
+        while pos < area && set(pos) {
+            pos += 1;
+        }
+        (pos > start).then_some((start, pos - start))
+    })
+}
+
+/// The paper's closing future-work item, "more efficient encoding
+/// schemes": the non-blank pattern as one bit per rectangle pixel —
+/// exactly `⌈A/8⌉` bytes however fragmented — then the non-blank pixels.
+#[derive(Default)]
+pub(crate) struct Bitmask {
+    mask: Vec<u8>,
+}
+
+impl Body for Bitmask {
+    const CHARGE: Charge = |run| &mut run.encode;
+
+    fn scan(&mut self, image: &Image, rect: &Rect, stat: &mut StageStat) -> usize {
+        let non_blank = pack_bitmask(image, rect, &mut self.mask);
+        stat.encoded_pixels = rect.area() as u64;
+        self.mask.len() + non_blank * PX
+    }
+
+    fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
+        w.put_bytes(&self.mask);
+        put_runs(w, image, rect, mask_runs(&self.mask, rect.area()));
+    }
+
+    fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
+        let area = rect.area();
+        Malformed::unless(r.remaining() >= area.div_ceil(8))?;
+        let mask = r.get_bytes(area.div_ceil(8));
+        let non_blank: usize = mask_runs(&mask, area).map(|(_, len)| len).sum();
+        Malformed::unless(r.remaining() == non_blank * PX)?;
+        let wire = r.take_pixels(non_blank);
+        composite_runs(image, rect, mask_runs(&mask, area), &wire, front);
+        Ok(non_blank as u64)
+    }
+}
+
+/// Maximum rectangles per BSMR message (depth-3 bisection).
+const MAX_RECTS: usize = 8;
+
+/// Density below which a rectangle is worth splitting further.
+const SPLIT_DENSITY: f64 = 0.6;
+
+/// Covers the non-blank pixels of `image` inside `within` with at most
+/// `max_rects` disjoint, individually tight rectangles, found by
+/// recursively bisecting any rectangle whose non-blank density is below
+/// a threshold and re-tightening the children.
+fn cover_rects(image: &Image, within: &Rect, max_rects: usize) -> Vec<Rect> {
+    let bounds = image.bounding_rect_in(within);
+    if bounds.is_empty() {
+        return Vec::new();
+    }
+    let mut rects = vec![bounds];
+    // Greedily split the sparsest rectangle while budget remains.
+    while rects.len() < max_rects {
+        // Pick the rect with the lowest density and a splittable extent.
+        let mut best: Option<(usize, f64)> = None;
+        for (i, r) in rects.iter().enumerate() {
+            if r.width() < 2 && r.height() < 2 {
+                continue;
+            }
+            let density = image.non_blank_count_in(r) as f64 / r.area() as f64;
+            if density < SPLIT_DENSITY && best.is_none_or(|(_, d)| density < d) {
+                best = Some((i, density));
+            }
+        }
+        let Some((idx, _)) = best else { break };
+        let r = rects.swap_remove(idx);
+        let (a, b) = if r.width() >= r.height() {
+            r.split_at_x(r.x0 + r.width() / 2)
+        } else {
+            r.split_at_y(r.y0 + r.height() / 2)
+        };
+        // Re-tighten both halves; drop empties.
+        for half in [a, b] {
+            let tight = image.bounding_rect_in(&half);
+            if !tight.is_empty() {
+                rects.push(tight);
+            }
+        }
+        if rects.is_empty() {
+            break;
+        }
+    }
+    rects
+}
+
+/// BSMR: a `u32` rectangle count, then per rectangle the BSBR record.
+/// It re-tightens per stage, so it rescans the sent half instead of
+/// doing rectangle algebra; those scans are charged as bound work.
+#[derive(Default)]
+pub(crate) struct MultiRect;
+
+impl HalfCodec for MultiRect {
+    const CHARGE: Charge = |run| &mut run.bound;
+    const DEAD_IS_EMPTY: bool = true;
+
+    fn bounds(image: &Image, run: &mut Run) -> Rect {
+        run.bound_pixels += image.area() as u64;
+        image.full_rect()
+    }
+
+    fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes {
+        let rects = cover_rects(image, send, MAX_RECTS);
+        stat.run_codes = rects.len() as u64;
+        let records: usize = rects.iter().map(|r| BYTES_PER_RECT + r.area() * PX).sum();
+        let mut w = MsgWriter::with_capacity(4 + records);
+        w.put_u32(rects.len() as u32);
+        for r in &rects {
+            w.put_rect(*r);
+            w.put_image_rect(image, r);
+        }
+        w.freeze()
+    }
+
+    fn merge(
+        &mut self,
+        image: &mut Image,
+        keep: &Rect,
+        received: Bytes,
+        front: bool,
+        stat: &mut StageStat,
+    ) -> Checked<Rect> {
+        let mut r = MsgReader::new(received);
+        Malformed::unless(r.remaining() >= 4)?;
+        let n = r.get_u32() as usize;
+        Malformed::unless(n <= MAX_RECTS)?;
+        let records = (0..n)
+            .map(|_| read_rect_pixels(&mut r, keep))
+            .collect::<Checked<Vec<_>>>()?;
+        Malformed::unless(r.remaining() == 0)?;
+        stat.recv_rect_empty = n == 0;
+        // Disjoint rects from one sender commute freely.
+        stat.composite_ops = records
+            .iter()
+            .map(|(rect, wire)| composite_rect(image, rect, wire, front))
+            .sum();
+        // The bounds are the whole kept half already.
+        Ok(Rect::EMPTY)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::{run_method, test_images};
+    use super::*;
+    use crate::methods::{composite, Method};
+    use vr_comm::{run_group, CostModel};
+    use vr_image::Pixel;
+    use vr_volume::DepthOrder;
+
+    /// Total bytes `method` sends over all ranks.
+    fn sent_bytes(method: Method, images: &[Image]) -> u64 {
+        run_method(method, images, &DepthOrder::identity(images.len()))
+            .iter()
+            .map(|r| r.stats.sent_bytes())
+            .sum()
+    }
+
+    /// The areas of the rectangles the ranks end up owning.
+    fn owned_area(method: Method, p: usize, w: u16, h: u16) -> usize {
+        run_method(method, &test_images(p, w, h), &DepthOrder::identity(p))
+            .iter()
+            .map(|r| match &r.piece {
+                OwnedPiece::Rect(r) => r.area(),
+                other => panic!("unexpected piece {other:?}"),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn bs_single_rank_is_identity() {
+        let images = test_images(1, 16, 16);
+        let out = run_group(1, CostModel::free(), |ep| {
+            let mut img = images[0].clone();
+            let res = composite(Method::Bs, ep, &mut img, &DepthOrder::identity(1)).unwrap();
+            assert_eq!(res.piece, OwnedPiece::Rect(Rect::new(0, 0, 16, 16)));
+            img
+        });
+        assert_eq!(out.results[0], images[0]);
+    }
+
+    #[test]
+    fn bs_bytes_match_equation_2() {
+        // Equation (2): stage k transfers 16 · A/2^k bytes per processor.
+        let a = 32u64 * 32;
+        let images = test_images(8, 32, 32);
+        for res in run_method(Method::Bs, &images, &DepthOrder::identity(8)) {
+            assert_eq!(res.stats.stages.len(), 3);
+            for (k, stage) in res.stats.stages.iter().enumerate() {
+                let expected = 16 * a / 2u64.pow(k as u32 + 1);
+                assert_eq!(stage.sent_bytes, expected, "stage {k}");
+                assert_eq!(stage.recv_bytes, expected, "stage {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn final_regions_partition_image() {
+        assert_eq!(owned_area(Method::Bs, 8, 32, 32), 32 * 32);
+        assert_eq!(owned_area(Method::Bsbr, 4, 16, 16), 256);
+    }
+
+    #[test]
+    fn bsbr_sends_less_than_bs_on_sparse_images() {
+        // Sparse content: one small blob per rank.
+        let images: Vec<Image> = (0..4u16)
+            .map(|r| {
+                let mut img = Image::blank(64, 64);
+                for dy in 0..4u16 {
+                    for dx in 0..4u16 {
+                        img.set(10 + r * 6 + dx, 20 + dy, Pixel::gray(0.5, 0.8));
+                    }
+                }
+                img
+            })
+            .collect();
+        let bs = sent_bytes(Method::Bs, &images);
+        let bsbr = sent_bytes(Method::Bsbr, &images);
+        assert!(
+            bsbr * 4 < bs,
+            "BSBR should send far less on sparse input: {bsbr} vs {bs}"
+        );
+    }
+
+    #[test]
+    fn bsbr_empty_rect_sends_header_only() {
+        // Rank 1's image is completely blank → every payload it sends is
+        // just the 8-byte rectangle header.
+        let images = [test_images(1, 16, 16)[0].clone(), Image::blank(16, 16)];
+        let out = run_method(Method::Bsbr, &images, &DepthOrder::identity(2));
+        assert_eq!(out[1].stats.stages[0].sent_bytes, 8);
+        // And the partner observed an empty receiving rectangle.
+        assert!(out[0].stats.stages[0].recv_rect_empty);
+    }
+
+    #[test]
+    fn bsbrc_never_sends_more_pixels_than_bsbr() {
+        // BSBRC payload = header + codes + non-blank pixels; BSBR payload
+        // = header + all rect pixels. On any input the non-blank pixel
+        // bytes are a subset; codes may add a little, but for sparse
+        // rects BSBRC must win clearly.
+        let images = test_images(8, 48, 48);
+        let bsbr = sent_bytes(Method::Bsbr, &images);
+        let bsbrc = sent_bytes(Method::Bsbrc, &images);
+        assert!(
+            bsbrc < bsbr,
+            "BSBRC {bsbrc} should undercut BSBR {bsbr} on sparse images"
+        );
+    }
+
+    #[test]
+    fn bsbrc_encodes_fewer_pixels_than_bslc() {
+        // Equation (7) vs (5): BSBRC encodes A_send^k ≤ A/2^k.
+        let images = test_images(8, 48, 48);
+        let encoded = |m: Method| -> u64 {
+            run_method(m, &images, &DepthOrder::identity(8))
+                .iter()
+                .flat_map(|r| &r.stats.stages)
+                .map(|s| s.encoded_pixels)
+                .sum()
+        };
+        let bslc = encoded(Method::Bslc);
+        let bsbrc = encoded(Method::Bsbrc);
+        assert!(bsbrc <= bslc, "BSBRC encodes {bsbrc} > BSLC {bslc}");
+    }
+
+    #[test]
+    fn empty_rect_is_header_only() {
+        let blank = [Image::blank(16, 16), Image::blank(16, 16)];
+        for method in [Method::Bsbrc, Method::Bsbm] {
+            for res in run_method(method, &blank, &DepthOrder::identity(2)) {
+                let stage = res.stats.stages[0];
+                assert_eq!(stage.sent_bytes, 8, "{method:?}");
+                assert!(stage.recv_rect_empty, "{method:?}");
+                assert_eq!(stage.composite_ops, 0, "{method:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn composite_ops_equal_non_blank_received() {
+        // Ops must equal the number of non-blank pixels received, never
+        // the rect area (the BSBR behaviour). Two distant pixels in the
+        // half rank 1 sends at stage 0: wide rect, only 2 non-blank.
+        let mut sparse = Image::blank(32, 32);
+        sparse.set(2, 2, Pixel::gray(0.5, 0.5));
+        sparse.set(13, 29, Pixel::gray(0.5, 0.5));
+        let images = [Image::blank(32, 32), sparse];
+        for method in [Method::Bsbrc, Method::Bsrl, Method::Bsbm] {
+            // Rank 0 keeps the left half at stage 0 and receives rank 1's
+            // left-half content.
+            let out = run_method(method, &images, &DepthOrder::identity(2));
+            assert_eq!(out[0].stats.stages[0].composite_ops, 2, "{method:?}");
+        }
+    }
+
+    #[test]
+    fn bsrl_encodes_full_halves_like_bslc() {
+        // Equation (5) shape: stage k encodes A/2^k pixels.
+        let a = 32u64 * 32;
+        let images = test_images(8, 32, 32);
+        for res in run_method(Method::Bsrl, &images, &DepthOrder::identity(8)) {
+            for (k, stage) in res.stats.stages.iter().enumerate() {
+                assert_eq!(stage.encoded_pixels, a / 2u64.pow(k as u32 + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn bsrl_is_unbalanced_on_concentrated_content_unlike_bslc() {
+        // The ablation's point: with all content in the frame's left
+        // half, BSRL (spatial halves) concentrates traffic on half the
+        // ranks, while BSLC (interleaved) spreads it.
+        let (w, h) = (32u16, 32u16);
+        let images: Vec<Image> = (0..4u16)
+            .map(|r| {
+                Image::from_fn(w, h, |x, y| {
+                    if x < w / 2 && (x + y + r).is_multiple_of(2) {
+                        Pixel::gray(0.5, 0.7)
+                    } else {
+                        Pixel::BLANK
+                    }
+                })
+            })
+            .collect();
+        let m_max = |method: Method| {
+            run_method(method, &images, &DepthOrder::identity(4))
+                .iter()
+                .map(|r| r.stats.recv_bytes())
+                .max()
+                .unwrap()
+        };
+        let bsrl = m_max(Method::Bsrl);
+        let bslc = m_max(Method::Bslc);
+        assert!(
+            (bslc as f64) < 0.75 * bsrl as f64,
+            "interleaving should balance: BSLC {bslc} vs BSRL {bsrl}"
+        );
+    }
+
+    #[test]
+    fn bitmask_round_trips() {
+        let mut img = Image::blank(16, 8);
+        img.set(1, 0, Pixel::gray(0.5, 0.5));
+        img.set(7, 3, Pixel::gray(0.5, 0.5));
+        img.set(8, 3, Pixel::gray(0.5, 0.5));
+        img.set(15, 7, Pixel::gray(0.5, 0.5));
+        let rect = img.full_rect();
+        let mut mask = Vec::new();
+        let n = pack_bitmask(&img, &rect, &mut mask);
+        assert_eq!(n, 4);
+        let runs: Vec<_> = mask_runs(&mask, rect.area()).collect();
+        assert_eq!(runs, vec![(1, 1), (3 * 16 + 7, 2), (7 * 16 + 15, 1)]);
+    }
+
+    /// Rank 0's BSBM and BSBRC bytes when both ranks hold `pattern`.
+    fn bitmask_vs_runs(pattern: impl Fn(u16, u16) -> Pixel + Copy) -> (u64, u64) {
+        let images = [
+            Image::from_fn(64, 64, pattern),
+            Image::from_fn(64, 64, pattern),
+        ];
+        let sent = |m: Method| {
+            run_method(m, &images, &DepthOrder::identity(2))[0]
+                .stats
+                .sent_bytes()
+        };
+        (sent(Method::Bsbm), sent(Method::Bsbrc))
+    }
+
+    #[test]
+    fn bitmask_beats_rle_on_fragmented_content() {
+        // Alternating pixels: RLE degenerates to ~2 codes/px (4 B per 2
+        // px), the bitmask stays at 1 bit/px.
+        let (bsbm, bsbrc) = bitmask_vs_runs(|x, y| {
+            if (x + y) % 2 == 0 {
+                Pixel::gray(0.5, 0.5)
+            } else {
+                Pixel::BLANK
+            }
+        });
+        assert!(
+            bsbm < bsbrc,
+            "bitmask should beat RLE on checkerboard: {bsbm} vs {bsbrc}"
+        );
+    }
+
+    #[test]
+    fn rle_beats_bitmask_on_coherent_content() {
+        // One solid block: RLE needs a handful of codes, the bitmask
+        // still pays 1 bit for every rect pixel.
+        let (bsbm, bsbrc) = bitmask_vs_runs(|x, y| {
+            if x < 8 && y < 60 {
+                Pixel::gray(0.5, 0.5)
+            } else if x > 55 && y > 60 {
+                Pixel::gray(0.2, 0.2)
+            } else {
+                Pixel::BLANK
+            }
+        });
+        assert!(
+            bsbrc < bsbm,
+            "RLE should beat bitmask on coherent blocks: {bsbrc} vs {bsbm}"
+        );
+    }
+
+    #[test]
+    fn cover_rects_tight_on_two_clusters() {
+        let mut img = Image::blank(64, 64);
+        for d in 0..4u16 {
+            for e in 0..4u16 {
+                img.set(2 + d, 2 + e, Pixel::gray(0.5, 0.5));
+                img.set(58 + d, 58 + e, Pixel::gray(0.5, 0.5));
+            }
+        }
+        let rects = cover_rects(&img, &img.full_rect(), MAX_RECTS);
+        let covered: usize = rects.iter().map(|r| r.area()).sum();
+        // Two tight 4×4 rects instead of one 60×60 box.
+        assert!(rects.len() >= 2);
+        assert!(covered <= 64, "cover too loose: {rects:?}");
+        // Every non-blank pixel is inside some rect.
+        for y in 0..64u16 {
+            for x in 0..64u16 {
+                if !img.get(x, y).is_blank() {
+                    assert!(
+                        rects.iter().any(|r| r.contains(x, y)),
+                        "({x},{y}) uncovered"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cover_rects_respects_budget_and_disjointness() {
+        let img = Image::from_fn(32, 32, |x, y| {
+            if (x / 3 + y / 3) % 2 == 0 {
+                Pixel::gray(0.5, 0.5)
+            } else {
+                Pixel::BLANK
+            }
+        });
+        let rects = cover_rects(&img, &img.full_rect(), MAX_RECTS);
+        assert!(rects.len() <= MAX_RECTS);
+        for (i, a) in rects.iter().enumerate() {
+            for b in &rects[i + 1..] {
+                assert!(a.intersect(b).is_empty(), "{a:?} overlaps {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cover_rects_empty_input() {
+        let img = Image::blank(16, 16);
+        assert!(cover_rects(&img, &img.full_rect(), MAX_RECTS).is_empty());
+    }
+
+    #[test]
+    fn bsmr_beats_bsbr_on_corner_clusters() {
+        // Two separated clusters, both inside the right half that rank 0
+        // sends at stage 0.
+        let mut img = Image::blank(64, 64);
+        for d in 0..4u16 {
+            for e in 0..4u16 {
+                img.set(40 + d, 2 + e, Pixel::gray(0.5, 0.5));
+                img.set(58 + d, 58 + e, Pixel::gray(0.5, 0.5));
+            }
+        }
+        let images = [img.clone(), img];
+        let sent = |m: Method| {
+            run_method(m, &images, &DepthOrder::identity(2))[0]
+                .stats
+                .sent_bytes()
+        };
+        let bsmr = sent(Method::Bsmr);
+        let bsbr = sent(Method::Bsbr);
+        assert!(
+            bsmr * 4 < bsbr,
+            "BSMR {bsmr} should crush BSBR {bsbr} on corner clusters"
+        );
+    }
+
+    #[test]
+    fn bsmr_stage_counters_are_sane() {
+        let images = test_images(8, 32, 32);
+        for res in run_method(Method::Bsmr, &images, &DepthOrder::identity(8)) {
+            assert_eq!(res.stats.stages.len(), 3);
+            for s in &res.stats.stages {
+                assert!(s.run_codes as usize <= MAX_RECTS);
+                assert!(s.sent_bytes >= 4);
+            }
+        }
+    }
+}

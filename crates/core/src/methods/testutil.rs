@@ -32,6 +32,20 @@ pub fn test_images(p: usize, w: u16, h: u16) -> Vec<Image> {
         .collect()
 }
 
+/// Runs `method` over `images` (one per rank) and returns every rank's
+/// compositing result, in rank order.
+pub fn run_method(
+    method: crate::methods::Method,
+    images: &[Image],
+    depth: &DepthOrder,
+) -> Vec<crate::methods::CompositeResult> {
+    run_group(images.len(), CostModel::free(), |ep| {
+        let mut img = images[ep.rank()].clone();
+        crate::methods::composite(method, ep, &mut img, depth).unwrap()
+    })
+    .results
+}
+
 /// Runs a method distributed and compares against the sequential
 /// reference within tolerance; returns the gathered image.
 pub fn check_against_reference(

@@ -7,10 +7,10 @@ use vr_comm::Endpoint;
 use vr_image::{Image, Rect};
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv, try_send, CompositeError};
+use crate::error::{try_recv, try_send, CompositeError, Malformed};
+use crate::methods::spatial::{composite_rect, encode_rect, parse_rect};
 use crate::stats::StageStat;
 use crate::timer::Stopwatch;
-use crate::wire::{MsgReader, MsgWriter};
 
 /// Message tags used by the compositing protocols.
 pub mod tags {
@@ -153,11 +153,11 @@ pub enum FoldOutcome {
 /// (the paper's future-work extension to arbitrary processor counts).
 ///
 /// The first `2(P−Q)` *virtual* positions pair up `(2i, 2i+1)`; each odd
-/// position compresses its subimage (bounding rectangle + dense pixels)
-/// and sends it to the even position in front of it. Pairs are adjacent
-/// in depth order, so merged partials stay depth-contiguous and the
-/// remaining `Q` participants renumber without breaking front-to-back
-/// monotonicity.
+/// position compresses its subimage (BSBR's rect payload: bounding
+/// rectangle + dense pixels) and sends it to the even position in front
+/// of it. Pairs are adjacent in depth order, so merged partials stay
+/// depth-contiguous and the remaining `Q` participants renumber without
+/// breaking front-to-back monotonicity.
 pub fn fold_into_pow2(
     ep: &mut Endpoint,
     image: &mut Image,
@@ -184,13 +184,7 @@ pub fn fold_into_pow2(
             // Fold out: ship bounding rectangle + pixels to the partner
             // in front (virtual v−1), then retire. If that partner is
             // dead the image is lost (a hole); this rank retires anyway.
-            let payload = comp.time(|| {
-                let bounds = image.bounding_rect();
-                let mut w = MsgWriter::with_capacity(8 + bounds.area() * vr_image::BYTES_PER_PIXEL);
-                w.put_rect(bounds);
-                w.put_image_rect(image, &bounds);
-                w.freeze()
-            });
+            let payload = comp.time(|| encode_rect(image, &image.bounding_rect()));
             stat.sent_bytes = payload.len() as u64;
             stat.sent_msgs = 1;
             if try_send(ep, topo.real(v - 1), tags::FOLD, payload, dead, "fold")? {
@@ -203,12 +197,12 @@ pub fn fold_into_pow2(
         // Receive the behind-neighbour's image and composite it under
         // our own (we are in front). A dead neighbour contributes
         // nothing — we keep our own partial.
-        if let Some(payload) = try_recv(ep, topo.real(v + 1), tags::FOLD, dead, "fold")? {
+        let behind = topo.real(v + 1);
+        if let Some(payload) = try_recv(ep, behind, tags::FOLD, dead, "fold")? {
             stat.recv_bytes = payload.len() as u64;
             stat.recv_msgs = 1;
             comp.time(|| {
-                let mut r = MsgReader::new(payload);
-                let rect = r.get_rect();
+                let (rect, wire) = parse_rect(payload, &image.full_rect())?;
                 stat.recv_rect_empty = rect.is_empty();
                 if !rect.is_empty() {
                     // The merged bounds are the union of ours and the
@@ -216,13 +210,14 @@ pub fn fold_into_pow2(
                     // premultiplied pixels never blanks a non-blank pixel,
                     // so no rescan is needed to keep the fast path armed.
                     let prior = image.bounds_hint();
-                    let wire = r.take_pixels(rect.area());
-                    stat.composite_ops = image.composite_rect_under_wire(&rect, &wire) as u64;
+                    stat.composite_ops = composite_rect(image, &rect, &wire, false);
                     if let Some(h) = prior {
                         image.assert_bounds(h.union(&rect));
                     }
                 }
-            });
+                Ok(())
+            })
+            .map_err(|m: Malformed| m.at("fold", behind))?;
         } else {
             stat.recv_rect_empty = true;
         }

@@ -7,6 +7,13 @@
 //! few bytes per message (≪ the 40 µs start-up cost) and are charged to
 //! the byte counters like any other payload, so no method gains an
 //! unaccounted advantage.
+//!
+//! [`MsgReader`]'s `get_*`/`take_*` calls panic on a short read: they
+//! are for bytes whose length the caller has already checked. The
+//! receive paths that face the fabric (the binary-swap stage codecs, the
+//! fold, radix-k, the gather) compare every count they read against
+//! [`MsgReader::remaining`] first and answer a mismatch with
+//! [`CompositeError::Malformed`](crate::CompositeError::Malformed).
 
 use bytes::{Buf, BufMut, Bytes};
 use vr_image::{Image, Pixel, Rect};
@@ -196,17 +203,19 @@ impl MsgReader {
     }
 }
 
-/// Reusable per-rank staging buffers for payloads that are gathered
-/// or scattered pixel by pixel.
+/// Reusable staging buffers for a payload that is gathered and
+/// scattered pixel by pixel — BSLC's, and BSLC's alone: the pool is a
+/// field of its interleaved stage codec, not of the shared run state.
 ///
-/// Rect- and run-shaped payloads (BS, BSBR, BSBRC, the fold, the
-/// gather) need no staging: [`MsgWriter::put_image_rect`] writes image
-/// rows straight into the payload and [`MsgReader::take_pixels`] feeds
-/// the received bytes straight to the `over` kernels. BSLC's interleaved
-/// sequences visit the image with a stride, so it packs through `send`
-/// and unpacks through `recv`; the pool owns one of each, grown to the
-/// schedule's high-water mark and reused (`clear()`, never shrunk)
-/// across stages instead of allocated per stage.
+/// Rect- and run-shaped payloads (every spatial binary-swap codec, the
+/// fold, radix-k, the gather) need no staging:
+/// [`MsgWriter::put_image_rect`] and [`MsgWriter::put_pixels`] write
+/// image rows straight into the payload and [`MsgReader::take_pixels`]
+/// feeds the received bytes straight to the `over` kernels. BSLC's
+/// interleaved sequences visit the image with a stride, so it packs
+/// through `send` and unpacks through `recv`; the pool owns one of each,
+/// grown to the schedule's high-water mark and reused (`clear()`, never
+/// shrunk) across stages instead of allocated per stage.
 ///
 /// The pool also records that high-water mark: `peak_bytes()` is the
 /// peak resident staging footprint, surfaced per rank through

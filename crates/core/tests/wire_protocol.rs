@@ -3,8 +3,8 @@
 //! protocol-sniffing rank that decodes its partner's raw bytes.
 
 use slsvr_core::wire::{MsgReader, MsgWriter};
-use slsvr_core::{composite, Method};
-use vr_comm::{run_group, CostModel};
+use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, Workload};
+use vr_comm::{run_group, run_group_with, CostModel, FaultConfig, GroupOptions, ScheduleSpec};
 use vr_image::{Image, MaskRle, Pixel, Rect};
 use vr_volume::DepthOrder;
 
@@ -116,4 +116,61 @@ fn bs_message_is_headerless() {
     for s in &out.results {
         assert_eq!(s.stages[0].sent_bytes as usize, 10 * 20 * 16);
     }
+}
+
+/// Hostile stage bytes: with 90 % of all transmissions carrying a flipped
+/// bit and no reliable transport to catch it, every swap method (and
+/// radix-k, which shares the rect payload) must answer each damaged
+/// header, count or length with a typed, retryable `Malformed` — never a
+/// panic (a panicking rank would unwind through `run_group_with` and
+/// fail this test). A flipped bit *inside* a pixel still parses: catching
+/// that is the reliable transport's CRC's job, not the codec's.
+#[test]
+fn corrupted_payloads_are_malformed_never_a_panic() {
+    let methods = [
+        Method::Bs,
+        Method::Bsbr,
+        Method::Bslc,
+        Method::Bsbrc,
+        Method::Bsrl,
+        Method::Bsbm,
+        Method::Bsmr,
+        Method::RadixK,
+    ];
+    let mut malformed = 0usize;
+    for method in methods {
+        // P = 6 reaches the fold (and radix-k's rounds [3, 2]).
+        for p in [6usize, 8] {
+            let images = Workload::Sparse.images(p, 16, 16);
+            let depth = DepthOrder::identity(p);
+            for seed in 1..=8u64 {
+                let faults: FaultConfig = format!("corrupt=0.9,seed={seed}").parse().unwrap();
+                let options = GroupOptions {
+                    cost: CostModel::free(),
+                    faults: Some(faults),
+                    schedule: Some(ScheduleSpec::seeded(seed)),
+                    ..Default::default()
+                };
+                let out = run_group_with(p, options, |ep| {
+                    let mut img = images[ep.rank()].clone();
+                    let result = composite(method, ep, &mut img, &depth)?;
+                    gather_image_tolerant(ep, &img, &result.piece, 0).map(|_| ())
+                });
+                for result in out.results {
+                    match result {
+                        Ok(()) => {}
+                        Err(e @ CompositeError::Malformed { .. }) => {
+                            assert!(e.is_transient());
+                            malformed += 1;
+                        }
+                        Err(other) => panic!("{method:?} P={p} seed {seed}: {other}"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        malformed > 0,
+        "the sweep must actually damage a header somewhere"
+    );
 }

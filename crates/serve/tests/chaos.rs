@@ -263,6 +263,60 @@ fn quality_floor_rejects_after_bounded_retries() {
     assert_eq!(stats.answered(), stats.submitted);
 }
 
+/// A payload damaged in transit (no reliable transport to catch it) fails
+/// validation as `CompositeError::Malformed` — a *transient* error: the
+/// job is retried with re-salted fault decisions, never rejected as a
+/// structural crash after one attempt.
+#[test]
+fn malformed_payload_is_retried_like_any_transient_fault() {
+    let max_retries = 3;
+    // Small frames over many ranks: most of every payload is header.
+    let mut config = base();
+    config.image_size = 16;
+    config.processors = 8;
+    config.method = Method::Bsbr;
+    let mut damaged = 0;
+    for seed in 1..=8 {
+        let service = FrameService::start(ServeConfig {
+            workers: 1,
+            faults: Some(FaultConfig {
+                seed,
+                corrupt: 0.9,
+                ..Default::default()
+            }),
+            retry: fast_retry(max_retries),
+            ..Default::default()
+        });
+        let session = service.open_session(config);
+        match answer(&session.request(config)) {
+            // The first attempt, or a re-salted one, got through.
+            FrameResponse::Frame(_) => {}
+            FrameResponse::Rejected {
+                attempts,
+                reason: RejectReason::Failed { error },
+            } => {
+                assert!(error.contains("malformed payload"), "seed {seed}: {error}");
+                assert_eq!(
+                    attempts,
+                    max_retries + 1,
+                    "only the budget ends the retries"
+                );
+            }
+            other => panic!("seed {seed}: unexpected answer {other:?}"),
+        }
+        let stats = service.shutdown();
+        if stats.panics_caught > 0 {
+            damaged += 1;
+            assert!(
+                stats.frame_retries >= 1,
+                "seed {seed}: a malformed frame is retried"
+            );
+        }
+        assert_eq!(stats.answered(), stats.submitted);
+    }
+    assert!(damaged > 0, "the sweep must damage a header somewhere");
+}
+
 #[test]
 fn breaker_sheds_after_threshold_without_rendering() {
     // Long cooldown: once open, the breaker sheds for the whole test.

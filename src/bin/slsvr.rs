@@ -223,24 +223,6 @@ fn parse_dataset(name: &str) -> Result<DatasetKind, String> {
     }
 }
 
-fn parse_method(name: &str) -> Result<Method, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "bs" => Ok(Method::Bs),
-        "bsbr" => Ok(Method::Bsbr),
-        "bslc" => Ok(Method::Bslc),
-        "bsbrc" => Ok(Method::Bsbrc),
-        "bsrl" => Ok(Method::Bsrl),
-        "bsbm" => Ok(Method::Bsbm),
-        "bsmr" => Ok(Method::Bsmr),
-        "btree" => Ok(Method::BinaryTree),
-        "dsend" => Ok(Method::DirectSend),
-        "pipe" => Ok(Method::Pipeline),
-        "radixk" | "radix" => Ok(Method::RadixK),
-        "tile-stream" | "tstream" => Ok(Method::TileStream),
-        other => Err(format!("unknown method `{other}`")),
-    }
-}
-
 fn parse_dims(spec: &str) -> Result<[usize; 3], String> {
     let parts: Vec<usize> = spec
         .split(',')
@@ -263,7 +245,7 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
         dataset: parse_dataset(flags.get("--dataset").unwrap_or("engine_low"))?,
         image_size: flags.parse("--size", 384u16)?,
         processors: flags.parse("--procs", 8usize)?,
-        method: parse_method(flags.get("--method").unwrap_or("bsbrc"))?,
+        method: flags.get("--method").unwrap_or("bsbrc").parse()?,
         rot_x_deg: flags.parse("--rot-x", 20.0f32)?,
         rot_y_deg: flags.parse("--rot-y", 30.0f32)?,
         early_termination_alpha: flags.parse("--early-term", 1.0f32)?,
