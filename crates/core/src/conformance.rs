@@ -25,7 +25,7 @@ use std::str::FromStr;
 
 use vr_comm::{
     run_group_with, CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec,
-    ScheduleTrace,
+    ScheduleTrace, TrafficStats,
 };
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
@@ -215,6 +215,8 @@ pub struct ConformanceOutcome {
     /// Per-rank method statistics (`None` for ranks whose composite
     /// errored out, e.g. killed ranks).
     pub per_rank: Vec<Option<MethodStats>>,
+    /// Per-rank transport counters (compositing and gather), by rank.
+    pub traffic: Vec<TrafficStats>,
     /// The schedule the run took, when it ran under virtual time.
     pub schedule: Option<ScheduleTrace>,
 }
@@ -278,6 +280,7 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
         missing_ranks,
         dead_ranks: out.dead_ranks,
         per_rank,
+        traffic: out.stats,
         schedule: out.schedule,
     }
 }

@@ -550,6 +550,123 @@ fn swap_family_stage_counters_are_pinned() {
     );
 }
 
+/// The transport modes `vr-comm` runs a rank through, as conformance
+/// cases under the SP2 cost model at P = 4 and P = 6 (through the fold):
+/// the stop-and-wait ARQ healing each fault class and a killed rank, the
+/// raw wire under a kill and under delays, TSTREAM (any-source receives
+/// and stamped sends) raw and over lossy reliable links, and the three
+/// methods outside the swap family. Each case carries its fault spec in
+/// the corpus grammar.
+fn transport_cases() -> Vec<(ConformanceCase, Option<&'static str>)> {
+    let mut cases = Vec::new();
+    for p in [4usize, 6] {
+        let sp2 = |method, seed| ConformanceCase {
+            cost: CostKind::Sp2,
+            depth: shuffled_depth(p, 5),
+            ..ConformanceCase::new(method, p, Workload::Sparse, seed)
+        };
+        let faulty = |case: ConformanceCase, reliable, spec: &'static str| {
+            let case = ConformanceCase {
+                reliable,
+                faults: Some(spec.parse().expect("valid fault spec")),
+                ..case
+            };
+            (case, Some(spec))
+        };
+        for spec in [
+            "drop=0.1,seed=5",
+            "corrupt=0.1,seed=4",
+            "dup=0.1,seed=7",
+            // Longer than the 10 ms ack timeout: spurious retransmits.
+            "delay=0.2,delay_ms=15,seed=8",
+            "kill=2@3,seed=9",
+        ] {
+            cases.push(faulty(sp2(Method::Bsbrc, 71), true, spec));
+        }
+        cases.push(faulty(sp2(Method::Bsbrc, 73), false, "kill=3@2,seed=9"));
+        cases.push(faulty(
+            sp2(Method::Bsbrc, 73),
+            false,
+            "delay=0.2,delay_ms=15,seed=8",
+        ));
+        // 80×56 ⇒ a 3×2 grid of 32-px tiles spread over the owners.
+        let tstream = ConformanceCase {
+            width: 80,
+            height: 56,
+            ..sp2(Method::TileStream, 79)
+        };
+        cases.push((tstream.clone(), None));
+        cases.push(faulty(tstream, true, "drop=0.1,seed=5"));
+        for method in [Method::Pipeline, Method::DirectSend, Method::BinaryTree] {
+            cases.push((sp2(method, 83), None));
+        }
+    }
+    cases
+}
+
+/// Golden transport counters: for every case of [`transport_cases`], one
+/// digest over every rank's full `TrafficStats`, the dead ranks, the
+/// final virtual clock and the schedule-decision digest. The constants
+/// were recorded at `05238aa`, when `Endpoint` still held each wait loop
+/// once per clock; they pin the one transport surface to the twin loops
+/// it replaced. Never re-record to pass.
+#[test]
+fn transport_counters_are_pinned() {
+    #[rustfmt::skip]
+    const GOLDEN: [u64; 24] = [
+        0xe994a7820451bdd2, 0xa0fabe122a7003d2, 0x67b24716c2d489b1,
+        0xe31141680d0d0c3c, 0x5d8f4e326c637cd1, 0x3319f50fbe001679,
+        0x6e7ac4daafefa749, 0x3ba42f1495e34a59, 0x82dc7f81bfddf30e,
+        0xfcef1c4adf72f1e5, 0x398abf9338d107ba, 0xd83a56ae7bd20c7c,
+        0xf4485241dc060bf8, 0x0b955b87572cc1f8, 0x93c8c3f59ef95b85,
+        0x8d9f76373d8a9d6e, 0x0bab57d4a7cdbd83, 0x847d68fd5c4dd066,
+        0xde6c03f9fc954394, 0x89e9fb5e1ca33639, 0x18458be697ff429b,
+        0xf05262920116ad97, 0x267c5929146dff66, 0xcd90c17950077ac1,
+    ];
+    let cases = transport_cases();
+    assert_eq!(cases.len(), GOLDEN.len());
+    let mut mismatches = Vec::new();
+    for ((case, spec), want) in cases.iter().zip(GOLDEN) {
+        let out = run_case(case);
+        let trace = out.schedule.as_ref().expect("virtual run");
+        let mut words = Vec::new();
+        for s in &out.traffic {
+            words.extend([
+                s.sent_messages,
+                s.sent_bytes,
+                s.recv_messages,
+                s.recv_bytes,
+                s.modeled_comm_seconds.to_bits(),
+                s.retransmits,
+                s.retransmit_bytes,
+                s.corruptions_detected,
+                s.ack_timeouts,
+                s.overhead_bytes,
+                s.peak_pixel_buffer_bytes,
+            ]);
+        }
+        words.push(out.dead_ranks.len() as u64);
+        words.extend(out.dead_ranks.iter().map(|&d| d as u64));
+        words.push(trace.virtual_seconds.to_bits());
+        words.push(trace.digest());
+        let got = fnv_words(words);
+        if got != want {
+            mismatches.push(format!(
+                "{} P={} reliable={} faults={}: got 0x{got:016x}, pinned 0x{want:016x}",
+                case.method.name(),
+                case.p,
+                case.reliable,
+                spec.unwrap_or("-"),
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "transport counters moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/conformance_corpus")
 }
@@ -574,7 +691,7 @@ fn corpus_entries_replay_exactly() {
         }
     }
     assert!(
-        checked >= 20,
+        checked >= 44,
         "corpus unexpectedly small ({checked} entries)"
     );
 }
@@ -698,5 +815,9 @@ fn regenerate_corpus() {
             };
             println!("{}", CorpusEntry::from_run(&case, None, &run_case(&case)));
         }
+    }
+    for (case, faults_spec) in &transport_cases() {
+        let out = run_case(case);
+        println!("{}", CorpusEntry::from_run(case, *faults_spec, &out));
     }
 }
