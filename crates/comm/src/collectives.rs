@@ -1,15 +1,16 @@
 //! Collective operations built on point-to-point messages.
 //!
 //! The sort-last system needs a handful of collectives: the partitioning
-//! phase *scatters* subvolume blocks from the input rank, experiment
-//! setup *broadcasts* small configuration blobs, and diagnostics
-//! *reduce* per-rank scalars. All are implemented as binomial trees over
-//! the flat [`Endpoint`] send/recv primitives, so their traffic is
-//! accounted like any other message.
+//! phase *scatters* subvolume blocks from the input rank, the final
+//! image is *gathered* at the root, experiment setup *broadcasts* small
+//! configuration blobs, and diagnostics *reduce* per-rank scalars. All
+//! are built on the flat [`Endpoint`] send/recv primitives (binomial
+//! trees where a tree helps), so their traffic is accounted like any
+//! other message and [`Endpoint`] itself ends at point-to-point.
 
 use bytes::Bytes;
 
-use crate::endpoint::{CommError, Endpoint, Tag};
+use crate::endpoint::{CommError, Endpoint, RecvError, SendError, SendErrorKind, Tag};
 
 /// Scatters one payload per rank from `root`; returns this rank's
 /// payload. The root sends `P−1` messages directly (the natural pattern
@@ -38,6 +39,68 @@ pub fn scatter(
         Ok(own.expect("root keeps its own payload"))
     } else {
         Ok(ep.recv(root, tag)?)
+    }
+}
+
+/// Gathers every rank's payload at `root`; returns `Some(payloads)`
+/// (indexed by rank) at the root, `None` elsewhere. Any failure is a
+/// hard error — use [`gather_tolerant`] to survive dead contributors.
+pub fn gather(
+    ep: &mut Endpoint,
+    root: usize,
+    tag: Tag,
+    payload: Bytes,
+) -> Result<Option<Vec<Bytes>>, CommError> {
+    if ep.rank() == root {
+        let mut all: Vec<Bytes> = Vec::with_capacity(ep.size());
+        for src in 0..ep.size() {
+            if src == ep.rank() {
+                all.push(payload.clone());
+            } else {
+                all.push(ep.recv(src, tag)?);
+            }
+        }
+        Ok(Some(all))
+    } else {
+        ep.send(root, tag, payload)?;
+        Ok(None)
+    }
+}
+
+/// Like [`gather`], but a contributor that died or disconnected yields
+/// `None` in its slot instead of failing the whole gather. Only `Killed`
+/// (this rank is dead) and protocol errors (timeout, tag mismatch)
+/// remain hard errors.
+pub fn gather_tolerant(
+    ep: &mut Endpoint,
+    root: usize,
+    tag: Tag,
+    payload: Bytes,
+) -> Result<Option<Vec<Option<Bytes>>>, CommError> {
+    if ep.rank() == root {
+        let mut all: Vec<Option<Bytes>> = Vec::with_capacity(ep.size());
+        for src in 0..ep.size() {
+            if src == ep.rank() {
+                all.push(Some(payload.clone()));
+            } else {
+                match ep.recv(src, tag) {
+                    Ok(bytes) => all.push(Some(bytes)),
+                    Err(RecvError::Disconnected { .. }) => all.push(None),
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        Ok(Some(all))
+    } else {
+        match ep.send(root, tag, payload) {
+            Ok(()) => Ok(None),
+            // A dead root cannot collect; nothing for this rank to do.
+            Err(SendError {
+                kind: SendErrorKind::Disconnected | SendErrorKind::RetryBudgetExhausted { .. },
+                ..
+            }) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 }
 
@@ -109,7 +172,7 @@ pub fn reduce(
 /// All-gather: every rank contributes one payload and receives all of
 /// them (indexed by rank). Implemented as gather-to-0 + broadcast.
 pub fn all_gather(ep: &mut Endpoint, tag: Tag, own: Bytes) -> Result<Vec<Bytes>, CommError> {
-    let gathered = ep.gather(0, tag, own)?;
+    let gathered = gather(ep, 0, tag, own)?;
     // Flatten to one frame: u32 count, then (u32 len, bytes) per rank.
     let frame = if let Some(parts) = gathered {
         let mut out = Vec::new();
@@ -144,7 +207,53 @@ pub fn all_gather(ep: &mut Endpoint, tag: Tag, own: Bytes) -> Result<Vec<Bytes>,
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::group::run_group;
+    use crate::fault::{FaultConfig, KillSpec};
+    use crate::group::{run_group, run_group_with, GroupOptions};
+    use std::time::Duration;
+
+    #[test]
+    fn gather_collects_at_root() {
+        let out = run_group(4, CostModel::free(), |ep| {
+            let payload = Bytes::from(vec![ep.rank() as u8 * 10]);
+            gather(ep, 2, 5, payload).unwrap()
+        });
+        for (rank, res) in out.results.iter().enumerate() {
+            if rank == 2 {
+                let all = res.as_ref().unwrap();
+                let vals: Vec<u8> = all.iter().map(|b| b[0]).collect();
+                assert_eq!(vals, vec![0, 10, 20, 30]);
+            } else {
+                assert!(res.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn gather_tolerant_skips_dead_contributor() {
+        let faults = FaultConfig {
+            kill: Some(KillSpec {
+                rank: 1,
+                after_ops: 0,
+            }),
+            ..Default::default()
+        };
+        let options = GroupOptions {
+            cost: CostModel::free(),
+            recv_deadline: Duration::from_secs(5),
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let out = run_group_with(3, options, |ep| {
+            let payload = Bytes::from(vec![ep.rank() as u8]);
+            gather_tolerant(ep, 0, 4, payload)
+        });
+        let root = out.results[0].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(root.len(), 3);
+        assert_eq!(root[0].as_ref().unwrap()[0], 0);
+        assert!(root[1].is_none(), "killed rank contributes nothing");
+        assert_eq!(root[2].as_ref().unwrap()[0], 2);
+        assert_eq!(out.dead_ranks, vec![1]);
+    }
 
     #[test]
     fn scatter_delivers_per_rank_payloads() {

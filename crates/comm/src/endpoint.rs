@@ -1,36 +1,33 @@
-//! One rank's communication endpoint.
+//! One rank's communication endpoint: the shell around the transport
+//! stack.
 //!
-//! The endpoint has two wire modes:
+//! ```text
+//! Endpoint   bounds asserts, kill-at-op, tracer, TrafficStats, tag check
+//!    |
+//! reliable   per-peer links: raw passthrough, or stop-and-wait ARQ
+//!    |
+//! fault      drop / corrupt / duplicate / delay each physical transmission
+//!    |
+//! transport  { real-time channels | virtual-time network }
+//! ```
 //!
-//! * **Raw** (default): messages go straight onto the per-link channel
-//!   with no framing — byte-identical behaviour and stats to builds
-//!   that predate the reliability layer.
-//! * **Reliable**: every message is wrapped in a sequence-numbered,
-//!   CRC-protected frame (see [`crate::reliable`]) and delivered via a
-//!   stop-and-wait ARQ: the sender retransmits on ack timeout with
-//!   bounded exponential backoff until the retry budget is exhausted;
-//!   the receiver CRC-checks, deduplicates by sequence number and acks
-//!   every accepted or duplicate frame.
-//!
-//! Either mode can run under a [`FaultPlan`] that drops, corrupts,
-//! duplicates or delays individual physical transmissions, and can kill
-//! this rank outright after a configured number of operations.
+//! Nothing in this file reads a clock, sleeps or touches a channel:
+//! point-to-point calls check their arguments, count one operation
+//! against the kill threshold, hand the message to the link layer
+//! ([`crate::reliable`]) and account what comes back. Which wire mode
+//! runs (raw or reliable), whether a [`FaultPlan`] is in the way and
+//! whether time is real or virtual are all decided below.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::cost::CostModel;
-use crate::fault::{FaultAction, FaultPlan, StreamClass};
-use crate::reliable::{
-    decode_frame, encode_frame, ReliabilityConfig, FRAME_ACK, FRAME_DATA, HEADER_LEN,
-};
+use crate::fault::FaultPlan;
+use crate::reliable::{Links, ReliabilityConfig};
 use crate::stats::TrafficStats;
 use crate::trace::{EventKind, Tracer};
-use crate::vclock::{LingerOutcome, SimNet, VRecvError};
+use crate::transport::Transport;
 
 /// Message tags, used to assert protocol agreement between matched
 /// send/receive pairs (like MPI tags, but mismatches are hard errors).
@@ -141,7 +138,7 @@ impl std::fmt::Display for SendError {
 impl std::error::Error for SendError {}
 
 /// Error from a combined send+receive operation ([`Endpoint::exchange`],
-/// [`Endpoint::gather`], collectives).
+/// the [collectives](crate::collectives)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// The sending half failed.
@@ -214,41 +211,6 @@ impl CommError {
 /// Default deadline a blocking receive waits before declaring a deadlock.
 pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(60);
 
-/// How long the reliable pump sleeps between polls of the incoming links.
-const PUMP_SLEEP: Duration = Duration::from_micros(50);
-
-/// Per-peer link state for the reliable layer and fault keying.
-#[derive(Debug, Default)]
-struct LinkState {
-    // --- send side ---
-    /// Next data sequence number for frames to this peer.
-    next_seq: u32,
-    /// Highest data seq this peer has acknowledged.
-    acked: Option<u32>,
-    /// Raw-mode transmission counter (fault keying).
-    raw_index: u64,
-    // --- receive side ---
-    /// Next data seq expected from this peer.
-    expected_seq: u32,
-    /// Reliable messages accepted from this peer, awaiting `recv`.
-    pending: VecDeque<Message>,
-    /// The peer's channel reported disconnected (no more frames ever).
-    peer_closed: bool,
-    /// Last data seq this rank acked to this peer, with how many acks
-    /// it has sent for it (fault keying for re-acks of duplicates).
-    last_ack: Option<(u32, u64)>,
-}
-
-/// What ended one retry window of a reliable send.
-enum AckWait {
-    /// The peer acknowledged the frame.
-    Acked,
-    /// The peer is gone and drained; the ack can never arrive.
-    PeerClosed,
-    /// The retry window elapsed silently; retransmit.
-    TimedOut,
-}
-
 /// Per-endpoint wiring handed over by the group runner.
 pub(crate) struct EndpointConfig {
     pub cost: CostModel,
@@ -256,9 +218,6 @@ pub(crate) struct EndpointConfig {
     pub reliability: ReliabilityConfig,
     pub faults: Option<FaultPlan>,
     pub kill_at: Option<u64>,
-    /// Present when the group runs under deterministic virtual time; all
-    /// blocking and all timeouts then go through the [`SimNet`].
-    pub sim: Option<Arc<SimNet>>,
 }
 
 /// A rank's private endpoint into the group.
@@ -269,64 +228,37 @@ pub(crate) struct EndpointConfig {
 pub struct Endpoint {
     rank: usize,
     size: usize,
-    /// `to[dst]` delivers into dst's mailbox slot for this rank.
-    to: Vec<Sender<Message>>,
-    /// `from[src]` receives messages sent by `src` to this rank.
-    from: Vec<Receiver<Message>>,
-    barrier: Arc<std::sync::Barrier>,
+    /// The wire: real-time channels or the virtual-time network. Dropped
+    /// with the endpoint, which is how partners learn this rank is gone.
+    net: Transport,
+    /// Per-peer link state (raw or reliable) and the fault plan.
+    links: Links,
     cost: CostModel,
     stats: TrafficStats,
     tracer: Option<Tracer>,
     recv_deadline: Duration,
-    reliability: ReliabilityConfig,
-    faults: Option<FaultPlan>,
-    links: Vec<LinkState>,
     /// Application-level operations (sends + receives) completed.
     ops: u64,
     /// Op count at which this rank dies, if the fault plan kills it.
     kill_at: Option<u64>,
     /// Set once the kill threshold is crossed; every further op fails.
     dead: bool,
-    /// Virtual-time network, when the group runs deterministically.
-    sim: Option<Arc<SimNet>>,
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        // Under virtual time the scheduler must learn this rank is gone,
-        // exactly when channel senders would drop in real-time mode.
-        if let Some(sim) = self.sim.take() {
-            sim.close_rank(self.rank);
-        }
-    }
 }
 
 impl Endpoint {
-    pub(crate) fn new(
-        rank: usize,
-        size: usize,
-        to: Vec<Sender<Message>>,
-        from: Vec<Receiver<Message>>,
-        barrier: Arc<std::sync::Barrier>,
-        config: EndpointConfig,
-    ) -> Self {
+    pub(crate) fn new(rank: usize, size: usize, net: Transport, config: EndpointConfig) -> Self {
         Endpoint {
             rank,
             size,
-            to,
-            from,
-            barrier,
+            net,
+            links: Links::new(rank, size, config.reliability, config.faults, config.cost),
             cost: config.cost,
             stats: TrafficStats::default(),
             tracer: None,
             recv_deadline: config.recv_deadline,
-            reliability: config.reliability,
-            faults: config.faults,
-            links: (0..size).map(|_| LinkState::default()).collect(),
             ops: 0,
             kill_at: config.kill_at,
             dead: false,
-            sim: config.sim,
         }
     }
 
@@ -379,34 +311,14 @@ impl Endpoint {
         self.stats.note_pixel_buffer_peak(bytes);
     }
 
-    /// Keeps the transport responsive after this rank's work is done:
-    /// answers retransmissions (re-acking duplicates) until `done`
-    /// reports the whole group finished.
-    ///
-    /// Without this, a peer whose ack was lost in transit would
-    /// retransmit into a closed channel and wrongly conclude this rank
-    /// died — a healthy transport's protocol state outlives the
-    /// application's last receive. No-op in raw (unreliable) mode.
-    pub fn linger_until(&mut self, done: impl Fn() -> bool) {
-        if !self.reliability.enabled {
-            return;
-        }
-        if let Some(sim) = self.sim.clone() {
-            loop {
-                self.pump();
-                if done() {
-                    return;
-                }
-                if sim.linger(self.rank) == LingerOutcome::GroupDone {
-                    // Re-ack anything that raced in with completion.
-                    self.pump();
-                    return;
-                }
-            }
-        }
-        while !done() {
-            self.pump();
-            std::thread::sleep(PUMP_SLEEP);
+    /// Marks this rank's work done. With `linger`, a reliable link layer
+    /// then keeps answering retransmissions until the whole group is
+    /// done (see [`Links::linger_until_group_done`]).
+    pub(crate) fn finish(&mut self, linger: bool) {
+        self.net.finish_rank();
+        if linger {
+            self.links
+                .linger_until_group_done(&self.net, &mut self.stats);
         }
     }
 
@@ -426,73 +338,10 @@ impl Endpoint {
         true
     }
 
-    /// Pushes one physical transmission onto the wire, applying the
-    /// fault plan. `Err` means the destination channel is closed.
-    fn transmit(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        class: StreamClass,
-        index: u64,
-    ) -> Result<(), ()> {
-        self.transmit_delayed(dst, tag, payload, class, index, 0.0)
-    }
-
-    /// [`Endpoint::transmit`] carrying `extra_secs` of additional virtual
-    /// latency (ignored on the real-time transport, composed with any
-    /// fault delay under the virtual clock).
-    fn transmit_delayed(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        class: StreamClass,
-        index: u64,
-        extra_secs: f64,
-    ) -> Result<(), ()> {
-        let Some(plan) = self.faults else {
-            return self.push_delayed(dst, tag, payload, extra_secs);
-        };
-        match plan.action(self.rank, dst, class, index) {
-            FaultAction::Deliver => self.push_delayed(dst, tag, payload, extra_secs),
-            FaultAction::Drop => Ok(()), // lost in transit
-            FaultAction::Corrupt => {
-                let mut bytes = payload.to_vec();
-                if !bytes.is_empty() {
-                    let i = plan.corrupt_byte(self.rank, dst, class, index, bytes.len());
-                    bytes[i] ^= 0x01;
-                }
-                self.push_delayed(dst, tag, Bytes::from(bytes), extra_secs)
-            }
-            FaultAction::Duplicate => {
-                self.push_delayed(dst, tag, payload.clone(), extra_secs)?;
-                self.push_delayed(dst, tag, payload, extra_secs)
-            }
-            FaultAction::Delay => {
-                if self.sim.is_some() {
-                    // Virtual time: the delay rides on the message as
-                    // extra latency instead of stalling the sender.
-                    self.push_delayed(dst, tag, payload, extra_secs + plan.delay().as_secs_f64())
-                } else {
-                    std::thread::sleep(plan.delay());
-                    self.push_delayed(dst, tag, payload, extra_secs)
-                }
-            }
-        }
-    }
-
-    fn push_delayed(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        extra_secs: f64,
-    ) -> Result<(), ()> {
-        let msg = Message { tag, payload };
-        match &self.sim {
-            Some(sim) => sim.send(self.rank, dst, msg, extra_secs),
-            None => self.to[dst].send(msg).map_err(|_| ()),
+    fn trace(&self, peer: usize, kind: EventKind, bytes: usize, tag: Tag) {
+        if let Some(t) = &self.tracer {
+            let t_ns = (self.net.now() * 1e9) as u64;
+            t.record(t_ns, self.rank, peer, kind, bytes, tag);
         }
     }
 
@@ -503,38 +352,13 @@ impl Endpoint {
     /// with [`SendErrorKind::RetryBudgetExhausted`] when the peer stays
     /// silent through the whole retry budget.
     pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), SendError> {
-        assert!(
-            dst < self.size,
-            "send to rank {dst} out of range (size {})",
-            self.size
-        );
-        if !self.consume_op() {
-            return Err(SendError {
-                to: dst,
-                kind: SendErrorKind::Killed,
-            });
-        }
-        if let Some(t) = &self.tracer {
-            t.record(self.rank, dst, EventKind::Send, payload.len(), tag);
-        }
-        self.stats.on_send(payload.len());
-        if self.reliability.enabled {
-            self.send_reliable(dst, tag, payload)
-        } else {
-            let index = self.links[dst].raw_index;
-            self.links[dst].raw_index += 1;
-            self.transmit(dst, tag, payload, StreamClass::Raw, index)
-                .map_err(|()| SendError {
-                    to: dst,
-                    kind: SendErrorKind::Disconnected,
-                })
-        }
+        self.send_timed(dst, tag, payload, 0.0)
     }
 
     /// Like [`Endpoint::send`], but the message additionally carries
     /// `extra_secs` of *virtual* latency under the deterministic clock —
     /// modeling work (e.g. rendering the tile being shipped) that
-    /// completes at a known simulated instant, so streamed delivery
+    /// completes at a known virtual instant, so streamed delivery
     /// order is a pure function of the schedule seed and the modeled
     /// costs. On the real-time transport the extra delay is ignored
     /// (real completion times come from real work), and in reliable mode
@@ -546,9 +370,6 @@ impl Endpoint {
         payload: Bytes,
         extra_secs: f64,
     ) -> Result<(), SendError> {
-        if self.reliability.enabled || extra_secs <= 0.0 {
-            return self.send(dst, tag, payload);
-        }
         assert!(
             dst < self.size,
             "send to rank {dst} out of range (size {})",
@@ -560,183 +381,12 @@ impl Endpoint {
                 kind: SendErrorKind::Killed,
             });
         }
-        if let Some(t) = &self.tracer {
-            t.record(self.rank, dst, EventKind::Send, payload.len(), tag);
-        }
+        self.trace(dst, EventKind::Send, payload.len(), tag);
         self.stats.on_send(payload.len());
-        let index = self.links[dst].raw_index;
-        self.links[dst].raw_index += 1;
-        self.transmit_delayed(dst, tag, payload, StreamClass::Raw, index, extra_secs)
-            .map_err(|()| SendError {
-                to: dst,
-                kind: SendErrorKind::Disconnected,
-            })
-    }
-
-    /// Stop-and-wait reliable send: frame, transmit, await ack, retry
-    /// with exponential backoff.
-    fn send_reliable(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), SendError> {
-        let seq = self.links[dst].next_seq;
-        self.links[dst].next_seq = seq.wrapping_add(1);
-        let frame = encode_frame(FRAME_DATA, seq, &payload);
-        let mut attempt: u32 = 0;
-        loop {
-            if attempt > 0 {
-                self.stats.retransmits += 1;
-                self.stats.retransmit_bytes += frame.len() as u64;
-            }
-            let key = ((seq as u64) << 16) | (attempt as u64 & 0xFFFF);
-            if self
-                .transmit(dst, tag, frame.clone(), StreamClass::Data, key)
-                .is_err()
-            {
-                return Err(SendError {
-                    to: dst,
-                    kind: SendErrorKind::Disconnected,
-                });
-            }
-            match self.await_ack(dst, seq, attempt) {
-                AckWait::Acked => return Ok(()),
-                AckWait::PeerClosed => {
-                    // The channel is drained and the peer is gone: the
-                    // ack can never arrive.
-                    return Err(SendError {
-                        to: dst,
-                        kind: SendErrorKind::Disconnected,
-                    });
-                }
-                AckWait::TimedOut => {}
-            }
-            self.stats.ack_timeouts += 1;
-            attempt += 1;
-            if attempt > self.reliability.max_retries {
-                return Err(SendError {
-                    to: dst,
-                    kind: SendErrorKind::RetryBudgetExhausted { attempts: attempt },
-                });
-            }
-        }
-    }
-
-    /// Waits for an ack of `seq` from `dst` through one retry window,
-    /// pumping the links the whole time.
-    fn await_ack(&mut self, dst: usize, seq: u32, attempt: u32) -> AckWait {
-        if let Some(sim) = self.sim.clone() {
-            let deadline = sim.now(self.rank) + self.reliability.retry_delay(attempt).as_secs_f64();
-            loop {
-                self.pump();
-                if self.links[dst].acked.is_some_and(|a| a >= seq) {
-                    return AckWait::Acked;
-                }
-                if self.links[dst].peer_closed {
-                    return AckWait::PeerClosed;
-                }
-                if sim.now(self.rank) >= deadline {
-                    return AckWait::TimedOut;
-                }
-                let _ = sim.wait_any(self.rank, Some(dst), Some(deadline));
-            }
-        }
-        let deadline = Instant::now() + self.reliability.retry_delay(attempt);
-        loop {
-            self.pump();
-            if self.links[dst].acked.is_some_and(|a| a >= seq) {
-                return AckWait::Acked;
-            }
-            if self.links[dst].peer_closed {
-                return AckWait::PeerClosed;
-            }
-            if Instant::now() >= deadline {
-                return AckWait::TimedOut;
-            }
-            std::thread::sleep(PUMP_SLEEP);
-        }
-    }
-
-    /// Drains every incoming link without blocking, processing frames:
-    /// CRC check, dedup, ack, and buffering of accepted messages.
-    fn pump(&mut self) {
-        if let Some(sim) = self.sim.clone() {
-            let (msgs, dead) = sim.drain(self.rank);
-            for (src, msg) in msgs {
-                self.process_frame(src, msg);
-            }
-            for (src, is_dead) in dead.into_iter().enumerate() {
-                if is_dead {
-                    self.links[src].peer_closed = true;
-                }
-            }
-            return;
-        }
-        for src in 0..self.size {
-            loop {
-                match self.from[src].try_recv() {
-                    Ok(msg) => self.process_frame(src, msg),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.links[src].peer_closed = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Handles one physical frame off the wire (reliable mode only).
-    fn process_frame(&mut self, src: usize, msg: Message) {
-        let raw_len = msg.payload.len();
-        // Every physical frame costs modeled wire time at the receiver.
-        self.stats.modeled_comm_seconds += self.cost.message_seconds(raw_len);
-        match decode_frame(&msg.payload) {
-            Err(_) => {
-                // Corrupted in transit; drop it and let the sender's ack
-                // timeout drive a retransmission.
-                self.stats.corruptions_detected += 1;
-                self.stats.overhead_bytes += raw_len as u64;
-            }
-            Ok(frame) if frame.kind == FRAME_ACK => {
-                self.stats.overhead_bytes += raw_len as u64;
-                let link = &mut self.links[src];
-                link.acked = Some(link.acked.map_or(frame.seq, |a| a.max(frame.seq)));
-            }
-            Ok(frame) => {
-                let expected = self.links[src].expected_seq;
-                if frame.seq == expected {
-                    self.links[src].expected_seq = expected.wrapping_add(1);
-                    self.stats.overhead_bytes += HEADER_LEN as u64;
-                    self.send_ack(src, msg.tag, frame.seq);
-                    self.links[src].pending.push_back(Message {
-                        tag: msg.tag,
-                        payload: frame.payload,
-                    });
-                } else {
-                    // A duplicate (retransmission of something already
-                    // accepted): discard, but re-ack so the sender can
-                    // make progress if the first ack was lost.
-                    self.stats.overhead_bytes += raw_len as u64;
-                    if frame.seq < expected {
-                        self.send_ack(src, msg.tag, frame.seq);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Acks `seq` back to `src`. Failures are ignored: a peer that
-    /// already exited no longer needs the ack.
-    fn send_ack(&mut self, src: usize, tag: Tag, seq: u32) {
-        let attempt = {
-            let link = &mut self.links[src];
-            let n = match link.last_ack {
-                Some((s, n)) if s == seq => n + 1,
-                _ => 0,
-            };
-            link.last_ack = Some((seq, n));
-            n
-        };
-        let frame = encode_frame(FRAME_ACK, seq, &[]);
-        let key = ((seq as u64) << 16) | (attempt & 0xFFFF);
-        let _ = self.transmit(src, tag, frame, StreamClass::Ack, key);
+        let msg = Message { tag, payload };
+        self.links
+            .send(&self.net, &mut self.stats, dst, msg, extra_secs)
+            .map_err(|kind| SendError { to: dst, kind })
     }
 
     /// Receives the next message from `src`, requiring `tag`.
@@ -753,83 +403,10 @@ impl Endpoint {
         if !self.consume_op() {
             return Err(RecvError::Killed { rank: self.rank });
         }
-        if self.reliability.enabled {
-            self.recv_reliable(src, tag)
-        } else if let Some(sim) = self.sim.clone() {
-            // A preceding `recv_any` may have drained this source's
-            // frames into the link buffer; consume those first so no
-            // message is lost between the two receive styles.
-            if let Some(msg) = self.links[src].pending.pop_front() {
-                return self.deliver(src, tag, msg);
-            }
-            let deadline = sim.now(self.rank) + self.recv_deadline.as_secs_f64();
-            match sim.recv_from(self.rank, src, deadline) {
-                Ok(msg) => self.deliver(src, tag, msg),
-                Err(VRecvError::Timeout) => Err(RecvError::Timeout {
-                    from: src,
-                    waited: self.recv_deadline,
-                }),
-                Err(VRecvError::Disconnected) => Err(RecvError::Disconnected { from: src }),
-            }
-        } else {
-            match self.from[src].recv_timeout(self.recv_deadline) {
-                Ok(msg) => self.deliver(src, tag, msg),
-                Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout {
-                    from: src,
-                    waited: self.recv_deadline,
-                }),
-                Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected { from: src }),
-            }
-        }
-    }
-
-    /// Reliable-mode receive: pops this link's pending queue, pumping
-    /// all links while waiting so in-flight acks and frames for *other*
-    /// conversations keep moving (this is what makes ring and exchange
-    /// schedules deadlock-free under ARQ).
-    fn recv_reliable(&mut self, src: usize, tag: Tag) -> Result<Bytes, RecvError> {
-        if let Some(sim) = self.sim.clone() {
-            let deadline = sim.now(self.rank) + self.recv_deadline.as_secs_f64();
-            loop {
-                if let Some(msg) = self.links[src].pending.pop_front() {
-                    return self.deliver(src, tag, msg);
-                }
-                self.pump();
-                if !self.links[src].pending.is_empty() {
-                    continue;
-                }
-                if self.links[src].peer_closed {
-                    return Err(RecvError::Disconnected { from: src });
-                }
-                if sim.now(self.rank) >= deadline {
-                    return Err(RecvError::Timeout {
-                        from: src,
-                        waited: self.recv_deadline,
-                    });
-                }
-                let _ = sim.wait_any(self.rank, Some(src), Some(deadline));
-            }
-        }
-        let deadline = Instant::now() + self.recv_deadline;
-        loop {
-            if let Some(msg) = self.links[src].pending.pop_front() {
-                return self.deliver(src, tag, msg);
-            }
-            self.pump();
-            if !self.links[src].pending.is_empty() {
-                continue;
-            }
-            if self.links[src].peer_closed {
-                return Err(RecvError::Disconnected { from: src });
-            }
-            if Instant::now() >= deadline {
-                return Err(RecvError::Timeout {
-                    from: src,
-                    waited: self.recv_deadline,
-                });
-            }
-            std::thread::sleep(PUMP_SLEEP);
-        }
+        let msg = self
+            .links
+            .recv(&self.net, &mut self.stats, src, self.recv_deadline)?;
+        self.deliver(src, tag, msg)
     }
 
     /// Receives the next message carrying `tag` from *any* rank whose
@@ -856,158 +433,10 @@ impl Endpoint {
         if !self.consume_op() {
             return Err(RecvError::Killed { rank: self.rank });
         }
-        if self.reliability.enabled {
-            self.recv_any_reliable(await_from, tag)
-        } else if self.sim.is_some() {
-            self.recv_any_sim(await_from, tag)
-        } else {
-            self.recv_any_raw(await_from, tag)
-        }
-    }
-
-    /// The first awaited source with a buffered message, lowest rank
-    /// first (arrival order within a source is preserved by the queue).
-    fn pop_any_pending(&mut self, await_from: &[bool]) -> Option<(usize, Message)> {
-        for (src, &wanted) in await_from.iter().enumerate().take(self.size) {
-            if wanted {
-                if let Some(msg) = self.links[src].pending.pop_front() {
-                    return Some((src, msg));
-                }
-            }
-        }
-        None
-    }
-
-    /// True when any awaited source has a buffered message.
-    fn has_any_pending(&self, await_from: &[bool]) -> bool {
-        (0..self.size).any(|src| await_from[src] && !self.links[src].pending.is_empty())
-    }
-
-    /// The first awaited source that is closed with nothing buffered.
-    fn closed_awaited(&self, await_from: &[bool]) -> Option<usize> {
-        (0..self.size).find(|&src| {
-            await_from[src] && self.links[src].peer_closed && self.links[src].pending.is_empty()
-        })
-    }
-
-    /// Raw real-time any-source receive: poll the awaited channels.
-    fn recv_any_raw(&mut self, await_from: &[bool], tag: Tag) -> Result<(usize, Bytes), RecvError> {
-        let deadline = Instant::now() + self.recv_deadline;
-        loop {
-            let mut closed = None;
-            for (src, &wanted) in await_from.iter().enumerate().take(self.size) {
-                if !wanted {
-                    continue;
-                }
-                match self.from[src].try_recv() {
-                    Ok(msg) => return self.deliver(src, tag, msg).map(|b| (src, b)),
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => closed = closed.or(Some(src)),
-                }
-            }
-            // A message anywhere beats reporting a disconnect; only when
-            // the full sweep finds nothing does the dead peer surface.
-            if let Some(src) = closed {
-                return Err(RecvError::Disconnected { from: src });
-            }
-            if Instant::now() >= deadline {
-                let from = await_from.iter().position(|&w| w).unwrap_or(0);
-                return Err(RecvError::Timeout {
-                    from,
-                    waited: self.recv_deadline,
-                });
-            }
-            std::thread::sleep(PUMP_SLEEP);
-        }
-    }
-
-    /// Raw virtual-time any-source receive: drain the simulated inboxes
-    /// into the per-link buffers, then park on any-frame arrival.
-    fn recv_any_sim(&mut self, await_from: &[bool], tag: Tag) -> Result<(usize, Bytes), RecvError> {
-        let sim = self.sim.clone().expect("recv_any_sim requires a SimNet");
-        let deadline = sim.now(self.rank) + self.recv_deadline.as_secs_f64();
-        loop {
-            if let Some((src, msg)) = self.pop_any_pending(await_from) {
-                return self.deliver(src, tag, msg).map(|b| (src, b));
-            }
-            let (msgs, dead) = sim.drain(self.rank);
-            let progressed = !msgs.is_empty();
-            for (src, msg) in msgs {
-                self.links[src].pending.push_back(msg);
-            }
-            for (src, is_dead) in dead.into_iter().enumerate() {
-                if is_dead {
-                    self.links[src].peer_closed = true;
-                }
-            }
-            if progressed {
-                continue;
-            }
-            if let Some(src) = self.closed_awaited(await_from) {
-                return Err(RecvError::Disconnected { from: src });
-            }
-            if sim.now(self.rank) >= deadline {
-                let from = await_from.iter().position(|&w| w).unwrap_or(0);
-                return Err(RecvError::Timeout {
-                    from,
-                    waited: self.recv_deadline,
-                });
-            }
-            let _ = sim.wait_any(self.rank, None, Some(deadline));
-        }
-    }
-
-    /// Reliable any-source receive: pump frames (acking as usual) and
-    /// pop the first awaited pending message.
-    fn recv_any_reliable(
-        &mut self,
-        await_from: &[bool],
-        tag: Tag,
-    ) -> Result<(usize, Bytes), RecvError> {
-        if let Some(sim) = self.sim.clone() {
-            let deadline = sim.now(self.rank) + self.recv_deadline.as_secs_f64();
-            loop {
-                if let Some((src, msg)) = self.pop_any_pending(await_from) {
-                    return self.deliver(src, tag, msg).map(|b| (src, b));
-                }
-                self.pump();
-                if self.has_any_pending(await_from) {
-                    continue;
-                }
-                if let Some(src) = self.closed_awaited(await_from) {
-                    return Err(RecvError::Disconnected { from: src });
-                }
-                if sim.now(self.rank) >= deadline {
-                    let from = await_from.iter().position(|&w| w).unwrap_or(0);
-                    return Err(RecvError::Timeout {
-                        from,
-                        waited: self.recv_deadline,
-                    });
-                }
-                let _ = sim.wait_any(self.rank, None, Some(deadline));
-            }
-        }
-        let deadline = Instant::now() + self.recv_deadline;
-        loop {
-            if let Some((src, msg)) = self.pop_any_pending(await_from) {
-                return self.deliver(src, tag, msg).map(|b| (src, b));
-            }
-            self.pump();
-            if self.has_any_pending(await_from) {
-                continue;
-            }
-            if let Some(src) = self.closed_awaited(await_from) {
-                return Err(RecvError::Disconnected { from: src });
-            }
-            if Instant::now() >= deadline {
-                let from = await_from.iter().position(|&w| w).unwrap_or(0);
-                return Err(RecvError::Timeout {
-                    from,
-                    waited: self.recv_deadline,
-                });
-            }
-            std::thread::sleep(PUMP_SLEEP);
-        }
+        let (src, msg) =
+            self.links
+                .recv_any(&self.net, &mut self.stats, await_from, self.recv_deadline)?;
+        Ok((src, self.deliver(src, tag, msg)?))
     }
 
     /// Tag-checks and accounts one application message.
@@ -1019,12 +448,10 @@ impl Endpoint {
                 got: msg.tag,
             });
         }
-        if let Some(tr) = &self.tracer {
-            tr.record(self.rank, src, EventKind::Recv, msg.payload.len(), tag);
-        }
-        // In reliable mode the wire time was already charged per physical
-        // frame by `process_frame`; charge it here only for raw delivery.
-        let modeled = if self.reliability.enabled {
+        self.trace(src, EventKind::Recv, msg.payload.len(), tag);
+        // The reliable link layer already charged wire time per physical
+        // frame; charge it here only for raw delivery.
+        let modeled = if self.links.is_reliable() {
             0.0
         } else {
             self.cost.message_seconds(msg.payload.len())
@@ -1042,86 +469,15 @@ impl Endpoint {
         self.send(peer, tag, payload)?;
         Ok(self.recv(peer, tag)?)
     }
-
-    /// Blocks until every rank in the group has reached the barrier.
-    pub fn barrier(&self) {
-        match &self.sim {
-            Some(sim) => sim.barrier(self.rank),
-            None => {
-                self.barrier.wait();
-            }
-        }
-    }
-
-    /// Gathers every rank's payload at `root`; returns `Some(payloads)`
-    /// (indexed by rank) at the root, `None` elsewhere. Any failure is a
-    /// hard error — use [`Endpoint::gather_tolerant`] to survive dead
-    /// contributors.
-    pub fn gather(
-        &mut self,
-        root: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<Option<Vec<Bytes>>, CommError> {
-        if self.rank == root {
-            let mut all: Vec<Bytes> = Vec::with_capacity(self.size);
-            for src in 0..self.size {
-                if src == self.rank {
-                    all.push(payload.clone());
-                } else {
-                    all.push(self.recv(src, tag)?);
-                }
-            }
-            Ok(Some(all))
-        } else {
-            self.send(root, tag, payload)?;
-            Ok(None)
-        }
-    }
-
-    /// Like [`Endpoint::gather`], but a contributor that died or
-    /// disconnected yields `None` in its slot instead of failing the
-    /// whole gather. Only `Killed` (this rank is dead) and protocol
-    /// errors (timeout, tag mismatch) remain hard errors.
-    pub fn gather_tolerant(
-        &mut self,
-        root: usize,
-        tag: Tag,
-        payload: Bytes,
-    ) -> Result<Option<Vec<Option<Bytes>>>, CommError> {
-        if self.rank == root {
-            let mut all: Vec<Option<Bytes>> = Vec::with_capacity(self.size);
-            for src in 0..self.size {
-                if src == self.rank {
-                    all.push(Some(payload.clone()));
-                } else {
-                    match self.recv(src, tag) {
-                        Ok(bytes) => all.push(Some(bytes)),
-                        Err(RecvError::Disconnected { .. }) => all.push(None),
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-            Ok(Some(all))
-        } else {
-            match self.send(root, tag, payload) {
-                Ok(()) => Ok(None),
-                // A dead root cannot collect; nothing for this rank to do.
-                Err(SendError {
-                    kind: SendErrorKind::Disconnected | SendErrorKind::RetryBudgetExhausted { .. },
-                    ..
-                }) => Ok(None),
-                Err(e) => Err(e.into()),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, KillSpec, TargetedFault};
+    use crate::fault::{FaultAction, FaultConfig, KillSpec, StreamClass, TargetedFault};
     use crate::group::{run_group, run_group_with, GroupOptions};
+    use crate::reliable::HEADER_LEN;
+    use std::time::Instant;
 
     #[test]
     fn ring_pass() {
@@ -1159,23 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_at_root() {
-        let out = run_group(4, CostModel::free(), |ep| {
-            let payload = Bytes::from(vec![ep.rank() as u8 * 10]);
-            ep.gather(2, 5, payload).unwrap()
-        });
-        for (rank, res) in out.results.iter().enumerate() {
-            if rank == 2 {
-                let all = res.as_ref().unwrap();
-                let vals: Vec<u8> = all.iter().map(|b| b[0]).collect();
-                assert_eq!(vals, vec![0, 10, 20, 30]);
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
     fn stats_count_bytes_and_model_time() {
         let cost = CostModel {
             t_s: 1e-3,
@@ -1192,20 +531,6 @@ mod tests {
             assert_eq!(s.recv_messages, 1);
             assert!((s.modeled_comm_seconds - (1e-3 + 1000.0 * 1e-6)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        COUNTER.store(0, Ordering::SeqCst);
-        let out = run_group(8, CostModel::free(), |ep| {
-            COUNTER.fetch_add(1, Ordering::SeqCst);
-            ep.barrier();
-            // After the barrier every rank must observe all 8 increments.
-            COUNTER.load(Ordering::SeqCst)
-        });
-        assert!(out.results.iter().all(|&c| c == 8));
     }
 
     #[test]
@@ -1500,33 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_tolerant_skips_dead_contributor() {
-        let faults = FaultConfig {
-            kill: Some(KillSpec {
-                rank: 1,
-                after_ops: 0,
-            }),
-            ..Default::default()
-        };
-        let options = GroupOptions {
-            cost: CostModel::free(),
-            recv_deadline: Duration::from_secs(5),
-            faults: Some(faults),
-            ..Default::default()
-        };
-        let out = run_group_with(3, options, |ep| {
-            let payload = Bytes::from(vec![ep.rank() as u8]);
-            ep.gather_tolerant(0, 4, payload)
-        });
-        let root = out.results[0].as_ref().unwrap().as_ref().unwrap();
-        assert_eq!(root.len(), 3);
-        assert_eq!(root[0].as_ref().unwrap()[0], 0);
-        assert!(root[1].is_none(), "killed rank contributes nothing");
-        assert_eq!(root[2].as_ref().unwrap()[0], 2);
-        assert_eq!(out.dead_ranks, vec![1]);
-    }
-
-    #[test]
     fn raw_mode_probabilistic_drops_are_deterministic() {
         let run = || {
             let faults = FaultConfig {
@@ -1736,43 +1034,47 @@ mod tests {
 
     #[test]
     fn recv_any_interleaves_with_selective_recv_without_losing_messages() {
-        // recv_any drains the sim inbox into per-link pending buffers; a
-        // later *selective* recv must still find those messages.
-        let options = GroupOptions {
-            cost: CostModel::sp2(),
-            schedule: Some(crate::vclock::ScheduleSpec::seeded(1)),
-            ..Default::default()
-        };
-        let out = run_group_with(3, options, |ep| {
-            if ep.rank() == 0 {
-                // Rank 1 sends tag 4 (any-source phase) and tag 5
-                // (selective phase); rank 2 sends tag 4 only. Each
-                // source is dropped from the await set after its one
-                // tag-4 message (the stream-close discipline), so rank
-                // 1's tag-5 message is never misread by `recv_any`.
-                let mut awaiting = vec![false, true, true];
-                let mut any = Vec::new();
-                while any.len() < 2 {
-                    match ep.recv_any(&awaiting, 4) {
-                        Ok((src, _)) => {
-                            awaiting[src] = false;
-                            any.push(src);
+        // recv_any takes whatever has arrived off the wire into per-link
+        // pending buffers; a later *selective* recv must still find
+        // those messages — on either transport, since both share the body.
+        for schedule in [None, Some(crate::vclock::ScheduleSpec::seeded(1))] {
+            let options = GroupOptions {
+                cost: CostModel::sp2(),
+                recv_deadline: Duration::from_secs(5),
+                schedule,
+                ..Default::default()
+            };
+            let out = run_group_with(3, options, |ep| {
+                if ep.rank() == 0 {
+                    // Rank 1 sends tag 4 (any-source phase) and tag 5
+                    // (selective phase); rank 2 sends tag 4 only. Each
+                    // source is dropped from the await set after its one
+                    // tag-4 message (the stream-close discipline), so rank
+                    // 1's tag-5 message is never misread by `recv_any`.
+                    let mut awaiting = vec![false, true, true];
+                    let mut any = Vec::new();
+                    while any.len() < 2 {
+                        match ep.recv_any(&awaiting, 4) {
+                            Ok((src, _)) => {
+                                awaiting[src] = false;
+                                any.push(src);
+                            }
+                            Err(RecvError::Disconnected { from }) => awaiting[from] = false,
+                            Err(e) => panic!("unexpected: {e:?}"),
                         }
-                        Err(RecvError::Disconnected { from }) => awaiting[from] = false,
-                        Err(e) => panic!("unexpected: {e:?}"),
                     }
+                    any.sort();
+                    let selective = ep.recv(1, 5).unwrap();
+                    (any, selective[0])
+                } else {
+                    ep.send(0, 4, Bytes::from_static(b"a")).unwrap();
+                    if ep.rank() == 1 {
+                        ep.send(0, 5, Bytes::from_static(b"z")).unwrap();
+                    }
+                    (Vec::new(), 0)
                 }
-                any.sort();
-                let selective = ep.recv(1, 5).unwrap();
-                (any, selective[0])
-            } else {
-                ep.send(0, 4, Bytes::from_static(b"a")).unwrap();
-                if ep.rank() == 1 {
-                    ep.send(0, 5, Bytes::from_static(b"z")).unwrap();
-                }
-                (Vec::new(), 0)
-            }
-        });
-        assert_eq!(out.results[0], (vec![1, 2], b'z'));
+            });
+            assert_eq!(out.results[0], (vec![1, 2], b'z'));
+        }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! A [`FaultPlan`] decides, for every *physical* transmission on a
 //! directed link, whether that transmission is delivered, dropped,
-//! corrupted, duplicated or delayed. Decisions are **stateless**: each
+//! corrupted, duplicated or delayed, and ([`FaultPlan::transmit`]) puts
+//! it on the transport accordingly — the layer between the link layer
+//! ([`crate::reliable`]) and the wire. Decisions are **stateless**: each
 //! is a pure hash of `(seed, src, dst, stream class, index)`, so two
 //! runs with the same seed and the same per-link transmission sequence
 //! inject exactly the same faults — no shared RNG state, no ordering
@@ -10,13 +12,17 @@
 //!
 //! The plan can additionally *kill* one rank after a chosen number of
 //! application-level send/receive operations, which models a processor
-//! crash mid-schedule (the endpoint drops, so partners observe
-//! `Disconnected` instead of hanging).
+//! crash mid-schedule (the endpoint enforces the threshold and drops,
+//! so partners observe `Disconnected` instead of hanging).
 
 use std::str::FromStr;
 use std::time::Duration;
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+
+use crate::endpoint::Message;
+use crate::transport::Transport;
 
 /// What happens to one physical transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -274,6 +280,49 @@ impl FaultPlan {
     /// The extra latency of a [`FaultAction::Delay`].
     pub fn delay(&self) -> Duration {
         Duration::from_millis(self.cfg.delay_ms)
+    }
+
+    /// Puts one physical transmission from `src` on the wire the way
+    /// this plan decides its fate; `extra_secs` is modeled latency it
+    /// already carries. `Err` means the destination has closed.
+    // The four stream coordinates are `action`'s own.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transmit(
+        &self,
+        net: &Transport,
+        src: usize,
+        dst: usize,
+        msg: Message,
+        class: StreamClass,
+        index: u64,
+        extra_secs: f64,
+    ) -> Result<(), ()> {
+        match self.action(src, dst, class, index) {
+            FaultAction::Deliver => net.send(dst, msg, extra_secs),
+            FaultAction::Drop => Ok(()), // lost in transit
+            FaultAction::Corrupt => {
+                let mut bytes = msg.payload.to_vec();
+                if !bytes.is_empty() {
+                    let i = self.corrupt_byte(src, dst, class, index, bytes.len());
+                    bytes[i] ^= 0x01;
+                }
+                let damaged = Message {
+                    tag: msg.tag,
+                    payload: Bytes::from(bytes),
+                };
+                net.send(dst, damaged, extra_secs)
+            }
+            FaultAction::Duplicate => {
+                net.send(dst, msg.clone(), extra_secs)?;
+                net.send(dst, msg, extra_secs)
+            }
+            // Real time stalls the sender; under virtual time the delay
+            // rides on the message as extra latency instead.
+            FaultAction::Delay => {
+                let late = net.hold(self.delay());
+                net.send(dst, msg, extra_secs + late)
+            }
+        }
     }
 }
 

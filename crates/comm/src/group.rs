@@ -1,18 +1,17 @@
 //! Spawning a group of rank threads.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
 use crate::cost::CostModel;
-use crate::endpoint::{Endpoint, EndpointConfig, Message, DEFAULT_RECV_DEADLINE};
+use crate::endpoint::{Endpoint, EndpointConfig, DEFAULT_RECV_DEADLINE};
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::reliable::ReliabilityConfig;
 use crate::stats::TrafficStats;
-use crate::vclock::{ScheduleSpec, ScheduleTrace, SimNet};
+use crate::transport::Transport;
+use crate::vclock::{ScheduleSpec, ScheduleTrace};
 
 /// Group-wide knobs for a run: cost model, receive deadline, fault
 /// injection, the reliable-delivery policy, and (optionally) a
@@ -128,59 +127,25 @@ where
         .faults
         .filter(|cfg| !cfg.is_noop())
         .map(FaultPlan::new);
-    let sim = options
-        .schedule
-        .as_ref()
-        .map(|spec| SimNet::new(size, options.cost, spec.clone()));
-
-    // Wire one dedicated channel per ordered (src, dst) pair so selective
-    // receive-by-source never reorders unrelated messages.
-    let mut senders_by_dst: Vec<Vec<crossbeam::channel::Sender<Message>>> =
-        (0..size).map(|_| Vec::with_capacity(size)).collect();
-    let mut receivers_by_dst: Vec<Vec<crossbeam::channel::Receiver<Message>>> =
-        (0..size).map(|_| Vec::with_capacity(size)).collect();
-    for dst in 0..size {
-        for _src in 0..size {
-            let (tx, rx) = unbounded();
-            senders_by_dst[dst].push(tx);
-            receivers_by_dst[dst].push(rx);
-        }
-    }
-
-    let barrier = Arc::new(std::sync::Barrier::new(size));
-
-    // Build each rank's endpoint: `to[dst]` = sender into dst's slot for
-    // this rank; `from[src]` = this rank's receiver slot for src.
-    let mut endpoints: Vec<Endpoint> = Vec::with_capacity(size);
-    for rank in 0..size {
-        let from = std::mem::take(&mut receivers_by_dst[rank]);
-        let to = (0..size)
-            .map(|dst| senders_by_dst[dst][rank].clone())
-            .collect();
-        endpoints.push(Endpoint::new(
-            rank,
-            size,
-            to,
-            from,
-            Arc::clone(&barrier),
-            EndpointConfig {
+    let (nets, sim) = Transport::group(size, options.cost, options.schedule.as_ref());
+    let endpoints: Vec<Endpoint> = nets
+        .into_iter()
+        .enumerate()
+        .map(|(rank, net)| {
+            let config = EndpointConfig {
                 cost: options.cost,
                 recv_deadline: options.recv_deadline,
                 reliability: options.reliability,
                 faults: plan,
                 kill_at: plan.and_then(|p| p.kill_threshold(rank)),
-                sim: sim.clone(),
-            },
-        ));
-    }
-    drop(senders_by_dst);
+            };
+            Endpoint::new(rank, size, net, config)
+        })
+        .collect();
 
     let slots: Mutex<Vec<Option<(R, TrafficStats)>>> =
         Mutex::new((0..size).map(|_| None).collect());
     let dead_flags: Mutex<Vec<bool>> = Mutex::new(vec![false; size]);
-    // Ranks that completed their closure; healthy ranks linger (keep
-    // answering retransmissions) until everyone is done.
-    let finished = std::sync::atomic::AtomicUsize::new(0);
     // Panic payloads in the order they occurred; the first is re-raised
     // (later ones are usually cascades from the first rank's death).
     let panics: Mutex<Vec<Box<dyn std::any::Any + Send + 'static>>> = Mutex::new(Vec::new());
@@ -193,34 +158,22 @@ where
             let res = &slots;
             let dead = &dead_flags;
             let boom = &panics;
-            let finished = &finished;
-            let sim_t = sim.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .spawn_scoped(scope, move || {
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| fr(&mut ep)));
                         let killed = ep.is_dead();
-                        finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        // Only after the external counter, so a virtual
-                        // group-done wake observes it at its final value.
-                        if let Some(s) = &sim_t {
-                            s.finish_rank(rank);
-                        }
-                        if outcome.is_ok() && !killed {
-                            // A healthy rank's transport state outlives
-                            // its last receive: re-ack retransmissions
-                            // until the whole group is done so lost acks
-                            // don't masquerade as a dead peer. Killed or
-                            // panicking ranks drop immediately instead —
-                            // that disconnect *is* their failure signal.
-                            ep.linger_until(|| {
-                                finished.load(std::sync::atomic::Ordering::SeqCst) == size
-                            });
-                        }
+                        // A healthy rank's transport state outlives
+                        // its last receive: re-ack retransmissions
+                        // until the whole group is done so lost acks
+                        // don't masquerade as a dead peer. Killed or
+                        // panicking ranks drop immediately instead —
+                        // that disconnect *is* their failure signal.
+                        ep.finish(outcome.is_ok() && !killed);
                         let stats = ep.into_stats();
-                        // `ep` is gone here: its outgoing senders are
-                        // dropped, so partners blocked on this rank see
+                        // `ep` is gone here: its transport is closed,
+                        // so partners blocked on this rank see
                         // `Disconnected` now rather than at the deadline.
                         match outcome {
                             Ok(r) => {
@@ -470,17 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn virtual_time_barrier_and_self_send() {
+    fn virtual_time_self_send() {
         let options = GroupOptions {
             cost: CostModel::free(),
             schedule: Some(ScheduleSpec::seeded(9)),
             ..Default::default()
         };
         let out = run_group_with(4, options, |ep| {
-            ep.barrier();
             ep.send(ep.rank(), 9, Bytes::from(vec![ep.rank() as u8]))
                 .unwrap();
-            ep.barrier();
             ep.recv(ep.rank(), 9).unwrap()[0]
         });
         assert_eq!(out.results, vec![0, 1, 2, 3]);

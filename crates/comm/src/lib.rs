@@ -27,9 +27,10 @@ pub mod group;
 pub mod reliable;
 pub mod stats;
 pub mod trace;
+mod transport;
 pub mod vclock;
 
-pub use collectives::{all_gather, broadcast, reduce, scatter};
+pub use collectives::{all_gather, broadcast, gather, gather_tolerant, reduce, scatter};
 pub use cost::CostModel;
 pub use endpoint::{
     CommError, Endpoint, Message, RecvError, SendError, SendErrorKind, Tag, DEFAULT_RECV_DEADLINE,

@@ -1,19 +1,42 @@
-//! Reliable-delivery framing: sequence numbers, CRC32 integrity, and
-//! the retry policy of the stop-and-wait ARQ the endpoint runs when
-//! reliability is enabled.
+//! The link layer between [`Endpoint`](crate::Endpoint) and the
+//! [`Transport`]: per-peer state, and the stop-and-wait ARQ that runs
+//! over it when reliability is enabled.
 //!
-//! The byte layout and integrity check live in the shared codec
-//! ([`crate::frame`]); this module pins down the reliable link's
-//! closed kind set ([`FRAME_DATA`] / [`FRAME_ACK`]) and the ARQ
-//! retry policy. Acks carry the sequence number they acknowledge and
+//! * **Raw** (default): a message is one physical transmission, handed
+//!   to the fault plan and the transport unframed — byte-identical
+//!   behaviour and stats to a build without this layer. A selective
+//!   receive is one blocking receive on that source.
+//! * **Reliable**: every message is wrapped in a sequence-numbered,
+//!   CRC-protected frame and delivered by stop-and-wait: the sender
+//!   retransmits on ack timeout with bounded exponential backoff until
+//!   the retry budget is exhausted; the receiver CRC-checks,
+//!   deduplicates by sequence number and acks every accepted or
+//!   duplicate frame. Every wait pumps *all* incoming links, so acks and
+//!   frames of other conversations keep moving — what makes ring and
+//!   exchange schedules deadlock-free under ARQ.
+//!
+//! Each wait loop here ([`Links`]' `await_ack`, `recv_reliable`,
+//! `recv_any`, `linger_until_group_done`) is written once, against the
+//! transport's clock, `drain` and `wait_any`; none of them knows whether
+//! time is real or virtual. The byte layout and integrity check live in
+//! the shared codec ([`crate::frame`]); this module pins down the
+//! reliable link's closed kind set ([`FRAME_DATA`] / [`FRAME_ACK`]) and
+//! the retry policy. Acks carry the sequence number they acknowledge and
 //! an empty payload.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
+use crate::cost::CostModel;
+use crate::endpoint::{Message, RecvError, SendErrorKind, Tag};
+use crate::fault::{FaultPlan, StreamClass};
 pub use crate::frame::{crc32, encode_frame, Frame, FrameError, HEADER_LEN};
+use crate::stats::TrafficStats;
+use crate::transport::Transport;
+use crate::vclock::{LingerOutcome, VRecvError};
 
 /// Application data frame.
 pub const FRAME_DATA: u8 = 1;
@@ -80,6 +103,382 @@ impl ReliabilityConfig {
     pub fn retry_delay(&self, attempt: u32) -> Duration {
         let base = self.ack_timeout.as_secs_f64() * self.backoff.powi(attempt.min(32) as i32);
         Duration::from_secs_f64(base.min(self.max_backoff.as_secs_f64()))
+    }
+}
+
+/// Per-peer link state.
+#[derive(Debug, Default)]
+struct Link {
+    // --- send side ---
+    /// Next data sequence number for frames to this peer.
+    next_seq: u32,
+    /// Highest data seq this peer has acknowledged.
+    acked: Option<u32>,
+    /// Raw-mode transmission counter (fault keying).
+    raw_index: u64,
+    // --- receive side ---
+    /// Next data seq expected from this peer.
+    expected_seq: u32,
+    /// Messages taken off the wire from this peer, awaiting `recv`.
+    pending: VecDeque<Message>,
+    /// The peer has closed and the wire from it is drained (no more
+    /// frames ever).
+    peer_closed: bool,
+    /// Last data seq this rank acked to this peer, with how many acks
+    /// it has sent for it (fault keying for re-acks of duplicates).
+    last_ack: Option<(u32, u64)>,
+}
+
+/// What ended one retry window of a reliable send.
+enum AckWait {
+    /// The peer acknowledged the frame.
+    Acked,
+    /// The peer is gone and drained; the ack can never arrive.
+    PeerClosed,
+    /// The retry window elapsed silently; retransmit.
+    TimedOut,
+}
+
+/// One rank's links to every peer: raw passthrough or stop-and-wait ARQ
+/// (see the module docs), with the fault plan applied to every physical
+/// transmission on the way down. Methods borrow the rank's [`Transport`]
+/// and its [`TrafficStats`]; the protocol costs land in the latter.
+pub(crate) struct Links {
+    rank: usize,
+    config: ReliabilityConfig,
+    faults: Option<FaultPlan>,
+    cost: CostModel,
+    peers: Vec<Link>,
+}
+
+impl Links {
+    pub(crate) fn new(
+        rank: usize,
+        size: usize,
+        config: ReliabilityConfig,
+        faults: Option<FaultPlan>,
+        cost: CostModel,
+    ) -> Self {
+        Links {
+            rank,
+            config,
+            faults,
+            cost,
+            peers: (0..size).map(|_| Link::default()).collect(),
+        }
+    }
+
+    /// Whether messages travel framed and acknowledged.
+    pub(crate) fn is_reliable(&self) -> bool {
+        self.config.enabled
+    }
+
+    /// Sends one message to `dst`. Raw: a single buffered transmission
+    /// carrying `extra_secs` of modeled latency. Reliable: blocks until
+    /// the frame is acknowledged; the stamp is dropped, because ARQ
+    /// timing is governed by the retry policy.
+    pub(crate) fn send(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        dst: usize,
+        msg: Message,
+        extra_secs: f64,
+    ) -> Result<(), SendErrorKind> {
+        if self.config.enabled {
+            return self.send_reliable(net, stats, dst, msg);
+        }
+        let index = self.peers[dst].raw_index;
+        self.peers[dst].raw_index += 1;
+        self.transmit(net, dst, msg, StreamClass::Raw, index, extra_secs.max(0.0))
+            .map_err(|()| SendErrorKind::Disconnected)
+    }
+
+    /// Pushes one physical transmission onto the wire through the fault
+    /// plan. `Err` means the destination has closed.
+    fn transmit(
+        &self,
+        net: &Transport,
+        dst: usize,
+        msg: Message,
+        class: StreamClass,
+        index: u64,
+        extra_secs: f64,
+    ) -> Result<(), ()> {
+        match &self.faults {
+            None => net.send(dst, msg, extra_secs),
+            Some(plan) => plan.transmit(net, self.rank, dst, msg, class, index, extra_secs),
+        }
+    }
+
+    /// Stop-and-wait reliable send: frame, transmit, await ack, retry
+    /// with exponential backoff.
+    fn send_reliable(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        dst: usize,
+        msg: Message,
+    ) -> Result<(), SendErrorKind> {
+        let seq = self.peers[dst].next_seq;
+        self.peers[dst].next_seq = seq.wrapping_add(1);
+        let frame = Message {
+            tag: msg.tag,
+            payload: encode_frame(FRAME_DATA, seq, &msg.payload),
+        };
+        let mut attempt: u32 = 0;
+        loop {
+            if attempt > 0 {
+                stats.retransmits += 1;
+                stats.retransmit_bytes += frame.payload.len() as u64;
+            }
+            let key = ((seq as u64) << 16) | (attempt as u64 & 0xFFFF);
+            if self
+                .transmit(net, dst, frame.clone(), StreamClass::Data, key, 0.0)
+                .is_err()
+            {
+                return Err(SendErrorKind::Disconnected);
+            }
+            match self.await_ack(net, stats, dst, seq, attempt) {
+                AckWait::Acked => return Ok(()),
+                // The wire is drained and the peer is gone: the ack can
+                // never arrive.
+                AckWait::PeerClosed => return Err(SendErrorKind::Disconnected),
+                AckWait::TimedOut => {}
+            }
+            stats.ack_timeouts += 1;
+            attempt += 1;
+            if attempt > self.config.max_retries {
+                return Err(SendErrorKind::RetryBudgetExhausted { attempts: attempt });
+            }
+        }
+    }
+
+    /// Waits for an ack of `seq` from `dst` through one retry window,
+    /// pumping the links the whole time.
+    fn await_ack(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        dst: usize,
+        seq: u32,
+        attempt: u32,
+    ) -> AckWait {
+        let deadline = net.now() + self.config.retry_delay(attempt).as_secs_f64();
+        loop {
+            self.pump(net, stats);
+            if self.peers[dst].acked.is_some_and(|a| a >= seq) {
+                return AckWait::Acked;
+            }
+            if self.peers[dst].peer_closed {
+                return AckWait::PeerClosed;
+            }
+            if net.now() >= deadline {
+                return AckWait::TimedOut;
+            }
+            net.wait_any(Some(dst), deadline);
+        }
+    }
+
+    /// Takes everything that has arrived off the wire without blocking.
+    /// Raw messages go straight to their source's queue; reliable frames
+    /// are CRC-checked, deduplicated and acked first.
+    fn pump(&mut self, net: &Transport, stats: &mut TrafficStats) {
+        let (arrived, closed) = net.drain();
+        for (src, msg) in arrived {
+            if self.config.enabled {
+                self.process_frame(net, stats, src, msg);
+            } else {
+                self.peers[src].pending.push_back(msg);
+            }
+        }
+        for (peer, closed) in self.peers.iter_mut().zip(closed) {
+            peer.peer_closed |= closed;
+        }
+    }
+
+    /// Handles one physical frame off the wire (reliable mode only).
+    fn process_frame(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        src: usize,
+        msg: Message,
+    ) {
+        let raw_len = msg.payload.len();
+        // Every physical frame costs modeled wire time at the receiver.
+        stats.modeled_comm_seconds += self.cost.message_seconds(raw_len);
+        match decode_frame(&msg.payload) {
+            Err(_) => {
+                // Corrupted in transit; drop it and let the sender's ack
+                // timeout drive a retransmission.
+                stats.corruptions_detected += 1;
+                stats.overhead_bytes += raw_len as u64;
+            }
+            Ok(frame) if frame.kind == FRAME_ACK => {
+                stats.overhead_bytes += raw_len as u64;
+                let link = &mut self.peers[src];
+                link.acked = Some(link.acked.map_or(frame.seq, |a| a.max(frame.seq)));
+            }
+            Ok(frame) => {
+                let expected = self.peers[src].expected_seq;
+                if frame.seq == expected {
+                    self.peers[src].expected_seq = expected.wrapping_add(1);
+                    stats.overhead_bytes += HEADER_LEN as u64;
+                    self.send_ack(net, src, msg.tag, frame.seq);
+                    self.peers[src].pending.push_back(Message {
+                        tag: msg.tag,
+                        payload: frame.payload,
+                    });
+                } else {
+                    // A duplicate (retransmission of something already
+                    // accepted): discard, but re-ack so the sender can
+                    // make progress if the first ack was lost.
+                    stats.overhead_bytes += raw_len as u64;
+                    if frame.seq < expected {
+                        self.send_ack(net, src, msg.tag, frame.seq);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Acks `seq` back to `src`. Failures are ignored: a peer that
+    /// already exited no longer needs the ack.
+    fn send_ack(&mut self, net: &Transport, src: usize, tag: Tag, seq: u32) {
+        let link = &mut self.peers[src];
+        let attempt = match link.last_ack {
+            Some((s, n)) if s == seq => n + 1,
+            _ => 0,
+        };
+        link.last_ack = Some((seq, attempt));
+        let ack = Message {
+            tag,
+            payload: encode_frame(FRAME_ACK, seq, &[]),
+        };
+        let key = ((seq as u64) << 16) | (attempt & 0xFFFF);
+        let _ = self.transmit(net, src, ack, StreamClass::Ack, key, 0.0);
+    }
+
+    /// The next message from `src`, waiting at most `wait`.
+    pub(crate) fn recv(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        src: usize,
+        wait: Duration,
+    ) -> Result<Message, RecvError> {
+        // An earlier pump (a `recv_any`, or an ack wait) may already have
+        // taken this source's messages off the wire.
+        if let Some(msg) = self.peers[src].pending.pop_front() {
+            return Ok(msg);
+        }
+        if self.config.enabled {
+            return self.recv_reliable(net, stats, src, wait);
+        }
+        // Raw: park on this one source — a single blocking receive, no
+        // sweep of the other links.
+        net.recv_from(src, wait).map_err(|e| match e {
+            VRecvError::Timeout => RecvError::Timeout {
+                from: src,
+                waited: wait,
+            },
+            VRecvError::Disconnected => RecvError::Disconnected { from: src },
+        })
+    }
+
+    /// Reliable-mode receive: waits on this link's queue, pumping all
+    /// links meanwhile.
+    fn recv_reliable(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        src: usize,
+        wait: Duration,
+    ) -> Result<Message, RecvError> {
+        let deadline = net.now() + wait.as_secs_f64();
+        loop {
+            self.pump(net, stats);
+            if let Some(msg) = self.peers[src].pending.pop_front() {
+                return Ok(msg);
+            }
+            if self.peers[src].peer_closed {
+                return Err(RecvError::Disconnected { from: src });
+            }
+            if net.now() >= deadline {
+                return Err(RecvError::Timeout {
+                    from: src,
+                    waited: wait,
+                });
+            }
+            net.wait_any(Some(src), deadline);
+        }
+    }
+
+    /// The next message from any source whose `await_from` slot is true
+    /// (lowest rank first among those with one queued; arrival order
+    /// within a source). Messages from other sources stay queued for
+    /// later receives. An awaited peer that closed with nothing queued
+    /// is reported only when no awaited source has a message.
+    pub(crate) fn recv_any(
+        &mut self,
+        net: &Transport,
+        stats: &mut TrafficStats,
+        await_from: &[bool],
+        wait: Duration,
+    ) -> Result<(usize, Message), RecvError> {
+        if let Some(found) = self.pop_any_pending(await_from) {
+            return Ok(found);
+        }
+        let deadline = net.now() + wait.as_secs_f64();
+        loop {
+            self.pump(net, stats);
+            if let Some(found) = self.pop_any_pending(await_from) {
+                return Ok(found);
+            }
+            let closed = |src: &usize| await_from[*src] && self.peers[*src].peer_closed;
+            if let Some(from) = (0..self.peers.len()).find(closed) {
+                return Err(RecvError::Disconnected { from });
+            }
+            if net.now() >= deadline {
+                let from = await_from.iter().position(|&w| w).unwrap_or(0);
+                return Err(RecvError::Timeout { from, waited: wait });
+            }
+            net.wait_any(None, deadline);
+        }
+    }
+
+    fn pop_any_pending(&mut self, await_from: &[bool]) -> Option<(usize, Message)> {
+        for (src, (peer, &wanted)) in self.peers.iter_mut().zip(await_from).enumerate() {
+            if wanted {
+                if let Some(msg) = peer.pending.pop_front() {
+                    return Some((src, msg));
+                }
+            }
+        }
+        None
+    }
+
+    /// Keeps the link layer responsive after this rank's work is done:
+    /// answers retransmissions (re-acking duplicates) until the whole
+    /// group has finished.
+    ///
+    /// Without this, a peer whose ack was lost in transit would
+    /// retransmit into a closed link and wrongly conclude this rank
+    /// died — a healthy transport's protocol state outlives the
+    /// application's last receive. No-op in raw mode.
+    pub(crate) fn linger_until_group_done(&mut self, net: &Transport, stats: &mut TrafficStats) {
+        if !self.config.enabled {
+            return;
+        }
+        loop {
+            self.pump(net, stats);
+            if net.linger() == LingerOutcome::GroupDone {
+                // Re-ack anything that raced in with completion.
+                self.pump(net, stats);
+                return;
+            }
+        }
     }
 }
 

@@ -7,7 +7,6 @@
 //! measurements).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -98,24 +97,28 @@ impl Trace {
 }
 
 /// A shared, thread-safe trace collector handed to every endpoint.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Tracer {
-    epoch: Instant,
     log: Arc<Mutex<Vec<TraceEvent>>>,
 }
 
 impl Tracer {
-    /// A fresh collector; `epoch` is "now".
+    /// A fresh, empty collector.
     pub fn new() -> Self {
-        Tracer {
-            epoch: Instant::now(),
-            log: Arc::new(Mutex::new(Vec::new())),
-        }
+        Self::default()
     }
 
-    /// Records one event.
-    pub fn record(&self, rank: usize, peer: usize, kind: EventKind, bytes: usize, tag: u32) {
-        let t_ns = self.epoch.elapsed().as_nanos() as u64;
+    /// Records one event at `t_ns` on the recording rank's transport
+    /// clock (real or virtual nanoseconds since the group started).
+    pub fn record(
+        &self,
+        t_ns: u64,
+        rank: usize,
+        peer: usize,
+        kind: EventKind,
+        bytes: usize,
+        tag: u32,
+    ) {
         self.log.lock().push(TraceEvent {
             t_ns,
             rank,
@@ -133,12 +136,6 @@ impl Tracer {
                 .map(Mutex::into_inner)
                 .unwrap_or_default(),
         }
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
     }
 }
 

@@ -7,7 +7,17 @@
 //! by the group's [`CostModel`]: every in-flight message carries a ready
 //! time `clock[src] + T_s + bytes·T_c`, receive deadlines and ack
 //! timeouts are virtual deadlines, and a fault `delay` is extra virtual
-//! latency instead of a `thread::sleep`.
+//! latency instead of a stalled sender.
+//!
+//! [`SimNet`] is one of the two networks behind the crate-private
+//! transport surface (`transport.rs`; real-time channels are the other):
+//! a rank's `now` / `send` / `recv_from` / `drain` / `wait_any` /
+//! `linger` calls are the whole interface the layers above use, and the
+//! *sequence* of those calls per rank is what the decision digests in
+//! the conformance corpus pin. In particular a raw selective receive
+//! parks in `recv_from`; `drain` followed by `wait_any` is not a
+//! substitute, because `drain` advances the rank's clock to the latest
+//! arrival on *any* link.
 //!
 //! Rank threads still run as OS threads, but they only make progress
 //! one at a time between *quiescent points*: when every rank is parked
@@ -111,8 +121,6 @@ enum Waiter {
         watch: Option<usize>,
         deadline: Option<f64>,
     },
-    /// Blocked in a group barrier that started at generation `gen`.
-    Barrier { gen: u64 },
     /// Finished its work; wakes on any frame or group completion.
     Linger,
     /// Endpoint dropped; the rank no longer participates.
@@ -190,8 +198,6 @@ struct SimState {
     closed: Vec<bool>,
     /// Ranks whose group closure has returned.
     finished: usize,
-    barrier_count: usize,
-    barrier_gen: u64,
     spec: ScheduleSpec,
     choices_taken: usize,
     trace: ScheduleTrace,
@@ -203,7 +209,8 @@ struct SimState {
 /// The shared discrete-event network of one virtual-time group run.
 ///
 /// Created by the group runner when [`crate::GroupOptions::schedule`]
-/// is set; one `Arc<SimNet>` is shared by every endpoint.
+/// is set; one `Arc<SimNet>` is shared by every rank's transport, and a
+/// rank closes ([`SimNet::close_rank`]) when its endpoint drops.
 pub struct SimNet {
     state: Mutex<SimState>,
     cv: Condvar,
@@ -228,8 +235,6 @@ impl SimNet {
                 fired: vec![false; size],
                 closed: vec![false; size],
                 finished: 0,
-                barrier_count: 0,
-                barrier_gen: 0,
                 spec,
                 choices_taken: 0,
                 trace: ScheduleTrace::default(),
@@ -354,29 +359,6 @@ impl SimNet {
         })
     }
 
-    /// Group barrier in virtual time: the last arriver synchronises
-    /// every rank clock to the group maximum.
-    pub fn barrier(&self, rank: usize) {
-        let gen = {
-            let mut st = self.lock();
-            let gen = st.barrier_gen;
-            st.barrier_count += 1;
-            if st.barrier_count == st.size {
-                let t = st.clock.iter().copied().fold(0.0f64, f64::max);
-                st.clock.iter_mut().for_each(|c| *c = t);
-                st.barrier_count = 0;
-                st.barrier_gen += 1;
-                drop(st);
-                self.cv.notify_all();
-                return;
-            }
-            gen
-        };
-        self.park(rank, Waiter::Barrier { gen }, move |st| {
-            (st.barrier_gen > gen).then_some(())
-        });
-    }
-
     /// Records that `rank`'s group closure returned. Must be called
     /// *after* any external completion counter is updated, so a
     /// [`LingerOutcome::GroupDone`] wake observes that counter at its
@@ -481,7 +463,6 @@ impl SimNet {
                             && st.inbox[rank][w].is_empty()
                     })
             }
-            Waiter::Barrier { gen } => st.barrier_gen > gen,
             Waiter::Linger => {
                 (0..st.size).any(|src| !st.inbox[rank][src].is_empty()) || st.finished >= st.size
             }
@@ -879,23 +860,6 @@ mod tests {
         assert!(result.iter().all(|&panicked| panicked));
         assert!(sim.failure().unwrap().contains("virtual deadlock"));
         assert!(wall.elapsed().as_secs() < 30);
-    }
-
-    #[test]
-    fn barrier_synchronises_clocks_to_group_max() {
-        let cost = CostModel { t_s: 1.0, t_c: 0.0 };
-        let (clocks, _) = with_ranks(3, ScheduleSpec::default(), cost, |rank, sim| {
-            if rank == 0 {
-                // Rank 0 receives one message, advancing its clock to 1s.
-                let _ = sim.recv_from(0, 1, 60.0).unwrap();
-            } else if rank == 1 {
-                sim.send(1, 0, msg(0, 1), 0.0).unwrap();
-            }
-            sim.barrier(rank);
-            sim.now(rank)
-        });
-        assert!(clocks.iter().all(|&c| c == clocks[0]));
-        assert_eq!(clocks[0], 1.0);
     }
 
     #[test]

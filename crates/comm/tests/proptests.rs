@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use vr_comm::{all_gather, broadcast, reduce, run_group, scatter, CostModel};
+use vr_comm::{all_gather, broadcast, gather, reduce, run_group, scatter, CostModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -37,7 +37,7 @@ proptest! {
                     .collect::<Vec<_>>()
             });
             let mine = scatter(ep, 0, 2, payloads).unwrap();
-            ep.gather(0, 3, mine).unwrap()
+            gather(ep, 0, 3, mine).unwrap()
         });
         let all = out.results[0].as_ref().unwrap();
         for (r, part) in all.iter().enumerate() {

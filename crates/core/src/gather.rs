@@ -1,7 +1,7 @@
 //! Final gather: assembling owned pieces into the full image at a root
 //! rank (the sort-last system's display step).
 
-use vr_comm::Endpoint;
+use vr_comm::{gather, gather_tolerant, Endpoint};
 use vr_image::{Image, StridedSeq};
 use vr_volume::DepthOrder;
 
@@ -132,9 +132,8 @@ pub fn gather_image(
     root: usize,
 ) -> Option<Image> {
     let payload = encode_piece(image, piece);
-    let all = ep
-        .gather(root, tags::GATHER, payload)
-        .unwrap_or_else(|e| panic!("gather failed: {e}"))?;
+    let all =
+        gather(ep, root, tags::GATHER, payload).unwrap_or_else(|e| panic!("gather failed: {e}"))?;
 
     let mut out = Image::blank(image.width(), image.height());
     let mut covered = 0usize;
@@ -182,18 +181,16 @@ pub fn gather_image_tolerant(
     root: usize,
 ) -> Result<Option<GatheredImage>, CompositeError> {
     let payload = encode_piece(image, piece);
-    let all = ep
-        .gather_tolerant(root, tags::GATHER, payload)
-        .map_err(|e| {
-            if e.is_self_killed() {
-                CompositeError::Killed { rank: ep.rank() }
-            } else {
-                CompositeError::Comm {
-                    during: "gather",
-                    source: e,
-                }
+    let all = gather_tolerant(ep, root, tags::GATHER, payload).map_err(|e| {
+        if e.is_self_killed() {
+            CompositeError::Killed { rank: ep.rank() }
+        } else {
+            CompositeError::Comm {
+                during: "gather",
+                source: e,
             }
-        })?;
+        }
+    })?;
     let Some(all) = all else { return Ok(None) };
 
     let mut out = Image::blank(image.width(), image.height());

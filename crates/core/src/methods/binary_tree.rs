@@ -12,17 +12,39 @@
 //! argues this degenerates for float volume pixels; the `encoding`
 //! ablation bench quantifies the gap against mask RLE.
 
+use bytes::Bytes;
 use vr_comm::Endpoint;
 use vr_image::rle::{ValueRle, ValueRun};
 use vr_image::Image;
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv, try_send, CompositeError};
+use crate::error::{try_recv, try_send, Checked, CompositeError, Malformed};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter};
 
 use super::{CompositeResult, OwnedPiece, Run};
+
+/// Wire bytes of one value run: the pixel and its 2-byte count.
+const BYTES_PER_RUN: usize = vr_image::BYTES_PER_PIXEL + vr_image::BYTES_PER_RUN_CODE;
+
+/// Parses a compressed partial image: a run count that matches the
+/// bytes that arrived, and runs that describe exactly `area` pixels.
+fn read_stream(payload: Bytes, area: usize) -> Checked<ValueRle> {
+    let mut r = MsgReader::new(payload);
+    Malformed::unless(r.remaining() >= 4)?;
+    let nruns = r.get_u32() as usize;
+    Malformed::unless(r.remaining() == nruns * BYTES_PER_RUN)?;
+    let mut runs = Vec::with_capacity(nruns);
+    for _ in 0..nruns {
+        let pixel = r.get_pixel();
+        let count = r.get_codes(1)[0];
+        runs.push(ValueRun { pixel, count });
+    }
+    let stream = ValueRle::from_runs(runs);
+    Malformed::unless(stream.total_len() == area)?;
+    Ok(stream)
+}
 
 /// Runs binary-tree compositing (works for any `P ≥ 1`).
 pub fn run(
@@ -46,7 +68,7 @@ pub fn run(
             // Sender: ship the compressed stream to the rank `bit`
             // positions in front, then retire.
             let payload = run.comp.time(|| {
-                let mut w = MsgWriter::with_capacity(4 + stream.runs().len() * 18);
+                let mut w = MsgWriter::with_capacity(4 + stream.runs().len() * BYTES_PER_RUN);
                 w.put_u32(stream.runs().len() as u32);
                 for r in stream.runs() {
                     w.put_pixel(r.pixel);
@@ -93,19 +115,13 @@ pub fn run(
             )? {
                 stat.recv_bytes = received.len() as u64;
                 stat.recv_msgs = 1;
-                run.comp.time(|| {
-                    let mut r = MsgReader::new(received);
-                    let nruns = r.get_u32() as usize;
-                    let mut runs = Vec::with_capacity(nruns);
-                    for _ in 0..nruns {
-                        let pixel = r.get_pixel();
-                        let count = r.get_codes(1)[0];
-                        runs.push(ValueRun { pixel, count });
-                    }
-                    let back = ValueRle::from_runs(runs);
+                let merged: Checked<()> = run.comp.time(|| {
+                    let back = read_stream(received, stream.total_len())?;
                     stream = ValueRle::composite_over(&stream, &back);
                     stat.composite_ops = stream.runs().len() as u64;
+                    Ok(())
                 });
+                merged.map_err(|m| m.at("binary-tree recv", topo.real(v + bit)))?;
             }
             run.stages.push(stat);
         }

@@ -10,7 +10,7 @@ use vr_comm::Endpoint;
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv, try_send, CompositeError};
+use crate::error::{try_recv, try_send, CompositeError, Malformed};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter};
@@ -80,6 +80,9 @@ pub fn run(
         };
         stat.recv_bytes += received.len() as u64;
         stat.recv_msgs += 1;
+        // The payload is the band's pixels and nothing else.
+        Malformed::unless(received.len() == my_band.area() * vr_image::BYTES_PER_PIXEL)
+            .map_err(|m| m.at("direct recv", topo.real(src)))?;
         let pixels = run
             .comp
             .time(|| MsgReader::new(received).get_pixels(my_band.area()));
@@ -138,6 +141,29 @@ mod tests {
             assert_eq!(sent, (p - 1) as u64);
             assert_eq!(recvd, (p - 1) as u64);
         }
+    }
+
+    #[test]
+    fn a_band_of_the_wrong_length_is_malformed_not_a_panic() {
+        // No header to damage, so a bit flip cannot shorten this payload;
+        // a peer that sends one pixel too few stands in for truncation.
+        let depth = DepthOrder::identity(2);
+        let out = run_group(2, CostModel::free(), |ep| {
+            if ep.rank() == 1 {
+                let short = vec![0u8; (8 * 4 - 1) * vr_image::BYTES_PER_PIXEL];
+                ep.send(0, tags::DIRECT, short.into()).unwrap();
+                ep.recv(0, tags::DIRECT).unwrap();
+                return None;
+            }
+            run(ep, &mut Image::blank(8, 8), &depth).err()
+        });
+        assert_eq!(
+            out.results[0],
+            Some(CompositeError::Malformed {
+                during: "direct recv",
+                from: 1
+            })
+        );
     }
 
     #[test]

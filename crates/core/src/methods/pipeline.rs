@@ -11,11 +11,12 @@
 //! `b` for contributors in front of it, merged (`b over a`) at the final
 //! stop. This keeps every accumulation depth-contiguous.
 
+use bytes::Bytes;
 use vr_comm::Endpoint;
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv, try_send, CompositeError};
+use crate::error::{try_recv, try_send, Checked, CompositeError, Malformed};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter};
@@ -26,6 +27,30 @@ use super::{band_rect, CompositeResult, OwnedPiece, Run};
 /// that should occupy this ring slot is lost. Forwarding the marker
 /// keeps the ring in lockstep so downstream ranks never stall.
 const NO_BAND: u32 = u32::MAX;
+
+/// A travelling partial: the behind-segment accumulator `a` and, once
+/// the chain has wrapped past position 0, the front-segment `b`.
+type Travelling = (Vec<Pixel>, Option<Vec<Pixel>>);
+
+/// Parses one ring message: `None` for the [`NO_BAND`] marker, else the
+/// accumulators of band `expect` — its id, its flag and exactly `area`
+/// pixels per accumulator, checked before anything is decoded.
+fn read_band(payload: Bytes, expect: usize, area: usize) -> Checked<Option<Travelling>> {
+    let mut r = MsgReader::new(payload);
+    Malformed::unless(r.remaining() >= 4)?;
+    let got = r.get_u32();
+    if got == NO_BAND {
+        Malformed::unless(r.remaining() == 0)?;
+        return Ok(None);
+    }
+    Malformed::unless(got as usize == expect && r.remaining() >= 4)?;
+    let has_b = r.get_u32();
+    Malformed::unless(has_b <= 1)?;
+    let buffers = 1 + has_b as usize;
+    Malformed::unless(r.remaining() == buffers * area * vr_image::BYTES_PER_PIXEL)?;
+    let a = r.get_pixels(area);
+    Ok(Some((a, (has_b == 1).then(|| r.get_pixels(area)))))
+}
 
 /// Runs parallel-pipeline compositing (any `P ≥ 1`).
 pub fn run(
@@ -94,24 +119,20 @@ pub fn run(
             Some(received) => {
                 stat.recv_bytes = received.len() as u64;
                 stat.recv_msgs = 1;
-                run.comp.time(|| {
-                    let mut r = MsgReader::new(received);
-                    let got = r.get_u32();
-                    if got == NO_BAND {
+                // After `t` hops the upstream neighbour forwards band
+                // `j − 2 − t`: anything else in the header is damage.
+                let expect = (j + 2 * p - 2 - t) % p;
+                let band = band_rect(image.width(), image.height(), expect, p);
+                let merged: Checked<()> = run.comp.time(|| {
+                    let Some((a, b)) = read_band(received, expect, band.area())? else {
                         have_band = false;
                         b_buf = None;
-                        return;
-                    }
-                    have_band = true;
-                    band_id = got as usize;
-                    let has_b = r.get_u32() == 1;
-                    let band = band_rect(image.width(), image.height(), band_id, p);
-                    a_buf = r.get_pixels(band.area());
-                    b_buf = if has_b {
-                        Some(r.get_pixels(band.area()))
-                    } else {
-                        None
+                        return Ok(());
                     };
+                    have_band = true;
+                    band_id = expect;
+                    a_buf = a;
+                    b_buf = b;
 
                     // Composite our own contribution for this band. The band
                     // started at position s = (band_id+1) mod P; if our position
@@ -143,7 +164,9 @@ pub fn run(
                         }
                     }
                     stat.composite_ops = ops;
+                    Ok(())
                 });
+                merged.map_err(|m| m.at("pipeline recv", prev))?;
             }
         }
         run.stages.push(stat);

@@ -40,11 +40,12 @@ use vr_comm::Endpoint;
 use vr_image::{kernel, Image, MaskRle, Pixel, Rect};
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv_any, try_send_timed, AnyRecv, CompositeError};
+use crate::error::{try_recv_any, try_send_timed, AnyRecv, Checked, CompositeError, Malformed};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter};
 
+use super::swap::read_runs;
 use super::{CompositeResult, OwnedPiece, Run};
 
 /// Default streamed-tile edge in pixels (matches the renderer's default
@@ -161,12 +162,13 @@ pub fn local_contribution(
     (mask, pixels)
 }
 
-/// Decodes a streamed tile payload after the tile index has been read.
-pub fn decode_tile(r: &mut MsgReader) -> (MaskRle, Vec<Pixel>) {
-    let ncodes = r.get_u32() as usize;
-    let mask = MaskRle::from_codes(r.get_codes(ncodes));
-    let pixels = r.get_pixels(mask.non_blank_total());
-    (mask, pixels)
+/// Decodes a streamed tile payload after the tile index has been read:
+/// run codes that stay inside a tile of `area` pixels, then exactly the
+/// non-blank pixels they announce.
+fn decode_tile(r: &mut MsgReader, area: usize) -> Checked<(MaskRle, Vec<Pixel>)> {
+    let (mask, non_blank) = read_runs(r, area)?;
+    Malformed::unless(r.remaining() == non_blank * vr_image::BYTES_PER_PIXEL)?;
+    Ok((mask, r.get_pixels(non_blank)))
 }
 
 /// Walks a run of the tile-local row-major index space, mapping it back
@@ -531,10 +533,13 @@ impl TileStream {
                     AnyRecv::Message(src, bytes) => {
                         self.stat.recv_bytes += bytes.len() as u64;
                         self.stat.recv_msgs += 1;
+                        let malformed = |m: Malformed| m.at("tile stream recv", src);
                         let mut r = MsgReader::new(bytes);
+                        Malformed::unless(r.remaining() >= 4).map_err(malformed)?;
                         let t = r.get_u32();
                         let sv = self.vrank_of[src];
                         if t == DONE {
+                            Malformed::unless(r.remaining() == 0).map_err(malformed)?;
                             awaiting[src] = false;
                             remaining -= 1;
                             let TileStream { run, accums, .. } = &mut self;
@@ -545,9 +550,13 @@ impl TileStream {
                             });
                             self.progress.note_all(&self.accums);
                         } else {
-                            let (mask, pixels) = decode_tile(&mut r);
-                            debug_assert_eq!(t as usize % p, v, "tile routed to wrong owner");
+                            // A tile this rank owns, not yet heard from `src`.
                             let slot = t as usize / p;
+                            let ours = t as usize % p == v
+                                && self.accums.get(slot).is_some_and(|a| !a.is_resolved(sv));
+                            Malformed::unless(ours).map_err(malformed)?;
+                            let area = self.accums[slot].rect().area();
+                            let (mask, pixels) = decode_tile(&mut r, area).map_err(malformed)?;
                             let TileStream { run, accums, .. } = &mut self;
                             run.comp
                                 .time(|| accums[slot].resolve_content(sv, mask, pixels));
@@ -667,7 +676,7 @@ mod tests {
             let (lmask, lpix) = local_contribution(&img, rect, &scratch);
             let mut r = MsgReader::new(enc.payload);
             assert_eq!(r.get_u32() as usize, t);
-            let (mask, pixels) = decode_tile(&mut r);
+            let (mask, pixels) = decode_tile(&mut r, rect.area()).unwrap();
             assert_eq!(mask.codes(), lmask.codes());
             assert_eq!(pixels, lpix);
             assert_eq!(pixels.len(), enc.non_blank);
@@ -689,7 +698,7 @@ mod tests {
                 let enc = encode_tile(&img, &rect, 0, &mut scratch).unwrap();
                 let mut r = MsgReader::new(enc.payload);
                 r.get_u32();
-                decode_tile(&mut r)
+                decode_tile(&mut r, rect.area()).unwrap()
             })
             .collect();
         let orders: [[usize; 3]; 6] = [

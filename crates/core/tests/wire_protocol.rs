@@ -119,26 +119,16 @@ fn bs_message_is_headerless() {
 }
 
 /// Hostile stage bytes: with 90 % of all transmissions carrying a flipped
-/// bit and no reliable transport to catch it, every swap method (and
-/// radix-k, which shares the rect payload) must answer each damaged
-/// header, count or length with a typed, retryable `Malformed` — never a
-/// panic (a panicking rank would unwind through `run_group_with` and
-/// fail this test). A flipped bit *inside* a pixel still parses: catching
-/// that is the reliable transport's CRC's job, not the codec's.
+/// bit and no reliable transport to catch it, every method must answer
+/// each damaged header, count or length with a typed, retryable
+/// `Malformed` — never a panic (a panicking rank would unwind through
+/// `run_group_with` and fail this test). A flipped bit *inside* a pixel
+/// still parses: catching that is the reliable transport's CRC's job,
+/// not the codec's.
 #[test]
 fn corrupted_payloads_are_malformed_never_a_panic() {
-    let methods = [
-        Method::Bs,
-        Method::Bsbr,
-        Method::Bslc,
-        Method::Bsbrc,
-        Method::Bsrl,
-        Method::Bsbm,
-        Method::Bsmr,
-        Method::RadixK,
-    ];
     let mut malformed = 0usize;
-    for method in methods {
+    for method in Method::all() {
         // P = 6 reaches the fold (and radix-k's rounds [3, 2]).
         for p in [6usize, 8] {
             let images = Workload::Sparse.images(p, 16, 16);
