@@ -69,8 +69,13 @@ pub fn gather(
 
 /// Like [`gather`], but a contributor that died or disconnected yields
 /// `None` in its slot instead of failing the whole gather. Only `Killed`
-/// (this rank is dead) and protocol errors (timeout, tag mismatch)
-/// remain hard errors.
+/// (this rank is dead) and a timeout remain hard errors.
+///
+/// A message with another tag ahead of a source's contribution is
+/// discarded and the source read again: on the raw wire a rank killed
+/// right after a send leaves that message in flight, and the partner it
+/// was meant for — having already found the rank dead at its own send —
+/// never reads it. Behind it the link is `Disconnected`.
 pub fn gather_tolerant(
     ep: &mut Endpoint,
     root: usize,
@@ -83,11 +88,14 @@ pub fn gather_tolerant(
             if src == ep.rank() {
                 all.push(Some(payload.clone()));
             } else {
-                match ep.recv(src, tag) {
-                    Ok(bytes) => all.push(Some(bytes)),
-                    Err(RecvError::Disconnected { .. }) => all.push(None),
-                    Err(e) => return Err(e.into()),
-                }
+                all.push(loop {
+                    match ep.recv(src, tag) {
+                        Ok(bytes) => break Some(bytes),
+                        Err(RecvError::Disconnected { .. }) => break None,
+                        Err(RecvError::TagMismatch { .. }) => continue,
+                        Err(e) => return Err(e.into()),
+                    }
+                });
             }
         }
         Ok(Some(all))
@@ -251,6 +259,36 @@ mod tests {
         assert_eq!(root.len(), 3);
         assert_eq!(root[0].as_ref().unwrap()[0], 0);
         assert!(root[1].is_none(), "killed rank contributes nothing");
+        assert_eq!(root[2].as_ref().unwrap()[0], 2);
+        assert_eq!(out.dead_ranks, vec![1]);
+    }
+
+    #[test]
+    fn gather_tolerant_discards_a_dead_contributors_stale_message() {
+        // Rank 1 gets one send out under another tag, then dies; nobody
+        // reads that message before the gather does.
+        let faults = FaultConfig {
+            kill: Some(KillSpec {
+                rank: 1,
+                after_ops: 1,
+            }),
+            ..Default::default()
+        };
+        let options = GroupOptions {
+            cost: CostModel::free(),
+            recv_deadline: Duration::from_secs(5),
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let out = run_group_with(3, options, |ep| {
+            if ep.rank() == 1 {
+                ep.send(0, 9, Bytes::from_static(b"stage")).unwrap();
+            }
+            gather_tolerant(ep, 0, 4, Bytes::from(vec![ep.rank() as u8]))
+        });
+        let root = out.results[0].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(root[0].as_ref().unwrap()[0], 0);
+        assert!(root[1].is_none(), "stale message is not a contribution");
         assert_eq!(root[2].as_ref().unwrap()[0], 2);
         assert_eq!(out.dead_ranks, vec![1]);
     }

@@ -4,7 +4,8 @@
 //! [`ExperimentConfig`] — dataset, resolution, processor count, method,
 //! camera angles, transfer window (implied by the dataset), sampling
 //! step, fault plan, schedule seed and every other semantic knob. The
-//! digest is computed over the config's canonical `Debug` rendering, so
+//! digest is computed over the config's canonical wire encoding
+//! ([`wire::write_config`]), which carries every field bit for bit, so
 //! *any* field change produces a new key: the cache can never serve a
 //! frame rendered under different settings. (The acceleration knobs
 //! `macrocell`/`tile` are part of the key too even though they are
@@ -14,16 +15,16 @@ use std::collections::HashMap;
 
 use vr_system::ExperimentConfig;
 
-/// The cache key for a frame request: FNV-1a over the canonical debug
-/// rendering of the full configuration.
-pub fn frame_key(config: &ExperimentConfig) -> u64 {
-    fnv1a_str(&format!("{config:?}"))
-}
+use crate::wire::{self, WireWriter};
 
-fn fnv1a_str(s: &str) -> u64 {
+/// The cache key for a frame request: FNV-1a over the canonical wire
+/// encoding of the full configuration.
+pub fn frame_key(config: &ExperimentConfig) -> u64 {
+    let mut w = WireWriter::new();
+    wire::write_config(&mut w, config);
     let mut h: u64 = 0xcbf29ce484222325;
-    for byte in s.as_bytes() {
-        h ^= *byte as u64;
+    for byte in w.into_vec() {
+        h ^= byte as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
@@ -187,6 +188,63 @@ mod tests {
         let mut step = base;
         step.step = 1.0;
         assert_ne!(k0, frame_key(&step));
+    }
+
+    #[test]
+    fn frame_key_changes_with_each_of_the_23_config_fields() {
+        use std::time::Duration;
+        use vr_system::CompTiming;
+        fn ulp(v: &mut f32) {
+            *v = f32::from_bits(v.to_bits() + 1);
+        }
+        fn ulp64(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() + 1);
+        }
+        // One edit per field, in declaration order; floats move by one
+        // ULP, options flip between `None` and `Some`.
+        let edits: [fn(&mut ExperimentConfig); 23] = [
+            |c| c.dataset = DatasetKind::Head,
+            |c| c.image_size += 1,
+            |c| c.processors += 1,
+            |c| c.method = Method::Bs,
+            |c| ulp(&mut c.rot_x_deg),
+            |c| ulp(&mut c.rot_y_deg),
+            |c| ulp64(&mut c.cost.t_c),
+            |c| c.volume_dims = None,
+            |c| ulp(&mut c.step),
+            |c| ulp(&mut c.early_termination_alpha),
+            |c| c.perspective_distance = Some(2.0),
+            |c| c.balanced_partition = true,
+            |c| c.ghost_voxels += 1,
+            |c| c.comp_timing = CompTiming::Measured { slowdown: 1.0 },
+            |c| c.faults = Some(Default::default()),
+            |c| c.reliability.max_retries += 1,
+            |c| c.recv_deadline = Some(Duration::from_millis(250)),
+            |c| c.schedule_seed = Some(0),
+            |c| c.macrocell += 1,
+            |c| c.tile += 1,
+            |c| c.render_threads += 1,
+            |c| c.simd_lanes += 1,
+            |c| c.stream_tile += 1,
+        ];
+        let base = ExperimentConfig::small_test(DatasetKind::Cube, 4, Method::Bsbrc);
+        let mut keys = vec![frame_key(&base)];
+        for edit in edits {
+            let mut c = base;
+            edit(&mut c);
+            keys.push(frame_key(&c));
+        }
+        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "some field left the key alone");
+        // Inside the nested structs too.
+        let mut c = base;
+        ulp64(&mut c.cost.t_s);
+        assert_ne!(frame_key(&c), keys[0]);
+        c = base;
+        if let CompTiming::Modeled(cost) = &mut c.comp_timing {
+            ulp64(&mut cost.t_over);
+        }
+        assert_ne!(frame_key(&c), keys[0]);
     }
 
     #[test]

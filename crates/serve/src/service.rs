@@ -19,7 +19,7 @@ use slsvr_core::CompositeError;
 use vr_comm::{FaultConfig, ReliabilityConfig};
 use vr_image::checksum::fnv1a;
 use vr_image::Image;
-use vr_system::{Experiment, ExperimentConfig, FrameRecord, RenderPool};
+use vr_system::{Experiment, ExperimentConfig, FrameRecord, Outcome, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
 
 use crate::cache::{frame_key, LruCache};
@@ -610,6 +610,21 @@ struct Attempt {
     degraded: Option<(f64, f64)>,
 }
 
+impl Attempt {
+    /// Whichever runner produced `out`; the reference is rendered only
+    /// to score a degraded frame.
+    fn new(out: Outcome, reference: impl FnOnce() -> Image) -> Attempt {
+        let degraded = out
+            .is_degraded()
+            .then(|| (out.psnr_vs(&reference()), out.coverage));
+        Attempt {
+            record: FrameRecord::from_outcome(&out),
+            image: out.image,
+            degraded,
+        }
+    }
+}
+
 /// Renders one attempt through the exact batch path, catching panics
 /// from the distributed run (receive timeouts, reliable-delivery budget
 /// exhaustion) so a fault storm can never kill the worker.
@@ -630,27 +645,10 @@ fn run_attempt(
         // still uses the two-phase path below.
         if cfg.method == slsvr_core::Method::TileStream && cfg.schedule_seed.is_none() {
             let exp = vr_system::StreamExperiment::prepare_with_dataset(&cfg, dataset);
-            let out = exp.run();
-            let record = FrameRecord::from_stream(&out);
-            let degraded = out
-                .is_degraded()
-                .then(|| (out.psnr_vs(&exp.reference()), out.coverage));
-            return Attempt {
-                image: out.image,
-                record,
-                degraded,
-            };
-        }
-        let exp = Experiment::prepare_with_dataset_pool(&cfg, dataset, Some(pool));
-        let out = exp.run(cfg.method);
-        let record = FrameRecord::from_outcome(&out).with_render_seconds(&exp.render_seconds);
-        let degraded = out
-            .is_degraded()
-            .then(|| (out.psnr_vs(&exp.reference()), out.coverage));
-        Attempt {
-            image: out.image,
-            record,
-            degraded,
+            Attempt::new(exp.run(), || exp.reference())
+        } else {
+            let exp = Experiment::prepare_with_dataset_pool(&cfg, dataset, Some(pool));
+            Attempt::new(exp.run(cfg.method), || exp.reference())
         }
     }))
     .map_err(describe_panic)

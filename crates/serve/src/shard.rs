@@ -17,8 +17,9 @@ use crate::metrics::ServiceStats;
 use crate::service::{FrameService, ServeConfig, SessionHandle};
 
 /// FNV-1a over the shard key: the dataset's name bytes plus its
-/// resolved voxel dimensions. Stable across runs and processes (unlike
-/// the frame key, this does not hash a `Debug` rendering of floats).
+/// resolved voxel dimensions. Stable across runs and processes, and —
+/// unlike the frame key, which digests the whole config — equal for
+/// every view of one volume.
 pub fn shard_key(dataset: DatasetKind, dims: [usize; 3]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |byte: u8| {

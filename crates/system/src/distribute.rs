@@ -13,60 +13,47 @@
 
 use bytes::Bytes;
 
-use slsvr_core::{composite, gather_image, MethodStats};
-use vr_comm::{broadcast, run_group, scatter, TrafficStats};
-use vr_image::Image;
-use vr_render::{render_local_block_clipped_accel, Camera, RenderAccel, RenderParams};
+use slsvr_core::composite;
+use vr_comm::{broadcast, scatter};
+use vr_render::{render_local_block_clipped_accel, RenderAccel, RenderParams};
 use vr_volume::io::{decode_block, encode_block};
 use vr_volume::{kd_partition, Dataset, DepthOrder, MacrocellGrid};
 
 use crate::config::ExperimentConfig;
+use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::scene::Scene;
 
 /// Tags for the pipeline's own phases (distinct from compositing tags).
 const TAG_SCATTER: u32 = 0x5CA7;
 const TAG_DEPTH: u32 = 0xDE72;
 
-/// Outcome of one fully distributed pipeline run.
-pub struct DistributedOutcome {
-    /// The final image (gathered at rank 0).
-    pub image: Image,
-    /// Bytes of volume data scattered during the partitioning phase.
-    pub partition_bytes: u64,
-    /// Per-rank rendering wall time, seconds.
-    pub render_seconds: Vec<f64>,
-    /// Per-rank compositing statistics.
-    pub per_rank: Vec<MethodStats>,
-    /// Per-rank total transport counters (all phases).
-    pub traffic: Vec<TrafficStats>,
-}
-
 /// Runs the full three-phase system for `config`, with rank 0 acting as
-/// the data source.
-pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
-    let dims = config.resolved_dims();
-    let camera = Camera::orbit(
-        dims,
-        config.image_size,
-        config.image_size,
-        config.rot_x_deg,
-        config.rot_y_deg,
+/// the data source. The outcome carries the scattered `partition_bytes`
+/// and the per-rank `render_seconds`; its traffic counts all phases.
+///
+/// Panics on the two knobs this pipeline cannot honour: non-root ranks
+/// recompute their exclusive interior from the *unweighted* partitioner
+/// (so no `balanced_partition`), and the partitioning collectives treat
+/// any lost message as fatal (so no `faults`).
+pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
+    assert!(
+        !config.balanced_partition && config.faults.is_none(),
+        "the distributed pipeline supports neither balanced_partition nor faults"
     );
+    let dims = config.resolved_dims();
+    let camera = Scene::camera(config);
     // Each rank renders with its own transient banded-render pool
     // (`render_threads` here, honored inside the clipped renderer) and
     // lane-batched sampling — both bit-identical to the scalar path, so
     // the distributed pipeline's outputs are unchanged by them.
     let params = RenderParams {
-        step: config.step,
-        early_termination_alpha: config.early_termination_alpha,
         render_threads: config.resolved_render_threads(),
-        simd_lanes: config.simd_lanes,
-        ..Default::default()
+        ..Scene::render_params(config)
     };
     let p = config.processors;
-    let method = config.method;
     let transfer = config.dataset.transfer();
 
-    let out = run_group(p, config.cost, |ep| {
+    let (outcome, extras) = run_frame(config, |ep| {
         // ---- Phase 1: partitioning --------------------------------
         // Rank 0 builds the dataset, partitions it and scatters the
         // encoded blocks; everyone receives theirs. The depth order is
@@ -75,7 +62,7 @@ pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
         let (blocks, depth_frame) = if ep.rank() == 0 {
             let dataset = Dataset::with_dims(config.dataset, dims);
             let partition = kd_partition(dims, p);
-            let depth = partition.depth_order(camera.view_dir);
+            let depth = Scene::depth_order(&camera, &partition);
             let blocks: Vec<Bytes> = partition
                 .subvolumes()
                 .iter()
@@ -135,33 +122,15 @@ pub fn run_distributed(config: &ExperimentConfig) -> DistributedOutcome {
         let render_seconds = start.elapsed().as_secs_f64();
 
         // ---- Phase 3: compositing + gather --------------------------
-        // The distributed pipeline runs on the perfect-network path
-        // (no fault injection), so compositing errors are fatal here.
-        let result = composite(method, ep, &mut image, &depth).expect("compositing failed");
-        let gathered = gather_image(ep, &image, &result.piece, 0);
-        (gathered, render_seconds, result.stats, partition_bytes)
+        let composited = composite(config.method, ep, &mut image, &depth);
+        let frame = RankFrame::finish(ep, &image, composited);
+        (frame, (render_seconds, partition_bytes))
     });
 
-    let mut image = None;
-    let mut render_seconds = Vec::with_capacity(p);
-    let mut per_rank = Vec::with_capacity(p);
-    let mut partition_bytes = 0u64;
-    for (gathered, rs, mut stats, pb) in out.results {
-        if let Some(img) = gathered {
-            image = Some(img);
-        }
-        config.comp_timing.apply(&mut stats);
-        render_seconds.push(rs);
-        per_rank.push(stats);
-        partition_bytes += pb;
-    }
-
-    DistributedOutcome {
-        image: image.expect("rank 0 gathers the final image"),
-        partition_bytes,
-        render_seconds,
-        per_rank,
-        traffic: out.stats,
+    Outcome {
+        partition_bytes: extras.iter().map(|&(_, bytes)| bytes).sum(),
+        render_seconds: extras.into_iter().map(|(seconds, _)| seconds).collect(),
+        ..outcome
     }
 }
 
@@ -243,6 +212,48 @@ mod tests {
             .image;
         let diff = dist.max_abs_diff(&shared);
         assert!(diff < 1e-6, "ghosted distributed render differs by {diff}");
+    }
+
+    #[test]
+    fn ghosted_perspective_distributed_matches_shared_exactly() {
+        // The camera and the eye-based depth order come from the shared
+        // derivation, so perspective is honoured, not silently dropped.
+        let mut cfg = config(4, Method::Bsbrc);
+        cfg.ghost_voxels = 2;
+        cfg.perspective_distance = Some(1.5);
+        let dist = run_distributed(&cfg).image;
+        let shared = crate::experiment::Experiment::prepare(&cfg)
+            .run(Method::Bsbrc)
+            .image;
+        assert_eq!(
+            vr_image::checksum::fnv1a(&dist),
+            vr_image::checksum::fnv1a(&shared),
+            "ghosted perspective distributed render differs by {}",
+            dist.max_abs_diff(&shared)
+        );
+        cfg.perspective_distance = None;
+        let ortho = run_distributed(&cfg).image;
+        assert!(dist.max_abs_diff(&ortho) > 0.0, "perspective was ignored");
+    }
+
+    #[test]
+    fn schedule_seed_makes_the_distributed_run_replayable() {
+        let mut cfg = config(4, Method::Bsbrc);
+        cfg.schedule_seed = Some(42);
+        let a = run_distributed(&cfg);
+        let b = run_distributed(&cfg);
+        assert_eq!(a.traffic, b.traffic);
+        assert_eq!(
+            vr_image::checksum::fnv1a(&a.image),
+            vr_image::checksum::fnv1a(&b.image)
+        );
+        cfg.schedule_seed = None;
+        let real = run_distributed(&cfg);
+        assert_eq!(
+            vr_image::checksum::fnv1a(&a.image),
+            vr_image::checksum::fnv1a(&real.image),
+            "the image is schedule-independent"
+        );
     }
 
     #[test]

@@ -1,118 +1,27 @@
-//! The experiment runner: render once, composite with any method.
+//! The two-phase runner: render once, composite with any method.
 
 use std::sync::Arc;
 
-use slsvr_core::{
-    composite, gather_image_tolerant, reference_composite, virtual_completion, CompositeError,
-    Method, MethodStats,
-};
-use vr_comm::{run_group_with, TrafficStats};
+use slsvr_core::{composite, reference_composite, Method};
 use vr_image::Image;
-use vr_render::{
-    render_block_accel, render_block_accel_pool, Camera, Projection, RenderAccel, RenderParams,
-    RenderPool,
-};
-use vr_volume::{kd_partition, kd_partition_weighted, Dataset, DepthOrder};
+use vr_render::RenderPool;
+use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
+use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::scene::Scene;
 
-/// A prepared workload: dataset built, volume partitioned, camera fixed
-/// and all subimages rendered. Rendering happens **once**; each
-/// compositing method then runs on clones of the same subimages —
-/// exactly how the paper isolates the compositing phase.
+/// A prepared workload: a [`Scene`] with every rank's subimage rendered.
+/// Rendering happens **once**; each compositing method then runs on
+/// clones of the same subimages — exactly how the paper isolates the
+/// compositing phase.
 pub struct Experiment {
     config: ExperimentConfig,
-    camera: Camera,
     depth: DepthOrder,
     subimages: Vec<Image>,
     /// Per-rank rendering wall time, seconds (informational; the paper's
     /// tables cover only the compositing phase).
     pub render_seconds: Vec<f64>,
-}
-
-/// Group-level aggregates of a compositing run.
-#[derive(Clone, Debug, Default)]
-pub struct Aggregate {
-    /// Max measured computation time over ranks, seconds (paper `T_comp`).
-    pub t_comp: f64,
-    /// Max modeled communication time over ranks, seconds (paper `T_comm`).
-    pub t_comm: f64,
-    /// Mean computation time over ranks, seconds.
-    pub t_comp_mean: f64,
-    /// Mean communication time over ranks, seconds.
-    pub t_comm_mean: f64,
-    /// Maximum received bytes over ranks (the paper's `M_max`).
-    pub m_max: u64,
-    /// Total bytes sent by all ranks.
-    pub total_bytes: u64,
-    /// Critical-path completion time (seconds) from the virtual-time
-    /// schedule, including waits on partners — `None` for schedules
-    /// with multi-peer stages (direct send, pipeline) or measured
-    /// timing. Always ≥ the per-rank sums behind `t_comp`/`t_comm`.
-    pub t_critical_path: Option<f64>,
-}
-
-impl Aggregate {
-    /// `T_total = T_comp + T_comm` in milliseconds, the paper's table
-    /// quantity.
-    pub fn t_total_ms(&self) -> f64 {
-        (self.t_comp + self.t_comm) * 1e3
-    }
-
-    /// `T_comp` in milliseconds.
-    pub fn t_comp_ms(&self) -> f64 {
-        self.t_comp * 1e3
-    }
-
-    /// `T_comm` in milliseconds.
-    pub fn t_comm_ms(&self) -> f64 {
-        self.t_comm * 1e3
-    }
-}
-
-/// The outcome of one compositing run over a prepared experiment.
-pub struct Outcome {
-    /// Group aggregates (the numbers the paper tabulates).
-    pub aggregate: Aggregate,
-    /// Per-rank method statistics (default-empty for killed ranks).
-    pub per_rank: Vec<MethodStats>,
-    /// Per-rank transport counters.
-    pub traffic: Vec<TrafficStats>,
-    /// The assembled final image (gathered at rank 0). Blank where dead
-    /// ranks left holes; fully blank if fault injection killed rank 0.
-    pub image: Image,
-    /// Ranks killed by fault injection (empty on a healthy run).
-    pub dead_ranks: Vec<usize>,
-    /// Ranks whose owned piece never reached the gather root.
-    pub missing_ranks: Vec<usize>,
-    /// Fraction of image pixels covered by gathered pieces, in `[0, 1]`
-    /// (1.0 on a healthy run).
-    pub coverage: f64,
-}
-
-impl Outcome {
-    /// True when fault injection degraded this run (dead ranks or
-    /// image holes).
-    pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty() || !self.missing_ranks.is_empty() || self.coverage < 1.0
-    }
-
-    /// Peak signal-to-noise ratio of the final image against a
-    /// reference (infinite when identical) — the degraded-quality
-    /// metric reported alongside coverage.
-    pub fn psnr_vs(&self, reference: &Image) -> f64 {
-        vr_image::stats::psnr(&self.image, reference)
-    }
-
-    /// Peak resident pixel-buffer bytes over ranks — the worst rank's
-    /// scratch staging watermark from the transport counters.
-    pub fn peak_pixel_buffer_bytes(&self) -> u64 {
-        self.traffic
-            .iter()
-            .map(|t| t.peak_pixel_buffer_bytes)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl Experiment {
@@ -143,63 +52,10 @@ impl Experiment {
         dataset: Arc<Dataset>,
         pool: Option<&RenderPool>,
     ) -> Experiment {
-        let dims = config.resolved_dims();
-        assert_eq!(
-            dataset.volume.dims(),
-            dims,
-            "dataset dims must match the config"
-        );
-        let camera = match config.perspective_distance {
-            None => Camera::orbit(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-            ),
-            Some(distance) => Camera::orbit_perspective(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-                distance,
-            ),
-        };
-        let partition = if config.balanced_partition {
-            let tf = dataset.transfer.clone();
-            kd_partition_weighted(
-                &dataset.volume,
-                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
-                config.processors,
-            )
-        } else {
-            kd_partition(dims, config.processors)
-        };
-        let depth = match camera.projection {
-            Projection::Orthographic => partition.depth_order(camera.view_dir),
-            Projection::Perspective { eye } => partition.depth_order_from_eye(eye),
-        };
+        let scene = Scene::new(config, dataset);
         let threads = pool
             .map(|p| p.threads())
             .unwrap_or_else(|| config.resolved_render_threads());
-        let params = RenderParams {
-            step: config.step,
-            early_termination_alpha: config.early_termination_alpha,
-            simd_lanes: config.simd_lanes,
-            ..Default::default()
-        };
-
-        // The shared-volume mode builds one macrocell grid over the whole
-        // dataset (cached on the dataset, so animation frames reuse it)
-        // and shares a single read-only accelerator across render threads.
-        let accel = (config.macrocell >= 1).then(|| {
-            RenderAccel::new(
-                dataset.macrocell_grid(config.macrocell),
-                &dataset.transfer,
-                &params,
-            )
-        });
 
         // Rendering phase. With intra-rank threading, ranks render one
         // after another with each rank's live tiles fanned across the
@@ -220,21 +76,10 @@ impl Experiment {
                     &owned
                 }
             };
-            partition
-                .subvolumes()
-                .iter()
-                .map(|block| {
+            (0..config.processors)
+                .map(|rank| {
                     let start = std::time::Instant::now();
-                    let img = render_block_accel_pool(
-                        &dataset.volume,
-                        block,
-                        &dataset.transfer,
-                        &camera,
-                        &params,
-                        accel.as_ref(),
-                        config.tile,
-                        Some(pool),
-                    );
+                    let img = scene.render_block(rank, Some(pool));
                     (img, start.elapsed().as_secs_f64())
                 })
                 .unzip()
@@ -242,20 +87,11 @@ impl Experiment {
             let mut subimages: Vec<Option<(Image, f64)>> =
                 (0..config.processors).map(|_| None).collect();
             std::thread::scope(|scope| {
-                for (slot, block) in subimages.iter_mut().zip(partition.subvolumes()) {
-                    let dataset = Arc::clone(&dataset);
-                    let accel = accel.as_ref();
+                for (rank, slot) in subimages.iter_mut().enumerate() {
+                    let scene = &scene;
                     scope.spawn(move || {
                         let start = std::time::Instant::now();
-                        let img = render_block_accel(
-                            &dataset.volume,
-                            block,
-                            &dataset.transfer,
-                            &camera,
-                            &params,
-                            accel,
-                            config.tile,
-                        );
+                        let img = scene.render_block(rank, None);
                         *slot = Some((img, start.elapsed().as_secs_f64()));
                     });
                 }
@@ -268,8 +104,7 @@ impl Experiment {
 
         Experiment {
             config: *config,
-            camera,
-            depth,
+            depth: scene.depth,
             subimages,
             render_seconds,
         }
@@ -283,21 +118,11 @@ impl Experiment {
         depth: DepthOrder,
     ) -> Experiment {
         assert_eq!(subimages.len(), config.processors);
-        let dims = config.resolved_dims();
-        let camera = Camera::orbit(
-            dims,
-            config.image_size,
-            config.image_size,
-            config.rot_x_deg,
-            config.rot_y_deg,
-        );
-        let render_seconds = vec![0.0; subimages.len()];
         Experiment {
+            render_seconds: vec![0.0; subimages.len()],
             config,
-            camera,
             depth,
             subimages,
-            render_seconds,
         }
     }
 
@@ -311,11 +136,6 @@ impl Experiment {
         &self.depth
     }
 
-    /// The experiment's camera.
-    pub fn camera(&self) -> &Camera {
-        &self.camera
-    }
-
     /// Runs the compositing phase with `method` on clones of the
     /// prepared subimages and gathers the final image at rank 0.
     ///
@@ -323,80 +143,14 @@ impl Experiment {
     /// and its image region stays blank; the outcome reports the dead
     /// rank set, the gather holes and the residual coverage.
     pub fn run(&self, method: Method) -> Outcome {
-        let p = self.config.processors;
-        let size = self.config.image_size;
-        let out = run_group_with(p, self.config.group_options(), |ep| {
+        let (outcome, _) = run_frame(&self.config, |ep| {
             let mut img = self.subimages[ep.rank()].clone();
-            // Hard errors panic with the *typed* error as the payload so
-            // a supervising caller (the frame service worker) can
-            // `catch_unwind`, downcast to `CompositeError` and classify
-            // the failure as transient or structural.
-            let result = match composite(method, ep, &mut img, &self.depth) {
-                Ok(result) => result,
-                Err(CompositeError::Killed { .. }) => return (None, None),
-                Err(e) => std::panic::panic_any(e),
-            };
-            match gather_image_tolerant(ep, &img, &result.piece, 0) {
-                Ok(gathered) => (Some(result.stats), gathered),
-                Err(CompositeError::Killed { .. }) => (Some(result.stats), None),
-                Err(e) => std::panic::panic_any(e),
-            }
+            let composited = composite(method, ep, &mut img, &self.depth);
+            (RankFrame::finish(ep, &img, composited), ())
         });
-
-        let mut per_rank = Vec::with_capacity(p);
-        let mut image = None;
-        let mut missing_ranks = Vec::new();
-        let mut coverage = 1.0;
-        for (stats, gathered) in out.results {
-            // Resolve T_comp per the configured timing source; a killed
-            // rank reports default (all-zero) stats.
-            let mut stats = stats.unwrap_or_default();
-            self.config.comp_timing.apply(&mut stats);
-            per_rank.push(stats);
-            if let Some(g) = gathered {
-                coverage = g.coverage();
-                missing_ranks = g.missing_ranks.clone();
-                image = Some(g.image);
-            }
-        }
-        // A dead root gathers nothing: report a fully blank frame.
-        let image = image.unwrap_or_else(|| {
-            coverage = 0.0;
-            Image::blank(size, size)
-        });
-
-        let t_comp = per_rank.iter().map(|s| s.comp_seconds).fold(0.0, f64::max);
-        let t_comm = per_rank.iter().map(|s| s.comm_seconds).fold(0.0, f64::max);
-        let t_comp_mean = per_rank.iter().map(|s| s.comp_seconds).sum::<f64>() / p as f64;
-        let t_comm_mean = per_rank.iter().map(|s| s.comm_seconds).sum::<f64>() / p as f64;
-        // M_max over the *compositing* stages only (gather excluded), as
-        // in Section 4.
-        let m_max = per_rank.iter().map(|s| s.recv_bytes()).max().unwrap_or(0);
-        let total_bytes = per_rank.iter().map(|s| s.sent_bytes()).sum();
-        let t_critical_path = match self.config.comp_timing {
-            crate::config::CompTiming::Modeled(cost) => {
-                virtual_completion(&per_rank, &self.config.cost, &cost)
-                    .map(|vt| vt.into_iter().fold(0.0, f64::max))
-            }
-            crate::config::CompTiming::Measured { .. } => None,
-        };
-
         Outcome {
-            aggregate: Aggregate {
-                t_comp,
-                t_comm,
-                t_comp_mean,
-                t_comm_mean,
-                m_max,
-                total_bytes,
-                t_critical_path,
-            },
-            per_rank,
-            traffic: out.stats,
-            image,
-            dead_ranks: out.dead_ranks,
-            missing_ranks,
-            coverage,
+            render_seconds: self.render_seconds.clone(),
+            ..outcome
         }
     }
 

@@ -2,6 +2,14 @@
 //! partitioning → rendering → compositing → gather, plus the experiment
 //! runner that reproduces the paper's evaluation.
 //!
+//! There is one frame pipeline: a [`Scene`] (config → camera, blocks,
+//! depth order, render parameters) feeds one of three per-rank bodies —
+//! two-phase ([`Experiment`]: render once, composite per method), fused
+//! ([`StreamExperiment`]: tiles stream into the compositor as they
+//! render) or distributed ([`run_distributed`]: rank 0 scatters the
+//! volume first) — and every body's results are collected into the same
+//! [`Outcome`], which [`FrameRecord::from_outcome`] summarises.
+//!
 //! ```no_run
 //! use vr_system::{Experiment, ExperimentConfig};
 //! use vr_volume::DatasetKind;
@@ -22,17 +30,21 @@ pub mod animation;
 pub mod config;
 pub mod distribute;
 pub mod experiment;
+pub mod outcome;
 pub mod report;
+pub mod scene;
 pub mod stream;
 pub mod sweep;
 
 pub use animation::{Animation, FrameStats};
 pub use config::{CompTiming, ExperimentConfig};
-pub use distribute::{run_distributed, DistributedOutcome};
-pub use experiment::{Aggregate, Experiment, Outcome};
+pub use distribute::run_distributed;
+pub use experiment::Experiment;
+pub use outcome::{Aggregate, Outcome};
 pub use report::{
     format_figure_series, format_paper_table, format_stage_timeline, FrameRecord, TableRow,
 };
-pub use stream::{StreamExperiment, StreamOutcome};
+pub use scene::Scene;
+pub use stream::StreamExperiment;
 pub use sweep::{to_csv, SweepBuilder, SweepRecord};
 pub use vr_render::RenderPool;

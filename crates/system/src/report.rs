@@ -4,8 +4,7 @@
 use serde::{Deserialize, Serialize};
 use slsvr_core::Method;
 
-use crate::experiment::{Aggregate, Outcome};
-use crate::stream::StreamOutcome;
+use crate::outcome::{Aggregate, Outcome};
 
 /// Machine-readable summary of one composited frame: the paper's
 /// aggregate timings broken down by phase, the traffic maxima, and the
@@ -24,7 +23,7 @@ pub struct FrameRecord {
     /// Max run-length-encoding time over ranks, ms (`T_encode`).
     pub t_encode_ms: f64,
     /// Max per-rank rendering wall time, ms (0 when rendering was
-    /// skipped or reused).
+    /// skipped; the fused per-rank wall time when the frame was streamed).
     pub render_max_ms: f64,
     /// Maximum received bytes over ranks (the paper's `M_max`).
     pub m_max: u64,
@@ -49,74 +48,31 @@ pub struct FrameRecord {
 }
 
 impl FrameRecord {
-    /// Extracts the record from a compositing outcome.
+    /// Extracts the record from a frame's outcome, whichever pipeline
+    /// produced it. `render_max_ms` is the slowest rank's rendering wall
+    /// time — of the fused render+composite where the frame had no
+    /// separate rendering phase — and the tile latencies are the fused
+    /// stream's progressive-delivery offsets.
     pub fn from_outcome(out: &Outcome) -> FrameRecord {
         let max_ms = |f: fn(&slsvr_core::MethodStats) -> f64| {
             out.per_rank.iter().map(f).fold(0.0, f64::max) * 1e3
         };
+        let render_max = out.render_seconds.iter().copied().fold(0.0, f64::max);
         FrameRecord {
             t_comp_ms: out.aggregate.t_comp_ms(),
             t_comm_ms: out.aggregate.t_comm_ms(),
             t_total_ms: out.aggregate.t_total_ms(),
             t_bound_ms: max_ms(|s| s.bound_seconds),
             t_encode_ms: max_ms(|s| s.encode_seconds),
-            render_max_ms: 0.0,
+            render_max_ms: render_max.max(out.total_seconds) * 1e3,
             m_max: out.aggregate.m_max,
             total_bytes: out.aggregate.total_bytes,
             peak_pixel_buffer_bytes: out.peak_pixel_buffer_bytes(),
             coverage: out.coverage,
             dead_ranks: out.dead_ranks.len(),
-            first_tile_ms: 0.0,
-            last_tile_ms: 0.0,
-        }
-    }
-
-    /// Extracts the record from a fused render+composite streamed run.
-    /// There is no separate rendering phase to report — `render_max_ms`
-    /// carries the fused per-rank wall time, and the tile-latency fields
-    /// are populated from the stream's progressive-delivery offsets.
-    pub fn from_stream(out: &StreamOutcome) -> FrameRecord {
-        let max_ms = |f: fn(&slsvr_core::MethodStats) -> f64| {
-            out.per_rank.iter().map(f).fold(0.0, f64::max) * 1e3
-        };
-        let t_comp_ms = max_ms(|s| s.comp_seconds);
-        let t_comm_ms = max_ms(|s| s.comm_seconds);
-        FrameRecord {
-            t_comp_ms,
-            t_comm_ms,
-            t_total_ms: out
-                .per_rank
-                .iter()
-                .map(|s| s.total_seconds())
-                .fold(0.0, f64::max)
-                * 1e3,
-            t_bound_ms: max_ms(|s| s.bound_seconds),
-            t_encode_ms: max_ms(|s| s.encode_seconds),
-            render_max_ms: out.total_seconds * 1e3,
-            m_max: out
-                .per_rank
-                .iter()
-                .map(|s| s.recv_bytes())
-                .max()
-                .unwrap_or(0),
-            total_bytes: out.per_rank.iter().map(|s| s.sent_bytes()).sum(),
-            peak_pixel_buffer_bytes: out
-                .traffic
-                .iter()
-                .map(|t| t.peak_pixel_buffer_bytes)
-                .max()
-                .unwrap_or(0),
-            coverage: out.coverage,
-            dead_ranks: out.dead_ranks.len(),
             first_tile_ms: out.first_tile_seconds.unwrap_or(0.0) * 1e3,
             last_tile_ms: out.last_tile_seconds.unwrap_or(0.0) * 1e3,
         }
-    }
-
-    /// Adds the rendering-phase wall time (max over ranks, seconds).
-    pub fn with_render_seconds(mut self, per_rank_seconds: &[f64]) -> FrameRecord {
-        self.render_max_ms = per_rank_seconds.iter().copied().fold(0.0, f64::max) * 1e3;
-        self
     }
 
     /// Serializes as one JSON object (stable field order, no external
@@ -379,10 +335,9 @@ mod tests {
         let config = ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::Bsbrc);
         let exp = Experiment::prepare(&config);
         let out = exp.run(Method::Bsbrc);
-        let record = FrameRecord::from_outcome(&out).with_render_seconds(&exp.render_seconds);
+        let record = FrameRecord::from_outcome(&out);
         assert!(record.t_comp_ms > 0.0);
         assert!(record.t_comm_ms > 0.0);
-        assert!((record.t_total_ms - (record.t_comp_ms + record.t_comm_ms)).abs() < 1e-9);
         // BSBRC scans bounding rectangles and run-length encodes, so
         // both phase timers must be non-zero and inside T_comp.
         assert!(record.t_bound_ms > 0.0 && record.t_bound_ms < record.t_comp_ms);
@@ -443,20 +398,48 @@ mod tests {
     }
 
     #[test]
-    fn frame_record_from_stream_carries_tile_latencies() {
+    fn fused_frame_record_carries_tile_latencies() {
         let mut config =
             ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
         config.render_threads = 2;
         let out = crate::stream::StreamExperiment::prepare(&config).run();
-        let record = FrameRecord::from_stream(&out);
+        let record = FrameRecord::from_outcome(&out);
         assert!(record.first_tile_ms > 0.0);
         assert!(record.first_tile_ms <= record.last_tile_ms);
         assert!(record.last_tile_ms <= record.render_max_ms);
+        assert_eq!(record.render_max_ms, out.total_seconds * 1e3);
         assert!(record.t_comp_ms > 0.0);
         assert!(record.total_bytes > 0);
         assert_eq!(record.coverage, 1.0);
         let json = record.to_json();
         assert!(json.contains("\"first_tile_ms\""));
+    }
+
+    #[test]
+    fn t_total_is_t_comp_plus_t_comm_in_every_pipeline() {
+        let mut config =
+            ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
+        config.render_threads = 2;
+        let two_phase = Experiment::prepare(&config).run(config.method);
+        let fused = crate::stream::StreamExperiment::prepare(&config).run();
+        let distributed = crate::distribute::run_distributed(&config);
+        for (name, out) in [
+            ("two-phase", &two_phase),
+            ("fused", &fused),
+            ("distributed", &distributed),
+        ] {
+            let record = FrameRecord::from_outcome(out);
+            assert!(record.t_comp_ms > 0.0 && record.t_comm_ms > 0.0, "{name}");
+            assert_eq!(
+                record.t_total_ms,
+                (out.aggregate.t_comp + out.aggregate.t_comm) * 1e3,
+                "{name}"
+            );
+            assert!(
+                (record.t_total_ms - (record.t_comp_ms + record.t_comm_ms)).abs() < 1e-9,
+                "{name}: {record:?}"
+            );
+        }
     }
 
     #[test]

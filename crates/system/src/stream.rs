@@ -26,69 +26,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use slsvr_core::methods::tile_stream::TileStream;
-use slsvr_core::{gather_image_tolerant, reference_composite, CompositeError, MethodStats};
-use vr_comm::{run_group_with, TrafficStats};
+use slsvr_core::reference_composite;
 use vr_image::{Image, Rect};
-use vr_render::{
-    render_block_accel, render_tile_into, Camera, Projection, RenderAccel, RenderParams, RenderPool,
-};
-use vr_volume::{kd_partition, kd_partition_weighted, Dataset, DepthOrder, Subvolume};
+use vr_render::{render_tile_into, RenderPool};
+use vr_volume::{Dataset, Subvolume};
 
 use crate::config::ExperimentConfig;
+use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::scene::Scene;
 
-/// A prepared fused workload: dataset built, volume partitioned, camera
-/// fixed — but nothing rendered yet. Rendering happens *inside*
-/// [`StreamExperiment::run`], overlapped with compositing.
-pub struct StreamExperiment {
-    config: ExperimentConfig,
-    camera: Camera,
-    depth: DepthOrder,
-    blocks: Vec<Subvolume>,
-    dataset: Arc<Dataset>,
-    accel: Option<RenderAccel>,
-    params: RenderParams,
-}
-
-/// The outcome of one fused render+composite run.
-pub struct StreamOutcome {
-    /// The assembled final image (gathered at rank 0).
-    pub image: Image,
-    /// Per-rank method statistics (timing source per `comp_timing`;
-    /// the tile-latency fields stay raw wall measurements).
-    pub per_rank: Vec<MethodStats>,
-    /// Per-rank transport counters.
-    pub traffic: Vec<TrafficStats>,
-    /// Ranks killed by fault injection (empty on a healthy run).
-    pub dead_ranks: Vec<usize>,
-    /// Ranks whose owned piece never reached the gather root.
-    pub missing_ranks: Vec<usize>,
-    /// Fraction of image pixels covered by gathered pieces.
-    pub coverage: f64,
-    /// Per-rank fused render+composite wall time, seconds.
-    pub rank_seconds: Vec<f64>,
-    /// Whole-frame wall time: the slowest rank, seconds.
-    pub total_seconds: f64,
-    /// Earliest owned-tile completion offset over ranks, seconds — the
-    /// first moment *any* final pixel block existed somewhere.
-    pub first_tile_seconds: Option<f64>,
-    /// Latest owned-tile completion offset over ranks, seconds.
-    pub last_tile_seconds: Option<f64>,
-}
-
-impl StreamOutcome {
-    /// Whether the frame has holes (dead ranks, missing gathered pieces,
-    /// or incomplete coverage) — same contract as
-    /// [`Outcome::is_degraded`](crate::experiment::Outcome::is_degraded).
-    pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty() || !self.missing_ranks.is_empty() || self.coverage < 1.0
-    }
-
-    /// Peak signal-to-noise ratio of the final image against a
-    /// reference (infinite when identical).
-    pub fn psnr_vs(&self, reference: &Image) -> f64 {
-        vr_image::stats::psnr(&self.image, reference)
-    }
-}
+/// A prepared fused workload: the [`Scene`], with nothing rendered yet.
+/// Rendering happens *inside* [`StreamExperiment::run`], overlapped with
+/// compositing.
+pub struct StreamExperiment(Scene);
 
 impl StreamExperiment {
     /// Builds the dataset and partitions the volume; no rays are cast
@@ -105,70 +55,7 @@ impl StreamExperiment {
         config: &ExperimentConfig,
         dataset: Arc<Dataset>,
     ) -> StreamExperiment {
-        let dims = config.resolved_dims();
-        assert_eq!(
-            dataset.volume.dims(),
-            dims,
-            "dataset dims must match the config"
-        );
-        let camera = match config.perspective_distance {
-            None => Camera::orbit(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-            ),
-            Some(distance) => Camera::orbit_perspective(
-                dims,
-                config.image_size,
-                config.image_size,
-                config.rot_x_deg,
-                config.rot_y_deg,
-                distance,
-            ),
-        };
-        let partition = if config.balanced_partition {
-            let tf = dataset.transfer.clone();
-            kd_partition_weighted(
-                &dataset.volume,
-                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
-                config.processors,
-            )
-        } else {
-            kd_partition(dims, config.processors)
-        };
-        let depth = match camera.projection {
-            Projection::Orthographic => partition.depth_order(camera.view_dir),
-            Projection::Perspective { eye } => partition.depth_order_from_eye(eye),
-        };
-        let params = RenderParams {
-            step: config.step,
-            early_termination_alpha: config.early_termination_alpha,
-            simd_lanes: config.simd_lanes,
-            ..Default::default()
-        };
-        let accel = (config.macrocell >= 1).then(|| {
-            RenderAccel::new(
-                dataset.macrocell_grid(config.macrocell),
-                &dataset.transfer,
-                &params,
-            )
-        });
-        StreamExperiment {
-            config: *config,
-            camera,
-            depth,
-            blocks: partition.subvolumes().to_vec(),
-            dataset,
-            accel,
-            params,
-        }
-    }
-
-    /// The fixed depth order for this view.
-    pub fn depth(&self) -> &DepthOrder {
-        &self.depth
+        StreamExperiment(Scene::new(config, dataset))
     }
 
     /// The render threads each *rank* fans its tiles across: an
@@ -176,12 +63,13 @@ impl StreamExperiment {
     /// host's cores among the `P` concurrent ranks (at least 1, at most
     /// 8) so the fused group does not oversubscribe the machine.
     pub fn threads_per_rank(&self) -> usize {
-        match self.config.render_threads {
+        let config = &self.0.config;
+        match config.render_threads {
             0 => {
                 let cores = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                (cores / self.config.processors.max(1)).clamp(1, 8)
+                (cores / config.processors.max(1)).clamp(1, 8)
             }
             n => n.min(64),
         }
@@ -190,38 +78,40 @@ impl StreamExperiment {
     /// Runs the fused pipeline: every rank renders its live screen
     /// tiles on a streamed pool, ships each tile the moment it
     /// finishes, folds arrivals for its owned tiles, and rank 0 gathers
-    /// the final image.
+    /// the final image. The outcome carries the per-rank wall times and
+    /// the first-/last-owned-tile offsets (raw wall measurements).
     ///
     /// Panics if a schedule seed is configured: this runner measures
     /// *real* wall-clock overlap on the threaded transport; the
     /// virtual-clock determinism story is covered by
     /// `Method::TileStream` under [`crate::Experiment`].
-    pub fn run(&self) -> StreamOutcome {
+    pub fn run(&self) -> Outcome {
+        let scene = &self.0;
+        let config = &scene.config;
         assert!(
-            self.config.schedule_seed.is_none(),
+            config.schedule_seed.is_none(),
             "the fused streamed runner requires the real transport \
              (run Method::TileStream under Experiment for the virtual clock)"
         );
-        let p = self.config.processors;
-        let size = self.config.image_size;
-        let dims = self.config.resolved_dims();
-        let stream_tile = self.config.resolved_stream_tile();
+        let size = config.image_size;
+        let dims = config.resolved_dims();
+        let stream_tile = config.resolved_stream_tile();
         let threads = self.threads_per_rank();
 
-        let out = run_group_with(p, self.config.group_options(), |ep| {
+        let (outcome, rank_seconds) = run_frame(config, |ep| {
             let rank = ep.rank();
             let start = Instant::now();
-            let block = &self.blocks[rank];
+            let block = &scene.blocks[rank];
             let placement = Subvolume {
                 rank,
                 origin: [0, 0, 0],
                 dims,
             };
-            let mut ts = TileStream::begin(ep, size, size, &self.depth, stream_tile);
+            let mut ts = TileStream::begin(ep, size, size, &scene.depth, stream_tile);
             let tiles: Vec<Rect> = ts.tiles().to_vec();
             // Only tiles intersecting this rank's screen footprint can
             // contribute; everything else is implicitly blank.
-            let footprint = self.camera.footprint(block.origin, block.dims);
+            let footprint = scene.camera.footprint(block.origin, block.dims);
             let live: Vec<usize> = tiles
                 .iter()
                 .enumerate()
@@ -233,20 +123,20 @@ impl StreamExperiment {
                 .map(|&t| Mutex::new(Image::blank(tiles[t].width(), tiles[t].height())))
                 .collect();
             let pool = RenderPool::new(threads);
-            let mut err: Option<CompositeError> = None;
+            let mut offered = Ok(());
             pool.run_streamed(
                 live.len(),
                 &|i| {
                     let t = live[i];
                     let mut buf = bufs[i].lock().unwrap();
                     render_tile_into(
-                        &self.dataset.volume,
+                        &scene.dataset.volume,
                         &placement,
                         block,
-                        &self.dataset.transfer,
-                        &self.camera,
-                        &self.params,
-                        self.accel.as_ref(),
+                        &scene.dataset.transfer,
+                        &scene.camera,
+                        &scene.params,
+                        scene.accel.as_ref(),
                         &tiles[t],
                         &mut buf,
                     );
@@ -254,83 +144,30 @@ impl StreamExperiment {
                 |i| {
                     // Runs on the submitting thread, which owns the
                     // endpoint: encode and ship while rendering goes on.
-                    if err.is_some() {
+                    if offered.is_err() {
                         return;
                     }
                     let t = live[i];
                     let buf = bufs[i].lock().unwrap();
                     let local = Rect::new(0, 0, tiles[t].width(), tiles[t].height());
-                    if let Err(e) = ts.offer(ep, t, &buf, &local) {
-                        err = Some(e);
-                    }
+                    offered = ts.offer(ep, t, &buf, &local);
                 },
             );
             drop(pool);
-            let elapsed = |s: Instant| s.elapsed().as_secs_f64();
-            if let Some(e) = err {
-                match e {
-                    CompositeError::Killed { .. } => return (None, None, elapsed(start)),
-                    e => std::panic::panic_any(e),
-                }
-            }
             let mut framebuffer = Image::blank(size, size);
-            let result = match ts.finish(ep, &mut framebuffer) {
-                Ok(result) => result,
-                Err(CompositeError::Killed { .. }) => return (None, None, elapsed(start)),
-                Err(e) => std::panic::panic_any(e),
-            };
-            match gather_image_tolerant(ep, &framebuffer, &result.piece, 0) {
-                Ok(gathered) => (Some(result.stats), gathered, elapsed(start)),
-                Err(CompositeError::Killed { .. }) => (Some(result.stats), None, elapsed(start)),
-                Err(e) => std::panic::panic_any(e),
-            }
+            let composited = offered.and_then(|()| ts.finish(ep, &mut framebuffer));
+            let frame = RankFrame::finish(ep, &framebuffer, composited);
+            (frame, start.elapsed().as_secs_f64())
         });
 
-        let mut per_rank = Vec::with_capacity(p);
-        let mut rank_seconds = Vec::with_capacity(p);
-        let mut image = None;
-        let mut missing_ranks = Vec::new();
-        let mut coverage = 1.0;
-        for (stats, gathered, secs) in out.results {
-            let mut stats = stats.unwrap_or_default();
-            self.config.comp_timing.apply(&mut stats);
-            per_rank.push(stats);
-            rank_seconds.push(secs);
-            if let Some(g) = gathered {
-                coverage = g.coverage();
-                missing_ranks = g.missing_ranks.clone();
-                image = Some(g.image);
-            }
-        }
-        let image = image.unwrap_or_else(|| {
-            coverage = 0.0;
-            Image::blank(size, size)
-        });
-        let total_seconds = rank_seconds.iter().copied().fold(0.0, f64::max);
-        let first_tile_seconds = per_rank
-            .iter()
-            .filter_map(|s| s.first_tile_seconds)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            });
-        let last_tile_seconds = per_rank
-            .iter()
-            .filter_map(|s| s.last_tile_seconds)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.max(t)))
-            });
-
-        StreamOutcome {
-            image,
-            per_rank,
-            traffic: out.stats,
-            dead_ranks: out.dead_ranks,
-            missing_ranks,
-            coverage,
+        let tile_offsets =
+            |f: fn(&slsvr_core::MethodStats) -> Option<f64>| outcome.per_rank.iter().filter_map(f);
+        Outcome {
+            total_seconds: rank_seconds.iter().copied().fold(0.0, f64::max),
+            first_tile_seconds: tile_offsets(|s| s.first_tile_seconds).reduce(f64::min),
+            last_tile_seconds: tile_offsets(|s| s.last_tile_seconds).reduce(f64::max),
             rank_seconds,
-            total_seconds,
-            first_tile_seconds,
-            last_tile_seconds,
+            ..outcome
         }
     }
 
@@ -338,22 +175,11 @@ impl StreamExperiment {
     /// accelerator) and composite front-to-back — what the fused run
     /// must reproduce bit-for-bit.
     pub fn reference(&self) -> Image {
-        let subimages: Vec<Image> = self
-            .blocks
-            .iter()
-            .map(|b| {
-                render_block_accel(
-                    &self.dataset.volume,
-                    b,
-                    &self.dataset.transfer,
-                    &self.camera,
-                    &self.params,
-                    self.accel.as_ref(),
-                    self.config.tile,
-                )
-            })
+        let scene = &self.0;
+        let subimages: Vec<Image> = (0..scene.blocks.len())
+            .map(|rank| scene.render_block(rank, None))
             .collect();
-        reference_composite(&subimages, &self.depth)
+        reference_composite(&subimages, &scene.depth)
     }
 }
 

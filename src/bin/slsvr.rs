@@ -21,7 +21,10 @@ use slsvr::serve::{
     run_load, run_load_socket, BreakerConfig, Daemon, DaemonConfig, DegradedFramePolicy,
     FrameService, LoadConfig, LoadReport, RetryPolicy, ServeConfig,
 };
-use slsvr::system::{run_distributed, Experiment, ExperimentConfig, SweepBuilder};
+use slsvr::system::{
+    run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, StreamExperiment,
+    SweepBuilder,
+};
 use slsvr::volume::DatasetKind;
 
 fn main() -> ExitCode {
@@ -141,6 +144,13 @@ RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           persistent render pool (total threads = workers × render
           threads; the auto default divides the cores among the workers),
           overriding any per-request value.
+
+DISTRIBUTED: --distributed sends all three phases through the message
+          layer: rank 0 scatters the blocks (with --ghost N voxels of
+          overlap; 2 removes every seam against the shared-volume
+          render), every rank renders only its own block, then --method
+          composites. Honours --perspective and --schedule-seed; rejects
+          --balanced and --faults, which it cannot honour.
 
 FAULTS:   --faults drop=0.01,corrupt=0.001,dup=0.001,delay=0.01,delay_ms=2,seed=42,kill=3@17
           (every key optional; --reliable turns on framing + ack/retransmit
@@ -308,87 +318,82 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
 fn cmd_render(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
     let mut config = config_from_flags(&flags)?;
-    let out_path = flags.get("--out").unwrap_or("render.pgm");
-    let verbose = flags.has("--verbose");
-
-    if flags.has("--stream") {
-        if flags.has("--distributed") {
-            return Err("--stream is incompatible with --distributed".into());
-        }
-        if config.schedule_seed.is_some() {
-            return Err(
-                "--stream measures real overlap and is incompatible with --schedule-seed \
-                 (drop --stream for the deterministic virtual-clock tile-stream run)"
-                    .into(),
-            );
-        }
-        config.method = Method::TileStream;
-        return cmd_render_stream(&config, out_path, verbose);
+    let (stream, distributed) = (flags.has("--stream"), flags.has("--distributed"));
+    if stream && distributed {
+        return Err("--stream is incompatible with --distributed".into());
+    }
+    if stream && config.schedule_seed.is_some() {
+        return Err(
+            "--stream measures real overlap and is incompatible with --schedule-seed \
+             (drop --stream for the deterministic virtual-clock tile-stream run)"
+                .into(),
+        );
+    }
+    if distributed && (config.balanced_partition || config.faults.is_some()) {
+        return Err(format!(
+            "--distributed cannot honour --balanced (ranks recompute their block from the \
+             unweighted partitioner) or --faults (a lost block is fatal to the scatter)\n{USAGE}"
+        ));
     }
 
-    let (image, comp_ms, comm_ms, m_max, peak_buf, per_rank) = if flags.has("--distributed") {
-        let out = run_distributed(&config);
-        let comp = out
-            .per_rank
-            .iter()
-            .map(|s| s.comp_seconds)
-            .fold(0.0, f64::max)
-            * 1e3;
-        let comm = out
-            .per_rank
-            .iter()
-            .map(|s| s.comm_seconds)
-            .fold(0.0, f64::max)
-            * 1e3;
-        let m_max = out
-            .per_rank
-            .iter()
-            .map(|s| s.recv_bytes())
-            .max()
-            .unwrap_or(0);
-        let peak = out
-            .traffic
-            .iter()
-            .map(|t| t.peak_pixel_buffer_bytes)
-            .max()
-            .unwrap_or(0);
-        (out.image, comp, comm, m_max, peak, out.per_rank)
+    // Three rank bodies, one outcome; the reference is what a degraded
+    // frame is scored against.
+    if stream {
+        config.method = Method::TileStream;
+        let exp = StreamExperiment::prepare(&config);
+        let out = exp.run();
+        println!(
+            "fused tile stream ({} px tiles, {} thread(s)/rank): \
+             first tile {:.2} ms, last tile {:.2} ms, frame {:.2} ms",
+            config.resolved_stream_tile(),
+            exp.threads_per_rank(),
+            out.first_tile_seconds.unwrap_or(0.0) * 1e3,
+            out.last_tile_seconds.unwrap_or(0.0) * 1e3,
+            out.total_seconds * 1e3,
+        );
+        report_render(&config, &flags, out, || exp.reference())
+    } else if distributed {
+        let shared = || Experiment::prepare(&config).reference();
+        report_render(&config, &flags, run_distributed(&config), shared)
     } else {
         let exp = Experiment::prepare(&config);
-        let out = exp.run(config.method);
-        let retransmits: u64 = out.traffic.iter().map(|t| t.retransmits).sum();
-        let corruptions: u64 = out.traffic.iter().map(|t| t.corruptions_detected).sum();
-        if retransmits > 0 || corruptions > 0 {
-            println!("reliability: {retransmits} retransmits, {corruptions} corruptions detected");
-        }
-        if out.is_degraded() {
-            println!(
-                "DEGRADED: dead ranks {:?} · missing pieces {:?} · coverage {:.1}% · \
-                 PSNR vs reference {:.1} dB",
-                out.dead_ranks,
-                out.missing_ranks,
-                out.coverage * 100.0,
-                out.psnr_vs(&exp.reference()),
-            );
-        }
-        let peak = out.peak_pixel_buffer_bytes();
-        (
-            out.image,
-            out.aggregate.t_comp_ms(),
-            out.aggregate.t_comm_ms(),
-            out.aggregate.m_max,
-            peak,
-            out.per_rank,
-        )
-    };
+        report_render(&config, &flags, exp.run(config.method), || exp.reference())
+    }
+}
 
-    if verbose {
+/// What every `render` prints once its frame exists, and the file it
+/// writes. The closing line carries the digest of the frame's
+/// full-precision pixels (the `.pgm` keeps only 8 bits of each).
+fn report_render(
+    config: &ExperimentConfig,
+    flags: &Flags,
+    out: Outcome,
+    reference: impl FnOnce() -> slsvr::image::Image,
+) -> Result<(), String> {
+    let retransmits: u64 = out.traffic.iter().map(|t| t.retransmits).sum();
+    let corruptions: u64 = out.traffic.iter().map(|t| t.corruptions_detected).sum();
+    if retransmits > 0 || corruptions > 0 {
+        println!("reliability: {retransmits} retransmits, {corruptions} corruptions detected");
+    }
+    if out.is_degraded() {
+        println!(
+            "DEGRADED: dead ranks {:?} · missing pieces {:?} · coverage {:.1}% · \
+             PSNR vs reference {:.1} dB",
+            out.dead_ranks,
+            out.missing_ranks,
+            out.coverage * 100.0,
+            out.psnr_vs(&reference()),
+        );
+    }
+    if flags.has("--verbose") {
         println!("per-stage traffic timeline (all ranks):");
-        print!("{}", slsvr::system::format_stage_timeline(&per_rank));
+        print!("{}", slsvr::system::format_stage_timeline(&out.per_rank));
     }
 
-    slsvr::image::pgm::save_pgm(&image, out_path)
+    let out_path = flags.get("--out").unwrap_or("render.pgm");
+    slsvr::image::pgm::save_pgm(&out.image, out_path)
         .map_err(|e| format!("writing {out_path}: {e}"))?;
+    let record = FrameRecord::from_outcome(&out);
     println!(
         "{} · {}² · P={} · {}: T_comp {:.2} ms, T_comm {:.2} ms, M_max {} B, \
          peak pixel buffers {} B/rank",
@@ -396,63 +401,15 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
         config.image_size,
         config.processors,
         config.method.name(),
-        comp_ms,
-        comm_ms,
-        m_max,
-        peak_buf
+        record.t_comp_ms,
+        record.t_comm_ms,
+        record.m_max,
+        record.peak_pixel_buffer_bytes
     );
-    print_wrote(out_path, &image);
-    Ok(())
-}
-
-/// The closing line of a render: the file, and the digest of the frame's
-/// full-precision pixels (the `.pgm` keeps only 8 bits of each).
-fn print_wrote(out_path: &str, image: &slsvr::image::Image) {
     println!(
         "wrote {out_path} (image fnv1a {:016x})",
-        slsvr::image::checksum::fnv1a(image)
+        slsvr::image::checksum::fnv1a(&out.image)
     );
-}
-
-fn cmd_render_stream(
-    config: &ExperimentConfig,
-    out_path: &str,
-    verbose: bool,
-) -> Result<(), String> {
-    let exp = slsvr::system::StreamExperiment::prepare(config);
-    let out = exp.run();
-    let record = slsvr::system::FrameRecord::from_stream(&out);
-    if out.coverage < 1.0 {
-        println!(
-            "DEGRADED: dead ranks {:?} · missing pieces {:?} · coverage {:.1}%",
-            out.dead_ranks,
-            out.missing_ranks,
-            out.coverage * 100.0,
-        );
-    }
-    if verbose {
-        println!("per-stage traffic timeline (all ranks):");
-        print!("{}", slsvr::system::format_stage_timeline(&out.per_rank));
-    }
-    slsvr::image::pgm::save_pgm(&out.image, out_path)
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!(
-        "{} · {}² · P={} · TSTREAM fused ({} px tiles, {} thread(s)/rank): \
-         first tile {:.2} ms, last tile {:.2} ms, frame {:.2} ms",
-        config.dataset.name(),
-        config.image_size,
-        config.processors,
-        config.resolved_stream_tile(),
-        exp.threads_per_rank(),
-        record.first_tile_ms,
-        record.last_tile_ms,
-        out.total_seconds * 1e3,
-    );
-    println!(
-        "modeled: T_comp {:.2} ms, T_comm {:.2} ms, M_max {} B, peak pixel buffers {} B/rank",
-        record.t_comp_ms, record.t_comm_ms, record.m_max, record.peak_pixel_buffer_bytes,
-    );
-    print_wrote(out_path, &out.image);
     Ok(())
 }
 

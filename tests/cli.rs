@@ -159,3 +159,96 @@ fn distributed_render_with_ghost() {
         .starts_with(b"P5\n48 48\n255\n"));
     let _ = std::fs::remove_file(&path);
 }
+
+/// Runs `slsvr render` on a small head volume with `extra` flags. The
+/// dims put every split plane on a power of two, where a ghosted local
+/// block samples bit for bit what the shared volume does (elsewhere a
+/// gradient tap can round one ulp apart).
+fn render_small(name: &str, extra: &[&str]) -> std::process::Output {
+    let dir = std::env::temp_dir().join("slsvr_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let out = slsvr()
+        .args([
+            "render",
+            "--dataset",
+            "head",
+            "--dims",
+            "32,32,16",
+            "--size",
+            "48",
+            "--procs",
+            "4",
+            "--method",
+            "tile-stream",
+            "--out",
+        ])
+        .arg(&path)
+        .args(extra)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+fn line_with<'a>(stdout: &'a str, needle: &str) -> &'a str {
+    stdout
+        .lines()
+        .find(|l| l.contains(needle))
+        .unwrap_or_else(|| panic!("no `{needle}` line in:\n{stdout}"))
+}
+
+#[test]
+fn three_pipelines_print_one_digest() {
+    let mut digests = Vec::new();
+    for (name, extra) in [
+        ("two_phase.pgm", &[][..]),
+        ("fused.pgm", &["--stream"][..]),
+        ("distributed.pgm", &["--distributed", "--ghost", "2"][..]),
+    ] {
+        let out = render_small(name, extra);
+        assert!(
+            out.status.success(),
+            "{name} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(line_with(&stdout, "T_comp").contains("TSTREAM: T_comp"));
+        let wrote = line_with(&stdout, "image fnv1a");
+        digests.push(wrote[wrote.find("image fnv1a").unwrap()..].to_owned());
+    }
+    assert_eq!(digests[0], digests[1], "fused frame differs");
+    assert_eq!(digests[0], digests[2], "distributed frame differs");
+}
+
+#[test]
+fn degraded_line_has_one_format_in_both_shared_volume_runners() {
+    for (name, extra) in [("kill.pgm", &[][..]), ("kill_fused.pgm", &["--stream"][..])] {
+        let mut flags = vec!["--faults", "kill=2@3", "--recv-deadline", "5000"];
+        flags.extend_from_slice(extra);
+        let out = render_small(name, &flags);
+        assert!(
+            out.status.success(),
+            "{name} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = line_with(&stdout, "DEGRADED");
+        assert!(line.starts_with("DEGRADED: dead ranks [2] · missing pieces ["));
+        assert!(line.contains("% · PSNR vs reference "), "{line}");
+        assert!(line.ends_with(" dB"), "{line}");
+    }
+}
+
+#[test]
+fn distributed_rejects_the_flags_it_cannot_honour() {
+    for extra in [&["--balanced"][..], &["--faults", "kill=1@0"][..]] {
+        let mut flags = vec!["--distributed"];
+        flags.extend_from_slice(extra);
+        let out = render_small("rejected.pgm", &flags);
+        assert!(!out.status.success(), "{extra:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--distributed cannot honour"), "{stderr}");
+        assert!(stderr.contains("USAGE"), "{stderr}");
+    }
+}

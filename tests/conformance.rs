@@ -667,6 +667,62 @@ fn transport_counters_are_pinned() {
     );
 }
 
+/// A rank killed *after* its last stage send (BSBRC, P = 4: rank 2 dies
+/// at op 3, the gather). Raw, that message is still in flight when its
+/// partner — which found rank 2 dead at its own send — moves on, so the
+/// gather is the first to read that link.
+const LATE_KILL: &str = "kill=2@3,seed=9";
+
+fn late_kill_case(reliable: bool) -> ConformanceCase {
+    ConformanceCase {
+        cost: CostKind::Sp2,
+        depth: shuffled_depth(4, 5),
+        reliable,
+        faults: Some(LATE_KILL.parse().expect("valid fault spec")),
+        ..ConformanceCase::new(Method::Bsbrc, 4, Workload::Sparse, 73)
+    }
+}
+
+/// The tolerant gather skips the dead rank's stale stage message: raw
+/// and reliable delivery lose the same piece, in `run_case` and in the
+/// system's `collect`.
+#[test]
+fn late_kill_loses_one_piece_on_the_raw_wire_as_on_the_reliable_one() {
+    let mut outcomes = Vec::new();
+    for reliable in [false, true] {
+        let case = late_kill_case(reliable);
+        let out = run_case(&case);
+        assert_eq!(out.dead_ranks, vec![2], "reliable={reliable}");
+        assert_eq!(out.missing_ranks, vec![2], "reliable={reliable}");
+        assert_eq!(out.coverage, 0.75, "reliable={reliable}");
+
+        let config = ExperimentConfig {
+            image_size: case.width,
+            processors: case.p,
+            cost: CostModel::sp2(),
+            faults: case.faults,
+            reliability: if reliable {
+                slsvr::comm::ReliabilityConfig::on()
+            } else {
+                Default::default()
+            },
+            schedule_seed: Some(73),
+            ..Default::default()
+        };
+        let exp = Experiment::from_subimages(config, case.images(), case.depth.clone());
+        let collected = exp.run(case.method);
+        assert_eq!(fnv1a(&collected.image), out.image_hash);
+        assert!(collected.is_degraded());
+        outcomes.push((
+            collected.dead_ranks,
+            collected.missing_ranks,
+            collected.coverage,
+        ));
+    }
+    assert_eq!(outcomes[0], outcomes[1]);
+    assert_eq!(outcomes[0], (vec![2], vec![2], 0.75));
+}
+
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/conformance_corpus")
 }
@@ -691,7 +747,7 @@ fn corpus_entries_replay_exactly() {
         }
     }
     assert!(
-        checked >= 44,
+        checked >= 45,
         "corpus unexpectedly small ({checked} entries)"
     );
 }
@@ -820,4 +876,7 @@ fn regenerate_corpus() {
         let out = run_case(case);
         println!("{}", CorpusEntry::from_run(case, *faults_spec, &out));
     }
+    let case = late_kill_case(false);
+    let line = CorpusEntry::from_run(&case, Some(LATE_KILL), &run_case(&case));
+    println!("{line}");
 }

@@ -92,16 +92,23 @@ fn block_wire_format_round_trips_through_partition() {
 }
 
 #[test]
-fn distributed_perspective_and_balanced_modes_compose() {
-    // All the orthogonal feature flags together: non-pow2 P, balanced
-    // partition in the shared pipeline, perspective projection.
+fn distributed_perspective_composes_with_non_pow2_and_ghost() {
+    // Perspective through the distributed pipeline itself (non-pow2 P,
+    // through the fold): with two ghost voxels the frame is the shared
+    // pipeline's, which in turn matches the sequential reference.
     let mut cfg = config(6);
     cfg.perspective_distance = Some(2.0);
-    cfg.balanced_partition = true;
+    cfg.ghost_voxels = 2;
     let exp = Experiment::prepare(&cfg);
-    let expect = exp.reference();
-    let out = exp.run(Method::Bsbrc);
-    let diff = out.image.max_abs_diff(&expect);
-    assert!(diff < 2e-4, "combined modes differ by {diff}");
-    assert!(out.image.non_blank_count() > 0);
+    let shared = exp.run(Method::Bsbrc);
+    let diff = shared.image.max_abs_diff(&exp.reference());
+    assert!(diff < 2e-4, "shared perspective differs by {diff}");
+    let dist = run_distributed(&cfg);
+    assert_eq!(dist.image.max_abs_diff(&shared.image), 0.0);
+    assert!(dist.image.non_blank_count() > 0);
+    assert!(!dist.is_degraded());
+
+    cfg.perspective_distance = None;
+    let ortho = run_distributed(&cfg).image;
+    assert!(dist.image.max_abs_diff(&ortho) > 0.0, "perspective ignored");
 }
