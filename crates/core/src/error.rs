@@ -47,13 +47,14 @@ pub enum CompositeError {
     },
 }
 
-/// Why a payload was refused, before the caller adds who sent it and
-/// during which step.
+/// Why a payload was refused — it ended early, or a header, count or
+/// length does not fit — before the caller adds who sent it and during
+/// which step ([`CompositeError::Malformed`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Malformed;
+pub struct Malformed;
 
-/// The result of checking a received payload.
-pub(crate) type Checked<T> = Result<T, Malformed>;
+/// The result of reading or checking a received payload.
+pub type Checked<T> = Result<T, Malformed>;
 
 impl Malformed {
     /// `Ok` when `ok` holds — the payload checks read as a list of

@@ -70,35 +70,32 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
 fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> Checked<usize> {
     const PX: usize = vr_image::BYTES_PER_PIXEL;
     let mut r = MsgReader::new(bytes);
-    Malformed::unless(r.remaining() >= 4)?;
-    let covered = match r.get_u32() {
+    let covered = match r.get_u32()? {
         KIND_NOTHING => 0,
         KIND_RECT => apply_rect(out, &mut r)?,
         KIND_SEQ => {
-            Malformed::unless(r.remaining() >= 12)?;
             let seq = StridedSeq {
-                start: r.get_u32() as usize,
-                stride: r.get_u32() as usize,
-                count: r.get_u32() as usize,
+                start: r.get_u32()? as usize,
+                stride: r.get_u32()? as usize,
+                count: r.get_u32()? as usize,
             };
             let last = seq.start as u64 + seq.count.saturating_sub(1) as u64 * seq.stride as u64;
             Malformed::unless(
                 r.remaining() == seq.count * PX && (seq.count == 0 || last < out.area() as u64),
             )?;
             for idx in seq.iter() {
-                out.pixels_mut()[idx] = r.get_pixel();
+                out.pixels_mut()[idx] = r.get_pixel()?;
             }
             seq.count
         }
         KIND_WHOLE => {
             let full = out.full_rect();
             Malformed::unless(r.remaining() == full.area() * PX)?;
-            out.write_rect_wire(&full, &r.take_pixels(full.area()));
+            out.write_rect_wire(&full, &r.take_pixels(full.area())?);
             full.area()
         }
         KIND_RECTS => {
-            Malformed::unless(r.remaining() >= 4)?;
-            let count = r.get_u32() as usize;
+            let count = r.get_u32()? as usize;
             let mut covered = 0;
             for _ in 0..count {
                 covered += apply_rect(out, &mut r)?;
@@ -107,7 +104,7 @@ fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> Checked<usize> {
         }
         _ => return Err(Malformed),
     };
-    Malformed::unless(r.remaining() == 0)?;
+    r.finish()?;
     Ok(covered)
 }
 

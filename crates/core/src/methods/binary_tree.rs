@@ -32,13 +32,12 @@ const BYTES_PER_RUN: usize = vr_image::BYTES_PER_PIXEL + vr_image::BYTES_PER_RUN
 /// bytes that arrived, and runs that describe exactly `area` pixels.
 fn read_stream(payload: Bytes, area: usize) -> Checked<ValueRle> {
     let mut r = MsgReader::new(payload);
-    Malformed::unless(r.remaining() >= 4)?;
-    let nruns = r.get_u32() as usize;
-    Malformed::unless(r.remaining() == nruns * BYTES_PER_RUN)?;
+    let nruns = r.get_u32()? as usize;
+    Malformed::unless(nruns.checked_mul(BYTES_PER_RUN) == Some(r.remaining()))?;
     let mut runs = Vec::with_capacity(nruns);
     for _ in 0..nruns {
-        let pixel = r.get_pixel();
-        let count = r.get_codes(1)[0];
+        let pixel = r.get_pixel()?;
+        let count = r.get_codes(1)?[0];
         runs.push(ValueRun { pixel, count });
     }
     let stream = ValueRle::from_runs(runs);

@@ -81,11 +81,15 @@ pub fn run(
         stat.recv_bytes += received.len() as u64;
         stat.recv_msgs += 1;
         // The payload is the band's pixels and nothing else.
-        Malformed::unless(received.len() == my_band.area() * vr_image::BYTES_PER_PIXEL)
-            .map_err(|m| m.at("direct recv", topo.real(src)))?;
         let pixels = run
             .comp
-            .time(|| MsgReader::new(received).get_pixels(my_band.area()));
+            .time(|| {
+                let mut r = MsgReader::new(received);
+                let pixels = r.get_pixels(my_band.area())?;
+                r.finish()?;
+                Ok(pixels)
+            })
+            .map_err(|m: Malformed| m.at("direct recv", topo.real(src)))?;
         *slot = Some(pixels);
     }
 

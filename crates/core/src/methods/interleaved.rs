@@ -23,7 +23,7 @@
 use bytes::Bytes;
 use vr_image::{kernel, Image, RunSet, StridedSeq, BYTES_PER_PIXEL as PX, BYTES_PER_RUN_CODE};
 
-use crate::error::{Checked, Malformed};
+use crate::error::Checked;
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter, ScratchPool};
 
@@ -116,11 +116,11 @@ impl StageCodec for InterleavedRuns {
     ) -> Checked<()> {
         let mut r = MsgReader::new(received);
         let (rle, total) = read_runs(&mut r, self.seq.count)?;
-        Malformed::unless(r.remaining() == total * PX)?;
-        self.recv.assign_from_runs(rle.non_blank_runs());
         // One bulk parse of the pixel payload; the scatter below reads
         // it sequentially, so arithmetic order is unchanged.
-        r.get_pixels_into(total, &mut self.scratch.recv);
+        r.get_pixels_into(total, &mut self.scratch.recv)?;
+        r.finish()?;
+        self.recv.assign_from_runs(rle.non_blank_runs());
         self.scratch.note_watermark();
         let mut staged = self.scratch.recv.iter();
         let pixels = image.pixels_mut();

@@ -33,23 +33,22 @@ const NO_BAND: u32 = u32::MAX;
 type Travelling = (Vec<Pixel>, Option<Vec<Pixel>>);
 
 /// Parses one ring message: `None` for the [`NO_BAND`] marker, else the
-/// accumulators of band `expect` — its id, its flag and exactly `area`
-/// pixels per accumulator, checked before anything is decoded.
+/// accumulators of band `expect` — its id, its flag, `area` pixels per
+/// accumulator and nothing after them.
 fn read_band(payload: Bytes, expect: usize, area: usize) -> Checked<Option<Travelling>> {
     let mut r = MsgReader::new(payload);
-    Malformed::unless(r.remaining() >= 4)?;
-    let got = r.get_u32();
+    let got = r.get_u32()?;
     if got == NO_BAND {
-        Malformed::unless(r.remaining() == 0)?;
+        r.finish()?;
         return Ok(None);
     }
-    Malformed::unless(got as usize == expect && r.remaining() >= 4)?;
-    let has_b = r.get_u32();
+    Malformed::unless(got as usize == expect)?;
+    let has_b = r.get_u32()?;
     Malformed::unless(has_b <= 1)?;
-    let buffers = 1 + has_b as usize;
-    Malformed::unless(r.remaining() == buffers * area * vr_image::BYTES_PER_PIXEL)?;
-    let a = r.get_pixels(area);
-    Ok(Some((a, (has_b == 1).then(|| r.get_pixels(area)))))
+    let a = r.get_pixels(area)?;
+    let b = (has_b == 1).then(|| r.get_pixels(area)).transpose()?;
+    r.finish()?;
+    Ok(Some((a, b)))
 }
 
 /// Runs parallel-pipeline compositing (any `P ≥ 1`).

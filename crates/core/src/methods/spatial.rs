@@ -202,7 +202,7 @@ impl<B: Body> HalfCodec for Headed<B> {
         let rect = read_rect(&mut r, keep)?;
         stat.recv_rect_empty = rect.is_empty();
         if rect.is_empty() {
-            Malformed::unless(r.remaining() == 0)?;
+            r.finish()?;
         } else {
             stat.composite_ops = B::merge(image, &rect, &mut r, front)?;
         }
@@ -221,8 +221,7 @@ pub(crate) fn encode_rect(image: &Image, bounds: &Rect) -> Bytes {
 
 /// Reads a rectangle header that must lie inside `within`.
 fn read_rect(r: &mut MsgReader, within: &Rect) -> Checked<Rect> {
-    Malformed::unless(r.remaining() >= BYTES_PER_RECT)?;
-    let rect = r.get_rect();
+    let rect = r.get_rect()?;
     Malformed::unless(within.contains_rect(&rect))?;
     Ok(rect)
 }
@@ -230,15 +229,14 @@ fn read_rect(r: &mut MsgReader, within: &Rect) -> Checked<Rect> {
 /// Reads one `rect + dense pixels` record; the pixels stay wire bytes.
 pub(crate) fn read_rect_pixels(r: &mut MsgReader, within: &Rect) -> Checked<(Rect, Bytes)> {
     let rect = read_rect(r, within)?;
-    Malformed::unless(r.remaining() / PX >= rect.area())?;
-    Ok((rect, r.take_pixels(rect.area())))
+    Ok((rect, r.take_pixels(rect.area())?))
 }
 
 /// Parses a whole rect payload: exactly one record, nothing after it.
 pub(crate) fn parse_rect(payload: Bytes, within: &Rect) -> Checked<(Rect, Bytes)> {
     let mut r = MsgReader::new(payload);
     let record = read_rect_pixels(&mut r, within)?;
-    Malformed::unless(r.remaining() == 0)?;
+    r.finish()?;
     Ok(record)
 }
 
@@ -270,8 +268,8 @@ impl Body for Dense {
     }
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
-        Malformed::unless(r.remaining() == rect.area() * PX)?;
-        let wire = r.take_pixels(rect.area());
+        let wire = r.take_pixels(rect.area())?;
+        r.finish()?;
         Ok(composite_rect(image, rect, &wire, front))
     }
 }
@@ -369,8 +367,8 @@ impl Body for Runs {
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
         let (rle, total) = read_runs(r, rect.area())?;
-        Malformed::unless(r.remaining() == total * PX)?;
-        let wire = r.take_pixels(total);
+        let wire = r.take_pixels(total)?;
+        r.finish()?;
         composite_runs(image, rect, rle.non_blank_runs(), &wire, front);
         Ok(total as u64)
     }
@@ -436,11 +434,10 @@ impl Body for Bitmask {
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
         let area = rect.area();
-        Malformed::unless(r.remaining() >= area.div_ceil(8))?;
-        let mask = r.get_bytes(area.div_ceil(8));
+        let mask = r.get_bytes(area.div_ceil(8))?;
         let non_blank: usize = mask_runs(&mask, area).map(|(_, len)| len).sum();
-        Malformed::unless(r.remaining() == non_blank * PX)?;
-        let wire = r.take_pixels(non_blank);
+        let wire = r.take_pixels(non_blank)?;
+        r.finish()?;
         composite_runs(image, rect, mask_runs(&mask, area), &wire, front);
         Ok(non_blank as u64)
     }
@@ -533,13 +530,12 @@ impl HalfCodec for MultiRect {
         stat: &mut StageStat,
     ) -> Checked<Rect> {
         let mut r = MsgReader::new(received);
-        Malformed::unless(r.remaining() >= 4)?;
-        let n = r.get_u32() as usize;
+        let n = r.get_u32()? as usize;
         Malformed::unless(n <= MAX_RECTS)?;
         let records = (0..n)
             .map(|_| read_rect_pixels(&mut r, keep))
             .collect::<Checked<Vec<_>>>()?;
-        Malformed::unless(r.remaining() == 0)?;
+        r.finish()?;
         stat.recv_rect_empty = n == 0;
         // Disjoint rects from one sender commute freely.
         stat.composite_ops = records

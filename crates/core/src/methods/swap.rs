@@ -131,10 +131,8 @@ pub(crate) fn run<C: StageCodec>(
 /// whose runs must lie inside a sequence of `domain` pixels; returns the
 /// codes and the number of non-blank pixels they announce.
 pub(crate) fn read_runs(r: &mut MsgReader, domain: usize) -> Checked<(MaskRle, usize)> {
-    Malformed::unless(r.remaining() >= 4)?;
-    let ncodes = r.get_u32() as usize;
-    Malformed::unless(r.remaining() / vr_image::BYTES_PER_RUN_CODE >= ncodes)?;
-    let rle = MaskRle::from_codes(r.get_codes(ncodes));
+    let ncodes = r.get_u32()? as usize;
+    let rle = MaskRle::from_codes(r.get_codes(ncodes)?);
     let (total, end) = rle
         .non_blank_runs()
         .fold((0, 0), |(total, _), (start, len)| {

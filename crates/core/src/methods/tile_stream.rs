@@ -167,8 +167,9 @@ pub fn local_contribution(
 /// non-blank pixels they announce.
 fn decode_tile(r: &mut MsgReader, area: usize) -> Checked<(MaskRle, Vec<Pixel>)> {
     let (mask, non_blank) = read_runs(r, area)?;
-    Malformed::unless(r.remaining() == non_blank * vr_image::BYTES_PER_PIXEL)?;
-    Ok((mask, r.get_pixels(non_blank)))
+    let pixels = r.get_pixels(non_blank)?;
+    r.finish()?;
+    Ok((mask, pixels))
 }
 
 /// Walks a run of the tile-local row-major index space, mapping it back
@@ -535,11 +536,10 @@ impl TileStream {
                         self.stat.recv_msgs += 1;
                         let malformed = |m: Malformed| m.at("tile stream recv", src);
                         let mut r = MsgReader::new(bytes);
-                        Malformed::unless(r.remaining() >= 4).map_err(malformed)?;
-                        let t = r.get_u32();
+                        let t = r.get_u32().map_err(malformed)?;
                         let sv = self.vrank_of[src];
                         if t == DONE {
-                            Malformed::unless(r.remaining() == 0).map_err(malformed)?;
+                            r.finish().map_err(malformed)?;
                             awaiting[src] = false;
                             remaining -= 1;
                             let TileStream { run, accums, .. } = &mut self;
@@ -675,7 +675,7 @@ mod tests {
             // The wire payload and the local shortcut must agree.
             let (lmask, lpix) = local_contribution(&img, rect, &scratch);
             let mut r = MsgReader::new(enc.payload);
-            assert_eq!(r.get_u32() as usize, t);
+            assert_eq!(r.get_u32(), Ok(t as u32));
             let (mask, pixels) = decode_tile(&mut r, rect.area()).unwrap();
             assert_eq!(mask.codes(), lmask.codes());
             assert_eq!(pixels, lpix);
@@ -697,7 +697,7 @@ mod tests {
                 let mut scratch = TileCodec::default();
                 let enc = encode_tile(&img, &rect, 0, &mut scratch).unwrap();
                 let mut r = MsgReader::new(enc.payload);
-                r.get_u32();
+                r.get_u32().unwrap();
                 decode_tile(&mut r, rect.area()).unwrap()
             })
             .collect();

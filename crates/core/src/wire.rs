@@ -8,15 +8,20 @@
 //! the byte counters like any other payload, so no method gains an
 //! unaccounted advantage.
 //!
-//! [`MsgReader`]'s `get_*`/`take_*` calls panic on a short read: they
-//! are for bytes whose length the caller has already checked. The
-//! receive paths that face the fabric (the binary-swap stage codecs, the
-//! fold, radix-k, the gather) compare every count they read against
-//! [`MsgReader::remaining`] first and answer a mismatch with
+//! [`MsgReader`] is a checked cursor: every `get_*`/`take_*` call
+//! returns [`Checked`], so a payload that ends before the field being
+//! read is [`Malformed`] by construction — no receive path can reach a
+//! panic through it, and none needs a length test in front of a read.
+//! What the codecs still check themselves is meaning: a rectangle inside
+//! the region it must lie in, run codes inside their domain, an exact
+//! body length, and [`MsgReader::finish`] for trailing bytes. The callers
+//! turn a refusal into
 //! [`CompositeError::Malformed`](crate::CompositeError::Malformed).
 
 use bytes::{Buf, BufMut, Bytes};
-use vr_image::{Image, Pixel, Rect};
+use vr_image::{Image, Pixel, Rect, BYTES_PER_PIXEL, BYTES_PER_RUN_CODE};
+
+use crate::error::{Checked, Malformed};
 
 /// Incrementally builds a message payload.
 ///
@@ -116,7 +121,8 @@ fn put_le<T, const N: usize>(buf: &mut Vec<u8>, items: &[T], to_le: impl Fn(&T) 
     }
 }
 
-/// Reads a message payload sequentially.
+/// Reads a message payload sequentially; a read past the end is
+/// [`Malformed`], never a panic.
 #[derive(Debug)]
 pub struct MsgReader {
     buf: Bytes,
@@ -128,78 +134,92 @@ impl MsgReader {
         MsgReader { buf }
     }
 
+    /// Consumes the next `count` items of `size` bytes each and returns
+    /// them as a view of the payload — the one bounds check every getter
+    /// goes through.
+    fn take(&mut self, count: usize, size: usize) -> Checked<Bytes> {
+        let bytes = count.checked_mul(size).ok_or(Malformed)?;
+        Malformed::unless(bytes <= self.buf.remaining())?;
+        let taken = self.buf.slice(..bytes);
+        self.buf.advance(bytes);
+        Ok(taken)
+    }
+
+    /// Consumes the next `N` bytes by value (headers and counts: no view
+    /// of the payload is created for them).
+    fn array<const N: usize>(&mut self) -> Checked<[u8; N]> {
+        let raw = self.buf.chunk().get(..N).ok_or(Malformed)?;
+        let raw = raw.try_into().expect("a slice of N bytes");
+        self.buf.advance(N);
+        Ok(raw)
+    }
+
     /// Reads a bounding rectangle.
-    pub fn get_rect(&mut self) -> Rect {
-        let mut raw = [0u8; 8];
-        self.buf.copy_to_slice(&mut raw);
-        Rect::from_le_bytes(raw)
+    pub fn get_rect(&mut self) -> Checked<Rect> {
+        self.array().map(Rect::from_le_bytes)
     }
 
     /// Reads a `u32` count.
-    pub fn get_u32(&mut self) -> u32 {
-        self.buf.get_u32_le()
+    pub fn get_u32(&mut self) -> Checked<u32> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads `n` run codes.
-    pub fn get_codes(&mut self, n: usize) -> Vec<u16> {
-        let chunk = self.buf.chunk();
-        assert!(chunk.len() >= n * 2, "short read: {n} codes", n = n);
-        let out = chunk[..n * 2]
-            .chunks_exact(2)
+    pub fn get_codes(&mut self, n: usize) -> Checked<Vec<u16>> {
+        let wire = self.take(n, BYTES_PER_RUN_CODE)?;
+        Ok(wire
+            .chunks_exact(BYTES_PER_RUN_CODE)
             .map(|b| u16::from_le_bytes([b[0], b[1]]))
-            .collect();
-        self.buf.advance(n * 2);
-        out
+            .collect())
     }
 
     /// Reads `n` pixels.
-    pub fn get_pixels(&mut self, n: usize) -> Vec<Pixel> {
+    pub fn get_pixels(&mut self, n: usize) -> Checked<Vec<Pixel>> {
         let mut out = Vec::new();
-        self.get_pixels_into(n, &mut out);
-        out
+        self.get_pixels_into(n, &mut out)?;
+        Ok(out)
     }
 
     /// Reads `n` pixels into a reusable buffer (cleared first) — the
     /// decode for payloads that are not composited in wire order
     /// (BSLC's strided sequences, buffered contributions).
-    pub fn get_pixels_into(&mut self, n: usize, out: &mut Vec<Pixel>) {
-        let wire = self.take_pixels(n);
+    pub fn get_pixels_into(&mut self, n: usize, out: &mut Vec<Pixel>) -> Checked<()> {
+        let wire = self.take_pixels(n)?;
         out.clear();
         out.extend(
-            wire.chunks_exact(vr_image::BYTES_PER_PIXEL)
+            wire.chunks_exact(BYTES_PER_PIXEL)
                 .map(|raw| Pixel::from_le_bytes(raw.try_into().unwrap())),
         );
+        Ok(())
     }
 
     /// Consumes the next `n` pixels and returns their wire bytes
-    /// (`16 · n`, length-checked) as a view of the payload, undecoded:
-    /// the input of `vr_image`'s wire-form kernels, which composite or
-    /// store each pixel as they decode it.
-    pub fn take_pixels(&mut self, n: usize) -> Bytes {
-        let bytes = n * vr_image::BYTES_PER_PIXEL;
-        assert!(self.buf.remaining() >= bytes, "short read: {n} pixels");
-        let wire = self.buf.slice(..bytes);
-        self.buf.advance(bytes);
-        wire
+    /// (`16 · n`) as a view of the payload, undecoded: the input of
+    /// `vr_image`'s wire-form kernels, which composite or store each
+    /// pixel as they decode it.
+    pub fn take_pixels(&mut self, n: usize) -> Checked<Bytes> {
+        self.take(n, BYTES_PER_PIXEL)
     }
 
     /// Reads a single pixel.
-    pub fn get_pixel(&mut self) -> Pixel {
-        let mut raw = [0u8; vr_image::BYTES_PER_PIXEL];
-        self.buf.copy_to_slice(&mut raw);
-        Pixel::from_le_bytes(raw)
+    pub fn get_pixel(&mut self) -> Checked<Pixel> {
+        self.array().map(Pixel::from_le_bytes)
     }
 
     /// Reads `n` raw bytes (bitmask payloads).
-    pub fn get_bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n];
-        self.buf.copy_to_slice(&mut out);
-        out
+    pub fn get_bytes(&mut self, n: usize) -> Checked<Vec<u8>> {
+        Ok(self.take(n, 1)?.to_vec())
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
+    }
+
+    /// [`Malformed`] unless every byte was consumed: trailing bytes are
+    /// a framing error, never ignored.
+    pub fn finish(&self) -> Checked<()> {
+        Malformed::unless(self.buf.remaining() == 0)
     }
 }
 
@@ -269,11 +289,11 @@ mod tests {
         assert_eq!(w.len(), 8 + 4 + 6 + 32);
 
         let mut r = MsgReader::new(w.freeze());
-        assert_eq!(r.get_rect(), rect);
-        assert_eq!(r.get_u32(), 3);
-        assert_eq!(r.get_codes(3), vec![5, 0, 65535]);
-        assert_eq!(r.get_pixels(2), px.to_vec());
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.get_rect(), Ok(rect));
+        assert_eq!(r.get_u32(), Ok(3));
+        assert_eq!(r.get_codes(3), Ok(vec![5, 0, 65535]));
+        assert_eq!(r.get_pixels(2), Ok(px.to_vec()));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -282,13 +302,46 @@ mod tests {
         assert!(w.is_empty());
         let r = MsgReader::new(w.freeze());
         assert_eq!(r.remaining(), 0);
+        assert_eq!(r.finish(), Ok(()));
     }
 
+    /// A payload with one of each element, cut at every length: every
+    /// getter that would cross the end answers `Malformed` and leaves the
+    /// cursor where it was; `finish` refuses what was not consumed.
     #[test]
-    #[should_panic]
-    fn over_read_panics() {
-        let mut r = MsgReader::new(Bytes::from_static(&[1, 2]));
-        let _ = r.get_u32();
+    fn a_short_payload_is_malformed_at_every_getter() {
+        let mut w = MsgWriter::new();
+        w.put_rect(Rect::new(1, 2, 3, 4));
+        w.put_u32(7);
+        w.put_codes(&[9, 10]);
+        w.put_bytes(&[1, 2, 3]);
+        w.put_pixel(Pixel::gray(0.5, 0.25));
+        w.put_pixels(&[Pixel::BLANK; 2]);
+        let full = w.freeze();
+        let read_all = |r: &mut MsgReader| -> Checked<()> {
+            r.get_rect()?;
+            r.get_u32()?;
+            r.get_codes(2)?;
+            r.get_bytes(3)?;
+            r.get_pixel()?;
+            r.take_pixels(1)?;
+            r.get_pixels_into(1, &mut Vec::new())
+        };
+        for cut in 0..full.len() {
+            let mut r = MsgReader::new(full.slice(..cut));
+            assert_eq!(read_all(&mut r), Err(Malformed), "cut at {cut}");
+            let left = r.remaining();
+            assert_eq!(r.get_pixels(usize::MAX), Err(Malformed), "count overflow");
+            assert_eq!(r.remaining(), left, "a refused read consumes nothing");
+        }
+        let mut r = MsgReader::new(full);
+        assert_eq!(
+            r.finish(),
+            Err(Malformed),
+            "unread bytes are trailing bytes"
+        );
+        assert_eq!(read_all(&mut r), Ok(()));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -303,9 +356,9 @@ mod tests {
         w.put_pixels(&px);
         assert_eq!(w.len(), codes.len() * 2 + px.len() * 16);
         let mut r = MsgReader::new(w.freeze());
-        assert_eq!(r.get_codes(codes.len()), codes);
-        assert_eq!(r.get_pixels(px.len()), px);
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.get_codes(codes.len()), Ok(codes));
+        assert_eq!(r.get_pixels(px.len()), Ok(px));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -315,7 +368,7 @@ mod tests {
         w.put_pixels(&fresh);
         let mut buf = vec![Pixel::gray(9.0, 9.0); 100]; // stale junk
         let mut r = MsgReader::new(w.freeze());
-        r.get_pixels_into(2, &mut buf);
+        r.get_pixels_into(2, &mut buf).unwrap();
         assert_eq!(buf, fresh.to_vec(), "stale pixels must not survive");
     }
 
@@ -367,31 +420,13 @@ mod tests {
         let payload = w.freeze();
         let base = payload.as_ptr();
         let mut r = MsgReader::new(payload);
-        assert_eq!(r.get_u32(), 9);
-        let wire = r.take_pixels(2);
+        assert_eq!(r.get_u32(), Ok(9));
+        let wire = r.take_pixels(2).unwrap();
         assert_eq!(wire.as_ptr(), base.wrapping_add(4), "no copy");
         assert_eq!(wire.len(), 32);
         assert_eq!(wire[..16], px[0].to_le_bytes());
-        assert_eq!(r.get_u32(), 11);
-        assert_eq!(r.take_pixels(0).len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "short read: 3 pixels")]
-    fn take_pixels_short_payload_panics_like_get_pixels_into() {
-        let mut w = MsgWriter::new();
-        w.put_pixels(&[Pixel::BLANK; 2]);
-        w.put_bytes(&[0; 15]);
-        MsgReader::new(w.freeze()).take_pixels(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "short read: 3 pixels")]
-    fn get_pixels_into_short_payload_panics() {
-        let mut w = MsgWriter::new();
-        w.put_pixels(&[Pixel::BLANK; 2]);
-        w.put_bytes(&[0; 15]);
-        MsgReader::new(w.freeze()).get_pixels_into(3, &mut Vec::new());
+        assert_eq!(r.get_u32(), Ok(11));
+        assert_eq!(r.take_pixels(0).unwrap().len(), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ proptest! {
             pool.send.extend_from_slice(payload);
             w.put_pixels(&pool.send);
             let mut r = MsgReader::new(w.freeze());
-            r.get_pixels_into(payload.len(), &mut pool.recv);
+            r.get_pixels_into(payload.len(), &mut pool.recv).unwrap();
             pool.note_watermark();
             prop_assert_eq!(&pool.recv, payload);
             prop_assert_eq!(r.remaining(), 0);

@@ -2,10 +2,13 @@
 //! exactly and matches its cost-equation structure, validated by a
 //! protocol-sniffing rank that decodes its partner's raw bytes.
 
+use slsvr_core::schedule::tags;
 use slsvr_core::wire::{MsgReader, MsgWriter};
-use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, Workload};
-use vr_comm::{run_group, run_group_with, CostModel, FaultConfig, GroupOptions, ScheduleSpec};
-use vr_image::{Image, MaskRle, Pixel, Rect};
+use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, OwnedPiece, Workload};
+use vr_comm::{
+    run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, ScheduleSpec, Tag,
+};
+use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
 fn content_image(w: u16, h: u16, salt: u32) -> Image {
@@ -33,12 +36,13 @@ fn writer_reader_agree_on_every_element_type() {
     let total = 8 + 4 + 6 + 3 + 16;
     assert_eq!(w.len(), total);
     let mut r = MsgReader::new(w.freeze());
-    assert_eq!(r.get_rect(), Rect::new(5, 6, 70, 80));
-    assert_eq!(r.get_u32(), 0xDEADBEEF);
-    assert_eq!(r.get_codes(3), vec![0, 1, 65535]);
-    assert_eq!(r.get_bytes(3), vec![1, 2, 3]);
-    assert_eq!(r.get_pixel(), Pixel::gray(0.5, 0.25));
-    assert_eq!(r.remaining(), 0);
+    assert_eq!(r.get_rect(), Ok(Rect::new(5, 6, 70, 80)));
+    assert_eq!(r.get_u32(), Ok(0xDEADBEEF));
+    assert_eq!(r.get_codes(3), Ok(vec![0, 1, 65535]));
+    assert_eq!(r.get_bytes(3), Ok(vec![1, 2, 3]));
+    assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.5, 0.25)));
+    assert_eq!(r.finish(), Ok(()));
+    assert!(r.get_u32().is_err(), "a read past the end is typed");
 }
 
 /// BSBRC message: rect + code count + codes + exactly the advertised
@@ -163,4 +167,92 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
         malformed > 0,
         "the sweep must actually damage a header somewhere"
     );
+
+    // A flipped bit rarely shortens what a count announces, so the sweep
+    // above seldom reaches the end of a payload. Cut every message shape
+    // at every offset instead: the reader itself must answer.
+    let depth2 = DepthOrder::identity(2);
+    let images2 = Workload::Sparse.images(2, 8, 8);
+    for method in Method::all() {
+        let tag = match method {
+            Method::BinaryTree => tags::TREE_BASE,
+            Method::DirectSend => tags::DIRECT,
+            Method::Pipeline => tags::PIPE_BASE,
+            Method::TileStream => tags::TILE,
+            // The swap family and radix-k: stage (round) 0.
+            _ => tags::STAGE_BASE,
+        };
+        truncate_at_every_offset(method.name(), 2, tag, |ep| {
+            let mut img = images2[ep.rank()].clone();
+            composite(method, ep, &mut img, &depth2).map(|_| ())
+        });
+    }
+    // P = 3 folds rank 1 into rank 0 before the first stage.
+    let depth3 = DepthOrder::identity(3);
+    let images3 = Workload::Sparse.images(3, 8, 8);
+    truncate_at_every_offset("fold", 3, tags::FOLD, |ep| {
+        let mut img = images3[ep.rank()].clone();
+        composite(Method::Bsbrc, ep, &mut img, &depth3).map(|_| ())
+    });
+    // The gather, once per piece kind rank 1 can own.
+    let frame = &images2[1];
+    let pieces = [
+        OwnedPiece::Nothing,
+        OwnedPiece::Rect(Rect::new(4, 0, 8, 8)),
+        OwnedPiece::Seq(StridedSeq {
+            start: 1,
+            stride: 2,
+            count: 32,
+        }),
+        OwnedPiece::Whole,
+        OwnedPiece::Rects(vec![Rect::new(0, 0, 3, 3), Rect::new(5, 5, 8, 8)]),
+    ];
+    for piece in &pieces {
+        truncate_at_every_offset("gather", 2, tags::GATHER, |ep| {
+            let own = [&OwnedPiece::Nothing, piece][ep.rank()];
+            gather_image_tolerant(ep, frame, own, 0).map(|_| ())
+        });
+    }
+}
+
+/// Captures the first message rank 1 sends rank 0 on `tag` while every
+/// rank runs `body`, then re-runs the group once per proper prefix of it
+/// with rank 1 replaced by a peer that sends the prefix and nothing
+/// valid after it. Rank 0 must answer every prefix with `Malformed` (no
+/// message shape here has a prefix that is a whole message of its own);
+/// a panic in any rank unwinds through `run_group` and fails the caller.
+fn truncate_at_every_offset(
+    what: &str,
+    p: usize,
+    tag: Tag,
+    body: impl Fn(&mut Endpoint) -> Result<(), CompositeError> + Sync,
+) {
+    let recorded = run_group(p, CostModel::free(), |ep| match ep.rank() {
+        0 => ep.recv(1, tag).ok(),
+        _ => body(ep).ok().and(None),
+    });
+    let message = recorded.results[0]
+        .clone()
+        .unwrap_or_else(|| panic!("{what}: rank 1 sent rank 0 nothing on tag {tag:#x}"));
+    for cut in 0..message.len() {
+        let out = run_group(p, CostModel::free(), |ep| match ep.rank() {
+            1 => {
+                ep.send(0, tag, message.slice(..cut)).ok();
+                // Stay until rank 0 has sent (or is gone), so its own send
+                // cannot find this peer dead before it reads the prefix.
+                ep.recv(0, tag).ok();
+                Ok(())
+            }
+            _ => body(ep),
+        });
+        assert!(
+            matches!(
+                out.results[0],
+                Err(CompositeError::Malformed { from: 1, .. })
+            ),
+            "{what} cut at {cut} of {}: {:?}",
+            message.len(),
+            out.results[0]
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! camera angles, transfer window (implied by the dataset), sampling
 //! step, fault plan, schedule seed and every other semantic knob. The
 //! digest is computed over the config's canonical wire encoding
-//! ([`wire::write_config`]), which carries every field bit for bit, so
+//! ([`wire::encode_config`]), which carries every field bit for bit, so
 //! *any* field change produces a new key: the cache can never serve a
 //! frame rendered under different settings. (The acceleration knobs
 //! `macrocell`/`tile` are part of the key too even though they are
@@ -15,15 +15,13 @@ use std::collections::HashMap;
 
 use vr_system::ExperimentConfig;
 
-use crate::wire::{self, WireWriter};
+use crate::wire;
 
 /// The cache key for a frame request: FNV-1a over the canonical wire
 /// encoding of the full configuration.
 pub fn frame_key(config: &ExperimentConfig) -> u64 {
-    let mut w = WireWriter::new();
-    wire::write_config(&mut w, config);
     let mut h: u64 = 0xcbf29ce484222325;
-    for byte in w.into_vec() {
+    for byte in wire::encode_config(config) {
         h ^= byte as u64;
         h = h.wrapping_mul(0x100000001b3);
     }

@@ -13,7 +13,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use vr_image::checksum::fnv1a;
-use vr_system::ExperimentConfig;
+use vr_system::{ExperimentConfig, FrameRecord};
 
 use crate::client::{Client, ClientError};
 use crate::metrics::ServiceStats;
@@ -127,6 +127,79 @@ impl LoadReport {
     }
 }
 
+/// What one session observed; the sessions' tallies add up to the
+/// [`LoadReport`]. Both load generators count through this, so a reply
+/// is classified — and the first-tile rule applied — in one place.
+#[derive(Default)]
+struct Tally {
+    submitted: u64,
+    ok_fresh: u64,
+    ok_cached: u64,
+    ok_coalesced: u64,
+    ok_degraded: u64,
+    shed: u64,
+    overloaded: u64,
+    rejected: u64,
+    hash_mismatches: u64,
+    latencies_ms: Vec<f64>,
+    first_tile_ms: Vec<f64>,
+}
+
+impl Tally {
+    /// Counts a reply that carried an image, answered `wait_ms` after
+    /// its submission.
+    fn frame(&mut self, source: ServeSource, record: &FrameRecord, wait_ms: f64) {
+        match source {
+            ServeSource::Fresh => self.ok_fresh += 1,
+            ServeSource::Cache => self.ok_cached += 1,
+            ServeSource::Coalesced => self.ok_coalesced += 1,
+            ServeSource::Degraded { .. } => self.ok_degraded += 1,
+        }
+        self.latencies_ms.push(wait_ms);
+        // Progressive-delivery latency: when the frame was freshly
+        // rendered by the fused tile-stream runner, its first owned tile
+        // was final (render_max − first_tile) ms before the reply.
+        // Cached/coalesced replies delivered the whole frame at once, so
+        // they carry no first-tile edge.
+        if record.first_tile_ms > 0.0 && source == ServeSource::Fresh {
+            let first_tile = wait_ms - record.render_max_ms + record.first_tile_ms;
+            self.first_tile_ms.push(first_tile.max(0.0));
+        }
+    }
+
+    /// Adds this session to the run's report.
+    fn merge_into(self, report: &mut LoadReport) {
+        report.submitted += self.submitted;
+        report.ok_fresh += self.ok_fresh;
+        report.ok_cached += self.ok_cached;
+        report.ok_coalesced += self.ok_coalesced;
+        report.ok_degraded += self.ok_degraded;
+        report.shed += self.shed;
+        report.overloaded += self.overloaded;
+        report.rejected += self.rejected;
+        report.hash_mismatches += self.hash_mismatches;
+        report.latencies_ms.extend(self.latencies_ms);
+        report.first_tile_ms.extend(self.first_tile_ms);
+    }
+}
+
+impl LoadReport {
+    /// The report of a run that took `wall_seconds`: the sessions'
+    /// tallies summed, latencies sorted for percentile lookup.
+    fn from_sessions(sessions: impl IntoIterator<Item = Tally>, wall_seconds: f64) -> LoadReport {
+        let mut report = LoadReport {
+            wall_seconds,
+            ..Default::default()
+        };
+        for tally in sessions {
+            tally.merge_into(&mut report);
+        }
+        report.latencies_ms.sort_by(f64::total_cmp);
+        report.first_tile_ms.sort_by(f64::total_cmp);
+        report
+    }
+}
+
 /// Nearest-rank percentile over an ascending-sorted slice; 0 when empty.
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
@@ -160,7 +233,7 @@ pub fn pose_angles(base: &ExperimentConfig, pose: usize, poses: usize) -> (f32, 
 /// dataset, and returns the aggregated report.
 pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfig) -> LoadReport {
     let start = Instant::now();
-    let mut session_reports: Vec<(Vec<f64>, Vec<f64>, [u64; 8])> = Vec::new();
+    let mut sessions: Vec<Tally> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..load.sessions)
             .map(|s| {
@@ -184,72 +257,32 @@ pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfi
                     // Drain: every request is answered exactly once; the
                     // reply carries its own submit→reply latency so the
                     // drain order cannot skew the measurement.
-                    let mut latencies = Vec::new();
-                    let mut first_tiles = Vec::new();
-                    // fresh, cached, coalesced, degraded, shed, over,
-                    // rejected, submitted
-                    let mut counts = [0u64; 8];
-                    counts[7] = load.requests_per_session as u64;
+                    let mut tally = Tally {
+                        submitted: load.requests_per_session as u64,
+                        ..Default::default()
+                    };
                     for rx in pending {
                         match rx.recv().expect("service answers every request") {
-                            FrameResponse::Frame(reply) => {
-                                match reply.source {
-                                    ServeSource::Fresh => counts[0] += 1,
-                                    ServeSource::Cache => counts[1] += 1,
-                                    ServeSource::Coalesced => counts[2] += 1,
-                                    ServeSource::Degraded { .. } => counts[3] += 1,
-                                }
-                                let wait_ms = reply.wait_seconds * 1e3;
-                                latencies.push(wait_ms);
-                                // Progressive-delivery latency: when the
-                                // frame was freshly rendered by the fused
-                                // tile-stream runner, its first owned
-                                // tile was final (render_max − first_tile)
-                                // ms before the reply. Cached/coalesced
-                                // replies delivered the whole frame at
-                                // once, so they carry no first-tile edge.
-                                let rec = &reply.frame.record;
-                                if rec.first_tile_ms > 0.0 && reply.source == ServeSource::Fresh {
-                                    let ft = wait_ms - rec.render_max_ms + rec.first_tile_ms;
-                                    first_tiles.push(ft.max(0.0));
-                                }
-                            }
-                            FrameResponse::Shed { .. } => counts[4] += 1,
-                            FrameResponse::Overloaded { .. } => counts[5] += 1,
-                            FrameResponse::Rejected { .. } => counts[6] += 1,
+                            FrameResponse::Frame(reply) => tally.frame(
+                                reply.source,
+                                &reply.frame.record,
+                                reply.wait_seconds * 1e3,
+                            ),
+                            FrameResponse::Shed { .. } => tally.shed += 1,
+                            FrameResponse::Overloaded { .. } => tally.overloaded += 1,
+                            FrameResponse::Rejected { .. } => tally.rejected += 1,
                         }
                     }
-                    (latencies, first_tiles, counts)
+                    tally
                 })
             })
             .collect();
         for h in handles {
-            session_reports.push(h.join().expect("session thread"));
+            sessions.push(h.join().expect("session thread"));
         }
     });
 
-    let mut report = LoadReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    for (lat, first_tiles, counts) in session_reports {
-        report.latencies_ms.extend(lat);
-        report.first_tile_ms.extend(first_tiles);
-        report.ok_fresh += counts[0];
-        report.ok_cached += counts[1];
-        report.ok_coalesced += counts[2];
-        report.ok_degraded += counts[3];
-        report.shed += counts[4];
-        report.overloaded += counts[5];
-        report.rejected += counts[6];
-        report.submitted += counts[7];
-    }
-    report
-        .latencies_ms
-        .sort_by(|a, b| a.partial_cmp(b).unwrap());
-    report
-        .first_tile_ms
-        .sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mut report = LoadReport::from_sessions(sessions, start.elapsed().as_secs_f64());
     report.service = service.stats();
     report
 }
@@ -271,8 +304,8 @@ pub fn run_load_socket(
     // Copied out so the (non-scoped) sender threads can own it.
     let load = *load;
     let start = Instant::now();
-    type SessionOut = Result<(Vec<f64>, Vec<f64>, [u64; 8], u64), ClientError>;
-    let mut session_reports: Vec<SessionOut> = Vec::new();
+    type SessionOut = Result<Tally, ClientError>;
+    let mut sessions: Vec<SessionOut> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..load.sessions)
             .map(|s| {
@@ -309,13 +342,10 @@ pub fn run_load_socket(
                         })
                         .expect("spawn loadgen sender");
 
-                    let mut latencies = Vec::new();
-                    let mut first_tiles = Vec::new();
-                    // fresh, cached, coalesced, degraded, shed, over,
-                    // rejected, submitted
-                    let mut counts = [0u64; 8];
-                    counts[7] = total as u64;
-                    let mut mismatches = 0u64;
+                    let mut tally = Tally {
+                        submitted: total as u64,
+                        ..Default::default()
+                    };
                     let mut stamps: HashMap<u64, Instant> = HashMap::new();
                     for _ in 0..total {
                         let (id, resp) = rx_half.recv_response()?;
@@ -329,62 +359,30 @@ pub fn run_load_socket(
                         let submitted_at = stamps.remove(&id).unwrap();
                         match resp {
                             WireResponse::Frame(frame) => {
-                                match frame.source {
-                                    ServeSource::Fresh => counts[0] += 1,
-                                    ServeSource::Cache => counts[1] += 1,
-                                    ServeSource::Coalesced => counts[2] += 1,
-                                    ServeSource::Degraded { .. } => counts[3] += 1,
-                                }
                                 if fnv1a(&frame.image) != frame.image_hash {
-                                    mismatches += 1;
+                                    tally.hash_mismatches += 1;
                                 }
                                 let wait_ms = now.duration_since(submitted_at).as_secs_f64() * 1e3;
-                                latencies.push(wait_ms);
-                                let rec = &frame.record;
-                                if rec.first_tile_ms > 0.0 && frame.source == ServeSource::Fresh {
-                                    let ft = wait_ms - rec.render_max_ms + rec.first_tile_ms;
-                                    first_tiles.push(ft.max(0.0));
-                                }
+                                tally.frame(frame.source, &frame.record, wait_ms);
                             }
-                            WireResponse::Shed { .. } => counts[4] += 1,
-                            WireResponse::Overloaded { .. } => counts[5] += 1,
-                            WireResponse::Rejected { .. } => counts[6] += 1,
+                            WireResponse::Shed { .. } => tally.shed += 1,
+                            WireResponse::Overloaded { .. } => tally.overloaded += 1,
+                            WireResponse::Rejected { .. } => tally.rejected += 1,
                         }
                     }
                     sender.join().expect("loadgen sender thread")?;
-                    Ok((latencies, first_tiles, counts, mismatches))
+                    Ok(tally)
                 })
             })
             .collect();
         for h in handles {
-            session_reports.push(h.join().expect("session thread"));
+            sessions.push(h.join().expect("session thread"));
         }
     });
 
-    let mut report = LoadReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    for out in session_reports {
-        let (lat, first_tiles, counts, mismatches) = out?;
-        report.latencies_ms.extend(lat);
-        report.first_tile_ms.extend(first_tiles);
-        report.ok_fresh += counts[0];
-        report.ok_cached += counts[1];
-        report.ok_coalesced += counts[2];
-        report.ok_degraded += counts[3];
-        report.shed += counts[4];
-        report.overloaded += counts[5];
-        report.rejected += counts[6];
-        report.submitted += counts[7];
-        report.hash_mismatches += mismatches;
-    }
-    report
-        .latencies_ms
-        .sort_by(|a, b| a.partial_cmp(b).unwrap());
-    report
-        .first_tile_ms
-        .sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let sessions = sessions.into_iter().collect::<Result<Vec<Tally>, _>>()?;
+    let mut report = LoadReport::from_sessions(sessions, wall_seconds);
     let stats = Client::connect(addr)?.stats()?;
     for shard in &stats.shards {
         report.service.merge(shard);
@@ -490,6 +488,44 @@ mod tests {
         service.shutdown();
         assert!(report.first_tile_ms.is_empty());
         assert_eq!(report.first_tile_percentile_ms(50.0), 0.0);
+    }
+
+    #[test]
+    fn tally_counts_by_source_and_keeps_first_tiles_of_fresh_streamed_frames_only() {
+        let streamed = FrameRecord {
+            render_max_ms: 10.0,
+            first_tile_ms: 4.0,
+            ..Default::default()
+        };
+        let degraded = ServeSource::Degraded {
+            psnr_db: 30.0,
+            coverage: 0.5,
+        };
+        let mut a = Tally::default();
+        a.frame(ServeSource::Fresh, &streamed, 12.0); // first tile at 12 − 10 + 4
+        a.frame(ServeSource::Cache, &streamed, 1.0); // whole frame at once
+        a.frame(ServeSource::Fresh, &FrameRecord::default(), 9.0); // two-phase
+        a.shed += 1;
+        let mut b = Tally {
+            submitted: 3,
+            ..Default::default()
+        };
+        b.frame(ServeSource::Coalesced, &streamed, 5.0);
+        b.frame(degraded, &streamed, 2.0);
+        b.hash_mismatches += 1;
+        let report = LoadReport::from_sessions([a, b], 0.5);
+        assert_eq!(
+            (report.ok_fresh, report.ok_cached, report.ok_coalesced),
+            (2, 1, 1)
+        );
+        assert_eq!(
+            (report.ok_degraded, report.shed, report.submitted),
+            (1, 1, 3)
+        );
+        assert_eq!(report.hash_mismatches, 1);
+        assert_eq!(report.latencies_ms, [1.0, 2.0, 5.0, 9.0, 12.0]);
+        assert_eq!(report.first_tile_ms, [6.0]);
+        assert_eq!(report.wall_seconds, 0.5);
     }
 
     #[test]

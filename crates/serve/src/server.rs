@@ -374,9 +374,11 @@ fn handle_conn(
                 let (id, config) = match wire::decode_request(&frame.payload) {
                     Ok(parsed) => parsed,
                     // The frame passed its CRC, so this is a version
-                    // skew or hostile payload, not line noise; the
-                    // stream itself is still in sync — drop the
-                    // connection deliberately.
+                    // skew or a hostile payload — bytes that do not
+                    // parse, or values outside the bounds of the
+                    // request table — not line noise; the stream itself
+                    // is still in sync. Drop the connection deliberately,
+                    // before a session, a volume or a worker sees it.
                     Err(_) => break,
                 };
                 // Per-connection window: admission control before the

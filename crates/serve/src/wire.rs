@@ -1,6 +1,6 @@
 //! The daemon's wire protocol: versioned handshake, then
 //! length-prefixed CRC32 frames (the shared [`vr_comm::frame`] codec)
-//! carrying hand-rolled binary request/response messages.
+//! carrying binary request/response messages.
 //!
 //! Connection lifecycle:
 //!
@@ -17,13 +17,24 @@
 //! 4. [`KIND_STATS`] polls per-shard [`ServiceStats`] plus the
 //!    router's imbalance metric ([`KIND_STATS_REPLY`]).
 //!
+//! Every message is declared once, as a table: `wire_struct!` lists a
+//! struct's fields in wire order (with the bounds a received value must
+//! lie in beside it), `wire_enum!` a tag-only enum's variants in tag
+//! order, `wire_union!` the tagged variants of an enum that carries
+//! data. Each table expands to the private [`Wire`] trait's `put`/`get`
+//! pair, so the two directions of a message cannot drift apart and a
+//! field is named in one place. The one exception is the response,
+//! whose two ends are different types (the server's `Arc`-shared
+//! [`FrameResponse`], the client's owned [`WireResponse`]).
+//!
 //! Every decode path returns a typed [`DecodeError`] — truncation,
-//! corruption, an unknown tag, or trailing garbage can reject a frame
-//! but never panic or hang the peer. All integers are little-endian;
-//! floats travel as IEEE-754 bit patterns, so a config or a frame
-//! round-trips bit-exactly (the determinism guarantee extends across
-//! the socket).
+//! corruption, an unknown tag, a value outside its bounds, or trailing
+//! garbage can reject a frame but never panic or hang the peer. All
+//! integers are little-endian; floats travel as IEEE-754 bit patterns,
+//! so a config or a frame round-trips bit-exactly (the determinism
+//! guarantee extends across the socket).
 
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use vr_comm::{
@@ -48,6 +59,37 @@ pub const MAGIC: [u8; 4] = *b"SLVW";
 /// RGBA-f32 frame is ~9.4 MB, so 64 MB leaves headroom without letting
 /// a corrupt prefix drive allocation.
 pub const MAX_WIRE_FRAME: u32 = 64 << 20;
+
+/// Upper bound on the bytes of a frame reply that are not pixels: the
+/// frame header, the id, both tags, the degraded-source pair, the wait,
+/// the hash, the record and the image dimensions.
+const FRAME_REPLY_OVERHEAD: usize = 256;
+/// Largest `image_size` a request may name: the side of the largest
+/// square frame whose reply still fits [`MAX_WIRE_FRAME`] (2047).
+pub const MAX_IMAGE_SIZE: u16 = {
+    let pixels = (MAX_WIRE_FRAME as usize - FRAME_REPLY_OVERHEAD) / BYTES_PER_PIXEL;
+    let mut side = 0usize;
+    while (side + 1) * (side + 1) <= pixels {
+        side += 1;
+    }
+    side as u16
+};
+/// Largest `processors` a request may name. Every rank is a thread with
+/// a working copy of the frame; the paper stops at 64 and the predictive
+/// sweeps at 512.
+pub const MAX_PROCESSORS: usize = 512;
+/// Largest `volume_dims` product a request may name: one byte-sized
+/// voxel per byte of the largest frame, nine times the paper's volumes.
+pub const MAX_VOLUME_VOXELS: usize = MAX_WIRE_FRAME as usize;
+/// Largest `macrocell` (voxels) and `tile` (pixels) edge a request may
+/// name; past the largest image side neither changes what is skipped.
+pub const MAX_ACCEL_EDGE: usize = MAX_IMAGE_SIZE as usize;
+/// Largest `ghost_voxels` a request may name (2 already removes every
+/// seam; each layer grows every scattered block on all six faces).
+pub const MAX_GHOST_VOXELS: usize = 16;
+/// The ray sampling steps a request may name, in voxels. Zero, a
+/// negative or a non-finite step would march a ray forever.
+pub const STEP_RANGE: RangeInclusive<f32> = (1.0 / 64.0)..=64.0;
 
 /// Client → server handshake.
 pub const KIND_HELLO: u8 = 0x10;
@@ -86,6 +128,12 @@ pub enum DecodeError {
     /// A length field disagrees with the bytes present (e.g. the pixel
     /// payload does not match `width × height`).
     BadLength,
+    /// A field decoded to a value outside the bounds its table declares
+    /// (a zero image, a volume past [`MAX_VOLUME_VOXELS`], a NaN angle).
+    OutOfRange {
+        /// The field.
+        what: &'static str,
+    },
     /// Bytes left over after the complete message was read — a framing
     /// desync, never silently ignored.
     Trailing {
@@ -101,679 +149,528 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             DecodeError::BadMagic => write!(f, "handshake magic mismatch"),
             DecodeError::BadLength => write!(f, "length field disagrees with payload"),
+            DecodeError::OutOfRange { what } => write!(f, "{what} is out of range"),
             DecodeError::Trailing { extra } => write!(f, "{extra} trailing bytes after message"),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive writer/reader
-// ---------------------------------------------------------------------------
-
-/// Append-only little-endian message builder.
-#[derive(Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
-}
-
-impl WireWriter {
-    /// An empty builder.
-    pub fn new() -> WireWriter {
-        WireWriter::default()
-    }
-
-    /// The encoded message.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn duration(&mut self, v: Duration) {
-        self.u64(v.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-    fn str(&mut self, v: &str) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-    fn opt<T>(&mut self, v: &Option<T>, mut write: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                write(self, inner);
-            }
-        }
-    }
-}
+// ---- The cursor and the primitives ----
 
 /// Cursor over a received payload; every read is bounds-checked and
 /// returns a typed error instead of panicking.
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+struct Reader<'a>(&'a [u8]);
 
-impl<'a> WireReader<'a> {
-    /// A cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> WireReader<'a> {
-        WireReader { buf, pos: 0 }
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let (taken, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(taken)
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take yields N bytes"))
     }
 
     /// Fails with [`DecodeError::Trailing`] unless fully consumed.
-    pub fn finish(self) -> Result<(), DecodeError> {
-        match self.remaining() {
+    fn finish(self) -> Result<(), DecodeError> {
+        match self.0.len() {
             0 => Ok(()),
             extra => Err(DecodeError::Trailing { extra }),
         }
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated);
+/// A value with one wire form: `put` appends it, `get` reads it back.
+trait Wire {
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut Reader) -> Result<Self, DecodeError>
+    where
+        Self: Sized;
+}
+
+/// The message made of `parts`, in order.
+fn encode(parts: &[&dyn Wire]) -> Vec<u8> {
+    let mut w = Vec::new();
+    for part in parts {
+        part.put(&mut w);
+    }
+    w
+}
+
+/// Reads one `T` that must span the whole payload.
+fn decode<T: Wire>(payload: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader(payload);
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// Little-endian integers; floats as their IEEE-754 bit patterns.
+macro_rules! wire_le {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+                r.array().map(<$ty>::from_le_bytes)
+            }
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    )*};
+}
+wire_le!(u8, u16, u32, u64, f32, f64);
+
+impl Wire for usize {
+    fn put(&self, w: &mut Vec<u8>) {
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+/// Whole nanoseconds in a `u64` (saturating: 584 years).
+impl Wire for Duration {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        u64::get(r).map(Duration::from_nanos)
+    }
+}
+
+/// A `u32` byte count, then UTF-8.
+impl Wire for String {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u32).put(w);
+        w.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        let len = u32::get(r)? as usize;
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| DecodeError::BadLength)
+    }
+}
+
+/// A presence byte, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.is_some().put(w);
+        if let Some(inner) = self {
+            inner.put(w);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
+
+impl Wire for [usize; 3] {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        Ok([usize::get(r)?, usize::get(r)?, usize::get(r)?])
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// The handshake magic: four fixed bytes, checked on read.
+struct Magic;
+
+impl Wire for Magic {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.extend_from_slice(&MAGIC);
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        match r.array()? {
+            MAGIC => Ok(Magic),
+            _ => Err(DecodeError::BadMagic),
+        }
+    }
+}
+
+/// Width and height as `u16`, then the pixels row-major, 16 bytes each.
+impl Wire for Image {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.width().put(w);
+        self.height().put(w);
+        w.reserve(self.pixels().len() * BYTES_PER_PIXEL);
+        for p in self.pixels() {
+            w.extend_from_slice(&p.to_le_bytes());
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        let (width, height) = (u16::get(r)?, u16::get(r)?);
+        let count = width as usize * height as usize;
+        // One bounds check against the bytes actually present, before
+        // allocating anything proportional to the claimed dimensions.
+        let pixels = r
+            .take(count * BYTES_PER_PIXEL)
+            .map_err(|_| DecodeError::BadLength)?
+            .chunks_exact(BYTES_PER_PIXEL)
+            .map(|px| {
+                Pixel::from_le_bytes(px.try_into().expect("chunks_exact yields whole pixels"))
+            })
+            .collect();
+        Ok(Image::from_pixels(width, height, pixels))
+    }
+}
+
+/// A `u16` count, then the entries (the stats reply's shard list).
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u16).put(w);
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+        let count = u16::get(r)? as usize;
+        let mut out = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            out.push(T::get(r)?);
+        }
         Ok(out)
     }
+}
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(DecodeError::BadTag { what: "bool", tag }),
+// ---- The three kinds of table ----
+
+/// A plain struct: its fields in wire order. `field if bound` refuses a
+/// received value the bound does not admit ([`DecodeError::OutOfRange`]).
+/// Given a `pub struct` definition instead, the fields as declared.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* pub struct $ty:ident {
+        $($(#[$doc:meta])* pub $field:ident: $fty:ty),* $(,)?
+    }) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$doc])* pub $field: $fty),*
         }
-    }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize, DecodeError> {
-        Ok(self.u64()? as usize)
-    }
-    fn f32(&mut self) -> Result<f32, DecodeError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn duration(&mut self) -> Result<Duration, DecodeError> {
-        Ok(Duration::from_nanos(self.u64()?))
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadLength)
-    }
-    fn opt<T>(
-        &mut self,
-        mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Option<T>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            tag => Err(DecodeError::BadTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Enum tags
-// ---------------------------------------------------------------------------
-
-fn dataset_tag(d: DatasetKind) -> u8 {
-    match d {
-        DatasetKind::EngineLow => 0,
-        DatasetKind::EngineHigh => 1,
-        DatasetKind::Head => 2,
-        DatasetKind::Cube => 3,
-    }
-}
-
-fn dataset_from(tag: u8) -> Result<DatasetKind, DecodeError> {
-    Ok(match tag {
-        0 => DatasetKind::EngineLow,
-        1 => DatasetKind::EngineHigh,
-        2 => DatasetKind::Head,
-        3 => DatasetKind::Cube,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "dataset",
-                tag,
-            })
-        }
-    })
-}
-
-fn method_tag(m: Method) -> u8 {
-    match m {
-        Method::Bs => 0,
-        Method::Bsbr => 1,
-        Method::Bslc => 2,
-        Method::Bsbrc => 3,
-        Method::Bsrl => 4,
-        Method::Bsbm => 5,
-        Method::Bsmr => 6,
-        Method::BinaryTree => 7,
-        Method::DirectSend => 8,
-        Method::Pipeline => 9,
-        Method::RadixK => 10,
-        Method::TileStream => 11,
-    }
-}
-
-fn method_from(tag: u8) -> Result<Method, DecodeError> {
-    Ok(match tag {
-        0 => Method::Bs,
-        1 => Method::Bsbr,
-        2 => Method::Bslc,
-        3 => Method::Bsbrc,
-        4 => Method::Bsrl,
-        5 => Method::Bsbm,
-        6 => Method::Bsmr,
-        7 => Method::BinaryTree,
-        8 => Method::DirectSend,
-        9 => Method::Pipeline,
-        10 => Method::RadixK,
-        11 => Method::TileStream,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "method",
-                tag,
-            })
-        }
-    })
-}
-
-fn stream_class_tag(c: StreamClass) -> u8 {
-    match c {
-        StreamClass::Raw => 0,
-        StreamClass::Data => 1,
-        StreamClass::Ack => 2,
-    }
-}
-
-fn stream_class_from(tag: u8) -> Result<StreamClass, DecodeError> {
-    Ok(match tag {
-        0 => StreamClass::Raw,
-        1 => StreamClass::Data,
-        2 => StreamClass::Ack,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "stream class",
-                tag,
-            })
-        }
-    })
-}
-
-fn fault_action_tag(a: FaultAction) -> u8 {
-    match a {
-        FaultAction::Deliver => 0,
-        FaultAction::Drop => 1,
-        FaultAction::Corrupt => 2,
-        FaultAction::Duplicate => 3,
-        FaultAction::Delay => 4,
-    }
-}
-
-fn fault_action_from(tag: u8) -> Result<FaultAction, DecodeError> {
-    Ok(match tag {
-        0 => FaultAction::Deliver,
-        1 => FaultAction::Drop,
-        2 => FaultAction::Corrupt,
-        3 => FaultAction::Duplicate,
-        4 => FaultAction::Delay,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "fault action",
-                tag,
-            })
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Config codec
-// ---------------------------------------------------------------------------
-
-fn write_fault_config(w: &mut WireWriter, f: &FaultConfig) {
-    w.f64(f.drop);
-    w.f64(f.corrupt);
-    w.f64(f.duplicate);
-    w.f64(f.delay);
-    w.u64(f.delay_ms);
-    w.u64(f.seed);
-    w.opt(&f.kill, |w, k: &KillSpec| {
-        w.usize(k.rank);
-        w.u64(k.after_ops);
-    });
-    w.opt(&f.target, |w, t: &TargetedFault| {
-        w.usize(t.src);
-        w.usize(t.dst);
-        w.u8(stream_class_tag(t.class));
-        w.u64(t.index);
-        w.u8(fault_action_tag(t.action));
-    });
-}
-
-fn read_fault_config(r: &mut WireReader) -> Result<FaultConfig, DecodeError> {
-    Ok(FaultConfig {
-        drop: r.f64()?,
-        corrupt: r.f64()?,
-        duplicate: r.f64()?,
-        delay: r.f64()?,
-        delay_ms: r.u64()?,
-        seed: r.u64()?,
-        kill: r.opt(|r| {
-            Ok(KillSpec {
-                rank: r.usize()?,
-                after_ops: r.u64()?,
-            })
-        })?,
-        target: r.opt(|r| {
-            Ok(TargetedFault {
-                src: r.usize()?,
-                dst: r.usize()?,
-                class: stream_class_from(r.u8()?)?,
-                index: r.u64()?,
-                action: fault_action_from(r.u8()?)?,
-            })
-        })?,
-    })
-}
-
-fn write_reliability(w: &mut WireWriter, rel: &ReliabilityConfig) {
-    w.bool(rel.enabled);
-    w.duration(rel.ack_timeout);
-    w.u32(rel.max_retries);
-    w.f64(rel.backoff);
-    w.duration(rel.max_backoff);
-}
-
-fn read_reliability(r: &mut WireReader) -> Result<ReliabilityConfig, DecodeError> {
-    Ok(ReliabilityConfig {
-        enabled: r.bool()?,
-        ack_timeout: r.duration()?,
-        max_retries: r.u32()?,
-        backoff: r.f64()?,
-        max_backoff: r.duration()?,
-    })
-}
-
-/// Serializes a full experiment configuration (field order matches the
-/// struct declaration).
-pub fn write_config(w: &mut WireWriter, c: &ExperimentConfig) {
-    w.u8(dataset_tag(c.dataset));
-    w.u16(c.image_size);
-    w.usize(c.processors);
-    w.u8(method_tag(c.method));
-    w.f32(c.rot_x_deg);
-    w.f32(c.rot_y_deg);
-    w.f64(c.cost.t_s);
-    w.f64(c.cost.t_c);
-    w.opt(&c.volume_dims, |w, d: &[usize; 3]| {
-        w.usize(d[0]);
-        w.usize(d[1]);
-        w.usize(d[2]);
-    });
-    w.f32(c.step);
-    w.f32(c.early_termination_alpha);
-    w.opt(&c.perspective_distance, |w, d| w.f32(*d));
-    w.bool(c.balanced_partition);
-    w.usize(c.ghost_voxels);
-    match c.comp_timing {
-        CompTiming::Measured { slowdown } => {
-            w.u8(0);
-            w.f64(slowdown);
-        }
-        CompTiming::Modeled(cost) => {
-            w.u8(1);
-            w.f64(cost.t_scan);
-            w.f64(cost.t_pack);
-            w.f64(cost.t_unpack);
-            w.f64(cost.t_over);
-            w.f64(cost.t_encode);
-        }
-    }
-    w.opt(&c.faults, write_fault_config);
-    write_reliability(w, &c.reliability);
-    w.opt(&c.recv_deadline, |w, d| w.duration(*d));
-    w.opt(&c.schedule_seed, |w, s| w.u64(*s));
-    w.usize(c.macrocell);
-    w.usize(c.tile);
-    w.usize(c.render_threads);
-    w.usize(c.simd_lanes);
-    w.u16(c.stream_tile);
-}
-
-/// Parses a full experiment configuration.
-pub fn read_config(r: &mut WireReader) -> Result<ExperimentConfig, DecodeError> {
-    Ok(ExperimentConfig {
-        dataset: dataset_from(r.u8()?)?,
-        image_size: r.u16()?,
-        processors: r.usize()?,
-        method: method_from(r.u8()?)?,
-        rot_x_deg: r.f32()?,
-        rot_y_deg: r.f32()?,
-        cost: CostModel {
-            t_s: r.f64()?,
-            t_c: r.f64()?,
-        },
-        volume_dims: r.opt(|r| Ok([r.usize()?, r.usize()?, r.usize()?]))?,
-        step: r.f32()?,
-        early_termination_alpha: r.f32()?,
-        perspective_distance: r.opt(|r| r.f32())?,
-        balanced_partition: r.bool()?,
-        ghost_voxels: r.usize()?,
-        comp_timing: match r.u8()? {
-            0 => CompTiming::Measured { slowdown: r.f64()? },
-            1 => CompTiming::Modeled(CompCost {
-                t_scan: r.f64()?,
-                t_pack: r.f64()?,
-                t_unpack: r.f64()?,
-                t_over: r.f64()?,
-                t_encode: r.f64()?,
-            }),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "comp timing",
-                    tag,
-                })
+        wire_struct!($ty { $($field),* });
+    };
+    ($ty:ident { $($field:ident $(if $bound:expr)?),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                $(self.$field.put(w);)*
             }
-        },
-        faults: r.opt(read_fault_config)?,
-        reliability: read_reliability(r)?,
-        recv_deadline: r.opt(|r| r.duration())?,
-        schedule_seed: r.opt(|r| r.u64())?,
-        macrocell: r.usize()?,
-        tile: r.usize()?,
-        render_threads: r.usize()?,
-        simd_lanes: r.usize()?,
-        stream_tile: r.u16()?,
+            fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+                $(
+                    let $field = Wire::get(r)?;
+                    $(if !($bound)(&$field) {
+                        return Err(DecodeError::OutOfRange { what: stringify!($field) });
+                    })?
+                )*
+                Ok($ty { $($field),* })
+            }
+        }
+    };
+}
+
+/// An enum that travels as one tag byte: a variant's tag is its position
+/// in the list (`all()` where the enum has one).
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal, $all:expr) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                let tag = $all.iter().position(|v| v == self);
+                w.push(tag.expect("every variant is listed") as u8);
+            }
+            fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+                let tag = u8::get(r)?;
+                $all.get(tag as usize)
+                    .copied()
+                    .ok_or(DecodeError::BadTag { what: $what, tag })
+            }
+        }
+    };
+}
+
+/// An enum whose variants carry data: a tag byte, then the variant's
+/// fields in order (`Variant { a, b }`, `Variant(inner)` or `Variant`).
+macro_rules! wire_union {
+    ($ty:ident, $what:literal {
+        $($tag:tt => $variant:ident $({ $($field:ident),* })? $(($inner:ident))?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$variant $({ $($field),* })? $(($inner))? => {
+                        w.push($tag);
+                        $($($field.put(w);)*)?
+                        $($inner.put(w);)?
+                    }
+                )*}
+            }
+            fn get(r: &mut Reader) -> Result<Self, DecodeError> {
+                match u8::get(r)? {
+                    $($tag => {
+                        $($(let $field = Wire::get(r)?;)*)?
+                        $(let $inner = Wire::get(r)?;)?
+                        Ok($ty::$variant $({ $($field),* })? $(($inner))?)
+                    })*
+                    tag => Err(DecodeError::BadTag { what: $what, tag }),
+                }
+            }
+        }
+    };
+}
+
+/// The bound `field if within(lo..=hi)`.
+fn within<T: PartialOrd>(range: RangeInclusive<T>) -> impl Fn(&T) -> bool {
+    move |value| range.contains(value)
+}
+
+fn finite(value: &f32) -> bool {
+    value.is_finite()
+}
+
+/// Explicit dimensions are all non-zero and multiply to at most
+/// [`MAX_VOLUME_VOXELS`] without overflowing.
+fn volume_fits(dims: &Option<[usize; 3]>) -> bool {
+    dims.is_none_or(|d| {
+        d.iter()
+            .try_fold(1usize, |n, &edge| n.checked_mul(edge))
+            .is_some_and(|n| (1..=MAX_VOLUME_VOXELS).contains(&n))
     })
 }
 
-// ---------------------------------------------------------------------------
-// Handshake messages
-// ---------------------------------------------------------------------------
+// ---- The request: an id, then the configuration ----
 
-/// Decoded client hello.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hello {
-    /// Protocol version the client speaks.
-    pub version: u16,
+wire_enum!(bool, "bool", [false, true]);
+wire_enum!(DatasetKind, "dataset", DatasetKind::all());
+wire_enum!(Method, "method", Method::all());
+wire_enum!(
+    StreamClass,
+    "stream class",
+    [StreamClass::Raw, StreamClass::Data, StreamClass::Ack]
+);
+wire_enum!(
+    FaultAction,
+    "fault action",
+    [
+        FaultAction::Deliver,
+        FaultAction::Drop,
+        FaultAction::Corrupt,
+        FaultAction::Duplicate,
+        FaultAction::Delay,
+    ]
+);
+
+wire_struct!(CostModel { t_s, t_c });
+wire_struct!(CompCost {
+    t_scan,
+    t_pack,
+    t_unpack,
+    t_over,
+    t_encode,
+});
+wire_union!(CompTiming, "comp timing" {
+    0 => Measured { slowdown },
+    1 => Modeled(cost),
+});
+wire_struct!(KillSpec { rank, after_ops });
+wire_struct!(TargetedFault {
+    src,
+    dst,
+    class,
+    index,
+    action,
+});
+wire_struct!(FaultConfig {
+    drop,
+    corrupt,
+    duplicate,
+    delay,
+    delay_ms,
+    seed,
+    kill,
+    target,
+});
+wire_struct!(ReliabilityConfig {
+    enabled,
+    ack_timeout,
+    max_retries,
+    backoff,
+    max_backoff,
+});
+// Field order matches the struct declaration. The bounds are what a
+// daemon refuses before it opens a session: each one names a value that
+// would otherwise panic, hang or exhaust the shard that received it.
+wire_struct!(ExperimentConfig {
+    dataset,
+    image_size if within(1..=MAX_IMAGE_SIZE),
+    processors if within(1..=MAX_PROCESSORS),
+    method,
+    rot_x_deg if finite,
+    rot_y_deg if finite,
+    cost,
+    volume_dims if volume_fits,
+    step if within(STEP_RANGE),
+    early_termination_alpha,
+    perspective_distance,
+    balanced_partition,
+    ghost_voxels if within(0..=MAX_GHOST_VOXELS),
+    comp_timing,
+    faults,
+    reliability,
+    recv_deadline,
+    schedule_seed,
+    macrocell if within(0..=MAX_ACCEL_EDGE),
+    tile if within(0..=MAX_ACCEL_EDGE),
+    render_threads,
+    simd_lanes,
+    stream_tile,
+});
+
+/// The canonical encoding of a configuration: every field bit for bit,
+/// in declaration order. A request carries it after its id and
+/// [`frame_key`](crate::frame_key) digests it.
+pub fn encode_config(config: &ExperimentConfig) -> Vec<u8> {
+    encode(&[config])
+}
+
+/// Encodes a frame request: correlation id + full configuration.
+pub fn encode_request(id: u64, config: &ExperimentConfig) -> Vec<u8> {
+    encode(&[&id, config])
+}
+
+/// Decodes a frame request. A configuration whose values lie outside
+/// the bounds of its table is refused here, before any session, volume
+/// or worker sees it.
+pub fn decode_request(payload: &[u8]) -> Result<(u64, ExperimentConfig), DecodeError> {
+    decode(payload)
+}
+
+// ---- Handshake messages ----
+
+wire_struct! {
+    /// Decoded client hello.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Hello {
+        /// Protocol version the client speaks.
+        pub version: u16,
+    }
 }
 
 /// Encodes the client hello.
 pub fn encode_hello() -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.buf.extend_from_slice(&MAGIC);
-    w.u16(WIRE_VERSION);
-    w.into_vec()
+    let version = WIRE_VERSION;
+    encode(&[&Magic, &Hello { version }])
 }
 
 /// Decodes a client hello (magic checked; the version is returned so
 /// the server can answer a mismatch with a typed error, not a hangup).
 pub fn decode_hello(payload: &[u8]) -> Result<Hello, DecodeError> {
-    let mut r = WireReader::new(payload);
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    r.finish()?;
-    Ok(Hello { version })
+    decode::<(Magic, Hello)>(payload).map(|(_, hello)| hello)
 }
 
-/// Server handshake accept: the negotiated limits a client needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Welcome {
-    /// Protocol version the server speaks.
-    pub version: u16,
-    /// `FrameService` shards behind this daemon.
-    pub shards: u16,
-    /// Per-connection in-flight request window; the daemon answers
-    /// excess with `Rejected{Overloaded}` without queueing them.
-    pub window: u32,
+wire_struct! {
+    /// Server handshake accept: the negotiated limits a client needs.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Welcome {
+        /// Protocol version the server speaks.
+        pub version: u16,
+        /// `FrameService` shards behind this daemon.
+        pub shards: u16,
+        /// Per-connection in-flight request window; the daemon answers
+        /// excess with `Rejected{Overloaded}` without queueing them.
+        pub window: u32,
+    }
 }
 
 /// Encodes the handshake accept.
 pub fn encode_welcome(wl: &Welcome) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.buf.extend_from_slice(&MAGIC);
-    w.u16(wl.version);
-    w.u16(wl.shards);
-    w.u32(wl.window);
-    w.into_vec()
+    encode(&[&Magic, wl])
 }
 
 /// Decodes the handshake accept.
 pub fn decode_welcome(payload: &[u8]) -> Result<Welcome, DecodeError> {
-    let mut r = WireReader::new(payload);
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let wl = Welcome {
-        version: r.u16()?,
-        shards: r.u16()?,
-        window: r.u32()?,
-    };
-    r.finish()?;
-    Ok(wl)
+    decode::<(Magic, Welcome)>(payload).map(|(_, welcome)| welcome)
 }
 
-/// Terminal handshake refusal ([`KIND_ERROR`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ErrorInfo {
-    /// [`ERR_VERSION`] or [`ERR_BUSY`].
-    pub code: u8,
-    /// Protocol version the server speaks.
-    pub version: u16,
-    /// Human-readable context.
-    pub message: String,
+wire_struct! {
+    /// Terminal handshake refusal ([`KIND_ERROR`]).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ErrorInfo {
+        /// [`ERR_VERSION`] or [`ERR_BUSY`].
+        pub code: u8,
+        /// Protocol version the server speaks.
+        pub version: u16,
+        /// Human-readable context.
+        pub message: String,
+    }
 }
 
 /// Encodes a terminal error.
 pub fn encode_error(e: &ErrorInfo) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(e.code);
-    w.u16(e.version);
-    w.str(&e.message);
-    w.into_vec()
+    encode(&[e])
 }
 
 /// Decodes a terminal error.
 pub fn decode_error(payload: &[u8]) -> Result<ErrorInfo, DecodeError> {
-    let mut r = WireReader::new(payload);
-    let e = ErrorInfo {
-        code: r.u8()?,
-        version: r.u16()?,
-        message: r.str()?,
-    };
-    r.finish()?;
-    Ok(e)
+    decode(payload)
 }
 
-// ---------------------------------------------------------------------------
-// Request / response
-// ---------------------------------------------------------------------------
+// ---- The response ----
 
-/// Encodes a frame request: correlation id + full configuration.
-pub fn encode_request(id: u64, config: &ExperimentConfig) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(id);
-    write_config(&mut w, config);
-    w.into_vec()
-}
+wire_struct!(FrameRecord {
+    t_comp_ms,
+    t_comm_ms,
+    t_total_ms,
+    t_bound_ms,
+    t_encode_ms,
+    render_max_ms,
+    m_max,
+    total_bytes,
+    peak_pixel_buffer_bytes,
+    coverage,
+    dead_ranks,
+    first_tile_ms,
+    last_tile_ms,
+});
+wire_union!(ServeSource, "serve source" {
+    0 => Fresh,
+    1 => Cache,
+    2 => Coalesced,
+    3 => Degraded { psnr_db, coverage },
+});
+wire_union!(RejectReason, "reject reason" {
+    0 => Failed { error },
+    1 => QualityFloor { best_psnr_db },
+    2 => CircuitOpen,
+    3 => Shutdown,
+});
 
-/// Decodes a frame request.
-pub fn decode_request(payload: &[u8]) -> Result<(u64, ExperimentConfig), DecodeError> {
-    let mut r = WireReader::new(payload);
-    let id = r.u64()?;
-    let config = read_config(&mut r)?;
-    r.finish()?;
-    Ok((id, config))
-}
-
-const SOURCE_FRESH: u8 = 0;
-const SOURCE_CACHE: u8 = 1;
-const SOURCE_COALESCED: u8 = 2;
-const SOURCE_DEGRADED: u8 = 3;
-
-const RESP_FRAME: u8 = 0;
-const RESP_OVERLOADED: u8 = 1;
-const RESP_SHED: u8 = 2;
-const RESP_REJECTED: u8 = 3;
-
-const REASON_FAILED: u8 = 0;
-const REASON_QUALITY: u8 = 1;
-const REASON_CIRCUIT: u8 = 2;
-const REASON_SHUTDOWN: u8 = 3;
-
-fn write_record(w: &mut WireWriter, rec: &FrameRecord) {
-    w.f64(rec.t_comp_ms);
-    w.f64(rec.t_comm_ms);
-    w.f64(rec.t_total_ms);
-    w.f64(rec.t_bound_ms);
-    w.f64(rec.t_encode_ms);
-    w.f64(rec.render_max_ms);
-    w.u64(rec.m_max);
-    w.u64(rec.total_bytes);
-    w.u64(rec.peak_pixel_buffer_bytes);
-    w.f64(rec.coverage);
-    w.usize(rec.dead_ranks);
-    w.f64(rec.first_tile_ms);
-    w.f64(rec.last_tile_ms);
-}
-
-fn read_record(r: &mut WireReader) -> Result<FrameRecord, DecodeError> {
-    Ok(FrameRecord {
-        t_comp_ms: r.f64()?,
-        t_comm_ms: r.f64()?,
-        t_total_ms: r.f64()?,
-        t_bound_ms: r.f64()?,
-        t_encode_ms: r.f64()?,
-        render_max_ms: r.f64()?,
-        m_max: r.u64()?,
-        total_bytes: r.u64()?,
-        peak_pixel_buffer_bytes: r.u64()?,
-        coverage: r.f64()?,
-        dead_ranks: r.usize()?,
-        first_tile_ms: r.f64()?,
-        last_tile_ms: r.f64()?,
-    })
-}
-
-fn write_image(w: &mut WireWriter, img: &Image) {
-    w.u16(img.width());
-    w.u16(img.height());
-    w.buf.reserve(img.pixels().len() * BYTES_PER_PIXEL);
-    for p in img.pixels() {
-        w.buf.extend_from_slice(&p.to_le_bytes());
+wire_struct! {
+    /// A successful frame reply as received over the socket: the client's
+    /// owned mirror of [`crate::FrameReply`].
+    #[derive(Clone, Debug)]
+    pub struct WireFrame {
+        /// How the server satisfied the request.
+        pub source: ServeSource,
+        /// Server-side seconds from submission to reply.
+        pub wait_seconds: f64,
+        /// FNV-1a digest of the pixels as the *server* computed it; the
+        /// client re-hashes the decoded image against this, extending the
+        /// bit-identity guarantee across the socket.
+        pub image_hash: u64,
+        /// Per-frame metrics record.
+        pub record: FrameRecord,
+        /// The composited frame.
+        pub image: Image,
     }
-}
-
-fn read_image(r: &mut WireReader) -> Result<Image, DecodeError> {
-    let width = r.u16()?;
-    let height = r.u16()?;
-    let count = width as usize * height as usize;
-    // One bounds check against the bytes actually present, before
-    // allocating anything proportional to the claimed dimensions.
-    let pixels = r
-        .take(count * BYTES_PER_PIXEL)
-        .map_err(|_| DecodeError::BadLength)?
-        .chunks_exact(BYTES_PER_PIXEL)
-        .map(|px| Pixel::from_le_bytes(px.try_into().expect("chunks_exact yields whole pixels")))
-        .collect();
-    Ok(Image::from_pixels(width, height, pixels))
-}
-
-fn write_reason(w: &mut WireWriter, reason: &RejectReason) {
-    match reason {
-        RejectReason::Failed { error } => {
-            w.u8(REASON_FAILED);
-            w.str(error);
-        }
-        RejectReason::QualityFloor { best_psnr_db } => {
-            w.u8(REASON_QUALITY);
-            w.f64(*best_psnr_db);
-        }
-        RejectReason::CircuitOpen => w.u8(REASON_CIRCUIT),
-        RejectReason::Shutdown => w.u8(REASON_SHUTDOWN),
-    }
-}
-
-fn read_reason(r: &mut WireReader) -> Result<RejectReason, DecodeError> {
-    Ok(match r.u8()? {
-        REASON_FAILED => RejectReason::Failed { error: r.str()? },
-        REASON_QUALITY => RejectReason::QualityFloor {
-            best_psnr_db: r.f64()?,
-        },
-        REASON_CIRCUIT => RejectReason::CircuitOpen,
-        REASON_SHUTDOWN => RejectReason::Shutdown,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "reject reason",
-                tag,
-            })
-        }
-    })
-}
-
-/// A successful frame reply as received over the socket: the client's
-/// owned mirror of [`crate::FrameReply`].
-#[derive(Clone, Debug)]
-pub struct WireFrame {
-    /// How the server satisfied the request.
-    pub source: ServeSource,
-    /// Server-side seconds from submission to reply.
-    pub wait_seconds: f64,
-    /// FNV-1a digest of the pixels as the *server* computed it; the
-    /// client re-hashes the decoded image against this, extending the
-    /// bit-identity guarantee across the socket.
-    pub image_hash: u64,
-    /// Per-frame metrics record.
-    pub record: FrameRecord,
-    /// The composited frame.
-    pub image: Image,
 }
 
 /// A frame response as received over the socket: the client's owned
@@ -801,187 +698,98 @@ pub enum WireResponse {
         reason: RejectReason,
     },
 }
+/// The tag of [`WireResponse::Frame`].
+const FRAME: u8 = 0;
+wire_union!(WireResponse, "response" {
+    FRAME => Frame(frame),
+    1 => Overloaded { queue_depth },
+    2 => Shed { waited_seconds },
+    3 => Rejected { attempts, reason },
+});
 
-/// Encodes one response frame for request `id` (server side).
+/// Encodes one response frame for request `id` (server side). A frame
+/// is written from where it lives — the `Arc`-shared reply the cache also
+/// holds — in [`WireFrame`]'s field order, so no pixel is copied to build
+/// a mirror first; the other responses go through [`WireResponse`]'s
+/// table.
 pub fn encode_response(id: u64, resp: &FrameResponse) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(id);
-    match resp {
+    let mirror = match resp {
         FrameResponse::Frame(reply) => {
-            w.u8(RESP_FRAME);
-            match reply.source {
-                ServeSource::Fresh => w.u8(SOURCE_FRESH),
-                ServeSource::Cache => w.u8(SOURCE_CACHE),
-                ServeSource::Coalesced => w.u8(SOURCE_COALESCED),
-                ServeSource::Degraded { psnr_db, coverage } => {
-                    w.u8(SOURCE_DEGRADED);
-                    w.f64(psnr_db);
-                    w.f64(coverage);
-                }
-            }
-            w.f64(reply.wait_seconds);
-            w.u64(reply.frame.image_hash);
-            write_record(&mut w, &reply.frame.record);
-            write_image(&mut w, &reply.frame.image);
+            let frame = &reply.frame;
+            return encode(&[
+                &id,
+                &FRAME,
+                &reply.source,
+                &reply.wait_seconds,
+                &frame.image_hash,
+                &frame.record,
+                &frame.image,
+            ]);
         }
-        FrameResponse::Overloaded { queue_depth } => {
-            w.u8(RESP_OVERLOADED);
-            w.usize(*queue_depth);
-        }
-        FrameResponse::Shed { waited_seconds } => {
-            w.u8(RESP_SHED);
-            w.f64(*waited_seconds);
-        }
-        FrameResponse::Rejected { attempts, reason } => {
-            w.u8(RESP_REJECTED);
-            w.u32(*attempts);
-            write_reason(&mut w, reason);
-        }
-    }
-    w.into_vec()
+        &FrameResponse::Overloaded { queue_depth } => WireResponse::Overloaded { queue_depth },
+        &FrameResponse::Shed { waited_seconds } => WireResponse::Shed { waited_seconds },
+        FrameResponse::Rejected { attempts, reason } => WireResponse::Rejected {
+            attempts: *attempts,
+            reason: reason.clone(),
+        },
+    };
+    encode(&[&id, &mirror])
 }
 
 /// Decodes one response frame (client side).
 pub fn decode_response(payload: &[u8]) -> Result<(u64, WireResponse), DecodeError> {
-    let mut r = WireReader::new(payload);
-    let id = r.u64()?;
-    let resp = match r.u8()? {
-        RESP_FRAME => {
-            let source = match r.u8()? {
-                SOURCE_FRESH => ServeSource::Fresh,
-                SOURCE_CACHE => ServeSource::Cache,
-                SOURCE_COALESCED => ServeSource::Coalesced,
-                SOURCE_DEGRADED => ServeSource::Degraded {
-                    psnr_db: r.f64()?,
-                    coverage: r.f64()?,
-                },
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "serve source",
-                        tag,
-                    })
-                }
-            };
-            let wait_seconds = r.f64()?;
-            let image_hash = r.u64()?;
-            let record = read_record(&mut r)?;
-            let image = read_image(&mut r)?;
-            WireResponse::Frame(WireFrame {
-                source,
-                wait_seconds,
-                image_hash,
-                record,
-                image,
-            })
-        }
-        RESP_OVERLOADED => WireResponse::Overloaded {
-            queue_depth: r.usize()?,
-        },
-        RESP_SHED => WireResponse::Shed {
-            waited_seconds: r.f64()?,
-        },
-        RESP_REJECTED => WireResponse::Rejected {
-            attempts: r.u32()?,
-            reason: read_reason(&mut r)?,
-        },
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "response",
-                tag,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((id, resp))
+    decode(payload)
 }
 
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
+// ---- Stats ----
 
-/// The daemon's stats snapshot: per-shard counters plus the router's
-/// load-imbalance metric.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsReply {
-    /// One entry per shard, in shard-index order.
-    pub shards: Vec<ServiceStats>,
-    /// Max over mean of per-shard submissions (1.0 = perfectly even,
-    /// 0.0 = no traffic yet); see `ShardRouter::imbalance`.
-    pub imbalance: f64,
-}
+wire_struct!(CacheCounters {
+    hits,
+    misses,
+    evictions,
+    insertions,
+});
+wire_struct!(ServiceStats {
+    submitted,
+    completed_fresh,
+    completed_cached,
+    completed_coalesced,
+    completed_degraded,
+    shed_deadline,
+    rejected_overload,
+    rejected_failed,
+    rejected_circuit,
+    rejected_shutdown,
+    frame_retries,
+    panics_caught,
+    datasets_evicted,
+    min_degraded_psnr_db,
+    rendered_frames,
+    peak_queue_depth,
+    cache,
+});
 
-fn write_stats(w: &mut WireWriter, s: &ServiceStats) {
-    w.u64(s.submitted);
-    w.u64(s.completed_fresh);
-    w.u64(s.completed_cached);
-    w.u64(s.completed_coalesced);
-    w.u64(s.completed_degraded);
-    w.u64(s.shed_deadline);
-    w.u64(s.rejected_overload);
-    w.u64(s.rejected_failed);
-    w.u64(s.rejected_circuit);
-    w.u64(s.rejected_shutdown);
-    w.u64(s.frame_retries);
-    w.u64(s.panics_caught);
-    w.u64(s.datasets_evicted);
-    w.f64(s.min_degraded_psnr_db);
-    w.u64(s.rendered_frames);
-    w.usize(s.peak_queue_depth);
-    w.u64(s.cache.hits);
-    w.u64(s.cache.misses);
-    w.u64(s.cache.evictions);
-    w.u64(s.cache.insertions);
-}
-
-fn read_stats(r: &mut WireReader) -> Result<ServiceStats, DecodeError> {
-    Ok(ServiceStats {
-        submitted: r.u64()?,
-        completed_fresh: r.u64()?,
-        completed_cached: r.u64()?,
-        completed_coalesced: r.u64()?,
-        completed_degraded: r.u64()?,
-        shed_deadline: r.u64()?,
-        rejected_overload: r.u64()?,
-        rejected_failed: r.u64()?,
-        rejected_circuit: r.u64()?,
-        rejected_shutdown: r.u64()?,
-        frame_retries: r.u64()?,
-        panics_caught: r.u64()?,
-        datasets_evicted: r.u64()?,
-        min_degraded_psnr_db: r.f64()?,
-        rendered_frames: r.u64()?,
-        peak_queue_depth: r.usize()?,
-        cache: CacheCounters {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            insertions: r.u64()?,
-        },
-    })
+wire_struct! {
+    /// The daemon's stats snapshot: per-shard counters plus the router's
+    /// load-imbalance metric.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct StatsReply {
+        /// One entry per shard, in shard-index order.
+        pub shards: Vec<ServiceStats>,
+        /// Max over mean of per-shard submissions (1.0 = perfectly even,
+        /// 0.0 = no traffic yet); see `ShardRouter::imbalance`.
+        pub imbalance: f64,
+    }
 }
 
 /// Encodes the stats snapshot.
 pub fn encode_stats_reply(reply: &StatsReply) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u16(reply.shards.len() as u16);
-    for s in &reply.shards {
-        write_stats(&mut w, s);
-    }
-    w.f64(reply.imbalance);
-    w.into_vec()
+    encode(&[reply])
 }
 
 /// Decodes the stats snapshot.
 pub fn decode_stats_reply(payload: &[u8]) -> Result<StatsReply, DecodeError> {
-    let mut r = WireReader::new(payload);
-    let count = r.u16()? as usize;
-    let mut shards = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        shards.push(read_stats(&mut r)?);
-    }
-    let imbalance = r.f64()?;
-    r.finish()?;
-    Ok(StatsReply { shards, imbalance })
+    decode(payload)
 }
 
 #[cfg(test)]
@@ -1034,11 +842,10 @@ mod tests {
         c
     }
 
+    /// Equal canonical bytes: every field, bit for bit (NaN payloads
+    /// included, which `Debug` and `==` cannot tell apart).
     fn assert_config_eq(a: &ExperimentConfig, b: &ExperimentConfig) {
-        // Debug form covers every field bit-exactly (floats print with
-        // enough precision to distinguish bit patterns in practice, and
-        // the frame cache keys configs this same way).
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(encode_config(a), encode_config(b));
     }
 
     #[test]
@@ -1097,25 +904,12 @@ mod tests {
             Pixel::new(x as f32 * 0.125, y as f32 * 0.25, 0.5, 1.0)
         });
         let hash = fnv1a(&image);
-        let resp = FrameResponse::Frame(FrameReply {
-            frame: Arc::new(RenderedFrame {
-                key: 77,
-                image_hash: hash,
-                image: image.clone(),
-                record: FrameRecord {
-                    t_total_ms: 12.5,
-                    m_max: 4096,
-                    coverage: 1.0,
-                    ..Default::default()
-                },
-            }),
-            source: ServeSource::Degraded {
-                psnr_db: 31.5,
-                coverage: 0.875,
-            },
-            wait_seconds: 0.25,
-        });
-        let wire = encode_response(5, &resp);
+        let mut reply = cached_reply(image);
+        reply.source = ServeSource::Degraded {
+            psnr_db: 31.5,
+            coverage: 0.875,
+        };
+        let wire = encode_response(5, &FrameResponse::Frame(reply.clone()));
         let (id, got) = decode_response(&wire).unwrap();
         assert_eq!(id, 5);
         let WireResponse::Frame(frame) = got else {
@@ -1123,9 +917,11 @@ mod tests {
         };
         assert_eq!(frame.image_hash, hash);
         assert_eq!(fnv1a(&frame.image), hash, "pixels must survive bit-exactly");
-        assert_eq!(frame.record.t_total_ms, 12.5);
-        assert_eq!(frame.record.m_max, 4096);
-        assert!(matches!(frame.source, ServeSource::Degraded { .. }));
+        assert_eq!(frame.record, reply.frame.record);
+        assert_eq!(frame.source, reply.source);
+        // The server writes a frame from the shared reply, not through the
+        // mirror's table: the two must stay the same bytes.
+        assert_eq!(wire, encode(&[&5u64, &WireResponse::Frame(frame)]));
     }
 
     #[test]
@@ -1193,10 +989,11 @@ mod tests {
     fn truncated_messages_are_typed_never_panics() {
         let full = encode_request(1, &sample_config());
         for cut in 0..full.len() {
-            match decode_request(&full[..cut]) {
-                Err(_) => {}
-                Ok(_) => panic!("truncation at {cut} decoded successfully"),
-            }
+            assert_eq!(
+                decode_request(&full[..cut]).err(),
+                Some(DecodeError::Truncated),
+                "cut at {cut}"
+            );
         }
         let resp = encode_response(
             1,
@@ -1257,19 +1054,108 @@ mod tests {
     #[test]
     fn hostile_image_dimensions_fail_before_allocation() {
         // Claim a 65535×65535 image with no pixel bytes behind it.
-        let mut w = WireWriter::new();
-        w.u64(1);
-        w.u8(RESP_FRAME);
-        w.u8(SOURCE_FRESH);
-        w.f64(0.0);
-        w.u64(0);
-        write_record(&mut w, &FrameRecord::default());
-        w.u16(u16::MAX);
-        w.u16(u16::MAX);
+        let record = FrameRecord::default();
+        let wire = encode(&[
+            &1u64,
+            &FRAME,
+            &ServeSource::Fresh,
+            &0f64,
+            &0u64,
+            &record,
+            &u16::MAX,
+            &u16::MAX,
+        ]);
         assert!(matches!(
-            decode_response(&w.into_vec()),
+            decode_response(&wire),
             Err(DecodeError::BadLength)
         ));
+    }
+
+    /// Values that would panic `FrameService::open_session`, hang a
+    /// worker or exhaust the host if a session ever saw them: each is
+    /// refused by name at the decoder.
+    #[test]
+    fn out_of_range_values_are_refused_by_name() {
+        type Edit = fn(&mut ExperimentConfig);
+        let hostile: [(&str, Edit); 19] = [
+            ("image_size", |c| c.image_size = 0),
+            ("image_size", |c| c.image_size = MAX_IMAGE_SIZE + 1),
+            ("processors", |c| c.processors = 0),
+            ("processors", |c| c.processors = MAX_PROCESSORS + 1),
+            ("rot_x_deg", |c| c.rot_x_deg = f32::NAN),
+            ("rot_y_deg", |c| c.rot_y_deg = f32::NEG_INFINITY),
+            // 2^63 voxels: the product overflows before it is compared.
+            ("volume_dims", |c| c.volume_dims = Some([1 << 21; 3])),
+            ("volume_dims", |c| c.volume_dims = Some([usize::MAX; 3])),
+            ("volume_dims", |c| {
+                c.volume_dims = Some([MAX_VOLUME_VOXELS, 2, 1])
+            }),
+            ("volume_dims", |c| c.volume_dims = Some([16, 0, 16])),
+            ("step", |c| c.step = 0.0),
+            ("step", |c| c.step = -1.0),
+            ("step", |c| c.step = f32::NAN),
+            ("step", |c| c.step = f32::INFINITY),
+            ("ghost_voxels", |c| c.ghost_voxels = MAX_GHOST_VOXELS + 1),
+            ("macrocell", |c| c.macrocell = MAX_ACCEL_EDGE + 1),
+            ("macrocell", |c| c.macrocell = usize::MAX),
+            ("tile", |c| c.tile = MAX_ACCEL_EDGE + 1),
+            ("tile", |c| c.tile = usize::MAX),
+        ];
+        for (what, edit) in hostile {
+            let mut config = sample_config();
+            edit(&mut config);
+            assert_eq!(
+                decode_request(&encode_request(1, &config)).err(),
+                Some(DecodeError::OutOfRange { what }),
+                "{config:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_ceilings_themselves_and_the_paper_runs_are_admitted() {
+        let at_the_ceilings = ExperimentConfig {
+            image_size: MAX_IMAGE_SIZE,
+            processors: MAX_PROCESSORS,
+            volume_dims: Some([MAX_VOLUME_VOXELS, 1, 1]),
+            step: *STEP_RANGE.end(),
+            ghost_voxels: MAX_GHOST_VOXELS,
+            macrocell: MAX_ACCEL_EDGE,
+            tile: MAX_ACCEL_EDGE,
+            ..Default::default()
+        };
+        let paper_largest = ExperimentConfig {
+            image_size: 768,
+            processors: 64,
+            ..Default::default()
+        };
+        let unaccelerated = ExperimentConfig {
+            step: *STEP_RANGE.start(),
+            macrocell: 0,
+            tile: 0,
+            ..Default::default()
+        };
+        for config in [at_the_ceilings, paper_largest, unaccelerated] {
+            let (_, got) = decode_request(&encode_request(1, &config)).unwrap();
+            assert_config_eq(&config, &got);
+        }
+    }
+
+    #[test]
+    fn the_largest_admitted_frame_fits_one_wire_frame() {
+        assert_eq!(MAX_IMAGE_SIZE, 2047);
+        // Everything in a frame reply that is not a pixel, at its widest
+        // (a degraded source), plus the frame header.
+        let mut reply = cached_reply(Image::blank(0, 0));
+        reply.source = ServeSource::Degraded {
+            psnr_db: 1.0,
+            coverage: 1.0,
+        };
+        let overhead =
+            encode_response(u64::MAX, &FrameResponse::Frame(reply)).len() + vr_comm::HEADER_LEN;
+        assert!(overhead <= FRAME_REPLY_OVERHEAD, "{overhead}");
+        let side = MAX_IMAGE_SIZE as usize;
+        assert!(side * side * BYTES_PER_PIXEL + overhead <= MAX_WIRE_FRAME as usize);
     }
 }
 
@@ -1286,50 +1172,138 @@ mod proptests {
     use proptest::prelude::*;
     use vr_image::checksum::fnv1a;
 
-    fn config_strategy() -> impl Strategy<Value = ExperimentConfig> {
-        (
-            (0u8..4, 0u8..12, 1usize..16),
-            (any::<u32>(), any::<u32>()),
-            (any::<bool>(), any::<u64>()),
-            (any::<bool>(), 4usize..64, 4usize..64, 4usize..64),
-            any::<bool>(),
-        )
-            .prop_map(|((ds, m, procs), rot_bits, seed, dims, balanced)| {
-                let mut c = ExperimentConfig::small_test(
-                    dataset_from(ds).unwrap(),
-                    procs,
-                    method_from(m).unwrap(),
-                );
-                // Arbitrary f32 bit patterns (NaNs included) must
-                // survive the trip.
-                c.rot_x_deg = f32::from_bits(rot_bits.0);
-                c.rot_y_deg = f32::from_bits(rot_bits.1);
-                c.schedule_seed = seed.0.then_some(seed.1);
-                c.volume_dims = dims.0.then_some([dims.1, dims.2, dims.3]);
-                c.balanced_partition = balanced;
-                c
-            })
+    /// Random words for [`config_from`] to spend, one or two per field.
+    fn config_words() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(any::<u64>(), 64)
+    }
+
+    /// A valid configuration with *every* field drawn from `words` —
+    /// written without `..Default::default()`, so a field added to
+    /// `ExperimentConfig` fails to compile here until it is drawn too.
+    /// Unbounded floats are arbitrary bit patterns (NaNs included);
+    /// bounded fields span their whole admitted range.
+    fn config_from(words: &[u64]) -> ExperimentConfig {
+        let mut words = words.iter().copied();
+        let mut word = move || words.next().expect("enough words");
+        macro_rules! draw {
+            (usize in $lo:expr, $hi:expr) => {
+                $lo + (word() % ($hi - $lo + 1) as u64) as usize
+            };
+            (f32) => {
+                f32::from_bits(word() as u32)
+            };
+            // Clearing the exponent's top bit leaves every finite sign,
+            // magnitude and subnormal but no NaN or infinity.
+            (finite f32) => {
+                f32::from_bits(word() as u32 & !(1 << 30))
+            };
+            (f64) => {
+                f64::from_bits(word())
+            };
+            (bool) => {
+                word() & 1 == 1
+            };
+            (Duration) => {
+                Duration::from_nanos(word())
+            };
+            (Option $($some:tt)+) => {
+                if word() & 1 == 1 { Some($($some)+) } else { None }
+            };
+        }
+        ExperimentConfig {
+            dataset: DatasetKind::all()[draw!(usize in 0, 3)],
+            image_size: draw!(usize in 1, MAX_IMAGE_SIZE as usize) as u16,
+            processors: draw!(usize in 1, MAX_PROCESSORS),
+            method: Method::all()[draw!(usize in 0, 11)],
+            rot_x_deg: draw!(finite f32),
+            rot_y_deg: draw!(finite f32),
+            cost: CostModel {
+                t_s: draw!(f64),
+                t_c: draw!(f64),
+            },
+            volume_dims: draw!(Option [draw!(usize in 1, 1024), draw!(usize in 1, 256), draw!(usize in 1, 256)]),
+            step: STEP_RANGE.start()
+                + (STEP_RANGE.end() - STEP_RANGE.start()) * (word() as f32 / u64::MAX as f32),
+            early_termination_alpha: draw!(f32),
+            perspective_distance: draw!(Option draw!(f32)),
+            balanced_partition: draw!(bool),
+            ghost_voxels: draw!(usize in 0, MAX_GHOST_VOXELS),
+            comp_timing: if draw!(bool) {
+                CompTiming::Measured {
+                    slowdown: draw!(f64),
+                }
+            } else {
+                CompTiming::Modeled(CompCost {
+                    t_scan: draw!(f64),
+                    t_pack: draw!(f64),
+                    t_unpack: draw!(f64),
+                    t_over: draw!(f64),
+                    t_encode: draw!(f64),
+                })
+            },
+            faults: draw!(Option FaultConfig {
+                drop: draw!(f64),
+                corrupt: draw!(f64),
+                duplicate: draw!(f64),
+                delay: draw!(f64),
+                delay_ms: word(),
+                seed: word(),
+                kill: draw!(Option KillSpec {
+                    rank: word() as usize,
+                    after_ops: word(),
+                }),
+                target: draw!(Option TargetedFault {
+                    src: word() as usize,
+                    dst: word() as usize,
+                    class: [StreamClass::Raw, StreamClass::Data, StreamClass::Ack]
+                        [draw!(usize in 0, 2)],
+                    index: word(),
+                    action: [
+                        FaultAction::Deliver,
+                        FaultAction::Drop,
+                        FaultAction::Corrupt,
+                        FaultAction::Duplicate,
+                        FaultAction::Delay,
+                    ][draw!(usize in 0, 4)],
+                }),
+            }),
+            reliability: ReliabilityConfig {
+                enabled: draw!(bool),
+                ack_timeout: draw!(Duration),
+                max_retries: word() as u32,
+                backoff: draw!(f64),
+                max_backoff: draw!(Duration),
+            },
+            recv_deadline: draw!(Option draw!(Duration)),
+            schedule_seed: draw!(Option word()),
+            macrocell: draw!(usize in 0, MAX_ACCEL_EDGE),
+            tile: draw!(usize in 0, MAX_ACCEL_EDGE),
+            render_threads: word() as usize,
+            simd_lanes: word() as usize,
+            stream_tile: word() as u16,
+        }
     }
 
     /// The frame response spelled out one scalar at a time — the
     /// encoding the bulk pixel writer must reproduce byte for byte.
     fn per_field_encoding(id: u64, reply: &FrameReply) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u64(id);
-        w.u8(RESP_FRAME);
-        w.u8(SOURCE_CACHE);
-        w.f64(reply.wait_seconds);
-        w.u64(reply.frame.image_hash);
-        write_record(&mut w, &reply.frame.record);
-        w.u16(reply.frame.image.width());
-        w.u16(reply.frame.image.height());
-        for p in reply.frame.image.pixels() {
-            w.f32(p.r);
-            w.f32(p.g);
-            w.f32(p.b);
-            w.f32(p.a);
+        let frame = &reply.frame;
+        let mut w = encode(&[
+            &id,
+            &FRAME,
+            &ServeSource::Cache,
+            &reply.wait_seconds,
+            &frame.image_hash,
+            &frame.record,
+            &frame.image.width(),
+            &frame.image.height(),
+        ]);
+        for p in frame.image.pixels() {
+            for component in [p.r, p.g, p.b, p.a] {
+                component.put(&mut w);
+            }
         }
-        w.into_vec()
+        w
     }
 
     proptest! {
@@ -1366,7 +1340,8 @@ mod proptests {
         }
 
         #[test]
-        fn any_config_round_trips_bit_exactly(config in config_strategy(), id in any::<u64>()) {
+        fn any_config_round_trips_bit_exactly(words in config_words(), id in any::<u64>()) {
+            let config = config_from(&words);
             let wire = encode_request(id, &config);
             let (got_id, got) = decode_request(&wire).unwrap();
             prop_assert_eq!(got_id, id);
@@ -1377,11 +1352,11 @@ mod proptests {
 
         #[test]
         fn corrupted_requests_never_panic(
-            config in config_strategy(),
+            words in config_words(),
             flip_at in any::<usize>(),
             flip_bit in 0u8..8,
         ) {
-            let mut wire = encode_request(7, &config);
+            let mut wire = encode_request(7, &config_from(&words));
             let at = flip_at % wire.len();
             wire[at] ^= 1 << flip_bit;
             // Either a typed error or a (different) valid decode; the

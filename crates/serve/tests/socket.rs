@@ -6,9 +6,10 @@
 //! * every submitted request is answered exactly once, even through a
 //!   daemon shutdown (zero leaked waiters);
 //! * protocol violations — version skew, garbage bytes, truncated
-//!   frames, hostile length prefixes — produce typed errors or clean
-//!   closes, never hangs, and never take the daemon down for other
-//!   connections.
+//!   frames, hostile length prefixes, well-formed requests naming
+//!   hostile values — produce typed errors or clean closes, never
+//!   hangs, and never take the daemon (or one of its shards) down for
+//!   other connections.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -217,6 +218,49 @@ fn garbage_and_truncation_do_not_take_the_daemon_down() {
     let frame = expect_frame(client.request_blocking(&config).expect("still serving"));
     assert_eq!(fnv1a(&frame.image), frame.image_hash);
     daemon.shutdown();
+}
+
+#[test]
+fn hostile_request_values_do_not_take_the_shard_down() {
+    // Each request is well-formed and CRC-valid; only a value is hostile.
+    // None may reach `FrameService::open_session`: it builds the volume
+    // while holding the shard's dataset map, so a panic there (2^63
+    // voxels: `capacity overflow`) poisons the lock for every later
+    // client of that shard.
+    let hostile: [fn(&mut ExperimentConfig); 5] = [
+        |c| c.volume_dims = Some([1 << 21; 3]),
+        |c| c.image_size = 0,
+        |c| c.processors = 0,
+        |c| c.step = 0.0,
+        |c| c.rot_x_deg = f32::NAN,
+    ];
+    let daemon = start_daemon(DaemonConfig {
+        serve: quiet_serve(),
+        ..Default::default()
+    });
+    for edit in hostile {
+        let mut config = base();
+        edit(&mut config);
+        let mut client = Client::connect(daemon.local_addr()).expect("connect");
+        // A closed connection or a typed refusal — never pixels.
+        match client.request_blocking(&config) {
+            Err(_) | Ok(WireResponse::Rejected { .. }) => {}
+            Ok(other) => panic!("{config:?} was answered with {other:?}"),
+        }
+    }
+
+    // One shard, so this honest client lands where the hostile ones did.
+    let mut client = Client::connect(daemon.local_addr()).expect("daemon still accepting");
+    let frame = expect_frame(client.request_blocking(&base()).expect("still serving"));
+    assert_eq!(fnv1a(&frame.image), frame.image_hash);
+    let stats = client.stats().expect("stats still answer");
+    assert_eq!(stats.shards.len(), 1);
+    assert_eq!(
+        stats.shards[0].submitted, 1,
+        "no hostile request reached the shard: {stats:?}"
+    );
+    let final_stats = daemon.shutdown();
+    assert_eq!(final_stats.submitted, final_stats.answered());
 }
 
 #[test]

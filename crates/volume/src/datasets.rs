@@ -71,6 +71,29 @@ impl DatasetKind {
     }
 }
 
+/// Parses a sample by its paper name ([`DatasetKind::name`]), any case,
+/// with or without the underscore (`engine_low`, `EngineLow`, `HEAD`).
+impl std::str::FromStr for DatasetKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let all = DatasetKind::all();
+        all.into_iter()
+            .find(|d| {
+                let name = d.name();
+                s.eq_ignore_ascii_case(name) || s.eq_ignore_ascii_case(&name.replace('_', ""))
+            })
+            .ok_or_else(|| {
+                let names = all.map(|d| d.name().to_ascii_lowercase());
+                format!(
+                    "unknown dataset `{}` (try {})",
+                    s.to_ascii_lowercase(),
+                    names.join("/")
+                )
+            })
+    }
+}
+
 /// A test sample: a volume plus the transfer function to classify it.
 #[derive(Clone, Debug)]
 pub struct Dataset {
@@ -284,6 +307,28 @@ mod tests {
     use super::*;
 
     const DIMS: [usize; 3] = [48, 48, 24];
+
+    #[test]
+    fn names_parse_back_in_the_spellings_the_cli_accepts() {
+        for kind in DatasetKind::all() {
+            let name = kind.name();
+            for spelling in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.to_ascii_uppercase(),
+                name.replace('_', ""),
+            ] {
+                assert_eq!(spelling.parse(), Ok(kind), "{spelling}");
+            }
+        }
+        assert_eq!("enginelow".parse(), Ok(DatasetKind::EngineLow));
+        assert_eq!(
+            "Teapot".parse::<DatasetKind>(),
+            Err("unknown dataset `teapot` (try engine_low/engine_high/head/cube)".to_string())
+        );
+        assert!("engine-low".parse::<DatasetKind>().is_err());
+        assert!("".parse::<DatasetKind>().is_err());
+    }
 
     #[test]
     fn builds_are_deterministic() {

@@ -221,18 +221,6 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn parse_dataset(name: &str) -> Result<DatasetKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "engine_low" | "enginelow" => Ok(DatasetKind::EngineLow),
-        "engine_high" | "enginehigh" => Ok(DatasetKind::EngineHigh),
-        "head" => Ok(DatasetKind::Head),
-        "cube" => Ok(DatasetKind::Cube),
-        other => Err(format!(
-            "unknown dataset `{other}` (try engine_low/engine_high/head/cube)"
-        )),
-    }
-}
-
 fn parse_dims(spec: &str) -> Result<[usize; 3], String> {
     let parts: Vec<usize> = spec
         .split(',')
@@ -252,7 +240,7 @@ fn parse_dims(spec: &str) -> Result<[usize; 3], String> {
 
 fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
     let mut config = ExperimentConfig {
-        dataset: parse_dataset(flags.get("--dataset").unwrap_or("engine_low"))?,
+        dataset: flags.get("--dataset").unwrap_or("engine_low").parse()?,
         image_size: flags.parse("--size", 384u16)?,
         processors: flags.parse("--procs", 8usize)?,
         method: flags.get("--method").unwrap_or("bsbrc").parse()?,

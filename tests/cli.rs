@@ -76,7 +76,11 @@ fn render_rejects_bad_dataset() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown dataset `teapot` (try engine_low/engine_high/head/cube)"),
+        "{stderr}"
+    );
 }
 
 #[test]
