@@ -18,6 +18,15 @@ use crate::rect::Rect;
 /// BSBR/BSLC/BSBRC stage setup becomes `O(runs)` instead of `O(W×H)`.
 /// [`Clone`] uses it too: a sparse image's copy is a blank frame plus
 /// the rows of the hint.
+///
+/// Beside the hint the image keeps an *extent*: a rectangle outside
+/// which every pixel is bitwise [`Pixel::BLANK`]. Unlike the hint it is
+/// conservative and never dies — every mutator grows it to cover what
+/// it is about to write *before* writing, so it holds at every step,
+/// a panic half way through a merge included. It is what lets a frame
+/// be reused: [`Image::clear`] and [`Clone::clone_from`] touch the rows
+/// of the extent, not the `W×H` frame, and a scan for bounds after the
+/// hint died never leaves it.
 #[derive(Debug)]
 pub struct Image {
     width: u16,
@@ -26,10 +35,13 @@ pub struct Image {
     /// `Some(r)` ⇒ `r` is *exactly* the tight bounding rectangle of the
     /// non-blank pixels. `None` ⇒ unknown; fall back to scanning.
     bounds_hint: Option<Rect>,
+    /// Every pixel outside is bitwise [`Pixel::BLANK`]; a live hint lies
+    /// inside. Always within the frame.
+    extent: Rect,
 }
 
-/// Equality is over the pixel grid only; the bounds hint is a cache and
-/// two images differing only in hint state compare equal.
+/// Equality is over the pixel grid only; the bounds hint and the extent
+/// are bookkeeping, and two images differing only in them compare equal.
 impl PartialEq for Image {
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width && self.height == other.height && self.pixels == other.pixels
@@ -42,6 +54,12 @@ impl PartialEq for Image {
 /// written as [`Pixel::BLANK`], which is what lies outside an exact
 /// hint). Denser or unhinted images take the plain copy, which is
 /// cheaper than fill-then-copy once most of the frame is live.
+///
+/// `clone_from` is how a working frame is *reset* to a subimage: with
+/// equal dimensions it blanks the rows the previous use touched, copies
+/// the rows `src` can hold anything in and adopts `src`'s extent and
+/// hint — `O(both extents)`, no allocation, and the same image (pixel
+/// bits, hint, extent) a fresh clone would be.
 impl Clone for Image {
     fn clone(&self) -> Self {
         let pixels = match self.bounds_hint {
@@ -61,7 +79,24 @@ impl Clone for Image {
             height: self.height,
             pixels,
             bounds_hint: self.bounds_hint,
+            extent: self.extent,
         }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        if (self.width, self.height) != (src.width, src.height) {
+            *self = src.clone();
+            return;
+        }
+        self.clear();
+        // Grown first, like every write: the invariant holds throughout.
+        self.extent = src.extent;
+        let w = src.extent.width() as usize;
+        for y in src.extent.y0..src.extent.y1 {
+            let i = self.index(src.extent.x0, y);
+            self.pixels[i..i + w].copy_from_slice(&src.pixels[i..i + w]);
+        }
+        self.bounds_hint = src.bounds_hint;
     }
 }
 
@@ -73,6 +108,7 @@ impl Image {
             height,
             pixels: vec![Pixel::BLANK; width as usize * height as usize],
             bounds_hint: Some(Rect::EMPTY),
+            extent: Rect::EMPTY,
         }
     }
 
@@ -94,6 +130,7 @@ impl Image {
             height,
             pixels,
             bounds_hint: Some(bounds),
+            extent: bounds,
         }
     }
 
@@ -105,6 +142,7 @@ impl Image {
             height,
             pixels,
             bounds_hint: None,
+            extent: Rect::of_size(width, height),
         }
     }
 
@@ -150,6 +188,7 @@ impl Image {
     #[inline]
     pub fn get_mut(&mut self, x: u16, y: u16) -> &mut Pixel {
         let i = self.index(x, y);
+        self.touch_pixel(x, y);
         self.bounds_hint = None;
         &mut self.pixels[i]
     }
@@ -160,6 +199,7 @@ impl Image {
     #[inline]
     pub fn set(&mut self, x: u16, y: u16, p: Pixel) {
         let i = self.index(x, y);
+        self.touch_pixel(x, y);
         if !p.is_blank() {
             if let Some(h) = &mut self.bounds_hint {
                 h.include(x, y);
@@ -176,9 +216,11 @@ impl Image {
         &self.pixels
     }
 
-    /// Flat mutable pixel slice (row-major). Invalidates the bounds hint.
+    /// Flat mutable pixel slice (row-major). Invalidates the bounds hint
+    /// and widens the extent to the whole frame.
     #[inline]
     pub fn pixels_mut(&mut self) -> &mut [Pixel] {
+        self.extent = self.full_rect();
         self.bounds_hint = None;
         &mut self.pixels
     }
@@ -195,9 +237,52 @@ impl Image {
     #[inline]
     pub fn row_span_mut(&mut self, x: u16, y: u16, len: usize) -> &mut [Pixel] {
         let i = self.index(x, y);
-        debug_assert!(x as usize + len <= self.width as usize);
+        let end = x as usize + len;
+        assert!(end <= self.width as usize, "row span leaves the frame");
+        self.touch(&Rect::new(x, y, end as u16, y + 1));
         self.bounds_hint = None;
         &mut self.pixels[i..i + len]
+    }
+
+    /// Grows the extent over `rect`, which the caller is about to write.
+    /// A write that left the frame would leave the extent wrong for every
+    /// later use of this buffer, so it is refused here.
+    #[inline]
+    fn touch(&mut self, rect: &Rect) {
+        assert!(
+            self.full_rect().contains_rect(rect),
+            "write to {rect:?} leaves the {}x{} frame",
+            self.width,
+            self.height
+        );
+        self.extent = self.extent.union(rect);
+    }
+
+    /// [`Image::touch`] for one pixel.
+    #[inline]
+    fn touch_pixel(&mut self, x: u16, y: u16) {
+        assert!(x < self.width && y < self.height, "write outside the frame");
+        self.extent.include(x, y);
+    }
+
+    /// The rectangle outside which every pixel is [`Pixel::BLANK`] — a
+    /// superset of the tight bounds, exact after [`Image::blank`],
+    /// [`Image::from_fn`] and [`Image::assert_bounds`].
+    #[inline]
+    pub fn extent(&self) -> Rect {
+        self.extent
+    }
+
+    /// Resets to the blank image by blanking the rows of the extent:
+    /// `O(what was touched)`, not `O(W×H)`.
+    pub fn clear(&mut self) {
+        let w = self.extent.width() as usize;
+        for y in self.extent.y0..self.extent.y1 {
+            let i = self.index(self.extent.x0, y);
+            self.pixels[i..i + w].fill(Pixel::BLANK);
+        }
+        self.extent = Rect::EMPTY;
+        self.bounds_hint = Some(Rect::EMPTY);
     }
 
     /// The current bounds hint, when live (exact tight bounds).
@@ -210,14 +295,37 @@ impl Image {
     /// [`Image::bounding_rect`] fast path after a merge whose output
     /// bounds the caller derived incrementally (union of the inputs).
     ///
+    /// The extent shrinks to `bounds` too — this is how a frame written
+    /// through [`Image::pixels_mut`] gets its sparsity back — so the
+    /// claim covers bits: outside `bounds` every pixel is the canonical
+    /// [`Pixel::BLANK`], not merely [`Pixel::is_blank`].
+    ///
     /// Debug builds verify the claim against a full scan.
     pub fn assert_bounds(&mut self, bounds: Rect) {
+        assert!(
+            self.full_rect().contains_rect(&bounds),
+            "asserted bounds leave the frame"
+        );
         debug_assert_eq!(
             bounds,
             self.scan_bounds(&self.full_rect()),
             "asserted bounds hint must match the scanned tight bounds"
         );
+        debug_assert!(
+            self.blank_bits_outside(&bounds),
+            "a pixel outside the asserted bounds is not Pixel::BLANK bit for bit"
+        );
         self.bounds_hint = Some(bounds);
+        self.extent = bounds;
+    }
+
+    /// Whether every pixel of the extent outside `rect` is bitwise
+    /// [`Pixel::BLANK`], i.e. whether the extent may shrink to `rect`.
+    fn blank_bits_outside(&self, rect: &Rect) -> bool {
+        let blank = Pixel::BLANK.to_le_bytes();
+        self.extent
+            .iter()
+            .all(|(x, y)| rect.contains(x, y) || self.get(x, y).to_le_bytes() == blank)
     }
 
     /// Number of non-blank pixels (the paper's `A_opaque` for a region
@@ -235,18 +343,20 @@ impl Image {
 
     /// Bounding rectangle of all non-blank pixels — `O(1)` when the
     /// incremental hint is live, otherwise the `O(A)` scan the paper
-    /// charges as `T_bound` in the first BSBR/BSBRC stage.
+    /// charges as `T_bound` in the first BSBR/BSBRC stage (over the
+    /// extent: nothing outside it can be non-blank).
     pub fn bounding_rect(&self) -> Rect {
         match self.bounds_hint {
             Some(h) => h,
-            None => self.scan_bounds(&self.full_rect()),
+            None => self.scan_bounds(&self.extent),
         }
     }
 
     /// Bounding rectangle of the non-blank pixels inside `within`.
     ///
     /// With a live hint the scan is restricted to `hint ∩ within` (and
-    /// skipped entirely when the hint lies inside `within`).
+    /// skipped entirely when the hint lies inside `within`); with a dead
+    /// one, to `extent ∩ within`.
     pub fn bounding_rect_in(&self, within: &Rect) -> Rect {
         if within.is_empty() {
             return Rect::EMPTY;
@@ -262,7 +372,7 @@ impl Image {
                 }
                 self.scan_bounds(&clipped)
             }
-            None => self.scan_bounds(within),
+            None => self.scan_bounds(&self.extent.intersect(within)),
         }
     }
 
@@ -307,6 +417,7 @@ impl Image {
     /// Overwrites the pixels of `rect` from a dense row-major buffer.
     pub fn write_rect(&mut self, rect: &Rect, data: &[Pixel]) {
         assert_eq!(data.len(), rect.area());
+        self.touch(rect);
         self.bounds_hint = None;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
             let dst = self.index(rect.x0, y);
@@ -321,6 +432,7 @@ impl Image {
     /// operations applied (the paper's computation count `T_o × A_rec`).
     pub fn composite_rect_over(&mut self, rect: &Rect, front: &[Pixel]) -> usize {
         assert_eq!(front.len(), rect.area());
+        self.touch(rect);
         self.bounds_hint = None;
         let w = rect.width() as usize;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
@@ -334,6 +446,7 @@ impl Image {
     /// i.e. the local image stays in front.
     pub fn composite_rect_under(&mut self, rect: &Rect, back: &[Pixel]) -> usize {
         assert_eq!(back.len(), rect.area());
+        self.touch(rect);
         self.bounds_hint = None;
         let w = rect.width() as usize;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
@@ -369,6 +482,7 @@ impl Image {
     /// `rect`; `wire` must hold exactly `rect`'s pixels.
     fn for_rows_wire(&mut self, rect: &Rect, wire: &[u8], op: impl Fn(&mut [Pixel], &[u8])) {
         assert_eq!(wire.len(), rect.area() * BYTES_PER_PIXEL);
+        self.touch(rect);
         self.bounds_hint = None;
         let w = rect.width() as usize;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
@@ -384,6 +498,7 @@ impl Image {
     /// the sequential reference path and the plain BS exchange step.
     pub fn composite_image_over(&mut self, front: &Image, region: &Rect) -> usize {
         assert_eq!((self.width, self.height), (front.width, front.height));
+        self.touch(region);
         self.bounds_hint = None;
         let w = region.width() as usize;
         for y in region.y0..region.y1 {

@@ -61,6 +61,136 @@ fn arb_rect(max: u16) -> impl Strategy<Value = Rect> {
         .prop_map(|(a, b, c, d)| Rect::new(a.min(c), b.min(d), a.max(c), b.max(d)))
 }
 
+/// Frame of the mutator tests below.
+const W: u16 = 13;
+const H: u16 = 9;
+
+/// A rectangle inside the `W × H` frame whose top-left corner is a
+/// pixel of it; may be empty.
+fn arb_frame_rect() -> impl Strategy<Value = Rect> {
+    (0..W, 0..H, 0..=W, 0..=H)
+        .prop_map(|(a, b, c, d)| Rect::new(a.min(c), b.min(d), a.max(c), b.max(d)))
+}
+
+/// How many mutators [`mutate`] knows: every public `&mut self` method
+/// of `Image`.
+const MUTATORS: u8 = 16;
+
+/// One mutator call: which, where, and the non-blank pixel it writes.
+type Mutation = (u8, Rect, Pixel);
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    (0..MUTATORS, arb_frame_rect(), arb_pixel())
+}
+
+/// A checkerboard-ish frame of `lit` and blank, so a merge both sets
+/// and keeps pixels.
+fn dotted(lit: Pixel) -> Image {
+    Image::from_fn(W, H, |x, y| {
+        if (x + 2 * y) % 3 == 0 {
+            lit
+        } else {
+            Pixel::BLANK
+        }
+    })
+}
+
+/// The same frame with a dead hint and a whole-frame extent.
+fn dotted_unhinted(lit: Pixel) -> Image {
+    Image::from_pixels(W, H, dotted(lit).pixels().to_vec())
+}
+
+/// Calls the `kind`-th mutator on `rect` (the single-pixel ones on its
+/// corner, the row one on its first row). Buffers alternate `lit` and
+/// blank. Pixels are non-negative, as every producer in the system
+/// writes them, so "blank" and "`Pixel::BLANK` bit for bit" coincide.
+fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
+    let (x, y) = (rect.x0, rect.y0);
+    let data: Vec<Pixel> = (0..rect.area())
+        .map(|i| if i % 2 == 0 { lit } else { Pixel::BLANK })
+        .collect();
+    let wire = to_wire(&data);
+    match kind {
+        0 => img.set(x, y, lit),
+        1 => img.set(x, y, Pixel::BLANK),
+        2 => *img.get_mut(x, y) = lit,
+        3 => img.pixels_mut()[y as usize * W as usize + x as usize] = lit,
+        4 => img.row_span_mut(x, y, rect.width() as usize).fill(lit),
+        5 => img.write_rect(&rect, &data),
+        6 => img.write_rect_wire(&rect, &wire),
+        7 => drop(img.composite_rect_over(&rect, &data)),
+        8 => drop(img.composite_rect_under(&rect, &data)),
+        9 => drop(img.composite_rect_over_wire(&rect, &wire)),
+        10 => drop(img.composite_rect_under_wire(&rect, &wire)),
+        11 => drop(img.composite_image_over(&dotted(lit), &rect)),
+        12 => img.assert_bounds(brute_bounds(img, &img.full_rect())),
+        13 => img.clear(),
+        14 => img.clone_from(&dotted(lit)),
+        15 => img.clone_from(&dotted_unhinted(lit)),
+        _ => unreachable!("MUTATORS counts the arms above"),
+    }
+}
+
+/// The tight bounds of the non-blank pixels in `within`, pixel by pixel.
+fn brute_bounds(img: &Image, within: &Rect) -> Rect {
+    let mut bounds = Rect::EMPTY;
+    for (x, y) in within.iter() {
+        if !img.get(x, y).is_blank() {
+            bounds.include(x, y);
+        }
+    }
+    bounds
+}
+
+/// The extent invariant, and what rests on it: outside the extent every
+/// pixel is `Pixel::BLANK` bit for bit, the tight bounds and a live
+/// hint lie inside it, and both bounds queries agree with a
+/// pixel-by-pixel search whether they answer from the hint or scan.
+fn assert_extent_holds(img: &Image, within: &Rect) {
+    let extent = img.extent();
+    assert!(img.full_rect().contains_rect(&extent), "{extent:?}");
+    let blank = Pixel::BLANK.to_le_bytes();
+    for (x, y) in img.full_rect().iter() {
+        assert!(
+            extent.contains(x, y) || img.get(x, y).to_le_bytes() == blank,
+            "({x}, {y}) is written outside the extent {extent:?}"
+        );
+    }
+    let tight = brute_bounds(img, &img.full_rect());
+    assert!(extent.contains_rect(&tight), "{tight:?} outside {extent:?}");
+    if let Some(hint) = img.bounds_hint() {
+        assert_eq!(hint, tight, "a live hint is exact");
+    }
+    assert_eq!(img.bounding_rect(), tight);
+    assert_eq!(img.bounding_rect_in(within), brute_bounds(img, within));
+}
+
+/// `dst.clone_from(src)` leaves what `src.clone()` builds: dimensions,
+/// pixel bits, hint and extent.
+fn assert_clone_from_is_clone(mut dst: Image, src: &Image) {
+    let fresh = src.clone();
+    dst.clone_from(src);
+    assert_eq!((dst.width(), dst.height()), (fresh.width(), fresh.height()));
+    assert!(same_bits(dst.pixels(), fresh.pixels()));
+    assert!(same_bits(dst.pixels(), src.pixels()));
+    assert_eq!(dst.bounds_hint(), fresh.bounds_hint());
+    assert_eq!(dst.extent(), fresh.extent());
+}
+
+/// A frame in each state a constructor leaves, then mutated.
+fn mutated(start: u8, mutations: &[Mutation]) -> Image {
+    let lit = Pixel::gray(0.25, 0.5);
+    let mut img = match start % 3 {
+        0 => Image::blank(W, H),
+        1 => dotted(lit),
+        _ => dotted_unhinted(lit),
+    };
+    for &mutation in mutations {
+        mutate(&mut img, mutation);
+    }
+    img
+}
+
 proptest! {
     #[test]
     fn mask_rle_round_trips(mask in proptest::collection::vec(any::<bool>(), 0..2000)) {
@@ -333,6 +463,42 @@ proptest! {
     }
 }
 
+proptest! {
+    // Sixteen mutators in sequences of up to twelve: more cases than the
+    // default 32 to reach the pairs that matter (a dead hint, then a scan).
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn extent_covers_every_write(
+        start in 0u8..3,
+        mutations in proptest::collection::vec(arb_mutation(), 0..12),
+        within in arb_frame_rect(),
+    ) {
+        let mut img = mutated(start, &[]);
+        assert_extent_holds(&img, &within);
+        for &mutation in &mutations {
+            mutate(&mut img, mutation);
+            assert_extent_holds(&img, &within);
+        }
+    }
+
+    #[test]
+    fn clone_from_equals_clone_whatever_the_frame_held(
+        (dst_start, src_start) in (0u8..3, 0u8..3),
+        dirt in proptest::collection::vec(arb_mutation(), 0..8),
+        content in proptest::collection::vec(arb_mutation(), 0..8),
+        other_size in any::<bool>(),
+    ) {
+        let src = mutated(src_start, &content);
+        let dst = if other_size {
+            Image::from_fn(7, 11, |x, y| if x == y { Pixel::gray(0.5, 1.0) } else { Pixel::BLANK })
+        } else {
+            mutated(dst_start, &dirt)
+        };
+        assert_clone_from_is_clone(dst, &src);
+    }
+}
+
 #[test]
 fn mask_rle_handles_empty_and_degenerate_masks() {
     // Zero-length mask.
@@ -420,4 +586,63 @@ fn clone_equals_field_wise_copy_on_both_sides_of_the_hint_threshold() {
         assert!(same_bits(copy.pixels(), img.pixels()), "{name}: pixels");
         assert_eq!(copy.bounds_hint(), img.bounds_hint(), "{name}: hint");
     }
+}
+
+/// The same equivalence with the prior state enumerated, not drawn: a
+/// frame holding a block, then dirtied by each mutator in turn, reset to
+/// a source in each hint/extent state (empty, sparse and exact, dense,
+/// dead hint, whole-frame extent, unknown).
+#[test]
+fn clone_from_resets_a_frame_dirtied_by_each_mutator() {
+    let lit = Pixel::gray(0.125, 0.75);
+    let block = (5, Rect::new(1, 1, 12, 8), lit);
+    let sources = [
+        Image::blank(W, H),
+        mutated(
+            0,
+            &[
+                (0, Rect::new(3, 2, 4, 3), lit),
+                (0, Rect::new(9, 6, 10, 7), lit),
+            ],
+        ),
+        dotted(lit),
+        mutated(1, &[(2, Rect::new(4, 4, 5, 5), lit)]),
+        mutated(
+            0,
+            &[
+                (0, Rect::new(6, 3, 7, 4), lit),
+                (3, Rect::new(2, 2, 3, 3), lit),
+            ],
+        ),
+        mutated(2, &[]),
+    ];
+    assert_eq!(sources[1].bounds_hint(), Some(Rect::new(3, 2, 10, 7)));
+    assert_eq!(sources[3].bounds_hint(), None);
+    assert_eq!(sources[4].extent(), sources[4].full_rect());
+    for src in &sources {
+        for kind in 0..MUTATORS {
+            let dst = mutated(
+                0,
+                &[block, (kind, Rect::new(2, 3, 9, 7), Pixel::gray(0.5, 1.0))],
+            );
+            assert_clone_from_is_clone(dst, src);
+        }
+        assert_clone_from_is_clone(Image::blank(W, H), src);
+        assert_clone_from_is_clone(Image::blank(H, W), src);
+    }
+}
+
+/// A write that leaves the frame is refused before it lands: the extent
+/// of a frame that outlives the call is never wrong.
+#[test]
+fn writes_outside_the_frame_are_refused_with_the_extent_intact() {
+    let outside = Rect::new(10, 5, W + 1, H);
+    let data = vec![Pixel::gray(1.0, 1.0); outside.area()];
+    let mut img = Image::blank(W, H);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        img.write_rect(&outside, &data);
+    }));
+    assert!(caught.is_err());
+    assert_extent_holds(&img, &Rect::of_size(W, H));
+    assert_eq!(img.extent(), Rect::EMPTY);
 }

@@ -709,15 +709,16 @@ fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutc
         match run_attempt(&cfg, &job.dataset, pool) {
             Ok(att) => {
                 shared.stats.lock().unwrap().rendered_frames += 1;
-                let frame = || {
+                let degraded = att.degraded;
+                let frame = move || {
                     Arc::new(RenderedFrame {
                         key: job.key,
                         image_hash: fnv1a(&att.image),
-                        image: att.image.clone(),
+                        image: att.image,
                         record: att.record,
                     })
                 };
-                match att.degraded {
+                match degraded {
                     None => {
                         return JobOutcome::Served {
                             frame: frame(),

@@ -8,13 +8,16 @@ use vr_render::RenderPool;
 use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::outcome::{run_frame, Outcome, RankFrame, WorkingFrame};
 use crate::scene::Scene;
 
 /// A prepared workload: a [`Scene`] with every rank's subimage rendered.
 /// Rendering happens **once**; each compositing method then runs on
-/// clones of the same subimages — exactly how the paper isolates the
-/// compositing phase.
+/// working copies of the same subimages — exactly how the paper
+/// isolates the compositing phase. A working copy is a leased frame
+/// reset to the subimage ([`WorkingFrame::copy_of`]), bit for bit what
+/// `Image::clone` would build, at the cost of the subimage's rectangle
+/// rather than of the frame.
 pub struct Experiment {
     config: ExperimentConfig,
     depth: DepthOrder,
@@ -136,15 +139,15 @@ impl Experiment {
         &self.depth
     }
 
-    /// Runs the compositing phase with `method` on clones of the
-    /// prepared subimages and gathers the final image at rank 0.
+    /// Runs the compositing phase with `method` on working copies of
+    /// the prepared subimages and gathers the final image at rank 0.
     ///
     /// With faults configured, a killed rank contributes empty stats
     /// and its image region stays blank; the outcome reports the dead
     /// rank set, the gather holes and the residual coverage.
     pub fn run(&self, method: Method) -> Outcome {
         let (outcome, _) = run_frame(&self.config, |ep| {
-            let mut img = self.subimages[ep.rank()].clone();
+            let mut img = WorkingFrame::copy_of(&self.subimages[ep.rank()]);
             let composited = composite(method, ep, &mut img, &self.depth);
             (RankFrame::finish(ep, &img, composited), ())
         });

@@ -5,6 +5,13 @@
 //! [`run_distributed`](crate::run_distributed)) differ only in the body a
 //! rank runs; [`run_frame`] runs that body on the config's group and
 //! [`collect`] folds the per-rank results into the one [`Outcome`].
+//!
+//! The `W×H` frame a rank body composites in is leased, not allocated:
+//! [`WorkingFrame`] below is the one place such frames live between
+//! frames.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use slsvr_core::{
     gather_image_tolerant, virtual_completion, CompositeError, CompositeResult, GatheredImage,
@@ -116,6 +123,122 @@ impl Outcome {
             .map(|t| t.peak_pixel_buffer_bytes)
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// Bytes of pixel storage the parked frames may hold together. A frame
+/// returned past this is freed instead, so what the process keeps is
+/// bounded whatever sizes and group widths it has served.
+const MAX_PARKED_BYTES: usize = 256 << 20;
+
+/// Working frames between leases, the most recently returned on top: a
+/// rank body that starts right after another ended gets the frame that
+/// is still in cache. One stack for the process, not one per
+/// experiment or per rank slot — concurrent groups and groups of
+/// different widths share it, and a lease never waits for a frame.
+static PARKED: Mutex<Parked> = Mutex::new(Parked::new());
+
+struct Parked {
+    frames: Vec<Image>,
+    /// Σ [`frame_bytes`] over `frames`; never above [`MAX_PARKED_BYTES`].
+    bytes: usize,
+}
+
+impl Parked {
+    const fn new() -> Parked {
+        Parked {
+            frames: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// Pops until a frame of the wanted size comes up, freeing the
+    /// others: a change of image size flushes what the old size left
+    /// behind.
+    fn take(&mut self, width: u16, height: u16) -> Option<Image> {
+        while let Some(frame) = self.frames.pop() {
+            self.bytes -= frame_bytes(&frame);
+            if (frame.width(), frame.height()) == (width, height) {
+                return Some(frame);
+            }
+        }
+        None
+    }
+
+    /// Parks `frame`, or frees it if that would pass the cap.
+    fn park(&mut self, frame: Image) {
+        let bytes = frame_bytes(&frame);
+        if self.bytes + bytes <= MAX_PARKED_BYTES {
+            self.bytes += bytes;
+            self.frames.push(frame);
+        }
+    }
+}
+
+fn frame_bytes(frame: &Image) -> usize {
+    std::mem::size_of_val(frame.pixels())
+}
+
+/// Every critical section is one [`Parked::take`] or [`Parked::park`],
+/// which keep `bytes` in step with `frames` pop by pop, so the stack
+/// behind a poisoned lock is still good.
+fn parked() -> MutexGuard<'static, Parked> {
+    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A rank's `W×H` working frame for one frame of the pipeline, leased
+/// from the process-wide stack and returned to it on drop — unwinding
+/// included, which is safe because an [`Image`]'s extent covers its
+/// writes at every step. Resetting a leased frame costs the rows its
+/// last user touched, so a rank's per-frame cost follows its rectangle
+/// rather than the frame size; no allocation, zero-fill or free.
+pub(crate) struct WorkingFrame(Image);
+
+impl WorkingFrame {
+    /// A blank `width × height` frame.
+    pub(crate) fn blank(width: u16, height: u16) -> WorkingFrame {
+        // The lock is released before the frame is reset or allocated.
+        let leased = parked().take(width, height);
+        WorkingFrame(match leased {
+            Some(mut frame) => {
+                frame.clear();
+                frame
+            }
+            None => Image::blank(width, height),
+        })
+    }
+
+    /// A working copy of `src`: what `src.clone()` would be, and exactly
+    /// that when no frame of its size is parked.
+    pub(crate) fn copy_of(src: &Image) -> WorkingFrame {
+        let leased = parked().take(src.width(), src.height());
+        WorkingFrame(match leased {
+            Some(mut frame) => {
+                frame.clone_from(src);
+                frame
+            }
+            None => src.clone(),
+        })
+    }
+}
+
+impl Deref for WorkingFrame {
+    type Target = Image;
+    fn deref(&self) -> &Image {
+        &self.0
+    }
+}
+
+impl DerefMut for WorkingFrame {
+    fn deref_mut(&mut self) -> &mut Image {
+        &mut self.0
+    }
+}
+
+impl Drop for WorkingFrame {
+    fn drop(&mut self) {
+        let frame = std::mem::replace(&mut self.0, Image::blank(0, 0));
+        parked().park(frame);
     }
 }
 
@@ -233,4 +356,79 @@ fn collect<X>(config: &ExperimentConfig, run: GroupRun<(RankFrame, X)>) -> (Outc
         partition_bytes: 0,
     };
     (outcome, extras)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vr_image::{Pixel, Rect};
+
+    #[test]
+    fn parked_bytes_never_pass_the_cap() {
+        let mut stack = Parked::new();
+        // One frame larger than the whole cap is freed, not parked.
+        let oversize = Image::blank(4097, 4096);
+        assert!(frame_bytes(&oversize) > MAX_PARKED_BYTES);
+        stack.park(oversize);
+        assert_eq!((stack.frames.len(), stack.bytes), (0, 0));
+        // 192 MiB parks; 64 MiB and one row more would pass the cap and
+        // is freed; 64 MiB exactly fills it.
+        stack.park(Image::blank(4096, 3072));
+        stack.park(Image::blank(4096, 1025));
+        assert_eq!((stack.frames.len(), stack.bytes), (1, 192 << 20));
+        stack.park(Image::blank(4096, 1024));
+        assert_eq!((stack.frames.len(), stack.bytes), (2, MAX_PARKED_BYTES));
+        stack.park(Image::blank(1, 1));
+        assert_eq!((stack.frames.len(), stack.bytes), (2, MAX_PARKED_BYTES));
+        // Most recently parked first; the count follows every pop.
+        assert_eq!(stack.take(4096, 1024).map(|f| f.height()), Some(1024));
+        assert_eq!(stack.bytes, 192 << 20);
+    }
+
+    #[test]
+    fn a_size_change_flushes_the_stale_frames() {
+        let mut stack = Parked::new();
+        stack.park(Image::blank(8, 8));
+        stack.park(Image::blank(16, 16));
+        stack.park(Image::blank(16, 16));
+        // Asking for the old size frees both newer frames on the way down.
+        assert!(stack.take(8, 8).is_some());
+        assert_eq!((stack.frames.len(), stack.bytes), (0, 0));
+        // A size nobody parked empties the stack and finds nothing.
+        stack.park(Image::blank(16, 16));
+        assert!(stack.take(16, 8).is_none());
+        assert_eq!((stack.frames.len(), stack.bytes), (0, 0));
+    }
+
+    #[test]
+    fn a_lease_resets_whatever_the_last_user_left() {
+        // Other tests of this binary share the process-wide stack, so
+        // which frame a lease gets is not asserted — only what it holds.
+        let lit = Pixel::gray(0.5, 1.0);
+        let mut src = Image::blank(24, 20);
+        src.set(3, 4, lit);
+        for _ in 0..4 {
+            let mut frame = WorkingFrame::copy_of(&src);
+            assert_eq!(*frame, src);
+            assert_eq!(frame.bounds_hint(), Some(Rect::new(3, 4, 4, 5)));
+            frame.pixels_mut().fill(lit); // whole-frame extent, dead hint
+            drop(frame);
+            let blank = WorkingFrame::blank(24, 20);
+            assert_eq!(blank.non_blank_count(), 0);
+            assert_eq!(blank.bounds_hint(), Some(Rect::EMPTY));
+        }
+    }
+
+    #[test]
+    fn an_unwinding_rank_body_returns_its_frame_usable() {
+        let lit = Pixel::gray(0.25, 1.0);
+        let unwound = std::panic::catch_unwind(|| {
+            let mut frame = WorkingFrame::blank(24, 20);
+            frame.write_rect(&Rect::new(2, 2, 20, 18), &vec![lit; 18 * 16]);
+            // A merge that dies half way: refused before it writes.
+            frame.write_rect(&Rect::new(10, 10, 30, 18), &vec![lit; 20 * 8]);
+        });
+        assert!(unwound.is_err());
+        assert_eq!(WorkingFrame::blank(24, 20).non_blank_count(), 0);
+    }
 }

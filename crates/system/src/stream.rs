@@ -32,7 +32,7 @@ use vr_render::{render_tile_into, RenderPool};
 use vr_volume::{Dataset, Subvolume};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::outcome::{run_frame, Outcome, RankFrame, WorkingFrame};
 use crate::scene::Scene;
 
 /// A prepared fused workload: the [`Scene`], with nothing rendered yet.
@@ -154,7 +154,7 @@ impl StreamExperiment {
                 },
             );
             drop(pool);
-            let mut framebuffer = Image::blank(size, size);
+            let mut framebuffer = WorkingFrame::blank(size, size);
             let composited = offered.and_then(|()| ts.finish(ep, &mut framebuffer));
             let frame = RankFrame::finish(ep, &framebuffer, composited);
             (frame, start.elapsed().as_secs_f64())

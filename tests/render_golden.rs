@@ -16,6 +16,7 @@
 
 use slsvr::compositing::Method;
 use slsvr::image::checksum::fnv1a;
+use slsvr::image::Image;
 use slsvr::system::{Experiment, ExperimentConfig};
 use slsvr::volume::DatasetKind;
 
@@ -174,14 +175,20 @@ fn cube_pixels_are_pinned() {
     );
 }
 
-/// A rank's working copy is `subimage.clone()`, and `Image::clone`
-/// copies only the rows of the bounds hint when the hint covers less
-/// than half the frame. That is exact only while every producer of a
-/// hint keeps it exact, so check it on what the renderer really
-/// produces: the copy has the subimage's bits and its hint.
+/// `Image::clone` copies only the rows of the bounds hint when the hint
+/// covers less than half the frame. That is exact only while every
+/// producer of a hint keeps it exact, so check it on what the renderer
+/// really produces: the copy has the subimage's bits and its hint.
+///
+/// A rank's working copy is the subimage `clone_from`-ed into a leased
+/// frame, which copies only the rows of the *extent* and is held to the
+/// same: each subimage also goes into one frame that still holds the
+/// previous subimage (another rank's block, elsewhere on screen; another
+/// size when the dataset changes), and must come out as the fresh clone.
 #[test]
 fn working_copies_are_bit_identical_to_rendered_subimages() {
     let mut sparse = 0;
+    let mut reused = Image::blank(1, 1);
     for (dataset, dims, size) in [
         (DatasetKind::Head, [64, 64, 28], 96),
         (DatasetKind::EngineHigh, [48, 48, 20], 80),
@@ -201,16 +208,25 @@ fn working_copies_are_bit_identical_to_rendered_subimages() {
                     ..Default::default()
                 };
                 for (rank, img) in Experiment::prepare(&config).subimages().iter().enumerate() {
-                    let copy = img.clone();
+                    reused.clone_from(img);
                     let bits = |p: &slsvr::image::Pixel| [p.r, p.g, p.b, p.a].map(f32::to_bits);
-                    assert!(
-                        copy.pixels()
-                            .iter()
-                            .map(bits)
-                            .eq(img.pixels().iter().map(bits)),
-                        "{dataset:?} P={processors} pose=({rot_x_deg}, {rot_y_deg}) rank {rank}"
-                    );
-                    assert_eq!(copy.bounds_hint(), img.bounds_hint());
+                    for (kind, copy) in [("fresh", &img.clone()), ("reused", &reused)] {
+                        let at = format!(
+                            "{kind} copy: {dataset:?} P={processors} \
+                             pose=({rot_x_deg}, {rot_y_deg}) rank {rank}"
+                        );
+                        assert!(
+                            copy.pixels()
+                                .iter()
+                                .map(bits)
+                                .eq(img.pixels().iter().map(bits)),
+                            "{at}"
+                        );
+                        assert_eq!(copy.bounds_hint(), img.bounds_hint(), "{at}");
+                        assert_eq!(copy.extent(), img.extent(), "{at}");
+                    }
+                    // A rendered subimage is as sparse as its hint says.
+                    assert_eq!(Some(img.extent()), img.bounds_hint());
                     sparse +=
                         usize::from(img.bounds_hint().is_some_and(|h| h.area() * 2 < img.area()));
                 }
