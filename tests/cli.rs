@@ -256,3 +256,30 @@ fn distributed_rejects_the_flags_it_cannot_honour() {
         assert!(stderr.contains("USAGE"), "{stderr}");
     }
 }
+
+/// `slsvr sweep` prints one CSV row per dataset × P × paper method, in
+/// that nesting. Timing is modeled from exact counts, so the rows are
+/// host-independent; the two below were recorded at `f158b00`.
+#[test]
+fn sweep_csv_header_and_a_data_line_are_pinned() {
+    let out = slsvr()
+        .args(["sweep", "--size", "32", "--dims", "16,16,8"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1 + 4 * 6 * 4);
+    assert_eq!(
+        lines[0],
+        "dataset,image_size,processors,method,t_comp_ms,t_comm_ms,t_total_ms,m_max,total_bytes,composite_ops"
+    );
+    assert_eq!(
+        lines[60],
+        "Head,32,8,BSBRC,0.6667,0.1727,0.8394,1844,7104,412"
+    );
+}

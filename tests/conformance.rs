@@ -468,7 +468,8 @@ fn outcome_words(results: &[CompositeResult]) -> Vec<u64> {
             OwnedPiece::Seq(s) => {
                 words.extend([2, s.start as u64, s.stride as u64, s.count as u64]);
             }
-            other => panic!("swap methods never own {other:?}"),
+            OwnedPiece::Whole => words.push(3),
+            other => panic!("no pinned method owns {other:?}"),
         }
         words.push(res.stats.bound_pixels);
         words.push(res.dead_partners.len() as u64);
@@ -524,8 +525,36 @@ fn swap_family_stage_counters_are_pinned() {
         (Method::Bsmr, 6, [0xed426196b37121c5, 0x36714e4ce7da91e1, 0xe19240b0ec8a9b3b]),
         (Method::Bsmr, 8, [0x00c665ad0b237672, 0x2e63f1bc5057b9bd, 0x0b70f4ab03e60bd1]),
     ];
+    assert_stage_counters(&GOLDEN);
+}
+
+/// Golden counters of the three methods outside the swap family, same
+/// digest and same cases as above. The constants were recorded at
+/// `f158b00`, when PIPE and DSEND still decoded every arrival into a
+/// `Vec<Pixel>`; they pin the wire-byte receive path to the one it
+/// replaced. Never re-record to pass.
+#[test]
+fn band_and_tree_stage_counters_are_pinned() {
+    #[rustfmt::skip]
+    const GOLDEN: [(Method, usize, [u64; 3]); 9] = [
+        (Method::Pipeline, 4, [0x41f560f84e94380d, 0x41f560f84e94380d, 0x41f560f84e94380d]),
+        (Method::Pipeline, 6, [0x16d939069074adcd, 0x16d939069074adcd, 0x16d939069074adcd]),
+        (Method::Pipeline, 8, [0xeeab0ff3b6be8fe1, 0xeeab0ff3b6be8fe1, 0xeeab0ff3b6be8fe1]),
+        (Method::DirectSend, 4, [0x92bae8ec81a4cab5, 0x92bae8ec81a4cab5, 0x92bae8ec81a4cab5]),
+        (Method::DirectSend, 6, [0x331c56cf90c6e76d, 0x331c56cf90c6e76d, 0x331c56cf90c6e76d]),
+        (Method::DirectSend, 8, [0x080feba6d3e29721, 0x080feba6d3e29721, 0x080feba6d3e29721]),
+        (Method::BinaryTree, 4, [0x6fbf2d0141920861, 0xe06df7a11b03f8a9, 0xb0bb39e5c5d08625]),
+        (Method::BinaryTree, 6, [0x2b372382055a838f, 0x87cc5baa279c9b8b, 0x2fbe88da6b04b4a7]),
+        (Method::BinaryTree, 8, [0xd4e3559d5a91688b, 0x1cdd889daa826b49, 0xbeec8a7f55682228]),
+    ];
+    assert_stage_counters(&GOLDEN);
+}
+
+/// Runs every row × workload (32×24, `shuffled_depth(p, 3)`, free cost
+/// model) and compares the [`outcome_words`] digest with the pinned one.
+fn assert_stage_counters(golden: &[(Method, usize, [u64; 3])]) {
     let mut mismatches = Vec::new();
-    for (method, p, expect) in GOLDEN {
+    for &(method, p, expect) in golden {
         let depth = shuffled_depth(p, 3);
         for (workload, want) in Workload::all().into_iter().zip(expect) {
             let images = workload.images(p, 32, 24);
