@@ -18,6 +18,7 @@ fn main() {
         datasets: DatasetKind::all().to_vec(),
         processor_counts: vec![2, 4, 8, 16, 32, 64],
         methods: Method::all().to_vec(),
+        verify: false,
     };
     let records = sweep.run();
     print!("{}", to_csv(&records));

@@ -8,13 +8,16 @@
 //! ```
 
 use slsvr_core::Method;
-use vr_bench::workloads::{paper_datasets, paper_processor_counts, sweep, Scale};
-use vr_system::{format_figure_series, format_paper_table};
+use vr_bench::workloads::{cell_config, paper_datasets, paper_processor_counts, sweep, Scale};
+use vr_system::{format_figure_series, format_paper_table, SweepCell};
+use vr_volume::DatasetKind;
 
 fn main() {
     let scale = Scale::from_args();
     let methods = Method::paper_methods();
-    println!("# Table 1 — compositing time for the four 384×384 test images");
+    // `--quick` renders half the paper's side; print the size that ran.
+    let side = cell_config(DatasetKind::Cube, 384, 2, scale).image_size;
+    println!("# Table 1 — compositing time for the four {side}×{side} test images");
     println!("(scale: {scale:?}; times in ms; comm modeled on the SP2 cost model)\n");
     for dataset in paper_datasets() {
         let rows = sweep(
@@ -33,17 +36,10 @@ fn main() {
             "Engine_high" => "Figure 10",
             _ => "Figure 11",
         };
-        let sparse_methods: Vec<_> = rows
+        let sparse_methods: Vec<SweepCell> = rows
             .iter()
-            .map(|r| vr_system::TableRow {
-                processors: r.processors,
-                cells: r
-                    .cells
-                    .iter()
-                    .filter(|(m, _)| *m != Method::Bs)
-                    .cloned()
-                    .collect(),
-            })
+            .filter(|c| c.method != Method::Bs)
+            .cloned()
             .collect();
         println!(
             "{}",

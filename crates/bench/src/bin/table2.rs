@@ -7,13 +7,16 @@
 //! ```
 
 use slsvr_core::Method;
-use vr_bench::workloads::{paper_datasets, paper_processor_counts, sweep, Scale};
+use vr_bench::workloads::{cell_config, paper_datasets, paper_processor_counts, sweep, Scale};
 use vr_system::format_paper_table;
+use vr_volume::DatasetKind;
 
 fn main() {
     let scale = Scale::from_args();
     let methods = [Method::Bsbr, Method::Bslc, Method::Bsbrc];
-    println!("# Table 2 — compositing time for the four 768×768 test samples");
+    // `--quick` renders half the paper's side; print the size that ran.
+    let side = cell_config(DatasetKind::Cube, 768, 2, scale).image_size;
+    println!("# Table 2 — compositing time for the four {side}×{side} test samples");
     println!("(scale: {scale:?}; times in ms; comm modeled on the SP2 cost model)\n");
     for dataset in paper_datasets() {
         let rows = sweep(

@@ -1,6 +1,6 @@
 //! Benchmark harness support: workload construction shared between the
-//! Criterion benches and the table/figure reproduction binaries, plus
-//! the trajectory-file scaffolding ([`gate`]) they all persist through.
+//! table/figure reproduction binaries, plus the trajectory-file
+//! scaffolding ([`gate`]) the `bench_*` programs persist through.
 
 pub mod gate;
 pub mod workloads;
@@ -11,5 +11,5 @@ pub mod workloads;
 pub use vr_cost::json;
 
 pub use workloads::{
-    cell_config, paper_datasets, paper_processor_counts, prepare_cell, sweep, PaperWorkload, Scale,
+    cell_config, paper_datasets, paper_processor_counts, prepare_cell, sweep, Scale,
 };

@@ -1,18 +1,9 @@
 //! Workload construction shared by the table/figure reproduction
-//! binaries and the Criterion benches.
+//! binaries.
 
 use slsvr_core::Method;
-use vr_system::{Experiment, ExperimentConfig, TableRow};
+use vr_system::{Experiment, ExperimentConfig, SweepBuilder, SweepCell};
 use vr_volume::DatasetKind;
-
-/// One paper workload: a dataset rendered at a given frame size.
-#[derive(Clone, Copy, Debug)]
-pub struct PaperWorkload {
-    /// The test sample.
-    pub dataset: DatasetKind,
-    /// Square frame side (384 or 768 in the paper).
-    pub image_size: u16,
-}
 
 /// The four test samples in the paper's presentation order.
 pub fn paper_datasets() -> [DatasetKind; 4] {
@@ -78,9 +69,9 @@ pub fn prepare_cell(
 }
 
 /// Runs `methods` over all processor counts for one workload, returning
-/// table rows. Rendering happens once per processor count and is shared
-/// across methods — the paper's methodology for isolating the
-/// compositing phase.
+/// the cells a paper table is formatted from. Rendering happens once per
+/// processor count and is shared across methods; `verify` checks every
+/// cell against the sequential reference.
 pub fn sweep(
     dataset: DatasetKind,
     image_size: u16,
@@ -88,29 +79,16 @@ pub fn sweep(
     counts: &[usize],
     scale: Scale,
     verify: bool,
-) -> Vec<TableRow> {
-    counts
-        .iter()
-        .map(|&p| {
-            let exp = prepare_cell(dataset, image_size, p, scale);
-            let reference = verify.then(|| exp.reference());
-            let cells = methods
-                .iter()
-                .map(|&m| {
-                    let out = exp.run(m);
-                    if let Some(expect) = &reference {
-                        let diff = out.image.max_abs_diff(expect);
-                        assert!(diff < 2e-4, "{m:?} P={p} differs from reference by {diff}");
-                    }
-                    (m, out.aggregate)
-                })
-                .collect();
-            TableRow {
-                processors: p,
-                cells,
-            }
-        })
-        .collect()
+) -> Vec<SweepCell> {
+    SweepBuilder {
+        // `run` sets the processor count of each cell.
+        base: cell_config(dataset, image_size, 1, scale),
+        datasets: vec![dataset],
+        processor_counts: counts.to_vec(),
+        methods: methods.to_vec(),
+        verify,
+    }
+    .run()
 }
 
 #[cfg(test)]
@@ -136,9 +114,12 @@ mod tests {
             Scale::Quick,
             true,
         );
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].processors, 2);
-        assert_eq!(rows[0].cells.len(), 2);
-        assert!(rows[1].cells.iter().all(|(_, a)| a.t_total_ms() >= 0.0));
+        assert_eq!(rows.len(), 4);
+        assert_eq!((rows[0].processors, rows[3].processors), (2, 4));
+        assert_eq!(
+            (rows[2].method, rows[3].method),
+            (Method::Bs, Method::Bsbrc)
+        );
+        assert!(rows.iter().all(|c| c.aggregate.t_total_ms() >= 0.0));
     }
 }

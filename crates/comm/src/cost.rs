@@ -32,14 +32,6 @@ impl CostModel {
         CostModel { t_s: 0.0, t_c: 0.0 }
     }
 
-    /// Commodity fast-Ethernet-class network: 100 µs start-up, 10 MB/s.
-    pub fn ethernet() -> Self {
-        CostModel {
-            t_s: 100e-6,
-            t_c: 1.0 / 10e6,
-        }
-    }
-
     /// A modern low-latency interconnect (for what-if sweeps): 2 µs
     /// start-up, 10 GB/s.
     pub fn modern() -> Self {

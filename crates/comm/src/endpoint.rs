@@ -171,19 +171,6 @@ impl std::fmt::Display for CommError {
 impl std::error::Error for CommError {}
 
 impl CommError {
-    /// True when the error means the *peer* is gone (dead or
-    /// unreachable) — the survivable case a degraded compositing run
-    /// routes around.
-    pub fn is_peer_dead(&self) -> bool {
-        matches!(
-            self,
-            CommError::Send(SendError {
-                kind: SendErrorKind::Disconnected | SendErrorKind::RetryBudgetExhausted { .. },
-                ..
-            }) | CommError::Recv(RecvError::Disconnected { .. })
-        )
-    }
-
     /// True when *this* rank was killed by fault injection and must stop
     /// participating.
     pub fn is_self_killed(&self) -> bool {
@@ -277,12 +264,6 @@ impl Endpoint {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The group's communication cost model.
-    #[inline]
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
     }
 
     /// Traffic recorded so far by this rank.

@@ -54,15 +54,6 @@ impl Trace {
         &self.events
     }
 
-    /// Events of one rank, in its program order.
-    pub fn for_rank(&self, rank: usize) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.rank == rank)
-            .collect()
-    }
-
     /// `(sends, receives)` counted per rank.
     pub fn message_counts(&self, p: usize) -> Vec<(usize, usize)> {
         let mut counts = vec![(0usize, 0usize); p];
@@ -198,11 +189,10 @@ mod tests {
             }
         });
         for rank in 0..2 {
-            let evs = trace.for_rank(rank);
-            assert_eq!(evs.len(), 6);
+            let evs = trace.events().iter().filter(|e| e.rank == rank);
+            assert_eq!(evs.clone().count(), 6);
             // Tags of this rank's sends must appear in order 0,1,2.
             let send_tags: Vec<u32> = evs
-                .iter()
                 .filter(|e| e.kind == EventKind::Send)
                 .map(|e| e.tag)
                 .collect();

@@ -3,11 +3,9 @@
 //!
 //! Two layers are provided:
 //!
-//! * [`predict_bs`] and [`predict_from_stats`] are *exact*: plain
-//!   binary-swap's per-stage byte counts are workload-independent, and
-//!   any method's communication time is a deterministic function of its
-//!   recorded per-stage bytes. Tests pin these against the simulator to
-//!   the last bit.
+//! * [`predict_bs`] is *exact*: plain binary-swap's per-stage byte
+//!   counts are workload-independent. A test pins it against the
+//!   simulator to the last bit.
 //! * [`UniformWorkload`] estimates the workload-dependent quantities
 //!   (`A_rec^k`, `A_opaque^k`, `R_code^k`) under a uniform-density
 //!   model, yielding closed-form predictions for BSBR, BSLC and BSBRC
@@ -50,19 +48,6 @@ pub fn predict_bs(a: usize, p: usize, net: &CostModel, comp: &CompCost) -> Predi
         half /= 2.0;
     }
     pred
-}
-
-/// Recomputes a rank's costs from its recorded per-stage counters —
-/// the identity the whole measurement pipeline rests on.
-pub fn predict_from_stats(stats: &MethodStats, net: &CostModel, comp: &CompCost) -> Prediction {
-    Prediction {
-        comp_seconds: comp.modeled_seconds(stats),
-        comm_seconds: stats
-            .stages
-            .iter()
-            .map(|s| net.message_seconds(s.recv_bytes as usize))
-            .sum(),
-    }
 }
 
 /// A uniform-density workload model: non-blank pixels cover fraction
@@ -288,31 +273,9 @@ mod tests {
         });
         let predicted = predict_bs(a, p, &net, &comp);
         for stats in &out.results {
-            let from_stats = predict_from_stats(stats, &net, &comp);
-            assert!((from_stats.comm_seconds - predicted.comm_seconds).abs() < 1e-12);
-            assert!((from_stats.comm_seconds - stats.comm_seconds).abs() < 1e-12);
-            assert!((from_stats.comp_seconds - predicted.comp_seconds).abs() < 1e-9);
+            assert!((stats.comm_seconds - predicted.comm_seconds).abs() < 1e-12);
+            assert!((comp.modeled_seconds(stats) - predicted.comp_seconds).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn predict_from_stats_is_the_modeled_comp() {
-        let stats = MethodStats {
-            bound_pixels: 100,
-            stages: vec![crate::stats::StageStat {
-                sent_bytes: 160,
-                recv_bytes: 320,
-                composite_ops: 20,
-                encoded_pixels: 50,
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-        let comp = CompCost::power2();
-        let net = CostModel::free();
-        let pred = predict_from_stats(&stats, &net, &comp);
-        assert!((pred.comp_seconds - comp.modeled_seconds(&stats)).abs() < 1e-15);
-        assert_eq!(pred.comm_seconds, 0.0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use vr_comm::{gather, gather_tolerant, Endpoint};
 use vr_image::{Image, StridedSeq};
-use vr_volume::DepthOrder;
 
 use crate::error::{Checked, CompositeError, Malformed};
 use crate::methods::spatial::read_rect_pixels;
@@ -117,35 +116,6 @@ fn apply_rect(out: &mut Image, r: &mut MsgReader) -> Checked<usize> {
     Ok(rect.area())
 }
 
-/// Sends this rank's owned piece to `root` and, at the root, assembles
-/// the final image from all pieces. Returns `Some(image)` at the root.
-///
-/// Panics if the gather fails or the pieces do not tile the image —
-/// use [`gather_image_tolerant`] when ranks may have died.
-pub fn gather_image(
-    ep: &mut Endpoint,
-    image: &Image,
-    piece: &OwnedPiece,
-    root: usize,
-) -> Option<Image> {
-    let payload = encode_piece(image, piece);
-    let all =
-        gather(ep, root, tags::GATHER, payload).unwrap_or_else(|e| panic!("gather failed: {e}"))?;
-
-    let mut out = Image::blank(image.width(), image.height());
-    let mut covered = 0usize;
-    for (rank, bytes) in all.into_iter().enumerate() {
-        covered += apply_piece(&mut out, bytes)
-            .unwrap_or_else(|m| panic!("gather failed: {}", m.at("gather", rank)));
-    }
-    assert_eq!(
-        covered,
-        out.area(),
-        "gathered pieces must tile the image exactly"
-    );
-    Some(out)
-}
-
 /// A gathered image that may be missing contributions from dead ranks.
 #[derive(Debug, Clone)]
 pub struct GatheredImage {
@@ -168,6 +138,55 @@ impl GatheredImage {
     }
 }
 
+/// The root's side of both gathers: a blank frame, every piece that
+/// arrived written into it, the pixels those pieces covered and the
+/// ranks whose slot is empty.
+fn assemble(
+    frame: &Image,
+    slots: impl IntoIterator<Item = Option<bytes::Bytes>>,
+) -> Result<GatheredImage, CompositeError> {
+    let mut gathered = GatheredImage {
+        image: Image::blank(frame.width(), frame.height()),
+        missing_ranks: Vec::new(),
+        covered_pixels: 0,
+    };
+    for (rank, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Some(bytes) => {
+                gathered.covered_pixels +=
+                    apply_piece(&mut gathered.image, bytes).map_err(|m| m.at("gather", rank))?;
+            }
+            None => gathered.missing_ranks.push(rank),
+        }
+    }
+    Ok(gathered)
+}
+
+/// Sends this rank's owned piece to `root` and, at the root, assembles
+/// the final image from all pieces. Returns `Some(image)` at the root.
+///
+/// Panics if the gather fails or the pieces do not tile the image —
+/// use [`gather_image_tolerant`] when ranks may have died.
+pub fn gather_image(
+    ep: &mut Endpoint,
+    image: &Image,
+    piece: &OwnedPiece,
+    root: usize,
+) -> Option<Image> {
+    let payload = encode_piece(image, piece);
+    let all =
+        gather(ep, root, tags::GATHER, payload).unwrap_or_else(|e| panic!("gather failed: {e}"))?;
+    let gathered =
+        assemble(image, all.into_iter().map(Some)).unwrap_or_else(|e| panic!("gather failed: {e}"));
+    assert!(gathered.missing_ranks.is_empty());
+    assert_eq!(
+        gathered.covered_pixels,
+        gathered.image.area(),
+        "gathered pieces must tile the image exactly"
+    );
+    Some(gathered.image)
+}
+
 /// Fault-tolerant gather: like [`gather_image`] but a dead contributor
 /// leaves a hole instead of panicking. Returns `Some` only at the root;
 /// a dead root means nobody assembles (`Ok(None)` everywhere).
@@ -188,37 +207,7 @@ pub fn gather_image_tolerant(
             }
         }
     })?;
-    let Some(all) = all else { return Ok(None) };
-
-    let mut out = Image::blank(image.width(), image.height());
-    let mut covered = 0usize;
-    let mut missing = Vec::new();
-    for (rank, slot) in all.into_iter().enumerate() {
-        match slot {
-            Some(bytes) => {
-                covered += apply_piece(&mut out, bytes).map_err(|m| m.at("gather", rank))?;
-            }
-            None => missing.push(rank),
-        }
-    }
-    Ok(Some(GatheredImage {
-        image: out,
-        missing_ranks: missing,
-        covered_pixels: covered,
-    }))
-}
-
-/// Convenience used by tests and examples: composites with `method` and
-/// gathers at rank 0, returning the final image there.
-pub fn composite_and_gather(
-    method: crate::methods::Method,
-    ep: &mut Endpoint,
-    image: &mut Image,
-    depth: &DepthOrder,
-) -> Result<(Option<Image>, crate::stats::MethodStats), CompositeError> {
-    let result = crate::methods::composite(method, ep, image, depth)?;
-    let gathered = gather_image(ep, image, &result.piece, 0);
-    Ok((gathered, result.stats))
+    all.map(|slots| assemble(image, slots)).transpose()
 }
 
 #[cfg(test)]
@@ -294,5 +283,31 @@ mod tests {
             let piece = OwnedPiece::Rect(Rect::new(0, ep.rank() as u16, 2, ep.rank() as u16 + 1));
             gather_image(ep, &img, &piece, 0)
         });
+    }
+
+    /// The same four row bands through the tolerant gather with rank 2
+    /// killed before it sends: its slot is a hole, the other three land.
+    #[test]
+    fn tolerant_gather_leaves_a_dead_ranks_band_blank() {
+        let options = vr_comm::GroupOptions {
+            cost: CostModel::free(),
+            faults: Some("kill=2@0".parse().unwrap()),
+            ..Default::default()
+        };
+        let out = vr_comm::run_group_with(4, options, |ep| {
+            let rect = Rect::new(0, ep.rank() as u16 * 2, 8, ep.rank() as u16 * 2 + 2);
+            let mut img = Image::blank(8, 8);
+            for (x, y) in rect.iter() {
+                img.set(x, y, Pixel::gray(0.5, 1.0));
+            }
+            gather_image_tolerant(ep, &img, &OwnedPiece::Rect(rect), 0)
+        });
+        let got = out.results[0].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(got.missing_ranks, vec![2]);
+        assert_eq!(got.covered_pixels, 48);
+        assert_eq!(got.coverage(), 0.75);
+        assert_eq!(got.image.get(3, 3), Pixel::gray(0.5, 1.0));
+        assert_eq!(got.image.get(3, 4), Pixel::BLANK);
+        assert_eq!(got.image.get(3, 6), Pixel::gray(0.5, 1.0));
     }
 }

@@ -37,7 +37,7 @@ fn read_stream(payload: Bytes, area: usize) -> Checked<ValueRle> {
     let mut runs = Vec::with_capacity(nruns);
     for _ in 0..nruns {
         let pixel = r.get_pixel()?;
-        let count = r.get_codes(1)?[0];
+        let count = r.get_code()?;
         runs.push(ValueRun { pixel, count });
     }
     let stream = ValueRle::from_runs(runs);

@@ -7,7 +7,7 @@
 //! then folds the `P` contributions for its own band front-to-back.
 
 use vr_comm::Endpoint;
-use vr_image::{Image, Pixel};
+use vr_image::{kernel, Image, Pixel};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv, try_send, CompositeError, Malformed};
@@ -59,13 +59,22 @@ pub fn run(
         }
     }
 
-    // Receive the P−1 contributions for our band and fold front-to-back.
-    // `contributions[u]` is virtual rank u's band image (ours included);
-    // a dead contributor's slot stays `None` and is simply skipped.
-    let mut contributions: Vec<Option<Vec<Pixel>>> = (0..p).map(|_| None).collect();
-    contributions[v] = Some(image.extract_rect(&my_band));
-    for (src, slot) in contributions.iter_mut().enumerate() {
+    // Fold the P contributions for our band front-to-back, in virtual
+    // rank order, each as it arrives: `acc` holds everything in front so
+    // far, ours joins at position `v`, an arrival is composited from its
+    // wire bytes and a dead contributor is simply skipped.
+    let area = my_band.area();
+    let width = my_band.width() as usize;
+    let mut acc = vec![Pixel::BLANK; area];
+    for src in 0..p {
         if src == v {
+            run.comp.time(|| {
+                for (row, y) in (my_band.y0..my_band.y1).enumerate() {
+                    let own = image.row_span(my_band.x0, y, width);
+                    kernel::under_slice(&mut acc[row * width..][..width], own);
+                }
+            });
+            stat.composite_ops += area as u64;
             continue;
         }
         let Some(received) = try_recv(
@@ -81,31 +90,18 @@ pub fn run(
         stat.recv_bytes += received.len() as u64;
         stat.recv_msgs += 1;
         // The payload is the band's pixels and nothing else.
-        let pixels = run
-            .comp
+        run.comp
             .time(|| {
                 let mut r = MsgReader::new(received);
-                let pixels = r.get_pixels(my_band.area())?;
+                let wire = r.take_pixels(area)?;
                 r.finish()?;
-                Ok(pixels)
+                kernel::under_slice_wire(&mut acc, &wire);
+                Ok(())
             })
             .map_err(|m: Malformed| m.at("direct recv", topo.real(src)))?;
-        *slot = Some(pixels);
+        stat.composite_ops += area as u64;
     }
-
-    run.comp.time(|| {
-        let mut acc = vec![Pixel::BLANK; my_band.area()];
-        let mut ops = 0u64;
-        for c in contributions.into_iter().flatten() {
-            // acc holds everything in front so far.
-            for (a, b) in acc.iter_mut().zip(&c) {
-                *a = a.over(*b);
-                ops += 1;
-            }
-        }
-        image.write_rect(&my_band, &acc);
-        stat.composite_ops = ops;
-    });
+    run.comp.time(|| image.write_rect(&my_band, &acc));
 
     run.stages.push(stat);
     Ok(run.finish(ep, OwnedPiece::Rect(my_band)))

@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 use vr_comm::Endpoint;
-use vr_image::{Image, Pixel};
+use vr_image::{kernel, Image, Pixel};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv, try_send, Checked, CompositeError, Malformed};
@@ -28,14 +28,28 @@ use super::{band_rect, CompositeResult, OwnedPiece, Run};
 /// keeps the ring in lockstep so downstream ranks never stall.
 const NO_BAND: u32 = u32::MAX;
 
+/// One accumulator of a travelling partial. A visitor composites its
+/// own contribution into exactly one of the two, in its staging buffer;
+/// the other it forwards as the bytes it arrived in.
+enum Acc {
+    /// Untouched by this rank: a view of the received payload.
+    Wire(Bytes),
+    /// In this rank's staging buffer.
+    Staged,
+}
+
 /// A travelling partial: the behind-segment accumulator `a` and, once
 /// the chain has wrapped past position 0, the front-segment `b`.
-type Travelling = (Vec<Pixel>, Option<Vec<Pixel>>);
+type Travelling = (Acc, Option<Acc>);
 
 /// Parses one ring message: `None` for the [`NO_BAND`] marker, else the
-/// accumulators of band `expect` — its id, its flag, `area` pixels per
-/// accumulator and nothing after them.
-fn read_band(payload: Bytes, expect: usize, area: usize) -> Checked<Option<Travelling>> {
+/// accumulators of band `expect`, undecoded — its id, its flag, `area`
+/// pixels per accumulator and nothing after them.
+fn read_band(
+    payload: Bytes,
+    expect: usize,
+    area: usize,
+) -> Checked<Option<(Bytes, Option<Bytes>)>> {
     let mut r = MsgReader::new(payload);
     let got = r.get_u32()?;
     if got == NO_BAND {
@@ -45,8 +59,8 @@ fn read_band(payload: Bytes, expect: usize, area: usize) -> Checked<Option<Trave
     Malformed::unless(got as usize == expect)?;
     let has_b = r.get_u32()?;
     Malformed::unless(has_b <= 1)?;
-    let a = r.get_pixels(area)?;
-    let b = (has_b == 1).then(|| r.get_pixels(area)).transpose()?;
+    let a = r.take_pixels(area)?;
+    let b = (has_b == 1).then(|| r.take_pixels(area)).transpose()?;
     r.finish()?;
     Ok(Some((a, b)))
 }
@@ -71,33 +85,35 @@ pub fn run(
     let prev = topo.real((j + p - 1) % p);
 
     // We start band (j−1) mod P: our own contribution seeds the
-    // behind-segment accumulator `a`. `have_band` goes false when the
-    // chain through us is severed by a dead upstream rank.
+    // behind-segment accumulator `a`. `travelling` goes `None` when the
+    // chain through us is severed by a dead upstream rank. `stage` is
+    // the one staging buffer, refilled at every hop.
     let mut band_id = (j + p - 1) % p;
-    let mut have_band = true;
-    let mut a_buf = {
+    let mut stage: Vec<Pixel> = Vec::new();
+    run.comp.time(|| {
         let band = band_rect(image.width(), image.height(), band_id, p);
-        run.comp.time(|| image.extract_rect(&band))
-    };
-    let mut b_buf: Option<Vec<Pixel>> = None;
+        image.extract_rect_into(&band, &mut stage);
+    });
+    let mut travelling: Option<Travelling> = Some((Acc::Staged, None));
 
     for t in 0..p - 1 {
         let tag = tags::PIPE_BASE + t as u32;
         let payload = run.comp.time(|| {
-            if !have_band {
+            let Some((a, b)) = &travelling else {
                 let mut w = MsgWriter::with_capacity(4);
                 w.put_u32(NO_BAND);
                 return w.freeze();
-            }
-            let band = band_rect(image.width(), image.height(), band_id, p);
+            };
             let mut w = MsgWriter::with_capacity(
-                8 + (1 + b_buf.is_some() as usize) * band.area() * vr_image::BYTES_PER_PIXEL,
+                8 + (1 + b.is_some() as usize) * stage.len() * vr_image::BYTES_PER_PIXEL,
             );
             w.put_u32(band_id as u32);
-            w.put_u32(b_buf.is_some() as u32);
-            w.put_pixels(&a_buf);
-            if let Some(b) = &b_buf {
-                w.put_pixels(b);
+            w.put_u32(b.is_some() as u32);
+            for acc in std::iter::once(a).chain(b) {
+                match acc {
+                    Acc::Wire(bytes) => w.put_bytes(bytes),
+                    Acc::Staged => w.put_pixels(&stage),
+                }
             }
             w.freeze()
         });
@@ -109,12 +125,9 @@ pub fn run(
         }
 
         match try_recv(ep, prev, tag, &mut run.dead, "pipeline recv")? {
-            None => {
-                // Dead upstream: the travelling chains are lost from here
-                // on; keep pumping NO_BAND markers so downstream survives.
-                have_band = false;
-                b_buf = None;
-            }
+            // Dead upstream: the travelling chains are lost from here
+            // on; keep pumping NO_BAND markers so downstream survives.
+            None => travelling = None,
             Some(received) => {
                 stat.recv_bytes = received.len() as u64;
                 stat.recv_msgs = 1;
@@ -124,45 +137,33 @@ pub fn run(
                 let band = band_rect(image.width(), image.height(), expect, p);
                 let merged: Checked<()> = run.comp.time(|| {
                     let Some((a, b)) = read_band(received, expect, band.area())? else {
-                        have_band = false;
-                        b_buf = None;
+                        travelling = None;
                         return Ok(());
                     };
-                    have_band = true;
                     band_id = expect;
-                    a_buf = a;
-                    b_buf = b;
 
                     // Composite our own contribution for this band. The band
                     // started at position s = (band_id+1) mod P; if our position
                     // has not wrapped past 0 relative to s we extend the behind
                     // segment `a`, otherwise the front segment `b`.
                     let s = (band_id + 1) % p;
-                    let mine = image.extract_rect(&band);
-                    let mut ops = 0u64;
-                    if s <= j {
+                    image.extract_rect_into(&band, &mut stage);
+                    travelling = Some(if s <= j {
                         // Behind segment: `a` holds [s..j−1] front-to-back; we
                         // are behind them.
-                        for (acc, m) in a_buf.iter_mut().zip(&mine) {
-                            *acc = acc.over(*m);
-                            ops += 1;
-                        }
+                        kernel::over_slice_wire(&a, &mut stage);
+                        stat.composite_ops = band.area() as u64;
+                        (Acc::Staged, b.map(Acc::Wire))
                     } else {
                         // Front segment (wrapped): `b` holds [0..j−1]; we are
-                        // behind them but in front of everything in `a`.
-                        match &mut b_buf {
-                            Some(b) => {
-                                for (acc, m) in b.iter_mut().zip(&mine) {
-                                    *acc = acc.over(*m);
-                                    ops += 1;
-                                }
-                            }
-                            None => {
-                                b_buf = Some(mine);
-                            }
+                        // behind them but in front of everything in `a`. The
+                        // first to wrap starts `b` with its own contribution.
+                        if let Some(b) = &b {
+                            kernel::over_slice_wire(b, &mut stage);
+                            stat.composite_ops = band.area() as u64;
                         }
-                    }
-                    stat.composite_ops = ops;
+                        (Acc::Wire(a), Some(Acc::Staged))
+                    });
                     Ok(())
                 });
                 merged.map_err(|m| m.at("pipeline recv", prev))?;
@@ -171,16 +172,19 @@ pub fn run(
         run.stages.push(stat);
     }
 
-    if have_band && band_id == j {
+    if let Some((a, b)) = travelling.as_ref().filter(|_| band_id == j) {
         // Healthy finish: after P−1 hops we hold our own band; merge the
-        // two segments.
+        // two segments, `b` over `a`.
         run.comp.time(|| {
-            if let Some(b) = b_buf.take() {
-                for (front, back) in b.iter().zip(a_buf.iter_mut()) {
-                    *back = front.over(*back);
-                }
+            match a {
+                Acc::Wire(bytes) => image.write_rect_wire(&my_band, bytes),
+                Acc::Staged => image.write_rect(&my_band, &stage),
             }
-            image.write_rect(&my_band, &a_buf);
+            match b {
+                Some(Acc::Wire(bytes)) => drop(image.composite_rect_over_wire(&my_band, bytes)),
+                Some(Acc::Staged) => drop(image.composite_rect_over(&my_band, &stage)),
+                None => {}
+            }
         });
     }
     // Degraded finish: our band's travelling partial was lost with a dead

@@ -164,6 +164,11 @@ impl MsgReader {
         self.array().map(u32::from_le_bytes)
     }
 
+    /// Reads a single run code.
+    pub fn get_code(&mut self) -> Checked<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
     /// Reads `n` run codes.
     pub fn get_codes(&mut self, n: usize) -> Checked<Vec<u16>> {
         let wire = self.take(n, BYTES_PER_RUN_CODE)?;

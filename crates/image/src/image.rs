@@ -442,20 +442,6 @@ impl Image {
         rect.area()
     }
 
-    /// Composites `front` (a dense buffer for `rect`) **under** `self`,
-    /// i.e. the local image stays in front.
-    pub fn composite_rect_under(&mut self, rect: &Rect, back: &[Pixel]) -> usize {
-        assert_eq!(back.len(), rect.area());
-        self.touch(rect);
-        self.bounds_hint = None;
-        let w = rect.width() as usize;
-        for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
-            let dst = self.index(rect.x0, y);
-            kernel::under_slice(&mut self.pixels[dst..dst + w], &back[row_idx * w..][..w]);
-        }
-        rect.area()
-    }
-
     /// [`Image::write_rect`] from wire-form pixels (16 little-endian
     /// bytes each, row-major over `rect`): decodes straight into the
     /// image rows.
@@ -472,7 +458,8 @@ impl Image {
         rect.area()
     }
 
-    /// [`Image::composite_rect_under`] with `back` in wire form.
+    /// Composites `back` (wire-form pixels of `rect`) **under** `self`,
+    /// i.e. the local image stays in front.
     pub fn composite_rect_under_wire(&mut self, rect: &Rect, back: &[u8]) -> usize {
         self.for_rows_wire(rect, back, kernel::under_slice_wire);
         rect.area()
@@ -492,23 +479,6 @@ impl Image {
                 &wire[row_idx * w * BYTES_PER_PIXEL..][..w * BYTES_PER_PIXEL],
             );
         }
-    }
-
-    /// Composites a whole `front` image over `self` (both full size) —
-    /// the sequential reference path and the plain BS exchange step.
-    pub fn composite_image_over(&mut self, front: &Image, region: &Rect) -> usize {
-        assert_eq!((self.width, self.height), (front.width, front.height));
-        self.touch(region);
-        self.bounds_hint = None;
-        let w = region.width() as usize;
-        for y in region.y0..region.y1 {
-            let start = self.index(region.x0, y);
-            kernel::over_slice(
-                &front.pixels[start..start + w],
-                &mut self.pixels[start..start + w],
-            );
-        }
-        region.area()
     }
 
     /// Maximum per-channel absolute difference over all pixels.
@@ -658,24 +628,12 @@ mod tests {
         let mut local = Image::blank(4, 4);
         local.set(1, 1, Pixel::gray(0.5, 1.0)); // opaque local pixel
         let r = Rect::new(0, 0, 4, 4);
-        let back = vec![Pixel::gray(1.0, 1.0); 16];
-        local.composite_rect_under(&r, &back);
+        let back = Pixel::gray(1.0, 1.0).to_le_bytes().repeat(16);
+        local.composite_rect_under_wire(&r, &back);
         // Local opaque pixel hides incoming back pixel.
         assert_eq!(local.get(1, 1), Pixel::gray(0.5, 1.0));
         // Blank local pixels show the back.
         assert_eq!(local.get(0, 0), Pixel::gray(1.0, 1.0));
-    }
-
-    #[test]
-    fn composite_whole_images_matches_rect_path() {
-        let front = checker(10, 10);
-        let back = Image::from_fn(10, 10, |x, _| Pixel::gray(x as f32 / 10.0, 0.8));
-        let mut a = back.clone();
-        a.composite_image_over(&front, &back.full_rect());
-        let mut b = back.clone();
-        let buf = front.extract_rect(&front.full_rect());
-        b.composite_rect_over(&front.full_rect(), &buf);
-        assert_eq!(a, b);
     }
 
     #[test]

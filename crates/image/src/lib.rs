@@ -28,4 +28,3 @@ pub use crate::pixel::{Pixel, BYTES_PER_PIXEL};
 pub use crate::rect::Rect;
 pub use crate::rle::{MaskRle, RunSet, ValueRle, BYTES_PER_RUN_CODE};
 pub use crate::run_image::RunImage;
-pub use crate::stats::{sparsity_profile, SparsityProfile};

@@ -1,4 +1,4 @@
-//! PGM/PPM image output for inspecting rendered and composited images
+//! PGM image output for inspecting rendered and composited images
 //! (regenerates the paper's Figure 7 test-sample gallery).
 
 use crate::image::Image;
@@ -12,29 +12,10 @@ pub fn write_pgm<W: Write>(img: &Image, mut w: W) -> io::Result<()> {
     w.write_all(&bytes)
 }
 
-/// Writes the image as binary PPM (P6), RGB with straight-alpha over black.
-pub fn write_ppm<W: Write>(img: &Image, mut w: W) -> io::Result<()> {
-    write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
-    let mut bytes = Vec::with_capacity(img.area() * 3);
-    for p in img.pixels() {
-        // Premultiplied over black background == the premultiplied color.
-        bytes.push((p.r.clamp(0.0, 1.0) * 255.0).round() as u8);
-        bytes.push((p.g.clamp(0.0, 1.0) * 255.0).round() as u8);
-        bytes.push((p.b.clamp(0.0, 1.0) * 255.0).round() as u8);
-    }
-    w.write_all(&bytes)
-}
-
 /// Convenience: writes a PGM file at `path`.
 pub fn save_pgm(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     write_pgm(img, io::BufWriter::new(f))
-}
-
-/// Convenience: writes a PPM file at `path`.
-pub fn save_ppm(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_ppm(img, io::BufWriter::new(f))
 }
 
 #[cfg(test)]
@@ -49,13 +30,5 @@ mod tests {
         write_pgm(&img, &mut buf).unwrap();
         assert!(buf.starts_with(b"P5\n3 2\n255\n"));
         assert_eq!(buf.len(), b"P5\n3 2\n255\n".len() + 6);
-    }
-
-    #[test]
-    fn ppm_payload_size() {
-        let img = Image::blank(4, 4);
-        let mut buf = Vec::new();
-        write_ppm(&img, &mut buf).unwrap();
-        assert_eq!(buf.len(), b"P6\n4 4\n255\n".len() + 48);
     }
 }

@@ -93,12 +93,6 @@ impl Pixel {
         }
     }
 
-    /// In-place variant: `*self = front.over(*self)` where `self` is behind.
-    #[inline]
-    pub fn under_assign(&mut self, front: Pixel) {
-        *self = front.over(*self);
-    }
-
     /// Quantizes the gray intensity to 8 bits for PGM output.
     #[inline]
     pub fn luma_u8(&self) -> u8 {
@@ -206,14 +200,5 @@ mod tests {
     fn luma_of_white_is_255() {
         assert_eq!(Pixel::new(1.0, 1.0, 1.0, 1.0).luma_u8(), 255);
         assert_eq!(Pixel::BLANK.luma_u8(), 0);
-    }
-
-    #[test]
-    fn under_assign_matches_over() {
-        let front = Pixel::from_straight(0.2, 0.3, 0.4, 0.5);
-        let back = Pixel::from_straight(0.6, 0.7, 0.8, 0.9);
-        let mut x = back;
-        x.under_assign(front);
-        assert_eq!(x, front.over(back));
     }
 }

@@ -1,4 +1,4 @@
-//! Minimal dependency-free PNG output (gray and RGB), so rendered and
+//! Minimal dependency-free grayscale PNG output, so rendered and
 //! composited images open in any viewer without PGM support.
 //!
 //! The encoder emits *stored* (uncompressed) deflate blocks inside a
@@ -84,55 +84,32 @@ fn chunk<W: Write>(mut w: W, kind: &[u8; 4], data: &[u8]) -> io::Result<()> {
     w.write_all(&crc32(&crc_input).to_be_bytes())
 }
 
-fn write_png_impl<W: Write>(img: &Image, mut w: W, rgb: bool) -> io::Result<()> {
+/// Writes the image as an 8-bit grayscale PNG.
+pub fn write_png_gray<W: Write>(img: &Image, mut w: W) -> io::Result<()> {
     w.write_all(&[0x89, b'P', b'N', b'G', b'\r', b'\n', 0x1A, b'\n'])?;
     let mut ihdr = Vec::with_capacity(13);
     ihdr.extend_from_slice(&(img.width() as u32).to_be_bytes());
     ihdr.extend_from_slice(&(img.height() as u32).to_be_bytes());
     ihdr.push(8); // bit depth
-    ihdr.push(if rgb { 2 } else { 0 }); // color type
+    ihdr.push(0); // color type: grayscale
     ihdr.extend_from_slice(&[0, 0, 0]); // compression, filter, interlace
     chunk(&mut w, b"IHDR", &ihdr)?;
 
-    let channels = if rgb { 3 } else { 1 };
-    let mut raw = Vec::with_capacity(img.height() as usize * (1 + img.width() as usize * channels));
+    let mut raw = Vec::with_capacity(img.height() as usize * (1 + img.width() as usize));
     for y in 0..img.height() {
         raw.push(0); // filter: none
         for x in 0..img.width() {
-            let p = img.get(x, y);
-            if rgb {
-                raw.push((p.r.clamp(0.0, 1.0) * 255.0).round() as u8);
-                raw.push((p.g.clamp(0.0, 1.0) * 255.0).round() as u8);
-                raw.push((p.b.clamp(0.0, 1.0) * 255.0).round() as u8);
-            } else {
-                raw.push(p.luma_u8());
-            }
+            raw.push(img.get(x, y).luma_u8());
         }
     }
     chunk(&mut w, b"IDAT", &zlib_stored(&raw))?;
     chunk(&mut w, b"IEND", &[])
 }
 
-/// Writes the image as an 8-bit grayscale PNG.
-pub fn write_png_gray<W: Write>(img: &Image, w: W) -> io::Result<()> {
-    write_png_impl(img, w, false)
-}
-
-/// Writes the image as an 8-bit RGB PNG (premultiplied color over black).
-pub fn write_png_rgb<W: Write>(img: &Image, w: W) -> io::Result<()> {
-    write_png_impl(img, w, true)
-}
-
 /// Convenience: saves a grayscale PNG at `path`.
 pub fn save_png_gray(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     write_png_gray(img, io::BufWriter::new(f))
-}
-
-/// Convenience: saves an RGB PNG at `path`.
-pub fn save_png_rgb(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_png_rgb(img, io::BufWriter::new(f))
 }
 
 #[cfg(test)]
@@ -192,19 +169,6 @@ mod tests {
         // File ends with IEND + its fixed CRC.
         assert_eq!(&buf[buf.len() - 8..buf.len() - 4], b"IEND");
         assert_eq!(&buf[buf.len() - 4..], &0xAE42_6082u32.to_be_bytes());
-    }
-
-    #[test]
-    fn rgb_png_has_color_type_2_and_right_size() {
-        let img = Image::from_fn(4, 4, |x, _| {
-            Pixel::from_straight(x as f32 / 4.0, 0.5, 0.2, 1.0)
-        });
-        let mut buf = Vec::new();
-        write_png_rgb(&img, &mut buf).unwrap();
-        assert_eq!(buf[25], 2);
-        // Raw scanlines: 4 rows × (1 + 4·3) bytes inside the IDAT.
-        // (Just check the file is plausibly sized: header + raw + overhead.)
-        assert!(buf.len() > 4 * 13);
     }
 
     #[test]

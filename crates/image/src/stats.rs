@@ -1,60 +1,6 @@
-//! Image statistics: sparsity profiles and quality metrics used by the
-//! evaluation harness and tests.
+//! Image quality metrics used by the evaluation harness and tests.
 
 use crate::image::Image;
-use crate::rect::Rect;
-
-/// A sparsity profile of one subimage — the quantities that decide which
-/// compositing method wins on it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SparsityProfile {
-    /// Total pixels (`A`).
-    pub area: usize,
-    /// Non-blank pixels (`A_opaque` over the whole frame).
-    pub non_blank: usize,
-    /// Bounding rectangle of the non-blank pixels.
-    pub bounds: Rect,
-    /// Non-blank density inside the bounding rectangle, in `[0, 1]`
-    /// (the paper's dense/sparse classification).
-    pub rect_density: f64,
-    /// Fraction of the frame covered by the bounding rectangle.
-    pub rect_coverage: f64,
-    /// Number of blank/non-blank transitions along rows — proportional
-    /// to the run codes mask-RLE would produce.
-    pub row_transitions: usize,
-}
-
-/// Computes the sparsity profile of an image.
-pub fn sparsity_profile(img: &Image) -> SparsityProfile {
-    let bounds = img.bounding_rect();
-    let non_blank = img.non_blank_count();
-    let mut row_transitions = 0usize;
-    for y in 0..img.height() {
-        let mut prev = false;
-        for x in 0..img.width() {
-            let cur = !img.get(x, y).is_blank();
-            if cur != prev {
-                row_transitions += 1;
-            }
-            prev = cur;
-        }
-        if prev {
-            row_transitions += 1; // close the final run
-        }
-    }
-    SparsityProfile {
-        area: img.area(),
-        non_blank,
-        bounds,
-        rect_density: if bounds.area() > 0 {
-            non_blank as f64 / bounds.area() as f64
-        } else {
-            0.0
-        },
-        rect_coverage: bounds.area() as f64 / img.area() as f64,
-        row_transitions,
-    }
-}
 
 /// Mean squared error over all channels of two equal-size images.
 pub fn mse(a: &Image, b: &Image) -> f64 {
@@ -78,18 +24,6 @@ pub fn psnr(a: &Image, b: &Image) -> f64 {
     }
 }
 
-/// A 16-bin histogram of non-blank pixel opacities.
-pub fn alpha_histogram(img: &Image) -> [usize; 16] {
-    let mut bins = [0usize; 16];
-    for p in img.pixels() {
-        if !p.is_blank() {
-            let bin = ((p.a.clamp(0.0, 1.0) * 16.0) as usize).min(15);
-            bins[bin] += 1;
-        }
-    }
-    bins
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,41 +40,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_of_half_filled_image() {
-        let p = sparsity_profile(&half_filled());
-        assert_eq!(p.area, 256);
-        assert_eq!(p.non_blank, 128);
-        assert_eq!(p.bounds, Rect::new(0, 0, 8, 16));
-        assert!((p.rect_density - 1.0).abs() < 1e-12);
-        assert!((p.rect_coverage - 0.5).abs() < 1e-12);
-        // One run per row → 2 transitions per row (enter + close).
-        assert_eq!(p.row_transitions, 32);
-    }
-
-    #[test]
-    fn profile_of_blank_image() {
-        let p = sparsity_profile(&Image::blank(8, 8));
-        assert_eq!(p.non_blank, 0);
-        assert!(p.bounds.is_empty());
-        assert_eq!(p.rect_density, 0.0);
-        assert_eq!(p.row_transitions, 0);
-    }
-
-    #[test]
-    fn checkerboard_has_max_transitions() {
-        let img = Image::from_fn(8, 8, |x, y| {
-            if (x + y) % 2 == 0 {
-                Pixel::gray(1.0, 1.0)
-            } else {
-                Pixel::BLANK
-            }
-        });
-        let p = sparsity_profile(&img);
-        // Every pixel flips: 8 transitions + closing per row.
-        assert!(p.row_transitions >= 8 * 8);
-    }
-
-    #[test]
     fn mse_and_psnr_basics() {
         let a = half_filled();
         assert_eq!(mse(&a, &a), 0.0);
@@ -151,18 +50,5 @@ mod tests {
         let expect = 128.0 * 4.0 * 0.25 / (256.0 * 4.0);
         assert!((m - expect).abs() < 1e-12);
         assert!(psnr(&a, &b) > 0.0 && psnr(&a, &b).is_finite());
-    }
-
-    #[test]
-    fn alpha_histogram_bins() {
-        let mut img = Image::blank(4, 1);
-        img.set(0, 0, Pixel::gray(0.1, 0.05)); // bin 0
-        img.set(1, 0, Pixel::gray(0.1, 0.5)); // bin 8
-        img.set(2, 0, Pixel::gray(0.1, 1.0)); // bin 15 (clamped)
-        let h = alpha_histogram(&img);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[8], 1);
-        assert_eq!(h[15], 1);
-        assert_eq!(h.iter().sum::<usize>(), 3);
     }
 }

@@ -381,33 +381,13 @@ impl TileMask {
 /// `Some(accel)` enables macrocell skipping, and `tile >= 1` additionally
 /// culls whole screen tiles after a macrocell prescan.
 ///
-/// Honors `params.render_threads` by spinning up a transient
-/// [`RenderPool`]; callers with a persistent pool should use
-/// [`render_clipped_into_pool`].
-#[allow(clippy::too_many_arguments)]
-pub fn render_clipped_into(
-    volume: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    image: &mut Image,
-) {
-    render_clipped_into_pool(
-        volume, placement, clip, transfer, camera, params, accel, tile, None, image,
-    );
-}
-
-/// [`render_clipped_into`] with an optional persistent [`RenderPool`]
-/// for the banded tile scheduler. With more than one render thread —
-/// from the pool, or from `params.render_threads` when no pool is given
-/// (a transient pool is spun up) — the live screen tiles (or row bands,
-/// when tile culling is off) are fanned across the threads, each item
-/// writing only its own disjoint pixel rows. Every configuration is
-/// **bit-identical** to the single-threaded render.
+/// `pool` is an optional persistent [`RenderPool`] for the banded tile
+/// scheduler. With more than one render thread — from the pool, or from
+/// `params.render_threads` when no pool is given (a transient pool is
+/// spun up) — the live screen tiles (or row bands, when tile culling is
+/// off) are fanned across the threads, each item writing only its own
+/// disjoint pixel rows. Every configuration is **bit-identical** to the
+/// single-threaded render.
 #[allow(clippy::too_many_arguments)]
 pub fn render_clipped_into_pool(
     volume: &Volume,
@@ -514,7 +494,7 @@ pub fn render_clipped_into_pool(
 /// (screen pixel `(x, y)` lands at `(x - rect.x0, y - rect.y0)`),
 /// casting exactly the rays the full clipped render would cast for that
 /// region — per-pixel output is bit-identical to the corresponding
-/// region of [`render_clipped_into`]. This is the streamed-compositing
+/// region of [`render_clipped_into_pool`]. This is the streamed-compositing
 /// production hook: the fused render+composite runner renders each
 /// screen tile into its own buffer (fanned across a pool) and ships it
 /// the moment it completes, without waiting for the whole subimage.
@@ -993,7 +973,7 @@ mod tests {
         for clip in &clips {
             for accel in [None, Some(&acc)] {
                 let mut full = Image::blank(64, 64);
-                render_clipped_into(
+                render_clipped_into_pool(
                     &ds.volume,
                     &whole(dims),
                     clip,
@@ -1002,6 +982,7 @@ mod tests {
                     &params,
                     accel,
                     0,
+                    None,
                     &mut full,
                 );
                 let ts = 16u16;
@@ -1054,7 +1035,7 @@ mod tests {
             let cam = Camera::orbit(dims, 64, 64, 20.0, 30.0);
             let params = RenderParams::default();
             let mut naive = Image::blank(64, 64);
-            render_clipped_into(
+            render_clipped_into_pool(
                 &ds.volume,
                 &whole(dims),
                 &whole(dims),
@@ -1063,13 +1044,14 @@ mod tests {
                 &params,
                 None,
                 0,
+                None,
                 &mut naive,
             );
             for cell in [4, 8, 16] {
                 let acc = RenderAccel::new(ds.macrocell_grid(cell), &ds.transfer, &params);
                 for tile in [0, 8, 32] {
                     let mut fast = Image::blank(64, 64);
-                    render_clipped_into(
+                    render_clipped_into_pool(
                         &ds.volume,
                         &whole(dims),
                         &whole(dims),
@@ -1078,6 +1060,7 @@ mod tests {
                         &params,
                         Some(&acc),
                         tile,
+                        None,
                         &mut fast,
                     );
                     assert_eq!(
@@ -1134,7 +1117,7 @@ mod tests {
         let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
         let params = RenderParams::default();
         let mut naive = Image::blank(96, 96);
-        render_clipped_into(
+        render_clipped_into_pool(
             &ds.volume,
             &whole(dims),
             &whole(dims),
@@ -1143,6 +1126,7 @@ mod tests {
             &params,
             None,
             0,
+            None,
             &mut naive,
         );
         let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
@@ -1284,7 +1268,7 @@ mod tests {
             let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
             for tile in [0usize, 32] {
                 let mut sequential = Image::blank(w, h);
-                render_clipped_into(
+                render_clipped_into_pool(
                     &ds.volume,
                     &whole(dims),
                     &whole(dims),
@@ -1293,6 +1277,7 @@ mod tests {
                     &params,
                     Some(&acc),
                     tile,
+                    None,
                     &mut sequential,
                 );
                 let threaded_params = RenderParams {
@@ -1300,7 +1285,7 @@ mod tests {
                     ..params
                 };
                 let mut threaded = Image::blank(w, h);
-                render_clipped_into(
+                render_clipped_into_pool(
                     &ds.volume,
                     &whole(dims),
                     &whole(dims),
@@ -1309,6 +1294,7 @@ mod tests {
                     &threaded_params,
                     Some(&acc),
                     tile,
+                    None,
                     &mut threaded,
                 );
                 assert_eq!(

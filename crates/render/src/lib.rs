@@ -1,17 +1,12 @@
 //! The rendering phase: each processor turns its subvolume block into a
 //! sparse full-size subimage.
 //!
-//! Two renderers are provided:
-//!
-//! * [`raycast`] — the primary path, matching the paper: an orthographic
-//!   front-to-back ray caster with transfer-function classification,
-//!   central-difference gradient shading and early ray termination
-//!   (Levoy-style). Rays are only cast inside the screen-space footprint
-//!   of the processor's block, so subimage cost scales with the block,
-//!   not the frame.
-//! * [`splat`] — a feed-forward splatting renderer (Westover), the
-//!   paper's future-work item, useful for cross-checking image coverage
-//!   and for workloads with very sparse volumes.
+//! [`raycast`] matches the paper: a front-to-back ray caster with
+//! transfer-function classification, central-difference gradient shading
+//! and early ray termination (Levoy-style). Rays are only cast inside
+//! the screen-space footprint of the processor's block, so subimage cost
+//! scales with the block, not the frame. [`local`] is the same loop over
+//! a block a rank holds by itself (the distributed-memory mode).
 
 pub mod accel;
 pub mod camera;
@@ -19,15 +14,10 @@ pub mod local;
 pub mod params;
 pub mod pool;
 pub mod raycast;
-pub mod splat;
 
 pub use accel::{render_tile_into, RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZE};
 pub use camera::{Camera, Projection};
-pub use local::{
-    render_local_block, render_local_block_clipped, render_local_block_clipped_accel,
-    render_local_block_clipped_accel_pool,
-};
+pub use local::render_local_block_clipped_accel;
 pub use params::{RenderParams, MAX_SIMD_LANES};
 pub use pool::RenderPool;
-pub use raycast::{render_block, render_block_accel, render_block_accel_pool, render_block_into};
-pub use splat::splat_block;
+pub use raycast::{render_block, render_block_accel, render_block_accel_pool};

@@ -15,51 +15,28 @@
 use vr_image::Image;
 use vr_volume::{Subvolume, TransferFunction, Volume};
 
-use crate::accel::{render_clipped_into, render_clipped_into_pool, RenderAccel};
+use crate::accel::{render_clipped_into_pool, RenderAccel};
 use crate::camera::Camera;
 use crate::params::RenderParams;
-use crate::pool::RenderPool;
-use crate::raycast;
 
 /// Renders a locally held block into a full-size sparse subimage.
 ///
 /// `local` contains only the block's voxels; `placement` records where
-/// the block sits in the global grid (its `rank` field is ignored).
-pub fn render_local_block(
-    local: &Volume,
-    placement: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-) -> Image {
-    render_local_block_clipped(local, placement, placement, transfer, camera, params)
-}
-
-/// Like [`render_local_block`], but integrates rays only inside `clip`
-/// (voxel coordinates, must lie within `placement`'s box) while sampling
-/// from the full local data.
+/// the block sits in the global grid (its `rank` field is ignored). Rays
+/// are integrated only inside `clip` (voxel coordinates, must lie within
+/// `placement`'s box) while sampling from the full local data.
 ///
 /// This is the **ghost layer** mode: `placement` is the block expanded
 /// by [`Subvolume::expanded`], `clip` is the unexpanded interior each
 /// rank exclusively owns. Samples near the clip faces then interpolate
 /// into the ghost shell instead of clamping, which removes compositing
-/// seams.
-pub fn render_local_block_clipped(
-    local: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-) -> Image {
-    render_local_block_clipped_accel(local, placement, clip, transfer, camera, params, None, 0)
-}
-
-/// Like [`render_local_block_clipped`] with macrocell skipping and tile
-/// culling. The acceleration grid must be built over `local` (the ghost-
-/// expanded data each rank holds), so empty-space skipping works without
-/// any global state — the paper's distributed-memory setting. Output is
-/// bit-identical to [`render_local_block_clipped`].
+/// seams; `clip = placement` is the block without a shell.
+///
+/// `accel = None, tile = 0` is the naive reference. The acceleration
+/// grid must be built over `local` (the ghost-expanded data each rank
+/// holds), so empty-space skipping works without any global state — the
+/// paper's distributed-memory setting — and the output is bit-identical
+/// to the naive one.
 #[allow(clippy::too_many_arguments)]
 pub fn render_local_block_clipped_accel(
     local: &Volume,
@@ -72,61 +49,29 @@ pub fn render_local_block_clipped_accel(
     tile: usize,
 ) -> Image {
     let mut image = Image::blank(camera.width, camera.height);
-    render_clipped_into(
-        local, placement, clip, transfer, camera, params, accel, tile, &mut image,
-    );
-    image
-}
-
-/// [`render_local_block_clipped_accel`] with an optional persistent
-/// [`RenderPool`] for the banded tile scheduler; bit-identical at every
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn render_local_block_clipped_accel_pool(
-    local: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    pool: Option<&RenderPool>,
-) -> Image {
-    let mut image = Image::blank(camera.width, camera.height);
     render_clipped_into_pool(
-        local, placement, clip, transfer, camera, params, accel, tile, pool, &mut image,
+        local, placement, clip, transfer, camera, params, accel, tile, None, &mut image,
     );
     image
-}
-
-/// Compares shared-volume and local-block rendering (exposed for tests
-/// and diagnostics): returns the fraction of pixels whose channels
-/// differ by more than `tol`.
-pub fn seam_disagreement(
-    volume: &Volume,
-    block: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    tol: f32,
-) -> f64 {
-    let shared = raycast::render_block(volume, block, transfer, camera, params);
-    let local_vol = volume.extract_block(block.origin, block.dims);
-    let local = render_local_block(&local_vol, block, transfer, camera, params);
-    let differing = shared
-        .pixels()
-        .iter()
-        .zip(local.pixels())
-        .filter(|(a, b)| a.max_abs_diff(b) > tol)
-        .count();
-    differing as f64 / shared.area() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raycast;
     use vr_volume::{kd_partition, TransferFunction};
+
+    /// The single entry, naive (`None, 0`).
+    fn render_naive(
+        local: &Volume,
+        placement: &Subvolume,
+        clip: &Subvolume,
+        tf: &TransferFunction,
+        cam: &Camera,
+        params: &RenderParams,
+    ) -> Image {
+        render_local_block_clipped_accel(local, placement, clip, tf, cam, params, None, 0)
+    }
 
     fn ball(dims: [usize; 3]) -> Volume {
         Volume::from_fn(dims, |x, y, z| {
@@ -150,7 +95,16 @@ mod tests {
         let params = RenderParams::fast();
         let part = kd_partition(dims, 4);
         for block in part.subvolumes() {
-            let frac = seam_disagreement(&v, block, &tf, &cam, &params, 0.05);
+            let shared = raycast::render_block(&v, block, &tf, &cam, &params);
+            let local_vol = v.extract_block(block.origin, block.dims);
+            let local = render_naive(&local_vol, block, block, &tf, &cam, &params);
+            let differing = shared
+                .pixels()
+                .iter()
+                .zip(local.pixels())
+                .filter(|(a, b)| a.max_abs_diff(b) > 0.05)
+                .count();
+            let frac = differing as f64 / shared.area() as f64;
             assert!(frac < 0.05, "block {block:?}: {frac:.3} of pixels disagree");
         }
     }
@@ -169,7 +123,7 @@ mod tests {
             dims,
         };
         let shared = raycast::render_block(&v, &block, &tf, &cam, &params);
-        let local = render_local_block(&v, &block, &tf, &cam, &params);
+        let local = render_naive(&v, &block, &block, &tf, &cam, &params);
         assert_eq!(shared, local);
     }
 
@@ -186,7 +140,7 @@ mod tests {
             // Ghost = 2 covers trilinear (1) + gradient stencil (1).
             let padded = block.expanded(2, dims);
             let local = v.extract_block(padded.origin, padded.dims);
-            let ghosted = render_local_block_clipped(&local, &padded, block, &tf, &cam, &params);
+            let ghosted = render_naive(&local, &padded, block, &tf, &cam, &params);
             let diff = shared.max_abs_diff(&ghosted);
             assert!(diff < 1e-6, "block {block:?} still has seams: {diff}");
         }
@@ -207,7 +161,7 @@ mod tests {
             origin: [4, 0, 0],
             dims: [8, 8, 8],
         };
-        let _ = render_local_block_clipped(
+        let _ = render_naive(
             &v,
             &placement,
             &clip,
@@ -227,8 +181,9 @@ mod tests {
             origin: [0, 0, 0],
             dims: [4, 8, 8],
         };
-        let _ = render_local_block(
+        let _ = render_naive(
             &v,
+            &block,
             &block,
             &TransferFunction::cube(),
             &cam,

@@ -1,4 +1,4 @@
-//! Rendering parameters shared by the ray caster and the splatter.
+//! Rendering parameters of the ray caster.
 
 use serde::{Deserialize, Serialize};
 use vr_volume::Vec3;

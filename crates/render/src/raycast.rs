@@ -23,21 +23,7 @@ pub fn render_block(
     camera: &Camera,
     params: &RenderParams,
 ) -> Image {
-    let mut image = Image::blank(camera.width, camera.height);
-    render_block_into(volume, block, transfer, camera, params, &mut image);
-    image
-}
-
-/// Like [`render_block`] but accumulates into an existing blank image.
-pub fn render_block_into(
-    volume: &Volume,
-    block: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    image: &mut Image,
-) {
-    render_block_into_accel(volume, block, transfer, camera, params, None, 0, image);
+    render_block_accel(volume, block, transfer, camera, params, None, 0)
 }
 
 /// Like [`render_block`] with macrocell skipping and tile culling; the
@@ -51,28 +37,7 @@ pub fn render_block_accel(
     accel: Option<&RenderAccel>,
     tile: usize,
 ) -> Image {
-    let mut image = Image::blank(camera.width, camera.height);
-    render_block_into_accel(
-        volume, block, transfer, camera, params, accel, tile, &mut image,
-    );
-    image
-}
-
-/// Accelerated variant of [`render_block_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn render_block_into_accel(
-    volume: &Volume,
-    block: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    image: &mut Image,
-) {
-    render_block_into_accel_pool(
-        volume, block, transfer, camera, params, accel, tile, None, image,
-    );
+    render_block_accel_pool(volume, block, transfer, camera, params, accel, tile, None)
 }
 
 /// [`render_block_accel`] with an optional persistent [`RenderPool`] for
@@ -89,33 +54,15 @@ pub fn render_block_accel_pool(
     pool: Option<&RenderPool>,
 ) -> Image {
     let mut image = Image::blank(camera.width, camera.height);
-    render_block_into_accel_pool(
-        volume, block, transfer, camera, params, accel, tile, pool, &mut image,
-    );
-    image
-}
-
-/// Pool-accepting variant of [`render_block_into_accel`].
-#[allow(clippy::too_many_arguments)]
-pub fn render_block_into_accel_pool(
-    volume: &Volume,
-    block: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    tile: usize,
-    pool: Option<&RenderPool>,
-    image: &mut Image,
-) {
     let placement = Subvolume {
         rank: block.rank,
         origin: [0, 0, 0],
         dims: volume.dims(),
     };
     render_clipped_into_pool(
-        volume, &placement, block, transfer, camera, params, accel, tile, pool, image,
+        volume, &placement, block, transfer, camera, params, accel, tile, pool, &mut image,
     );
+    image
 }
 
 /// Gray-level gradient shading: ambient + Lambertian diffuse.

@@ -7,9 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vr_image::checksum::fnv1a;
 use vr_render::{
-    render_block, render_block_accel, render_block_accel_pool, render_local_block_clipped,
-    render_local_block_clipped_accel, render_local_block_clipped_accel_pool, Camera, Projection,
-    RenderAccel, RenderParams, RenderPool,
+    render_block, render_block_accel, render_block_accel_pool, render_local_block_clipped_accel,
+    Camera, Projection, RenderAccel, RenderParams, RenderPool,
 };
 use vr_volume::{kd_partition, MacrocellGrid, Subvolume, TransferFunction, Volume};
 
@@ -242,7 +241,9 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let naive = render_local_block_clipped(&local, &placement, &clip, &tf, &cam, &params);
+        let naive = render_local_block_clipped_accel(
+            &local, &placement, &clip, &tf, &cam, &params, None, 0,
+        );
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, cell)), &tf, &params);
         let fast = render_local_block_clipped_accel(
             &local, &placement, &clip, &tf, &cam, &params, Some(&accel), tile,
@@ -319,7 +320,8 @@ proptest! {
     }
 
     /// The distributed-memory threaded path: local block, off-origin
-    /// placement, clip interior, pool-fanned — still bit-identical.
+    /// placement, clip interior, fanned over `render_threads` — still
+    /// bit-identical.
     #[test]
     fn threaded_local_clipped_render_matches_the_scalar_reference(
         seed in any::<u32>(),
@@ -336,13 +338,13 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let reference = render_local_block_clipped(&local, &placement, &clip, &tf, &cam, &params);
+        let reference = render_local_block_clipped_accel(
+            &local, &placement, &clip, &tf, &cam, &params, None, 0,
+        );
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, 4)), &tf, &params);
-        let threaded_params = RenderParams { simd_lanes: lanes, ..params };
-        let pool = RenderPool::new(threads);
-        let fast = render_local_block_clipped_accel_pool(
-            &local, &placement, &clip, &tf, &cam, &threaded_params,
-            Some(&accel), tile, Some(&pool),
+        let threaded_params = RenderParams { render_threads: threads, simd_lanes: lanes, ..params };
+        let fast = render_local_block_clipped_accel(
+            &local, &placement, &clip, &tf, &cam, &threaded_params, Some(&accel), tile,
         );
         prop_assert_eq!(
             fnv1a(&reference), fnv1a(&fast),

@@ -41,10 +41,8 @@ pub use config::{CompTiming, ExperimentConfig};
 pub use distribute::run_distributed;
 pub use experiment::Experiment;
 pub use outcome::{Aggregate, Outcome};
-pub use report::{
-    format_figure_series, format_paper_table, format_stage_timeline, FrameRecord, TableRow,
-};
+pub use report::{format_figure_series, format_paper_table, format_stage_timeline, FrameRecord};
 pub use scene::Scene;
 pub use stream::StreamExperiment;
-pub use sweep::{to_csv, SweepBuilder, SweepRecord};
+pub use sweep::{to_csv, SweepBuilder, SweepCell};
 pub use vr_render::RenderPool;

@@ -4,7 +4,8 @@
 use serde::{Deserialize, Serialize};
 use slsvr_core::Method;
 
-use crate::outcome::{Aggregate, Outcome};
+use crate::outcome::Outcome;
+use crate::sweep::{rows, SweepCell};
 
 /// Machine-readable summary of one composited frame: the paper's
 /// aggregate timings broken down by phase, the traffic maxima, and the
@@ -144,44 +145,37 @@ pub fn format_stage_timeline(per_rank: &[slsvr_core::MethodStats]) -> String {
     out
 }
 
-/// One row of a paper-style table: a processor count and the aggregates
-/// of every method at that count.
-#[derive(Clone, Debug)]
-pub struct TableRow {
-    /// Number of processors.
-    pub processors: usize,
-    /// `(method, aggregate)` pairs in column order.
-    pub cells: Vec<(Method, Aggregate)>,
-}
-
-/// Formats rows like Table 1 / Table 2: per method, three columns
-/// `T_comp`, `T_comm`, `T_total` in milliseconds.
-pub fn format_paper_table(title: &str, rows: &[TableRow]) -> String {
+/// Formats one dataset's sweep cells like Table 1 / Table 2: a row per
+/// processor count and, per method, three columns `T_comp`, `T_comm`,
+/// `T_total` in milliseconds.
+pub fn format_paper_table(title: &str, cells: &[SweepCell]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n\n"));
-    if rows.is_empty() {
+    let Some(first) = rows(cells).next() else {
         out.push_str("(no data)\n");
         return out;
-    }
-    let methods: Vec<Method> = rows[0].cells.iter().map(|(m, _)| *m).collect();
+    };
     out.push_str("| P |");
-    for m in &methods {
-        out.push_str(&format!(" {n}:comp | {n}:comm | {n}:total |", n = m.name()));
+    for c in first {
+        out.push_str(&format!(
+            " {n}:comp | {n}:comm | {n}:total |",
+            n = c.method.name()
+        ));
     }
     out.push('\n');
     out.push_str("|--:|");
-    for _ in &methods {
+    for _ in first {
         out.push_str("--:|--:|--:|");
     }
     out.push('\n');
-    for row in rows {
-        out.push_str(&format!("| {} |", row.processors));
-        for (_, agg) in &row.cells {
+    for row in rows(cells) {
+        out.push_str(&format!("| {} |", row[0].processors));
+        for c in row {
             out.push_str(&format!(
                 " {:.2} | {:.2} | {:.2} |",
-                agg.t_comp_ms(),
-                agg.t_comm_ms(),
-                agg.t_total_ms()
+                c.aggregate.t_comp_ms(),
+                c.aggregate.t_comm_ms(),
+                c.aggregate.t_total_ms()
             ));
         }
         out.push('\n');
@@ -191,21 +185,21 @@ pub fn format_paper_table(title: &str, rows: &[TableRow]) -> String {
 
 /// Formats one figure series (Figures 8–11): `T_total` versus processor
 /// count per method, as aligned text columns.
-pub fn format_figure_series(title: &str, rows: &[TableRow]) -> String {
+pub fn format_figure_series(title: &str, cells: &[SweepCell]) -> String {
     let mut out = String::new();
     out.push_str(&format!("# {title} — T_total (ms) vs P\n"));
-    if rows.is_empty() {
+    let Some(first) = rows(cells).next() else {
         return out;
-    }
+    };
     out.push_str(&format!("{:>4}", "P"));
-    for (m, _) in &rows[0].cells {
-        out.push_str(&format!("{:>12}", m.name()));
+    for c in first {
+        out.push_str(&format!("{:>12}", c.method.name()));
     }
     out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:>4}", row.processors));
-        for (_, agg) in &row.cells {
-            out.push_str(&format!("{:>12.2}", agg.t_total_ms()));
+    for row in rows(cells) {
+        out.push_str(&format!("{:>4}", row[0].processors));
+        for c in row {
+            out.push_str(&format!("{:>12.2}", c.aggregate.t_total_ms()));
         }
         out.push('\n');
     }
@@ -213,34 +207,33 @@ pub fn format_figure_series(title: &str, rows: &[TableRow]) -> String {
 }
 
 /// Formats an `M_max` comparison (the Equation (9) check).
-pub fn format_mmax_table(title: &str, rows: &[TableRow]) -> String {
+pub fn format_mmax_table(title: &str, cells: &[SweepCell]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "## {title} — maximum received message size (bytes)\n\n"
     ));
-    if rows.is_empty() {
+    let Some(first) = rows(cells).next() else {
         return out;
-    }
+    };
     out.push_str("| P |");
-    for (m, _) in &rows[0].cells {
-        out.push_str(&format!(" {} |", m.name()));
+    for c in first {
+        out.push_str(&format!(" {} |", c.method.name()));
     }
     out.push_str(" ordering |\n|--:|");
-    for _ in &rows[0].cells {
+    for _ in first {
         out.push_str("--:|");
     }
     out.push_str(":--|\n");
-    for row in rows {
-        out.push_str(&format!("| {} |", row.processors));
-        for (_, agg) in &row.cells {
-            out.push_str(&format!(" {} |", agg.m_max));
+    for row in rows(cells) {
+        out.push_str(&format!("| {} |", row[0].processors));
+        for c in row {
+            out.push_str(&format!(" {} |", c.aggregate.m_max));
         }
         // Check the Eq. (9) chain for the paper's four methods if present.
         let get = |m: Method| {
-            row.cells
-                .iter()
-                .find(|(mm, _)| *mm == m)
-                .map(|(_, a)| a.m_max)
+            row.iter()
+                .find(|c| c.method == m)
+                .map(|c| c.aggregate.m_max)
         };
         let ok = match (
             get(Method::Bs),
@@ -274,25 +267,29 @@ mod tests {
     use crate::experiment::Experiment;
     use vr_volume::DatasetKind;
 
-    fn agg(comp: f64, comm: f64, m_max: u64) -> Aggregate {
-        Aggregate {
-            t_comp: comp,
-            t_comm: comm,
-            m_max,
-            ..Default::default()
+    fn cell(method: Method, comp: f64, comm: f64, m_max: u64) -> SweepCell {
+        SweepCell {
+            dataset: DatasetKind::Cube,
+            image_size: 384,
+            processors: 4,
+            method,
+            aggregate: crate::outcome::Aggregate {
+                t_comp: comp,
+                t_comm: comm,
+                m_max,
+                ..Default::default()
+            },
+            composite_ops: 0,
         }
     }
 
-    fn sample_rows() -> Vec<TableRow> {
-        vec![TableRow {
-            processors: 4,
-            cells: vec![
-                (Method::Bs, agg(0.3, 0.05, 1000)),
-                (Method::Bsbr, agg(0.06, 0.03, 500)),
-                (Method::Bslc, agg(0.12, 0.01, 100)),
-                (Method::Bsbrc, agg(0.06, 0.02, 300)),
-            ],
-        }]
+    fn sample_rows() -> Vec<SweepCell> {
+        vec![
+            cell(Method::Bs, 0.3, 0.05, 1000),
+            cell(Method::Bsbr, 0.06, 0.03, 500),
+            cell(Method::Bslc, 0.12, 0.01, 100),
+            cell(Method::Bsbrc, 0.06, 0.02, 300),
+        ]
     }
 
     #[test]
@@ -318,7 +315,7 @@ mod tests {
         assert!(s.contains("✓"), "{s}");
         // Violate the ordering and expect the flag.
         let mut rows = sample_rows();
-        rows[0].cells[0].1.m_max = 1; // BS below everything
+        rows[0].aggregate.m_max = 1; // BS below everything
         let s = format_mmax_table("Eq 9", &rows);
         assert!(s.contains("✗"), "{s}");
     }

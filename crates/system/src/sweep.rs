@@ -1,40 +1,34 @@
 //! Parameter sweeps with CSV export — the workhorse behind custom
 //! evaluations beyond the paper's fixed tables.
 
-use serde::{Deserialize, Serialize};
 use slsvr_core::Method;
 use vr_volume::DatasetKind;
 
 use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;
+use crate::outcome::Aggregate;
 
-/// One sweep cell's results.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SweepRecord {
-    /// Dataset name (the paper's sample name).
-    pub dataset: String,
+/// One sweep cell: what one method did on one (dataset, P) workload.
+/// The CSV and the paper-style tables are views of these.
+#[derive(Clone, Debug)]
+pub struct SweepCell {
+    /// The test sample.
+    pub dataset: DatasetKind,
     /// Square frame side in pixels.
     pub image_size: u16,
     /// Processor count.
     pub processors: usize,
-    /// Compositing method name.
-    pub method: String,
-    /// `T_comp` in milliseconds (max over ranks).
-    pub t_comp_ms: f64,
-    /// `T_comm` in milliseconds (max over ranks).
-    pub t_comm_ms: f64,
-    /// `T_total` in milliseconds.
-    pub t_total_ms: f64,
-    /// Maximum received bytes over ranks.
-    pub m_max: u64,
-    /// Total bytes sent by all ranks.
-    pub total_bytes: u64,
+    /// Compositing method.
+    pub method: Method,
+    /// Group aggregates (the numbers the paper tabulates).
+    pub aggregate: Aggregate,
     /// Total `over` operations across ranks.
     pub composite_ops: u64,
 }
 
 /// A cartesian sweep over datasets × processor counts × methods at one
-/// frame size. Rendering is shared across methods within a cell.
+/// frame size. Rendering is shared across methods within a cell — the
+/// paper's methodology for isolating the compositing phase.
 #[derive(Clone, Debug)]
 pub struct SweepBuilder {
     /// Base configuration; `dataset`, `processors` and `method` are
@@ -46,22 +40,15 @@ pub struct SweepBuilder {
     pub processor_counts: Vec<usize>,
     /// Methods to sweep.
     pub methods: Vec<Method>,
+    /// Assert every cell's image against the sequential reference.
+    pub verify: bool,
 }
 
 impl SweepBuilder {
-    /// A sweep mirroring the paper's Table 1 axes.
-    pub fn paper_table1() -> Self {
-        SweepBuilder {
-            base: ExperimentConfig::default(),
-            datasets: DatasetKind::all().to_vec(),
-            processor_counts: vec![2, 4, 8, 16, 32, 64],
-            methods: Method::paper_methods().to_vec(),
-        }
-    }
-
-    /// Runs every cell, rendering once per (dataset, P).
-    pub fn run(&self) -> Vec<SweepRecord> {
-        let mut records = Vec::new();
+    /// Runs every cell, rendering once per (dataset, P); cells come out
+    /// dataset-major, then by processor count, then by method.
+    pub fn run(&self) -> Vec<SweepCell> {
+        let mut cells = Vec::new();
         for &dataset in &self.datasets {
             for &processors in &self.processor_counts {
                 let config = ExperimentConfig {
@@ -70,45 +57,55 @@ impl SweepBuilder {
                     ..self.base
                 };
                 let exp = Experiment::prepare(&config);
+                let reference = self.verify.then(|| exp.reference());
                 for &method in &self.methods {
                     let out = exp.run(method);
-                    records.push(SweepRecord {
-                        dataset: dataset.name().to_string(),
+                    if let Some(expect) = &reference {
+                        let diff = out.image.max_abs_diff(expect);
+                        assert!(
+                            diff < 2e-4,
+                            "{method:?} P={processors} differs from reference by {diff}"
+                        );
+                    }
+                    cells.push(SweepCell {
+                        dataset,
                         image_size: config.image_size,
                         processors,
-                        method: method.name().to_string(),
-                        t_comp_ms: out.aggregate.t_comp_ms(),
-                        t_comm_ms: out.aggregate.t_comm_ms(),
-                        t_total_ms: out.aggregate.t_total_ms(),
-                        m_max: out.aggregate.m_max,
-                        total_bytes: out.aggregate.total_bytes,
+                        method,
                         composite_ops: out.per_rank.iter().map(|s| s.composite_ops()).sum(),
+                        aggregate: out.aggregate,
                     });
                 }
             }
         }
-        records
+        cells
     }
 }
 
-/// Renders sweep records as CSV (header + one line per record).
-pub fn to_csv(records: &[SweepRecord]) -> String {
+/// The table rows of `cells` (in [`SweepBuilder::run`] order): the
+/// consecutive cells of one (dataset, P), one per method.
+pub(crate) fn rows(cells: &[SweepCell]) -> impl Iterator<Item = &[SweepCell]> {
+    cells.chunk_by(|a, b| (a.dataset, a.processors) == (b.dataset, b.processors))
+}
+
+/// Renders sweep cells as CSV (header + one line per cell).
+pub fn to_csv(cells: &[SweepCell]) -> String {
     let mut out = String::from(
         "dataset,image_size,processors,method,t_comp_ms,t_comm_ms,t_total_ms,m_max,total_bytes,composite_ops\n",
     );
-    for r in records {
+    for c in cells {
         out.push_str(&format!(
             "{},{},{},{},{:.4},{:.4},{:.4},{},{},{}\n",
-            r.dataset,
-            r.image_size,
-            r.processors,
-            r.method,
-            r.t_comp_ms,
-            r.t_comm_ms,
-            r.t_total_ms,
-            r.m_max,
-            r.total_bytes,
-            r.composite_ops
+            c.dataset.name(),
+            c.image_size,
+            c.processors,
+            c.method.name(),
+            c.aggregate.t_comp_ms(),
+            c.aggregate.t_comm_ms(),
+            c.aggregate.t_total_ms(),
+            c.aggregate.m_max,
+            c.aggregate.total_bytes,
+            c.composite_ops
         ));
     }
     out
@@ -129,37 +126,33 @@ mod tests {
             datasets: vec![DatasetKind::Cube, DatasetKind::Head],
             processor_counts: vec![2, 4],
             methods: vec![Method::Bs, Method::Bsbrc],
+            verify: true,
         }
     }
 
     #[test]
     fn sweep_covers_the_cartesian_product() {
-        let records = small_sweep().run();
-        assert_eq!(records.len(), 2 * 2 * 2);
-        assert!(records
-            .iter()
-            .any(|r| r.dataset == "Cube" && r.processors == 4 && r.method == "BSBRC"));
-        for r in &records {
-            assert!(r.t_total_ms > 0.0);
-            assert!(r.m_max > 0);
+        let cells = small_sweep().run();
+        assert_eq!(cells.len(), 2 * 2 * 2);
+        assert!(cells.iter().any(|c| c.dataset == DatasetKind::Cube
+            && c.processors == 4
+            && c.method == Method::Bsbrc));
+        for c in &cells {
+            assert!(c.aggregate.t_total_ms() > 0.0);
+            assert!(c.aggregate.m_max > 0);
         }
+        // One table row per (dataset, P), one cell per method in it.
+        assert_eq!(rows(&cells).count(), 4);
+        assert!(rows(&cells).all(|row| row.len() == 2));
     }
 
     #[test]
     fn csv_has_header_and_rows() {
-        let records = small_sweep().run();
-        let csv = to_csv(&records);
+        let cells = small_sweep().run();
+        let csv = to_csv(&cells);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), records.len() + 1);
+        assert_eq!(lines.len(), cells.len() + 1);
         assert!(lines[0].starts_with("dataset,image_size"));
         assert_eq!(lines[1].split(',').count(), 10);
-    }
-
-    #[test]
-    fn paper_table1_axes() {
-        let s = SweepBuilder::paper_table1();
-        assert_eq!(s.datasets.len(), 4);
-        assert_eq!(s.processor_counts, vec![2, 4, 8, 16, 32, 64]);
-        assert_eq!(s.methods.len(), 4);
     }
 }

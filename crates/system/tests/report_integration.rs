@@ -2,22 +2,20 @@
 
 use slsvr_core::Method;
 use vr_system::report::format_mmax_table;
-use vr_system::{format_figure_series, format_paper_table, Experiment, ExperimentConfig, TableRow};
+use vr_system::{
+    format_figure_series, format_paper_table, ExperimentConfig, SweepBuilder, SweepCell,
+};
 use vr_volume::DatasetKind;
 
-fn rows() -> Vec<TableRow> {
-    let methods = Method::paper_methods();
-    [2usize, 4]
-        .iter()
-        .map(|&p| {
-            let config = ExperimentConfig::small_test(DatasetKind::Cube, p, Method::Bsbrc);
-            let exp = Experiment::prepare(&config);
-            TableRow {
-                processors: p,
-                cells: methods.iter().map(|&m| (m, exp.run(m).aggregate)).collect(),
-            }
-        })
-        .collect()
+fn rows() -> Vec<SweepCell> {
+    SweepBuilder {
+        base: ExperimentConfig::small_test(DatasetKind::Cube, 2, Method::Bsbrc),
+        datasets: vec![DatasetKind::Cube],
+        processor_counts: vec![2, 4],
+        methods: Method::paper_methods().to_vec(),
+        verify: false,
+    }
+    .run()
 }
 
 #[test]

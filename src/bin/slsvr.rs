@@ -721,6 +721,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         datasets: DatasetKind::all().to_vec(),
         processor_counts: vec![2, 4, 8, 16, 32, 64],
         methods: Method::paper_methods().to_vec(),
+        verify: false,
     };
     let csv = slsvr::system::to_csv(&sweep.run());
     match flags.get("--out") {

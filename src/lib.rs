@@ -11,7 +11,7 @@
 //!   run-length encodings, interleaved sequences.
 //! * [`volume`] — datasets, transfer functions, KD partitioning, depth
 //!   orders, volume I/O.
-//! * [`render`] — orthographic/perspective ray casting and splatting.
+//! * [`render`] — orthographic/perspective ray casting.
 //! * [`comm`] — the simulated distributed-memory message-passing
 //!   substrate with the SP2 cost model.
 //! * [`compositing`] — the paper's BS/BSBR/BSLC/BSBRC methods plus
