@@ -469,7 +469,12 @@ fn outcome_words(results: &[CompositeResult]) -> Vec<u64> {
                 words.extend([2, s.start as u64, s.stride as u64, s.count as u64]);
             }
             OwnedPiece::Whole => words.push(3),
-            other => panic!("no pinned method owns {other:?}"),
+            OwnedPiece::Rects(rects) => {
+                words.extend([4, rects.len() as u64]);
+                for r in rects {
+                    words.extend([r.x0 as u64, r.y0 as u64, r.x1 as u64, r.y1 as u64]);
+                }
+            }
         }
         words.push(res.stats.bound_pixels);
         words.push(res.dead_partners.len() as u64);
@@ -548,6 +553,15 @@ fn band_and_tree_stage_counters_are_pinned() {
         (Method::BinaryTree, 8, [0xd4e3559d5a91688b, 0x1cdd889daa826b49, 0xbeec8a7f55682228]),
     ];
     assert_stage_counters(&GOLDEN);
+    // TSTREAM, recorded at `9e6fefe`, when every arriving tile was still
+    // decoded into a `Vec<Pixel>` and folded with `under_slice`.
+    #[rustfmt::skip]
+    const TSTREAM: [(Method, usize, [u64; 3]); 3] = [
+        (Method::TileStream, 4, [0xc53e4ac34c470efc, 0x6eaa77872aff39f0, 0x723bbca34e965e6d]),
+        (Method::TileStream, 6, [0x417e532146d3094b, 0x495630f70a79604e, 0x36eed5c618e0c5c9]),
+        (Method::TileStream, 8, [0x4d35e98d13241492, 0x2b8bdeca95b12cf5, 0xcfeec358b8436485]),
+    ];
+    assert_stage_counters(&TSTREAM);
 }
 
 /// Runs every row × workload (32×24, `shuffled_depth(p, 3)`, free cost
@@ -575,6 +589,98 @@ fn assert_stage_counters(golden: &[(Method, usize, [u64; 3])]) {
     assert!(
         mismatches.is_empty(),
         "stage counters moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Every modeled time of the frame pipeline, to the bit: for each of the
+/// twelve methods × P ∈ {4, 6, 8} × workload (32×24, `shuffled_depth(p,
+/// 3)`, `sp2` network, `power2` compute, schedule seed 29) a digest over
+/// `Aggregate::{t_comp, t_comm, t_critical_path}` and every rank's
+/// `comp_seconds`, `bound_seconds` and `encode_seconds` as `to_bits`
+/// words. The constants were recorded at `9e6fefe`, when the per-stage
+/// products were written out in `CompCost::modeled_seconds` and again in
+/// `virtual_completion`; they pin the shared terms to both, summation
+/// order included. Never re-record to pass.
+#[test]
+fn modeled_seconds_are_pinned_to_the_bit() {
+    // Rows: method × P; columns: sparse, dense, bands.
+    #[rustfmt::skip]
+    const GOLDEN: [(Method, usize, [u64; 3]); 36] = [
+        (Method::Bs, 4, [0xa91805db10471f51, 0xa91805db10471f51, 0xa91805db10471f51]),
+        (Method::Bs, 6, [0xe059bd631ca8aa79, 0xe059bd631ca8aa79, 0xe57961fdbe47f46b]),
+        (Method::Bs, 8, [0x48c46d8c6c1e20b7, 0x48c46d8c6c1e20b7, 0x48c46d8c6c1e20b7]),
+        (Method::Bsbr, 4, [0x1b9bbbb423063f55, 0x1b9bbbb423063f55, 0xdb67e3a55bd05916]),
+        (Method::Bsbr, 6, [0xf41ded67abf950a0, 0xf41ded67abf950a0, 0x246f71dabfa22713]),
+        (Method::Bsbr, 8, [0x612fb5b2d04ccb6e, 0x612fb5b2d04ccb6e, 0x417b98b22bf91860]),
+        (Method::Bslc, 4, [0x240c7e88d22f13a3, 0xc66c28d48ac8851c, 0xaf5df13b51df719e]),
+        (Method::Bslc, 6, [0x2becc08e3572e6e9, 0xba17851db50d385e, 0x89980c6ce9b4e8b1]),
+        (Method::Bslc, 8, [0x36c4d8a432fc5545, 0x6e20fe4e079b051b, 0xf2667ee99dc4b69d]),
+        (Method::Bsbrc, 4, [0x08a0f0a0f2a58597, 0x8a92fdedf04e2a98, 0x932437a2ecc0a4a5]),
+        (Method::Bsbrc, 6, [0x73926cd0575a4bfa, 0x2c57b1ed93e19f78, 0xf584585ee9444285]),
+        (Method::Bsbrc, 8, [0xfe36b9deaa354e55, 0x36374c646d9129ba, 0xbcfd2f31ab3c89c4]),
+        (Method::Bsrl, 4, [0x8f68914c22fabb3b, 0xc66c28d48ac8851c, 0xfdb36ea6ad4f2acd]),
+        (Method::Bsrl, 6, [0xa291edecbdf9c0f0, 0xba17851db50d385e, 0x604b1b0b3c2bb70e]),
+        (Method::Bsrl, 8, [0xbc2d5a28023e7ef1, 0x6e20fe4e079b051b, 0x052f7f6048b4cac7]),
+        (Method::Bsbm, 4, [0x7e4148ab6a6e6f3e, 0x81640b3e7f52484d, 0x968ad7fcbff0d054]),
+        (Method::Bsbm, 6, [0xd9dd80d24bc0234b, 0x3c0c59d2c8bd99f2, 0xf7ed0c0148a2a714]),
+        (Method::Bsbm, 8, [0x626437886c800f4a, 0x9678b17f391d55ec, 0x308d748d31f5d552]),
+        (Method::Bsmr, 4, [0xd0c679389c9862a0, 0xf2e0b192ba6e8059, 0xb9acf2a7a05c25f0]),
+        (Method::Bsmr, 6, [0x14034e7a1ca14d7a, 0x59fbd72a3f6cdd3a, 0x7c8a0fa28e8e3cb2]),
+        (Method::Bsmr, 8, [0x82070ba82970b58a, 0x6c01afed474a7ca9, 0xa8c50e47f9b6d51e]),
+        (Method::BinaryTree, 4, [0x1392ff6091b601ff, 0xa3be8e3ccd06c77b, 0x1786759528d44127]),
+        (Method::BinaryTree, 6, [0x61545e5969bebf3d, 0xb427fd088a0bcdad, 0x9c136c8ec718db7b]),
+        (Method::BinaryTree, 8, [0xfd115d3216d2e23e, 0x51adc0059b8efa86, 0x6495c415909b680f]),
+        (Method::DirectSend, 4, [0x9a571e9b1088eebe, 0x9a571e9b1088eebe, 0x9a571e9b1088eebe]),
+        (Method::DirectSend, 6, [0x272a7ac5fee5a915, 0x272a7ac5fee5a915, 0x272a7ac5fee5a915]),
+        (Method::DirectSend, 8, [0x7886c1d4f81bdbd9, 0x7886c1d4f81bdbd9, 0x7886c1d4f81bdbd9]),
+        (Method::Pipeline, 4, [0xc5c0c486ba910377, 0xc5c0c486ba910377, 0xc5c0c486ba910377]),
+        (Method::Pipeline, 6, [0x824f2330262e8cb3, 0x824f2330262e8cb3, 0x824f2330262e8cb3]),
+        (Method::Pipeline, 8, [0x9b6bd59f2f5b8c8d, 0x9b6bd59f2f5b8c8d, 0x9b6bd59f2f5b8c8d]),
+        (Method::RadixK, 4, [0x61bdb82520b883f6, 0x61bdb82520b883f6, 0x4a0ce3d82a84dbaf]),
+        (Method::RadixK, 6, [0xb4cc78faea2a2409, 0xb4cc78faea2a2409, 0x1cf925d7a0f63cb3]),
+        (Method::RadixK, 8, [0x6ae5b61d7e351640, 0x6ae5b61d7e351640, 0x44a5f4f2f7cf343a]),
+        (Method::TileStream, 4, [0xca8ccb637e3fbaa3, 0x0cd85175a35676c5, 0x8521003a8849f56d]),
+        (Method::TileStream, 6, [0xc21035b44d60613b, 0x9eb5a330ee0b9032, 0xf9b0d73b5d37a108]),
+        (Method::TileStream, 8, [0x9f8d0482eacf6177, 0x1c7ecb33e4e1f4e7, 0xa89a3124b3120a0a]),
+    ];
+    let mut mismatches = Vec::new();
+    for &(method, p, expect) in &GOLDEN {
+        for (workload, want) in Workload::all().into_iter().zip(expect) {
+            let config = ExperimentConfig {
+                image_size: 32,
+                processors: p,
+                schedule_seed: Some(29),
+                ..Default::default()
+            };
+            let exp = Experiment::from_subimages(
+                config,
+                workload.images(p, 32, 24),
+                shuffled_depth(p, 3),
+            );
+            let out = exp.run(method);
+            let agg = out.aggregate;
+            let mut words = vec![
+                agg.t_comp.to_bits(),
+                agg.t_comm.to_bits(),
+                agg.t_critical_path.map_or(u64::MAX, f64::to_bits),
+            ];
+            for s in &out.per_rank {
+                words.extend([s.comp_seconds, s.bound_seconds, s.encode_seconds].map(f64::to_bits));
+            }
+            let got = fnv_words(words);
+            if got != want {
+                mismatches.push(format!(
+                    "{} P={p} {}: got 0x{got:016x}, pinned 0x{want:016x}",
+                    method.name(),
+                    workload.name()
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "modeled seconds moved:\n{}",
         mismatches.join("\n")
     );
 }

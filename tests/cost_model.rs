@@ -5,8 +5,8 @@
 
 use slsvr::compositing::{CompCost, CostKind};
 use slsvr::cost::{
-    parse_model_file, predict_grid, ranking_holds, resolve_preset, CostModelPreset, PAPER_METHODS,
-    QUALITY_FLOOR,
+    parse_model_file, predict_grid, ranking_holds, render_model_file, resolve_preset,
+    CostModelPreset, PAPER_METHODS, QUALITY_FLOOR,
 };
 
 fn checked_in_presets() -> Vec<CostModelPreset> {
@@ -119,4 +119,35 @@ fn preset_specs_resolve_against_the_checked_in_model() {
     let err = resolve_preset("COST_MODEL.json", "ignored").unwrap_err();
     assert!(err.contains("pick one"), "{err}");
     assert!(resolve_preset("no-such-preset", "COST_MODEL.json").is_err());
+}
+
+/// The model file is its own canonical form: parsing the checked-in
+/// bytes and rendering them again changes nothing — key order, number
+/// formatting and the order of the `fits` entries included. Held since
+/// `9e6fefe`, before the presets read and wrote their constants through
+/// one table.
+#[test]
+fn checked_in_model_file_round_trips_byte_for_byte() {
+    let text = std::fs::read_to_string("COST_MODEL.json").unwrap();
+    assert_eq!(render_model_file(&parse_model_file(&text).unwrap()), text);
+}
+
+/// `slsvr sweep --preset sp2` is pure arithmetic over Equations (1)–(8)
+/// printed at six decimals, so its stdout is the same on every host:
+/// `results/predict_sp2.csv` is that output (181 lines), recorded at
+/// `9e6fefe` when each method still had its own predictor loop. Never
+/// re-record to pass.
+#[test]
+fn sp2_predictive_sweep_reprints_the_checked_in_csv() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_slsvr"))
+        .args(["sweep", "--preset", "sp2"])
+        .output()
+        .expect("run slsvr sweep");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let want = std::fs::read_to_string("results/predict_sp2.csv").unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
 }
