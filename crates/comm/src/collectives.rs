@@ -2,9 +2,8 @@
 //!
 //! The sort-last system needs a handful of collectives: the partitioning
 //! phase *scatters* subvolume blocks from the input rank, the final
-//! image is *gathered* at the root, experiment setup *broadcasts* small
-//! configuration blobs, and diagnostics *reduce* per-rank scalars. All
-//! are built on the flat [`Endpoint`] send/recv primitives (binomial
+//! image is *gathered* at the root and experiment setup *broadcasts*
+//! small configuration blobs. All are built on the flat [`Endpoint`] send/recv primitives (binomial
 //! trees where a tree helps), so their traffic is accounted like any
 //! other message and [`Endpoint`] itself ends at point-to-point.
 
@@ -146,71 +145,6 @@ pub fn broadcast(
     Ok(data)
 }
 
-/// Reduces per-rank byte payloads to `root` along a binomial tree with a
-/// caller-supplied combining function; returns `Some(result)` at the
-/// root, `None` elsewhere.
-pub fn reduce(
-    ep: &mut Endpoint,
-    root: usize,
-    tag: Tag,
-    own: Bytes,
-    mut combine: impl FnMut(Bytes, Bytes) -> Bytes,
-) -> Result<Option<Bytes>, CommError> {
-    let p = ep.size();
-    let me = (ep.rank() + p - root) % p;
-    let mut acc = own;
-    let mut bit = 1usize;
-    while bit < p {
-        if me & bit != 0 {
-            // Send to the partner below and retire.
-            let dst = me & !bit;
-            ep.send((dst + root) % p, tag, acc)?;
-            return Ok(None);
-        }
-        let src = me | bit;
-        if src < p {
-            let incoming = ep.recv((src + root) % p, tag)?;
-            acc = combine(acc, incoming);
-        }
-        bit <<= 1;
-    }
-    Ok(Some(acc))
-}
-
-/// All-gather: every rank contributes one payload and receives all of
-/// them (indexed by rank). Implemented as gather-to-0 + broadcast.
-pub fn all_gather(ep: &mut Endpoint, tag: Tag, own: Bytes) -> Result<Vec<Bytes>, CommError> {
-    let gathered = gather(ep, 0, tag, own)?;
-    // Flatten to one frame: u32 count, then (u32 len, bytes) per rank.
-    let frame = if let Some(parts) = gathered {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-        for part in &parts {
-            out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-            out.extend_from_slice(part);
-        }
-        Some(Bytes::from(out))
-    } else {
-        None
-    };
-    let frame = broadcast(ep, 0, tag.wrapping_add(1), frame)?;
-    // Decode.
-    let mut parts = Vec::new();
-    let mut pos = 0usize;
-    let read_u32 = |buf: &Bytes, pos: &mut usize| {
-        let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-        *pos += 4;
-        v
-    };
-    let count = read_u32(&frame, &mut pos);
-    for _ in 0..count {
-        let len = read_u32(&frame, &mut pos);
-        parts.push(frame.slice(pos..pos + len));
-        pos += len;
-    }
-    Ok(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,44 +272,6 @@ mod tests {
         });
         for &sent in &out.results {
             assert!(sent <= 4, "a rank sent {sent} messages");
-        }
-    }
-
-    #[test]
-    fn reduce_sums_to_root() {
-        for p in [1, 2, 3, 6, 8] {
-            for root in [0, p - 1] {
-                let out = run_group(p, CostModel::free(), |ep| {
-                    let own = Bytes::from(vec![ep.rank() as u8]);
-                    reduce(ep, root, 13, own, |a, b| Bytes::from(vec![a[0] + b[0]]))
-                        .unwrap()
-                        .map(|b| b[0])
-                });
-                let expect: u8 = (0..p as u8).sum();
-                for (rank, res) in out.results.iter().enumerate() {
-                    if rank == root {
-                        assert_eq!(*res, Some(expect), "p={p} root={root}");
-                    } else {
-                        assert_eq!(*res, None);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_gather_returns_everything_everywhere() {
-        let p = 6;
-        let out = run_group(p, CostModel::free(), |ep| {
-            let own = Bytes::from(vec![ep.rank() as u8; ep.rank() + 1]);
-            all_gather(ep, 20, own).unwrap()
-        });
-        for parts in &out.results {
-            assert_eq!(parts.len(), p);
-            for (rank, part) in parts.iter().enumerate() {
-                assert_eq!(part.len(), rank + 1);
-                assert!(part.iter().all(|&b| b == rank as u8));
-            }
         }
     }
 }

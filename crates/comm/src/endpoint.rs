@@ -319,6 +319,14 @@ impl Endpoint {
         true
     }
 
+    /// This rank's transport clock, seconds: wall time since the group
+    /// started on real channels, the rank's virtual clock under a
+    /// schedule seed (the stamp the tracer records). Reading it neither
+    /// parks the rank nor advances the clock.
+    pub fn now(&self) -> f64 {
+        self.net.now()
+    }
+
     fn trace(&self, peer: usize, kind: EventKind, bytes: usize, tag: Tag) {
         if let Some(t) = &self.tracer {
             let t_ns = (self.net.now() * 1e9) as u64;

@@ -190,9 +190,13 @@ pub struct FaultPlan {
     cfg: FaultConfig,
 }
 
-/// SplitMix64 finalizer — the stateless hash behind every decision.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// Output `n` (0-based) of the SplitMix64 generator seeded with `seed`:
+/// the Weyl step `seed + (n + 1)·γ` through the finalizer. With `n = 0`
+/// it is the stateless hash behind every fault decision; the schedule
+/// picker, the retry jitter, the retry re-seeding and the load
+/// generator's pose walk index the same stream.
+pub fn splitmix64(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(n.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -210,6 +214,7 @@ fn stream_key(src: usize, dst: usize, class: StreamClass, index: u64) -> u64 {
             .wrapping_add((dst as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB))
             .wrapping_add(class << 56)
             .wrapping_add(index),
+        0,
     )
 }
 
@@ -244,7 +249,7 @@ impl FaultPlan {
         if budget <= 0.0 {
             return FaultAction::Deliver;
         }
-        let h = splitmix64(self.cfg.seed ^ stream_key(src, dst, class, index));
+        let h = splitmix64(self.cfg.seed ^ stream_key(src, dst, class, index), 0);
         let r = (h >> 11) as f64 / (1u64 << 53) as f64;
         if r < self.cfg.drop {
             FaultAction::Drop
@@ -272,8 +277,8 @@ impl FaultPlan {
         if len == 0 {
             return 0;
         }
-        let h =
-            splitmix64(self.cfg.seed ^ stream_key(src, dst, class, index) ^ 0xC0FF_EE00_DEAD_BEEF);
+        let key = stream_key(src, dst, class, index) ^ 0xC0FF_EE00_DEAD_BEEF;
+        let h = splitmix64(self.cfg.seed ^ key, 0);
         (h % len as u64) as usize
     }
 
@@ -329,6 +334,20 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_is_the_published_generator() {
+        // Vigna's splitmix64.c seeded with 0: its first three outputs.
+        let stream: Vec<u64> = (0..3).map(|n| splitmix64(0, n)).collect();
+        assert_eq!(
+            stream,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
+    }
 
     #[test]
     fn decisions_are_deterministic() {

@@ -30,12 +30,14 @@ pub mod trace;
 mod transport;
 pub mod vclock;
 
-pub use collectives::{all_gather, broadcast, gather, gather_tolerant, reduce, scatter};
+pub use collectives::{broadcast, gather, gather_tolerant, scatter};
 pub use cost::CostModel;
 pub use endpoint::{
     CommError, Endpoint, Message, RecvError, SendError, SendErrorKind, Tag, DEFAULT_RECV_DEADLINE,
 };
-pub use fault::{FaultAction, FaultConfig, FaultPlan, KillSpec, StreamClass, TargetedFault};
+pub use fault::{
+    splitmix64, FaultAction, FaultConfig, FaultPlan, KillSpec, StreamClass, TargetedFault,
+};
 pub use frame::{crc32, read_frame, write_frame, Frame, FrameError, StreamError, HEADER_LEN};
 pub use group::{run_group, run_group_with, GroupOptions, GroupRun};
 pub use reliable::ReliabilityConfig;

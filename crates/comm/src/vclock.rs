@@ -557,11 +557,7 @@ impl SimNet {
                 let choice = if let Some(&forced) = st.spec.prefix.get(k) {
                     forced % n
                 } else {
-                    (splitmix64(
-                        st.spec
-                            .seed
-                            .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ) % n as u64) as u32
+                    (splitmix64(st.spec.seed, k as u64) % n as u64) as u32
                 };
                 st.trace.decisions.push(ChoicePoint {
                     arity: n,

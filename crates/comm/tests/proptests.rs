@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use vr_comm::{all_gather, broadcast, gather, reduce, run_group, scatter, CostModel};
+use vr_comm::{broadcast, gather, run_group, scatter, CostModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -43,40 +43,6 @@ proptest! {
         for (r, part) in all.iter().enumerate() {
             prop_assert_eq!(part.len(), r % 7 + 1);
             prop_assert!(part.iter().all(|&b| b == seed.wrapping_add(r as u8)));
-        }
-    }
-
-    #[test]
-    fn reduce_is_order_insensitive_for_commutative_ops(
-        p in 1usize..12,
-        values in proptest::collection::vec(0u32..1000, 12),
-    ) {
-        let vals = values[..p].to_vec();
-        let expect: u32 = vals.iter().sum();
-        let out = run_group(p, CostModel::free(), move |ep| {
-            let own = Bytes::from(vals[ep.rank()].to_le_bytes().to_vec());
-            reduce(ep, 0, 4, own, |a, b| {
-                let x = u32::from_le_bytes(a[..4].try_into().unwrap());
-                let y = u32::from_le_bytes(b[..4].try_into().unwrap());
-                Bytes::from((x + y).to_le_bytes().to_vec())
-            })
-            .unwrap()
-            .map(|b| u32::from_le_bytes(b[..4].try_into().unwrap()))
-        });
-        prop_assert_eq!(out.results[0], Some(expect));
-    }
-
-    #[test]
-    fn all_gather_is_rank_indexed(p in 1usize..10) {
-        let out = run_group(p, CostModel::free(), |ep| {
-            let own = Bytes::from(vec![ep.rank() as u8 + 1]);
-            all_gather(ep, 5, own).unwrap()
-        });
-        for parts in &out.results {
-            prop_assert_eq!(parts.len(), p);
-            for (r, part) in parts.iter().enumerate() {
-                prop_assert_eq!(part[0], r as u8 + 1);
-            }
         }
     }
 

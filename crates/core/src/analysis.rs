@@ -1,20 +1,24 @@
-//! Closed-form cost analysis — the paper's Equations (1)–(8) as
-//! executable predictions.
+//! Closed-form cost analysis — the paper's Equations (1)–(8), each
+//! stated once.
 //!
-//! Two layers are provided:
-//!
-//! * [`predict_bs`] is *exact*: plain binary-swap's per-stage byte
-//!   counts are workload-independent. A test pins it against the
-//!   simulator to the last bit.
-//! * [`UniformWorkload`] estimates the workload-dependent quantities
-//!   (`A_rec^k`, `A_opaque^k`, `R_code^k`) under a uniform-density
-//!   model, yielding closed-form predictions for BSBR, BSLC and BSBRC
-//!   that track the simulator's trends — a sanity instrument for the
-//!   evaluation, not a replacement for it.
+//! * `stage_terms`: the per-stage compute products of Equations
+//!   (1)/(3)/(5)/(7). [`CompCost`]'s `modeled_*` sums and
+//!   [`virtual_completion`] add them up.
+//! * `message_bytes`: the message sizes of Equations (2)/(4)/(6)/(8).
+//!   The traffic oracle ([`crate::conformance::expected_traffic`]) feeds
+//!   it exact counts, [`predict`] expected ones.
+//! * [`predict`]: both, for the four paper methods over a
+//!   [`UniformWorkload`]. Plain BS depends on no workload quantity, so its
+//!   prediction is *exact* and a test pins it against the simulator; for
+//!   BSBR, BSLC and BSBRC the uniform-density estimates of `A_rec^k`,
+//!   `A_opaque^k` and `R_code^k` track the simulator's trends — a sanity
+//!   instrument for the evaluation, not a replacement for it.
 
 use vr_comm::CostModel;
+use vr_image::rect::BYTES_PER_RECT;
 use vr_image::{BYTES_PER_PIXEL, BYTES_PER_RUN_CODE};
 
+use crate::methods::Method;
 use crate::stats::{CompCost, MethodStats};
 
 /// A predicted cost split, in seconds.
@@ -33,21 +37,78 @@ impl Prediction {
     }
 }
 
-/// Equations (1) and (2): plain binary swap over an `A`-pixel image on
-/// `P` (power-of-two) processors.
-///
-/// `T_comp(BS) = Σ_k (t_pack + t_unpack + t_over) · A/2^k` and
-/// `T_comm(BS) = Σ_k (T_s + 16·A/2^k · T_c)`.
-pub fn predict_bs(a: usize, p: usize, net: &CostModel, comp: &CompCost) -> Prediction {
-    assert!(p.is_power_of_two() && p >= 1);
-    let mut pred = Prediction::default();
-    let mut half = a as f64 / 2.0;
-    for _ in 0..p.trailing_zeros() {
-        pred.comp_seconds += (comp.t_pack + comp.t_unpack + comp.t_over) * half;
-        pred.comm_seconds += net.message_seconds((half * BYTES_PER_PIXEL as f64) as usize);
-        half /= 2.0;
+/// The modeled compute products of one stage of one rank, in seconds:
+/// Equations (1)/(3)/(5)/(7) term by term. Consumers only add fields up,
+/// each in its own order (float addition does not re-associate).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct StageTerms {
+    /// `t_scan · bound_pixels` (`T_bound`); zero after the first stage.
+    pub(crate) bound: f64,
+    /// `t_encode · pre_encoded_pixels`; zero after the first stage.
+    pub(crate) pre_encode: f64,
+    /// `t_encode · encoded_pixels`.
+    pub(crate) encode: f64,
+    /// `t_pack · sent_bytes / 16`.
+    pub(crate) pack: f64,
+    /// `t_unpack · recv_bytes / 16`.
+    pub(crate) unpack: f64,
+    /// `t_over · composite_ops` (the paper's `T_o` per `over`).
+    pub(crate) over: f64,
+}
+
+/// The products of `rank`'s stage `k` under `comp`. The rank's one-time
+/// scan and pre-encoding pass are charged ahead of its first stage, so
+/// `k = 0` carries them even for a rank that recorded no stage at all.
+pub(crate) fn stage_terms(comp: &CompCost, rank: &MethodStats, k: usize) -> StageTerms {
+    let stage = rank.stages.get(k).copied().unwrap_or_default();
+    let once = |pixels: u64| if k == 0 { pixels as f64 } else { 0.0 };
+    let pixels = |bytes: u64| bytes as f64 / BYTES_PER_PIXEL as f64;
+    StageTerms {
+        bound: comp.t_scan * once(rank.bound_pixels),
+        pre_encode: comp.t_encode * once(rank.pre_encoded_pixels),
+        encode: comp.t_encode * stage.encoded_pixels as f64,
+        pack: comp.t_pack * pixels(stage.sent_bytes),
+        unpack: comp.t_unpack * pixels(stage.recv_bytes),
+        over: comp.t_over * stage.composite_ops as f64,
     }
-    pred
+}
+
+/// Payload bytes of one binary-swap stage message: Equations
+/// (2)/(4)/(6)/(8), plus BSRL and BSBM, which encode the same halves.
+///
+/// | method     | bytes                                                  |
+/// |------------|--------------------------------------------------------|
+/// | BS         | `16·pixels`                                            |
+/// | BSBR       | `8 + 16·pixels`                                        |
+/// | BSLC, BSRL | `4 + 2·codes + 16·non_blank`                           |
+/// | BSBRC      | `8 + 4 + 2·codes + 16·non_blank`; 8 when `pixels = 0`  |
+/// | BSBM       | `8 + ⌈pixels/8⌉ + 16·non_blank`; 8 when `pixels = 0`   |
+///
+/// `pixels` is what the message spans (the sent half; for BSBR, BSBRC
+/// and BSBM its part inside the bounding rectangle, `A_send^k`), `codes`
+/// the run codes (`R_code^k`), `non_blank` the pixels a run or mask codec
+/// ships (`A_opaque^k`). `None` for any other method. Counts are `f64`,
+/// each term rounding down to whole bytes: exact for the oracle's
+/// integral counts, and where the predictor's fractional ones truncate.
+pub(crate) fn message_bytes(
+    method: Method,
+    pixels: f64,
+    codes: f64,
+    non_blank: f64,
+) -> Option<usize> {
+    let bytes = |count: f64, each: usize| (count * each as f64) as usize;
+    let runs = 4 + bytes(codes, BYTES_PER_RUN_CODE) + bytes(non_blank, BYTES_PER_PIXEL);
+    Some(match method {
+        Method::Bs => bytes(pixels, BYTES_PER_PIXEL),
+        Method::Bsbr => BYTES_PER_RECT + bytes(pixels, BYTES_PER_PIXEL),
+        Method::Bslc | Method::Bsrl => runs,
+        Method::Bsbrc | Method::Bsbm if pixels == 0.0 => BYTES_PER_RECT,
+        Method::Bsbrc => BYTES_PER_RECT + runs,
+        Method::Bsbm => {
+            BYTES_PER_RECT + (pixels / 8.0).ceil() as usize + bytes(non_blank, BYTES_PER_PIXEL)
+        }
+        _ => return None,
+    })
 }
 
 /// A uniform-density workload model: non-blank pixels cover fraction
@@ -67,97 +128,49 @@ pub struct UniformWorkload {
     pub codes_per_pixel: f64,
 }
 
-impl UniformWorkload {
-    /// Equations (3)–(4): BSBR under the uniform model.
-    pub fn predict_bsbr(&self, p: usize, net: &CostModel, comp: &CompCost) -> Prediction {
-        assert!(p.is_power_of_two());
-        let mut pred = Prediction::default();
-        // T_bound: one full scan.
-        pred.comp_seconds += comp.t_scan * self.a as f64;
-        let mut half = self.a as f64 / 2.0;
-        for _ in 0..p.trailing_zeros() {
-            let rect = half * self.rect_fraction;
-            pred.comp_seconds += (comp.t_pack + comp.t_unpack + comp.t_over) * rect;
-            pred.comm_seconds += net.message_seconds(8 + (rect * BYTES_PER_PIXEL as f64) as usize);
-            half /= 2.0;
-        }
-        pred
+/// Equations (1)–(8): `method` (a paper method) over workload `w` on `p`
+/// (power-of-two) processors. Stage `k` sends a half of `A/2^k` pixels:
+/// `T_comp += t_encode·encoded + (t_pack + t_unpack + t_over)·shipped`
+/// and `T_comm += T_s + message_bytes·T_c`, after one `t_scan·A` scan for
+/// BSBR and BSBRC. BS reads nothing of `w` but `a`.
+///
+/// Interleaving destroys spatial coherence, so BSLC's run codes sit at
+/// the random-mixing limit `2ρ(1−ρ)` per pixel however coherent the
+/// content — the effect behind the paper's observation that "the BSLC
+/// method has more run-length code than the BSBRC method".
+pub fn predict(
+    method: Method,
+    w: &UniformWorkload,
+    p: usize,
+    net: &CostModel,
+    comp: &CompCost,
+) -> Prediction {
+    assert!(p.is_power_of_two());
+    let mut pred = Prediction::default();
+    if matches!(method, Method::Bsbr | Method::Bsbrc) {
+        pred.comp_seconds += comp.t_scan * w.a as f64;
     }
-
-    /// Equations (5)–(6): BSLC under the uniform model.
-    ///
-    /// Interleaving destroys spatial coherence, so BSLC's run codes are
-    /// modeled at the random-mixing limit `2ρ(1−ρ)` codes per pixel
-    /// regardless of how coherent the content is — the effect behind the
-    /// paper's observation that "the BSLC method has more run-length
-    /// code than the BSBRC method".
-    pub fn predict_bslc(&self, p: usize, net: &CostModel, comp: &CompCost) -> Prediction {
-        assert!(p.is_power_of_two());
-        let mut pred = Prediction::default();
-        let interleaved_cpp = 2.0 * self.density * (1.0 - self.density);
-        let mut half = self.a as f64 / 2.0;
-        for _ in 0..p.trailing_zeros() {
-            let opaque = half * self.density;
-            let codes = half * interleaved_cpp.max(self.codes_per_pixel);
-            pred.comp_seconds +=
-                comp.t_encode * half + (comp.t_pack + comp.t_unpack + comp.t_over) * opaque;
-            pred.comm_seconds += net.message_seconds(
-                4 + (codes * BYTES_PER_RUN_CODE as f64) as usize
-                    + (opaque * BYTES_PER_PIXEL as f64) as usize,
-            );
-            half /= 2.0;
-        }
-        pred
+    let mut half = w.a as f64 / 2.0;
+    for _ in 0..p.trailing_zeros() {
+        // `A_rec^k` = `A_send^k`, and `A_opaque^k`.
+        let (in_rect, opaque) = (half * w.rect_fraction, half * w.density);
+        let (encoded, shipped, spans, codes) = match method {
+            Method::Bs => (0.0, half, half, 0.0),
+            Method::Bsbr => (0.0, in_rect, in_rect, 0.0),
+            Method::Bslc => {
+                let mixed = 2.0 * w.density * (1.0 - w.density);
+                (half, opaque, half, half * mixed.max(w.codes_per_pixel))
+            }
+            Method::Bsbrc => (in_rect, opaque, in_rect, in_rect * w.codes_per_pixel),
+            _ => panic!("{} has no closed-form prediction", method.name()),
+        };
+        pred.comp_seconds +=
+            comp.t_encode * encoded + (comp.t_pack + comp.t_unpack + comp.t_over) * shipped;
+        let bytes = message_bytes(method, spans, codes, shipped).expect("a paper method");
+        pred.comm_seconds += net.message_seconds(bytes);
+        half /= 2.0;
     }
-
-    /// Equations (7)–(8): BSBRC under the uniform model.
-    pub fn predict_bsbrc(&self, p: usize, net: &CostModel, comp: &CompCost) -> Prediction {
-        assert!(p.is_power_of_two());
-        let mut pred = Prediction::default();
-        pred.comp_seconds += comp.t_scan * self.a as f64;
-        let mut half = self.a as f64 / 2.0;
-        for _ in 0..p.trailing_zeros() {
-            let a_send = half * self.rect_fraction;
-            let opaque = half * self.density;
-            let codes = a_send * self.codes_per_pixel;
-            pred.comp_seconds +=
-                comp.t_encode * a_send + (comp.t_pack + comp.t_unpack + comp.t_over) * opaque;
-            pred.comm_seconds += net.message_seconds(
-                8 + 4
-                    + (codes * BYTES_PER_RUN_CODE as f64) as usize
-                    + (opaque * BYTES_PER_PIXEL as f64) as usize,
-            );
-            half /= 2.0;
-        }
-        pred
-    }
-
-    /// Equation (9) under the uniform model: the two robust ordering
-    /// links plus near-equality of the BSBRC/BSLC pair.
-    ///
-    /// A *uniform* workload has no spatial load imbalance, which is the
-    /// very thing that puts `M_max(BSLC)` below `M_max(BSBRC)` in the
-    /// paper's measurements; without it the two are within run-code
-    /// noise of each other (the paper's own P = 2 caveat). The code
-    /// overhead is bounded by `2·2ρ(1−ρ)` bytes against a `16ρ` payload,
-    /// i.e. at most `(1−ρ)/4 ≤ 25%`, so the third component reports
-    /// "within 25%" rather than `≥`.
-    pub fn m_max_ordering(&self, p: usize, net: &CostModel, comp: &CompCost) -> (bool, bool, bool) {
-        let bs = predict_bs(self.a, p, net, comp).comm_seconds;
-        let bsbr = self.predict_bsbr(p, net, comp).comm_seconds;
-        let bsbrc = self.predict_bsbrc(p, net, comp).comm_seconds;
-        let bslc = self.predict_bslc(p, net, comp).comm_seconds;
-        let near = (bsbrc - bslc).abs() <= 0.25 * bslc.max(bsbrc);
-        // When the bounding rectangle degenerates to the full half, BSBR
-        // equals BS plus its 8-byte headers, which Equation (9)'s model
-        // does not charge.
-        let header_slack = p.trailing_zeros() as f64 * 8.0 * net.t_c;
-        (
-            bs + header_slack >= bsbr,
-            bsbr >= bsbrc,
-            bsbrc >= bslc || near,
-        )
-    }
+    pred
 }
 
 /// Reconstructs a **virtual-time schedule** from recorded per-stage
@@ -184,56 +197,40 @@ pub fn virtual_completion(
 ) -> Option<Vec<f64>> {
     let p = per_rank.len();
     let max_stages = per_rank.iter().map(|s| s.stages.len()).max()?;
-    // Pre/post compute splits per rank per stage.
-    let pre = |r: usize, k: usize| -> f64 {
-        let s = &per_rank[r].stages[k];
-        let scan = if k == 0 {
-            comp.t_scan * per_rank[r].bound_pixels as f64
-                + comp.t_encode * per_rank[r].pre_encoded_pixels as f64
-        } else {
-            0.0
-        };
-        scan + comp.t_encode * s.encoded_pixels as f64
-            + comp.t_pack * (s.sent_bytes as f64 / vr_image::BYTES_PER_PIXEL as f64)
-    };
-    let post = |r: usize, k: usize| -> f64 {
-        let s = &per_rank[r].stages[k];
-        comp.t_unpack * (s.recv_bytes as f64 / vr_image::BYTES_PER_PIXEL as f64)
-            + comp.t_over * s.composite_ops as f64
-    };
-
     let mut vt = vec![0.0f64; p];
+    let (mut own_send, mut avail, mut post) = (vt.clone(), vt.clone(), vt.clone());
     for k in 0..max_stages {
-        // First pass: everyone's message-available times for this stage.
-        let mut avail = vec![f64::INFINITY; p];
-        for r in 0..p {
-            if k < per_rank[r].stages.len() {
-                let send_time = vt[r] + pre(r, k);
-                let sent = per_rank[r].stages[k].sent_bytes;
-                avail[r] = if sent > 0 {
-                    send_time + net.message_seconds(sent as usize)
-                } else {
-                    send_time
-                };
-            }
+        // First pass: when every rank issues its send (after its scan and
+        // pre-encoding on stage 0, encoding and packing), when that
+        // message is available to the partner, and the post-receive work.
+        avail.fill(f64::INFINITY);
+        for (r, rank) in per_rank.iter().enumerate() {
+            let Some(stage) = rank.stages.get(k) else {
+                continue;
+            };
+            let t = stage_terms(comp, rank, k);
+            own_send[r] = vt[r] + (t.bound + t.pre_encode + t.encode + t.pack);
+            avail[r] = match stage.sent_bytes {
+                0 => own_send[r],
+                sent => own_send[r] + net.message_seconds(sent as usize),
+            };
+            post[r] = t.unpack + t.over;
         }
         // Second pass: resume times after the exchange.
-        for r in 0..p {
-            if k >= per_rank[r].stages.len() {
+        for (r, rank) in per_rank.iter().enumerate() {
+            let Some(stage) = rank.stages.get(k) else {
                 continue;
-            }
-            let stage = &per_rank[r].stages[k];
-            let own_send = vt[r] + pre(r, k);
+            };
             let resume = if stage.recv_bytes > 0 {
                 let peer = stage.peer? as usize;
                 if peer >= p {
                     return None;
                 }
-                own_send.max(avail[peer])
+                own_send[r].max(avail[peer])
             } else {
-                own_send
+                own_send[r]
             };
-            vt[r] = resume + post(r, k);
+            vt[r] = resume + post[r];
         }
     }
     Some(vt)
@@ -242,10 +239,49 @@ pub fn virtual_completion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::Method;
-    use vr_comm::{run_group, CostModel};
+    use vr_comm::run_group;
     use vr_image::{Image, Pixel};
     use vr_volume::DepthOrder;
+
+    /// BS reads only `a`; the other fields say "everything is shipped".
+    fn bs_workload(a: usize) -> UniformWorkload {
+        UniformWorkload {
+            a,
+            density: 1.0,
+            rect_fraction: 1.0,
+            codes_per_pixel: 0.0,
+        }
+    }
+
+    /// Equation (9) under the uniform model: the two robust ordering
+    /// links plus near-equality of the BSBRC/BSLC pair.
+    ///
+    /// A *uniform* workload has no spatial load imbalance, which is the
+    /// very thing that puts `M_max(BSLC)` below `M_max(BSBRC)` in the
+    /// paper's measurements; without it the two are within run-code
+    /// noise of each other (the paper's own P = 2 caveat). The code
+    /// overhead is bounded by `2·2ρ(1−ρ)` bytes against a `16ρ` payload,
+    /// i.e. at most `(1−ρ)/4 ≤ 25%`, so the third component reports
+    /// "within 25%" rather than `≥`.
+    fn m_max_ordering(
+        w: &UniformWorkload,
+        p: usize,
+        net: &CostModel,
+        comp: &CompCost,
+    ) -> (bool, bool, bool) {
+        let [bs, bsbr, bslc, bsbrc] =
+            Method::paper_methods().map(|m| predict(m, w, p, net, comp).comm_seconds);
+        let near = (bsbrc - bslc).abs() <= 0.25 * bslc.max(bsbrc);
+        // When the bounding rectangle degenerates to the full half, BSBR
+        // equals BS plus its 8-byte headers, which Equation (9)'s model
+        // does not charge.
+        let header_slack = p.trailing_zeros() as f64 * 8.0 * net.t_c;
+        (
+            bs + header_slack >= bsbr,
+            bsbr >= bsbrc,
+            bsbrc >= bslc || near,
+        )
+    }
 
     #[test]
     fn bs_prediction_matches_simulation_exactly() {
@@ -271,11 +307,30 @@ mod tests {
                 .unwrap()
                 .stats
         });
-        let predicted = predict_bs(a, p, &net, &comp);
+        let predicted = predict(Method::Bs, &bs_workload(a), p, &net, &comp);
         for stats in &out.results {
             assert!((stats.comm_seconds - predicted.comm_seconds).abs() < 1e-12);
             assert!((comp.modeled_seconds(stats) - predicted.comp_seconds).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn predictor_and_oracle_charge_an_all_blank_bsbrc_half_its_header_alone() {
+        // Equation (8) with `A_send = 0`: the 8-byte rectangle, no code
+        // count behind it — what the codec sends and the oracle expects.
+        let images = vec![Image::blank(8, 8); 2];
+        let depth = DepthOrder::identity(2);
+        let oracle = crate::conformance::expected_traffic(Method::Bsbrc, &images, &depth).unwrap();
+        assert_eq!(oracle.sent, [[8], [8]]);
+        let blank = UniformWorkload {
+            a: 64,
+            density: 0.0,
+            rect_fraction: 0.0,
+            codes_per_pixel: 0.0,
+        };
+        let net = CostModel::sp2();
+        let predicted = predict(Method::Bsbrc, &blank, 2, &net, &CompCost::power2());
+        assert_eq!(predicted.comm_seconds, net.message_seconds(8));
     }
 
     #[test]
@@ -289,7 +344,7 @@ mod tests {
                 rect_fraction: (density * 4.0).min(1.0),
                 codes_per_pixel: 2.0 * density * (1.0 - density),
             };
-            let (a, b, c) = w.m_max_ordering(16, &net, &comp);
+            let (a, b, c) = m_max_ordering(&w, 16, &net, &comp);
             assert!(
                 a && b && c,
                 "ordering broken at density {density}: {a} {b} {c}"
@@ -308,8 +363,8 @@ mod tests {
             rect_fraction: 0.8,
             codes_per_pixel: 0.02,
         };
-        let bsbr = w.predict_bsbr(16, &net, &comp);
-        let bsbrc = w.predict_bsbrc(16, &net, &comp);
+        let bsbr = predict(Method::Bsbr, &w, 16, &net, &comp);
+        let bsbrc = predict(Method::Bsbrc, &w, 16, &net, &comp);
         assert!(bsbrc.total_seconds() < bsbr.total_seconds());
     }
 
@@ -325,8 +380,8 @@ mod tests {
             rect_fraction: 0.5,
             codes_per_pixel: 0.05,
         };
-        let bslc = w.predict_bslc(16, &net, &comp);
-        let bsbrc = w.predict_bsbrc(16, &net, &comp);
+        let bslc = predict(Method::Bslc, &w, 16, &net, &comp);
+        let bsbrc = predict(Method::Bsbrc, &w, 16, &net, &comp);
         assert!(bslc.comp_seconds > bsbrc.comp_seconds);
         assert!(bslc.total_seconds() > bsbrc.total_seconds());
     }
@@ -434,8 +489,9 @@ mod tests {
         let net = CostModel::sp2();
         let comp = CompCost::power2();
         let a = 384 * 384;
-        let t2 = predict_bs(a, 2, &net, &comp).total_seconds();
-        let t64 = predict_bs(a, 64, &net, &comp).total_seconds();
+        let w = bs_workload(a);
+        let t2 = predict(Method::Bs, &w, 2, &net, &comp).total_seconds();
+        let t64 = predict(Method::Bs, &w, 64, &net, &comp).total_seconds();
         // Σ A/2^k grows from A/2 towards A: less than 2× total growth.
         assert!(t64 > t2 && t64 < 2.2 * t2, "t2={t2}, t64={t64}");
     }

@@ -30,6 +30,7 @@ use vr_comm::{
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
+use crate::analysis::message_bytes;
 use crate::gather::gather_image_tolerant;
 use crate::methods::{composite, Method};
 use crate::reference::reference_composite;
@@ -313,11 +314,11 @@ impl ExpectedTraffic {
 }
 
 /// Computes the exact bytes each rank sends and receives per binary-swap
-/// stage for BS, BSBR, BSLC and BSBRC — the closed forms behind the
-/// paper's Equations (2), (4), (6) and (8) — from the subimages alone,
-/// plus the two encodings that reuse the same state: BSRL
-/// (`4 + 2·R_code + 16·non_blank` over the whole spatial half) and BSBM
-/// (`8 + ⌈A_send/8⌉ + 16·non_blank`, 8 when the rectangle is empty).
+/// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
+/// — from the subimages alone, plus the two encodings that reuse the
+/// same state, BSRL (runs over the whole spatial half) and BSBM (a
+/// bitmask over the bounding rectangle). This function derives the
+/// counts; `analysis::message_bytes` turns them into sizes.
 ///
 /// The derivation never composites a pixel: the non-blank mask of any
 /// partial composite is the exact `OR` of its contributors' masks
@@ -376,58 +377,25 @@ pub fn expected_traffic(
                 (odd, even)
             };
             seq_halves.push((kseq, sseq));
-            sent[v][k] = match method {
-                Method::Bs => (send.area() * vr_image::BYTES_PER_PIXEL) as u64,
-                Method::Bsbr => {
-                    let sb = bounds[v].intersect(&send);
-                    (vr_image::rect::BYTES_PER_RECT
-                        + if sb.is_empty() {
-                            0
-                        } else {
-                            sb.area() * vr_image::BYTES_PER_PIXEL
-                        }) as u64
-                }
-                Method::Bslc => {
-                    let rle = MaskRle::encode_mask(sseq.iter().map(|i| masks[v][i]));
-                    (4 + rle.wire_bytes() + rle.non_blank_total() * vr_image::BYTES_PER_PIXEL)
-                        as u64
-                }
-                Method::Bsbrc => {
-                    let sb = bounds[v].intersect(&send);
-                    (vr_image::rect::BYTES_PER_RECT
-                        + if sb.is_empty() {
-                            0
-                        } else {
-                            let rle =
-                                MaskRle::encode_mask(sb.iter().map(|(x, y)| {
-                                    masks[v][y as usize * width as usize + x as usize]
-                                }));
-                            4 + rle.wire_bytes() + rle.non_blank_total() * vr_image::BYTES_PER_PIXEL
-                        }) as u64
-                }
-                Method::Bsrl => {
-                    let rle = MaskRle::encode_mask(
-                        send.iter()
-                            .map(|(x, y)| masks[v][y as usize * width as usize + x as usize]),
-                    );
-                    (4 + rle.wire_bytes() + rle.non_blank_total() * vr_image::BYTES_PER_PIXEL)
-                        as u64
-                }
-                Method::Bsbm => {
-                    let sb = bounds[v].intersect(&send);
-                    let non_blank = sb
-                        .iter()
-                        .filter(|&(x, y)| masks[v][y as usize * width as usize + x as usize])
-                        .count();
-                    (vr_image::rect::BYTES_PER_RECT
-                        + if sb.is_empty() {
-                            0
-                        } else {
-                            sb.area().div_ceil(8) + non_blank * vr_image::BYTES_PER_PIXEL
-                        }) as u64
-                }
+            // The counts each size form reads, from the pre-stage masks
+            // and rectangles alone; the forms are `message_bytes`'.
+            let sb = bounds[v].intersect(&send);
+            let at = |(x, y): (u16, u16)| masks[v][y as usize * width as usize + x as usize];
+            let runs = |mask: &mut dyn Iterator<Item = bool>| {
+                let rle = MaskRle::encode_mask(mask);
+                (rle.num_codes(), rle.non_blank_total())
+            };
+            let (pixels, (codes, non_blank)) = match method {
+                Method::Bs => (send.area(), (0, 0)),
+                Method::Bsbr => (sb.area(), (0, 0)),
+                Method::Bslc => (sseq.count, runs(&mut sseq.iter().map(|i| masks[v][i]))),
+                Method::Bsrl => (send.area(), runs(&mut send.iter().map(at))),
+                Method::Bsbrc => (sb.area(), runs(&mut sb.iter().map(at))),
+                Method::Bsbm => (sb.area(), (0, sb.iter().filter(|&xy| at(xy)).count())),
                 _ => return None,
             };
+            sent[v][k] =
+                message_bytes(method, pixels as f64, codes as f64, non_blank as f64)? as u64;
         }
         // Phase 2: simultaneous state update from both partners'
         // pre-stage state.

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod timer;
 pub mod wire;
 
-pub use analysis::{predict_bs, virtual_completion, Prediction, UniformWorkload};
+pub use analysis::{predict, virtual_completion, Prediction, UniformWorkload};
 pub use conformance::{
     expected_traffic, parse_corpus, run_case, ConformanceCase, ConformanceOutcome, CorpusEntry,
     CostKind, ExpectedTraffic, Workload,

@@ -34,8 +34,7 @@
 //! slot of that contributor as empty, and finishes — a transparent hole
 //! at the dead rank's tiles, never a hang.
 
-use std::time::Instant;
-
+use bytes::Bytes;
 use vr_comm::Endpoint;
 use vr_image::{kernel, Image, MaskRle, Pixel, Rect};
 use vr_volume::DepthOrder;
@@ -97,7 +96,7 @@ pub struct TileCodec {
 /// One encoded streamed-tile message plus its cost counters.
 pub struct EncodedTile {
     /// Wire payload: `[tile u32][ncodes u32][codes][pixels]`.
-    pub payload: bytes::Bytes,
+    pub payload: Bytes,
     /// Non-blank pixels carried.
     pub non_blank: usize,
     /// Run codes emitted.
@@ -143,31 +142,22 @@ pub fn encode_tile(
     })
 }
 
-/// The just-encoded tile's contribution as slot data — the
-/// owner-is-self shortcut, skipping the wire round-trip. Must be called
-/// directly after [`encode_tile`] returned `Some` (it reads the scratch
-/// run table).
-pub fn local_contribution(
-    image: &Image,
-    rect: &Rect,
-    scratch: &TileCodec,
-) -> (MaskRle, Vec<Pixel>) {
-    let mask = scratch.runs.to_rle();
-    let mut pixels = Vec::with_capacity(scratch.runs.non_blank_total());
-    for &(start, len) in scratch.runs.runs() {
-        for_each_run_span(image, rect, start, len, |span| {
-            pixels.extend_from_slice(span)
-        });
+impl EncodedTile {
+    /// The pixel run at the payload's tail, still in wire form — with
+    /// the scratch run table, the owner-is-self contribution without a
+    /// wire round-trip or a copy.
+    fn pixels(&self) -> Bytes {
+        self.payload
+            .slice(8 + self.run_codes * vr_image::BYTES_PER_RUN_CODE..)
     }
-    (mask, pixels)
 }
 
 /// Decodes a streamed tile payload after the tile index has been read:
 /// run codes that stay inside a tile of `area` pixels, then exactly the
-/// non-blank pixels they announce.
-fn decode_tile(r: &mut MsgReader, area: usize) -> Checked<(MaskRle, Vec<Pixel>)> {
+/// non-blank pixels they announce, kept as a view of the payload.
+fn decode_tile(r: &mut MsgReader, area: usize) -> Checked<(MaskRle, Bytes)> {
     let (mask, non_blank) = read_runs(r, area)?;
-    let pixels = r.get_pixels(non_blank)?;
+    let pixels = r.take_pixels(non_blank)?;
     r.finish()?;
     Ok((mask, pixels))
 }
@@ -200,8 +190,9 @@ enum Slot {
     Unknown,
     /// Known blank (explicitly, via `DONE`, or via a dead contributor).
     Empty,
-    /// Content waiting for its turn in the depth order.
-    Content { mask: MaskRle, pixels: Vec<Pixel> },
+    /// Content waiting for its turn in the depth order: the non-blank
+    /// runs and their pixels in wire form (a view of the message).
+    Content { mask: MaskRle, pixels: Bytes },
 }
 
 /// The deterministic accumulator for one owned tile: contributions fold
@@ -255,7 +246,7 @@ impl TileAccum {
     }
 
     /// Records contributor `v`'s non-blank runs for this tile.
-    pub fn resolve_content(&mut self, v: usize, mask: MaskRle, pixels: Vec<Pixel>) {
+    pub fn resolve_content(&mut self, v: usize, mask: MaskRle, pixels: Bytes) {
         debug_assert!(!self.is_resolved(v), "contributor {v} resolved twice");
         self.slots[v] = Slot::Content { mask, pixels };
         self.advance();
@@ -281,12 +272,13 @@ impl TileAccum {
                 }
                 Slot::Empty => {}
                 Slot::Content { mask, pixels } => {
-                    let mut i = 0usize;
+                    let mut wire = &pixels[..];
                     for (pos, len) in mask.non_blank_runs() {
                         // acc (vranks < next_v) stays in front of this
                         // contribution — the reference fold direction.
-                        kernel::under_slice(&mut self.acc[pos..pos + len], &pixels[i..i + len]);
-                        i += len;
+                        let (run, rest) = wire.split_at(len * vr_image::BYTES_PER_PIXEL);
+                        kernel::under_slice_wire(&mut self.acc[pos..pos + len], run);
+                        wire = rest;
                         self.ops += len as u64;
                     }
                 }
@@ -382,7 +374,7 @@ impl TileStream {
             .filter(|&(t, _)| t % p == v)
             .map(|(_, r)| TileAccum::new(*r, p))
             .collect();
-        let progress = Progress::new(accums.len(), Instant::now());
+        let progress = Progress::new(accums.len(), ep.now());
         TileStream {
             run,
             topo,
@@ -434,7 +426,7 @@ impl TileStream {
                 let (slot, v) = (t / self.p, self.v);
                 let TileStream { run, accums, .. } = self;
                 run.comp.time(|| accums[slot].resolve_empty(v));
-                self.progress.note(&self.accums, slot);
+                self.progress.note(&self.accums, slot, ep);
             }
             return Ok(());
         };
@@ -442,11 +434,11 @@ impl TileStream {
         self.stat.run_codes += enc.run_codes as u64;
         if owner == self.v {
             let (slot, v) = (t / self.p, self.v);
-            let (mask, pixels) = local_contribution(img, rect, &self.scratch);
+            let (mask, pixels) = (self.scratch.runs.to_rle(), enc.pixels());
             let TileStream { run, accums, .. } = self;
             run.comp
                 .time(|| accums[slot].resolve_content(v, mask, pixels));
-            self.progress.note(&self.accums, slot);
+            self.progress.note(&self.accums, slot, ep);
         } else {
             let bytes = enc.payload.len() as u64;
             if try_send_timed(
@@ -488,7 +480,7 @@ impl TileStream {
                     a.resolve_empty(*v);
                 }
             });
-            progress.note_all(accums);
+            progress.note_all(accums, ep);
         }
         // Close our stream to every owner.
         for u in 0..self.owners {
@@ -548,7 +540,7 @@ impl TileStream {
                                     a.resolve_empty(sv);
                                 }
                             });
-                            self.progress.note_all(&self.accums);
+                            self.progress.note_all(&self.accums, ep);
                         } else {
                             // A tile this rank owns, not yet heard from `src`.
                             let slot = t as usize / p;
@@ -560,7 +552,7 @@ impl TileStream {
                             let TileStream { run, accums, .. } = &mut self;
                             run.comp
                                 .time(|| accums[slot].resolve_content(sv, mask, pixels));
-                            self.progress.note(&self.accums, slot);
+                            self.progress.note(&self.accums, slot, ep);
                         }
                     }
                     AnyRecv::PeerDied(src) => {
@@ -573,7 +565,7 @@ impl TileStream {
                                 a.resolve_empty(sv);
                             }
                         });
-                        self.progress.note_all(&self.accums);
+                        self.progress.note_all(&self.accums, ep);
                     }
                 }
             }
@@ -598,17 +590,18 @@ impl TileStream {
     }
 }
 
-/// Tracks when owned tiles finish accumulating (wall clock, for the
-/// progressive-latency metrics; meaningful on the real transport).
+/// Tracks when owned tiles finish accumulating, on the transport's own
+/// clock ([`Endpoint::now`]: wall seconds on real channels, virtual
+/// seconds under a schedule seed — there the offsets replay exactly).
 struct Progress {
     done: Vec<bool>,
-    start: Instant,
+    start: f64,
     first: Option<f64>,
     last: Option<f64>,
 }
 
 impl Progress {
-    fn new(n: usize, start: Instant) -> Progress {
+    fn new(n: usize, start: f64) -> Progress {
         Progress {
             done: vec![false; n],
             start,
@@ -617,18 +610,18 @@ impl Progress {
         }
     }
 
-    fn note(&mut self, accums: &[TileAccum], slot: usize) {
+    fn note(&mut self, accums: &[TileAccum], slot: usize, ep: &Endpoint) {
         if !self.done[slot] && accums[slot].is_complete() {
             self.done[slot] = true;
-            let at = self.start.elapsed().as_secs_f64();
+            let at = ep.now() - self.start;
             self.first.get_or_insert(at);
             self.last = Some(at);
         }
     }
 
-    fn note_all(&mut self, accums: &[TileAccum]) {
+    fn note_all(&mut self, accums: &[TileAccum], ep: &Endpoint) {
         for slot in 0..self.done.len() {
-            self.note(accums, slot);
+            self.note(accums, slot, ep);
         }
     }
 
@@ -673,13 +666,13 @@ mod tests {
                 continue;
             };
             // The wire payload and the local shortcut must agree.
-            let (lmask, lpix) = local_contribution(&img, rect, &scratch);
+            let (lmask, lpix) = (scratch.runs.to_rle(), enc.pixels());
             let mut r = MsgReader::new(enc.payload);
             assert_eq!(r.get_u32(), Ok(t as u32));
             let (mask, pixels) = decode_tile(&mut r, rect.area()).unwrap();
             assert_eq!(mask.codes(), lmask.codes());
             assert_eq!(pixels, lpix);
-            assert_eq!(pixels.len(), enc.non_blank);
+            assert_eq!(pixels.len(), enc.non_blank * vr_image::BYTES_PER_PIXEL);
             assert_eq!(r.remaining(), 0);
         }
     }
@@ -689,7 +682,7 @@ mod tests {
         // Three contributors over one 4x1 tile; fold them in every
         // arrival order and require bit-identical accumulators.
         let rect = Rect::new(0, 0, 4, 1);
-        let contribs: Vec<(MaskRle, Vec<Pixel>)> = (0..3u32)
+        let contribs: Vec<(MaskRle, Bytes)> = (0..3u32)
             .map(|v| {
                 let mut img = Image::blank(4, 1);
                 img.set(v as u16, 0, Pixel::gray(0.3 + v as f32 * 0.2, 0.5));

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::analysis::stage_terms;
+
 /// Counters for one compositing stage on one rank.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageStat {
@@ -74,28 +76,29 @@ impl CompCost {
 
     /// Models one rank's `T_comp` in seconds from its counters.
     pub fn modeled_seconds(&self, stats: &MethodStats) -> f64 {
-        let mut t = self.t_scan * stats.bound_pixels as f64
-            + self.t_encode * stats.pre_encoded_pixels as f64;
-        for s in &stats.stages {
-            let sent_px = s.sent_bytes as f64 / vr_image::BYTES_PER_PIXEL as f64;
-            let recv_px = s.recv_bytes as f64 / vr_image::BYTES_PER_PIXEL as f64;
-            t += self.t_pack * sent_px
-                + self.t_unpack * recv_px
-                + self.t_over * s.composite_ops as f64
-                + self.t_encode * s.encoded_pixels as f64;
+        let first = stage_terms(self, stats, 0);
+        let mut t = first.bound + first.pre_encode;
+        for k in 0..stats.stages.len() {
+            let s = stage_terms(self, stats, k);
+            t += s.pack + s.unpack + s.over + s.encode;
         }
         t
     }
 
     /// Models `T_bound` in seconds.
     pub fn modeled_bound_seconds(&self, stats: &MethodStats) -> f64 {
-        self.t_scan * stats.bound_pixels as f64
+        stage_terms(self, stats, 0).bound
     }
 
-    /// Models the encoding portion in seconds.
+    /// Models the encoding portion in seconds: one product over the
+    /// rank's whole encoded-pixel count, as if a single pass visited it.
     pub fn modeled_encode_seconds(&self, stats: &MethodStats) -> f64 {
         let per_stage: u64 = stats.stages.iter().map(|s| s.encoded_pixels).sum();
-        self.t_encode * (per_stage + stats.pre_encoded_pixels) as f64
+        let whole = MethodStats {
+            pre_encoded_pixels: per_stage + stats.pre_encoded_pixels,
+            ..MethodStats::default()
+        };
+        stage_terms(self, &whole, 0).pre_encode
     }
 }
 
@@ -128,15 +131,16 @@ pub struct MethodStats {
     pub pre_encoded_pixels: u64,
     /// Per-stage counters, `stages[k-1]` for the paper's stage `k`.
     pub stages: Vec<StageStat>,
-    /// Wall-clock seconds from composite start until this rank's *first*
-    /// owned tile finished accumulating (tile-stream only, real
-    /// transport only; `None` elsewhere). Unlike the modeled cost terms
-    /// above, these two are raw wall measurements — they exist to expose
+    /// Seconds from composite start until this rank's *first* owned tile
+    /// finished accumulating (tile-stream only; `None` elsewhere), on the
+    /// transport's clock: wall time on real channels, the rank's virtual
+    /// clock under a schedule seed, where it replays exactly. Unlike the
+    /// modeled cost terms above, these two exist to expose
     /// progressive-delivery latency, not the paper's cost model.
     #[serde(default)]
     pub first_tile_seconds: Option<f64>,
-    /// Wall-clock seconds until this rank's *last* owned tile finished
-    /// accumulating (tile-stream only, real transport only).
+    /// Seconds until this rank's *last* owned tile finished accumulating
+    /// (tile-stream only), on the same clock.
     #[serde(default)]
     pub last_tile_seconds: Option<f64>,
 }

@@ -178,13 +178,6 @@ impl MsgReader {
             .collect())
     }
 
-    /// Reads `n` pixels.
-    pub fn get_pixels(&mut self, n: usize) -> Checked<Vec<Pixel>> {
-        let mut out = Vec::new();
-        self.get_pixels_into(n, &mut out)?;
-        Ok(out)
-    }
-
     /// Reads `n` pixels into a reusable buffer (cleared first) — the
     /// decode for payloads that are not composited in wire order
     /// (BSLC's strided sequences, buffered contributions).
@@ -297,7 +290,9 @@ mod tests {
         assert_eq!(r.get_rect(), Ok(rect));
         assert_eq!(r.get_u32(), Ok(3));
         assert_eq!(r.get_codes(3), Ok(vec![5, 0, 65535]));
-        assert_eq!(r.get_pixels(2), Ok(px.to_vec()));
+        let mut got = Vec::new();
+        assert_eq!(r.get_pixels_into(2, &mut got), Ok(()));
+        assert_eq!(got, px);
         assert_eq!(r.finish(), Ok(()));
     }
 
@@ -336,7 +331,7 @@ mod tests {
             let mut r = MsgReader::new(full.slice(..cut));
             assert_eq!(read_all(&mut r), Err(Malformed), "cut at {cut}");
             let left = r.remaining();
-            assert_eq!(r.get_pixels(usize::MAX), Err(Malformed), "count overflow");
+            assert_eq!(r.take_pixels(usize::MAX), Err(Malformed), "count overflow");
             assert_eq!(r.remaining(), left, "a refused read consumes nothing");
         }
         let mut r = MsgReader::new(full);
@@ -362,7 +357,9 @@ mod tests {
         assert_eq!(w.len(), codes.len() * 2 + px.len() * 16);
         let mut r = MsgReader::new(w.freeze());
         assert_eq!(r.get_codes(codes.len()), Ok(codes));
-        assert_eq!(r.get_pixels(px.len()), Ok(px));
+        let mut got = Vec::new();
+        assert_eq!(r.get_pixels_into(px.len(), &mut got), Ok(()));
+        assert_eq!(got, px);
         assert_eq!(r.finish(), Ok(()));
     }
 

@@ -91,25 +91,22 @@ impl DriftReport {
     }
 }
 
-/// The `t_over`-anchored ratio vector of a preset.
-pub fn anchored_ratios(preset: &CostModelPreset) -> Vec<(String, f64)> {
+/// The `t_over`-anchored ratio vector of a preset: every other constant
+/// of [`CostModelPreset::constants`] over `t_over`, `t_c` scaled to one
+/// pixel's bytes.
+fn anchored_ratios(preset: &CostModelPreset) -> Vec<(String, f64)> {
     let anchor = preset.comp.t_over;
     assert!(anchor > 0.0, "preset '{}' has t_over <= 0", preset.name);
-    vec![
-        ("t_scan/t_over".into(), preset.comp.t_scan / anchor),
-        ("t_pack/t_over".into(), preset.comp.t_pack / anchor),
-        ("t_unpack/t_over".into(), preset.comp.t_unpack / anchor),
-        ("t_encode/t_over".into(), preset.comp.t_encode / anchor),
-        (
-            "t_c*16/t_over".into(),
-            preset.network.t_c * BYTES_PER_PIXEL as f64 / anchor,
-        ),
-        ("t_s/t_over".into(), preset.network.t_s / anchor),
-        (
-            "t_render_sample/t_over".into(),
-            preset.t_render_sample / anchor,
-        ),
-    ]
+    let others = preset.constants().into_iter().filter(|c| c.0 != "t_over");
+    others
+        .map(|(label, _, value)| match label {
+            "t_c" => (
+                "t_c*16/t_over".into(),
+                value * BYTES_PER_PIXEL as f64 / anchor,
+            ),
+            _ => (format!("{label}/t_over"), value / anchor),
+        })
+        .collect()
 }
 
 /// Compares a fresh refit against the checked-in baseline.
@@ -181,15 +178,9 @@ mod tests {
         // A host 100x faster in every constant has identical ratios.
         let base = CostModelPreset::sp2();
         let mut fast = base.clone();
-        let s = 1.0 / 100.0;
-        fast.comp.t_scan *= s;
-        fast.comp.t_pack *= s;
-        fast.comp.t_unpack *= s;
-        fast.comp.t_over *= s;
-        fast.comp.t_encode *= s;
-        fast.network.t_s *= s;
-        fast.network.t_c *= s;
-        fast.t_render_sample *= s;
+        for (_, _, value) in fast.constants_mut() {
+            *value *= 1.0 / 100.0;
+        }
         let report = drift_check(&base, &fast, 1.0, 8);
         assert!(report.passed(), "{}", report.render());
     }

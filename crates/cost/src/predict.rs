@@ -1,20 +1,21 @@
 //! Predictive what-if sweeps: the paper's Equations (1)–(8) evaluated
 //! under any [`CostModelPreset`] at any scale.
 //!
-//! Because the predictions are closed-form ([`predict_bs`] and
-//! [`UniformWorkload`] from `slsvr-core`), nothing here spawns rank
+//! Because the predictions are closed-form ([`predict`] over a
+//! [`UniformWorkload`], from `slsvr-core`), nothing here spawns rank
 //! threads — `P = 512` costs the same to evaluate as `P = 8`, which is
 //! the point: "what would BSBRC cost at 512 ranks on today's network"
 //! becomes a table, not a guess. The paper's measured method ranking
 //! (sparse workloads: BSLC/BSBRC beat BS/BSBR) doubles as a built-in
 //! cross-check under the `sp2` preset.
 
-use slsvr_core::{predict_bs, UniformWorkload};
+use slsvr_core::{predict, Method, UniformWorkload};
 
 use crate::preset::CostModelPreset;
 
 /// The four compositing methods of the paper's evaluation, in
-/// presentation order.
+/// presentation order ([`Method::paper_methods`]'s, as the CSV spells
+/// them).
 pub const PAPER_METHODS: [&str; 4] = ["bs", "bsbr", "bslc", "bsbrc"];
 
 /// Nominal ray samples per image pixel for the render-cost estimate
@@ -57,7 +58,7 @@ impl PredictRow {
 /// The uniform workload model a `(size, density)` cell maps to: the
 /// bounding rectangle covers `4ρ` of each region (a coherent blob) and
 /// run codes follow the random-mixing limit `2ρ(1−ρ)`.
-pub fn uniform_workload(size: u16, density: f64) -> UniformWorkload {
+fn uniform_workload(size: u16, density: f64) -> UniformWorkload {
     UniformWorkload {
         a: size as usize * size as usize,
         density,
@@ -92,15 +93,10 @@ pub fn predict_grid(
             let render_seconds = preset.t_render_sample * a as f64 * SAMPLES_PER_PIXEL / p as f64;
             for &density in densities {
                 let w = uniform_workload(size, density);
-                let preds = [
-                    ("bs", predict_bs(a, p, net, comp)),
-                    ("bsbr", w.predict_bsbr(p, net, comp)),
-                    ("bslc", w.predict_bslc(p, net, comp)),
-                    ("bsbrc", w.predict_bsbrc(p, net, comp)),
-                ];
-                for (method, pred) in preds {
+                for (name, method) in PAPER_METHODS.into_iter().zip(Method::paper_methods()) {
+                    let pred = predict(method, &w, p, net, comp);
                     rows.push(PredictRow {
-                        method,
+                        method: name,
                         p,
                         size,
                         density,

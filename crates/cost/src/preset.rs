@@ -66,16 +66,13 @@ pub struct CostModelPreset {
 }
 
 impl CostModelPreset {
-    /// The paper-faithful preset: SP2 High Performance Switch network
-    /// constants and POWER2 per-op compute constants — byte-for-byte the
-    /// same values [`CostKind::Sp2`](slsvr_core::CostKind) and the
-    /// default [`ExperimentConfig`](vr_comm::CostModel) resolve to.
-    pub fn sp2() -> Self {
+    /// A hand-calibrated preset carrying the paper's constants
+    /// ([`CostModel::sp2`], [`CompCost::power2`]); the fitter and the
+    /// parser start from one and overwrite all eight.
+    pub(crate) fn calibrated(name: &str, description: String) -> Self {
         CostModelPreset {
-            name: "sp2".into(),
-            description: "IBM SP2: HPS network (Ts=40us, 35MB/s), 66.7MHz POWER2 per-op costs \
-                          calibrated to Table 1"
-                .into(),
+            name: name.into(),
+            description,
             network: CostModel::sp2(),
             comp: CompCost::power2(),
             // A trilinear fetch + classification + shading per sample is
@@ -88,28 +85,43 @@ impl CostModelPreset {
         }
     }
 
+    /// The paper-faithful preset: SP2 High Performance Switch network
+    /// constants and POWER2 per-op compute constants — byte-for-byte the
+    /// same values [`CostKind::Sp2`](slsvr_core::CostKind) and the
+    /// default [`ExperimentConfig`](vr_comm::CostModel) resolve to.
+    pub fn sp2() -> Self {
+        let description = "IBM SP2: HPS network (Ts=40us, 35MB/s), 66.7MHz POWER2 per-op costs \
+                           calibrated to Table 1";
+        CostModelPreset::calibrated("sp2", description.into())
+    }
+
     /// A hand-sketched modern-interconnect preset for what-if sweeps
     /// when no fitted `local` preset is available: [`CostModel::modern`]
     /// plus POWER2 compute scaled by a nominal 250× single-core uplift.
     pub fn modern() -> Self {
-        let p2 = CompCost::power2();
-        let scale = 1.0 / 250.0;
-        CostModelPreset {
-            name: "modern".into(),
-            description: "sketched modern host: 2us/10GB/s network, POWER2 compute / 250".into(),
-            network: CostModel::modern(),
-            comp: CompCost {
-                t_scan: p2.t_scan * scale,
-                t_pack: p2.t_pack * scale,
-                t_unpack: p2.t_unpack * scale,
-                t_over: p2.t_over * scale,
-                t_encode: p2.t_encode * scale,
-            },
-            t_render_sample: 5.0e-6 * scale,
-            fits: Vec::new(),
-            host_cores: None,
-            sweep_grid: None,
+        let description = "sketched modern host: 2us/10GB/s network, POWER2 compute / 250";
+        let mut preset = CostModelPreset::calibrated("modern", description.into());
+        preset.network = CostModel::modern();
+        for (_, op, value) in preset.constants_mut() {
+            if op != "message" {
+                *value *= 1.0 / 250.0;
+            }
         }
+        preset
+    }
+
+    /// The model's eight constants in report order, each `(label, the
+    /// sweep op whose fit produces it, value)`. `message` fits two: its
+    /// intercept is `t_s`, its slope `t_c`. The JSON codec, the fitter,
+    /// the drift gate and the CLI's table all walk this list.
+    pub fn constants(&self) -> [(&'static str, &'static str, f64); 8] {
+        let (mut network, mut comp, mut render) = (self.network, self.comp, self.t_render_sample);
+        constant_slots(&mut network, &mut comp, &mut render).map(|(label, op, v)| (label, op, *v))
+    }
+
+    /// [`constants`](Self::constants), by reference.
+    pub(crate) fn constants_mut(&mut self) -> [(&'static str, &'static str, &mut f64); 8] {
+        constant_slots(&mut self.network, &mut self.comp, &mut self.t_render_sample)
     }
 
     /// Built-in presets by name.
@@ -129,27 +141,18 @@ impl CostModelPreset {
 
     /// Serializes to a JSON value.
     pub fn to_json(&self) -> Json {
+        let section = |name: Option<&'static str>| {
+            let in_it = self
+                .constants()
+                .into_iter()
+                .filter(move |c| json_section(c.1) == name);
+            in_it.map(|(label, _, value)| (label, Json::Num(value)))
+        };
         let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("description", Json::Str(self.description.clone())),
-            (
-                "network",
-                obj([
-                    ("t_s", Json::Num(self.network.t_s)),
-                    ("t_c", Json::Num(self.network.t_c)),
-                ]),
-            ),
-            (
-                "comp",
-                obj([
-                    ("t_scan", Json::Num(self.comp.t_scan)),
-                    ("t_pack", Json::Num(self.comp.t_pack)),
-                    ("t_unpack", Json::Num(self.comp.t_unpack)),
-                    ("t_over", Json::Num(self.comp.t_over)),
-                    ("t_encode", Json::Num(self.comp.t_encode)),
-                ]),
-            ),
-            ("t_render_sample", Json::Num(self.t_render_sample)),
+            ("network", obj(section(Some("network")))),
+            ("comp", obj(section(Some("comp")))),
             (
                 "fits",
                 Json::Arr(
@@ -167,6 +170,7 @@ impl CostModelPreset {
                 ),
             ),
         ];
+        fields.extend(section(None));
         if let Some(cores) = self.host_cores {
             fields.push(("host_cores", Json::Num(cores as f64)));
         }
@@ -191,16 +195,13 @@ impl CostModelPreset {
                 .ok_or_else(|| format!("preset missing numeric field '{key}'"))
         };
         let name = str_field("name")?;
-        let description = str_field("description")?;
-        let net = v.get("network").ok_or("preset missing 'network'")?;
-        let comp = v.get("comp").ok_or("preset missing 'comp'")?;
-        let mut fits = Vec::new();
+        let mut preset = CostModelPreset::calibrated(&name, str_field("description")?);
         for f in v
             .get("fits")
             .and_then(Json::as_arr)
             .ok_or("preset missing 'fits' array")?
         {
-            fits.push(OpFit {
+            preset.fits.push(OpFit {
                 op: f
                     .get("op")
                     .and_then(Json::as_str)
@@ -211,46 +212,55 @@ impl CostModelPreset {
                 samples: num_in(f, "samples")? as usize,
             });
         }
-        let preset = CostModelPreset {
-            name,
-            description,
-            network: CostModel {
-                t_s: num_in(net, "t_s")?,
-                t_c: num_in(net, "t_c")?,
-            },
-            comp: CompCost {
-                t_scan: num_in(comp, "t_scan")?,
-                t_pack: num_in(comp, "t_pack")?,
-                t_unpack: num_in(comp, "t_unpack")?,
-                t_over: num_in(comp, "t_over")?,
-                t_encode: num_in(comp, "t_encode")?,
-            },
-            t_render_sample: num_in(v, "t_render_sample")?,
-            fits,
-            host_cores: v.get("host_cores").and_then(Json::as_u64),
-            sweep_grid: v
-                .get("sweep_grid")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-        };
-        for (label, value) in [
-            ("t_s", preset.network.t_s),
-            ("t_c", preset.network.t_c),
-            ("t_scan", preset.comp.t_scan),
-            ("t_pack", preset.comp.t_pack),
-            ("t_unpack", preset.comp.t_unpack),
-            ("t_over", preset.comp.t_over),
-            ("t_encode", preset.comp.t_encode),
-            ("t_render_sample", preset.t_render_sample),
-        ] {
-            if !value.is_finite() || value < 0.0 {
+        preset.host_cores = v.get("host_cores").and_then(Json::as_u64);
+        preset.sweep_grid = v
+            .get("sweep_grid")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        for (label, op, value) in preset.constants_mut() {
+            let parent = match json_section(op) {
+                Some(section) => v
+                    .get(section)
+                    .ok_or_else(|| format!("preset missing '{section}'"))?,
+                None => v,
+            };
+            *value = num_in(parent, label)?;
+            if !value.is_finite() || *value < 0.0 {
                 return Err(format!(
-                    "preset '{}': non-physical constant {label} = {value}",
-                    preset.name
+                    "preset '{name}': non-physical constant {label} = {value}"
                 ));
             }
         }
         Ok(preset)
+    }
+}
+
+/// The one list of the model's constants (see
+/// [`CostModelPreset::constants`]).
+fn constant_slots<'a>(
+    network: &'a mut CostModel,
+    comp: &'a mut CompCost,
+    t_render_sample: &'a mut f64,
+) -> [(&'static str, &'static str, &'a mut f64); 8] {
+    [
+        ("t_over", "over", &mut comp.t_over),
+        ("t_pack", "pack", &mut comp.t_pack),
+        ("t_unpack", "unpack", &mut comp.t_unpack),
+        ("t_encode", "encode", &mut comp.t_encode),
+        ("t_scan", "scan", &mut comp.t_scan),
+        ("t_s", "message", &mut network.t_s),
+        ("t_c", "message", &mut network.t_c),
+        ("t_render_sample", "render", t_render_sample),
+    ]
+}
+
+/// The JSON object a constant is stored under, by the op that fits it
+/// (`None`: the preset's top level).
+fn json_section(op: &str) -> Option<&'static str> {
+    match op {
+        "message" => Some("network"),
+        "render" => None,
+        _ => Some("comp"),
     }
 }
 

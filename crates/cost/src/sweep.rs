@@ -380,11 +380,7 @@ fn op(name: &str, params: &[&str]) -> OpSweep {
     }
 }
 
-fn fit_op<'a>(
-    data: &'a SweepData,
-    name: &str,
-    floor: f64,
-) -> Result<(FitResult, &'a OpSweep), String> {
+fn fit_op(data: &SweepData, name: &str, floor: f64) -> Result<FitResult, String> {
     let sweep = data
         .ops
         .iter()
@@ -400,60 +396,46 @@ fn fit_op<'a>(
             ));
         }
     }
-    Ok((fit, sweep))
+    Ok(fit)
 }
 
 /// Fits a [`CostModelPreset`] from sweep data, refusing any operation
-/// whose fit falls below `floor`.
+/// whose fit falls below `floor`: each constant of
+/// [`CostModelPreset::constants`] is the slope of its op's fit, except
+/// `t_s`, the intercept of `message`'s.
 pub fn fit_preset(data: &SweepData, name: &str, floor: f64) -> Result<CostModelPreset, String> {
-    let mut fits = Vec::new();
-    let mut slope = |op: &str| -> Result<f64, String> {
-        let (fit, _) = fit_op(data, op, floor)?;
-        fits.push(OpFit {
+    let description = format!(
+        "fitted from the {} sweep on a {}-core host (in-process message framing as the wire)",
+        data.grid, data.host_cores
+    );
+    let mut preset = CostModelPreset::calibrated(name, description);
+    // `message` fits two constants; it is reported once, after the
+    // rest — the order `COST_MODEL.json`'s `fits` has always had.
+    let (mut fits, mut message) = (Vec::new(), None);
+    for (label, op, value) in preset.constants_mut() {
+        let fit = fit_op(data, op, floor)?;
+        *value = match label {
+            // A negative fitted intercept just means the start-up charge
+            // is below this host's measurement floor.
+            "t_s" => fit.intercept.max(0.0),
+            _ => fit.coefficients[0],
+        };
+        let report = OpFit {
             op: op.into(),
             r2: fit.r2,
             adjusted_r2: fit.adjusted_r2,
             samples: fit.n,
-        });
-        Ok(fit.coefficients[0])
-    };
-    let t_over = slope("over")?;
-    let t_pack = slope("pack")?;
-    let t_unpack = slope("unpack")?;
-    let t_encode = slope("encode")?;
-    let t_scan = slope("scan")?;
-    let t_render_sample = slope("render")?;
-    let (msg_fit, _) = fit_op(data, "message", floor)?;
-    fits.push(OpFit {
-        op: "message".into(),
-        r2: msg_fit.r2,
-        adjusted_r2: msg_fit.adjusted_r2,
-        samples: msg_fit.n,
-    });
-    Ok(CostModelPreset {
-        name: name.into(),
-        description: format!(
-            "fitted from the {} sweep on a {}-core host (in-process message framing as the wire)",
-            data.grid, data.host_cores
-        ),
-        network: vr_comm::CostModel {
-            // A negative fitted intercept just means the start-up charge
-            // is below this host's measurement floor.
-            t_s: msg_fit.intercept.max(0.0),
-            t_c: msg_fit.coefficients[0],
-        },
-        comp: slsvr_core::CompCost {
-            t_scan,
-            t_pack,
-            t_unpack,
-            t_over,
-            t_encode,
-        },
-        t_render_sample,
-        fits,
-        host_cores: Some(data.host_cores as u64),
-        sweep_grid: Some(data.grid.clone()),
-    })
+        };
+        match op {
+            "message" => message = Some(report),
+            _ => fits.push(report),
+        }
+    }
+    fits.extend(message);
+    preset.fits = fits;
+    preset.host_cores = Some(data.host_cores as u64);
+    preset.sweep_grid = Some(data.grid.clone());
+    Ok(preset)
 }
 
 #[cfg(test)]

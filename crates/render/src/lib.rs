@@ -19,5 +19,5 @@ pub use accel::{render_tile_into, RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZ
 pub use camera::{Camera, Projection};
 pub use local::render_local_block_clipped_accel;
 pub use params::{RenderParams, MAX_SIMD_LANES};
-pub use pool::RenderPool;
+pub use pool::{resolve_threads, RenderPool};
 pub use raycast::{render_block, render_block_accel, render_block_accel_pool};

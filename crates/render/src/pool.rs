@@ -82,6 +82,21 @@ struct Shared {
     done: Condvar,
 }
 
+/// The thread count a `render_threads` knob resolves to: an explicit
+/// value as-is, bounded at 64 (beyond that the per-tile work items are
+/// too few to feed); `0` (auto) the host's available parallelism divided
+/// among the `sharers` rendering at once (a service's workers, a fused
+/// group's ranks), at least 1 and at most 8, so nothing oversubscribes.
+pub fn resolve_threads(requested: usize, sharers: usize) -> usize {
+    match requested {
+        0 => {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            (cores / sharers.max(1)).clamp(1, 8)
+        }
+        n => n.min(64),
+    }
+}
+
 /// A fixed-size pool of render worker threads, spawned once (per
 /// `Experiment::prepare`, per serve worker, …) and reused across frames.
 ///

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use vr_image::checksum::{fnv1a_bytes, FNV_OFFSET};
 use vr_system::ExperimentConfig;
 
 use crate::wire;
@@ -20,12 +21,7 @@ use crate::wire;
 /// The cache key for a frame request: FNV-1a over the canonical wire
 /// encoding of the full configuration.
 pub fn frame_key(config: &ExperimentConfig) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for byte in wire::encode_config(config) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, wire::encode_config(config))
 }
 
 /// Hit/miss/evict accounting for one cache.

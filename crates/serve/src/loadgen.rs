@@ -12,6 +12,7 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use vr_comm::splitmix64;
 use vr_image::checksum::fnv1a;
 use vr_system::{ExperimentConfig, FrameRecord};
 
@@ -209,13 +210,11 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-/// splitmix64 — the workspace's standard tiny deterministic generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+/// The pose request `i` of session `s` asks for: each session walks its
+/// own seeded splitmix64 stream over the pose table.
+fn pose_index(load: &LoadConfig, s: usize, i: usize) -> usize {
+    let stream = load.seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    (splitmix64(stream, i as u64) % load.poses.max(1) as u64) as usize
 }
 
 /// The camera pose a request uses: poses are evenly spread over a 180°
@@ -239,7 +238,6 @@ pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfi
             .map(|s| {
                 let session = service.open_session(base);
                 scope.spawn(move || {
-                    let mut rng = load.seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15);
                     let session_start = Instant::now();
                     let mut pending = Vec::with_capacity(load.requests_per_session);
                     for i in 0..load.requests_per_session {
@@ -250,7 +248,7 @@ pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfi
                         if due > elapsed {
                             std::thread::sleep(due - elapsed);
                         }
-                        let pose = (splitmix64(&mut rng) % load.poses.max(1) as u64) as usize;
+                        let pose = pose_index(load, s, i);
                         let (rx, ry) = pose_angles(&session.base().clone(), pose, load.poses);
                         pending.push(session.request_view(rx, ry));
                     }
@@ -321,7 +319,6 @@ pub fn run_load_socket(
                     let sender = std::thread::Builder::new()
                         .name("vr-loadgen-send".to_string())
                         .spawn(move || -> Result<(), ClientError> {
-                            let mut rng = load.seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15);
                             let session_start = Instant::now();
                             for i in 0..total {
                                 let due = load.inter_arrival * i as u32;
@@ -329,8 +326,7 @@ pub fn run_load_socket(
                                 if due > elapsed {
                                     std::thread::sleep(due - elapsed);
                                 }
-                                let pose =
-                                    (splitmix64(&mut rng) % load.poses.max(1) as u64) as usize;
+                                let pose = pose_index(&load, s, i);
                                 let (rx, ry) = pose_angles(&base, pose, load.poses);
                                 let mut config = base;
                                 config.rot_x_deg = rx;
@@ -530,11 +526,14 @@ mod tests {
 
     #[test]
     fn pose_walk_is_deterministic() {
-        let mut a = 42u64;
-        let mut b = 42u64;
-        let xs: Vec<u64> = (0..8).map(|_| splitmix64(&mut a) % 4).collect();
-        let ys: Vec<u64> = (0..8).map(|_| splitmix64(&mut b) % 4).collect();
-        assert_eq!(xs, ys);
+        let load = LoadConfig {
+            poses: 4,
+            ..LoadConfig::default()
+        };
+        let walk = |s: usize| -> Vec<usize> { (0..8).map(|i| pose_index(&load, s, i)).collect() };
+        assert_eq!(walk(1), walk(1));
+        assert!(walk(1).iter().all(|&pose| pose < 4));
+        assert_ne!(walk(0), walk(1), "sessions walk their own streams");
         let base = base();
         assert_eq!(pose_angles(&base, 0, 4).1, base.rot_y_deg);
         assert_eq!(pose_angles(&base, 3, 4).1, base.rot_y_deg + 180.0);

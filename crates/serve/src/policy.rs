@@ -59,14 +59,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer — the workspace's standard decision hash.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// A policy that never retries.
     pub fn none() -> Self {
@@ -85,7 +77,8 @@ impl RetryPolicy {
         let exp = self.base_backoff.as_secs_f64() * self.backoff_factor.powi(attempt as i32 - 1);
         let capped = exp.min(self.max_backoff.as_secs_f64());
         // A 53-bit uniform draw in [0, 1).
-        let u = (mix(self.seed ^ salt ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
+        let hash = vr_comm::splitmix64(self.seed ^ salt ^ u64::from(attempt), 0);
+        let u = (hash >> 11) as f64 / (1u64 << 53) as f64;
         let jitter = self.jitter.clamp(0.0, 1.0);
         Duration::from_secs_f64((capped * (1.0 - jitter * u)).max(0.0))
     }

@@ -90,15 +90,7 @@ impl ServeConfig {
     /// The per-worker render-thread count this config resolves to (see
     /// [`ServeConfig::render_threads`]).
     pub fn resolved_render_threads(&self) -> usize {
-        match self.render_threads {
-            0 => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                (cores / self.workers.max(1)).clamp(1, 8)
-            }
-            n => n.min(64),
-        }
+        vr_system::resolve_threads(self.render_threads, self.workers)
     }
 }
 

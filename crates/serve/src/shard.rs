@@ -10,6 +10,7 @@
 //! the bit-identity and cache-coherence guarantees of a single service
 //! intact per key.
 
+use vr_image::checksum::{fnv1a_bytes, FNV_OFFSET};
 use vr_system::ExperimentConfig;
 use vr_volume::DatasetKind;
 
@@ -21,20 +22,9 @@ use crate::service::{FrameService, ServeConfig, SessionHandle};
 /// unlike the frame key, which digests the whole config — equal for
 /// every view of one volume.
 pub fn shard_key(dataset: DatasetKind, dims: [usize; 3]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    };
-    for byte in dataset.name().bytes() {
-        eat(byte);
-    }
-    for d in dims {
-        for byte in (d as u64).to_le_bytes() {
-            eat(byte);
-        }
-    }
-    h
+    let name = fnv1a_bytes(FNV_OFFSET, dataset.name().bytes());
+    dims.iter()
+        .fold(name, |h, &d| fnv1a_bytes(h, (d as u64).to_le_bytes()))
 }
 
 /// N independent [`FrameService`] shards behind one routing function.

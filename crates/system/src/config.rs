@@ -203,19 +203,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// The render-thread count this configuration resolves to: an
-    /// explicit value is used as-is (bounded at 64 — beyond that the
-    /// per-tile work items are too few to feed), `0` means auto — the
-    /// host's available parallelism capped at 8, so a many-core machine
-    /// is not oversubscribed when several experiments run concurrently.
+    /// The render-thread count this configuration resolves to, the host
+    /// to itself (see [`vr_render::resolve_threads`]).
     pub fn resolved_render_threads(&self) -> usize {
-        match self.render_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            n => n.min(64),
-        }
+        vr_render::resolve_threads(self.render_threads, 1)
     }
 
     /// The streamed-compositing tile edge this configuration resolves
@@ -243,21 +234,17 @@ impl ExperimentConfig {
     /// instead of replayed; the kill plan is left untouched because
     /// kills are structural and fire on every attempt by design.
     pub fn with_attempt_salt(&self, attempt: u32) -> ExperimentConfig {
-        fn mix(seed: u64, attempt: u32) -> u64 {
-            let mut z = seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         if attempt == 0 {
             return *self;
         }
+        // Attempt `k` draws output `k − 1` of the stream its seed starts.
+        let mix = |seed: u64| vr_comm::splitmix64(seed, u64::from(attempt) - 1);
         let mut salted = *self;
         if let Some(faults) = salted.faults.as_mut() {
-            faults.seed = mix(faults.seed, attempt);
+            faults.seed = mix(faults.seed);
         }
         if let Some(seed) = salted.schedule_seed.as_mut() {
-            *seed = mix(*seed, attempt);
+            *seed = mix(*seed);
         }
         salted
     }

@@ -45,4 +45,4 @@ pub use report::{format_figure_series, format_paper_table, format_stage_timeline
 pub use scene::Scene;
 pub use stream::StreamExperiment;
 pub use sweep::{to_csv, SweepBuilder, SweepCell};
-pub use vr_render::RenderPool;
+pub use vr_render::{resolve_threads, RenderPool};

@@ -58,23 +58,6 @@ impl StreamExperiment {
         StreamExperiment(Scene::new(config, dataset))
     }
 
-    /// The render threads each *rank* fans its tiles across: an
-    /// explicit `render_threads` passes through; auto (`0`) divides the
-    /// host's cores among the `P` concurrent ranks (at least 1, at most
-    /// 8) so the fused group does not oversubscribe the machine.
-    pub fn threads_per_rank(&self) -> usize {
-        let config = &self.0.config;
-        match config.render_threads {
-            0 => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                (cores / config.processors.max(1)).clamp(1, 8)
-            }
-            n => n.min(64),
-        }
-    }
-
     /// Runs the fused pipeline: every rank renders its live screen
     /// tiles on a streamed pool, ships each tile the moment it
     /// finishes, folds arrivals for its owned tiles, and rank 0 gathers
@@ -96,7 +79,8 @@ impl StreamExperiment {
         let size = config.image_size;
         let dims = config.resolved_dims();
         let stream_tile = config.resolved_stream_tile();
-        let threads = self.threads_per_rank();
+        // Each rank fans its tiles across its share of the host's cores.
+        let threads = vr_render::resolve_threads(config.render_threads, config.processors);
 
         let (outcome, rank_seconds) = run_frame(config, |ep| {
             let rank = ep.rank();

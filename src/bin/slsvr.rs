@@ -334,7 +334,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
             "fused tile stream ({} px tiles, {} thread(s)/rank): \
              first tile {:.2} ms, last tile {:.2} ms, frame {:.2} ms",
             config.resolved_stream_tile(),
-            exp.threads_per_rank(),
+            slsvr::render::resolve_threads(config.render_threads, config.processors),
             out.first_tile_seconds.unwrap_or(0.0) * 1e3,
             out.last_tile_seconds.unwrap_or(0.0) * 1e3,
             out.total_seconds * 1e3,
@@ -873,16 +873,7 @@ fn print_fit_table(preset: &slsvr::cost::CostModelPreset) {
         preset.name,
         preset.host_cores.map_or("?".into(), |c| c.to_string())
     );
-    for (label, value) in [
-        ("t_over", preset.comp.t_over),
-        ("t_pack", preset.comp.t_pack),
-        ("t_unpack", preset.comp.t_unpack),
-        ("t_encode", preset.comp.t_encode),
-        ("t_scan", preset.comp.t_scan),
-        ("t_s", preset.network.t_s),
-        ("t_c", preset.network.t_c),
-        ("t_render_sample", preset.t_render_sample),
-    ] {
+    for (label, _, value) in preset.constants() {
         println!("  {label:<16} {value:>12.5e} s/unit");
     }
     for f in &preset.fits {

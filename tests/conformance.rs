@@ -215,6 +215,35 @@ fn tile_stream_image_hash_is_schedule_independent_across_seeds() {
     }
 }
 
+/// TSTREAM's progressive-latency offsets are read from the transport's
+/// clock, so under a schedule seed they are virtual seconds and replay to
+/// the bit (they were `Instant` readings, different every run).
+#[test]
+fn tile_stream_latency_offsets_replay_under_a_seed() {
+    let case = ConformanceCase {
+        width: 96,
+        height: 64,
+        cost: CostKind::Sp2,
+        depth: shuffled_depth(4, 2),
+        ..ConformanceCase::new(Method::TileStream, 4, Workload::Sparse, 17)
+    };
+    let offsets = || -> Vec<[Option<u64>; 2]> {
+        let per_rank = run_case(&case).per_rank.into_iter();
+        per_rank
+            .map(|stats| {
+                let stats = stats.expect("healthy run");
+                [stats.first_tile_seconds, stats.last_tile_seconds].map(|s| s.map(f64::to_bits))
+            })
+            .collect()
+    };
+    let first = offsets();
+    assert!(
+        first.iter().all(|[a, b]| a.is_some() && a <= b),
+        "six tiles over four ranks: every rank owns one, got {first:?}"
+    );
+    assert_eq!(first, offsets());
+}
+
 /// The image hash must not depend on the schedule seed: ten different
 /// delivery-order permutations, one image.
 #[test]
