@@ -44,8 +44,6 @@ impl Prediction {
 pub(crate) struct StageTerms {
     /// `t_scan · bound_pixels` (`T_bound`); zero after the first stage.
     pub(crate) bound: f64,
-    /// `t_encode · pre_encoded_pixels`; zero after the first stage.
-    pub(crate) pre_encode: f64,
     /// `t_encode · encoded_pixels`.
     pub(crate) encode: f64,
     /// `t_pack · sent_bytes / 16`.
@@ -57,15 +55,14 @@ pub(crate) struct StageTerms {
 }
 
 /// The products of `rank`'s stage `k` under `comp`. The rank's one-time
-/// scan and pre-encoding pass are charged ahead of its first stage, so
-/// `k = 0` carries them even for a rank that recorded no stage at all.
+/// scan is charged ahead of its first stage, so `k = 0` carries it even
+/// for a rank that recorded no stage at all.
 pub(crate) fn stage_terms(comp: &CompCost, rank: &MethodStats, k: usize) -> StageTerms {
     let stage = rank.stages.get(k).copied().unwrap_or_default();
     let once = |pixels: u64| if k == 0 { pixels as f64 } else { 0.0 };
     let pixels = |bytes: u64| bytes as f64 / BYTES_PER_PIXEL as f64;
     StageTerms {
         bound: comp.t_scan * once(rank.bound_pixels),
-        pre_encode: comp.t_encode * once(rank.pre_encoded_pixels),
         encode: comp.t_encode * stage.encoded_pixels as f64,
         pack: comp.t_pack * pixels(stage.sent_bytes),
         unpack: comp.t_unpack * pixels(stage.recv_bytes),
@@ -74,7 +71,7 @@ pub(crate) fn stage_terms(comp: &CompCost, rank: &MethodStats, k: usize) -> Stag
 }
 
 /// Payload bytes of one binary-swap stage message: Equations
-/// (2)/(4)/(6)/(8), plus BSRL and BSBM, which encode the same halves.
+/// (2)/(4)/(6)/(8), plus BSRL, which encodes the same halves.
 ///
 /// | method     | bytes                                                  |
 /// |------------|--------------------------------------------------------|
@@ -82,12 +79,11 @@ pub(crate) fn stage_terms(comp: &CompCost, rank: &MethodStats, k: usize) -> Stag
 /// | BSBR       | `8 + 16·pixels`                                        |
 /// | BSLC, BSRL | `4 + 2·codes + 16·non_blank`                           |
 /// | BSBRC      | `8 + 4 + 2·codes + 16·non_blank`; 8 when `pixels = 0`  |
-/// | BSBM       | `8 + ⌈pixels/8⌉ + 16·non_blank`; 8 when `pixels = 0`   |
 ///
-/// `pixels` is what the message spans (the sent half; for BSBR, BSBRC
-/// and BSBM its part inside the bounding rectangle, `A_send^k`), `codes`
-/// the run codes (`R_code^k`), `non_blank` the pixels a run or mask codec
-/// ships (`A_opaque^k`). `None` for any other method. Counts are `f64`,
+/// `pixels` is what the message spans (the sent half; for BSBR and BSBRC
+/// its part inside the bounding rectangle, `A_send^k`), `codes` the run
+/// codes (`R_code^k`), `non_blank` the pixels a run codec ships
+/// (`A_opaque^k`). `None` for any other method. Counts are `f64`,
 /// each term rounding down to whole bytes: exact for the oracle's
 /// integral counts, and where the predictor's fractional ones truncate.
 pub(crate) fn message_bytes(
@@ -102,11 +98,8 @@ pub(crate) fn message_bytes(
         Method::Bs => bytes(pixels, BYTES_PER_PIXEL),
         Method::Bsbr => BYTES_PER_RECT + bytes(pixels, BYTES_PER_PIXEL),
         Method::Bslc | Method::Bsrl => runs,
-        Method::Bsbrc | Method::Bsbm if pixels == 0.0 => BYTES_PER_RECT,
+        Method::Bsbrc if pixels == 0.0 => BYTES_PER_RECT,
         Method::Bsbrc => BYTES_PER_RECT + runs,
-        Method::Bsbm => {
-            BYTES_PER_RECT + (pixels / 8.0).ceil() as usize + bytes(non_blank, BYTES_PER_PIXEL)
-        }
         _ => return None,
     })
 }
@@ -179,17 +172,17 @@ pub fn predict(
 /// per-processor sums (Equations (2)/(4)/(6)/(8) charge each rank only
 /// for its own messages).
 ///
-/// Supported for stage-paired schedules (the binary-swap family and the
-/// binary tree): every stage must record its `peer`. Returns `None`
-/// when any rank has a stage without a single peer (direct send,
-/// pipeline) — their schedules are not pairwise.
+/// Supported for stage-paired schedules (the binary-swap family):
+/// every stage must record its `peer`. Returns `None` when any rank has
+/// a stage without a single peer (direct send) — its schedule is not
+/// pairwise.
 ///
 /// Model per stage: a rank first computes its pre-send work (scan on
 /// stage 0, encoding, packing), then its message becomes available at
 /// `send_time + T_s + bytes·T_c`; it resumes at
 /// `max(own send_time, partner's message arrival)` and performs its
 /// post-receive work (unpacking, compositing). Ranks that stop early
-/// (tree senders, folded ranks) simply stop advancing.
+/// (folded ranks) simply stop advancing.
 pub fn virtual_completion(
     per_rank: &[MethodStats],
     net: &CostModel,
@@ -200,8 +193,8 @@ pub fn virtual_completion(
     let mut vt = vec![0.0f64; p];
     let (mut own_send, mut avail, mut post) = (vt.clone(), vt.clone(), vt.clone());
     for k in 0..max_stages {
-        // First pass: when every rank issues its send (after its scan and
-        // pre-encoding on stage 0, encoding and packing), when that
+        // First pass: when every rank issues its send (after its scan on
+        // stage 0, encoding and packing), when that
         // message is available to the partner, and the post-receive work.
         avail.fill(f64::INFINITY);
         for (r, rank) in per_rank.iter().enumerate() {
@@ -209,7 +202,7 @@ pub fn virtual_completion(
                 continue;
             };
             let t = stage_terms(comp, rank, k);
-            own_send[r] = vt[r] + (t.bound + t.pre_encode + t.encode + t.pack);
+            own_send[r] = vt[r] + (t.bound + t.encode + t.pack);
             avail[r] = match stage.sent_bytes {
                 0 => own_send[r],
                 sent => own_send[r] + net.message_seconds(sent as usize),
@@ -405,7 +398,7 @@ mod tests {
             })
             .collect();
         let depth = DepthOrder::identity(p);
-        for method in [Method::Bs, Method::Bsbrc, Method::BinaryTree] {
+        for method in [Method::Bs, Method::Bsbrc, Method::Bslc] {
             let out = run_group(p, net, |ep| {
                 let mut img = images[ep.rank()].clone();
                 crate::methods::composite(method, ep, &mut img, &depth)

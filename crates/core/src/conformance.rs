@@ -11,11 +11,10 @@
 //!   reports the gathered image, its hash, the deviation from
 //!   [`reference_composite`], and the schedule trace;
 //! * [`expected_traffic`] computes, *without running the methods*, the
-//!   exact per-stage byte counts the four paper methods (plus BSRL and
-//!   BSBM) must put on the wire — bounding rectangles evolve by pure
-//!   rectangle algebra and
-//!   non-blank masks by exact `OR` (the `over` operator never blanks a
-//!   non-blank pixel, and never un-blanks a blank one);
+//!   exact per-stage byte counts the four paper methods (plus BSRL) must
+//!   put on the wire — bounding rectangles evolve by pure rectangle
+//!   algebra and non-blank masks by exact `OR` (the `over` operator
+//!   never blanks a non-blank pixel, and never un-blanks a blank one);
 //! * [`CorpusEntry`] round-trips a failing `(case, seed, prefix)` into
 //!   one line of a checked-in regression corpus that replays the exact
 //!   schedule and asserts the exact image hash.
@@ -286,8 +285,8 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
     }
 }
 
-/// Exact per-stage wire bytes the paper's four methods (and the BSRL /
-/// BSBM encodings of the same halves) must move.
+/// Exact per-stage wire bytes the paper's four methods (and the BSRL
+/// encoding of the same halves) must move.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExpectedTraffic {
     /// `sent[rank][stage]`: payload bytes rank sends at that stage.
@@ -315,10 +314,9 @@ impl ExpectedTraffic {
 
 /// Computes the exact bytes each rank sends and receives per binary-swap
 /// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
-/// — from the subimages alone, plus the two encodings that reuse the
-/// same state, BSRL (runs over the whole spatial half) and BSBM (a
-/// bitmask over the bounding rectangle). This function derives the
-/// counts; `analysis::message_bytes` turns them into sizes.
+/// — from the subimages alone, plus BSRL, which reuses the same state
+/// (runs over the whole spatial half). This function derives the counts;
+/// `analysis::message_bytes` turns them into sizes.
 ///
 /// The derivation never composites a pixel: the non-blank mask of any
 /// partial composite is the exact `OR` of its contributors' masks
@@ -391,7 +389,6 @@ pub fn expected_traffic(
                 Method::Bslc => (sseq.count, runs(&mut sseq.iter().map(|i| masks[v][i]))),
                 Method::Bsrl => (send.area(), runs(&mut send.iter().map(at))),
                 Method::Bsbrc => (sb.area(), runs(&mut sb.iter().map(at))),
-                Method::Bsbm => (sb.area(), (0, sb.iter().filter(|&xy| at(xy)).count())),
                 _ => return None,
             };
             sent[v][k] =
@@ -719,9 +716,7 @@ mod tests {
 
     #[test]
     fn expected_traffic_matches_real_runs_for_paper_methods_and_encodings() {
-        let methods = Method::paper_methods()
-            .into_iter()
-            .chain([Method::Bsrl, Method::Bsbm]);
+        let methods = Method::paper_methods().into_iter().chain([Method::Bsrl]);
         for method in methods {
             for workload in Workload::all() {
                 let case = ConformanceCase {

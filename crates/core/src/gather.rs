@@ -13,7 +13,7 @@ use crate::wire::{MsgReader, MsgWriter};
 const KIND_NOTHING: u32 = 0;
 const KIND_RECT: u32 = 1;
 const KIND_SEQ: u32 = 2;
-const KIND_WHOLE: u32 = 3;
+// 3 was the binary tree's whole frame; retired, not reused.
 const KIND_RECTS: u32 = 4;
 
 /// Encodes a rank's owned piece (with its pixel data) for the gather,
@@ -25,7 +25,6 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
         OwnedPiece::Nothing => 4,
         OwnedPiece::Rect(r) => 4 + 8 + r.area() * PX,
         OwnedPiece::Seq(seq) => 4 + 12 + seq.count * PX,
-        OwnedPiece::Whole => 4 + image.area() * PX,
         OwnedPiece::Rects(rects) => 4 + 4 + rects.iter().map(|r| 8 + r.area() * PX).sum::<usize>(),
     };
     let mut w = MsgWriter::with_capacity(size);
@@ -44,10 +43,6 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> bytes::Bytes {
             for idx in seq.iter() {
                 w.put_pixel(image.pixels()[idx]);
             }
-        }
-        OwnedPiece::Whole => {
-            w.put_u32(KIND_WHOLE);
-            w.put_pixels(image.pixels());
         }
         OwnedPiece::Rects(rects) => {
             w.put_u32(KIND_RECTS);
@@ -79,19 +74,17 @@ fn apply_piece(out: &mut Image, bytes: bytes::Bytes) -> Checked<usize> {
                 count: r.get_u32()? as usize,
             };
             let last = seq.start as u64 + seq.count.saturating_sub(1) as u64 * seq.stride as u64;
+            // A zero stride would write one pixel `count` times and
+            // count each as covered.
             Malformed::unless(
-                r.remaining() == seq.count * PX && (seq.count == 0 || last < out.area() as u64),
+                r.remaining() == seq.count * PX
+                    && (seq.count == 0 || last < out.area() as u64)
+                    && (seq.count <= 1 || seq.stride >= 1),
             )?;
             for idx in seq.iter() {
                 out.pixels_mut()[idx] = r.get_pixel()?;
             }
             seq.count
-        }
-        KIND_WHOLE => {
-            let full = out.full_rect();
-            Malformed::unless(r.remaining() == full.area() * PX)?;
-            out.write_rect_wire(&full, &r.take_pixels(full.area())?);
-            full.area()
         }
         KIND_RECTS => {
             let count = r.get_u32()? as usize;
@@ -256,14 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_whole_plus_nothing() {
+    fn gather_full_frame_plus_nothing() {
         let out = run_group(3, CostModel::free(), |ep| {
             let mut img = Image::blank(4, 4);
             if ep.rank() == 1 {
                 img.set(2, 2, Pixel::gray(0.9, 0.9));
             }
             let piece = if ep.rank() == 1 {
-                OwnedPiece::Whole
+                OwnedPiece::Rect(img.full_rect())
             } else {
                 OwnedPiece::Nothing
             };

@@ -16,17 +16,14 @@
 //! * [`Method::Bsbrc`] — bounding rectangle *and* RLE combined: RLE runs
 //!   only over the sending bounding rectangle.
 //!
-//! Three more codecs ride the same driver: [`Method::Bsrl`] (run-length
-//! codes over spatial halves, the ablation between BSLC and BSBRC),
-//! [`Method::Bsbm`] (rectangle + bitmask) and [`Method::Bsmr`] (several
-//! tight rectangles per stage).
+//! A fifth codec rides the same driver: [`Method::Bsrl`] (run-length
+//! codes over spatial halves, the ablation between BSLC and BSBRC).
 //!
-//! Three related-work baselines round out the comparison surface:
-//! [`Method::BinaryTree`] (Ahrens & Painter's compression-based tree
-//! compositing with value RLE), [`Method::DirectSend`] (the buffered
-//! case: every rank owns a static band and receives `P−1` messages), and
-//! [`Method::Pipeline`] (parallel-pipeline compositing over depth-ordered
-//! rings).
+//! Three more schedules round out the comparison surface:
+//! [`Method::DirectSend`] (the buffered related-work case: every rank
+//! owns a static band and receives `P−1` messages), [`Method::RadixK`]
+//! (the modern generalization of binary swap) and [`Method::TileStream`]
+//! (tiles streamed to interleaved owners as they complete).
 //!
 //! ## Depth-position space
 //!

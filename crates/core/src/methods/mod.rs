@@ -1,14 +1,12 @@
 //! The compositing methods and their common runtime plumbing.
 //!
-//! The seven binary-swap methods are one driver ([`swap`]) over a stage
-//! codec each: six exchange spatial halves ([`spatial`]), BSLC exchanges
-//! interleaved ones ([`interleaved`]). The related-work baselines and
-//! extensions keep their own schedules.
+//! The five binary-swap methods are one driver ([`swap`]) over a stage
+//! codec each: four exchange spatial halves ([`spatial`]), BSLC exchanges
+//! interleaved ones ([`interleaved`]). Direct send, radix-k and the tile
+//! stream keep their own schedules.
 
-pub mod binary_tree;
 pub mod direct_send;
 mod interleaved;
-pub mod pipeline;
 pub mod radix;
 pub(crate) mod spatial;
 mod swap;
@@ -29,7 +27,7 @@ use crate::stats::{MethodStats, StageStat};
 use crate::timer::Stopwatch;
 
 use interleaved::InterleavedRuns;
-use spatial::{Bitmask, Dense, Headed, Headless, MultiRect, Runs, Spatial};
+use spatial::{Dense, Headed, Headless, Runs, Spatial};
 
 /// Which compositing method to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,21 +46,9 @@ pub enum Method {
     /// halves (BSLC without the interleaved load balancing; not a paper
     /// method).
     Bsrl,
-    /// Future-work extension: bounding rectangle + *bitmask* encoding
-    /// (the paper's "more efficient encoding schemes" item).
-    Bsbm,
-    /// Future-work extension: *multiple* bounding rectangles per stage
-    /// (up to 8 tight disjoint rects instead of one).
-    Bsmr,
-    /// Binary-tree compositing over value-RLE compressed images
-    /// (Ahrens & Painter, related work).
-    BinaryTree,
     /// Buffered direct-send: every rank owns a static band and receives
     /// `P−1` contributions (Hsu / Neumann, related work).
     DirectSend,
-    /// Parallel-pipeline compositing over a depth-ordered ring (related
-    /// work, adapted from Lee et al.).
-    Pipeline,
     /// Radix-k compositing with bounding-rectangle compression — the
     /// modern generalization of binary swap (extension; rounds follow a
     /// greedy factorization of `P`).
@@ -81,18 +67,14 @@ impl Method {
     }
 
     /// All implemented methods.
-    pub fn all() -> [Method; 12] {
+    pub fn all() -> [Method; 8] {
         [
             Method::Bs,
             Method::Bsbr,
             Method::Bslc,
             Method::Bsbrc,
             Method::Bsrl,
-            Method::Bsbm,
-            Method::Bsmr,
-            Method::BinaryTree,
             Method::DirectSend,
-            Method::Pipeline,
             Method::RadixK,
             Method::TileStream,
         ]
@@ -106,11 +88,7 @@ impl Method {
             Method::Bslc => "BSLC",
             Method::Bsbrc => "BSBRC",
             Method::Bsrl => "BSRL",
-            Method::Bsbm => "BSBM",
-            Method::Bsmr => "BSMR",
-            Method::BinaryTree => "BTREE",
             Method::DirectSend => "DSEND",
-            Method::Pipeline => "PIPE",
             Method::RadixK => "RADIXK",
             Method::TileStream => "TSTREAM",
         }
@@ -139,16 +117,14 @@ impl FromStr for Method {
 #[derive(Clone, Debug, PartialEq)]
 pub enum OwnedPiece {
     /// A rectangular region (spatial binary-swap methods, direct send,
-    /// pipeline).
+    /// radix-k; the whole frame at `P = 1`).
     Rect(Rect),
     /// A set of disjoint rectangles (tile-stream owners hold every tile
     /// assigned to them by the interleave).
     Rects(Vec<Rect>),
     /// An interleaved pixel sequence (BSLC).
     Seq(StridedSeq),
-    /// The whole image (binary-tree root).
-    Whole,
-    /// Nothing (folded-out ranks, non-root tree ranks).
+    /// Nothing (folded-out ranks).
     Nothing,
 }
 
@@ -217,11 +193,7 @@ pub fn composite(
         Method::Bslc => swap::run::<InterleavedRuns>(ep, image, depth, "BSLC stage"),
         Method::Bsbrc => swap::run::<Spatial<Headed<Runs>>>(ep, image, depth, "BSBRC stage"),
         Method::Bsrl => swap::run::<Spatial<Headless<Runs>>>(ep, image, depth, "BSRL stage"),
-        Method::Bsbm => swap::run::<Spatial<Headed<Bitmask>>>(ep, image, depth, "BSBM stage"),
-        Method::Bsmr => swap::run::<Spatial<MultiRect>>(ep, image, depth, "BSMR stage"),
-        Method::BinaryTree => binary_tree::run(ep, image, depth),
         Method::DirectSend => direct_send::run(ep, image, depth),
-        Method::Pipeline => pipeline::run(ep, image, depth),
         Method::RadixK => radix::run(ep, image, depth),
         Method::TileStream => tile_stream::run(ep, image, depth),
     }
@@ -240,8 +212,6 @@ pub(crate) struct Run {
     pub stages: Vec<StageStat>,
     /// Pixels scanned by bounding-rectangle searches.
     pub bound_pixels: u64,
-    /// Pixels visited by one-time pre-stage encoding (binary tree).
-    pub pre_encoded_pixels: u64,
     /// Peers found dead so far (fed by the `try_*` helpers in
     /// [`crate::error`]).
     pub dead: BTreeSet<usize>,
@@ -256,7 +226,6 @@ impl Run {
             encode: Stopwatch::new(),
             stages: Vec::new(),
             bound_pixels: 0,
-            pre_encoded_pixels: 0,
             dead: BTreeSet::new(),
             comm_start: ep.stats().modeled_comm_seconds,
         }
@@ -269,7 +238,6 @@ impl Run {
             encode_seconds: self.encode.seconds(),
             comm_seconds: ep.stats().modeled_comm_seconds - self.comm_start,
             bound_pixels: self.bound_pixels,
-            pre_encoded_pixels: self.pre_encoded_pixels,
             stages: self.stages,
             first_tile_seconds: None,
             last_tile_seconds: None,
@@ -282,8 +250,8 @@ impl Run {
     }
 }
 
-/// The band of image rows owned by virtual rank `v` among `p` (used by
-/// direct send and pipeline).
+/// The band of image rows owned by virtual rank `v` among `p` (direct
+/// send).
 pub(crate) fn band_rect(image_width: u16, image_height: u16, v: usize, p: usize) -> Rect {
     let h = image_height as usize;
     let y0 = (v * h / p) as u16;

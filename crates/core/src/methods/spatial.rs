@@ -1,13 +1,13 @@
-//! Codecs that exchange **spatial** halves — six of the seven methods.
+//! Codecs that exchange **spatial** halves — four of the five methods.
 //!
 //! The region is cut along its centerline, alternating axes (Section
 //! 3.1), and what a rank knows about where its non-blank pixels lie is
 //! one rectangle kept current by `O(1)` algebra — intersect with the kept
 //! half, union with what arrived (BSBR's algorithm line 21) — never by a
 //! rescan. [`Spatial`] holds that state. The sent half is a *body*
-//! ([`Dense`] pixels, [`Runs`], a [`Bitmask`]) over a rectangle that is
-//! either the whole half, which both partners know ([`Headless`]), or the
-//! bounded part of it, sent as an 8-byte header ([`Headed`]):
+//! ([`Dense`] pixels or [`Runs`]) over a rectangle that is either the
+//! whole half, which both partners know ([`Headless`]), or the bounded
+//! part of it, sent as an 8-byte header ([`Headed`]):
 //!
 //! | method | codec | wire bytes of a half |
 //! | --- | --- | --- |
@@ -15,15 +15,11 @@
 //! | BSBR | `Headed<Dense>` | rect + its dense pixels (Equation (4)) |
 //! | BSRL | `Headless<Runs>` | code count + run codes + non-blank pixels |
 //! | BSBRC | `Headed<Runs>` | rect + the same over the rect only (Equation (8)) |
-//! | BSBM | `Headed<Bitmask>` | rect + `⌈A_send/8⌉` mask bytes + non-blank pixels |
-//! | BSMR | [`MultiRect`] | count + up to 8 tight rects, each with its dense pixels |
 //!
-//! BSRL, BSBM and BSMR are not paper methods. BSRL vs BSLC isolates what
-//! interleaving buys (`M_max` balance), BSRL vs BSBRC what the rectangle
-//! buys (encoding `A_send`, not the half); BSBM trades BSBRC's `2·R_code`
-//! bytes for one bit per rectangle pixel — it wins on fragmented content
-//! and loses on coherent runs; BSMR stops two distant clusters from
-//! costing one huge, mostly blank rectangle.
+//! BSRL is not a paper method: BSRL vs BSLC isolates what interleaving
+//! buys (`M_max` balance), BSRL vs BSBRC what the rectangle buys
+//! (encoding `A_send`, not the half) — Ablation 5 of
+//! `results/ablation.txt`.
 
 use bytes::Bytes;
 use vr_image::rect::BYTES_PER_RECT;
@@ -374,179 +370,6 @@ impl Body for Runs {
     }
 }
 
-/// Packs the blank/non-blank mask of `rect` into `mask` (LSB-first within
-/// each byte, row-major scan order); returns the non-blank count.
-fn pack_bitmask(image: &Image, rect: &Rect, mask: &mut Vec<u8>) -> usize {
-    mask.clear();
-    mask.resize(rect.area().div_ceil(8), 0);
-    let row_w = rect.width() as usize;
-    let mut non_blank = 0usize;
-    for y in rect.y0..rect.y1 {
-        let base = (y - rect.y0) as usize * row_w;
-        for (i, p) in image.row_span(rect.x0, y, row_w).iter().enumerate() {
-            if !p.is_blank() {
-                mask[(base + i) / 8] |= 1 << ((base + i) % 8);
-                non_blank += 1;
-            }
-        }
-    }
-    non_blank
-}
-
-/// The runs `(start, len)` of set bits among the first `area` positions
-/// of a bitmask.
-fn mask_runs(mask: &[u8], area: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let set = move |i: usize| mask[i / 8] & (1 << (i % 8)) != 0;
-    let mut pos = 0usize;
-    std::iter::from_fn(move || {
-        while pos < area && !set(pos) {
-            pos += 1;
-        }
-        let start = pos;
-        while pos < area && set(pos) {
-            pos += 1;
-        }
-        (pos > start).then_some((start, pos - start))
-    })
-}
-
-/// The paper's closing future-work item, "more efficient encoding
-/// schemes": the non-blank pattern as one bit per rectangle pixel —
-/// exactly `⌈A/8⌉` bytes however fragmented — then the non-blank pixels.
-#[derive(Default)]
-pub(crate) struct Bitmask {
-    mask: Vec<u8>,
-}
-
-impl Body for Bitmask {
-    const CHARGE: Charge = |run| &mut run.encode;
-
-    fn scan(&mut self, image: &Image, rect: &Rect, stat: &mut StageStat) -> usize {
-        let non_blank = pack_bitmask(image, rect, &mut self.mask);
-        stat.encoded_pixels = rect.area() as u64;
-        self.mask.len() + non_blank * PX
-    }
-
-    fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
-        w.put_bytes(&self.mask);
-        put_runs(w, image, rect, mask_runs(&self.mask, rect.area()));
-    }
-
-    fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
-        let area = rect.area();
-        let mask = r.get_bytes(area.div_ceil(8))?;
-        let non_blank: usize = mask_runs(&mask, area).map(|(_, len)| len).sum();
-        let wire = r.take_pixels(non_blank)?;
-        r.finish()?;
-        composite_runs(image, rect, mask_runs(&mask, area), &wire, front);
-        Ok(non_blank as u64)
-    }
-}
-
-/// Maximum rectangles per BSMR message (depth-3 bisection).
-const MAX_RECTS: usize = 8;
-
-/// Density below which a rectangle is worth splitting further.
-const SPLIT_DENSITY: f64 = 0.6;
-
-/// Covers the non-blank pixels of `image` inside `within` with at most
-/// `max_rects` disjoint, individually tight rectangles, found by
-/// recursively bisecting any rectangle whose non-blank density is below
-/// a threshold and re-tightening the children.
-fn cover_rects(image: &Image, within: &Rect, max_rects: usize) -> Vec<Rect> {
-    let bounds = image.bounding_rect_in(within);
-    if bounds.is_empty() {
-        return Vec::new();
-    }
-    let mut rects = vec![bounds];
-    // Greedily split the sparsest rectangle while budget remains.
-    while rects.len() < max_rects {
-        // Pick the rect with the lowest density and a splittable extent.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in rects.iter().enumerate() {
-            if r.width() < 2 && r.height() < 2 {
-                continue;
-            }
-            let density = image.non_blank_count_in(r) as f64 / r.area() as f64;
-            if density < SPLIT_DENSITY && best.is_none_or(|(_, d)| density < d) {
-                best = Some((i, density));
-            }
-        }
-        let Some((idx, _)) = best else { break };
-        let r = rects.swap_remove(idx);
-        let (a, b) = if r.width() >= r.height() {
-            r.split_at_x(r.x0 + r.width() / 2)
-        } else {
-            r.split_at_y(r.y0 + r.height() / 2)
-        };
-        // Re-tighten both halves; drop empties.
-        for half in [a, b] {
-            let tight = image.bounding_rect_in(&half);
-            if !tight.is_empty() {
-                rects.push(tight);
-            }
-        }
-        if rects.is_empty() {
-            break;
-        }
-    }
-    rects
-}
-
-/// BSMR: a `u32` rectangle count, then per rectangle the BSBR record.
-/// It re-tightens per stage, so it rescans the sent half instead of
-/// doing rectangle algebra; those scans are charged as bound work.
-#[derive(Default)]
-pub(crate) struct MultiRect;
-
-impl HalfCodec for MultiRect {
-    const CHARGE: Charge = |run| &mut run.bound;
-    const DEAD_IS_EMPTY: bool = true;
-
-    fn bounds(image: &Image, run: &mut Run) -> Rect {
-        run.bound_pixels += image.area() as u64;
-        image.full_rect()
-    }
-
-    fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes {
-        let rects = cover_rects(image, send, MAX_RECTS);
-        stat.run_codes = rects.len() as u64;
-        let records: usize = rects.iter().map(|r| BYTES_PER_RECT + r.area() * PX).sum();
-        let mut w = MsgWriter::with_capacity(4 + records);
-        w.put_u32(rects.len() as u32);
-        for r in &rects {
-            w.put_rect(*r);
-            w.put_image_rect(image, r);
-        }
-        w.freeze()
-    }
-
-    fn merge(
-        &mut self,
-        image: &mut Image,
-        keep: &Rect,
-        received: Bytes,
-        front: bool,
-        stat: &mut StageStat,
-    ) -> Checked<Rect> {
-        let mut r = MsgReader::new(received);
-        let n = r.get_u32()? as usize;
-        Malformed::unless(n <= MAX_RECTS)?;
-        let records = (0..n)
-            .map(|_| read_rect_pixels(&mut r, keep))
-            .collect::<Checked<Vec<_>>>()?;
-        r.finish()?;
-        stat.recv_rect_empty = n == 0;
-        // Disjoint rects from one sender commute freely.
-        stat.composite_ops = records
-            .iter()
-            .map(|(rect, wire)| composite_rect(image, rect, wire, front))
-            .sum();
-        // The bounds are the whole kept half already.
-        Ok(Rect::EMPTY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{run_method, test_images};
@@ -675,13 +498,11 @@ mod tests {
     #[test]
     fn empty_rect_is_header_only() {
         let blank = [Image::blank(16, 16), Image::blank(16, 16)];
-        for method in [Method::Bsbrc, Method::Bsbm] {
-            for res in run_method(method, &blank, &DepthOrder::identity(2)) {
-                let stage = res.stats.stages[0];
-                assert_eq!(stage.sent_bytes, 8, "{method:?}");
-                assert!(stage.recv_rect_empty, "{method:?}");
-                assert_eq!(stage.composite_ops, 0, "{method:?}");
-            }
+        for res in run_method(Method::Bsbrc, &blank, &DepthOrder::identity(2)) {
+            let stage = res.stats.stages[0];
+            assert_eq!(stage.sent_bytes, 8);
+            assert!(stage.recv_rect_empty);
+            assert_eq!(stage.composite_ops, 0);
         }
     }
 
@@ -694,7 +515,7 @@ mod tests {
         sparse.set(2, 2, Pixel::gray(0.5, 0.5));
         sparse.set(13, 29, Pixel::gray(0.5, 0.5));
         let images = [Image::blank(32, 32), sparse];
-        for method in [Method::Bsbrc, Method::Bsrl, Method::Bsbm] {
+        for method in [Method::Bsbrc, Method::Bsrl] {
             // Rank 0 keeps the left half at stage 0 and receives rank 1's
             // left-half content.
             let out = run_method(method, &images, &DepthOrder::identity(2));
@@ -744,158 +565,5 @@ mod tests {
             (bslc as f64) < 0.75 * bsrl as f64,
             "interleaving should balance: BSLC {bslc} vs BSRL {bsrl}"
         );
-    }
-
-    #[test]
-    fn bitmask_round_trips() {
-        let mut img = Image::blank(16, 8);
-        img.set(1, 0, Pixel::gray(0.5, 0.5));
-        img.set(7, 3, Pixel::gray(0.5, 0.5));
-        img.set(8, 3, Pixel::gray(0.5, 0.5));
-        img.set(15, 7, Pixel::gray(0.5, 0.5));
-        let rect = img.full_rect();
-        let mut mask = Vec::new();
-        let n = pack_bitmask(&img, &rect, &mut mask);
-        assert_eq!(n, 4);
-        let runs: Vec<_> = mask_runs(&mask, rect.area()).collect();
-        assert_eq!(runs, vec![(1, 1), (3 * 16 + 7, 2), (7 * 16 + 15, 1)]);
-    }
-
-    /// Rank 0's BSBM and BSBRC bytes when both ranks hold `pattern`.
-    fn bitmask_vs_runs(pattern: impl Fn(u16, u16) -> Pixel + Copy) -> (u64, u64) {
-        let images = [
-            Image::from_fn(64, 64, pattern),
-            Image::from_fn(64, 64, pattern),
-        ];
-        let sent = |m: Method| {
-            run_method(m, &images, &DepthOrder::identity(2))[0]
-                .stats
-                .sent_bytes()
-        };
-        (sent(Method::Bsbm), sent(Method::Bsbrc))
-    }
-
-    #[test]
-    fn bitmask_beats_rle_on_fragmented_content() {
-        // Alternating pixels: RLE degenerates to ~2 codes/px (4 B per 2
-        // px), the bitmask stays at 1 bit/px.
-        let (bsbm, bsbrc) = bitmask_vs_runs(|x, y| {
-            if (x + y) % 2 == 0 {
-                Pixel::gray(0.5, 0.5)
-            } else {
-                Pixel::BLANK
-            }
-        });
-        assert!(
-            bsbm < bsbrc,
-            "bitmask should beat RLE on checkerboard: {bsbm} vs {bsbrc}"
-        );
-    }
-
-    #[test]
-    fn rle_beats_bitmask_on_coherent_content() {
-        // One solid block: RLE needs a handful of codes, the bitmask
-        // still pays 1 bit for every rect pixel.
-        let (bsbm, bsbrc) = bitmask_vs_runs(|x, y| {
-            if x < 8 && y < 60 {
-                Pixel::gray(0.5, 0.5)
-            } else if x > 55 && y > 60 {
-                Pixel::gray(0.2, 0.2)
-            } else {
-                Pixel::BLANK
-            }
-        });
-        assert!(
-            bsbrc < bsbm,
-            "RLE should beat bitmask on coherent blocks: {bsbrc} vs {bsbm}"
-        );
-    }
-
-    #[test]
-    fn cover_rects_tight_on_two_clusters() {
-        let mut img = Image::blank(64, 64);
-        for d in 0..4u16 {
-            for e in 0..4u16 {
-                img.set(2 + d, 2 + e, Pixel::gray(0.5, 0.5));
-                img.set(58 + d, 58 + e, Pixel::gray(0.5, 0.5));
-            }
-        }
-        let rects = cover_rects(&img, &img.full_rect(), MAX_RECTS);
-        let covered: usize = rects.iter().map(|r| r.area()).sum();
-        // Two tight 4×4 rects instead of one 60×60 box.
-        assert!(rects.len() >= 2);
-        assert!(covered <= 64, "cover too loose: {rects:?}");
-        // Every non-blank pixel is inside some rect.
-        for y in 0..64u16 {
-            for x in 0..64u16 {
-                if !img.get(x, y).is_blank() {
-                    assert!(
-                        rects.iter().any(|r| r.contains(x, y)),
-                        "({x},{y}) uncovered"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cover_rects_respects_budget_and_disjointness() {
-        let img = Image::from_fn(32, 32, |x, y| {
-            if (x / 3 + y / 3) % 2 == 0 {
-                Pixel::gray(0.5, 0.5)
-            } else {
-                Pixel::BLANK
-            }
-        });
-        let rects = cover_rects(&img, &img.full_rect(), MAX_RECTS);
-        assert!(rects.len() <= MAX_RECTS);
-        for (i, a) in rects.iter().enumerate() {
-            for b in &rects[i + 1..] {
-                assert!(a.intersect(b).is_empty(), "{a:?} overlaps {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn cover_rects_empty_input() {
-        let img = Image::blank(16, 16);
-        assert!(cover_rects(&img, &img.full_rect(), MAX_RECTS).is_empty());
-    }
-
-    #[test]
-    fn bsmr_beats_bsbr_on_corner_clusters() {
-        // Two separated clusters, both inside the right half that rank 0
-        // sends at stage 0.
-        let mut img = Image::blank(64, 64);
-        for d in 0..4u16 {
-            for e in 0..4u16 {
-                img.set(40 + d, 2 + e, Pixel::gray(0.5, 0.5));
-                img.set(58 + d, 58 + e, Pixel::gray(0.5, 0.5));
-            }
-        }
-        let images = [img.clone(), img];
-        let sent = |m: Method| {
-            run_method(m, &images, &DepthOrder::identity(2))[0]
-                .stats
-                .sent_bytes()
-        };
-        let bsmr = sent(Method::Bsmr);
-        let bsbr = sent(Method::Bsbr);
-        assert!(
-            bsmr * 4 < bsbr,
-            "BSMR {bsmr} should crush BSBR {bsbr} on corner clusters"
-        );
-    }
-
-    #[test]
-    fn bsmr_stage_counters_are_sane() {
-        let images = test_images(8, 32, 32);
-        for res in run_method(Method::Bsmr, &images, &DepthOrder::identity(8)) {
-            assert_eq!(res.stats.stages.len(), 3);
-            for s in &res.stats.stages {
-                assert!(s.run_codes as usize <= MAX_RECTS);
-                assert!(s.sent_bytes >= 4);
-            }
-        }
     }
 }

@@ -32,8 +32,7 @@ pub(crate) type Charge = fn(&mut Run) -> &mut Stopwatch;
 /// What differs between the binary-swap methods: one stage's split,
 /// encode and merge, plus the state carried from stage to stage.
 pub(crate) trait StageCodec: Sized {
-    /// `comp` for a plain copy, `encode` for run-length or bitmask
-    /// coding, `bound` for a rectangle search.
+    /// `comp` for a plain copy, `encode` for run-length coding.
     const CHARGE: Charge;
     /// Whether a dead partner reads as an empty receiving rectangle
     /// (`[B(k)] = 0`): true for the codecs that send one. Either way the
@@ -161,9 +160,6 @@ mod tests {
         (Bsbrc, 32, 24, &[2, 4, 8, 16, 32]),
         (Bsbrc, 24, 24, &[3, 5, 6, 7, 12]),
         (Bsrl, 32, 24, &[2, 4, 8, 16]),
-        (Bsbm, 32, 24, &[2, 4, 8, 16]),
-        (Bsmr, 32, 24, &[2, 4, 8, 16]),
-        (Bsmr, 24, 24, &[3, 5, 7]),
     ];
 
     /// `(method, width, height, front-to-back order)`: shuffled depth
@@ -177,8 +173,8 @@ mod tests {
         (Bslc, 36, 28, &[2, 6, 0, 4, 1, 5, 3, 7]),
         (Bsbrc, 40, 32, &[7, 3, 5, 1, 6, 2, 4, 0]),
         (Bsrl, 24, 28, &[4, 1, 3, 0, 2]),
-        (Bsbm, 28, 20, &[4, 1, 5, 0, 2, 3]),
-        (Bsmr, 28, 20, &[4, 1, 5, 0, 2, 3]),
+        (Bsbrc, 28, 20, &[4, 1, 5, 0, 2, 3]),
+        (Bsbr, 28, 20, &[4, 1, 5, 0, 2, 3]),
     ];
 
     #[test]

@@ -307,7 +307,7 @@ pub fn run_with_tile(
 ) -> Result<CompositeResult, CompositeError> {
     if VirtualTopology::from_depth(ep.rank(), depth).vsize() == 1 {
         let run = Run::begin(ep);
-        return Ok(run.finish(ep, OwnedPiece::Whole));
+        return Ok(run.finish(ep, OwnedPiece::Rect(image.full_rect())));
     }
     // The bulk path "completes" tiles in index order; the fused
     // render+composite runner in vr-system drives the same state

@@ -20,12 +20,8 @@ pub mod tags {
     pub const STAGE_BASE: u32 = 0x1000;
     /// Final gather of owned pieces.
     pub const GATHER: u32 = 0x6A77;
-    /// Binary-tree sends.
-    pub const TREE_BASE: u32 = 0x2000;
     /// Direct-send contributions.
     pub const DIRECT: u32 = 0x3000;
-    /// Parallel-pipeline hop `t` uses `PIPE_BASE + t`.
-    pub const PIPE_BASE: u32 = 0x4000;
     /// Streamed tile contributions (and their DONE sentinels).
     pub const TILE: u32 = 0x7000;
 }

@@ -76,8 +76,7 @@ impl CompCost {
 
     /// Models one rank's `T_comp` in seconds from its counters.
     pub fn modeled_seconds(&self, stats: &MethodStats) -> f64 {
-        let first = stage_terms(self, stats, 0);
-        let mut t = first.bound + first.pre_encode;
+        let mut t = self.modeled_bound_seconds(stats);
         for k in 0..stats.stages.len() {
             let s = stage_terms(self, stats, k);
             t += s.pack + s.unpack + s.over + s.encode;
@@ -93,12 +92,8 @@ impl CompCost {
     /// Models the encoding portion in seconds: one product over the
     /// rank's whole encoded-pixel count, as if a single pass visited it.
     pub fn modeled_encode_seconds(&self, stats: &MethodStats) -> f64 {
-        let per_stage: u64 = stats.stages.iter().map(|s| s.encoded_pixels).sum();
-        let whole = MethodStats {
-            pre_encoded_pixels: per_stage + stats.pre_encoded_pixels,
-            ..MethodStats::default()
-        };
-        stage_terms(self, &whole, 0).pre_encode
+        let encoded: u64 = stats.stages.iter().map(|s| s.encoded_pixels).sum();
+        self.t_encode * encoded as f64
     }
 }
 
@@ -126,9 +121,6 @@ pub struct MethodStats {
     /// Pixels scanned by bounding-rectangle searches (`A` in the first
     /// BSBR/BSBRC stage; 0 for methods without a scan).
     pub bound_pixels: u64,
-    /// Pixels visited by a one-time, pre-stage encoding pass (the
-    /// binary-tree baseline's initial value-RLE compression).
-    pub pre_encoded_pixels: u64,
     /// Per-stage counters, `stages[k-1]` for the paper's stage `k`.
     pub stages: Vec<StageStat>,
     /// Seconds from composite start until this rank's *first* owned tile

@@ -87,11 +87,6 @@ impl MsgWriter {
         self.buf.put_slice(&p.to_le_bytes());
     }
 
-    /// Appends raw bytes (bitmask payloads).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
-    }
-
     /// Current payload size in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -164,11 +159,6 @@ impl MsgReader {
         self.array().map(u32::from_le_bytes)
     }
 
-    /// Reads a single run code.
-    pub fn get_code(&mut self) -> Checked<u16> {
-        self.array().map(u16::from_le_bytes)
-    }
-
     /// Reads `n` run codes.
     pub fn get_codes(&mut self, n: usize) -> Checked<Vec<u16>> {
         let wire = self.take(n, BYTES_PER_RUN_CODE)?;
@@ -202,11 +192,6 @@ impl MsgReader {
     /// Reads a single pixel.
     pub fn get_pixel(&mut self) -> Checked<Pixel> {
         self.array().map(Pixel::from_le_bytes)
-    }
-
-    /// Reads `n` raw bytes (bitmask payloads).
-    pub fn get_bytes(&mut self, n: usize) -> Checked<Vec<u8>> {
-        Ok(self.take(n, 1)?.to_vec())
     }
 
     /// Bytes not yet consumed.
@@ -314,7 +299,6 @@ mod tests {
         w.put_rect(Rect::new(1, 2, 3, 4));
         w.put_u32(7);
         w.put_codes(&[9, 10]);
-        w.put_bytes(&[1, 2, 3]);
         w.put_pixel(Pixel::gray(0.5, 0.25));
         w.put_pixels(&[Pixel::BLANK; 2]);
         let full = w.freeze();
@@ -322,7 +306,6 @@ mod tests {
             r.get_rect()?;
             r.get_u32()?;
             r.get_codes(2)?;
-            r.get_bytes(3)?;
             r.get_pixel()?;
             r.take_pixels(1)?;
             r.get_pixels_into(1, &mut Vec::new())

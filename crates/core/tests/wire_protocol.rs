@@ -2,6 +2,7 @@
 //! exactly and matches its cost-equation structure, validated by a
 //! protocol-sniffing rank that decodes its partner's raw bytes.
 
+use bytes::Bytes;
 use slsvr_core::schedule::tags;
 use slsvr_core::wire::{MsgReader, MsgWriter};
 use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, OwnedPiece, Workload};
@@ -31,15 +32,13 @@ fn writer_reader_agree_on_every_element_type() {
     w.put_rect(Rect::new(5, 6, 70, 80));
     w.put_u32(0xDEADBEEF);
     w.put_codes(&[0, 1, 65535]);
-    w.put_bytes(&[1, 2, 3]);
     w.put_pixel(Pixel::gray(0.5, 0.25));
-    let total = 8 + 4 + 6 + 3 + 16;
+    let total = 8 + 4 + 6 + 16;
     assert_eq!(w.len(), total);
     let mut r = MsgReader::new(w.freeze());
     assert_eq!(r.get_rect(), Ok(Rect::new(5, 6, 70, 80)));
     assert_eq!(r.get_u32(), Ok(0xDEADBEEF));
     assert_eq!(r.get_codes(3), Ok(vec![0, 1, 65535]));
-    assert_eq!(r.get_bytes(3), Ok(vec![1, 2, 3]));
     assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.5, 0.25)));
     assert_eq!(r.finish(), Ok(()));
     assert!(r.get_u32().is_err(), "a read past the end is typed");
@@ -86,24 +85,6 @@ fn bsbr_message_parses_exactly() {
     let (_, right) = img.full_rect().split_at_x(12);
     let send_bounds = img.bounding_rect().intersect(&right);
     let expect = 8 + send_bounds.area() * 16;
-    assert_eq!(out.results[0].stages[0].sent_bytes as usize, expect);
-}
-
-/// BSBM message: rect + ⌈area/8⌉ mask bytes + non-blank pixels.
-#[test]
-fn bsbm_message_parses_exactly() {
-    let p = 2;
-    let depth = DepthOrder::identity(p);
-    let images = [content_image(24, 24, 5), content_image(24, 24, 6)];
-    let out = run_group(p, CostModel::free(), |ep| {
-        let mut img = images[ep.rank()].clone();
-        composite(Method::Bsbm, ep, &mut img, &depth).unwrap().stats
-    });
-    let img = &images[0];
-    let (_, right) = img.full_rect().split_at_x(12);
-    let send_bounds = img.bounding_rect().intersect(&right);
-    let non_blank = img.non_blank_count_in(&send_bounds);
-    let expect = 8 + send_bounds.area().div_ceil(8) + non_blank * 16;
     assert_eq!(out.results[0].stages[0].sent_bytes as usize, expect);
 }
 
@@ -175,9 +156,7 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
     let images2 = Workload::Sparse.images(2, 8, 8);
     for method in Method::all() {
         let tag = match method {
-            Method::BinaryTree => tags::TREE_BASE,
             Method::DirectSend => tags::DIRECT,
-            Method::Pipeline => tags::PIPE_BASE,
             Method::TileStream => tags::TILE,
             // The swap family and radix-k: stage (round) 0.
             _ => tags::STAGE_BASE,
@@ -204,7 +183,6 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
             stride: 2,
             count: 32,
         }),
-        OwnedPiece::Whole,
         OwnedPiece::Rects(vec![Rect::new(0, 0, 3, 3), Rect::new(5, 5, 8, 8)]),
     ];
     for piece in &pieces {
@@ -213,14 +191,31 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
             gather_image_tolerant(ep, frame, own, 0).map(|_| ())
         });
     }
+    // A whole, well-framed sequence piece with stride 0: it would write
+    // pixel 0 `count` times and report `count` pixels covered.
+    for count in [64u32, 65] {
+        let mut w = MsgWriter::new();
+        for word in [2, 0, 0, count] {
+            w.put_u32(word); // KIND_SEQ, start, stride, count
+        }
+        w.put_pixels(&vec![Pixel::gray(0.5, 1.0); count as usize]);
+        let got = with_stand_in_peer(2, tags::GATHER, w.freeze(), |ep| {
+            gather_image_tolerant(ep, frame, &OwnedPiece::Nothing, 0).map(|_| ())
+        });
+        assert!(
+            matches!(got, Err(CompositeError::Malformed { from: 1, .. })),
+            "zero stride, count {count}: {got:?}"
+        );
+    }
 }
 
 /// Captures the first message rank 1 sends rank 0 on `tag` while every
 /// rank runs `body`, then re-runs the group once per proper prefix of it
-/// with rank 1 replaced by a peer that sends the prefix and nothing
-/// valid after it. Rank 0 must answer every prefix with `Malformed` (no
-/// message shape here has a prefix that is a whole message of its own);
-/// a panic in any rank unwinds through `run_group` and fails the caller.
+/// with rank 1 replaced by a [`with_stand_in_peer`] that sends the prefix
+/// and nothing valid after it. Rank 0 must answer every prefix with
+/// `Malformed` (no message shape here has a prefix that is a whole
+/// message of its own); a panic in any rank unwinds through `run_group`
+/// and fails the caller.
 fn truncate_at_every_offset(
     what: &str,
     p: usize,
@@ -235,24 +230,32 @@ fn truncate_at_every_offset(
         .clone()
         .unwrap_or_else(|| panic!("{what}: rank 1 sent rank 0 nothing on tag {tag:#x}"));
     for cut in 0..message.len() {
-        let out = run_group(p, CostModel::free(), |ep| match ep.rank() {
-            1 => {
-                ep.send(0, tag, message.slice(..cut)).ok();
-                // Stay until rank 0 has sent (or is gone), so its own send
-                // cannot find this peer dead before it reads the prefix.
-                ep.recv(0, tag).ok();
-                Ok(())
-            }
-            _ => body(ep),
-        });
+        let got = with_stand_in_peer(p, tag, message.slice(..cut), &body);
         assert!(
-            matches!(
-                out.results[0],
-                Err(CompositeError::Malformed { from: 1, .. })
-            ),
-            "{what} cut at {cut} of {}: {:?}",
+            matches!(got, Err(CompositeError::Malformed { from: 1, .. })),
+            "{what} cut at {cut} of {}: {got:?}",
             message.len(),
-            out.results[0]
         );
     }
+}
+
+/// Runs `body` on every rank but 1, which only sends `message` to rank 0
+/// on `tag`; returns rank 0's result.
+fn with_stand_in_peer(
+    p: usize,
+    tag: Tag,
+    message: Bytes,
+    body: impl Fn(&mut Endpoint) -> Result<(), CompositeError> + Sync,
+) -> Result<(), CompositeError> {
+    let mut out = run_group(p, CostModel::free(), |ep| match ep.rank() {
+        1 => {
+            ep.send(0, tag, message.clone()).ok();
+            // Stay until rank 0 has sent (or is gone), so its own send
+            // cannot find this peer dead before it reads the message.
+            ep.recv(0, tag).ok();
+            Ok(())
+        }
+        _ => body(ep),
+    });
+    out.results.swap_remove(0)
 }

@@ -6,12 +6,12 @@
 //!   taken over the *background/foreground* classification of pixels, not
 //!   their values, so only the non-blank pixel payload plus 2-byte run
 //!   codes travel. Used by BSLC and BSBRC.
-//! * [`ValueRle`] — the Ahrens & Painter compression-based scheme used in
-//!   the related-work baseline (binary-tree compositing): runs are maximal
-//!   sequences of *equal-valued* pixels, each encoded as pixel + count.
-//!   The paper argues this works for surface rendering but degenerates for
-//!   volume rendering where float values rarely repeat; the `encoding`
-//!   ablation bench quantifies that claim.
+//! * [`ValueRle`] — the Ahrens & Painter compression-based scheme of the
+//!   related work: runs are maximal sequences of *equal-valued* pixels,
+//!   each encoded as pixel + count. The paper argues this works for
+//!   surface rendering but degenerates for volume rendering where float
+//!   values rarely repeat; Ablation 1 (`results/ablation.txt`) measures
+//!   its wire bytes against mask RLE.
 
 use crate::pixel::Pixel;
 
@@ -409,83 +409,14 @@ impl ValueRle {
         ValueRle { runs }
     }
 
-    /// Creates from explicit runs (e.g. after unpacking a message).
-    pub fn from_runs(runs: Vec<ValueRun>) -> Self {
-        ValueRle { runs }
-    }
-
     /// The runs in order.
     pub fn runs(&self) -> &[ValueRun] {
         &self.runs
     }
 
-    /// Total pixels described.
-    pub fn total_len(&self) -> usize {
-        self.runs.iter().map(|r| r.count as usize).sum()
-    }
-
     /// Encoded size on the wire: each run is a pixel (16 B) + count (2 B).
     pub fn wire_bytes(&self) -> usize {
         self.runs.len() * (crate::pixel::BYTES_PER_PIXEL + BYTES_PER_RUN_CODE)
-    }
-
-    /// Expands back into a pixel vector.
-    pub fn decode(&self) -> Vec<Pixel> {
-        let mut out = Vec::with_capacity(self.total_len());
-        for run in &self.runs {
-            out.extend(std::iter::repeat_n(run.pixel, run.count as usize));
-        }
-        out
-    }
-
-    /// Composites two value-RLE streams of equal total length, `front`
-    /// over `back`, run-aligned as in Ahrens & Painter: the output run
-    /// length is the minimum of the two heads' remaining counts.
-    pub fn composite_over(front: &ValueRle, back: &ValueRle) -> ValueRle {
-        assert_eq!(front.total_len(), back.total_len());
-        let mut out: Vec<ValueRun> = Vec::new();
-        let (mut fi, mut bi) = (0usize, 0usize);
-        let (mut frem, mut brem) = (
-            front.runs.first().map_or(0, |r| r.count as usize),
-            back.runs.first().map_or(0, |r| r.count as usize),
-        );
-        while fi < front.runs.len() && bi < back.runs.len() {
-            let take = frem.min(brem);
-            if take > 0 {
-                let p = front.runs[fi].pixel.over(back.runs[bi].pixel);
-                push_run(&mut out, p, take);
-            }
-            frem -= take;
-            brem -= take;
-            if frem == 0 {
-                fi += 1;
-                frem = front.runs.get(fi).map_or(0, |r| r.count as usize);
-            }
-            if brem == 0 {
-                bi += 1;
-                brem = back.runs.get(bi).map_or(0, |r| r.count as usize);
-            }
-        }
-        ValueRle { runs: out }
-    }
-}
-
-fn push_run(runs: &mut Vec<ValueRun>, pixel: Pixel, mut count: usize) {
-    if let Some(last) = runs.last_mut() {
-        if bits_eq(last.pixel, pixel) {
-            let room = (u16::MAX - last.count) as usize;
-            let take = room.min(count);
-            last.count += take as u16;
-            count -= take;
-        }
-    }
-    while count > 0 {
-        let take = count.min(u16::MAX as usize);
-        runs.push(ValueRun {
-            pixel,
-            count: take as u16,
-        });
-        count -= take;
     }
 }
 
@@ -503,6 +434,14 @@ mod tests {
 
     fn px(v: f32) -> Pixel {
         Pixel::gray(v, if v == 0.0 { 0.0 } else { 1.0 })
+    }
+
+    /// The pixel sequence a value encoding describes.
+    fn expand(rle: &ValueRle) -> Vec<Pixel> {
+        rle.runs()
+            .iter()
+            .flat_map(|r| std::iter::repeat_n(r.pixel, r.count as usize))
+            .collect()
     }
 
     #[test]
@@ -720,7 +659,7 @@ mod tests {
         let seq = [px(0.0), px(0.0), px(0.5), px(0.5), px(0.5), px(0.2)];
         let rle = ValueRle::encode(seq.iter());
         assert_eq!(rle.runs().len(), 3);
-        assert_eq!(rle.decode(), seq);
+        assert_eq!(expand(&rle), seq);
     }
 
     #[test]
@@ -733,30 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn value_rle_composite_matches_pixelwise() {
-        let front: Vec<Pixel> = [0.0, 0.0, 0.5, 0.5, 0.3, 0.0, 0.9]
-            .iter()
-            .map(|&v| px(v))
-            .collect();
-        let back: Vec<Pixel> = [0.2, 0.2, 0.2, 0.0, 0.0, 0.4, 0.4]
-            .iter()
-            .map(|&v| px(v))
-            .collect();
-        let composed = ValueRle::composite_over(
-            &ValueRle::encode(front.iter()),
-            &ValueRle::encode(back.iter()),
-        );
-        let expect: Vec<Pixel> = front.iter().zip(&back).map(|(f, b)| f.over(*b)).collect();
-        assert_eq!(composed.decode(), expect);
-    }
-
-    #[test]
     fn value_rle_count_saturation() {
         let n = u16::MAX as usize + 3;
         let seq = vec![px(0.5); n];
         let rle = ValueRle::encode(seq.iter());
-        assert_eq!(rle.total_len(), n);
         assert_eq!(rle.runs().len(), 2);
-        assert_eq!(rle.decode().len(), n);
+        assert_eq!(expand(&rle), seq);
     }
 }

@@ -6,7 +6,10 @@
 //! recorded at `b5c927d`, before `vr-serve::wire` was rewritten as field
 //! tables — never re-record them to make a change pass: a digest that
 //! moves is a wire-format change and needs a `WIRE_VERSION` bump, and a
-//! frame key that moves silently invalidates every cache.
+//! frame key that moves silently invalidates every cache. `HELLO`,
+//! `WELCOME` and `ERROR` carry the version: they were re-recorded once,
+//! for `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
+//! PIPE were deleted), and nothing else in them moved.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -31,9 +34,9 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe80deb5eb67cadd8;
-const WELCOME: u64 = 0xf9966644b6a8f974;
-const ERROR: u64 = 0xa35f969f11e4598c;
+const HELLO: u64 = 0xe8181d5eb6855753;
+const WELCOME: u64 = 0x5686bb5fd776d7d7;
+const ERROR: u64 = 0x9a7b07434c4a5c8d;
 const REQUEST: u64 = 0x23505b920af9b097;
 const RESPONSE_FRAME_DEGRADED: u64 = 0x470c3ab4ea0c1e16;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
@@ -390,13 +393,9 @@ fn enum_tag_tables_are_pinned() {
         (2, Method::Bslc),
         (3, Method::Bsbrc),
         (4, Method::Bsrl),
-        (5, Method::Bsbm),
-        (6, Method::Bsmr),
-        (7, Method::BinaryTree),
-        (8, Method::DirectSend),
-        (9, Method::Pipeline),
-        (10, Method::RadixK),
-        (11, Method::TileStream),
+        (5, Method::DirectSend),
+        (6, Method::RadixK),
+        (7, Method::TileStream),
     ];
     assert_eq!(methods.map(|(_, m)| m), Method::all());
     check_tags(

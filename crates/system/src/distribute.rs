@@ -170,8 +170,8 @@ mod tests {
         for method in [
             Method::Bs,
             Method::Bslc,
-            Method::BinaryTree,
-            Method::Pipeline,
+            Method::DirectSend,
+            Method::RadixK,
             Method::TileStream,
         ] {
             let b = run_distributed(&config(4, method)).image;

@@ -211,7 +211,7 @@ mod tests {
             Method::Bs,
             Method::Bsbrc,
             Method::DirectSend,
-            Method::Pipeline,
+            Method::RadixK,
         ] {
             let out = exp.run(method);
             let diff = out.image.max_abs_diff(&expect);
@@ -280,7 +280,7 @@ mod tests {
             config.perspective_distance = Some(distance);
             let exp = Experiment::prepare(&config);
             let expect = exp.reference();
-            for method in [Method::Bs, Method::Bsbrc, Method::BinaryTree] {
+            for method in [Method::Bs, Method::Bsbrc, Method::DirectSend] {
                 let out = exp.run(method);
                 let diff = out.image.max_abs_diff(&expect);
                 assert!(
@@ -312,7 +312,7 @@ mod tests {
         config.balanced_partition = true;
         let exp = Experiment::prepare(&config);
         let expect = exp.reference();
-        for method in [Method::Bs, Method::Bsbrc, Method::Bslc, Method::Pipeline] {
+        for method in [Method::Bs, Method::Bsbrc, Method::Bslc, Method::TileStream] {
             let out = exp.run(method);
             let diff = out.image.max_abs_diff(&expect);
             assert!(diff < 2e-4, "{method:?} balanced differs by {diff}");

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use slsvr::compositing::Method;
+
 fn slsvr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_slsvr"))
 }
@@ -14,7 +16,7 @@ fn info_lists_datasets_and_methods() {
     for name in ["Engine_low", "Engine_high", "Head", "Cube"] {
         assert!(stdout.contains(name), "missing dataset {name}");
     }
-    for method in ["BS", "BSBR", "BSLC", "BSBRC", "BTREE"] {
+    for method in ["BS", "BSBR", "BSLC", "BSBRC", "DSEND"] {
         assert!(stdout.contains(method), "missing method {method}");
     }
 }
@@ -24,6 +26,18 @@ fn help_prints_usage() {
     let out = slsvr().arg("--help").output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+}
+
+/// `--help`'s hand-written METHODS list parses one-to-one onto
+/// `Method::all()`, in order.
+#[test]
+fn help_lists_every_method_once() {
+    let out = slsvr().arg("--help").output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let list = stdout.split("METHODS:").nth(1).unwrap();
+    let tokens = list.split("\n\n").next().unwrap().split(['|', ' ', '\n']);
+    let named: Result<Vec<Method>, _> = tokens.filter(|t| !t.is_empty()).map(str::parse).collect();
+    assert_eq!(named, Ok(Method::all().to_vec()));
 }
 
 #[test]
@@ -123,7 +137,7 @@ fn compare_runs_all_methods() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for method in ["BS", "BSBRC", "PIPE", "DSEND"] {
+    for method in ["BS", "BSBRC", "RADIXK", "DSEND"] {
         assert!(stdout.contains(method));
     }
     // Every row verified against the reference.

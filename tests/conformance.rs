@@ -461,15 +461,13 @@ fn killed_rank_degrades_coverage_deterministically() {
     assert_eq!(a.coverage, b.coverage);
 }
 
-/// The seven methods that share the binary-swap schedule.
-const SWAP_FAMILY: [Method; 7] = [
+/// The five methods that share the binary-swap schedule.
+const SWAP_FAMILY: [Method; 5] = [
     Method::Bs,
     Method::Bsbr,
     Method::Bslc,
     Method::Bsbrc,
     Method::Bsrl,
-    Method::Bsbm,
-    Method::Bsmr,
 ];
 
 /// FNV-1a over a word stream.
@@ -497,7 +495,6 @@ fn outcome_words(results: &[CompositeResult]) -> Vec<u64> {
             OwnedPiece::Seq(s) => {
                 words.extend([2, s.start as u64, s.stride as u64, s.count as u64]);
             }
-            OwnedPiece::Whole => words.push(3),
             OwnedPiece::Rects(rects) => {
                 words.extend([4, rects.len() as u64]);
                 for r in rects {
@@ -536,7 +533,7 @@ fn outcome_words(results: &[CompositeResult]) -> Vec<u64> {
 fn swap_family_stage_counters_are_pinned() {
     // Rows: method × P; columns: sparse, dense, bands.
     #[rustfmt::skip]
-    const GOLDEN: [(Method, usize, [u64; 3]); 21] = [
+    const GOLDEN: [(Method, usize, [u64; 3]); 15] = [
         (Method::Bs, 4, [0x7471f44105c629dd, 0x7471f44105c629dd, 0x7471f44105c629dd]),
         (Method::Bs, 6, [0x4b5105d9dbcab441, 0x4b5105d9dbcab441, 0x83164d369cfa5dd9]),
         (Method::Bs, 8, [0x67a26a5f21c63ba1, 0x67a26a5f21c63ba1, 0x67a26a5f21c63ba1]),
@@ -552,34 +549,21 @@ fn swap_family_stage_counters_are_pinned() {
         (Method::Bsrl, 4, [0xeb031d76679a3d85, 0x9e4af1abc32ee7b5, 0xe3df2b4778a9d3ed]),
         (Method::Bsrl, 6, [0xc834d55d3409ffaf, 0x34133c1c134e75d5, 0xfea9cf7cea481b2d]),
         (Method::Bsrl, 8, [0x77f3c876d449f809, 0x2e1540ee7cfab365, 0x7909a289f9a928a9]),
-        (Method::Bsbm, 4, [0xb000864f41bb2691, 0xcd5752ca217b539d, 0xe736e29e7777832d]),
-        (Method::Bsbm, 6, [0xb45fcfd4ad89db87, 0xaf80e5eb6af3fb25, 0xbb11379c8bdf329d]),
-        (Method::Bsbm, 8, [0x569db88c1ebed1f3, 0x42c71afa3980c129, 0xe934c22280d177f9]),
-        (Method::Bsmr, 4, [0x706fc34145980423, 0xf04cb55e66ccf9f5, 0xf265d6dd5cad047d]),
-        (Method::Bsmr, 6, [0xed426196b37121c5, 0x36714e4ce7da91e1, 0xe19240b0ec8a9b3b]),
-        (Method::Bsmr, 8, [0x00c665ad0b237672, 0x2e63f1bc5057b9bd, 0x0b70f4ab03e60bd1]),
     ];
     assert_stage_counters(&GOLDEN);
 }
 
-/// Golden counters of the three methods outside the swap family, same
-/// digest and same cases as above. The constants were recorded at
-/// `f158b00`, when PIPE and DSEND still decoded every arrival into a
-/// `Vec<Pixel>`; they pin the wire-byte receive path to the one it
-/// replaced. Never re-record to pass.
+/// Golden counters of direct send and the tile stream, same digest and
+/// same cases as above. DSEND's were recorded at `f158b00`, when it still
+/// decoded every arrival into a `Vec<Pixel>`; they pin the wire-byte
+/// receive path to the one it replaced. Never re-record to pass.
 #[test]
 fn band_and_tree_stage_counters_are_pinned() {
     #[rustfmt::skip]
-    const GOLDEN: [(Method, usize, [u64; 3]); 9] = [
-        (Method::Pipeline, 4, [0x41f560f84e94380d, 0x41f560f84e94380d, 0x41f560f84e94380d]),
-        (Method::Pipeline, 6, [0x16d939069074adcd, 0x16d939069074adcd, 0x16d939069074adcd]),
-        (Method::Pipeline, 8, [0xeeab0ff3b6be8fe1, 0xeeab0ff3b6be8fe1, 0xeeab0ff3b6be8fe1]),
+    const GOLDEN: [(Method, usize, [u64; 3]); 3] = [
         (Method::DirectSend, 4, [0x92bae8ec81a4cab5, 0x92bae8ec81a4cab5, 0x92bae8ec81a4cab5]),
         (Method::DirectSend, 6, [0x331c56cf90c6e76d, 0x331c56cf90c6e76d, 0x331c56cf90c6e76d]),
         (Method::DirectSend, 8, [0x080feba6d3e29721, 0x080feba6d3e29721, 0x080feba6d3e29721]),
-        (Method::BinaryTree, 4, [0x6fbf2d0141920861, 0xe06df7a11b03f8a9, 0xb0bb39e5c5d08625]),
-        (Method::BinaryTree, 6, [0x2b372382055a838f, 0x87cc5baa279c9b8b, 0x2fbe88da6b04b4a7]),
-        (Method::BinaryTree, 8, [0xd4e3559d5a91688b, 0x1cdd889daa826b49, 0xbeec8a7f55682228]),
     ];
     assert_stage_counters(&GOLDEN);
     // TSTREAM, recorded at `9e6fefe`, when every arriving tile was still
@@ -623,7 +607,7 @@ fn assert_stage_counters(golden: &[(Method, usize, [u64; 3])]) {
 }
 
 /// Every modeled time of the frame pipeline, to the bit: for each of the
-/// twelve methods × P ∈ {4, 6, 8} × workload (32×24, `shuffled_depth(p,
+/// eight methods × P ∈ {4, 6, 8} × workload (32×24, `shuffled_depth(p,
 /// 3)`, `sp2` network, `power2` compute, schedule seed 29) a digest over
 /// `Aggregate::{t_comp, t_comm, t_critical_path}` and every rank's
 /// `comp_seconds`, `bound_seconds` and `encode_seconds` as `to_bits`
@@ -635,7 +619,7 @@ fn assert_stage_counters(golden: &[(Method, usize, [u64; 3])]) {
 fn modeled_seconds_are_pinned_to_the_bit() {
     // Rows: method × P; columns: sparse, dense, bands.
     #[rustfmt::skip]
-    const GOLDEN: [(Method, usize, [u64; 3]); 36] = [
+    const GOLDEN: [(Method, usize, [u64; 3]); 24] = [
         (Method::Bs, 4, [0xa91805db10471f51, 0xa91805db10471f51, 0xa91805db10471f51]),
         (Method::Bs, 6, [0xe059bd631ca8aa79, 0xe059bd631ca8aa79, 0xe57961fdbe47f46b]),
         (Method::Bs, 8, [0x48c46d8c6c1e20b7, 0x48c46d8c6c1e20b7, 0x48c46d8c6c1e20b7]),
@@ -651,21 +635,9 @@ fn modeled_seconds_are_pinned_to_the_bit() {
         (Method::Bsrl, 4, [0x8f68914c22fabb3b, 0xc66c28d48ac8851c, 0xfdb36ea6ad4f2acd]),
         (Method::Bsrl, 6, [0xa291edecbdf9c0f0, 0xba17851db50d385e, 0x604b1b0b3c2bb70e]),
         (Method::Bsrl, 8, [0xbc2d5a28023e7ef1, 0x6e20fe4e079b051b, 0x052f7f6048b4cac7]),
-        (Method::Bsbm, 4, [0x7e4148ab6a6e6f3e, 0x81640b3e7f52484d, 0x968ad7fcbff0d054]),
-        (Method::Bsbm, 6, [0xd9dd80d24bc0234b, 0x3c0c59d2c8bd99f2, 0xf7ed0c0148a2a714]),
-        (Method::Bsbm, 8, [0x626437886c800f4a, 0x9678b17f391d55ec, 0x308d748d31f5d552]),
-        (Method::Bsmr, 4, [0xd0c679389c9862a0, 0xf2e0b192ba6e8059, 0xb9acf2a7a05c25f0]),
-        (Method::Bsmr, 6, [0x14034e7a1ca14d7a, 0x59fbd72a3f6cdd3a, 0x7c8a0fa28e8e3cb2]),
-        (Method::Bsmr, 8, [0x82070ba82970b58a, 0x6c01afed474a7ca9, 0xa8c50e47f9b6d51e]),
-        (Method::BinaryTree, 4, [0x1392ff6091b601ff, 0xa3be8e3ccd06c77b, 0x1786759528d44127]),
-        (Method::BinaryTree, 6, [0x61545e5969bebf3d, 0xb427fd088a0bcdad, 0x9c136c8ec718db7b]),
-        (Method::BinaryTree, 8, [0xfd115d3216d2e23e, 0x51adc0059b8efa86, 0x6495c415909b680f]),
         (Method::DirectSend, 4, [0x9a571e9b1088eebe, 0x9a571e9b1088eebe, 0x9a571e9b1088eebe]),
         (Method::DirectSend, 6, [0x272a7ac5fee5a915, 0x272a7ac5fee5a915, 0x272a7ac5fee5a915]),
         (Method::DirectSend, 8, [0x7886c1d4f81bdbd9, 0x7886c1d4f81bdbd9, 0x7886c1d4f81bdbd9]),
-        (Method::Pipeline, 4, [0xc5c0c486ba910377, 0xc5c0c486ba910377, 0xc5c0c486ba910377]),
-        (Method::Pipeline, 6, [0x824f2330262e8cb3, 0x824f2330262e8cb3, 0x824f2330262e8cb3]),
-        (Method::Pipeline, 8, [0x9b6bd59f2f5b8c8d, 0x9b6bd59f2f5b8c8d, 0x9b6bd59f2f5b8c8d]),
         (Method::RadixK, 4, [0x61bdb82520b883f6, 0x61bdb82520b883f6, 0x4a0ce3d82a84dbaf]),
         (Method::RadixK, 6, [0xb4cc78faea2a2409, 0xb4cc78faea2a2409, 0x1cf925d7a0f63cb3]),
         (Method::RadixK, 8, [0x6ae5b61d7e351640, 0x6ae5b61d7e351640, 0x44a5f4f2f7cf343a]),
@@ -718,8 +690,8 @@ fn modeled_seconds_are_pinned_to_the_bit() {
 /// cases under the SP2 cost model at P = 4 and P = 6 (through the fold):
 /// the stop-and-wait ARQ healing each fault class and a killed rank, the
 /// raw wire under a kill and under delays, TSTREAM (any-source receives
-/// and stamped sends) raw and over lossy reliable links, and the three
-/// methods outside the swap family. Each case carries its fault spec in
+/// and stamped sends) raw and over lossy reliable links, and direct
+/// send. Each case carries its fault spec in
 /// the corpus grammar.
 fn transport_cases() -> Vec<(ConformanceCase, Option<&'static str>)> {
     let mut cases = Vec::new();
@@ -761,9 +733,7 @@ fn transport_cases() -> Vec<(ConformanceCase, Option<&'static str>)> {
         };
         cases.push((tstream.clone(), None));
         cases.push(faulty(tstream, true, "drop=0.1,seed=5"));
-        for method in [Method::Pipeline, Method::DirectSend, Method::BinaryTree] {
-            cases.push((sp2(method, 83), None));
-        }
+        cases.push((sp2(Method::DirectSend, 83), None));
     }
     cases
 }
@@ -777,15 +747,15 @@ fn transport_cases() -> Vec<(ConformanceCase, Option<&'static str>)> {
 #[test]
 fn transport_counters_are_pinned() {
     #[rustfmt::skip]
-    const GOLDEN: [u64; 24] = [
+    const GOLDEN: [u64; 20] = [
         0xe994a7820451bdd2, 0xa0fabe122a7003d2, 0x67b24716c2d489b1,
         0xe31141680d0d0c3c, 0x5d8f4e326c637cd1, 0x3319f50fbe001679,
         0x6e7ac4daafefa749, 0x3ba42f1495e34a59, 0x82dc7f81bfddf30e,
-        0xfcef1c4adf72f1e5, 0x398abf9338d107ba, 0xd83a56ae7bd20c7c,
+        0x398abf9338d107ba,
         0xf4485241dc060bf8, 0x0b955b87572cc1f8, 0x93c8c3f59ef95b85,
         0x8d9f76373d8a9d6e, 0x0bab57d4a7cdbd83, 0x847d68fd5c4dd066,
         0xde6c03f9fc954394, 0x89e9fb5e1ca33639, 0x18458be697ff429b,
-        0xf05262920116ad97, 0x267c5929146dff66, 0xcd90c17950077ac1,
+        0x267c5929146dff66,
     ];
     let cases = transport_cases();
     assert_eq!(cases.len(), GOLDEN.len());
@@ -911,9 +881,30 @@ fn corpus_entries_replay_exactly() {
         }
     }
     assert!(
-        checked >= 45,
+        checked >= 37,
         "corpus unexpectedly small ({checked} entries)"
     );
+}
+
+/// The method set is stated once, in `Method::all()`: every method it
+/// names has at least one corpus line.
+#[test]
+fn corpus_names_every_method() {
+    let mut corpus = String::new();
+    for file in std::fs::read_dir(corpus_dir()).expect("tests/conformance_corpus must exist") {
+        let path = file.unwrap().path();
+        if path.extension().is_some_and(|e| e == "txt") {
+            corpus += &std::fs::read_to_string(&path).unwrap();
+        }
+    }
+    for method in Method::all() {
+        let prefix = format!("method={} ", method.name());
+        assert!(
+            corpus.lines().any(|line| line.starts_with(&prefix)),
+            "no corpus line for {}",
+            method.name()
+        );
+    }
 }
 
 /// Long-running randomized schedule fuzz (nightly CI): fresh seeds, and

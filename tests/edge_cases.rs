@@ -87,7 +87,7 @@ fn single_pixel_image() {
     for method in [
         Method::Bs,
         Method::Bsbrc,
-        Method::BinaryTree,
+        Method::TileStream,
         Method::DirectSend,
     ] {
         let out = exp.run(method);

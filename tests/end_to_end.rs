@@ -79,7 +79,7 @@ fn non_power_of_two_pipeline() {
             Method::Bs,
             Method::Bsbrc,
             Method::DirectSend,
-            Method::Pipeline,
+            Method::RadixK,
         ] {
             let out = exp.run(method);
             let diff = out.image.max_abs_diff(&expect);
