@@ -174,8 +174,8 @@ pub fn predict(
 ///
 /// Supported for stage-paired schedules (the binary-swap family):
 /// every stage must record its `peer`. Returns `None` when any rank has
-/// a stage without a single peer (direct send) — its schedule is not
-/// pairwise.
+/// a round with more than one peer (radix-k at `r > 2`) — its schedule
+/// is not pairwise.
 ///
 /// Model per stage: a rank first computes its pre-send work (scan on
 /// stage 0, encoding, packing), then its message becomes available at
@@ -429,20 +429,22 @@ mod tests {
 
     #[test]
     fn virtual_completion_rejects_multi_peer_schedules() {
-        let (p, size) = (4usize, 16u16);
+        // Radix-k's rounds are [4] at P = 4 and [4, 2] at P = 8: the first
+        // has three peers.
+        let size = 16u16;
         let net = CostModel::sp2();
         let comp = CompCost::power2();
-        let images: Vec<Image> = (0..p)
-            .map(|_| Image::from_fn(size, size, |_, _| Pixel::gray(0.5, 0.5)))
-            .collect();
-        let depth = DepthOrder::identity(p);
-        let out = run_group(p, net, |ep| {
-            let mut img = images[ep.rank()].clone();
-            crate::methods::composite(Method::DirectSend, ep, &mut img, &depth)
-                .unwrap()
-                .stats
-        });
-        assert!(virtual_completion(&out.results, &net, &comp).is_none());
+        for p in [4usize, 8] {
+            let image = Image::from_fn(size, size, |_, _| Pixel::gray(0.5, 0.5));
+            let depth = DepthOrder::identity(p);
+            let out = run_group(p, net, |ep| {
+                let mut img = image.clone();
+                crate::methods::composite(Method::RadixK, ep, &mut img, &depth)
+                    .unwrap()
+                    .stats
+            });
+            assert!(virtual_completion(&out.results, &net, &comp).is_none());
+        }
     }
 
     #[test]

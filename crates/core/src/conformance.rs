@@ -33,7 +33,7 @@ use crate::analysis::message_bytes;
 use crate::gather::gather_image_tolerant;
 use crate::methods::{composite, Method};
 use crate::reference::reference_composite;
-use crate::schedule::RegionSplitter;
+use crate::schedule::strip;
 use crate::stats::MethodStats;
 
 /// Deterministic synthetic workloads for conformance runs.
@@ -342,10 +342,9 @@ pub fn expected_traffic(
     let width = images[0].width();
     let area = images[0].area();
     let full = images[0].full_rect();
-    let keeps_low = |v: usize, k: usize| (v >> k) & 1 == 0;
 
     // Per-VIRTUAL-rank evolving state.
-    let mut splitters: Vec<RegionSplitter> = (0..p).map(|_| RegionSplitter::new(full)).collect();
+    let mut regions = vec![full; p];
     let mut bounds: Vec<Rect> = (0..p).map(|v| images[order[v]].bounding_rect()).collect();
     let mut masks: Vec<Vec<bool>> = (0..p)
         .map(|v| {
@@ -366,14 +365,16 @@ pub fn expected_traffic(
         let mut halves: Vec<(Rect, Rect)> = Vec::with_capacity(p); // (keep, send)
         let mut seq_halves: Vec<(StridedSeq, StridedSeq)> = Vec::with_capacity(p);
         for v in 0..p {
-            let (keep, send) = splitters[v].split(k, keeps_low(v, k));
+            // The driver's radix-2 round: digit `v`'s bit `k`, strips
+            // along axis `k % 2`.
+            let digit = (v >> k) & 1;
+            let (keep, send) = (
+                strip(regions[v], 2, k % 2, digit),
+                strip(regions[v], 2, k % 2, 1 - digit),
+            );
             halves.push((keep, send));
             let (even, odd) = seqs[v].split();
-            let (kseq, sseq) = if keeps_low(v, k) {
-                (even, odd)
-            } else {
-                (odd, even)
-            };
+            let (kseq, sseq) = if digit == 0 { (even, odd) } else { (odd, even) };
             seq_halves.push((kseq, sseq));
             // The counts each size form reads, from the pre-stage masks
             // and rectangles alone; the forms are `message_bytes`'.
@@ -402,6 +403,7 @@ pub fn expected_traffic(
             let u = v ^ (1 << k);
             recv[v][k] = sent[u][k];
             let (keep, _) = halves[v];
+            regions[v] = keep;
             bounds[v] = prev_bounds[v]
                 .intersect(&keep)
                 .union(&prev_bounds[u].intersect(&keep));

@@ -235,25 +235,6 @@ pub(crate) fn try_recv(
     }
 }
 
-/// The binary-swap primitive: send our half to `peer` and receive theirs,
-/// tolerating a dead partner.
-///
-/// Returns `Ok(None)` when the partner is dead; the survivor keeps its
-/// own half (the partner's half becomes a hole in the final image).
-pub(crate) fn try_exchange(
-    ep: &mut Endpoint,
-    peer: usize,
-    tag: Tag,
-    payload: Bytes,
-    dead: &mut BTreeSet<usize>,
-    during: &'static str,
-) -> Result<Option<Bytes>, CompositeError> {
-    if !try_send(ep, peer, tag, payload, dead, during)? {
-        return Ok(None);
-    }
-    try_recv(ep, peer, tag, dead, during)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,22 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn try_exchange_with_dead_peer_returns_none_and_marks_dead() {
+    fn exchange_with_dead_peer_returns_none_and_marks_dead() {
         let out = run_group(2, CostModel::free(), |ep| {
             if ep.rank() == 1 {
                 // Exit immediately: rank 0 sees a disconnected peer.
                 return (true, true);
             }
             let mut dead = BTreeSet::new();
-            let got = try_exchange(
-                ep,
-                1,
-                7,
-                Bytes::from_static(b"half"),
-                &mut dead,
-                "test stage",
-            )
-            .unwrap();
+            let half = Bytes::from_static(b"half");
+            try_send(ep, 1, 7, half, &mut dead, "test stage").unwrap();
+            let got = try_recv(ep, 1, 7, &mut dead, "test stage").unwrap();
             (got.is_none(), dead.contains(&1))
         });
         assert_eq!(out.results[0], (true, true));

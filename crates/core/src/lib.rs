@@ -17,13 +17,11 @@
 //!   only over the sending bounding rectangle.
 //!
 //! A fifth codec rides the same driver: [`Method::Bsrl`] (run-length
-//! codes over spatial halves, the ablation between BSLC and BSBRC).
-//!
-//! Three more schedules round out the comparison surface:
-//! [`Method::DirectSend`] (the buffered related-work case: every rank
-//! owns a static band and receives `P−1` messages), [`Method::RadixK`]
-//! (the modern generalization of binary swap) and [`Method::TileStream`]
-//! (tiles streamed to interleaved owners as they complete).
+//! codes over spatial halves, the ablation between BSLC and BSBRC). So
+//! does [`Method::RadixK`], the modern generalization of binary swap:
+//! BSBR's codec over rounds of up to four peers instead of the fold and
+//! pairs. [`Method::TileStream`] keeps its own schedule (tiles streamed
+//! to interleaved owners as they complete).
 //!
 //! ## Depth-position space
 //!

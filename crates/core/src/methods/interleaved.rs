@@ -34,6 +34,8 @@ use super::{OwnedPiece, Run};
 pub(crate) struct InterleavedRuns {
     /// The sequence this rank owns.
     seq: StridedSeq,
+    /// The half the latest split gives away.
+    send: StridedSeq,
     /// Run table of `seq`, before the latest received runs are merged in.
     kept: RunSet,
     /// The runs received since the last split (none from a dead
@@ -56,6 +58,7 @@ impl StageCodec for InterleavedRuns {
     fn begin(image: &Image, run: &mut Run) -> Self {
         InterleavedRuns {
             seq: StridedSeq::dense(image.area()),
+            send: StridedSeq::dense(0),
             // The one pixel scan; the table is never rescanned.
             kept: run.encode.time(|| sequence_mask(image)),
             recv: RunSet::new(),
@@ -66,21 +69,26 @@ impl StageCodec for InterleavedRuns {
         }
     }
 
-    fn encode(&mut self, image: &Image, keep_low: bool, stat: &mut StageStat) -> Bytes {
+    /// Interleaved halves pair ranks: `radix` is always 2, and digit 0
+    /// keeps the even positions.
+    fn split(&mut self, _round: usize, radix: usize, digit: usize) {
+        debug_assert_eq!(radix, 2, "BSLC runs binary rounds only");
         let (even, odd) = self.seq.split();
         self.kept.union_into(&self.recv, &mut self.merged);
         self.recv.clear();
-        let send = if keep_low {
+        if digit == 0 {
             self.merged
                 .split_parity_into(&mut self.kept, &mut self.sent);
-            self.seq = even;
-            odd
+            (self.seq, self.send) = (even, odd);
         } else {
             self.merged
                 .split_parity_into(&mut self.sent, &mut self.kept);
-            self.seq = odd;
-            even
-        };
+            (self.seq, self.send) = (odd, even);
+        }
+    }
+
+    fn encode(&mut self, image: &Image, _part: usize, stat: &mut StageStat) -> Bytes {
+        let send = self.send;
         // The run codes come straight from the parity split; only the
         // non-blank pixels are gathered, into the reusable scratch
         // buffer, so the wire write is one bulk copy.
@@ -99,8 +107,8 @@ impl StageCodec for InterleavedRuns {
         w.put_codes(&self.codes);
         w.put_pixels(staged);
         self.scratch.note_watermark();
-        stat.encoded_pixels = send.count as u64;
-        stat.run_codes = self.codes.len() as u64;
+        stat.encoded_pixels += send.count as u64;
+        stat.run_codes += self.codes.len() as u64;
         w.freeze()
     }
 
@@ -134,7 +142,7 @@ impl StageCodec for InterleavedRuns {
                 };
             }
         }
-        stat.composite_ops = total as u64;
+        stat.composite_ops += total as u64;
         Ok(())
     }
 

@@ -1,13 +1,11 @@
 //! The compositing methods and their common runtime plumbing.
 //!
-//! The five binary-swap methods are one driver ([`swap`]) over a stage
-//! codec each: four exchange spatial halves ([`spatial`]), BSLC exchanges
-//! interleaved ones ([`interleaved`]). Direct send, radix-k and the tile
-//! stream keep their own schedules.
+//! Six methods are one driver ([`swap`]) over a stage codec and a round
+//! vector each: five exchange spatial parts ([`spatial`]), BSLC exchanges
+//! interleaved halves ([`interleaved`]). The tile stream keeps its own
+//! schedule.
 
-pub mod direct_send;
 mod interleaved;
-pub mod radix;
 pub(crate) mod spatial;
 mod swap;
 #[cfg(test)]
@@ -46,12 +44,9 @@ pub enum Method {
     /// halves (BSLC without the interleaved load balancing; not a paper
     /// method).
     Bsrl,
-    /// Buffered direct-send: every rank owns a static band and receives
-    /// `P−1` contributions (Hsu / Neumann, related work).
-    DirectSend,
-    /// Radix-k compositing with bounding-rectangle compression — the
-    /// modern generalization of binary swap (extension; rounds follow a
-    /// greedy factorization of `P`).
+    /// Radix-k compositing: BSBR's codec over rounds that follow a greedy
+    /// factorization of `P` instead of the fold and radix-2 stages — the
+    /// modern generalization of binary swap (extension).
     RadixK,
     /// Asynchronous tile-streamed compositing (Distributed FrameBuffer
     /// direction): 32-px screen tiles interleaved over owner ranks, each
@@ -67,14 +62,13 @@ impl Method {
     }
 
     /// All implemented methods.
-    pub fn all() -> [Method; 8] {
+    pub fn all() -> [Method; 7] {
         [
             Method::Bs,
             Method::Bsbr,
             Method::Bslc,
             Method::Bsbrc,
             Method::Bsrl,
-            Method::DirectSend,
             Method::RadixK,
             Method::TileStream,
         ]
@@ -88,7 +82,6 @@ impl Method {
             Method::Bslc => "BSLC",
             Method::Bsbrc => "BSBRC",
             Method::Bsrl => "BSRL",
-            Method::DirectSend => "DSEND",
             Method::RadixK => "RADIXK",
             Method::TileStream => "TSTREAM",
         }
@@ -116,8 +109,8 @@ impl FromStr for Method {
 /// The part of the final image a rank owns after compositing.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OwnedPiece {
-    /// A rectangular region (spatial binary-swap methods, direct send,
-    /// radix-k; the whole frame at `P = 1`).
+    /// A rectangular region (the spatial codecs; the whole frame at
+    /// `P = 1`).
     Rect(Rect),
     /// A set of disjoint rectangles (tile-stream owners hold every tile
     /// assigned to them by the interleave).
@@ -187,14 +180,14 @@ pub fn composite(
         ep.size(),
         "depth order must cover exactly the group"
     );
+    use swap::{run, Rounds::*};
     match method {
-        Method::Bs => swap::run::<Spatial<Headless<Dense>>>(ep, image, depth, "BS stage"),
-        Method::Bsbr => swap::run::<Spatial<Headed<Dense>>>(ep, image, depth, "BSBR stage"),
-        Method::Bslc => swap::run::<InterleavedRuns>(ep, image, depth, "BSLC stage"),
-        Method::Bsbrc => swap::run::<Spatial<Headed<Runs>>>(ep, image, depth, "BSBRC stage"),
-        Method::Bsrl => swap::run::<Spatial<Headless<Runs>>>(ep, image, depth, "BSRL stage"),
-        Method::DirectSend => direct_send::run(ep, image, depth),
-        Method::RadixK => radix::run(ep, image, depth),
+        Method::Bs => run::<Spatial<Headless<Dense>>>(ep, image, depth, Swap, "BS stage"),
+        Method::Bsbr => run::<Spatial<Headed<Dense>>>(ep, image, depth, Swap, "BSBR stage"),
+        Method::Bslc => run::<InterleavedRuns>(ep, image, depth, Swap, "BSLC stage"),
+        Method::Bsbrc => run::<Spatial<Headed<Runs>>>(ep, image, depth, Swap, "BSBRC stage"),
+        Method::Bsrl => run::<Spatial<Headless<Runs>>>(ep, image, depth, Swap, "BSRL stage"),
+        Method::RadixK => run::<Spatial<Headed<Dense>>>(ep, image, depth, RadixK, "RADIXK round"),
         Method::TileStream => tile_stream::run(ep, image, depth),
     }
 }
@@ -250,34 +243,9 @@ impl Run {
     }
 }
 
-/// The band of image rows owned by virtual rank `v` among `p` (direct
-/// send).
-pub(crate) fn band_rect(image_width: u16, image_height: u16, v: usize, p: usize) -> Rect {
-    let h = image_height as usize;
-    let y0 = (v * h / p) as u16;
-    let y1 = ((v + 1) * h / p) as u16;
-    Rect::new(0, y0, image_width, y1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn band_rects_partition_rows() {
-        for p in [1, 2, 3, 5, 8, 64] {
-            let mut covered = 0usize;
-            let mut prev_end = 0u16;
-            for v in 0..p {
-                let b = band_rect(100, 77, v, p);
-                assert_eq!(b.y0, prev_end, "bands must be contiguous");
-                prev_end = b.y1;
-                covered += b.area();
-            }
-            assert_eq!(prev_end, 77);
-            assert_eq!(covered, 7700);
-        }
-    }
 
     #[test]
     fn method_names_round_trip_through_from_str() {

@@ -1,20 +1,22 @@
-//! Codecs that exchange **spatial** halves — four of the five methods.
+//! Codecs that exchange **spatial** parts — five of the six methods.
 //!
-//! The region is cut along its centerline, alternating axes (Section
-//! 3.1), and what a rank knows about where its non-blank pixels lie is
-//! one rectangle kept current by `O(1)` algebra — intersect with the kept
-//! half, union with what arrived (BSBR's algorithm line 21) — never by a
-//! rescan. [`Spatial`] holds that state. The sent half is a *body*
-//! ([`Dense`] pixels or [`Runs`]) over a rectangle that is either the
-//! whole half, which both partners know ([`Headless`]), or the bounded
-//! part of it, sent as an 8-byte header ([`Headed`]):
+//! The region is cut into strips, alternating axes — at radix 2 along its
+//! centerline (Section 3.1) — and what a rank knows about where its
+//! non-blank pixels lie is one rectangle kept current by `O(1)` algebra —
+//! intersect with the kept part, union with what arrived (BSBR's
+//! algorithm line 21) — never by a rescan. [`Spatial`] holds that state.
+//! A sent part is a *body* ([`Dense`] pixels or [`Runs`]) over a
+//! rectangle that is either the whole part, which both peers know
+//! ([`Headless`]), or the bounded piece of it, sent as an 8-byte header
+//! ([`Headed`]):
 //!
-//! | method | codec | wire bytes of a half |
-//! | --- | --- | --- |
-//! | BS | `Headless<Dense>` | every pixel (Equation (2)) |
-//! | BSBR | `Headed<Dense>` | rect + its dense pixels (Equation (4)) |
-//! | BSRL | `Headless<Runs>` | code count + run codes + non-blank pixels |
-//! | BSBRC | `Headed<Runs>` | rect + the same over the rect only (Equation (8)) |
+//! | method | codec | rounds | wire bytes of a part |
+//! | --- | --- | --- | --- |
+//! | BS | `Headless<Dense>` | fold + `[2; log Q]` | every pixel (Equation (2)) |
+//! | BSBR | `Headed<Dense>` | fold + `[2; log Q]` | rect + its dense pixels (Equation (4)) |
+//! | BSRL | `Headless<Runs>` | fold + `[2; log Q]` | code count + run codes + non-blank pixels |
+//! | BSBRC | `Headed<Runs>` | fold + `[2; log Q]` | rect + the same over the rect only (Equation (8)) |
+//! | RADIXK | `Headed<Dense>` | `round_radices(P)`, no fold | BSBR's |
 //!
 //! BSRL is not a paper method: BSRL vs BSLC isolates what interleaving
 //! buys (`M_max` balance), BSRL vs BSBRC what the rectangle buys
@@ -26,14 +28,14 @@ use vr_image::rect::BYTES_PER_RECT;
 use vr_image::{kernel, Image, Rect, RunSet, BYTES_PER_PIXEL as PX, BYTES_PER_RUN_CODE};
 
 use crate::error::{Checked, Malformed};
-use crate::schedule::RegionSplitter;
+use crate::schedule::strip;
 use crate::stats::StageStat;
 use crate::wire::{MsgReader, MsgWriter};
 
 use super::swap::{read_runs, Charge, StageCodec};
 use super::{OwnedPiece, Run};
 
-/// One method's encoding of a spatial half.
+/// One method's encoding of a spatial part.
 pub(crate) trait HalfCodec: Default {
     /// The stopwatch the encode is charged to.
     const CHARGE: Charge;
@@ -42,13 +44,13 @@ pub(crate) trait HalfCodec: Default {
 
     /// The rectangle that bounds whatever this codec will send: the
     /// scanned bounding rectangle, or the whole frame (nothing scanned,
-    /// every stage offers the full half).
+    /// every round offers the full part).
     fn bounds(image: &Image, run: &mut Run) -> Rect;
 
-    /// The wire bytes of `send`, the bounded part of the sent half.
+    /// The wire bytes of `send`, the bounded piece of the sent part.
     fn encode(&mut self, image: &Image, send: &Rect, stat: &mut StageStat) -> Bytes;
 
-    /// Checks `received` against the kept half, composites it and returns
+    /// Checks `received` against the kept part, composites it and returns
     /// the rectangle it covered.
     fn merge(
         &mut self,
@@ -62,11 +64,12 @@ pub(crate) trait HalfCodec: Default {
 
 /// The split state shared by the spatial codecs.
 pub(crate) struct Spatial<H> {
-    splitter: RegionSplitter,
-    /// Stages split so far (the cut alternates axes).
-    stage: usize,
-    /// Bounds of this rank's non-blank pixels inside its region.
+    /// The region this rank owns.
+    region: Rect,
+    /// Bounds of this rank's non-blank pixels inside `region`.
     bounds: Rect,
+    /// The latest split: the region and bounds it cut, its radix and axis.
+    cut: (Rect, Rect, usize, usize),
     half: H,
 }
 
@@ -75,21 +78,26 @@ impl<H: HalfCodec> StageCodec for Spatial<H> {
     const DEAD_IS_EMPTY: bool = H::DEAD_IS_EMPTY;
 
     fn begin(image: &Image, run: &mut Run) -> Self {
+        let region = image.full_rect();
         Spatial {
-            splitter: RegionSplitter::new(image.full_rect()),
-            stage: 0,
+            region,
             bounds: H::bounds(image, run),
+            cut: (region, Rect::EMPTY, 1, 0),
             half: H::default(),
         }
     }
 
-    fn encode(&mut self, image: &Image, keep_low: bool, stat: &mut StageStat) -> Bytes {
-        // The subimage centerline divides the local bounding rectangle
-        // into the new local and the sending bounding rectangle.
-        let (keep, send) = self.splitter.split(self.stage, keep_low);
-        self.stage += 1;
-        let send = self.bounds.intersect(&send);
-        self.bounds = self.bounds.intersect(&keep);
+    fn split(&mut self, round: usize, radix: usize, digit: usize) {
+        self.cut = (self.region, self.bounds, radix, round % 2);
+        self.region = strip(self.region, radix, round % 2, digit);
+        self.bounds = self.bounds.intersect(&self.region);
+    }
+
+    fn encode(&mut self, image: &Image, part: usize, stat: &mut StageStat) -> Bytes {
+        // The strip divides the local bounding rectangle into the new
+        // local and the sending bounding rectangles.
+        let (region, bounds, radix, axis) = self.cut;
+        let send = bounds.intersect(&strip(region, radix, axis, part));
         self.half.encode(image, &send, stat)
     }
 
@@ -100,14 +108,15 @@ impl<H: HalfCodec> StageCodec for Spatial<H> {
         front: bool,
         stat: &mut StageStat,
     ) -> Checked<()> {
-        let keep = self.splitter.region();
-        let arrived = self.half.merge(image, &keep, received, front, stat)?;
+        let arrived = self
+            .half
+            .merge(image, &self.region, received, front, stat)?;
         self.bounds = self.bounds.union(&arrived);
         Ok(())
     }
 
     fn piece(&self) -> OwnedPiece {
-        OwnedPiece::Rect(self.splitter.region())
+        OwnedPiece::Rect(self.region)
     }
 }
 
@@ -129,7 +138,7 @@ pub(crate) trait Body: Default {
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64>;
 }
 
-/// The body of the whole sent half: no header, because the receiver
+/// The body of the whole sent part: no header, because the receiver
 /// derives the rectangle from the shared schedule.
 #[derive(Default)]
 pub(crate) struct Headless<B>(B);
@@ -156,7 +165,7 @@ impl<B: Body> HalfCodec for Headless<B> {
         front: bool,
         stat: &mut StageStat,
     ) -> Checked<Rect> {
-        stat.composite_ops = B::merge(image, keep, &mut MsgReader::new(received), front)?;
+        stat.composite_ops += B::merge(image, keep, &mut MsgReader::new(received), front)?;
         Ok(*keep)
     }
 }
@@ -196,18 +205,18 @@ impl<B: Body> HalfCodec for Headed<B> {
     ) -> Checked<Rect> {
         let mut r = MsgReader::new(received);
         let rect = read_rect(&mut r, keep)?;
-        stat.recv_rect_empty = rect.is_empty();
+        stat.recv_rect_empty |= rect.is_empty();
         if rect.is_empty() {
             r.finish()?;
         } else {
-            stat.composite_ops = B::merge(image, &rect, &mut r, front)?;
+            stat.composite_ops += B::merge(image, &rect, &mut r, front)?;
         }
         Ok(rect)
     }
 }
 
-/// The rect payload BSBR, the fold and radix-k share: an 8-byte bounding
-/// rectangle, then its pixels dense and row-major.
+/// The rect payload of the fold and of BSBR's empty parts: an 8-byte
+/// bounding rectangle, then its pixels dense and row-major.
 pub(crate) fn encode_rect(image: &Image, bounds: &Rect) -> Bytes {
     let mut w = MsgWriter::with_capacity(BYTES_PER_RECT + bounds.area() * PX);
     w.put_rect(*bounds);
@@ -350,8 +359,8 @@ impl Body for Runs {
             kernel::scan_runs_into(image.row_span(rect.x0, y, row_w), base, &mut self.runs);
         }
         self.runs.encode_codes_into(rect.area(), &mut self.codes);
-        stat.encoded_pixels = rect.area() as u64;
-        stat.run_codes = self.codes.len() as u64;
+        stat.encoded_pixels += rect.area() as u64;
+        stat.run_codes += self.codes.len() as u64;
         4 + self.codes.len() * BYTES_PER_RUN_CODE + self.runs.non_blank_total() * PX
     }
 
@@ -429,6 +438,7 @@ mod tests {
     fn final_regions_partition_image() {
         assert_eq!(owned_area(Method::Bs, 8, 32, 32), 32 * 32);
         assert_eq!(owned_area(Method::Bsbr, 4, 16, 16), 256);
+        assert_eq!(owned_area(Method::RadixK, 12, 36, 24), 36 * 24);
     }
 
     #[test]

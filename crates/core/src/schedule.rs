@@ -1,5 +1,5 @@
-//! Binary-swap scheduling: virtual (depth-ordered) ranks, pairing,
-//! region splitting, and the non-power-of-two fold extension.
+//! Scheduling: virtual (depth-ordered) ranks, region strips, and the
+//! non-power-of-two fold extension.
 
 use std::collections::BTreeSet;
 
@@ -16,12 +16,10 @@ use crate::timer::Stopwatch;
 pub mod tags {
     /// Fold step (non-power-of-two extension).
     pub const FOLD: u32 = 0xF01D;
-    /// Binary-swap stage `k` uses `STAGE_BASE + k`.
+    /// Stage (round) `k` uses `STAGE_BASE + k`.
     pub const STAGE_BASE: u32 = 0x1000;
     /// Final gather of owned pieces.
     pub const GATHER: u32 = 0x6A77;
-    /// Direct-send contributions.
-    pub const DIRECT: u32 = 0x3000;
     /// Streamed tile contributions (and their DONE sentinels).
     pub const TILE: u32 = 0x7000;
 }
@@ -67,25 +65,6 @@ impl VirtualTopology {
         self.v_to_rank[v]
     }
 
-    /// Binary-swap partner at `stage` (0-based): flip bit `stage`.
-    #[inline]
-    pub fn partner(&self, stage: usize) -> usize {
-        self.vrank ^ (1 << stage)
-    }
-
-    /// Whether data received from `vpartner` lies in front of this rank's
-    /// own partial image.
-    #[inline]
-    pub fn received_is_front(&self, vpartner: usize) -> bool {
-        vpartner < self.vrank
-    }
-
-    /// Whether this rank keeps the *low* half at `stage` (its bit is 0).
-    #[inline]
-    pub fn keeps_low(&self, stage: usize) -> bool {
-        (self.vrank >> stage) & 1 == 0
-    }
-
     /// Number of binary-swap stages (`log2 vsize`); panics unless the
     /// virtual size is a power of two (use [`fold_into_pow2`] first).
     pub fn stages(&self) -> usize {
@@ -97,41 +76,20 @@ impl VirtualTopology {
     }
 }
 
-/// Splits the current image region in half each stage, alternating axes
-/// (x first), exactly mirroring "use the centerline of the subimage".
-#[derive(Clone, Copy, Debug)]
-pub struct RegionSplitter {
-    region: Rect,
-}
-
-impl RegionSplitter {
-    /// Starts from the full image region.
-    pub fn new(full: Rect) -> Self {
-        RegionSplitter { region: full }
-    }
-
-    /// The region this rank currently owns.
-    pub fn region(&self) -> Rect {
-        self.region
-    }
-
-    /// Splits for `stage`, keeping the low or high half; returns
-    /// `(keep, send)` and advances the internal region to `keep`.
-    ///
-    /// Both members of a stage's pair hold identical regions (their
-    /// virtual ranks agree on all lower bits), so they compute the same
-    /// centerline and exchange complementary halves.
-    pub fn split(&mut self, stage: usize, keep_low: bool) -> (Rect, Rect) {
-        let r = self.region;
-        let (lo, hi) = if stage.is_multiple_of(2) {
-            r.split_at_x(r.x0 + r.width() / 2)
-        } else {
-            r.split_at_y(r.y0 + r.height() / 2)
-        };
-        let (keep, send) = if keep_low { (lo, hi) } else { (hi, lo) };
-        self.region = keep;
-        (keep, send)
-    }
+/// Strip `i` of `region` cut into `r` near-equal strips along `axis`
+/// (0 = x, 1 = y). The strips tile the region exactly; at `r = 2` they
+/// are the halves either side of its centerline ("use the centerline of
+/// the subimage"). An empty strip is [`Rect::EMPTY`].
+pub(crate) fn strip(region: Rect, r: usize, axis: usize, i: usize) -> Rect {
+    let cut = |lo: u16, len: u16, i: usize| lo + (len as usize * i / r) as u16;
+    let strip = if axis == 0 {
+        let (x0, w) = (region.x0, region.width());
+        Rect::new(cut(x0, w, i), region.y0, cut(x0, w, i + 1), region.y1)
+    } else {
+        let (y0, h) = (region.y0, region.height());
+        Rect::new(region.x0, cut(y0, h, i), region.x1, cut(y0, h, i + 1))
+    };
+    strip.intersect(&region)
 }
 
 /// Result of the pre-swap fold for non-power-of-two groups.
@@ -258,30 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn partner_flips_stage_bit() {
-        let t = topo(5, 8); // 0b101
-        assert_eq!(t.partner(0), 4);
-        assert_eq!(t.partner(1), 7);
-        assert_eq!(t.partner(2), 1);
-    }
-
-    #[test]
-    fn front_is_smaller_vrank() {
-        let t = topo(3, 8);
-        assert!(t.received_is_front(1));
-        assert!(!t.received_is_front(6));
-    }
-
-    #[test]
-    fn keeps_low_follows_bits() {
-        let t = topo(0b0110, 16);
-        assert!(t.keeps_low(0));
-        assert!(!t.keeps_low(1));
-        assert!(!t.keeps_low(2));
-        assert!(t.keeps_low(3));
-    }
-
-    #[test]
     fn stages_for_pow2() {
         assert_eq!(topo(0, 1).stages(), 0);
         assert_eq!(topo(0, 8).stages(), 3);
@@ -295,38 +229,30 @@ mod tests {
     }
 
     #[test]
-    fn region_splitter_alternates_axes() {
-        let mut s = RegionSplitter::new(Rect::new(0, 0, 8, 8));
-        let (keep, send) = s.split(0, true); // x split
-        assert_eq!(keep, Rect::new(0, 0, 4, 8));
-        assert_eq!(send, Rect::new(4, 0, 8, 8));
-        let (keep, send) = s.split(1, false); // y split of the kept half
-        assert_eq!(keep, Rect::new(0, 4, 4, 8));
-        assert_eq!(send, Rect::new(0, 0, 4, 4));
-        assert_eq!(s.region(), Rect::new(0, 4, 4, 8));
+    fn strips_tile_the_region() {
+        for r in 1..6 {
+            for axis in 0..2 {
+                let region = Rect::new(3, 5, 40, 29);
+                let parts: Vec<Rect> = (0..r).map(|i| strip(region, r, axis, i)).collect();
+                let total: usize = parts.iter().map(|p| p.area()).sum();
+                assert_eq!(total, region.area());
+                for w in parts.windows(2) {
+                    assert!(w[0].intersect(&w[1]).is_empty());
+                }
+            }
+        }
     }
 
     #[test]
-    fn region_splitter_handles_odd_extents() {
-        let mut s = RegionSplitter::new(Rect::new(0, 0, 7, 3));
-        let (keep, send) = s.split(0, true);
-        assert_eq!(keep.area() + send.area(), 21);
-        assert!(!keep.is_empty() && !send.is_empty());
-    }
-
-    #[test]
-    fn pair_members_compute_complementary_halves() {
-        // Virtual ranks 2 (0b10) and 3 (0b11) pair at stage 0 and must
-        // produce swapped keep/send rects from the same region.
-        let full = Rect::new(0, 0, 16, 16);
-        let mut a = RegionSplitter::new(full);
-        let mut b = RegionSplitter::new(full);
-        let ta = topo(2, 4);
-        let tb = topo(3, 4);
-        let (keep_a, send_a) = a.split(0, ta.keeps_low(0));
-        let (keep_b, send_b) = b.split(0, tb.keeps_low(0));
-        assert_eq!(keep_a, send_b);
-        assert_eq!(send_a, keep_b);
+    fn radix_two_strips_are_the_centerline_halves() {
+        let full = Rect::new(0, 0, 8, 8);
+        assert_eq!(strip(full, 2, 0, 0), Rect::new(0, 0, 4, 8));
+        assert_eq!(strip(full, 2, 0, 1), Rect::new(4, 0, 8, 8));
+        let odd = Rect::new(0, 0, 7, 3);
+        assert_eq!(strip(odd, 2, 0, 0), odd.split_at_x(3).0);
+        assert_eq!(strip(odd, 2, 1, 1), Rect::new(0, 1, 7, 3));
+        // Narrower than the radix: the empty strips are the canonical one.
+        assert_eq!(strip(Rect::new(2, 0, 3, 4), 2, 0, 0), Rect::EMPTY);
     }
 
     #[test]

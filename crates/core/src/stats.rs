@@ -28,8 +28,8 @@ pub struct StageStat {
     /// Whether the *receiving* bounding rectangle was empty (`[B(k)] = 0`
     /// in Equation (4)).
     pub recv_rect_empty: bool,
-    /// The partner rank this stage exchanged with (`None` for stages
-    /// with multiple peers, e.g. direct send).
+    /// The partner rank this stage exchanged with (`None` for a round
+    /// with more than one peer, radix-k at `r > 2`).
     pub peer: Option<u16>,
 }
 

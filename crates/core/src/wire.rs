@@ -210,8 +210,8 @@ impl MsgReader {
 /// scattered pixel by pixel — BSLC's, and BSLC's alone: the pool is a
 /// field of its interleaved stage codec, not of the shared run state.
 ///
-/// Rect- and run-shaped payloads (every spatial binary-swap codec, the
-/// fold, radix-k, the gather) need no staging:
+/// Rect- and run-shaped payloads (every spatial codec, the fold, the
+/// gather) need no staging:
 /// [`MsgWriter::put_image_rect`] and [`MsgWriter::put_pixels`] write
 /// image rows straight into the payload and [`MsgReader::take_pixels`]
 /// feeds the received bytes straight to the `over` kernels. BSLC's

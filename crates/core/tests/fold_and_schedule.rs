@@ -1,7 +1,7 @@
 //! Integration tests for the scheduling layer: fold correctness at
-//! scale, virtual topology algebra, and stage structure.
+//! scale and stage structure.
 
-use slsvr_core::{composite, gather_image, reference_composite, Method, VirtualTopology};
+use slsvr_core::{composite, gather_image, reference_composite, Method};
 use vr_comm::{run_group, CostModel};
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
@@ -67,43 +67,6 @@ fn fold_count_matches_formula() {
                     || (s.stages.len() == 1 && s.stages[0].recv_bytes == 0),
                 "P={p}: unexpected stage count {}",
                 s.stages.len()
-            );
-        }
-    }
-}
-
-#[test]
-fn virtual_topology_pairing_is_an_involution() {
-    let depth = DepthOrder::from_sequence(vec![3, 0, 2, 1, 7, 4, 6, 5]);
-    for rank in 0..8 {
-        let t = VirtualTopology::from_depth(rank, &depth);
-        for stage in 0..3 {
-            let partner_v = t.partner(stage);
-            let partner_rank = t.real(partner_v);
-            let tp = VirtualTopology::from_depth(partner_rank, &depth);
-            assert_eq!(tp.partner(stage), t.vrank(), "pairing must be symmetric");
-            assert_eq!(tp.real(tp.partner(stage)), rank);
-            // Exactly one of the pair keeps low.
-            assert_ne!(t.keeps_low(stage), tp.keeps_low(stage));
-        }
-    }
-}
-
-#[test]
-fn orientation_is_antisymmetric_across_pairs() {
-    let depth = DepthOrder::from_sequence(vec![1, 3, 0, 2]);
-    for rank in 0..4 {
-        let t = VirtualTopology::from_depth(rank, &depth);
-        for stage in 0..2 {
-            let pv = t.partner(stage);
-            let partner_rank = t.real(pv);
-            let tp = VirtualTopology::from_depth(partner_rank, &depth);
-            // If I consider the received data "front", my partner must
-            // consider its received data (mine) "back".
-            assert_ne!(
-                t.received_is_front(pv),
-                tp.received_is_front(tp.partner(stage)),
-                "rank {rank} stage {stage}"
             );
         }
     }

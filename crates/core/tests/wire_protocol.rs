@@ -156,9 +156,8 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
     let images2 = Workload::Sparse.images(2, 8, 8);
     for method in Method::all() {
         let tag = match method {
-            Method::DirectSend => tags::DIRECT,
             Method::TileStream => tags::TILE,
-            // The swap family and radix-k: stage (round) 0.
+            // Every other method: stage (round) 0.
             _ => tags::STAGE_BASE,
         };
         truncate_at_every_offset(method.name(), 2, tag, |ep| {
@@ -166,13 +165,19 @@ fn corrupted_payloads_are_malformed_never_a_panic() {
             composite(method, ep, &mut img, &depth2).map(|_| ())
         });
     }
-    // P = 3 folds rank 1 into rank 0 before the first stage.
+    // P = 3 folds rank 1 into rank 0 before the first stage; radix-k
+    // runs one round of 3 instead, so rank 0 reads two arrivals there.
     let depth3 = DepthOrder::identity(3);
     let images3 = Workload::Sparse.images(3, 8, 8);
-    truncate_at_every_offset("fold", 3, tags::FOLD, |ep| {
-        let mut img = images3[ep.rank()].clone();
-        composite(Method::Bsbrc, ep, &mut img, &depth3).map(|_| ())
-    });
+    for (what, method, tag) in [
+        ("fold", Method::Bsbrc, tags::FOLD),
+        ("RADIXK r = 3", Method::RadixK, tags::STAGE_BASE),
+    ] {
+        truncate_at_every_offset(what, 3, tag, |ep| {
+            let mut img = images3[ep.rank()].clone();
+            composite(method, ep, &mut img, &depth3).map(|_| ())
+        });
+    }
     // The gather, once per piece kind rank 1 can own.
     let frame = &images2[1];
     let pieces = [

@@ -13,9 +13,9 @@ use crate::rect::Rect;
 /// The image maintains an incremental *bounds hint*: the exact tight
 /// bounding rectangle of its non-blank pixels, kept up to date through
 /// [`Image::set`] during local rendering and invalidated by raw mutable
-/// access. When the hint is live, [`Image::bounding_rect`] is `O(1)` and
-/// [`Image::bounding_rect_in`] scans only the hinted region — the
-/// BSBR/BSLC/BSBRC stage setup becomes `O(runs)` instead of `O(W×H)`.
+/// access. When the hint is live, [`Image::bounding_rect`] is `O(1)` —
+/// the BSBR/BSLC/BSBRC stage setup becomes `O(runs)` instead of
+/// `O(W×H)`.
 /// [`Clone`] uses it too: a sparse image's copy is a blank frame plus
 /// the rows of the hint.
 ///
@@ -352,30 +352,6 @@ impl Image {
         }
     }
 
-    /// Bounding rectangle of the non-blank pixels inside `within`.
-    ///
-    /// With a live hint the scan is restricted to `hint ∩ within` (and
-    /// skipped entirely when the hint lies inside `within`); with a dead
-    /// one, to `extent ∩ within`.
-    pub fn bounding_rect_in(&self, within: &Rect) -> Rect {
-        if within.is_empty() {
-            return Rect::EMPTY;
-        }
-        match self.bounds_hint {
-            Some(h) => {
-                if within.contains_rect(&h) {
-                    return h;
-                }
-                let clipped = h.intersect(within);
-                if clipped.is_empty() {
-                    return Rect::EMPTY;
-                }
-                self.scan_bounds(&clipped)
-            }
-            None => self.scan_bounds(&self.extent.intersect(within)),
-        }
-    }
-
     /// The row-scan bounds search over `within`.
     fn scan_bounds(&self, within: &Rect) -> Rect {
         if within.is_empty() {
@@ -522,17 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn bounding_rect_within_subregion() {
-        let mut img = Image::blank(20, 10);
-        img.set(3, 2, Pixel::gray(1.0, 1.0));
-        img.set(15, 7, Pixel::gray(1.0, 1.0));
-        let left = Rect::new(0, 0, 10, 10);
-        assert_eq!(img.bounding_rect_in(&left), Rect::new(3, 2, 4, 3));
-        let right = Rect::new(10, 0, 20, 10);
-        assert_eq!(img.bounding_rect_in(&right), Rect::new(15, 7, 16, 8));
-    }
-
-    #[test]
     fn hint_tracks_set_and_survives_clone() {
         let mut img = Image::blank(20, 10);
         assert_eq!(img.bounds_hint(), Some(Rect::EMPTY));
@@ -567,21 +532,6 @@ mod tests {
         assert_eq!(img2.bounds_hint(), None);
         unhinted.get_mut(0, 0);
         assert_eq!(unhinted.bounds_hint(), None);
-    }
-
-    #[test]
-    fn hinted_bounding_rect_in_matches_scan() {
-        let img = checker(16, 16); // hint live, covers whole checker
-        let plain = Image::from_pixels(16, 16, img.pixels().to_vec());
-        for r in [
-            Rect::new(0, 0, 8, 16),
-            Rect::new(8, 0, 16, 16),
-            Rect::new(3, 5, 11, 9),
-            Rect::new(0, 0, 16, 16),
-            Rect::EMPTY,
-        ] {
-            assert_eq!(img.bounding_rect_in(&r), plain.bounding_rect_in(&r));
-        }
     }
 
     #[test]

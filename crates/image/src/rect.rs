@@ -170,24 +170,6 @@ impl Rect {
         (left, right)
     }
 
-    /// Splits along a horizontal line into (top, bottom) pieces clipped to
-    /// `self`.
-    pub fn split_at_y(&self, y: u16) -> (Rect, Rect) {
-        let top = self.intersect(&Rect {
-            x0: 0,
-            y0: 0,
-            x1: u16::MAX,
-            y1: y,
-        });
-        let bottom = self.intersect(&Rect {
-            x0: 0,
-            y0: y,
-            x1: u16::MAX,
-            y1: u16::MAX,
-        });
-        (top, bottom)
-    }
-
     /// Iterates the pixel coordinates inside the rectangle in row-major
     /// order — the scan order both BSBR packing and BSBRC run-length
     /// encoding use.
@@ -299,14 +281,6 @@ mod tests {
         let (l, rt) = r.split_at_x(1);
         assert!(l.is_empty());
         assert_eq!(rt, r);
-    }
-
-    #[test]
-    fn split_y() {
-        let r = Rect::new(2, 1, 10, 5);
-        let (t, b) = r.split_at_y(3);
-        assert_eq!(t, Rect::new(2, 1, 10, 3));
-        assert_eq!(b, Rect::new(2, 3, 10, 5));
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
         7 => drop(img.composite_rect_over(&rect, &data)),
         8 => drop(img.composite_rect_over_wire(&rect, &wire)),
         9 => drop(img.composite_rect_under_wire(&rect, &wire)),
-        10 => img.assert_bounds(brute_bounds(img, &img.full_rect())),
+        10 => img.assert_bounds(brute_bounds(img)),
         11 => img.clear(),
         12 => img.clone_from(&dotted(lit)),
         13 => img.clone_from(&dotted_unhinted(lit)),
@@ -129,10 +129,10 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
     }
 }
 
-/// The tight bounds of the non-blank pixels in `within`, pixel by pixel.
-fn brute_bounds(img: &Image, within: &Rect) -> Rect {
+/// The tight bounds of the non-blank pixels, pixel by pixel.
+fn brute_bounds(img: &Image) -> Rect {
     let mut bounds = Rect::EMPTY;
-    for (x, y) in within.iter() {
+    for (x, y) in img.full_rect().iter() {
         if !img.get(x, y).is_blank() {
             bounds.include(x, y);
         }
@@ -142,9 +142,9 @@ fn brute_bounds(img: &Image, within: &Rect) -> Rect {
 
 /// The extent invariant, and what rests on it: outside the extent every
 /// pixel is `Pixel::BLANK` bit for bit, the tight bounds and a live
-/// hint lie inside it, and both bounds queries agree with a
-/// pixel-by-pixel search whether they answer from the hint or scan.
-fn assert_extent_holds(img: &Image, within: &Rect) {
+/// hint lie inside it, and the bounds query agrees with a pixel-by-pixel
+/// search whether it answers from the hint or scans.
+fn assert_extent_holds(img: &Image) {
     let extent = img.extent();
     assert!(img.full_rect().contains_rect(&extent), "{extent:?}");
     let blank = Pixel::BLANK.to_le_bytes();
@@ -154,13 +154,12 @@ fn assert_extent_holds(img: &Image, within: &Rect) {
             "({x}, {y}) is written outside the extent {extent:?}"
         );
     }
-    let tight = brute_bounds(img, &img.full_rect());
+    let tight = brute_bounds(img);
     assert!(extent.contains_rect(&tight), "{tight:?} outside {extent:?}");
     if let Some(hint) = img.bounds_hint() {
         assert_eq!(hint, tight, "a live hint is exact");
     }
     assert_eq!(img.bounding_rect(), tight);
-    assert_eq!(img.bounding_rect_in(within), brute_bounds(img, within));
 }
 
 /// `dst.clone_from(src)` leaves what `src.clone()` builds: dimensions,
@@ -269,8 +268,6 @@ proptest! {
     fn rect_split_partitions_area(r in arb_rect(200), at in 0u16..200) {
         let (l, rt) = r.split_at_x(at);
         prop_assert_eq!(l.area() + rt.area(), r.area());
-        let (t, b) = r.split_at_y(at);
-        prop_assert_eq!(t.area() + b.area(), r.area());
     }
 
     #[test]
@@ -361,11 +358,6 @@ proptest! {
         for (x, y) in rect.iter() {
             prop_assert_eq!(out.get(x, y), img.get(x, y));
         }
-        // The in-rect bounds always stay inside both rect and image.
-        let b = img.bounding_rect_in(&rect);
-        prop_assert!(rect.contains_rect(&b));
-        prop_assert!(img.full_rect().contains_rect(&b));
-        prop_assert_eq!(img.non_blank_count_in(&b), img.non_blank_count_in(&rect));
     }
 
     #[test]
@@ -462,13 +454,12 @@ proptest! {
     fn extent_covers_every_write(
         start in 0u8..3,
         mutations in proptest::collection::vec(arb_mutation(), 0..12),
-        within in arb_frame_rect(),
     ) {
         let mut img = mutated(start, &[]);
-        assert_extent_holds(&img, &within);
+        assert_extent_holds(&img);
         for &mutation in &mutations {
             mutate(&mut img, mutation);
-            assert_extent_holds(&img, &within);
+            assert_extent_holds(&img);
         }
     }
 
@@ -523,8 +514,6 @@ fn fully_opaque_image_encodes_as_one_run_and_full_bounds() {
 fn empty_image_has_empty_bounds_everywhere() {
     let img = Image::blank(13, 9);
     assert!(img.bounding_rect().is_empty());
-    assert!(img.bounding_rect_in(&Rect::new(2, 3, 13, 9)).is_empty());
-    assert!(img.bounding_rect_in(&Rect::EMPTY).is_empty());
     assert_eq!(img.non_blank_count(), 0);
     // An empty rect extracts an empty buffer and writes back harmlessly.
     let buf = img.extract_rect(&Rect::EMPTY);
@@ -633,6 +622,6 @@ fn writes_outside_the_frame_are_refused_with_the_extent_intact() {
         img.write_rect(&outside, &data);
     }));
     assert!(caught.is_err());
-    assert_extent_holds(&img, &Rect::of_size(W, H));
+    assert_extent_holds(&img);
     assert_eq!(img.extent(), Rect::EMPTY);
 }

@@ -51,10 +51,10 @@ use crate::metrics::ServiceStats;
 use crate::service::{FrameResponse, RejectReason, ServeSource};
 use crate::CacheCounters;
 
-/// Protocol version spoken by this build. 2: a `Method` travels as its
-/// position in the eight-entry `Method::all()` (DSEND, RADIXK and
-/// TSTREAM moved to 5, 6 and 7).
-pub const WIRE_VERSION: u16 = 2;
+/// Protocol version spoken by this build. 3: a `Method` travels as its
+/// position in the seven-entry `Method::all()` (RADIXK and TSTREAM moved
+/// to 5 and 6).
+pub const WIRE_VERSION: u16 = 3;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768

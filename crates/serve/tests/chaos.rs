@@ -159,7 +159,7 @@ fn faults_disabled_is_bit_identical_to_batch() {
     for (method, ry) in [
         (Method::Bsbrc, 30.0f32),
         (Method::Bs, 75.0),
-        (Method::DirectSend, 120.0),
+        (Method::RadixK, 120.0),
     ] {
         let config = ExperimentConfig {
             method,

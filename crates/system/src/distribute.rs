@@ -169,8 +169,8 @@ mod tests {
         let a = run_distributed(&config(4, Method::Bsbrc)).image;
         for method in [
             Method::Bs,
+            Method::Bsbr,
             Method::Bslc,
-            Method::DirectSend,
             Method::RadixK,
             Method::TileStream,
         ] {

@@ -39,8 +39,8 @@ pub struct Aggregate {
     pub total_bytes: u64,
     /// Critical-path completion time (seconds) from the virtual-time
     /// schedule, including waits on partners — `None` for schedules
-    /// with multi-peer stages (direct send, pipeline) or measured
-    /// timing. Always ≥ the per-rank sums behind `t_comp`/`t_comm`.
+    /// with a round of more than one peer (radix-k at `r > 2`, the tile
+    /// stream) or measured timing. Always ≥ the per-rank sums behind `t_comp`/`t_comm`.
     pub t_critical_path: Option<f64>,
 }
 

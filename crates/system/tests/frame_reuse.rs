@@ -276,9 +276,10 @@ fn frame_n_does_not_depend_on_frames_before_it() {
         method,
         fault,
     };
-    // Pair-exchange methods only: a multi-peer receiver (direct send)
-    // meets the dead rank at a different operation from run to run, even
-    // on one schedule seed, with or without leased frames.
+    // Pair-exchange methods only: a rank that receives from several peers
+    // in one round (radix-k at `r > 2`, the tile stream) meets the dead
+    // rank at a different operation from run to run, even on one
+    // schedule seed, with or without leased frames.
     for (procs, method) in [(4, Method::Bsbrc), (8, Method::Bs), (8, Method::Bslc)] {
         frames.push(faulted(64, procs, method, Fault::Kill(procs - 1)));
     }

@@ -95,7 +95,7 @@ USAGE:
   slsvr info
 
 DATASETS: engine_low | engine_high | head | cube
-METHODS:  bs | bsbr | bslc | bsbrc | bsrl | dsend | radixk | tile-stream
+METHODS:  bs | bsbr | bslc | bsbrc | bsrl | radixk | tile-stream
 
 SERVE:    starts the vr-serve frame service (session-resident datasets,
           LRU frame cache, latest-wins coalescing, bounded-queue admission

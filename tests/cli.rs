@@ -16,7 +16,7 @@ fn info_lists_datasets_and_methods() {
     for name in ["Engine_low", "Engine_high", "Head", "Cube"] {
         assert!(stdout.contains(name), "missing dataset {name}");
     }
-    for method in ["BS", "BSBR", "BSLC", "BSBRC", "DSEND"] {
+    for method in ["BS", "BSBR", "BSLC", "BSBRC", "TSTREAM"] {
         assert!(stdout.contains(method), "missing method {method}");
     }
 }
@@ -137,7 +137,7 @@ fn compare_runs_all_methods() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for method in ["BS", "BSBRC", "RADIXK", "DSEND"] {
+    for method in ["BS", "BSBRC", "RADIXK", "TSTREAM"] {
         assert!(stdout.contains(method));
     }
     // Every row verified against the reference.

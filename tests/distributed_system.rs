@@ -22,7 +22,7 @@ fn distributed_matches_reference_compositing() {
     // The distributed run renders from local blocks; its compositing
     // must still be exact for those subimages (methods agree pairwise).
     let base = run_distributed(&config(8)).image;
-    for method in [Method::Bs, Method::Bslc, Method::RadixK, Method::DirectSend] {
+    for method in [Method::Bs, Method::Bslc, Method::RadixK, Method::Bsbr] {
         let mut cfg = config(8);
         cfg.method = method;
         let img = run_distributed(&cfg).image;

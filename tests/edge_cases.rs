@@ -88,7 +88,7 @@ fn single_pixel_image() {
         Method::Bs,
         Method::Bsbrc,
         Method::TileStream,
-        Method::DirectSend,
+        Method::RadixK,
     ] {
         let out = exp.run(method);
         assert!(

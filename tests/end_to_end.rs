@@ -78,7 +78,7 @@ fn non_power_of_two_pipeline() {
         for method in [
             Method::Bs,
             Method::Bsbrc,
-            Method::DirectSend,
+            Method::TileStream,
             Method::RadixK,
         ] {
             let out = exp.run(method);

@@ -77,7 +77,7 @@ proptest! {
         depth in arb_depth(6),
         method_idx in 0usize..4,
     ) {
-        let method = [Method::Bs, Method::RadixK, Method::DirectSend, Method::TileStream][method_idx];
+        let method = [Method::Bs, Method::RadixK, Method::Bsbr, Method::TileStream][method_idx];
         let (got, expect) = run_case(method, images, depth);
         prop_assert!(got.max_abs_diff(&expect) < 2e-4);
     }
