@@ -834,6 +834,26 @@ fn transport_counters_are_pinned() {
     );
 }
 
+/// Per paper method, over P ∈ {4, 6, 8} × workload of [`pinned_frame`]: the
+/// bytes all ranks sent (gather included) and the scratch-pool watermark,
+/// which only BSLC raises. Recorded at `d53a639`. Never re-record to pass.
+#[test]
+fn paper_method_frame_traffic_is_pinned() {
+    #[rustfmt::skip]
+    const GOLDEN: [u64; 4] =
+        [0xe2b2c9944749f652, 0xa6453a194dfc2b78, 0x7fab567ad4fdea55, 0x05f86aae4b31a177];
+    let got = Method::paper_methods().map(|method| {
+        fnv_words([4, 6, 8].into_iter().flat_map(|p| {
+            Workload::all().into_iter().flat_map(move |workload| {
+                let frame = pinned_frame(method, p, workload);
+                let sent = frame.traffic.iter().map(|t| t.sent_bytes).sum();
+                [sent, frame.peak_pixel_buffer_bytes()]
+            })
+        }))
+    });
+    assert_eq!(got, GOLDEN, "frame traffic moved: {got:#018x?}");
+}
+
 /// A rank killed *after* its last stage send (BSBRC, P = 4: rank 2 dies
 /// at op 3, the gather). Raw, that message is still in flight when its
 /// partner — which found rank 2 dead at its own send — moves on, so the

@@ -10,9 +10,9 @@
 //!
 //! One constant covers one (dataset, P, pose): the FNV-1a digest of every
 //! rank's subimage in rank order, then of the BSBRC-composited frame,
-//! folded with [`fold`]. Every `(macrocell, simd_lanes)` variant must
-//! reproduce it, because the accelerated paths are bit-identical to the
-//! naive integrator by contract.
+//! folded with [`fold`]. Every `(macrocell, simd_lanes, render_threads)`
+//! variant must reproduce it, because the accelerated and threaded paths
+//! are bit-identical to the naive integrator by contract.
 
 use slsvr::compositing::Method;
 use slsvr::image::checksum::fnv1a;
@@ -27,8 +27,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// exactly on integer voxel coordinates.
 const POSES: [(f32, f32); 4] = [(20.0, 30.0), (-12.5, 133.0), (0.0, 0.0), (0.0, 90.0)];
 const PROCS: [usize; 2] = [4, 16];
-/// `(macrocell, simd_lanes)`; macrocell 0 is the naive integrator.
-const VARIANTS: [(usize, usize); 4] = [(0, 1), (0, 4), (8, 1), (8, 4)];
+/// `(macrocell, simd_lanes, render_threads)`; macrocell 0 is the naive
+/// integrator.
+const VARIANTS: [(usize, usize, usize); 5] =
+    [(0, 1, 1), (0, 4, 1), (8, 1, 1), (8, 4, 1), (8, 4, 3)];
 
 fn fold(h: u64, digest: u64) -> u64 {
     (h ^ digest).wrapping_mul(FNV_PRIME)
@@ -51,7 +53,7 @@ fn check(dataset: DatasetKind, dims: [usize; 3], size: u16, golden: [[u64; 4]; 2
     let mut mismatches = Vec::new();
     for (pi, &processors) in PROCS.iter().enumerate() {
         for (qi, &(rot_x_deg, rot_y_deg)) in POSES.iter().enumerate() {
-            for (macrocell, simd_lanes) in VARIANTS {
+            for (macrocell, simd_lanes, render_threads) in VARIANTS {
                 let config = ExperimentConfig {
                     dataset,
                     image_size: size,
@@ -59,7 +61,7 @@ fn check(dataset: DatasetKind, dims: [usize; 3], size: u16, golden: [[u64; 4]; 2
                     rot_x_deg,
                     rot_y_deg,
                     volume_dims: Some(dims),
-                    render_threads: 1,
+                    render_threads,
                     macrocell,
                     simd_lanes,
                     ..Default::default()
@@ -69,7 +71,8 @@ fn check(dataset: DatasetKind, dims: [usize; 3], size: u16, golden: [[u64; 4]; 2
                     got[pi][qi] = d;
                     mismatches.push(format!(
                         "P={processors} pose=({rot_x_deg}, {rot_y_deg}) macrocell={macrocell} \
-                         simd_lanes={simd_lanes}: {d:#018x} != {:#018x}",
+                         simd_lanes={simd_lanes} render_threads={render_threads}: \
+                         {d:#018x} != {:#018x}",
                         golden[pi][qi]
                     ));
                 }
