@@ -1,9 +1,9 @@
-//! Minimal JSON reader/writer for the persisted benchmark baseline.
+//! Minimal JSON reader/writer for the files the workspace persists.
 //!
-//! The workspace deliberately carries no `serde_json` dependency, and the
-//! bench trajectory file (`BENCH_compositing.json`) only needs objects,
-//! arrays, strings, numbers, booleans and null — so a small hand-rolled
-//! value type keeps the bench binary self-contained.
+//! The workspace deliberately carries no `serde_json` dependency, and
+//! what it writes (`COST_MODEL.json`, cost-model sweeps, the repo
+//! benchmark's reports) only needs objects, arrays, strings, numbers,
+//! booleans and null — so a small hand-rolled value type is enough.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -29,7 +29,7 @@ use crate::policy::{DegradedDecision, DegradedFramePolicy, RetryPolicy};
 use crate::queue::{admit, Admission, Job, Waiter};
 
 /// Serving knobs. Defaults suit an interactive small-frame workload;
-/// every field maps to a `slsvr serve` / `bench_serving` flag.
+/// every field maps to a `slsvr serve` flag.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads rendering frames concurrently (the pool's
