@@ -6,7 +6,7 @@
 use slsvr_core::Method;
 use vr_image::checksum::fnv1a;
 use vr_serve::{frame_key, FrameResponse, FrameService, ServeConfig, ServeSource};
-use vr_system::{Animation, Experiment, ExperimentConfig};
+use vr_system::{Animation, Experiment, ExperimentConfig, FrameRecord};
 use vr_volume::DatasetKind;
 
 fn base(method: Method) -> ExperimentConfig {
@@ -105,6 +105,47 @@ fn animation_through_serve_equals_batch_frame_for_frame() {
         "serve-driven animation diverged from the batch path"
     );
     assert_eq!(service.stats().rendered_frames, configs.len() as u64);
+}
+
+#[test]
+fn served_tile_stream_is_the_reference_at_every_thread_count() {
+    let config = base(Method::TileStream);
+    let exp = Experiment::prepare(&config);
+    let batch = fnv1a(&exp.run(Method::TileStream).image);
+    assert_eq!(batch, fnv1a(&exp.reference()), "TSTREAM is exact");
+    let seeded = ExperimentConfig {
+        schedule_seed: Some(11),
+        ..config
+    };
+    // Render wall time is the one record field that is not modeled.
+    let modeled = |r: &FrameRecord| FrameRecord {
+        render_max_ms: 0.0,
+        ..*r
+    };
+    for render_threads in [1, 2] {
+        let service = FrameService::start(ServeConfig {
+            workers: 1,
+            cache_frames: 0,
+            coalesce: false,
+            render_threads,
+            ..Default::default()
+        });
+        let session = service.open_session(config);
+        let [fresh, first, second] = [config, seeded, seeded].map(|c| {
+            let reply = expect_frame(session.request_blocking(c));
+            assert_eq!(reply.source, ServeSource::Fresh);
+            reply.frame
+        });
+        for frame in [&fresh, &first, &second] {
+            assert_eq!(frame.image_hash, batch, "render_threads {render_threads}");
+        }
+        assert_eq!(
+            modeled(&first.record),
+            modeled(&second.record),
+            "render_threads {render_threads}: a seeded frame replays"
+        );
+        assert_eq!(service.shutdown().rendered_frames, 3);
+    }
 }
 
 #[test]
