@@ -47,7 +47,7 @@ use crate::wire::{MsgReader, MsgWriter};
 use super::swap::read_runs;
 use super::{CompositeResult, OwnedPiece, Run};
 
-/// Default streamed-tile edge in pixels (matches the renderer's default
+/// The streamed-tile edge in pixels (matches the renderer's default
 /// screen tile, so one rendered tile maps to one streamed message).
 pub const DEFAULT_STREAM_TILE: u16 = 32;
 
@@ -288,51 +288,30 @@ impl TileAccum {
     }
 }
 
-/// Runs tile-streamed compositing with the default tile size.
+/// Runs tile-streamed compositing: every tile, in index order, is
+/// encoded and shipped to its owner, then the owners fold what arrives.
 pub fn run(
     ep: &mut Endpoint,
     image: &mut Image,
     depth: &DepthOrder,
 ) -> Result<CompositeResult, CompositeError> {
-    run_with_tile(ep, image, depth, DEFAULT_STREAM_TILE)
-}
-
-/// Runs tile-streamed compositing with an explicit tile size. The final
-/// image is invariant to `tile` (only message granularity changes).
-pub fn run_with_tile(
-    ep: &mut Endpoint,
-    image: &mut Image,
-    depth: &DepthOrder,
-    tile: u16,
-) -> Result<CompositeResult, CompositeError> {
     if VirtualTopology::from_depth(ep.rank(), depth).vsize() == 1 {
         let run = Run::begin(ep);
         return Ok(run.finish(ep, OwnedPiece::Rect(image.full_rect())));
     }
-    // The bulk path "completes" tiles in index order; the fused
-    // render+composite runner in vr-system drives the same state
-    // machine out of its render pool instead, offering tiles in
-    // whatever order they finish rendering.
-    let mut ts = TileStream::begin(ep, image.width(), image.height(), depth, tile);
-    for t in 0..ts.tiles().len() {
-        let rect = ts.tiles()[t];
-        ts.offer(ep, t, image, &rect)?;
+    let mut ts = TileStream::begin(ep, image.width(), image.height(), depth);
+    for t in 0..ts.tiles.len() {
+        ts.offer(ep, t, image)?;
     }
     ts.finish(ep, image)
 }
 
-/// The streamed-compositing state machine, split out so external
-/// drivers (the fused render+composite runner) can interleave tile
-/// production with the protocol:
-///
-/// 1. [`TileStream::begin`] fixes the tile grid and ownership map;
-/// 2. [`TileStream::offer`] encodes and ships (or self-resolves) one
-///    finished tile — call it once per tile, in *any* order; tiles
-///    never offered are treated as blank;
-/// 3. [`TileStream::finish`] closes the streams, folds remaining
-///    arrivals, writes this rank's owned tiles into the framebuffer and
-///    returns the gatherable piece with its statistics.
-pub struct TileStream {
+/// One rank's streamed-compositing state: [`TileStream::begin`] fixes
+/// the tile grid and ownership map, [`TileStream::offer`] ships (or
+/// self-resolves) one tile, and [`TileStream::finish`] closes the
+/// streams, folds the remaining arrivals and writes this rank's owned
+/// tiles into the framebuffer.
+struct TileStream {
     run: Run,
     topo: VirtualTopology,
     v: usize,
@@ -349,18 +328,12 @@ pub struct TileStream {
 
 impl TileStream {
     /// Starts a streamed run over a `width` × `height` frame cut into
-    /// `tile`-px tiles. Works at any group size, including 1.
-    pub fn begin(
-        ep: &mut Endpoint,
-        width: u16,
-        height: u16,
-        depth: &DepthOrder,
-        tile: u16,
-    ) -> TileStream {
+    /// [`DEFAULT_STREAM_TILE`]-px tiles.
+    fn begin(ep: &mut Endpoint, width: u16, height: u16, depth: &DepthOrder) -> TileStream {
         let run = Run::begin(ep);
         let topo = VirtualTopology::from_depth(ep.rank(), depth);
         let (v, p) = (topo.vrank(), topo.vsize());
-        let tiles = tile_grid(width, height, tile);
+        let tiles = tile_grid(width, height, DEFAULT_STREAM_TILE);
         let owners = p.min(tiles.len());
         let mut vrank_of = vec![0usize; p];
         for (i, &r) in depth.front_to_back().iter().enumerate() {
@@ -391,33 +364,15 @@ impl TileStream {
         }
     }
 
-    /// The row-major tile grid every rank derived identically.
-    pub fn tiles(&self) -> &[Rect] {
-        &self.tiles
-    }
-
-    /// Offers the finished pixels of tile `t`: encodes its non-blank
-    /// runs and sends them to the owner (or resolves them locally when
-    /// this rank owns the tile). `rect` locates the tile's pixels inside
-    /// `img` — the global tile rect when `img` is a full subimage, or
-    /// the origin rect when `img` is a tile-local buffer; it must have
-    /// the tile's dimensions either way.
-    pub fn offer(
-        &mut self,
-        ep: &mut Endpoint,
-        t: usize,
-        img: &Image,
-        rect: &Rect,
-    ) -> Result<(), CompositeError> {
-        debug_assert_eq!(
-            (rect.width(), rect.height()),
-            (self.tiles[t].width(), self.tiles[t].height()),
-            "offered rect must have tile {t}'s dimensions"
-        );
+    /// Offers tile `t` of `img`: encodes its non-blank runs and sends
+    /// them to the owner (or resolves them locally when this rank owns
+    /// the tile).
+    fn offer(&mut self, ep: &mut Endpoint, t: usize, img: &Image) -> Result<(), CompositeError> {
+        let rect = self.tiles[t];
         let TileStream { run, scratch, .. } = self;
         let enc = run
             .encode
-            .time(|| encode_tile(img, rect, t as u32, scratch));
+            .time(|| encode_tile(img, &rect, t as u32, scratch));
         self.stat.encoded_pixels += rect.area() as u64;
         self.modeled_render += MODELED_TILE_VISIT_SECONDS;
         let owner = t % self.p;
@@ -459,29 +414,12 @@ impl TileStream {
 
     /// Closes this rank's streams, folds arrivals until every
     /// contributor finishes, writes the owned tiles into `image` and
-    /// returns the composited piece. Owned tiles this rank never
-    /// offered resolve as blank (the fused runner offers only tiles
-    /// inside its block footprint).
-    pub fn finish(
+    /// returns the composited piece. Every tile must have been offered.
+    fn finish(
         mut self,
         ep: &mut Endpoint,
         image: &mut Image,
     ) -> Result<CompositeResult, CompositeError> {
-        {
-            let TileStream {
-                run,
-                accums,
-                progress,
-                v,
-                ..
-            } = &mut self;
-            run.comp.time(|| {
-                for a in accums.iter_mut() {
-                    a.resolve_empty(*v);
-                }
-            });
-            progress.note_all(accums, ep);
-        }
         // Close our stream to every owner.
         for u in 0..self.owners {
             if u == self.v {

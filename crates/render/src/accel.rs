@@ -490,67 +490,6 @@ pub fn render_clipped_into_pool(
     }
 }
 
-/// Renders the screen pixels of `rect` into the rect-sized image `out`
-/// (screen pixel `(x, y)` lands at `(x - rect.x0, y - rect.y0)`),
-/// casting exactly the rays the full clipped render would cast for that
-/// region — per-pixel output is bit-identical to the corresponding
-/// region of [`render_clipped_into_pool`]. This is the streamed-compositing
-/// production hook: the fused render+composite runner renders each
-/// screen tile into its own buffer (fanned across a pool) and ships it
-/// the moment it completes, without waiting for the whole subimage.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_into(
-    volume: &Volume,
-    placement: &Subvolume,
-    clip: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-    accel: Option<&RenderAccel>,
-    rect: &Rect,
-    out: &mut Image,
-) {
-    assert_eq!(
-        volume.dims(),
-        placement.dims,
-        "local volume must match the placement dims"
-    );
-    assert!(
-        out.width() >= rect.width() && out.height() >= rect.height(),
-        "output buffer smaller than the tile rect"
-    );
-    let frame = Vec3::new(
-        placement.origin[0] as f32,
-        placement.origin[1] as f32,
-        placement.origin[2] as f32,
-    );
-    let lo = Vec3::new(
-        clip.origin[0] as f32,
-        clip.origin[1] as f32,
-        clip.origin[2] as f32,
-    );
-    let hi = lo
-        + Vec3::new(
-            clip.dims[0] as f32,
-            clip.dims[1] as f32,
-            clip.dims[2] as f32,
-        );
-    // Only the block's screen footprint can contribute; the rest of the
-    // tile stays blank exactly as in the full render.
-    let region = camera.footprint(clip.origin, clip.dims).intersect(rect);
-    for y in region.y0..region.y1 {
-        for x in region.x0..region.x1 {
-            let Some((t0, t1)) = camera.ray_box(x, y, lo, hi) else {
-                continue;
-            };
-            let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
-            if !p.is_blank() {
-                out.set(x - rect.x0, y - rect.y0, p);
-            }
-        }
-    }
-}
-
 /// Collects the pixel rectangle of every *live* screen tile: marked in
 /// `mask` and overlapping `footprint`. Every live tile is emitted
 /// exactly once, dead tiles are never emitted, and edge tiles are
@@ -947,82 +886,6 @@ mod tests {
                 let (li, lo) = lut.classify(d);
                 let (ti, to) = tf.classify(d);
                 assert_eq!((li.to_bits(), lo.to_bits()), (ti.to_bits(), to.to_bits()));
-            }
-        }
-    }
-
-    #[test]
-    fn tile_render_matches_full_render_per_region() {
-        // Rendering each 16-px screen tile into its own buffer must
-        // reproduce the corresponding region of the full clipped render
-        // bit-for-bit, with and without the accelerator, for clips that
-        // cover only part of the screen.
-        let dims = [32, 32, 16];
-        let ds = Dataset::with_dims(DatasetKind::EngineLow, dims);
-        let cam = Camera::orbit(dims, 64, 64, 20.0, 30.0);
-        let params = RenderParams::default();
-        let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-        let clips = [
-            whole(dims),
-            Subvolume {
-                rank: 1,
-                origin: [8, 0, 4],
-                dims: [16, 32, 8],
-            },
-        ];
-        for clip in &clips {
-            for accel in [None, Some(&acc)] {
-                let mut full = Image::blank(64, 64);
-                render_clipped_into_pool(
-                    &ds.volume,
-                    &whole(dims),
-                    clip,
-                    &ds.transfer,
-                    &cam,
-                    &params,
-                    accel,
-                    0,
-                    None,
-                    &mut full,
-                );
-                let ts = 16u16;
-                let mut y = 0u16;
-                while y < 64 {
-                    let mut x = 0u16;
-                    while x < 64 {
-                        let rect = Rect::new(x, y, (x + ts).min(64), (y + ts).min(64));
-                        let mut tile = Image::blank(rect.width(), rect.height());
-                        render_tile_into(
-                            &ds.volume,
-                            &whole(dims),
-                            clip,
-                            &ds.transfer,
-                            &cam,
-                            &params,
-                            accel,
-                            &rect,
-                            &mut tile,
-                        );
-                        let bits =
-                            |p: Pixel| (p.r.to_bits(), p.g.to_bits(), p.b.to_bits(), p.a.to_bits());
-                        for ty in 0..rect.height() {
-                            for tx in 0..rect.width() {
-                                let a = tile.get(tx, ty);
-                                let b = full.get(rect.x0 + tx, rect.y0 + ty);
-                                assert_eq!(
-                                    bits(a),
-                                    bits(b),
-                                    "pixel ({}, {}) diverged (accel {})",
-                                    rect.x0 + tx,
-                                    rect.y0 + ty,
-                                    accel.is_some(),
-                                );
-                            }
-                        }
-                        x += ts;
-                    }
-                    y += ts;
-                }
             }
         }
     }

@@ -15,7 +15,7 @@ pub mod params;
 pub mod pool;
 pub mod raycast;
 
-pub use accel::{render_tile_into, RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZE};
+pub use accel::{RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZE};
 pub use camera::{Camera, Projection};
 pub use local::render_local_block_clipped_accel;
 pub use params::{RenderParams, MAX_SIMD_LANES};

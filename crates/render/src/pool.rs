@@ -59,11 +59,6 @@ struct Job {
     total: usize,
     /// Claimed-but-unfinished items.
     running: usize,
-    /// Streamed jobs queue finished indices here for the submitter to
-    /// hand to its completion callback; plain jobs leave it empty.
-    streamed: bool,
-    /// Finished indices not yet delivered to the streamed callback.
-    completed: Vec<usize>,
     /// First panic payload raised by a work item, if any.
     panic: Option<Box<dyn Any + Send>>,
 }
@@ -85,8 +80,8 @@ struct Shared {
 /// The thread count a `render_threads` knob resolves to: an explicit
 /// value as-is, bounded at 64 (beyond that the per-tile work items are
 /// too few to feed); `0` (auto) the host's available parallelism divided
-/// among the `sharers` rendering at once (a service's workers, a fused
-/// group's ranks), at least 1 and at most 8, so nothing oversubscribes.
+/// among the `sharers` rendering at once (a service's workers), at least
+/// 1 and at most 8, so nothing oversubscribes.
 pub fn resolve_threads(requested: usize, sharers: usize) -> usize {
     match requested {
         0 => {
@@ -174,8 +169,6 @@ impl RenderPool {
                 next: 0,
                 total,
                 running: 0,
-                streamed: false,
-                completed: Vec::new(),
                 panic: None,
             });
             shared.ready.notify_all();
@@ -190,11 +183,7 @@ impl RenderPool {
             let Some(idx) = claimed else { break };
             let result = catch_unwind(AssertUnwindSafe(|| task(idx)));
             let mut state = shared.state.lock().unwrap();
-            finish(
-                state.job.as_mut().expect("job installed above"),
-                idx,
-                result,
-            );
+            finish(state.job.as_mut().expect("job installed above"), result);
         }
         // Wait for workers to drain their in-flight items; only then is
         // the borrow behind `TaskPtr` (and the items it captures) dead.
@@ -205,107 +194,6 @@ impl RenderPool {
         let job = state.job.take().expect("job installed above");
         drop(state);
         if let Some(payload) = job.panic {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Like [`RenderPool::run`], but invokes `on_done(i)` on the
-    /// *submitting thread* as each item `i` finishes, while other items
-    /// are still rendering on the pool.
-    ///
-    /// This is the render/composite overlap hook: the tile-stream path
-    /// encodes and sends tile `i`'s runs from `on_done` (which may hold
-    /// `&mut` state such as a communication endpoint — the callback
-    /// needs neither `Send` nor `Sync`) while the remaining tiles keep
-    /// rendering. Completion order is unspecified; every finished index
-    /// is delivered exactly once before this returns. On a panic the
-    /// unclaimed remainder is cancelled, completions already queued are
-    /// still delivered, and the first payload re-raises here, exactly
-    /// as in [`RenderPool::run`].
-    pub fn run_streamed(
-        &self,
-        total: usize,
-        task: &(dyn Fn(usize) + Sync),
-        mut on_done: impl FnMut(usize),
-    ) {
-        if total == 0 {
-            return;
-        }
-        let Some(shared) = &self.shared else {
-            // Single-threaded pool: render and deliver inline, in order.
-            for i in 0..total {
-                task(i);
-                on_done(i);
-            }
-            return;
-        };
-        {
-            let mut state = shared.state.lock().unwrap();
-            assert!(state.job.is_none(), "RenderPool::run is not reentrant");
-            state.job = Some(Job {
-                task: TaskPtr::erase(task),
-                next: 0,
-                total,
-                running: 0,
-                streamed: true,
-                completed: Vec::new(),
-                panic: None,
-            });
-            shared.ready.notify_all();
-        }
-        // Claim and run items like a worker, draining queued completions
-        // between items so the callback observes progress while the
-        // remaining items are still rendering.
-        loop {
-            let (claimed, ready) = {
-                let mut state = shared.state.lock().unwrap();
-                let job = state.job.as_mut().expect("job installed above");
-                (claim(job), std::mem::take(&mut job.completed))
-            };
-            for i in ready {
-                on_done(i);
-            }
-            let Some(idx) = claimed else { break };
-            let result = catch_unwind(AssertUnwindSafe(|| task(idx)));
-            let mut state = shared.state.lock().unwrap();
-            finish(
-                state.job.as_mut().expect("job installed above"),
-                idx,
-                result,
-            );
-        }
-        // Every item is claimed; deliver completions as the workers
-        // drain, then retire the job.
-        let panic = loop {
-            let ready = {
-                let mut state = shared.state.lock().unwrap();
-                loop {
-                    let job = state.job.as_mut().expect("job installed above");
-                    if !job.completed.is_empty() {
-                        break Some(std::mem::take(&mut job.completed));
-                    }
-                    if job.running == 0 {
-                        break None;
-                    }
-                    state = shared.done.wait(state).unwrap();
-                }
-            };
-            match ready {
-                Some(batch) => {
-                    for i in batch {
-                        on_done(i);
-                    }
-                }
-                None => {
-                    let job = {
-                        let mut state = shared.state.lock().unwrap();
-                        state.job.take().expect("job installed above")
-                    };
-                    break job.panic;
-                }
-            }
-        };
-        if let Some(payload) = panic {
             resume_unwind(payload);
         }
     }
@@ -336,21 +224,13 @@ fn claim(job: &mut Job) -> Option<usize> {
 }
 
 /// Records one finished item; a panic cancels the unclaimed remainder
-/// and keeps the first payload for the submitter to re-raise. Streamed
-/// jobs queue successful indices for the submitter's callback.
-fn finish(job: &mut Job, idx: usize, result: Result<(), Box<dyn Any + Send>>) {
+/// and keeps the first payload for the submitter to re-raise.
+fn finish(job: &mut Job, result: Result<(), Box<dyn Any + Send>>) {
     job.running -= 1;
-    match result {
-        Ok(()) => {
-            if job.streamed {
-                job.completed.push(idx);
-            }
-        }
-        Err(payload) => {
-            job.next = job.total;
-            if job.panic.is_none() {
-                job.panic = Some(payload);
-            }
+    if let Err(payload) = result {
+        job.next = job.total;
+        if job.panic.is_none() {
+            job.panic = Some(payload);
         }
     }
 }
@@ -376,10 +256,9 @@ fn worker_loop(shared: &Shared) {
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)(idx) }));
         state = shared.state.lock().unwrap();
         let job = state.job.as_mut().expect("job outlives its items");
-        finish(job, idx, result);
-        // Streamed submitters may be blocked waiting for any completion;
-        // plain submitters only wait for the full drain.
-        if job.streamed || (job.next >= job.total && job.running == 0) {
+        finish(job, result);
+        // The submitter waits for the whole job to drain.
+        if job.next >= job.total && job.running == 0 {
             shared.done.notify_all();
         }
     }
@@ -465,95 +344,6 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn streamed_delivers_every_index_once_on_the_submitter_thread() {
-        for threads in [1, 2, 3, 8] {
-            let pool = RenderPool::new(threads);
-            for total in [0usize, 1, 2, 5, 64] {
-                let submitter = std::thread::current().id();
-                let mut seen = Vec::new();
-                pool.run_streamed(total, &|_| {}, |i| {
-                    assert_eq!(
-                        std::thread::current().id(),
-                        submitter,
-                        "on_done must run on the submitting thread"
-                    );
-                    seen.push(i);
-                });
-                seen.sort_unstable();
-                let want: Vec<usize> = (0..total).collect();
-                assert_eq!(seen, want, "{threads} threads, {total} items");
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_completions_arrive_while_later_items_still_render() {
-        // Worker-side items spin until the *callback* releases them: the
-        // run can only finish promptly if `on_done` fires while those
-        // items are still in flight. A 5 s timeout turns a broken
-        // (deliver-only-at-the-end) implementation into a clean failure
-        // instead of a hang.
-        use std::sync::atomic::AtomicBool;
-        let pool = RenderPool::new(4);
-        let unblocked = AtomicBool::new(false);
-        let starved = AtomicBool::new(false);
-        pool.run_streamed(
-            32,
-            &|_| {
-                let on_worker = std::thread::current()
-                    .name()
-                    .is_some_and(|n| n.starts_with("vr-render-"));
-                if on_worker {
-                    let start = std::time::Instant::now();
-                    while !unblocked.load(Ordering::SeqCst) {
-                        if start.elapsed() > Duration::from_secs(5) {
-                            starved.store(true, Ordering::SeqCst);
-                            return;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            },
-            |_| {
-                // First completion (a submitter-lane item) releases the
-                // blocked worker items mid-run.
-                unblocked.store(true, Ordering::SeqCst);
-            },
-        );
-        assert!(
-            !starved.load(Ordering::SeqCst),
-            "on_done never fired while worker items were still rendering"
-        );
-    }
-
-    #[test]
-    fn streamed_panic_reraises_after_queued_completions_and_pool_survives() {
-        let pool = RenderPool::new(4);
-        let mut delivered = Vec::new();
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_streamed(
-                64,
-                &|i| {
-                    if i == 3 {
-                        std::panic::panic_any(TypedFailure("tile died"));
-                    }
-                },
-                |i| delivered.push(i),
-            );
-        }))
-        .expect_err("a streamed panic must re-raise on the submitter");
-        assert!(payload.downcast::<TypedFailure>().is_ok());
-        assert!(
-            !delivered.contains(&3),
-            "the panicked index must not be reported as done"
-        );
-        // The pool renders the next streamed frame fine.
-        let mut seen = Vec::new();
-        pool.run_streamed(8, &|_| {}, |i| seen.push(i));
-        assert_eq!(seen.len(), 8);
     }
 
     #[test]

@@ -63,9 +63,9 @@
 //!   request; shutdown drains in-flight work to
 //!   [`RejectReason::Shutdown`](service::RejectReason::Shutdown).
 //! * **Shard router** — [`ShardRouter`] hashes `(dataset, dims)` across
-//!   N independent [`FrameService`] shards ([`shard_key`]), each with
-//!   its own queue, cache, and workers, and reports per-shard stats
-//!   plus a load-imbalance metric.
+//!   N independent [`FrameService`] shards, each with its own queue,
+//!   cache, and workers, and reports per-shard stats plus a
+//!   load-imbalance metric.
 //! * **Client** — [`Client`] pipelines requests over one connection and
 //!   hash-verifies every transported frame; [`run_load_socket`] drives
 //!   the same open-loop load generator through the socket so served
@@ -116,5 +116,5 @@ pub use service::{
     FrameReply, FrameResponse, FrameService, RejectReason, RenderedFrame, ServeConfig, ServeSource,
     SessionHandle,
 };
-pub use shard::{shard_key, ShardRouter};
+pub use shard::ShardRouter;
 pub use wire::{StatsReply, Welcome, WireFrame, WireResponse, WIRE_VERSION};

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use vr_comm::splitmix64;
 use vr_image::checksum::fnv1a;
-use vr_system::{ExperimentConfig, FrameRecord};
+use vr_system::ExperimentConfig;
 
 use crate::client::{Client, ClientError};
 use crate::metrics::ServiceStats;
@@ -73,12 +73,6 @@ pub struct LoadReport {
     /// Per-request latencies in milliseconds (successful replies only),
     /// sorted ascending.
     pub latencies_ms: Vec<f64>,
-    /// First-tile latencies in milliseconds, sorted ascending — for
-    /// replies whose frame was rendered by the fused tile-stream runner,
-    /// the time from request submission until the frame's *first* owned
-    /// tile finished compositing (request wait + in-render first-tile
-    /// offset). Empty when no reply carried streamed-tile metrics.
-    pub first_tile_ms: Vec<f64>,
     /// Wall time of the whole run, seconds.
     pub wall_seconds: f64,
     /// Service counters snapshot taken after the run drained.
@@ -95,12 +89,6 @@ impl LoadReport {
     /// request succeeded.
     pub fn percentile_ms(&self, p: f64) -> f64 {
         percentile(&self.latencies_ms, p)
-    }
-
-    /// The `p`-th first-tile latency percentile in ms; 0 when no reply
-    /// carried streamed-tile metrics.
-    pub fn first_tile_percentile_ms(&self, p: f64) -> f64 {
-        percentile(&self.first_tile_ms, p)
     }
 
     /// Image-carrying replies (degraded included).
@@ -130,7 +118,7 @@ impl LoadReport {
 
 /// What one session observed; the sessions' tallies add up to the
 /// [`LoadReport`]. Both load generators count through this, so a reply
-/// is classified — and the first-tile rule applied — in one place.
+/// is classified in one place.
 #[derive(Default)]
 struct Tally {
     submitted: u64,
@@ -143,13 +131,12 @@ struct Tally {
     rejected: u64,
     hash_mismatches: u64,
     latencies_ms: Vec<f64>,
-    first_tile_ms: Vec<f64>,
 }
 
 impl Tally {
     /// Counts a reply that carried an image, answered `wait_ms` after
     /// its submission.
-    fn frame(&mut self, source: ServeSource, record: &FrameRecord, wait_ms: f64) {
+    fn frame(&mut self, source: ServeSource, wait_ms: f64) {
         match source {
             ServeSource::Fresh => self.ok_fresh += 1,
             ServeSource::Cache => self.ok_cached += 1,
@@ -157,15 +144,6 @@ impl Tally {
             ServeSource::Degraded { .. } => self.ok_degraded += 1,
         }
         self.latencies_ms.push(wait_ms);
-        // Progressive-delivery latency: when the frame was freshly
-        // rendered by the fused tile-stream runner, its first owned tile
-        // was final (render_max − first_tile) ms before the reply.
-        // Cached/coalesced replies delivered the whole frame at once, so
-        // they carry no first-tile edge.
-        if record.first_tile_ms > 0.0 && source == ServeSource::Fresh {
-            let first_tile = wait_ms - record.render_max_ms + record.first_tile_ms;
-            self.first_tile_ms.push(first_tile.max(0.0));
-        }
     }
 
     /// Adds this session to the run's report.
@@ -180,7 +158,6 @@ impl Tally {
         report.rejected += self.rejected;
         report.hash_mismatches += self.hash_mismatches;
         report.latencies_ms.extend(self.latencies_ms);
-        report.first_tile_ms.extend(self.first_tile_ms);
     }
 }
 
@@ -196,7 +173,6 @@ impl LoadReport {
             tally.merge_into(&mut report);
         }
         report.latencies_ms.sort_by(f64::total_cmp);
-        report.first_tile_ms.sort_by(f64::total_cmp);
         report
     }
 }
@@ -261,11 +237,9 @@ pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfi
                     };
                     for rx in pending {
                         match rx.recv().expect("service answers every request") {
-                            FrameResponse::Frame(reply) => tally.frame(
-                                reply.source,
-                                &reply.frame.record,
-                                reply.wait_seconds * 1e3,
-                            ),
+                            FrameResponse::Frame(reply) => {
+                                tally.frame(reply.source, reply.wait_seconds * 1e3)
+                            }
                             FrameResponse::Shed { .. } => tally.shed += 1,
                             FrameResponse::Overloaded { .. } => tally.overloaded += 1,
                             FrameResponse::Rejected { .. } => tally.rejected += 1,
@@ -359,7 +333,7 @@ pub fn run_load_socket(
                                     tally.hash_mismatches += 1;
                                 }
                                 let wait_ms = now.duration_since(submitted_at).as_secs_f64() * 1e3;
-                                tally.frame(frame.source, &frame.record, wait_ms);
+                                tally.frame(frame.source, wait_ms);
                             }
                             WireResponse::Shed { .. } => tally.shed += 1,
                             WireResponse::Overloaded { .. } => tally.overloaded += 1,
@@ -446,68 +420,22 @@ mod tests {
     }
 
     #[test]
-    fn tile_stream_replies_carry_first_tile_latencies() {
-        let service = FrameService::start(ServeConfig {
-            workers: 2,
-            cache_frames: 0, // every reply is a fresh fused render
-            ..Default::default()
-        });
-        let mut base = ExperimentConfig::small_test(DatasetKind::Cube, 2, Method::TileStream);
-        base.render_threads = 2;
-        let load = LoadConfig {
-            sessions: 1,
-            requests_per_session: 4,
-            poses: 4,
-            inter_arrival: Duration::from_millis(1),
-            seed: 3,
-        };
-        let report = run_load(&service, base, &load);
-        service.shutdown();
-        assert_eq!(report.first_tile_ms.len() as u64, report.ok_fresh);
-        assert!(report.ok_fresh > 0, "{report:?}");
-        assert!(report.first_tile_ms.iter().all(|&ms| ms >= 0.0));
-        assert!(report.first_tile_ms.windows(2).all(|w| w[0] <= w[1]));
-        // The first tile can never land after its own full reply.
-        assert!(
-            report.first_tile_percentile_ms(99.0) <= report.percentile_ms(99.0),
-            "{report:?}"
-        );
-    }
-
-    #[test]
-    fn two_phase_replies_carry_no_first_tile_latencies() {
-        let service = FrameService::start(ServeConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        let report = run_load(&service, base(), &LoadConfig::default());
-        service.shutdown();
-        assert!(report.first_tile_ms.is_empty());
-        assert_eq!(report.first_tile_percentile_ms(50.0), 0.0);
-    }
-
-    #[test]
-    fn tally_counts_by_source_and_keeps_first_tiles_of_fresh_streamed_frames_only() {
-        let streamed = FrameRecord {
-            render_max_ms: 10.0,
-            first_tile_ms: 4.0,
-            ..Default::default()
-        };
+    fn tally_counts_replies_by_source_across_sessions() {
         let degraded = ServeSource::Degraded {
             psnr_db: 30.0,
             coverage: 0.5,
         };
         let mut a = Tally::default();
-        a.frame(ServeSource::Fresh, &streamed, 12.0); // first tile at 12 − 10 + 4
-        a.frame(ServeSource::Cache, &streamed, 1.0); // whole frame at once
-        a.frame(ServeSource::Fresh, &FrameRecord::default(), 9.0); // two-phase
+        a.frame(ServeSource::Fresh, 12.0);
+        a.frame(ServeSource::Cache, 1.0);
+        a.frame(ServeSource::Fresh, 9.0);
         a.shed += 1;
         let mut b = Tally {
             submitted: 3,
             ..Default::default()
         };
-        b.frame(ServeSource::Coalesced, &streamed, 5.0);
-        b.frame(degraded, &streamed, 2.0);
+        b.frame(ServeSource::Coalesced, 5.0);
+        b.frame(degraded, 2.0);
         b.hash_mismatches += 1;
         let report = LoadReport::from_sessions([a, b], 0.5);
         assert_eq!(
@@ -520,7 +448,6 @@ mod tests {
         );
         assert_eq!(report.hash_mismatches, 1);
         assert_eq!(report.latencies_ms, [1.0, 2.0, 5.0, 9.0, 12.0]);
-        assert_eq!(report.first_tile_ms, [6.0]);
         assert_eq!(report.wall_seconds, 0.5);
     }
 

@@ -19,7 +19,7 @@ use slsvr_core::CompositeError;
 use vr_comm::{FaultConfig, ReliabilityConfig};
 use vr_image::checksum::fnv1a;
 use vr_image::Image;
-use vr_system::{Experiment, ExperimentConfig, FrameRecord, Outcome, RenderPool};
+use vr_system::{Experiment, ExperimentConfig, FrameRecord, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
 
 use crate::cache::{frame_key, LruCache};
@@ -602,21 +602,6 @@ struct Attempt {
     degraded: Option<(f64, f64)>,
 }
 
-impl Attempt {
-    /// Whichever runner produced `out`; the reference is rendered only
-    /// to score a degraded frame.
-    fn new(out: Outcome, reference: impl FnOnce() -> Image) -> Attempt {
-        let degraded = out
-            .is_degraded()
-            .then(|| (out.psnr_vs(&reference()), out.coverage));
-        Attempt {
-            record: FrameRecord::from_outcome(&out),
-            image: out.image,
-            degraded,
-        }
-    }
-}
-
 /// Renders one attempt through the exact batch path, catching panics
 /// from the distributed run (receive timeouts, reliable-delivery budget
 /// exhaustion) so a fault storm can never kill the worker.
@@ -628,19 +613,16 @@ fn run_attempt(
     let dataset = Arc::clone(dataset);
     let cfg = *cfg;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        // Tile-stream requests go through the fused render+composite
-        // runner: same bit-identical image, but tiles stream to their
-        // owners while later tiles are still rendering, so the reply's
-        // record carries real first-/last-tile latencies. The fused
-        // runner spins its own per-rank pools (the worker's persistent
-        // pool only serves the two-phase path); the virtual clock
-        // still uses the two-phase path below.
-        if cfg.method == slsvr_core::Method::TileStream && cfg.schedule_seed.is_none() {
-            let exp = vr_system::StreamExperiment::prepare_with_dataset(&cfg, dataset);
-            Attempt::new(exp.run(), || exp.reference())
-        } else {
-            let exp = Experiment::prepare_with_dataset_pool(&cfg, dataset, Some(pool));
-            Attempt::new(exp.run(cfg.method), || exp.reference())
+        let exp = Experiment::prepare_with_dataset_pool(&cfg, dataset, Some(pool));
+        let out = exp.run(cfg.method);
+        // The reference is rendered only to score a degraded frame.
+        let degraded = out
+            .is_degraded()
+            .then(|| (out.psnr_vs(&exp.reference()), out.coverage));
+        Attempt {
+            record: FrameRecord::from_outcome(&out),
+            image: out.image,
+            degraded,
         }
     }))
     .map_err(describe_panic)

@@ -21,7 +21,7 @@ use crate::service::{FrameService, ServeConfig, SessionHandle};
 /// resolved voxel dimensions. Stable across runs and processes, and —
 /// unlike the frame key, which digests the whole config — equal for
 /// every view of one volume.
-pub fn shard_key(dataset: DatasetKind, dims: [usize; 3]) -> u64 {
+fn shard_key(dataset: DatasetKind, dims: [usize; 3]) -> u64 {
     let name = fnv1a_bytes(FNV_OFFSET, dataset.name().bytes());
     dims.iter()
         .fold(name, |h, &d| fnv1a_bytes(h, (d as u64).to_le_bytes()))

@@ -53,8 +53,9 @@ use crate::CacheCounters;
 
 /// Protocol version spoken by this build. 3: a `Method` travels as its
 /// position in the seven-entry `Method::all()` (RADIXK and TSTREAM moved
-/// to 5 and 6).
-pub const WIRE_VERSION: u16 = 3;
+/// to 5 and 6). 4: a request no longer carries a streamed-tile edge, nor
+/// a frame record the fused runner's first-/last-tile latencies.
+pub const WIRE_VERSION: u16 = 4;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -533,7 +534,6 @@ wire_struct!(ExperimentConfig {
     tile if within(0..=MAX_ACCEL_EDGE),
     render_threads,
     simd_lanes,
-    stream_tile,
 });
 
 /// The canonical encoding of a configuration: every field bit for bit,
@@ -639,8 +639,6 @@ wire_struct!(FrameRecord {
     peak_pixel_buffer_bytes,
     coverage,
     dead_ranks,
-    first_tile_ms,
-    last_tile_ms,
 });
 wire_union!(ServeSource, "serve source" {
     0 => Fresh,
@@ -1282,7 +1280,6 @@ mod proptests {
             tile: draw!(usize in 0, MAX_ACCEL_EDGE),
             render_threads: word() as usize,
             simd_lanes: word() as usize,
-            stream_tile: word() as u16,
         }
     }
 

@@ -9,8 +9,12 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted) and `3` (after direct send was), and nothing else
-//! in them moved.
+//! PIPE were deleted), `3` (after direct send was) and `4`, and nothing
+//! else in them moved. Version 4 dropped the request's streamed-tile
+//! edge and the frame record's two tile latencies with the fused
+//! runner, so `REQUEST`, the three `KEY_*` and the four
+//! `RESPONSE_FRAME_*` were re-recorded with it; every other
+//! `RESPONSE_*`, `STATS_REPLY` and every tag table stayed unchanged.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -35,11 +39,11 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe814b75eb682742a;
-const WELCOME: u64 = 0x378bf456cc878db6;
-const ERROR: u64 = 0xc8e09e657d0ba2e6;
-const REQUEST: u64 = 0x23505b920af9b097;
-const RESPONSE_FRAME_DEGRADED: u64 = 0x470c3ab4ea0c1e16;
+const HELLO: u64 = 0xe81ee95eb68b1da5;
+const WELCOME: u64 = 0xafc927da7dc73a51;
+const ERROR: u64 = 0x102543f423ba8abf;
+const REQUEST: u64 = 0xbc57bcb9b0442da7;
+const RESPONSE_FRAME_DEGRADED: u64 = 0xfc78ee4e7f0703e6;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
 const RESPONSE_REJECTED: u64 = 0x8aea2ffbc682f7ad;
@@ -47,16 +51,16 @@ const STATS_REPLY: u64 = 0x410fd0d46c952cf9;
 
 // The remaining tag bytes of a response: every serve source and every
 // reject reason.
-const RESPONSE_FRAME_FRESH: u64 = 0xc2877bb0662cb6b1;
-const RESPONSE_FRAME_CACHE: u64 = 0xa69a431284854392;
-const RESPONSE_FRAME_COALESCED: u64 = 0x131f531da397d1ab;
+const RESPONSE_FRAME_FRESH: u64 = 0xc6aa1d21354fbc61;
+const RESPONSE_FRAME_CACHE: u64 = 0xb77cf16d6c2bbf22;
+const RESPONSE_FRAME_COALESCED: u64 = 0x342130ff87ca0ddb;
 const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
 const RESPONSE_REJECTED_CIRCUIT: u64 = 0x292ddc8905b8cfc8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
 
-const KEY_DEFAULT: u64 = 0x9a60631b9beeb5db;
-const KEY_SMALL_TEST: u64 = 0xb09b4c6be93e2369;
-const KEY_EVERY_OPTION: u64 = 0x68f3078902e2d747;
+const KEY_DEFAULT: u64 = 0xb7720f0b450a9563;
+const KEY_SMALL_TEST: u64 = 0xac919b347f238641;
+const KEY_EVERY_OPTION: u64 = 0x26b3da1cb52724f7;
 
 /// FNV-1a over raw bytes (the same function `frame_key` applies to a
 /// config's canonical encoding).
@@ -136,7 +140,6 @@ fn every_option() -> ExperimentConfig {
         tile: 12,
         render_threads: 3,
         simd_lanes: 8,
-        stream_tile: 24,
     }
 }
 
@@ -153,8 +156,6 @@ fn record() -> FrameRecord {
         peak_pixel_buffer_bytes: 8192,
         coverage: 0.875,
         dead_ranks: 1,
-        first_tile_ms: 6.5,
-        last_tile_ms: 13.25,
     }
 }
 

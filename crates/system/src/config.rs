@@ -91,15 +91,6 @@ pub struct ExperimentConfig {
     /// are bit-identical to it. Clamped to `vr_render::MAX_SIMD_LANES`.
     #[serde(default = "default_simd_lanes")]
     pub simd_lanes: usize,
-    /// Streamed-compositing tile edge in pixels, used by the fused
-    /// render+composite runner ([`crate::stream::StreamExperiment`]);
-    /// `0` resolves to the default
-    /// ([`slsvr_core::methods::tile_stream::DEFAULT_STREAM_TILE`]).
-    /// The final image is invariant to this knob — it only trades
-    /// message granularity (and hence overlap) against per-message
-    /// overhead.
-    #[serde(default = "default_stream_tile")]
-    pub stream_tile: u16,
 }
 
 fn default_macrocell() -> usize {
@@ -116,10 +107,6 @@ fn default_render_threads() -> usize {
 
 fn default_simd_lanes() -> usize {
     4
-}
-
-fn default_stream_tile() -> u16 {
-    0
 }
 
 /// Source of the reported computation time.
@@ -183,7 +170,6 @@ impl Default for ExperimentConfig {
             tile: default_tile(),
             render_threads: default_render_threads(),
             simd_lanes: default_simd_lanes(),
-            stream_tile: default_stream_tile(),
         }
     }
 }
@@ -207,16 +193,6 @@ impl ExperimentConfig {
     /// to itself (see [`vr_render::resolve_threads`]).
     pub fn resolved_render_threads(&self) -> usize {
         vr_render::resolve_threads(self.render_threads, 1)
-    }
-
-    /// The streamed-compositing tile edge this configuration resolves
-    /// to (`0` means the core default), bounded below at 4 px so the
-    /// grid stays sane.
-    pub fn resolved_stream_tile(&self) -> u16 {
-        match self.stream_tile {
-            0 => slsvr_core::methods::tile_stream::DEFAULT_STREAM_TILE,
-            n => n.max(4),
-        }
     }
 
     /// The volume dimensions this configuration resolves to.

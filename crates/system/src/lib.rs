@@ -3,12 +3,12 @@
 //! runner that reproduces the paper's evaluation.
 //!
 //! There is one frame pipeline: a [`Scene`] (config → camera, blocks,
-//! depth order, render parameters) feeds one of three per-rank bodies —
-//! two-phase ([`Experiment`]: render once, composite per method), fused
-//! ([`StreamExperiment`]: tiles stream into the compositor as they
-//! render) or distributed ([`run_distributed`]: rank 0 scatters the
-//! volume first) — and every body's results are collected into the same
-//! [`Outcome`], which [`FrameRecord::from_outcome`] summarises.
+//! depth order, render parameters) feeds one of two per-rank bodies —
+//! two-phase ([`Experiment`]: render every subimage, then composite with
+//! any method, TSTREAM included) or distributed ([`run_distributed`]:
+//! rank 0 scatters the volume first) — and every body's results are
+//! collected into the same [`Outcome`], which
+//! [`FrameRecord::from_outcome`] summarises.
 //!
 //! ```no_run
 //! use vr_system::{Experiment, ExperimentConfig};

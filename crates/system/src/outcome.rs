@@ -1,9 +1,8 @@
 //! What a frame produced, and the one place it is assembled.
 //!
-//! The three pipelines (two-phase [`Experiment`](crate::Experiment),
-//! fused [`StreamExperiment`](crate::StreamExperiment), distributed
-//! [`run_distributed`](crate::run_distributed)) differ only in the body a
-//! rank runs; [`run_frame`] runs that body on the config's group and
+//! The two pipelines (two-phase [`Experiment`](crate::Experiment) and
+//! distributed [`run_distributed`](crate::run_distributed)) differ only
+//! in the body a rank runs; [`run_frame`] runs that body on the config's group and
 //! [`collect`] folds the per-rank results into the one [`Outcome`].
 //!
 //! The `W×H` frame a rank body composites in is leased, not allocated:
@@ -83,19 +82,9 @@ pub struct Outcome {
     /// Fraction of image pixels covered by gathered pieces, in `[0, 1]`
     /// (1.0 on a healthy run).
     pub coverage: f64,
-    /// Per-rank rendering wall time, seconds (two-phase and distributed;
-    /// informational — the paper's tables cover compositing only).
+    /// Per-rank rendering wall time, seconds (informational — the
+    /// paper's tables cover compositing only).
     pub render_seconds: Vec<f64>,
-    /// Per-rank fused render+composite wall time, seconds (fused only).
-    pub rank_seconds: Vec<f64>,
-    /// Whole-frame wall time, the slowest rank, seconds (fused only,
-    /// else `0.0`).
-    pub total_seconds: f64,
-    /// Earliest owned-tile completion offset over ranks, seconds — the
-    /// first moment any final pixel block existed (fused only).
-    pub first_tile_seconds: Option<f64>,
-    /// Latest owned-tile completion offset over ranks (fused only).
-    pub last_tile_seconds: Option<f64>,
     /// Bytes of volume data scattered while partitioning (distributed
     /// only, else 0).
     pub partition_bytes: u64,
@@ -195,22 +184,10 @@ fn parked() -> MutexGuard<'static, Parked> {
 pub(crate) struct WorkingFrame(Image);
 
 impl WorkingFrame {
-    /// A blank `width × height` frame.
-    pub(crate) fn blank(width: u16, height: u16) -> WorkingFrame {
-        // The lock is released before the frame is reset or allocated.
-        let leased = parked().take(width, height);
-        WorkingFrame(match leased {
-            Some(mut frame) => {
-                frame.clear();
-                frame
-            }
-            None => Image::blank(width, height),
-        })
-    }
-
     /// A working copy of `src`: what `src.clone()` would be, and exactly
     /// that when no frame of its size is parked.
     pub(crate) fn copy_of(src: &Image) -> WorkingFrame {
+        // The lock is released before the frame is reset or allocated.
         let leased = parked().take(src.width(), src.height());
         WorkingFrame(match leased {
             Some(mut frame) => {
@@ -349,10 +326,6 @@ fn collect<X>(config: &ExperimentConfig, run: GroupRun<(RankFrame, X)>) -> (Outc
         missing_ranks,
         coverage,
         render_seconds: Vec::new(),
-        rank_seconds: Vec::new(),
-        total_seconds: 0.0,
-        first_tile_seconds: None,
-        last_tile_seconds: None,
         partition_bytes: 0,
     };
     (outcome, extras)
@@ -405,7 +378,8 @@ mod tests {
         // Other tests of this binary share the process-wide stack, so
         // which frame a lease gets is not asserted — only what it holds.
         let lit = Pixel::gray(0.5, 1.0);
-        let mut src = Image::blank(24, 20);
+        let empty = Image::blank(24, 20);
+        let mut src = empty.clone();
         src.set(3, 4, lit);
         for _ in 0..4 {
             let mut frame = WorkingFrame::copy_of(&src);
@@ -413,7 +387,7 @@ mod tests {
             assert_eq!(frame.bounds_hint(), Some(Rect::new(3, 4, 4, 5)));
             frame.pixels_mut().fill(lit); // whole-frame extent, dead hint
             drop(frame);
-            let blank = WorkingFrame::blank(24, 20);
+            let blank = WorkingFrame::copy_of(&empty);
             assert_eq!(blank.non_blank_count(), 0);
             assert_eq!(blank.bounds_hint(), Some(Rect::EMPTY));
         }
@@ -422,13 +396,14 @@ mod tests {
     #[test]
     fn an_unwinding_rank_body_returns_its_frame_usable() {
         let lit = Pixel::gray(0.25, 1.0);
+        let empty = Image::blank(24, 20);
         let unwound = std::panic::catch_unwind(|| {
-            let mut frame = WorkingFrame::blank(24, 20);
+            let mut frame = WorkingFrame::copy_of(&empty);
             frame.write_rect(&Rect::new(2, 2, 20, 18), &vec![lit; 18 * 16]);
             // A merge that dies half way: refused before it writes.
             frame.write_rect(&Rect::new(10, 10, 30, 18), &vec![lit; 20 * 8]);
         });
         assert!(unwound.is_err());
-        assert_eq!(WorkingFrame::blank(24, 20).non_blank_count(), 0);
+        assert_eq!(WorkingFrame::copy_of(&empty).non_blank_count(), 0);
     }
 }

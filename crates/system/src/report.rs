@@ -24,7 +24,7 @@ pub struct FrameRecord {
     /// Max run-length-encoding time over ranks, ms (`T_encode`).
     pub t_encode_ms: f64,
     /// Max per-rank rendering wall time, ms (0 when rendering was
-    /// skipped; the fused per-rank wall time when the frame was streamed).
+    /// skipped).
     pub render_max_ms: f64,
     /// Maximum received bytes over ranks (the paper's `M_max`).
     pub m_max: u64,
@@ -37,42 +37,28 @@ pub struct FrameRecord {
     pub coverage: f64,
     /// Ranks killed by fault injection.
     pub dead_ranks: usize,
-    /// Wall-clock ms until the *first* owned tile anywhere finished
-    /// accumulating — the progressive-delivery latency of the fused
-    /// tile-stream runner. `0.0` when the frame was not streamed.
-    #[serde(default)]
-    pub first_tile_ms: f64,
-    /// Wall-clock ms until the *last* owned tile finished accumulating
-    /// (`0.0` when the frame was not streamed).
-    #[serde(default)]
-    pub last_tile_ms: f64,
 }
 
 impl FrameRecord {
     /// Extracts the record from a frame's outcome, whichever pipeline
     /// produced it. `render_max_ms` is the slowest rank's rendering wall
-    /// time — of the fused render+composite where the frame had no
-    /// separate rendering phase — and the tile latencies are the fused
-    /// stream's progressive-delivery offsets.
+    /// time.
     pub fn from_outcome(out: &Outcome) -> FrameRecord {
         let max_ms = |f: fn(&slsvr_core::MethodStats) -> f64| {
             out.per_rank.iter().map(f).fold(0.0, f64::max) * 1e3
         };
-        let render_max = out.render_seconds.iter().copied().fold(0.0, f64::max);
         FrameRecord {
             t_comp_ms: out.aggregate.t_comp_ms(),
             t_comm_ms: out.aggregate.t_comm_ms(),
             t_total_ms: out.aggregate.t_total_ms(),
             t_bound_ms: max_ms(|s| s.bound_seconds),
             t_encode_ms: max_ms(|s| s.encode_seconds),
-            render_max_ms: render_max.max(out.total_seconds) * 1e3,
+            render_max_ms: out.render_seconds.iter().copied().fold(0.0, f64::max) * 1e3,
             m_max: out.aggregate.m_max,
             total_bytes: out.aggregate.total_bytes,
             peak_pixel_buffer_bytes: out.peak_pixel_buffer_bytes(),
             coverage: out.coverage,
             dead_ranks: out.dead_ranks.len(),
-            first_tile_ms: out.first_tile_seconds.unwrap_or(0.0) * 1e3,
-            last_tile_ms: out.last_tile_seconds.unwrap_or(0.0) * 1e3,
         }
     }
 
@@ -83,8 +69,7 @@ impl FrameRecord {
             "{{\"t_comp_ms\": {}, \"t_comm_ms\": {}, \"t_total_ms\": {}, \
              \"t_bound_ms\": {}, \"t_encode_ms\": {}, \"render_max_ms\": {}, \
              \"m_max\": {}, \"total_bytes\": {}, \"peak_pixel_buffer_bytes\": {}, \
-             \"coverage\": {}, \"dead_ranks\": {}, \
-             \"first_tile_ms\": {}, \"last_tile_ms\": {}}}",
+             \"coverage\": {}, \"dead_ranks\": {}}}",
             self.t_comp_ms,
             self.t_comm_ms,
             self.t_total_ms,
@@ -95,9 +80,7 @@ impl FrameRecord {
             self.total_bytes,
             self.peak_pixel_buffer_bytes,
             self.coverage,
-            self.dead_ranks,
-            self.first_tile_ms,
-            self.last_tile_ms
+            self.dead_ranks
         )
     }
 }
@@ -369,8 +352,6 @@ mod tests {
             peak_pixel_buffer_bytes: 2048,
             coverage: 1.0,
             dead_ranks: 0,
-            first_tile_ms: 0.75,
-            last_tile_ms: 1.25,
         };
         let json = record.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -390,26 +371,6 @@ mod tests {
         }
         assert!(json.contains("\"peak_pixel_buffer_bytes\": 2048"));
         assert!(json.contains("\"t_bound_ms\": 0.25"));
-        assert!(json.contains("\"first_tile_ms\": 0.75"));
-        assert!(json.contains("\"last_tile_ms\": 1.25"));
-    }
-
-    #[test]
-    fn fused_frame_record_carries_tile_latencies() {
-        let mut config =
-            ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
-        config.render_threads = 2;
-        let out = crate::stream::StreamExperiment::prepare(&config).run();
-        let record = FrameRecord::from_outcome(&out);
-        assert!(record.first_tile_ms > 0.0);
-        assert!(record.first_tile_ms <= record.last_tile_ms);
-        assert!(record.last_tile_ms <= record.render_max_ms);
-        assert_eq!(record.render_max_ms, out.total_seconds * 1e3);
-        assert!(record.t_comp_ms > 0.0);
-        assert!(record.total_bytes > 0);
-        assert_eq!(record.coverage, 1.0);
-        let json = record.to_json();
-        assert!(json.contains("\"first_tile_ms\""));
     }
 
     #[test]
@@ -418,13 +379,8 @@ mod tests {
             ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
         config.render_threads = 2;
         let two_phase = Experiment::prepare(&config).run(config.method);
-        let fused = crate::stream::StreamExperiment::prepare(&config).run();
         let distributed = crate::distribute::run_distributed(&config);
-        for (name, out) in [
-            ("two-phase", &two_phase),
-            ("fused", &fused),
-            ("distributed", &distributed),
-        ] {
+        for (name, out) in [("two-phase", &two_phase), ("distributed", &distributed)] {
             let record = FrameRecord::from_outcome(out);
             assert!(record.t_comp_ms > 0.0 && record.t_comm_ms > 0.0, "{name}");
             assert_eq!(

@@ -28,7 +28,7 @@ use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, Metho
 use vr_comm::{run_group_with, FaultConfig, KillSpec, TrafficStats};
 use vr_image::checksum::fnv1a;
 use vr_image::Image;
-use vr_system::{Experiment, ExperimentConfig, StreamExperiment};
+use vr_system::{Experiment, ExperimentConfig};
 use vr_volume::{Dataset, DatasetKind};
 
 fn config() -> ExperimentConfig {
@@ -331,22 +331,6 @@ fn frame_n_does_not_depend_on_frames_before_it() {
         size_changes > 10,
         "the shuffle did not interleave the sizes"
     );
-}
-
-#[test]
-fn the_fused_runner_leases_its_framebuffers_from_the_same_stack() {
-    // BSLC writes through the flat pixel slice, so the frames it returns
-    // are dirty from corner to corner; the fused runner's blank
-    // framebuffers are those frames next.
-    let mut config = ExperimentConfig::small_test(DatasetKind::EngineHigh, 4, Method::TileStream);
-    config.render_threads = 2;
-    let dirty = Experiment::prepare(&config);
-    let fused = StreamExperiment::prepare(&config);
-    let want = fnv1a(&fused.reference());
-    for run in 0..4 {
-        dirty.run(Method::Bslc);
-        assert_eq!(fnv1a(&fused.run().image), want, "run {run}");
-    }
 }
 
 #[test]

@@ -4,15 +4,21 @@
 //! ```text
 //! slsvr render  [--dataset NAME] [--size N] [--procs P] [--method M]
 //!               [--rot-x DEG] [--rot-y DEG] [--dims X,Y,Z]
-//!               [--macrocell N] [--tile N]
+//!               [--macrocell N] [--tile N] [--verbose]
 //!               [--distributed] [--ghost N] [--out FILE.pgm]
 //! slsvr compare [--dataset NAME] [--size N] [--procs P] [--dims X,Y,Z]
+//! slsvr serve   [render flags] [--sessions N] [--requests N] [--connect ADDR]
+//! slsvr daemon  [--listen ADDR] [--shards N] [--run-seconds S]
 //! slsvr sweep   [--size N] [--dims X,Y,Z] [--out FILE.csv]
 //!               [--preset NAME|FILE] [--max-procs P]
 //! slsvr cost-model sweep|fit|check [...]
 //! slsvr info
 //! ```
+//!
+//! Every command refuses a `--flag` it does not read; `slsvr --help`
+//! lists them all.
 
+use std::cell::RefCell;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -22,8 +28,7 @@ use slsvr::serve::{
     FrameService, LoadConfig, LoadReport, RetryPolicy, ServeConfig,
 };
 use slsvr::system::{
-    run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, StreamExperiment,
-    SweepBuilder,
+    run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, SweepBuilder,
 };
 use slsvr::volume::DatasetKind;
 
@@ -40,10 +45,7 @@ fn main() -> ExitCode {
         "daemon" => cmd_daemon(rest),
         "sweep" => cmd_sweep(rest),
         "cost-model" => cmd_cost_model(rest),
-        "info" => {
-            cmd_info();
-            Ok(())
-        }
+        "info" => cmd_info(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -71,7 +73,7 @@ USAGE:
                 [--distributed] [--ghost N] [--out FILE.pgm]
                 [--faults SPEC] [--reliable] [--recv-deadline MS]
                 [--ack-timeout MS] [--max-retries N] [--schedule-seed S]
-                [--stream] [--stream-tile N] [--verbose]
+                [--verbose]
   slsvr compare [--dataset NAME] [--size N] [--procs P] [--dims X,Y,Z]
                 [--perspective DIST] [--balanced]
   slsvr serve   [--dataset NAME] [--size N] [--procs P] [--method M]
@@ -142,7 +144,8 @@ RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           Under `serve`, --render-threads/--simd-lanes size each worker's
           persistent render pool (total threads = workers × render
           threads; the auto default divides the cores among the workers),
-          overriding any per-request value.
+          overriding any per-request value. --verbose additionally prints
+          the per-stage message/byte timeline.
 
 DISTRIBUTED: --distributed sends all three phases through the message
           layer: rank 0 scatters the blocks (with --ghost N voxels of
@@ -154,18 +157,6 @@ DISTRIBUTED: --distributed sends all three phases through the message
 FAULTS:   --faults drop=0.01,corrupt=0.001,dup=0.001,delay=0.01,delay_ms=2,seed=42,kill=3@17
           (every key optional; --reliable turns on framing + ack/retransmit
           so dropped or corrupted messages recover instead of timing out)
-
-STREAM:   --stream fuses rendering and compositing with the tile-stream
-          method: each rank ships every 2-D screen tile to its owner the
-          moment that tile's rays finish, so compositing overlaps the
-          remaining rendering and the first finished tile lands long
-          before the full frame. The image is bit-identical to the
-          sequential render-then-composite reference. --stream-tile N
-          sets the streamed tile edge in pixels (default 32; the image
-          is invariant to N). Incompatible with --distributed and
-          --schedule-seed (use `--method tile-stream` without --stream
-          for the virtual-clock run). --verbose additionally prints the
-          per-stage message/byte timeline for any render.
 
 SCHEDULE: --schedule-seed S runs compositing under the deterministic
           virtual clock: timeouts and fault delays use simulated time and
@@ -192,13 +183,24 @@ COST:     `cost-model sweep` benchmarks every modeled operation (over,
           against --baseline, failing when any ratio moved more than
           --tolerance percent (narrow hosts record skipped-narrow-host)";
 
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
+/// Minimal flag parser: `--key value` pairs plus boolean flags. It
+/// records every key a command looks up, so [`Flags::finish`] can refuse
+/// the flags nobody read.
 struct Flags<'a> {
     args: &'a [String],
+    read: RefCell<Vec<String>>,
 }
 
 impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags {
+            args,
+            read: RefCell::default(),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&'a str> {
+        self.read.borrow_mut().push(key.to_owned());
         self.args
             .iter()
             .position(|a| a == key)
@@ -207,6 +209,7 @@ impl<'a> Flags<'a> {
     }
 
     fn has(&self, key: &str) -> bool {
+        self.read.borrow_mut().push(key.to_owned());
         self.args.iter().any(|a| a == key)
     }
 
@@ -216,6 +219,20 @@ impl<'a> Flags<'a> {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("invalid value `{v}` for {key}")),
+        }
+    }
+
+    /// Refuses the first `--flag` in the arguments that was never looked
+    /// up; a command calls this once it has read all of its flags.
+    fn finish(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self
+            .args
+            .iter()
+            .find(|a| a.starts_with("--") && !read.contains(a))
+        {
+            Some(flag) => Err(format!("unknown flag `{flag}` (see `slsvr --help`)")),
+            None => Ok(()),
         }
     }
 }
@@ -254,7 +271,6 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
     config.tile = flags.parse("--tile", config.tile)?;
     config.render_threads = flags.parse("--render-threads", config.render_threads)?;
     config.simd_lanes = flags.parse("--simd-lanes", config.simd_lanes)?;
-    config.stream_tile = flags.parse("--stream-tile", config.stream_tile)?;
     if let Some(d) = flags.get("--perspective") {
         config.perspective_distance = Some(
             d.parse()
@@ -303,19 +319,12 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
 }
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let mut config = config_from_flags(&flags)?;
-    let (stream, distributed) = (flags.has("--stream"), flags.has("--distributed"));
-    if stream && distributed {
-        return Err("--stream is incompatible with --distributed".into());
-    }
-    if stream && config.schedule_seed.is_some() {
-        return Err(
-            "--stream measures real overlap and is incompatible with --schedule-seed \
-             (drop --stream for the deterministic virtual-clock tile-stream run)"
-                .into(),
-        );
-    }
+    let flags = Flags::new(args);
+    let config = config_from_flags(&flags)?;
+    let distributed = flags.has("--distributed");
+    let out_path = flags.get("--out").unwrap_or("render.pgm");
+    let verbose = flags.has("--verbose");
+    flags.finish()?;
     if distributed && (config.balanced_partition || config.faults.is_some()) {
         return Err(format!(
             "--distributed cannot honour --balanced (ranks recompute their block from the \
@@ -323,28 +332,15 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    // Three rank bodies, one outcome; the reference is what a degraded
+    // Two rank bodies, one outcome; the reference is what a degraded
     // frame is scored against.
-    if stream {
-        config.method = Method::TileStream;
-        let exp = StreamExperiment::prepare(&config);
-        let out = exp.run();
-        println!(
-            "fused tile stream ({} px tiles, {} thread(s)/rank): \
-             first tile {:.2} ms, last tile {:.2} ms, frame {:.2} ms",
-            config.resolved_stream_tile(),
-            slsvr::render::resolve_threads(config.render_threads, config.processors),
-            out.first_tile_seconds.unwrap_or(0.0) * 1e3,
-            out.last_tile_seconds.unwrap_or(0.0) * 1e3,
-            out.total_seconds * 1e3,
-        );
-        report_render(&config, &flags, out, || exp.reference())
-    } else if distributed {
+    if distributed {
         let shared = || Experiment::prepare(&config).reference();
-        report_render(&config, &flags, run_distributed(&config), shared)
+        report_render(&config, out_path, verbose, run_distributed(&config), shared)
     } else {
         let exp = Experiment::prepare(&config);
-        report_render(&config, &flags, exp.run(config.method), || exp.reference())
+        let out = exp.run(config.method);
+        report_render(&config, out_path, verbose, out, || exp.reference())
     }
 }
 
@@ -353,7 +349,8 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
 /// full-precision pixels (the `.pgm` keeps only 8 bits of each).
 fn report_render(
     config: &ExperimentConfig,
-    flags: &Flags,
+    out_path: &str,
+    verbose: bool,
     out: Outcome,
     reference: impl FnOnce() -> slsvr::image::Image,
 ) -> Result<(), String> {
@@ -372,12 +369,11 @@ fn report_render(
             out.psnr_vs(&reference()),
         );
     }
-    if flags.has("--verbose") {
+    if verbose {
         println!("per-stage traffic timeline (all ranks):");
         print!("{}", slsvr::system::format_stage_timeline(&out.per_rank));
     }
 
-    let out_path = flags.get("--out").unwrap_or("render.pgm");
     slsvr::image::pgm::save_pgm(&out.image, out_path)
         .map_err(|e| format!("writing {out_path}: {e}"))?;
     let record = FrameRecord::from_outcome(&out);
@@ -401,8 +397,9 @@ fn report_render(
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args);
     let config = config_from_flags(&flags)?;
+    flags.finish()?;
     let exp = Experiment::prepare(&config);
     let reference = exp.reference();
     println!(
@@ -488,7 +485,7 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args);
     let config = config_from_flags(&flags)?;
     let serve = serve_config_from_flags(&flags)?;
 
@@ -499,15 +496,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         inter_arrival: Duration::from_millis(flags.parse("--inter-arrival-ms", 5u64)?),
         seed: flags.parse("--seed", 0x5EEDu64)?,
     };
+    let connect = flags.get("--connect");
+    let spread = flags.parse("--shard-spread", 1usize)?.max(1);
+    flags.finish()?;
 
     // Socket mode: drive a running daemon instead of an in-process
     // service. --shard-spread N derives N bases with distinct volume
     // dims so sessions hash across the daemon's shards.
-    if let Some(addr) = flags.get("--connect") {
+    if let Some(addr) = connect {
         let addr: std::net::SocketAddr = addr
             .parse()
             .map_err(|_| format!("invalid --connect address `{addr}`"))?;
-        let spread = flags.parse("--shard-spread", 1usize)?.max(1);
         let bases = spread_bases(config, spread);
         println!(
             "{} · {}² · P={} · {} — {} session(s) × {} request(s) over {} pose(s) \
@@ -638,16 +637,6 @@ fn print_load_report(report: &LoadReport) {
         report.throughput_rps(),
         report.hit_rate() * 100.0,
     );
-    if !report.first_tile_ms.is_empty() {
-        println!(
-            "first-tile latency p50/p95/p99: {:.2} / {:.2} / {:.2} ms \
-             (over {} streamed fresh render(s))",
-            report.first_tile_percentile_ms(50.0),
-            report.first_tile_percentile_ms(95.0),
-            report.first_tile_percentile_ms(99.0),
-            report.first_tile_ms.len(),
-        );
-    }
 }
 
 /// Derives `spread` configs with distinct volume dims (z grows by one
@@ -665,7 +654,7 @@ fn spread_bases(base: ExperimentConfig, spread: usize) -> Vec<ExperimentConfig> 
 }
 
 fn cmd_daemon(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args);
     let serve = serve_config_from_flags(&flags)?;
     let daemon_cfg = DaemonConfig {
         shards: flags.parse("--shards", 1usize)?,
@@ -673,11 +662,12 @@ fn cmd_daemon(args: &[String]) -> Result<(), String> {
         window: flags.parse("--window", 8usize)?,
         serve,
     };
+    let listen = flags.get("--listen").unwrap_or("127.0.0.1:7070");
+    let run_seconds: u64 = flags.parse("--run-seconds", 0u64)?;
+    flags.finish()?;
     if daemon_cfg.shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let listen = flags.get("--listen").unwrap_or("127.0.0.1:7070");
-    let run_seconds: u64 = flags.parse("--run-seconds", 0u64)?;
 
     let daemon = Daemon::start(listen, daemon_cfg).map_err(|e| format!("bind {listen}: {e}"))?;
     println!(
@@ -710,11 +700,13 @@ fn cmd_daemon(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args);
     if let Some(spec) = flags.get("--preset") {
         return cmd_sweep_predict(&flags, spec);
     }
     let config = config_from_flags(&flags)?;
+    let out = flags.get("--out");
+    flags.finish()?;
     let sweep = SweepBuilder {
         base: config,
         datasets: DatasetKind::all().to_vec(),
@@ -723,7 +715,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         verify: false,
     };
     let csv = slsvr::system::to_csv(&sweep.run());
-    match flags.get("--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, csv).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path}");
@@ -741,9 +733,11 @@ fn cmd_sweep_predict(flags: &Flags, spec: &str) -> Result<(), String> {
     let model_path = flags
         .get("--model")
         .unwrap_or(slsvr::cost::DEFAULT_MODEL_PATH);
-    let preset = slsvr::cost::resolve_preset(spec, model_path)?;
     let size: u16 = flags.parse("--size", 384u16)?;
     let max_procs: usize = flags.parse("--max-procs", 512usize)?;
+    let out = flags.get("--out");
+    flags.finish()?;
+    let preset = slsvr::cost::resolve_preset(spec, model_path)?;
     if !max_procs.is_power_of_two() || max_procs < 2 {
         return Err(format!(
             "--max-procs must be a power of two >= 2, got {max_procs}"
@@ -772,7 +766,7 @@ fn cmd_sweep_predict(flags: &Flags, spec: &str) -> Result<(), String> {
             r.total_seconds() * 1e3,
         ));
     }
-    match flags.get("--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &csv).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path}");
@@ -821,7 +815,7 @@ fn cmd_cost_model(args: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
         return Err("cost-model needs a subcommand: sweep | fit | check".into());
     };
-    let flags = Flags { args: rest };
+    let flags = Flags::new(rest);
     match sub.as_str() {
         "sweep" => cmd_cost_sweep(&flags),
         "fit" => cmd_cost_fit(&flags),
@@ -832,31 +826,54 @@ fn cmd_cost_model(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Measures a sweep: either a fresh run honoring `--full`/`--reps`, or,
-/// when `--samples FILE` is given, the persisted one in that file.
-fn sweep_from_flags(flags: &Flags) -> Result<slsvr::cost::SweepData, String> {
-    if let Some(path) = flags.get("--samples") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read samples file '{path}': {e}"))?;
-        return slsvr::cost::SweepData::parse(&text);
+/// Where a cost-model command's sweep comes from: the persisted one in
+/// `--samples FILE`, or else a fresh run honoring `--full`/`--reps`.
+enum Samples<'a> {
+    File(&'a str),
+    Fresh { full: bool, reps: usize },
+}
+
+impl<'a> Samples<'a> {
+    fn from_flags(flags: &Flags<'a>) -> Result<Samples<'a>, String> {
+        if let Some(path) = flags.get("--samples") {
+            return Ok(Samples::File(path));
+        }
+        Ok(Samples::Fresh {
+            full: flags.has("--full"),
+            reps: flags.parse("--reps", 5usize)?,
+        })
     }
-    let full = flags.has("--full");
-    let reps: usize = flags.parse("--reps", 5usize)?;
-    eprintln!(
-        "measuring {} sweep ({} reps/sample; this renders and composites for real)...",
-        if full { "full" } else { "quick" },
-        reps
-    );
-    Ok(slsvr::cost::run_sweep(!full, reps))
+
+    /// Reads or measures the sweep.
+    fn load(self) -> Result<slsvr::cost::SweepData, String> {
+        match self {
+            Samples::File(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read samples file '{path}': {e}"))?;
+                slsvr::cost::SweepData::parse(&text)
+            }
+            Samples::Fresh { full, reps } => {
+                eprintln!(
+                    "measuring {} sweep ({} reps/sample; this renders and composites for real)...",
+                    if full { "full" } else { "quick" },
+                    reps
+                );
+                Ok(slsvr::cost::run_sweep(!full, reps))
+            }
+        }
+    }
 }
 
 fn cmd_cost_sweep(flags: &Flags) -> Result<(), String> {
-    let data = sweep_from_flags(flags)?;
+    let samples = Samples::from_flags(flags)?;
+    let out = flags.get("--out");
+    flags.finish()?;
+    let data = samples.load()?;
     for op in &data.ops {
         eprintln!("  {:<8} {} samples", op.op, op.samples.len());
     }
     let doc = data.render();
-    match flags.get("--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path}");
@@ -884,13 +901,15 @@ fn print_fit_table(preset: &slsvr::cost::CostModelPreset) {
 }
 
 fn cmd_cost_fit(flags: &Flags) -> Result<(), String> {
-    let data = sweep_from_flags(flags)?;
+    let samples = Samples::from_flags(flags)?;
     let name = flags.get("--name").unwrap_or("local");
     let floor: f64 = flags.parse("--min-r2", slsvr::cost::QUALITY_FLOOR)?;
-    let preset = slsvr::cost::fit_preset(&data, name, floor)?;
+    let out = flags.get("--out");
+    flags.finish()?;
+    let preset = slsvr::cost::fit_preset(&samples.load()?, name, floor)?;
     print_fit_table(&preset);
     let doc = slsvr::cost::render_model_file(&[slsvr::cost::CostModelPreset::sp2(), preset]);
-    match flags.get("--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path}");
@@ -905,6 +924,9 @@ fn cmd_cost_check(flags: &Flags) -> Result<(), String> {
         .get("--baseline")
         .unwrap_or(slsvr::cost::DEFAULT_MODEL_PATH);
     let want = flags.get("--preset").unwrap_or("local");
+    let samples = Samples::from_flags(flags)?;
+    let tolerance: f64 = flags.parse("--tolerance", slsvr::cost::DEFAULT_TOLERANCE_PCT)?;
+    flags.finish()?;
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline '{baseline_path}': {e}"))?;
     let presets = slsvr::cost::parse_model_file(&text)?;
@@ -913,7 +935,7 @@ fn cmd_cost_check(flags: &Flags) -> Result<(), String> {
         .find(|p| p.name == want)
         .ok_or_else(|| format!("no preset '{want}' in '{baseline_path}'"))?;
 
-    let data = sweep_from_flags(flags)?;
+    let data = samples.load()?;
     // No R² floor on the refit itself: a noisy-but-fittable refit should
     // reach the ratio comparison, where noise shows up as drift.
     let refit = slsvr::cost::fit_preset(&data, "refit", f64::NEG_INFINITY)?;
@@ -931,7 +953,6 @@ fn cmd_cost_check(flags: &Flags) -> Result<(), String> {
             },
         );
     }
-    let tolerance: f64 = flags.parse("--tolerance", slsvr::cost::DEFAULT_TOLERANCE_PCT)?;
     let report = slsvr::cost::drift_check(baseline, &refit, tolerance, data.host_cores);
     print!("{}", report.render());
     if report.passed() {
@@ -945,7 +966,8 @@ fn cmd_cost_check(flags: &Flags) -> Result<(), String> {
     }
 }
 
-fn cmd_info() {
+fn cmd_info(args: &[String]) -> Result<(), String> {
+    Flags::new(args).finish()?;
     println!("datasets:");
     for d in DatasetKind::all() {
         let dims = d.paper_dims();
@@ -955,4 +977,5 @@ fn cmd_info() {
     for m in Method::all() {
         println!("  {}", m.name());
     }
+    Ok(())
 }

@@ -367,7 +367,7 @@ fn killed_tile_producer_leaves_holes_only_at_its_tiles_and_never_hangs() {
     // become transparent holes, tiles it *did* stream before dying stay
     // fully composited, tiles it *owned* stay blank (missing piece) —
     // and in every case the group returns promptly.
-    use slsvr::compositing::methods::tile_stream::tile_grid;
+    use slsvr::compositing::methods::tile_stream::{tile_grid, DEFAULT_STREAM_TILE};
     let started = std::time::Instant::now();
     let p = 4;
     let (w, h) = (64u16, 64u16);
@@ -401,7 +401,7 @@ fn killed_tile_producer_leaves_holes_only_at_its_tiles_and_never_hangs() {
         // (victim's runs arrived), the survivor reference (hole at the
         // victim's contribution), or stay blank (the victim owned the
         // tile and died before gathering) — never a torn mix.
-        for (t, rect) in tile_grid(w, h, 32).iter().enumerate() {
+        for (t, rect) in tile_grid(w, h, DEFAULT_STREAM_TILE).iter().enumerate() {
             let got = out.image.extract_rect(rect);
             let owner = depth.front_to_back()[t % p];
             if owner == victim {

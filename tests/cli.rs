@@ -216,12 +216,15 @@ fn line_with<'a>(stdout: &'a str, needle: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no `{needle}` line in:\n{stdout}"))
 }
 
+/// The shared-volume render has two arms — ranks render in turn on a
+/// pool, or one thread each — and the distributed render is the third
+/// way to the same frame.
 #[test]
 fn three_pipelines_print_one_digest() {
     let mut digests = Vec::new();
     for (name, extra) in [
-        ("two_phase.pgm", &[][..]),
-        ("fused.pgm", &["--stream"][..]),
+        ("pooled.pgm", &["--render-threads", "2"][..]),
+        ("per_rank.pgm", &["--render-threads", "1"][..]),
         ("distributed.pgm", &["--distributed", "--ghost", "2"][..]),
     ] {
         let out = render_small(name, extra);
@@ -235,16 +238,15 @@ fn three_pipelines_print_one_digest() {
         let wrote = line_with(&stdout, "image fnv1a");
         digests.push(wrote[wrote.find("image fnv1a").unwrap()..].to_owned());
     }
-    assert_eq!(digests[0], digests[1], "fused frame differs");
+    assert_eq!(digests[0], digests[1], "thread-per-rank frame differs");
     assert_eq!(digests[0], digests[2], "distributed frame differs");
 }
 
 #[test]
 fn degraded_line_has_one_format_in_both_shared_volume_runners() {
-    for (name, extra) in [("kill.pgm", &[][..]), ("kill_fused.pgm", &["--stream"][..])] {
-        let mut flags = vec!["--faults", "kill=2@3", "--recv-deadline", "5000"];
-        flags.extend_from_slice(extra);
-        let out = render_small(name, &flags);
+    for (name, threads) in [("kill_pooled.pgm", "2"), ("kill_per_rank.pgm", "1")] {
+        let flags = ["--faults", "kill=2@3", "--recv-deadline", "5000"];
+        let out = render_small(name, &[&flags[..], &["--render-threads", threads]].concat());
         assert!(
             out.status.success(),
             "{name} stderr: {}",
@@ -255,6 +257,31 @@ fn degraded_line_has_one_format_in_both_shared_volume_runners() {
         assert!(line.starts_with("DEGRADED: dead ranks [2] · missing pieces ["));
         assert!(line.contains("% · PSNR vs reference "), "{line}");
         assert!(line.ends_with(" dB"), "{line}");
+    }
+}
+
+/// A flag no command reads is refused by name before any work starts:
+/// a typo (`--proc` for `--procs`) and the fused runner's retired switch
+/// alike.
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let retired = concat!("--", "stream");
+    for (args, flag) in [
+        (
+            &["render", "--size", "64", "--proc", "2", "--method", "bs"][..],
+            "--proc",
+        ),
+        (&["render", "--size", "64", retired][..], retired),
+        (&["compare", "--sized", "32"][..], "--sized"),
+        (&["info", "--verbose"][..], "--verbose"),
+    ] {
+        let out = slsvr().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
     }
 }
 
