@@ -32,6 +32,7 @@
 //! bit-identity end to end.
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use vr_image::{Image, Pixel, Rect};
 use vr_volume::{MacrocellGrid, Subvolume, TransferFunction, Vec3, Volume};
@@ -374,33 +375,36 @@ impl TileMask {
 // Unified clipped renderer
 // ---------------------------------------------------------------------------
 
-/// Renders rays through `clip` (global voxel coordinates), sampling from
-/// `volume` which sits at `placement` in the global grid. This is the one
+/// Renders rays through each clip box of `clips` (global voxel
+/// coordinates) into its own full-size image, sampling from `volume`,
+/// which sits at `placement` in the global grid. This is the one
 /// integration loop behind both the shared-volume and the local-block
 /// render paths; `accel = None, tile = 0` is the naive reference,
 /// `Some(accel)` enables macrocell skipping, and `tile >= 1` additionally
 /// culls whole screen tiles after a macrocell prescan.
 ///
-/// `pool` is an optional persistent [`RenderPool`] for the banded tile
-/// scheduler. With more than one render thread — from the pool, or from
-/// `params.render_threads` when no pool is given (a transient pool is
-/// spun up) — the live screen tiles (or row bands, when tile culling is
-/// off) are fanned across the threads, each item writing only its own
-/// disjoint pixel rows. Every configuration is **bit-identical** to the
-/// single-threaded render.
+/// One board per call: the pixel rect of every clip's live screen tiles
+/// (or row bands, when tile culling is off) goes into one work list,
+/// which `pool` drains in a single [`RenderPool::run`] (`None` runs it
+/// inline). So the blocks of a frame share the pool's threads tile by
+/// tile, and a pool wider than one block's tiles still has work. Every
+/// item writes only its own disjoint pixels of its own clip's image, and
+/// every pool width is **bit-identical** to the inline render.
+///
+/// Returns the images in clip order and, per clip, the seconds spent on
+/// its prescan plus the summed wall time of its items.
 #[allow(clippy::too_many_arguments)]
-pub fn render_clipped_into_pool(
+pub fn render_clips(
     volume: &Volume,
     placement: &Subvolume,
-    clip: &Subvolume,
+    clips: &[Subvolume],
     transfer: &TransferFunction,
     camera: &Camera,
     params: &RenderParams,
     accel: Option<&RenderAccel>,
     tile: usize,
     pool: Option<&RenderPool>,
-    image: &mut Image,
-) {
+) -> (Vec<Image>, Vec<f64>) {
     // Tiles larger than the image index space degenerate to one tile.
     let tile = tile.min(u16::MAX as usize);
     assert_eq!(
@@ -408,14 +412,6 @@ pub fn render_clipped_into_pool(
         placement.dims,
         "local volume must match the placement dims"
     );
-    for axis in 0..3 {
-        assert!(
-            clip.origin[axis] >= placement.origin[axis]
-                && clip.origin[axis] + clip.dims[axis]
-                    <= placement.origin[axis] + placement.dims[axis],
-            "clip box must lie inside the placement box"
-        );
-    }
     if let Some(acc) = accel {
         assert_eq!(
             acc.grid().dims(),
@@ -423,71 +419,95 @@ pub fn render_clipped_into_pool(
             "acceleration grid was built for a different volume"
         );
     }
-    let frame = Vec3::new(
-        placement.origin[0] as f32,
-        placement.origin[1] as f32,
-        placement.origin[2] as f32,
-    );
-    let lo = Vec3::new(
-        clip.origin[0] as f32,
-        clip.origin[1] as f32,
-        clip.origin[2] as f32,
-    );
-    let hi = lo
-        + Vec3::new(
-            clip.dims[0] as f32,
-            clip.dims[1] as f32,
-            clip.dims[2] as f32,
-        );
-    let footprint = camera.footprint(clip.origin, clip.dims);
+    let corner = |v: [usize; 3]| Vec3::new(v[0] as f32, v[1] as f32, v[2] as f32);
+    let frame = corner(placement.origin);
 
-    let cast = |x: u16, y: u16| -> Option<Pixel> {
-        let (t0, t1) = camera.ray_box(x, y, lo, hi)?;
-        let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
-        (!p.is_blank()).then_some(p)
-    };
+    // The board: `(clip, rect)` for every clip's items, clip by clip.
+    let mut items = Vec::new();
+    let mut seconds = Vec::with_capacity(clips.len());
+    for (c, clip) in clips.iter().enumerate() {
+        let start = Instant::now();
+        for axis in 0..3 {
+            assert!(
+                clip.origin[axis] >= placement.origin[axis]
+                    && clip.origin[axis] + clip.dims[axis]
+                        <= placement.origin[axis] + placement.dims[axis],
+                "clip box must lie inside the placement box"
+            );
+        }
+        let footprint = camera.footprint(clip.origin, clip.dims);
+        let rects = match accel {
+            Some(acc) if tile >= 1 => tile_items(
+                &footprint,
+                &acc.tile_mask(camera, placement.origin, clip, tile),
+            ),
+            _ => row_bands(&footprint, DEFAULT_TILE_SIZE as u16),
+        };
+        items.extend(rects.into_iter().map(|r| (c, r)));
+        seconds.push(start.elapsed().as_secs_f64());
+    }
+    let boxes: Vec<(Vec3, Vec3)> = clips
+        .iter()
+        .map(|clip| (corner(clip.origin), corner(clip.origin) + corner(clip.dims)))
+        .collect();
 
-    // Work decomposition: the pixel rect of every live tile in tiled
-    // mode, fixed-height row bands otherwise. Threaded or not, the same
-    // items are traversed in the same per-item pixel order; threading
-    // only changes which thread runs which item, and no two items share
-    // a pixel.
-    let items = match accel {
-        Some(acc) if tile >= 1 => {
-            let mask = acc.tile_mask(camera, placement.origin, clip, tile);
-            if !mask.any() {
-                return;
-            }
-            tile_items(&footprint, &mask)
-        }
-        _ => row_bands(&footprint, DEFAULT_TILE_SIZE as u16),
-    };
-
-    let transient;
-    let pool = match pool {
-        Some(p) => Some(p),
-        None if params.render_threads > 1 => {
-            transient = RenderPool::new(params.render_threads);
-            Some(&transient)
-        }
-        None => None,
-    };
-    match pool {
-        Some(pool) if pool.threads() > 1 && items.len() > 1 => {
-            render_items_pooled(image, &items, pool, &cast);
-        }
-        _ => {
-            for r in &items {
-                for y in r.y0..r.y1 {
-                    for x in r.x0..r.x1 {
-                        if let Some(p) = cast(x, y) {
-                            image.set(x, y, p);
-                        }
-                    }
+    let mut images: Vec<Image> = clips
+        .iter()
+        .map(|_| Image::blank(camera.width, camera.height))
+        .collect();
+    let targets: Vec<SharedPixels> = images
+        .iter_mut()
+        .map(|image| SharedPixels {
+            width: image.width() as usize,
+            ptr: image.pixels_mut().as_mut_ptr(),
+        })
+        .collect();
+    // Each item's tight bounds of its non-blank writes and its wall time.
+    let done: Vec<Mutex<(Rect, f64)>> = items
+        .iter()
+        .map(|_| Mutex::new((Rect::EMPTY, 0.0)))
+        .collect();
+    let task = |i: usize| {
+        let start = Instant::now();
+        let (c, r) = items[i];
+        let (lo, hi) = boxes[c];
+        let mut bounds = Rect::EMPTY;
+        for y in r.y0..r.y1 {
+            for x in r.x0..r.x1 {
+                let Some((t0, t1)) = camera.ray_box(x, y, lo, hi) else {
+                    continue;
+                };
+                let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
+                if !p.is_blank() {
+                    // SAFETY: (x, y) lies inside item i's rect, and the
+                    // rects of one clip are pairwise disjoint, so no other
+                    // thread ever touches this pixel of image c.
+                    unsafe { targets[c].write(x, y, p) };
+                    bounds.include(x, y);
                 }
             }
         }
+        *done[i].lock().expect("recording an item never panics") =
+            (bounds, start.elapsed().as_secs_f64());
+    };
+    match pool {
+        Some(pool) => pool.run(items.len(), &task),
+        None => (0..items.len()).for_each(task),
     }
+
+    // Only non-blank pixels were written, so each image's bounds are the
+    // union of its items' bounds: exactly what `Image::set` would have
+    // grown, in any merge order.
+    let mut bounds = vec![Rect::EMPTY; clips.len()];
+    for (&(c, _), d) in items.iter().zip(done) {
+        let (b, s) = d.into_inner().expect("recording an item never panics");
+        bounds[c] = bounds[c].union(&b);
+        seconds[c] += s;
+    }
+    for (image, b) in images.iter_mut().zip(bounds) {
+        image.assert_bounds(b);
+    }
+    (images, seconds)
 }
 
 /// Collects the pixel rectangle of every *live* screen tile: marked in
@@ -542,14 +562,16 @@ fn row_bands(footprint: &Rect, rows: u16) -> Vec<Rect> {
 }
 
 /// Raw shared view of an image's pixel buffer for the disjoint-rect
-/// writers of the threaded render.
+/// writers of the board.
 struct SharedPixels {
     ptr: *mut Pixel,
     width: usize,
 }
 
-// SAFETY: every write targets a pixel owned by exactly one work item
-// (the item rects are pairwise disjoint), so concurrent use never
+// SAFETY: `ptr` points into a pixel buffer that nothing else reads,
+// writes or reallocates until the board drains; every write targets a
+// pixel owned by exactly one work item (one clip's item rects are
+// pairwise disjoint); and `width` is read-only. So concurrent use never
 // aliases a pixel.
 unsafe impl Sync for SharedPixels {}
 
@@ -559,50 +581,6 @@ impl SharedPixels {
     unsafe fn write(&self, x: u16, y: u16, p: Pixel) {
         unsafe { *self.ptr.add(y as usize * self.width + x as usize) = p };
     }
-}
-
-/// Fans disjoint-rect work items across the pool. Each item writes only
-/// its own pixels, so the framebuffer needs no locking: items write
-/// through a shared raw pointer, and each records the tight bounds of
-/// its non-blank writes. The merged bounds re-arm the image's O(1)
-/// bounding-rect hint with exactly the rectangle the sequential render
-/// would have grown through `Image::set` (only non-blank pixels are ever
-/// written, so bounds only grow and the merge order is immaterial).
-fn render_items_pooled(
-    image: &mut Image,
-    items: &[Rect],
-    pool: &RenderPool,
-    cast: &(dyn Fn(u16, u16) -> Option<Pixel> + Sync),
-) {
-    // Tight bounds of any pre-existing content, captured before raw
-    // buffer access drops the image's hint.
-    let prior = image.bounding_rect();
-    let width = image.width() as usize;
-    let shared = SharedPixels {
-        ptr: image.pixels_mut().as_mut_ptr(),
-        width,
-    };
-    let item_bounds: Vec<Mutex<Rect>> = items.iter().map(|_| Mutex::new(Rect::EMPTY)).collect();
-    pool.run(items.len(), &|i| {
-        let r = items[i];
-        let mut bounds = Rect::EMPTY;
-        for y in r.y0..r.y1 {
-            for x in r.x0..r.x1 {
-                if let Some(p) = cast(x, y) {
-                    // SAFETY: (x, y) lies inside item i's rect, and the
-                    // item rects are pairwise disjoint, so no other
-                    // thread ever touches this pixel.
-                    unsafe { shared.write(x, y, p) };
-                    bounds.include(x, y);
-                }
-            }
-        }
-        *item_bounds[i].lock().unwrap() = bounds;
-    });
-    let merged = item_bounds
-        .into_iter()
-        .fold(prior, |acc, b| acc.union(&b.into_inner().unwrap()));
-    image.assert_bounds(merged);
 }
 
 /// One ray-sample step: classify, shade, accumulate. Returns `true` when
@@ -852,6 +830,30 @@ mod tests {
         }
     }
 
+    /// The whole dataset as one clip on a board of its own.
+    fn render_whole(
+        ds: &Dataset,
+        cam: &Camera,
+        accel: Option<&RenderAccel>,
+        tile: usize,
+        pool: Option<&RenderPool>,
+    ) -> Image {
+        let dims = ds.volume.dims();
+        let params = RenderParams::default();
+        let (mut images, _) = render_clips(
+            &ds.volume,
+            &whole(dims),
+            &[whole(dims)],
+            &ds.transfer,
+            cam,
+            &params,
+            accel,
+            tile,
+            pool,
+        );
+        images.pop().expect("one clip, one image")
+    }
+
     #[test]
     fn lut_is_bit_identical_to_transfer() {
         let tfs = vec![
@@ -897,35 +899,11 @@ mod tests {
             let ds = Dataset::with_dims(kind, dims);
             let cam = Camera::orbit(dims, 64, 64, 20.0, 30.0);
             let params = RenderParams::default();
-            let mut naive = Image::blank(64, 64);
-            render_clipped_into_pool(
-                &ds.volume,
-                &whole(dims),
-                &whole(dims),
-                &ds.transfer,
-                &cam,
-                &params,
-                None,
-                0,
-                None,
-                &mut naive,
-            );
+            let naive = render_whole(&ds, &cam, None, 0, None);
             for cell in [4, 8, 16] {
                 let acc = RenderAccel::new(ds.macrocell_grid(cell), &ds.transfer, &params);
                 for tile in [0, 8, 32] {
-                    let mut fast = Image::blank(64, 64);
-                    render_clipped_into_pool(
-                        &ds.volume,
-                        &whole(dims),
-                        &whole(dims),
-                        &ds.transfer,
-                        &cam,
-                        &params,
-                        Some(&acc),
-                        tile,
-                        None,
-                        &mut fast,
-                    );
+                    let fast = render_whole(&ds, &cam, Some(&acc), tile, None);
                     assert_eq!(
                         fnv1a(&naive),
                         fnv1a(&fast),
@@ -979,19 +957,7 @@ mod tests {
         let ds = Dataset::with_dims(DatasetKind::Cube, dims);
         let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
         let params = RenderParams::default();
-        let mut naive = Image::blank(96, 96);
-        render_clipped_into_pool(
-            &ds.volume,
-            &whole(dims),
-            &whole(dims),
-            &ds.transfer,
-            &cam,
-            &params,
-            None,
-            0,
-            None,
-            &mut naive,
-        );
+        let naive = render_whole(&ds, &cam, None, 0, None);
         let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
         let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 16);
         for y in 0..96u16 {
@@ -1125,41 +1091,14 @@ mod tests {
     fn threaded_render_has_no_seam_rows_at_clamped_edges() {
         let dims = [32, 32, 16];
         let ds = Dataset::with_dims(DatasetKind::EngineLow, dims);
+        let pool = RenderPool::new(3);
         for (w, h) in [(70u16, 54u16), (33, 33), (64, 65)] {
             let cam = Camera::orbit(dims, w, h, 20.0, 30.0);
             let params = RenderParams::default();
             let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
             for tile in [0usize, 32] {
-                let mut sequential = Image::blank(w, h);
-                render_clipped_into_pool(
-                    &ds.volume,
-                    &whole(dims),
-                    &whole(dims),
-                    &ds.transfer,
-                    &cam,
-                    &params,
-                    Some(&acc),
-                    tile,
-                    None,
-                    &mut sequential,
-                );
-                let threaded_params = RenderParams {
-                    render_threads: 3,
-                    ..params
-                };
-                let mut threaded = Image::blank(w, h);
-                render_clipped_into_pool(
-                    &ds.volume,
-                    &whole(dims),
-                    &whole(dims),
-                    &ds.transfer,
-                    &cam,
-                    &threaded_params,
-                    Some(&acc),
-                    tile,
-                    None,
-                    &mut threaded,
-                );
+                let sequential = render_whole(&ds, &cam, Some(&acc), tile, None);
+                let threaded = render_whole(&ds, &cam, Some(&acc), tile, Some(&pool));
                 assert_eq!(
                     fnv1a(&sequential),
                     fnv1a(&threaded),

@@ -7,6 +7,8 @@
 //! the screen-space footprint of the processor's block, so subimage cost
 //! scales with the block, not the frame. [`local`] is the same loop over
 //! a block a rank holds by itself (the distributed-memory mode).
+//! [`render_clips`] renders many blocks at once, on one board of screen
+//! tiles that a [`RenderPool`] drains.
 
 pub mod accel;
 pub mod camera;
@@ -15,7 +17,7 @@ pub mod params;
 pub mod pool;
 pub mod raycast;
 
-pub use accel::{RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZE};
+pub use accel::{render_clips, RenderAccel, TfLut, TileMask, DEFAULT_TILE_SIZE};
 pub use camera::{Camera, Projection};
 pub use local::render_local_block_clipped_accel;
 pub use params::{RenderParams, MAX_SIMD_LANES};

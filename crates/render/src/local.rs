@@ -15,7 +15,7 @@
 use vr_image::Image;
 use vr_volume::{Subvolume, TransferFunction, Volume};
 
-use crate::accel::{render_clipped_into_pool, RenderAccel};
+use crate::accel::{render_clips, RenderAccel};
 use crate::camera::Camera;
 use crate::params::RenderParams;
 
@@ -36,7 +36,8 @@ use crate::params::RenderParams;
 /// grid must be built over `local` (the ghost-expanded data each rank
 /// holds), so empty-space skipping works without any global state — the
 /// paper's distributed-memory setting — and the output is bit-identical
-/// to the naive one.
+/// to the naive one. It renders inline: a one-clip call of
+/// [`render_clips`] with no pool.
 #[allow(clippy::too_many_arguments)]
 pub fn render_local_block_clipped_accel(
     local: &Volume,
@@ -48,11 +49,11 @@ pub fn render_local_block_clipped_accel(
     accel: Option<&RenderAccel>,
     tile: usize,
 ) -> Image {
-    let mut image = Image::blank(camera.width, camera.height);
-    render_clipped_into_pool(
-        local, placement, clip, transfer, camera, params, accel, tile, None, &mut image,
+    let clips = std::slice::from_ref(clip);
+    let (mut images, _) = render_clips(
+        local, placement, clips, transfer, camera, params, accel, tile, None,
     );
-    image
+    images.pop().expect("one clip, one image")
 }
 
 #[cfg(test)]

@@ -29,13 +29,6 @@ pub struct RenderParams {
     /// identity); other tints exercise color channels independently.
     #[serde(default = "default_tint")]
     pub tint: [f32; 3],
-    /// Worker threads for the banded tile scheduler (live screen tiles
-    /// fanned across a [`RenderPool`](crate::RenderPool)). `1` — the
-    /// default — is the single-threaded reference; any value is
-    /// **bit-identical** to it because work items write disjoint pixels.
-    /// Ignored when the caller passes an explicit pool.
-    #[serde(default = "default_render_threads")]
-    pub render_threads: usize,
     /// Ray-sample batch width inside active macrocells: the integrator
     /// gathers up to this many samples per iteration into fixed-width
     /// array lanes the autovectorizer can lift, then classifies and
@@ -53,10 +46,6 @@ fn default_tint() -> [f32; 3] {
     [1.0; 3]
 }
 
-fn default_render_threads() -> usize {
-    1
-}
-
 fn default_simd_lanes() -> usize {
     1
 }
@@ -71,7 +60,6 @@ impl Default for RenderParams {
             light_dir: Vec3::new(-0.4, -0.6, 0.7).normalized(),
             opacity_cutoff: 1e-4,
             tint: default_tint(),
-            render_threads: default_render_threads(),
             simd_lanes: default_simd_lanes(),
         }
     }
@@ -132,7 +120,6 @@ mod tests {
     #[test]
     fn threading_and_lanes_default_to_the_scalar_reference() {
         let p = RenderParams::default();
-        assert_eq!(p.render_threads, 1);
         assert_eq!(p.simd_lanes, 1);
         assert_eq!(8usize.clamp(1, MAX_SIMD_LANES), 8);
     }

@@ -77,23 +77,20 @@ struct Shared {
     done: Condvar,
 }
 
-/// The thread count a `render_threads` knob resolves to: an explicit
-/// value as-is, bounded at 64 (beyond that the per-tile work items are
-/// too few to feed); `0` (auto) the host's available parallelism divided
-/// among the `sharers` rendering at once (a service's workers), at least
-/// 1 and at most 8, so nothing oversubscribes.
-pub fn resolve_threads(requested: usize, sharers: usize) -> usize {
+/// The width a `--render-threads` value gives a [`RenderPool`]: an
+/// explicit value as-is, bounded at 64 (beyond that the per-tile work
+/// items are too few to feed); `0` (auto) the host's available
+/// parallelism, at most 8.
+pub fn resolve_threads(requested: usize) -> usize {
     match requested {
-        0 => {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            (cores / sharers.max(1)).clamp(1, 8)
-        }
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
         n => n.min(64),
     }
 }
 
 /// A fixed-size pool of render worker threads, spawned once (per
 /// `Experiment::prepare`, per serve worker, …) and reused across frames.
+/// It is the only place the renderer's thread count is set.
 ///
 /// `new(threads)` spawns `threads - 1` workers; the thread calling
 /// [`RenderPool::run`] participates as the remaining lane, so a pool of
@@ -102,18 +99,15 @@ pub fn resolve_threads(requested: usize, sharers: usize) -> usize {
 pub struct RenderPool {
     shared: Option<Arc<Shared>>,
     workers: Vec<JoinHandle<()>>,
-    threads: usize,
 }
 
 impl RenderPool {
     /// Creates a pool that renders with `threads` threads (minimum 1).
     pub fn new(threads: usize) -> RenderPool {
-        let threads = threads.max(1);
-        if threads == 1 {
+        if threads <= 1 {
             return RenderPool {
                 shared: None,
                 workers: Vec::new(),
-                threads,
             };
         }
         let shared = Arc::new(Shared {
@@ -133,14 +127,7 @@ impl RenderPool {
         RenderPool {
             shared: Some(shared),
             workers,
-            threads,
         }
-    }
-
-    /// The number of threads this pool renders with (including the
-    /// submitting thread).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs `task(i)` for every `i in 0..total`, fanned across the pool.
@@ -280,7 +267,6 @@ mod tests {
     fn every_index_runs_exactly_once_at_any_width() {
         for threads in [1, 2, 3, 8] {
             let pool = RenderPool::new(threads);
-            assert_eq!(pool.threads(), threads);
             // Reuse the same pool across several "frames".
             for total in [0usize, 1, 2, 5, 64] {
                 let counts: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
@@ -296,6 +282,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn render_threading_is_auto_by_default_and_bounded() {
+        // Auto: one thread per core, capped at 8.
+        assert!((1..=8).contains(&resolve_threads(0)));
+        // Explicit values pass through but are bounded at 64.
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(10_000), 64);
     }
 
     #[test]

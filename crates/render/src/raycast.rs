@@ -3,7 +3,7 @@
 use vr_image::Image;
 use vr_volume::{Subvolume, TransferFunction, Vec3, Volume};
 
-use crate::accel::{render_clipped_into_pool, RenderAccel};
+use crate::accel::{render_clips, RenderAccel};
 use crate::camera::Camera;
 use crate::params::RenderParams;
 use crate::pool::RenderPool;
@@ -40,8 +40,9 @@ pub fn render_block_accel(
     render_block_accel_pool(volume, block, transfer, camera, params, accel, tile, None)
 }
 
-/// [`render_block_accel`] with an optional persistent [`RenderPool`] for
-/// the banded tile scheduler; bit-identical at every thread count.
+/// [`render_block_accel`] with its live tiles fanned across a persistent
+/// [`RenderPool`] (`None` renders inline): a one-clip call of
+/// [`render_clips`], bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn render_block_accel_pool(
     volume: &Volume,
@@ -53,16 +54,16 @@ pub fn render_block_accel_pool(
     tile: usize,
     pool: Option<&RenderPool>,
 ) -> Image {
-    let mut image = Image::blank(camera.width, camera.height);
     let placement = Subvolume {
         rank: block.rank,
         origin: [0, 0, 0],
         dims: volume.dims(),
     };
-    render_clipped_into_pool(
-        volume, &placement, block, transfer, camera, params, accel, tile, pool, &mut image,
+    let clips = std::slice::from_ref(block);
+    let (mut images, _) = render_clips(
+        volume, &placement, clips, transfer, camera, params, accel, tile, pool,
     );
-    image
+    images.pop().expect("one clip, one image")
 }
 
 /// Gray-level gradient shading: ambient + Lambertian diffuse.

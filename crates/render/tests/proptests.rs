@@ -7,8 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vr_image::checksum::fnv1a;
 use vr_render::{
-    render_block, render_block_accel, render_block_accel_pool, render_local_block_clipped_accel,
-    Camera, Projection, RenderAccel, RenderParams, RenderPool,
+    render_block, render_block_accel, render_block_accel_pool, render_clips,
+    render_local_block_clipped_accel, Camera, Projection, RenderAccel, RenderParams, RenderPool,
 };
 use vr_volume::{kd_partition, MacrocellGrid, Subvolume, TransferFunction, Volume};
 
@@ -254,11 +254,10 @@ proptest! {
     /// The threading/SIMD tentpole invariant: `render(threads=t,
     /// lanes=l)` is **bit-identical** to `render(threads=1, lanes=1)`
     /// for t ∈ {1,2,3,8} (including the non-power-of-two 3) and
-    /// l ∈ {1,4,8}, whether the threads come from a persistent pool or
-    /// the transient `render_threads` knob, over arbitrary volumes,
-    /// views, transfer windows, tile sizes and clip boxes. The 40×40
-    /// image holds at most 4 live 32-px tiles — fewer work items than
-    /// the 8-thread pool — so idle-lane behavior is covered too.
+    /// l ∈ {1,4,8}, over arbitrary volumes, views, transfer windows, tile
+    /// sizes and clip boxes. The 40×40 image holds at most 4 live 32-px
+    /// tiles — fewer work items than the 8-thread pool — so idle-lane
+    /// behavior is covered too.
     #[test]
     fn threaded_simd_render_is_bit_identical_to_the_scalar_reference(
         seed in any::<u32>(),
@@ -295,32 +294,21 @@ proptest! {
             simd_lanes: lanes,
             ..reference_params
         };
-        // A persistent pool, as Experiment::prepare and serve use it…
         let pool = RenderPool::new(threads);
         let pooled =
             render_block_accel_pool(&v, &block, &tf, &cam, &params, Some(&accel), tile, Some(&pool));
-        // …and the transient render_threads knob must agree with it.
-        let knob_params = RenderParams { render_threads: threads, ..params };
-        let transient =
-            render_block_accel(&v, &block, &tf, &cam, &knob_params, Some(&accel), tile);
 
         prop_assert_eq!(
             fnv1a(&reference), fnv1a(&pooled),
             "pooled diverged: seed={} threads={} lanes={} tile={} which={}",
             seed, threads, lanes, tile, which
         );
-        prop_assert_eq!(
-            fnv1a(&reference), fnv1a(&transient),
-            "transient diverged: seed={} threads={} lanes={} tile={}",
-            seed, threads, lanes, tile
-        );
         prop_assert_eq!(fnv1a(&naive), fnv1a(&pooled), "threaded+SIMD diverged from naive");
         prop_assert_eq!(reference.bounding_rect(), pooled.bounding_rect());
-        prop_assert_eq!(reference.bounding_rect(), transient.bounding_rect());
     }
 
     /// The distributed-memory threaded path: local block, off-origin
-    /// placement, clip interior, fanned over `render_threads` — still
+    /// placement, clip interior, fanned across a pool — still
     /// bit-identical.
     #[test]
     fn threaded_local_clipped_render_matches_the_scalar_reference(
@@ -342,15 +330,76 @@ proptest! {
             &local, &placement, &clip, &tf, &cam, &params, None, 0,
         );
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, 4)), &tf, &params);
-        let threaded_params = RenderParams { render_threads: threads, simd_lanes: lanes, ..params };
-        let fast = render_local_block_clipped_accel(
-            &local, &placement, &clip, &tf, &cam, &threaded_params, Some(&accel), tile,
+        let threaded_params = RenderParams { simd_lanes: lanes, ..params };
+        let pool = RenderPool::new(threads);
+        let (fast, _) = render_clips(
+            &local, &placement, &[clip], &tf, &cam, &threaded_params, Some(&accel), tile,
+            Some(&pool),
         );
         prop_assert_eq!(
-            fnv1a(&reference), fnv1a(&fast),
+            fnv1a(&reference), fnv1a(&fast[0]),
             "threads={} lanes={} tile={}", threads, lanes, tile
         );
-        prop_assert_eq!(reference.bounding_rect(), fast.bounding_rect());
+        prop_assert_eq!(reference.bounding_rect(), fast[0].bounding_rect());
+    }
+
+    /// The one board: every block of a `kd_partition` (P ∈ {1, 3, 5})
+    /// plus a block with no live tile, rendered by one `render_clips`
+    /// call on a pool of t ∈ {1, 2, 3, 8} threads, is each block as it
+    /// renders alone and inline — bits and bounding rect — from the
+    /// whole volume and from an off-origin local block alike. At 32-px
+    /// tiles or none, the 32×32 image gives each block one work item, so
+    /// the 8-thread pool gets fewer items than threads.
+    #[test]
+    fn one_board_renders_each_block_as_it_renders_alone(
+        seed in any::<u32>(),
+        p in prop_oneof![Just(1usize), Just(3), Just(5)],
+        threads in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        tile in prop_oneof![Just(0usize), Just(8), Just(32)],
+        off_origin in any::<bool>(),
+        (rx, ry) in arb_rot(),
+    ) {
+        // Content only below x = 12, so the x-planes from 16 on hold no
+        // active macrocell.
+        let gdims = [20, 16, 12];
+        let noisy = noise_volume(gdims, seed, 64);
+        let global = Volume::from_fn(gdims, |x, y, z| if x < 12 { noisy.get(x, y, z) } else { 0 });
+        let placement = if off_origin {
+            Subvolume { rank: 0, origin: [2, 1, 1], dims: [18, 15, 11] }
+        } else {
+            Subvolume { rank: 0, origin: [0, 0, 0], dims: gdims }
+        };
+        let local = global.extract_block(placement.origin, placement.dims);
+        let (o, d) = (placement.origin, placement.dims);
+        let mut clips: Vec<Subvolume> = kd_partition(d, p)
+            .subvolumes()
+            .iter()
+            .map(|b| Subvolume { origin: [0, 1, 2].map(|a| o[a] + b.origin[a]), ..*b })
+            .collect();
+        let empty = Subvolume { rank: p, origin: [16, o[1], o[2]], dims: [4, d[1], d[2]] };
+        clips.push(empty);
+        let cam = Camera::orbit(gdims, 32, 32, rx, ry);
+        let tf = TransferFunction::window(60.0, 140.0, 0.9);
+        let params = RenderParams::fast();
+        let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, 4)), &tf, &params);
+        prop_assert!(!accel.tile_mask(&cam, o, &empty, 8).any(), "the last block has a live tile");
+
+        let pool = RenderPool::new(threads);
+        let (board, seconds) = render_clips(
+            &local, &placement, &clips, &tf, &cam, &params, Some(&accel), tile, Some(&pool),
+        );
+        prop_assert_eq!(board.len(), clips.len());
+        prop_assert_eq!(seconds.len(), clips.len());
+        for (clip, image) in clips.iter().zip(&board) {
+            let alone = render_local_block_clipped_accel(
+                &local, &placement, clip, &tf, &cam, &params, Some(&accel), tile,
+            );
+            prop_assert_eq!(
+                fnv1a(&alone), fnv1a(image),
+                "block {:?} p={} threads={} tile={}", clip, p, threads, tile
+            );
+            prop_assert_eq!(alone.bounding_rect(), image.bounding_rect());
+        }
     }
 
     /// Footprints are always clamped inside the image, for both

@@ -185,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_key_changes_with_each_of_the_22_config_fields() {
+    fn frame_key_changes_with_each_of_the_21_config_fields() {
         use std::time::Duration;
         use vr_system::CompTiming;
         fn ulp(v: &mut f32) {
@@ -196,7 +196,7 @@ mod tests {
         }
         // One edit per field, in declaration order; floats move by one
         // ULP, options flip between `None` and `Some`.
-        let edits: [fn(&mut ExperimentConfig); 22] = [
+        let edits: [fn(&mut ExperimentConfig); 21] = [
             |c| c.dataset = DatasetKind::Head,
             |c| c.image_size += 1,
             |c| c.processors += 1,
@@ -217,7 +217,6 @@ mod tests {
             |c| c.schedule_seed = Some(0),
             |c| c.macrocell += 1,
             |c| c.tile += 1,
-            |c| c.render_threads += 1,
             |c| c.simd_lanes += 1,
         ];
         let base = ExperimentConfig::small_test(DatasetKind::Cube, 4, Method::Bsbrc);

@@ -33,8 +33,8 @@ use crate::queue::{admit, Admission, Job, Waiter};
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads rendering frames concurrently (the pool's
-    /// concurrency limit; each worker still fans out one render thread
-    /// per simulated rank).
+    /// concurrency limit; each worker renders on its own render pool,
+    /// see [`ServeConfig::render_threads`]).
     pub workers: usize,
     /// Maximum queued (admitted, not yet running) frame jobs. Beyond
     /// this, requests get an explicit [`FrameResponse::Overloaded`] —
@@ -70,27 +70,27 @@ pub struct ServeConfig {
     /// Evict a resident dataset once no session holds it and it has
     /// been idle this long (`None` = datasets stay resident forever).
     pub session_ttl: Option<Duration>,
-    /// Intra-rank render threads *per worker* (the banded tile
-    /// scheduler): each worker owns a persistent render pool of this
-    /// size, reused across frames, so the service's total render
-    /// threads are bounded by `workers × render_threads`. `0` (the
-    /// default) means auto — the host's cores divided across the
-    /// workers, clamped to `1..=8`, resolved at service start (one read
-    /// of the host's parallelism sizes both the pools and every frame's
-    /// config). Bit-identical at every value; this is a resource knob,
-    /// so the service value overrides per-request configs.
+    /// The width of each worker's render pool, spawned once and reused
+    /// across frames: every rank of a frame puts its tiles on one board
+    /// that the worker's pool drains, so this is the frame's render
+    /// thread count, whatever P is. `0` (the default) means auto — the
+    /// host's cores, capped at 8, resolved once at service start. Not
+    /// divided by `workers`: a one-thread pool would render a whole
+    /// frame on one thread, and frames from concurrent workers share the
+    /// cores as any threads do. Bit-identical at every value; requests
+    /// carry no thread count.
     pub render_threads: usize,
     /// Ray-sample lanes in the render inner loop (1 = scalar reference;
-    /// bit-identical at any width). Overrides per-request configs like
-    /// `render_threads`.
+    /// bit-identical at any width). A resource knob: overrides
+    /// per-request configs.
     pub simd_lanes: usize,
 }
 
 impl ServeConfig {
-    /// The per-worker render-thread count this config resolves to (see
+    /// Each worker's render-pool width (see
     /// [`ServeConfig::render_threads`]).
     pub fn resolved_render_threads(&self) -> usize {
-        vr_system::resolve_threads(self.render_threads, self.workers)
+        vr_system::resolve_threads(self.render_threads)
     }
 }
 
@@ -570,12 +570,9 @@ impl SessionHandle {
 
 /// The request config with the service-level robustness knobs folded in:
 /// per-request settings win; service-level faults / reliability /
-/// receive deadline fill the gaps. Render *resource* knobs are the one
-/// exception: the service owns its thread budget (total render threads
-/// = workers × render_threads), so `render_threads`/`simd_lanes` are
-/// always taken from the service config (`serve` is [`Shared::cfg`],
-/// whose thread count is resolved) — safe because both are bit-identical
-/// to the scalar reference and never change the frame.
+/// receive deadline fill the gaps. `simd_lanes` is the one exception: a
+/// render resource knob, always taken from the service config — safe
+/// because every width is bit-identical to the scalar reference.
 fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentConfig {
     let mut cfg = *req;
     if cfg.faults.is_none() {
@@ -589,7 +586,6 @@ fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentCo
     if cfg.recv_deadline.is_none() {
         cfg.recv_deadline = serve.recv_deadline;
     }
-    cfg.render_threads = serve.render_threads;
     cfg.simd_lanes = serve.simd_lanes;
     cfg
 }
@@ -754,12 +750,11 @@ fn report_health(shared: &Shared, job: &Job, success: bool) {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Each worker owns one persistent banded-render pool, spawned here
-    // and reused across every frame it renders — the service's total
-    // render threads stay bounded at workers × render_threads. A panic
-    // inside a pool worker re-raises typed on this thread and is caught
-    // by `run_attempt`; the pool itself survives and serves the next
-    // job.
+    // Each worker owns one persistent render pool, spawned here and
+    // reused across every frame it renders; all of a frame's ranks share
+    // its board. A panic inside a pool worker re-raises typed on this
+    // thread and is caught by `run_attempt`; the pool itself survives
+    // and serves the next job.
     let pool = RenderPool::new(shared.cfg.render_threads);
     loop {
         let job = {
@@ -1179,8 +1174,8 @@ mod tests {
         let service = FrameService::paused(ServeConfig::default());
         let threads = service.shared.cfg.render_threads;
         assert!((1..=8).contains(&threads), "auto resolved to {threads}");
-        let eff = effective_config(&small(), &service.shared.cfg);
-        assert_eq!(eff.render_threads, threads);
+        // The auto width is the host's, not a share of it per worker.
+        assert_eq!(threads, vr_system::resolve_threads(0));
     }
 
     #[test]

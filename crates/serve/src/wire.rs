@@ -54,8 +54,9 @@ use crate::CacheCounters;
 /// Protocol version spoken by this build. 3: a `Method` travels as its
 /// position in the seven-entry `Method::all()` (RADIXK and TSTREAM moved
 /// to 5 and 6). 4: a request no longer carries a streamed-tile edge, nor
-/// a frame record the fused runner's first-/last-tile latencies.
-pub const WIRE_VERSION: u16 = 4;
+/// a frame record the fused runner's first-/last-tile latencies. 5: nor
+/// a render thread count (the serving worker's pool sets it).
+pub const WIRE_VERSION: u16 = 5;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -532,7 +533,6 @@ wire_struct!(ExperimentConfig {
     schedule_seed,
     macrocell if within(0..=MAX_ACCEL_EDGE),
     tile if within(0..=MAX_ACCEL_EDGE),
-    render_threads,
     simd_lanes,
 });
 
@@ -1278,7 +1278,6 @@ mod proptests {
             schedule_seed: draw!(Option word()),
             macrocell: draw!(usize in 0, MAX_ACCEL_EDGE),
             tile: draw!(usize in 0, MAX_ACCEL_EDGE),
-            render_threads: word() as usize,
             simd_lanes: word() as usize,
         }
     }

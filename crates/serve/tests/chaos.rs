@@ -10,7 +10,7 @@
 //! groups run under the deterministic virtual clock (`schedule_seed`),
 //! so timeouts are simulated time, not wall-clock waits.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use slsvr_core::Method;
@@ -20,8 +20,8 @@ use vr_serve::{
     run_load, BreakerConfig, DegradedFramePolicy, FrameResponse, FrameService, LoadConfig,
     RejectReason, RetryPolicy, ServeConfig, ServeSource,
 };
-use vr_system::{Experiment, ExperimentConfig};
-use vr_volume::DatasetKind;
+use vr_system::{Experiment, ExperimentConfig, RenderPool};
+use vr_volume::{Dataset, DatasetKind};
 
 /// The tiny base workload every chaos test renders.
 fn base() -> ExperimentConfig {
@@ -457,9 +457,6 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
     });
     let session = service.open_session(base());
     let mut poisoned = base();
-    // The request asks for its own thread count; the service-owned knob
-    // must override it (resources belong to the service, not requests).
-    poisoned.render_threads = 3;
     poisoned.faults = Some(blackout(29));
     match answer(&session.request(poisoned)) {
         FrameResponse::Rejected { attempts, reason } => {
@@ -476,9 +473,7 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
     }
     // The same worker — and the same render pool — still serves, and the
     // threaded frame is bit-identical to the scalar reference.
-    let mut healthy = base();
-    healthy.render_threads = 3;
-    let served = match answer(&session.request(healthy)) {
+    let served = match answer(&session.request(base())) {
         FrameResponse::Frame(reply) => {
             assert_eq!(reply.source, ServeSource::Fresh);
             reply
@@ -486,9 +481,11 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
         other => panic!("pool hung or died: expected a frame, got {other:?}"),
     };
     let mut scalar = base();
-    scalar.render_threads = 1;
     scalar.simd_lanes = 1;
-    let batch = Experiment::prepare(&scalar).run(scalar.method);
+    let dataset = Arc::new(Dataset::with_dims(scalar.dataset, scalar.resolved_dims()));
+    let inline = RenderPool::new(1);
+    let batch =
+        Experiment::prepare_with_dataset_pool(&scalar, dataset, Some(&inline)).run(scalar.method);
     assert_eq!(
         served.frame.image_hash,
         fnv1a(&batch.image),

@@ -9,12 +9,14 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted), `3` (after direct send was) and `4`, and nothing
-//! else in them moved. Version 4 dropped the request's streamed-tile
-//! edge and the frame record's two tile latencies with the fused
-//! runner, so `REQUEST`, the three `KEY_*` and the four
+//! PIPE were deleted), `3` (after direct send was), `4` and `5`, and
+//! nothing else in them moved. Version 4 dropped the request's
+//! streamed-tile edge and the frame record's two tile latencies with the
+//! fused runner, so `REQUEST`, the three `KEY_*` and the four
 //! `RESPONSE_FRAME_*` were re-recorded with it; every other
 //! `RESPONSE_*`, `STATS_REPLY` and every tag table stayed unchanged.
+//! Version 5 dropped the request's render thread count, so `REQUEST` and
+//! the three `KEY_*` were re-recorded with it, and nothing else moved.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -39,10 +41,10 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe81ee95eb68b1da5;
-const WELCOME: u64 = 0xafc927da7dc73a51;
-const ERROR: u64 = 0x102543f423ba8abf;
-const REQUEST: u64 = 0xbc57bcb9b0442da7;
+const HELLO: u64 = 0xe81b835eb6883a7c;
+const WELCOME: u64 = 0x90ce60d172d7f030;
+const ERROR: u64 = 0x0b675472facd6e78;
+const REQUEST: u64 = 0x823e85dc74f39f64;
 const RESPONSE_FRAME_DEGRADED: u64 = 0xfc78ee4e7f0703e6;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
@@ -58,9 +60,9 @@ const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
 const RESPONSE_REJECTED_CIRCUIT: u64 = 0x292ddc8905b8cfc8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
 
-const KEY_DEFAULT: u64 = 0xb7720f0b450a9563;
-const KEY_SMALL_TEST: u64 = 0xac919b347f238641;
-const KEY_EVERY_OPTION: u64 = 0x26b3da1cb52724f7;
+const KEY_DEFAULT: u64 = 0x5fecd14fbfdeae83;
+const KEY_SMALL_TEST: u64 = 0x10299364a95ecfa1;
+const KEY_EVERY_OPTION: u64 = 0xce3056b94487ccb4;
 
 /// FNV-1a over raw bytes (the same function `frame_key` applies to a
 /// config's canonical encoding).
@@ -138,7 +140,6 @@ fn every_option() -> ExperimentConfig {
         schedule_seed: Some(11),
         macrocell: 4,
         tile: 12,
-        render_threads: 3,
         simd_lanes: 8,
     }
 }

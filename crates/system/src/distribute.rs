@@ -15,9 +15,9 @@ use bytes::Bytes;
 
 use slsvr_core::composite;
 use vr_comm::{broadcast, scatter};
-use vr_render::{render_local_block_clipped_accel, RenderAccel, RenderParams};
+use vr_render::{render_local_block_clipped_accel, RenderAccel};
 use vr_volume::io::{decode_block, encode_block};
-use vr_volume::{kd_partition, Dataset, DepthOrder, MacrocellGrid};
+use vr_volume::{Dataset, DepthOrder, MacrocellGrid, Subvolume};
 
 use crate::config::ExperimentConfig;
 use crate::outcome::{run_frame, Outcome, RankFrame};
@@ -25,78 +25,84 @@ use crate::scene::Scene;
 
 /// Tags for the pipeline's own phases (distinct from compositing tags).
 const TAG_SCATTER: u32 = 0x5CA7;
-const TAG_DEPTH: u32 = 0xDE72;
+const TAG_LAYOUT: u32 = 0xDE72;
 
 /// Runs the full three-phase system for `config`, with rank 0 acting as
 /// the data source. The outcome carries the scattered `partition_bytes`
 /// and the per-rank `render_seconds`; its traffic counts all phases.
+/// Each rank renders its block inline: the P rank threads are the
+/// render parallelism.
 ///
-/// Panics on the two knobs this pipeline cannot honour: non-root ranks
-/// recompute their exclusive interior from the *unweighted* partitioner
-/// (so no `balanced_partition`), and the partitioning collectives treat
-/// any lost message as fatal (so no `faults`).
+/// Panics on the one knob this pipeline cannot honour: the partitioning
+/// collectives treat any lost message as fatal, so no `faults`.
 pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
     assert!(
-        !config.balanced_partition && config.faults.is_none(),
-        "the distributed pipeline supports neither balanced_partition nor faults"
+        config.faults.is_none(),
+        "the distributed pipeline cannot honour faults"
     );
     let dims = config.resolved_dims();
     let camera = Scene::camera(config);
-    // Each rank renders with its own transient banded-render pool
-    // (`render_threads` here, honored inside the clipped renderer) and
-    // lane-batched sampling — both bit-identical to the scalar path, so
-    // the distributed pipeline's outputs are unchanged by them.
-    let params = RenderParams {
-        render_threads: config.resolved_render_threads(),
-        ..Scene::render_params(config)
-    };
+    let params = Scene::render_params(config);
     let p = config.processors;
     let transfer = config.dataset.transfer();
 
     let (outcome, extras) = run_frame(config, |ep| {
         // ---- Phase 1: partitioning --------------------------------
-        // Rank 0 builds the dataset, partitions it and scatters the
-        // encoded blocks; everyone receives theirs. The depth order is
-        // broadcast alongside (it is derived from the partition tree,
-        // which only rank 0 holds).
-        let (blocks, depth_frame) = if ep.rank() == 0 {
+        // Rank 0 builds the dataset, partitions it as `Scene` does and
+        // scatters the encoded blocks; everyone receives theirs. The
+        // layout is broadcast alongside — the depth order, then every
+        // rank's exclusive interior as origin and dims — because both
+        // come from the partition, which only rank 0 holds.
+        let (blocks, layout) = if ep.rank() == 0 {
             let dataset = Dataset::with_dims(config.dataset, dims);
-            let partition = kd_partition(dims, p);
+            let partition = Scene::partition(config, &dataset);
             let depth = Scene::depth_order(&camera, &partition);
             let blocks: Vec<Bytes> = partition
                 .subvolumes()
                 .iter()
                 .map(|b| {
-                    // Ship the ghost-expanded block; the receiver
-                    // recovers the exclusive interior from the config.
+                    // Ship the ghost-expanded block; the layout carries
+                    // the exclusive interior.
                     let padded = b.expanded(config.ghost_voxels, dims);
                     Bytes::from(encode_block(&dataset.volume, &padded))
                 })
                 .collect();
-            let mut frame = Vec::with_capacity(4 * p);
-            for &rank in depth.front_to_back() {
-                frame.extend_from_slice(&(rank as u32).to_le_bytes());
-            }
-            (Some(blocks), Some(Bytes::from(frame)))
+            let interiors = partition
+                .subvolumes()
+                .iter()
+                .flat_map(|b| b.origin.into_iter().chain(b.dims));
+            let layout: Vec<u8> = depth
+                .front_to_back()
+                .iter()
+                .copied()
+                .chain(interiors)
+                .flat_map(|word| (word as u32).to_le_bytes())
+                .collect();
+            (Some(blocks), Some(Bytes::from(layout)))
         } else {
             (None, None)
         };
         let my_block = scatter(ep, 0, TAG_SCATTER, blocks).expect("block scatter");
         let partition_bytes = my_block.len() as u64;
-        let depth_frame = broadcast(ep, 0, TAG_DEPTH, depth_frame).expect("depth broadcast");
-        let depth = DepthOrder::from_sequence(
-            depth_frame
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize)
-                .collect(),
-        );
+        let layout = broadcast(ep, 0, TAG_LAYOUT, layout).expect("layout broadcast");
+        let words: Vec<usize> = layout
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as usize)
+            .collect();
+        let (order, interiors) = words.split_at(p);
+        let depth = DepthOrder::from_sequence(order.to_vec());
 
         // ---- Phase 2: rendering (local data only) ------------------
-        // The received placement is the ghost-expanded box; every rank
-        // recomputes its exclusive interior from the deterministic
-        // partitioner so rays never integrate ghost-owned space twice.
+        // The received placement is the ghost-expanded box; rays
+        // integrate only the rank's exclusive interior, so no ghost-owned
+        // space is integrated twice.
         let (placement, local) = decode_block(&my_block).expect("valid block message");
-        let interior = kd_partition(dims, p).subvolumes()[ep.rank()];
+        let box_words = &interiors[6 * ep.rank()..][..6];
+        let interior = Subvolume {
+            rank: ep.rank(),
+            origin: [box_words[0], box_words[1], box_words[2]],
+            dims: [box_words[3], box_words[4], box_words[5]],
+        };
         // Each rank builds its own macrocell grid over the block it
         // holds — the per-subvolume acceleration structure of the
         // distributed-memory setting, built from local data only. The

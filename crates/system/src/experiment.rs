@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use slsvr_core::{composite, reference_composite, Method};
 use vr_image::Image;
-use vr_render::RenderPool;
+use vr_render::{resolve_threads, RenderPool};
 use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
@@ -22,15 +22,17 @@ pub struct Experiment {
     config: ExperimentConfig,
     depth: DepthOrder,
     subimages: Vec<Image>,
-    /// Per-rank rendering wall time, seconds (informational; the paper's
-    /// tables cover only the compositing phase).
+    /// Per-rank rendering time, seconds: the rank's tile prescan plus the
+    /// summed wall time of its tiles on the frame's board, so it counts
+    /// the rank's own work, not the threads it shared (informational;
+    /// the paper's tables cover only the compositing phase).
     pub render_seconds: Vec<f64>,
 }
 
 impl Experiment {
     /// Builds the dataset, partitions the volume, renders every rank's
-    /// subimage (in parallel, one thread per rank) and fixes the depth
-    /// order.
+    /// subimage (all ranks' tiles on one board of a pool as wide as the
+    /// host allows) and fixes the depth order.
     pub fn prepare(config: &ExperimentConfig) -> Experiment {
         let dims = config.resolved_dims();
         let dataset = Arc::new(Dataset::with_dims(config.dataset, dims));
@@ -44,67 +46,27 @@ impl Experiment {
         Experiment::prepare_with_dataset_pool(config, dataset, None)
     }
 
-    /// Like [`Experiment::prepare_with_dataset`] but also reuses a
-    /// persistent [`RenderPool`] for the banded intra-rank render —
-    /// callers that render many frames (the serve workers) spawn the
-    /// pool threads once and amortize them across every frame. Without
-    /// a pool, one is spun up for this prepare when the config resolves
-    /// to more than one render thread.
+    /// Like [`Experiment::prepare_with_dataset`] but renders on `pool`,
+    /// whose width is the frame's render thread count — callers that
+    /// render many frames (the serve workers) spawn the pool threads
+    /// once and amortize them across every frame. Without a pool, one of
+    /// [`resolve_threads(0)`](vr_render::resolve_threads) threads is
+    /// spun up for this prepare. Every width is bit-identical.
     pub fn prepare_with_dataset_pool(
         config: &ExperimentConfig,
         dataset: Arc<Dataset>,
         pool: Option<&RenderPool>,
     ) -> Experiment {
         let scene = Scene::new(config, dataset);
-        let threads = pool
-            .map(|p| p.threads())
-            .unwrap_or_else(|| config.resolved_render_threads());
-
-        // Rendering phase. With intra-rank threading, ranks render one
-        // after another with each rank's live tiles fanned across the
-        // pool — a frame uses exactly `threads` threads regardless of P
-        // (the serve layer multiplies this by its worker count). The
-        // pool threads are spawned once per prepare (or inherited from
-        // the caller) and reused by every rank. Otherwise the original
-        // one-scope-thread-per-rank fan-out is kept. Both paths are
-        // bit-identical; per-rank render wall time is informational
-        // (reported `T_comp` comes from `CompTiming`, modeled by
-        // default).
-        let (subimages, render_seconds): (Vec<Image>, Vec<f64>) = if threads > 1 {
-            let owned;
-            let pool = match pool {
-                Some(p) => p,
-                None => {
-                    owned = RenderPool::new(threads);
-                    &owned
-                }
-            };
-            (0..config.processors)
-                .map(|rank| {
-                    let start = std::time::Instant::now();
-                    let img = scene.render_block(rank, Some(pool));
-                    (img, start.elapsed().as_secs_f64())
-                })
-                .unzip()
-        } else {
-            let mut subimages: Vec<Option<(Image, f64)>> =
-                (0..config.processors).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                for (rank, slot) in subimages.iter_mut().enumerate() {
-                    let scene = &scene;
-                    scope.spawn(move || {
-                        let start = std::time::Instant::now();
-                        let img = scene.render_block(rank, None);
-                        *slot = Some((img, start.elapsed().as_secs_f64()));
-                    });
-                }
-            });
-            subimages
-                .into_iter()
-                .map(|s| s.expect("render thread finished"))
-                .unzip()
+        let owned;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                owned = RenderPool::new(resolve_threads(0));
+                &owned
+            }
         };
-
+        let (subimages, render_seconds) = scene.render(pool);
         Experiment {
             config: *config,
             depth: scene.depth,

@@ -23,8 +23,10 @@ pub struct FrameRecord {
     pub t_bound_ms: f64,
     /// Max run-length-encoding time over ranks, ms (`T_encode`).
     pub t_encode_ms: f64,
-    /// Max per-rank rendering wall time, ms (0 when rendering was
-    /// skipped).
+    /// The slowest rank's render time, ms (0 when rendering was
+    /// skipped): in the two-phase pipeline the summed wall time of the
+    /// rank's tiles on the frame's shared board, in the distributed one
+    /// the rank's own render, accelerator build included.
     pub render_max_ms: f64,
     /// Maximum received bytes over ranks (the paper's `M_max`).
     pub m_max: u64,
@@ -375,9 +377,7 @@ mod tests {
 
     #[test]
     fn t_total_is_t_comp_plus_t_comm_in_every_pipeline() {
-        let mut config =
-            ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
-        config.render_threads = 2;
+        let config = ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
         let two_phase = Experiment::prepare(&config).run(config.method);
         let distributed = crate::distribute::run_distributed(&config);
         for (name, out) in [("two-phase", &two_phase), ("distributed", &distributed)] {

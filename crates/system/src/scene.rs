@@ -6,9 +6,7 @@
 use std::sync::Arc;
 
 use vr_image::Image;
-use vr_render::{
-    render_block_accel_pool, Camera, Projection, RenderAccel, RenderParams, RenderPool,
-};
+use vr_render::{render_clips, Camera, Projection, RenderAccel, RenderParams, RenderPool};
 use vr_volume::{kd_partition, kd_partition_weighted, Dataset, DepthOrder, Partition, Subvolume};
 
 use crate::config::ExperimentConfig;
@@ -37,16 +35,7 @@ impl Scene {
             "dataset dims must match the config"
         );
         let camera = Scene::camera(config);
-        let partition = if config.balanced_partition {
-            let tf = &dataset.transfer;
-            kd_partition_weighted(
-                &dataset.volume,
-                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
-                config.processors,
-            )
-        } else {
-            kd_partition(dims, config.processors)
-        };
+        let partition = Scene::partition(config, &dataset);
         let params = Scene::render_params(config);
         let accel = (config.macrocell >= 1).then(|| {
             RenderAccel::new(
@@ -77,6 +66,21 @@ impl Scene {
         }
     }
 
+    /// The blocks of `dataset`, one per rank: the plain k-d split, or the
+    /// one weighted by visible voxels when `balanced_partition` is set.
+    pub fn partition(config: &ExperimentConfig, dataset: &Dataset) -> Partition {
+        if config.balanced_partition {
+            let tf = &dataset.transfer;
+            kd_partition_weighted(
+                &dataset.volume,
+                |s| if tf.opacity(s as f32) > 0.0 { 1.0 } else { 0.0 },
+                config.processors,
+            )
+        } else {
+            kd_partition(config.resolved_dims(), config.processors)
+        }
+    }
+
     /// The render parameters the config's knobs resolve to.
     pub fn render_params(config: &ExperimentConfig) -> RenderParams {
         RenderParams {
@@ -96,18 +100,25 @@ impl Scene {
         }
     }
 
-    /// Ray-casts `rank`'s block from the shared volume, fanning its live
-    /// tiles across `pool` when one is given.
-    pub(crate) fn render_block(&self, rank: usize, pool: Option<&RenderPool>) -> Image {
-        render_block_accel_pool(
-            &self.dataset.volume,
-            &self.blocks[rank],
+    /// Ray-casts every rank's block from the shared volume on one board
+    /// of `pool`: each rank's subimage and render seconds, by rank.
+    pub(crate) fn render(&self, pool: &RenderPool) -> (Vec<Image>, Vec<f64>) {
+        let volume = &self.dataset.volume;
+        let whole = Subvolume {
+            rank: 0,
+            origin: [0, 0, 0],
+            dims: volume.dims(),
+        };
+        render_clips(
+            volume,
+            &whole,
+            &self.blocks,
             &self.dataset.transfer,
             &self.camera,
             &self.params,
             self.accel.as_ref(),
             self.config.tile,
-            pool,
+            Some(pool),
         )
     }
 }

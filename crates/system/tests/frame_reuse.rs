@@ -28,7 +28,7 @@ use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, Metho
 use vr_comm::{run_group_with, FaultConfig, KillSpec, TrafficStats};
 use vr_image::checksum::fnv1a;
 use vr_image::Image;
-use vr_system::{Experiment, ExperimentConfig};
+use vr_system::{Experiment, ExperimentConfig, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
 
 fn config() -> ExperimentConfig {
@@ -224,7 +224,6 @@ impl FrameSpec {
             ExperimentConfig::small_test(DatasetKind::EngineHigh, self.procs, self.method);
         config.image_size = self.size;
         config.rot_y_deg += 50.0 * self.pose as f32;
-        config.render_threads = 1;
         // Faulted frames run under the virtual clock: deadlines cost no
         // wall time and both sides of the comparison take one schedule.
         // So do tile-stream frames: on the real transport an owner sums
@@ -293,8 +292,9 @@ fn frame_n_does_not_depend_on_frames_before_it() {
         frames.swap(i, rng.gen_range(0..=i));
     }
 
-    // One render per (size, width, pose); a faulted frame composites the
-    // same subimages under its own config.
+    // One render per (size, width, pose), on a one-thread pool; a faulted
+    // frame composites the same subimages under its own config.
+    let inline = RenderPool::new(1);
     let mut rendered: HashMap<(u16, usize, usize), Experiment> = HashMap::new();
     let (mut unwound, mut degraded, mut size_changes) = (0, 0, 0);
     for (n, spec) in frames.iter().enumerate() {
@@ -302,11 +302,13 @@ fn frame_n_does_not_depend_on_frames_before_it() {
         let base = rendered
             .entry((spec.size, spec.procs, spec.pose))
             .or_insert_with(|| {
-                Experiment::prepare(&ExperimentConfig {
+                let clean = ExperimentConfig {
                     faults: None,
                     schedule_seed: None,
                     ..config
-                })
+                };
+                let dataset = Arc::new(Dataset::with_dims(clean.dataset, clean.resolved_dims()));
+                Experiment::prepare_with_dataset_pool(&clean, dataset, Some(&inline))
             });
         let exp =
             Experiment::from_subimages(config, base.subimages().to_vec(), base.depth().clone());

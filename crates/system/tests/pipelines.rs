@@ -1,25 +1,27 @@
 //! One frame pipeline: the same configuration through the two rank
 //! bodies (two-phase, distributed) must yield the same frame and the
-//! same modeled record, and the two-phase body must do so whether its
-//! ranks render one thread each or in turn on a shared pool.
+//! same modeled record, and the two-phase body must do so at every
+//! width of the pool its ranks share one board on.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use slsvr_core::Method;
 use vr_image::checksum::fnv1a;
-use vr_system::{run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome};
-use vr_volume::DatasetKind;
+use vr_system::{run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, RenderPool};
+use vr_volume::{Dataset, DatasetKind};
 
 type Pipeline = (&'static str, fn(&ExperimentConfig) -> Outcome);
 
-const TWO_PHASE: Pipeline = ("two-phase", |c| Experiment::prepare(c).run(c.method));
-const THREAD_PER_RANK: Pipeline = ("two-phase, a thread per rank", |c| {
-    let c = ExperimentConfig {
-        render_threads: 1,
-        ..*c
-    };
-    Experiment::prepare(&c).run(c.method)
-});
+/// The two-phase body on a render pool `threads` wide.
+fn two_phase(c: &ExperimentConfig, threads: usize) -> Outcome {
+    let dataset = Arc::new(Dataset::with_dims(c.dataset, c.resolved_dims()));
+    let pool = RenderPool::new(threads);
+    Experiment::prepare_with_dataset_pool(c, dataset, Some(&pool)).run(c.method)
+}
+
+const POOL_1: Pipeline = ("two-phase, one render thread", |c| two_phase(c, 1));
+const POOL_3: Pipeline = ("two-phase, three render threads", |c| two_phase(c, 3));
 const DISTRIBUTED: Pipeline = ("distributed", run_distributed);
 
 /// TileStream folds in depth order, so all three produce the sequential
@@ -28,7 +30,6 @@ const DISTRIBUTED: Pipeline = ("distributed", run_distributed);
 fn config() -> ExperimentConfig {
     let mut c = ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::TileStream);
     c.ghost_voxels = 2;
-    c.render_threads = 2;
     c
 }
 
@@ -41,7 +42,7 @@ fn three_pipelines_produce_one_frame_and_one_record() {
         };
         let expect = Experiment::prepare(&cfg).reference();
         let mut records = Vec::new();
-        for (name, run) in [TWO_PHASE, THREAD_PER_RANK, DISTRIBUTED] {
+        for (name, run) in [POOL_1, POOL_3, DISTRIBUTED] {
             let out = run(&cfg);
             assert_eq!(fnv1a(&out.image), fnv1a(&expect), "{name} image");
             assert!(!out.is_degraded(), "{name} degraded");
@@ -80,7 +81,7 @@ fn three_pipelines_produce_one_frame_and_one_record() {
 #[test]
 fn pipeline_specific_outcome_fields_stay_empty_elsewhere() {
     let cfg = config();
-    let two_phase = TWO_PHASE.1(&cfg);
+    let two_phase = POOL_3.1(&cfg);
     assert_eq!(two_phase.render_seconds.len(), 4);
     assert_eq!(two_phase.partition_bytes, 0);
 
@@ -99,7 +100,7 @@ fn a_killed_rank_degrades_both_shared_volume_runners_alike() {
         recv_deadline: Some(Duration::from_secs(5)),
         ..config()
     };
-    for (name, run) in [TWO_PHASE, THREAD_PER_RANK] {
+    for (name, run) in [POOL_1, POOL_3] {
         let out = run(&cfg);
         assert_eq!(out.dead_ranks, vec![2], "{name}");
         assert!(out.is_degraded(), "{name}");
@@ -111,19 +112,39 @@ fn a_killed_rank_degrades_both_shared_volume_runners_alike() {
 
 #[test]
 fn the_distributed_pipeline_refuses_what_it_cannot_honour() {
-    let refused: [fn(&mut ExperimentConfig); 2] = [
-        |c| c.faults = Some("kill=2@3".parse().unwrap()),
-        |c| c.balanced_partition = true,
-    ];
-    for edit in refused {
-        let mut cfg = config();
-        edit(&mut cfg);
-        let panic = std::panic::catch_unwind(|| run_distributed(&cfg).coverage)
-            .expect_err("ran a knob it silently ignores");
-        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(
-            message.contains("neither balanced_partition nor faults"),
-            "{message}"
-        );
-    }
+    let cfg = ExperimentConfig {
+        faults: Some("kill=2@3".parse().unwrap()),
+        ..config()
+    };
+    let panic = std::panic::catch_unwind(|| run_distributed(&cfg).coverage)
+        .expect_err("ran a knob it silently ignores");
+    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(message.contains("cannot honour faults"), "{message}");
+}
+
+/// Rank 0 partitions as `Scene` does and sends every rank its interior,
+/// so a balanced partition reaches the ranks. At P = 5 under visible-
+/// voxel weights the split planes are not powers of two, where a ghosted
+/// local block's gradient tap may round one ulp from the shared
+/// volume's: the frames agree within 1e-6, not bit for bit.
+#[test]
+fn the_distributed_pipeline_honours_a_balanced_partition() {
+    let balanced = ExperimentConfig {
+        processors: 5,
+        balanced_partition: true,
+        ..config()
+    };
+    let distributed = run_distributed(&balanced);
+    let shared = Experiment::prepare(&balanced).run(balanced.method);
+    let diff = distributed.image.max_abs_diff(&shared.image);
+    assert!(diff <= 1e-6, "balanced distributed frame differs by {diff}");
+    // The ranks were sent the weighted blocks, not the plain ones.
+    let plain = ExperimentConfig {
+        balanced_partition: false,
+        ..balanced
+    };
+    assert_ne!(
+        distributed.partition_bytes,
+        run_distributed(&plain).partition_bytes
+    );
 }

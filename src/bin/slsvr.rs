@@ -20,6 +20,7 @@
 
 use std::cell::RefCell;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use slsvr::compositing::Method;
@@ -28,9 +29,10 @@ use slsvr::serve::{
     FrameService, LoadConfig, LoadReport, RetryPolicy, ServeConfig,
 };
 use slsvr::system::{
-    run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, SweepBuilder,
+    resolve_threads, run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome,
+    RenderPool, SweepBuilder,
 };
-use slsvr::volume::DatasetKind;
+use slsvr::volume::{Dataset, DatasetKind};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,7 +77,7 @@ USAGE:
                 [--ack-timeout MS] [--max-retries N] [--schedule-seed S]
                 [--verbose]
   slsvr compare [--dataset NAME] [--size N] [--procs P] [--dims X,Y,Z]
-                [--perspective DIST] [--balanced]
+                [--perspective DIST] [--balanced] [--render-threads N]
   slsvr serve   [--dataset NAME] [--size N] [--procs P] [--method M]
                 [--sessions N] [--requests N] [--poses N]
                 [--inter-arrival-ms MS] [--workers N] [--queue-depth N]
@@ -135,24 +137,25 @@ DAEMON:   exposes the frame service over TCP with a versioned,
 
 RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           (default 8, 0 = off); --tile N sets the screen-tile culling edge
-          in pixels (default 32, 0 = off). --render-threads N fans each
-          rank's live tiles across an N-thread pool (default 0 = auto:
-          one thread per core, capped at 8); --simd-lanes N batches N ray
-          samples per active cell for the autovectorizer (default 4,
-          1 = scalar). All four knobs are bit-exact: the accelerated,
-          threaded, lane-batched image is identical to the naive one.
-          Under `serve`, --render-threads/--simd-lanes size each worker's
-          persistent render pool (total threads = workers × render
-          threads; the auto default divides the cores among the workers),
-          overriding any per-request value. --verbose additionally prints
-          the per-stage message/byte timeline.
+          in pixels (default 32, 0 = off). --render-threads N sets the
+          width of the render pool whose threads drain every rank's live
+          tiles from one board (default 0 = auto: one thread per core,
+          capped at 8); --simd-lanes N batches N ray samples per active
+          cell for the autovectorizer (default 4, 1 = scalar). All four
+          knobs are bit-exact: the accelerated, threaded, lane-batched
+          image is identical to the naive one. Under `serve`/`daemon`,
+          --render-threads sizes each worker's pool (auto is not divided
+          among the workers; requests carry no thread count) and
+          --simd-lanes overrides any per-request value. --verbose
+          additionally prints the per-stage message/byte timeline.
 
 DISTRIBUTED: --distributed sends all three phases through the message
           layer: rank 0 scatters the blocks (with --ghost N voxels of
           overlap; 2 removes every seam against the shared-volume
-          render), every rank renders only its own block, then --method
-          composites. Honours --perspective and --schedule-seed; rejects
-          --balanced and --faults, which it cannot honour.
+          render), every rank renders only its own block on its own
+          thread, then --method composites. Honours --perspective,
+          --balanced and --schedule-seed; rejects --faults, which it
+          cannot honour.
 
 FAULTS:   --faults drop=0.01,corrupt=0.001,dup=0.001,delay=0.01,delay_ms=2,seed=42,kill=3@17
           (every key optional; --reliable turns on framing + ack/retransmit
@@ -269,7 +272,6 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
     };
     config.macrocell = flags.parse("--macrocell", config.macrocell)?;
     config.tile = flags.parse("--tile", config.tile)?;
-    config.render_threads = flags.parse("--render-threads", config.render_threads)?;
     config.simd_lanes = flags.parse("--simd-lanes", config.simd_lanes)?;
     if let Some(d) = flags.get("--perspective") {
         config.perspective_distance = Some(
@@ -318,27 +320,35 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
     Ok(config)
 }
 
+/// Renders `config`'s subimages on a pool of `--render-threads N`
+/// threads (0 = auto).
+fn prepare(config: &ExperimentConfig, threads: usize) -> Experiment {
+    let dataset = Arc::new(Dataset::with_dims(config.dataset, config.resolved_dims()));
+    let pool = RenderPool::new(resolve_threads(threads));
+    Experiment::prepare_with_dataset_pool(config, dataset, Some(&pool))
+}
+
 fn cmd_render(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args);
     let config = config_from_flags(&flags)?;
+    let threads = flags.parse("--render-threads", 0usize)?;
     let distributed = flags.has("--distributed");
     let out_path = flags.get("--out").unwrap_or("render.pgm");
     let verbose = flags.has("--verbose");
     flags.finish()?;
-    if distributed && (config.balanced_partition || config.faults.is_some()) {
+    if distributed && config.faults.is_some() {
         return Err(format!(
-            "--distributed cannot honour --balanced (ranks recompute their block from the \
-             unweighted partitioner) or --faults (a lost block is fatal to the scatter)\n{USAGE}"
+            "--distributed cannot honour --faults (a lost block is fatal to the scatter)\n{USAGE}"
         ));
     }
 
     // Two rank bodies, one outcome; the reference is what a degraded
     // frame is scored against.
     if distributed {
-        let shared = || Experiment::prepare(&config).reference();
+        let shared = || prepare(&config, threads).reference();
         report_render(&config, out_path, verbose, run_distributed(&config), shared)
     } else {
-        let exp = Experiment::prepare(&config);
+        let exp = prepare(&config, threads);
         let out = exp.run(config.method);
         report_render(&config, out_path, verbose, out, || exp.reference())
     }
@@ -399,8 +409,9 @@ fn report_render(
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args);
     let config = config_from_flags(&flags)?;
+    let threads = flags.parse("--render-threads", 0usize)?;
     flags.finish()?;
-    let exp = Experiment::prepare(&config);
+    let exp = prepare(&config, threads);
     let reference = exp.reference();
     println!(
         "{} · {}² · P={}\n",

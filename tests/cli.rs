@@ -216,15 +216,15 @@ fn line_with<'a>(stdout: &'a str, needle: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no `{needle}` line in:\n{stdout}"))
 }
 
-/// The shared-volume render has two arms — ranks render in turn on a
-/// pool, or one thread each — and the distributed render is the third
-/// way to the same frame.
+/// The shared-volume render puts every rank's tiles on one board of a
+/// pool `--render-threads` wide, and the width never shows in the frame;
+/// the distributed render is another way to the same frame.
 #[test]
 fn three_pipelines_print_one_digest() {
     let mut digests = Vec::new();
     for (name, extra) in [
-        ("pooled.pgm", &["--render-threads", "2"][..]),
-        ("per_rank.pgm", &["--render-threads", "1"][..]),
+        ("pool_1.pgm", &["--render-threads", "1"][..]),
+        ("pool_3.pgm", &["--render-threads", "3"][..]),
         ("distributed.pgm", &["--distributed", "--ghost", "2"][..]),
     ] {
         let out = render_small(name, extra);
@@ -238,13 +238,13 @@ fn three_pipelines_print_one_digest() {
         let wrote = line_with(&stdout, "image fnv1a");
         digests.push(wrote[wrote.find("image fnv1a").unwrap()..].to_owned());
     }
-    assert_eq!(digests[0], digests[1], "thread-per-rank frame differs");
+    assert_eq!(digests[0], digests[1], "three-thread frame differs");
     assert_eq!(digests[0], digests[2], "distributed frame differs");
 }
 
 #[test]
 fn degraded_line_has_one_format_in_both_shared_volume_runners() {
-    for (name, threads) in [("kill_pooled.pgm", "2"), ("kill_per_rank.pgm", "1")] {
+    for (name, threads) in [("kill_pool_1.pgm", "1"), ("kill_pool_3.pgm", "3")] {
         let flags = ["--faults", "kill=2@3", "--recv-deadline", "5000"];
         let out = render_small(name, &[&flags[..], &["--render-threads", threads]].concat());
         assert!(
@@ -287,15 +287,11 @@ fn unknown_flags_are_refused_by_name() {
 
 #[test]
 fn distributed_rejects_the_flags_it_cannot_honour() {
-    for extra in [&["--balanced"][..], &["--faults", "kill=1@0"][..]] {
-        let mut flags = vec!["--distributed"];
-        flags.extend_from_slice(extra);
-        let out = render_small("rejected.pgm", &flags);
-        assert!(!out.status.success(), "{extra:?} was accepted");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--distributed cannot honour"), "{stderr}");
-        assert!(stderr.contains("USAGE"), "{stderr}");
-    }
+    let out = render_small("rejected.pgm", &["--distributed", "--faults", "kill=1@0"]);
+    assert!(!out.status.success(), "--faults was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--distributed cannot honour"), "{stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
 }
 
 /// `slsvr sweep` prints one CSV row per dataset × P × paper method, in

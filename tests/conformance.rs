@@ -14,6 +14,7 @@
 //!   line ready to check in under `tests/conformance_corpus/`.
 
 use std::io::Write as _;
+use std::sync::Arc;
 
 use slsvr::comm::{explore_schedules, run_group, CostModel, FaultConfig, ScheduleSpec};
 use slsvr::compositing::conformance::{
@@ -21,8 +22,8 @@ use slsvr::compositing::conformance::{
 };
 use slsvr::compositing::{composite, CompositeResult, Method, OwnedPiece};
 use slsvr::image::checksum::fnv1a;
-use slsvr::system::{Experiment, ExperimentConfig, Outcome};
-use slsvr::volume::{DatasetKind, DepthOrder};
+use slsvr::system::{Experiment, ExperimentConfig, Outcome, RenderPool};
+use slsvr::volume::{Dataset, DatasetKind, DepthOrder};
 
 /// Float slack for `over` re-association across distribution layouts.
 const TOLERANCE: f32 = 2e-4;
@@ -113,25 +114,26 @@ fn non_pow2_groups_match_reference_for_all_bs_variants() {
 }
 
 /// Threaded-render column: for every rank count, the pooled renderer
-/// (4 threads, 8 sample lanes) must produce subimages — and therefore
-/// every method's composited image — bit-identical to the
-/// single-threaded scalar reference. This pins the whole render →
-/// composite → gather chain, not just the renderer in isolation.
+/// (a 4-thread pool, 8 sample lanes) must produce subimages — and
+/// therefore every method's composited image — bit-identical to the
+/// one-thread scalar reference. This pins the whole render → composite
+/// → gather chain, not just the renderer in isolation.
 #[test]
 fn threaded_render_matches_scalar_for_every_method_and_rank_count() {
+    let (inline, four) = (RenderPool::new(1), RenderPool::new(4));
     for p in rank_counts() {
         let scalar = ExperimentConfig {
-            render_threads: 1,
             simd_lanes: 1,
             ..ExperimentConfig::small_test(DatasetKind::EngineLow, p, Method::Bsbrc)
         };
         let threaded = ExperimentConfig {
-            render_threads: 4,
             simd_lanes: 8,
             ..scalar
         };
-        let reference = Experiment::prepare(&scalar);
-        let pooled = Experiment::prepare(&threaded);
+        let dataset = Arc::new(Dataset::with_dims(scalar.dataset, scalar.resolved_dims()));
+        let reference =
+            Experiment::prepare_with_dataset_pool(&scalar, Arc::clone(&dataset), Some(&inline));
+        let pooled = Experiment::prepare_with_dataset_pool(&threaded, dataset, Some(&four));
         for (rank, (a, b)) in reference
             .subimages()
             .iter()

@@ -10,15 +10,17 @@
 //!
 //! One constant covers one (dataset, P, pose): the FNV-1a digest of every
 //! rank's subimage in rank order, then of the BSBRC-composited frame,
-//! folded with [`fold`]. Every `(macrocell, simd_lanes, render_threads)`
+//! folded with [`fold`]. Every `(macrocell, simd_lanes, pool width)`
 //! variant must reproduce it, because the accelerated and threaded paths
 //! are bit-identical to the naive integrator by contract.
+
+use std::sync::Arc;
 
 use slsvr::compositing::Method;
 use slsvr::image::checksum::fnv1a;
 use slsvr::image::Image;
-use slsvr::system::{Experiment, ExperimentConfig};
-use slsvr::volume::DatasetKind;
+use slsvr::system::{Experiment, ExperimentConfig, RenderPool};
+use slsvr::volume::{Dataset, DatasetKind};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -27,7 +29,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// exactly on integer voxel coordinates.
 const POSES: [(f32, f32); 4] = [(20.0, 30.0), (-12.5, 133.0), (0.0, 0.0), (0.0, 90.0)];
 const PROCS: [usize; 2] = [4, 16];
-/// `(macrocell, simd_lanes, render_threads)`; macrocell 0 is the naive
+/// `(macrocell, simd_lanes, pool width)`; macrocell 0 is the naive
 /// integrator.
 const VARIANTS: [(usize, usize, usize); 5] =
     [(0, 1, 1), (0, 4, 1), (8, 1, 1), (8, 4, 1), (8, 4, 3)];
@@ -36,8 +38,14 @@ fn fold(h: u64, digest: u64) -> u64 {
     (h ^ digest).wrapping_mul(FNV_PRIME)
 }
 
-fn digest(config: &ExperimentConfig) -> u64 {
-    let exp = Experiment::prepare(config);
+/// Renders `config` on a render pool `threads` wide.
+fn prepare(config: &ExperimentConfig, threads: usize) -> Experiment {
+    let dataset = Arc::new(Dataset::with_dims(config.dataset, config.resolved_dims()));
+    Experiment::prepare_with_dataset_pool(config, dataset, Some(&RenderPool::new(threads)))
+}
+
+fn digest(config: &ExperimentConfig, threads: usize) -> u64 {
+    let exp = prepare(config, threads);
     let ranks = exp
         .subimages()
         .iter()
@@ -53,7 +61,7 @@ fn check(dataset: DatasetKind, dims: [usize; 3], size: u16, golden: [[u64; 4]; 2
     let mut mismatches = Vec::new();
     for (pi, &processors) in PROCS.iter().enumerate() {
         for (qi, &(rot_x_deg, rot_y_deg)) in POSES.iter().enumerate() {
-            for (macrocell, simd_lanes, render_threads) in VARIANTS {
+            for (macrocell, simd_lanes, threads) in VARIANTS {
                 let config = ExperimentConfig {
                     dataset,
                     image_size: size,
@@ -61,17 +69,16 @@ fn check(dataset: DatasetKind, dims: [usize; 3], size: u16, golden: [[u64; 4]; 2
                     rot_x_deg,
                     rot_y_deg,
                     volume_dims: Some(dims),
-                    render_threads,
                     macrocell,
                     simd_lanes,
                     ..Default::default()
                 };
-                let d = digest(&config);
+                let d = digest(&config, threads);
                 if d != golden[pi][qi] {
                     got[pi][qi] = d;
                     mismatches.push(format!(
                         "P={processors} pose=({rot_x_deg}, {rot_y_deg}) macrocell={macrocell} \
-                         simd_lanes={simd_lanes} render_threads={render_threads}: \
+                         simd_lanes={simd_lanes} threads={threads}: \
                          {d:#018x} != {:#018x}",
                         golden[pi][qi]
                     ));
@@ -207,10 +214,9 @@ fn working_copies_are_bit_identical_to_rendered_subimages() {
                     rot_x_deg,
                     rot_y_deg,
                     volume_dims: Some(dims),
-                    render_threads: 1,
                     ..Default::default()
                 };
-                for (rank, img) in Experiment::prepare(&config).subimages().iter().enumerate() {
+                for (rank, img) in prepare(&config, 1).subimages().iter().enumerate() {
                     reused.clone_from(img);
                     let bits = |p: &slsvr::image::Pixel| [p.r, p.g, p.b, p.a].map(f32::to_bits);
                     for (kind, copy) in [("fresh", &img.clone()), ("reused", &reused)] {
@@ -269,11 +275,10 @@ fn paper_size_probe_is_pinned() {
                 processors,
                 rot_x_deg,
                 rot_y_deg,
-                render_threads: 1,
                 simd_lanes: 4,
                 ..Default::default()
             };
-            for img in Experiment::prepare(&config).subimages() {
+            for img in prepare(&config, 1).subimages() {
                 h = fold(h, fnv1a(img));
             }
         }
