@@ -24,13 +24,27 @@
 //!   per-sample opacity is `1 − 1^step = 0` exactly, which cannot pass a
 //!   non-negative cutoff, so the skipped body is a no-op. Negative
 //!   cutoffs disable this shortcut along with cell skipping.
+//! * At `step == 1` the per-sample opacity is `1 − (1 − α)` with no
+//!   `powf`: `powf(x, 1.0) == x` for every `x` in [0, 1], which a test
+//!   sweeps bit pattern by bit pattern.
+//! * A contributing sample is not shaded (no gradient) when its weight
+//!   `w = (1 − alpha)·a` provably vanishes: `alpha + w` and every
+//!   `color[c] + w·tint[c]` round back to the same bits, so no shade in
+//!   [0, 1] could move them (`vanishes`). Only frames whose shading is
+//!   finite take this shortcut (`shading_is_finite`), so a NaN shade is
+//!   never skipped.
 //! * Tiles are culled only when no active macrocell intersecting the clip
 //!   box projects into them; rays through culled tiles could only have
 //!   produced blank pixels, which the naive path never writes either.
 //!
+//! The board renders its heaviest items first (tiles by the active cells
+//! that mark them, row bands by area); items write disjoint pixels, so
+//! their order never shows in an image or its bounds.
+//!
 //! The differential proptests in `tests/proptests.rs` enforce the
 //! bit-identity end to end.
 
+use std::cmp::Reverse;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -40,7 +54,7 @@ use vr_volume::{MacrocellGrid, Subvolume, TransferFunction, Vec3, Volume};
 use crate::camera::Camera;
 use crate::params::{RenderParams, MAX_SIMD_LANES};
 use crate::pool::RenderPool;
-use crate::raycast::shade;
+use crate::raycast::{shade, shading_is_finite};
 
 /// Default screen-tile edge length, in pixels.
 pub const DEFAULT_TILE_SIZE: usize = 32;
@@ -288,13 +302,14 @@ impl RenderAccel {
 // Tile mask
 // ---------------------------------------------------------------------------
 
-/// A boolean grid of `tile × tile` pixel tiles over the image.
+/// A grid of `tile × tile` pixel tiles over the image, each holding the
+/// number of active cells whose footprint marked it (0 = dead tile).
 #[derive(Clone, Debug)]
 pub struct TileMask {
     tile: usize,
     tx: usize,
     ty: usize,
-    bits: Vec<bool>,
+    counts: Vec<usize>,
     marked: usize,
 }
 
@@ -307,12 +322,12 @@ impl TileMask {
             tile,
             tx,
             ty,
-            bits: vec![false; tx * ty],
+            counts: vec![0; tx * ty],
             marked: 0,
         }
     }
 
-    /// Marks every tile overlapping `rect`.
+    /// Counts one more marking cell on every tile overlapping `rect`.
     fn mark(&mut self, rect: Rect) {
         if rect.is_empty() {
             return;
@@ -323,11 +338,11 @@ impl TileMask {
         let ty1 = ((rect.y1 as usize - 1) / self.tile).min(self.ty - 1);
         for ty in ty0..=ty1 {
             for tx in tx0..=tx1 {
-                let i = ty * self.tx + tx;
-                if !self.bits[i] {
-                    self.bits[i] = true;
+                let count = &mut self.counts[ty * self.tx + tx];
+                if *count == 0 {
                     self.marked += 1;
                 }
+                *count += 1;
             }
         }
     }
@@ -349,12 +364,12 @@ impl TileMask {
 
     /// Total number of tiles.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.counts.len()
     }
 
     /// Whether the mask has no tiles (images are never zero-sized).
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.counts.is_empty()
     }
 
     /// Whether the tile containing pixel `(x, y)` is marked.
@@ -362,12 +377,13 @@ impl TileMask {
     pub fn covers(&self, x: u16, y: u16) -> bool {
         let tx = (x as usize / self.tile).min(self.tx - 1);
         let ty = (y as usize / self.tile).min(self.ty - 1);
-        self.bits[ty * self.tx + tx]
+        self.counts[ty * self.tx + tx] > 0
     }
 
+    /// The number of active cells that marked tile `(tx, ty)`.
     #[inline]
-    fn tile_marked(&self, tx: usize, ty: usize) -> bool {
-        self.bits[ty * self.tx + tx]
+    fn weight(&self, tx: usize, ty: usize) -> usize {
+        self.counts[ty * self.tx + tx]
     }
 }
 
@@ -389,7 +405,8 @@ impl TileMask {
 /// inline). So the blocks of a frame share the pool's threads tile by
 /// tile, and a pool wider than one block's tiles still has work. Every
 /// item writes only its own disjoint pixels of its own clip's image, and
-/// every pool width is **bit-identical** to the inline render.
+/// every pool width and item order is **bit-identical** to the inline
+/// render.
 ///
 /// Returns the images in clip order and, per clip, the seconds spent on
 /// its prescan plus the summed wall time of its items.
@@ -405,8 +422,6 @@ pub fn render_clips(
     tile: usize,
     pool: Option<&RenderPool>,
 ) -> (Vec<Image>, Vec<f64>) {
-    // Tiles larger than the image index space degenerate to one tile.
-    let tile = tile.min(u16::MAX as usize);
     assert_eq!(
         volume.dims(),
         placement.dims,
@@ -421,31 +436,8 @@ pub fn render_clips(
     }
     let corner = |v: [usize; 3]| Vec3::new(v[0] as f32, v[1] as f32, v[2] as f32);
     let frame = corner(placement.origin);
-
-    // The board: `(clip, rect)` for every clip's items, clip by clip.
-    let mut items = Vec::new();
-    let mut seconds = Vec::with_capacity(clips.len());
-    for (c, clip) in clips.iter().enumerate() {
-        let start = Instant::now();
-        for axis in 0..3 {
-            assert!(
-                clip.origin[axis] >= placement.origin[axis]
-                    && clip.origin[axis] + clip.dims[axis]
-                        <= placement.origin[axis] + placement.dims[axis],
-                "clip box must lie inside the placement box"
-            );
-        }
-        let footprint = camera.footprint(clip.origin, clip.dims);
-        let rects = match accel {
-            Some(acc) if tile >= 1 => tile_items(
-                &footprint,
-                &acc.tile_mask(camera, placement.origin, clip, tile),
-            ),
-            _ => row_bands(&footprint, DEFAULT_TILE_SIZE as u16),
-        };
-        items.extend(rects.into_iter().map(|r| (c, r)));
-        seconds.push(start.elapsed().as_secs_f64());
-    }
+    let finite_shading = shading_is_finite(params, transfer);
+    let (items, mut seconds) = board(placement, clips, camera, accel, tile);
     let boxes: Vec<(Vec3, Vec3)> = clips
         .iter()
         .map(|clip| (corner(clip.origin), corner(clip.origin) + corner(clip.dims)))
@@ -469,7 +461,7 @@ pub fn render_clips(
         .collect();
     let task = |i: usize| {
         let start = Instant::now();
-        let (c, r) = items[i];
+        let (c, r, _) = items[i];
         let (lo, hi) = boxes[c];
         let mut bounds = Rect::EMPTY;
         for y in r.y0..r.y1 {
@@ -477,7 +469,19 @@ pub fn render_clips(
                 let Some((t0, t1)) = camera.ray_box(x, y, lo, hi) else {
                     continue;
                 };
-                let p = integrate(volume, frame, transfer, camera, params, accel, x, y, t0, t1);
+                let p = integrate(
+                    volume,
+                    frame,
+                    transfer,
+                    camera,
+                    params,
+                    finite_shading,
+                    accel,
+                    x,
+                    y,
+                    t0,
+                    t1,
+                );
                 if !p.is_blank() {
                     // SAFETY: (x, y) lies inside item i's rect, and the
                     // rects of one clip are pairwise disjoint, so no other
@@ -499,7 +503,7 @@ pub fn render_clips(
     // union of its items' bounds: exactly what `Image::set` would have
     // grown, in any merge order.
     let mut bounds = vec![Rect::EMPTY; clips.len()];
-    for (&(c, _), d) in items.iter().zip(done) {
+    for (&(c, ..), d) in items.iter().zip(done) {
         let (b, s) = d.into_inner().expect("recording an item never panics");
         bounds[c] = bounds[c].union(&b);
         seconds[c] += s;
@@ -510,13 +514,58 @@ pub fn render_clips(
     (images, seconds)
 }
 
-/// Collects the pixel rectangle of every *live* screen tile: marked in
-/// `mask` and overlapping `footprint`. Every live tile is emitted
-/// exactly once, dead tiles are never emitted, and edge tiles are
-/// clamped to the footprint (whose width and height need not divide the
-/// tile size). The rectangles are pairwise disjoint — the basis of the
-/// threaded renderer's lock-free disjoint-write guarantee.
-fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<Rect> {
+/// The work list of one [`render_clips`] call: `(clip, rect, weight)` for
+/// every clip's items, heaviest first, and per clip the seconds its
+/// prescan took. A live tile weighs the active cells that marked it, a
+/// row band its area. The pool claims items in board order, so the
+/// longest start first and the threads finish together; the sort is
+/// stable, so equal weights keep clip-then-raster order.
+fn board(
+    placement: &Subvolume,
+    clips: &[Subvolume],
+    camera: &Camera,
+    accel: Option<&RenderAccel>,
+    tile: usize,
+) -> (Vec<(usize, Rect, usize)>, Vec<f64>) {
+    // Tiles larger than the image index space degenerate to one tile.
+    let tile = tile.min(u16::MAX as usize);
+    let mut items = Vec::new();
+    let mut seconds = Vec::with_capacity(clips.len());
+    for (c, clip) in clips.iter().enumerate() {
+        let start = Instant::now();
+        for axis in 0..3 {
+            assert!(
+                clip.origin[axis] >= placement.origin[axis]
+                    && clip.origin[axis] + clip.dims[axis]
+                        <= placement.origin[axis] + placement.dims[axis],
+                "clip box must lie inside the placement box"
+            );
+        }
+        let footprint = camera.footprint(clip.origin, clip.dims);
+        let weighted = match accel {
+            Some(acc) if tile >= 1 => tile_items(
+                &footprint,
+                &acc.tile_mask(camera, placement.origin, clip, tile),
+            ),
+            _ => row_bands(&footprint, DEFAULT_TILE_SIZE as u16)
+                .into_iter()
+                .map(|r| (r, r.area()))
+                .collect(),
+        };
+        items.extend(weighted.into_iter().map(|(r, w)| (c, r, w)));
+        seconds.push(start.elapsed().as_secs_f64());
+    }
+    items.sort_by_key(|&(.., weight)| Reverse(weight));
+    (items, seconds)
+}
+
+/// The pixel rectangle and weight of every *live* screen tile: marked in
+/// `mask` and overlapping `footprint`, in raster order. Every live tile
+/// is emitted exactly once, dead tiles are never emitted, and edge tiles
+/// are clamped to the footprint (whose width and height need not divide
+/// the tile size). The rectangles are pairwise disjoint — the basis of
+/// the threaded renderer's lock-free disjoint-write guarantee.
+fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<(Rect, usize)> {
     let mut items = Vec::new();
     if footprint.is_empty() {
         return items;
@@ -526,7 +575,8 @@ fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<Rect> {
     let tx0 = footprint.x0 / ts;
     for tyi in ty0..=(footprint.y1.saturating_sub(1) / ts) {
         for txi in tx0..=(footprint.x1.saturating_sub(1) / ts) {
-            if !mask.tile_marked(txi as usize, tyi as usize) {
+            let weight = mask.weight(txi as usize, tyi as usize);
+            if weight == 0 {
                 continue;
             }
             let r = footprint.intersect(&Rect::new(
@@ -536,7 +586,7 @@ fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<Rect> {
                 (tyi + 1).saturating_mul(ts).min(footprint.y1),
             ));
             if !r.is_empty() {
-                items.push(r);
+                items.push((r, weight));
             }
         }
     }
@@ -586,6 +636,10 @@ impl SharedPixels {
 /// One ray-sample step: classify, shade, accumulate. Returns `true` when
 /// early ray termination fires. Shared verbatim by the naive and the
 /// accelerated loops so their contributing samples run identical code.
+///
+/// With `finite_shading` (`shading_is_finite`), a sample whose weight
+/// [`vanishes`] is not shaded: every shade in [0, 1] would leave `color`
+/// and `alpha` as they are.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn sample_step(
@@ -593,23 +647,47 @@ fn sample_step(
     pos: Vec3,
     classify: (f32, f32),
     params: &RenderParams,
+    finite_shading: bool,
     color: &mut [f32; 3],
     alpha: &mut f32,
 ) -> bool {
     let (intensity, alpha_unit) = classify;
     let a = params.step_opacity(alpha_unit);
     if a > params.opacity_cutoff {
-        let shaded = shade(volume, pos, intensity, params);
         let w = (1.0 - *alpha) * a;
-        color[0] += w * shaded * params.tint[0];
-        color[1] += w * shaded * params.tint[1];
-        color[2] += w * shaded * params.tint[2];
-        *alpha += w;
+        if !(finite_shading && vanishes(color, *alpha, w, &params.tint)) {
+            let shaded = shade(volume, pos, intensity, params);
+            accumulate(color, alpha, w, shaded, &params.tint);
+        }
         if *alpha >= params.early_termination_alpha {
             return true;
         }
     }
     false
+}
+
+/// Whether a sample of weight `w` provably changes nothing: `alpha + w`
+/// and every `color[c] + w·tint[c]` round back to the same bits.
+///
+/// Then `color[c] += w·shaded·tint[c]` keeps its bits too, for every
+/// `shaded` in [+0, 1] and finite `tint`: `|fl(w·shaded)| ≤ |w|` with
+/// the same sign, so `fl(fl(w·shaded)·tint[c])` lies between 0 and
+/// `fl(w·tint[c])`, and rounding is monotone, so the sum lies between
+/// `color[c]` and `fl(color[c] + w·tint[c]) = color[c]`. Signed zeros
+/// follow the same signs; a ray's `color` starts at +0 and is never −0.
+#[inline(always)]
+fn vanishes(color: &[f32; 3], alpha: f32, w: f32, tint: &[f32; 3]) -> bool {
+    let unchanged = |acc: f32, add: f32| (acc + add).to_bits() == acc.to_bits();
+    unchanged(alpha, w) && (0..3).all(|c| unchanged(color[c], w * tint[c]))
+}
+
+/// Front-to-back accumulation of one shaded sample of weight `w`.
+#[inline(always)]
+fn accumulate(color: &mut [f32; 3], alpha: &mut f32, w: f32, shaded: f32, tint: &[f32; 3]) {
+    for c in 0..3 {
+        color[c] += w * shaded * tint[c];
+    }
+    *alpha += w;
 }
 
 /// Integrates one ray over `[t0, t1]` front-to-back, optionally walking
@@ -621,6 +699,7 @@ fn integrate(
     transfer: &TransferFunction,
     camera: &Camera,
     params: &RenderParams,
+    finite_shading: bool,
     accel: Option<&RenderAccel>,
     x: u16,
     y: u16,
@@ -637,7 +716,15 @@ fn integrate(
             while t < t1 {
                 let pos = ray_o + dir * t - frame;
                 let c = transfer.classify(volume.sample(pos));
-                if sample_step(volume, pos, c, params, &mut color, &mut alpha) {
+                if sample_step(
+                    volume,
+                    pos,
+                    c,
+                    params,
+                    finite_shading,
+                    &mut color,
+                    &mut alpha,
+                ) {
                     break;
                 }
                 t += params.step;
@@ -723,7 +810,13 @@ fn integrate(
                                         let pos = ray_o + dir * tv[i] - frame;
                                         let cl = (lut.intensity(density[i]), unit[i]);
                                         if sample_step(
-                                            volume, pos, cl, params, &mut color, &mut alpha,
+                                            volume,
+                                            pos,
+                                            cl,
+                                            params,
+                                            finite_shading,
+                                            &mut color,
+                                            &mut alpha,
                                         ) {
                                             break 'ray;
                                         }
@@ -748,8 +841,15 @@ fn integrate(
                                 let alpha_unit = lut.opacity(density).clamp(0.0, 1.0);
                                 if alpha_unit > 0.0 || admit_zero {
                                     let cl = (lut.intensity(density), alpha_unit);
-                                    if sample_step(volume, pos, cl, params, &mut color, &mut alpha)
-                                    {
+                                    if sample_step(
+                                        volume,
+                                        pos,
+                                        cl,
+                                        params,
+                                        finite_shading,
+                                        &mut color,
+                                        &mut alpha,
+                                    ) {
                                         break 'ray;
                                     }
                                 }
@@ -819,8 +919,9 @@ fn cell_at(coord: f32, inv_cs: f32, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vr_image::checksum::fnv1a;
-    use vr_volume::{Dataset, DatasetKind};
+    use vr_volume::{kd_partition, Dataset, DatasetKind};
 
     fn whole(dims: [usize; 3]) -> Subvolume {
         Subvolume {
@@ -974,49 +1075,72 @@ mod tests {
         assert!(mask.marked_count() < mask.len());
     }
 
-    /// The live-tile work plan for a standard scene: every live tile
-    /// scheduled exactly once, dead tiles never scheduled, and the
-    /// scheduled rects exactly tile the live part of the footprint.
+    /// The board of a partitioned scene: heaviest first, and per clip
+    /// every live tile scheduled exactly once at its mask weight, dead
+    /// tiles never scheduled, and the scheduled rects exactly tiling the
+    /// live part of the clip's footprint.
     #[test]
-    fn tile_items_schedules_live_tiles_exactly_once_and_dead_tiles_never() {
+    fn board_schedules_live_tiles_once_heaviest_first_and_dead_tiles_never() {
         let dims = [48, 48, 24];
         let ds = Dataset::with_dims(DatasetKind::Cube, dims);
         let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
         let params = RenderParams::default();
         let acc = RenderAccel::new(ds.macrocell_grid(8), &ds.transfer, &params);
-        let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 16);
-        // The Cube is sparse: the plan must really have dead tiles to skip.
-        assert!(mask.marked_count() < mask.len());
-        let footprint = cam.footprint([0, 0, 0], dims);
-        let ts = mask.tile_size() as u16;
-        let items = tile_items(&footprint, &mask);
+        let clips = kd_partition(dims, 3).subvolumes().to_vec();
+        let (items, seconds) = board(&whole(dims), &clips, &cam, Some(&acc), 16);
+        assert_eq!(seconds.len(), clips.len());
+        assert!(
+            items.windows(2).all(|w| w[0].2 >= w[1].2),
+            "weights rise along the board"
+        );
+        // Unequal weights, or the order is not exercised.
+        assert!(items[0].2 > items[items.len() - 1].2);
 
-        let mut seen = std::collections::HashSet::new();
-        for r in &items {
-            assert!(!r.is_empty());
-            assert!(footprint.contains_rect(r), "item {r:?} leaks the footprint");
-            // Each item lies inside exactly one tile…
-            let (txi, tyi) = (r.x0 / ts, r.y0 / ts);
-            assert_eq!((txi, tyi), ((r.x1 - 1) / ts, (r.y1 - 1) / ts));
-            // …that tile is live…
-            assert!(
-                mask.tile_marked(txi as usize, tyi as usize),
-                "dead tile ({txi},{tyi}) was scheduled"
-            );
-            // …and is scheduled at most once.
-            assert!(
-                seen.insert((txi, tyi)),
-                "tile ({txi},{tyi}) scheduled twice"
-            );
-        }
-        // Exactly once: every live footprint pixel is covered by exactly
-        // one item (disjointness follows from the per-tile uniqueness
-        // above), and dead-tile pixels by none.
-        for y in footprint.y0..footprint.y1 {
-            for x in footprint.x0..footprint.x1 {
-                let n = items.iter().filter(|r| r.contains(x, y)).count();
-                assert_eq!(n, usize::from(mask.covers(x, y)), "pixel ({x},{y})");
+        for (c, clip) in clips.iter().enumerate() {
+            let mask = acc.tile_mask(&cam, [0, 0, 0], clip, 16);
+            // The Cube is sparse: the plan must really have dead tiles to skip.
+            assert!(mask.marked_count() < mask.len());
+            let footprint = cam.footprint(clip.origin, clip.dims);
+            let ts = mask.tile_size() as u16;
+            let rects: Vec<Rect> = items.iter().filter(|i| i.0 == c).map(|i| i.1).collect();
+            let mut seen = std::collections::HashSet::new();
+            for &(_, r, weight) in items.iter().filter(|i| i.0 == c) {
+                assert!(!r.is_empty());
+                assert!(
+                    footprint.contains_rect(&r),
+                    "item {r:?} leaks the footprint"
+                );
+                // Each item lies inside exactly one tile…
+                let (txi, tyi) = (r.x0 / ts, r.y0 / ts);
+                assert_eq!((txi, tyi), ((r.x1 - 1) / ts, (r.y1 - 1) / ts));
+                // …that tile is live and weighs what marked it…
+                assert!(weight > 0, "dead tile ({txi},{tyi}) was scheduled");
+                assert_eq!(weight, mask.weight(txi as usize, tyi as usize));
+                // …and is scheduled at most once.
+                assert!(
+                    seen.insert((txi, tyi)),
+                    "tile ({txi},{tyi}) scheduled twice"
+                );
             }
+            // Exactly once: every live footprint pixel is covered by
+            // exactly one item (disjointness follows from the per-tile
+            // uniqueness above), and dead-tile pixels by none.
+            for y in footprint.y0..footprint.y1 {
+                for x in footprint.x0..footprint.x1 {
+                    let n = rects.iter().filter(|r| r.contains(x, y)).count();
+                    assert_eq!(n, usize::from(mask.covers(x, y)), "pixel ({x},{y})");
+                }
+            }
+        }
+
+        // Without culling, each clip's row bands, weighed by area.
+        let (bands, _) = board(&whole(dims), &clips, &cam, None, 0);
+        assert!(bands.windows(2).all(|w| w[0].2 >= w[1].2));
+        for (c, clip) in clips.iter().enumerate() {
+            let mine = bands.iter().filter(|i| i.0 == c);
+            assert!(mine.clone().all(|i| i.2 == i.1.area()));
+            let area: usize = mine.map(|i| i.2).sum();
+            assert_eq!(area, cam.footprint(clip.origin, clip.dims).area());
         }
     }
 
@@ -1043,7 +1167,10 @@ mod tests {
             footprint.y0 < 32 && footprint.y1 > 32 && !footprint.y1.is_multiple_of(32),
             "footprint {footprint:?}"
         );
-        let items = tile_items(&footprint, &mask);
+        let items: Vec<Rect> = tile_items(&footprint, &mask)
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
         assert!(!items.is_empty());
         for r in &items {
             assert!(footprint.contains_rect(r), "item {r:?} leaks the footprint");
@@ -1121,5 +1248,87 @@ mod tests {
         let cam = Camera::orbit(dims, 32, 32, 0.0, 0.0);
         let mask = acc.tile_mask(&cam, [0, 0, 0], &whole(dims), 8);
         assert!(!mask.any());
+    }
+
+    /// With termination at or below zero opacity every contributing
+    /// sample ends its ray; one that vanishes ends it unshaded, with the
+    /// bits a shaded one leaves, including a zero-opacity sample admitted
+    /// by a negative cutoff.
+    #[test]
+    fn a_vanishing_sample_terminates_as_a_shaded_one_at_nonpositive_termination() {
+        let v = Volume::from_fn([8, 8, 8], |x, y, z| (x * 29 + y * 7 + z * 13) as u8);
+        let pos = Vec3::new(3.3, 4.1, 2.7);
+        for ert in [0.0, -1.0] {
+            let params = RenderParams {
+                early_termination_alpha: ert,
+                opacity_cutoff: -1.0,
+                ..Default::default()
+            };
+            // (unit opacity, alpha, color): a fresh ray, a saturated one
+            // and one a hair below saturation.
+            for (unit, alpha, color) in [
+                (0.0, 0.0, [0.0; 3]),
+                (0.5, 1.0, [0.7, 0.2, 0.9]),
+                (1e-9, 0.9999, [0.5; 3]),
+            ] {
+                let w = (1.0 - alpha) * params.step_opacity(unit);
+                assert!(vanishes(&color, alpha, w, &params.tint));
+                let step = |finite_shading| {
+                    let (mut color, mut alpha) = (color, alpha);
+                    let stop = sample_step(
+                        &v,
+                        pos,
+                        (0.6, unit),
+                        &params,
+                        finite_shading,
+                        &mut color,
+                        &mut alpha,
+                    );
+                    (stop, color.map(f32::to_bits), alpha.to_bits())
+                };
+                assert_eq!(step(true), step(false), "ert {ert} alpha {alpha}");
+                assert!(step(true).0, "ert {ert} must end the ray");
+            }
+        }
+    }
+
+    /// Any finite `f32`: both signs, zeros, subnormals and the extremes.
+    fn finite() -> impl Strategy<Value = f32> {
+        any::<u32>()
+            .prop_map(f32::from_bits)
+            .prop_filter("finite", |v| v.is_finite())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Whenever `vanishes` says a weight vanishes, accumulating it at
+        /// any shade in [0, 1] leaves every bit of `color` and `alpha`.
+        #[test]
+        fn a_vanishing_weight_leaves_color_and_alpha_unchanged(
+            alpha in prop_oneof![0.0f32..=1.0, 0.999f32..=1.0, Just(1.0f32)],
+            color in (
+                prop_oneof![finite(), 0.0f32..=1.0, Just(-0.0f32)],
+                prop_oneof![finite(), 0.0f32..=1.0, Just(0.0f32)],
+                prop_oneof![finite(), 0.0f32..=1.0],
+            ),
+            a in prop_oneof![0.0f32..=1.0, 0.0f32..1e-6, Just(0.0f32)],
+            shaded in prop_oneof![0.0f32..=1.0, Just(0.0f32), Just(1.0f32)],
+            tint in (
+                prop_oneof![Just(1.0f32), Just(0.0f32), Just(-1.0f32), finite()],
+                prop_oneof![Just(1.0f32), Just(-0.0f32), finite()],
+                prop_oneof![Just(1.0f32), -2.0f32..2.0, finite()],
+            ),
+        ) {
+            let color = [color.0, color.1, color.2];
+            let tint = [tint.0, tint.1, tint.2];
+            let w = (1.0 - alpha) * a;
+            if vanishes(&color, alpha, w, &tint) {
+                let (mut after, mut alpha_after) = (color, alpha);
+                accumulate(&mut after, &mut alpha_after, w, shaded, &tint);
+                prop_assert_eq!(alpha_after.to_bits(), alpha.to_bits());
+                prop_assert_eq!(after.map(f32::to_bits), color.map(f32::to_bits));
+            }
+        }
     }
 }

@@ -76,12 +76,19 @@ impl RenderParams {
 
     /// Converts a per-unit-length opacity to a per-sample opacity for the
     /// configured step size: `1 − (1 − α)^step`.
+    ///
+    /// At `step == 1` the power is skipped: `powf(x, 1.0) == x` for every
+    /// `x` in [0, 1], bit for bit (the tests sweep every such `f32`).
     #[inline]
     pub fn step_opacity(&self, alpha_unit: f32) -> f32 {
         if alpha_unit >= 1.0 {
             return 1.0;
         }
-        1.0 - (1.0 - alpha_unit).powf(self.step)
+        let transmitted = 1.0 - alpha_unit;
+        if self.step == 1.0 {
+            return 1.0 - transmitted;
+        }
+        1.0 - transmitted.powf(self.step)
     }
 }
 
@@ -109,6 +116,37 @@ mod tests {
         let h = half.step_opacity(a);
         let two = h + (1.0 - h) * h;
         assert!((two - a).abs() < 1e-5);
+    }
+
+    /// Asserts the step-1 shortcut against the `powf` it replaces at every
+    /// `stride`-th `f32` bit pattern in [0.0, 1.0], and at 0, 1 and their
+    /// neighbours. The exponent is opaque to the optimiser, which would
+    /// otherwise fold `powf(x, 1.0)` to `x` and test nothing.
+    fn assert_step_one_matches_powf(stride: usize) {
+        let p = RenderParams {
+            step: 1.0,
+            ..Default::default()
+        };
+        let one = std::hint::black_box(1.0f32);
+        let top = 1.0f32.to_bits();
+        let edges = [0, 1, 2, top - 2, top - 1, top];
+        for bits in (0..=top).step_by(stride).chain(edges) {
+            let a = f32::from_bits(bits);
+            let powf = 1.0 - (1.0 - a).powf(one);
+            assert_eq!(p.step_opacity(a).to_bits(), powf.to_bits(), "alpha {a:e}");
+        }
+    }
+
+    #[test]
+    fn step_one_opacity_matches_powf_at_every_4096th_pattern() {
+        assert_step_one_matches_powf(4096);
+    }
+
+    /// All 1,065,353,217 patterns: run it in a release build.
+    #[test]
+    #[ignore]
+    fn step_one_opacity_matches_powf_at_every_pattern() {
+        assert_step_one_matches_powf(1);
     }
 
     #[test]

@@ -81,6 +81,23 @@ pub(crate) fn shade(volume: &Volume, pos: Vec3, intensity: f32, params: &RenderP
     (intensity * (params.ambient + params.diffuse * lambert)).clamp(0.0, 1.0)
 }
 
+/// Whether [`shade`] lands in [0, 1] at every sample of a frame, never
+/// NaN, and the tint is finite: the condition under which a sample whose
+/// weight vanishes may go unshaded.
+///
+/// The intensity is a clamp of a finite product into [0, 1]. With each
+/// light component in [−1, 1], `|light_dir| < 2`, so the Lambert term
+/// `|g·l| / |g|` is below 2, and `ambient + diffuse·lambert` stays below
+/// `|ambient| + 2·|diffuse|`, which must be finite. A NaN anywhere fails
+/// one of the tests.
+pub(crate) fn shading_is_finite(params: &RenderParams, transfer: &TransferFunction) -> bool {
+    let l = params.light_dir;
+    [l.x, l.y, l.z].iter().all(|c| c.abs() <= 1.0)
+        && (params.ambient.abs() + 2.0 * params.diffuse.abs()).is_finite()
+        && transfer.intensity_scale.is_finite()
+        && params.tint.iter().all(|t| t.is_finite())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +234,53 @@ mod tests {
             density < 0.75,
             "cube should be sparse in its bounds, got {density}"
         );
+    }
+
+    #[test]
+    fn shading_gate_is_off_for_any_non_finite_input() {
+        let tf = TransferFunction::head();
+        let p = RenderParams::default();
+        assert!(shading_is_finite(&p, &tf));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for params in [
+                RenderParams { ambient: bad, ..p },
+                RenderParams { diffuse: bad, ..p },
+                RenderParams {
+                    light_dir: Vec3::new(bad, 0.0, 0.0),
+                    ..p
+                },
+                RenderParams {
+                    light_dir: Vec3::new(0.0, bad, 0.0),
+                    ..p
+                },
+                RenderParams {
+                    light_dir: Vec3::new(0.0, 0.0, bad),
+                    ..p
+                },
+                RenderParams {
+                    tint: [1.0, bad, 1.0],
+                    ..p
+                },
+            ] {
+                assert!(!shading_is_finite(&params, &tf), "{params:?}");
+            }
+            let mut scaled = tf.clone();
+            scaled.intensity_scale = bad;
+            assert!(!shading_is_finite(&p, &scaled), "intensity_scale {bad}");
+        }
+        // Finite, but `ambient + diffuse·lambert` might overflow, or the
+        // light is longer than unit on an axis.
+        let huge = RenderParams {
+            ambient: f32::MAX,
+            diffuse: f32::MAX,
+            ..p
+        };
+        assert!(!shading_is_finite(&huge, &tf));
+        let long = RenderParams {
+            light_dir: Vec3::new(0.0, 0.0, 2.0),
+            ..p
+        };
+        assert!(!shading_is_finite(&long, &tf));
     }
 
     #[test]

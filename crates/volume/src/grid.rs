@@ -133,31 +133,84 @@ impl Volume {
     /// Central-difference gradient at a continuous point, in voxel
     /// coordinates — used for gray-level gradient shading.
     ///
-    /// When all six taps are interior, each of the nine distinct
-    /// coordinates (`p.a`, `p.a + 1`, `p.a − 1`) is split once and the two
-    /// taps of a pair share the untouched axes' splits; these are the very
-    /// `f32` values six separate [`Self::sample`] calls would recompute.
+    /// Two branches, with the same bits:
+    ///
+    /// * **Aligned stencil.** When each of the nine distinct coordinates
+    ///   (`p.a − 1`, `p.a`, `p.a + 1`) splits in the interior and the
+    ///   three splits of an axis land on consecutive voxels, the six taps
+    ///   share one 32-voxel neighbourhood: the four central rows of four
+    ///   voxels and eight outer rows of two, read once from one slice.
+    ///   Each tap blends its eight corners with the split weights
+    ///   [`Self::sample`] would compute for it.
+    /// * **`gradient_shell`**, for every other point: a stencil
+    ///   that touches the boundary shell, or a `p.a ± 1` that rounded onto
+    ///   another voxel (a weight within an ulp of 1).
     #[inline]
     pub fn gradient(&self, p: Vec3) -> Vec3 {
         let h = 1.0;
         let [nx, ny, nz] = self.dims;
         // The guards run on the coordinates actually split: `p.a < n − 2`
         // does not stop `p.a + h` from rounding up onto `n − 1`.
-        let split =
-            |v: f32, n: usize| Some((interior(v - h, n)?, interior(v, n)?, interior(v + h, n)?));
-        let (Some((xm, x0, xp)), Some((ym, y0, yp)), Some((zm, z0, zp))) =
+        let split = |v: f32, n: usize| {
+            let (lo, c, hi) = (interior(v - h, n)?, interior(v, n)?, interior(v + h, n)?);
+            (lo.0 + 1 == c.0 && c.0 + 1 == hi.0).then_some((lo.1, c, hi.1))
+        };
+        let (Some((txm, (i, tx), txp)), Some((tym, (j, ty), typ)), Some((tzm, (k, tz), tzp))) =
             (split(p.x, nx), split(p.y, ny), split(p.z, nz))
         else {
             return self.gradient_shell(p);
         };
-        let dx = self.sample_interior(xp, y0, z0) - self.sample_interior(xm, y0, z0);
-        let dy = self.sample_interior(x0, yp, z0) - self.sample_interior(x0, ym, z0);
-        let dz = self.sample_interior(x0, y0, zp) - self.sample_interior(x0, y0, zm);
+        // Alignment puts voxels i − 1 ..= i + 2 (and likewise on y and z)
+        // inside the grid: `interior` split i − 1 and i + 1 as low corners.
+        // Offsets below are from voxel (i, j, k − 1).
+        let plane = nx * ny;
+        let at = (k * ny + j) * nx + i;
+        let s = &self.data[at - plane..=at + 2 * plane + nx + 1];
+        let quad = |o: usize| {
+            let r = &s[o - 1..o + 3];
+            [r[0] as f32, r[1] as f32, r[2] as f32, r[3] as f32]
+        };
+        let pair = |o: usize| {
+            let r = &s[o..o + 2];
+            [r[0] as f32, r[1] as f32]
+        };
+        // Rows (j, k), (j + 1, k), (j, k + 1), (j + 1, k + 1), x from i − 1.
+        let q = [
+            quad(plane),
+            quad(plane + nx),
+            quad(2 * plane),
+            quad(2 * plane + nx),
+        ];
+        let mid = |r: [f32; 4]| [r[1], r[2]];
+        let dx = trilerp(q.map(|r| [r[2], r[3]]), txp, ty, tz)
+            - trilerp(q.map(|r| [r[0], r[1]]), txm, ty, tz);
+        let dy = trilerp(
+            [
+                mid(q[1]),
+                pair(plane + 2 * nx),
+                mid(q[3]),
+                pair(2 * plane + 2 * nx),
+            ],
+            tx,
+            typ,
+            tz,
+        ) - trilerp(
+            [pair(plane - nx), mid(q[0]), pair(2 * plane - nx), mid(q[2])],
+            tx,
+            tym,
+            tz,
+        );
+        let dz = trilerp(
+            [mid(q[2]), mid(q[3]), pair(3 * plane), pair(3 * plane + nx)],
+            tx,
+            ty,
+            tzp,
+        ) - trilerp([pair(0), pair(nx), mid(q[0]), mid(q[1])], tx, ty, tzm);
         Vec3::new(dx, dy, dz) * 0.5
     }
 
-    /// Six independent taps, for points whose stencil touches the
-    /// boundary shell.
+    /// Six independent taps, for points off the aligned stencil; each
+    /// [`Self::sample`] still takes its own interior path where it can.
     fn gradient_shell(&self, p: Vec3) -> Vec3 {
         let h = 1.0;
         let dx =

@@ -191,6 +191,44 @@ fn gradient_guards_run_on_the_shifted_coordinate() {
     }
 }
 
+/// Whether `gradient` takes its stencil branch on an axis of `n` voxels:
+/// `v − 1`, `v` and `v + 1` all split in the interior, onto consecutive
+/// voxels.
+fn stencil_aligned(v: f32, n: usize) -> bool {
+    let split = |v: f32| (v >= 0.0 && v < (n - 1) as f32).then_some(v as i32);
+    matches!(
+        (split(v - 1.0), split(v), split(v + 1.0)),
+        (Some(lo), Some(c), Some(hi)) if lo + 1 == c && c + 1 == hi
+    )
+}
+
+#[test]
+fn gradient_matches_reference_where_a_shifted_tap_rounds_onto_another_voxel() {
+    let dims = [9, 7, 6];
+    let v = noise_volume(dims, 31);
+    // One axis just below an integer, where `p.a + 1` can round up onto
+    // the next integer; the other two mid-stencil. [aligned, not].
+    let mut hits = [0usize; 2];
+    for axis in 0..3 {
+        for k in 1..dims[axis] - 1 {
+            for a in [next_down(k as f32), (k + 1) as f32 - 2f32.powi(-23)] {
+                for b in [1.5, 2.25, 3.0] {
+                    let mut c = [b; 3];
+                    c[axis] = a;
+                    let p = Vec3::new(c[0], c[1], c[2]);
+                    assert_kernels_match(&v, p);
+                    let aligned = (0..3).all(|i| stencil_aligned(c[i], dims[i]));
+                    hits[usize::from(!aligned)] += 1;
+                }
+            }
+        }
+    }
+    // Both branches: `next_down(4.0) + 1.0` rounds to 5.0, and
+    // `next_down(3.0) + 1.0` is exact.
+    assert!(!stencil_aligned(next_down(4.0), 9) && stencil_aligned(next_down(3.0), 9));
+    assert!(hits[0] > 0 && hits[1] > 0, "[aligned, shell] = {hits:?}");
+}
+
 proptest! {
     #[test]
     fn kernels_match_reference_on_arbitrary_volumes(
