@@ -115,12 +115,18 @@ impl Image {
     /// Creates an image by evaluating `f(x, y)` for every pixel.
     pub fn from_fn(width: u16, height: u16, mut f: impl FnMut(u16, u16) -> Pixel) -> Self {
         let mut pixels = Vec::with_capacity(width as usize * height as usize);
-        let mut bounds = Rect::EMPTY;
+        let (mut bounds, mut extent) = (Rect::EMPTY, Rect::EMPTY);
+        let blank = Pixel::BLANK.to_le_bytes();
         for y in 0..height {
             for x in 0..width {
                 let p = f(x, y);
                 if !p.is_blank() {
                     bounds.include(x, y);
+                }
+                // The extent is over bits: a `-0.0` pixel is blank by
+                // value yet must stay inside it.
+                if p.to_le_bytes() != blank {
+                    extent.include(x, y);
                 }
                 pixels.push(p);
             }
@@ -130,7 +136,7 @@ impl Image {
             height,
             pixels,
             bounds_hint: Some(bounds),
-            extent: bounds,
+            extent,
         }
     }
 
@@ -266,8 +272,10 @@ impl Image {
     }
 
     /// The rectangle outside which every pixel is [`Pixel::BLANK`] — a
-    /// superset of the tight bounds, exact after [`Image::blank`],
-    /// [`Image::from_fn`] and [`Image::assert_bounds`].
+    /// superset of the tight bounds, exact after [`Image::blank`] and
+    /// [`Image::assert_bounds`]. After [`Image::from_fn`] it is the tight
+    /// rectangle of the pixels that are not bitwise blank, which a `-0.0`
+    /// component can make wider than the bounds.
     #[inline]
     pub fn extent(&self) -> Rect {
         self.extent

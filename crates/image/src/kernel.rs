@@ -33,14 +33,33 @@ use crate::rle::RunSet;
 /// scans. Runs touching a chunk (or caller-side row) seam coalesce via
 /// [`RunSet::push`].
 pub fn scan_runs_into(span: &[Pixel], base: usize, table: &mut RunSet) {
+    scan_into(span, base, table, |p| {
+        (p.a != 0.0) | (p.r != 0.0) | (p.g != 0.0) | (p.b != 0.0)
+    });
+}
+
+/// [`scan_runs_into`] with blank decided by bits, not by value: a pixel
+/// is skipped only when it is bitwise [`Pixel::BLANK`], so a `-0.0`
+/// component counts non-blank here (and NaN, as under both tests).
+/// Whatever this scan skips can be restored as `Pixel::BLANK` without
+/// changing a bit of the image.
+pub fn scan_bit_runs_into(span: &[Pixel], base: usize, table: &mut RunSet) {
+    scan_into(span, base, table, |p| {
+        (p.r.to_bits() | p.g.to_bits() | p.b.to_bits() | p.a.to_bits()) != 0
+    });
+}
+
+/// The 16-wide mask-and-peel loop both scans share, over the pixel
+/// classifier `non_blank`.
+#[inline]
+fn scan_into(span: &[Pixel], base: usize, table: &mut RunSet, non_blank: impl Fn(&Pixel) -> bool) {
     const CHUNK: usize = 16;
     let mut x = 0usize;
     while x < span.len() {
         let lim = (span.len() - x).min(CHUNK);
         let mut bits: u32 = 0;
         for (i, p) in span[x..x + lim].iter().enumerate() {
-            let nb = (p.a != 0.0) | (p.r != 0.0) | (p.g != 0.0) | (p.b != 0.0);
-            bits |= (nb as u32) << i;
+            bits |= (non_blank(p) as u32) << i;
         }
         while bits != 0 {
             let s = bits.trailing_zeros() as usize;
@@ -209,6 +228,24 @@ mod tests {
         let mut table = RunSet::new();
         scan_runs_into(&span, 0, &mut table);
         assert_eq!(table.runs(), &[(1, 1)]);
+    }
+
+    #[test]
+    fn bit_scan_classifies_negative_zero_and_nan_non_blank() {
+        let neg_zero = Pixel {
+            r: 0.0,
+            g: -0.0,
+            b: 0.0,
+            a: 0.0,
+        };
+        let nan = Pixel {
+            a: f32::NAN,
+            ..Pixel::BLANK
+        };
+        let span = [Pixel::BLANK, neg_zero, nan, Pixel::BLANK, neg_zero];
+        let mut table = RunSet::new();
+        scan_bit_runs_into(&span, 10, &mut table);
+        assert_eq!(table.runs(), &[(11, 2), (14, 1)]);
     }
 
     #[test]

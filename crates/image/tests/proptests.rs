@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vr_image::rle::ValueRle;
-use vr_image::{kernel, Image, MaskRle, Pixel, Rect, RunImage, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, Pixel, Rect, RunImage, RunSet, StridedSeq};
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
     (0.0f32..=1.0, 0.0f32..=1.0).prop_map(|(v, a)| Pixel::gray(v * a, a))
@@ -381,6 +381,39 @@ proptest! {
         let mut got = local;
         kernel::copy_slice_wire(&mut got, &wire);
         prop_assert!(same_bits(&incoming, &got), "copy: {incoming:?} != {got:?}");
+    }
+
+    #[test]
+    fn run_scans_match_their_scalar_references(
+        span in proptest::collection::vec(
+            prop_oneof![
+                3 => Just(Pixel::BLANK),
+                1 => Just(Pixel::new(0.0, -0.0, 0.0, -0.0)),
+                3 => arb_raw_pixel(),
+            ],
+            0..80,
+        ),
+        base in 0usize..1000,
+    ) {
+        // One pixel at a time; `push` coalesces neighbours into runs.
+        let reference = |non_blank: fn(&Pixel) -> bool| {
+            let mut table = RunSet::new();
+            for (i, p) in span.iter().enumerate() {
+                if non_blank(p) {
+                    table.push(base + i, 1);
+                }
+            }
+            table
+        };
+        let mut by_value = RunSet::new();
+        kernel::scan_runs_into(&span, base, &mut by_value);
+        prop_assert_eq!(by_value, reference(|p| !p.is_blank()));
+        let mut by_bits = RunSet::new();
+        kernel::scan_bit_runs_into(&span, base, &mut by_bits);
+        prop_assert_eq!(
+            by_bits,
+            reference(|p| [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0))
+        );
     }
 
     #[test]

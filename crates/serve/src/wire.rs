@@ -10,10 +10,12 @@
 //!    error, closes.
 //! 3. Client pipelines [`KIND_REQUEST`] frames (client-chosen `id` +
 //!    full `ExperimentConfig`); the server answers each with exactly
-//!    one [`KIND_RESPONSE`] carrying the same `id` — a pixel payload
-//!    or a typed rejection. Responses may arrive out of submission
-//!    order (requests hash to different shards); the `id` is the
-//!    correlation key.
+//!    one [`KIND_RESPONSE`] carrying the same `id` — a frame or a typed
+//!    rejection. A frame travels sparse, as in the paper's BSLC/BSBRC
+//!    messages: 2-byte blank/non-blank run codes over the whole image,
+//!    then only its non-blank pixels. Responses may arrive out of
+//!    submission order (requests hash to different shards); the `id` is
+//!    the correlation key.
 //! 4. [`KIND_STATS`] polls per-shard [`ServiceStats`] plus the
 //!    router's imbalance metric ([`KIND_STATS_REPLY`]).
 //!
@@ -40,7 +42,7 @@ use std::time::Duration;
 use vr_comm::{
     CostModel, FaultAction, FaultConfig, KillSpec, ReliabilityConfig, StreamClass, TargetedFault,
 };
-use vr_image::{Image, Pixel, BYTES_PER_PIXEL};
+use vr_image::{kernel, Image, MaskRle, RunSet, BYTES_PER_PIXEL, BYTES_PER_RUN_CODE};
 use vr_system::{CompTiming, ExperimentConfig, FrameRecord};
 use vr_volume::DatasetKind;
 
@@ -55,8 +57,10 @@ use crate::CacheCounters;
 /// position in the seven-entry `Method::all()` (RADIXK and TSTREAM moved
 /// to 5 and 6). 4: a request no longer carries a streamed-tile edge, nor
 /// a frame record the fused runner's first-/last-tile latencies. 5: nor
-/// a render thread count (the serving worker's pool sets it).
-pub const WIRE_VERSION: u16 = 5;
+/// a render thread count (the serving worker's pool sets it). 6: a frame
+/// travels as mask-RLE codes plus its non-blank pixels, not as every
+/// pixel.
+pub const WIRE_VERSION: u16 = 6;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -64,16 +68,27 @@ pub const MAGIC: [u8; 4] = *b"SLVW";
 /// a corrupt prefix drive allocation.
 pub const MAX_WIRE_FRAME: u32 = 64 << 20;
 
-/// Upper bound on the bytes of a frame reply that are not pixels: the
-/// frame header, the id, both tags, the degraded-source pair, the wait,
-/// the hash, the record and the image dimensions.
+/// Upper bound on the bytes of a frame reply that are neither pixels nor
+/// run codes: the frame header, the id, both tags, the degraded-source
+/// pair, the wait, the hash, the record, the image dimensions and the
+/// code count.
 const FRAME_REPLY_OVERHEAD: usize = 256;
+/// The largest image section of an `area`-pixel frame, less its
+/// dimensions and code count: the fully dense frame. Its one non-blank
+/// run follows a zero-length blank run and is cut every `u16::MAX`
+/// pixels by another, so it costs 4 code bytes per started `u16::MAX`
+/// pixels on top of every pixel.
+const fn dense_image_bytes(area: usize) -> usize {
+    4 * area.div_ceil(u16::MAX as usize) + BYTES_PER_PIXEL * area
+}
 /// Largest `image_size` a request may name: the side of the largest
-/// square frame whose reply still fits [`MAX_WIRE_FRAME`] (2047).
+/// square frame whose reply still fits [`MAX_WIRE_FRAME`] when no pixel
+/// of it is blank (2047).
 pub const MAX_IMAGE_SIZE: u16 = {
-    let pixels = (MAX_WIRE_FRAME as usize - FRAME_REPLY_OVERHEAD) / BYTES_PER_PIXEL;
     let mut side = 0usize;
-    while (side + 1) * (side + 1) <= pixels {
+    while FRAME_REPLY_OVERHEAD + dense_image_bytes((side + 1) * (side + 1))
+        <= MAX_WIRE_FRAME as usize
+    {
         side += 1;
     }
     side as u16
@@ -129,8 +144,9 @@ pub enum DecodeError {
     },
     /// The handshake magic did not match.
     BadMagic,
-    /// A length field disagrees with the bytes present (e.g. the pixel
-    /// payload does not match `width × height`).
+    /// A length field disagrees with the bytes present or the frame (e.g.
+    /// an image's run codes cover more than `width × height` pixels, or
+    /// claim pixels the payload does not hold).
     BadLength,
     /// A field decoded to a value outside the bounds its table declares
     /// (a zero image, a volume past [`MAX_VOLUME_VOXELS`], a NaN angle).
@@ -306,31 +322,99 @@ impl Wire for Magic {
     }
 }
 
-/// Width and height as `u16`, then the pixels row-major, 16 bytes each.
+/// The paper's blank/non-blank encoding over the whole frame: width and
+/// height as `u16`, a `u32` code count, the canonical [`MaskRle`] codes
+/// of the row-major frame (blank run first, trailing blank run trimmed),
+/// then the non-blank pixels in order, 16 bytes each.
+///
+/// Blank is decided by bits ([`kernel::scan_bit_runs_into`]): only a
+/// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels and
+/// the decoded frame is the sent one bit for bit. The bytes are a
+/// function of the pixels alone, whatever the extent or bounds hint.
+///
+/// [`Pixel::BLANK`]: vr_image::Pixel::BLANK
 impl Wire for Image {
     fn put(&self, w: &mut Vec<u8>) {
         self.width().put(w);
         self.height().put(w);
-        w.reserve(self.pixels().len() * BYTES_PER_PIXEL);
-        for p in self.pixels() {
-            w.extend_from_slice(&p.to_le_bytes());
+        let width = self.width() as usize;
+        // Outside the extent every pixel is bitwise blank.
+        let extent = self.extent();
+        let mut runs = RunSet::new();
+        if !extent.is_empty() {
+            for y in extent.y0..extent.y1 {
+                let span = self.row_span(extent.x0, y, extent.width() as usize);
+                let base = y as usize * width + extent.x0 as usize;
+                kernel::scan_bit_runs_into(span, base, &mut runs);
+            }
+        }
+        let mut codes = Vec::new();
+        runs.encode_codes_into(self.area(), &mut codes);
+        (codes.len() as u32).put(w);
+        w.reserve(codes.len() * BYTES_PER_RUN_CODE + runs.non_blank_total() * BYTES_PER_PIXEL);
+        codes.iter().for_each(|code| code.put(w));
+        for &(start, len) in runs.runs() {
+            for (x, y, n) in row_pieces(start, len, width) {
+                for p in self.row_span(x, y, n) {
+                    w.extend_from_slice(&p.to_le_bytes());
+                }
+            }
         }
     }
     fn get(r: &mut Reader) -> Result<Self, DecodeError> {
         let (width, height) = (u16::get(r)?, u16::get(r)?);
-        let count = width as usize * height as usize;
-        // One bounds check against the bytes actually present, before
-        // allocating anything proportional to the claimed dimensions.
-        let pixels = r
-            .take(count * BYTES_PER_PIXEL)
-            .map_err(|_| DecodeError::BadLength)?
-            .chunks_exact(BYTES_PER_PIXEL)
-            .map(|px| {
-                Pixel::from_le_bytes(px.try_into().expect("chunks_exact yields whole pixels"))
-            })
-            .collect();
-        Ok(Image::from_pixels(width, height, pixels))
+        if width > MAX_IMAGE_SIZE || height > MAX_IMAGE_SIZE {
+            return Err(DecodeError::OutOfRange { what: "image" });
+        }
+        let area = width as usize * height as usize;
+        let count = u32::get(r)? as usize;
+        let codes = count
+            .checked_mul(BYTES_PER_RUN_CODE)
+            .and_then(|len| r.take(len).ok())
+            .ok_or(DecodeError::BadLength)?;
+        let codes = MaskRle::from_codes(
+            codes
+                .chunks_exact(BYTES_PER_RUN_CODE)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect(),
+        );
+        // The runs must lie inside the frame and their pixels be present,
+        // both checked before anything proportional to the claimed
+        // dimensions is allocated.
+        let mut covered = 0usize;
+        for &code in codes.codes() {
+            covered += code as usize;
+            if covered > area {
+                return Err(DecodeError::BadLength);
+            }
+        }
+        let mut pixels = r
+            .take(codes.non_blank_total() * BYTES_PER_PIXEL)
+            .map_err(|_| DecodeError::BadLength)?;
+        let mut image = Image::blank(width, height);
+        for (start, len) in codes.non_blank_runs() {
+            for (x, y, n) in row_pieces(start, len, width as usize) {
+                let (piece, rest) = pixels.split_at(n * BYTES_PER_PIXEL);
+                kernel::copy_slice_wire(image.row_span_mut(x, y, n), piece);
+                pixels = rest;
+            }
+        }
+        Ok(image)
     }
+}
+
+/// The run of `len` pixels at row-major position `start` of a frame
+/// `width` pixels wide, cut at row ends: `(x, y, len)` per row it meets.
+fn row_pieces(start: usize, len: usize, width: usize) -> impl Iterator<Item = (u16, u16, usize)> {
+    let (mut at, end) = (start, start + len);
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (y, x) = (at / width, at % width);
+            let n = (width - x).min(end - at);
+            at += n;
+            (x as u16, y as u16, n)
+        })
+    })
 }
 
 /// A `u16` count, then the entries (the stats reply's shard list).
@@ -798,6 +882,7 @@ mod tests {
     use crate::service::{FrameReply, RenderedFrame};
     use std::sync::Arc;
     use vr_image::checksum::fnv1a;
+    use vr_image::Pixel;
 
     /// A cache-hit reply carrying `image`.
     pub(super) fn cached_reply(image: Image) -> FrameReply {
@@ -1035,40 +1120,110 @@ mod tests {
 
     #[test]
     fn frame_cut_at_every_length_is_typed_never_panics() {
-        let image = Image::from_fn(5, 3, |x, y| Pixel::gray(x as f32 + 0.5, y as f32 + 0.25));
+        // Blank margins and interior gaps: codes `[1, 3, 2, 3, 2, 3]`,
+        // nine non-blank pixels.
+        let image = Image::from_fn(5, 3, |x, y| {
+            if (1..4).contains(&x) {
+                Pixel::gray(x as f32 + 0.5, y as f32 + 0.25)
+            } else {
+                Pixel::BLANK
+            }
+        });
         let resp = FrameResponse::Frame(cached_reply(image));
         let wire = encode_response(2, &resp);
-        let pixel_section = wire.len() - 5 * 3 * BYTES_PER_PIXEL;
+        let codes_start = wire.len() - 6 * BYTES_PER_RUN_CODE - 9 * BYTES_PER_PIXEL;
         for cut in 0..wire.len() {
             match decode_response(&wire[..cut]) {
-                // Inside the pixel section the claimed dimensions
-                // disagree with the bytes present.
-                Err(DecodeError::BadLength) => assert!(cut >= pixel_section, "cut {cut}"),
-                Err(DecodeError::Truncated) => assert!(cut < pixel_section, "cut {cut}"),
+                // Inside the codes or the pixels the code count and the
+                // codes disagree with the bytes present.
+                Err(DecodeError::BadLength) => assert!(cut >= codes_start, "cut {cut}"),
+                Err(DecodeError::Truncated) => assert!(cut < codes_start, "cut {cut}"),
                 other => panic!("cut at {cut}: expected BadLength/Truncated, got {other:?}"),
             }
         }
         assert!(decode_response(&wire).is_ok());
     }
 
+    /// A frame reply whose image section is `image`, written field by
+    /// field so that it can lie.
+    fn hostile_frame(image: &[&dyn Wire]) -> Vec<u8> {
+        let record = FrameRecord::default();
+        let mut wire = encode(&[&1u64, &FRAME, &ServeSource::Fresh, &0f64, &0u64, &record]);
+        image.iter().for_each(|part| part.put(&mut wire));
+        wire
+    }
+
     #[test]
     fn hostile_image_dimensions_fail_before_allocation() {
-        // Claim a 65535×65535 image with no pixel bytes behind it.
-        let record = FrameRecord::default();
-        let wire = encode(&[
-            &1u64,
-            &FRAME,
-            &ServeSource::Fresh,
-            &0f64,
-            &0u64,
-            &record,
-            &u16::MAX,
-            &u16::MAX,
-        ]);
-        assert!(matches!(
-            decode_response(&wire),
-            Err(DecodeError::BadLength)
-        ));
+        // A 65535×65535 image (64 GiB of pixels) is refused by its
+        // dimensions alone.
+        let wire = hostile_frame(&[&u16::MAX, &u16::MAX, &0u32]);
+        assert_eq!(
+            decode_response(&wire).err(),
+            Some(DecodeError::OutOfRange { what: "image" })
+        );
+        let side = MAX_IMAGE_SIZE + 1;
+        for (w, h) in [(side, 1), (1, side)] {
+            assert_eq!(
+                decode_response(&hostile_frame(&[&w, &h, &0u32])).err(),
+                Some(DecodeError::OutOfRange { what: "image" })
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_image_sections_are_bad_lengths() {
+        let pixel = [0x3fu8; BYTES_PER_PIXEL];
+        let (w, h) = (4u16, 3u16);
+        let cases: [(&str, Vec<u8>); 5] = [
+            // Runs covering 13 pixels of a 12-pixel frame.
+            (
+                "codes overrun",
+                hostile_frame(&[&w, &h, &2u32, &12u16, &1u16]),
+            ),
+            // One u16 split too many: blank 65535, non-blank 0, blank 1.
+            (
+                "split codes overrun",
+                hostile_frame(&[&w, &h, &3u32, &u16::MAX, &0u16, &1u16]),
+            ),
+            // A code count of u32::MAX with four code bytes behind it.
+            (
+                "code count",
+                hostile_frame(&[&w, &h, &u32::MAX, &0u16, &1u16]),
+            ),
+            // One run of 2 pixels, one pixel present.
+            ("pixels missing", {
+                let mut wire = hostile_frame(&[&w, &h, &2u32, &0u16, &2u16]);
+                wire.extend_from_slice(&pixel);
+                wire
+            }),
+            // One run of 1 pixel, one byte short.
+            ("pixel cut", {
+                let mut wire = hostile_frame(&[&w, &h, &2u32, &0u16, &1u16]);
+                wire.extend_from_slice(&pixel[1..]);
+                wire
+            }),
+        ];
+        for (what, wire) in cases {
+            assert_eq!(
+                decode_response(&wire).err(),
+                Some(DecodeError::BadLength),
+                "{what}"
+            );
+        }
+        // Zero-length codes are legal, and a byte past the pixels is not.
+        let mut wire = hostile_frame(&[&w, &h, &4u32, &0u16, &0u16, &3u16, &1u16]);
+        wire.extend_from_slice(&pixel);
+        let (_, WireResponse::Frame(frame)) = decode_response(&wire).unwrap() else {
+            panic!("expected a frame");
+        };
+        assert_eq!(frame.image.get(3, 0), Pixel::from_le_bytes(pixel));
+        assert_eq!(frame.image.non_blank_count(), 1);
+        wire.push(0);
+        assert_eq!(
+            decode_response(&wire).err(),
+            Some(DecodeError::Trailing { extra: 1 })
+        );
     }
 
     /// Values that would panic `FrameService::open_session`, hang a
@@ -1144,33 +1299,53 @@ mod tests {
     #[test]
     fn the_largest_admitted_frame_fits_one_wire_frame() {
         assert_eq!(MAX_IMAGE_SIZE, 2047);
-        // Everything in a frame reply that is not a pixel, at its widest
-        // (a degraded source), plus the frame header.
-        let mut reply = cached_reply(Image::blank(0, 0));
-        reply.source = ServeSource::Degraded {
-            psnr_db: 1.0,
-            coverage: 1.0,
+        // Everything in a frame reply that is neither a pixel nor a run
+        // code, at its widest (a degraded source), plus the frame header.
+        let reply = |image| {
+            let mut reply = cached_reply(image);
+            reply.source = ServeSource::Degraded {
+                psnr_db: 1.0,
+                coverage: 1.0,
+            };
+            encode_response(u64::MAX, &FrameResponse::Frame(reply)).len()
         };
-        let overhead =
-            encode_response(u64::MAX, &FrameResponse::Frame(reply)).len() + vr_comm::HEADER_LEN;
+        let overhead = reply(Image::blank(0, 0)) + vr_comm::HEADER_LEN;
         assert!(overhead <= FRAME_REPLY_OVERHEAD, "{overhead}");
-        let side = MAX_IMAGE_SIZE as usize;
-        assert!(side * side * BYTES_PER_PIXEL + overhead <= MAX_WIRE_FRAME as usize);
+        // A fully dense A-pixel frame is 16·A + 4 + 4·⌈A/65535⌉ bytes
+        // past the dimensions: the code count, then a zero-length blank
+        // run and the non-blank run cut every 65535 pixels.
+        let dense = |area: usize| 16 * area + 4 + 4 * area.div_ceil(65535);
+        for (w, h) in [(1, 1), (7, 3), (65535, 1), (256, 256), (300, 300)] {
+            let image = Image::from_fn(w, h, |x, y| Pixel::gray(0.5, (x ^ y) as f32));
+            let area = w as usize * h as usize;
+            assert_eq!(
+                reply(image),
+                reply(Image::blank(0, 0)) - 4 + dense(area),
+                "{w}×{h}"
+            );
+            assert_eq!(dense(area), 4 + dense_image_bytes(area));
+        }
+        // At the largest side that is 260 B over the pixels alone, and
+        // the whole reply still fits one wire frame.
+        let area = MAX_IMAGE_SIZE as usize * MAX_IMAGE_SIZE as usize;
+        assert_eq!(dense(area) - 16 * area, 260);
+        assert!(FRAME_REPLY_OVERHEAD - 4 + dense(area) <= MAX_WIRE_FRAME as usize);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     //! Round-trip and corruption-robustness proptests: an arbitrary
-    //! config survives encode/decode bit-exactly, and arbitrary byte
-    //! corruption of a valid message either decodes to *something* or
-    //! fails typed — it never panics.
+    //! config or frame survives encode/decode bit-exactly, and arbitrary
+    //! byte corruption of a valid message either decodes to *something*
+    //! or fails typed — it never panics.
 
     use super::tests::cached_reply;
     use super::*;
     use crate::service::FrameReply;
     use proptest::prelude::*;
     use vr_image::checksum::fnv1a;
+    use vr_image::Pixel;
 
     /// Random words for [`config_from`] to spend, one or two per field.
     fn config_words() -> impl Strategy<Value = Vec<u64>> {
@@ -1282,10 +1457,19 @@ mod proptests {
         }
     }
 
-    /// The frame response spelled out one scalar at a time — the
-    /// encoding the bulk pixel writer must reproduce byte for byte.
+    /// Whether any component of `p` has a bit set: the wire's non-blank.
+    fn has_bits(p: &Pixel) -> bool {
+        [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0)
+    }
+
+    /// The frame response spelled out one scalar at a time — codes from
+    /// the naive bit-mask encoder, then every non-blank pixel component
+    /// by component: the encoding the run scanner and the bulk pixel
+    /// writer must reproduce byte for byte.
     fn per_field_encoding(id: u64, reply: &FrameReply) -> Vec<u8> {
         let frame = &reply.frame;
+        let image = &frame.image;
+        let rle = MaskRle::encode_mask(image.pixels().iter().map(has_bits));
         let mut w = encode(&[
             &id,
             &FRAME,
@@ -1293,15 +1477,117 @@ mod proptests {
             &reply.wait_seconds,
             &frame.image_hash,
             &frame.record,
-            &frame.image.width(),
-            &frame.image.height(),
+            &image.width(),
+            &image.height(),
+            &(rle.num_codes() as u32),
         ]);
-        for p in frame.image.pixels() {
+        rle.codes().iter().for_each(|code| code.put(&mut w));
+        for p in image.pixels().iter().filter(|p| has_bits(p)) {
             for component in [p.r, p.g, p.b, p.a] {
                 component.put(&mut w);
             }
         }
         w
+    }
+
+    /// The frame reply for `image`, encoded.
+    fn encoded(id: u64, image: Image) -> Vec<u8> {
+        encode_response(id, &FrameResponse::Frame(cached_reply(image)))
+    }
+
+    /// Checks every codec property of one frame: the bytes equal the
+    /// per-field reference and are the same for a hinted, tight-extent
+    /// copy; the decoded image is the sent one bit for bit and encodes
+    /// to the same bytes; no frame is larger than the dense one of its
+    /// size.
+    fn check_frame(
+        id: u64,
+        width: u16,
+        height: u16,
+        pixels: Vec<Pixel>,
+    ) -> Result<(), TestCaseError> {
+        let hinted = Image::from_fn(width, height, |x, y| {
+            pixels[y as usize * width as usize + x as usize]
+        });
+        let reply = cached_reply(Image::from_pixels(width, height, pixels));
+        let wire = encode_response(id, &FrameResponse::Frame(reply.clone()));
+        prop_assert_eq!(&wire, &per_field_encoding(id, &reply));
+        prop_assert_eq!(&wire, &encoded(id, hinted));
+        let (got_id, got) = decode_response(&wire).unwrap();
+        prop_assert_eq!(got_id, id);
+        let WireResponse::Frame(frame) = got else {
+            panic!("expected a frame");
+        };
+        // The digest is over bit patterns, so NaNs compare exactly.
+        prop_assert_eq!(fnv1a(&frame.image), reply.frame.image_hash);
+        let bits = |image: &Image| -> Vec<[u32; 4]> {
+            let bits = |p: &Pixel| [p.r, p.g, p.b, p.a].map(f32::to_bits);
+            image.pixels().iter().map(bits).collect()
+        };
+        prop_assert_eq!(bits(&frame.image), bits(&reply.frame.image));
+        prop_assert_eq!(encode(&[&id, &WireResponse::Frame(frame)]), wire);
+        let dense = Image::from_fn(width, height, |_, _| Pixel::gray(1.0, 1.0));
+        prop_assert!(wire.len() <= encoded(id, dense).len());
+        Ok(())
+    }
+
+    /// Component bit patterns a frame must carry exactly: both zeros,
+    /// positive and negative subnormals, NaNs of any payload and sign,
+    /// and arbitrary bits.
+    fn arb_component() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            3 => Just(0.0f32),
+            1 => Just(-0.0f32),
+            1 => (1u32..0x0080_0000, any::<bool>())
+                .prop_map(|(m, neg)| f32::from_bits(m | (neg as u32) << 31)),
+            1 => any::<u32>().prop_map(|b| f32::from_bits(b | 0x7f80_0001)),
+            2 => any::<u32>().prop_map(f32::from_bits),
+        ]
+    }
+
+    /// A pixel that is bitwise blank three times in four.
+    fn arb_pixel() -> impl Strategy<Value = Pixel> {
+        prop_oneof![
+            3 => Just(Pixel::BLANK),
+            1 => (arb_component(), arb_component(), arb_component(), arb_component())
+                .prop_map(|(r, g, b, a)| Pixel::new(r, g, b, a)),
+        ]
+    }
+
+    /// Small frames (0×0 and empty sides included) and 1×N columns.
+    fn arb_size() -> impl Strategy<Value = (u16, u16)> {
+        prop_oneof![
+            3 => (0u16..9, 0u16..9),
+            1 => (Just(1u16), 0u16..300),
+        ]
+    }
+
+    /// What a drawn frame becomes: as drawn, all blank, or fully dense
+    /// (each bitwise-blank pixel replaced by a `-0.0` one).
+    fn shape(fill: u8, pixels: &[Pixel], area: usize) -> Vec<Pixel> {
+        let neg_zero = Pixel::new(-0.0, 0.0, 0.0, 0.0);
+        let drawn = pixels.iter().take(area);
+        match fill {
+            0 => drawn.copied().collect(),
+            1 => vec![Pixel::BLANK; area],
+            _ => drawn
+                .map(|p| if has_bits(p) { *p } else { neg_zero })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn frames_past_a_u16_run_match_the_per_field_encoding() {
+        // 90 000 pixels: a dense run and a trailing blank gap are both
+        // cut at u16::MAX (the gap's cut leaves `[65535, 0]` residue).
+        let area = 300 * 300;
+        let mut one = vec![Pixel::BLANK; area];
+        one[7] = Pixel::gray(0.5, 1.0);
+        let mut gap = vec![Pixel::gray(0.25, 0.5); area];
+        gap[100..70_000].fill(Pixel::BLANK);
+        for pixels in [vec![Pixel::gray(0.5, 1.0); area], one, gap] {
+            check_frame(3, 300, 300, pixels).unwrap();
+        }
     }
 
     proptest! {
@@ -1310,31 +1596,12 @@ mod proptests {
         #[test]
         fn frame_responses_match_the_per_field_encoding(
             id in any::<u64>(),
-            width in 0u16..9,
-            height in 0u16..9,
-            bits in proptest::collection::vec(any::<u32>(), 4 * 8 * 8),
+            (width, height) in arb_size(),
+            pixels in proptest::collection::vec(arb_pixel(), 300),
+            fill in 0u8..3,
         ) {
-            // Arbitrary component bit patterns, NaNs included.
-            let pixels = bits
-                .chunks_exact(4)
-                .take(width as usize * height as usize)
-                .map(|c| Pixel::new(
-                    f32::from_bits(c[0]),
-                    f32::from_bits(c[1]),
-                    f32::from_bits(c[2]),
-                    f32::from_bits(c[3]),
-                ))
-                .collect();
-            let reply = cached_reply(Image::from_pixels(width, height, pixels));
-            let wire = encode_response(id, &FrameResponse::Frame(reply.clone()));
-            prop_assert_eq!(&wire, &per_field_encoding(id, &reply));
-            let (got_id, got) = decode_response(&wire).unwrap();
-            prop_assert_eq!(got_id, id);
-            let WireResponse::Frame(frame) = got else {
-                panic!("expected a frame");
-            };
-            // The digest is over bit patterns, so NaNs compare exactly.
-            prop_assert_eq!(fnv1a(&frame.image), reply.frame.image_hash);
+            let pixels = shape(fill, &pixels, width as usize * height as usize);
+            check_frame(id, width, height, pixels)?;
         }
 
         #[test]
@@ -1365,13 +1632,20 @@ mod proptests {
         #[test]
         fn corrupted_responses_never_panic(
             queue_depth in 0usize..1000,
+            pixels in proptest::collection::vec(arb_pixel(), 6 * 5),
             flip_at in any::<usize>(),
             flip_bit in 0u8..8,
         ) {
-            let mut wire = encode_response(3, &FrameResponse::Overloaded { queue_depth });
-            let at = flip_at % wire.len();
-            wire[at] ^= 1 << flip_bit;
-            let _ = decode_response(&wire);
+            // A rejection, and a sparse frame: a flip in its dimensions,
+            // code count, codes or pixels reaches the image decoder.
+            for mut wire in [
+                encode_response(3, &FrameResponse::Overloaded { queue_depth }),
+                encoded(3, Image::from_pixels(6, 5, pixels.clone())),
+            ] {
+                let at = flip_at % wire.len();
+                wire[at] ^= 1 << flip_bit;
+                let _ = decode_response(&wire);
+            }
         }
     }
 }

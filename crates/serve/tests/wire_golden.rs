@@ -9,14 +9,20 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted), `3` (after direct send was), `4` and `5`, and
-//! nothing else in them moved. Version 4 dropped the request's
+//! PIPE were deleted), `3` (after direct send was), `4`, `5` and `6`,
+//! and nothing else in them moved. Version 4 dropped the request's
 //! streamed-tile edge and the frame record's two tile latencies with the
 //! fused runner, so `REQUEST`, the three `KEY_*` and the four
 //! `RESPONSE_FRAME_*` were re-recorded with it; every other
 //! `RESPONSE_*`, `STATS_REPLY` and every tag table stayed unchanged.
 //! Version 5 dropped the request's render thread count, so `REQUEST` and
 //! the three `KEY_*` were re-recorded with it, and nothing else moved.
+//! Version 6 sends a frame's image as mask-RLE codes plus its non-blank
+//! pixels, so the four `RESPONSE_FRAME_*` were re-recorded with it and
+//! `RESPONSE_FRAME_SPARSE` (the first sample with blank pixels, which
+//! pins the run codes themselves) was added; `REQUEST`, the three
+//! `KEY_*`, `STATS_REPLY`, every other `RESPONSE_*` and every tag table
+//! stayed unchanged.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -30,22 +36,22 @@ use vr_comm::{
     CostModel, FaultAction, FaultConfig, KillSpec, ReliabilityConfig, StreamClass, TargetedFault,
 };
 use vr_image::checksum::fnv1a;
-use vr_image::{Image, Pixel};
+use vr_image::{Image, MaskRle, Pixel};
 use vr_serve::wire::{self, DecodeError, ErrorInfo};
 use vr_serve::{
     frame_key, CacheCounters, FrameReply, FrameResponse, RejectReason, RenderedFrame, ServeSource,
     ServiceStats, StatsReply, Welcome,
 };
-use vr_system::{CompTiming, ExperimentConfig, FrameRecord};
+use vr_system::{CompTiming, Experiment, ExperimentConfig, FrameRecord};
 use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe81b835eb6883a7c;
-const WELCOME: u64 = 0x90ce60d172d7f030;
-const ERROR: u64 = 0x0b675472facd6e78;
+const HELLO: u64 = 0xe825b55eb690e3f7;
+const WELCOME: u64 = 0xedbeb5ec93a5ce93;
+const ERROR: u64 = 0xb594d68ab0ea2969;
 const REQUEST: u64 = 0x823e85dc74f39f64;
-const RESPONSE_FRAME_DEGRADED: u64 = 0xfc78ee4e7f0703e6;
+const RESPONSE_FRAME_DEGRADED: u64 = 0x49a2b0b308b1e023;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
 const RESPONSE_REJECTED: u64 = 0x8aea2ffbc682f7ad;
@@ -53,9 +59,10 @@ const STATS_REPLY: u64 = 0x410fd0d46c952cf9;
 
 // The remaining tag bytes of a response: every serve source and every
 // reject reason.
-const RESPONSE_FRAME_FRESH: u64 = 0xc6aa1d21354fbc61;
-const RESPONSE_FRAME_CACHE: u64 = 0xb77cf16d6c2bbf22;
-const RESPONSE_FRAME_COALESCED: u64 = 0x342130ff87ca0ddb;
+const RESPONSE_FRAME_FRESH: u64 = 0xedb4144058a09884;
+const RESPONSE_FRAME_CACHE: u64 = 0x71895a1dd6a36527;
+const RESPONSE_FRAME_COALESCED: u64 = 0x25a295b67c0a8aee;
+const RESPONSE_FRAME_SPARSE: u64 = 0x4148c17ce4a7fa5a;
 const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
 const RESPONSE_REJECTED_CIRCUIT: u64 = 0x292ddc8905b8cfc8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
@@ -161,9 +168,31 @@ fn record() -> FrameRecord {
 }
 
 fn frame_response(source: ServeSource) -> FrameResponse {
-    let image = Image::from_fn(5, 3, |x, y| {
-        Pixel::new(x as f32 * 0.125, y as f32 * 0.25, 0.5, 1.0)
+    frame_of(
+        Image::from_fn(5, 3, |x, y| {
+            Pixel::new(x as f32 * 0.125, y as f32 * 0.25, 0.5, 1.0)
+        }),
+        source,
+    )
+}
+
+/// A 6×4 frame that is mostly blank: blank margins on every side, a
+/// blank gap inside row 1, a `-0.0`-component pixel (blank by value,
+/// not by bits) and a NaN with a payload. Its codes are
+/// `[7, 2, 1, 1, 2, 1, 2, 1]`.
+fn sparse_frame_response() -> FrameResponse {
+    let image = Image::from_fn(6, 4, |x, y| match (x, y) {
+        (1, 1) => Pixel::new(0.125, 0.25, 0.375, 0.5),
+        (2, 1) => Pixel::new(0.625, 0.75, 0.875, 1.0),
+        (4, 1) => Pixel::new(0.0, -0.0, 0.0, 0.0),
+        (1, 2) => Pixel::new(1.5, 2.5, 3.5, 4.5),
+        (4, 2) => Pixel::new(f32::from_bits(0x7fc0_1234), 0.0625, 0.03125, 0.75),
+        _ => Pixel::BLANK,
     });
+    frame_of(image, ServeSource::Cache)
+}
+
+fn frame_of(image: Image, source: ServeSource) -> FrameResponse {
     FrameResponse::Frame(FrameReply {
         frame: Arc::new(RenderedFrame {
             key: 77,
@@ -281,6 +310,11 @@ fn every_response_shape_is_pinned() {
             RESPONSE_FRAME_COALESCED,
         ),
         (
+            "frame/sparse",
+            sparse_frame_response(),
+            RESPONSE_FRAME_SPARSE,
+        ),
+        (
             "rejected/quality",
             rejected(quality),
             RESPONSE_REJECTED_QUALITY,
@@ -299,6 +333,38 @@ fn every_response_shape_is_pinned() {
     for (what, resp, golden) in cases {
         pinned(what, &wire::encode_response(5, &resp), golden);
     }
+}
+
+/// The wire size of a real frame, exactly: one Head 256² P = 4 BSBRC
+/// frame at a fixed pose, rendered in process. Its reply is the fixed
+/// fields, 2 B per run code and 16 B per non-blank pixel, with codes and
+/// pixels counted from the batch image's bit mask, and at most a quarter
+/// of the dense form version 5 sent.
+#[test]
+fn a_head_frame_travels_as_its_runs_and_non_blank_pixels() {
+    let config = ExperimentConfig {
+        dataset: DatasetKind::Head,
+        image_size: 256,
+        processors: 4,
+        method: Method::Bsbrc,
+        ..Default::default()
+    };
+    let image = Experiment::prepare(&config).run(config.method).image;
+    let blank = Pixel::BLANK.to_le_bytes();
+    let mask: Vec<bool> = image
+        .pixels()
+        .iter()
+        .map(|p| p.to_le_bytes() != blank)
+        .collect();
+    let codes = MaskRle::encode_mask(mask.iter().copied()).num_codes();
+    let non_blank = mask.iter().filter(|&&m| m).count();
+    // The id, two tags, the wait, the hash, the record's eleven 8-byte
+    // fields, the width and height, and the code count.
+    let fixed = 8 + 1 + 1 + 8 + 8 + 11 * 8 + 2 * 2 + 4;
+    let len = wire::encode_response(1, &frame_of(image, ServeSource::Cache)).len();
+    assert_eq!(len, fixed + 2 * codes + 16 * non_blank);
+    let dense = fixed - 4 + 256 * 256 * 16;
+    assert!(4 * len <= dense, "{len} B against {dense} B dense");
 }
 
 #[test]
