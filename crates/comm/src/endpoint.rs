@@ -2,7 +2,7 @@
 //! stack.
 //!
 //! ```text
-//! Endpoint   bounds asserts, kill-at-op, tracer, TrafficStats, tag check
+//! Endpoint   bounds asserts, kill-at-op, TrafficStats, tag check
 //!    |
 //! reliable   per-peer links: raw passthrough, or stop-and-wait ARQ
 //!    |
@@ -26,7 +26,6 @@ use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::reliable::{Links, ReliabilityConfig};
 use crate::stats::TrafficStats;
-use crate::trace::{EventKind, Tracer};
 use crate::transport::Transport;
 
 /// Message tags, used to assert protocol agreement between matched
@@ -222,7 +221,6 @@ pub struct Endpoint {
     links: Links,
     cost: CostModel,
     stats: TrafficStats,
-    tracer: Option<Tracer>,
     recv_deadline: Duration,
     /// Application-level operations (sends + receives) completed.
     ops: u64,
@@ -241,17 +239,11 @@ impl Endpoint {
             links: Links::new(rank, size, config.reliability, config.faults, config.cost),
             cost: config.cost,
             stats: TrafficStats::default(),
-            tracer: None,
             recv_deadline: config.recv_deadline,
             ops: 0,
             kill_at: config.kill_at,
             dead: false,
         }
-    }
-
-    /// Attaches a trace collector (see [`crate::trace::run_group_traced`]).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// This rank's id in `0..size`.
@@ -321,17 +313,10 @@ impl Endpoint {
 
     /// This rank's transport clock, seconds: wall time since the group
     /// started on real channels, the rank's virtual clock under a
-    /// schedule seed (the stamp the tracer records). Reading it neither
-    /// parks the rank nor advances the clock.
+    /// schedule seed. Reading it neither parks the rank nor advances the
+    /// clock.
     pub fn now(&self) -> f64 {
         self.net.now()
-    }
-
-    fn trace(&self, peer: usize, kind: EventKind, bytes: usize, tag: Tag) {
-        if let Some(t) = &self.tracer {
-            let t_ns = (self.net.now() * 1e9) as u64;
-            t.record(t_ns, self.rank, peer, kind, bytes, tag);
-        }
     }
 
     /// Sends `payload` to `dst` with `tag`.
@@ -370,7 +355,6 @@ impl Endpoint {
                 kind: SendErrorKind::Killed,
             });
         }
-        self.trace(dst, EventKind::Send, payload.len(), tag);
         self.stats.on_send(payload.len());
         let msg = Message { tag, payload };
         self.links
@@ -437,7 +421,6 @@ impl Endpoint {
                 got: msg.tag,
             });
         }
-        self.trace(src, EventKind::Recv, msg.payload.len(), tag);
         // The reliable link layer already charged wire time per physical
         // frame; charge it here only for raw delivery.
         let modeled = if self.links.is_reliable() {

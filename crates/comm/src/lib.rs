@@ -26,7 +26,6 @@ pub mod frame;
 pub mod group;
 pub mod reliable;
 pub mod stats;
-pub mod trace;
 mod transport;
 pub mod vclock;
 
@@ -42,5 +41,4 @@ pub use frame::{crc32, read_frame, write_frame, Frame, FrameError, StreamError, 
 pub use group::{run_group, run_group_with, GroupOptions, GroupRun};
 pub use reliable::ReliabilityConfig;
 pub use stats::TrafficStats;
-pub use trace::{run_group_traced, Trace, TraceEvent, Tracer};
 pub use vclock::{explore_schedules, ChoicePoint, ScheduleSpec, ScheduleTrace, SimNet};

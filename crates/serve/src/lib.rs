@@ -67,9 +67,10 @@
 //!   cache, and workers, and reports per-shard stats plus a
 //!   load-imbalance metric.
 //! * **Client** — [`Client`] pipelines requests over one connection and
-//!   hash-verifies every transported frame; [`run_load_socket`] drives
-//!   the same open-loop load generator through the socket so served
-//!   frames are proven byte-identical to in-process serving.
+//!   hash-verifies every transported frame; [`run_load`] drives the
+//!   open-loop load generator through it, one connection per session.
+//!   It is `slsvr serve`'s one driver, against a running daemon or a
+//!   one-shard loopback daemon sized by [`LoadConfig::daemon_config`].
 //!
 //! Concurrency is std threads + channels + mutex/condvar, matching the
 //! workspace's existing style (no async runtime).
@@ -108,7 +109,7 @@ pub mod wire;
 pub use cache::{frame_key, CacheCounters, LruCache};
 pub use client::{Client, ClientError, ClientReceiver, ClientSender};
 pub use health::{BreakerConfig, BreakerDecision, CircuitBreaker};
-pub use loadgen::{run_load, run_load_socket, LoadConfig, LoadReport};
+pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use metrics::ServiceStats;
 pub use policy::{DegradedDecision, DegradedFramePolicy, RetryPolicy};
 pub use server::{Daemon, DaemonConfig};

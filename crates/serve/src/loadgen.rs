@@ -1,11 +1,12 @@
-//! Open-loop load generation against a [`FrameService`].
+//! Open-loop load generation against a vr-serve daemon.
 //!
-//! Each simulated user session fires requests on its own fixed arrival
-//! schedule — *open loop*: arrivals do not wait for completions, so an
-//! overloaded service sees the true offered rate and must shed, not
-//! silently serialize. Cameras are drawn from a small pose set with a
-//! seeded splitmix64 walk, so repeated views exercise the frame cache
-//! deterministically (same seed → same request sequence).
+//! Each simulated user session holds one connection and fires requests
+//! on its own fixed arrival schedule — *open loop*: arrivals do not wait
+//! for completions, so an overloaded service sees the true offered rate
+//! and must shed, not silently serialize. Cameras are drawn from a
+//! small pose set with a seeded splitmix64 walk, so repeated views
+//! exercise the frame cache deterministically (same seed → same request
+//! sequence).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -18,7 +19,8 @@ use vr_system::ExperimentConfig;
 
 use crate::client::{Client, ClientError};
 use crate::metrics::ServiceStats;
-use crate::service::{FrameResponse, FrameService, ServeSource};
+use crate::server::DaemonConfig;
+use crate::service::{ServeConfig, ServeSource};
 use crate::wire::{StatsReply, WireResponse};
 
 /// Load-generator knobs.
@@ -50,6 +52,21 @@ impl Default for LoadConfig {
     }
 }
 
+impl LoadConfig {
+    /// A one-shard daemon running `serve`, sized so its edge never
+    /// refuses what the service's own admission would take: a window of
+    /// a session's whole request count, and a connection per session
+    /// plus the stats connection [`run_load`] opens after they close.
+    pub fn daemon_config(&self, serve: ServeConfig) -> DaemonConfig {
+        DaemonConfig {
+            shards: 1,
+            window: self.requests_per_session.max(1),
+            max_conns: self.sessions + 1,
+            serve,
+        }
+    }
+}
+
 /// What the load run observed, aggregated over sessions.
 #[derive(Clone, Debug, Default)]
 pub struct LoadReport {
@@ -75,12 +92,12 @@ pub struct LoadReport {
     pub latencies_ms: Vec<f64>,
     /// Wall time of the whole run, seconds.
     pub wall_seconds: f64,
-    /// Service counters snapshot taken after the run drained.
+    /// The daemon's shard counters, merged, fetched after the run
+    /// drained.
     pub service: ServiceStats,
-    /// Socket mode only: replies whose pixel payload hashed differently
-    /// than the server-computed hash it carried. Always 0 on a healthy
-    /// link — the transported frame is bit-identical to the rendered
-    /// one.
+    /// Replies whose pixel payload hashed differently than the
+    /// server-computed hash it carried. Always 0 on a healthy link —
+    /// the transported frame is bit-identical to the rendered one.
     pub hash_mismatches: u64,
 }
 
@@ -117,8 +134,7 @@ impl LoadReport {
 }
 
 /// What one session observed; the sessions' tallies add up to the
-/// [`LoadReport`]. Both load generators count through this, so a reply
-/// is classified in one place.
+/// [`LoadReport`].
 #[derive(Default)]
 struct Tally {
     submitted: u64,
@@ -204,61 +220,6 @@ pub fn pose_angles(base: &ExperimentConfig, pose: usize, poses: usize) -> (f32, 
     (base.rot_x_deg + t * 10.0, base.rot_y_deg + t * 180.0)
 }
 
-/// Drives `load` against `service` with every session on `base`'s
-/// dataset, and returns the aggregated report.
-pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfig) -> LoadReport {
-    let start = Instant::now();
-    let mut sessions: Vec<Tally> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..load.sessions)
-            .map(|s| {
-                let session = service.open_session(base);
-                scope.spawn(move || {
-                    let session_start = Instant::now();
-                    let mut pending = Vec::with_capacity(load.requests_per_session);
-                    for i in 0..load.requests_per_session {
-                        // Open loop: fire at the schedule, not at the
-                        // completion of the previous request.
-                        let due = load.inter_arrival * i as u32;
-                        let elapsed = session_start.elapsed();
-                        if due > elapsed {
-                            std::thread::sleep(due - elapsed);
-                        }
-                        let pose = pose_index(load, s, i);
-                        let (rx, ry) = pose_angles(&session.base().clone(), pose, load.poses);
-                        pending.push(session.request_view(rx, ry));
-                    }
-                    // Drain: every request is answered exactly once; the
-                    // reply carries its own submit→reply latency so the
-                    // drain order cannot skew the measurement.
-                    let mut tally = Tally {
-                        submitted: load.requests_per_session as u64,
-                        ..Default::default()
-                    };
-                    for rx in pending {
-                        match rx.recv().expect("service answers every request") {
-                            FrameResponse::Frame(reply) => {
-                                tally.frame(reply.source, reply.wait_seconds * 1e3)
-                            }
-                            FrameResponse::Shed { .. } => tally.shed += 1,
-                            FrameResponse::Overloaded { .. } => tally.overloaded += 1,
-                            FrameResponse::Rejected { .. } => tally.rejected += 1,
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        for h in handles {
-            sessions.push(h.join().expect("session thread"));
-        }
-    });
-
-    let mut report = LoadReport::from_sessions(sessions, start.elapsed().as_secs_f64());
-    report.service = service.stats();
-    report
-}
-
 /// Drives `load` against a daemon at `addr` over TCP, one connection
 /// per session. Sessions cycle over `bases` (round-robin), so passing
 /// configs with distinct `(dataset, dims)` keys spreads the load across
@@ -267,7 +228,7 @@ pub fn run_load(service: &FrameService, base: ExperimentConfig, load: &LoadConfi
 /// ([`LoadReport::hash_mismatches`]). Returns the aggregated report
 /// plus the daemon's per-shard stats, fetched on a fresh connection
 /// after the load drains.
-pub fn run_load_socket(
+pub fn run_load(
     addr: SocketAddr,
     bases: &[ExperimentConfig],
     load: &LoadConfig,
@@ -363,7 +324,7 @@ pub fn run_load_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServeConfig;
+    use crate::server::Daemon;
     use slsvr_core::Method;
     use vr_volume::DatasetKind;
 
@@ -371,12 +332,22 @@ mod tests {
         ExperimentConfig::small_test(DatasetKind::Cube, 2, Method::Bsbrc)
     }
 
+    /// Drives `load` through a one-shard loopback daemon running `serve`,
+    /// as `slsvr serve` does without `--connect`.
+    fn run_on_loopback(serve: ServeConfig, load: &LoadConfig) -> LoadReport {
+        let daemon =
+            Daemon::start("127.0.0.1:0", load.daemon_config(serve)).expect("bind loopback");
+        let (report, _) = run_load(daemon.local_addr(), &[base()], load).expect("loopback load");
+        daemon.shutdown();
+        report
+    }
+
     #[test]
     fn every_request_is_answered() {
-        let service = FrameService::start(ServeConfig {
+        let serve = ServeConfig {
             workers: 2,
             ..Default::default()
-        });
+        };
         let load = LoadConfig {
             sessions: 2,
             requests_per_session: 8,
@@ -384,7 +355,7 @@ mod tests {
             inter_arrival: Duration::from_millis(1),
             seed: 7,
         };
-        let report = run_load(&service, base(), &load);
+        let report = run_on_loopback(serve, &load);
         assert_eq!(report.submitted, 16);
         assert_eq!(
             report.ok_total() + report.shed + report.overloaded + report.rejected,
@@ -399,11 +370,11 @@ mod tests {
 
     #[test]
     fn repeated_poses_hit_the_cache() {
-        let service = FrameService::start(ServeConfig {
+        let serve = ServeConfig {
             workers: 2,
             cache_frames: 16,
             ..Default::default()
-        });
+        };
         let load = LoadConfig {
             sessions: 2,
             requests_per_session: 12,
@@ -411,7 +382,7 @@ mod tests {
             inter_arrival: Duration::from_millis(4),
             seed: 11,
         };
-        let report = run_load(&service, base(), &load);
+        let report = run_on_loopback(serve, &load);
         assert!(
             report.ok_cached > 0,
             "2 poses × 24 requests must revisit: {report:?}"

@@ -80,10 +80,6 @@ pub struct ServeConfig {
     /// cores as any threads do. Bit-identical at every value; requests
     /// carry no thread count.
     pub render_threads: usize,
-    /// Ray-sample lanes in the render inner loop (1 = scalar reference;
-    /// bit-identical at any width). A resource knob: overrides
-    /// per-request configs.
-    pub simd_lanes: usize,
 }
 
 impl ServeConfig {
@@ -110,7 +106,6 @@ impl Default for ServeConfig {
             breaker: BreakerConfig::default(),
             session_ttl: None,
             render_threads: 0,
-            simd_lanes: 4,
         }
     }
 }
@@ -556,23 +551,11 @@ impl SessionHandle {
             .recv()
             .expect("service answered before dropping the channel")
     }
-
-    /// Convenience: request the session's base config at new camera
-    /// angles (the interactive camera-move path).
-    pub fn request_view(&self, rot_x_deg: f32, rot_y_deg: f32) -> mpsc::Receiver<FrameResponse> {
-        self.request(ExperimentConfig {
-            rot_x_deg,
-            rot_y_deg,
-            ..self.base
-        })
-    }
 }
 
 /// The request config with the service-level robustness knobs folded in:
 /// per-request settings win; service-level faults / reliability /
-/// receive deadline fill the gaps. `simd_lanes` is the one exception: a
-/// render resource knob, always taken from the service config — safe
-/// because every width is bit-identical to the scalar reference.
+/// receive deadline fill the gaps.
 fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentConfig {
     let mut cfg = *req;
     if cfg.faults.is_none() {
@@ -586,7 +569,6 @@ fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentCo
     if cfg.recv_deadline.is_none() {
         cfg.recv_deadline = serve.recv_deadline;
     }
-    cfg.simd_lanes = serve.simd_lanes;
     cfg
 }
 
@@ -950,8 +932,13 @@ mod tests {
         };
         let mut service = FrameService::paused(cfg);
         let session = service.open_session(small());
+        let view = |rot_y_deg: f32| ExperimentConfig {
+            rot_x_deg: 20.0,
+            rot_y_deg,
+            ..small()
+        };
         let burst: Vec<_> = (0..5)
-            .map(|i| session.request_view(20.0, 30.0 + i as f32 * 3.0))
+            .map(|i| session.request(view(30.0 + i as f32 * 3.0)))
             .collect();
         assert_eq!(service.queue_depth(), 1, "one session, one queued job");
         service.spawn_workers();
@@ -960,7 +947,7 @@ mod tests {
             .map(|rx| frame(rx.recv().unwrap()))
             .collect();
         // The newest pose on its own (cache off: a separate render).
-        let newest = frame(session.request_view(20.0, 42.0).recv().unwrap());
+        let newest = frame(session.request(view(42.0)).recv().unwrap());
         let stats = service.shutdown();
         assert_eq!(stats.completed(), 6);
         // The burst rendered once (plus the standalone newest pose).

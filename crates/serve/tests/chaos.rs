@@ -17,7 +17,7 @@ use slsvr_core::Method;
 use vr_comm::{FaultConfig, KillSpec, ReliabilityConfig};
 use vr_image::checksum::fnv1a;
 use vr_serve::{
-    run_load, BreakerConfig, DegradedFramePolicy, FrameResponse, FrameService, LoadConfig,
+    run_load, BreakerConfig, Daemon, DegradedFramePolicy, FrameResponse, FrameService, LoadConfig,
     RejectReason, RetryPolicy, ServeConfig, ServeSource,
 };
 use vr_system::{Experiment, ExperimentConfig, RenderPool};
@@ -109,7 +109,11 @@ fn fault_storms_resolve_every_request_exactly_once() {
             let mut pending = Vec::new();
             for (s, session) in sessions.iter().enumerate() {
                 for i in 0..4 {
-                    pending.push(session.request_view(20.0, 30.0 + (s * 4 + i) as f32 * 5.0));
+                    pending.push(session.request(ExperimentConfig {
+                        rot_x_deg: 20.0,
+                        rot_y_deg: 30.0 + (s * 4 + i) as f32 * 5.0,
+                        ..base()
+                    }));
                 }
             }
             let submitted = pending.len() as u64;
@@ -449,10 +453,9 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
         workers: 1,
         cache_frames: 0,
         retry: fast_retry(1),
-        // Two render threads per worker, four sample lanes: the chaos
-        // path exercises the pooled renderer, not the sequential one.
+        // Two render threads per worker: the chaos path exercises the
+        // pooled renderer, not the sequential one.
         render_threads: 2,
-        simd_lanes: 4,
         ..Default::default()
     });
     let session = service.open_session(base());
@@ -473,7 +476,12 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
     }
     // The same worker — and the same render pool — still serves, and the
     // threaded frame is bit-identical to the scalar reference.
-    let served = match answer(&session.request(base())) {
+    // Four sample lanes, carried by the request itself.
+    let lanes = ExperimentConfig {
+        simd_lanes: 4,
+        ..base()
+    };
+    let served = match answer(&session.request(lanes)) {
         FrameResponse::Frame(reply) => {
             assert_eq!(reply.source, ServeSource::Fresh);
             reply
@@ -501,17 +509,18 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
 
 #[test]
 fn chaos_load_generation_partitions_every_outcome() {
-    // The load generator under a seeded kill plan: requests resolve to
-    // images (fresh/coalesced/degraded) or explicit rejections, and the
-    // dispositions partition the offered load exactly.
-    let service = FrameService::start(ServeConfig {
+    // The load generator under a seeded kill plan, through a one-shard
+    // loopback daemon: requests resolve to images (fresh/coalesced/
+    // degraded) or explicit rejections, and the dispositions partition
+    // the offered load exactly.
+    let serve = ServeConfig {
         workers: 2,
         cache_frames: 16,
         faults: Some(kill_rank_1(31)),
         retry: fast_retry(0),
         degraded: DegradedFramePolicy::accept_all(),
         ..Default::default()
-    });
+    };
     let load = LoadConfig {
         sessions: 2,
         requests_per_session: 6,
@@ -519,7 +528,8 @@ fn chaos_load_generation_partitions_every_outcome() {
         inter_arrival: Duration::from_millis(1),
         seed: 23,
     };
-    let report = run_load(&service, base(), &load);
+    let daemon = Daemon::start("127.0.0.1:0", load.daemon_config(serve)).expect("bind loopback");
+    let (report, _) = run_load(daemon.local_addr(), &[base()], &load).expect("loopback load");
     assert_eq!(report.submitted, 12);
     assert_eq!(
         report.ok_total() + report.shed + report.overloaded + report.rejected,
@@ -531,7 +541,7 @@ fn chaos_load_generation_partitions_every_outcome() {
         "a permanent kill plan must serve degraded frames: {report:?}"
     );
     assert_eq!(report.latencies_ms.len() as u64, report.ok_total());
-    let stats = service.shutdown();
+    let stats = daemon.shutdown();
     assert_eq!(stats.answered(), stats.submitted);
     assert_eq!(
         stats.completed_cached, 0,

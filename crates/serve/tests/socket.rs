@@ -19,8 +19,8 @@ use vr_comm::frame::{write_frame, StreamError};
 use vr_image::checksum::fnv1a;
 use vr_serve::wire::{self, MAX_WIRE_FRAME};
 use vr_serve::{
-    run_load_socket, Client, ClientError, Daemon, DaemonConfig, FrameResponse, FrameService,
-    LoadConfig, ServeConfig, WireResponse,
+    run_load, Client, ClientError, Daemon, DaemonConfig, FrameResponse, FrameService, LoadConfig,
+    ServeConfig, WireResponse,
 };
 use vr_system::ExperimentConfig;
 use vr_volume::DatasetKind;
@@ -104,7 +104,7 @@ fn socket_load_answers_everything_and_verifies_hashes() {
     let dims = spread.resolved_dims();
     spread.volume_dims = Some([dims[0], dims[1], dims[2] + 1]);
     let (report, stats) =
-        run_load_socket(daemon.local_addr(), &[base(), spread], &load).expect("socket load");
+        run_load(daemon.local_addr(), &[base(), spread], &load).expect("socket load");
 
     assert_eq!(report.submitted, 12);
     assert_eq!(

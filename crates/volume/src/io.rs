@@ -1,83 +1,13 @@
-//! Volume file I/O and byte-level (de)serialization.
-//!
-//! Two needs are covered:
-//!
-//! * **Files** — the paper's test samples are raw 8-bit CT volumes;
-//!   downstream users will want to load their own. The `.vvol` format is
-//!   a 16-byte header (`magic "VVOL"`, three little-endian `u32`
-//!   dimensions) followed by the raw x-fastest samples.
-//! * **Messages** — the partitioning phase of the sort-last system
-//!   distributes subvolume blocks over the network;
-//!   [`encode_block`]/[`decode_block`] give blocks a wire format with
-//!   their placement metadata so a rank can reconstruct its block and
-//!   know where it sits in the global grid.
+//! Byte-level (de)serialization of subvolume blocks: the wire format of
+//! the partitioning phase's scatter, which distributes the blocks over
+//! the network. [`encode_block`]/[`decode_block`] carry a block's
+//! placement metadata with its samples, so a rank can reconstruct its
+//! block and know where it sits in the global grid.
 
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
 
 use crate::grid::Volume;
 use crate::partition::Subvolume;
-
-const MAGIC: &[u8; 4] = b"VVOL";
-
-/// Writes a volume in the `.vvol` raw format.
-pub fn write_volume<W: Write>(volume: &Volume, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    for d in volume.dims() {
-        w.write_all(&(d as u32).to_le_bytes())?;
-    }
-    // Row-major x-fastest raw samples.
-    let dims = volume.dims();
-    let mut buf = Vec::with_capacity(volume.len());
-    for z in 0..dims[2] {
-        for y in 0..dims[1] {
-            for x in 0..dims[0] {
-                buf.push(volume.get(x, y, z));
-            }
-        }
-    }
-    w.write_all(&buf)
-}
-
-/// Reads a volume in the `.vvol` raw format.
-pub fn read_volume<R: Read>(mut r: R) -> io::Result<Volume> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a VVOL file",
-        ));
-    }
-    let mut dim_raw = [0u8; 12];
-    r.read_exact(&mut dim_raw)?;
-    let dim = |i: usize| u32::from_le_bytes(dim_raw[i * 4..i * 4 + 4].try_into().unwrap()) as usize;
-    let dims = [dim(0), dim(1), dim(2)];
-    let expect = dims[0]
-        .checked_mul(dims[1])
-        .and_then(|v| v.checked_mul(dims[2]))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "dimension overflow"))?;
-    let mut data = vec![0u8; expect];
-    r.read_exact(&mut data)?;
-    let mut idx = 0;
-    Ok(Volume::from_fn(dims, |_, _, _| {
-        let v = data[idx];
-        idx += 1;
-        v
-    }))
-}
-
-/// Convenience: saves a volume to a `.vvol` file.
-pub fn save_volume(volume: &Volume, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_volume(volume, io::BufWriter::new(f))
-}
-
-/// Convenience: loads a volume from a `.vvol` file.
-pub fn load_volume(path: impl AsRef<Path>) -> io::Result<Volume> {
-    let f = std::fs::File::open(path)?;
-    read_volume(io::BufReader::new(f))
-}
 
 /// Serializes a subvolume block (placement metadata + samples) for the
 /// partitioning phase's scatter. Layout: rank `u32`, origin `3×u32`,
@@ -137,41 +67,6 @@ mod tests {
 
     fn sample_volume() -> Volume {
         Volume::from_fn([7, 5, 3], |x, y, z| (x * 31 + y * 7 + z * 3) as u8)
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let v = sample_volume();
-        let mut buf = Vec::new();
-        write_volume(&v, &mut buf).unwrap();
-        assert_eq!(buf.len(), 16 + v.len());
-        let back = read_volume(&buf[..]).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut buf = Vec::new();
-        write_volume(&sample_volume(), &mut buf).unwrap();
-        buf[0] = b'X';
-        assert!(read_volume(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn rejects_truncated_payload() {
-        let mut buf = Vec::new();
-        write_volume(&sample_volume(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_volume(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn save_load_file() {
-        let v = sample_volume();
-        let path = std::env::temp_dir().join("slsvr_io_test.vvol");
-        save_volume(&v, &path).unwrap();
-        assert_eq!(load_volume(&path).unwrap(), v);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use vr_volume::io;
-use vr_volume::{kd_partition, DatasetKind, TransferFunction, Vec3, Volume};
+use vr_volume::{kd_partition, DatasetKind, Subvolume, TransferFunction, Vec3, Volume};
 
 fn arb_dims() -> impl Strategy<Value = [usize; 3]> {
     (4usize..24, 4usize..24, 4usize..24).prop_map(|(a, b, c)| [a, b, c])
@@ -329,9 +329,12 @@ proptest! {
                 .wrapping_add((z as u32).wrapping_mul(7))
                 .wrapping_add(seed) as u8
         });
-        let mut buf = Vec::new();
-        io::write_volume(&v, &mut buf).unwrap();
-        prop_assert_eq!(io::read_volume(&buf[..]).unwrap(), v);
+        // The whole volume as one block: every sample value survives the
+        // scatter's wire format.
+        let whole = Subvolume { rank: 0, origin: [0, 0, 0], dims };
+        let (placement, back) = io::decode_block(&io::encode_block(&v, &whole)).unwrap();
+        prop_assert_eq!(placement, whole);
+        prop_assert_eq!(back, v);
     }
 
     #[test]

@@ -19,14 +19,15 @@
 //! lists them all.
 
 use std::cell::RefCell;
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use slsvr::compositing::Method;
 use slsvr::serve::{
-    run_load, run_load_socket, BreakerConfig, Daemon, DaemonConfig, DegradedFramePolicy,
-    FrameService, LoadConfig, LoadReport, RetryPolicy, ServeConfig,
+    run_load, BreakerConfig, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport,
+    RetryPolicy, ServeConfig, StatsReply,
 };
 use slsvr::system::{
     resolve_threads, run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome,
@@ -79,16 +80,16 @@ USAGE:
   slsvr compare [--dataset NAME] [--size N] [--procs P] [--dims X,Y,Z]
                 [--perspective DIST] [--balanced] [--render-threads N]
   slsvr serve   [--dataset NAME] [--size N] [--procs P] [--method M]
-                [--sessions N] [--requests N] [--poses N]
-                [--inter-arrival-ms MS] [--workers N] [--queue-depth N]
+                [--simd-lanes N] [--sessions N] [--requests N] [--poses N]
+                [--inter-arrival-ms MS] [--connect ADDR] [--shard-spread N]
+                [--workers N] [--queue-depth N]
                 [--cache-frames N] [--deadline-ms MS] [--no-coalesce]
                 [--serve-faults SPEC] [--psnr-floor DB] [--max-retries N]
                 [--retry-backoff-ms MS] [--session-ttl MS]
                 [--breaker-threshold N] [--breaker-cooldown-ms MS]
-                [--render-threads N] [--simd-lanes N]
-                [--connect ADDR] [--shard-spread N]
+                [--render-threads N]
   slsvr daemon  [--listen ADDR] [--shards N] [--max-conns N] [--window N]
-                [--run-seconds S] [+ all serve service knobs]
+                [--run-seconds S] [+ serve's service knobs, --workers on]
   slsvr sweep   [--size N] [--dims X,Y,Z] [--out FILE.csv]
                 [--preset NAME|FILE] [--max-procs P] [--model FILE]
   slsvr cost-model sweep [--full] [--reps N] [--out FILE]
@@ -103,9 +104,14 @@ METHODS:  bs | bsbr | bslc | bsbrc | bsrl | radixk | tile-stream
 
 SERVE:    starts the vr-serve frame service (session-resident datasets,
           LRU frame cache, latest-wins coalescing, bounded-queue admission
-          control) and drives it with the open-loop load generator:
-          --sessions concurrent users, --requests frames per session over
-          --poses camera poses. --queue-depth bounds admitted-but-unstarted
+          control) behind a one-shard daemon on a loopback port and drives
+          it over TCP with the open-loop load generator: --sessions
+          concurrent users, --requests frames per session over --poses
+          camera poses, every transported frame checked against its
+          server-computed pixel hash (a mismatch exits non-zero).
+          --connect ADDR drives a running daemon instead; --shard-spread N
+          derives N bases with distinct dims so sessions hash across its
+          shards. --queue-depth bounds admitted-but-unstarted
           jobs (beyond it requests get an explicit Overloaded reply);
           --deadline-ms sheds queued jobs older than the deadline;
           --cache-frames 0 disables the cache; --no-coalesce answers every
@@ -129,11 +135,6 @@ DAEMON:   exposes the frame service over TCP with a versioned,
           in-flight requests per connection (beyond it requests get an
           immediate Overloaded reply). --run-seconds S serves for S
           seconds then drains; 0 (default) serves until stdin closes.
-          `slsvr serve --connect ADDR` drives a daemon with the same
-          open-loop load generator over the socket, verifying every
-          transported frame against its server-computed pixel hash;
-          --shard-spread N derives N bases with distinct dims so
-          sessions hash across shards.
 
 RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           (default 8, 0 = off); --tile N sets the screen-tile culling edge
@@ -145,15 +146,16 @@ RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           knobs are bit-exact: the accelerated, threaded, lane-batched
           image is identical to the naive one. Under `serve`/`daemon`,
           --render-threads sizes each worker's pool (auto is not divided
-          among the workers; requests carry no thread count) and
-          --simd-lanes overrides any per-request value. --verbose
-          additionally prints the per-stage message/byte timeline.
+          among the workers; requests carry no thread count), while
+          --simd-lanes is a request field: the daemon renders each
+          request at its own width. --verbose additionally prints the
+          per-stage message/byte timeline.
 
 DISTRIBUTED: --distributed sends all three phases through the message
           layer: rank 0 scatters the blocks (with --ghost N voxels of
           overlap; 2 removes every seam against the shared-volume
-          render), every rank renders only its own block on its own
-          thread, then --method composites. Honours --perspective,
+          render) and prints their bytes, every rank renders only its
+          own block on its own thread, then --method composites. Honours --perspective,
           --balanced and --schedule-seed; rejects --faults, which it
           cannot honour.
 
@@ -345,8 +347,13 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     // Two rank bodies, one outcome; the reference is what a degraded
     // frame is scored against.
     if distributed {
+        let out = run_distributed(&config);
+        println!(
+            "partitioning: scattered {} bytes of volume blocks",
+            out.partition_bytes
+        );
         let shared = || prepare(&config, threads).reference();
-        report_render(&config, out_path, verbose, run_distributed(&config), shared)
+        report_render(&config, out_path, verbose, out, shared)
     } else {
         let exp = prepare(&config, threads);
         let out = exp.run(config.method);
@@ -450,7 +457,6 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
         cache_frames: flags.parse("--cache-frames", 64usize)?,
         coalesce: !flags.has("--no-coalesce"),
         render_threads: flags.parse("--render-threads", 0usize)?,
-        simd_lanes: flags.parse("--simd-lanes", 4usize)?,
         ..Default::default()
     };
     if let Some(ms) = flags.get("--deadline-ms") {
@@ -511,56 +517,27 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let spread = flags.parse("--shard-spread", 1usize)?.max(1);
     flags.finish()?;
 
-    // Socket mode: drive a running daemon instead of an in-process
-    // service. --shard-spread N derives N bases with distinct volume
-    // dims so sessions hash across the daemon's shards.
-    if let Some(addr) = connect {
-        let addr: std::net::SocketAddr = addr
-            .parse()
-            .map_err(|_| format!("invalid --connect address `{addr}`"))?;
-        let bases = spread_bases(config, spread);
-        println!(
-            "{} · {}² · P={} · {} — {} session(s) × {} request(s) over {} pose(s) \
-             via {addr} (shard spread {spread})",
-            config.dataset.name(),
-            config.image_size,
-            config.processors,
-            config.method.name(),
-            load.sessions,
-            load.requests_per_session,
-            load.poses,
-        );
-        let (report, stats) =
-            run_load_socket(addr, &bases, &load).map_err(|e| format!("socket load: {e}"))?;
-        print_load_report(&report);
-        if report.hash_mismatches > 0 {
-            return Err(format!(
-                "{} replies failed the pixel-hash check",
-                report.hash_mismatches
-            ));
+    // Without --connect, a one-shard daemon on a loopback port serves
+    // the load, so both modes take one path through the socket.
+    let (addr, daemon) = match connect {
+        Some(addr) => {
+            let addr: SocketAddr = addr
+                .parse()
+                .map_err(|_| format!("invalid --connect address `{addr}`"))?;
+            (addr, None)
         }
-        println!(
-            "\ndaemon: {} shard(s) · imbalance {:.2}",
-            stats.shards.len(),
-            stats.imbalance
-        );
-        for (i, shard) in stats.shards.iter().enumerate() {
-            println!(
-                "  shard {i}: {} submitted · {} rendered · peak queue {} · \
-                 cache {}h/{}m/{}e",
-                shard.submitted,
-                shard.rendered_frames,
-                shard.peak_queue_depth,
-                shard.cache.hits,
-                shard.cache.misses,
-                shard.cache.evictions,
-            );
+        None => {
+            let daemon = Daemon::start("127.0.0.1:0", load.daemon_config(serve))
+                .map_err(|e| format!("bind loopback: {e}"))?;
+            (daemon.local_addr(), Some(daemon))
         }
-        return Ok(());
-    }
-
+    };
+    // --shard-spread N derives N bases with distinct volume dims so
+    // sessions hash across the daemon's shards.
+    let bases = spread_bases(config, spread);
     println!(
-        "{} · {}² · P={} · {} — serving {} session(s) × {} request(s) over {} pose(s)",
+        "{} · {}² · P={} · {} — {} session(s) × {} request(s) over {} pose(s) \
+         via {addr} (shard spread {spread})",
         config.dataset.name(),
         config.image_size,
         config.processors,
@@ -569,68 +546,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         load.requests_per_session,
         load.poses,
     );
-    println!(
-        "workers {} · {} render thread(s)/worker · {} simd lane(s) · queue depth {} · \
-         cache {} frame(s) · coalesce {} · deadline {}",
-        serve.workers,
-        serve.resolved_render_threads(),
-        serve.simd_lanes,
-        serve.queue_depth,
-        serve.cache_frames,
-        if serve.coalesce { "on" } else { "off" },
-        serve
-            .deadline
-            .map_or("none".into(), |d| format!("{} ms", d.as_millis())),
-    );
-    println!(
-        "faults {} · retries {} (backoff {} ms) · psnr floor {} dB · breaker {} · ttl {}\n",
-        if serve.faults.is_some() { "on" } else { "off" },
-        serve.retry.max_retries,
-        serve.retry.base_backoff.as_millis(),
-        serve.degraded.psnr_floor_db,
-        if serve.breaker.disabled() {
-            "off".to_string()
-        } else {
-            format!(
-                "{}@{} ms",
-                serve.breaker.failure_threshold,
-                serve.breaker.cooldown.as_millis()
-            )
-        },
-        serve
-            .session_ttl
-            .map_or("none".into(), |d| format!("{} ms", d.as_millis())),
-    );
-
-    let service = FrameService::start(serve);
-    let report = run_load(&service, config, &load);
-    let stats = service.shutdown();
-
-    print_load_report(&report);
-    println!(
-        "service: {} distinct renders · peak queue {} · cache {}h/{}m/{}e",
-        stats.rendered_frames,
-        stats.peak_queue_depth,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.evictions,
-    );
-    println!(
-        "health: {} retries · {} panics caught · {} breaker sheds · {} datasets evicted{}",
-        stats.frame_retries,
-        stats.panics_caught,
-        stats.rejected_circuit,
-        stats.datasets_evicted,
-        if stats.completed_degraded > 0 {
-            format!(" · min degraded PSNR {:.1} dB", stats.min_degraded_psnr_db)
-        } else {
-            String::new()
-        },
-    );
+    let (report, stats) = run_load(addr, &bases, &load).map_err(|e| format!("socket load: {e}"))?;
+    if let Some(daemon) = daemon {
+        daemon.shutdown();
+    }
+    print_load_report(&report, &stats);
+    if report.hash_mismatches > 0 {
+        return Err(format!(
+            "{} replies failed the pixel-hash check",
+            report.hash_mismatches
+        ));
+    }
     Ok(())
 }
 
-fn print_load_report(report: &LoadReport) {
+/// The serve report, from the load generator's tally and the daemon's
+/// stats: every request's disposition, latency, the per-shard table and
+/// the health line.
+fn print_load_report(report: &LoadReport, stats: &StatsReply) {
     println!("disposition of {} requests:", report.submitted);
     println!("  fresh renders     {:>6}", report.ok_fresh);
     println!("  cache hits        {:>6}", report.ok_cached);
@@ -647,6 +580,36 @@ fn print_load_report(report: &LoadReport) {
         report.percentile_ms(99.0),
         report.throughput_rps(),
         report.hit_rate() * 100.0,
+    );
+    println!(
+        "\ndaemon: {} shard(s) · imbalance {:.2}",
+        stats.shards.len(),
+        stats.imbalance
+    );
+    for (i, shard) in stats.shards.iter().enumerate() {
+        println!(
+            "  shard {i}: {} submitted · {} rendered · peak queue {} · \
+             cache {}h/{}m/{}e",
+            shard.submitted,
+            shard.rendered_frames,
+            shard.peak_queue_depth,
+            shard.cache.hits,
+            shard.cache.misses,
+            shard.cache.evictions,
+        );
+    }
+    let health = &report.service;
+    println!(
+        "health: {} retries · {} panics caught · {} breaker sheds · {} datasets evicted{}",
+        health.frame_retries,
+        health.panics_caught,
+        health.rejected_circuit,
+        health.datasets_evicted,
+        if health.completed_degraded > 0 {
+            format!(" · min degraded PSNR {:.1} dB", health.min_degraded_psnr_db)
+        } else {
+            String::new()
+        },
     );
 }
 
