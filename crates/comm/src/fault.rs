@@ -193,8 +193,8 @@ pub struct FaultPlan {
 /// Output `n` (0-based) of the SplitMix64 generator seeded with `seed`:
 /// the Weyl step `seed + (n + 1)·γ` through the finalizer. With `n = 0`
 /// it is the stateless hash behind every fault decision; the schedule
-/// picker, the retry jitter, the retry re-seeding and the load
-/// generator's pose walk index the same stream.
+/// picker, the retry re-seeding and the load generator's pose walk index
+/// the same stream.
 pub fn splitmix64(seed: u64, n: u64) -> u64 {
     let mut z = seed.wrapping_add(n.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

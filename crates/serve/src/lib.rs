@@ -28,15 +28,16 @@
 //! The service is also **self-healing** — faults injected anywhere in
 //! the stack produce explicit, bounded, policy-controlled outcomes:
 //!
-//! * **Fault plumbing** — [`ServeConfig::faults`] /
-//!   [`ServeConfig::reliability`] / [`ServeConfig::recv_deadline`]
-//!   inject a seeded chaos campaign into every request that doesn't
-//!   carry its own.
-//! * **Retry with backoff** — transient failures (receive timeouts,
-//!   reliable-delivery budget exhaustion) retry under a seeded,
-//!   deadline-aware exponential backoff ([`RetryPolicy`]); each retry
-//!   re-salts the fault and schedule seeds so it re-draws the faults
-//!   instead of replaying them.
+//! * **The request is the frame's only settings** — a seeded fault plan,
+//!   reliable delivery and the receive deadline are request fields
+//!   (`ExperimentConfig::faults` / `reliability` / `recv_deadline`, all
+//!   on the wire); the service adds none of its own, so a frame renders
+//!   under exactly the config its key digests.
+//! * **Bounded retries** — transient failures (receive timeouts,
+//!   reliable-delivery budget exhaustion) retry up to
+//!   [`ServeConfig::max_retries`] times, never past the job's deadline;
+//!   each retry re-salts the fault and schedule seeds so it re-draws the
+//!   faults instead of replaying them.
 //! * **Degraded-frame policy** — a frame with dead-rank holes is scored
 //!   by PSNR against the fault-free reference composite and served
 //!   tagged [`ServeSource::Degraded`], retried, or rejected per the
@@ -111,7 +112,7 @@ pub use client::{Client, ClientError, ClientReceiver, ClientSender};
 pub use health::{BreakerConfig, BreakerDecision, CircuitBreaker};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use metrics::ServiceStats;
-pub use policy::{DegradedDecision, DegradedFramePolicy, RetryPolicy};
+pub use policy::{DegradedDecision, DegradedFramePolicy};
 pub use server::{Daemon, DaemonConfig};
 pub use service::{
     FrameReply, FrameResponse, FrameService, RejectReason, RenderedFrame, ServeConfig, ServeSource,

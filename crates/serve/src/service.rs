@@ -1,12 +1,13 @@
 //! The frame service: resident sessions, a bounded work queue, and a
 //! std-thread worker pool in front of the `vr-system` runtime.
 //!
-//! PR 6 makes the serving path *self-healing*: per-request fault
-//! injection plumbed from [`ServeConfig`], a retry-with-backoff loop for
-//! transient failures, a PSNR-floor policy for degraded frames, a
-//! per-(dataset, dims) circuit breaker, worker-pool panic safety and
-//! idle-TTL eviction of resident datasets. Every submitted request still
-//! resolves to exactly one explicit [`FrameResponse`].
+//! The serving path is *self-healing*: a bounded retry loop for transient
+//! failures, a PSNR-floor policy for degraded frames, a per-(dataset,
+//! dims) circuit breaker, worker-pool panic safety and idle-TTL eviction
+//! of resident datasets. A frame is rendered under its request's config
+//! and nothing else: faults, reliable delivery and the receive deadline
+//! are request fields. Every submitted request still resolves to exactly
+//! one explicit [`FrameResponse`].
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -16,7 +17,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use slsvr_core::CompositeError;
-use vr_comm::{FaultConfig, ReliabilityConfig};
 use vr_image::checksum::fnv1a;
 use vr_image::Image;
 use vr_system::{Experiment, ExperimentConfig, FrameRecord, RenderPool};
@@ -25,7 +25,7 @@ use vr_volume::{Dataset, DatasetKind};
 use crate::cache::{frame_key, LruCache};
 use crate::health::{BreakerConfig, BreakerDecision, CircuitBreaker};
 use crate::metrics::ServiceStats;
-use crate::policy::{DegradedDecision, DegradedFramePolicy, RetryPolicy};
+use crate::policy::{DegradedDecision, DegradedFramePolicy};
 use crate::queue::{admit, Admission, Job, Waiter};
 
 /// Serving knobs. Defaults suit an interactive small-frame workload;
@@ -49,19 +49,10 @@ pub struct ServeConfig {
     /// Drop queued jobs whose age exceeds this when they reach a worker
     /// (`None` = never shed on age).
     pub deadline: Option<Duration>,
-    /// Service-level fault campaign injected into every request that
-    /// does not carry its own `faults` (`None` = healthy network). The
-    /// chaos-harness entry point.
-    pub faults: Option<FaultConfig>,
-    /// Service-level reliable-delivery policy applied to requests whose
-    /// own reliability is disabled (`None` = leave requests as-is).
-    pub reliability: Option<ReliabilityConfig>,
-    /// Service-level receive deadline for requests that don't set one
-    /// (`None` = the transport default).
-    pub recv_deadline: Option<Duration>,
-    /// Retry-with-backoff policy for failed or below-floor frame
-    /// attempts.
-    pub retry: RetryPolicy,
+    /// Extra render attempts after the first for a transiently failed
+    /// or below-floor frame (0 = answer the first bad attempt). Each
+    /// retry re-salts the request's fault decisions and starts at once.
+    pub max_retries: u32,
     /// What to do with degraded (hole-punched) frames.
     pub degraded: DegradedFramePolicy,
     /// Per-(dataset, dims) consecutive-failure circuit breaker
@@ -98,10 +89,7 @@ impl Default for ServeConfig {
             cache_frames: 64,
             coalesce: true,
             deadline: None,
-            faults: None,
-            reliability: None,
-            recv_deadline: None,
-            retry: RetryPolicy::default(),
+            max_retries: 2,
             degraded: DegradedFramePolicy::default(),
             breaker: BreakerConfig::default(),
             session_ttl: None,
@@ -553,25 +541,6 @@ impl SessionHandle {
     }
 }
 
-/// The request config with the service-level robustness knobs folded in:
-/// per-request settings win; service-level faults / reliability /
-/// receive deadline fill the gaps.
-fn effective_config(req: &ExperimentConfig, serve: &ServeConfig) -> ExperimentConfig {
-    let mut cfg = *req;
-    if cfg.faults.is_none() {
-        cfg.faults = serve.faults;
-    }
-    if let Some(rel) = serve.reliability {
-        if !cfg.reliability.enabled {
-            cfg.reliability = rel;
-        }
-    }
-    if cfg.recv_deadline.is_none() {
-        cfg.recv_deadline = serve.recv_deadline;
-    }
-    cfg
-}
-
 /// One completed (non-panicked) render attempt.
 struct Attempt {
     image: Image,
@@ -635,12 +604,10 @@ enum JobOutcome {
     Rejected { attempts: u32, reason: RejectReason },
 }
 
-/// The per-job retry loop: attempt, classify, back off, re-salt, repeat.
-/// Bounded by `retry.max_retries` and by the job's deadline — the loop
-/// never sleeps past it.
+/// The per-job retry loop: attempt, classify, re-salt, repeat. Bounded by
+/// [`ServeConfig::max_retries`] and by the job's deadline: no attempt
+/// starts after it.
 fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutcome {
-    let retry = &shared.cfg.retry;
-    let base = effective_config(&job.config, &shared.cfg);
     let mut attempt: u32 = 0;
     let mut best_psnr = f64::NEG_INFINITY;
     loop {
@@ -649,16 +616,14 @@ fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutc
         }
         // Attempt 0 runs the exactly-original config (the bit-identity
         // guarantee); later attempts re-draw transient fault decisions.
-        let cfg = base.with_attempt_salt(attempt);
+        let cfg = job.config.with_attempt_salt(attempt);
         let attempts_spent = attempt + 1;
-        // Whether another attempt is even possible: within the retry
-        // budget and its backoff would not overshoot the deadline.
-        let next_delay = retry.backoff_delay(attempt + 1, job.key);
-        let attempts_left = attempt < retry.max_retries
-            && job
-                .deadline
-                .is_none_or(|d| Instant::now() + next_delay <= d);
-        match run_attempt(&cfg, &job.dataset, pool) {
+        let result = run_attempt(&cfg, &job.dataset, pool);
+        // Whether another attempt may start: within the retry budget and
+        // not past the job's deadline.
+        let attempts_left =
+            attempt < shared.cfg.max_retries && job.deadline.is_none_or(|d| Instant::now() <= d);
+        match result {
             Ok(att) => {
                 shared.stats.lock().unwrap().rendered_frames += 1;
                 let degraded = att.degraded;
@@ -709,7 +674,6 @@ fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutc
                 }
             }
         }
-        std::thread::sleep(next_delay);
         attempt += 1;
     }
 }
@@ -1124,36 +1088,6 @@ mod tests {
         service.evict_idle_at(Instant::now() + Duration::from_secs(1 << 20));
         assert_eq!(service.resident_datasets(), 1);
         assert_eq!(service.stats().datasets_evicted, 0);
-    }
-
-    #[test]
-    fn service_level_knobs_fill_request_gaps_but_never_override() {
-        let serve = ServeConfig {
-            faults: Some(FaultConfig {
-                drop: 0.25,
-                seed: 9,
-                ..Default::default()
-            }),
-            reliability: Some(ReliabilityConfig::on()),
-            recv_deadline: Some(Duration::from_millis(123)),
-            ..Default::default()
-        };
-        // A plain request inherits all three service-level knobs.
-        let plain = small();
-        let eff = effective_config(&plain, &serve);
-        assert_eq!(eff.faults.unwrap().drop, 0.25);
-        assert!(eff.reliability.enabled);
-        assert_eq!(eff.recv_deadline, Some(Duration::from_millis(123)));
-        // A request with its own settings keeps them.
-        let mut custom = small();
-        custom.faults = Some(FaultConfig {
-            drop: 0.5,
-            ..Default::default()
-        });
-        custom.recv_deadline = Some(Duration::from_millis(7));
-        let eff = effective_config(&custom, &serve);
-        assert_eq!(eff.faults.unwrap().drop, 0.5);
-        assert_eq!(eff.recv_deadline, Some(Duration::from_millis(7)));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use vr_comm::{FaultConfig, KillSpec, ReliabilityConfig};
 use vr_image::checksum::fnv1a;
 use vr_serve::{
     run_load, BreakerConfig, Daemon, DegradedFramePolicy, FrameResponse, FrameService, LoadConfig,
-    RejectReason, RetryPolicy, ServeConfig, ServeSource,
+    RejectReason, ServeConfig, ServeSource,
 };
 use vr_system::{Experiment, ExperimentConfig, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
@@ -57,16 +57,6 @@ fn blackout(seed: u64) -> FaultConfig {
     }
 }
 
-/// Fast retries so failing tests don't sit in backoff sleeps.
-fn fast_retry(max_retries: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_retries,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        ..Default::default()
-    }
-}
-
 /// Drains one response, failing loudly if the service ever hangs.
 fn answer(rx: &mpsc::Receiver<FrameResponse>) -> FrameResponse {
     rx.recv_timeout(Duration::from_secs(60))
@@ -85,23 +75,21 @@ fn fault_storms_resolve_every_request_exactly_once() {
         corrupt: 0.02,
         ..Default::default()
     };
-    let plans: Vec<(&str, FaultConfig, Option<ReliabilityConfig>)> = vec![
-        ("storm", storm, Some(ReliabilityConfig::on())),
-        ("kill", kill_rank_1(11), None),
-        ("blackout", blackout(13), None),
+    let plans: Vec<(&str, FaultConfig, ReliabilityConfig)> = vec![
+        ("storm", storm, ReliabilityConfig::on()),
+        ("kill", kill_rank_1(11), ReliabilityConfig::default()),
+        ("blackout", blackout(13), ReliabilityConfig::default()),
     ];
     for (name, faults, reliability) in plans {
         for seed_salt in [0u64, 1, 2] {
             let mut faults = faults;
             faults.seed ^= seed_salt.wrapping_mul(0x9E37_79B9);
-            // Service-level plumbing under test: the chaos campaign
-            // rides on ServeConfig, not on the request configs.
+            // The campaign rides on every request, as it does on the
+            // wire: the service renders each frame under its request.
             let service = FrameService::start(ServeConfig {
                 workers: 2,
                 cache_frames: 0,
-                faults: Some(faults),
-                reliability,
-                retry: fast_retry(1),
+                max_retries: 1,
                 degraded: DegradedFramePolicy::accept_all(),
                 ..Default::default()
             });
@@ -112,6 +100,8 @@ fn fault_storms_resolve_every_request_exactly_once() {
                     pending.push(session.request(ExperimentConfig {
                         rot_x_deg: 20.0,
                         rot_y_deg: 30.0 + (s * 4 + i) as f32 * 5.0,
+                        faults: Some(faults),
+                        reliability,
                         ..base()
                     }));
                 }
@@ -150,7 +140,7 @@ fn faults_disabled_is_bit_identical_to_batch() {
     let service = FrameService::start(ServeConfig {
         workers: 2,
         coalesce: false,
-        retry: fast_retry(2),
+        max_retries: 2,
         degraded: DegradedFramePolicy::default(),
         breaker: BreakerConfig {
             failure_threshold: 3,
@@ -194,16 +184,19 @@ fn degraded_frame_is_served_above_floor_and_never_cached() {
     let service = FrameService::start(ServeConfig {
         workers: 1,
         cache_frames: 16,
-        faults: Some(kill_rank_1(3)),
-        retry: fast_retry(0),
+        max_retries: 0,
         degraded: DegradedFramePolicy {
             psnr_floor_db: floor,
         },
         ..Default::default()
     });
     let session = service.open_session(base());
+    let killed = ExperimentConfig {
+        faults: Some(kill_rank_1(3)),
+        ..base()
+    };
     for round in 0..2 {
-        match answer(&session.request(base())) {
+        match answer(&session.request(killed)) {
             FrameResponse::Frame(reply) => match reply.source {
                 ServeSource::Degraded { psnr_db, coverage } => {
                     assert!(
@@ -237,19 +230,22 @@ fn quality_floor_rejects_after_bounded_retries() {
     let max_retries = 2;
     let service = FrameService::start(ServeConfig {
         workers: 1,
-        faults: Some(kill_rank_1(5)),
-        retry: fast_retry(max_retries),
+        max_retries,
         // An infinite floor: no degraded frame is ever good enough.
         degraded: DegradedFramePolicy::reject_all(),
         ..Default::default()
     });
     let session = service.open_session(base());
-    match answer(&session.request(base())) {
+    let killed = ExperimentConfig {
+        faults: Some(kill_rank_1(5)),
+        ..base()
+    };
+    match answer(&session.request(killed)) {
         FrameResponse::Rejected { attempts, reason } => {
             assert_eq!(
                 attempts,
                 max_retries + 1,
-                "retries must be bounded by the policy"
+                "retries must be bounded by the budget"
             );
             match reason {
                 RejectReason::QualityFloor { best_psnr_db } => {
@@ -283,16 +279,19 @@ fn malformed_payload_is_retried_like_any_transient_fault() {
     for seed in 1..=8 {
         let service = FrameService::start(ServeConfig {
             workers: 1,
+            max_retries,
+            ..Default::default()
+        });
+        let session = service.open_session(config);
+        let corrupted = ExperimentConfig {
             faults: Some(FaultConfig {
                 seed,
                 corrupt: 0.9,
                 ..Default::default()
             }),
-            retry: fast_retry(max_retries),
-            ..Default::default()
-        });
-        let session = service.open_session(config);
-        match answer(&session.request(config)) {
+            ..config
+        };
+        match answer(&session.request(corrupted)) {
             // The first attempt, or a re-salted one, got through.
             FrameResponse::Frame(_) => {}
             FrameResponse::Rejected {
@@ -327,7 +326,7 @@ fn breaker_sheds_after_threshold_without_rendering() {
     let service = FrameService::start(ServeConfig {
         workers: 1,
         cache_frames: 0,
-        retry: fast_retry(0),
+        max_retries: 0,
         degraded: DegradedFramePolicy::reject_all(),
         breaker: BreakerConfig {
             failure_threshold: 2,
@@ -369,7 +368,7 @@ fn breaker_recovers_through_a_half_open_probe() {
     let service = FrameService::start(ServeConfig {
         workers: 1,
         cache_frames: 0,
-        retry: fast_retry(0),
+        max_retries: 0,
         degraded: DegradedFramePolicy::reject_all(),
         breaker: BreakerConfig {
             failure_threshold: 1,
@@ -408,7 +407,7 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
     let service = FrameService::start(ServeConfig {
         workers: 1,
         cache_frames: 0,
-        retry: fast_retry(1),
+        max_retries: 1,
         ..Default::default()
     });
     let session = service.open_session(base());
@@ -452,7 +451,7 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
     let service = FrameService::start(ServeConfig {
         workers: 1,
         cache_frames: 0,
-        retry: fast_retry(1),
+        max_retries: 1,
         // Two render threads per worker: the chaos path exercises the
         // pooled renderer, not the sequential one.
         render_threads: 2,
@@ -516,8 +515,7 @@ fn chaos_load_generation_partitions_every_outcome() {
     let serve = ServeConfig {
         workers: 2,
         cache_frames: 16,
-        faults: Some(kill_rank_1(31)),
-        retry: fast_retry(0),
+        max_retries: 0,
         degraded: DegradedFramePolicy::accept_all(),
         ..Default::default()
     };
@@ -529,7 +527,11 @@ fn chaos_load_generation_partitions_every_outcome() {
         seed: 23,
     };
     let daemon = Daemon::start("127.0.0.1:0", load.daemon_config(serve)).expect("bind loopback");
-    let (report, _) = run_load(daemon.local_addr(), &[base()], &load).expect("loopback load");
+    let killed = ExperimentConfig {
+        faults: Some(kill_rank_1(31)),
+        ..base()
+    };
+    let (report, _) = run_load(daemon.local_addr(), &[killed], &load).expect("loopback load");
     assert_eq!(report.submitted, 12);
     assert_eq!(
         report.ok_total() + report.shed + report.overloaded + report.rejected,

@@ -27,7 +27,7 @@ use std::time::Duration;
 use slsvr::compositing::Method;
 use slsvr::serve::{
     run_load, BreakerConfig, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport,
-    RetryPolicy, ServeConfig, StatsReply,
+    ServeConfig, StatsReply,
 };
 use slsvr::system::{
     resolve_threads, run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome,
@@ -82,10 +82,11 @@ USAGE:
   slsvr serve   [--dataset NAME] [--size N] [--procs P] [--method M]
                 [--simd-lanes N] [--sessions N] [--requests N] [--poses N]
                 [--inter-arrival-ms MS] [--connect ADDR] [--shard-spread N]
+                [--faults SPEC] [--reliable] [--recv-deadline MS]
+                [--ack-timeout MS] [--schedule-seed S]
                 [--workers N] [--queue-depth N]
                 [--cache-frames N] [--deadline-ms MS] [--no-coalesce]
-                [--serve-faults SPEC] [--psnr-floor DB] [--max-retries N]
-                [--retry-backoff-ms MS] [--session-ttl MS]
+                [--psnr-floor DB] [--max-retries N] [--session-ttl MS]
                 [--breaker-threshold N] [--breaker-cooldown-ms MS]
                 [--render-threads N]
   slsvr daemon  [--listen ADDR] [--shards N] [--max-conns N] [--window N]
@@ -117,15 +118,17 @@ SERVE:    starts the vr-serve frame service (session-resident datasets,
           --cache-frames 0 disables the cache; --no-coalesce answers every
           request with its own render instead of the newest camera's.
 
-          Self-healing knobs: --serve-faults injects a seeded fault
-          campaign (same SPEC syntax as --faults) into every served frame;
-          failed attempts retry up to --max-retries times under seeded
-          exponential backoff starting at --retry-backoff-ms; a degraded
-          frame (dead-rank holes) is served only at or above --psnr-floor
-          dB versus the fault-free reference, else retried then rejected;
-          --breaker-threshold consecutive failures open a per-dataset
-          circuit breaker that sheds until --breaker-cooldown-ms passes
-          (0 disables); --session-ttl evicts idle resident datasets.
+          A request carries every setting its frame renders under, the
+          render flags and --faults/--reliable/--recv-deadline among them;
+          the daemon adds none. Self-healing knobs: a failed attempt
+          retries at once, re-salting its fault draws, up to --max-retries
+          times (under `serve` the flag also sets the request's --reliable
+          retransmit budget); a degraded frame (dead-rank holes) is served
+          only at or above --psnr-floor dB versus the fault-free
+          reference, else retried then rejected; --breaker-threshold
+          consecutive failures open a per-dataset circuit breaker that
+          sheds until --breaker-cooldown-ms passes (0 disables);
+          --session-ttl evicts idle resident datasets.
 
 DAEMON:   exposes the frame service over TCP with a versioned,
           CRC-framed wire protocol. --shards N runs N independent
@@ -465,20 +468,7 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
             .map_err(|_| format!("invalid --deadline-ms `{ms}`"))?;
         serve.deadline = Some(Duration::from_millis(ms));
     }
-    if let Some(spec) = flags.get("--serve-faults") {
-        serve.faults = Some(
-            spec.parse()
-                .map_err(|e| format!("invalid --serve-faults `{spec}`: {e}"))?,
-        );
-    }
-    serve.retry = RetryPolicy {
-        max_retries: flags.parse("--max-retries", RetryPolicy::default().max_retries)?,
-        base_backoff: Duration::from_millis(flags.parse(
-            "--retry-backoff-ms",
-            RetryPolicy::default().base_backoff.as_millis() as u64,
-        )?),
-        ..Default::default()
-    };
+    serve.max_retries = flags.parse("--max-retries", serve.max_retries)?;
     serve.degraded = DegradedFramePolicy {
         psnr_floor_db: flags.parse("--psnr-floor", DegradedFramePolicy::default().psnr_floor_db)?,
     };
