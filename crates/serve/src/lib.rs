@@ -32,7 +32,8 @@
 //!   reliable delivery and the receive deadline are request fields
 //!   (`ExperimentConfig::faults` / `reliability` / `recv_deadline`, all
 //!   on the wire); the service adds none of its own, so a frame renders
-//!   under exactly the config its key digests.
+//!   under exactly the config its key digests, and a request's failures
+//!   are its own — no other request is refused for them.
 //! * **Bounded retries** — transient failures (receive timeouts,
 //!   reliable-delivery budget exhaustion) retry up to
 //!   [`ServeConfig::max_retries`] times, never past the job's deadline;
@@ -42,9 +43,6 @@
 //!   by PSNR against the fault-free reference composite and served
 //!   tagged [`ServeSource::Degraded`], retried, or rejected per the
 //!   configured floor ([`DegradedFramePolicy`]).
-//! * **Health tracking** — a per-(dataset, dims) consecutive-failure
-//!   circuit breaker with half-open probing ([`BreakerConfig`]) sheds a
-//!   poisoned dataset at admission instead of burning the worker pool.
 //! * **Panic safety** — a crashing distributed run is caught
 //!   (`catch_unwind`); its waiters get an explicit
 //!   [`FrameResponse::Rejected`] and the worker survives.
@@ -97,7 +95,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod health;
 pub mod loadgen;
 pub mod metrics;
 pub mod policy;
@@ -109,7 +106,6 @@ pub mod wire;
 
 pub use cache::{frame_key, CacheCounters, LruCache};
 pub use client::{Client, ClientError, ClientReceiver, ClientSender};
-pub use health::{BreakerConfig, BreakerDecision, CircuitBreaker};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use metrics::ServiceStats;
 pub use policy::{DegradedDecision, DegradedFramePolicy};

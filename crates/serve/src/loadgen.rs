@@ -85,7 +85,7 @@ pub struct LoadReport {
     /// Admission rejections.
     pub overloaded: u64,
     /// Robustness rejections (failed after retries, below the quality
-    /// floor, or shed by an open circuit breaker).
+    /// floor, or refused at shutdown).
     pub rejected: u64,
     /// Per-request latencies in milliseconds (successful replies only),
     /// sorted ascending.

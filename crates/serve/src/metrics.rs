@@ -10,7 +10,7 @@ use crate::cache::CacheCounters;
 /// session and answered with that fresh result), a degraded frame
 /// served above the PSNR floor, a deadline shed, an `Overloaded`
 /// rejection, a robustness rejection (failed / below-floor after
-/// retries), or a circuit-breaker shed.
+/// retries), or a shutdown rejection.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceStats {
     /// Requests submitted to the service.
@@ -32,8 +32,6 @@ pub struct ServiceStats {
     /// Requests rejected by the robustness layer after render attempts
     /// (every attempt crashed, or no attempt cleared the PSNR floor).
     pub rejected_failed: u64,
-    /// Requests shed at admission by an open circuit breaker.
-    pub rejected_circuit: u64,
     /// Requests answered `Rejected{Shutdown}`: queued waiters drained at
     /// shutdown plus submissions arriving after the queue closed.
     pub rejected_shutdown: u64,
@@ -67,7 +65,6 @@ impl Default for ServiceStats {
             shed_deadline: 0,
             rejected_overload: 0,
             rejected_failed: 0,
-            rejected_circuit: 0,
             rejected_shutdown: 0,
             frame_retries: 0,
             panics_caught: 0,
@@ -96,7 +93,6 @@ impl ServiceStats {
             + self.shed_deadline
             + self.rejected_overload
             + self.rejected_failed
-            + self.rejected_circuit
             + self.rejected_shutdown
     }
 
@@ -112,7 +108,6 @@ impl ServiceStats {
         self.shed_deadline += other.shed_deadline;
         self.rejected_overload += other.rejected_overload;
         self.rejected_failed += other.rejected_failed;
-        self.rejected_circuit += other.rejected_circuit;
         self.rejected_shutdown += other.rejected_shutdown;
         self.frame_retries += other.frame_retries;
         self.panics_caught += other.panics_caught;
@@ -152,7 +147,7 @@ mod tests {
             shed_deadline: 1,
             rejected_overload: 1,
             rejected_failed: 1,
-            rejected_circuit: 1,
+            rejected_shutdown: 1,
             ..Default::default()
         };
         assert_eq!(s.completed(), 10);

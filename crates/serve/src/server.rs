@@ -16,10 +16,9 @@
 //! * **Backpressure** — at most [`DaemonConfig::window`] requests are
 //!   in flight per connection; excess requests are answered
 //!   `Overloaded` immediately without touching a shard queue. Once
-//!   admitted, a request the shard answers on the spot (cache hit,
-//!   breaker shed, admission reject) is not counted in flight: the
-//!   connection thread encodes it itself; only a queued request gets a
-//!   forwarder thread. (The window check runs first, so such a request
+//!   admitted, a request the shard answers on the spot (cache hit or
+//!   admission reject) is not counted in flight: the connection thread
+//!   encodes it itself; only a queued request gets a forwarder thread. (The window check runs first, so such a request
 //!   is still shed while `window` renders are in flight.) All
 //!   writes funnel through one writer thread behind a *bounded*
 //!   channel: a client that stops reading stalls its own connection
@@ -397,10 +396,10 @@ fn handle_conn(
                     .entry(key)
                     .or_insert_with(|| router.open_session(config));
                 let rx = session.request(config);
-                // Cache hits, breaker sheds and admission rejections are
-                // answered before `request` returns: encode them on this
-                // thread and never count them in flight. Only a request
-                // the shard will answer later gets a forwarder.
+                // Cache hits and admission rejections are answered
+                // before `request` returns: encode them on this thread
+                // and never count them in flight. Only a request the
+                // shard will answer later gets a forwarder.
                 if let Ok(resp) = rx.try_recv() {
                     if out_tx.send(Outgoing::response(id, &resp)).is_err() {
                         break;

@@ -2,12 +2,12 @@
 //! std-thread worker pool in front of the `vr-system` runtime.
 //!
 //! The serving path is *self-healing*: a bounded retry loop for transient
-//! failures, a PSNR-floor policy for degraded frames, a per-(dataset,
-//! dims) circuit breaker, worker-pool panic safety and idle-TTL eviction
-//! of resident datasets. A frame is rendered under its request's config
-//! and nothing else: faults, reliable delivery and the receive deadline
-//! are request fields. Every submitted request still resolves to exactly
-//! one explicit [`FrameResponse`].
+//! failures, a PSNR-floor policy for degraded frames, worker-pool panic
+//! safety and idle-TTL eviction of resident datasets. A frame is rendered
+//! under its request's config and nothing else: faults, reliable delivery
+//! and the receive deadline are request fields, so a request's failures
+//! are its own and never refuse another request. Every submitted request
+//! still resolves to exactly one explicit [`FrameResponse`].
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -23,7 +23,6 @@ use vr_system::{Experiment, ExperimentConfig, FrameRecord, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
 
 use crate::cache::{frame_key, LruCache};
-use crate::health::{BreakerConfig, BreakerDecision, CircuitBreaker};
 use crate::metrics::ServiceStats;
 use crate::policy::{DegradedDecision, DegradedFramePolicy};
 use crate::queue::{admit, Admission, Job, Waiter};
@@ -55,9 +54,6 @@ pub struct ServeConfig {
     pub max_retries: u32,
     /// What to do with degraded (hole-punched) frames.
     pub degraded: DegradedFramePolicy,
-    /// Per-(dataset, dims) consecutive-failure circuit breaker
-    /// (`failure_threshold == 0` disables health tracking).
-    pub breaker: BreakerConfig,
     /// Evict a resident dataset once no session holds it and it has
     /// been idle this long (`None` = datasets stay resident forever).
     pub session_ttl: Option<Duration>,
@@ -91,7 +87,6 @@ impl Default for ServeConfig {
             deadline: None,
             max_retries: 2,
             degraded: DegradedFramePolicy::default(),
-            breaker: BreakerConfig::default(),
             session_ttl: None,
             render_threads: 0,
         }
@@ -161,9 +156,6 @@ pub enum RejectReason {
         /// The best PSNR (dB) any attempt achieved.
         best_psnr_db: f64,
     },
-    /// The (dataset, dims) circuit breaker is open: shed without
-    /// rendering.
-    CircuitOpen,
     /// The service is shutting down: queued waiters are drained with
     /// this answer instead of being left blocked, and submissions after
     /// the queue closed get it immediately.
@@ -186,9 +178,9 @@ pub enum FrameResponse {
         waited_seconds: f64,
     },
     /// Rejected by the robustness layer: attempts failed or stayed
-    /// below the quality floor, or the circuit breaker is open.
+    /// below the quality floor, or the service is shutting down.
     Rejected {
-        /// Render attempts spent before giving up (0 for breaker sheds).
+        /// Render attempts spent before giving up (0 for shutdown).
         attempts: u32,
         /// Why the request could not be served.
         reason: RejectReason,
@@ -200,9 +192,6 @@ struct QueueState {
     open: bool,
 }
 
-/// Health-tracker key: one breaker per dataset build.
-type HealthKey = (DatasetKind, [usize; 3]);
-
 struct Shared {
     /// The config the service was started with, `render_threads` already
     /// resolved.
@@ -211,7 +200,6 @@ struct Shared {
     ready: Condvar,
     cache: Mutex<LruCache<Arc<RenderedFrame>>>,
     stats: Mutex<ServiceStats>,
-    breakers: Mutex<HashMap<HealthKey, CircuitBreaker>>,
 }
 
 /// One resident dataset plus its idle-eviction bookkeeping.
@@ -221,9 +209,12 @@ struct Resident {
     last_used: Instant,
 }
 
-/// Registry of resident datasets, keyed by kind and voxel dimensions so
-/// every session on the same data shares one build.
-type DatasetRegistry = HashMap<HealthKey, Resident>;
+/// One dataset build: its kind and voxel dimensions.
+type DatasetKey = (DatasetKind, [usize; 3]);
+
+/// Registry of resident datasets, keyed by build so every session on the
+/// same data shares one.
+type DatasetRegistry = HashMap<DatasetKey, Resident>;
 
 /// A long-lived, multi-session frame service over the `vr-system`
 /// runtime. See the crate docs for the architecture.
@@ -273,7 +264,6 @@ impl FrameService {
             ready: Condvar::new(),
             cache: Mutex::new(LruCache::new(cfg.cache_frames)),
             stats: Mutex::new(ServiceStats::default()),
-            breakers: Mutex::new(HashMap::new()),
         });
         FrameService {
             shared,
@@ -416,9 +406,9 @@ impl SessionHandle {
     }
 
     /// Submits a frame request; the receiver yields exactly one
-    /// [`FrameResponse`]. Cache hits, breaker sheds and admission
-    /// rejections are answered before this returns; everything else is
-    /// answered by the worker pool.
+    /// [`FrameResponse`]. Cache hits and admission rejections are
+    /// answered before this returns; everything else is answered by the
+    /// worker pool.
     ///
     /// Panics if `config` leaves the session's dataset or volume
     /// dimensions (open another session for that).
@@ -449,27 +439,6 @@ impl SessionHandle {
                 }));
                 return rx;
             }
-        }
-
-        // Health gate: an open breaker sheds before the queue, so a
-        // poisoned dataset costs an admission check instead of a render.
-        if !shared.cfg.breaker.disabled() {
-            let hkey = (config.dataset, config.resolved_dims());
-            let mut breakers = shared.breakers.lock().unwrap();
-            let breaker = breakers
-                .entry(hkey)
-                .or_insert_with(|| CircuitBreaker::new(shared.cfg.breaker));
-            if breaker.admit(submitted) == BreakerDecision::Shed {
-                drop(breakers);
-                shared.stats.lock().unwrap().rejected_circuit += 1;
-                let _ = tx.send(FrameResponse::Rejected {
-                    attempts: 0,
-                    reason: RejectReason::CircuitOpen,
-                });
-                return rx;
-            }
-            // Allow and Probe both proceed; the probe's outcome is
-            // reported back to the breaker by the worker.
         }
 
         let mut q = shared.queue.lock().unwrap();
@@ -678,23 +647,6 @@ fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutc
     }
 }
 
-/// Reports a job's terminal outcome to its (dataset, dims) breaker.
-fn report_health(shared: &Shared, job: &Job, success: bool) {
-    if shared.cfg.breaker.disabled() {
-        return;
-    }
-    let hkey = (job.config.dataset, job.config.resolved_dims());
-    let mut breakers = shared.breakers.lock().unwrap();
-    let breaker = breakers
-        .entry(hkey)
-        .or_insert_with(|| CircuitBreaker::new(shared.cfg.breaker));
-    if success {
-        breaker.on_success();
-    } else {
-        breaker.on_failure(Instant::now());
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     // Each worker owns one persistent render pool, spawned here and
     // reused across every frame it renders; all of a frame's ranks share
@@ -749,7 +701,6 @@ fn worker_loop(shared: &Shared) {
         // is the very same code and config the one-shot experiment runs.
         match render_with_retries(shared, &job, &pool) {
             JobOutcome::Served { frame, degraded } => {
-                report_health(shared, &job, true);
                 // Degraded frames are never cached: a later identical
                 // request deserves a fresh shot at a clean frame.
                 if shared.cfg.cache_frames > 0 && degraded.is_none() {
@@ -791,7 +742,6 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             JobOutcome::Rejected { attempts, reason } => {
-                report_health(shared, &job, false);
                 shared.stats.lock().unwrap().rejected_failed += job.waiters.len() as u64;
                 for w in job.waiters {
                     let _ = w.tx.send(FrameResponse::Rejected {

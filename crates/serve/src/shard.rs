@@ -1,11 +1,11 @@
 //! Horizontal sharding: a router hashing `(dataset, dims)` across N
 //! independent [`FrameService`] shards.
 //!
-//! Each shard owns its worker pool, bounded queue, frame cache,
-//! circuit breakers and resident datasets, so the hot state partitions
-//! cleanly: a dataset's frames, health history and cache entries all
-//! live on exactly one shard, and aggregate throughput scales with the
-//! shard count instead of funneling through one queue. Requests for
+//! Each shard owns its worker pool, bounded queue, frame cache and
+//! resident datasets, so the hot state partitions cleanly: a dataset's
+//! frames, resident build and cache entries all live on exactly one
+//! shard, and aggregate throughput scales with the shard count instead
+//! of funneling through one queue. Requests for
 //! one `(dataset, dims)` always land on the same shard, which keeps
 //! the bit-identity and cache-coherence guarantees of a single service
 //! intact per key.

@@ -9,8 +9,8 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted), `3` (after direct send was), `4`, `5` and `6`,
-//! and nothing else in them moved. Version 4 dropped the request's
+//! PIPE were deleted), `3` (after direct send was), `4`, `5`, `6` and
+//! `7`, and nothing else in them moved. Version 4 dropped the request's
 //! streamed-tile edge and the frame record's two tile latencies with the
 //! fused runner, so `REQUEST`, the three `KEY_*` and the four
 //! `RESPONSE_FRAME_*` were re-recorded with it; every other
@@ -22,7 +22,11 @@
 //! `RESPONSE_FRAME_SPARSE` (the first sample with blank pixels, which
 //! pins the run codes themselves) was added; `REQUEST`, the three
 //! `KEY_*`, `STATS_REPLY`, every other `RESPONSE_*` and every tag table
-//! stayed unchanged.
+//! stayed unchanged. Version 7 retired reject reason tag 2 (an admission
+//! shed the service no longer makes) and the stats' counter for it, so
+//! its `RESPONSE_REJECTED_*` case was deleted and `STATS_REPLY`
+//! re-recorded; tags 0, 1 and 3 kept their numbers, and every other
+//! constant stayed unchanged.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -47,15 +51,15 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe825b55eb690e3f7;
-const WELCOME: u64 = 0xedbeb5ec93a5ce93;
-const ERROR: u64 = 0xb594d68ab0ea2969;
+const HELLO: u64 = 0xe8224f5eb68e00ce;
+const WELCOME: u64 = 0xcec3eee388b68472;
+const ERROR: u64 = 0xf29c8bbf3c2510d2;
 const REQUEST: u64 = 0x823e85dc74f39f64;
 const RESPONSE_FRAME_DEGRADED: u64 = 0x49a2b0b308b1e023;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
 const RESPONSE_REJECTED: u64 = 0x8aea2ffbc682f7ad;
-const STATS_REPLY: u64 = 0x410fd0d46c952cf9;
+const STATS_REPLY: u64 = 0xbaa6a4a18e94ea0d;
 
 // The remaining tag bytes of a response: every serve source and every
 // reject reason.
@@ -64,7 +68,6 @@ const RESPONSE_FRAME_CACHE: u64 = 0x71895a1dd6a36527;
 const RESPONSE_FRAME_COALESCED: u64 = 0x25a295b67c0a8aee;
 const RESPONSE_FRAME_SPARSE: u64 = 0x4148c17ce4a7fa5a;
 const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
-const RESPONSE_REJECTED_CIRCUIT: u64 = 0x292ddc8905b8cfc8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
 
 const KEY_DEFAULT: u64 = 0x5fecd14fbfdeae83;
@@ -222,7 +225,6 @@ fn shard_stats(base: u64) -> ServiceStats {
         shed_deadline: base + 6,
         rejected_overload: base + 7,
         rejected_failed: base + 8,
-        rejected_circuit: base + 9,
         rejected_shutdown: base + 10,
         frame_retries: base + 11,
         panics_caught: base + 12,
@@ -318,11 +320,6 @@ fn every_response_shape_is_pinned() {
             "rejected/quality",
             rejected(quality),
             RESPONSE_REJECTED_QUALITY,
-        ),
-        (
-            "rejected/circuit",
-            rejected(RejectReason::CircuitOpen),
-            RESPONSE_REJECTED_CIRCUIT,
         ),
         (
             "rejected/shutdown",

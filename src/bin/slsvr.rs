@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use slsvr::compositing::Method;
 use slsvr::serve::{
-    run_load, BreakerConfig, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport,
-    ServeConfig, StatsReply,
+    run_load, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport, ServeConfig,
+    StatsReply,
 };
 use slsvr::system::{
     resolve_threads, run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome,
@@ -87,7 +87,6 @@ USAGE:
                 [--workers N] [--queue-depth N]
                 [--cache-frames N] [--deadline-ms MS] [--no-coalesce]
                 [--psnr-floor DB] [--max-retries N] [--session-ttl MS]
-                [--breaker-threshold N] [--breaker-cooldown-ms MS]
                 [--render-threads N]
   slsvr daemon  [--listen ADDR] [--shards N] [--max-conns N] [--window N]
                 [--run-seconds S] [+ serve's service knobs, --workers on]
@@ -125,9 +124,8 @@ SERVE:    starts the vr-serve frame service (session-resident datasets,
           times (under `serve` the flag also sets the request's --reliable
           retransmit budget); a degraded frame (dead-rank holes) is served
           only at or above --psnr-floor dB versus the fault-free
-          reference, else retried then rejected; --breaker-threshold
-          consecutive failures open a per-dataset circuit breaker that
-          sheds until --breaker-cooldown-ms passes (0 disables);
+          reference, else retried then rejected. A request's failures
+          are its own: they never refuse another request's frame.
           --session-ttl evicts idle resident datasets.
 
 DAEMON:   exposes the frame service over TCP with a versioned,
@@ -472,13 +470,6 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
     serve.degraded = DegradedFramePolicy {
         psnr_floor_db: flags.parse("--psnr-floor", DegradedFramePolicy::default().psnr_floor_db)?,
     };
-    serve.breaker = BreakerConfig {
-        failure_threshold: flags.parse("--breaker-threshold", 0u32)?,
-        cooldown: Duration::from_millis(flags.parse(
-            "--breaker-cooldown-ms",
-            BreakerConfig::default().cooldown.as_millis() as u64,
-        )?),
-    };
     if let Some(ms) = flags.get("--session-ttl") {
         let ms: u64 = ms
             .parse()
@@ -590,10 +581,9 @@ fn print_load_report(report: &LoadReport, stats: &StatsReply) {
     }
     let health = &report.service;
     println!(
-        "health: {} retries · {} panics caught · {} breaker sheds · {} datasets evicted{}",
+        "health: {} retries · {} panics caught · {} datasets evicted{}",
         health.frame_retries,
         health.panics_caught,
-        health.rejected_circuit,
         health.datasets_evicted,
         if health.completed_degraded > 0 {
             format!(" · min degraded PSNR {:.1} dB", health.min_degraded_psnr_db)

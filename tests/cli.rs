@@ -411,12 +411,15 @@ fn degraded_line_has_one_format_in_both_shared_volume_runners() {
 /// A flag no command reads is refused by name before any work starts:
 /// a typo (`--proc` for `--procs`), the fused runner's retired switch,
 /// `daemon --simd-lanes` and `--faults`, which each request now carries,
-/// and the retired service-side fault plan and retry backoff, alike.
+/// and the retired service-side fault plan, retry backoff and
+/// per-dataset admission shed, alike.
 #[test]
 fn unknown_flags_are_refused_by_name() {
     let retired = concat!("--", "stream");
     let service_faults = concat!("--", "serve-faults");
     let backoff = concat!("--", "retry-backoff-ms");
+    let shed_threshold = concat!("--", "brea", "ker-threshold");
+    let shed_cooldown = concat!("--", "brea", "ker-cooldown-ms");
     for (args, flag) in [
         (
             &["render", "--size", "64", "--proc", "2", "--method", "bs"][..],
@@ -430,6 +433,10 @@ fn unknown_flags_are_refused_by_name() {
         (&["daemon", service_faults, "kill=1@0"][..], service_faults),
         (&["serve", service_faults, "kill=1@0"][..], service_faults),
         (&["serve", backoff, "1"][..], backoff),
+        (&["daemon", shed_threshold, "1"][..], shed_threshold),
+        (&["serve", shed_threshold, "1"][..], shed_threshold),
+        (&["daemon", shed_cooldown, "1"][..], shed_cooldown),
+        (&["serve", shed_cooldown, "1"][..], shed_cooldown),
     ] {
         let out = slsvr().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} was accepted");
