@@ -294,6 +294,10 @@ pub struct ExpectedTraffic {
     /// `recv[rank][stage]`: payload bytes rank receives at that stage
     /// (its partner's `sent`).
     pub recv: Vec<Vec<u64>>,
+    /// `gather[rank]`: bytes of the rank's gather payload — its owned
+    /// domain's header, code count, run codes and non-blank pixels. The
+    /// root's own payload never leaves it.
+    pub gather: Vec<u64>,
 }
 
 impl ExpectedTraffic {
@@ -316,7 +320,9 @@ impl ExpectedTraffic {
 /// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
 /// — from the subimages alone, plus BSRL, which reuses the same state
 /// (runs over the whole spatial half). This function derives the counts;
-/// `analysis::message_bytes` turns them into sizes.
+/// `analysis::message_bytes` turns them into sizes. The gather's bytes
+/// come from the final composite's bit mask over each rank's owned
+/// domain, coded by the reference [`MaskRle::encode_mask`].
 ///
 /// The derivation never composites a pixel: the non-blank mask of any
 /// partial composite is the exact `OR` of its contributors' masks
@@ -416,16 +422,42 @@ pub fn expected_traffic(
         }
     }
 
+    // The gather: a kind tag, the domain's header (a rect, or a
+    // sequence's start, stride and count), a code count, the codes over
+    // the domain and its non-blank pixels — blank meaning bitwise
+    // `Pixel::BLANK` in the final composite.
+    let reference = reference_composite(images, depth);
+    let blank = Pixel::BLANK.to_le_bytes();
+    let has_bits = |i: usize| reference.pixels()[i].to_le_bytes() != blank;
+    let piece_bytes = |header: u64, domain: &mut dyn Iterator<Item = usize>| {
+        let rle = MaskRle::encode_mask(domain.map(has_bits));
+        4 + header + 4 + rle.wire_bytes() as u64 + 16 * rle.non_blank_total() as u64
+    };
+    let gather: Vec<u64> = (0..p)
+        .map(|v| match method {
+            Method::Bslc => piece_bytes(12, &mut seqs[v].iter()),
+            _ => piece_bytes(
+                8,
+                &mut regions[v]
+                    .iter()
+                    .map(|(x, y)| y as usize * width as usize + x as usize),
+            ),
+        })
+        .collect();
+
     // Re-index by REAL rank.
     let mut sent_real = vec![Vec::new(); p];
     let mut recv_real = vec![Vec::new(); p];
+    let mut gather_real = vec![0; p];
     for v in 0..p {
         sent_real[order[v]] = std::mem::take(&mut sent[v]);
         recv_real[order[v]] = std::mem::take(&mut recv[v]);
+        gather_real[order[v]] = gather[v];
     }
     Some(ExpectedTraffic {
         sent: sent_real,
         recv: recv_real,
+        gather: gather_real,
     })
 }
 

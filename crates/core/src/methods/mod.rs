@@ -7,7 +7,7 @@
 
 mod interleaved;
 pub(crate) mod spatial;
-mod swap;
+pub(crate) mod swap;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod tile_stream;

@@ -225,14 +225,14 @@ pub(crate) fn encode_rect(image: &Image, bounds: &Rect) -> Bytes {
 }
 
 /// Reads a rectangle header that must lie inside `within`.
-fn read_rect(r: &mut MsgReader, within: &Rect) -> Checked<Rect> {
+pub(crate) fn read_rect(r: &mut MsgReader, within: &Rect) -> Checked<Rect> {
     let rect = r.get_rect()?;
     Malformed::unless(within.contains_rect(&rect))?;
     Ok(rect)
 }
 
 /// Reads one `rect + dense pixels` record; the pixels stay wire bytes.
-pub(crate) fn read_rect_pixels(r: &mut MsgReader, within: &Rect) -> Checked<(Rect, Bytes)> {
+fn read_rect_pixels(r: &mut MsgReader, within: &Rect) -> Checked<(Rect, Bytes)> {
     let rect = read_rect(r, within)?;
     Ok((rect, r.take_pixels(rect.area())?))
 }
@@ -279,27 +279,6 @@ impl Body for Dense {
     }
 }
 
-/// Walks runs — `(start, len)` positions, row-major inside `rect` — as
-/// row segments `(x, y, len)`, the shape both the image rows and the
-/// slice kernels want.
-fn for_row_segments(
-    rect: &Rect,
-    runs: impl IntoIterator<Item = (usize, usize)>,
-    mut visit: impl FnMut(u16, u16, usize),
-) {
-    let row_w = rect.width() as usize;
-    for (start, len) in runs {
-        let (mut pos, mut rem) = (start, len);
-        while rem > 0 {
-            let col = pos % row_w;
-            let seg = rem.min(row_w - col);
-            visit(rect.x0 + col as u16, rect.y0 + (pos / row_w) as u16, seg);
-            pos += seg;
-            rem -= seg;
-        }
-    }
-}
-
 /// Appends the pixels of `runs`, each segment straight from its image row.
 fn put_runs(
     w: &mut MsgWriter,
@@ -307,9 +286,7 @@ fn put_runs(
     rect: &Rect,
     runs: impl IntoIterator<Item = (usize, usize)>,
 ) {
-    for_row_segments(rect, runs, |x, y, seg| {
-        w.put_pixels(image.row_span(x, y, seg))
-    });
+    rect.for_row_segments(runs, |x, y, seg| w.put_pixels(image.row_span(x, y, seg)));
 }
 
 /// Composites `wire` — the pixels of `runs`, in order — straight from
@@ -325,7 +302,7 @@ fn composite_runs(
     front: bool,
 ) {
     let mut src = 0usize;
-    for_row_segments(rect, runs, |x, y, seg| {
+    rect.for_row_segments(runs, |x, y, seg| {
         let incoming = &wire[src..src + seg * PX];
         let local = image.row_span_mut(x, y, seg);
         if front {

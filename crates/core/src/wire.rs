@@ -211,7 +211,7 @@ impl MsgReader {
 /// field of its interleaved stage codec, not of the shared run state.
 ///
 /// Rect- and run-shaped payloads (every spatial codec, the fold, the
-/// gather) need no staging:
+/// gather's rects) need no staging:
 /// [`MsgWriter::put_image_rect`] and [`MsgWriter::put_pixels`] write
 /// image rows straight into the payload and [`MsgReader::take_pixels`]
 /// feeds the received bytes straight to the `over` kernels. BSLC's

@@ -178,6 +178,28 @@ impl Rect {
         (r.y0..r.y1).flat_map(move |y| (r.x0..r.x1).map(move |x| (x, y)))
     }
 
+    /// Walks runs — `(start, len)` positions, row-major inside this
+    /// rectangle — as row segments `(x, y, len)`, each cut at the
+    /// rectangle's right edge: the shape image rows and the slice
+    /// kernels want.
+    pub fn for_row_segments(
+        &self,
+        runs: impl IntoIterator<Item = (usize, usize)>,
+        mut visit: impl FnMut(u16, u16, usize),
+    ) {
+        let row_w = self.width() as usize;
+        for (start, len) in runs {
+            let (mut pos, mut rem) = (start, len);
+            while rem > 0 {
+                let col = pos % row_w;
+                let seg = rem.min(row_w - col);
+                visit(self.x0 + col as u16, self.y0 + (pos / row_w) as u16, seg);
+                pos += seg;
+                rem -= seg;
+            }
+        }
+    }
+
     /// Serializes as four little-endian `u16`s (8 bytes), the paper's
     /// bounding-rectangle header format.
     #[inline]
