@@ -74,7 +74,7 @@ fn arb_frame_rect() -> impl Strategy<Value = Rect> {
 
 /// How many mutators [`mutate`] knows: every public `&mut self` method
 /// of `Image`.
-const MUTATORS: u8 = 14;
+const MUTATORS: u8 = 15;
 
 /// One mutator call: which, where, and the non-blank pixel it writes.
 type Mutation = (u8, Rect, Pixel);
@@ -125,6 +125,12 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
         11 => img.clear(),
         12 => img.clone_from(&dotted(lit)),
         13 => img.clone_from(&dotted_unhinted(lit)),
+        // Every other pixel of the rect, as runs of one.
+        14 => img.write_runs_wire(
+            &rect,
+            (0..rect.area()).step_by(2).map(|i| (i, 1)),
+            &to_wire(&vec![lit; rect.area().div_ceil(2)]),
+        ),
         _ => unreachable!("MUTATORS counts the arms above"),
     }
 }
