@@ -41,34 +41,11 @@ pub fn scatter(
     }
 }
 
-/// Gathers every rank's payload at `root`; returns `Some(payloads)`
-/// (indexed by rank) at the root, `None` elsewhere. Any failure is a
-/// hard error — use [`gather_tolerant`] to survive dead contributors.
-pub fn gather(
-    ep: &mut Endpoint,
-    root: usize,
-    tag: Tag,
-    payload: Bytes,
-) -> Result<Option<Vec<Bytes>>, CommError> {
-    if ep.rank() == root {
-        let mut all: Vec<Bytes> = Vec::with_capacity(ep.size());
-        for src in 0..ep.size() {
-            if src == ep.rank() {
-                all.push(payload.clone());
-            } else {
-                all.push(ep.recv(src, tag)?);
-            }
-        }
-        Ok(Some(all))
-    } else {
-        ep.send(root, tag, payload)?;
-        Ok(None)
-    }
-}
-
-/// Like [`gather`], but a contributor that died or disconnected yields
-/// `None` in its slot instead of failing the whole gather. Only `Killed`
-/// (this rank is dead) and a timeout remain hard errors.
+/// Gathers every rank's payload at `root`: `Some(slots)` (indexed by
+/// rank) at the root, `None` elsewhere. A contributor that died or
+/// disconnected yields `None` in its slot instead of failing the whole
+/// gather. Only `Killed` (this rank is dead) and a timeout remain hard
+/// errors.
 ///
 /// A message with another tag ahead of a source's contribution is
 /// discarded and the source read again: on the raw wire a rank killed
@@ -157,12 +134,12 @@ mod tests {
     fn gather_collects_at_root() {
         let out = run_group(4, CostModel::free(), |ep| {
             let payload = Bytes::from(vec![ep.rank() as u8 * 10]);
-            gather(ep, 2, 5, payload).unwrap()
+            gather_tolerant(ep, 2, 5, payload).unwrap()
         });
         for (rank, res) in out.results.iter().enumerate() {
             if rank == 2 {
                 let all = res.as_ref().unwrap();
-                let vals: Vec<u8> = all.iter().map(|b| b[0]).collect();
+                let vals: Vec<u8> = all.iter().map(|b| b.as_ref().unwrap()[0]).collect();
                 assert_eq!(vals, vec![0, 10, 20, 30]);
             } else {
                 assert!(res.is_none());

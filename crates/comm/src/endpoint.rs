@@ -326,24 +326,6 @@ impl Endpoint {
     /// with [`SendErrorKind::RetryBudgetExhausted`] when the peer stays
     /// silent through the whole retry budget.
     pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), SendError> {
-        self.send_timed(dst, tag, payload, 0.0)
-    }
-
-    /// Like [`Endpoint::send`], but the message additionally carries
-    /// `extra_secs` of *virtual* latency under the deterministic clock —
-    /// modeling work (e.g. rendering the tile being shipped) that
-    /// completes at a known virtual instant, so streamed delivery
-    /// order is a pure function of the schedule seed and the modeled
-    /// costs. On the real-time transport the extra delay is ignored
-    /// (real completion times come from real work), and in reliable mode
-    /// it is dropped too: ARQ timing is governed by the retry policy.
-    pub fn send_timed(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        extra_secs: f64,
-    ) -> Result<(), SendError> {
         assert!(
             dst < self.size,
             "send to rank {dst} out of range (size {})",
@@ -358,7 +340,7 @@ impl Endpoint {
         self.stats.on_send(payload.len());
         let msg = Message { tag, payload };
         self.links
-            .send(&self.net, &mut self.stats, dst, msg, extra_secs)
+            .send(&self.net, &mut self.stats, dst, msg)
             .map_err(|kind| SendError { to: dst, kind })
     }
 
@@ -379,7 +361,7 @@ impl Endpoint {
         let msg = self
             .links
             .recv(&self.net, &mut self.stats, src, self.recv_deadline)?;
-        self.deliver(src, tag, msg)
+        self.deliver(src, tag, msg).map(|(payload, _)| payload)
     }
 
     /// Receives the next message carrying `tag` from *any* rank whose
@@ -387,13 +369,21 @@ impl Endpoint {
     /// where an owner consumes tile contributions in arrival order
     /// instead of naming one partner.
     ///
-    /// Returns the source rank alongside the payload. When an awaited
-    /// peer disconnects (and its frames are drained), the error names
-    /// that peer via [`RecvError::Disconnected`] so the caller can mark
-    /// it dead, clear its slot and keep receiving from the others —
+    /// Returns the source rank and the modeled seconds the delivery
+    /// charged to [`TrafficStats::modeled_comm_seconds`] alongside the
+    /// payload: `T_s + bytes · T_c` on a raw link, zero on a reliable
+    /// one, whose frames are charged as they land. A caller that must
+    /// not depend on arrival order sums these per source. When an
+    /// awaited peer disconnects (and its frames are drained), the error
+    /// names that peer via [`RecvError::Disconnected`] so the caller can
+    /// mark it dead, clear its slot and keep receiving from the others —
     /// a dead producer never hangs the receiver. Messages arriving from
     /// non-awaited sources are buffered and served to later receives.
-    pub fn recv_any(&mut self, await_from: &[bool], tag: Tag) -> Result<(usize, Bytes), RecvError> {
+    pub fn recv_any(
+        &mut self,
+        await_from: &[bool],
+        tag: Tag,
+    ) -> Result<(usize, Bytes, f64), RecvError> {
         assert_eq!(
             await_from.len(),
             self.size,
@@ -409,11 +399,13 @@ impl Endpoint {
         let (src, msg) =
             self.links
                 .recv_any(&self.net, &mut self.stats, await_from, self.recv_deadline)?;
-        Ok((src, self.deliver(src, tag, msg)?))
+        let (payload, charged) = self.deliver(src, tag, msg)?;
+        Ok((src, payload, charged))
     }
 
-    /// Tag-checks and accounts one application message.
-    fn deliver(&mut self, src: usize, tag: Tag, msg: Message) -> Result<Bytes, RecvError> {
+    /// Tag-checks and accounts one application message; returns its
+    /// payload and the modeled seconds charged for it.
+    fn deliver(&mut self, src: usize, tag: Tag, msg: Message) -> Result<(Bytes, f64), RecvError> {
         if msg.tag != tag {
             return Err(RecvError::TagMismatch {
                 from: src,
@@ -429,7 +421,7 @@ impl Endpoint {
             self.cost.message_seconds(msg.payload.len())
         };
         self.stats.on_recv(msg.payload.len(), modeled);
-        Ok(msg.payload)
+        Ok((msg.payload, modeled))
     }
 
     /// Full-duplex exchange with `peer`: buffered send, then blocking
@@ -888,7 +880,7 @@ mod tests {
         let mut got = Vec::new();
         while got.len() < n {
             match ep.recv_any(&awaiting, tag) {
-                Ok((src, bytes)) => got.push((src, bytes[0])),
+                Ok((src, bytes, _)) => got.push((src, bytes[0])),
                 Err(RecvError::Disconnected { from }) => awaiting[from] = false,
                 Err(e) => panic!("unexpected recv_any error: {e:?}"),
             }
@@ -950,30 +942,78 @@ mod tests {
     }
 
     #[test]
-    fn send_timed_stamps_control_virtual_delivery_order() {
-        // Rank 1 sends FIRST but with a large completion stamp; rank 2
-        // sends later with a tiny stamp. Under the virtual clock the
-        // stamps (not issue order) decide arrival order at rank 0.
-        let options = GroupOptions {
-            cost: CostModel::sp2(),
-            schedule: Some(crate::vclock::ScheduleSpec::seeded(0)),
-            ..Default::default()
-        };
-        let out = run_group_with(3, options, |ep| match ep.rank() {
-            0 => collect_any(ep, 2, 4),
-            1 => {
-                ep.send_timed(0, 4, Bytes::from_static(b"slow"), 5.0)
-                    .unwrap();
-                Vec::new()
+    fn a_delay_fault_is_virtual_latency_that_reorders_delivery() {
+        // Rank 1's message is held back 5 s by a targeted delay; rank 2's
+        // is not. Under the virtual clock the delay rides on the message
+        // as extra latency, costs no wall time, and rank 2's lands first
+        // under every schedule seed.
+        for seed in 0..4 {
+            let faults = FaultConfig {
+                target: Some(TargetedFault {
+                    src: 1,
+                    dst: 0,
+                    class: StreamClass::Raw,
+                    index: 0,
+                    action: FaultAction::Delay,
+                }),
+                delay_ms: 5_000,
+                ..Default::default()
+            };
+            let options = GroupOptions {
+                cost: CostModel::sp2(),
+                schedule: Some(crate::vclock::ScheduleSpec::seeded(seed)),
+                faults: Some(faults),
+                ..Default::default()
+            };
+            let started = Instant::now();
+            let out = run_group_with(3, options, |ep| match ep.rank() {
+                0 => (collect_any(ep, 2, 4), ep.now()),
+                r => {
+                    ep.send(0, 4, Bytes::from(vec![r as u8])).unwrap();
+                    (Vec::new(), ep.now())
+                }
+            });
+            let (order, clock) = &out.results[0];
+            assert_eq!(order, &[(2, 2), (1, 1)], "seed {seed}");
+            assert!(*clock >= 5.0, "the delay is virtual latency: {clock}");
+            assert!(
+                started.elapsed() < Duration::from_secs(4),
+                "no wall-time stall"
+            );
+        }
+    }
+
+    /// `recv_any` reports what each delivery charged: `T_s + bytes · T_c`
+    /// on a raw link, exactly the endpoint's own increment, and nothing
+    /// on a reliable link, which charges its frames as they land.
+    #[test]
+    fn recv_any_reports_the_charge_of_each_delivery() {
+        for reliable in [false, true] {
+            let options = GroupOptions {
+                cost: CostModel::sp2(),
+                reliability: ReliabilityConfig {
+                    enabled: reliable,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let out = run_group_with(2, options, |ep| {
+                if ep.rank() == 1 {
+                    ep.send(0, 4, Bytes::from(vec![7u8; 100])).unwrap();
+                    return 0.0;
+                }
+                let (_, payload, charged) = ep.recv_any(&[false, true], 4).unwrap();
+                assert_eq!(payload.len(), 100);
+                charged
+            });
+            let charged = out.results[0];
+            if reliable {
+                assert_eq!(charged, 0.0);
+            } else {
+                assert_eq!(charged, CostModel::sp2().message_seconds(100));
+                assert_eq!(out.stats[0].modeled_comm_seconds, charged);
             }
-            _ => {
-                ep.send_timed(0, 4, Bytes::from_static(b"fast"), 0.001)
-                    .unwrap();
-                Vec::new()
-            }
-        });
-        let order: Vec<usize> = out.results[0].iter().map(|(s, _)| *s).collect();
-        assert_eq!(order, vec![2, 1], "the smaller render stamp lands first");
+        }
     }
 
     #[test]
@@ -993,7 +1033,7 @@ mod tests {
                 }
                 let awaiting = vec![false, true];
                 // The buffered message must arrive before the disconnect.
-                let (src, _) = ep.recv_any(&awaiting, 4).unwrap();
+                let (src, _, _) = ep.recv_any(&awaiting, 4).unwrap();
                 let disc = matches!(
                     ep.recv_any(&awaiting, 4),
                     Err(RecvError::Disconnected { from: 1 })
@@ -1027,7 +1067,7 @@ mod tests {
                     let mut any = Vec::new();
                     while any.len() < 2 {
                         match ep.recv_any(&awaiting, 4) {
-                            Ok((src, _)) => {
+                            Ok((src, _, _)) => {
                                 awaiting[src] = false;
                                 any.push(src);
                             }

@@ -288,10 +288,8 @@ impl FaultPlan {
     }
 
     /// Puts one physical transmission from `src` on the wire the way
-    /// this plan decides its fate; `extra_secs` is modeled latency it
-    /// already carries. `Err` means the destination has closed.
-    // The four stream coordinates are `action`'s own.
-    #[allow(clippy::too_many_arguments)]
+    /// this plan decides its fate. `Err` means the destination has
+    /// closed.
     pub(crate) fn transmit(
         &self,
         net: &Transport,
@@ -300,10 +298,9 @@ impl FaultPlan {
         msg: Message,
         class: StreamClass,
         index: u64,
-        extra_secs: f64,
     ) -> Result<(), ()> {
         match self.action(src, dst, class, index) {
-            FaultAction::Deliver => net.send(dst, msg, extra_secs),
+            FaultAction::Deliver => net.send(dst, msg, 0.0),
             FaultAction::Drop => Ok(()), // lost in transit
             FaultAction::Corrupt => {
                 let mut bytes = msg.payload.to_vec();
@@ -315,17 +312,17 @@ impl FaultPlan {
                     tag: msg.tag,
                     payload: Bytes::from(bytes),
                 };
-                net.send(dst, damaged, extra_secs)
+                net.send(dst, damaged, 0.0)
             }
             FaultAction::Duplicate => {
-                net.send(dst, msg.clone(), extra_secs)?;
-                net.send(dst, msg, extra_secs)
+                net.send(dst, msg.clone(), 0.0)?;
+                net.send(dst, msg, 0.0)
             }
             // Real time stalls the sender; under virtual time the delay
             // rides on the message as extra latency instead.
             FaultAction::Delay => {
                 let late = net.hold(self.delay());
-                net.send(dst, msg, extra_secs + late)
+                net.send(dst, msg, late)
             }
         }
     }

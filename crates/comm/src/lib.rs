@@ -29,7 +29,7 @@ pub mod stats;
 mod transport;
 pub mod vclock;
 
-pub use collectives::{broadcast, gather, gather_tolerant, scatter};
+pub use collectives::{broadcast, gather_tolerant, scatter};
 pub use cost::CostModel;
 pub use endpoint::{
     CommError, Endpoint, Message, RecvError, SendError, SendErrorKind, Tag, DEFAULT_RECV_DEADLINE,

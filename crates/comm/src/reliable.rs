@@ -173,24 +173,21 @@ impl Links {
         self.config.enabled
     }
 
-    /// Sends one message to `dst`. Raw: a single buffered transmission
-    /// carrying `extra_secs` of modeled latency. Reliable: blocks until
-    /// the frame is acknowledged; the stamp is dropped, because ARQ
-    /// timing is governed by the retry policy.
+    /// Sends one message to `dst`. Raw: a single buffered transmission.
+    /// Reliable: blocks until the frame is acknowledged.
     pub(crate) fn send(
         &mut self,
         net: &Transport,
         stats: &mut TrafficStats,
         dst: usize,
         msg: Message,
-        extra_secs: f64,
     ) -> Result<(), SendErrorKind> {
         if self.config.enabled {
             return self.send_reliable(net, stats, dst, msg);
         }
         let index = self.peers[dst].raw_index;
         self.peers[dst].raw_index += 1;
-        self.transmit(net, dst, msg, StreamClass::Raw, index, extra_secs.max(0.0))
+        self.transmit(net, dst, msg, StreamClass::Raw, index)
             .map_err(|()| SendErrorKind::Disconnected)
     }
 
@@ -203,11 +200,10 @@ impl Links {
         msg: Message,
         class: StreamClass,
         index: u64,
-        extra_secs: f64,
     ) -> Result<(), ()> {
         match &self.faults {
-            None => net.send(dst, msg, extra_secs),
-            Some(plan) => plan.transmit(net, self.rank, dst, msg, class, index, extra_secs),
+            None => net.send(dst, msg, 0.0),
+            Some(plan) => plan.transmit(net, self.rank, dst, msg, class, index),
         }
     }
 
@@ -234,7 +230,7 @@ impl Links {
             }
             let key = ((seq as u64) << 16) | (attempt as u64 & 0xFFFF);
             if self
-                .transmit(net, dst, frame.clone(), StreamClass::Data, key, 0.0)
+                .transmit(net, dst, frame.clone(), StreamClass::Data, key)
                 .is_err()
             {
                 return Err(SendErrorKind::Disconnected);
@@ -357,7 +353,7 @@ impl Links {
             payload: encode_frame(FRAME_ACK, seq, &[]),
         };
         let key = ((seq as u64) << 16) | (attempt & 0xFFFF);
-        let _ = self.transmit(net, src, ack, StreamClass::Ack, key, 0.0);
+        let _ = self.transmit(net, src, ack, StreamClass::Ack, key);
     }
 
     /// The next message from `src`, waiting at most `wait`.

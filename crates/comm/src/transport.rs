@@ -74,9 +74,10 @@ impl Transport {
     }
 
     /// Queues `msg` for `dst` without blocking. `extra_secs` is modeled
-    /// latency the message carries under virtual time; real channels
-    /// ignore it (real completion times come from real work). `Err`
-    /// means `dst` has closed.
+    /// latency the message carries under virtual time (a fault `delay`,
+    /// see [`Transport::hold`]); real channels ignore it, because the
+    /// stall already happened in real time. `Err` means `dst` has
+    /// closed.
     pub(crate) fn send(&self, dst: usize, msg: Message, extra_secs: f64) -> Result<(), ()> {
         match self {
             Transport::Channels(ch) => ch.to[dst].send(msg).map_err(|_| ()),

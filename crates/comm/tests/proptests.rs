@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use vr_comm::{broadcast, gather, run_group, scatter, CostModel};
+use vr_comm::{broadcast, gather_tolerant, run_group, scatter, CostModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -37,10 +37,11 @@ proptest! {
                     .collect::<Vec<_>>()
             });
             let mine = scatter(ep, 0, 2, payloads).unwrap();
-            gather(ep, 0, 3, mine).unwrap()
+            gather_tolerant(ep, 0, 3, mine).unwrap()
         });
         let all = out.results[0].as_ref().unwrap();
         for (r, part) in all.iter().enumerate() {
+            let part = part.as_ref().expect("no rank dies");
             prop_assert_eq!(part.len(), r % 7 + 1);
             prop_assert!(part.iter().all(|&b| b == seed.wrapping_add(r as u8)));
         }

@@ -123,9 +123,7 @@ pub(crate) fn try_send(
     tag: Tag,
     payload: Bytes,
     dead: &mut BTreeSet<usize>,
-    during: &'static str,
 ) -> Result<bool, CompositeError> {
-    let _ = during;
     if dead.contains(&peer) {
         return Ok(false);
     }
@@ -143,41 +141,11 @@ pub(crate) fn try_send(
     }
 }
 
-/// Like [`try_send`], but stamps the message with `extra_secs` of extra
-/// virtual latency (see `Endpoint::send_timed`) — the tile-stream path
-/// uses this to model when each tile's render finished, so streamed
-/// delivery order under the virtual clock is a pure function of the
-/// seed. The real transport ignores the stamp.
-pub(crate) fn try_send_timed(
-    ep: &mut Endpoint,
-    peer: usize,
-    tag: Tag,
-    payload: Bytes,
-    extra_secs: f64,
-    dead: &mut BTreeSet<usize>,
-    during: &'static str,
-) -> Result<bool, CompositeError> {
-    let _ = during;
-    if dead.contains(&peer) {
-        return Ok(false);
-    }
-    match ep.send_timed(peer, tag, payload, extra_secs) {
-        Ok(()) => Ok(true),
-        Err(SendError {
-            kind: SendErrorKind::Killed,
-            ..
-        }) => Err(CompositeError::Killed { rank: ep.rank() }),
-        Err(SendError { to, .. }) => {
-            dead.insert(to);
-            Ok(false)
-        }
-    }
-}
-
 /// One survivable outcome of an any-source receive.
 pub(crate) enum AnyRecv {
-    /// A message arrived from `src`.
-    Message(usize, Bytes),
+    /// A message arrived from `src`, with the modeled seconds its
+    /// delivery charged (see `Endpoint::recv_any`).
+    Message(usize, Bytes, f64),
     /// Awaited peer `src` disconnected (already added to `dead`); the
     /// caller should clear its await slot and keep going.
     PeerDied(usize),
@@ -193,7 +161,7 @@ pub(crate) fn try_recv_any(
     during: &'static str,
 ) -> Result<AnyRecv, CompositeError> {
     match ep.recv_any(await_from, tag) {
-        Ok((src, bytes)) => Ok(AnyRecv::Message(src, bytes)),
+        Ok((src, bytes, charged)) => Ok(AnyRecv::Message(src, bytes, charged)),
         Err(RecvError::Killed { rank }) => Err(CompositeError::Killed { rank }),
         Err(RecvError::Disconnected { from }) => {
             dead.insert(from);
@@ -278,7 +246,7 @@ mod tests {
             }
             let mut dead = BTreeSet::new();
             let half = Bytes::from_static(b"half");
-            try_send(ep, 1, 7, half, &mut dead, "test stage").unwrap();
+            try_send(ep, 1, 7, half, &mut dead).unwrap();
             let got = try_recv(ep, 1, 7, &mut dead, "test stage").unwrap();
             (got.is_none(), dead.contains(&1))
         });
@@ -291,7 +259,7 @@ mod tests {
             let mut dead = BTreeSet::new();
             dead.insert(5);
             // Peer index is never touched when already marked dead.
-            try_send(ep, 5, 0, Bytes::new(), &mut dead, "t").unwrap()
+            try_send(ep, 5, 0, Bytes::new(), &mut dead).unwrap()
         });
         assert_eq!(out.results, vec![false]);
     }

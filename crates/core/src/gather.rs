@@ -3,13 +3,15 @@
 //!
 //! A piece travels sparse, like a BSBRC message: every domain it owns —
 //! a [`Rect`], each rect of a tile owner's set, or BSLC's
-//! [`StridedSeq`] — is its header, a `u32` code count, the [`MaskRle`]
+//! [`StridedSeq`] — is its header, then the run body every sparse
+//! message shares ([`RunBody`]): a `u32` code count, the [`MaskRle`]
 //! codes over the domain and then only the domain's non-blank pixels,
 //! 16 bytes each. A dense domain of `a` pixels costs
 //! `4 + 4·⌈a/65535⌉` bytes more than its raw pixels; a blank one costs
 //! its header and 4 bytes.
 //!
-//! Blank is decided by bits ([`kernel::scan_bit_runs_into`]): only a
+//! Blank is decided by bits ([`Image::bit_runs_into`] for a rect,
+//! [`kernel::scan_bit_runs_into`] for a staged sequence): only a
 //! bitwise [`Pixel::BLANK`] stays behind, so a `-0.0`, NaN-payload or
 //! subnormal pixel travels and the gathered frame is the composited one
 //! bit for bit. The root starts from a blank frame and writes only the
@@ -19,64 +21,21 @@
 //! [`MaskRle`]: vr_image::MaskRle
 
 use bytes::Bytes;
-use vr_comm::{gather, gather_tolerant, Endpoint};
+use vr_comm::{gather_tolerant, Endpoint};
 use vr_image::rect::BYTES_PER_RECT;
-use vr_image::{kernel, Image, MaskRle, Pixel, Rect, RunSet, StridedSeq, BYTES_PER_RUN_CODE};
+use vr_image::{kernel, Image, MaskRle, Pixel, Rect, StridedSeq};
 
 use crate::error::{Checked, CompositeError, Malformed};
 use crate::methods::spatial::read_rect;
-use crate::methods::swap::read_runs;
 use crate::methods::OwnedPiece;
 use crate::schedule::tags;
-use crate::wire::{MsgReader, MsgWriter};
-
-const PX: usize = vr_image::BYTES_PER_PIXEL;
+use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody};
 
 const KIND_NOTHING: u32 = 0;
 const KIND_RECT: u32 = 1;
 const KIND_SEQ: u32 = 2;
 // 3 was the binary tree's whole frame; retired, not reused.
 const KIND_RECTS: u32 = 4;
-
-/// One domain's non-blank runs (positions in the domain's own order)
-/// and their canonical codes.
-struct Body {
-    runs: RunSet,
-    codes: Vec<u16>,
-}
-
-impl Body {
-    /// Scans a contiguous span of pixels.
-    fn of_span(span: &[Pixel]) -> Body {
-        let mut runs = RunSet::new();
-        kernel::scan_bit_runs_into(span, 0, &mut runs);
-        Body::coded(runs, span.len())
-    }
-
-    /// Scans the pixels of `rect`.
-    fn of_rect(image: &Image, rect: &Rect) -> Body {
-        let mut runs = RunSet::new();
-        image.bit_runs_into(rect, &mut runs);
-        Body::coded(runs, rect.area())
-    }
-
-    fn coded(runs: RunSet, domain: usize) -> Body {
-        let mut codes = Vec::new();
-        runs.encode_codes_into(domain, &mut codes);
-        Body { runs, codes }
-    }
-
-    /// Wire bytes: the code count, the codes and the non-blank pixels.
-    fn len(&self) -> usize {
-        4 + self.codes.len() * BYTES_PER_RUN_CODE + self.runs.non_blank_total() * PX
-    }
-
-    /// Appends the code count and the codes.
-    fn put_codes(&self, w: &mut MsgWriter) {
-        w.put_u32(self.codes.len() as u32);
-        w.put_codes(&self.codes);
-    }
-}
 
 /// Encodes a rank's owned piece for the gather, in a payload allocated
 /// once at its exact size.
@@ -89,29 +48,35 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> Bytes {
             // A strided sequence is not a row span: its pixels are
             // staged once, in sequence order, and scanned there.
             let staged: Vec<Pixel> = seq.iter().map(|i| image.pixels()[i]).collect();
-            let body = Body::of_span(&staged);
-            let mut w = MsgWriter::with_capacity(4 + 12 + body.len());
+            let mut body = RunBody::default();
+            let len = body.scan(staged.len(), |runs| {
+                kernel::scan_bit_runs_into(&staged, 0, runs)
+            });
+            let mut w = MsgWriter::with_capacity(4 + 12 + len);
             w.put_u32(KIND_SEQ);
             for word in [seq.start, seq.stride, seq.count] {
                 w.put_u32(word as u32);
             }
-            body.put_codes(&mut w);
-            for &(start, len) in body.runs.runs() {
-                w.put_pixels(&staged[start..start + len]);
-            }
+            body.put_span(&mut w, &staged);
             w.freeze()
         }
     }
 }
 
-/// The words of a piece's head, then each rect with its body: its
-/// header, codes, then each run's pixels straight from the image rows.
+/// The words of a piece's head, then each rect with its body.
 fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
-    let bodies: Vec<Body> = rects.iter().map(|r| Body::of_rect(image, r)).collect();
+    let bodies: Vec<RunBody> = rects
+        .iter()
+        .map(|rect| {
+            let mut body = RunBody::default();
+            body.scan(rect.area(), |runs| image.bit_runs_into(rect, runs));
+            body
+        })
+        .collect();
     let size = 4 * head.len()
         + bodies
             .iter()
-            .map(|b| BYTES_PER_RECT + b.len())
+            .map(|body| BYTES_PER_RECT + body.len())
             .sum::<usize>();
     let mut w = MsgWriter::with_capacity(size);
     for &word in head {
@@ -119,10 +84,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
     }
     for (rect, body) in rects.iter().zip(&bodies) {
         w.put_rect(*rect);
-        body.put_codes(&mut w);
-        rect.for_row_segments(body.runs.runs().iter().copied(), |x, y, n| {
-            w.put_pixels(image.row_span(x, y, n))
-        });
+        body.put_rect(&mut w, image, rect);
     }
     debug_assert_eq!(w.len(), size, "gather piece size must be exact");
     w.freeze()
@@ -213,7 +175,7 @@ impl GatheredImage {
     }
 }
 
-/// The root's side of both gathers: a blank frame, every piece that
+/// The root's side of the gather: a blank frame, every piece that
 /// arrived written into it, the pixels those pieces covered and the
 /// ranks whose slot is empty.
 fn assemble(
@@ -238,33 +200,10 @@ fn assemble(
 }
 
 /// Sends this rank's owned piece to `root` and, at the root, assembles
-/// the final image from all pieces. Returns `Some(image)` at the root.
-///
-/// Panics if the gather fails or the pieces do not tile the image —
-/// use [`gather_image_tolerant`] when ranks may have died.
-pub fn gather_image(
-    ep: &mut Endpoint,
-    image: &Image,
-    piece: &OwnedPiece,
-    root: usize,
-) -> Option<Image> {
-    let payload = encode_piece(image, piece);
-    let all =
-        gather(ep, root, tags::GATHER, payload).unwrap_or_else(|e| panic!("gather failed: {e}"))?;
-    let gathered =
-        assemble(image, all.into_iter().map(Some)).unwrap_or_else(|e| panic!("gather failed: {e}"));
-    assert!(gathered.missing_ranks.is_empty());
-    assert_eq!(
-        gathered.covered_pixels,
-        gathered.image.area(),
-        "gathered pieces must tile the image exactly"
-    );
-    Some(gathered.image)
-}
-
-/// Fault-tolerant gather: like [`gather_image`] but a dead contributor
-/// leaves a hole instead of panicking. Returns `Some` only at the root;
-/// a dead root means nobody assembles (`Ok(None)` everywhere).
+/// the final image from every piece that arrived; a dead contributor
+/// leaves a hole, reported in [`GatheredImage::missing_ranks`] and
+/// [`GatheredImage::coverage`]. Returns `Some` only at the root; a dead
+/// root means nobody assembles (`Ok(None)` everywhere).
 pub fn gather_image_tolerant(
     ep: &mut Endpoint,
     image: &Image,
@@ -288,6 +227,7 @@ pub fn gather_image_tolerant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::testutil::gather_exact;
     use vr_comm::{run_group, CostModel};
 
     #[test]
@@ -299,7 +239,7 @@ mod tests {
             for (x, y) in rect.iter() {
                 img.set(x, y, Pixel::gray(ep.rank() as f32 / 4.0, 1.0));
             }
-            gather_image(ep, &img, &OwnedPiece::Rect(rect), 0)
+            gather_exact(ep, &img, &OwnedPiece::Rect(rect), 0)
         });
         let img = out.results[0].as_ref().unwrap();
         assert_eq!(img.get(3, 0).r, 0.0);
@@ -320,7 +260,7 @@ mod tests {
             for idx in seq.iter() {
                 img.pixels_mut()[idx] = Pixel::gray(1.0, (ep.rank() + 1) as f32 / 2.0);
             }
-            gather_image(ep, &img, &OwnedPiece::Seq(seq), 0)
+            gather_exact(ep, &img, &OwnedPiece::Seq(seq), 0)
         });
         let img = out.results[0].as_ref().unwrap();
         for (i, p) in img.pixels().iter().enumerate() {
@@ -341,7 +281,7 @@ mod tests {
             } else {
                 OwnedPiece::Nothing
             };
-            gather_image(ep, &img, &piece, 1)
+            gather_exact(ep, &img, &piece, 1)
         });
         let img = out.results[1].as_ref().unwrap();
         assert_eq!(img.get(2, 2), Pixel::gray(0.9, 0.9));
@@ -349,14 +289,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile the image exactly")]
     fn gather_detects_coverage_gap() {
-        let _ = run_group(2, CostModel::free(), |ep| {
+        let out = run_group(2, CostModel::free(), |ep| {
             let img = Image::blank(4, 4);
             // Both ranks claim only half of one row → under-coverage.
             let piece = OwnedPiece::Rect(Rect::new(0, ep.rank() as u16, 2, ep.rank() as u16 + 1));
-            gather_image(ep, &img, &piece, 0)
+            gather_image_tolerant(ep, &img, &piece, 0).unwrap()
         });
+        let got = out.results[0].as_ref().expect("root assembles");
+        assert!(got.missing_ranks.is_empty());
+        assert_eq!(got.covered_pixels, 4);
+        assert_eq!(got.coverage(), 0.25);
     }
 
     /// The same four row bands through the tolerant gather with rank 2
@@ -434,7 +377,7 @@ mod tests {
         ];
         for own in &pieces {
             let out = run_group(2, CostModel::free(), |ep| {
-                gather_image(ep, &frame, &own[ep.rank()], 0)
+                gather_exact(ep, &frame, &own[ep.rank()], 0)
             });
             let got = out.results[0].as_ref().unwrap();
             assert_eq!(bits(got), bits(&frame), "{own:?}");

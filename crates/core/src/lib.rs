@@ -52,7 +52,7 @@ pub use conformance::{
     CostKind, ExpectedTraffic, Workload,
 };
 pub use error::CompositeError;
-pub use gather::{gather_image, gather_image_tolerant, GatheredImage};
+pub use gather::{gather_image_tolerant, GatheredImage};
 pub use methods::{composite, CompositeResult, Method, OwnedPiece};
 pub use reference::reference_composite;
 pub use schedule::{fold_into_pow2, FoldOutcome, VirtualTopology};

@@ -21,13 +21,13 @@
 //! pixel staging persist across stages.
 
 use bytes::Bytes;
-use vr_image::{kernel, Image, RunSet, StridedSeq, BYTES_PER_PIXEL as PX, BYTES_PER_RUN_CODE};
+use vr_image::{kernel, Image, RunSet, StridedSeq};
 
 use crate::error::Checked;
 use crate::stats::StageStat;
-use crate::wire::{MsgReader, MsgWriter, ScratchPool};
+use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody, ScratchPool};
 
-use super::swap::{read_runs, Charge, StageCodec};
+use super::swap::{Charge, StageCodec};
 use super::{OwnedPiece, Run};
 
 /// BSLC's state: the owned sequence and its run tables.
@@ -42,10 +42,10 @@ pub(crate) struct InterleavedRuns {
     /// partner). `over` never blanks a non-blank pixel, so `kept ∪ recv`
     /// is the exact run table of the merged sequence — no rescan.
     recv: RunSet,
-    /// Scratch: the merged table and the other half of its parity split.
+    /// Scratch: the merged table.
     merged: RunSet,
-    sent: RunSet,
-    codes: Vec<u16>,
+    /// The other half of its parity split, coded: the sent half's body.
+    sent: RunBody,
     /// A strided sequence cannot be written or composited row by row, so
     /// its pixels are packed through `send` and unpacked through `recv`.
     scratch: ScratchPool,
@@ -63,8 +63,7 @@ impl StageCodec for InterleavedRuns {
             kept: run.encode.time(|| sequence_mask(image)),
             recv: RunSet::new(),
             merged: RunSet::new(),
-            sent: RunSet::new(),
-            codes: Vec::new(),
+            sent: RunBody::default(),
             scratch: ScratchPool::new(),
         }
     }
@@ -76,14 +75,15 @@ impl StageCodec for InterleavedRuns {
         let (even, odd) = self.seq.split();
         self.kept.union_into(&self.recv, &mut self.merged);
         self.recv.clear();
+        let (merged, kept) = (&self.merged, &mut self.kept);
         if digit == 0 {
-            self.merged
-                .split_parity_into(&mut self.kept, &mut self.sent);
             (self.seq, self.send) = (even, odd);
+            self.sent
+                .scan(odd.count, |sent| merged.split_parity_into(kept, sent));
         } else {
-            self.merged
-                .split_parity_into(&mut self.sent, &mut self.kept);
             (self.seq, self.send) = (odd, even);
+            self.sent
+                .scan(even.count, |sent| merged.split_parity_into(sent, kept));
         }
     }
 
@@ -92,23 +92,18 @@ impl StageCodec for InterleavedRuns {
         // The run codes come straight from the parity split; only the
         // non-blank pixels are gathered, into the reusable scratch
         // buffer, so the wire write is one bulk copy.
-        self.sent.encode_codes_into(send.count, &mut self.codes);
-        let total = self.sent.non_blank_total();
         let pixels = image.pixels();
         let staged = &mut self.scratch.send;
         staged.clear();
-        staged.reserve(total);
-        for &(start, len) in self.sent.runs() {
+        staged.reserve(self.sent.non_blank());
+        for &(start, len) in self.sent.runs().runs() {
             staged.extend((0..len).map(|i| pixels[send.index(start + i)]));
         }
-        let mut w =
-            MsgWriter::with_capacity(4 + self.codes.len() * BYTES_PER_RUN_CODE + total * PX);
-        w.put_u32(self.codes.len() as u32);
-        w.put_codes(&self.codes);
-        w.put_pixels(staged);
+        let mut w = MsgWriter::with_capacity(self.sent.len());
+        self.sent.put_packed(&mut w, staged);
         self.scratch.note_watermark();
         stat.encoded_pixels += send.count as u64;
-        stat.run_codes += self.codes.len() as u64;
+        stat.run_codes += self.sent.codes() as u64;
         w.freeze()
     }
 

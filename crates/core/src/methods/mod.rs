@@ -144,7 +144,8 @@ impl CompositeResult {
 
 /// Runs `method` over this rank's subimage. On return, the pixels of the
 /// returned piece inside `image` are final; use
-/// [`gather_image`](crate::gather::gather_image) to assemble them.
+/// [`gather_image_tolerant`](crate::gather::gather_image_tolerant) to
+/// assemble them.
 ///
 /// Errors only when this rank itself was killed by fault injection, the
 /// schedule broke down (receive timeout / tag mismatch) or a received
@@ -153,7 +154,7 @@ impl CompositeResult {
 /// [`CompositeResult::dead_partners`].
 ///
 /// ```
-/// use slsvr_core::{composite, gather_image, Method};
+/// use slsvr_core::{composite, gather_image_tolerant, Method};
 /// use vr_comm::{run_group, CostModel};
 /// use vr_image::{Image, Pixel};
 /// use vr_volume::DepthOrder;
@@ -164,10 +165,11 @@ impl CompositeResult {
 ///     let mut img = Image::blank(8, 8);
 ///     img.set(3, 3, Pixel::gray(if ep.rank() == 0 { 1.0 } else { 0.2 }, 1.0));
 ///     let result = composite(Method::Bsbrc, ep, &mut img, &depth).unwrap();
-///     gather_image(ep, &img, &result.piece, 0)
+///     gather_image_tolerant(ep, &img, &result.piece, 0).unwrap()
 /// });
-/// let final_image = out.results[0].as_ref().unwrap();
-/// assert_eq!(final_image.get(3, 3).r, 1.0);
+/// let gathered = out.results[0].as_ref().unwrap();
+/// assert_eq!(gathered.coverage(), 1.0, "every piece arrived");
+/// assert_eq!(gathered.image.get(3, 3).r, 1.0);
 /// ```
 pub fn composite(
     method: Method,

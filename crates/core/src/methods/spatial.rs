@@ -25,14 +25,14 @@
 
 use bytes::Bytes;
 use vr_image::rect::BYTES_PER_RECT;
-use vr_image::{kernel, Image, Rect, RunSet, BYTES_PER_PIXEL as PX, BYTES_PER_RUN_CODE};
+use vr_image::{kernel, Image, Rect, BYTES_PER_PIXEL as PX};
 
 use crate::error::{Checked, Malformed};
 use crate::schedule::strip;
 use crate::stats::StageStat;
-use crate::wire::{MsgReader, MsgWriter};
+use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody};
 
-use super::swap::{read_runs, Charge, StageCodec};
+use super::swap::{Charge, StageCodec};
 use super::{OwnedPiece, Run};
 
 /// One method's encoding of a spatial part.
@@ -279,16 +279,6 @@ impl Body for Dense {
     }
 }
 
-/// Appends the pixels of `runs`, each segment straight from its image row.
-fn put_runs(
-    w: &mut MsgWriter,
-    image: &Image,
-    rect: &Rect,
-    runs: impl IntoIterator<Item = (usize, usize)>,
-) {
-    rect.for_row_segments(runs, |x, y, seg| w.put_pixels(image.row_span(x, y, seg)));
-}
-
 /// Composites `wire` — the pixels of `runs`, in order — straight from
 /// its bytes, segment by segment through the wire-form slice kernels:
 /// the same `over` expression in the same left-to-right order as a
@@ -315,36 +305,22 @@ fn composite_runs(
 }
 
 /// Section 3.3's run-length codes over the rectangle's blank/non-blank
-/// mask: a `u32` code count, the 2-byte codes, then only the non-blank
-/// pixels. The run table and the code buffer are reused across stages.
+/// mask, blank by value: the rect's [`RunBody`], reused across stages.
 #[derive(Default)]
-pub(crate) struct Runs {
-    runs: RunSet,
-    codes: Vec<u16>,
-}
+pub(crate) struct Runs(RunBody);
 
 impl Body for Runs {
     const CHARGE: Charge = |run| &mut run.encode;
 
     fn scan(&mut self, image: &Image, rect: &Rect, stat: &mut StageStat) -> usize {
-        // One branchless run scan per row; positions are rect-relative
-        // and row-major, so these are the canonical codes of the mask.
-        let row_w = rect.width() as usize;
-        self.runs.clear();
-        for y in rect.y0..rect.y1 {
-            let base = (y - rect.y0) as usize * row_w;
-            kernel::scan_runs_into(image.row_span(rect.x0, y, row_w), base, &mut self.runs);
-        }
-        self.runs.encode_codes_into(rect.area(), &mut self.codes);
+        let len = self.0.scan(rect.area(), |runs| image.runs_into(rect, runs));
         stat.encoded_pixels += rect.area() as u64;
-        stat.run_codes += self.codes.len() as u64;
-        4 + self.codes.len() * BYTES_PER_RUN_CODE + self.runs.non_blank_total() * PX
+        stat.run_codes += self.0.codes() as u64;
+        len
     }
 
     fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
-        w.put_u32(self.codes.len() as u32);
-        w.put_codes(&self.codes);
-        put_runs(w, image, rect, self.runs.runs().iter().copied());
+        self.0.put_rect(w, image, rect);
     }
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {

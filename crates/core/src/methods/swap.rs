@@ -26,14 +26,13 @@
 
 use bytes::Bytes;
 use vr_comm::Endpoint;
-use vr_image::{Image, MaskRle};
+use vr_image::Image;
 use vr_volume::DepthOrder;
 
-use crate::error::{try_recv, try_send, Checked, CompositeError, Malformed};
+use crate::error::{try_recv, try_send, Checked, CompositeError};
 use crate::schedule::{fold_into_pow2, tags, FoldOutcome, VirtualTopology};
 use crate::stats::StageStat;
 use crate::timer::Stopwatch;
-use crate::wire::MsgReader;
 
 use super::{CompositeResult, OwnedPiece, Run};
 
@@ -167,7 +166,7 @@ pub(crate) fn run<C: StageCodec>(
         for d in foreign.clone() {
             let payload = C::CHARGE(&mut run).time(|| codec.encode(image, d, &mut stat));
             stat.sent_bytes += payload.len() as u64;
-            try_send(ep, peer(d), tag, payload, &mut run.dead, during)?;
+            try_send(ep, peer(d), tag, payload, &mut run.dead)?;
         }
         for d in foreign {
             match try_recv(ep, peer(d), tag, &mut run.dead, during)? {
@@ -196,21 +195,6 @@ pub(crate) fn run<C: StageCodec>(
 
     ep.note_pixel_buffer_peak(codec.staging_peak_bytes());
     Ok(run.finish(ep, codec.piece()))
-}
-
-/// Reads a run-length header — `u32` code count, then the 2-byte codes —
-/// whose runs must lie inside a sequence of `domain` pixels; returns the
-/// codes and the number of non-blank pixels they announce.
-pub(crate) fn read_runs(r: &mut MsgReader, domain: usize) -> Checked<(MaskRle, usize)> {
-    let ncodes = r.get_u32()? as usize;
-    let rle = MaskRle::from_codes(r.get_codes(ncodes)?);
-    let (total, end) = rle
-        .non_blank_runs()
-        .fold((0, 0), |(total, _), (start, len)| {
-            (total + len, start + len)
-        });
-    Malformed::unless(end <= domain)?;
-    Ok((rle, total))
 }
 
 #[cfg(test)]

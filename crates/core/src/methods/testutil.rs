@@ -1,9 +1,16 @@
 //! Shared test helpers for the method correctness suites.
 #![allow(dead_code)]
 
-use vr_comm::{run_group, CostModel};
+use vr_comm::{run_group, CostModel, Endpoint};
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
+
+use crate::gather::gather_image_tolerant;
+use crate::methods::OwnedPiece;
+
+#[path = "../../tests/support/gather_exact.rs"]
+mod gather_exact;
+pub use gather_exact::gather_exact;
 
 /// Builds P deterministic sparse test images.
 pub fn test_images(p: usize, w: u16, h: u16) -> Vec<Image> {
@@ -60,7 +67,7 @@ pub fn check_against_reference(
     let out = run_group(p, CostModel::free(), |ep| {
         let mut img = images[ep.rank()].clone();
         let result = crate::methods::composite(method, ep, &mut img, depth).unwrap();
-        crate::gather::gather_image(ep, &img, &result.piece, 0)
+        gather_exact(ep, &img, &result.piece, 0)
     });
     let final_img = out.results[0].clone().expect("root must gather the image");
     let diff = final_img.max_abs_diff(&expect);

@@ -141,7 +141,7 @@ pub fn fold_into_pow2(
             let payload = comp.time(|| encode_rect(image, &image.bounding_rect()));
             stat.sent_bytes = payload.len() as u64;
             stat.sent_msgs = 1;
-            if try_send(ep, topo.real(v - 1), tags::FOLD, payload, dead, "fold")? {
+            if try_send(ep, topo.real(v - 1), tags::FOLD, payload, dead)? {
                 stages.push(stat);
             } else {
                 stages.push(StageStat::default());

@@ -1,10 +1,14 @@
 //! Integration tests for the scheduling layer: fold correctness at
 //! scale and stage structure.
 
-use slsvr_core::{composite, gather_image, reference_composite, Method};
-use vr_comm::{run_group, CostModel};
+use slsvr_core::{composite, gather_image_tolerant, reference_composite, Method, OwnedPiece};
+use vr_comm::{run_group, CostModel, Endpoint};
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
+
+#[path = "support/gather_exact.rs"]
+mod support;
+use support::gather_exact;
 
 fn striped(p: usize, w: u16, h: u16) -> Vec<Image> {
     (0..p)
@@ -31,7 +35,7 @@ fn every_non_pow2_up_to_17_matches_reference() {
         let out = run_group(p, CostModel::free(), |ep| {
             let mut img = images[ep.rank()].clone();
             let res = composite(Method::Bsbrc, ep, &mut img, &depth).unwrap();
-            gather_image(ep, &img, &res.piece, 0)
+            gather_exact(ep, &img, &res.piece, 0)
         });
         let got = out.results[0].as_ref().unwrap();
         let diff = got.max_abs_diff(&expect);

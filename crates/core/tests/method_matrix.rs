@@ -2,10 +2,14 @@
 //! agreement checks on rendered-like content — the compositing layer's
 //! own integration suite (the umbrella crate has the full-system one).
 
-use slsvr_core::{composite, gather_image, reference_composite, Method};
-use vr_comm::{run_group, CostModel};
+use slsvr_core::{composite, gather_image_tolerant, reference_composite, Method, OwnedPiece};
+use vr_comm::{run_group, CostModel, Endpoint};
 use vr_image::{Image, Pixel};
 use vr_volume::DepthOrder;
+
+#[path = "support/gather_exact.rs"]
+mod support;
+use support::gather_exact;
 
 /// Deterministic pseudo-rendered subimages with per-rank clusters.
 fn subimages(p: usize, w: u16, h: u16) -> Vec<Image> {
@@ -39,7 +43,7 @@ fn run_case(method: Method, p: usize, depth: &DepthOrder) {
     let out = run_group(p, CostModel::sp2(), |ep| {
         let mut img = images[ep.rank()].clone();
         let res = composite(method, ep, &mut img, depth).unwrap();
-        gather_image(ep, &img, &res.piece, 0)
+        gather_exact(ep, &img, &res.piece, 0)
     });
     let got = out.results[0].as_ref().expect("gathered at root");
     let diff = got.max_abs_diff(&expect);
@@ -95,7 +99,7 @@ fn colored_pixels_survive_every_method() {
         let out = run_group(p, CostModel::free(), |ep| {
             let mut img = images[ep.rank()].clone();
             let res = composite(method, ep, &mut img, &depth).unwrap();
-            gather_image(ep, &img, &res.piece, 0)
+            gather_exact(ep, &img, &res.piece, 0)
         });
         let got = out.results[0].as_ref().unwrap();
         assert!(

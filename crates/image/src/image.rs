@@ -337,6 +337,14 @@ impl Image {
             .all(|(x, y)| rect.contains(x, y) || self.get(x, y).to_le_bytes() == blank)
     }
 
+    /// Replaces `runs` with the runs of `rect`'s non-blank pixels
+    /// (`!Pixel::is_blank`, [`kernel::scan_runs_into`]), positions
+    /// row-major inside `rect`: the value-blank twin of
+    /// [`Image::bit_runs_into`]. Only the rows of the extent are read.
+    pub fn runs_into(&self, rect: &Rect, runs: &mut RunSet) {
+        self.scan_runs(rect, runs, kernel::scan_runs_into);
+    }
+
     /// Replaces `runs` with the runs of `rect`'s pixels that are not
     /// bitwise [`Pixel::BLANK`] ([`kernel::scan_bit_runs_into`]),
     /// positions row-major inside `rect`. Only the rows of the extent
@@ -344,17 +352,30 @@ impl Image {
     /// runs leave out can be restored as `Pixel::BLANK` without changing
     /// a bit of the image.
     pub fn bit_runs_into(&self, rect: &Rect, runs: &mut RunSet) {
+        self.scan_runs(rect, runs, kernel::scan_bit_runs_into);
+    }
+
+    /// The row loop of both run scans: `scan` over each row of `rect`
+    /// inside the extent, positions offset to `rect`'s row-major order.
+    /// A pixel outside the extent is bitwise blank, so blank by value
+    /// too, and neither scan could report it.
+    fn scan_runs(
+        &self,
+        rect: &Rect,
+        runs: &mut RunSet,
+        scan: impl Fn(&[Pixel], usize, &mut RunSet),
+    ) {
         runs.clear();
-        let scan = rect.intersect(&self.extent);
-        if scan.is_empty() {
+        let within = rect.intersect(&self.extent);
+        if within.is_empty() {
             return;
         }
         let row_w = rect.width() as usize;
-        let skip = (scan.x0 - rect.x0) as usize;
-        for y in scan.y0..scan.y1 {
+        let skip = (within.x0 - rect.x0) as usize;
+        for y in within.y0..within.y1 {
             let base = (y - rect.y0) as usize * row_w + skip;
-            kernel::scan_bit_runs_into(
-                self.row_span(scan.x0, y, scan.width() as usize),
+            scan(
+                self.row_span(within.x0, y, within.width() as usize),
                 base,
                 runs,
             );

@@ -194,6 +194,35 @@ fn mutated(start: u8, mutations: &[Mutation]) -> Image {
     img
 }
 
+/// The runs of `rect`'s pixels that `non_blank` keeps, one pixel at a
+/// time in row-major order: the reference for the rect run scans.
+fn runs_pixel_by_pixel(img: &Image, rect: &Rect, non_blank: impl Fn(&Pixel) -> bool) -> RunSet {
+    let mut runs = RunSet::new();
+    for (i, (x, y)) in rect.iter().enumerate() {
+        if non_blank(&img.get(x, y)) {
+            runs.push(i, 1);
+        }
+    }
+    runs
+}
+
+/// Both rect run scans of `img` against [`runs_pixel_by_pixel`]: by value
+/// (`Image::runs_into`) and by bits (`Image::bit_runs_into`). The table
+/// starts stale, so a scan that appends instead of replacing fails.
+fn assert_rect_runs_hold(img: &Image, rect: &Rect) {
+    let mut runs = RunSet::new();
+    runs.push(0, 3);
+    img.runs_into(rect, &mut runs);
+    assert_eq!(
+        runs,
+        runs_pixel_by_pixel(img, rect, |p| !p.is_blank()),
+        "{rect:?}"
+    );
+    img.bit_runs_into(rect, &mut runs);
+    let bits = |p: &Pixel| [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0);
+    assert_eq!(runs, runs_pixel_by_pixel(img, rect, bits), "{rect:?}");
+}
+
 proptest! {
     #[test]
     fn mask_rle_round_trips(mask in proptest::collection::vec(any::<bool>(), 0..2000)) {
@@ -457,6 +486,32 @@ proptest! {
         prop_assert_eq!(got.bounds_hint(), None);
     }
 
+    /// Rect run scans over random frames of raw components (`-0.0` and
+    /// NaN included), with the tight extent of `from_fn` and the whole
+    /// frame extent of `from_pixels`, over rects that cover, cross or
+    /// miss the extent.
+    #[test]
+    fn rect_runs_match_a_pixel_by_pixel_scan(
+        pixels in proptest::collection::vec(
+            prop_oneof![3 => Just(Pixel::BLANK), 1 => arb_raw_pixel()],
+            W as usize * H as usize,
+        ),
+        rect in arb_frame_rect(),
+        margin in 0u16..4,
+    ) {
+        // Blank a `margin`-wide border, so `from_fn`'s extent is smaller
+        // than the frame and some rects reach outside it.
+        let at = |x: u16, y: u16| pixels[y as usize * W as usize + x as usize];
+        let inside = |x: u16, y: u16| x >= margin && y >= margin && x + margin < W && y + margin < H;
+        let fenced = Image::from_fn(W, H, |x, y| if inside(x, y) { at(x, y) } else { Pixel::BLANK });
+        let whole = Image::from_pixels(W, H, fenced.pixels().to_vec());
+        for img in [&fenced, &whole] {
+            for r in [rect, img.full_rect(), img.extent()] {
+                assert_rect_runs_hold(img, &r);
+            }
+        }
+    }
+
     #[test]
     fn single_pixel_runs_at_row_boundaries(row in 1u16..10, w in 2u16..12) {
         // Non-blank pixels only at the last column of `row - 1` and the
@@ -499,6 +554,23 @@ proptest! {
         for &mutation in &mutations {
             mutate(&mut img, mutation);
             assert_extent_holds(&img);
+        }
+    }
+
+    /// Rect run scans after each mutator: the extent they skip by moves
+    /// with every write, and the rects reach past it on every side.
+    #[test]
+    fn rect_runs_hold_after_every_mutator(
+        start in 0u8..3,
+        mutations in proptest::collection::vec(arb_mutation(), 0..12),
+        rects in proptest::collection::vec(arb_frame_rect(), 1..4),
+    ) {
+        let mut img = mutated(start, &[]);
+        for &mutation in &mutations {
+            mutate(&mut img, mutation);
+            for rect in rects.iter().chain([&img.full_rect(), &img.extent()]) {
+                assert_rect_runs_hold(&img, rect);
+            }
         }
     }
 

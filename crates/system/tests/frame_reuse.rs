@@ -226,9 +226,10 @@ impl FrameSpec {
         config.rot_y_deg += 50.0 * self.pose as f32;
         // Faulted frames run under the virtual clock: deadlines cost no
         // wall time and both sides of the comparison take one schedule.
-        // So do tile-stream frames: on the real transport an owner sums
-        // its modeled receive times in arrival order, and the last bit
-        // of `comm_seconds` moves from run to run.
+        // So do tile-stream frames: on the real transport an owner's
+        // endpoint sums its modeled receive times in arrival order, and
+        // the last bit of `TrafficStats::modeled_comm_seconds` moves from
+        // run to run (the method's own `comm_seconds` does not).
         if !matches!(self.fault, Fault::None) || self.method == Method::TileStream {
             config.schedule_seed = Some(11);
             config.recv_deadline = Some(Duration::from_millis(200));

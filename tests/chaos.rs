@@ -13,12 +13,19 @@
 use std::time::Duration;
 
 use slsvr::comm::{
-    run_group, run_group_with, CostModel, FaultConfig, GroupOptions, KillSpec, ReliabilityConfig,
+    run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, KillSpec,
+    ReliabilityConfig,
 };
-use slsvr::compositing::{composite, gather_image, reference_composite, Method};
+use slsvr::compositing::{
+    composite, gather_image_tolerant, reference_composite, Method, OwnedPiece,
+};
 use slsvr::image::{Image, Pixel};
 use slsvr::system::{Experiment, ExperimentConfig};
 use slsvr::volume::{DatasetKind, DepthOrder};
+
+#[path = "../crates/core/tests/support/gather_exact.rs"]
+mod support;
+use support::gather_exact;
 
 /// Deterministic sparse test images (stripes + a per-rank blob).
 fn test_images(p: usize, w: u16, h: u16) -> Vec<Image> {
@@ -58,7 +65,7 @@ fn run_to_image(
     let out = run_group_with(p, options, |ep| {
         let mut img = images[ep.rank()].clone();
         let result = composite(method, ep, &mut img, depth).expect("compositing must recover");
-        gather_image(ep, &img, &result.piece, 0)
+        gather_exact(ep, &img, &result.piece, 0)
     });
     let image = out.results[0].clone().expect("root gathers");
     (image, out.stats)
@@ -339,7 +346,7 @@ fn group_run_without_faults_matches_plain_run_group() {
     let plain = run_group(p, CostModel::sp2(), |ep| {
         let mut img = images[ep.rank()].clone();
         let result = composite(Method::Bsbrc, ep, &mut img, &depth).unwrap();
-        gather_image(ep, &img, &result.piece, 0)
+        gather_exact(ep, &img, &result.piece, 0)
     });
     let (image, stats) = run_to_image(
         Method::Bsbrc,

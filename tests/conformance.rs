@@ -194,9 +194,10 @@ fn tile_stream_is_bit_identical_to_reference_across_matrix() {
     }
 }
 
-/// Tile-stream schedule sweep: the virtual clock stamps each streamed
-/// tile with its modeled render-completion time, so different seeds
-/// reorder deliveries at the owners — and the image hash must not move.
+/// Tile-stream schedule sweep: under the virtual clock a streamed tile
+/// lands after its message cost and the schedule seed orders what lands
+/// together, so different seeds reorder deliveries at the owners — and
+/// the image hash must not move.
 #[test]
 fn tile_stream_image_hash_is_schedule_independent_across_seeds() {
     let mut baseline = None;
@@ -754,7 +755,7 @@ fn modeled_words(frame: &Outcome) -> Vec<u64> {
 /// cases under the SP2 cost model at P = 4 and P = 6 (through the fold):
 /// the stop-and-wait ARQ healing each fault class and a killed rank, the
 /// raw wire under a kill and under delays, and TSTREAM (any-source
-/// receives and stamped sends) raw and over lossy reliable links. Each
+/// receives) raw and over lossy reliable links. Each
 /// case carries its fault spec in the corpus grammar.
 fn transport_cases() -> Vec<(ConformanceCase, Option<&'static str>)> {
     let mut cases = Vec::new();

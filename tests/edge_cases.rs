@@ -1,10 +1,15 @@
 //! Edge-case integration tests: degenerate images, extreme processor
 //! counts relative to the frame, and pathological content.
 
-use slsvr::compositing::{reference_composite, Method};
+use slsvr::comm::Endpoint;
+use slsvr::compositing::{gather_image_tolerant, reference_composite, Method, OwnedPiece};
 use slsvr::image::{Image, Pixel};
 use slsvr::system::{Experiment, ExperimentConfig};
 use slsvr::volume::{DatasetKind, DepthOrder};
+
+#[path = "../crates/core/tests/support/gather_exact.rs"]
+mod support;
+use support::gather_exact;
 
 fn harness(images: Vec<Image>, depth: DepthOrder) -> Experiment {
     let p = images.len();
@@ -118,7 +123,7 @@ fn non_square_images() {
     let out = vr_comm::run_group(4, vr_comm::CostModel::free(), |ep| {
         let mut img = images[ep.rank()].clone();
         let res = slsvr::compositing::composite(Method::Bsbrc, ep, &mut img, &depth).unwrap();
-        slsvr::compositing::gather_image(ep, &img, &res.piece, 0)
+        gather_exact(ep, &img, &res.piece, 0)
     });
     let got = out.results[0].as_ref().unwrap();
     assert!(got.max_abs_diff(&expect) < 2e-4);
