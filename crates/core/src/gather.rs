@@ -4,7 +4,7 @@
 //! A piece travels sparse, like a BSBRC message: every domain it owns —
 //! a [`Rect`], each rect of a tile owner's set, or BSLC's
 //! [`StridedSeq`] — is its header, then the run body every sparse
-//! message shares ([`RunBody`]): a `u32` code count, the [`MaskRle`]
+//! message shares (`wire::RunBody`): a `u32` code count, the [`MaskRle`]
 //! codes over the domain and then only the domain's non-blank pixels,
 //! 16 bytes each. A dense domain of `a` pixels costs
 //! `4 + 4·⌈a/65535⌉` bytes more than its raw pixels; a blank one costs

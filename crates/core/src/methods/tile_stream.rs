@@ -7,7 +7,7 @@
 //! every owner holds a spread of tiles rather than one hot region. Each
 //! rank walks its subimage tile by tile and sends each non-blank tile to
 //! its owner as one message: the tile index, then the paper's run body
-//! over the tile ([`RunBody`]: code count, run codes, non-blank pixels;
+//! over the tile (`wire::RunBody`: code count, run codes, non-blank pixels;
 //! blank by value, like the stages). A blank tile is never sent, and a
 //! `DONE` sentinel closes each contributor→owner stream. An owner's own
 //! tiles take the same decode as the ones it receives. Owners fold

@@ -58,7 +58,7 @@ impl MsgWriter {
     }
 
     /// Appends run codes (2 bytes each, little-endian). A run body's
-    /// header goes through [`RunBody`], which pairs the codes with their
+    /// header goes through `RunBody`, which pairs the codes with their
     /// count.
     pub fn put_codes(&mut self, codes: &[u16]) {
         put_le(&mut self.buf, codes, |c| c.to_le_bytes());
