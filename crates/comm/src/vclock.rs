@@ -194,8 +194,11 @@ struct SimState {
     waiters: Vec<Waiter>,
     /// Rank's current virtual deadline has expired.
     fired: Vec<bool>,
-    /// Rank's endpoint has been dropped.
+    /// Rank's endpoint has been dropped, as the other ranks see it.
     closed: Vec<bool>,
+    /// Rank's endpoint has been dropped since the last quiescent point;
+    /// the others see it at the next one (see [`SimNet::close_rank`]).
+    closing: Vec<bool>,
     /// Ranks whose group closure has returned.
     finished: usize,
     spec: ScheduleSpec,
@@ -234,6 +237,7 @@ impl SimNet {
                 waiters: (0..size).map(|_| Waiter::Running).collect(),
                 fired: vec![false; size],
                 closed: vec![false; size],
+                closing: vec![false; size],
                 finished: 0,
                 spec,
                 choices_taken: 0,
@@ -370,18 +374,20 @@ impl SimNet {
         self.cv.notify_all();
     }
 
-    /// Marks `rank`'s endpoint dropped: its unread mail is discarded and
-    /// it stops counting as runnable. Messages it already sent remain in
-    /// flight (a buffered send outlives its sender, as with channels).
+    /// Marks `rank`'s endpoint dropped: it stops counting as runnable at
+    /// once, and at the next quiescent point its unread mail is discarded
+    /// and the other ranks see it closed. Messages it already sent remain
+    /// in flight (a buffered send outlives its sender, as with channels).
+    ///
+    /// The wait for quiescence is what makes a kill replay: ranks woken
+    /// together run concurrently, and a peer's close seen the moment it
+    /// happens would reach a running rank's `send` or `drain` before or
+    /// after that rank's own calls, as the host scheduler decides.
     pub fn close_rank(&self, rank: usize) {
         let mut st = self.lock();
-        st.closed[rank] = true;
+        st.closing[rank] = true;
         st.waiters[rank] = Waiter::Done;
         st.running -= 1;
-        for src in 0..st.size {
-            st.queues[src][rank].clear();
-            st.inbox[rank][src].clear();
-        }
         if st.running == 0 {
             Self::schedule(&mut st);
         }
@@ -470,9 +476,19 @@ impl SimNet {
     }
 
     /// The discrete-event loop, entered only at quiescence (`running ==
-    /// 0`): fires events in virtual-time order — the seeded controller
+    /// 0`): publishes the closes made since the last quiescent point,
+    /// then fires events in virtual-time order — the seeded controller
     /// breaking same-instant ties — until some parked rank can wake.
     fn schedule(st: &mut SimState) {
+        for rank in 0..st.size {
+            if std::mem::take(&mut st.closing[rank]) {
+                st.closed[rank] = true;
+                for src in 0..st.size {
+                    st.queues[src][rank].clear();
+                    st.inbox[rank][src].clear();
+                }
+            }
+        }
         if st.failure.is_some() {
             return;
         }
