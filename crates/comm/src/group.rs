@@ -1,6 +1,26 @@
-//! Spawning a group of rank threads.
+//! Running a group of ranks on resident threads.
+//!
+//! A group of `P` ranks runs rank 0 — the gather root — on the calling
+//! thread and ranks `1..P` on threads leased from one process-wide stack
+//! of parked rank threads. A call spawns only the threads the stack
+//! lacks and parks them again once every rank is done, so a frame on a
+//! warm process starts no thread: like the paper's SP2, which runs one
+//! long-lived process per node, a composited frame never pays to start
+//! a PE. At most `MAX_PARKED_THREADS` (64) stay parked; threads past
+//! the cap exit.
+//!
+//! Only the threads are resident. Everything a rank sees is built per
+//! call: the transport (channel mesh or [`crate::SimNet`]), the
+//! [`Endpoint`], its link layer, the fault plan and the kill
+//! thresholds. So a frame replays, kills, lingers and panics exactly as
+//! it would on fresh threads.
 
-use std::panic::AssertUnwindSafe;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SendError, SyncSender};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -77,9 +97,11 @@ impl<R> GroupRun<R> {
 
 /// Runs `f` on `size` simulated processors and collects results.
 ///
-/// Every rank runs on its own OS thread with a private [`Endpoint`]; rank
-/// threads share nothing else. A panic on any rank propagates (the group
-/// run panics), so test assertions may live inside rank functions.
+/// Every rank has a private [`Endpoint`] and shares nothing else with
+/// the others; rank 0 runs on the calling thread, every other rank on a
+/// resident rank thread of its own (see the module docs). A panic on
+/// any rank propagates (the group run panics), so test assertions may
+/// live inside rank functions.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -128,10 +150,52 @@ where
         .filter(|cfg| !cfg.is_noop())
         .map(FaultPlan::new);
     let (nets, sim) = Transport::group(size, options.cost, options.schedule.as_ref());
-    let endpoints: Vec<Endpoint> = nets
-        .into_iter()
-        .enumerate()
-        .map(|(rank, net)| {
+
+    let slots: Mutex<Vec<Option<(R, TrafficStats)>>> =
+        Mutex::new((0..size).map(|_| None).collect());
+    let dead_flags: Mutex<Vec<bool>> = Mutex::new(vec![false; size]);
+    // Panic payloads in the order they occurred; the first is re-raised
+    // (later ones are usually cascades from the first rank's death).
+    let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
+
+    // One rank from start to finish. It never unwinds: a panic in the
+    // body or in the link layer's wind-down becomes a stored payload.
+    let run_rank = |mut ep: Endpoint| {
+        let rank = ep.rank();
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ep)));
+        let killed = ep.is_dead();
+        // A healthy rank's transport state outlives its last receive:
+        // re-ack retransmissions until the whole group is done so lost
+        // acks don't masquerade as a dead peer. Killed or panicking
+        // ranks drop immediately instead — that disconnect *is* their
+        // failure signal.
+        let linger = outcome.is_ok() && !killed;
+        let stats = catch_unwind(AssertUnwindSafe(move || {
+            ep.finish(linger);
+            ep.into_stats()
+        }));
+        // `ep` is gone here: its transport is closed, so partners
+        // blocked on this rank see `Disconnected` now rather than at
+        // the deadline.
+        match (outcome, stats) {
+            (Ok(r), Ok(stats)) => {
+                dead_flags.lock()[rank] = killed;
+                slots.lock()[rank] = Some((r, stats));
+            }
+            (Err(payload), _) | (_, Err(payload)) => {
+                dead_flags.lock()[rank] = true;
+                panics.lock().push(payload);
+            }
+        }
+    };
+
+    {
+        // Declared before the endpoints, so on every path — unwinding
+        // included — the endpoints not yet dispatched drop first (their
+        // partners see `Disconnected`) and this guard's drop then waits
+        // for every dispatched rank before the borrows above can end.
+        let dispatched = Dispatched::default();
+        let mut endpoints = nets.into_iter().enumerate().map(|(rank, net)| {
             let config = EndpointConfig {
                 cost: options.cost,
                 recv_deadline: options.recv_deadline,
@@ -140,75 +204,42 @@ where
                 kill_at: plan.and_then(|p| p.kill_threshold(rank)),
             };
             Endpoint::new(rank, size, net, config)
-        })
-        .collect();
-
-    let slots: Mutex<Vec<Option<(R, TrafficStats)>>> =
-        Mutex::new((0..size).map(|_| None).collect());
-    let dead_flags: Mutex<Vec<bool>> = Mutex::new(vec![false; size]);
-    // Panic payloads in the order they occurred; the first is re-raised
-    // (later ones are usually cascades from the first rank's death).
-    let panics: Mutex<Vec<Box<dyn std::any::Any + Send + 'static>>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(size);
-        for mut ep in endpoints {
-            let rank = ep.rank();
-            let fr = &f;
-            let res = &slots;
-            let dead = &dead_flags;
-            let boom = &panics;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .spawn_scoped(scope, move || {
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| fr(&mut ep)));
-                        let killed = ep.is_dead();
-                        // A healthy rank's transport state outlives
-                        // its last receive: re-ack retransmissions
-                        // until the whole group is done so lost acks
-                        // don't masquerade as a dead peer. Killed or
-                        // panicking ranks drop immediately instead —
-                        // that disconnect *is* their failure signal.
-                        ep.finish(outcome.is_ok() && !killed);
-                        let stats = ep.into_stats();
-                        // `ep` is gone here: its transport is closed,
-                        // so partners blocked on this rank see
-                        // `Disconnected` now rather than at the deadline.
-                        match outcome {
-                            Ok(r) => {
-                                dead.lock()[rank] = killed;
-                                res.lock()[rank] = Some((r, stats));
-                            }
-                            Err(payload) => {
-                                dead.lock()[rank] = true;
-                                boom.lock().push(payload);
-                            }
-                        }
-                    })
-                    .expect("failed to spawn rank thread"),
-            );
+        });
+        let root = endpoints.next().expect("a group has rank 0");
+        let mut threads = lease(size - 1);
+        for (thread, ep) in threads.iter_mut().zip(&mut endpoints) {
+            let done = dispatched.one_more();
+            let run_rank = &run_rank;
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                run_rank(ep);
+                drop(done);
+            });
+            // SAFETY: only the lifetime is erased. The job borrows
+            // `run_rank` and, through it, `f`, `slots`, `dead_flags` and
+            // `panics`, all of which outlive `dispatched`. `done` counts
+            // the job from this line until it has run or been dropped
+            // unrun — whichever comes first, it is the job's last act —
+            // and `dispatched`'s drop blocks until the count is zero. No
+            // path out of this block skips that drop.
+            let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            dispatch(thread, job);
         }
-        for h in handles {
-            // Rank bodies run under catch_unwind, so joins only fail on
-            // runtime-internal panics; propagate those unchanged.
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
+        run_rank(root);
+        drop(dispatched);
+        park(threads);
+    }
 
     let schedule = sim.map(|s| s.take_trace());
 
     let mut panics = panics.into_inner();
     if !panics.is_empty() {
-        std::panic::resume_unwind(panics.remove(0));
+        resume_unwind(panics.remove(0));
     }
 
     let mut results_out = Vec::with_capacity(size);
     let mut stats_out = Vec::with_capacity(size);
     for slot in slots.into_inner() {
-        let (r, s) = slot.expect("rank thread completed without storing a result");
+        let (r, s) = slot.expect("rank completed without storing a result");
         results_out.push(r);
         stats_out.push(s);
     }
@@ -223,6 +254,130 @@ where
         stats: stats_out,
         dead_ranks,
         schedule,
+    }
+}
+
+/// A rank's run on a resident thread, with its borrows' lifetime erased
+/// (see the SAFETY argument in [`run_group_with`]).
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A resident rank thread, as its job queue's sending half. The thread
+/// runs one job at a time and exits when this handle drops.
+type RankThread = SyncSender<Job>;
+
+/// How many idle rank threads the process keeps. A group wider than
+/// this, or groups running side by side, spawn what the stack lacks,
+/// and what comes back past the cap exits.
+const MAX_PARKED_THREADS: usize = 64;
+
+/// Idle rank threads between groups, the most recently parked on top.
+/// One stack for the process: concurrent groups and groups of different
+/// widths share it, and a lease never waits for a thread. Every critical
+/// section is one `split_off` or `extend`, so the stack behind a
+/// poisoned lock is still good.
+static PARKED: std::sync::Mutex<Vec<RankThread>> = std::sync::Mutex::new(Vec::new());
+
+/// Rank threads spawned by this process, for the tests' warm-lease
+/// check.
+#[cfg(test)]
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+fn locked<T>(mutex: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `n` idle rank threads: parked ones first, then new ones.
+fn lease(n: usize) -> Vec<RankThread> {
+    let mut threads = {
+        let mut stack = locked(&PARKED);
+        let keep = stack.len().saturating_sub(n);
+        stack.split_off(keep)
+    };
+    threads.resize_with(n, spawn);
+    threads
+}
+
+/// Returns `threads` to the stack, up to the cap; the rest exit.
+fn park(mut threads: Vec<RankThread>) {
+    let mut stack = locked(&PARKED);
+    let room = MAX_PARKED_THREADS.saturating_sub(stack.len());
+    let surplus = threads.split_off(room.min(threads.len()));
+    stack.extend(threads);
+    drop(stack);
+    drop(surplus);
+}
+
+/// A new resident rank thread. Its `JoinHandle` is dropped: the thread
+/// outlives every group it serves, and a job never unwinds out of it
+/// (see `run_rank`), so there is no panic for a join to collect.
+fn spawn() -> RankThread {
+    let (thread, jobs) = sync_channel::<Job>(1);
+    std::thread::Builder::new()
+        .name("vr-rank".into())
+        .spawn(move || {
+            for job in jobs {
+                job();
+            }
+        })
+        .expect("failed to spawn rank thread");
+    #[cfg(test)]
+    SPAWNED.fetch_add(1, Ordering::SeqCst);
+    thread
+}
+
+/// Hands `job` to `thread`, replacing a thread that is gone: a resident
+/// thread that died is never reused. A leased thread is idle, so its
+/// one-job queue is empty and the send never blocks.
+fn dispatch(thread: &mut RankThread, job: Job) {
+    if let Err(SendError(job)) = thread.send(job) {
+        *thread = spawn();
+        thread
+            .send(job)
+            .expect("a new rank thread takes its first job");
+    }
+}
+
+/// Counts a group's dispatched ranks that have not finished; its drop
+/// waits for the count to reach zero.
+#[derive(Default)]
+struct Dispatched(Arc<Outstanding>);
+
+#[derive(Default)]
+struct Outstanding {
+    count: std::sync::Mutex<usize>,
+    zero: Condvar,
+}
+
+/// One dispatched rank's share of the count, given back on drop.
+struct Done(Arc<Outstanding>);
+
+impl Dispatched {
+    fn one_more(&self) -> Done {
+        *locked(&self.0.count) += 1;
+        Done(Arc::clone(&self.0))
+    }
+}
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        let mut count = locked(&self.0.count);
+        *count -= 1;
+        if *count == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
+impl Drop for Dispatched {
+    fn drop(&mut self) {
+        let mut count = locked(&self.0.count);
+        while *count > 0 {
+            count = self
+                .0
+                .zero
+                .wait(count)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -451,5 +606,108 @@ mod tests {
         });
         assert_eq!(out.results, vec![2, 2]);
         assert!(out.dead_ranks.is_empty());
+    }
+
+    /// The panic payload a rank body raises in the tests below.
+    #[derive(Debug, PartialEq)]
+    struct RankFailed(usize);
+
+    /// Each rank sends its id around a ring and returns what it got.
+    fn ring(size: usize) -> GroupRun<usize> {
+        run_group(size, CostModel::free(), |ep| {
+            let next = (ep.rank() + 1) % ep.size();
+            let prev = (ep.rank() + ep.size() - 1) % ep.size();
+            ep.send(next, 0, Bytes::from(ep.rank().to_le_bytes().to_vec()))
+                .unwrap();
+            usize::from_le_bytes(ep.recv(prev, 0).unwrap()[..].try_into().unwrap())
+        })
+    }
+
+    fn ring_results(size: usize) -> Vec<usize> {
+        (0..size).map(|r| (r + size - 1) % size).collect()
+    }
+
+    /// Set in the child process [`a_warm_group_of_the_same_width_spawns_no_thread`]
+    /// re-runs itself in.
+    const ALONE: &str = "VR_COMM_GROUP_TEST_ALONE";
+
+    #[test]
+    fn a_warm_group_of_the_same_width_spawns_no_thread() {
+        // Every test in this binary leases from the one stack, so the
+        // count is exact only in a process that runs this test alone.
+        if std::env::var_os(ALONE).is_none() {
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--exact",
+                    "group::tests::a_warm_group_of_the_same_width_spawns_no_thread",
+                    "--test-threads=1",
+                ])
+                .env(ALONE, "1")
+                .output()
+                .unwrap();
+            let report = String::from_utf8_lossy(&child.stdout);
+            assert!(
+                child.status.success() && report.contains("1 passed"),
+                "the test alone in its own process:\n{report}{}",
+                String::from_utf8_lossy(&child.stderr)
+            );
+            return;
+        }
+        let spawned = || SPAWNED.load(Ordering::SeqCst);
+        let before = spawned();
+        assert_eq!(ring(16).results, ring_results(16));
+        assert_eq!(spawned() - before, 15, "a cold group spawns all but rank 0");
+        for width in [16, 9, 2, 1] {
+            let before = spawned();
+            assert_eq!(ring(width).results, ring_results(width));
+            assert_eq!(spawned(), before, "a warm group of {width} spawned");
+        }
+        assert_eq!(locked(&PARKED).len(), 15);
+    }
+
+    #[test]
+    fn a_typed_panic_re_raises_intact_and_the_next_group_runs_clean() {
+        for failing in [0, 2] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_group(4, CostModel::free(), |ep| {
+                    if ep.rank() == failing {
+                        std::panic::panic_any(RankFailed(failing));
+                    }
+                    ep.rank()
+                })
+            });
+            let payload = outcome.expect_err("the rank panic must re-raise");
+            assert_eq!(payload.downcast_ref(), Some(&RankFailed(failing)));
+            let clean = ring(4);
+            assert_eq!(clean.results, ring_results(4));
+            assert!(clean.dead_ranks.is_empty());
+        }
+    }
+
+    #[test]
+    fn concurrent_groups_of_different_widths_keep_their_own_results() {
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for width in [1, 2, 7, 16] {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        let out =
+                            run_group(width, CostModel::free(), |ep| (width, ep.rank(), ep.size()));
+                        let want: Vec<_> = (0..width).map(|r| (width, r, width)).collect();
+                        assert_eq!(out.results, want);
+                        assert_eq!(ring(width).results, ring_results(width));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_wide_group_leaves_no_more_than_the_cap_parked() {
+        let out = run_group(200, CostModel::free(), |ep| ep.rank());
+        assert_eq!(out.results, (0..200).collect::<Vec<_>>());
+        assert!(locked(&PARKED).len() <= MAX_PARKED_THREADS);
     }
 }
