@@ -15,7 +15,6 @@
 //! thresholds. So a frame replays, kills, lingers and panics exactly as
 //! it would on fresh threads.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -137,7 +136,10 @@ where
 /// If a rank panics, its endpoint is dropped *immediately* (so partners
 /// observe `Disconnected` instead of blocking until the receive
 /// deadline), every other rank is still allowed to finish, and the
-/// original panic is then re-raised.
+/// panic that came first on the transport's clock is then re-raised,
+/// the lower rank on a tie. Under a schedule seed that clock is each
+/// rank's virtual clock, so the re-raised panic replays with the run; on
+/// real channels every rank reads one epoch, so it is the first failure.
 pub fn run_group_with<R, F>(size: usize, options: GroupOptions, f: F) -> GroupRun<R>
 where
     R: Send,
@@ -154,15 +156,17 @@ where
     let slots: Mutex<Vec<Option<(R, TrafficStats)>>> =
         Mutex::new((0..size).map(|_| None).collect());
     let dead_flags: Mutex<Vec<bool>> = Mutex::new(vec![false; size]);
-    // Panic payloads in the order they occurred; the first is re-raised
-    // (later ones are usually cascades from the first rank's death).
-    let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
+    // Each panic as (the rank's clock when its body ended, rank,
+    // payload); the earliest is re-raised (later ones are usually
+    // cascades from the first rank's death).
+    let panics = Mutex::new(Vec::new());
 
     // One rank from start to finish. It never unwinds: a panic in the
     // body or in the link layer's wind-down becomes a stored payload.
     let run_rank = |mut ep: Endpoint| {
         let rank = ep.rank();
         let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ep)));
+        let at = ep.now();
         let killed = ep.is_dead();
         // A healthy rank's transport state outlives its last receive:
         // re-ack retransmissions until the whole group is done so lost
@@ -184,7 +188,7 @@ where
             }
             (Err(payload), _) | (_, Err(payload)) => {
                 dead_flags.lock()[rank] = true;
-                panics.lock().push(payload);
+                panics.lock().push((at, rank, payload));
             }
         }
     };
@@ -231,9 +235,12 @@ where
 
     let schedule = sim.map(|s| s.take_trace());
 
-    let mut panics = panics.into_inner();
-    if !panics.is_empty() {
-        resume_unwind(panics.remove(0));
+    let first = panics
+        .into_inner()
+        .into_iter()
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    if let Some((_, _, payload)) = first {
+        resume_unwind(payload);
     }
 
     let mut results_out = Vec::with_capacity(size);
@@ -681,6 +688,42 @@ mod tests {
             let clean = ring(4);
             assert_eq!(clean.results, ring_results(4));
             assert!(clean.dead_ranks.is_empty());
+        }
+    }
+
+    /// Under a schedule seed the panic re-raised is the first in virtual
+    /// time, not the first on the wall clock. Ranks 1 and 2 wake together
+    /// when rank 3 closes; rank 2's clock stands past a 64 KiB message
+    /// from rank 0, rank 1's at zero. Rank 2 panics at once, rank 1 only
+    /// after a wall-clock sleep, and rank 1's panic is raised every time.
+    /// The sleep only puts the wall-clock order against the virtual one;
+    /// the assertion holds under any interleaving.
+    #[test]
+    fn the_panic_first_in_virtual_time_is_re_raised() {
+        let options = GroupOptions {
+            schedule: Some(ScheduleSpec::seeded(3)),
+            ..Default::default()
+        };
+        for _ in 0..3 {
+            let outcome = std::panic::catch_unwind(|| {
+                run_group_with(4, options.clone(), |ep| match ep.rank() {
+                    0 => ep.send(2, 0, Bytes::from(vec![0u8; 1 << 16])).unwrap(),
+                    1 => {
+                        let _ = ep.recv(3, 0);
+                        std::thread::sleep(Duration::from_millis(50));
+                        std::panic::panic_any(RankFailed(1));
+                    }
+                    2 => {
+                        ep.recv(0, 0).unwrap();
+                        ep.send(3, 0, Bytes::new()).unwrap();
+                        let _ = ep.recv(3, 0);
+                        std::panic::panic_any(RankFailed(2));
+                    }
+                    _ => drop(ep.recv(2, 0).unwrap()),
+                })
+            });
+            let payload = outcome.expect_err("the rank panics must re-raise");
+            assert_eq!(payload.downcast_ref(), Some(&RankFailed(1)));
         }
     }
 

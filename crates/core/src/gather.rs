@@ -4,7 +4,7 @@
 //! A piece travels sparse, like a BSBRC message: every domain it owns —
 //! a [`Rect`], each rect of a tile owner's set, or BSLC's
 //! [`StridedSeq`] — is its header, then the run body every sparse
-//! message shares (`wire::RunBody`): a `u32` code count, the [`MaskRle`]
+//! message shares ([`RunBody`]): a `u32` code count, the [`MaskRle`]
 //! codes over the domain and then only the domain's non-blank pixels,
 //! 16 bytes each. A dense domain of `a` pixels costs
 //! `4 + 4·⌈a/65535⌉` bytes more than its raw pixels; a blank one costs
@@ -22,6 +22,7 @@
 
 use bytes::Bytes;
 use vr_comm::{gather_tolerant, Endpoint};
+use vr_image::body::RunBody;
 use vr_image::rect::BYTES_PER_RECT;
 use vr_image::{kernel, Image, MaskRle, Pixel, Rect, StridedSeq};
 
@@ -29,7 +30,7 @@ use crate::error::{Checked, CompositeError, Malformed};
 use crate::methods::spatial::read_rect;
 use crate::methods::OwnedPiece;
 use crate::schedule::tags;
-use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody};
+use crate::wire::{MsgReader, MsgWriter};
 
 const KIND_NOTHING: u32 = 0;
 const KIND_RECT: u32 = 1;
@@ -57,7 +58,7 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> Bytes {
             for word in [seq.start, seq.stride, seq.count] {
                 w.put_u32(word as u32);
             }
-            body.put_span(&mut w, &staged);
+            body.put_span(w.payload(), &staged);
             w.freeze()
         }
     }
@@ -76,7 +77,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
     let size = 4 * head.len()
         + bodies
             .iter()
-            .map(|body| BYTES_PER_RECT + body.len())
+            .map(|body| BYTES_PER_RECT + body.wire_len())
             .sum::<usize>();
     let mut w = MsgWriter::with_capacity(size);
     for &word in head {
@@ -84,7 +85,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
     }
     for (rect, body) in rects.iter().zip(&bodies) {
         w.put_rect(*rect);
-        body.put_rect(&mut w, image, rect);
+        body.put_rect(w.payload(), image, rect);
     }
     debug_assert_eq!(w.len(), size, "gather piece size must be exact");
     w.freeze()
@@ -120,7 +121,7 @@ fn apply_piece(out: &mut Image, bytes: Bytes) -> Checked<usize> {
 /// every announced pixel present.
 fn read_rect_domain(r: &mut MsgReader, frame: &Rect) -> Checked<(Rect, MaskRle, Bytes)> {
     let rect = read_rect(r, frame)?;
-    let (rle, total) = read_runs(r, rect.area())?;
+    let (rle, total) = r.get_body(rect.area())?;
     Ok((rect, rle, r.take_pixels(total)?))
 }
 
@@ -138,7 +139,7 @@ fn apply_seq(out: &mut Image, mut r: MsgReader) -> Checked<usize> {
     // A zero stride would write one pixel `count` times and count each
     // as covered.
     Malformed::unless(seq.stride >= 1 && (seq.count == 0 || last < out.area() as u64))?;
-    let (rle, total) = read_runs(&mut r, seq.count)?;
+    let (rle, total) = r.get_body(seq.count)?;
     let mut pixels = Vec::new();
     r.get_pixels_into(total, &mut pixels)?;
     r.finish()?;

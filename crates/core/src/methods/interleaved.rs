@@ -21,11 +21,12 @@
 //! pixel staging persist across stages.
 
 use bytes::Bytes;
+use vr_image::body::RunBody;
 use vr_image::{kernel, Image, RunSet, StridedSeq};
 
 use crate::error::Checked;
 use crate::stats::StageStat;
-use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody, ScratchPool};
+use crate::wire::{MsgReader, MsgWriter, ScratchPool};
 
 use super::swap::{Charge, StageCodec};
 use super::{OwnedPiece, Run};
@@ -99,8 +100,8 @@ impl StageCodec for InterleavedRuns {
         for &(start, len) in self.sent.runs().runs() {
             staged.extend((0..len).map(|i| pixels[send.index(start + i)]));
         }
-        let mut w = MsgWriter::with_capacity(self.sent.len());
-        self.sent.put_packed(&mut w, staged);
+        let mut w = MsgWriter::with_capacity(self.sent.wire_len());
+        self.sent.put_packed(w.payload(), staged);
         self.scratch.note_watermark();
         stat.encoded_pixels += send.count as u64;
         stat.run_codes += self.sent.codes() as u64;
@@ -118,7 +119,7 @@ impl StageCodec for InterleavedRuns {
         stat: &mut StageStat,
     ) -> Checked<()> {
         let mut r = MsgReader::new(received);
-        let (rle, total) = read_runs(&mut r, self.seq.count)?;
+        let (rle, total) = r.get_body(self.seq.count)?;
         // One bulk parse of the pixel payload; the scatter below reads
         // it sequentially, so arithmetic order is unchanged.
         r.get_pixels_into(total, &mut self.scratch.recv)?;

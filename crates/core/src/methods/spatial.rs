@@ -24,13 +24,14 @@
 //! `results/ablation.txt`.
 
 use bytes::Bytes;
+use vr_image::body::RunBody;
 use vr_image::rect::BYTES_PER_RECT;
 use vr_image::{kernel, Image, Rect, BYTES_PER_PIXEL as PX};
 
 use crate::error::{Checked, Malformed};
 use crate::schedule::strip;
 use crate::stats::StageStat;
-use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody};
+use crate::wire::{MsgReader, MsgWriter};
 
 use super::swap::{Charge, StageCodec};
 use super::{OwnedPiece, Run};
@@ -320,11 +321,11 @@ impl Body for Runs {
     }
 
     fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
-        self.0.put_rect(w, image, rect);
+        self.0.put_rect(w.payload(), image, rect);
     }
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {
-        let (rle, total) = read_runs(r, rect.area())?;
+        let (rle, total) = r.get_body(rect.area())?;
         let wire = r.take_pixels(total)?;
         r.finish()?;
         composite_runs(image, rect, rle.non_blank_runs(), &wire, front);

@@ -7,7 +7,7 @@
 //! every owner holds a spread of tiles rather than one hot region. Each
 //! rank walks its subimage tile by tile and sends each non-blank tile to
 //! its owner as one message: the tile index, then the paper's run body
-//! over the tile (`wire::RunBody`: code count, run codes, non-blank pixels;
+//! over the tile ([`RunBody`]: code count, run codes, non-blank pixels;
 //! blank by value, like the stages). A blank tile is never sent, and a
 //! `DONE` sentinel closes each contributor→owner stream. An owner's own
 //! tiles take the same decode as the ones it receives. Owners fold
@@ -42,13 +42,14 @@
 
 use bytes::Bytes;
 use vr_comm::Endpoint;
+use vr_image::body::RunBody;
 use vr_image::{kernel, Image, MaskRle, Pixel, Rect};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv_any, try_send, AnyRecv, Checked, CompositeError, Malformed};
 use crate::schedule::{tags, VirtualTopology};
 use crate::stats::StageStat;
-use crate::wire::{read_runs, MsgReader, MsgWriter, RunBody};
+use crate::wire::{MsgReader, MsgWriter};
 
 use super::{CompositeResult, OwnedPiece, Run};
 
@@ -91,7 +92,7 @@ fn tile_message(body: &mut RunBody, image: &Image, t: usize, rect: &Rect) -> Opt
     }
     let mut w = MsgWriter::with_capacity(4 + len);
     w.put_u32(t as u32);
-    body.put_rect(&mut w, image, rect);
+    body.put_rect(w.payload(), image, rect);
     Some(w.freeze())
 }
 
@@ -241,7 +242,7 @@ impl Owned {
         let ours =
             t % self.p == self.v && self.accums.get(slot).is_some_and(|a| !a.is_resolved(sv));
         Malformed::unless(ours)?;
-        let (mask, non_blank) = read_runs(&mut r, self.accums[slot].rect.area())?;
+        let (mask, non_blank) = r.get_body(self.accums[slot].rect.area())?;
         let pixels = r.take_pixels(non_blank)?;
         r.finish()?;
         self.fold(slot, ep, |a| a.resolve_content(sv, mask, pixels));
@@ -421,7 +422,7 @@ mod tests {
     fn decode(payload: Bytes, area: usize) -> (u32, MaskRle, Bytes) {
         let mut r = MsgReader::new(payload);
         let t = r.get_u32().unwrap();
-        let (mask, non_blank) = read_runs(&mut r, area).unwrap();
+        let (mask, non_blank) = r.get_body(area).unwrap();
         let pixels = r.take_pixels(non_blank).unwrap();
         assert_eq!(r.finish(), Ok(()));
         (t, mask, pixels)
@@ -446,7 +447,7 @@ mod tests {
                 continue;
             };
             sent += 1;
-            assert_eq!(payload.len(), 4 + body.len());
+            assert_eq!(payload.len(), 4 + body.wire_len());
             let (index, mask, pixels) = decode(payload, rect.area());
             assert_eq!(index, t as u32);
             let mut restored = Image::blank(40, 20);

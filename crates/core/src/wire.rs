@@ -12,14 +12,18 @@
 //! returns [`Checked`], so a payload that ends before the field being
 //! read is [`Malformed`] by construction — no receive path can reach a
 //! panic through it, and none needs a length test in front of a read.
-//! What the codecs still check themselves is meaning: a rectangle inside
-//! the region it must lie in, run codes inside their domain, an exact
-//! body length, and [`MsgReader::finish`] for trailing bytes. The callers
-//! turn a refusal into
-//! [`CompositeError::Malformed`](crate::CompositeError::Malformed).
+//! A sparse body — code count, run codes, then the non-blank pixels — is
+//! vr-image's [`RunBody`](vr_image::body::RunBody), written straight into
+//! [`MsgWriter::payload`] and read through [`MsgReader::get_body`], which
+//! refuses codes that cover more than their domain or announce pixels
+//! that are missing. What the codecs still check themselves is meaning:
+//! a rectangle inside the region it must lie in, and
+//! [`MsgReader::finish`] for trailing bytes. The callers turn a refusal
+//! into [`CompositeError::Malformed`](crate::CompositeError::Malformed).
 
 use bytes::{Buf, BufMut, Bytes};
-use vr_image::{Image, MaskRle, Pixel, Rect, RunSet, BYTES_PER_PIXEL, BYTES_PER_RUN_CODE};
+use vr_image::body::{put_pixels, read_body};
+use vr_image::{Image, MaskRle, Pixel, Rect, BYTES_PER_PIXEL};
 
 use crate::error::{Checked, Malformed};
 
@@ -57,17 +61,16 @@ impl MsgWriter {
         self.buf.put_u32_le(v);
     }
 
-    /// Appends run codes (2 bytes each, little-endian). A run body's
-    /// header goes through `RunBody`, which pairs the codes with their
-    /// count.
-    pub fn put_codes(&mut self, codes: &[u16]) {
-        put_le(&mut self.buf, codes, |c| c.to_le_bytes());
-    }
-
     /// Appends pixels (16 bytes each, `Pixel::to_le_bytes` layout),
     /// serialised straight into the payload.
     pub fn put_pixels(&mut self, pixels: &[Pixel]) {
-        put_le(&mut self.buf, pixels, |p| p.to_le_bytes());
+        put_pixels(&mut self.buf, pixels);
+    }
+
+    /// The payload so far, for a [`RunBody`](vr_image::body::RunBody)
+    /// to append its body to.
+    pub fn payload(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
     }
 
     /// Appends the pixels of `rect`, row by row, straight from the
@@ -104,114 +107,6 @@ impl MsgWriter {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
-}
-
-/// Appends `items`, `N` little-endian bytes each: the payload grows
-/// once and every item is serialised in place. (Fixed-size slots keep
-/// the loop a plain vectorisable copy; an `extend` over a flattened
-/// iterator writes byte by byte.)
-fn put_le<T, const N: usize>(buf: &mut Vec<u8>, items: &[T], to_le: impl Fn(&T) -> [u8; N]) {
-    let start = buf.len();
-    buf.resize(start + items.len() * N, 0);
-    for (slot, item) in buf[start..].chunks_exact_mut(N).zip(items) {
-        slot.copy_from_slice(&to_le(item));
-    }
-}
-
-/// The paper's sparse body over one domain (BSLC, Section 3.3; BSBRC,
-/// Section 3.4): a `u32` code count, the 2-byte run codes of the
-/// domain's blank/non-blank mask, then only the non-blank pixels, 16
-/// bytes each. Every sparse message in this crate is written through
-/// it — BSRL's and BSBRC's parts, BSLC's halves, TSTREAM's tiles and the
-/// gather's domains — and read back through [`read_runs`].
-///
-/// What counts as blank is the caller's scan, handed to
-/// [`RunBody::scan`]: the stages and the tiles scan by value
-/// ([`Image::runs_into`]), the gather by bits ([`Image::bit_runs_into`]).
-/// The run table and the code buffer are reused from scan to scan.
-#[derive(Debug, Default)]
-pub(crate) struct RunBody {
-    runs: RunSet,
-    codes: Vec<u16>,
-}
-
-impl RunBody {
-    /// Replaces the runs with what `scan` finds over a domain of `domain`
-    /// positions, codes them and returns the body's exact wire length, so
-    /// a payload is allocated once.
-    pub(crate) fn scan(&mut self, domain: usize, scan: impl FnOnce(&mut RunSet)) -> usize {
-        self.runs.clear();
-        scan(&mut self.runs);
-        self.runs.encode_codes_into(domain, &mut self.codes);
-        self.len()
-    }
-
-    /// The non-blank runs, in domain positions.
-    pub(crate) fn runs(&self) -> &RunSet {
-        &self.runs
-    }
-
-    /// Run codes in the header.
-    pub(crate) fn codes(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Non-blank pixels in the body.
-    pub(crate) fn non_blank(&self) -> usize {
-        self.runs.non_blank_total()
-    }
-
-    /// Wire bytes: the code count, the codes and the non-blank pixels.
-    pub(crate) fn len(&self) -> usize {
-        4 + self.codes.len() * BYTES_PER_RUN_CODE + self.non_blank() * BYTES_PER_PIXEL
-    }
-
-    /// Appends the body of the domain `rect` of `image`: the header,
-    /// then each run's pixels straight from the image rows.
-    pub(crate) fn put_rect(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
-        self.put_header(w);
-        rect.for_row_segments(self.runs.runs().iter().copied(), |x, y, n| {
-            w.put_pixels(image.row_span(x, y, n))
-        });
-    }
-
-    /// Appends the body of a domain whose pixels are `span`, in domain
-    /// order (the gather's strided sequence, staged).
-    pub(crate) fn put_span(&self, w: &mut MsgWriter, span: &[Pixel]) {
-        self.put_header(w);
-        for &(start, len) in self.runs.runs() {
-            w.put_pixels(&span[start..start + len]);
-        }
-    }
-
-    /// Appends the body with its non-blank pixels already `packed` in
-    /// run order (BSLC's staged half).
-    pub(crate) fn put_packed(&self, w: &mut MsgWriter, packed: &[Pixel]) {
-        debug_assert_eq!(packed.len(), self.non_blank());
-        self.put_header(w);
-        w.put_pixels(packed);
-    }
-
-    /// The one writer of the run-code header: the count, then the codes.
-    fn put_header(&self, w: &mut MsgWriter) {
-        w.put_u32(self.codes.len() as u32);
-        w.put_codes(&self.codes);
-    }
-}
-
-/// Reads a run body's header — `u32` code count, then the 2-byte codes —
-/// whose runs must lie inside a domain of `domain` positions; returns the
-/// codes and the number of non-blank pixels they announce, which follow.
-pub(crate) fn read_runs(r: &mut MsgReader, domain: usize) -> Checked<(MaskRle, usize)> {
-    let ncodes = r.get_u32()? as usize;
-    let rle = MaskRle::from_codes(r.get_codes(ncodes)?);
-    let (total, end) = rle
-        .non_blank_runs()
-        .fold((0, 0), |(total, _), (start, len)| {
-            (total + len, start + len)
-        });
-    Malformed::unless(end <= domain)?;
-    Ok((rle, total))
 }
 
 /// Reads a message payload sequentially; a read past the end is
@@ -257,13 +152,13 @@ impl MsgReader {
         self.array().map(u32::from_le_bytes)
     }
 
-    /// Reads `n` run codes.
-    pub fn get_codes(&mut self, n: usize) -> Checked<Vec<u16>> {
-        let wire = self.take(n, BYTES_PER_RUN_CODE)?;
-        Ok(wire
-            .chunks_exact(BYTES_PER_RUN_CODE)
-            .map(|b| u16::from_le_bytes([b[0], b[1]]))
-            .collect())
+    /// Reads a run body's header over a domain of `domain` positions
+    /// through the one checked reader, [`read_body`]: its runs, and the
+    /// number of non-blank pixels, all present, that follow.
+    pub fn get_body(&mut self, domain: usize) -> Checked<(MaskRle, usize)> {
+        let header = read_body(self.buf.chunk(), domain).map_err(|_| Malformed)?;
+        self.buf.advance(header.len);
+        Ok((header.runs, header.non_blank))
     }
 
     /// Reads `n` pixels into a reusable buffer (cleared first) — the
@@ -357,7 +252,7 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_image::StridedSeq;
+    use vr_image::body::RunBody;
 
     /// A body over `domain` positions holding `runs`.
     fn body_of(domain: usize, runs: &[(usize, usize)]) -> RunBody {
@@ -378,14 +273,13 @@ mod tests {
         w.put_u32(3);
         let px = [Pixel::gray(0.25, 0.5), Pixel::gray(1.0, 1.0)];
         let body = body_of(9, &[(5, 2)]);
-        body.put_packed(&mut w, &px);
+        body.put_packed(w.payload(), &px);
         assert_eq!(w.len(), 8 + 4 + 4 + 2 * 2 + 32);
 
         let mut r = MsgReader::new(w.freeze());
         assert_eq!(r.get_rect(), Ok(rect));
         assert_eq!(r.get_u32(), Ok(3));
-        assert_eq!(r.get_u32(), Ok(2));
-        assert_eq!(r.get_codes(2), Ok(vec![5, 2]));
+        assert_eq!(r.get_body(9), Ok((MaskRle::from_codes(vec![5, 2]), 2)));
         let mut got = Vec::new();
         assert_eq!(r.get_pixels_into(2, &mut got), Ok(()));
         assert_eq!(got, px);
@@ -409,14 +303,13 @@ mod tests {
         let mut w = MsgWriter::new();
         w.put_rect(Rect::new(1, 2, 3, 4));
         w.put_u32(7);
-        body_of(20, &[(9, 1)]).put_packed(&mut w, &[Pixel::gray(0.5, 0.25)]);
+        body_of(20, &[(9, 1)]).put_packed(w.payload(), &[Pixel::gray(0.5, 0.25)]);
         w.put_pixels(&[Pixel::BLANK; 2]);
         let full = w.freeze();
         let read_all = |r: &mut MsgReader| -> Checked<()> {
             r.get_rect()?;
             r.get_u32()?;
-            r.get_u32()?;
-            r.get_codes(2)?;
+            r.get_body(20)?;
             r.get_pixel()?;
             r.take_pixels(1)?;
             r.get_pixels_into(1, &mut Vec::new())
@@ -436,148 +329,6 @@ mod tests {
         );
         assert_eq!(read_all(&mut r), Ok(()));
         assert_eq!(r.finish(), Ok(()));
-    }
-
-    #[test]
-    fn bulk_pixel_and_code_round_trip() {
-        // Runs of every length 1..=135 behind gaps of 0..=4 (a zero gap
-        // joins two runs), past 65535 positions so a gap splits; pixel
-        // values that exercise every byte of the encoding.
-        let (mut runs, mut at) = (Vec::new(), 0);
-        for len in 1..=135 {
-            at += len % 5;
-            runs.push((at, len));
-            at += len;
-        }
-        runs.push((at + 70_000, 3));
-        let domain = at + 70_010;
-        let body = body_of(domain, &runs);
-        let px: Vec<Pixel> = (0..body.non_blank())
-            .map(|i| Pixel::from_straight(i as f32 * 0.01, 0.5, 1.0 - i as f32 * 0.001, 0.75))
-            .collect();
-        let mut w = MsgWriter::new();
-        body.put_packed(&mut w, &px);
-        assert_eq!(w.len(), body.len());
-        assert_eq!(w.len(), 4 + body.codes() * 2 + px.len() * 16);
-        let mut r = MsgReader::new(w.freeze());
-        let (rle, total) = read_runs(&mut r, domain).unwrap();
-        assert_eq!(rle.codes(), &body.codes[..]);
-        assert!(rle.non_blank_runs().eq(body.runs().runs().iter().copied()));
-        let mut got = Vec::new();
-        assert_eq!(r.get_pixels_into(total, &mut got), Ok(()));
-        assert_eq!(got, px);
-        assert_eq!(r.finish(), Ok(()));
-    }
-
-    /// Puts `body` through `put`, requires exactly [`RunBody::len`] bytes
-    /// and reads them back as a receiver does: the runs, checked against
-    /// a domain of `domain` positions, then the pixels they announce.
-    fn round_trip(
-        body: &RunBody,
-        domain: usize,
-        put: impl FnOnce(&mut MsgWriter),
-    ) -> (MaskRle, Vec<Pixel>) {
-        let mut w = MsgWriter::with_capacity(body.len());
-        put(&mut w);
-        assert_eq!(w.len(), body.len(), "the body's length is exact");
-        let mut r = MsgReader::new(w.freeze());
-        let (rle, total) = read_runs(&mut r, domain).unwrap();
-        assert_eq!(total, body.non_blank());
-        let mut pixels = Vec::new();
-        r.get_pixels_into(total, &mut pixels).unwrap();
-        assert_eq!(r.finish(), Ok(()));
-        (rle, pixels)
-    }
-
-    /// Pixels only the bits tell apart from blank, beside ordinary ones.
-    fn odd_frame() -> Image {
-        let odd = [
-            Pixel::new(-0.0, -0.0, -0.0, -0.0),
-            Pixel::new(f32::from_bits(0x7fc0_1234), 0.0, 0.0, 0.0),
-            Pixel::new(f32::from_bits(1), 0.0, -0.0, 0.0),
-            Pixel::gray(0.5, 0.75),
-            Pixel::BLANK,
-            Pixel::BLANK,
-        ];
-        Image::from_fn(11, 7, |x, y| odd[(x as usize * 5 + y as usize * 3) % 6])
-    }
-
-    fn bits(p: Pixel) -> [u8; 16] {
-        p.to_le_bytes()
-    }
-
-    /// A rect's body, blank by value (the stages' and the tiles' scan)
-    /// and by bits (the gather's): the runs put the pixels back where
-    /// they were, bit for bit, and what they leave out is blank by the
-    /// same rule.
-    #[test]
-    fn a_rect_body_restores_its_pixels_by_value_and_by_bits() {
-        let image = odd_frame();
-        type Scan = fn(&Image, &Rect, &mut RunSet);
-        type Blank = fn(&Pixel) -> bool;
-        let scans: [(Scan, Blank); 2] = [
-            (Image::runs_into, |p| p.is_blank()),
-            (Image::bit_runs_into, |p| bits(*p) == bits(Pixel::BLANK)),
-        ];
-        for (scan, blank) in scans {
-            for rect in [image.full_rect(), Rect::new(2, 1, 9, 6), Rect::EMPTY] {
-                let mut body = RunBody::default();
-                body.scan(rect.area(), |runs| scan(&image, &rect, runs));
-                let (rle, pixels) =
-                    round_trip(&body, rect.area(), |w| body.put_rect(w, &image, &rect));
-                let mut restored = Image::blank(11, 7);
-                restored.write_runs_wire(&rect, rle.non_blank_runs(), &to_wire(&pixels));
-                for (x, y) in rect.iter() {
-                    let (want, got) = (image.get(x, y), restored.get(x, y));
-                    if blank(&want) {
-                        assert_eq!(bits(got), bits(Pixel::BLANK), "({x}, {y}) in {rect:?}");
-                    } else {
-                        assert_eq!(bits(got), bits(want), "({x}, {y}) in {rect:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// A strided sequence's body both ways it is written: the gather's,
-    /// staged whole and scanned by bits, and BSLC's, its non-blank
-    /// pixels packed. Either restores the sequence bit for bit.
-    #[test]
-    fn a_strided_sequence_body_restores_its_pixels() {
-        let image = odd_frame();
-        let seq = StridedSeq {
-            start: 1,
-            stride: 3,
-            count: 25,
-        };
-        let staged: Vec<Pixel> = seq.iter().map(|i| image.pixels()[i]).collect();
-        let mut body = RunBody::default();
-        body.scan(seq.count, |runs| {
-            vr_image::kernel::scan_bit_runs_into(&staged, 0, runs)
-        });
-        let packed: Vec<Pixel> = body
-            .runs()
-            .runs()
-            .iter()
-            .flat_map(|&(start, len)| staged[start..start + len].to_vec())
-            .collect();
-        let spans = round_trip(&body, seq.count, |w| body.put_span(w, &staged));
-        let packs = round_trip(&body, seq.count, |w| body.put_packed(w, &packed));
-        for (rle, pixels) in [spans, packs] {
-            let mut restored = vec![Pixel::BLANK; seq.count];
-            let positions = rle.non_blank_runs().flat_map(|(s, l)| s..s + l);
-            for (i, p) in positions.zip(pixels) {
-                restored[i] = p;
-            }
-            assert!(restored
-                .iter()
-                .zip(&staged)
-                .all(|(a, b)| bits(*a) == bits(*b)));
-        }
-    }
-
-    fn to_wire(pixels: &[Pixel]) -> Vec<u8> {
-        pixels.iter().flat_map(|p| p.to_le_bytes()).collect()
     }
 
     #[test]

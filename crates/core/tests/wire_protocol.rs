@@ -9,6 +9,7 @@ use slsvr_core::{composite, gather_image_tolerant, CompositeError, Method, Owned
 use vr_comm::{
     run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, ScheduleSpec, Tag,
 };
+use vr_image::body::RunBody;
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
@@ -31,14 +32,19 @@ fn writer_reader_agree_on_every_element_type() {
     let mut w = MsgWriter::new();
     w.put_rect(Rect::new(5, 6, 70, 80));
     w.put_u32(0xDEADBEEF);
-    w.put_codes(&[0, 1, 65535]);
+    // A run body: one pixel, then a blank tail split at u16::MAX.
+    let mut body = RunBody::default();
+    body.scan(70_000, |runs| runs.push(1, 1));
+    body.put_packed(w.payload(), &[Pixel::gray(0.75, 1.0)]);
     w.put_pixel(Pixel::gray(0.5, 0.25));
-    let total = 8 + 4 + 6 + 16;
+    let total = 8 + 4 + (4 + 8 + 16) + 16;
     assert_eq!(w.len(), total);
     let mut r = MsgReader::new(w.freeze());
     assert_eq!(r.get_rect(), Ok(Rect::new(5, 6, 70, 80)));
     assert_eq!(r.get_u32(), Ok(0xDEADBEEF));
-    assert_eq!(r.get_codes(3), Ok(vec![0, 1, 65535]));
+    let codes = MaskRle::from_codes(vec![1, 1, 65535, 0]);
+    assert_eq!(r.get_body(70_000), Ok((codes, 1)));
+    assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.75, 1.0)));
     assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.5, 0.25)));
     assert_eq!(r.finish(), Ok(()));
     assert!(r.get_u32().is_err(), "a read past the end is typed");
@@ -206,7 +212,8 @@ fn gather_piece(words: &[u32], codes: &[u16], pixels: usize) -> Bytes {
     for &word in words {
         w.put_u32(word);
     }
-    w.put_codes(codes);
+    w.payload()
+        .extend(codes.iter().flat_map(|code| code.to_le_bytes()));
     w.put_pixels(&vec![Pixel::gray(0.5, 1.0); pixels]);
     w.freeze()
 }
@@ -246,6 +253,11 @@ fn hostile_gather_pieces_are_malformed() {
         (
             "a run past the rect",
             gather_piece(&[RECT, a, b, 2], &[3, 2], 2),
+        ),
+        // Covers 65,536 positions of a 4-pixel rect, no pixel among them.
+        (
+            "blank codes past the rect",
+            gather_piece(&[RECT, a, b, 3], &[u16::MAX, 0, 1], 0),
         ),
         (
             "a run past the sequence",

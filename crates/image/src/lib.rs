@@ -4,12 +4,15 @@
 //! pixel size used throughout the paper's cost equations), image buffers,
 //! bounding-rectangle algebra, the `over` compositing operator, run-length
 //! encodings (the blank/non-blank *mask* RLE of Section 3.3 and the
-//! value RLE of Ahrens & Painter used as a related-work baseline), and the
-//! interleaved pixel sequences that implement BSLC's static load balancing.
+//! value RLE of Ahrens & Painter used as a related-work baseline), the
+//! sparse message body every BSLC/BSBRC-style message is written and read
+//! through, and the interleaved pixel sequences that implement BSLC's
+//! static load balancing.
 //!
 //! Everything here is purely sequential; the distributed compositing methods
 //! built on top live in `slsvr-core`.
 
+pub mod body;
 pub mod checksum;
 pub mod image;
 pub mod interleave;

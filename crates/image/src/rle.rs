@@ -44,33 +44,18 @@ impl MaskRle {
         let mut codes: Vec<u16> = Vec::new();
         // Invariant: codes.len() even <=> next run to emit is blank.
         let mut current_is_non_blank = false; // first run is blank
-        let mut run: u32 = 0;
-        let flush = |codes: &mut Vec<u16>, run: &mut u32| {
-            let mut r = *run;
-            // Emit r as one or more u16 runs separated by zero-length
-            // opposite runs.
-            loop {
-                let chunk = r.min(u16::MAX as u32);
-                codes.push(chunk as u16);
-                r -= chunk;
-                if r == 0 {
-                    break;
-                }
-                codes.push(0); // zero-length run of the opposite class
-            }
-            *run = 0;
-        };
+        let mut run = 0;
         for non_blank in mask {
             if non_blank == current_is_non_blank {
                 run += 1;
             } else {
-                flush(&mut codes, &mut run);
+                push_run(&mut codes, run);
                 current_is_non_blank = non_blank;
                 run = 1;
             }
         }
         if run > 0 {
-            flush(&mut codes, &mut run);
+            push_run(&mut codes, run);
         }
         // Trim a trailing blank run: it carries no pixels and the decoder
         // pads with blanks anyway. (Only when it is the *first* run too,
@@ -83,38 +68,6 @@ impl MaskRle {
 
     /// Creates from raw codes (e.g. after unpacking a received message).
     pub fn from_codes(codes: Vec<u16>) -> Self {
-        MaskRle { codes }
-    }
-
-    /// Builds the encoding directly from sorted, disjoint, coalesced
-    /// non-blank intervals `(start, len)` — `O(runs)`, without touching
-    /// any pixel. Produces exactly the codes [`MaskRle::encode_mask`]
-    /// would for the same mask (adjacent intervals must be pre-merged
-    /// and zero-length intervals omitted, or the result is a valid but
-    /// non-canonical encoding).
-    pub fn from_runs(runs: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut codes: Vec<u16> = Vec::new();
-        // Emits one logical run, splitting at u16::MAX with zero-length
-        // runs of the opposite class (same scheme as `encode_mask`).
-        let push = |codes: &mut Vec<u16>, mut r: usize| loop {
-            let chunk = r.min(u16::MAX as usize);
-            codes.push(chunk as u16);
-            r -= chunk;
-            if r == 0 {
-                break;
-            }
-            codes.push(0);
-        };
-        let mut pos = 0usize;
-        for (start, len) in runs {
-            assert!(start >= pos, "runs must be sorted and disjoint");
-            if len == 0 {
-                continue;
-            }
-            push(&mut codes, start - pos); // blank gap (possibly zero-length)
-            push(&mut codes, len);
-            pos = start + len;
-        }
         MaskRle { codes }
     }
 
@@ -155,30 +108,6 @@ impl MaskRle {
             idx: 0,
             pos: 0,
         }
-    }
-
-    /// Splits the mask over position parity: the first result covers the
-    /// even positions (renumbered `p / 2`), the second the odd positions
-    /// (renumbered `(p - 1) / 2`) — exactly how [`crate::StridedSeq::split`]
-    /// renumbers a sequence. `O(runs)`, no pixel is touched; both outputs
-    /// are canonical.
-    pub fn split_parity(&self) -> (MaskRle, MaskRle) {
-        let (mut even, mut odd) = (RunSet::new(), RunSet::new());
-        RunSet::from_rle(self).split_parity_into(&mut even, &mut odd);
-        (even.to_rle(), odd.to_rle())
-    }
-
-    /// The union of two masks over the same position space: non-blank
-    /// wherever either is. `O(runs)`; the result is canonical.
-    ///
-    /// This is the incremental-maintenance primitive: compositing with
-    /// `over` never blanks a non-blank pixel (for non-negative
-    /// premultiplied components), so the merged image's exact mask is the
-    /// union of the two operand masks — no rescan required.
-    pub fn union(&self, other: &MaskRle) -> MaskRle {
-        let mut out = RunSet::new();
-        RunSet::from_rle(self).union_into(&RunSet::from_rle(other), &mut out);
-        out.to_rle()
     }
 
     /// Expands back into a boolean mask of length `len` (`true` =
@@ -223,6 +152,21 @@ impl Iterator for NonBlankRuns<'_> {
     }
 }
 
+/// Appends one run of `len` positions, split every `u16::MAX` by a
+/// zero-length run of the other class — the one emitter behind
+/// [`MaskRle::encode_mask`] and [`RunSet::encode_codes_into`].
+fn push_run(codes: &mut Vec<u16>, mut len: usize) {
+    loop {
+        let chunk = len.min(u16::MAX as usize);
+        codes.push(chunk as u16);
+        len -= chunk;
+        if len == 0 {
+            return;
+        }
+        codes.push(0);
+    }
+}
+
 /// The working form of a blank/non-blank run table: explicit non-blank
 /// intervals `(start, len)` — sorted, disjoint, coalesced, lengths > 0.
 ///
@@ -242,20 +186,6 @@ impl RunSet {
         Self::default()
     }
 
-    /// Decodes the canonical wire form. Runs that [`MaskRle`] split at
-    /// `u16::MAX` re-coalesce into single intervals.
-    pub fn from_rle(rle: &MaskRle) -> Self {
-        let mut out = Self::new();
-        out.assign_from_runs(rle.non_blank_runs());
-        out
-    }
-
-    /// Re-encodes into the canonical wire form (identical codes to
-    /// [`MaskRle::from_runs`]).
-    pub fn to_rle(&self) -> MaskRle {
-        MaskRle::from_runs(self.runs.iter().copied())
-    }
-
     /// Emits the wire codes for this table over a mask of `domain`
     /// elements into a reusable buffer (cleared first) — byte-for-byte
     /// what [`MaskRle::encode_mask`] produces for the same mask, without
@@ -269,23 +199,14 @@ impl RunSet {
     /// replicated here exactly.
     pub fn encode_codes_into(&self, domain: usize, codes: &mut Vec<u16>) {
         codes.clear();
-        let push = |codes: &mut Vec<u16>, mut r: usize| loop {
-            let chunk = r.min(u16::MAX as usize);
-            codes.push(chunk as u16);
-            r -= chunk;
-            if r == 0 {
-                break;
-            }
-            codes.push(0);
-        };
-        let mut pos = 0usize;
+        let mut pos = 0;
         for &(start, len) in &self.runs {
-            push(codes, start - pos);
-            push(codes, len);
+            push_run(codes, start - pos);
+            push_run(codes, len);
             pos = start + len;
         }
         if domain > pos {
-            push(codes, domain - pos);
+            push_run(codes, domain - pos);
             codes.pop();
         }
     }
@@ -303,12 +224,6 @@ impl RunSet {
     /// Empties the table (all-blank).
     pub fn clear(&mut self) {
         self.runs.clear();
-    }
-
-    /// Replaces the contents with `other`'s, reusing this buffer.
-    pub fn assign(&mut self, other: &RunSet) {
-        self.runs.clear();
-        self.runs.extend_from_slice(&other.runs);
     }
 
     /// Replaces the contents with sorted, possibly adjacent/overlapping
@@ -444,31 +359,47 @@ mod tests {
             .collect()
     }
 
+    /// A mask of `domain` positions, non-blank on `runs`.
+    fn mask_of(domain: usize, runs: &[(usize, usize)]) -> Vec<bool> {
+        let mut mask = vec![false; domain];
+        for &(s, l) in runs {
+            mask[s..s + l].fill(true);
+        }
+        mask
+    }
+
+    /// The run table of a mask, read back from its reference codes.
+    fn set_of(mask: &[bool]) -> RunSet {
+        let mut set = RunSet::new();
+        set.assign_from_runs(MaskRle::encode_mask(mask.iter().copied()).non_blank_runs());
+        set
+    }
+
+    /// The wire codes of `set` over `domain` positions.
+    fn codes_of(set: &RunSet, domain: usize) -> Vec<u16> {
+        let mut codes = Vec::new();
+        set.encode_codes_into(domain, &mut codes);
+        codes
+    }
+
+    /// The codes a run table emits are the reference's for its mask.
     #[test]
     fn from_runs_matches_encode_mask() {
-        // Sparse mask with a leading non-blank run, interior gaps and a
-        // trailing blank tail.
-        let mut mask = vec![false; 1000];
-        let runs = [(0usize, 3usize), (10, 1), (500, 200)];
-        for &(s, l) in &runs {
-            for m in &mut mask[s..s + l] {
-                *m = true;
-            }
+        // Sparse mask with a leading non-blank run and interior gaps, a
+        // run split at u16::MAX, and the empty sequence.
+        let cases: [(usize, &[(usize, usize)]); 3] = [
+            (1000, &[(0, 3), (10, 1), (500, 200)]),
+            (u16::MAX as usize + 20, &[(5, u16::MAX as usize + 7)]),
+            (0, &[]),
+        ];
+        for (domain, runs) in cases {
+            let mask = mask_of(domain, runs);
+            let mut set = RunSet::new();
+            set.assign_from_runs(runs.iter().copied());
+            let canonical = MaskRle::encode_mask(mask.iter().copied());
+            assert_eq!(codes_of(&set, domain), canonical.codes(), "runs {runs:?}");
+            assert_eq!(set_of(&mask), set, "runs {runs:?}");
         }
-        let canonical = MaskRle::encode_mask(mask.iter().copied());
-        assert_eq!(MaskRle::from_runs(runs), canonical);
-        // Long runs split identically.
-        let long = [(5usize, u16::MAX as usize + 7)];
-        let mut mask = vec![false; u16::MAX as usize + 20];
-        for m in &mut mask[5..5 + u16::MAX as usize + 7] {
-            *m = true;
-        }
-        assert_eq!(
-            MaskRle::from_runs(long),
-            MaskRle::encode_mask(mask.iter().copied())
-        );
-        // Empty input encodes the all-blank sequence.
-        assert_eq!(MaskRle::from_runs([]), MaskRle::encode_mask([]));
     }
 
     #[test]
@@ -487,18 +418,10 @@ mod tests {
             &[(0, domain)],
         ];
         for runs in cases {
-            let mut mask = vec![false; domain];
-            for &(s, l) in runs {
-                for m in &mut mask[s..s + l] {
-                    *m = true;
-                }
-            }
-            let expect = MaskRle::encode_mask(mask.iter().copied());
+            let expect = MaskRle::encode_mask(mask_of(domain, runs));
             let mut set = RunSet::new();
             set.assign_from_runs(runs.iter().copied());
-            let mut codes = Vec::new();
-            set.encode_codes_into(domain, &mut codes);
-            assert_eq!(codes, expect.codes(), "runs {runs:?}");
+            assert_eq!(codes_of(&set, domain), expect.codes(), "runs {runs:?}");
         }
     }
 
@@ -513,20 +436,17 @@ mod tests {
     fn split_parity_matches_dense_split() {
         for (seed, density) in [(1, 0), (2, 15), (3, 50), (4, 100), (5, 97)] {
             let mask = noise_mask(777, seed, density);
-            let rle = MaskRle::encode_mask(mask.iter().copied());
-            let (even, odd) = rle.split_parity();
+            let (mut even, mut odd) = (RunSet::new(), RunSet::new());
+            set_of(&mask).split_parity_into(&mut even, &mut odd);
             let expect_even: Vec<bool> = mask.iter().copied().step_by(2).collect();
             let expect_odd: Vec<bool> = mask.iter().copied().skip(1).step_by(2).collect();
-            assert_eq!(
-                even,
-                MaskRle::encode_mask(expect_even.iter().copied()),
-                "even half, seed {seed}"
-            );
-            assert_eq!(
-                odd,
-                MaskRle::encode_mask(expect_odd.iter().copied()),
-                "odd half, seed {seed}"
-            );
+            for (half, expect, what) in [(&even, expect_even, "even"), (&odd, expect_odd, "odd")] {
+                assert_eq!(
+                    codes_of(half, expect.len()),
+                    MaskRle::encode_mask(expect.iter().copied()).codes(),
+                    "{what} half, seed {seed}"
+                );
+            }
         }
     }
 
@@ -534,13 +454,17 @@ mod tests {
     fn split_parity_fuses_across_removed_gaps() {
         // Runs [2,5) and [6,9): position 5 is blank but odd, so the even
         // half must see ONE fused run.
-        let rle = MaskRle::from_runs([(2, 3), (6, 3)]);
-        let (even, odd) = rle.split_parity();
-        assert_eq!(even.non_blank_runs().collect::<Vec<_>>(), vec![(1, 4)]);
-        assert_eq!(
-            odd.non_blank_runs().collect::<Vec<_>>(),
-            vec![(1, 1), (3, 1)]
-        );
+        let (mut even, mut odd) = (RunSet::new(), RunSet::new());
+        set_of(&mask_of(9, &[(2, 3), (6, 3)])).split_parity_into(&mut even, &mut odd);
+        assert_eq!(even.runs(), [(1, 4)]);
+        assert_eq!(odd.runs(), [(1, 1), (3, 1)]);
+    }
+
+    /// `a ∪ b` through [`RunSet::union_into`].
+    fn union(a: &RunSet, b: &RunSet) -> RunSet {
+        let mut out = RunSet::new();
+        a.union_into(b, &mut out);
+        out
     }
 
     #[test]
@@ -553,31 +477,31 @@ mod tests {
         ] {
             let a = noise_mask(555, sa, da);
             let b = noise_mask(555, sb, db);
-            let ra = MaskRle::encode_mask(a.iter().copied());
-            let rb = MaskRle::encode_mask(b.iter().copied());
+            let (ra, rb) = (set_of(&a), set_of(&b));
             let expect: Vec<bool> = a.iter().zip(&b).map(|(x, y)| *x || *y).collect();
             assert_eq!(
-                ra.union(&rb),
-                MaskRle::encode_mask(expect.iter().copied()),
+                codes_of(&union(&ra, &rb), 555),
+                MaskRle::encode_mask(expect.iter().copied()).codes(),
                 "seeds {sa}/{sb}"
             );
-            assert_eq!(ra.union(&rb), rb.union(&ra), "union must commute");
+            assert_eq!(union(&ra, &rb), union(&rb, &ra), "union must commute");
         }
-        // Identity and annihilator cases.
-        let r = MaskRle::from_runs([(3, 4), (10, 2)]);
-        assert_eq!(r.union(&MaskRle::default()), r);
-        assert_eq!(MaskRle::default().union(&r), r);
+        // Identity cases.
+        let r = set_of(&mask_of(20, &[(3, 4), (10, 2)]));
+        assert_eq!(union(&r, &RunSet::new()), r);
+        assert_eq!(union(&RunSet::new(), &r), r);
     }
 
     #[test]
     fn union_handles_long_run_splits() {
-        // A run split at u16::MAX arrives as adjacent iterator items; the
-        // union must re-coalesce them canonically.
+        // A run split at u16::MAX arrives as adjacent runs from the codes;
+        // the union must re-coalesce them canonically.
         let n = u16::MAX as usize + 100;
-        let a = MaskRle::from_runs([(0, n)]);
-        let b = MaskRle::from_runs([(50, 10)]);
-        assert_eq!(a.union(&b), a);
-        assert_eq!(b.union(&a), a);
+        let a = set_of(&mask_of(n, &[(0, n)]));
+        let b = set_of(&mask_of(n, &[(50, 10)]));
+        assert_eq!(a.runs(), [(0, n)]);
+        assert_eq!(union(&a, &b), a);
+        assert_eq!(union(&b, &a), a);
     }
 
     #[test]

@@ -1,22 +1,8 @@
-//! Compressed-domain (run-length) image representation and merge kernel.
-//!
-//! A [`RunImage`] stores a pixel sequence as its blank/non-blank
-//! [`MaskRle`] run table plus the densely packed non-blank payload — the
-//! exact representation BSLC/BSBRC put on the wire. The point of keeping
-//! it live past the wire is [`RunImage::over`]: two run streams composite
-//! *directly*, walking both run tables span by span:
-//!
-//! * blank × blank — skipped in `O(1)` per run, no pixel is touched;
-//! * blank × non-blank (either side) — the surviving span is copied as
-//!   one bulk slice;
-//! * non-blank × non-blank — only the overlap hits the `over` math, via
-//!   the auto-vectorized [`kernel::over_slice`].
-//!
-//! Cost is `O(runs + overlapping_non_blank_pixels)` instead of the
-//! decode-to-dense `O(n)`, which is the paper's sparsity argument carried
-//! through the merge tree instead of being thrown away at each stage.
+//! A pixel sequence in run-length form: its blank/non-blank [`MaskRle`]
+//! run table plus the densely packed non-blank payload — what BSLC and
+//! BSBRC put on the wire, held in memory. Encoding one is the paper's
+//! `T_encode` pass over a whole sequence.
 
-use crate::kernel;
 use crate::pixel::Pixel;
 use crate::rle::MaskRle;
 
@@ -44,157 +30,21 @@ impl RunImage {
         }
     }
 
-    /// Reassembles from a run table and its packed payload (e.g. straight
-    /// off the wire). Panics if the payload length disagrees with the
-    /// run table or the runs overflow `len`.
-    pub fn from_parts(len: usize, mask: MaskRle, packed: Vec<Pixel>) -> Self {
-        assert_eq!(packed.len(), mask.non_blank_total());
-        let end = mask
-            .non_blank_runs()
-            .last()
-            .map_or(0, |(start, run)| start + run);
-        assert!(end <= len, "run table spills past the sequence length");
-        RunImage { len, mask, packed }
-    }
-
-    /// Sequence length (dense pixel count).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length sequence.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of non-blank pixels stored.
     pub fn non_blank(&self) -> usize {
         self.packed.len()
     }
 
-    /// The blank/non-blank run table.
-    pub fn mask(&self) -> &MaskRle {
-        &self.mask
-    }
-
-    /// The packed non-blank payload, in sequence order.
-    pub fn packed(&self) -> &[Pixel] {
-        &self.packed
-    }
-
     /// Expands to a dense sequence.
     pub fn decode(&self) -> Vec<Pixel> {
         let mut out = vec![Pixel::BLANK; self.len];
-        self.decode_into(&mut out);
-        out
-    }
-
-    /// Scatters the payload into `out` (which must be `len` pixels);
-    /// positions outside the runs are left untouched.
-    pub fn decode_into(&self, out: &mut [Pixel]) {
-        assert_eq!(out.len(), self.len);
         let mut src = 0;
         for (start, len) in self.mask.non_blank_runs() {
             out[start..start + len].copy_from_slice(&self.packed[src..src + len]);
             src += len;
         }
+        out
     }
-
-    /// Composites `self` **over** `back` entirely in the compressed
-    /// domain, returning the merged stream. Each output pixel is exactly
-    /// `front.over(back)` of the dense operands (blank = [`Pixel::BLANK`]),
-    /// but only overlapping non-blank spans pay the `over` arithmetic.
-    ///
-    /// One-sided spans are bulk-copied, which matches `over` against a
-    /// blank operand bit-for-bit for pixels with non-negative components
-    /// (the renderer's domain); a negative-zero component would come out
-    /// as `+0.0` from the dense arithmetic but is preserved by the copy.
-    pub fn over(&self, back: &RunImage) -> RunImage {
-        assert_eq!(self.len, back.len, "sequences must be the same length");
-        // Materialized run lists with packed-payload offsets.
-        let offsets = |r: &RunImage| -> Vec<(usize, usize, usize)> {
-            let mut off = 0;
-            r.mask
-                .non_blank_runs()
-                .map(|(start, len)| {
-                    let o = off;
-                    off += len;
-                    (start, start + len, o)
-                })
-                .collect()
-        };
-        let fruns = offsets(self);
-        let bruns = offsets(back);
-
-        let mut packed = Vec::with_capacity(self.packed.len() + back.packed.len());
-        // Output non-blank intervals, coalesced as they are produced so
-        // the run table comes out canonical.
-        let mut intervals: Vec<(usize, usize)> = Vec::new();
-        let (mut fi, mut bi) = (0, 0);
-        let mut pos = 0;
-        while pos < self.len {
-            while fi < fruns.len() && fruns[fi].1 <= pos {
-                fi += 1;
-            }
-            while bi < bruns.len() && bruns[bi].1 <= pos {
-                bi += 1;
-            }
-            let f = fruns.get(fi);
-            let b = bruns.get(bi);
-            let f_active = f.is_some_and(|r| r.0 <= pos);
-            let b_active = b.is_some_and(|r| r.0 <= pos);
-            // The segment ends at the nearest run boundary ahead.
-            let mut end = self.len;
-            if let Some(&(s, e, _)) = f {
-                end = end.min(if f_active { e } else { s });
-            }
-            if let Some(&(s, e, _)) = b {
-                end = end.min(if b_active { e } else { s });
-            }
-            let seg = end - pos;
-            match (f_active, b_active) {
-                // blank × blank: skip the whole gap without touching pixels.
-                (false, false) => {}
-                (true, false) => {
-                    let &(fs, _, fo) = f.unwrap();
-                    packed.extend_from_slice(&self.packed[fo + (pos - fs)..][..seg]);
-                    push_interval(&mut intervals, pos, end);
-                }
-                (false, true) => {
-                    let &(bs, _, bo) = b.unwrap();
-                    packed.extend_from_slice(&back.packed[bo + (pos - bs)..][..seg]);
-                    push_interval(&mut intervals, pos, end);
-                }
-                (true, true) => {
-                    let &(fs, _, fo) = f.unwrap();
-                    let &(bs, _, bo) = b.unwrap();
-                    let at = packed.len();
-                    packed.extend_from_slice(&back.packed[bo + (pos - bs)..][..seg]);
-                    kernel::over_slice(&self.packed[fo + (pos - fs)..][..seg], &mut packed[at..]);
-                    push_interval(&mut intervals, pos, end);
-                }
-            }
-            pos = end;
-        }
-        RunImage {
-            len: self.len,
-            mask: MaskRle::from_runs(intervals.iter().map(|&(s, e)| (s, e - s))),
-            packed,
-        }
-    }
-}
-
-/// Appends `[start, end)` to the interval list, merging with the previous
-/// interval when adjacent (runs from consecutive segments must coalesce
-/// for the output run table to be canonical).
-fn push_interval(intervals: &mut Vec<(usize, usize)>, start: usize, end: usize) {
-    if let Some(last) = intervals.last_mut() {
-        if last.1 == start {
-            last.1 = end;
-            return;
-        }
-    }
-    intervals.push((start, end));
 }
 
 #[cfg(test)]
@@ -234,49 +84,5 @@ mod tests {
                 dense.iter().filter(|p| !p.is_blank()).count()
             );
         }
-    }
-
-    #[test]
-    fn compressed_over_equals_dense_over() {
-        for (df, db) in [(0, 30), (30, 0), (15, 40), (100, 100), (3, 97)] {
-            let front = sparse(777, 1, df);
-            let back = sparse(777, 2, db);
-            let merged = RunImage::encode(&front).over(&RunImage::encode(&back));
-            let expect: Vec<Pixel> = front.iter().zip(&back).map(|(f, b)| f.over(*b)).collect();
-            assert_eq!(merged.decode(), expect, "df={df} db={db}");
-        }
-    }
-
-    #[test]
-    fn merged_run_table_is_canonical() {
-        let front = sparse(400, 5, 20);
-        let back = sparse(400, 6, 20);
-        let merged = RunImage::encode(&front).over(&RunImage::encode(&back));
-        let reencoded = RunImage::encode(&merged.decode());
-        assert_eq!(merged.mask(), reencoded.mask());
-    }
-
-    #[test]
-    fn blank_blank_merge_stores_nothing() {
-        let blank = RunImage::encode(&vec![Pixel::BLANK; 1024]);
-        let merged = blank.over(&blank);
-        assert_eq!(merged.non_blank(), 0);
-        assert_eq!(merged.mask().num_codes(), 0);
-    }
-
-    #[test]
-    fn from_parts_validates_payload() {
-        let dense = sparse(100, 3, 30);
-        let run = RunImage::encode(&dense);
-        let rebuilt = RunImage::from_parts(100, run.mask().clone(), run.packed().to_vec());
-        assert_eq!(rebuilt, run);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_parts_rejects_short_payload() {
-        let dense = sparse(100, 3, 30);
-        let run = RunImage::encode(&dense);
-        let _ = RunImage::from_parts(100, run.mask().clone(), Vec::new());
     }
 }

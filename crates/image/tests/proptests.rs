@@ -266,21 +266,6 @@ proptest! {
     }
 
     #[test]
-    fn run_domain_over_matches_pixel_domain(
-        pair in proptest::collection::vec((arb_sparse_pixel(), arb_sparse_pixel()), 0..600)
-    ) {
-        // The compressed-domain merge kernel must agree bit-for-bit with
-        // the dense pixel-wise `over` on arbitrary sparse images.
-        let front: Vec<Pixel> = pair.iter().map(|(f, _)| *f).collect();
-        let back: Vec<Pixel> = pair.iter().map(|(_, b)| *b).collect();
-        let merged = RunImage::encode(&front).over(&RunImage::encode(&back));
-        let expect: Vec<Pixel> = front.iter().zip(&back).map(|(f, b)| f.over(*b)).collect();
-        prop_assert_eq!(merged.decode(), expect);
-        // And the merged run table must be canonical (same as re-encoding).
-        prop_assert_eq!(merged.mask(), RunImage::encode(&merged.decode()).mask());
-    }
-
-    #[test]
     fn rect_intersection_commutes(a in arb_rect(100), b in arb_rect(100)) {
         prop_assert_eq!(a.intersect(&b), b.intersect(&a));
     }

@@ -42,7 +42,8 @@ use std::time::Duration;
 use vr_comm::{
     CostModel, FaultAction, FaultConfig, KillSpec, ReliabilityConfig, StreamClass, TargetedFault,
 };
-use vr_image::{Image, MaskRle, RunSet, BYTES_PER_PIXEL, BYTES_PER_RUN_CODE};
+use vr_image::body::{read_body, BodyError, RunBody};
+use vr_image::{Image, BYTES_PER_PIXEL};
 use vr_system::{CompTiming, ExperimentConfig, FrameRecord};
 use vr_volume::DatasetKind;
 
@@ -323,15 +324,18 @@ impl Wire for Magic {
     }
 }
 
-/// The paper's blank/non-blank encoding over the whole frame: width and
-/// height as `u16`, a `u32` code count, the canonical [`MaskRle`] codes
-/// of the row-major frame (blank run first, trailing blank run trimmed),
-/// then the non-blank pixels in order, 16 bytes each.
+/// Width and height as `u16`, then the paper's sparse body over the
+/// row-major frame ([`RunBody`], the one every compositing message
+/// shares): a `u32` code count, the run codes, then the non-blank pixels
+/// in order, 16 bytes each.
 ///
 /// Blank is decided by bits ([`Image::bit_runs_into`]): only a
 /// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels and
 /// the decoded frame is the sent one bit for bit. The bytes are a
 /// function of the pixels alone, whatever the extent or bounds hint.
+/// [`read_body`] checks the codes against the frame and the pixels
+/// present before anything proportional to the claimed dimensions is
+/// allocated.
 ///
 /// [`Pixel::BLANK`]: vr_image::Pixel::BLANK
 impl Wire for Image {
@@ -339,18 +343,9 @@ impl Wire for Image {
         self.width().put(w);
         self.height().put(w);
         let frame = self.full_rect();
-        let mut runs = RunSet::new();
-        self.bit_runs_into(&frame, &mut runs);
-        let mut codes = Vec::new();
-        runs.encode_codes_into(self.area(), &mut codes);
-        (codes.len() as u32).put(w);
-        w.reserve(codes.len() * BYTES_PER_RUN_CODE + runs.non_blank_total() * BYTES_PER_PIXEL);
-        codes.iter().for_each(|code| code.put(w));
-        frame.for_row_segments(runs.runs().iter().copied(), |x, y, n| {
-            for p in self.row_span(x, y, n) {
-                w.extend_from_slice(&p.to_le_bytes());
-            }
-        });
+        let mut body = RunBody::default();
+        body.scan(self.area(), |runs| self.bit_runs_into(&frame, runs));
+        body.put_rect(w, self, &frame);
     }
     fn get(r: &mut Reader) -> Result<Self, DecodeError> {
         let (width, height) = (u16::get(r)?, u16::get(r)?);
@@ -358,33 +353,15 @@ impl Wire for Image {
             return Err(DecodeError::OutOfRange { what: "image" });
         }
         let area = width as usize * height as usize;
-        let count = u32::get(r)? as usize;
-        let codes = count
-            .checked_mul(BYTES_PER_RUN_CODE)
-            .and_then(|len| r.take(len).ok())
-            .ok_or(DecodeError::BadLength)?;
-        let codes = MaskRle::from_codes(
-            codes
-                .chunks_exact(BYTES_PER_RUN_CODE)
-                .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                .collect(),
-        );
-        // The runs must lie inside the frame and their pixels be present,
-        // both checked before anything proportional to the claimed
-        // dimensions is allocated.
-        let mut covered = 0usize;
-        for &code in codes.codes() {
-            covered += code as usize;
-            if covered > area {
-                return Err(DecodeError::BadLength);
-            }
-        }
-        let pixels = r
-            .take(codes.non_blank_total() * BYTES_PER_PIXEL)
-            .map_err(|_| DecodeError::BadLength)?;
+        let header = read_body(r.0, area).map_err(|e| match e {
+            BodyError::CountCut => DecodeError::Truncated,
+            BodyError::BadLength => DecodeError::BadLength,
+        })?;
+        r.take(header.len)?;
+        let pixels = r.take(header.non_blank * BYTES_PER_PIXEL)?;
         let mut image = Image::blank(width, height);
         let frame = image.full_rect();
-        image.write_runs_wire(&frame, codes.non_blank_runs(), pixels);
+        image.write_runs_wire(&frame, header.runs.non_blank_runs(), pixels);
         Ok(image)
     }
 }
@@ -853,7 +830,7 @@ mod tests {
     use crate::service::{FrameReply, RenderedFrame};
     use std::sync::Arc;
     use vr_image::checksum::fnv1a;
-    use vr_image::Pixel;
+    use vr_image::{Pixel, BYTES_PER_RUN_CODE};
 
     /// A cache-hit reply carrying `image`.
     pub(super) fn cached_reply(image: Image) -> FrameReply {
@@ -1333,7 +1310,7 @@ mod proptests {
     use crate::service::FrameReply;
     use proptest::prelude::*;
     use vr_image::checksum::fnv1a;
-    use vr_image::Pixel;
+    use vr_image::{MaskRle, Pixel};
 
     /// Random words for [`config_from`] to spend, one or two per field.
     fn config_words() -> impl Strategy<Value = Vec<u64>> {

@@ -276,11 +276,18 @@ fn frame_n_does_not_depend_on_frames_before_it() {
         method,
         fault,
     };
-    // Pair-exchange methods only: a rank that receives from several peers
-    // in one round (radix-k at `r > 2`, the tile stream) meets the dead
-    // rank at a different operation from run to run, even on one
-    // schedule seed, with or without leased frames.
-    for (procs, method) in [(4, Method::Bsbrc), (8, Method::Bs), (8, Method::Bslc)] {
+    // Pair exchanges and the methods that receive from several peers at
+    // once (radix-k's round of 4 at P = 8 and of 3 at P = 6, and the tile
+    // stream): a dead peer's close reaches a rank at a quiescent point of
+    // the virtual clock, so the kill replays either way.
+    for (procs, method) in [
+        (4, Method::Bsbrc),
+        (8, Method::Bs),
+        (8, Method::Bslc),
+        (8, Method::RadixK),
+        (6, Method::RadixK),
+        (8, Method::TileStream),
+    ] {
         frames.push(faulted(64, procs, method, Fault::Kill(procs - 1)));
     }
     for seed in 1..=6 {
