@@ -775,72 +775,41 @@ fn integrate(
                 let t_seg = t_max[0].min(t_max[1]).min(t_max[2]).min(t1);
                 if t < t_seg {
                     if acc.is_active(c[0], c[1], c[2]) {
-                        if lanes > 1 {
-                            // Lane-batched sampling: gather up to `lanes`
-                            // sample parameters through the *exact* scalar
-                            // `t += step` chain, evaluate density and unit
-                            // opacity in fixed-width array lanes the
-                            // autovectorizer can lift, then classify and
-                            // accumulate strictly in scalar order. Early
-                            // termination merely discards the precomputed
-                            // (side-effect-free) later lanes, so the
-                            // front-to-back `over` chain replays the
-                            // scalar chain bit-for-bit.
+                        // Lane-batched sampling, one sample a batch at
+                        // `lanes` 1: gather sample parameters through the
+                        // *exact* naive `t += step` chain, evaluate
+                        // density and unit opacity in fixed-width lanes
+                        // the autovectorizer can lift, then classify and
+                        // accumulate strictly in sample order. Early
+                        // termination merely discards the side-effect-free
+                        // later lanes, so the `over` chain replays the
+                        // naive one bit-for-bit. A sample of unit opacity
+                        // exactly zero skips the naive body: its opacity
+                        // `1 − 1^step = 0` never passes a non-negative
+                        // cutoff (`admit_zero` covers negative ones).
+                        loop {
+                            let mut tv = [0.0f32; MAX_SIMD_LANES];
+                            let mut n = 0;
                             loop {
-                                let mut tv = [0.0f32; MAX_SIMD_LANES];
-                                let mut n = 0;
-                                loop {
-                                    tv[n] = t;
-                                    n += 1;
-                                    t += params.step;
-                                    if n == lanes || t >= t_seg {
-                                        break;
-                                    }
-                                }
-                                let mut density = [0.0f32; MAX_SIMD_LANES];
-                                for (dst, &tl) in density[..n].iter_mut().zip(&tv[..n]) {
-                                    *dst = volume.sample(ray_o + dir * tl - frame);
-                                }
-                                let mut unit = [0.0f32; MAX_SIMD_LANES];
-                                for (dst, &dl) in unit[..n].iter_mut().zip(&density[..n]) {
-                                    *dst = lut.opacity(dl).clamp(0.0, 1.0);
-                                }
-                                for i in 0..n {
-                                    if unit[i] > 0.0 || admit_zero {
-                                        let pos = ray_o + dir * tv[i] - frame;
-                                        let cl = (lut.intensity(density[i]), unit[i]);
-                                        if sample_step(
-                                            volume,
-                                            pos,
-                                            cl,
-                                            params,
-                                            finite_shading,
-                                            &mut color,
-                                            &mut alpha,
-                                        ) {
-                                            break 'ray;
-                                        }
-                                    }
-                                }
-                                if t >= t_seg {
+                                tv[n] = t;
+                                n += 1;
+                                t += params.step;
+                                if n == lanes || t >= t_seg {
                                     break;
                                 }
                             }
-                        } else {
-                            // Scalar reference: sample through the cell
-                            // with the naive body, except that samples
-                            // whose unit opacity is exactly zero skip it:
-                            // they would compute a per-sample opacity of
-                            // `1 − 1^step = 0`, which never passes a
-                            // non-negative cutoff, so the naive body is a
-                            // no-op for them (negative cutoffs disable the
-                            // shortcut via `admit_zero`).
-                            loop {
-                                let pos = ray_o + dir * t - frame;
-                                let density = volume.sample(pos);
-                                let alpha_unit = lut.opacity(density).clamp(0.0, 1.0);
-                                if alpha_unit > 0.0 || admit_zero {
-                                    let cl = (lut.intensity(density), alpha_unit);
+                            let mut density = [0.0f32; MAX_SIMD_LANES];
+                            for (dst, &tl) in density[..n].iter_mut().zip(&tv[..n]) {
+                                *dst = volume.sample(ray_o + dir * tl - frame);
+                            }
+                            let mut unit = [0.0f32; MAX_SIMD_LANES];
+                            for (dst, &dl) in unit[..n].iter_mut().zip(&density[..n]) {
+                                *dst = lut.opacity(dl).clamp(0.0, 1.0);
+                            }
+                            for i in 0..n {
+                                if unit[i] > 0.0 || admit_zero {
+                                    let pos = ray_o + dir * tv[i] - frame;
+                                    let cl = (lut.intensity(density[i]), unit[i]);
                                     if sample_step(
                                         volume,
                                         pos,
@@ -853,10 +822,9 @@ fn integrate(
                                         break 'ray;
                                     }
                                 }
-                                t += params.step;
-                                if t >= t_seg {
-                                    break;
-                                }
+                            }
+                            if t >= t_seg {
+                                break;
                             }
                         }
                     } else if t_seg >= t1 {

@@ -32,9 +32,10 @@ pub struct RenderParams {
     /// Ray-sample batch width inside active macrocells: the integrator
     /// gathers up to this many samples per iteration into fixed-width
     /// array lanes the autovectorizer can lift, then classifies and
-    /// accumulates them strictly in scalar order — **bit-identical** to
-    /// the scalar chain at any width. `1` (the default) keeps the
-    /// scalar inner loop; clamped to [`MAX_SIMD_LANES`].
+    /// accumulates them strictly in sample order — **bit-identical** to
+    /// the unaccelerated reference (no macrocell grid) at any width.
+    /// `1` (the default) batches one sample at a time; clamped to
+    /// `1..=`[`MAX_SIMD_LANES`].
     #[serde(default = "default_simd_lanes")]
     pub simd_lanes: usize,
 }

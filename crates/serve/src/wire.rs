@@ -41,6 +41,7 @@ use std::time::Duration;
 
 use vr_comm::{
     CostModel, FaultAction, FaultConfig, KillSpec, ReliabilityConfig, StreamClass, TargetedFault,
+    DEFAULT_RECV_DEADLINE,
 };
 use vr_image::body::{read_body, BodyError, RunBody};
 use vr_image::{Image, BYTES_PER_PIXEL};
@@ -111,6 +112,13 @@ pub const MAX_GHOST_VOXELS: usize = 16;
 /// The ray sampling steps a request may name, in voxels. Zero, a
 /// negative or a non-finite step would march a ray forever.
 pub const STEP_RANGE: RangeInclusive<f32> = (1.0 / 64.0)..=64.0;
+/// Longest wait a request may name: its `recv_deadline`, its ARQ's
+/// `ack_timeout` and `max_backoff`, and (as `delay_ms`) a delay fault's
+/// sleep. A delay fault sleeps the sending rank, and rank 0 runs on the
+/// serve worker's own thread, so an unbounded one would stall the shard.
+pub const MAX_WAIT: Duration = DEFAULT_RECV_DEADLINE;
+/// Largest `reliability.max_retries` a request may name.
+pub const MAX_RETRANSMITS: u32 = 64;
 
 /// Client → server handshake.
 pub const KIND_HELLO: u8 = 0x10;
@@ -473,6 +481,10 @@ fn finite(value: &f32) -> bool {
     value.is_finite()
 }
 
+fn no_longer_than_max_wait(wait: &Option<Duration>) -> bool {
+    wait.is_none_or(|wait| wait <= MAX_WAIT)
+}
+
 /// Explicit dimensions are all non-zero and multiply to at most
 /// [`MAX_VOLUME_VOXELS`] without overflowing.
 fn volume_fits(dims: &Option<[usize; 3]>) -> bool {
@@ -530,17 +542,18 @@ wire_struct!(FaultConfig {
     corrupt,
     duplicate,
     delay,
-    delay_ms,
+    delay_ms if within(0..=MAX_WAIT.as_millis() as u64),
     seed,
     kill,
     target,
 });
+// A backoff below 1 (or NaN) would shrink or poison the retry delay.
 wire_struct!(ReliabilityConfig {
     enabled,
-    ack_timeout,
-    max_retries,
-    backoff,
-    max_backoff,
+    ack_timeout if within(Duration::ZERO..=MAX_WAIT),
+    max_retries if within(0..=MAX_RETRANSMITS),
+    backoff if within(1.0..=f64::MAX),
+    max_backoff if within(Duration::ZERO..=MAX_WAIT),
 });
 // Field order matches the struct declaration. The bounds are what a
 // daemon refuses before it opens a session: each one names a value that
@@ -562,7 +575,7 @@ wire_struct!(ExperimentConfig {
     comp_timing,
     faults,
     reliability,
-    recv_deadline,
+    recv_deadline if no_longer_than_max_wait,
     schedule_seed,
     macrocell if within(0..=MAX_ACCEL_EDGE),
     tile if within(0..=MAX_ACCEL_EDGE),
@@ -1197,7 +1210,7 @@ mod tests {
     #[test]
     fn out_of_range_values_are_refused_by_name() {
         type Edit = fn(&mut ExperimentConfig);
-        let hostile: [(&str, Edit); 19] = [
+        let hostile: [(&str, Edit); 30] = [
             ("image_size", |c| c.image_size = 0),
             ("image_size", |c| c.image_size = MAX_IMAGE_SIZE + 1),
             ("processors", |c| c.processors = 0),
@@ -1220,6 +1233,29 @@ mod tests {
             ("macrocell", |c| c.macrocell = usize::MAX),
             ("tile", |c| c.tile = MAX_ACCEL_EDGE + 1),
             ("tile", |c| c.tile = usize::MAX),
+            // A delay fault sleeps the sending rank, and rank 0 runs on
+            // the worker's thread; a backoff below 1 panics the ARQ.
+            ("delay_ms", |c| c.faults.as_mut().unwrap().delay_ms = 60_001),
+            ("delay_ms", |c| {
+                c.faults.as_mut().unwrap().delay_ms = u64::MAX
+            }),
+            ("recv_deadline", |c| {
+                c.recv_deadline = Some(MAX_WAIT + Duration::from_nanos(1))
+            }),
+            ("recv_deadline", |c| c.recv_deadline = Some(Duration::MAX)),
+            ("ack_timeout", |c| {
+                c.reliability.ack_timeout = MAX_WAIT + Duration::from_nanos(1)
+            }),
+            ("max_backoff", |c| {
+                c.reliability.max_backoff = MAX_WAIT + Duration::from_nanos(1)
+            }),
+            ("max_retries", |c| c.reliability.max_retries = 65),
+            ("max_retries", |c| c.reliability.max_retries = u32::MAX),
+            ("backoff", |c| {
+                c.reliability.backoff = 1.0 - f64::EPSILON / 2.0
+            }),
+            ("backoff", |c| c.reliability.backoff = -1.0),
+            ("backoff", |c| c.reliability.backoff = f64::INFINITY),
         ];
         for (what, edit) in hostile {
             let mut config = sample_config();
@@ -1242,6 +1278,18 @@ mod tests {
             ghost_voxels: MAX_GHOST_VOXELS,
             macrocell: MAX_ACCEL_EDGE,
             tile: MAX_ACCEL_EDGE,
+            faults: Some(FaultConfig {
+                delay_ms: 60_000,
+                ..Default::default()
+            }),
+            reliability: ReliabilityConfig {
+                enabled: true,
+                ack_timeout: MAX_WAIT,
+                max_retries: MAX_RETRANSMITS,
+                backoff: 1.0,
+                max_backoff: MAX_WAIT,
+            },
+            recv_deadline: Some(MAX_WAIT),
             ..Default::default()
         };
         let paper_largest = ExperimentConfig {
@@ -1340,11 +1388,15 @@ mod proptests {
             (f64) => {
                 f64::from_bits(word())
             };
+            // Non-negative floats are ordered as their bit patterns.
+            (f64 in $lo:expr, $hi:expr) => {
+                f64::from_bits($lo.to_bits() + word() % ($hi.to_bits() - $lo.to_bits() + 1))
+            };
             (bool) => {
                 word() & 1 == 1
             };
             (Duration) => {
-                Duration::from_nanos(word())
+                Duration::from_nanos(word() % (MAX_WAIT.as_nanos() as u64 + 1))
             };
             (Option $($some:tt)+) => {
                 if word() & 1 == 1 { Some($($some)+) } else { None }
@@ -1386,7 +1438,7 @@ mod proptests {
                 corrupt: draw!(f64),
                 duplicate: draw!(f64),
                 delay: draw!(f64),
-                delay_ms: word(),
+                delay_ms: draw!(usize in 0, MAX_WAIT.as_millis() as usize) as u64,
                 seed: word(),
                 kill: draw!(Option KillSpec {
                     rank: word() as usize,
@@ -1410,8 +1462,8 @@ mod proptests {
             reliability: ReliabilityConfig {
                 enabled: draw!(bool),
                 ack_timeout: draw!(Duration),
-                max_retries: word() as u32,
-                backoff: draw!(f64),
+                max_retries: draw!(usize in 0, MAX_RETRANSMITS as usize) as u32,
+                backoff: draw!(f64 in 1.0f64, f64::MAX),
                 max_backoff: draw!(Duration),
             },
             recv_deadline: draw!(Option draw!(Duration)),

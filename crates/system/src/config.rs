@@ -79,8 +79,9 @@ pub struct ExperimentConfig {
     #[serde(default = "default_tile")]
     pub tile: usize,
     /// Ray-sample batch width inside active macrocells (autovectorized
-    /// fixed-width lanes); `1` is the scalar reference, wider values
-    /// are bit-identical to it. Clamped to `vr_render::MAX_SIMD_LANES`.
+    /// fixed-width lanes); every width, `1` included, is bit-identical
+    /// to the unaccelerated reference (`macrocell = 0`). Clamped to
+    /// `1..=vr_render::MAX_SIMD_LANES`.
     #[serde(default = "default_simd_lanes")]
     pub simd_lanes: usize,
 }

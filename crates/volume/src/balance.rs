@@ -25,12 +25,29 @@ pub fn kd_partition_weighted(
     weight: impl Fn(u8) -> f64 + Copy,
     p: usize,
 ) -> Partition {
-    assert!(p >= 1, "need at least one processor");
-    let dims = volume.dims();
-    let mut subvolumes = Vec::with_capacity(p);
-    let tree = split(volume, weight, [0, 0, 0], dims, 0, p, &mut subvolumes);
-    subvolumes.sort_by_key(|s| s.rank);
-    Partition::from_parts(subvolumes, tree)
+    Partition::bisect(volume.dims(), p, |origin, dims, axis, p| {
+        // Place the cut at the prefix closest to ⌊p/2⌋/p of the total
+        // weight; blank slabs get an epsilon weight so the prefix stays
+        // strictly increasing and degenerate content still yields
+        // interior cuts.
+        let n = dims[axis];
+        let slices = slice_weights(volume, weight, origin, dims, axis);
+        let eps = 1e-9;
+        let total: f64 = slices.iter().sum::<f64>() + eps * n as f64;
+        let target = total * (p / 2) as f64 / p as f64;
+        let mut acc = 0.0;
+        let mut n_lo = 1;
+        let mut best_diff = f64::INFINITY;
+        for (i, w) in slices.iter().enumerate().take(n - 1) {
+            acc += w + eps;
+            let diff = (acc - target).abs();
+            if diff < best_diff {
+                best_diff = diff;
+                n_lo = i + 1;
+            }
+        }
+        n_lo
+    })
 }
 
 /// Per-slice weight sums along `axis` for the box `[origin, origin+dims)`.
@@ -54,67 +71,6 @@ fn slice_weights(
         }
     }
     out
-}
-
-fn split(
-    volume: &Volume,
-    weight: impl Fn(u8) -> f64 + Copy,
-    origin: [usize; 3],
-    dims: [usize; 3],
-    rank0: usize,
-    p: usize,
-    out: &mut Vec<Subvolume>,
-) -> crate::partition::Node {
-    use crate::partition::Node;
-    if p == 1 {
-        out.push(Subvolume {
-            rank: rank0,
-            origin,
-            dims,
-        });
-        return Node::Leaf(rank0);
-    }
-    let p_lo = p / 2;
-    let p_hi = p - p_lo;
-    let axis = (0..3).max_by_key(|&a| dims[a]).unwrap();
-    let n = dims[axis];
-    assert!(n >= 2, "cannot split axis {axis} of extent {n}");
-
-    // Place the cut at the prefix closest to p_lo/p of the total weight;
-    // blank slabs get an epsilon weight so the prefix stays strictly
-    // increasing and degenerate content still yields interior cuts.
-    let slices = slice_weights(volume, weight, origin, dims, axis);
-    let eps = 1e-9;
-    let total: f64 = slices.iter().sum::<f64>() + eps * n as f64;
-    let target = total * p_lo as f64 / p as f64;
-    let mut acc = 0.0;
-    let mut n_lo = 1;
-    let mut best_diff = f64::INFINITY;
-    for (i, w) in slices.iter().enumerate().take(n - 1) {
-        acc += w + eps;
-        let diff = (acc - target).abs();
-        if diff < best_diff {
-            best_diff = diff;
-            n_lo = i + 1;
-        }
-    }
-    let n_lo = n_lo.clamp(1, n - 1);
-
-    let mut lo_dims = dims;
-    lo_dims[axis] = n_lo;
-    let mut hi_dims = dims;
-    hi_dims[axis] = n - n_lo;
-    let mut hi_origin = origin;
-    hi_origin[axis] += n_lo;
-
-    let lo = split(volume, weight, origin, lo_dims, rank0, p_lo, out);
-    let hi = split(volume, weight, hi_origin, hi_dims, rank0 + p_lo, p_hi, out);
-    Node::Split {
-        axis,
-        at: hi_origin[axis],
-        lo: Box::new(lo),
-        hi: Box::new(hi),
-    }
 }
 
 /// The summed weight inside one block — the balance metric tests use.

@@ -13,8 +13,9 @@
 //!   mostly blank, the worst case for BSBR and best case for BSBRC.
 //!
 //! It also provides the volume partitioner: a KD (recursive bisection)
-//! block decomposition whose rank order yields an exact front-to-back
-//! depth ordering for any orthographic view — the invariant that makes
+//! block decomposition whose split tree yields an exact front-to-back
+//! depth ordering for any orthographic view direction and any
+//! perspective eye, inside the volume or out — the invariant that makes
 //! the `over` operator composable across processors.
 
 pub mod balance;

@@ -1,10 +1,12 @@
 //! Volume partitioning — the sort-last system's first phase.
 //!
 //! The volume is block-decomposed by recursive bisection (a KD split along
-//! the longest axis), one block per processor. The split tree is kept:
-//! traversing it front-to-back for a given view direction yields an exact
-//! visibility order between any two blocks, which is what lets every
-//! pairwise `over` in the compositing phase be oriented correctly.
+//! the longest axis), one block per processor; `Partition::bisect` is
+//! the one split, and the plain and weighted partitioners differ only in
+//! where it cuts. The split tree is kept: traversing it front-to-back for
+//! a given view direction, or from a given perspective eye, yields an
+//! exact visibility order between any two blocks, which is what lets
+//! every pairwise `over` in the compositing phase be oriented correctly.
 
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
@@ -21,15 +23,6 @@ pub struct Subvolume {
 }
 
 impl Subvolume {
-    /// Block centroid in voxel coordinates.
-    pub fn centroid(&self) -> Vec3 {
-        Vec3::new(
-            self.origin[0] as f32 + self.dims[0] as f32 / 2.0,
-            self.origin[1] as f32 + self.dims[1] as f32 / 2.0,
-            self.origin[2] as f32 + self.dims[2] as f32 / 2.0,
-        )
-    }
-
     /// Number of voxels in the block.
     pub fn voxels(&self) -> usize {
         self.dims[0] * self.dims[1] * self.dims[2]
@@ -83,9 +76,58 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Assembles a partition from blocks and a split tree (used by the
-    /// weighted partitioner in `balance`).
-    pub(crate) fn from_parts(subvolumes: Vec<Subvolume>, tree: Node) -> Partition {
+    /// Recursively bisects `dims` into `p` blocks (any `p ≥ 1`), assigning
+    /// ranks `0..p` in tree order: the one split both partitioners share.
+    /// Each split goes along the longest axis (ties prefer x, for
+    /// deterministic layouts) and gives the low half `p / 2` ranks;
+    /// `cut(origin, dims, axis, p)` names the low half's extent along
+    /// `axis`, clamped so neither half is empty.
+    pub(crate) fn bisect(
+        dims: [usize; 3],
+        p: usize,
+        mut cut: impl FnMut([usize; 3], [usize; 3], usize, usize) -> usize,
+    ) -> Partition {
+        fn split(
+            origin: [usize; 3],
+            dims: [usize; 3],
+            rank0: usize,
+            p: usize,
+            cut: &mut impl FnMut([usize; 3], [usize; 3], usize, usize) -> usize,
+            out: &mut Vec<Subvolume>,
+        ) -> Node {
+            if p == 1 {
+                out.push(Subvolume {
+                    rank: rank0,
+                    origin,
+                    dims,
+                });
+                return Node::Leaf(rank0);
+            }
+            let p_lo = p / 2;
+            let axis = (0..3).max_by_key(|&a| dims[a]).unwrap();
+            let n = dims[axis];
+            assert!(
+                n >= 2,
+                "cannot split axis {axis} of extent {n} into two blocks"
+            );
+            let n_lo = cut(origin, dims, axis, p).clamp(1, n - 1);
+            let (mut lo_dims, mut hi_dims, mut hi_origin) = (dims, dims, origin);
+            lo_dims[axis] = n_lo;
+            hi_dims[axis] = n - n_lo;
+            hi_origin[axis] += n_lo;
+            let lo = split(origin, lo_dims, rank0, p_lo, cut, out);
+            let hi = split(hi_origin, hi_dims, rank0 + p_lo, p - p_lo, cut, out);
+            Node::Split {
+                axis,
+                at: hi_origin[axis],
+                lo: Box::new(lo),
+                hi: Box::new(hi),
+            }
+        }
+        assert!(p >= 1, "need at least one processor");
+        // Leaves are pushed low half first, so `subvolumes` is in rank order.
+        let mut subvolumes = Vec::with_capacity(p);
+        let tree = split([0, 0, 0], dims, 0, p, &mut cut, &mut subvolumes);
         Partition { subvolumes, tree }
     }
 
@@ -112,28 +154,8 @@ impl Partition {
     /// traversal yields a correct visibility order for *every* pair of
     /// blocks — no centroid approximation involved.
     pub fn depth_order(&self, view_dir: Vec3) -> DepthOrder {
-        let mut front_to_back = Vec::with_capacity(self.len());
-        fn walk(node: &Node, v: Vec3, out: &mut Vec<usize>) {
-            match node {
-                Node::Leaf(rank) => out.push(*rank),
-                Node::Split { axis, lo, hi, .. } => {
-                    // view component ≥ 0 → rays enter the low half first.
-                    let toward_hi = v.get(*axis) >= 0.0;
-                    let (first, second) = if toward_hi { (lo, hi) } else { (hi, lo) };
-                    walk(first, v, out);
-                    walk(second, v, out);
-                }
-            }
-        }
-        walk(&self.tree, view_dir, &mut front_to_back);
-        let mut position = vec![0usize; self.len()];
-        for (pos, &rank) in front_to_back.iter().enumerate() {
-            position[rank] = pos;
-        }
-        DepthOrder {
-            position,
-            front_to_back,
-        }
+        // view component ≥ 0 → rays enter the low half first.
+        self.walk(|axis, _| view_dir.get(axis) >= 0.0)
     }
 
     /// Front-to-back visibility order for a *perspective* view from
@@ -145,27 +167,30 @@ impl Partition {
     /// position (an eye exactly on a plane sees the two halves through
     /// disjoint pixels, so either order is valid).
     pub fn depth_order_from_eye(&self, eye: Vec3) -> DepthOrder {
-        let mut front_to_back = Vec::with_capacity(self.len());
-        fn walk(node: &Node, eye: Vec3, out: &mut Vec<usize>) {
+        self.walk(|axis, at| eye.get(axis) < at as f32)
+    }
+
+    /// The split tree's leaves in visiting order, where each split with
+    /// axis `axis` and plane `at` visits its low half first iff
+    /// `lo_first(axis, at)`.
+    fn walk(&self, lo_first: impl Fn(usize, usize) -> bool) -> DepthOrder {
+        fn visit(node: &Node, lo_first: &impl Fn(usize, usize) -> bool, out: &mut Vec<usize>) {
             match node {
                 Node::Leaf(rank) => out.push(*rank),
                 Node::Split { axis, at, lo, hi } => {
-                    let eye_in_lo = eye.get(*axis) < *at as f32;
-                    let (first, second) = if eye_in_lo { (lo, hi) } else { (hi, lo) };
-                    walk(first, eye, out);
-                    walk(second, eye, out);
+                    let (first, second) = if lo_first(*axis, *at) {
+                        (lo, hi)
+                    } else {
+                        (hi, lo)
+                    };
+                    visit(first, lo_first, out);
+                    visit(second, lo_first, out);
                 }
             }
         }
-        walk(&self.tree, eye, &mut front_to_back);
-        let mut position = vec![0usize; self.len()];
-        for (pos, &rank) in front_to_back.iter().enumerate() {
-            position[rank] = pos;
-        }
-        DepthOrder {
-            position,
-            front_to_back,
-        }
+        let mut front_to_back = Vec::with_capacity(self.len());
+        visit(&self.tree, &lo_first, &mut front_to_back);
+        DepthOrder::from_sequence(front_to_back)
     }
 }
 
@@ -190,10 +215,7 @@ impl DepthOrder {
 
     /// Builds a trivial order for testing (ranks already front-to-back).
     pub fn identity(p: usize) -> Self {
-        DepthOrder {
-            position: (0..p).collect(),
-            front_to_back: (0..p).collect(),
-        }
+        DepthOrder::from_sequence((0..p).collect())
     }
 
     /// Builds from an explicit front-to-back rank sequence.
@@ -216,59 +238,14 @@ impl DepthOrder {
 /// cut placed proportionally to the processor counts so block volumes
 /// stay balanced even for non-power-of-two `p`.
 pub fn kd_partition(dims: [usize; 3], p: usize) -> Partition {
-    assert!(p >= 1, "need at least one processor");
     assert!(
         dims[0].max(dims[1]).max(dims[2]) >= p || dims[0] * dims[1] * dims[2] >= p,
         "volume too small for {p} blocks"
     );
-    let mut subvolumes = Vec::with_capacity(p);
-    let tree = split([0, 0, 0], dims, 0, p, &mut subvolumes);
-    subvolumes.sort_by_key(|s| s.rank);
-    Partition { subvolumes, tree }
-}
-
-fn split(
-    origin: [usize; 3],
-    dims: [usize; 3],
-    rank0: usize,
-    p: usize,
-    out: &mut Vec<Subvolume>,
-) -> Node {
-    if p == 1 {
-        out.push(Subvolume {
-            rank: rank0,
-            origin,
-            dims,
-        });
-        return Node::Leaf(rank0);
-    }
-    let p_lo = p / 2;
-    let p_hi = p - p_lo;
-    // Longest axis; ties prefer x for deterministic layouts.
-    let axis = (0..3).max_by_key(|&a| dims[a]).unwrap();
-    let n = dims[axis];
-    assert!(
-        n >= 2,
-        "cannot split axis {axis} of extent {n} into two blocks"
-    );
-    let mut n_lo = (n * p_lo + p / 2) / p; // proportional, rounded
-    n_lo = n_lo.clamp(1, n - 1);
-
-    let mut lo_dims = dims;
-    lo_dims[axis] = n_lo;
-    let mut hi_dims = dims;
-    hi_dims[axis] = n - n_lo;
-    let mut hi_origin = origin;
-    hi_origin[axis] += n_lo;
-
-    let lo = split(origin, lo_dims, rank0, p_lo, out);
-    let hi = split(hi_origin, hi_dims, rank0 + p_lo, p_hi, out);
-    Node::Split {
-        axis,
-        at: hi_origin[axis],
-        lo: Box::new(lo),
-        hi: Box::new(hi),
-    }
+    // Proportional, rounded.
+    Partition::bisect(dims, p, |_, dims, axis, p| {
+        (dims[axis] * (p / 2) + p / 2) / p
+    })
 }
 
 #[cfg(test)]

@@ -121,8 +121,9 @@ SERVE:    starts the vr-serve frame service (session-resident datasets,
           render flags and --faults/--reliable/--recv-deadline among them;
           the daemon adds none. Self-healing knobs: a failed attempt
           retries at once, re-salting its fault draws, up to --max-retries
-          times (under `serve` the flag also sets the request's --reliable
-          retransmit budget); a degraded frame (dead-rank holes) is served
+          times (under `render` the flag is instead the --reliable
+          transport's retransmit budget; a request keeps the default
+          one); a degraded frame (dead-rank holes) is served
           only at or above --psnr-floor dB versus the fault-free
           reference, else retried then rejected. A request's failures
           are its own: they never refuse another request's frame.
@@ -143,9 +144,9 @@ RENDER:   --macrocell N sets the empty-space-skipping cell edge in voxels
           width of the render pool whose threads drain every rank's live
           tiles from one board (default 0 = auto: one thread per core,
           capped at 8); --simd-lanes N batches N ray samples per active
-          cell for the autovectorizer (default 4, 1 = scalar). All four
-          knobs are bit-exact: the accelerated, threaded, lane-batched
-          image is identical to the naive one. Under `serve`/`daemon`,
+          cell for the autovectorizer (default 4, max 8). All four knobs
+          are bit-exact: the accelerated, threaded, lane-batched image
+          at any width is identical to the naive one (--macrocell 0). Under `serve`/`daemon`,
           --render-threads sizes each worker's pool (auto is not divided
           among the workers; requests carry no thread count), while
           --simd-lanes is a request field: the daemon renders each
@@ -300,11 +301,6 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
             .map_err(|_| format!("invalid --ack-timeout `{ms}`"))?;
         config.reliability.ack_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(n) = flags.get("--max-retries") {
-        config.reliability.max_retries = n
-            .parse()
-            .map_err(|_| format!("invalid --max-retries `{n}`"))?;
-    }
     if let Some(ms) = flags.get("--recv-deadline") {
         let ms: u64 = ms
             .parse()
@@ -333,7 +329,10 @@ fn prepare(config: &ExperimentConfig, threads: usize) -> Experiment {
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args);
-    let config = config_from_flags(&flags)?;
+    let mut config = config_from_flags(&flags)?;
+    // Under `serve` and `daemon` the flag is the service's frame retries.
+    let retransmits = config.reliability.max_retries;
+    config.reliability.max_retries = flags.parse("--max-retries", retransmits)?;
     let threads = flags.parse("--render-threads", 0usize)?;
     let distributed = flags.has("--distributed");
     let out_path = flags.get("--out").unwrap_or("render.pgm");
