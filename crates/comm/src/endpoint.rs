@@ -276,14 +276,6 @@ impl Endpoint {
         self.stats
     }
 
-    /// Records the peak resident pixel-buffer bytes the compositing
-    /// layer held on this rank (scratch staging buffers). A watermark:
-    /// the lifetime maximum is what [`Endpoint::stats`] reports.
-    #[inline]
-    pub fn note_pixel_buffer_peak(&mut self, bytes: u64) {
-        self.stats.note_pixel_buffer_peak(bytes);
-    }
-
     /// Marks this rank's work done. With `linger`, a reliable link layer
     /// then keeps answering retransmissions until the whole group is
     /// done (see [`Links::linger_until_group_done`]).

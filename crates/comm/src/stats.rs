@@ -36,11 +36,9 @@ pub struct TrafficStats {
     /// headers, ack frames, and discarded duplicate/corrupt frames.
     #[serde(default)]
     pub overhead_bytes: u64,
-    /// Peak resident pixel-buffer bytes this rank held at any point of
-    /// the compositing schedule (scratch send/receive staging buffers).
-    /// Reported by the compositing layer via
-    /// [`note_pixel_buffer_peak`](TrafficStats::note_pixel_buffer_peak);
-    /// zero for code paths that never stage pixels.
+    /// Always 0: no compositing path stages pixels any more, so nothing
+    /// raises it. The field stays only because the benchmark package
+    /// reads it.
     #[serde(default)]
     pub peak_pixel_buffer_bytes: u64,
 }
@@ -59,12 +57,6 @@ impl TrafficStats {
         self.modeled_comm_seconds += modeled_seconds;
     }
 
-    /// Raises the peak resident pixel-buffer watermark to at least
-    /// `bytes`. Idempotent; the maximum over the rank's lifetime wins.
-    pub fn note_pixel_buffer_peak(&mut self, bytes: u64) {
-        self.peak_pixel_buffer_bytes = self.peak_pixel_buffer_bytes.max(bytes);
-    }
-
     /// Merges another rank's counters into this one (for aggregates).
     pub fn merge(&mut self, other: &TrafficStats) {
         self.sent_messages += other.sent_messages;
@@ -77,10 +69,6 @@ impl TrafficStats {
         self.corruptions_detected += other.corruptions_detected;
         self.ack_timeouts += other.ack_timeouts;
         self.overhead_bytes += other.overhead_bytes;
-        // A watermark, not a flow: the group-wide peak is the worst rank.
-        self.peak_pixel_buffer_bytes = self
-            .peak_pixel_buffer_bytes
-            .max(other.peak_pixel_buffer_bytes);
     }
 }
 
@@ -135,20 +123,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.sent_bytes, 10);
         assert_eq!(a.recv_bytes, 20);
-    }
-
-    #[test]
-    fn peak_pixel_buffer_is_a_watermark() {
-        let mut a = TrafficStats::default();
-        a.note_pixel_buffer_peak(4096);
-        a.note_pixel_buffer_peak(1024); // lower: must not shrink the peak
-        assert_eq!(a.peak_pixel_buffer_bytes, 4096);
-        let b = TrafficStats {
-            peak_pixel_buffer_bytes: 9000,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.peak_pixel_buffer_bytes, 9000, "merge takes the max");
     }
 
     #[test]

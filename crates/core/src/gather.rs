@@ -11,7 +11,7 @@
 //! its header and 4 bytes.
 //!
 //! Blank is decided by bits ([`Image::bit_runs_into`] for a rect,
-//! [`kernel::scan_bit_runs_into`] for a staged sequence): only a
+//! [`kernel::scan_bit_runs_into`] pixel by pixel for a sequence): only a
 //! bitwise [`Pixel::BLANK`] stays behind, so a `-0.0`, NaN-payload or
 //! subnormal pixel travels and the gathered frame is the composited one
 //! bit for bit. The root starts from a blank frame and writes only the
@@ -19,12 +19,13 @@
 //! still counts a piece's whole domain as covered.
 //!
 //! [`MaskRle`]: vr_image::MaskRle
+//! [`Pixel::BLANK`]: vr_image::Pixel::BLANK
 
 use bytes::Bytes;
 use vr_comm::{gather_tolerant, Endpoint};
 use vr_image::body::RunBody;
 use vr_image::rect::BYTES_PER_RECT;
-use vr_image::{kernel, Image, MaskRle, Pixel, Rect, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, Rect, StridedSeq};
 
 use crate::error::{Checked, CompositeError, Malformed};
 use crate::methods::spatial::read_rect;
@@ -46,19 +47,22 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> Bytes {
         OwnedPiece::Rect(rect) => encode_rects(image, &[KIND_RECT], std::slice::from_ref(rect)),
         OwnedPiece::Rects(rects) => encode_rects(image, &[KIND_RECTS, rects.len() as u32], rects),
         OwnedPiece::Seq(seq) => {
-            // A strided sequence is not a row span: its pixels are
-            // staged once, in sequence order, and scanned there.
-            let staged: Vec<Pixel> = seq.iter().map(|i| image.pixels()[i]).collect();
+            // A strided sequence is not a row span: it is scanned in
+            // place at its stride, one pixel at a time (`RunSet::push`
+            // joins neighbours into runs), and written the same way.
+            let pixels = image.pixels();
             let mut body = RunBody::default();
-            let len = body.scan(staged.len(), |runs| {
-                kernel::scan_bit_runs_into(&staged, 0, runs)
+            let len = body.scan(seq.count, |runs| {
+                for (i, idx) in seq.iter().enumerate() {
+                    kernel::scan_bit_runs_into(std::slice::from_ref(&pixels[idx]), i, runs);
+                }
             });
             let mut w = MsgWriter::with_capacity(4 + 12 + len);
             w.put_u32(KIND_SEQ);
             for word in [seq.start, seq.stride, seq.count] {
                 w.put_u32(word as u32);
             }
-            body.put_span(w.payload(), &staged);
+            body.put_seq(w.payload(), pixels, *seq);
             w.freeze()
         }
     }
@@ -140,14 +144,13 @@ fn apply_seq(out: &mut Image, mut r: MsgReader) -> Checked<usize> {
     // as covered.
     Malformed::unless(seq.stride >= 1 && (seq.count == 0 || last < out.area() as u64))?;
     let (rle, total) = r.get_body(seq.count)?;
-    let mut pixels = Vec::new();
-    r.get_pixels_into(total, &mut pixels)?;
+    let wire = r.take_pixels(total)?;
     r.finish()?;
     let width = out.width() as usize;
     let positions = rle
         .non_blank_runs()
         .flat_map(|(start, len)| start..start + len);
-    for (i, p) in positions.zip(pixels) {
+    for (i, p) in positions.zip(kernel::decode(&wire)) {
         let idx = seq.index(i);
         out.set((idx % width) as u16, (idx / width) as u16, p);
     }
@@ -230,6 +233,7 @@ mod tests {
     use super::*;
     use crate::methods::testutil::gather_exact;
     use vr_comm::{run_group, CostModel};
+    use vr_image::Pixel;
 
     #[test]
     fn gather_rect_pieces() {

@@ -17,8 +17,11 @@
 //! structurally — [`RunSet::split_parity_into`] derives each stage's
 //! sent-half codes, [`RunSet::union_into`] folds in the received runs —
 //! so a stage costs `O(runs)`, not `O(A/2^k)`, and the wire bytes are
-//! bit-identical to a dense rescan. Every table, the code buffer and the
-//! pixel staging persist across stages.
+//! bit-identical to a dense rescan. Every table and the code buffer
+//! persist across stages. No pixel is staged: the sent half's runs are
+//! written straight from the image at the sequence's stride
+//! ([`RunBody::put_seq`]), and each received pixel is decoded from the
+//! payload as it is composited.
 
 use bytes::Bytes;
 use vr_image::body::RunBody;
@@ -26,7 +29,7 @@ use vr_image::{kernel, Image, RunSet, StridedSeq};
 
 use crate::error::Checked;
 use crate::stats::StageStat;
-use crate::wire::{MsgReader, MsgWriter, ScratchPool};
+use crate::wire::{MsgReader, MsgWriter};
 
 use super::swap::{Charge, StageCodec};
 use super::{OwnedPiece, Run};
@@ -47,9 +50,6 @@ pub(crate) struct InterleavedRuns {
     merged: RunSet,
     /// The other half of its parity split, coded: the sent half's body.
     sent: RunBody,
-    /// A strided sequence cannot be written or composited row by row, so
-    /// its pixels are packed through `send` and unpacked through `recv`.
-    scratch: ScratchPool,
 }
 
 impl StageCodec for InterleavedRuns {
@@ -65,7 +65,6 @@ impl StageCodec for InterleavedRuns {
             recv: RunSet::new(),
             merged: RunSet::new(),
             sent: RunBody::default(),
-            scratch: ScratchPool::new(),
         }
     }
 
@@ -89,21 +88,12 @@ impl StageCodec for InterleavedRuns {
     }
 
     fn encode(&mut self, image: &Image, _part: usize, stat: &mut StageStat) -> Bytes {
-        let send = self.send;
-        // The run codes come straight from the parity split; only the
-        // non-blank pixels are gathered, into the reusable scratch
-        // buffer, so the wire write is one bulk copy.
-        let pixels = image.pixels();
-        let staged = &mut self.scratch.send;
-        staged.clear();
-        staged.reserve(self.sent.non_blank());
-        for &(start, len) in self.sent.runs().runs() {
-            staged.extend((0..len).map(|i| pixels[send.index(start + i)]));
-        }
+        // The run codes come straight from the parity split; the
+        // non-blank pixels are read from the image at the send half's
+        // stride.
         let mut w = MsgWriter::with_capacity(self.sent.wire_len());
-        self.sent.put_packed(w.payload(), staged);
-        self.scratch.note_watermark();
-        stat.encoded_pixels += send.count as u64;
+        self.sent.put_seq(w.payload(), image.pixels(), self.send);
+        stat.encoded_pixels += self.send.count as u64;
         stat.run_codes += self.sent.codes() as u64;
         w.freeze()
     }
@@ -120,16 +110,15 @@ impl StageCodec for InterleavedRuns {
     ) -> Checked<()> {
         let mut r = MsgReader::new(received);
         let (rle, total) = r.get_body(self.seq.count)?;
-        // One bulk parse of the pixel payload; the scatter below reads
-        // it sequentially, so arithmetic order is unchanged.
-        r.get_pixels_into(total, &mut self.scratch.recv)?;
+        let wire = r.take_pixels(total)?;
         r.finish()?;
         self.recv.assign_from_runs(rle.non_blank_runs());
-        self.scratch.note_watermark();
-        let mut staged = self.scratch.recv.iter();
+        // Each pixel is decoded as it is composited, in payload order, so
+        // arithmetic order is unchanged.
+        let mut incoming = kernel::decode(&wire);
         let pixels = image.pixels_mut();
         for &(start, len) in self.recv.runs() {
-            for (i, &incoming) in (start..start + len).zip(&mut staged) {
+            for (i, incoming) in (start..start + len).zip(&mut incoming) {
                 let local = &mut pixels[self.seq.index(i)];
                 *local = if front {
                     incoming.over(*local)
@@ -144,10 +133,6 @@ impl StageCodec for InterleavedRuns {
 
     fn piece(&self) -> OwnedPiece {
         OwnedPiece::Seq(self.seq)
-    }
-
-    fn staging_peak_bytes(&self) -> u64 {
-        self.scratch.peak_bytes()
     }
 }
 

@@ -76,12 +76,6 @@ pub(crate) trait StageCodec: Sized {
 
     /// What this rank owns now.
     fn piece(&self) -> OwnedPiece;
-
-    /// Peak bytes of pixel staging held (zero for the codecs that write
-    /// and composite straight from image rows and wire bytes).
-    fn staging_peak_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// A method's round vector.
@@ -193,7 +187,6 @@ pub(crate) fn run<C: StageCodec>(
         run.stages.push(stat);
     }
 
-    ep.note_pixel_buffer_peak(codec.staging_peak_bytes());
     Ok(run.finish(ep, codec.piece()))
 }
 

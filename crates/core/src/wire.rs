@@ -87,11 +87,6 @@ impl MsgWriter {
         }
     }
 
-    /// Appends a single pixel.
-    pub fn put_pixel(&mut self, p: Pixel) {
-        self.buf.put_slice(&p.to_le_bytes());
-    }
-
     /// Current payload size in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -161,30 +156,12 @@ impl MsgReader {
         Ok((header.runs, header.non_blank))
     }
 
-    /// Reads `n` pixels into a reusable buffer (cleared first) — the
-    /// decode for payloads that are not composited in wire order
-    /// (BSLC's strided sequences, buffered contributions).
-    pub fn get_pixels_into(&mut self, n: usize, out: &mut Vec<Pixel>) -> Checked<()> {
-        let wire = self.take_pixels(n)?;
-        out.clear();
-        out.extend(
-            wire.chunks_exact(BYTES_PER_PIXEL)
-                .map(|raw| Pixel::from_le_bytes(raw.try_into().unwrap())),
-        );
-        Ok(())
-    }
-
     /// Consumes the next `n` pixels and returns their wire bytes
     /// (`16 · n`) as a view of the payload, undecoded: the input of
     /// `vr_image`'s wire-form kernels, which composite or store each
     /// pixel as they decode it.
     pub fn take_pixels(&mut self, n: usize) -> Checked<Bytes> {
         self.take(n, BYTES_PER_PIXEL)
-    }
-
-    /// Reads a single pixel.
-    pub fn get_pixel(&mut self) -> Checked<Pixel> {
-        self.array().map(Pixel::from_le_bytes)
     }
 
     /// Bytes not yet consumed.
@@ -199,60 +176,11 @@ impl MsgReader {
     }
 }
 
-/// Reusable staging buffers for a payload that is gathered and
-/// scattered pixel by pixel — BSLC's, and BSLC's alone: the pool is a
-/// field of its interleaved stage codec, not of the shared run state.
-///
-/// Rect- and run-shaped payloads (every spatial codec, the fold, the
-/// gather's rects) need no staging:
-/// [`MsgWriter::put_image_rect`] and [`MsgWriter::put_pixels`] write
-/// image rows straight into the payload and [`MsgReader::take_pixels`]
-/// feeds the received bytes straight to the `over` kernels. BSLC's
-/// interleaved sequences visit the image with a stride, so it packs
-/// through `send` and unpacks through `recv`; the pool owns one of each,
-/// grown to the schedule's high-water mark and reused (`clear()`, never
-/// shrunk) across stages instead of allocated per stage.
-///
-/// The pool also records that high-water mark: `peak_bytes()` is the
-/// peak resident staging footprint, surfaced per rank through
-/// `TrafficStats::peak_pixel_buffer_bytes` (zero for the methods that
-/// stage nothing).
-///
-/// Stale-data safety: [`MsgReader::get_pixels_into`] clears before
-/// writing and the consumer only reads the freshly written prefix, so a
-/// buffer can never leak pixels from an earlier stage.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    /// Packing buffer for outgoing pixel payloads.
-    pub send: Vec<Pixel>,
-    /// Staging buffer for incoming pixel payloads.
-    pub recv: Vec<Pixel>,
-    peak: u64,
-}
-
-impl ScratchPool {
-    /// An empty pool; buffers grow on first use.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// Records the current resident footprint. Call once per stage,
-    /// after the buffers are filled.
-    pub fn note_watermark(&mut self) {
-        let resident = (self.send.capacity() + self.recv.capacity()) * vr_image::BYTES_PER_PIXEL;
-        self.peak = self.peak.max(resident as u64);
-    }
-
-    /// Peak resident staging bytes observed so far.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vr_image::body::RunBody;
+    use vr_image::{kernel, StridedSeq};
 
     /// A body over `domain` positions holding `runs`.
     fn body_of(domain: usize, runs: &[(usize, usize)]) -> RunBody {
@@ -272,17 +200,18 @@ mod tests {
         w.put_rect(rect);
         w.put_u32(3);
         let px = [Pixel::gray(0.25, 0.5), Pixel::gray(1.0, 1.0)];
+        let mut domain = [Pixel::BLANK; 9];
+        domain[5..7].copy_from_slice(&px);
         let body = body_of(9, &[(5, 2)]);
-        body.put_packed(w.payload(), &px);
+        body.put_seq(w.payload(), &domain, StridedSeq::dense(9));
         assert_eq!(w.len(), 8 + 4 + 4 + 2 * 2 + 32);
 
         let mut r = MsgReader::new(w.freeze());
         assert_eq!(r.get_rect(), Ok(rect));
         assert_eq!(r.get_u32(), Ok(3));
         assert_eq!(r.get_body(9), Ok((MaskRle::from_codes(vec![5, 2]), 2)));
-        let mut got = Vec::new();
-        assert_eq!(r.get_pixels_into(2, &mut got), Ok(()));
-        assert_eq!(got, px);
+        let wire = r.take_pixels(2).unwrap();
+        assert!(kernel::decode(&wire).eq(px));
         assert_eq!(r.finish(), Ok(()));
     }
 
@@ -303,16 +232,17 @@ mod tests {
         let mut w = MsgWriter::new();
         w.put_rect(Rect::new(1, 2, 3, 4));
         w.put_u32(7);
-        body_of(20, &[(9, 1)]).put_packed(w.payload(), &[Pixel::gray(0.5, 0.25)]);
+        let mut domain = [Pixel::BLANK; 20];
+        domain[9] = Pixel::gray(0.5, 0.25);
+        body_of(20, &[(9, 1)]).put_seq(w.payload(), &domain, StridedSeq::dense(20));
         w.put_pixels(&[Pixel::BLANK; 2]);
         let full = w.freeze();
         let read_all = |r: &mut MsgReader| -> Checked<()> {
             r.get_rect()?;
             r.get_u32()?;
             r.get_body(20)?;
-            r.get_pixel()?;
             r.take_pixels(1)?;
-            r.get_pixels_into(1, &mut Vec::new())
+            r.take_pixels(2).map(drop)
         };
         for cut in 0..full.len() {
             let mut r = MsgReader::new(full.slice(..cut));
@@ -329,17 +259,6 @@ mod tests {
         );
         assert_eq!(read_all(&mut r), Ok(()));
         assert_eq!(r.finish(), Ok(()));
-    }
-
-    #[test]
-    fn get_pixels_into_clears_stale_contents() {
-        let fresh = [Pixel::gray(0.25, 0.5), Pixel::gray(0.75, 1.0)];
-        let mut w = MsgWriter::new();
-        w.put_pixels(&fresh);
-        let mut buf = vec![Pixel::gray(9.0, 9.0); 100]; // stale junk
-        let mut r = MsgReader::new(w.freeze());
-        r.get_pixels_into(2, &mut buf).unwrap();
-        assert_eq!(buf, fresh.to_vec(), "stale pixels must not survive");
     }
 
     #[test]
@@ -397,19 +316,5 @@ mod tests {
         assert_eq!(wire[..16], px[0].to_le_bytes());
         assert_eq!(r.get_u32(), Ok(11));
         assert_eq!(r.take_pixels(0).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn scratch_pool_tracks_peak_watermark() {
-        let mut pool = ScratchPool::new();
-        assert_eq!(pool.peak_bytes(), 0);
-        pool.send.resize(100, Pixel::BLANK);
-        pool.note_watermark();
-        let after_send = pool.peak_bytes();
-        assert!(after_send >= 1600);
-        pool.send.clear(); // reuse: capacity (and the peak) remain
-        pool.recv.resize(50, Pixel::BLANK);
-        pool.note_watermark();
-        assert!(pool.peak_bytes() >= after_send + 800);
     }
 }

@@ -10,7 +10,7 @@ use vr_comm::{
     run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, ScheduleSpec, Tag,
 };
 use vr_image::body::RunBody;
-use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
 fn content_image(w: u16, h: u16, salt: u32) -> Image {
@@ -35,8 +35,10 @@ fn writer_reader_agree_on_every_element_type() {
     // A run body: one pixel, then a blank tail split at u16::MAX.
     let mut body = RunBody::default();
     body.scan(70_000, |runs| runs.push(1, 1));
-    body.put_packed(w.payload(), &[Pixel::gray(0.75, 1.0)]);
-    w.put_pixel(Pixel::gray(0.5, 0.25));
+    let mut domain = vec![Pixel::BLANK; 70_000];
+    domain[1] = Pixel::gray(0.75, 1.0);
+    body.put_seq(w.payload(), &domain, StridedSeq::dense(70_000));
+    w.put_pixels(&[Pixel::gray(0.5, 0.25)]);
     let total = 8 + 4 + (4 + 8 + 16) + 16;
     assert_eq!(w.len(), total);
     let mut r = MsgReader::new(w.freeze());
@@ -44,8 +46,9 @@ fn writer_reader_agree_on_every_element_type() {
     assert_eq!(r.get_u32(), Ok(0xDEADBEEF));
     let codes = MaskRle::from_codes(vec![1, 1, 65535, 0]);
     assert_eq!(r.get_body(70_000), Ok((codes, 1)));
-    assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.75, 1.0)));
-    assert_eq!(r.get_pixel(), Ok(Pixel::gray(0.5, 0.25)));
+    let pixels = r.take_pixels(2).unwrap();
+    let want = [Pixel::gray(0.75, 1.0), Pixel::gray(0.5, 0.25)];
+    assert!(kernel::decode(&pixels).eq(want));
     assert_eq!(r.finish(), Ok(()));
     assert!(r.get_u32().is_err(), "a read past the end is typed");
 }

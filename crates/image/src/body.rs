@@ -18,6 +18,7 @@
 //! pixel they announce is missing.
 
 use crate::image::Image;
+use crate::interleave::StridedSeq;
 use crate::pixel::{Pixel, BYTES_PER_PIXEL};
 use crate::rect::Rect;
 use crate::rle::{MaskRle, RunSet, BYTES_PER_RUN_CODE};
@@ -73,21 +74,17 @@ impl RunBody {
         });
     }
 
-    /// Appends the body of a domain whose pixels are `span`, in domain
-    /// order (the gather's strided sequence, staged).
-    pub fn put_span(&self, w: &mut Vec<u8>, span: &[Pixel]) {
+    /// Appends the body of the sequence `seq` over `pixels`: the header,
+    /// then each run's pixels read at the sequence's stride (BSLC's
+    /// halves and the gather's sequence piece).
+    pub fn put_seq(&self, w: &mut Vec<u8>, pixels: &[Pixel], seq: StridedSeq) {
         self.put_header(w);
         for &(start, len) in self.runs.runs() {
-            put_pixels(w, &span[start..start + len]);
+            let run = pixels[seq.index(start)..].iter().step_by(seq.stride);
+            for p in run.take(len) {
+                w.extend_from_slice(&p.to_le_bytes());
+            }
         }
-    }
-
-    /// Appends the body with its non-blank pixels already `packed` in run
-    /// order (BSLC's staged half).
-    pub fn put_packed(&self, w: &mut Vec<u8>, packed: &[Pixel]) {
-        debug_assert_eq!(packed.len(), self.non_blank());
-        self.put_header(w);
-        put_pixels(w, packed);
     }
 
     /// The one writer of the run-code header: the count, then the codes.
@@ -187,6 +184,17 @@ mod tests {
         body
     }
 
+    /// Writes `body` with `px`, its non-blank pixels in run order, laid
+    /// at the runs' positions of an otherwise blank dense domain.
+    fn put_spread(body: &RunBody, w: &mut Vec<u8>, domain: usize, px: &[Pixel]) {
+        let mut dense = vec![Pixel::BLANK; domain];
+        let positions = body.runs().runs().iter().flat_map(|&(s, l)| s..s + l);
+        for (i, &p) in positions.zip(px) {
+            dense[i] = p;
+        }
+        body.put_seq(w, &dense, StridedSeq::dense(domain));
+    }
+
     /// The pixels a checked header announces, decoded from what follows it.
     fn pixels_after(wire: &[u8], header: &BodyHeader) -> Vec<Pixel> {
         wire[header.len..][..header.non_blank * BYTES_PER_PIXEL]
@@ -230,7 +238,7 @@ mod tests {
         let px: Vec<Pixel> = (0..body.non_blank())
             .map(|i| Pixel::from_straight(i as f32 * 0.01, 0.5, 1.0 - i as f32 * 0.001, 0.75))
             .collect();
-        let (rle, got) = round_trip(&body, domain, |w| body.put_packed(w, &px));
+        let (rle, got) = round_trip(&body, domain, |w| put_spread(&body, w, domain, &px));
         assert_eq!(rle.codes(), &body.codes[..]);
         assert!(rle.non_blank_runs().eq(body.runs().runs().iter().copied()));
         assert_eq!(got, px);
@@ -289,40 +297,38 @@ mod tests {
         }
     }
 
-    /// A strided sequence's body both ways it is written: the gather's,
-    /// staged whole and scanned by bits, and BSLC's, its non-blank
-    /// pixels packed. Either restores the sequence bit for bit.
+    /// A strided sequence's body, scanned by bits in place and written
+    /// at its stride, restores the sequence bit for bit.
     #[test]
     fn a_strided_sequence_body_restores_its_pixels() {
         let image = odd_frame();
-        let seq = StridedSeq {
-            start: 1,
-            stride: 3,
-            count: 25,
-        };
-        let staged: Vec<Pixel> = seq.iter().map(|i| image.pixels()[i]).collect();
-        let mut body = RunBody::default();
-        body.scan(seq.count, |runs| {
-            kernel::scan_bit_runs_into(&staged, 0, runs)
-        });
-        let packed: Vec<Pixel> = body
-            .runs()
-            .runs()
-            .iter()
-            .flat_map(|&(start, len)| staged[start..start + len].to_vec())
-            .collect();
-        let spans = round_trip(&body, seq.count, |w| body.put_span(w, &staged));
-        let packs = round_trip(&body, seq.count, |w| body.put_packed(w, &packed));
-        for (rle, pixels) in [spans, packs] {
+        for (start, stride, count) in [(1, 3, 25), (0, 1, 77), (5, 8, 9), (2, 4, 0)] {
+            let seq = StridedSeq {
+                start,
+                stride,
+                count,
+            };
+            let mut body = RunBody::default();
+            body.scan(seq.count, |runs| {
+                for (i, idx) in seq.iter().enumerate() {
+                    kernel::scan_bit_runs_into(std::slice::from_ref(&image.pixels()[idx]), i, runs);
+                }
+            });
+            let (rle, pixels) =
+                round_trip(&body, seq.count, |w| body.put_seq(w, image.pixels(), seq));
             let mut restored = vec![Pixel::BLANK; seq.count];
             let positions = rle.non_blank_runs().flat_map(|(s, l)| s..s + l);
             for (i, p) in positions.zip(pixels) {
                 restored[i] = p;
             }
-            assert!(restored
-                .iter()
-                .zip(&staged)
-                .all(|(a, b)| bits(*a) == bits(*b)));
+            let staged = seq.iter().map(|i| image.pixels()[i]);
+            assert!(
+                restored
+                    .iter()
+                    .zip(staged)
+                    .all(|(a, b)| bits(*a) == bits(b)),
+                "{seq:?}"
+            );
         }
     }
 
@@ -334,7 +340,7 @@ mod tests {
         let body = body_of(40, &[(3, 2), (30, 1)]);
         let pixels = [Pixel::gray(0.5, 0.25); 3];
         let mut wire = Vec::new();
-        body.put_packed(&mut wire, &pixels);
+        put_spread(&body, &mut wire, 40, &pixels);
         for cut in 0..wire.len() {
             let want = if cut < COUNT_BYTES {
                 BodyError::CountCut
@@ -397,7 +403,7 @@ mod tests {
         let body = body_of(domain, &[(0, 1)]);
         assert_eq!(body.codes, [0, 1, u16::MAX, 0]);
         let mut wire = Vec::new();
-        body.put_packed(&mut wire, &[Pixel::gray(0.5, 1.0)]);
+        put_spread(&body, &mut wire, domain, &[Pixel::gray(0.5, 1.0)]);
         assert_eq!(read_body(&wire, domain).unwrap().non_blank, 1);
     }
 }

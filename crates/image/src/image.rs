@@ -472,13 +472,6 @@ impl Image {
         rect.area()
     }
 
-    /// [`Image::write_rect`] from wire-form pixels (16 little-endian
-    /// bytes each, row-major over `rect`): decodes straight into the
-    /// image rows.
-    pub fn write_rect_wire(&mut self, rect: &Rect, data: &[u8]) {
-        self.for_rows_wire(rect, data, kernel::copy_slice_wire);
-    }
-
     /// Stores wire-form pixels at runs of `rect` — `(start, len)`
     /// positions, row-major inside it, in order — each row segment
     /// decoded straight into its image row. `wire` holds exactly the

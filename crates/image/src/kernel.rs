@@ -93,9 +93,11 @@ pub fn under_slice(local: &mut [Pixel], back: &[Pixel]) {
     }
 }
 
-/// The pixels of a wire-form span, decoded one at a time.
+/// The pixels of a wire-form span, decoded one at a time: the one
+/// per-pixel wire decoder, for payloads composited or stored in an
+/// order other than a row's (BSLC's halves, the gather's sequence).
 #[inline]
-fn decode(wire: &[u8]) -> impl Iterator<Item = Pixel> + '_ {
+pub fn decode(wire: &[u8]) -> impl Iterator<Item = Pixel> + '_ {
     wire.chunks_exact(BYTES_PER_PIXEL)
         .map(|raw| Pixel::from_le_bytes(raw.try_into().expect("chunks_exact yields 16 bytes")))
 }

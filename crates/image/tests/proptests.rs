@@ -117,7 +117,8 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
         3 => img.pixels_mut()[y as usize * W as usize + x as usize] = lit,
         4 => img.row_span_mut(x, y, rect.width() as usize).fill(lit),
         5 => img.write_rect(&rect, &data),
-        6 => img.write_rect_wire(&rect, &wire),
+        // The whole rect as one run.
+        6 => img.write_runs_wire(&rect, [(0, rect.area())], &wire),
         7 => drop(img.composite_rect_over(&rect, &data)),
         8 => drop(img.composite_rect_over_wire(&rect, &wire)),
         9 => drop(img.composite_rect_under_wire(&rect, &wire)),
@@ -466,7 +467,7 @@ proptest! {
 
         let (mut want, mut got) = (base.clone(), base);
         want.write_rect(&rect, dense);
-        got.write_rect_wire(&rect, &wire);
+        got.write_runs_wire(&rect, [(0, rect.area())], &wire);
         prop_assert!(same_bits(want.pixels(), got.pixels()));
         prop_assert_eq!(got.bounds_hint(), None);
     }

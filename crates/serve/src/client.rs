@@ -70,13 +70,13 @@ impl From<DecodeError> for ClientError {
     }
 }
 
-/// A connected, handshaken client.
+/// A connected, handshaken client: the two halves of
+/// [`Client::into_split`], used in lock-step.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    sender: ClientSender,
+    receiver: ClientReceiver,
     welcome: Welcome,
-    seq: u32,
-    next_id: u64,
 }
 
 impl Client {
@@ -119,10 +119,13 @@ impl Client {
             }
         };
         Ok(Client {
-            stream,
+            sender: ClientSender {
+                stream: stream.try_clone()?,
+                seq: 0,
+                next_id: 1,
+            },
+            receiver: ClientReceiver { stream },
             welcome,
-            seq: 0,
-            next_id: 1,
         })
     }
 
@@ -131,34 +134,15 @@ impl Client {
         &self.welcome
     }
 
-    fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, kind, self.seq, payload)?;
-        self.seq = self.seq.wrapping_add(1);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Frame, ClientError> {
-        Ok(read_frame(&mut self.stream, MAX_WIRE_FRAME)?)
-    }
-
     /// Submits a frame request without waiting; returns the id the
     /// response will carry. Responses may come back out of order.
     pub fn submit(&mut self, config: &ExperimentConfig) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.send(wire::KIND_REQUEST, &wire::encode_request(id, config))?;
-        Ok(id)
+        self.sender.submit(config)
     }
 
     /// Blocks for the next RESPONSE frame.
     pub fn recv_response(&mut self) -> Result<(u64, WireResponse), ClientError> {
-        let frame = self.recv()?;
-        match frame.kind {
-            wire::KIND_RESPONSE => Ok(wire::decode_response(&frame.payload)?),
-            kind => Err(ClientError::Protocol(format!(
-                "expected RESPONSE, got frame kind {kind:#04x}"
-            ))),
-        }
+        self.receiver.recv_response()
     }
 
     /// Submit-then-wait convenience for lock-step callers. The
@@ -181,34 +165,21 @@ impl Client {
     /// no requests in flight on this connection — a pending RESPONSE
     /// would interleave with the STATS_REPLY.
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        self.send(wire::KIND_STATS, &[])?;
-        let frame = self.recv()?;
-        match frame.kind {
-            wire::KIND_STATS_REPLY => Ok(wire::decode_stats_reply(&frame.payload)?),
-            kind => Err(ClientError::Protocol(format!(
-                "expected STATS_REPLY, got frame kind {kind:#04x}"
-            ))),
-        }
+        self.sender.send(wire::KIND_STATS, &[])?;
+        let frame = self.receiver.recv(wire::KIND_STATS_REPLY, "STATS_REPLY")?;
+        Ok(wire::decode_stats_reply(&frame.payload)?)
     }
 
     /// Splits into independent send/receive halves so one thread can
     /// keep the daemon's window full while another drains responses.
+    /// The socket was cloned at connect, so this cannot fail.
     pub fn into_split(self) -> Result<(ClientSender, ClientReceiver), ClientError> {
-        let write_half = self.stream.try_clone()?;
-        Ok((
-            ClientSender {
-                stream: write_half,
-                seq: self.seq,
-                next_id: self.next_id,
-            },
-            ClientReceiver {
-                stream: self.stream,
-            },
-        ))
+        Ok((self.sender, self.receiver))
     }
 }
 
 /// The write half of a split client.
+#[derive(Debug)]
 pub struct ClientSender {
     stream: TcpStream,
     seq: u32,
@@ -216,35 +187,45 @@ pub struct ClientSender {
 }
 
 impl ClientSender {
+    /// Writes one frame under the next sequence number.
+    fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
+        write_frame(&mut self.stream, kind, self.seq, payload)?;
+        self.seq = self.seq.wrapping_add(1);
+        Ok(())
+    }
+
     /// Submits a frame request; returns its correlation id.
     pub fn submit(&mut self, config: &ExperimentConfig) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(
-            &mut self.stream,
-            wire::KIND_REQUEST,
-            self.seq,
-            &wire::encode_request(id, config),
-        )?;
-        self.seq = self.seq.wrapping_add(1);
+        self.send(wire::KIND_REQUEST, &wire::encode_request(id, config))?;
         Ok(id)
     }
 }
 
 /// The read half of a split client.
+#[derive(Debug)]
 pub struct ClientReceiver {
     stream: TcpStream,
 }
 
 impl ClientReceiver {
+    /// Reads the next frame, which must be of `kind` (`name` in the
+    /// error otherwise).
+    fn recv(&mut self, kind: u8, name: &str) -> Result<Frame, ClientError> {
+        let frame = read_frame(&mut self.stream, MAX_WIRE_FRAME)?;
+        if frame.kind != kind {
+            return Err(ClientError::Protocol(format!(
+                "expected {name}, got frame kind {:#04x}",
+                frame.kind
+            )));
+        }
+        Ok(frame)
+    }
+
     /// Blocks for the next RESPONSE frame.
     pub fn recv_response(&mut self) -> Result<(u64, WireResponse), ClientError> {
-        let frame = read_frame(&mut self.stream, MAX_WIRE_FRAME)?;
-        match frame.kind {
-            wire::KIND_RESPONSE => Ok(wire::decode_response(&frame.payload)?),
-            kind => Err(ClientError::Protocol(format!(
-                "expected RESPONSE, got frame kind {kind:#04x}"
-            ))),
-        }
+        let frame = self.recv(wire::KIND_RESPONSE, "RESPONSE")?;
+        Ok(wire::decode_response(&frame.payload)?)
     }
 }

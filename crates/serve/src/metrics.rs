@@ -1,6 +1,7 @@
 //! Service-level counters and the per-frame metrics record.
 
 use crate::cache::CacheCounters;
+use crate::service::{FrameResponse, RejectReason, ServeSource};
 
 /// Aggregate counters for one [`FrameService`](crate::FrameService).
 ///
@@ -96,6 +97,31 @@ impl ServiceStats {
             + self.rejected_shutdown
     }
 
+    /// Counts one answer under the one disposition its variant (and, for
+    /// a frame, its [`ServeSource`]) names; a degraded frame also lowers
+    /// the quality witness. The service counts every answer here as it
+    /// sends it.
+    pub(crate) fn count(&mut self, response: &FrameResponse) {
+        match response {
+            FrameResponse::Frame(reply) => match reply.source {
+                ServeSource::Fresh => self.completed_fresh += 1,
+                ServeSource::Cache => self.completed_cached += 1,
+                ServeSource::Coalesced => self.completed_coalesced += 1,
+                ServeSource::Degraded { psnr_db, .. } => {
+                    self.completed_degraded += 1;
+                    self.min_degraded_psnr_db = self.min_degraded_psnr_db.min(psnr_db);
+                }
+            },
+            FrameResponse::Overloaded { .. } => self.rejected_overload += 1,
+            FrameResponse::Shed { .. } => self.shed_deadline += 1,
+            FrameResponse::Rejected {
+                reason: RejectReason::Shutdown,
+                ..
+            } => self.rejected_shutdown += 1,
+            FrameResponse::Rejected { .. } => self.rejected_failed += 1,
+        }
+    }
+
     /// Folds another service's counters into this one — the shard
     /// router's aggregate view. Counters add; the queue watermark takes
     /// the max and the degraded-quality witness takes the min (worst).
@@ -182,6 +208,95 @@ mod tests {
         assert_eq!(a.min_degraded_psnr_db, 24.5);
         // The merged partition still balances.
         assert_eq!(a.answered(), 8 + 2 + 1);
+    }
+
+    /// Every response variant, and every source of a frame, is counted
+    /// under exactly one disposition: `answered` rises by one and one
+    /// disposition counter moves.
+    #[test]
+    fn each_answer_is_counted_under_one_disposition() {
+        use crate::service::{FrameReply, RenderedFrame};
+        use std::sync::Arc;
+        use vr_image::Image;
+        use vr_system::FrameRecord;
+
+        let frame = |source| {
+            let frame = Arc::new(RenderedFrame {
+                key: 0,
+                image: Image::blank(1, 1),
+                image_hash: 0,
+                record: FrameRecord::default(),
+            });
+            FrameResponse::Frame(FrameReply {
+                frame,
+                source,
+                wait_seconds: 0.0,
+            })
+        };
+        let rejected = |reason| FrameResponse::Rejected {
+            attempts: 2,
+            reason,
+        };
+        type Counter = fn(&ServiceStats) -> u64;
+        let cases: [(FrameResponse, Counter); 9] = [
+            (frame(ServeSource::Fresh), |s| s.completed_fresh),
+            (frame(ServeSource::Cache), |s| s.completed_cached),
+            (frame(ServeSource::Coalesced), |s| s.completed_coalesced),
+            (
+                frame(ServeSource::Degraded {
+                    psnr_db: 31.5,
+                    coverage: 0.75,
+                }),
+                |s| s.completed_degraded,
+            ),
+            (FrameResponse::Overloaded { queue_depth: 4 }, |s| {
+                s.rejected_overload
+            }),
+            (
+                FrameResponse::Shed {
+                    waited_seconds: 1.0,
+                },
+                |s| s.shed_deadline,
+            ),
+            (
+                rejected(RejectReason::Failed {
+                    error: "boom".into(),
+                }),
+                |s| s.rejected_failed,
+            ),
+            (
+                rejected(RejectReason::QualityFloor { best_psnr_db: 12.0 }),
+                |s| s.rejected_failed,
+            ),
+            (rejected(RejectReason::Shutdown), |s| s.rejected_shutdown),
+        ];
+        let dispositions: [Counter; 8] = [
+            |s| s.completed_fresh,
+            |s| s.completed_cached,
+            |s| s.completed_coalesced,
+            |s| s.completed_degraded,
+            |s| s.shed_deadline,
+            |s| s.rejected_overload,
+            |s| s.rejected_failed,
+            |s| s.rejected_shutdown,
+        ];
+        for (response, counter) in &cases {
+            let mut stats = ServiceStats::default();
+            stats.count(response);
+            assert_eq!(stats.answered(), 1, "{response:?}");
+            assert_eq!(counter(&stats), 1, "{response:?}");
+            let moved = dispositions.iter().filter(|d| d(&stats) == 1).count();
+            assert_eq!(moved, 1, "{response:?}");
+            let degraded = matches!(
+                response,
+                FrameResponse::Frame(FrameReply {
+                    source: ServeSource::Degraded { .. },
+                    ..
+                })
+            );
+            let witness = if degraded { 31.5 } else { f64::INFINITY };
+            assert_eq!(stats.min_degraded_psnr_db, witness, "{response:?}");
+        }
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub struct RenderedFrame {
     /// must equal the digest of the same config run through
     /// `Experiment::run`).
     pub image_hash: u64,
-    /// Per-frame metrics: phase timers, traffic maxima, memory
-    /// watermark (see [`FrameRecord`]).
+    /// Per-frame metrics: phase timers and traffic maxima (see
+    /// [`FrameRecord`]).
     pub record: FrameRecord,
 }
 
@@ -374,19 +374,8 @@ impl FrameService {
             self.shared.ready.notify_all();
             q.jobs.drain(..).collect()
         };
-        let mut refused = 0u64;
-        for job in drained {
-            for w in job.waiters {
-                refused += 1;
-                let _ = w.tx.send(FrameResponse::Rejected {
-                    attempts: 0,
-                    reason: RejectReason::Shutdown,
-                });
-            }
-        }
-        if refused > 0 {
-            self.shared.stats.lock().unwrap().rejected_shutdown += refused;
-        }
+        let waiters = drained.into_iter().flat_map(|job| job.waiters);
+        answer(&self.shared, waiters.map(|w| (w.tx, REFUSED_AT_SHUTDOWN)));
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -431,12 +420,12 @@ impl SessionHandle {
         // Fast path: an identical frame is already cached.
         if shared.cfg.cache_frames > 0 {
             if let Some(frame) = shared.cache.lock().unwrap().get(key) {
-                shared.stats.lock().unwrap().completed_cached += 1;
-                let _ = tx.send(FrameResponse::Frame(FrameReply {
+                let reply = FrameReply {
                     frame,
                     source: ServeSource::Cache,
                     wait_seconds: submitted.elapsed().as_secs_f64(),
-                }));
+                };
+                answer(shared, [(tx, FrameResponse::Frame(reply))]);
                 return rx;
             }
         }
@@ -444,11 +433,7 @@ impl SessionHandle {
         let mut q = shared.queue.lock().unwrap();
         if !q.open {
             // Shutting down: refuse new work with the typed reason.
-            shared.stats.lock().unwrap().rejected_shutdown += 1;
-            let _ = tx.send(FrameResponse::Rejected {
-                attempts: 0,
-                reason: RejectReason::Shutdown,
-            });
+            answer(shared, [(tx, REFUSED_AT_SHUTDOWN)]);
             return rx;
         }
         match admit(
@@ -475,9 +460,8 @@ impl SessionHandle {
                 });
             }
             Admission::Reject => {
-                let depth = q.jobs.len();
-                shared.stats.lock().unwrap().rejected_overload += 1;
-                let _ = tx.send(FrameResponse::Overloaded { queue_depth: depth });
+                let queue_depth = q.jobs.len();
+                answer(shared, [(tx, FrameResponse::Overloaded { queue_depth })]);
             }
             Admission::Enqueue => {
                 q.jobs.push_back(Job {
@@ -672,14 +656,11 @@ fn worker_loop(shared: &Shared) {
         // Deadline shedding: a stale interactive frame is worthless, so
         // answer `Shed` instead of burning a worker on it.
         if job.deadline.is_some_and(|d| now > d) {
-            let mut stats = shared.stats.lock().unwrap();
-            stats.shed_deadline += job.waiters.len() as u64;
-            drop(stats);
-            for w in job.waiters {
-                let _ = w.tx.send(FrameResponse::Shed {
-                    waited_seconds: w.submitted.elapsed().as_secs_f64(),
-                });
-            }
+            let shed = job.waiters.into_iter().map(|w| {
+                let waited_seconds = w.submitted.elapsed().as_secs_f64();
+                (w.tx, FrameResponse::Shed { waited_seconds })
+            });
+            answer(shared, shed);
             continue;
         }
 
@@ -687,10 +668,11 @@ fn worker_loop(shared: &Shared) {
         // (by another worker or session) while this job sat queued.
         if shared.cfg.cache_frames > 0 {
             if let Some(frame) = shared.cache.lock().unwrap().get(job.key) {
-                let mut stats = shared.stats.lock().unwrap();
-                stats.completed_cached += job.waiters.len() as u64;
-                drop(stats);
-                respond_all(job.waiters, &frame, ServeSource::Cache);
+                let waiters = job.waiters.into_iter();
+                answer(
+                    shared,
+                    waiters.map(|w| frame_for(w, &frame, ServeSource::Cache)),
+                );
                 continue;
             }
         }
@@ -710,59 +692,66 @@ fn worker_loop(shared: &Shared) {
                         .unwrap()
                         .insert(job.key, Arc::clone(&frame));
                 }
-                {
-                    let mut stats = shared.stats.lock().unwrap();
-                    match degraded {
-                        Some((psnr_db, _)) => {
-                            stats.completed_degraded += job.waiters.len() as u64;
-                            stats.min_degraded_psnr_db = stats.min_degraded_psnr_db.min(psnr_db);
-                        }
-                        None => {
-                            for w in &job.waiters {
-                                if w.superseded {
-                                    stats.completed_coalesced += 1;
-                                } else {
-                                    stats.completed_fresh += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                for w in job.waiters {
+                let served = job.waiters.into_iter().map(|w| {
                     let source = match degraded {
                         Some((psnr_db, coverage)) => ServeSource::Degraded { psnr_db, coverage },
                         None if w.superseded => ServeSource::Coalesced,
                         None => ServeSource::Fresh,
                     };
-                    let _ = w.tx.send(FrameResponse::Frame(FrameReply {
-                        frame: Arc::clone(&frame),
-                        source,
-                        wait_seconds: w.submitted.elapsed().as_secs_f64(),
-                    }));
-                }
+                    frame_for(w, &frame, source)
+                });
+                answer(shared, served);
             }
             JobOutcome::Rejected { attempts, reason } => {
-                shared.stats.lock().unwrap().rejected_failed += job.waiters.len() as u64;
-                for w in job.waiters {
-                    let _ = w.tx.send(FrameResponse::Rejected {
-                        attempts,
-                        reason: reason.clone(),
-                    });
-                }
+                let rejected = job.waiters.into_iter().map(|w| {
+                    let reason = reason.clone();
+                    (w.tx, FrameResponse::Rejected { attempts, reason })
+                });
+                answer(shared, rejected);
             }
         }
     }
 }
 
-fn respond_all(waiters: Vec<Waiter>, frame: &Arc<RenderedFrame>, source: ServeSource) {
-    for w in waiters {
-        let _ = w.tx.send(FrameResponse::Frame(FrameReply {
-            frame: Arc::clone(frame),
-            source,
-            wait_seconds: w.submitted.elapsed().as_secs_f64(),
-        }));
+/// Answers requests: counts each response under the one disposition
+/// it names ([`ServiceStats::count`]), all under one lock, then sends
+/// them. Every answer the service gives goes through here, so the
+/// counters partition exactly what was sent, and a waiter that holds its
+/// answer finds every answer of its job already counted.
+fn answer(
+    shared: &Shared,
+    answers: impl IntoIterator<Item = (mpsc::Sender<FrameResponse>, FrameResponse)>,
+) {
+    let answers: Vec<_> = answers.into_iter().collect();
+    let mut stats = shared.stats.lock().unwrap();
+    for (_, response) in &answers {
+        stats.count(response);
+    }
+    drop(stats);
+    for (tx, response) in answers {
+        let _ = tx.send(response);
     }
 }
+
+/// `w`'s answer: `frame` from `source`, timed from its submission.
+fn frame_for(
+    w: Waiter,
+    frame: &Arc<RenderedFrame>,
+    source: ServeSource,
+) -> (mpsc::Sender<FrameResponse>, FrameResponse) {
+    let reply = FrameReply {
+        frame: Arc::clone(frame),
+        source,
+        wait_seconds: w.submitted.elapsed().as_secs_f64(),
+    };
+    (w.tx, FrameResponse::Frame(reply))
+}
+
+/// The answer to a request the closing service will not render.
+const REFUSED_AT_SHUTDOWN: FrameResponse = FrameResponse::Rejected {
+    attempts: 0,
+    reason: RejectReason::Shutdown,
+};
 
 #[cfg(test)]
 mod tests {

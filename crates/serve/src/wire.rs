@@ -62,8 +62,9 @@ use crate::CacheCounters;
 /// a render thread count (the serving worker's pool sets it). 6: a frame
 /// travels as mask-RLE codes plus its non-blank pixels, not as every
 /// pixel. 7: reject reason tag 2, an admission shed, is retired, and so
-/// is its stats counter.
-pub const WIRE_VERSION: u16 = 7;
+/// is its stats counter. 8: a frame record no longer carries the pixel
+/// staging watermark.
+pub const WIRE_VERSION: u16 = 8;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -682,7 +683,6 @@ wire_struct!(FrameRecord {
     render_max_ms,
     m_max,
     total_bytes,
-    peak_pixel_buffer_bytes,
     coverage,
     dead_ranks,
 });

@@ -9,8 +9,8 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted), `3` (after direct send was), `4`, `5`, `6` and
-//! `7`, and nothing else in them moved. Version 4 dropped the request's
+//! PIPE were deleted), `3` (after direct send was), `4`, `5`, `6`, `7`
+//! and `8`, and nothing else in them moved. Version 4 dropped the request's
 //! streamed-tile edge and the frame record's two tile latencies with the
 //! fused runner, so `REQUEST`, the three `KEY_*` and the four
 //! `RESPONSE_FRAME_*` were re-recorded with it; every other
@@ -26,7 +26,11 @@
 //! shed the service no longer makes) and the stats' counter for it, so
 //! its `RESPONSE_REJECTED_*` case was deleted and `STATS_REPLY`
 //! re-recorded; tags 0, 1 and 3 kept their numbers, and every other
-//! constant stayed unchanged.
+//! constant stayed unchanged. Version 8 dropped the frame record's pixel
+//! staging watermark, so the five `RESPONSE_FRAME_*` were re-recorded
+//! with it (each reply 8 bytes shorter); `REQUEST`, the three `KEY_*`,
+//! `STATS_REPLY`, every other `RESPONSE_*` and every tag table stayed
+//! unchanged.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -51,11 +55,11 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe8224f5eb68e00ce;
-const WELCOME: u64 = 0xcec3eee388b68472;
-const ERROR: u64 = 0xf29c8bbf3c2510d2;
+const HELLO: u64 = 0xe7f6215eb66877b9;
+const WELCOME: u64 = 0x2065b58acd79bb9d;
+const ERROR: u64 = 0xb1815477970d5e0b;
 const REQUEST: u64 = 0x823e85dc74f39f64;
-const RESPONSE_FRAME_DEGRADED: u64 = 0x49a2b0b308b1e023;
+const RESPONSE_FRAME_DEGRADED: u64 = 0xe0a8baafcf494dc3;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
 const RESPONSE_REJECTED: u64 = 0x8aea2ffbc682f7ad;
@@ -63,10 +67,10 @@ const STATS_REPLY: u64 = 0xbaa6a4a18e94ea0d;
 
 // The remaining tag bytes of a response: every serve source and every
 // reject reason.
-const RESPONSE_FRAME_FRESH: u64 = 0xedb4144058a09884;
-const RESPONSE_FRAME_CACHE: u64 = 0x71895a1dd6a36527;
-const RESPONSE_FRAME_COALESCED: u64 = 0x25a295b67c0a8aee;
-const RESPONSE_FRAME_SPARSE: u64 = 0x4148c17ce4a7fa5a;
+const RESPONSE_FRAME_FRESH: u64 = 0x68c6d5fb929a4ec4;
+const RESPONSE_FRAME_CACHE: u64 = 0xff67252e03f1d407;
+const RESPONSE_FRAME_COALESCED: u64 = 0xc18a64b10f0dc1ae;
+const RESPONSE_FRAME_SPARSE: u64 = 0x3d3ae89345a3035a;
 const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
 
@@ -164,7 +168,6 @@ fn record() -> FrameRecord {
         render_max_ms: 14.5,
         m_max: 4096,
         total_bytes: 65_536,
-        peak_pixel_buffer_bytes: 8192,
         coverage: 0.875,
         dead_ranks: 1,
     }
@@ -355,9 +358,9 @@ fn a_head_frame_travels_as_its_runs_and_non_blank_pixels() {
         .collect();
     let codes = MaskRle::encode_mask(mask.iter().copied()).num_codes();
     let non_blank = mask.iter().filter(|&&m| m).count();
-    // The id, two tags, the wait, the hash, the record's eleven 8-byte
+    // The id, two tags, the wait, the hash, the record's ten 8-byte
     // fields, the width and height, and the code count.
-    let fixed = 8 + 1 + 1 + 8 + 8 + 11 * 8 + 2 * 2 + 4;
+    let fixed = 8 + 1 + 1 + 8 + 8 + 10 * 8 + 2 * 2 + 4;
     let len = wire::encode_response(1, &frame_of(image, ServeSource::Cache)).len();
     assert_eq!(len, fixed + 2 * codes + 16 * non_blank);
     let dense = fixed - 4 + 256 * 256 * 16;

@@ -103,16 +103,6 @@ impl Outcome {
     pub fn psnr_vs(&self, reference: &Image) -> f64 {
         vr_image::stats::psnr(&self.image, reference)
     }
-
-    /// Peak resident pixel-buffer bytes over ranks — the worst rank's
-    /// scratch staging watermark from the transport counters.
-    pub fn peak_pixel_buffer_bytes(&self) -> u64 {
-        self.traffic
-            .iter()
-            .map(|t| t.peak_pixel_buffer_bytes)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Bytes of pixel storage the parked frames may hold together. A frame

@@ -8,9 +8,8 @@ use crate::outcome::Outcome;
 use crate::sweep::{rows, SweepCell};
 
 /// Machine-readable summary of one composited frame: the paper's
-/// aggregate timings broken down by phase, the traffic maxima, and the
-/// memory watermark — everything a serving layer needs programmatically
-/// per frame (the human-facing tables above only print totals).
+/// aggregate timings broken down by phase and the traffic maxima —
+/// everything a serving layer needs programmatically per frame (the human-facing tables above only print totals).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FrameRecord {
     /// Max computation time over ranks, ms (the paper's `T_comp`).
@@ -32,9 +31,6 @@ pub struct FrameRecord {
     pub m_max: u64,
     /// Total bytes sent by all ranks.
     pub total_bytes: u64,
-    /// Peak resident pixel-buffer bytes over ranks (scratch staging
-    /// watermark from `TrafficStats`).
-    pub peak_pixel_buffer_bytes: u64,
     /// Fraction of image pixels covered by gathered pieces (1.0 healthy).
     pub coverage: f64,
     /// Ranks killed by fault injection.
@@ -58,7 +54,6 @@ impl FrameRecord {
             render_max_ms: out.render_seconds.iter().copied().fold(0.0, f64::max) * 1e3,
             m_max: out.aggregate.m_max,
             total_bytes: out.aggregate.total_bytes,
-            peak_pixel_buffer_bytes: out.peak_pixel_buffer_bytes(),
             coverage: out.coverage,
             dead_ranks: out.dead_ranks.len(),
         }
@@ -70,8 +65,8 @@ impl FrameRecord {
         format!(
             "{{\"t_comp_ms\": {}, \"t_comm_ms\": {}, \"t_total_ms\": {}, \
              \"t_bound_ms\": {}, \"t_encode_ms\": {}, \"render_max_ms\": {}, \
-             \"m_max\": {}, \"total_bytes\": {}, \"peak_pixel_buffer_bytes\": {}, \
-             \"coverage\": {}, \"dead_ranks\": {}}}",
+             \"m_max\": {}, \"total_bytes\": {}, \"coverage\": {}, \
+             \"dead_ranks\": {}}}",
             self.t_comp_ms,
             self.t_comm_ms,
             self.t_total_ms,
@@ -80,7 +75,6 @@ impl FrameRecord {
             self.render_max_ms,
             self.m_max,
             self.total_bytes,
-            self.peak_pixel_buffer_bytes,
             self.coverage,
             self.dead_ranks
         )
@@ -325,16 +319,6 @@ mod tests {
         assert!(record.t_bound_ms > 0.0 && record.t_bound_ms < record.t_comp_ms);
         assert!(record.t_encode_ms > 0.0 && record.t_encode_ms < record.t_comp_ms);
         assert!(record.render_max_ms > 0.0);
-        // The scratch-pool watermark flows through from TrafficStats:
-        // BSBRC writes and composites straight from the wire and stages
-        // nothing; BSLC packs its strided sequences through the pool.
-        assert_eq!(record.peak_pixel_buffer_bytes, 0);
-        let staged = exp.run(Method::Bslc);
-        assert!(staged.peak_pixel_buffer_bytes() > 0);
-        assert_eq!(
-            FrameRecord::from_outcome(&staged).peak_pixel_buffer_bytes,
-            staged.peak_pixel_buffer_bytes()
-        );
         assert_eq!(record.m_max, out.aggregate.m_max);
         assert_eq!(record.coverage, 1.0);
         assert_eq!(record.dead_ranks, 0);
@@ -351,7 +335,6 @@ mod tests {
             render_max_ms: 3.0,
             m_max: 1024,
             total_bytes: 4096,
-            peak_pixel_buffer_bytes: 2048,
             coverage: 1.0,
             dead_ranks: 0,
         };
@@ -363,7 +346,6 @@ mod tests {
             "t_bound_ms",
             "t_encode_ms",
             "render_max_ms",
-            "peak_pixel_buffer_bytes",
             "coverage",
         ] {
             assert!(
@@ -371,7 +353,7 @@ mod tests {
                 "missing {key}: {json}"
             );
         }
-        assert!(json.contains("\"peak_pixel_buffer_bytes\": 2048"));
+        assert!(json.contains("\"total_bytes\": 4096"));
         assert!(json.contains("\"t_bound_ms\": 0.25"));
     }
 

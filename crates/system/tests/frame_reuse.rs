@@ -61,18 +61,14 @@ fn back_to_back_frames_on_a_shared_dataset_are_identical() {
     }
 
     // Identical per-frame statistics: method counters (bounds scans,
-    // encodes, per-stage bytes) and transport counters (including the
-    // scratch-pool watermark) must not carry residue between frames.
+    // encodes, per-stage bytes) and transport counters must not carry
+    // residue between frames.
     assert_eq!(first.per_rank, second.per_rank, "MethodStats drifted");
     assert_eq!(first.traffic, second.traffic, "TrafficStats drifted");
     assert_eq!(first.aggregate.m_max, second.aggregate.m_max);
     assert_eq!(first.aggregate.total_bytes, second.aggregate.total_bytes);
     assert_eq!(first.aggregate.t_comp, second.aggregate.t_comp);
     assert_eq!(first.aggregate.t_comm, second.aggregate.t_comm);
-    assert_eq!(
-        first.peak_pixel_buffer_bytes(),
-        second.peak_pixel_buffer_bytes()
-    );
 }
 
 #[test]

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use slsvr::compositing::Method;
 use slsvr::serve::{
-    run_load, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport, ServeConfig,
+    run_load, wire, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport, ServeConfig,
     StatsReply,
 };
 use slsvr::system::{
@@ -313,9 +313,9 @@ fn config_from_flags(flags: &Flags) -> Result<ExperimentConfig, String> {
                 .map_err(|_| format!("invalid --schedule-seed `{seed}`"))?,
         );
     }
-    if config.processors == 0 {
-        return Err("--procs must be at least 1".into());
-    }
+    // The daemon's request table holds the one set of bounds on a
+    // config: what it would refuse is refused here, by field name.
+    wire::decode_request(&wire::encode_request(0, &config)).map_err(|e| e.to_string())?;
     Ok(config)
 }
 
@@ -395,16 +395,14 @@ fn report_render(
         .map_err(|e| format!("writing {out_path}: {e}"))?;
     let record = FrameRecord::from_outcome(&out);
     println!(
-        "{} · {}² · P={} · {}: T_comp {:.2} ms, T_comm {:.2} ms, M_max {} B, \
-         peak pixel buffers {} B/rank",
+        "{} · {}² · P={} · {}: T_comp {:.2} ms, T_comm {:.2} ms, M_max {} B",
         config.dataset.name(),
         config.image_size,
         config.processors,
         config.method.name(),
         record.t_comp_ms,
         record.t_comm_ms,
-        record.m_max,
-        record.peak_pixel_buffer_bytes
+        record.m_max
     );
     println!(
         "wrote {out_path} (image fnv1a {:016x})",
@@ -427,21 +425,19 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         config.processors
     );
     println!(
-        "{:<8} {:>10} {:>10} {:>10} {:>12} {:>10} {:>5}",
-        "method", "comp(ms)", "comm(ms)", "total(ms)", "M_max(B)", "peak(KB)", "ok"
+        "{:<8} {:>10} {:>10} {:>10} {:>12} {:>5}",
+        "method", "comp(ms)", "comm(ms)", "total(ms)", "M_max(B)", "ok"
     );
     for method in Method::all() {
         let out = exp.run(method);
         let ok = out.image.max_abs_diff(&reference) < 2e-4;
-        let peak = out.peak_pixel_buffer_bytes();
         println!(
-            "{:<8} {:>10.2} {:>10.2} {:>10.2} {:>12} {:>10.1} {:>5}",
+            "{:<8} {:>10.2} {:>10.2} {:>10.2} {:>12} {:>5}",
             method.name(),
             out.aggregate.t_comp_ms(),
             out.aggregate.t_comm_ms(),
             out.aggregate.t_total_ms(),
             out.aggregate.m_max,
-            peak as f64 / 1024.0,
             if ok { "✓" } else { "✗" }
         );
     }

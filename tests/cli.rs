@@ -115,6 +115,31 @@ fn render_rejects_zero_procs() {
     assert!(!out.status.success());
 }
 
+/// Every flag-built config goes through the daemon's request table, so
+/// a value the daemon would refuse is refused before anything runs,
+/// under the field's name: `render` writes no 0×0 image and `serve`
+/// starts no daemon just to have its request dropped.
+#[test]
+fn configs_the_daemon_refuses_are_refused_by_field_name() {
+    for (args, field) in [
+        ("render --size 0 --dims 16,16,8", "image_size"),
+        ("render --procs 0 --dims 16,16,8 --size 32", "processors"),
+        (
+            "serve --procs 600 --dims 16,16,8 --size 32 --requests 1",
+            "processors",
+        ),
+        ("compare --rot-x nan --dims 16,16,8 --size 32", "rot_x_deg"),
+    ] {
+        let out = slsvr().args(args.split(' ')).output().unwrap();
+        assert!(!out.status.success(), "{args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{field} is out of range")),
+            "{args}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn compare_runs_all_methods() {
     let out = slsvr()
