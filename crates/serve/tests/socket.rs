@@ -225,12 +225,15 @@ fn hostile_request_values_do_not_take_the_shard_down() {
     // while holding the shard's dataset map, so a panic there (2^63
     // voxels: `capacity overflow`) poisons the lock for every later
     // client of that shard.
-    let hostile: [fn(&mut ExperimentConfig); 5] = [
+    // The last is legal field by field: 512 ranks, each with a 2047²
+    // subimage, 34 GB that a worker would abort allocating.
+    let hostile: [fn(&mut ExperimentConfig); 6] = [
         |c| c.volume_dims = Some([1 << 21; 3]),
         |c| c.image_size = 0,
         |c| c.processors = 0,
         |c| c.step = 0.0,
         |c| c.rot_x_deg = f32::NAN,
+        |c| (c.image_size, c.processors) = (2047, 512),
     ];
     let daemon = start_daemon(DaemonConfig {
         serve: quiet_serve(),

@@ -140,6 +140,29 @@ fn configs_the_daemon_refuses_are_refused_by_field_name() {
     }
 }
 
+/// 512 ranks of 2047² subimages pass each field's ceiling but not their
+/// product: the frame is refused under both names before any rank
+/// allocates, and no image is written.
+#[test]
+fn render_refuses_a_frame_whose_subimages_exceed_the_budget() {
+    let dir = std::env::temp_dir().join("slsvr_cli_subimage_budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("never.pgm");
+    let _ = std::fs::remove_file(&out_path);
+    let out = slsvr()
+        .args("render --size 2047 --procs 512 --dims 16,16,8 --out".split(' '))
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("processors × image_size² is out of range"),
+        "{stderr}"
+    );
+    assert!(!out_path.exists());
+}
+
 #[test]
 fn compare_runs_all_methods() {
     let out = slsvr()
