@@ -6,10 +6,8 @@
 //! that, so the simulator's modeled `T_comm` matches the paper's analysis
 //! given identical byte counts.
 
-use serde::{Deserialize, Serialize};
-
 /// A linear message cost model: `time(msg) = t_s + bytes · t_c`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Start-up time per message, in seconds (the paper's `T_s`).
     pub t_s: f64,

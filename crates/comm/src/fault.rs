@@ -19,13 +19,12 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::endpoint::Message;
 use crate::transport::Transport;
 
 /// What happens to one physical transmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Delivered unchanged (the overwhelmingly common case).
     Deliver,
@@ -44,7 +43,7 @@ pub enum FaultAction {
 /// Which transmission stream an index counts within. Keying faults by
 /// stream keeps the decision deterministic even though data frames and
 /// acks interleave on a link in timing-dependent order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamClass {
     /// Unframed application messages (reliability disabled); the index
     /// is the link's message count.
@@ -57,7 +56,7 @@ pub enum StreamClass {
 
 /// Kill a rank once it has performed `after_ops` application-level
 /// send/receive operations (`after_ops = 0` ⇒ it dies on its first one).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillSpec {
     /// The rank to kill.
     pub rank: usize,
@@ -67,7 +66,7 @@ pub struct KillSpec {
 
 /// A single fault pinned to one exact transmission — used by tests that
 /// need e.g. "drop exactly the first data frame from 0 to 1".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TargetedFault {
     /// Sending rank of the targeted link.
     pub src: usize,
@@ -87,7 +86,7 @@ pub struct TargetedFault {
 /// Parses from the CLI syntax
 /// `drop=0.01,corrupt=0.001,dup=0.001,delay=0.01,delay_ms=2,seed=42,kill=3@17`
 /// (every key optional).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Per-transmission drop probability.
     pub drop: f64,

@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::endpoint::{Message, RecvError, SendErrorKind, Tag};
@@ -60,7 +59,7 @@ pub fn decode_frame(raw: &Bytes) -> Result<Frame, FrameError> {
 /// Disabled by default: the endpoint then sends unframed messages with
 /// zero per-message overhead, byte-identical to a build without the
 /// reliability layer at all.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReliabilityConfig {
     /// Whether framing/ack/retransmit is active.
     pub enabled: bool,

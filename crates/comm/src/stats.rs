@@ -1,13 +1,13 @@
 //! Per-rank traffic accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Message and byte counters for one rank, plus the modeled communication
 /// time accumulated from the group's [`CostModel`](crate::CostModel).
 ///
-/// `recv_bytes` is the paper's `m_i = Σ_k R_i^k`; the group-level maximum
-/// over ranks is `M_max` (Section 4, used to validate Equation 9).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// `recv_bytes` is the paper's `m_i = Σ_k R_i^k` over every phase the
+/// rank took part in. The paper's `M_max` (Section 4, used to validate
+/// Equation 9) counts compositing stages only, so it is taken from the
+/// stage statistics instead (`vr_system::Aggregate::m_max`).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrafficStats {
     /// Messages sent by this rank.
     pub sent_messages: u64,
@@ -21,25 +21,19 @@ pub struct TrafficStats {
     /// (T_s + bytes · T_c)`.
     pub modeled_comm_seconds: f64,
     /// Data frames retransmitted by this rank (reliable mode).
-    #[serde(default)]
     pub retransmits: u64,
     /// Wire bytes of those retransmitted frames (header + payload).
-    #[serde(default)]
     pub retransmit_bytes: u64,
     /// Incoming frames this rank discarded for CRC mismatch.
-    #[serde(default)]
     pub corruptions_detected: u64,
     /// Ack waits that expired before the ack arrived.
-    #[serde(default)]
     pub ack_timeouts: u64,
     /// Wire bytes received beyond the application payload: frame
     /// headers, ack frames, and discarded duplicate/corrupt frames.
-    #[serde(default)]
     pub overhead_bytes: u64,
     /// Always 0: no compositing path stages pixels any more, so nothing
     /// raises it. The field stays only because the benchmark package
     /// reads it.
-    #[serde(default)]
     pub peak_pixel_buffer_bytes: u64,
 }
 
@@ -72,21 +66,6 @@ impl TrafficStats {
     }
 }
 
-/// The maximum received byte count over a set of per-rank stats — the
-/// paper's `M_max = MAX_i(m_i)`.
-pub fn m_max(stats: &[TrafficStats]) -> u64 {
-    stats.iter().map(|s| s.recv_bytes).max().unwrap_or(0)
-}
-
-/// The maximum modeled communication time over ranks, in seconds — the
-/// group's `T_comm` under the "slowest rank" convention the paper reports.
-pub fn max_comm_seconds(stats: &[TrafficStats]) -> f64 {
-    stats
-        .iter()
-        .map(|s| s.modeled_comm_seconds)
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,16 +81,6 @@ mod tests {
         assert_eq!(s.recv_messages, 1);
         assert_eq!(s.recv_bytes, 30);
         assert!((s.modeled_comm_seconds - 0.001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn m_max_over_ranks() {
-        let mk = |b: u64| TrafficStats {
-            recv_bytes: b,
-            ..Default::default()
-        };
-        assert_eq!(m_max(&[mk(5), mk(9), mk(3)]), 9);
-        assert_eq!(m_max(&[]), 0);
     }
 
     #[test]

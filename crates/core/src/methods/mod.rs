@@ -15,7 +15,6 @@ pub mod tile_stream;
 use std::collections::BTreeSet;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use vr_comm::Endpoint;
 use vr_image::{Image, Rect, StridedSeq};
 use vr_volume::DepthOrder;
@@ -28,7 +27,7 @@ use interleaved::InterleavedRuns;
 use spatial::{Dense, Headed, Headless, Runs, Spatial};
 
 /// Which compositing method to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Plain binary-swap (Ma et al. 1994) — the paper's baseline.
     Bs,

@@ -1,11 +1,9 @@
 //! Per-method, per-rank statistics mirroring the paper's cost terms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::stage_terms;
 
 /// Counters for one compositing stage on one rank.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageStat {
     /// Payload bytes sent this stage.
     pub sent_bytes: u64,
@@ -13,10 +11,8 @@ pub struct StageStat {
     pub recv_bytes: u64,
     /// Messages sent this stage (with `sent_bytes`, the per-stage
     /// traffic timeline printed under `--verbose`).
-    #[serde(default)]
     pub sent_msgs: u64,
     /// Messages received this stage.
-    #[serde(default)]
     pub recv_msgs: u64,
     /// Pixels scanned by run-length encoding this stage (`A_send^k` for
     /// BSBRC, `A/2^k` for BSLC).
@@ -42,7 +38,7 @@ pub struct StageStat {
 /// up cache-thrash noise that the paper's one-rank-per-node SP2 never
 /// saw. Modeling from counts is deterministic and keeps the
 /// `T_comp : T_comm` balance faithful to the 66.7 MHz POWER2 nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompCost {
     /// Seconds per pixel scanned by a bounding-rectangle search
     /// (`T_bound` is this times the scanned area).
@@ -104,7 +100,7 @@ impl Default for CompCost {
 }
 
 /// Aggregated statistics for one rank's run of a compositing method.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MethodStats {
     /// Measured thread-CPU computation time (the paper's `T_comp`),
     /// seconds. May be replaced by a counter-based model at the
@@ -129,11 +125,9 @@ pub struct MethodStats {
     /// clock under a schedule seed, where it replays exactly. Unlike the
     /// modeled cost terms above, these two exist to expose
     /// progressive-delivery latency, not the paper's cost model.
-    #[serde(default)]
     pub first_tile_seconds: Option<f64>,
     /// Seconds until this rank's *last* owned tile finished accumulating
     /// (tile-stream only), on the same clock.
-    #[serde(default)]
     pub last_tile_seconds: Option<f64>,
 }
 

@@ -11,10 +11,8 @@
 //! odd-position subsequences doubles the stride, which is exactly the
 //! per-stage halving binary-swap needs.
 
-use serde::{Deserialize, Serialize};
-
 /// An arithmetic sequence of linear pixel indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StridedSeq {
     /// First index.
     pub start: usize,

@@ -5,8 +5,6 @@
 //! which is exactly 16 bytes and matches the coefficient `16 · A/2^k` in
 //! the communication-cost equations (2), (4), (6) and (8).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one pixel on the wire, in bytes (four little-endian `f32`s).
 pub const BYTES_PER_PIXEL: usize = 16;
 
@@ -18,7 +16,7 @@ pub const BYTES_PER_PIXEL: usize = 16;
 /// any tree order as long as each pairwise composite is oriented
 /// front-over-back.
 #[repr(C)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Pixel {
     /// Premultiplied red intensity in `[0, 1]`.
     pub r: f32,

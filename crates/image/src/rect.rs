@@ -6,8 +6,6 @@
 //! in Equations (4) and (8)); [`Rect::to_le_bytes`] reproduces that wire
 //! format exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a rectangle header on the wire, in bytes (four `u16`s).
 pub const BYTES_PER_RECT: usize = 8;
 
@@ -18,7 +16,7 @@ pub const BYTES_PER_RECT: usize = 8;
 /// `y0 >= y1`); all empty rectangles compare equal through
 /// [`Rect::is_empty`]-aware operations but the canonical empty value is
 /// [`Rect::EMPTY`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Inclusive left edge.
     pub x0: u16,

@@ -437,33 +437,24 @@ pub fn render_clips(
     let corner = |v: [usize; 3]| Vec3::new(v[0] as f32, v[1] as f32, v[2] as f32);
     let frame = corner(placement.origin);
     let finite_shading = shading_is_finite(params, transfer);
-    let (items, mut seconds) = board(placement, clips, camera, accel, tile);
+    let (items, seconds) = board(placement, clips, camera, accel, tile);
     let boxes: Vec<(Vec3, Vec3)> = clips
         .iter()
         .map(|clip| (corner(clip.origin), corner(clip.origin) + corner(clip.dims)))
         .collect();
 
-    let mut images: Vec<Image> = clips
-        .iter()
-        .map(|_| Image::blank(camera.width, camera.height))
-        .collect();
-    let targets: Vec<SharedPixels> = images
-        .iter_mut()
-        .map(|image| SharedPixels {
-            width: image.width() as usize,
-            ptr: image.pixels_mut().as_mut_ptr(),
-        })
-        .collect();
-    // Each item's tight bounds of its non-blank writes and its wall time.
-    let done: Vec<Mutex<(Rect, f64)>> = items
-        .iter()
-        .map(|_| Mutex::new((Rect::EMPTY, 0.0)))
+    // Each clip's image and seconds. An item sets its rect's non-blank
+    // pixels into its clip's image as it finishes, so the bounds hint and
+    // the extent grow exactly as they do in a sequential render.
+    let images: Vec<Mutex<(Image, f64)>> = seconds
+        .into_iter()
+        .map(|s| Mutex::new((Image::blank(camera.width, camera.height), s)))
         .collect();
     let task = |i: usize| {
         let start = Instant::now();
         let (c, r, _) = items[i];
         let (lo, hi) = boxes[c];
-        let mut bounds = Rect::EMPTY;
+        let mut pixels = Vec::new();
         for y in r.y0..r.y1 {
             for x in r.x0..r.x1 {
                 let Some((t0, t1)) = camera.ray_box(x, y, lo, hi) else {
@@ -483,35 +474,24 @@ pub fn render_clips(
                     t1,
                 );
                 if !p.is_blank() {
-                    // SAFETY: (x, y) lies inside item i's rect, and the
-                    // rects of one clip are pairwise disjoint, so no other
-                    // thread ever touches this pixel of image c.
-                    unsafe { targets[c].write(x, y, p) };
-                    bounds.include(x, y);
+                    pixels.push((x, y, p));
                 }
             }
         }
-        *done[i].lock().expect("recording an item never panics") =
-            (bounds, start.elapsed().as_secs_f64());
+        let mut clip = images[c].lock().expect("setting pixels never panics");
+        for (x, y, p) in pixels {
+            clip.0.set(x, y, p);
+        }
+        clip.1 += start.elapsed().as_secs_f64();
     };
     match pool {
         Some(pool) => pool.run(items.len(), &task),
         None => (0..items.len()).for_each(task),
     }
-
-    // Only non-blank pixels were written, so each image's bounds are the
-    // union of its items' bounds: exactly what `Image::set` would have
-    // grown, in any merge order.
-    let mut bounds = vec![Rect::EMPTY; clips.len()];
-    for (&(c, ..), d) in items.iter().zip(done) {
-        let (b, s) = d.into_inner().expect("recording an item never panics");
-        bounds[c] = bounds[c].union(&b);
-        seconds[c] += s;
-    }
-    for (image, b) in images.iter_mut().zip(bounds) {
-        image.assert_bounds(b);
-    }
-    (images, seconds)
+    images
+        .into_iter()
+        .map(|clip| clip.into_inner().expect("setting pixels never panics"))
+        .unzip()
 }
 
 /// The work list of one [`render_clips`] call: `(clip, rect, weight)` for
@@ -563,8 +543,8 @@ fn board(
 /// `mask` and overlapping `footprint`, in raster order. Every live tile
 /// is emitted exactly once, dead tiles are never emitted, and edge tiles
 /// are clamped to the footprint (whose width and height need not divide
-/// the tile size). The rectangles are pairwise disjoint — the basis of
-/// the threaded renderer's lock-free disjoint-write guarantee.
+/// the tile size). The rectangles are pairwise disjoint, so the order
+/// the board's threads take them in never shows in the image.
 fn tile_items(footprint: &Rect, mask: &TileMask) -> Vec<(Rect, usize)> {
     let mut items = Vec::new();
     if footprint.is_empty() {
@@ -609,28 +589,6 @@ fn row_bands(footprint: &Rect, rows: u16) -> Vec<Rect> {
         y = y1;
     }
     bands
-}
-
-/// Raw shared view of an image's pixel buffer for the disjoint-rect
-/// writers of the board.
-struct SharedPixels {
-    ptr: *mut Pixel,
-    width: usize,
-}
-
-// SAFETY: `ptr` points into a pixel buffer that nothing else reads,
-// writes or reallocates until the board drains; every write targets a
-// pixel owned by exactly one work item (one clip's item rects are
-// pairwise disjoint); and `width` is read-only. So concurrent use never
-// aliases a pixel.
-unsafe impl Sync for SharedPixels {}
-
-impl SharedPixels {
-    /// # Safety
-    /// `(x, y)` must lie inside the calling work item's own rect.
-    unsafe fn write(&self, x: u16, y: u16, p: Pixel) {
-        unsafe { *self.ptr.add(y as usize * self.width + x as usize) = p };
-    }
 }
 
 /// One ray-sample step: classify, shade, accumulate. Returns `true` when

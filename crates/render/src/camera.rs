@@ -6,11 +6,10 @@
 //! angles so the `view_rotation` example and ablation benches can sweep
 //! them.
 
-use serde::{Deserialize, Serialize};
 use vr_volume::Vec3;
 
 /// The projection model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Projection {
     /// Parallel rays along `view_dir` (the paper's "normal orthogonal
     /// projection").
@@ -24,7 +23,7 @@ pub enum Projection {
 }
 
 /// An orthographic camera over volume (voxel) space.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Camera {
     /// Unit direction rays travel (from the eye into the scene).
     pub view_dir: Vec3,

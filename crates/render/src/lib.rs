@@ -10,6 +10,8 @@
 //! [`render_clips`] renders many blocks at once, on one board of screen
 //! tiles that a [`RenderPool`] drains.
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod camera;
 pub mod local;

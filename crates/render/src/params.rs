@@ -1,10 +1,9 @@
 //! Rendering parameters of the ray caster.
 
-use serde::{Deserialize, Serialize};
 use vr_volume::Vec3;
 
 /// Sampling and shading knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RenderParams {
     /// Distance between ray samples, in voxels.
     pub step: f32,
@@ -27,7 +26,6 @@ pub struct RenderParams {
     /// contribution. The default `[1, 1, 1]` reproduces the paper's
     /// gray-level images bit-exactly (multiplying by `1.0` is an
     /// identity); other tints exercise color channels independently.
-    #[serde(default = "default_tint")]
     pub tint: [f32; 3],
     /// Ray-sample batch width inside active macrocells: the integrator
     /// gathers up to this many samples per iteration into fixed-width
@@ -36,7 +34,6 @@ pub struct RenderParams {
     /// the unaccelerated reference (no macrocell grid) at any width.
     /// `1` (the default) batches one sample at a time; clamped to
     /// `1..=`[`MAX_SIMD_LANES`].
-    #[serde(default = "default_simd_lanes")]
     pub simd_lanes: usize,
 }
 

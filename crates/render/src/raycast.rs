@@ -40,7 +40,7 @@ pub fn render_block_accel(
     render_block_accel_pool(volume, block, transfer, camera, params, accel, tile, None)
 }
 
-/// [`render_block_accel`] with its live tiles fanned across a persistent
+/// [`render_block_accel`] with its live tiles fanned across a
 /// [`RenderPool`] (`None` renders inline): a one-clip call of
 /// [`render_clips`], bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]

@@ -28,7 +28,8 @@ pub struct ServiceStats {
     pub completed_degraded: u64,
     /// Requests dropped because their deadline passed while queued.
     pub shed_deadline: u64,
-    /// Requests rejected at admission because the queue was full.
+    /// Requests rejected at admission because the shard's queue or the
+    /// connection's window was full.
     pub rejected_overload: u64,
     /// Requests rejected by the robustness layer after render attempts
     /// (every attempt crashed, or no attempt cleared the PSNR floor).

@@ -15,7 +15,9 @@
 //!   the client-chosen request id and may return out of order.
 //! * **Backpressure** — at most [`DaemonConfig::window`] requests are
 //!   in flight per connection; excess requests are answered
-//!   `Overloaded` immediately without touching a shard queue. Once
+//!   `Overloaded` immediately without touching a shard queue, and
+//!   counted as submitted and `rejected_overload` on the shard that
+//!   owns their `(dataset, dims)`. Once
 //!   admitted, a request the shard answers on the spot (cache hit or
 //!   admission reject) is not counted in flight: the connection thread
 //!   encodes it itself; only a queued request gets a forwarder thread. (The window check runs first, so such a request
@@ -380,18 +382,23 @@ fn handle_conn(
                     // before a session, a volume or a worker sees it.
                     Err(_) => break,
                 };
+                let key = (config.dataset, config.resolved_dims());
                 // Per-connection window: admission control before the
-                // shard queue ever sees the request.
+                // shard queue ever sees the request. The refusal is
+                // counted on the shard that owns the key, with no session
+                // opened and no dataset built.
                 if in_flight.load(Ordering::SeqCst) >= cfg.window {
                     let resp = FrameResponse::Overloaded {
                         queue_depth: in_flight.load(Ordering::SeqCst),
                     };
+                    router
+                        .shard(router.shard_for(key.0, key.1))
+                        .count_refusal(&resp);
                     if out_tx.send(Outgoing::response(id, &resp)).is_err() {
                         break;
                     }
                     continue;
                 }
-                let key = (config.dataset, config.resolved_dims());
                 let session = sessions
                     .entry(key)
                     .or_insert_with(|| router.open_session(config));
@@ -521,5 +528,58 @@ mod tests {
         let stats = daemon.shutdown();
         assert_eq!(stats.completed_cached, 3 * window as u64);
         assert_eq!(stats.rendered_frames, 1);
+    }
+
+    /// Every request the connection window refuses shows in the
+    /// daemon's own counters: the client's `Overloaded` answers are the
+    /// shards' `rejected_overload`, and the daemon answered exactly the
+    /// responses the client read.
+    #[test]
+    fn window_refusals_are_counted_on_the_owning_shard() {
+        let daemon = Daemon::start(
+            "127.0.0.1:0",
+            DaemonConfig {
+                shards: 2,
+                window: 1,
+                serve: ServeConfig {
+                    workers: 1,
+                    render_threads: 1,
+                    cache_frames: 0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .expect("bind loopback");
+        let base = ExperimentConfig::small_test(DatasetKind::Head, 4, Method::Bsbrc);
+        let mut client = Client::connect(daemon.local_addr()).expect("connect");
+        // Distinct poses, pipelined: one renders while the window
+        // refuses the ones behind it.
+        let requests = 8;
+        for pose in 0..requests {
+            let config = ExperimentConfig {
+                rot_y_deg: 10.0 * pose as f32,
+                ..base
+            };
+            client.submit(&config).expect("submit");
+        }
+        let mut overloaded = 0;
+        for _ in 0..requests {
+            let (_, resp) = client.recv_response().expect("response");
+            if matches!(resp, WireResponse::Overloaded { .. }) {
+                overloaded += 1;
+            }
+        }
+        assert!(overloaded > 0, "a window of one refused nothing");
+        let per_shard = daemon.router().shard_stats();
+        let owner = daemon
+            .router()
+            .shard_for(base.dataset, base.resolved_dims());
+        assert_eq!(per_shard[owner].submitted, requests);
+        assert_eq!(per_shard[1 - owner].submitted, 0);
+        let stats = daemon.shutdown();
+        assert_eq!(stats.rejected_overload, overloaded);
+        assert_eq!(stats.submitted, requests);
+        assert_eq!(stats.answered(), requests);
     }
 }

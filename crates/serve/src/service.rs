@@ -57,15 +57,15 @@ pub struct ServeConfig {
     /// Evict a resident dataset once no session holds it and it has
     /// been idle this long (`None` = datasets stay resident forever).
     pub session_ttl: Option<Duration>,
-    /// The width of each worker's render pool, spawned once and reused
-    /// across frames: every rank of a frame puts its tiles on one board
-    /// that the worker's pool drains, so this is the frame's render
-    /// thread count, whatever P is. `0` (the default) means auto — the
-    /// host's cores, capped at 8, resolved once at service start. Not
-    /// divided by `workers`: a one-thread pool would render a whole
-    /// frame on one thread, and frames from concurrent workers share the
-    /// cores as any threads do. Bit-identical at every value; requests
-    /// carry no thread count.
+    /// The width of each worker's render pool: every rank of a frame
+    /// puts its tiles on one board that the worker's pool drains, on
+    /// threads that start and end with the board, so this is the
+    /// frame's render thread count, whatever P is. `0` (the default)
+    /// means auto — the host's cores, capped at 8, resolved once at
+    /// service start. Not divided by `workers`: a one-thread pool would
+    /// render a whole frame on one thread, and frames from concurrent
+    /// workers share the cores as any threads do. Bit-identical at every
+    /// value; requests carry no thread count.
     pub render_threads: usize,
 }
 
@@ -351,6 +351,15 @@ impl FrameService {
         stats
     }
 
+    /// Counts a request the daemon's connection window refused before
+    /// it reached this shard: submitted here and answered `response`,
+    /// so `answered()` still meets `submitted`.
+    pub(crate) fn count_refusal(&self, response: &FrameResponse) {
+        let mut stats = self.shared.stats.lock().unwrap();
+        stats.submitted += 1;
+        stats.count(response);
+    }
+
     /// Currently queued (admitted, not yet running) jobs.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().unwrap().jobs.len()
@@ -632,11 +641,10 @@ fn render_with_retries(shared: &Shared, job: &Job, pool: &RenderPool) -> JobOutc
 }
 
 fn worker_loop(shared: &Shared) {
-    // Each worker owns one persistent render pool, spawned here and
-    // reused across every frame it renders; all of a frame's ranks share
-    // its board. A panic inside a pool worker re-raises typed on this
-    // thread and is caught by `run_attempt`; the pool itself survives
-    // and serves the next job.
+    // Each worker renders every frame on one pool of the configured
+    // width; all of a frame's ranks share its board. A panic inside a
+    // render thread re-raises typed on this thread and is caught by
+    // `run_attempt`.
     let pool = RenderPool::new(shared.cfg.render_threads);
     loop {
         let job = {

@@ -398,7 +398,7 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
 
 #[test]
 fn threaded_render_survives_chaos_and_stays_bit_identical() {
-    // The worker's persistent render pool must ride out a poisoned job:
+    // The worker's render pool must ride out a poisoned job:
     // the blackout panic is caught at the serve layer with its typed
     // payload intact, the pool is not left hung or poisoned, and the
     // follow-up healthy frame — rendered across the pool with lane

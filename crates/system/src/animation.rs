@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use slsvr_core::Method;
 use vr_volume::Dataset;
 
@@ -17,7 +16,7 @@ use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;
 
 /// One frame's cost summary.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FrameStats {
     /// Rotation angles for this frame, degrees.
     pub rot_x_deg: f32,

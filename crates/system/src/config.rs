@@ -2,14 +2,13 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use slsvr_core::stats::CompCost;
 use slsvr_core::Method;
 use vr_comm::{CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec};
 use vr_volume::DatasetKind;
 
 /// Everything needed to run one paper experiment cell.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
     /// Which test sample to render.
     pub dataset: DatasetKind,
@@ -70,19 +69,16 @@ pub struct ExperimentConfig {
     /// skipping; `0` disables the acceleration structure entirely. The
     /// accelerated path is bit-identical to the naive integrator, so
     /// this knob only trades build cost against skip granularity.
-    #[serde(default = "default_macrocell")]
     pub macrocell: usize,
     /// Screen-tile edge length (pixels) for tile culling inside each
     /// block footprint; `0` casts every footprint pixel. Only effective
     /// when `macrocell >= 1` (the tile mask is derived from active
     /// macrocells).
-    #[serde(default = "default_tile")]
     pub tile: usize,
     /// Ray-sample batch width inside active macrocells (autovectorized
     /// fixed-width lanes); every width, `1` included, is bit-identical
     /// to the unaccelerated reference (`macrocell = 0`). Clamped to
     /// `1..=vr_render::MAX_SIMD_LANES`.
-    #[serde(default = "default_simd_lanes")]
     pub simd_lanes: usize,
 }
 
@@ -99,7 +95,7 @@ fn default_simd_lanes() -> usize {
 }
 
 /// Source of the reported computation time.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum CompTiming {
     /// Use raw thread-CPU measurements from the host, optionally scaled
     /// by a constant slowdown factor. Subject to oversubscription noise

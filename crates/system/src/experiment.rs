@@ -47,11 +47,10 @@ impl Experiment {
     }
 
     /// Like [`Experiment::prepare_with_dataset`] but renders on `pool`,
-    /// whose width is the frame's render thread count — callers that
-    /// render many frames (the serve workers) spawn the pool threads
-    /// once and amortize them across every frame. Without a pool, one of
-    /// [`resolve_threads(0)`](vr_render::resolve_threads) threads is
-    /// spun up for this prepare. Every width is bit-identical.
+    /// whose width is the frame's render thread count (`slsvr render`
+    /// and the serve workers size it from `--render-threads`). Without
+    /// a pool, the render is [`resolve_threads(0)`](vr_render::resolve_threads)
+    /// threads wide. Every width is bit-identical.
     pub fn prepare_with_dataset_pool(
         config: &ExperimentConfig,
         dataset: Arc<Dataset>,

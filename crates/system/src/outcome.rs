@@ -28,10 +28,6 @@ pub struct Aggregate {
     pub t_comp: f64,
     /// Max modeled communication time over ranks, seconds (paper `T_comm`).
     pub t_comm: f64,
-    /// Mean computation time over ranks, seconds.
-    pub t_comp_mean: f64,
-    /// Mean communication time over ranks, seconds.
-    pub t_comm_mean: f64,
     /// Maximum received bytes over ranks (the paper's `M_max`).
     pub m_max: u64,
     /// Total bytes sent by all ranks.
@@ -291,12 +287,9 @@ fn collect<X>(config: &ExperimentConfig, run: GroupRun<(RankFrame, X)>) -> (Outc
     };
 
     let max = |f: fn(&MethodStats) -> f64| per_rank.iter().map(f).fold(0.0, f64::max);
-    let mean = |f: fn(&MethodStats) -> f64| per_rank.iter().map(f).sum::<f64>() / p as f64;
     let aggregate = Aggregate {
         t_comp: max(|s| s.comp_seconds),
         t_comm: max(|s| s.comm_seconds),
-        t_comp_mean: mean(|s| s.comp_seconds),
-        t_comm_mean: mean(|s| s.comm_seconds),
         // M_max over the *compositing* stages only (gather excluded), as
         // in Section 4.
         m_max: per_rank.iter().map(|s| s.recv_bytes()).max().unwrap_or(0),

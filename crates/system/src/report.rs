@@ -1,7 +1,6 @@
 //! Table and figure formatting matching the paper's presentation, plus
 //! the machine-readable per-frame record used by the serving layer.
 
-use serde::{Deserialize, Serialize};
 use slsvr_core::Method;
 
 use crate::outcome::Outcome;
@@ -10,7 +9,7 @@ use crate::sweep::{rows, SweepCell};
 /// Machine-readable summary of one composited frame: the paper's
 /// aggregate timings broken down by phase and the traffic maxima —
 /// everything a serving layer needs programmatically per frame (the human-facing tables above only print totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FrameRecord {
     /// Max computation time over ranks, ms (the paper's `T_comp`).
     pub t_comp_ms: f64,

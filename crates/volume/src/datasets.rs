@@ -14,12 +14,11 @@
 use crate::grid::Volume;
 use crate::macrocell::MacrocellGrid;
 use crate::transfer::TransferFunction;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Which test sample to build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Engine volume with the low-density transfer window (dense image).
     EngineLow,

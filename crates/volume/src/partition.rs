@@ -9,10 +9,9 @@
 //! every pairwise `over` in the compositing phase be oriented correctly.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// One processor's block of the volume.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Subvolume {
     /// Owning processor rank.
     pub rank: usize,
@@ -54,7 +53,7 @@ impl Subvolume {
 }
 
 /// The KD split tree over ranks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Node {
     Leaf(usize),
     Split {
@@ -69,7 +68,7 @@ pub(crate) enum Node {
 
 /// A complete block decomposition: the blocks plus the split tree needed
 /// to order them by depth for any view.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     subvolumes: Vec<Subvolume>,
     tree: Node,
@@ -195,7 +194,7 @@ impl Partition {
 }
 
 /// A visibility order over ranks for one view.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DepthOrder {
     position: Vec<usize>,
     front_to_back: Vec<usize>,

@@ -6,11 +6,9 @@
 //! vs sparse subimages. We reproduce that knob with a piecewise-linear
 //! opacity map over the 8-bit density range.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-linear opacity transfer function with a gray intensity
 /// ramp.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransferFunction {
     /// Control points `(density, opacity)`, sorted by density, covering
     /// `[0, 255]` implicitly (clamped outside the listed range).

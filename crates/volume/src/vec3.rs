@@ -1,10 +1,9 @@
 //! Minimal 3-vector math (no external linear-algebra dependency).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A 3-component `f32` vector.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Vec3 {
     /// X component.
     pub x: f32,
