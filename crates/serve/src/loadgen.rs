@@ -437,4 +437,25 @@ mod tests {
         assert_eq!(pose_angles(&base, 3, 4).1, base.rot_y_deg + 180.0);
         assert_eq!(pose_angles(&base, 0, 1).0, base.rot_x_deg);
     }
+
+    /// The f32 bits of every pose's `(rot_x_deg, rot_y_deg)` for
+    /// poses ∈ {1, 2, 4, 12} of a base off the axes, as one digest: the
+    /// angles every request of a load run carries.
+    #[test]
+    fn pose_table_is_pinned() {
+        let base = ExperimentConfig {
+            rot_x_deg: 17.3,
+            rot_y_deg: -31.7,
+            ..base()
+        };
+        let mut digest = vr_image::checksum::FNV_OFFSET;
+        for poses in [1, 2, 4, 12] {
+            for pose in 0..poses {
+                let (rx, ry) = pose_angles(&base, pose, poses);
+                digest = vr_image::checksum::fnv1a_bytes(digest, rx.to_bits().to_le_bytes());
+                digest = vr_image::checksum::fnv1a_bytes(digest, ry.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(digest, 0xdc97608a3b474993);
+    }
 }
