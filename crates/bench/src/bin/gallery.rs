@@ -19,8 +19,6 @@ fn main() {
         let out = exp.run(Method::Bsbrc);
         let path = format!("gallery/{}.pgm", dataset.name());
         vr_image::pgm::save_pgm(&out.image, &path).expect("write PGM");
-        let png = format!("gallery/{}.png", dataset.name());
-        vr_image::png::save_png_gray(&out.image, &png).expect("write PNG");
         let bounds = out.image.bounding_rect();
         let density = if bounds.area() > 0 {
             out.image.non_blank_count() as f64 / bounds.area() as f64

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] decides, for every *physical* transmission on a
 //! directed link, whether that transmission is delivered, dropped,
-//! corrupted, duplicated or delayed, and ([`FaultPlan::transmit`]) puts
+//! corrupted, duplicated or delayed, and (`FaultPlan::transmit`) puts
 //! it on the transport accordingly — the layer between the link layer
 //! ([`crate::reliable`]) and the wire. Decisions are **stateless**: each
 //! is a pure hash of `(seed, src, dst, stream class, index)`, so two

@@ -19,10 +19,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SendError, SyncSender};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::cost::CostModel;
 use crate::endpoint::{Endpoint, EndpointConfig, DEFAULT_RECV_DEADLINE};
@@ -143,6 +141,8 @@ where
         .map(FaultPlan::new);
     let (nets, sim) = Transport::group(size, options.cost, options.schedule.as_ref());
 
+    // Every critical section on these three is one store or push, so
+    // `locked` may take them past a poisoned lock.
     let slots: Mutex<Vec<Option<(R, TrafficStats)>>> =
         Mutex::new((0..size).map(|_| None).collect());
     let dead_flags: Mutex<Vec<bool>> = Mutex::new(vec![false; size]);
@@ -173,12 +173,12 @@ where
         // the deadline.
         match (outcome, stats) {
             (Ok(r), Ok(stats)) => {
-                dead_flags.lock()[rank] = killed;
-                slots.lock()[rank] = Some((r, stats));
+                locked(&dead_flags)[rank] = killed;
+                locked(&slots)[rank] = Some((r, stats));
             }
             (Err(payload), _) | (_, Err(payload)) => {
-                dead_flags.lock()[rank] = true;
-                panics.lock().push((at, rank, payload));
+                locked(&dead_flags)[rank] = true;
+                locked(&panics).push((at, rank, payload));
             }
         }
     };
@@ -227,6 +227,7 @@ where
 
     let first = panics
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     if let Some((_, _, payload)) = first {
@@ -235,13 +236,14 @@ where
 
     let mut results_out = Vec::with_capacity(size);
     let mut stats_out = Vec::with_capacity(size);
-    for slot in slots.into_inner() {
+    for slot in slots.into_inner().unwrap_or_else(PoisonError::into_inner) {
         let (r, s) = slot.expect("rank completed without storing a result");
         results_out.push(r);
         stats_out.push(s);
     }
     let dead_ranks = dead_flags
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .enumerate()
         .filter_map(|(rank, &d)| d.then_some(rank))
@@ -272,14 +274,14 @@ const MAX_PARKED_THREADS: usize = 64;
 /// widths share it, and a lease never waits for a thread. Every critical
 /// section is one `split_off` or `extend`, so the stack behind a
 /// poisoned lock is still good.
-static PARKED: std::sync::Mutex<Vec<RankThread>> = std::sync::Mutex::new(Vec::new());
+static PARKED: Mutex<Vec<RankThread>> = Mutex::new(Vec::new());
 
 /// Rank threads spawned by this process, for the tests' warm-lease
 /// check.
 #[cfg(test)]
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
-fn locked<T>(mutex: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -341,7 +343,7 @@ struct Dispatched(Arc<Outstanding>);
 
 #[derive(Default)]
 struct Outstanding {
-    count: std::sync::Mutex<usize>,
+    count: Mutex<usize>,
     zero: Condvar,
 }
 

@@ -1,5 +1,5 @@
 //! The link layer between [`Endpoint`](crate::Endpoint) and the
-//! [`Transport`]: per-peer state, and the stop-and-wait ARQ that runs
+//! `Transport`: per-peer state, and the stop-and-wait ARQ that runs
 //! over it when reliability is enabled.
 //!
 //! * **Raw** (default): a message is one physical transmission, handed
@@ -15,7 +15,7 @@
 //!   frames of other conversations keep moving — what makes ring and
 //!   exchange schedules deadlock-free under ARQ.
 //!
-//! Each wait loop here ([`Links`]' `await_ack`, `recv_reliable`,
+//! Each wait loop here (`Links`' `await_ack`, `recv_reliable`,
 //! `recv_any`, `linger_until_group_done`) is written once, against the
 //! transport's clock, `drain` and `wait_any`; none of them knows whether
 //! time is real or virtual. The byte layout and integrity check live in

@@ -13,10 +13,9 @@
 //! network it runs on. Time is `f64` seconds on the rank's own clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::cost::CostModel;
 use crate::endpoint::Message;
@@ -186,7 +185,7 @@ impl ChannelNet {
             (0..size).map(|_| Vec::with_capacity(size)).collect();
         for from_srcs in from.iter_mut() {
             for to_dsts in to.iter_mut() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 to_dsts.push(tx);
                 from_srcs.push(rx);
             }

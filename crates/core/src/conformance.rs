@@ -286,7 +286,8 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
 }
 
 /// Exact per-stage wire bytes the paper's four methods (and the BSRL
-/// encoding of the same halves) must move.
+/// encoding of the same halves) must move, and the operation counts
+/// Equations (1)/(3)/(5)/(7) multiply by `CompCost`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExpectedTraffic {
     /// `sent[rank][stage]`: payload bytes rank sends at that stage.
@@ -298,6 +299,16 @@ pub struct ExpectedTraffic {
     /// domain's header, code count, run codes and non-blank pixels. The
     /// root's own payload never leaves it.
     pub gather: Vec<u64>,
+    /// Pixels a run codec encodes per rank and stage (its span); 0 for
+    /// BS and BSBR.
+    pub encoded_pixels: Vec<Vec<u64>>,
+    /// Run codes over that span (`R_code^k`).
+    pub run_codes: Vec<Vec<u64>>,
+    /// `over`s applied to the partner's message: its span (`A_rec^k`), or
+    /// its non-blank pixels for a run codec (`A_opaque^k`).
+    pub composite_ops: Vec<Vec<u64>>,
+    /// The initial bounding-rectangle scan per rank: `A` for BSBR and BSBRC.
+    pub bound_pixels: Vec<u64>,
 }
 
 impl ExpectedTraffic {
@@ -319,10 +330,11 @@ impl ExpectedTraffic {
 /// Computes the exact bytes each rank sends and receives per binary-swap
 /// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
 /// — from the subimages alone, plus BSRL, which reuses the same state
-/// (runs over the whole spatial half). This function derives the counts;
-/// `analysis::message_bytes` turns them into sizes. The gather's bytes
-/// come from the final composite's bit mask over each rank's owned
-/// domain, coded by the reference [`MaskRle::encode_mask`].
+/// (runs over the whole spatial half), and the encode, run-code, `over`
+/// and scan counts of Equations (1)/(3)/(5)/(7). This function derives
+/// the counts; `analysis::message_bytes` turns them into sizes. The
+/// gather's bytes come from the final composite's bit mask over each
+/// rank's owned domain, coded by the reference [`MaskRle::encode_mask`].
 ///
 /// The derivation never composites a pixel: the non-blank mask of any
 /// partial composite is the exact `OR` of its contributors' masks
@@ -365,6 +377,10 @@ pub fn expected_traffic(
 
     let mut sent = vec![vec![0u64; stages]; p]; // indexed by vrank for now
     let mut recv = vec![vec![0u64; stages]; p];
+    let mut encoded = vec![vec![0u64; stages]; p];
+    let mut run_codes = vec![vec![0u64; stages]; p];
+    let mut overs = vec![vec![0u64; stages]; p];
+    let run_codec = !matches!(method, Method::Bs | Method::Bsbr);
 
     for k in 0..stages {
         // Phase 1: every rank's send bytes from its PRE-stage state.
@@ -400,6 +416,10 @@ pub fn expected_traffic(
             };
             sent[v][k] =
                 message_bytes(method, pixels as f64, codes as f64, non_blank as f64)? as u64;
+            encoded[v][k] = if run_codec { pixels as u64 } else { 0 };
+            run_codes[v][k] = codes as u64;
+            // What this message costs its receiver, the partner `v ^ 2^k`.
+            overs[v ^ (1 << k)][k] = if run_codec { non_blank } else { pixels } as u64;
         }
         // Phase 2: simultaneous state update from both partners'
         // pre-stage state.
@@ -446,18 +466,20 @@ pub fn expected_traffic(
         .collect();
 
     // Re-index by REAL rank.
-    let mut sent_real = vec![Vec::new(); p];
-    let mut recv_real = vec![Vec::new(); p];
-    let mut gather_real = vec![0; p];
-    for v in 0..p {
-        sent_real[order[v]] = std::mem::take(&mut sent[v]);
-        recv_real[order[v]] = std::mem::take(&mut recv[v]);
-        gather_real[order[v]] = gather[v];
+    let mut vrank = vec![0; p];
+    for (v, &rank) in order.iter().enumerate() {
+        vrank[rank] = v;
     }
+    let real = |by_vrank: &[Vec<u64>]| vrank.iter().map(|&v| by_vrank[v].clone()).collect();
+    let scan = area as u64 * u64::from(matches!(method, Method::Bsbr | Method::Bsbrc));
     Some(ExpectedTraffic {
-        sent: sent_real,
-        recv: recv_real,
-        gather: gather_real,
+        sent: real(&sent),
+        recv: real(&recv),
+        gather: vrank.iter().map(|&v| gather[v]).collect(),
+        encoded_pixels: real(&encoded),
+        run_codes: real(&run_codes),
+        composite_ops: real(&overs),
+        bound_pixels: vec![scan; p],
     })
 }
 

@@ -1,8 +1,8 @@
 //! The compositing methods and their common runtime plumbing.
 //!
-//! Six methods are one driver ([`swap`]) over a stage codec and a round
-//! vector each: five exchange spatial parts ([`spatial`]), BSLC exchanges
-//! interleaved halves ([`interleaved`]). The tile stream keeps its own
+//! Six methods are one driver (`swap`) over a stage codec and a round
+//! vector each: five exchange spatial parts (`spatial`), BSLC exchanges
+//! interleaved halves (`interleaved`). The tile stream keeps its own
 //! schedule.
 
 mod interleaved;

@@ -19,7 +19,6 @@ pub mod interleave;
 pub mod kernel;
 pub mod pgm;
 pub mod pixel;
-pub mod png;
 pub mod rect;
 pub mod rle;
 pub mod run_image;

@@ -60,7 +60,7 @@
 //!   connection, bounded budget with a typed busy refusal) and applies
 //!   a per-connection in-flight window before the shard queues see a
 //!   request; shutdown drains in-flight work to
-//!   [`RejectReason::Shutdown`](service::RejectReason::Shutdown).
+//!   [`service::RejectReason::Shutdown`].
 //! * **Shard router** — [`ShardRouter`] hashes `(dataset, dims)` across
 //!   N independent [`FrameService`] shards, each with its own queue,
 //!   cache, and workers, and reports per-shard stats plus a
@@ -83,7 +83,7 @@
 //! match session.request_blocking(*session.base()) {
 //!     FrameResponse::Frame(reply) => {
 //!         println!("frame in {:.1} ms ({:?})", reply.wait_seconds * 1e3, reply.source);
-//!         println!("metrics: {}", reply.frame.record.to_json());
+//!         println!("T_total {:.2} ms", reply.frame.record.t_total_ms);
 //!     }
 //!     FrameResponse::Overloaded { queue_depth } => eprintln!("busy ({queue_depth} queued)"),
 //!     FrameResponse::Shed { .. } => eprintln!("deadline missed"),

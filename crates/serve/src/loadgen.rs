@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use vr_comm::splitmix64;
 use vr_image::checksum::fnv1a;
-use vr_system::ExperimentConfig;
+use vr_system::{Animation, ExperimentConfig};
 
 use crate::client::{Client, ClientError};
 use crate::metrics::ServiceStats;
@@ -209,15 +209,17 @@ fn pose_index(load: &LoadConfig, s: usize, i: usize) -> usize {
     (splitmix64(stream, i as u64) % load.poses.max(1) as u64) as usize
 }
 
-/// The camera pose a request uses: poses are evenly spread over a 180°
-/// y-sweep (plus a small x tilt per pose) from the base view.
-pub fn pose_angles(base: &ExperimentConfig, pose: usize, poses: usize) -> (f32, f32) {
-    let t = if poses > 1 {
-        pose as f32 / (poses - 1) as f32
-    } else {
-        0.0
-    };
-    (base.rot_x_deg + t * 10.0, base.rot_y_deg + t * 180.0)
+/// The camera poses a session's requests draw from: `poses` views
+/// evenly spread over a 180° y-sweep (plus a 10° x tilt) from `base`,
+/// the frames of that [`Animation`].
+fn pose_table(base: ExperimentConfig, poses: usize) -> Vec<ExperimentConfig> {
+    Animation {
+        base,
+        frames: poses.max(1),
+        sweep_y_deg: 180.0,
+        sweep_x_deg: 10.0,
+    }
+    .frame_configs(base.method)
 }
 
 /// Drives `load` against a daemon at `addr` over TCP, one connection
@@ -242,7 +244,7 @@ pub fn run_load(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..load.sessions)
             .map(|s| {
-                let base = bases[s % bases.len()];
+                let poses = pose_table(bases[s % bases.len()], load.poses);
                 scope.spawn(move || -> SessionOut {
                     let client = Client::connect(addr)?;
                     let (mut tx_half, mut rx_half) = client.into_split()?;
@@ -261,12 +263,7 @@ pub fn run_load(
                                 if due > elapsed {
                                     std::thread::sleep(due - elapsed);
                                 }
-                                let pose = pose_index(&load, s, i);
-                                let (rx, ry) = pose_angles(&base, pose, load.poses);
-                                let mut config = base;
-                                config.rot_x_deg = rx;
-                                config.rot_y_deg = ry;
-                                let id = tx_half.submit(&config)?;
+                                let id = tx_half.submit(&poses[pose_index(&load, s, i)])?;
                                 let _ = stamp_tx.send((id, Instant::now()));
                             }
                             Ok(())
@@ -433,9 +430,10 @@ mod tests {
         assert!(walk(1).iter().all(|&pose| pose < 4));
         assert_ne!(walk(0), walk(1), "sessions walk their own streams");
         let base = base();
-        assert_eq!(pose_angles(&base, 0, 4).1, base.rot_y_deg);
-        assert_eq!(pose_angles(&base, 3, 4).1, base.rot_y_deg + 180.0);
-        assert_eq!(pose_angles(&base, 0, 1).0, base.rot_x_deg);
+        let table = pose_table(base, 4);
+        assert_eq!(table[0].rot_y_deg, base.rot_y_deg);
+        assert_eq!(table[3].rot_y_deg, base.rot_y_deg + 180.0);
+        assert_eq!(pose_table(base, 1)[0].rot_x_deg, base.rot_x_deg);
     }
 
     /// The f32 bits of every pose's `(rot_x_deg, rot_y_deg)` for
@@ -450,8 +448,8 @@ mod tests {
         };
         let mut digest = vr_image::checksum::FNV_OFFSET;
         for poses in [1, 2, 4, 12] {
-            for pose in 0..poses {
-                let (rx, ry) = pose_angles(&base, pose, poses);
+            for pose in pose_table(base, poses) {
+                let (rx, ry) = (pose.rot_x_deg, pose.rot_y_deg);
                 digest = vr_image::checksum::fnv1a_bytes(digest, rx.to_bits().to_le_bytes());
                 digest = vr_image::checksum::fnv1a_bytes(digest, ry.to_bits().to_le_bytes());
             }

@@ -91,13 +91,6 @@ impl ShardRouter {
         submitted.iter().copied().max().unwrap_or(0) as f64 / mean
     }
 
-    /// Runs idle-TTL eviction on every shard.
-    pub fn evict_idle(&self) {
-        for s in &self.shards {
-            s.evict_idle();
-        }
-    }
-
     /// Shuts every shard down (draining queued waiters with typed
     /// `Rejected{Shutdown}` answers) and returns the merged counters.
     pub fn shutdown(self) -> ServiceStats {

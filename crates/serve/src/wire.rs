@@ -23,7 +23,7 @@
 //! struct's fields in wire order (with the bounds a received value must
 //! lie in beside it), `wire_enum!` a tag-only enum's variants in tag
 //! order, `wire_union!` the tagged variants of an enum that carries
-//! data. Each table expands to the private [`Wire`] trait's `put`/`get`
+//! data. Each table expands to the private `Wire` trait's `put`/`get`
 //! pair, so the two directions of a message cannot drift apart and a
 //! field is named in one place. The one exception is the response,
 //! whose two ends are different types (the server's `Arc`-shared

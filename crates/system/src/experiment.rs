@@ -15,7 +15,7 @@ use crate::scene::Scene;
 /// Rendering happens **once**; each compositing method then runs on
 /// working copies of the same subimages — exactly how the paper
 /// isolates the compositing phase. A working copy is a leased frame
-/// reset to the subimage ([`WorkingFrame::copy_of`]), bit for bit what
+/// reset to the subimage (`WorkingFrame::copy_of`), bit for bit what
 /// `Image::clone` would build, at the cost of the subimage's rectangle
 /// rather than of the frame.
 pub struct Experiment {

@@ -2,11 +2,11 @@
 //!
 //! The two pipelines (two-phase [`Experiment`](crate::Experiment) and
 //! distributed [`run_distributed`](crate::run_distributed)) differ only
-//! in the body a rank runs; [`run_frame`] runs that body on the config's group and
-//! [`collect`] folds the per-rank results into the one [`Outcome`].
+//! in the body a rank runs; `run_frame` runs that body on the config's group and
+//! `collect` folds the per-rank results into the one [`Outcome`].
 //!
 //! The `W×H` frame a rank body composites in is leased, not allocated:
-//! [`WorkingFrame`] below is the one place such frames live between
+//! `WorkingFrame` below is the one place such frames live between
 //! frames.
 
 use std::ops::{Deref, DerefMut};
@@ -58,7 +58,7 @@ impl Aggregate {
 }
 
 /// The outcome of one frame, whichever pipeline produced it. The fields
-/// up to `coverage` are filled by [`collect`] for every pipeline; the
+/// up to `coverage` are filled by `collect` for every pipeline; the
 /// rest are facts only some pipelines have and stay empty elsewhere.
 pub struct Outcome {
     /// Group aggregates (the numbers the paper tabulates).

@@ -57,27 +57,6 @@ impl FrameRecord {
             dead_ranks: out.dead_ranks.len(),
         }
     }
-
-    /// Serializes as one JSON object (stable field order, no external
-    /// JSON dependency — same policy as the bench trajectory files).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_comp_ms\": {}, \"t_comm_ms\": {}, \"t_total_ms\": {}, \
-             \"t_bound_ms\": {}, \"t_encode_ms\": {}, \"render_max_ms\": {}, \
-             \"m_max\": {}, \"total_bytes\": {}, \"coverage\": {}, \
-             \"dead_ranks\": {}}}",
-            self.t_comp_ms,
-            self.t_comm_ms,
-            self.t_total_ms,
-            self.t_bound_ms,
-            self.t_encode_ms,
-            self.render_max_ms,
-            self.m_max,
-            self.total_bytes,
-            self.coverage,
-            self.dead_ranks
-        )
-    }
 }
 
 /// Formats the per-stage traffic timeline: one row per compositing
@@ -321,39 +300,6 @@ mod tests {
         assert_eq!(record.m_max, out.aggregate.m_max);
         assert_eq!(record.coverage, 1.0);
         assert_eq!(record.dead_ranks, 0);
-    }
-
-    #[test]
-    fn frame_record_json_is_machine_readable() {
-        let record = FrameRecord {
-            t_comp_ms: 1.5,
-            t_comm_ms: 0.5,
-            t_total_ms: 2.0,
-            t_bound_ms: 0.25,
-            t_encode_ms: 0.125,
-            render_max_ms: 3.0,
-            m_max: 1024,
-            total_bytes: 4096,
-            coverage: 1.0,
-            dead_ranks: 0,
-        };
-        let json = record.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "t_comp_ms",
-            "t_comm_ms",
-            "t_bound_ms",
-            "t_encode_ms",
-            "render_max_ms",
-            "coverage",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
-        assert!(json.contains("\"total_bytes\": 4096"));
-        assert!(json.contains("\"t_bound_ms\": 0.25"));
     }
 
     #[test]

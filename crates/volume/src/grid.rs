@@ -79,7 +79,7 @@ impl Volume {
     ///
     /// Points whose eight corners are all in range — everything but the
     /// one-voxel boundary shell — take a path with no clamps; both paths
-    /// blend their corners with the same [`trilerp`], so which one ran is
+    /// blend their corners with the same `trilerp`, so which one ran is
     /// not observable in the result.
     #[inline]
     pub fn sample(&self, p: Vec3) -> f32 {

@@ -59,6 +59,5 @@ fn main() {
     assert!(diff < 2e-4);
 
     slsvr::image::pgm::save_pgm(&outcome.image, "quickstart.pgm").expect("save image");
-    slsvr::image::png::save_png_gray(&outcome.image, "quickstart.png").expect("save image");
-    println!("\nwrote quickstart.pgm and quickstart.png");
+    println!("\nwrote quickstart.pgm");
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use slsvr::comm::{
     run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, KillSpec,
-    ReliabilityConfig,
+    ReliabilityConfig, ScheduleSpec,
 };
 use slsvr::compositing::{
     composite, gather_image_tolerant, reference_composite, Method, OwnedPiece,
@@ -116,9 +116,20 @@ fn same_fault_seed_reproduces_the_run() {
         seed: 42,
         ..Default::default()
     };
-    let (img_a, stats_a) = run_to_image(Method::Bsbrc, &images, &depth, reliable_options(faults));
-    let (img_b, stats_b) = run_to_image(Method::Bsbrc, &images, &depth, reliable_options(faults));
+    // The same schedule seed for both runs: ack timeouts fire on the
+    // virtual clock, so neither run's retransmits depend on how busy
+    // the host is.
+    let options = GroupOptions {
+        schedule: Some(ScheduleSpec::seeded(7)),
+        ..reliable_options(faults)
+    };
+    let (img_a, stats_a) = run_to_image(Method::Bsbrc, &images, &depth, options.clone());
+    let (img_b, stats_b) = run_to_image(Method::Bsbrc, &images, &depth, options);
     assert_eq!(img_a.pixels(), img_b.pixels(), "images must be identical");
+    assert!(
+        stats_a.iter().map(|s| s.retransmits).sum::<u64>() > 0,
+        "the fault plan must force retransmits"
+    );
     for (a, b) in stats_a.iter().zip(&stats_b) {
         // Logical counters only: modeled seconds are logical too, but
         // retransmit decisions are what the seed must pin down.

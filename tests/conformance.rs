@@ -22,7 +22,9 @@ use slsvr::comm::{
 use slsvr::compositing::conformance::{
     expected_traffic, parse_corpus, run_case, ConformanceCase, CorpusEntry, CostKind, Workload,
 };
-use slsvr::compositing::{composite, CompositeResult, Method, MethodStats, OwnedPiece};
+use slsvr::compositing::{
+    composite, CompCost, CompositeResult, Method, MethodStats, OwnedPiece, StageStat,
+};
 use slsvr::image::checksum::fnv1a;
 use slsvr::system::{Experiment, ExperimentConfig, Outcome, RenderPool};
 use slsvr::volume::{Dataset, DatasetKind, DepthOrder};
@@ -320,51 +322,80 @@ fn systematic_schedule_exploration_converges() {
     }
 }
 
-/// Paper equations (2)/(4)/(6)/(8): the analytic traffic oracle matches
-/// the implementation's byte counters on dense and sparse inputs, every
-/// byte a rank sends is a stage's or the gather's, and the dense closed
-/// forms hold exactly.
+/// Paper equations (1)–(8): the analytic oracle matches the
+/// implementation's byte and operation counters on dense, sparse and
+/// banded inputs, every byte a rank sends is a stage's or the gather's,
+/// the modeled `T_comp` over the derived counts is the run's to the bit,
+/// and the dense closed forms hold exactly.
 #[test]
 fn paper_byte_equations_hold_on_dense_and_sparse() {
-    for p in [8usize, 16] {
-        for workload in [Workload::Dense, Workload::Sparse] {
-            for method in Method::paper_methods() {
+    let comp = CompCost::power2();
+    for p in [2usize, 4, 8, 16] {
+        for workload in [Workload::Dense, Workload::Sparse, Workload::Bands] {
+            for method in Method::paper_methods().into_iter().chain([Method::Bsrl]) {
                 let case = ConformanceCase {
                     depth: shuffled_depth(p, 5),
                     ..ConformanceCase::new(method, p, workload, 13)
                 };
                 let expect = expected_traffic(method, &case.images(), &case.depth)
-                    .expect("paper method, pow2 P");
+                    .expect("swap-family method, pow2 P");
                 let out = run_case(&case);
                 for (rank, stats) in out.per_rank.iter().enumerate() {
                     let stats = stats.as_ref().unwrap();
+                    let at = format!("{} {workload:?} P={p} rank {rank}", method.name());
+                    assert_eq!(stats.stages.len(), expect.sent[rank].len(), "{at} stages");
+                    assert_eq!(stats.bound_pixels, expect.bound_pixels[rank], "{at} bound");
+                    // The derived counts as a rank's stats, charged by the
+                    // same `modeled_seconds` as the run's own.
+                    let derived = MethodStats {
+                        bound_pixels: expect.bound_pixels[rank],
+                        stages: (0..expect.sent[rank].len())
+                            .map(|k| StageStat {
+                                sent_bytes: expect.sent[rank][k],
+                                recv_bytes: expect.recv[rank][k],
+                                encoded_pixels: expect.encoded_pixels[rank][k],
+                                run_codes: expect.run_codes[rank][k],
+                                composite_ops: expect.composite_ops[rank][k],
+                                ..StageStat::default()
+                            })
+                            .collect(),
+                        ..MethodStats::default()
+                    };
+                    assert_eq!(
+                        comp.modeled_seconds(stats).to_bits(),
+                        comp.modeled_seconds(&derived).to_bits(),
+                        "{at} modeled T_comp"
+                    );
                     // Every byte a rank sends is a stage's or the gather's
                     // (rank 0 is the root: its piece stays home).
                     let gather = if rank == 0 { 0 } else { expect.gather[rank] };
                     assert_eq!(
                         out.traffic[rank].sent_bytes,
                         expect.sent[rank].iter().sum::<u64>() + gather,
-                        "{} {workload:?} P={p} rank {rank} sent in all",
-                        method.name()
+                        "{at} sent in all"
                     );
                     for (k, stage) in stats.stages.iter().enumerate() {
                         assert_eq!(
-                            stage.sent_bytes,
-                            expect.sent[rank][k],
-                            "{} {workload:?} P={p} rank {rank} stage {k} sent",
-                            method.name()
+                            stage.sent_bytes, expect.sent[rank][k],
+                            "{at} stage {k} sent"
                         );
                         assert_eq!(
-                            stage.recv_bytes,
-                            expect.recv[rank][k],
-                            "{} {workload:?} P={p} rank {rank} stage {k} recv",
-                            method.name()
+                            stage.recv_bytes, expect.recv[rank][k],
+                            "{at} stage {k} recv"
                         );
+                        let counts = (stage.encoded_pixels, stage.run_codes, stage.composite_ops);
+                        let derived = (
+                            expect.encoded_pixels[rank][k],
+                            expect.run_codes[rank][k],
+                            expect.composite_ops[rank][k],
+                        );
+                        assert_eq!(counts, derived, "{at} stage {k} (encoded, codes, overs)");
                     }
                 }
                 // Dense closed forms: every half is fully non-blank, so
-                // Eq (4) degenerates to 8 + 16·A/2^(k+1), Eq (6) to
-                // 4 + 2·2 + 16·A/2^(k+1) and Eq (8) to their union.
+                // Eq (4) degenerates to 8 + 16·A/2^(k+1), Eq (6) (and
+                // BSRL's runs over the spatial half) to 4 + 2·2 +
+                // 16·A/2^(k+1) and Eq (8) to their union.
                 if workload == Workload::Dense {
                     let area = 32u64 * 24;
                     for stages in &expect.sent {
@@ -372,7 +403,7 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
                             let half = 16 * area / 2u64.pow(k as u32 + 1);
                             let expect_bytes = match method {
                                 Method::Bs => half,
-                                Method::Bsbr | Method::Bslc => 8 + half,
+                                Method::Bsbr | Method::Bslc | Method::Bsrl => 8 + half,
                                 Method::Bsbrc => 16 + half,
                                 _ => unreachable!(),
                             };
