@@ -48,15 +48,16 @@ fn radix_tradeoff(scale: Scale) {
             let out = exp.run(method);
             let rounds = out.per_rank[0].stages.len();
             let msgs: u64 = out.traffic[0].sent_messages;
+            let record = out.record();
             println!(
                 "{:>4} {:<8} {:>8} {:>10} {:>14} {:>12.2} {:>12.2}",
                 p,
                 method.name(),
                 rounds,
                 msgs,
-                out.aggregate.total_bytes,
-                out.aggregate.t_comm_ms(),
-                out.aggregate.t_total_ms()
+                record.total_bytes,
+                record.t_comm_ms,
+                record.t_total_ms
             );
         }
     }
@@ -87,8 +88,8 @@ fn bslc_ingredient_ablation(scale: Scale) {
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>12}",
             dataset.name(),
-            bsrl.aggregate.m_max,
-            bslc.aggregate.m_max,
+            bsrl.record().m_max,
+            bslc.record().m_max,
             enc(&bsrl),
             enc(&bsbrc)
         );
@@ -146,8 +147,8 @@ fn density_sweep() {
             ..config
         };
         let exp = Experiment::from_subimages(config, images, vr_volume::DepthOrder::identity(2));
-        let bsbr = exp.run(Method::Bsbr).aggregate.total_bytes;
-        let bsbrc = exp.run(Method::Bsbrc).aggregate.total_bytes;
+        let bsbr = exp.run(Method::Bsbr).record().total_bytes;
+        let bsbrc = exp.run(Method::Bsbrc).record().total_bytes;
         println!(
             "{:>7}% {:>12} {:>12} {:>8.2}",
             percent,
@@ -246,7 +247,10 @@ fn rotation_sweep(scale: Scale) {
             .unwrap_or(0);
         println!(
             "{:>8.0} {:>8.0} {:>22} {:>14}",
-            rx, ry, max_empty, out.aggregate.total_bytes
+            rx,
+            ry,
+            max_empty,
+            out.record().total_bytes
         );
     }
     println!();

@@ -120,6 +120,6 @@ mod tests {
             (rows[2].method, rows[3].method),
             (Method::Bs, Method::Bsbrc)
         );
-        assert!(rows.iter().all(|c| c.aggregate.t_total_ms() >= 0.0));
+        assert!(rows.iter().all(|c| c.record.t_total_ms >= 0.0));
     }
 }

@@ -30,15 +30,6 @@ impl CostModel {
         CostModel { t_s: 0.0, t_c: 0.0 }
     }
 
-    /// A modern low-latency interconnect (for what-if sweeps): 2 µs
-    /// start-up, 10 GB/s.
-    pub fn modern() -> Self {
-        CostModel {
-            t_s: 2e-6,
-            t_c: 1.0 / 10e9,
-        }
-    }
-
     /// Time to deliver one message of `bytes` bytes, in seconds.
     #[inline]
     pub fn message_seconds(&self, bytes: usize) -> f64 {

@@ -313,17 +313,27 @@ mod tests {
         // count behind it — what the codec sends and the oracle expects.
         let images = vec![Image::blank(8, 8); 2];
         let depth = DepthOrder::identity(2);
-        let oracle = crate::conformance::expected_traffic(Method::Bsbrc, &images, &depth).unwrap();
-        assert_eq!(oracle.sent, [[8], [8]]);
+        let net = CostModel::sp2();
+        let oracle =
+            crate::conformance::expected_traffic(Method::Bsbrc, &images, &depth, net).unwrap();
+        let sent: Vec<u64> = oracle
+            .per_rank
+            .iter()
+            .map(MethodStats::sent_bytes)
+            .collect();
+        assert_eq!(sent, [8, 8]);
         let blank = UniformWorkload {
             a: 64,
             density: 0.0,
             rect_fraction: 0.0,
             codes_per_pixel: 0.0,
         };
-        let net = CostModel::sp2();
         let predicted = predict(Method::Bsbrc, &blank, 2, &net, &CompCost::power2());
         assert_eq!(predicted.comm_seconds, net.message_seconds(8));
+        assert!(oracle
+            .per_rank
+            .iter()
+            .all(|s| s.comm_seconds == predicted.comm_seconds));
     }
 
     #[test]

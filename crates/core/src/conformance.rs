@@ -34,7 +34,7 @@ use crate::gather::gather_image_tolerant;
 use crate::methods::{composite, Method};
 use crate::reference::reference_composite;
 use crate::schedule::strip;
-use crate::stats::MethodStats;
+use crate::stats::{MethodStats, StageStat};
 
 /// Deterministic synthetic workloads for conformance runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,54 +285,33 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
     }
 }
 
-/// Exact per-stage wire bytes the paper's four methods (and the BSRL
-/// encoding of the same halves) must move, and the operation counts
-/// Equations (1)/(3)/(5)/(7) multiply by `CompCost`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What the paper's four methods (and the BSRL encoding of the same
+/// halves) must do on each rank, derived without running them.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExpectedTraffic {
-    /// `sent[rank][stage]`: payload bytes rank sends at that stage.
-    pub sent: Vec<Vec<u64>>,
-    /// `recv[rank][stage]`: payload bytes rank receives at that stage
-    /// (its partner's `sent`).
-    pub recv: Vec<Vec<u64>>,
+    /// Each rank's counts as the run records them, by real rank: every
+    /// stage's bytes and messages (one each way), the pixels a run codec
+    /// encodes (its span; 0 for BS and BSBR), its run codes (`R_code^k`)
+    /// and the `over`s applied to the partner's message (its span,
+    /// `A_rec^k`, or its non-blank pixels under a run codec,
+    /// `A_opaque^k`); the bound scan (`A` for BSBR and BSBRC); and
+    /// `comm_seconds`, one `T_s + bytes · T_c` per received message as
+    /// the endpoint charges. The compute timers are `CompCost`'s to
+    /// model, and `peer` and `recv_rect_empty` the run's to decide.
+    pub per_rank: Vec<MethodStats>,
     /// `gather[rank]`: bytes of the rank's gather payload — its owned
     /// domain's header, code count, run codes and non-blank pixels. The
     /// root's own payload never leaves it.
     pub gather: Vec<u64>,
-    /// Pixels a run codec encodes per rank and stage (its span); 0 for
-    /// BS and BSBR.
-    pub encoded_pixels: Vec<Vec<u64>>,
-    /// Run codes over that span (`R_code^k`).
-    pub run_codes: Vec<Vec<u64>>,
-    /// `over`s applied to the partner's message: its span (`A_rec^k`), or
-    /// its non-blank pixels for a run codec (`A_opaque^k`).
-    pub composite_ops: Vec<Vec<u64>>,
-    /// The initial bounding-rectangle scan per rank: `A` for BSBR and BSBRC.
-    pub bound_pixels: Vec<u64>,
-}
-
-impl ExpectedTraffic {
-    /// Modeled per-rank `T_comm` under `cost`: one message per stage,
-    /// `T_s + bytes · T_c` each — exactly what the endpoint charges.
-    pub fn comm_seconds(&self, cost: CostModel) -> Vec<f64> {
-        self.recv
-            .iter()
-            .map(|stages| {
-                stages
-                    .iter()
-                    .map(|&b| cost.message_seconds(b as usize))
-                    .sum()
-            })
-            .collect()
-    }
 }
 
 /// Computes the exact bytes each rank sends and receives per binary-swap
 /// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
 /// — from the subimages alone, plus BSRL, which reuses the same state
-/// (runs over the whole spatial half), and the encode, run-code, `over`
-/// and scan counts of Equations (1)/(3)/(5)/(7). This function derives
-/// the counts; `analysis::message_bytes` turns them into sizes. The
+/// (runs over the whole spatial half), the encode, run-code, `over`
+/// and scan counts of Equations (1)/(3)/(5)/(7), and each rank's
+/// modeled `T_comm` under `cost`. This function derives the counts;
+/// `analysis::message_bytes` turns them into sizes. The
 /// gather's bytes come from the final composite's bit mask over each
 /// rank's owned domain, coded by the reference [`MaskRle::encode_mask`].
 ///
@@ -349,6 +328,7 @@ pub fn expected_traffic(
     method: Method,
     images: &[Image],
     depth: &DepthOrder,
+    cost: CostModel,
 ) -> Option<ExpectedTraffic> {
     let p = images.len();
     if !p.is_power_of_two() {
@@ -375,11 +355,21 @@ pub fn expected_traffic(
         .collect();
     let mut seqs: Vec<StridedSeq> = (0..p).map(|_| StridedSeq::dense(area)).collect();
 
-    let mut sent = vec![vec![0u64; stages]; p]; // indexed by vrank for now
-    let mut recv = vec![vec![0u64; stages]; p];
-    let mut encoded = vec![vec![0u64; stages]; p];
-    let mut run_codes = vec![vec![0u64; stages]; p];
-    let mut overs = vec![vec![0u64; stages]; p];
+    // Indexed by virtual rank until the end.
+    let exchange = StageStat {
+        sent_msgs: 1,
+        recv_msgs: 1,
+        ..StageStat::default()
+    };
+    let scan = area as u64 * u64::from(matches!(method, Method::Bsbr | Method::Bsbrc));
+    let mut stats = vec![
+        MethodStats {
+            bound_pixels: scan,
+            stages: vec![exchange; stages],
+            ..MethodStats::default()
+        };
+        p
+    ];
     let run_codec = !matches!(method, Method::Bs | Method::Bsbr);
 
     for k in 0..stages {
@@ -414,12 +404,14 @@ pub fn expected_traffic(
                 Method::Bsbrc => (sb.area(), runs(&mut sb.iter().map(at))),
                 _ => return None,
             };
-            sent[v][k] =
+            let stage = &mut stats[v].stages[k];
+            stage.sent_bytes =
                 message_bytes(method, pixels as f64, codes as f64, non_blank as f64)? as u64;
-            encoded[v][k] = if run_codec { pixels as u64 } else { 0 };
-            run_codes[v][k] = codes as u64;
+            stage.encoded_pixels = if run_codec { pixels as u64 } else { 0 };
+            stage.run_codes = codes as u64;
             // What this message costs its receiver, the partner `v ^ 2^k`.
-            overs[v ^ (1 << k)][k] = if run_codec { non_blank } else { pixels } as u64;
+            stats[v ^ (1 << k)].stages[k].composite_ops =
+                if run_codec { non_blank } else { pixels } as u64;
         }
         // Phase 2: simultaneous state update from both partners'
         // pre-stage state.
@@ -427,7 +419,7 @@ pub fn expected_traffic(
         let prev_masks = masks.clone();
         for v in 0..p {
             let u = v ^ (1 << k);
-            recv[v][k] = sent[u][k];
+            stats[v].stages[k].recv_bytes = stats[u].stages[k].sent_bytes;
             let (keep, _) = halves[v];
             regions[v] = keep;
             bounds[v] = prev_bounds[v]
@@ -466,21 +458,20 @@ pub fn expected_traffic(
         .collect();
 
     // Re-index by REAL rank.
-    let mut vrank = vec![0; p];
-    for (v, &rank) in order.iter().enumerate() {
-        vrank[rank] = v;
+    let mut expect = ExpectedTraffic {
+        per_rank: vec![MethodStats::default(); p],
+        gather: vec![0; p],
+    };
+    for ((mut rank_stats, bytes), &rank) in stats.into_iter().zip(gather).zip(order) {
+        rank_stats.comm_seconds = rank_stats
+            .stages
+            .iter()
+            .map(|s| cost.message_seconds(s.recv_bytes as usize))
+            .sum();
+        expect.per_rank[rank] = rank_stats;
+        expect.gather[rank] = bytes;
     }
-    let real = |by_vrank: &[Vec<u64>]| vrank.iter().map(|&v| by_vrank[v].clone()).collect();
-    let scan = area as u64 * u64::from(matches!(method, Method::Bsbr | Method::Bsbrc));
-    Some(ExpectedTraffic {
-        sent: real(&sent),
-        recv: real(&recv),
-        gather: vrank.iter().map(|&v| gather[v]).collect(),
-        encoded_pixels: real(&encoded),
-        run_codes: real(&run_codes),
-        composite_ops: real(&overs),
-        bound_pixels: vec![scan; p],
-    })
+    Some(expect)
 }
 
 /// One line of the conformance regression corpus: a complete case plus
@@ -761,11 +752,12 @@ mod tests {
     fn expected_traffic_matches_bs_closed_form() {
         // Equation (2): stage k of BS moves 16·A/2^(k+1) bytes per rank.
         let images = Workload::Dense.images(8, 32, 16);
-        let t = expected_traffic(Method::Bs, &images, &DepthOrder::identity(8)).unwrap();
+        let depth = DepthOrder::identity(8);
+        let t = expected_traffic(Method::Bs, &images, &depth, CostModel::free()).unwrap();
         let area = 32usize * 16;
-        for stages in &t.sent {
-            for (k, &bytes) in stages.iter().enumerate() {
-                assert_eq!(bytes, (16 * area / (1 << (k + 1))) as u64);
+        for rank in &t.per_rank {
+            for (k, stage) in rank.stages.iter().enumerate() {
+                assert_eq!(stage.sent_bytes, (16 * area / (1 << (k + 1))) as u64);
             }
         }
     }
@@ -779,19 +771,21 @@ mod tests {
                     depth: DepthOrder::from_sequence(vec![2, 0, 3, 1]),
                     ..ConformanceCase::new(method, 4, workload, 3)
                 };
-                let expect = expected_traffic(method, &case.images(), &case.depth).unwrap();
+                let expect =
+                    expected_traffic(method, &case.images(), &case.depth, case.cost.model())
+                        .unwrap();
                 let out = run_case(&case);
                 for (rank, stats) in out.per_rank.iter().enumerate() {
-                    let stats = stats.as_ref().unwrap();
-                    let sent: Vec<u64> = stats.stages.iter().map(|s| s.sent_bytes).collect();
-                    let recv: Vec<u64> = stats.stages.iter().map(|s| s.recv_bytes).collect();
+                    let bytes = |s: &MethodStats| -> Vec<(u64, u64)> {
+                        s.stages
+                            .iter()
+                            .map(|s| (s.sent_bytes, s.recv_bytes))
+                            .collect()
+                    };
                     assert_eq!(
-                        sent, expect.sent[rank],
-                        "{method:?} {workload:?} rank {rank} sent bytes"
-                    );
-                    assert_eq!(
-                        recv, expect.recv[rank],
-                        "{method:?} {workload:?} rank {rank} recv bytes"
+                        bytes(stats.as_ref().unwrap()),
+                        bytes(&expect.per_rank[rank]),
+                        "{method:?} {workload:?} rank {rank} (sent, recv) bytes"
                     );
                 }
             }

@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn p512_is_just_another_grid_point() {
-        let preset = CostModelPreset::modern();
+        let preset = CostModelPreset::sp2();
         let rows = predict_grid(&preset, &[512], &[1024], &[0.05]);
         assert_eq!(rows.len(), 4);
         // 9 swap stages: costs stay finite and positive.

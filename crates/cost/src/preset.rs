@@ -40,7 +40,7 @@ pub struct OpFit {
 /// A complete, serializable cost model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostModelPreset {
-    /// Preset name (`sp2`, `modern`, `local`, …).
+    /// Preset name (`sp2`, `local`, …).
     pub name: String,
     /// Human-readable provenance line.
     pub description: String,
@@ -95,21 +95,6 @@ impl CostModelPreset {
         CostModelPreset::calibrated("sp2", description.into())
     }
 
-    /// A hand-sketched modern-interconnect preset for what-if sweeps
-    /// when no fitted `local` preset is available: [`CostModel::modern`]
-    /// plus POWER2 compute scaled by a nominal 250× single-core uplift.
-    pub fn modern() -> Self {
-        let description = "sketched modern host: 2us/10GB/s network, POWER2 compute / 250";
-        let mut preset = CostModelPreset::calibrated("modern", description.into());
-        preset.network = CostModel::modern();
-        for (_, op, value) in preset.constants_mut() {
-            if op != "message" {
-                *value *= 1.0 / 250.0;
-            }
-        }
-        preset
-    }
-
     /// The model's eight constants in report order, each `(label, the
     /// sweep op whose fit produces it, value)`. `message` fits two: its
     /// intercept is `t_s`, its slope `t_c`. The JSON codec, the fitter,
@@ -128,7 +113,6 @@ impl CostModelPreset {
     pub fn builtin(name: &str) -> Option<Self> {
         match name {
             "sp2" => Some(CostModelPreset::sp2()),
-            "modern" => Some(CostModelPreset::modern()),
             _ => None,
         }
     }
@@ -292,7 +276,7 @@ pub fn parse_model_file(text: &str) -> Result<Vec<CostModelPreset>, String> {
         .collect()
 }
 
-/// Resolves a `--preset` spec: a built-in name (`sp2`, `modern`), a
+/// Resolves a `--preset` spec: the built-in name `sp2`, a
 /// preset name looked up in `model_path`, or a path to a model file
 /// (taking its sole preset, or `file.json#name` to pick one).
 pub fn resolve_preset(spec: &str, model_path: &str) -> Result<CostModelPreset, String> {
@@ -334,7 +318,7 @@ pub fn resolve_preset(spec: &str, model_path: &str) -> Result<CostModelPreset, S
         .cloned()
         .ok_or_else(|| {
             format!(
-                "no preset '{spec}' in '{model_path}' (available: {}, built-in: sp2, modern)",
+                "no preset '{spec}' in '{model_path}' (available: {}, built-in: sp2)",
                 names.join(", ")
             )
         })
@@ -399,7 +383,6 @@ mod tests {
     fn builtin_resolution_needs_no_model_file() {
         let p = resolve_preset("sp2", "/nonexistent/COST_MODEL.json").unwrap();
         assert_eq!(p.name, "sp2");
-        assert!(resolve_preset("modern", "/nonexistent").is_ok());
         assert!(resolve_preset("nope", "/nonexistent").is_err());
     }
 

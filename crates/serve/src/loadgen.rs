@@ -20,7 +20,7 @@ use vr_system::{Animation, ExperimentConfig};
 use crate::client::{Client, ClientError};
 use crate::metrics::ServiceStats;
 use crate::server::DaemonConfig;
-use crate::service::{ServeConfig, ServeSource};
+use crate::service::ServeConfig;
 use crate::wire::{StatsReply, WireResponse};
 
 /// Load-generator knobs.
@@ -70,25 +70,12 @@ impl LoadConfig {
 /// What the load run observed, aggregated over sessions.
 #[derive(Clone, Debug, Default)]
 pub struct LoadReport {
-    /// Requests submitted.
-    pub submitted: u64,
-    /// Replies carrying an image, by source.
-    pub ok_fresh: u64,
-    /// Cache-served replies.
-    pub ok_cached: u64,
-    /// Coalesced (superseded, answered with the newest frame) replies.
-    pub ok_coalesced: u64,
-    /// Degraded frames served above the PSNR floor.
-    pub ok_degraded: u64,
-    /// Deadline sheds.
-    pub shed: u64,
-    /// Admission rejections.
-    pub overloaded: u64,
-    /// Robustness rejections (failed after retries, below the quality
-    /// floor, or refused at shutdown).
-    pub rejected: u64,
-    /// Per-request latencies in milliseconds (successful replies only),
-    /// sorted ascending.
+    /// The sessions' submissions, and every reply they read counted
+    /// under the daemon's own dispositions
+    /// ([`ServiceStats::count_reply`]).
+    pub replies: ServiceStats,
+    /// Per-request latencies in milliseconds (image-carrying replies
+    /// only), sorted ascending once the run is over.
     pub latencies_ms: Vec<f64>,
     /// Wall time of the whole run, seconds.
     pub wall_seconds: f64,
@@ -108,92 +95,19 @@ impl LoadReport {
         percentile(&self.latencies_ms, p)
     }
 
-    /// Image-carrying replies (degraded included).
-    pub fn ok_total(&self) -> u64 {
-        self.ok_fresh + self.ok_cached + self.ok_coalesced + self.ok_degraded
-    }
-
     /// Image-carrying replies per wall-clock second.
     pub fn throughput_rps(&self) -> f64 {
         if self.wall_seconds > 0.0 {
-            self.ok_total() as f64 / self.wall_seconds
+            self.replies.completed() as f64 / self.wall_seconds
         } else {
             0.0
         }
     }
-
-    /// Fraction of image-carrying replies served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let ok = self.ok_total();
-        if ok == 0 {
-            0.0
-        } else {
-            self.ok_cached as f64 / ok as f64
-        }
-    }
 }
 
-/// What one session observed; the sessions' tallies add up to the
-/// [`LoadReport`].
-#[derive(Default)]
-struct Tally {
-    submitted: u64,
-    ok_fresh: u64,
-    ok_cached: u64,
-    ok_coalesced: u64,
-    ok_degraded: u64,
-    shed: u64,
-    overloaded: u64,
-    rejected: u64,
-    hash_mismatches: u64,
-    latencies_ms: Vec<f64>,
-}
-
-impl Tally {
-    /// Counts a reply that carried an image, answered `wait_ms` after
-    /// its submission.
-    fn frame(&mut self, source: ServeSource, wait_ms: f64) {
-        match source {
-            ServeSource::Fresh => self.ok_fresh += 1,
-            ServeSource::Cache => self.ok_cached += 1,
-            ServeSource::Coalesced => self.ok_coalesced += 1,
-            ServeSource::Degraded { .. } => self.ok_degraded += 1,
-        }
-        self.latencies_ms.push(wait_ms);
-    }
-
-    /// Adds this session to the run's report.
-    fn merge_into(self, report: &mut LoadReport) {
-        report.submitted += self.submitted;
-        report.ok_fresh += self.ok_fresh;
-        report.ok_cached += self.ok_cached;
-        report.ok_coalesced += self.ok_coalesced;
-        report.ok_degraded += self.ok_degraded;
-        report.shed += self.shed;
-        report.overloaded += self.overloaded;
-        report.rejected += self.rejected;
-        report.hash_mismatches += self.hash_mismatches;
-        report.latencies_ms.extend(self.latencies_ms);
-    }
-}
-
-impl LoadReport {
-    /// The report of a run that took `wall_seconds`: the sessions'
-    /// tallies summed, latencies sorted for percentile lookup.
-    fn from_sessions(sessions: impl IntoIterator<Item = Tally>, wall_seconds: f64) -> LoadReport {
-        let mut report = LoadReport {
-            wall_seconds,
-            ..Default::default()
-        };
-        for tally in sessions {
-            tally.merge_into(&mut report);
-        }
-        report.latencies_ms.sort_by(f64::total_cmp);
-        report
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice; 0 when empty.
+/// The latency at index `round(p/100 · (n − 1))` of an ascending-sorted
+/// slice of `n` — the closest rank on a linear scale from the fastest
+/// (`p` = 0) to the slowest (`p` = 100); 0 when empty.
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
@@ -239,7 +153,7 @@ pub fn run_load(
     // Copied out so the (non-scoped) sender threads can own it.
     let load = *load;
     let start = Instant::now();
-    type SessionOut = Result<Tally, ClientError>;
+    type SessionOut = Result<LoadReport, ClientError>;
     let mut sessions: Vec<SessionOut> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..load.sessions)
@@ -270,10 +184,8 @@ pub fn run_load(
                         })
                         .expect("spawn loadgen sender");
 
-                    let mut tally = Tally {
-                        submitted: total as u64,
-                        ..Default::default()
-                    };
+                    let mut session = LoadReport::default();
+                    session.replies.submitted = total as u64;
                     let mut stamps: HashMap<u64, Instant> = HashMap::new();
                     for _ in 0..total {
                         let (id, resp) = rx_half.recv_response()?;
@@ -285,21 +197,17 @@ pub fn run_load(
                             stamps.insert(got, at);
                         }
                         let submitted_at = stamps.remove(&id).unwrap();
-                        match resp {
-                            WireResponse::Frame(frame) => {
-                                if fnv1a(&frame.image) != frame.image_hash {
-                                    tally.hash_mismatches += 1;
-                                }
-                                let wait_ms = now.duration_since(submitted_at).as_secs_f64() * 1e3;
-                                tally.frame(frame.source, wait_ms);
+                        session.replies.count_reply(&resp);
+                        if let WireResponse::Frame(frame) = resp {
+                            if fnv1a(&frame.image) != frame.image_hash {
+                                session.hash_mismatches += 1;
                             }
-                            WireResponse::Shed { .. } => tally.shed += 1,
-                            WireResponse::Overloaded { .. } => tally.overloaded += 1,
-                            WireResponse::Rejected { .. } => tally.rejected += 1,
+                            let wait = now.duration_since(submitted_at);
+                            session.latencies_ms.push(wait.as_secs_f64() * 1e3);
                         }
                     }
                     sender.join().expect("loadgen sender thread")?;
-                    Ok(tally)
+                    Ok(session)
                 })
             })
             .collect();
@@ -308,9 +216,17 @@ pub fn run_load(
         }
     });
 
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let sessions = sessions.into_iter().collect::<Result<Vec<Tally>, _>>()?;
-    let mut report = LoadReport::from_sessions(sessions, wall_seconds);
+    let mut report = LoadReport {
+        wall_seconds: start.elapsed().as_secs_f64(),
+        ..Default::default()
+    };
+    for session in sessions {
+        let session = session?;
+        report.replies.merge(&session.replies);
+        report.latencies_ms.extend(session.latencies_ms);
+        report.hash_mismatches += session.hash_mismatches;
+    }
+    report.latencies_ms.sort_by(f64::total_cmp);
     let stats = Client::connect(addr)?.stats()?;
     for shard in &stats.shards {
         report.service.merge(shard);
@@ -353,13 +269,10 @@ mod tests {
             seed: 7,
         };
         let report = run_on_loopback(serve, &load);
-        assert_eq!(report.submitted, 16);
-        assert_eq!(
-            report.ok_total() + report.shed + report.overloaded + report.rejected,
-            16
-        );
+        assert_eq!(report.replies.submitted, 16);
+        assert_eq!(report.replies.answered(), 16);
         assert!(report.wall_seconds > 0.0);
-        assert_eq!(report.latencies_ms.len() as u64, report.ok_total());
+        assert_eq!(report.latencies_ms.len() as u64, report.replies.completed());
         // Sorted for percentile lookup.
         assert!(report.latencies_ms.windows(2).all(|w| w[0] <= w[1]));
         assert!(report.percentile_ms(99.0) >= report.percentile_ms(50.0));
@@ -381,42 +294,10 @@ mod tests {
         };
         let report = run_on_loopback(serve, &load);
         assert!(
-            report.ok_cached > 0,
+            report.replies.completed_cached > 0,
             "2 poses × 24 requests must revisit: {report:?}"
         );
-        assert!(report.hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn tally_counts_replies_by_source_across_sessions() {
-        let degraded = ServeSource::Degraded {
-            psnr_db: 30.0,
-            coverage: 0.5,
-        };
-        let mut a = Tally::default();
-        a.frame(ServeSource::Fresh, 12.0);
-        a.frame(ServeSource::Cache, 1.0);
-        a.frame(ServeSource::Fresh, 9.0);
-        a.shed += 1;
-        let mut b = Tally {
-            submitted: 3,
-            ..Default::default()
-        };
-        b.frame(ServeSource::Coalesced, 5.0);
-        b.frame(degraded, 2.0);
-        b.hash_mismatches += 1;
-        let report = LoadReport::from_sessions([a, b], 0.5);
-        assert_eq!(
-            (report.ok_fresh, report.ok_cached, report.ok_coalesced),
-            (2, 1, 1)
-        );
-        assert_eq!(
-            (report.ok_degraded, report.shed, report.submitted),
-            (1, 1, 3)
-        );
-        assert_eq!(report.hash_mismatches, 1);
-        assert_eq!(report.latencies_ms, [1.0, 2.0, 5.0, 9.0, 12.0]);
-        assert_eq!(report.wall_seconds, 0.5);
+        assert!(report.replies.serve_hit_rate() > 0.0);
     }
 
     #[test]

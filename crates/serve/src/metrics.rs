@@ -1,7 +1,9 @@
-//! Service-level counters and the per-frame metrics record.
+//! Service-level counters: one disposition per answer, on either side of
+//! the socket.
 
 use crate::cache::CacheCounters;
 use crate::service::{FrameResponse, RejectReason, ServeSource};
+use crate::wire::WireResponse;
 
 /// Aggregate counters for one [`FrameService`](crate::FrameService).
 ///
@@ -104,22 +106,43 @@ impl ServiceStats {
     /// sends it.
     pub(crate) fn count(&mut self, response: &FrameResponse) {
         match response {
-            FrameResponse::Frame(reply) => match reply.source {
-                ServeSource::Fresh => self.completed_fresh += 1,
-                ServeSource::Cache => self.completed_cached += 1,
-                ServeSource::Coalesced => self.completed_coalesced += 1,
-                ServeSource::Degraded { psnr_db, .. } => {
-                    self.completed_degraded += 1;
-                    self.min_degraded_psnr_db = self.min_degraded_psnr_db.min(psnr_db);
-                }
-            },
+            FrameResponse::Frame(reply) => self.count_frame(reply.source),
             FrameResponse::Overloaded { .. } => self.rejected_overload += 1,
             FrameResponse::Shed { .. } => self.shed_deadline += 1,
-            FrameResponse::Rejected {
-                reason: RejectReason::Shutdown,
-                ..
-            } => self.rejected_shutdown += 1,
-            FrameResponse::Rejected { .. } => self.rejected_failed += 1,
+            FrameResponse::Rejected { reason, .. } => self.count_rejection(reason),
+        }
+    }
+
+    /// Counts a reply read off the socket under the disposition the
+    /// daemon counted its answer under, so a client and the daemon keep
+    /// the same books.
+    pub fn count_reply(&mut self, reply: &WireResponse) {
+        match reply {
+            WireResponse::Frame(frame) => self.count_frame(frame.source),
+            WireResponse::Overloaded { .. } => self.rejected_overload += 1,
+            WireResponse::Shed { .. } => self.shed_deadline += 1,
+            WireResponse::Rejected { reason, .. } => self.count_rejection(reason),
+        }
+    }
+
+    fn count_frame(&mut self, source: ServeSource) {
+        match source {
+            ServeSource::Fresh => self.completed_fresh += 1,
+            ServeSource::Cache => self.completed_cached += 1,
+            ServeSource::Coalesced => self.completed_coalesced += 1,
+            ServeSource::Degraded { psnr_db, .. } => {
+                self.completed_degraded += 1;
+                self.min_degraded_psnr_db = self.min_degraded_psnr_db.min(psnr_db);
+            }
+        }
+    }
+
+    fn count_rejection(&mut self, reason: &RejectReason) {
+        match reason {
+            RejectReason::Shutdown => self.rejected_shutdown += 1,
+            RejectReason::Failed { .. } | RejectReason::QualityFloor { .. } => {
+                self.rejected_failed += 1
+            }
         }
     }
 
@@ -213,7 +236,8 @@ mod tests {
 
     /// Every response variant, and every source of a frame, is counted
     /// under exactly one disposition: `answered` rises by one and one
-    /// disposition counter moves.
+    /// disposition counter moves. The reply a client decodes from the
+    /// response's wire bytes is counted under the same one.
     #[test]
     fn each_answer_is_counted_under_one_disposition() {
         use crate::service::{FrameReply, RenderedFrame};
@@ -284,6 +308,11 @@ mod tests {
         for (response, counter) in &cases {
             let mut stats = ServiceStats::default();
             stats.count(response);
+            let (_, reply) =
+                crate::wire::decode_response(&crate::wire::encode_response(7, response)).unwrap();
+            let mut client = ServiceStats::default();
+            client.count_reply(&reply);
+            assert_eq!(client, stats, "{reply:?}");
             assert_eq!(stats.answered(), 1, "{response:?}");
             assert_eq!(counter(&stats), 1, "{response:?}");
             let moved = dispositions.iter().filter(|d| d(&stats) == 1).count();

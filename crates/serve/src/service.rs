@@ -529,7 +529,7 @@ fn run_attempt(
             .is_degraded()
             .then(|| (out.psnr_vs(&exp.reference()), out.coverage));
         Attempt {
-            record: FrameRecord::from_outcome(&out),
+            record: out.record(),
             image: out.image,
             degraded,
         }

@@ -487,17 +487,18 @@ fn chaos_load_generation_partitions_every_outcome() {
         ..base()
     };
     let (report, _) = run_load(daemon.local_addr(), &[killed], &load).expect("loopback load");
-    assert_eq!(report.submitted, 12);
+    let replies = &report.replies;
+    assert_eq!(replies.submitted, 12);
     assert_eq!(
-        report.ok_total() + report.shed + report.overloaded + report.rejected,
-        report.submitted,
+        replies.answered(),
+        replies.submitted,
         "loadgen dispositions must partition submissions: {report:?}"
     );
     assert!(
-        report.ok_degraded > 0,
+        replies.completed_degraded > 0,
         "a permanent kill plan must serve degraded frames: {report:?}"
     );
-    assert_eq!(report.latencies_ms.len() as u64, report.ok_total());
+    assert_eq!(report.latencies_ms.len() as u64, replies.completed());
     let stats = daemon.shutdown();
     assert_eq!(stats.answered(), stats.submitted);
     assert_eq!(

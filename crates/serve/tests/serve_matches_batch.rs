@@ -158,8 +158,8 @@ fn per_frame_metrics_match_the_batch_outcome() {
     let exp = Experiment::prepare(&config);
     let out = exp.run(config.method);
     let rec = &reply.frame.record;
-    assert_eq!(rec.m_max, out.aggregate.m_max);
-    assert_eq!(rec.total_bytes, out.aggregate.total_bytes);
+    assert_eq!(rec.m_max, out.record().m_max);
+    assert_eq!(rec.total_bytes, out.record().total_bytes);
     assert!(rec.t_total_ms > 0.0);
     assert!(rec.render_max_ms > 0.0, "render timing must be surfaced");
 }

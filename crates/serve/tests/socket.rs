@@ -20,7 +20,7 @@ use vr_image::checksum::fnv1a;
 use vr_serve::wire::{self, MAX_WIRE_FRAME};
 use vr_serve::{
     run_load, Client, ClientError, Daemon, DaemonConfig, FrameResponse, FrameService, LoadConfig,
-    ServeConfig, WireResponse,
+    ServeConfig, ServiceStats, WireResponse,
 };
 use vr_system::ExperimentConfig;
 use vr_volume::DatasetKind;
@@ -106,11 +106,31 @@ fn socket_load_answers_everything_and_verifies_hashes() {
     let (report, stats) =
         run_load(daemon.local_addr(), &[base(), spread], &load).expect("socket load");
 
-    assert_eq!(report.submitted, 12);
+    assert_eq!(report.replies.submitted, 12);
     assert_eq!(
-        report.ok_total() + report.shed + report.overloaded + report.rejected,
+        report.replies.answered(),
         12,
         "every request answered exactly once: {report:?}"
+    );
+    // The load generator is the daemon's only client, so both sides
+    // count the same answers under the same dispositions.
+    let dispositions = |s: &ServiceStats| {
+        [
+            s.submitted,
+            s.completed_fresh,
+            s.completed_cached,
+            s.completed_coalesced,
+            s.completed_degraded,
+            s.shed_deadline,
+            s.rejected_overload,
+            s.rejected_failed,
+            s.rejected_shutdown,
+        ]
+    };
+    assert_eq!(
+        dispositions(&report.replies),
+        dispositions(&report.service),
+        "client and daemon disagree: {report:?}"
     );
     assert_eq!(
         report.hash_mismatches, 0,

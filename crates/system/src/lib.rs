@@ -7,8 +7,8 @@
 //! two-phase ([`Experiment`]: render every subimage, then composite with
 //! any method, TSTREAM included) or distributed ([`run_distributed`]:
 //! rank 0 scatters the volume first) — and every body's results are
-//! collected into the same [`Outcome`], which
-//! [`FrameRecord::from_outcome`] summarises.
+//! collected into the same [`Outcome`], which [`Outcome::record`]
+//! summarises as one [`FrameRecord`].
 //!
 //! ```no_run
 //! use vr_system::{Experiment, ExperimentConfig};
@@ -23,7 +23,7 @@
 //!     ..Default::default()
 //! };
 //! let outcome = Experiment::prepare(&config).run(config.method);
-//! println!("T_total = {:.2} ms", outcome.aggregate.t_total_ms());
+//! println!("T_total = {:.2} ms", outcome.record().t_total_ms);
 //! ```
 
 pub mod animation;
@@ -36,11 +36,11 @@ pub mod scene;
 pub mod stream;
 pub mod sweep;
 
-pub use animation::{Animation, FrameStats};
+pub use animation::Animation;
 pub use config::{CompTiming, ExperimentConfig};
 pub use distribute::run_distributed;
 pub use experiment::Experiment;
-pub use outcome::{Aggregate, Outcome};
+pub use outcome::Outcome;
 pub use report::{format_figure_series, format_paper_table, format_stage_timeline, FrameRecord};
 pub use scene::Scene;
 pub use stream::StreamExperiment;

@@ -13,56 +13,18 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use slsvr_core::{
-    gather_image_tolerant, virtual_completion, CompositeError, CompositeResult, GatheredImage,
-    MethodStats,
+    gather_image_tolerant, CompositeError, CompositeResult, GatheredImage, MethodStats,
 };
 use vr_comm::{run_group_with, Endpoint, GroupRun, TrafficStats};
 use vr_image::Image;
 
-use crate::config::{CompTiming, ExperimentConfig};
-
-/// Group-level aggregates of a compositing run.
-#[derive(Clone, Debug, Default)]
-pub struct Aggregate {
-    /// Max measured computation time over ranks, seconds (paper `T_comp`).
-    pub t_comp: f64,
-    /// Max modeled communication time over ranks, seconds (paper `T_comm`).
-    pub t_comm: f64,
-    /// Maximum received bytes over ranks (the paper's `M_max`).
-    pub m_max: u64,
-    /// Total bytes sent by all ranks.
-    pub total_bytes: u64,
-    /// Critical-path completion time (seconds) from the virtual-time
-    /// schedule, including waits on partners — `None` for schedules
-    /// with a round of more than one peer (radix-k at `r > 2`, the tile
-    /// stream) or measured timing. Always ≥ the per-rank sums behind `t_comp`/`t_comm`.
-    pub t_critical_path: Option<f64>,
-}
-
-impl Aggregate {
-    /// `T_total = T_comp + T_comm` in milliseconds, the paper's table
-    /// quantity.
-    pub fn t_total_ms(&self) -> f64 {
-        (self.t_comp + self.t_comm) * 1e3
-    }
-
-    /// `T_comp` in milliseconds.
-    pub fn t_comp_ms(&self) -> f64 {
-        self.t_comp * 1e3
-    }
-
-    /// `T_comm` in milliseconds.
-    pub fn t_comm_ms(&self) -> f64 {
-        self.t_comm * 1e3
-    }
-}
+use crate::config::ExperimentConfig;
+use crate::report::FrameRecord;
 
 /// The outcome of one frame, whichever pipeline produced it. The fields
 /// up to `coverage` are filled by `collect` for every pipeline; the
 /// rest are facts only some pipelines have and stay empty elsewhere.
 pub struct Outcome {
-    /// Group aggregates (the numbers the paper tabulates).
-    pub aggregate: Aggregate,
     /// Per-rank method statistics (default-empty for killed ranks),
     /// timing source per `comp_timing`.
     pub per_rank: Vec<MethodStats>,
@@ -98,6 +60,28 @@ impl Outcome {
     /// metric reported alongside coverage.
     pub fn psnr_vs(&self, reference: &Image) -> f64 {
         vr_image::stats::psnr(&self.image, reference)
+    }
+
+    /// The frame's summary, the numbers the paper tabulates: maxima over
+    /// ranks of each timer, `M_max` over the *compositing* stages only
+    /// (gather excluded, as in Section 4), and the bytes all ranks sent.
+    pub fn record(&self) -> FrameRecord {
+        let ranks = &self.per_rank;
+        let max = |f: fn(&MethodStats) -> f64| ranks.iter().map(f).fold(0.0, f64::max);
+        let (t_comp, t_comm) = (max(|s| s.comp_seconds), max(|s| s.comm_seconds));
+        FrameRecord {
+            t_comp_ms: t_comp * 1e3,
+            t_comm_ms: t_comm * 1e3,
+            // Summed in seconds: `t_comp_ms + t_comm_ms` rounds differently.
+            t_total_ms: (t_comp + t_comm) * 1e3,
+            t_bound_ms: max(|s| s.bound_seconds) * 1e3,
+            t_encode_ms: max(|s| s.encode_seconds) * 1e3,
+            render_max_ms: self.render_seconds.iter().copied().fold(0.0, f64::max) * 1e3,
+            m_max: ranks.iter().map(MethodStats::recv_bytes).max().unwrap_or(0),
+            total_bytes: ranks.iter().map(MethodStats::sent_bytes).sum(),
+            coverage: self.coverage,
+            dead_ranks: self.dead_ranks.len(),
+        }
     }
 }
 
@@ -260,9 +244,8 @@ pub(crate) fn run_frame<X: Send>(
 
 /// Folds a group run into the [`Outcome`]: resolves every rank's
 /// `T_comp` per `comp_timing` (a killed rank reports all-zero stats),
-/// takes the root's gathered image, holes and coverage (a dead root
-/// gathers nothing: a fully blank frame at coverage 0), and computes the
-/// aggregates.
+/// and takes the root's gathered image, holes and coverage (a dead root
+/// gathers nothing: a fully blank frame at coverage 0).
 fn collect<X>(config: &ExperimentConfig, run: GroupRun<(RankFrame, X)>) -> (Outcome, Vec<X>) {
     let p = config.processors;
     let mut per_rank = Vec::with_capacity(p);
@@ -286,22 +269,7 @@ fn collect<X>(config: &ExperimentConfig, run: GroupRun<(RankFrame, X)>) -> (Outc
         }
     };
 
-    let max = |f: fn(&MethodStats) -> f64| per_rank.iter().map(f).fold(0.0, f64::max);
-    let aggregate = Aggregate {
-        t_comp: max(|s| s.comp_seconds),
-        t_comm: max(|s| s.comm_seconds),
-        // M_max over the *compositing* stages only (gather excluded), as
-        // in Section 4.
-        m_max: per_rank.iter().map(|s| s.recv_bytes()).max().unwrap_or(0),
-        total_bytes: per_rank.iter().map(|s| s.sent_bytes()).sum(),
-        t_critical_path: match config.comp_timing {
-            CompTiming::Modeled(cost) => virtual_completion(&per_rank, &config.cost, &cost)
-                .map(|vt| vt.into_iter().fold(0.0, f64::max)),
-            CompTiming::Measured { .. } => None,
-        },
-    };
     let outcome = Outcome {
-        aggregate,
         per_rank,
         traffic: run.stats,
         image,

@@ -1,14 +1,14 @@
-//! Table and figure formatting matching the paper's presentation, plus
-//! the machine-readable per-frame record used by the serving layer.
+//! The per-frame record, and the table and figure formatting matching
+//! the paper's presentation.
 
 use slsvr_core::Method;
 
-use crate::outcome::Outcome;
 use crate::sweep::{rows, SweepCell};
 
-/// Machine-readable summary of one composited frame: the paper's
-/// aggregate timings broken down by phase and the traffic maxima —
-/// everything a serving layer needs programmatically per frame (the human-facing tables above only print totals).
+/// The one summary of a composited frame, produced by
+/// [`Outcome::record`](crate::Outcome::record): the paper's timings
+/// broken down by phase and the traffic maxima. The tables below, the
+/// sweep CSV and the serving layer's replies all read it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FrameRecord {
     /// Max computation time over ranks, ms (the paper's `T_comp`).
@@ -34,29 +34,6 @@ pub struct FrameRecord {
     pub coverage: f64,
     /// Ranks killed by fault injection.
     pub dead_ranks: usize,
-}
-
-impl FrameRecord {
-    /// Extracts the record from a frame's outcome, whichever pipeline
-    /// produced it. `render_max_ms` is the slowest rank's rendering wall
-    /// time.
-    pub fn from_outcome(out: &Outcome) -> FrameRecord {
-        let max_ms = |f: fn(&slsvr_core::MethodStats) -> f64| {
-            out.per_rank.iter().map(f).fold(0.0, f64::max) * 1e3
-        };
-        FrameRecord {
-            t_comp_ms: out.aggregate.t_comp_ms(),
-            t_comm_ms: out.aggregate.t_comm_ms(),
-            t_total_ms: out.aggregate.t_total_ms(),
-            t_bound_ms: max_ms(|s| s.bound_seconds),
-            t_encode_ms: max_ms(|s| s.encode_seconds),
-            render_max_ms: out.render_seconds.iter().copied().fold(0.0, f64::max) * 1e3,
-            m_max: out.aggregate.m_max,
-            total_bytes: out.aggregate.total_bytes,
-            coverage: out.coverage,
-            dead_ranks: out.dead_ranks.len(),
-        }
-    }
 }
 
 /// Formats the per-stage traffic timeline: one row per compositing
@@ -128,11 +105,10 @@ pub fn format_paper_table(title: &str, cells: &[SweepCell]) -> String {
     for row in rows(cells) {
         out.push_str(&format!("| {} |", row[0].processors));
         for c in row {
+            let r = &c.record;
             out.push_str(&format!(
                 " {:.2} | {:.2} | {:.2} |",
-                c.aggregate.t_comp_ms(),
-                c.aggregate.t_comm_ms(),
-                c.aggregate.t_total_ms()
+                r.t_comp_ms, r.t_comm_ms, r.t_total_ms
             ));
         }
         out.push('\n');
@@ -156,7 +132,7 @@ pub fn format_figure_series(title: &str, cells: &[SweepCell]) -> String {
     for row in rows(cells) {
         out.push_str(&format!("{:>4}", row[0].processors));
         for c in row {
-            out.push_str(&format!("{:>12.2}", c.aggregate.t_total_ms()));
+            out.push_str(&format!("{:>12.2}", c.record.t_total_ms));
         }
         out.push('\n');
     }
@@ -184,14 +160,10 @@ pub fn format_mmax_table(title: &str, cells: &[SweepCell]) -> String {
     for row in rows(cells) {
         out.push_str(&format!("| {} |", row[0].processors));
         for c in row {
-            out.push_str(&format!(" {} |", c.aggregate.m_max));
+            out.push_str(&format!(" {} |", c.record.m_max));
         }
         // Check the Eq. (9) chain for the paper's four methods if present.
-        let get = |m: Method| {
-            row.iter()
-                .find(|c| c.method == m)
-                .map(|c| c.aggregate.m_max)
-        };
+        let get = |m: Method| row.iter().find(|c| c.method == m).map(|c| c.record.m_max);
         let ok = match (
             get(Method::Bs),
             get(Method::Bsbr),
@@ -224,15 +196,16 @@ mod tests {
     use crate::experiment::Experiment;
     use vr_volume::DatasetKind;
 
-    fn cell(method: Method, comp: f64, comm: f64, m_max: u64) -> SweepCell {
+    fn cell(method: Method, comp_ms: f64, comm_ms: f64, m_max: u64) -> SweepCell {
         SweepCell {
             dataset: DatasetKind::Cube,
             image_size: 384,
             processors: 4,
             method,
-            aggregate: crate::outcome::Aggregate {
-                t_comp: comp,
-                t_comm: comm,
+            record: FrameRecord {
+                t_comp_ms: comp_ms,
+                t_comm_ms: comm_ms,
+                t_total_ms: comp_ms + comm_ms,
                 m_max,
                 ..Default::default()
             },
@@ -242,10 +215,10 @@ mod tests {
 
     fn sample_rows() -> Vec<SweepCell> {
         vec![
-            cell(Method::Bs, 0.3, 0.05, 1000),
-            cell(Method::Bsbr, 0.06, 0.03, 500),
-            cell(Method::Bslc, 0.12, 0.01, 100),
-            cell(Method::Bsbrc, 0.06, 0.02, 300),
+            cell(Method::Bs, 300.0, 50.0, 1000),
+            cell(Method::Bsbr, 60.0, 30.0, 500),
+            cell(Method::Bslc, 120.0, 10.0, 100),
+            cell(Method::Bsbrc, 60.0, 20.0, 300),
         ]
     }
 
@@ -272,7 +245,7 @@ mod tests {
         assert!(s.contains("✓"), "{s}");
         // Violate the ordering and expect the flag.
         let mut rows = sample_rows();
-        rows[0].aggregate.m_max = 1; // BS below everything
+        rows[0].record.m_max = 1; // BS below everything
         let s = format_mmax_table("Eq 9", &rows);
         assert!(s.contains("✗"), "{s}");
     }
@@ -289,7 +262,7 @@ mod tests {
         let config = ExperimentConfig::small_test(DatasetKind::EngineLow, 4, Method::Bsbrc);
         let exp = Experiment::prepare(&config);
         let out = exp.run(Method::Bsbrc);
-        let record = FrameRecord::from_outcome(&out);
+        let record = out.record();
         assert!(record.t_comp_ms > 0.0);
         assert!(record.t_comm_ms > 0.0);
         // BSBRC scans bounding rectangles and run-length encodes, so
@@ -297,7 +270,10 @@ mod tests {
         assert!(record.t_bound_ms > 0.0 && record.t_bound_ms < record.t_comp_ms);
         assert!(record.t_encode_ms > 0.0 && record.t_encode_ms < record.t_comp_ms);
         assert!(record.render_max_ms > 0.0);
-        assert_eq!(record.m_max, out.aggregate.m_max);
+        assert_eq!(
+            record.m_max,
+            out.per_rank.iter().map(|s| s.recv_bytes()).max().unwrap()
+        );
         assert_eq!(record.coverage, 1.0);
         assert_eq!(record.dead_ranks, 0);
     }
@@ -308,11 +284,14 @@ mod tests {
         let two_phase = Experiment::prepare(&config).run(config.method);
         let distributed = crate::distribute::run_distributed(&config);
         for (name, out) in [("two-phase", &two_phase), ("distributed", &distributed)] {
-            let record = FrameRecord::from_outcome(out);
+            let record = out.record();
             assert!(record.t_comp_ms > 0.0 && record.t_comm_ms > 0.0, "{name}");
+            let max = |f: fn(&slsvr_core::MethodStats) -> f64| {
+                out.per_rank.iter().map(f).fold(0.0, f64::max)
+            };
             assert_eq!(
                 record.t_total_ms,
-                (out.aggregate.t_comp + out.aggregate.t_comm) * 1e3,
+                (max(|s| s.comp_seconds) + max(|s| s.comm_seconds)) * 1e3,
                 "{name}"
             );
             assert!(

@@ -6,7 +6,7 @@ use vr_volume::DatasetKind;
 
 use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;
-use crate::outcome::Aggregate;
+use crate::report::FrameRecord;
 
 /// One sweep cell: what one method did on one (dataset, P) workload.
 /// The CSV and the paper-style tables are views of these.
@@ -20,8 +20,8 @@ pub struct SweepCell {
     pub processors: usize,
     /// Compositing method.
     pub method: Method,
-    /// Group aggregates (the numbers the paper tabulates).
-    pub aggregate: Aggregate,
+    /// The frame's summary (the numbers the paper tabulates).
+    pub record: FrameRecord,
     /// Total `over` operations across ranks.
     pub composite_ops: u64,
 }
@@ -73,7 +73,7 @@ impl SweepBuilder {
                         processors,
                         method,
                         composite_ops: out.per_rank.iter().map(|s| s.composite_ops()).sum(),
-                        aggregate: out.aggregate,
+                        record: out.record(),
                     });
                 }
             }
@@ -94,17 +94,18 @@ pub fn to_csv(cells: &[SweepCell]) -> String {
         "dataset,image_size,processors,method,t_comp_ms,t_comm_ms,t_total_ms,m_max,total_bytes,composite_ops\n",
     );
     for c in cells {
+        let r = &c.record;
         out.push_str(&format!(
             "{},{},{},{},{:.4},{:.4},{:.4},{},{},{}\n",
             c.dataset.name(),
             c.image_size,
             c.processors,
             c.method.name(),
-            c.aggregate.t_comp_ms(),
-            c.aggregate.t_comm_ms(),
-            c.aggregate.t_total_ms(),
-            c.aggregate.m_max,
-            c.aggregate.total_bytes,
+            r.t_comp_ms,
+            r.t_comm_ms,
+            r.t_total_ms,
+            r.m_max,
+            r.total_bytes,
             c.composite_ops
         ));
     }
@@ -138,8 +139,8 @@ mod tests {
             && c.processors == 4
             && c.method == Method::Bsbrc));
         for c in &cells {
-            assert!(c.aggregate.t_total_ms() > 0.0);
-            assert!(c.aggregate.m_max > 0);
+            assert!(c.record.t_total_ms > 0.0);
+            assert!(c.record.m_max > 0);
         }
         // One table row per (dataset, P), one cell per method in it.
         assert_eq!(rows(&cells).count(), 4);

@@ -25,10 +25,9 @@ fn base_animation() -> Animation {
 fn frames_track_the_rotating_view() {
     let frames = base_animation().run(Method::Bsbrc);
     assert_eq!(frames.len(), 3);
-    // The 180° sweep passes through distinct views — coverage varies.
-    let angles: Vec<f32> = frames.iter().map(|f| f.rot_y_deg).collect();
-    assert!(angles.windows(2).all(|w| w[1] > w[0]));
-    assert!(frames.iter().all(|f| f.m_max > 0));
+    // The 180° sweep passes through distinct views.
+    assert!(frames.windows(2).all(|w| w[0].image != w[1].image));
+    assert!(frames.iter().all(|f| f.record().m_max > 0));
 }
 
 #[test]
@@ -36,7 +35,7 @@ fn traffic_varies_with_the_view() {
     // A rotating view changes footprint overlaps, so M_max should not
     // be constant across a 180° sweep of the asymmetric cube frame.
     let frames = base_animation().run(Method::Bsbrc);
-    let m: Vec<u64> = frames.iter().map(|f| f.m_max).collect();
+    let m: Vec<u64> = frames.iter().map(|f| f.record().m_max).collect();
     assert!(
         m.iter().any(|&v| v != m[0]),
         "M_max suspiciously constant: {m:?}"
@@ -59,5 +58,5 @@ fn perspective_animation_works() {
     let mut a = base_animation();
     a.base.perspective_distance = Some(1.5);
     let frames = a.run(Method::Bsbrc);
-    assert!(frames.iter().all(|f| f.non_blank > 0));
+    assert!(frames.iter().all(|f| f.image.non_blank_count() > 0));
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use slsvr_core::Method;
 use vr_image::checksum::fnv1a;
-use vr_system::{run_distributed, Experiment, ExperimentConfig, FrameRecord, Outcome, RenderPool};
+use vr_system::{run_distributed, Experiment, ExperimentConfig, Outcome, RenderPool};
 use vr_volume::{Dataset, DatasetKind};
 
 type Pipeline = (&'static str, fn(&ExperimentConfig) -> Outcome);
@@ -48,7 +48,7 @@ fn three_pipelines_produce_one_frame_and_one_record() {
             assert!(!out.is_degraded(), "{name} degraded");
             assert_eq!(out.per_rank.len(), cfg.processors, "{name}");
             assert_eq!(out.traffic.len(), cfg.processors, "{name}");
-            records.push((name, FrameRecord::from_outcome(&out)));
+            records.push((name, out.record()));
         }
         // Every pipeline composites the same subimages with the same
         // method, so everything modeled from bytes and operation counts
@@ -101,7 +101,7 @@ fn a_killed_rank_degrades_both_shared_volume_runners_alike() {
         assert_eq!(out.dead_ranks, vec![2], "{name}");
         assert!(out.is_degraded(), "{name}");
         assert!(out.coverage < 1.0, "{name} coverage {}", out.coverage);
-        let record = FrameRecord::from_outcome(&out);
+        let record = out.record();
         assert_eq!((record.dead_ranks, record.coverage), (1, out.coverage));
     }
 }

@@ -40,7 +40,7 @@ fn main() {
     for method in [Method::Bs, Method::Bsbr, Method::Bslc, Method::Bsbrc] {
         let frames = animation.run(method);
         let avg_ms =
-            frames.iter().map(|f| f.composite_seconds).sum::<f64>() / frames.len() as f64 * 1e3;
+            frames.iter().map(|f| f.record().t_total_ms).sum::<f64>() / frames.len() as f64;
         let fps = Animation::compositing_fps(&frames);
         println!("{:<8} {:>16.2} {:>18.2}", method.name(), avg_ms, fps);
     }

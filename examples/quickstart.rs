@@ -40,17 +40,18 @@ fn main() {
 
     // Composite with BSBRC and gather the final image at rank 0.
     let outcome = experiment.run(config.method);
+    let record = outcome.record();
     println!("\ncompositing with {}:", config.method.name());
     println!(
         "  T_comp  = {:>8.2} ms (measured, scaled to the SP2 machine model)",
-        outcome.aggregate.t_comp_ms()
+        record.t_comp_ms
     );
     println!(
         "  T_comm  = {:>8.2} ms (modeled: T_s + bytes·T_c per message)",
-        outcome.aggregate.t_comm_ms()
+        record.t_comm_ms
     );
-    println!("  T_total = {:>8.2} ms", outcome.aggregate.t_total_ms());
-    println!("  M_max   = {:>8} bytes", outcome.aggregate.m_max);
+    println!("  T_total = {:>8.2} ms", record.t_total_ms);
+    println!("  M_max   = {:>8} bytes", record.m_max);
 
     // Verify against the sequential reference compositor.
     let reference = experiment.reference();

@@ -42,6 +42,7 @@ fn main() {
         };
         let experiment = Experiment::prepare(&config);
         let out = experiment.run(Method::Bsbrc);
+        let record = out.record();
         let nonempty: Vec<usize> = out
             .per_rank
             .iter()
@@ -51,12 +52,7 @@ fn main() {
         let mean = nonempty.iter().sum::<usize>() as f64 / p as f64;
         println!(
             "{:>7.0} {:>7.0} {:>14} {:>15.2} {:>14} {:>12.2}",
-            rx,
-            ry,
-            max,
-            mean,
-            out.aggregate.total_bytes,
-            out.aggregate.t_total_ms()
+            rx, ry, max, mean, record.total_bytes, record.t_total_ms
         );
     }
     println!(

@@ -42,7 +42,7 @@
 //! let experiment = Experiment::prepare(&config);
 //! let outcome = experiment.run(config.method);
 //! assert!(outcome.image.non_blank_count() > 0);
-//! assert!(outcome.aggregate.t_total_ms() > 0.0);
+//! assert!(outcome.record().t_total_ms > 0.0);
 //! // The distributed result matches the sequential reference.
 //! assert!(outcome.image.max_abs_diff(&experiment.reference()) < 2e-4);
 //! ```

@@ -23,10 +23,11 @@ use slsvr::compositing::conformance::{
     expected_traffic, parse_corpus, run_case, ConformanceCase, CorpusEntry, CostKind, Workload,
 };
 use slsvr::compositing::{
-    composite, CompCost, CompositeResult, Method, MethodStats, OwnedPiece, StageStat,
+    composite, virtual_completion, CompCost, CompositeResult, Method, MethodStats, OwnedPiece,
+    StageStat,
 };
 use slsvr::image::checksum::fnv1a;
-use slsvr::system::{Experiment, ExperimentConfig, Outcome, RenderPool};
+use slsvr::system::{CompTiming, Experiment, ExperimentConfig, Outcome, RenderPool};
 use slsvr::volume::{Dataset, DatasetKind, DepthOrder};
 
 /// Float slack for `over` re-association across distribution layouts.
@@ -322,48 +323,44 @@ fn systematic_schedule_exploration_converges() {
     }
 }
 
-/// Paper equations (1)–(8): the analytic oracle matches the
-/// implementation's byte and operation counters on dense, sparse and
-/// banded inputs, every byte a rank sends is a stage's or the gather's,
-/// the modeled `T_comp` over the derived counts is the run's to the bit,
-/// and the dense closed forms hold exactly.
+/// Paper equations (1)–(8), up to the paper's largest P: on dense,
+/// sparse and banded inputs the analytic oracle matches every rank's
+/// bound scan and each stage's bytes, messages, encoded pixels, run
+/// codes and `over`s (every field but `peer` and `recv_rect_empty`,
+/// which the run decides); every byte a rank sends is a stage's or the
+/// gather's; the modeled `T_comp` over the derived counts is the run's
+/// to the bit; and the dense closed forms hold exactly.
 #[test]
 fn paper_byte_equations_hold_on_dense_and_sparse() {
     let comp = CompCost::power2();
-    for p in [2usize, 4, 8, 16] {
+    let exact = |s: &StageStat| StageStat {
+        peer: None,
+        recv_rect_empty: false,
+        ..*s
+    };
+    for p in [2usize, 4, 8, 16, 32, 64] {
         for workload in [Workload::Dense, Workload::Sparse, Workload::Bands] {
             for method in Method::paper_methods().into_iter().chain([Method::Bsrl]) {
                 let case = ConformanceCase {
                     depth: shuffled_depth(p, 5),
                     ..ConformanceCase::new(method, p, workload, 13)
                 };
-                let expect = expected_traffic(method, &case.images(), &case.depth)
-                    .expect("swap-family method, pow2 P");
+                let expect =
+                    expected_traffic(method, &case.images(), &case.depth, case.cost.model())
+                        .expect("swap-family method, pow2 P");
                 let out = run_case(&case);
                 for (rank, stats) in out.per_rank.iter().enumerate() {
                     let stats = stats.as_ref().unwrap();
+                    let derived = &expect.per_rank[rank];
                     let at = format!("{} {workload:?} P={p} rank {rank}", method.name());
-                    assert_eq!(stats.stages.len(), expect.sent[rank].len(), "{at} stages");
-                    assert_eq!(stats.bound_pixels, expect.bound_pixels[rank], "{at} bound");
-                    // The derived counts as a rank's stats, charged by the
-                    // same `modeled_seconds` as the run's own.
-                    let derived = MethodStats {
-                        bound_pixels: expect.bound_pixels[rank],
-                        stages: (0..expect.sent[rank].len())
-                            .map(|k| StageStat {
-                                sent_bytes: expect.sent[rank][k],
-                                recv_bytes: expect.recv[rank][k],
-                                encoded_pixels: expect.encoded_pixels[rank][k],
-                                run_codes: expect.run_codes[rank][k],
-                                composite_ops: expect.composite_ops[rank][k],
-                                ..StageStat::default()
-                            })
-                            .collect(),
-                        ..MethodStats::default()
-                    };
+                    let stages: Vec<StageStat> = stats.stages.iter().map(exact).collect();
+                    assert_eq!(stages, derived.stages, "{at} stages");
+                    assert_eq!(stats.bound_pixels, derived.bound_pixels, "{at} bound");
+                    // The derived counts, charged by the same
+                    // `modeled_seconds` as the run's own.
                     assert_eq!(
                         comp.modeled_seconds(stats).to_bits(),
-                        comp.modeled_seconds(&derived).to_bits(),
+                        comp.modeled_seconds(derived).to_bits(),
                         "{at} modeled T_comp"
                     );
                     // Every byte a rank sends is a stage's or the gather's
@@ -371,26 +368,9 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
                     let gather = if rank == 0 { 0 } else { expect.gather[rank] };
                     assert_eq!(
                         out.traffic[rank].sent_bytes,
-                        expect.sent[rank].iter().sum::<u64>() + gather,
+                        derived.sent_bytes() + gather,
                         "{at} sent in all"
                     );
-                    for (k, stage) in stats.stages.iter().enumerate() {
-                        assert_eq!(
-                            stage.sent_bytes, expect.sent[rank][k],
-                            "{at} stage {k} sent"
-                        );
-                        assert_eq!(
-                            stage.recv_bytes, expect.recv[rank][k],
-                            "{at} stage {k} recv"
-                        );
-                        let counts = (stage.encoded_pixels, stage.run_codes, stage.composite_ops);
-                        let derived = (
-                            expect.encoded_pixels[rank][k],
-                            expect.run_codes[rank][k],
-                            expect.composite_ops[rank][k],
-                        );
-                        assert_eq!(counts, derived, "{at} stage {k} (encoded, codes, overs)");
-                    }
                 }
                 // Dense closed forms: every half is fully non-blank, so
                 // Eq (4) degenerates to 8 + 16·A/2^(k+1), Eq (6) (and
@@ -398,8 +378,8 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
                 // 16·A/2^(k+1) and Eq (8) to their union.
                 if workload == Workload::Dense {
                     let area = 32u64 * 24;
-                    for stages in &expect.sent {
-                        for (k, &bytes) in stages.iter().enumerate() {
+                    for rank in &expect.per_rank {
+                        for (k, stage) in rank.stages.iter().enumerate() {
                             let half = 16 * area / 2u64.pow(k as u32 + 1);
                             let expect_bytes = match method {
                                 Method::Bs => half,
@@ -407,6 +387,7 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
                                 Method::Bsbrc => 16 + half,
                                 _ => unreachable!(),
                             };
+                            let bytes = stage.sent_bytes;
                             assert_eq!(bytes, expect_bytes, "{} stage {k}", method.name());
                         }
                     }
@@ -458,16 +439,15 @@ fn modeled_comm_seconds_match_traffic_oracle() {
             depth: shuffled_depth(8, 6),
             ..ConformanceCase::new(method, 8, Workload::Sparse, 21)
         };
-        let expect = expected_traffic(method, &case.images(), &case.depth).unwrap();
-        let modeled = expect.comm_seconds(preset.network);
+        let expect = expected_traffic(method, &case.images(), &case.depth, preset.network).unwrap();
         let out = run_case(&case);
         for (rank, stats) in out.per_rank.iter().enumerate() {
             let got = stats.as_ref().unwrap().comm_seconds;
+            let modeled = expect.per_rank[rank].comm_seconds;
             assert!(
-                (got - modeled[rank]).abs() <= 1e-12 * modeled[rank].max(1.0),
-                "{} rank {rank}: modeled {got} vs oracle {}",
+                (got - modeled).abs() <= 1e-12 * modeled.max(1.0),
+                "{} rank {rank}: modeled {got} vs oracle {modeled}",
                 method.name(),
-                modeled[rank]
             );
         }
     }
@@ -699,9 +679,9 @@ fn assert_stage_counters(golden: &[(Method, usize, [u64; 3])], pair_fields: bool
 /// Every modeled time of the frame pipeline, to the bit: for each of the
 /// seven methods × P ∈ {4, 6, 8} × workload (32×24, `shuffled_depth(p,
 /// 3)`, `sp2` network, `power2` compute, schedule seed 29) a digest over
-/// `Aggregate::{t_comp, t_comm, t_critical_path}` and every rank's
+/// the frame's `T_comp`, `T_comm` and critical path and every rank's
 /// `comp_seconds`, `bound_seconds` and `encode_seconds` as `to_bits`
-/// words. The constants were recorded at `9e6fefe`, when the per-stage
+/// words (see [`modeled_words`]). The constants were recorded at `9e6fefe`, when the per-stage
 /// products were written out in `CompCost::modeled_seconds` and again in
 /// `virtual_completion`; they pin the shared terms to both, summation
 /// order included. TSTREAM's `t_comm` sums each contributor's charges,
@@ -760,25 +740,36 @@ fn modeled_seconds_are_pinned_to_the_bit() {
 /// `shuffled_depth(p, 3)`, `sp2` network, `power2` compute, schedule
 /// seed 29).
 fn pinned_frame(method: Method, p: usize, workload: Workload) -> Outcome {
-    let config = ExperimentConfig {
+    let images = workload.images(p, 32, 24);
+    Experiment::from_subimages(pinned_config(p), images, shuffled_depth(p, 3)).run(method)
+}
+
+fn pinned_config(p: usize) -> ExperimentConfig {
+    ExperimentConfig {
         image_size: 32,
         processors: p,
         schedule_seed: Some(29),
         ..Default::default()
-    };
-    let images = workload.images(p, 32, 24);
-    Experiment::from_subimages(config, images, shuffled_depth(p, 3)).run(method)
+    }
 }
 
-/// A frame's modeled seconds as `to_bits` words: `Aggregate::{t_comp,
-/// t_comm, t_critical_path}`, then every rank's `comp_seconds`,
-/// `bound_seconds` and `encode_seconds`.
+/// A frame's modeled seconds as `to_bits` words: the maxima over ranks
+/// of `comp_seconds` and `comm_seconds` (`T_comp`, `T_comm`), the
+/// latest completion `virtual_completion` gives under the pinned
+/// config's models (`u64::MAX` for a schedule it does not cover), then
+/// every rank's `comp_seconds`, `bound_seconds` and `encode_seconds`.
 fn modeled_words(frame: &Outcome) -> Vec<u64> {
-    let agg = &frame.aggregate;
+    let config = pinned_config(frame.per_rank.len());
+    let CompTiming::Modeled(comp) = config.comp_timing else {
+        unreachable!("the pinned frames model T_comp");
+    };
+    let max = |f: fn(&MethodStats) -> f64| frame.per_rank.iter().map(f).fold(0.0, f64::max);
+    let critical_path = virtual_completion(&frame.per_rank, &config.cost, &comp)
+        .map(|vt| vt.into_iter().fold(0.0, f64::max));
     let mut words = vec![
-        agg.t_comp.to_bits(),
-        agg.t_comm.to_bits(),
-        agg.t_critical_path.map_or(u64::MAX, f64::to_bits),
+        max(|s| s.comp_seconds).to_bits(),
+        max(|s| s.comm_seconds).to_bits(),
+        critical_path.map_or(u64::MAX, f64::to_bits),
     ];
     for s in &frame.per_rank {
         words.extend([s.comp_seconds, s.bound_seconds, s.encode_seconds].map(f64::to_bits));

@@ -66,8 +66,8 @@ fn repeated_runs_are_bit_identical() {
         "distributed compositing must be deterministic"
     );
     // Byte counters must also be identical run to run.
-    assert_eq!(a.aggregate.m_max, b.aggregate.m_max);
-    assert_eq!(a.aggregate.total_bytes, b.aggregate.total_bytes);
+    assert_eq!(a.record().m_max, b.record().m_max);
+    assert_eq!(a.record().total_bytes, b.record().total_bytes);
 }
 
 #[test]

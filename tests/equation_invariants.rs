@@ -115,7 +115,7 @@ fn bsbrc_bytes_follow_equation_8() {
 fn m_max_ordering_follows_equation_9() {
     for density in [5u32, 20, 60] {
         let exp = experiment(8, 64, density);
-        let m = |method: Method| exp.run(method).aggregate.m_max;
+        let m = |method: Method| exp.run(method).record().m_max;
         let (bs, bsbr, bsbrc, bslc) = (
             m(Method::Bs),
             m(Method::Bsbr),
@@ -198,8 +198,8 @@ fn bslc_balances_spatially_concentrated_content() {
         ..Default::default()
     };
     let exp = Experiment::from_subimages(config, images, DepthOrder::identity(p));
-    let bslc = exp.run(Method::Bslc).aggregate.m_max;
-    let bsbr = exp.run(Method::Bsbr).aggregate.m_max;
+    let bslc = exp.run(Method::Bslc).record().m_max;
+    let bsbr = exp.run(Method::Bsbr).record().m_max;
     assert!(
         (bslc as f64) < 0.7 * bsbr as f64,
         "interleaving should balance concentrated content: BSLC {bslc} vs BSBR {bsbr}"
@@ -223,8 +223,8 @@ fn dense_rectangles_shrink_bsbrc_advantage() {
     let sparse = experiment(4, 64, 5);
     let dense = experiment(4, 64, 95);
     let ratio = |exp: &Experiment| {
-        let bsbr = exp.run(Method::Bsbr).aggregate.total_bytes as f64;
-        let bsbrc = exp.run(Method::Bsbrc).aggregate.total_bytes as f64;
+        let bsbr = exp.run(Method::Bsbr).record().total_bytes as f64;
+        let bsbrc = exp.run(Method::Bsbrc).record().total_bytes as f64;
         bsbr / bsbrc
     };
     let r_sparse = ratio(&sparse);

@@ -95,9 +95,9 @@ proptest! {
             ..Default::default()
         };
         let exp = Experiment::from_subimages(config, images, DepthOrder::identity(p));
-        let bs = exp.run(Method::Bs).aggregate.m_max;
-        let bsbr = exp.run(Method::Bsbr).aggregate.m_max;
-        let bsbrc = exp.run(Method::Bsbrc).aggregate.m_max;
+        let bs = exp.run(Method::Bs).record().m_max;
+        let bsbr = exp.run(Method::Bsbr).record().m_max;
+        let bsbrc = exp.run(Method::Bsbrc).record().m_max;
         // Slack for the per-stage headers (8 B rect, 4 B code count)
         // that Equation (9)'s byte model does not charge.
         let stages = 3u64; // log2(8)
