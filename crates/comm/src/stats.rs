@@ -6,7 +6,7 @@
 /// `recv_bytes` is the paper's `m_i = Σ_k R_i^k` over every phase the
 /// rank took part in. The paper's `M_max` (Section 4, used to validate
 /// Equation 9) counts compositing stages only, so it is taken from the
-/// stage statistics instead (`vr_system::Aggregate::m_max`).
+/// stage statistics instead (`vr_system::FrameRecord::m_max`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrafficStats {
     /// Messages sent by this rank.
