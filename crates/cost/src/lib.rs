@@ -37,7 +37,7 @@ pub mod sweep;
 
 pub use drift::{drift_check, DriftLine, DriftReport, DEFAULT_TOLERANCE_PCT};
 pub use fit::{fit_linear, fit_linear_with_floor, FitError, FitResult};
-pub use predict::{predict_grid, ranking_holds, PredictRow, PAPER_METHODS};
+pub use predict::{predict_grid, ranking_holds, PredictRow};
 pub use preset::{
     parse_model_file, render_model_file, resolve_preset, CostModelPreset, OpFit,
     DEFAULT_MODEL_PATH, MODEL_SCHEMA,

@@ -13,11 +13,6 @@ use slsvr_core::{predict, Method, UniformWorkload};
 
 use crate::preset::CostModelPreset;
 
-/// The four compositing methods of the paper's evaluation, in
-/// presentation order ([`Method::paper_methods`]'s, as the CSV spells
-/// them).
-pub const PAPER_METHODS: [&str; 4] = ["bs", "bsbr", "bslc", "bsbrc"];
-
 /// Nominal ray samples per image pixel for the render-cost estimate
 /// (a ~64-step chord through the volume). The render term is identical
 /// across compositing methods, so it never affects the ranking — it
@@ -27,8 +22,8 @@ pub const SAMPLES_PER_PIXEL: f64 = 64.0;
 /// One cell of a predictive sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PredictRow {
-    /// Compositing method (`bs`, `bsbr`, `bslc`, `bsbrc`).
-    pub method: &'static str,
+    /// Compositing method, one of [`Method::paper_methods`].
+    pub method: Method,
     /// Processor count (power of two).
     pub p: usize,
     /// Image edge in pixels (the image is `size × size`).
@@ -93,10 +88,10 @@ pub fn predict_grid(
             let render_seconds = preset.t_render_sample * a as f64 * SAMPLES_PER_PIXEL / p as f64;
             for &density in densities {
                 let w = uniform_workload(size, density);
-                for (name, method) in PAPER_METHODS.into_iter().zip(Method::paper_methods()) {
+                for method in Method::paper_methods() {
                     let pred = predict(method, &w, p, net, comp);
                     rows.push(PredictRow {
-                        method: name,
+                        method,
                         p,
                         size,
                         density,
@@ -122,7 +117,7 @@ pub fn predict_grid(
 /// shrinks with ρ (`4ρ` of the region) so BSBR ships almost nothing,
 /// while BSLC still scans the whole region every stage.
 pub fn ranking_holds(rows: &[PredictRow]) -> Option<bool> {
-    let cost = |m: &str| -> f64 {
+    let cost = |m: Method| -> f64 {
         rows.iter()
             .find(|r| r.method == m)
             .map(PredictRow::composite_seconds)
@@ -132,8 +127,8 @@ pub fn ranking_holds(rows: &[PredictRow]) -> Option<bool> {
     if !(0.04..=0.1).contains(&density) {
         return None;
     }
-    let compressed = cost("bslc").max(cost("bsbrc"));
-    let plain = cost("bs").min(cost("bsbr"));
+    let compressed = cost(Method::Bslc).max(cost(Method::Bsbrc));
+    let plain = cost(Method::Bs).min(cost(Method::Bsbr));
     Some(compressed < plain)
 }
 

@@ -40,14 +40,6 @@ pub struct RenderParams {
 /// Widest supported `simd_lanes` value (the fixed lane-array width).
 pub const MAX_SIMD_LANES: usize = 8;
 
-fn default_tint() -> [f32; 3] {
-    [1.0; 3]
-}
-
-fn default_simd_lanes() -> usize {
-    1
-}
-
 impl Default for RenderParams {
     fn default() -> Self {
         RenderParams {
@@ -57,8 +49,8 @@ impl Default for RenderParams {
             diffuse: 0.65,
             light_dir: Vec3::new(-0.4, -0.6, 0.7).normalized(),
             opacity_cutoff: 1e-4,
-            tint: default_tint(),
-            simd_lanes: default_simd_lanes(),
+            tint: [1.0; 3],
+            simd_lanes: 1,
         }
     }
 }

@@ -82,18 +82,6 @@ pub struct ExperimentConfig {
     pub simd_lanes: usize,
 }
 
-fn default_macrocell() -> usize {
-    vr_volume::DEFAULT_CELL_SIZE
-}
-
-fn default_tile() -> usize {
-    vr_render::DEFAULT_TILE_SIZE
-}
-
-fn default_simd_lanes() -> usize {
-    4
-}
-
 /// Source of the reported computation time.
 #[derive(Clone, Copy, Debug)]
 pub enum CompTiming {
@@ -151,9 +139,9 @@ impl Default for ExperimentConfig {
             reliability: ReliabilityConfig::default(),
             recv_deadline: None,
             schedule_seed: None,
-            macrocell: default_macrocell(),
-            tile: default_tile(),
-            simd_lanes: default_simd_lanes(),
+            macrocell: vr_volume::DEFAULT_CELL_SIZE,
+            tile: vr_render::DEFAULT_TILE_SIZE,
+            simd_lanes: 4,
         }
     }
 }

@@ -721,7 +721,7 @@ fn cmd_sweep_predict(flags: &Flags, spec: &str) -> Result<(), String> {
         csv.push_str(&format!(
             "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6}\n",
             preset.name,
-            r.method,
+            r.method.name().to_ascii_lowercase(),
             r.p,
             r.size,
             r.density,
@@ -743,7 +743,7 @@ fn cmd_sweep_predict(flags: &Flags, spec: &str) -> Result<(), String> {
     // method rows of one (p, size, density) point).
     let mut checked = 0usize;
     let mut violated = Vec::new();
-    for chunk in rows.chunks(slsvr::cost::PAPER_METHODS.len()) {
+    for chunk in rows.chunks(Method::paper_methods().len()) {
         match slsvr::cost::ranking_holds(chunk) {
             Some(true) => checked += 1,
             Some(false) => violated.push(format!(

@@ -3,10 +3,10 @@
 //! `sp2` preset, and the predictive sweep at scales the simulator never
 //! runs (P = 512).
 
-use slsvr::compositing::{CompCost, CostKind};
+use slsvr::compositing::{CompCost, CostKind, Method};
 use slsvr::cost::{
     parse_model_file, predict_grid, ranking_holds, render_model_file, resolve_preset,
-    CostModelPreset, PAPER_METHODS, QUALITY_FLOOR,
+    CostModelPreset, QUALITY_FLOOR,
 };
 
 fn checked_in_presets() -> Vec<CostModelPreset> {
@@ -70,7 +70,7 @@ fn sp2_preset_reproduces_the_paper_ranking() {
     let sp2 = CostModelPreset::sp2();
     let rows = predict_grid(&sp2, &[8, 16, 32, 64], &[384], &[0.05, 0.1]);
     let mut cells = 0;
-    for cell in rows.chunks(PAPER_METHODS.len()) {
+    for cell in rows.chunks(Method::paper_methods().len()) {
         assert_eq!(
             ranking_holds(cell),
             Some(true),
@@ -90,7 +90,7 @@ fn sp2_preset_reproduces_the_paper_ranking() {
 fn local_preset_predicts_at_p512_without_code_changes() {
     let local = preset("local");
     let rows = predict_grid(&local, &[8, 512], &[1024], &[0.05]);
-    assert_eq!(rows.len(), 2 * PAPER_METHODS.len());
+    assert_eq!(rows.len(), 2 * Method::paper_methods().len());
     for r in &rows {
         assert!(r.comp_seconds.is_finite() && r.comp_seconds > 0.0);
         assert!(r.comm_seconds.is_finite() && r.comm_seconds >= 0.0);
