@@ -410,6 +410,61 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
     }
 }
 
+/// The traffic oracle's whole output over the grid
+/// `paper_byte_equations_hold_on_dense_and_sparse` walks (P ∈ {2, …,
+/// 64} × the three workloads × the paper's four methods plus BSRL, same
+/// depth orders, `sp2` network): every rank's `MethodStats`, every
+/// field, and its gather bytes, folded into one FNV-1a digest. Recorded
+/// before the oracle read masks instead of images; never re-record to
+/// pass.
+#[test]
+fn traffic_oracle_output_is_pinned() {
+    const GOLDEN: u64 = 0xc2b8_fcff_1f37_3a14;
+    let mut words = Vec::new();
+    for p in [2usize, 4, 8, 16, 32, 64] {
+        for workload in Workload::all() {
+            for method in Method::paper_methods().into_iter().chain([Method::Bsrl]) {
+                let case = ConformanceCase {
+                    depth: shuffled_depth(p, 5),
+                    ..ConformanceCase::new(method, p, workload, 13)
+                };
+                let expect =
+                    expected_traffic(method, &case.images(), &case.depth, CostModel::sp2())
+                        .expect("swap-family method, pow2 P");
+                for (stats, &gather) in expect.per_rank.iter().zip(&expect.gather) {
+                    let timer = |t: Option<f64>| t.map_or(u64::MAX, f64::to_bits);
+                    words.extend([
+                        stats.comp_seconds.to_bits(),
+                        stats.bound_seconds.to_bits(),
+                        stats.encode_seconds.to_bits(),
+                        stats.comm_seconds.to_bits(),
+                        stats.bound_pixels,
+                        timer(stats.first_tile_seconds),
+                        timer(stats.last_tile_seconds),
+                        stats.stages.len() as u64,
+                    ]);
+                    for s in &stats.stages {
+                        words.extend([
+                            s.sent_bytes,
+                            s.recv_bytes,
+                            s.sent_msgs,
+                            s.recv_msgs,
+                            s.encoded_pixels,
+                            s.run_codes,
+                            s.composite_ops,
+                            s.recv_rect_empty as u64,
+                            s.peer.map_or(u64::MAX, u64::from),
+                        ]);
+                    }
+                    words.push(gather);
+                }
+            }
+        }
+    }
+    let got = fnv_words(words);
+    assert_eq!(got, GOLDEN, "oracle digest 0x{got:016x}");
+}
+
 /// The modeled `T_comm` accumulated by the runtime equals the oracle's
 /// per-stage sum of `T_s + bytes · T_c` (Equation (1)'s message model).
 ///
