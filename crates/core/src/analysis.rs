@@ -311,11 +311,11 @@ mod tests {
     fn predictor_and_oracle_charge_an_all_blank_bsbrc_half_its_header_alone() {
         // Equation (8) with `A_send = 0`: the 8-byte rectangle, no code
         // count behind it — what the codec sends and the oracle expects.
-        let images = vec![Image::blank(8, 8); 2];
+        use crate::conformance::{expected_traffic, non_blank_masks};
+        let masks = non_blank_masks(&[Image::blank(8, 8), Image::blank(8, 8)]);
         let depth = DepthOrder::identity(2);
         let net = CostModel::sp2();
-        let oracle =
-            crate::conformance::expected_traffic(Method::Bsbrc, &images, &depth, net).unwrap();
+        let oracle = expected_traffic(Method::Bsbrc, &masks, 8, &depth, net).unwrap();
         let sent: Vec<u64> = oracle
             .per_rank
             .iter()

@@ -10,11 +10,12 @@
 //!   faults)` configuration through the real distributed runtime and
 //!   reports the gathered image, its hash, the deviation from
 //!   [`reference_composite`], and the schedule trace;
-//! * [`expected_traffic`] computes, *without running the methods*, the
-//!   exact per-stage byte counts the four paper methods (plus BSRL) must
-//!   put on the wire — bounding rectangles evolve by pure rectangle
-//!   algebra and non-blank masks by exact `OR` (the `over` operator
-//!   never blanks a non-blank pixel, and never un-blanks a blank one);
+//! * [`expected_traffic`] computes, *without running the methods* and
+//!   from the ranks' non-blank masks alone, the exact per-stage byte
+//!   counts the four paper methods (plus BSRL) must put on the wire —
+//!   bounding rectangles evolve by pure rectangle algebra and non-blank
+//!   masks by exact `OR` (the `over` operator never blanks a non-blank
+//!   pixel, and never un-blanks a blank one);
 //! * [`CorpusEntry`] round-trips a failing `(case, seed, prefix)` into
 //!   one line of a checked-in regression corpus that replays the exact
 //!   schedule and asserts the exact image hash.
@@ -305,52 +306,69 @@ pub struct ExpectedTraffic {
     pub gather: Vec<u64>,
 }
 
+/// One row-major non-blank mask per image (`!Pixel::is_blank` at each
+/// pixel): the input [`expected_traffic`] reads.
+pub fn non_blank_masks(images: &[Image]) -> Vec<Vec<bool>> {
+    images
+        .iter()
+        .map(|img| img.pixels().iter().map(|px| !px.is_blank()).collect())
+        .collect()
+}
+
 /// Computes the exact bytes each rank sends and receives per binary-swap
 /// stage for BS, BSBR, BSLC and BSBRC — Equations (2), (4), (6) and (8)
-/// — from the subimages alone, plus BSRL, which reuses the same state
-/// (runs over the whole spatial half), the encode, run-code, `over`
-/// and scan counts of Equations (1)/(3)/(5)/(7), and each rank's
-/// modeled `T_comm` under `cost`. This function derives the counts;
-/// `analysis::message_bytes` turns them into sizes. The
-/// gather's bytes come from the final composite's bit mask over each
-/// rank's owned domain, coded by the reference [`MaskRle::encode_mask`].
+/// — from each rank's row-major non-blank mask (`masks[rank]`, frames
+/// `width` pixels wide; see [`non_blank_masks`]), plus BSRL, which
+/// reuses the same state (runs over the whole spatial half), the encode,
+/// run-code, `over` and scan counts of Equations (1)/(3)/(5)/(7), and
+/// each rank's modeled `T_comm` under `cost`. This function derives the
+/// counts; `analysis::message_bytes` turns them into sizes.
 ///
-/// The derivation never composites a pixel: the non-blank mask of any
-/// partial composite is the exact `OR` of its contributors' masks
-/// (`over` keeps `alpha = 0` iff both inputs are blank, given non-blank
-/// pixels carry positive alpha), and BSBR's rectangles evolve by the
+/// The derivation reads no pixel. Its precondition: every input pixel is
+/// blank or has positive alpha. Then the non-blank mask of any partial
+/// composite is the exact `OR` of its contributors' masks (`over` keeps
+/// a pixel blank iff both inputs are blank), so both partners of a
+/// stage end with the same `OR`, and after the last stage every rank's
+/// mask is the final composite's. BSBR's rectangles evolve by the
 /// algorithm's own O(1) rule `bounds ← (bounds ∩ keep) ∪ recv_rect`.
+/// The gather's bytes come from each rank's final mask over its owned
+/// domain, coded by the reference [`MaskRle::encode_mask`].
 ///
 /// Returns `None` for any other method or when `P` is
 /// not a power of two (the fold prologue would add a non-equation
 /// stage).
 pub fn expected_traffic(
     method: Method,
-    images: &[Image],
+    masks: &[Vec<bool>],
+    width: u16,
     depth: &DepthOrder,
     cost: CostModel,
 ) -> Option<ExpectedTraffic> {
-    let p = images.len();
+    let p = masks.len();
     if !p.is_power_of_two() {
         return None;
     }
     let stages = p.trailing_zeros() as usize;
     let order = depth.front_to_back();
     assert_eq!(order.len(), p, "depth order must cover the group");
-    let width = images[0].width();
-    let area = images[0].area();
-    let full = images[0].full_rect();
+    let (w, area) = (width as usize, masks[0].len());
+    assert!(
+        w > 0 && area % w == 0 && masks.iter().all(|m| m.len() == area),
+        "every mask must be one frame `width` pixels wide"
+    );
+    let index = |(x, y): (u16, u16)| y as usize * w + x as usize;
 
     // Per-VIRTUAL-rank evolving state.
-    let mut regions = vec![full; p];
-    let mut bounds: Vec<Rect> = (0..p).map(|v| images[order[v]].bounding_rect()).collect();
-    let mut masks: Vec<Vec<bool>> = (0..p)
-        .map(|v| {
-            images[order[v]]
-                .pixels()
-                .iter()
-                .map(|px| !px.is_blank())
-                .collect()
+    let mut regions = vec![Rect::of_size(width, (area / w) as u16); p];
+    let mut masks: Vec<Vec<bool>> = order.iter().map(|&rank| masks[rank].clone()).collect();
+    let mut bounds: Vec<Rect> = masks
+        .iter()
+        .map(|mask| {
+            let mut bounds = Rect::EMPTY;
+            for i in (0..area).filter(|&i| mask[i]) {
+                bounds.include((i % w) as u16, (i / w) as u16);
+            }
+            bounds
         })
         .collect();
     let mut seqs: Vec<StridedSeq> = (0..p).map(|_| StridedSeq::dense(area)).collect();
@@ -374,8 +392,7 @@ pub fn expected_traffic(
 
     for k in 0..stages {
         // Phase 1: every rank's send bytes from its PRE-stage state.
-        let mut halves: Vec<(Rect, Rect)> = Vec::with_capacity(p); // (keep, send)
-        let mut seq_halves: Vec<(StridedSeq, StridedSeq)> = Vec::with_capacity(p);
+        let mut keeps: Vec<(Rect, StridedSeq)> = Vec::with_capacity(p);
         for v in 0..p {
             // The driver's radix-2 round: digit `v`'s bit `k`, strips
             // along axis `k % 2`.
@@ -384,24 +401,23 @@ pub fn expected_traffic(
                 strip(regions[v], 2, k % 2, digit),
                 strip(regions[v], 2, k % 2, 1 - digit),
             );
-            halves.push((keep, send));
             let (even, odd) = seqs[v].split();
             let (kseq, sseq) = if digit == 0 { (even, odd) } else { (odd, even) };
-            seq_halves.push((kseq, sseq));
+            keeps.push((keep, kseq));
             // The counts each size form reads, from the pre-stage masks
             // and rectangles alone; the forms are `message_bytes`'.
             let sb = bounds[v].intersect(&send);
-            let at = |(x, y): (u16, u16)| masks[v][y as usize * width as usize + x as usize];
-            let runs = |mask: &mut dyn Iterator<Item = bool>| {
-                let rle = MaskRle::encode_mask(mask);
+            let mask = &masks[v];
+            let runs = |domain: &mut dyn Iterator<Item = usize>| {
+                let rle = MaskRle::encode_mask(domain.map(|i| mask[i]));
                 (rle.num_codes(), rle.non_blank_total())
             };
             let (pixels, (codes, non_blank)) = match method {
                 Method::Bs => (send.area(), (0, 0)),
                 Method::Bsbr => (sb.area(), (0, 0)),
-                Method::Bslc => (sseq.count, runs(&mut sseq.iter().map(|i| masks[v][i]))),
-                Method::Bsrl => (send.area(), runs(&mut send.iter().map(at))),
-                Method::Bsbrc => (sb.area(), runs(&mut sb.iter().map(at))),
+                Method::Bslc => (sseq.count, runs(&mut sseq.iter())),
+                Method::Bsrl => (send.area(), runs(&mut send.iter().map(index))),
+                Method::Bsbrc => (sb.area(), runs(&mut sb.iter().map(index))),
                 _ => return None,
             };
             let stage = &mut stats[v].stages[k];
@@ -413,47 +429,40 @@ pub fn expected_traffic(
             stats[v ^ (1 << k)].stages[k].composite_ops =
                 if run_codec { non_blank } else { pixels } as u64;
         }
-        // Phase 2: simultaneous state update from both partners'
+        // Phase 2: each pair `(v, u)` updates from both partners'
         // pre-stage state.
-        let prev_bounds = bounds.clone();
-        let prev_masks = masks.clone();
-        for v in 0..p {
-            let u = v ^ (1 << k);
-            stats[v].stages[k].recv_bytes = stats[u].stages[k].sent_bytes;
-            let (keep, _) = halves[v];
-            regions[v] = keep;
-            bounds[v] = prev_bounds[v]
-                .intersect(&keep)
-                .union(&prev_bounds[u].intersect(&keep));
-            // Full-mask OR is sound: positions outside this rank's kept
-            // region are never read by any later stage.
-            for (m, o) in masks[v].iter_mut().zip(&prev_masks[u]) {
-                *m = *m || *o;
+        for v in (0..p).filter(|v| v & (1 << k) == 0) {
+            let u = v | (1 << k);
+            let (bv, bu) = (bounds[v], bounds[u]);
+            for (a, b) in [(v, u), (u, v)] {
+                stats[a].stages[k].recv_bytes = stats[b].stages[k].sent_bytes;
+                let (keep, kseq) = keeps[a];
+                regions[a] = keep;
+                seqs[a] = kseq;
+                bounds[a] = bv.intersect(&keep).union(&bu.intersect(&keep));
             }
-            seqs[v] = seq_halves[v].0;
+            // Full-mask OR is sound: positions outside a rank's kept
+            // region are never read by any later stage.
+            let (low, high) = masks.split_at_mut(u);
+            for (m, o) in low[v].iter_mut().zip(&mut high[0]) {
+                *m |= *o;
+                *o = *m;
+            }
         }
     }
 
     // The gather: a kind tag, the domain's header (a rect, or a
     // sequence's start, stride and count), a code count, the codes over
-    // the domain and its non-blank pixels — blank meaning bitwise
-    // `Pixel::BLANK` in the final composite.
-    let reference = reference_composite(images, depth);
-    let blank = Pixel::BLANK.to_le_bytes();
-    let has_bits = |i: usize| reference.pixels()[i].to_le_bytes() != blank;
-    let piece_bytes = |header: u64, domain: &mut dyn Iterator<Item = usize>| {
-        let rle = MaskRle::encode_mask(domain.map(has_bits));
+    // the domain and its non-blank pixels, read off the rank's final
+    // mask.
+    let piece_bytes = |mask: &[bool], header: u64, domain: &mut dyn Iterator<Item = usize>| {
+        let rle = MaskRle::encode_mask(domain.map(|i| mask[i]));
         4 + header + 4 + rle.wire_bytes() as u64 + 16 * rle.non_blank_total() as u64
     };
     let gather: Vec<u64> = (0..p)
         .map(|v| match method {
-            Method::Bslc => piece_bytes(12, &mut seqs[v].iter()),
-            _ => piece_bytes(
-                8,
-                &mut regions[v]
-                    .iter()
-                    .map(|(x, y)| y as usize * width as usize + x as usize),
-            ),
+            Method::Bslc => piece_bytes(&masks[v], 12, &mut seqs[v].iter()),
+            _ => piece_bytes(&masks[v], 8, &mut regions[v].iter().map(index)),
         })
         .collect();
 
@@ -753,7 +762,8 @@ mod tests {
         // Equation (2): stage k of BS moves 16·A/2^(k+1) bytes per rank.
         let images = Workload::Dense.images(8, 32, 16);
         let depth = DepthOrder::identity(8);
-        let t = expected_traffic(Method::Bs, &images, &depth, CostModel::free()).unwrap();
+        let masks = non_blank_masks(&images);
+        let t = expected_traffic(Method::Bs, &masks, 32, &depth, CostModel::free()).unwrap();
         let area = 32usize * 16;
         for rank in &t.per_rank {
             for (k, stage) in rank.stages.iter().enumerate() {
@@ -771,8 +781,9 @@ mod tests {
                     depth: DepthOrder::from_sequence(vec![2, 0, 3, 1]),
                     ..ConformanceCase::new(method, 4, workload, 3)
                 };
+                let masks = non_blank_masks(&case.images());
                 let expect =
-                    expected_traffic(method, &case.images(), &case.depth, case.cost.model())
+                    expected_traffic(method, &masks, case.width, &case.depth, case.cost.model())
                         .unwrap();
                 let out = run_case(&case);
                 for (rank, stats) in out.per_rank.iter().enumerate() {

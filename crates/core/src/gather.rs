@@ -10,8 +10,8 @@
 //! `4 + 4·⌈a/65535⌉` bytes more than its raw pixels; a blank one costs
 //! its header and 4 bytes.
 //!
-//! Blank is decided by bits ([`Image::bit_runs_into`] for a rect,
-//! [`kernel::scan_bit_runs_into`] pixel by pixel for a sequence): only a
+//! Blank is [`Pixel::is_blank`] ([`Image::runs_into`] for a rect,
+//! [`kernel::scan_runs_into`] pixel by pixel for a sequence): only a
 //! bitwise [`Pixel::BLANK`] stays behind, so a `-0.0`, NaN-payload or
 //! subnormal pixel travels and the gathered frame is the composited one
 //! bit for bit. The root starts from a blank frame and writes only the
@@ -20,6 +20,7 @@
 //!
 //! [`MaskRle`]: vr_image::MaskRle
 //! [`Pixel::BLANK`]: vr_image::Pixel::BLANK
+//! [`Pixel::is_blank`]: vr_image::Pixel::is_blank
 
 use bytes::Bytes;
 use vr_comm::{gather_tolerant, Endpoint};
@@ -54,7 +55,7 @@ fn encode_piece(image: &Image, piece: &OwnedPiece) -> Bytes {
             let mut body = RunBody::default();
             let len = body.scan(seq.count, |runs| {
                 for (i, idx) in seq.iter().enumerate() {
-                    kernel::scan_bit_runs_into(std::slice::from_ref(&pixels[idx]), i, runs);
+                    kernel::scan_runs_into(std::slice::from_ref(&pixels[idx]), i, runs);
                 }
             });
             let mut w = MsgWriter::with_capacity(4 + 12 + len);
@@ -74,7 +75,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
         .iter()
         .map(|rect| {
             let mut body = RunBody::default();
-            body.scan(rect.area(), |runs| image.bit_runs_into(rect, runs));
+            body.scan(rect.area(), |runs| image.runs_into(rect, runs));
             body
         })
         .collect();
@@ -334,10 +335,9 @@ mod tests {
     }
 
     /// A gathered frame is the sent one bit for bit, through every piece
-    /// kind: a pixel whose components are all `-0.0` is blank by value
-    /// but not by bits, so a value-based scan would leave it behind and
-    /// the root would read `+0.0`; NaN payloads and subnormals travel
-    /// as they are.
+    /// kind: a pixel whose components are all `-0.0` is not blank, so it
+    /// travels rather than being read back as `+0.0` at the root; NaN
+    /// payloads and subnormals travel as they are.
     #[test]
     fn gather_keeps_every_bit_of_every_pixel() {
         let odd = [

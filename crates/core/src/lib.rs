@@ -48,8 +48,8 @@ pub mod wire;
 
 pub use analysis::{predict, virtual_completion, Prediction, UniformWorkload};
 pub use conformance::{
-    expected_traffic, parse_corpus, run_case, ConformanceCase, ConformanceOutcome, CorpusEntry,
-    CostKind, ExpectedTraffic, Workload,
+    expected_traffic, non_blank_masks, parse_corpus, run_case, ConformanceCase, ConformanceOutcome,
+    CorpusEntry, CostKind, ExpectedTraffic, Workload,
 };
 pub use error::CompositeError;
 pub use gather::{gather_image_tolerant, GatheredImage};

@@ -306,7 +306,7 @@ fn composite_runs(
 }
 
 /// Section 3.3's run-length codes over the rectangle's blank/non-blank
-/// mask, blank by value: the rect's [`RunBody`], reused across stages.
+/// mask: the rect's [`RunBody`], reused across stages.
 #[derive(Default)]
 pub(crate) struct Runs(RunBody);
 

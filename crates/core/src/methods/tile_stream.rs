@@ -7,8 +7,8 @@
 //! every owner holds a spread of tiles rather than one hot region. Each
 //! rank walks its subimage tile by tile and sends each non-blank tile to
 //! its owner as one message: the tile index, then the paper's run body
-//! over the tile ([`RunBody`]: code count, run codes, non-blank pixels;
-//! blank by value, like the stages). A blank tile is never sent, and a
+//! over the tile ([`RunBody`]: code count, run codes, non-blank
+//! pixels). A blank tile is never sent, and a
 //! `DONE` sentinel closes each contributor→owner stream. An owner's own
 //! tiles take the same decode as the ones it receives. Owners fold
 //! arrivals as they land and gather exactly as the bulk-synchronous
@@ -431,7 +431,7 @@ mod tests {
     /// Every tile of a sparse frame with a `-0.0` pixel: a blank tile
     /// sends nothing, and a tile's message is its index and exactly the
     /// body's bytes, whose runs and pixels put back every bit of the
-    /// tile's non-blank pixels and leave the rest blank by value.
+    /// tile, the `-0.0` pixel included.
     #[test]
     fn encode_decode_round_trip() {
         let mut img = Image::blank(40, 20);
@@ -454,11 +454,7 @@ mod tests {
             restored.write_runs_wire(rect, mask.non_blank_runs(), &pixels);
             for (x, y) in rect.iter() {
                 let (want, got) = (img.get(x, y), restored.get(x, y));
-                if want.is_blank() {
-                    assert_eq!(got, Pixel::BLANK, "({x}, {y})");
-                } else {
-                    assert_eq!(got.to_le_bytes(), want.to_le_bytes(), "({x}, {y})");
-                }
+                assert_eq!(got.to_le_bytes(), want.to_le_bytes(), "({x}, {y})");
             }
         }
         assert_eq!(sent, 2, "both tiles hold pixels");

@@ -10,12 +10,14 @@
 //! `Vec<u8>` out, a slice in), so each crate's own cursor calls them and
 //! maps [`BodyError`] into its own error type.
 //!
-//! What counts as blank is the writer's scan, handed to
-//! [`RunBody::scan`]: the stages and the tiles scan by value
-//! ([`Image::runs_into`]), the gather and the served frame by bits
-//! ([`Image::bit_runs_into`]). The reader needs no rule: a body is
-//! refused when its codes together cover more than the domain or when a
-//! pixel they announce is missing.
+//! The writer's scan, handed to [`RunBody::scan`], is
+//! [`Image::runs_into`] for a rect and [`kernel::scan_runs_into`] at a
+//! stride for a sequence: blank is bitwise [`Pixel::BLANK`]
+//! ([`Pixel::is_blank`]), so a body restores its domain bit for bit.
+//! The reader needs no rule: a body is refused when its codes together
+//! cover more than the domain or when a pixel they announce is missing.
+//!
+//! [`kernel::scan_runs_into`]: crate::kernel::scan_runs_into
 
 use crate::image::Image;
 use crate::interleave::StridedSeq;
@@ -262,43 +264,29 @@ mod tests {
         p.to_le_bytes()
     }
 
-    /// A rect's body, blank by value (the stages' and the tiles' scan)
-    /// and by bits (the gather's and the served frame's): the runs put
-    /// the pixels back where they were, bit for bit, and what they leave
-    /// out is blank by the same rule.
+    /// A rect's body: the runs put the pixels back where they were, bit
+    /// for bit — `-0.0`, NaN-payload and subnormal pixels are not blank
+    /// and travel — and what they leave out is [`Pixel::BLANK`].
     #[test]
-    fn a_rect_body_restores_its_pixels_by_value_and_by_bits() {
+    fn a_rect_body_restores_its_pixels_bit_for_bit() {
         let image = odd_frame();
-        type Scan = fn(&Image, &Rect, &mut RunSet);
-        type Blank = fn(&Pixel) -> bool;
-        let scans: [(Scan, Blank); 2] = [
-            (Image::runs_into, |p| p.is_blank()),
-            (Image::bit_runs_into, |p| bits(*p) == bits(Pixel::BLANK)),
-        ];
-        for (scan, blank) in scans {
-            for rect in [image.full_rect(), Rect::new(2, 1, 9, 6), Rect::EMPTY] {
-                let mut body = RunBody::default();
-                body.scan(rect.area(), |runs| scan(&image, &rect, runs));
-                let (rle, pixels) =
-                    round_trip(&body, rect.area(), |w| body.put_rect(w, &image, &rect));
-                let mut wire = Vec::new();
-                put_pixels(&mut wire, &pixels);
-                let mut restored = Image::blank(11, 7);
-                restored.write_runs_wire(&rect, rle.non_blank_runs(), &wire);
-                for (x, y) in rect.iter() {
-                    let (want, got) = (image.get(x, y), restored.get(x, y));
-                    if blank(&want) {
-                        assert_eq!(bits(got), bits(Pixel::BLANK), "({x}, {y}) in {rect:?}");
-                    } else {
-                        assert_eq!(bits(got), bits(want), "({x}, {y}) in {rect:?}");
-                    }
-                }
+        for rect in [image.full_rect(), Rect::new(2, 1, 9, 6), Rect::EMPTY] {
+            let mut body = RunBody::default();
+            body.scan(rect.area(), |runs| image.runs_into(&rect, runs));
+            let (rle, pixels) = round_trip(&body, rect.area(), |w| body.put_rect(w, &image, &rect));
+            let mut wire = Vec::new();
+            put_pixels(&mut wire, &pixels);
+            let mut restored = Image::blank(11, 7);
+            restored.write_runs_wire(&rect, rle.non_blank_runs(), &wire);
+            for (x, y) in rect.iter() {
+                let (want, got) = (image.get(x, y), restored.get(x, y));
+                assert_eq!(bits(got), bits(want), "({x}, {y}) in {rect:?}");
             }
         }
     }
 
-    /// A strided sequence's body, scanned by bits in place and written
-    /// at its stride, restores the sequence bit for bit.
+    /// A strided sequence's body, scanned in place and written at its
+    /// stride, restores the sequence bit for bit.
     #[test]
     fn a_strided_sequence_body_restores_its_pixels() {
         let image = odd_frame();
@@ -311,7 +299,7 @@ mod tests {
             let mut body = RunBody::default();
             body.scan(seq.count, |runs| {
                 for (i, idx) in seq.iter().enumerate() {
-                    kernel::scan_bit_runs_into(std::slice::from_ref(&image.pixels()[idx]), i, runs);
+                    kernel::scan_runs_into(std::slice::from_ref(&image.pixels()[idx]), i, runs);
                 }
             });
             let (rle, pixels) =

@@ -116,18 +116,12 @@ impl Image {
     /// Creates an image by evaluating `f(x, y)` for every pixel.
     pub fn from_fn(width: u16, height: u16, mut f: impl FnMut(u16, u16) -> Pixel) -> Self {
         let mut pixels = Vec::with_capacity(width as usize * height as usize);
-        let (mut bounds, mut extent) = (Rect::EMPTY, Rect::EMPTY);
-        let blank = Pixel::BLANK.to_le_bytes();
+        let mut bounds = Rect::EMPTY;
         for y in 0..height {
             for x in 0..width {
                 let p = f(x, y);
                 if !p.is_blank() {
                     bounds.include(x, y);
-                }
-                // The extent is over bits: a `-0.0` pixel is blank by
-                // value yet must stay inside it.
-                if p.to_le_bytes() != blank {
-                    extent.include(x, y);
                 }
                 pixels.push(p);
             }
@@ -137,7 +131,7 @@ impl Image {
             height,
             pixels,
             bounds_hint: Some(bounds),
-            extent,
+            extent: bounds,
         }
     }
 
@@ -273,10 +267,8 @@ impl Image {
     }
 
     /// The rectangle outside which every pixel is [`Pixel::BLANK`] — a
-    /// superset of the tight bounds, exact after [`Image::blank`] and
-    /// [`Image::assert_bounds`]. After [`Image::from_fn`] it is the tight
-    /// rectangle of the pixels that are not bitwise blank, which a `-0.0`
-    /// component can make wider than the bounds.
+    /// superset of the tight bounds, equal to them after [`Image::blank`],
+    /// [`Image::from_fn`] and [`Image::assert_bounds`].
     #[inline]
     pub fn extent(&self) -> Rect {
         self.extent
@@ -305,9 +297,8 @@ impl Image {
     /// bounds the caller derived incrementally (union of the inputs).
     ///
     /// The extent shrinks to `bounds` too — this is how a frame written
-    /// through [`Image::pixels_mut`] gets its sparsity back — so the
-    /// claim covers bits: outside `bounds` every pixel is the canonical
-    /// [`Pixel::BLANK`], not merely [`Pixel::is_blank`].
+    /// through [`Image::pixels_mut`] gets its sparsity back: outside
+    /// `bounds` every pixel is [`Pixel::BLANK`].
     ///
     /// Debug builds verify the claim against a full scan.
     pub fn assert_bounds(&mut self, bounds: Rect) {
@@ -320,51 +311,16 @@ impl Image {
             self.scan_bounds(&self.full_rect()),
             "asserted bounds hint must match the scanned tight bounds"
         );
-        debug_assert!(
-            self.blank_bits_outside(&bounds),
-            "a pixel outside the asserted bounds is not Pixel::BLANK bit for bit"
-        );
         self.bounds_hint = Some(bounds);
         self.extent = bounds;
     }
 
-    /// Whether every pixel of the extent outside `rect` is bitwise
-    /// [`Pixel::BLANK`], i.e. whether the extent may shrink to `rect`.
-    fn blank_bits_outside(&self, rect: &Rect) -> bool {
-        let blank = Pixel::BLANK.to_le_bytes();
-        self.extent
-            .iter()
-            .all(|(x, y)| rect.contains(x, y) || self.get(x, y).to_le_bytes() == blank)
-    }
-
     /// Replaces `runs` with the runs of `rect`'s non-blank pixels
-    /// (`!Pixel::is_blank`, [`kernel::scan_runs_into`]), positions
-    /// row-major inside `rect`: the value-blank twin of
-    /// [`Image::bit_runs_into`]. Only the rows of the extent are read.
+    /// ([`kernel::scan_runs_into`]), positions row-major inside `rect`.
+    /// Only the rows of the extent are read: outside it every pixel is
+    /// blank. Whatever the runs leave out can be restored as
+    /// `Pixel::BLANK` without changing a bit of the image.
     pub fn runs_into(&self, rect: &Rect, runs: &mut RunSet) {
-        self.scan_runs(rect, runs, kernel::scan_runs_into);
-    }
-
-    /// Replaces `runs` with the runs of `rect`'s pixels that are not
-    /// bitwise [`Pixel::BLANK`] ([`kernel::scan_bit_runs_into`]),
-    /// positions row-major inside `rect`. Only the rows of the extent
-    /// are read: outside it every pixel is bitwise blank. Whatever the
-    /// runs leave out can be restored as `Pixel::BLANK` without changing
-    /// a bit of the image.
-    pub fn bit_runs_into(&self, rect: &Rect, runs: &mut RunSet) {
-        self.scan_runs(rect, runs, kernel::scan_bit_runs_into);
-    }
-
-    /// The row loop of both run scans: `scan` over each row of `rect`
-    /// inside the extent, positions offset to `rect`'s row-major order.
-    /// A pixel outside the extent is bitwise blank, so blank by value
-    /// too, and neither scan could report it.
-    fn scan_runs(
-        &self,
-        rect: &Rect,
-        runs: &mut RunSet,
-        scan: impl Fn(&[Pixel], usize, &mut RunSet),
-    ) {
         runs.clear();
         let within = rect.intersect(&self.extent);
         if within.is_empty() {
@@ -374,7 +330,7 @@ impl Image {
         let skip = (within.x0 - rect.x0) as usize;
         for y in within.y0..within.y1 {
             let base = (y - rect.y0) as usize * row_w + skip;
-            scan(
+            kernel::scan_runs_into(
                 self.row_span(within.x0, y, within.width() as usize),
                 base,
                 runs,

@@ -24,7 +24,8 @@ pub struct Pixel {
     pub g: f32,
     /// Premultiplied blue intensity in `[0, 1]`.
     pub b: f32,
-    /// Opacity in `[0, 1]`. Zero marks a *blank* (background) pixel.
+    /// Opacity in `[0, 1]`; a *blank* (background) pixel is all zeros
+    /// ([`Pixel::is_blank`]).
     pub a: f32,
 }
 
@@ -65,14 +66,17 @@ impl Pixel {
         }
     }
 
-    /// Whether this pixel is blank, i.e. carries no contribution.
+    /// Whether this pixel is blank: bitwise [`Pixel::BLANK`], all four
+    /// components `+0.0`. A `-0.0` or NaN component is not blank.
     ///
-    /// The sparse-merging methods (BSBR/BSLC/BSBRC) all classify pixels by
-    /// this predicate: the renderer writes an exact `0.0` opacity wherever
-    /// no ray sample contributed.
+    /// This is the one blank rule. Every scan classifies by it — the
+    /// renderer's pixel write, the bounds scan and hint, the extent, the
+    /// run codecs of the stages, tiles, gather and served frame — so
+    /// whatever a scan skips can be restored as `Pixel::BLANK` without
+    /// changing a bit of the image.
     #[inline]
     pub fn is_blank(&self) -> bool {
-        self.a == 0.0 && self.r == 0.0 && self.g == 0.0 && self.b == 0.0
+        (self.r.to_bits() | self.g.to_bits() | self.b.to_bits() | self.a.to_bits()) == 0
     }
 
     /// The `over` operator with `self` in *front* of `back`.

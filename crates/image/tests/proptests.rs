@@ -195,33 +195,62 @@ fn mutated(start: u8, mutations: &[Mutation]) -> Image {
     img
 }
 
-/// The runs of `rect`'s pixels that `non_blank` keeps, one pixel at a
-/// time in row-major order: the reference for the rect run scans.
-fn runs_pixel_by_pixel(img: &Image, rect: &Rect, non_blank: impl Fn(&Pixel) -> bool) -> RunSet {
+/// Whether any component of `p` has a bit set, spelled out one
+/// component at a time: the reference for the blank rule.
+fn has_bits(p: &Pixel) -> bool {
+    [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0)
+}
+
+/// The runs of `rect`'s pixels with a bit set, one pixel at a time in
+/// row-major order: the reference for the rect run scan.
+fn runs_pixel_by_pixel(img: &Image, rect: &Rect) -> RunSet {
     let mut runs = RunSet::new();
     for (i, (x, y)) in rect.iter().enumerate() {
-        if non_blank(&img.get(x, y)) {
+        if has_bits(&img.get(x, y)) {
             runs.push(i, 1);
         }
     }
     runs
 }
 
-/// Both rect run scans of `img` against [`runs_pixel_by_pixel`]: by value
-/// (`Image::runs_into`) and by bits (`Image::bit_runs_into`). The table
-/// starts stale, so a scan that appends instead of replacing fails.
+/// The rect run scan of `img` (`Image::runs_into`) against
+/// [`runs_pixel_by_pixel`]. The table starts stale, so a scan that
+/// appends instead of replacing fails.
 fn assert_rect_runs_hold(img: &Image, rect: &Rect) {
     let mut runs = RunSet::new();
     runs.push(0, 3);
     img.runs_into(rect, &mut runs);
-    assert_eq!(
-        runs,
-        runs_pixel_by_pixel(img, rect, |p| !p.is_blank()),
-        "{rect:?}"
-    );
-    img.bit_runs_into(rect, &mut runs);
-    let bits = |p: &Pixel| [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0);
-    assert_eq!(runs, runs_pixel_by_pixel(img, rect, bits), "{rect:?}");
+    assert_eq!(runs, runs_pixel_by_pixel(img, rect), "{rect:?}");
+}
+
+/// Components the blank rule must tell apart by their bits: both zeros,
+/// NaNs with payloads, subnormals of either sign and any pattern at all.
+fn arb_rule_component() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        4 => Just(0.0f32),
+        2 => Just(-0.0f32),
+        1 => Just(f32::NAN),
+        1 => any::<u32>().prop_map(|b| f32::from_bits(b | 0x7f80_0001)),
+        1 => (1u32..0x0080_0000, any::<bool>())
+            .prop_map(|(m, neg)| f32::from_bits(m | (neg as u32) << 31)),
+        2 => any::<u32>().prop_map(f32::from_bits),
+    ]
+}
+
+/// A pixel that is [`Pixel::BLANK`] or has alpha in (0, 1] — subnormal
+/// alphas included — over any color bits: the inputs the traffic
+/// oracle's `OR` of masks holds for.
+fn arb_oracle_pixel() -> impl Strategy<Value = Pixel> {
+    let alpha = prop_oneof![
+        2 => (0.0f32..=1.0).prop_filter("positive", |a| *a > 0.0),
+        1 => Just(1.0f32),
+        1 => (1u32..0x0080_0000).prop_map(f32::from_bits),
+    ];
+    prop_oneof![
+        1 => Just(Pixel::BLANK),
+        2 => (arb_rule_component(), arb_rule_component(), arb_rule_component(), alpha)
+            .prop_map(|(r, g, b, a)| Pixel::new(r, g, b, a)),
+    ]
 }
 
 proptest! {
@@ -417,23 +446,38 @@ proptest! {
         base in 0usize..1000,
     ) {
         // One pixel at a time; `push` coalesces neighbours into runs.
-        let reference = |non_blank: fn(&Pixel) -> bool| {
-            let mut table = RunSet::new();
-            for (i, p) in span.iter().enumerate() {
-                if non_blank(p) {
-                    table.push(base + i, 1);
-                }
+        let mut reference = RunSet::new();
+        for (i, p) in span.iter().enumerate() {
+            if has_bits(p) {
+                reference.push(base + i, 1);
             }
-            table
-        };
-        let mut by_value = RunSet::new();
-        kernel::scan_runs_into(&span, base, &mut by_value);
-        prop_assert_eq!(by_value, reference(|p| !p.is_blank()));
-        let mut by_bits = RunSet::new();
-        kernel::scan_bit_runs_into(&span, base, &mut by_bits);
+        }
+        let mut table = RunSet::new();
+        kernel::scan_runs_into(&span, base, &mut table);
+        prop_assert_eq!(table, reference);
+    }
+
+    #[test]
+    fn is_blank_is_exactly_the_bits_of_pixel_blank(
+        r in arb_rule_component(),
+        g in arb_rule_component(),
+        b in arb_rule_component(),
+        a in arb_rule_component(),
+    ) {
+        let p = Pixel::new(r, g, b, a);
+        prop_assert_eq!(p.is_blank(), p.to_le_bytes() == Pixel::BLANK.to_le_bytes());
+        prop_assert_eq!(p.is_blank(), !has_bits(&p));
+    }
+
+    #[test]
+    fn over_is_blank_exactly_when_both_inputs_are(
+        front in arb_oracle_pixel(),
+        back in arb_oracle_pixel(),
+    ) {
         prop_assert_eq!(
-            by_bits,
-            reference(|p| [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0))
+            front.over(back).is_blank(),
+            front.is_blank() && back.is_blank(),
+            "{:?} over {:?}", front, back
         );
     }
 

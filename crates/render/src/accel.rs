@@ -845,6 +845,7 @@ fn cell_at(coord: f32, inv_cs: f32, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raycast::render_block_accel;
     use proptest::prelude::*;
     use vr_image::checksum::fnv1a;
     use vr_volume::{kd_partition, Dataset, DatasetKind};
@@ -1216,6 +1217,140 @@ mod tests {
                 assert!(step(true).0, "ert {ert} must end the ray");
             }
         }
+    }
+
+    /// One block a rank holds by itself (`local`, sitting at
+    /// `placement`), rendered through `clip` on a board of its own, naive
+    /// (`None, 0`).
+    fn render_local(
+        local: &Volume,
+        placement: &Subvolume,
+        clip: &Subvolume,
+        tf: &TransferFunction,
+        cam: &Camera,
+        params: &RenderParams,
+    ) -> Image {
+        let clips = std::slice::from_ref(clip);
+        let (mut images, _) = render_clips(local, placement, clips, tf, cam, params, None, 0, None);
+        images.pop().expect("one clip, one image")
+    }
+
+    fn ball(dims: [usize; 3]) -> Volume {
+        Volume::from_fn(dims, |x, y, z| {
+            let dx = x as f32 - dims[0] as f32 / 2.0;
+            let dy = y as f32 - dims[1] as f32 / 2.0;
+            let dz = z as f32 - dims[2] as f32 / 2.0;
+            if (dx * dx + dy * dy + dz * dz).sqrt() < dims[0] as f32 * 0.33 {
+                180
+            } else {
+                0
+            }
+        })
+    }
+
+    #[test]
+    fn interior_block_matches_shared_volume_mostly() {
+        let dims = [32, 32, 32];
+        let v = ball(dims);
+        let cam = Camera::orbit(dims, 64, 64, 18.0, 27.0);
+        let tf = TransferFunction::window(100.0, 200.0, 0.7);
+        let params = RenderParams::fast();
+        let part = kd_partition(dims, 4);
+        for block in part.subvolumes() {
+            let shared = render_block_accel(&v, block, &tf, &cam, &params, None, 0);
+            let local_vol = v.extract_block(block.origin, block.dims);
+            let local = render_local(&local_vol, block, block, &tf, &cam, &params);
+            let differing = shared
+                .pixels()
+                .iter()
+                .zip(local.pixels())
+                .filter(|(a, b)| a.max_abs_diff(b) > 0.05)
+                .count();
+            let frac = differing as f64 / shared.area() as f64;
+            assert!(frac < 0.05, "block {block:?}: {frac:.3} of pixels disagree");
+        }
+    }
+
+    #[test]
+    fn local_render_of_whole_volume_is_exact() {
+        // With a single block covering everything, local == shared.
+        let dims = [24, 24, 24];
+        let v = ball(dims);
+        let cam = Camera::orbit(dims, 48, 48, 10.0, 20.0);
+        let tf = TransferFunction::window(100.0, 200.0, 0.7);
+        let params = RenderParams::fast();
+        let block = Subvolume {
+            rank: 0,
+            origin: [0, 0, 0],
+            dims,
+        };
+        let shared = render_block_accel(&v, &block, &tf, &cam, &params, None, 0);
+        let local = render_local(&v, &block, &block, &tf, &cam, &params);
+        assert_eq!(shared, local);
+    }
+
+    #[test]
+    fn ghost_layers_remove_seams() {
+        let dims = [32, 32, 32];
+        let v = ball(dims);
+        let cam = Camera::orbit(dims, 64, 64, 18.0, 27.0);
+        let tf = TransferFunction::window(100.0, 200.0, 0.7);
+        let params = RenderParams::fast();
+        let part = kd_partition(dims, 8);
+        for block in part.subvolumes() {
+            let shared = render_block_accel(&v, block, &tf, &cam, &params, None, 0);
+            // Ghost = 2 covers trilinear (1) + gradient stencil (1).
+            let padded = block.expanded(2, dims);
+            let local = v.extract_block(padded.origin, padded.dims);
+            let ghosted = render_local(&local, &padded, block, &tf, &cam, &params);
+            let diff = shared.max_abs_diff(&ghosted);
+            assert!(diff < 1e-6, "block {block:?} still has seams: {diff}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "clip box")]
+    fn clip_outside_placement_rejected() {
+        let v = ball([8, 8, 8]);
+        let cam = Camera::orbit([8, 8, 8], 16, 16, 0.0, 0.0);
+        let placement = Subvolume {
+            rank: 0,
+            origin: [0, 0, 0],
+            dims: [8, 8, 8],
+        };
+        let clip = Subvolume {
+            rank: 0,
+            origin: [4, 0, 0],
+            dims: [8, 8, 8],
+        };
+        let _ = render_local(
+            &v,
+            &placement,
+            &clip,
+            &TransferFunction::cube(),
+            &cam,
+            &RenderParams::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "placement dims")]
+    fn dims_mismatch_rejected() {
+        let v = ball([8, 8, 8]);
+        let cam = Camera::orbit([8, 8, 8], 16, 16, 0.0, 0.0);
+        let block = Subvolume {
+            rank: 0,
+            origin: [0, 0, 0],
+            dims: [4, 8, 8],
+        };
+        let _ = render_local(
+            &v,
+            &block,
+            &block,
+            &TransferFunction::cube(),
+            &cam,
+            &RenderParams::default(),
+        );
     }
 
     /// Any finite `f32`: both signs, zeros, subnormals and the extremes.

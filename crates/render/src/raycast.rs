@@ -16,18 +16,10 @@ use crate::pool::RenderPool;
 /// block-boundary resampling). Rays are cast only inside the block's
 /// screen footprint; everything else stays exactly blank — that sparsity
 /// is what the compositing methods exploit.
-pub fn render_block(
-    volume: &Volume,
-    block: &Subvolume,
-    transfer: &TransferFunction,
-    camera: &Camera,
-    params: &RenderParams,
-) -> Image {
-    render_block_accel(volume, block, transfer, camera, params, None, 0)
-}
-
-/// Like [`render_block`] with macrocell skipping and tile culling; the
-/// output is bit-identical to the naive path (`accel = None, tile = 0`).
+///
+/// `accel = None, tile = 0` is the naive reference; macrocell skipping
+/// (`accel`) and tile culling (`tile`) leave the output bit-identical to
+/// it.
 pub fn render_block_accel(
     volume: &Volume,
     block: &Subvolume,
@@ -130,12 +122,14 @@ mod tests {
         let dims = [16, 16, 16];
         let v = Volume::zeros(dims);
         let cam = Camera::orbit(dims, 32, 32, 0.0, 0.0);
-        let img = render_block(
+        let img = render_block_accel(
             &v,
             &whole(dims),
             &TransferFunction::window(50.0, 100.0, 0.9),
             &cam,
             &RenderParams::fast(),
+            None,
+            0,
         );
         assert_eq!(img.non_blank_count(), 0);
     }
@@ -146,7 +140,15 @@ mod tests {
         let v = solid_ball(dims);
         let cam = Camera::orbit(dims, 64, 64, 0.0, 0.0);
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
-        let img = render_block(&v, &whole(dims), &tf, &cam, &RenderParams::default());
+        let img = render_block_accel(
+            &v,
+            &whole(dims),
+            &tf,
+            &cam,
+            &RenderParams::default(),
+            None,
+            0,
+        );
         let n = img.non_blank_count();
         assert!(n > 0, "ball must be visible");
         // Coverage should be around π r² in image space; sanity band.
@@ -168,7 +170,7 @@ mod tests {
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
         let part = kd_partition(dims, 4);
         for block in part.subvolumes() {
-            let img = render_block(&v, block, &tf, &cam, &RenderParams::fast());
+            let img = render_block_accel(&v, block, &tf, &cam, &RenderParams::fast(), None, 0);
             let fp = cam.footprint(block.origin, block.dims);
             let bounds = img.bounding_rect();
             assert!(
@@ -184,10 +186,11 @@ mod tests {
         let v = solid_ball(dims);
         let cam = Camera::orbit(dims, 64, 64, 15.0, 25.0);
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
-        let whole_img = render_block(&v, &whole(dims), &tf, &cam, &RenderParams::fast());
+        let whole_img =
+            render_block_accel(&v, &whole(dims), &tf, &cam, &RenderParams::fast(), None, 0);
         let part = kd_partition(dims, 8);
         for block in part.subvolumes() {
-            let img = render_block(&v, block, &tf, &cam, &RenderParams::fast());
+            let img = render_block_accel(&v, block, &tf, &cam, &RenderParams::fast(), None, 0);
             assert!(img.non_blank_count() <= whole_img.non_blank_count());
         }
     }
@@ -196,19 +199,23 @@ mod tests {
     fn deterministic_rendering() {
         let ds = Dataset::with_dims(DatasetKind::Cube, [24, 24, 12]);
         let cam = Camera::orbit([24, 24, 12], 48, 48, 10.0, 20.0);
-        let a = render_block(
+        let a = render_block_accel(
             &ds.volume,
             &whole([24, 24, 12]),
             &ds.transfer,
             &cam,
             &RenderParams::fast(),
+            None,
+            0,
         );
-        let b = render_block(
+        let b = render_block_accel(
             &ds.volume,
             &whole([24, 24, 12]),
             &ds.transfer,
             &cam,
             &RenderParams::fast(),
+            None,
+            0,
         );
         assert_eq!(vr_image::checksum::fnv1a(&a), vr_image::checksum::fnv1a(&b));
     }
@@ -220,12 +227,14 @@ mod tests {
         let dims = [48, 48, 24];
         let ds = Dataset::with_dims(DatasetKind::Cube, dims);
         let cam = Camera::orbit(dims, 96, 96, 25.0, 40.0);
-        let img = render_block(
+        let img = render_block_accel(
             &ds.volume,
             &whole(dims),
             &ds.transfer,
             &cam,
             &RenderParams::default(),
+            None,
+            0,
         );
         let bounds = img.bounding_rect();
         assert!(bounds.area() > 0);
@@ -289,7 +298,15 @@ mod tests {
         let v = solid_ball(dims);
         let cam = Camera::orbit(dims, 32, 32, 0.0, 0.0);
         let tf = TransferFunction::window(50.0, 150.0, 1.0);
-        let img = render_block(&v, &whole(dims), &tf, &cam, &RenderParams::default());
+        let img = render_block_accel(
+            &v,
+            &whole(dims),
+            &tf,
+            &cam,
+            &RenderParams::default(),
+            None,
+            0,
+        );
         for p in img.pixels() {
             assert!(p.a >= 0.0 && p.a <= 1.0);
             assert!(p.r >= 0.0 && p.r <= 1.0);

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vr_image::checksum::fnv1a;
 use vr_render::{
-    render_block, render_block_accel, render_block_accel_pool, render_clips,
-    render_local_block_clipped_accel, Camera, Projection, RenderAccel, RenderParams, RenderPool,
+    render_block_accel, render_block_accel_pool, render_clips, Camera, Projection, RenderAccel,
+    RenderParams, RenderPool,
 };
 use vr_volume::{kd_partition, MacrocellGrid, Subvolume, TransferFunction, Volume};
 
@@ -49,6 +49,24 @@ fn noise_volume(dims: [usize; 3], seed: u32, density: u8) -> Volume {
             0
         }
     })
+}
+
+/// `clip` of a block held at `placement`, rendered inline on a board of
+/// its own.
+#[allow(clippy::too_many_arguments)]
+fn render_alone(
+    local: &Volume,
+    placement: &Subvolume,
+    clip: &Subvolume,
+    tf: &TransferFunction,
+    cam: &Camera,
+    params: &RenderParams,
+    accel: Option<&RenderAccel>,
+    tile: usize,
+) -> vr_image::Image {
+    let clips = std::slice::from_ref(clip);
+    let (mut images, _) = render_clips(local, placement, clips, tf, cam, params, accel, tile, None);
+    images.pop().expect("one clip, one image")
 }
 
 /// A family of sub-boxes of `dims`, including a degenerate 1-voxel-thin
@@ -99,7 +117,7 @@ proptest! {
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
         let part = kd_partition(DIMS, p);
         for block in part.subvolumes() {
-            let img = render_block(&v, block, &tf, &cam, &RenderParams::fast());
+            let img = render_block_accel(&v, block, &tf, &cam, &RenderParams::fast(), None, 0);
             let fp = cam.footprint(block.origin, block.dims);
             let bounds = img.bounding_rect();
             prop_assert!(
@@ -115,7 +133,7 @@ proptest! {
         let cam = Camera::orbit(DIMS, 48, 48, rx, ry);
         let tf = TransferFunction::window(100.0, 200.0, 0.8);
         let block = Subvolume { rank: 0, origin: [0, 0, 0], dims: DIMS };
-        let img = render_block(&v, &block, &tf, &cam, &RenderParams::fast());
+        let img = render_block_accel(&v, &block, &tf, &cam, &RenderParams::fast(), None, 0);
         prop_assert!(img.non_blank_count() > 0, "ball vanished at rot ({rx},{ry})");
         // All channels in range.
         for px in img.pixels() {
@@ -189,7 +207,7 @@ proptest! {
             ..RenderParams::fast()
         };
         let block = clip_box(dims, which);
-        let naive = render_block(&v, &block, &tf, &cam, &params);
+        let naive = render_block_accel(&v, &block, &tf, &cam, &params, None, 0);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, cell)), &tf, &params);
         let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), tile);
         prop_assert_eq!(
@@ -217,7 +235,7 @@ proptest! {
         let cam = Camera::orbit(dims, 32, 32, rx, ry);
         let params = RenderParams::fast();
         let block = Subvolume { rank: 0, origin: [0, 0, 0], dims };
-        let naive = render_block(&v, &block, &tf, &cam, &params);
+        let naive = render_block_accel(&v, &block, &tf, &cam, &params, None, 0);
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, cell)), &tf, &params);
         let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), tile);
         prop_assert_eq!(fnv1a(&naive), fnv1a(&fast), "axis={} cell={}", axis, cell);
@@ -241,11 +259,11 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let naive = render_local_block_clipped_accel(
+        let naive = render_alone(
             &local, &placement, &clip, &tf, &cam, &params, None, 0,
         );
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, cell)), &tf, &params);
-        let fast = render_local_block_clipped_accel(
+        let fast = render_alone(
             &local, &placement, &clip, &tf, &cam, &params, Some(&accel), tile,
         );
         prop_assert_eq!(fnv1a(&naive), fnv1a(&fast), "cell={} tile={}", cell, tile);
@@ -288,7 +306,7 @@ proptest! {
         );
         let reference =
             render_block_accel(&v, &block, &tf, &cam, &reference_params, Some(&accel), tile);
-        let naive = render_block(&v, &block, &tf, &cam, &reference_params);
+        let naive = render_block_accel(&v, &block, &tf, &cam, &reference_params, None, 0);
 
         let params = RenderParams {
             simd_lanes: lanes,
@@ -326,7 +344,7 @@ proptest! {
         let cam = Camera::orbit(gdims, 36, 36, rx, ry);
         let tf = TransferFunction::window(60.0, 140.0, 0.9);
         let params = RenderParams::fast();
-        let reference = render_local_block_clipped_accel(
+        let reference = render_alone(
             &local, &placement, &clip, &tf, &cam, &params, None, 0,
         );
         let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&local, 4)), &tf, &params);
@@ -391,7 +409,7 @@ proptest! {
         prop_assert_eq!(board.len(), clips.len());
         prop_assert_eq!(seconds.len(), clips.len());
         for (clip, image) in clips.iter().zip(&board) {
-            let alone = render_local_block_clipped_accel(
+            let alone = render_alone(
                 &local, &placement, clip, &tf, &cam, &params, Some(&accel), tile,
             );
             prop_assert_eq!(
@@ -438,7 +456,7 @@ fn block_behind_perspective_eye_is_empty_and_blank() {
     assert!(fp.is_empty(), "behind-eye footprint must be empty: {fp:?}");
     let tf = TransferFunction::window(100.0, 255.0, 1.0);
     let params = RenderParams::fast();
-    let img = render_block(&v, &block, &tf, &cam, &params);
+    let img = render_block_accel(&v, &block, &tf, &cam, &params, None, 0);
     assert_eq!(img.non_blank_count(), 0);
     let accel = RenderAccel::new(Arc::new(MacrocellGrid::build(&v, 8)), &tf, &params);
     let fast = render_block_accel(&v, &block, &tf, &cam, &params, Some(&accel), 16);
@@ -464,7 +482,7 @@ fn pure_blue_tint_pixels_are_recorded_as_non_blank() {
         origin: [0, 0, 0],
         dims,
     };
-    let img = render_block(&v, &block, &tf, &cam, &params);
+    let img = render_block_accel(&v, &block, &tf, &cam, &params, None, 0);
     assert!(
         img.non_blank_count() > 0,
         "blue-tinted cube must be visible"

@@ -347,7 +347,7 @@ impl Wire for Magic {
 /// shares): a `u32` code count, the run codes, then the non-blank pixels
 /// in order, 16 bytes each.
 ///
-/// Blank is decided by bits ([`Image::bit_runs_into`]): only a
+/// Blank is [`Pixel::is_blank`] ([`Image::runs_into`]): only a
 /// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels and
 /// the decoded frame is the sent one bit for bit. The bytes are a
 /// function of the pixels alone, whatever the extent or bounds hint.
@@ -356,13 +356,14 @@ impl Wire for Magic {
 /// allocated.
 ///
 /// [`Pixel::BLANK`]: vr_image::Pixel::BLANK
+/// [`Pixel::is_blank`]: vr_image::Pixel::is_blank
 impl Wire for Image {
     fn put(&self, w: &mut Vec<u8>) {
         self.width().put(w);
         self.height().put(w);
         let frame = self.full_rect();
         let mut body = RunBody::default();
-        body.scan(self.area(), |runs| self.bit_runs_into(&frame, runs));
+        body.scan(self.area(), |runs| self.runs_into(&frame, runs));
         body.put_rect(w, self, &frame);
     }
     fn get(r: &mut Reader) -> Result<Self, DecodeError> {

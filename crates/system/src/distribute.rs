@@ -15,7 +15,7 @@ use bytes::Bytes;
 
 use slsvr_core::composite;
 use vr_comm::{broadcast, scatter};
-use vr_render::{render_local_block_clipped_accel, RenderAccel};
+use vr_render::{render_clips, RenderAccel};
 use vr_volume::io::{decode_block, encode_block};
 use vr_volume::{Dataset, DepthOrder, MacrocellGrid, Subvolume};
 
@@ -115,16 +115,18 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
                 &params,
             )
         });
-        let mut image = render_local_block_clipped_accel(
+        let (mut images, _) = render_clips(
             &local,
             &placement,
-            &interior,
+            std::slice::from_ref(&interior),
             &transfer,
             &camera,
             &params,
             accel.as_ref(),
             config.tile,
+            None,
         );
+        let mut image = images.pop().expect("one clip, one image");
         let render_seconds = start.elapsed().as_secs_f64();
 
         // ---- Phase 3: compositing + gather --------------------------

@@ -20,7 +20,8 @@ use slsvr::comm::{
     explore_schedules, run_group, CostModel, FaultConfig, ScheduleSpec, TrafficStats,
 };
 use slsvr::compositing::conformance::{
-    expected_traffic, parse_corpus, run_case, ConformanceCase, CorpusEntry, CostKind, Workload,
+    expected_traffic, non_blank_masks, parse_corpus, run_case, ConformanceCase, CorpusEntry,
+    CostKind, Workload,
 };
 use slsvr::compositing::{
     composite, virtual_completion, CompCost, CompositeResult, Method, MethodStats, OwnedPiece,
@@ -345,8 +346,9 @@ fn paper_byte_equations_hold_on_dense_and_sparse() {
                     depth: shuffled_depth(p, 5),
                     ..ConformanceCase::new(method, p, workload, 13)
                 };
+                let masks = non_blank_masks(&case.images());
                 let expect =
-                    expected_traffic(method, &case.images(), &case.depth, case.cost.model())
+                    expected_traffic(method, &masks, case.width, &case.depth, case.cost.model())
                         .expect("swap-family method, pow2 P");
                 let out = run_case(&case);
                 for (rank, stats) in out.per_rank.iter().enumerate() {
@@ -428,8 +430,9 @@ fn traffic_oracle_output_is_pinned() {
                     depth: shuffled_depth(p, 5),
                     ..ConformanceCase::new(method, p, workload, 13)
                 };
+                let masks = non_blank_masks(&case.images());
                 let expect =
-                    expected_traffic(method, &case.images(), &case.depth, CostModel::sp2())
+                    expected_traffic(method, &masks, case.width, &case.depth, CostModel::sp2())
                         .expect("swap-family method, pow2 P");
                 for (stats, &gather) in expect.per_rank.iter().zip(&expect.gather) {
                     let timer = |t: Option<f64>| t.map_or(u64::MAX, f64::to_bits);
@@ -494,7 +497,9 @@ fn modeled_comm_seconds_match_traffic_oracle() {
             depth: shuffled_depth(8, 6),
             ..ConformanceCase::new(method, 8, Workload::Sparse, 21)
         };
-        let expect = expected_traffic(method, &case.images(), &case.depth, preset.network).unwrap();
+        let masks = non_blank_masks(&case.images());
+        let expect =
+            expected_traffic(method, &masks, case.width, &case.depth, preset.network).unwrap();
         let out = run_case(&case);
         for (rank, stats) in out.per_rank.iter().enumerate() {
             let got = stats.as_ref().unwrap().comm_seconds;
