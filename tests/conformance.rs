@@ -17,7 +17,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use slsvr::comm::{
-    explore_schedules, run_group, CostModel, FaultConfig, ScheduleSpec, TrafficStats,
+    explore_schedules, run_group, CostModel, FaultConfig, ReliabilityConfig, ScheduleSpec,
+    TrafficStats,
 };
 use slsvr::compositing::conformance::{
     expected_traffic, non_blank_masks, parse_corpus, run_case, ConformanceCase, CorpusEntry,
@@ -920,19 +921,7 @@ fn transport_counters_are_pinned() {
         let trace = out.schedule.as_ref().expect("virtual run");
         let mut words = Vec::new();
         for s in &out.traffic {
-            words.extend([
-                s.sent_messages,
-                s.sent_bytes,
-                s.recv_messages,
-                s.recv_bytes,
-                s.modeled_comm_seconds.to_bits(),
-                s.retransmits,
-                s.retransmit_bytes,
-                s.corruptions_detected,
-                s.ack_timeouts,
-                s.overhead_bytes,
-                s.peak_pixel_buffer_bytes,
-            ]);
+            words.extend(traffic_words(s));
         }
         words.push(out.dead_ranks.len() as u64);
         words.extend(out.dead_ranks.iter().map(|&d| d as u64));
@@ -1091,21 +1080,7 @@ fn late_kill_loses_one_piece_on_the_raw_wire_as_on_the_reliable_one() {
         assert_eq!(out.missing_ranks, vec![2], "reliable={reliable}");
         assert_eq!(out.coverage, 0.75, "reliable={reliable}");
 
-        let config = ExperimentConfig {
-            image_size: case.width,
-            processors: case.p,
-            cost: CostModel::sp2(),
-            faults: case.faults,
-            reliability: if reliable {
-                slsvr::comm::ReliabilityConfig::on()
-            } else {
-                Default::default()
-            },
-            schedule_seed: Some(73),
-            ..Default::default()
-        };
-        let exp = Experiment::from_subimages(config, case.images(), case.depth.clone());
-        let collected = exp.run(case.method);
+        let collected = pipeline_frame(&case);
         assert_eq!(fnv1a(&collected.image), out.image_hash);
         assert!(collected.is_degraded());
         outcomes.push((
@@ -1116,6 +1091,110 @@ fn late_kill_loses_one_piece_on_the_raw_wire_as_on_the_reliable_one() {
     }
     assert_eq!(outcomes[0], outcomes[1]);
     assert_eq!(outcomes[0], (vec![2], vec![2], 0.75));
+}
+
+/// The pipeline's config for `case`: its rank count, cost model,
+/// faults, transport and schedule seed (a case's schedule prefix has no
+/// config field; every case here has none).
+fn pipeline_config(case: &ConformanceCase) -> ExperimentConfig {
+    ExperimentConfig {
+        image_size: case.width,
+        processors: case.p,
+        cost: case.cost.model(),
+        faults: case.faults,
+        reliability: if case.reliable {
+            ReliabilityConfig::on()
+        } else {
+            ReliabilityConfig::default()
+        },
+        schedule_seed: case.schedule.as_ref().map(|s| s.seed),
+        ..Default::default()
+    }
+}
+
+/// `case`'s frame through `Experiment::run`, the path `slsvr render`,
+/// the daemon and the benchmark take.
+fn pipeline_frame(case: &ConformanceCase) -> Outcome {
+    let exp = Experiment::from_subimages(pipeline_config(case), case.images(), case.depth.clone());
+    exp.run(case.method)
+}
+
+/// Every field of a rank's stats as words. Under the default modeled
+/// `comp_timing` the three compute timers are derived from the counts,
+/// and the tile times are read off the virtual clock, so every word is
+/// counted, none measured.
+fn stats_words(s: &MethodStats) -> Vec<u64> {
+    let mut words = vec![
+        s.comp_seconds.to_bits(),
+        s.bound_seconds.to_bits(),
+        s.encode_seconds.to_bits(),
+        s.comm_seconds.to_bits(),
+        s.bound_pixels,
+        s.stages.len() as u64,
+    ];
+    for st in &s.stages {
+        words.extend([
+            st.sent_bytes,
+            st.recv_bytes,
+            st.sent_msgs,
+            st.recv_msgs,
+            st.encoded_pixels,
+            st.run_codes,
+            st.composite_ops,
+            u64::from(st.recv_rect_empty),
+            st.peer.map_or(u64::MAX, u64::from),
+        ]);
+    }
+    for t in [s.first_tile_seconds, s.last_tile_seconds] {
+        words.push(t.map_or(u64::MAX, f64::to_bits));
+    }
+    words
+}
+
+/// Every field of a rank's `TrafficStats` as words.
+fn traffic_words(s: &TrafficStats) -> [u64; 11] {
+    [
+        s.sent_messages,
+        s.sent_bytes,
+        s.recv_messages,
+        s.recv_bytes,
+        s.modeled_comm_seconds.to_bits(),
+        s.retransmits,
+        s.retransmit_bytes,
+        s.corruptions_detected,
+        s.ack_timeouts,
+        s.overhead_bytes,
+        s.peak_pixel_buffer_bytes,
+    ]
+}
+
+/// Every case of [`transport_cases`] through `Experiment::run` rather
+/// than `run_case`, as one digest: per case the image's FNV-1a, every
+/// rank's stats and `TrafficStats`, the dead and missing ranks and the
+/// coverage bits. It holds what the pipeline's runner does under each
+/// transport mode, so the runner can change hands without a number
+/// moving. Never re-record to pass.
+#[test]
+fn transport_cases_through_the_pipeline_are_pinned() {
+    const GOLDEN: u64 = 0x2b70b2c7086904d6;
+    let mut words = Vec::new();
+    for (case, _) in transport_cases() {
+        let frame = pipeline_frame(&case);
+        words.push(fnv1a(&frame.image));
+        for s in &frame.per_rank {
+            words.extend(stats_words(s));
+        }
+        for t in &frame.traffic {
+            words.extend(traffic_words(t));
+        }
+        for ranks in [&frame.dead_ranks, &frame.missing_ranks] {
+            words.push(ranks.len() as u64);
+            words.extend(ranks.iter().map(|&r| r as u64));
+        }
+        words.push(frame.coverage.to_bits());
+    }
+    let got = fnv_words(words);
+    assert_eq!(got, GOLDEN, "pipeline frames moved: 0x{got:016x}");
 }
 
 fn corpus_dir() -> std::path::PathBuf {
