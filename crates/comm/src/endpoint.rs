@@ -228,6 +228,8 @@ pub struct Endpoint {
     kill_at: Option<u64>,
     /// Set once the kill threshold is crossed; every further op fails.
     dead: bool,
+    /// Set by [`Endpoint::give_up`]; read by the group's linger rule.
+    pub(crate) given_up: bool,
 }
 
 impl Endpoint {
@@ -243,6 +245,7 @@ impl Endpoint {
             ops: 0,
             kill_at: config.kill_at,
             dead: false,
+            given_up: false,
         }
     }
 
@@ -269,6 +272,13 @@ impl Endpoint {
     #[inline]
     pub fn is_dead(&self) -> bool {
         self.dead
+    }
+
+    /// Marks this rank as failed: like a killed or panicking rank, it
+    /// closes at once instead of lingering for the group, so a partner
+    /// waiting on it sees `Disconnected` now rather than at its deadline.
+    pub fn give_up(&mut self) {
+        self.given_up = true;
     }
 
     /// Consumes the endpoint, yielding its final traffic stats.

@@ -160,10 +160,10 @@ where
         let killed = ep.is_dead();
         // A healthy rank's transport state outlives its last receive:
         // re-ack retransmissions until the whole group is done so lost
-        // acks don't masquerade as a dead peer. Killed or panicking
-        // ranks drop immediately instead — that disconnect *is* their
-        // failure signal.
-        let linger = outcome.is_ok() && !killed;
+        // acks don't masquerade as a dead peer. Killed, panicking or
+        // given-up ranks drop immediately instead — that disconnect *is*
+        // their failure signal.
+        let linger = outcome.is_ok() && !killed && !ep.given_up;
         let stats = catch_unwind(AssertUnwindSafe(move || {
             ep.finish(linger);
             ep.into_stats()

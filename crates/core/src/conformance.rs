@@ -7,9 +7,10 @@
 //! oracle:
 //!
 //! * [`run_case`] executes one `(method, P, workload, depth, schedule,
-//!   faults)` configuration through the real distributed runtime and
-//!   reports the gathered image, its hash, the deviation from
-//!   [`reference_composite`], and the schedule trace;
+//!   faults)` configuration through the pipeline's own frame runner
+//!   ([`crate::runner`]) and reports the gathered image, its hash, the
+//!   deviation from [`reference_composite`], every rank's typed failure
+//!   and the schedule trace;
 //! * [`expected_traffic`] computes, *without running the methods* and
 //!   from the ranks' non-blank masks alone, the exact per-stage byte
 //!   counts the four paper methods (plus BSRL) must put on the wire —
@@ -24,16 +25,17 @@ use std::fmt;
 use std::str::FromStr;
 
 use vr_comm::{
-    run_group_with, CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec,
-    ScheduleTrace, TrafficStats,
+    CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec, ScheduleTrace,
+    TrafficStats,
 };
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
 use crate::analysis::message_bytes;
-use crate::gather::gather_image_tolerant;
-use crate::methods::{composite, Method};
+use crate::error::CompositeError;
+use crate::methods::Method;
 use crate::reference::reference_composite;
+use crate::runner::composite_frame;
 use crate::schedule::strip;
 use crate::stats::{MethodStats, StageStat};
 
@@ -143,7 +145,7 @@ impl CostKind {
 }
 
 /// One fully-specified conformance configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConformanceCase {
     /// Compositing method under test.
     pub method: Method,
@@ -189,9 +191,19 @@ impl ConformanceCase {
         self.workload.images(self.p, self.width, self.height)
     }
 
-    /// The sequential reference image for this case.
-    pub fn reference(&self) -> Image {
-        reference_composite(&self.images(), &self.depth)
+    /// The group options this case runs under.
+    pub fn group_options(&self) -> GroupOptions {
+        GroupOptions {
+            cost: self.cost.model(),
+            faults: self.faults,
+            reliability: if self.reliable {
+                ReliabilityConfig::on()
+            } else {
+                ReliabilityConfig::default()
+            },
+            schedule: self.schedule.clone(),
+            ..Default::default()
+        }
     }
 }
 
@@ -213,6 +225,10 @@ pub struct ConformanceOutcome {
     pub missing_ranks: Vec<usize>,
     /// Ranks killed by fault injection.
     pub dead_ranks: Vec<usize>,
+    /// Ranks whose composite or gather failed with anything but
+    /// `Killed`, each with its typed error, earliest first
+    /// ([`FrameRun::failures`](crate::FrameRun::failures)).
+    pub failures: Vec<(usize, CompositeError)>,
     /// Per-rank method statistics (`None` for ranks whose composite
     /// errored out, e.g. killed ranks).
     pub per_rank: Vec<Option<MethodStats>>,
@@ -222,47 +238,13 @@ pub struct ConformanceOutcome {
     pub schedule: Option<ScheduleTrace>,
 }
 
-/// Runs one conformance case through the real distributed runtime.
+/// Runs one conformance case through the pipeline's frame runner: the
+/// two-phase rank body ([`composite_frame`]) over the case's images,
+/// under the case's transport options, schedule prefix included.
 pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
     let images = case.images();
-    let reference = reference_composite(&images, &case.depth);
-    let options = GroupOptions {
-        cost: case.cost.model(),
-        faults: case.faults,
-        reliability: if case.reliable {
-            ReliabilityConfig::on()
-        } else {
-            ReliabilityConfig::default()
-        },
-        schedule: case.schedule.clone(),
-        ..Default::default()
-    };
-    let depth = &case.depth;
-    let out = run_group_with(case.p, options, |ep| {
-        let mut img = images[ep.rank()].clone();
-        match composite(case.method, ep, &mut img, depth) {
-            Ok(result) => {
-                let stats = result.stats.clone();
-                let gathered = gather_image_tolerant(ep, &img, &result.piece, 0)
-                    .ok()
-                    .flatten();
-                (Some(stats), gathered)
-            }
-            // Killed mid-composite (or schedule breakdown): this rank
-            // contributes nothing; survivors keep going.
-            Err(_) => (None, None),
-        }
-    });
-
-    let mut per_rank = Vec::with_capacity(case.p);
-    let mut gathered = None;
-    for (rank, (stats, g)) in out.results.into_iter().enumerate() {
-        per_rank.push(stats);
-        if rank == 0 {
-            gathered = g;
-        }
-    }
-    let (image, coverage, missing_ranks) = match gathered {
+    let run = composite_frame(case.method, &images, &case.depth, case.group_options());
+    let (image, coverage, missing_ranks) = match run.gathered {
         Some(g) => {
             let coverage = g.coverage();
             (Some(g.image), coverage, g.missing_ranks)
@@ -270,19 +252,20 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
         None => (None, 0.0, (0..case.p).collect()),
     };
     let image_hash = image.as_ref().map_or(0, vr_image::checksum::fnv1a);
-    let max_diff = image
-        .as_ref()
-        .map_or(f32::INFINITY, |img| img.max_abs_diff(&reference));
+    let max_diff = image.as_ref().map_or(f32::INFINITY, |img| {
+        img.max_abs_diff(&reference_composite(&images, &case.depth))
+    });
     ConformanceOutcome {
         image,
         image_hash,
         max_diff,
         coverage,
         missing_ranks,
-        dead_ranks: out.dead_ranks,
-        per_rank,
-        traffic: out.stats,
-        schedule: out.schedule,
+        dead_ranks: run.dead_ranks,
+        failures: run.failures,
+        per_rank: run.per_rank,
+        traffic: run.traffic,
+        schedule: run.schedule,
     }
 }
 
@@ -487,76 +470,40 @@ pub fn expected_traffic(
 /// the exact image hash and schedule-decision digest it must reproduce.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CorpusEntry {
-    /// Method under test.
-    pub method: Method,
-    /// Rank count.
-    pub p: usize,
-    /// Image width.
-    pub width: u16,
-    /// Image height.
-    pub height: u16,
-    /// Workload name.
-    pub workload: Workload,
-    /// Front-to-back depth permutation.
-    pub depth: Vec<usize>,
-    /// Reliable transport on.
-    pub reliable: bool,
-    /// Fault spec in the CLI grammar (`drop=..,seed=..,kill=R@N`), if any.
+    /// The case to replay: its schedule holds the seed and the forced
+    /// prefix, and its faults are `faults` parsed.
+    pub case: ConformanceCase,
+    /// Fault spec in the CLI grammar (`drop=..,seed=..,kill=R@N`), as the
+    /// line writes it.
     pub faults: Option<String>,
-    /// Cost model name.
-    pub cost: CostKind,
-    /// Schedule seed.
-    pub seed: u64,
-    /// Forced schedule prefix.
-    pub prefix: Vec<u32>,
     /// Required FNV-1a hash of the gathered image.
     pub expect_image: u64,
     /// Required [`ScheduleTrace::digest`] of the decision log.
     pub expect_decisions: u64,
 }
 
-impl CorpusEntry {
-    /// Builds the runnable case this entry describes.
-    pub fn to_case(&self) -> ConformanceCase {
-        ConformanceCase {
-            method: self.method,
-            p: self.p,
-            width: self.width,
-            height: self.height,
-            workload: self.workload,
-            depth: DepthOrder::from_sequence(self.depth.clone()),
-            reliable: self.reliable,
-            faults: self.faults.as_deref().map(|s| {
-                s.parse::<FaultConfig>()
-                    .expect("corpus entry carries an invalid fault spec")
-            }),
-            cost: self.cost,
-            schedule: Some(ScheduleSpec {
-                seed: self.seed,
-                prefix: self.prefix.clone(),
-            }),
-        }
-    }
+/// The keys of a corpus line, in the order it is written.
+#[rustfmt::skip]
+const CORPUS_KEYS: [&str; 13] = [
+    "method", "p", "w", "h", "workload", "depth", "reliable", "faults", "cost", "seed",
+    "prefix", "expect_image", "expect_decisions",
+];
 
-    /// Captures a finished run as a corpus entry (hashes filled in).
+impl CorpusEntry {
+    /// Captures a finished run of `case` as a corpus entry whose faults
+    /// are `faults_spec` (hashes filled in).
     pub fn from_run(
         case: &ConformanceCase,
         faults_spec: Option<&str>,
         out: &ConformanceOutcome,
     ) -> Self {
-        let spec = case.schedule.clone().unwrap_or_default();
         CorpusEntry {
-            method: case.method,
-            p: case.p,
-            width: case.width,
-            height: case.height,
-            workload: case.workload,
-            depth: case.depth.front_to_back().to_vec(),
-            reliable: case.reliable,
+            case: ConformanceCase {
+                faults: faults_spec.map(|s| s.parse().expect("a valid fault spec")),
+                schedule: Some(case.schedule.clone().unwrap_or_default()),
+                ..case.clone()
+            },
             faults: faults_spec.map(str::to_owned),
-            cost: case.cost,
-            seed: spec.seed,
-            prefix: spec.prefix,
             expect_image: out.image_hash,
             expect_decisions: out.schedule.as_ref().map_or(0, ScheduleTrace::digest),
         }
@@ -565,7 +512,7 @@ impl CorpusEntry {
     /// Replays the entry and checks both digests. `Ok` means the exact
     /// image bytes and the exact schedule path were reproduced.
     pub fn verify(&self) -> Result<(), String> {
-        let out = run_case(&self.to_case());
+        let out = run_case(&self.case);
         let decisions = out.schedule.as_ref().map_or(0, ScheduleTrace::digest);
         if out.image_hash != self.expect_image {
             return Err(format!(
@@ -585,133 +532,116 @@ impl CorpusEntry {
 
 impl fmt::Display for CorpusEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let depth: Vec<String> = self.depth.iter().map(|r| r.to_string()).collect();
-        let prefix = if self.prefix.is_empty() {
-            "-".to_owned()
-        } else {
-            self.prefix
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(":")
+        let case = &self.case;
+        let schedule = case.schedule.clone().unwrap_or_default();
+        let words = |w: Vec<String>| {
+            if w.is_empty() {
+                "-".to_owned()
+            } else {
+                w.join(":")
+            }
         };
+        let depth = case.depth.front_to_back().iter().map(usize::to_string);
         write!(
             f,
             "method={} p={} w={} h={} workload={} depth={} reliable={} faults={} cost={} \
              seed={} prefix={} expect_image={:016x} expect_decisions={:016x}",
-            self.method.name(),
-            self.p,
-            self.width,
-            self.height,
-            self.workload.name(),
-            depth.join(":"),
-            u8::from(self.reliable),
+            case.method.name(),
+            case.p,
+            case.width,
+            case.height,
+            case.workload.name(),
+            words(depth.collect()),
+            u8::from(case.reliable),
             self.faults.as_deref().unwrap_or("-"),
-            self.cost.name(),
-            self.seed,
-            prefix,
+            case.cost.name(),
+            schedule.seed,
+            words(schedule.prefix.iter().map(u32::to_string).collect()),
             self.expect_image,
             self.expect_decisions,
         )
     }
 }
 
+/// `value` parsed as the `key` of a corpus line.
+fn parse_value<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {key} `{value}`"))
+}
+
+/// A `:`-separated list, as `depth` and `prefix` are written.
+fn parse_list<T: FromStr>(key: &str, value: &str) -> Result<Vec<T>, String> {
+    value.split(':').map(|t| parse_value(key, t)).collect()
+}
+
 impl FromStr for CorpusEntry {
     type Err = String;
 
+    /// Reads a line as [`fmt::Display`] writes it. `depth`, `reliable`,
+    /// `faults`, `cost`, `seed` and `prefix` may be left out (the
+    /// identity order, raw, none, `free`, 0, none); `-` is none.
     fn from_str(line: &str) -> Result<Self, String> {
-        let mut method = None;
-        let mut p = None;
-        let mut width = None;
-        let mut height = None;
-        let mut workload = None;
-        let mut depth = None;
-        let mut reliable = false;
-        let mut faults = None;
-        let mut cost = CostKind::Free;
-        let mut seed = 0u64;
-        let mut prefix = Vec::new();
-        let mut expect_image = None;
-        let mut expect_decisions = None;
+        let mut values = [None; CORPUS_KEYS.len()];
         for token in line.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| format!("token `{token}` is not key=value"))?;
-            let bad = |what: &str| format!("invalid {what} `{value}`");
-            match key {
-                "method" => method = Some(value.parse().map_err(|_| bad("method"))?),
-                "p" => p = Some(value.parse().map_err(|_| bad("p"))?),
-                "w" => width = Some(value.parse().map_err(|_| bad("w"))?),
-                "h" => height = Some(value.parse().map_err(|_| bad("h"))?),
-                "workload" => {
-                    workload = Some(
-                        Workload::all()
-                            .into_iter()
-                            .find(|w| w.name() == value)
-                            .ok_or_else(|| bad("workload"))?,
-                    );
-                }
-                "depth" => {
-                    depth = Some(
-                        value
-                            .split(':')
-                            .map(|t| t.parse().map_err(|_| bad("depth")))
-                            .collect::<Result<Vec<usize>, _>>()?,
-                    );
-                }
-                "reliable" => reliable = value == "1",
-                "faults" => {
-                    if value != "-" {
-                        // Validate eagerly so a corrupt corpus line fails
-                        // at parse time, not replay time.
-                        value
-                            .parse::<FaultConfig>()
-                            .map_err(|e| format!("invalid faults `{value}`: {e}"))?;
-                        faults = Some(value.to_owned());
-                    }
-                }
-                "cost" => {
-                    cost = match value {
-                        "free" => CostKind::Free,
-                        "sp2" => CostKind::Sp2,
-                        _ => return Err(bad("cost")),
-                    };
-                }
-                "seed" => seed = value.parse().map_err(|_| bad("seed"))?,
-                "prefix" => {
-                    if value != "-" {
-                        prefix = value
-                            .split(':')
-                            .map(|t| t.parse().map_err(|_| bad("prefix")))
-                            .collect::<Result<Vec<u32>, _>>()?;
-                    }
-                }
-                "expect_image" => {
-                    expect_image =
-                        Some(u64::from_str_radix(value, 16).map_err(|_| bad("expect_image"))?);
-                }
-                "expect_decisions" => {
-                    expect_decisions =
-                        Some(u64::from_str_radix(value, 16).map_err(|_| bad("expect_decisions"))?);
-                }
-                other => return Err(format!("unknown corpus key `{other}`")),
-            }
+            let slot = CORPUS_KEYS.iter().position(|&k| k == key);
+            values[slot.ok_or_else(|| format!("unknown corpus key `{key}`"))?] = Some(value);
         }
-        let p = p.ok_or("missing p")?;
-        Ok(CorpusEntry {
-            method: method.ok_or("missing method")?,
+        let get = |key: &str| values[CORPUS_KEYS.iter().position(|&k| k == key).unwrap()];
+        let need = |key: &str| get(key).ok_or_else(|| format!("missing {key}"));
+        let hex = |key: &str| {
+            let value = need(key)?;
+            u64::from_str_radix(value, 16).map_err(|_| format!("invalid {key} `{value}`"))
+        };
+        let p: usize = parse_value("p", need("p")?)?;
+        let depth = match get("depth") {
+            Some(value) => parse_list("depth", value)?,
+            None => (0..p).collect(),
+        };
+        let mut ranks = depth.clone();
+        ranks.sort_unstable();
+        if !ranks.into_iter().eq(0..p) {
+            return Err(format!("invalid depth: not an order of {p} ranks"));
+        }
+        let faults = get("faults").filter(|&v| v != "-");
+        let workload = need("workload")?;
+        let case = ConformanceCase {
+            method: parse_value("method", need("method")?)?,
             p,
-            width: width.ok_or("missing w")?,
-            height: height.ok_or("missing h")?,
-            workload: workload.ok_or("missing workload")?,
-            depth: depth.unwrap_or_else(|| (0..p).collect()),
-            reliable,
-            faults,
-            cost,
-            seed,
-            prefix,
-            expect_image: expect_image.ok_or("missing expect_image")?,
-            expect_decisions: expect_decisions.ok_or("missing expect_decisions")?,
+            width: parse_value("w", need("w")?)?,
+            height: parse_value("h", need("h")?)?,
+            workload: Workload::all()
+                .into_iter()
+                .find(|w| w.name() == workload)
+                .ok_or_else(|| format!("invalid workload `{workload}`"))?,
+            depth: DepthOrder::from_sequence(depth),
+            reliable: get("reliable") == Some("1"),
+            // Parsed here, so a corrupt line fails at parse time, not at
+            // replay time.
+            faults: faults
+                .map(|v| v.parse().map_err(|e| format!("invalid faults `{v}`: {e}")))
+                .transpose()?,
+            cost: match get("cost") {
+                None | Some("free") => CostKind::Free,
+                Some("sp2") => CostKind::Sp2,
+                Some(v) => return Err(format!("invalid cost `{v}`")),
+            },
+            schedule: Some(ScheduleSpec {
+                seed: get("seed").map_or(Ok(0), |v| parse_value("seed", v))?,
+                prefix: match get("prefix") {
+                    None | Some("-") => Vec::new(),
+                    Some(v) => parse_list("prefix", v)?,
+                },
+            }),
+        };
+        Ok(CorpusEntry {
+            case,
+            faults: faults.map(str::to_owned),
+            expect_image: hex("expect_image")?,
+            expect_decisions: hex("expect_decisions")?,
         })
     }
 }
@@ -805,22 +735,32 @@ mod tests {
 
     #[test]
     fn corpus_entry_round_trips() {
+        let spec = "drop=0.1,seed=9";
         let entry = CorpusEntry {
-            method: Method::Bslc,
-            p: 8,
-            width: 32,
-            height: 24,
-            workload: Workload::Sparse,
-            depth: vec![7, 3, 5, 1, 6, 2, 4, 0],
-            reliable: true,
-            faults: Some("drop=0.1,seed=9".to_owned()),
-            cost: CostKind::Sp2,
-            seed: 42,
-            prefix: vec![1, 0, 2],
+            case: ConformanceCase {
+                width: 32,
+                height: 24,
+                depth: DepthOrder::from_sequence(vec![7, 3, 5, 1, 6, 2, 4, 0]),
+                reliable: true,
+                faults: Some(spec.parse().unwrap()),
+                cost: CostKind::Sp2,
+                schedule: Some(ScheduleSpec {
+                    seed: 42,
+                    prefix: vec![1, 0, 2],
+                }),
+                ..ConformanceCase::new(Method::Bslc, 8, Workload::Sparse, 0)
+            },
+            faults: Some(spec.to_owned()),
             expect_image: 0xDEAD_BEEF_0BAD_F00D,
             expect_decisions: 0x0123_4567_89AB_CDEF,
         };
         let line = entry.to_string();
+        assert_eq!(
+            line,
+            "method=BSLC p=8 w=32 h=24 workload=sparse depth=7:3:5:1:6:2:4:0 reliable=1 \
+             faults=drop=0.1,seed=9 cost=sp2 seed=42 prefix=1:0:2 \
+             expect_image=deadbeef0badf00d expect_decisions=0123456789abcdef"
+        );
         let parsed: CorpusEntry = line.parse().unwrap();
         assert_eq!(parsed, entry);
     }
@@ -830,5 +770,8 @@ mod tests {
         assert!("method=BS p=2".parse::<CorpusEntry>().is_err());
         assert!("nonsense".parse::<CorpusEntry>().is_err());
         assert!(parse_corpus("# comment\n\nmethod=NOPE p=2").is_err());
+        let line = "method=BS p=2 w=4 h=4 workload=dense expect_image=0 expect_decisions=0";
+        assert!(line.parse::<CorpusEntry>().is_ok());
+        assert!(format!("{line} depth=0:0").parse::<CorpusEntry>().is_err());
     }
 }

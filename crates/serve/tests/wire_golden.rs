@@ -183,8 +183,8 @@ fn frame_response(source: ServeSource) -> FrameResponse {
 }
 
 /// A 6×4 frame that is mostly blank: blank margins on every side, a
-/// blank gap inside row 1, a `-0.0`-component pixel (blank by value,
-/// not by bits) and a NaN with a payload. Its codes are
+/// blank gap inside row 1, a `-0.0`-component pixel (non-blank: blank
+/// is bitwise `Pixel::BLANK`) and a NaN with a payload. Its codes are
 /// `[7, 2, 1, 1, 2, 1, 2, 1]`.
 fn sparse_frame_response() -> FrameResponse {
     let image = Image::from_fn(6, 4, |x, y| match (x, y) {

@@ -13,14 +13,14 @@
 
 use bytes::Bytes;
 
-use slsvr_core::composite;
+use slsvr_core::{composite, run_frame, RankFrame};
 use vr_comm::{broadcast, scatter};
 use vr_render::{render_clips, RenderAccel};
 use vr_volume::io::{decode_block, encode_block};
 use vr_volume::{Dataset, DepthOrder, MacrocellGrid, Subvolume};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{run_frame, Outcome, RankFrame};
+use crate::outcome::{collect, Outcome};
 use crate::scene::Scene;
 
 /// Tags for the pipeline's own phases (distinct from compositing tags).
@@ -46,7 +46,7 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
     let p = config.processors;
     let transfer = config.dataset.transfer();
 
-    let (outcome, extras) = run_frame(config, |ep| {
+    let run = run_frame(p, config.group_options(), |ep| {
         // ---- Phase 1: partitioning --------------------------------
         // Rank 0 builds the dataset, partitions it as `Scene` does and
         // scatters the encoded blocks; everyone receives theirs. The
@@ -134,6 +134,7 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
         let frame = RankFrame::finish(ep, &image, composited);
         (frame, (render_seconds, partition_bytes))
     });
+    let (outcome, extras) = collect(config, run);
 
     Outcome {
         partition_bytes: extras.iter().map(|&(_, bytes)| bytes).sum(),

@@ -2,22 +2,22 @@
 
 use std::sync::Arc;
 
-use slsvr_core::{composite, reference_composite, Method};
+use slsvr_core::{composite_frame, reference_composite, Method};
 use vr_image::Image;
 use vr_render::{resolve_threads, RenderPool};
 use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{run_frame, Outcome, RankFrame, WorkingFrame};
+use crate::outcome::{collect, Outcome};
 use crate::scene::Scene;
 
 /// A prepared workload: a [`Scene`] with every rank's subimage rendered.
 /// Rendering happens **once**; each compositing method then runs on
 /// working copies of the same subimages — exactly how the paper
-/// isolates the compositing phase. A working copy is a leased frame
-/// reset to the subimage (`WorkingFrame::copy_of`), bit for bit what
-/// `Image::clone` would build, at the cost of the subimage's rectangle
-/// rather than of the frame.
+/// isolates the compositing phase. The runner
+/// ([`composite_frame`]) leases each working copy and resets it to the
+/// subimage, bit for bit what `Image::clone` would build, at the cost
+/// of the subimage's rectangle rather than of the frame.
 pub struct Experiment {
     config: ExperimentConfig,
     depth: DepthOrder,
@@ -107,34 +107,17 @@ impl Experiment {
     /// and its image region stays blank; the outcome reports the dead
     /// rank set, the gather holes and the residual coverage.
     pub fn run(&self, method: Method) -> Outcome {
-        let (outcome, _) = run_frame(&self.config, |ep| {
-            let mut img = WorkingFrame::copy_of(&self.subimages[ep.rank()]);
-            let composited = composite(method, ep, &mut img, &self.depth);
-            (RankFrame::finish(ep, &img, composited), ())
-        });
+        let run = composite_frame(
+            method,
+            &self.subimages,
+            &self.depth,
+            self.config.group_options(),
+        );
+        let (outcome, _) = collect(&self.config, run);
         Outcome {
             render_seconds: self.render_seconds.clone(),
             ..outcome
         }
-    }
-
-    /// The sequential reference composite over the *surviving* ranks
-    /// only — what a degraded run should converge to for pair-exchange
-    /// methods (dead contributions become transparent).
-    pub fn survivor_reference(&self, dead_ranks: &[usize]) -> Image {
-        let masked: Vec<Image> = self
-            .subimages
-            .iter()
-            .enumerate()
-            .map(|(rank, img)| {
-                if dead_ranks.contains(&rank) {
-                    Image::blank(img.width(), img.height())
-                } else {
-                    img.clone()
-                }
-            })
-            .collect();
-        reference_composite(&masked, &self.depth)
     }
 
     /// The sequential reference composite of the prepared subimages.

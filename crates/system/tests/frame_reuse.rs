@@ -184,7 +184,8 @@ fn pool_free(exp: &Experiment, config: &ExperimentConfig, method: Method) -> Obs
     Observed::new(&image, per_rank, run.stats, run.dead_ranks)
 }
 
-/// Runs `frame`; a rank body that unwinds must do so with the typed
+/// Runs `frame`; a frame that unwinds (a rank body's panic, or the
+/// pipeline re-raising a rank's failure) must do so with the typed
 /// error as its payload.
 fn or_unwound(frame: impl FnOnce() -> Observed) -> Result<Observed, CompositeError> {
     catch_unwind(AssertUnwindSafe(frame)).map_err(|payload| {
@@ -200,7 +201,7 @@ enum Fault {
     /// `kill=RANK@2`: the rank dies two operations in.
     Kill(usize),
     /// `corrupt=0.9,seed=N` on the raw transport: a damaged header
-    /// unwinds the rank body, a damaged pixel goes through.
+    /// fails the frame, a damaged pixel goes through.
     Corrupt(u64),
 }
 

@@ -27,6 +27,25 @@ use slsvr::volume::{DatasetKind, DepthOrder};
 mod support;
 use support::gather_exact;
 
+/// The sequential reference composite over the *surviving* ranks only
+/// — what a degraded run should converge to for pair-exchange methods
+/// (dead contributions become transparent).
+fn survivor_reference(exp: &Experiment, dead_ranks: &[usize]) -> Image {
+    let masked: Vec<Image> = exp
+        .subimages()
+        .iter()
+        .enumerate()
+        .map(|(rank, img)| {
+            if dead_ranks.contains(&rank) {
+                Image::blank(img.width(), img.height())
+            } else {
+                img.clone()
+            }
+        })
+        .collect();
+    reference_composite(&masked, exp.depth())
+}
+
 /// Deterministic sparse test images (stripes + a per-rank blob).
 fn test_images(p: usize, w: u16, h: u16) -> Vec<Image> {
     (0..p)
@@ -232,7 +251,7 @@ fn killed_rank_degrades_without_stalling_any_method() {
         // The degraded image never invents content: PSNR vs the
         // survivor reference is well defined (no NaNs, not zero image
         // unless rank 0 itself assembled nothing).
-        let psnr = out.psnr_vs(&exp.survivor_reference(&out.dead_ranks));
+        let psnr = out.psnr_vs(&survivor_reference(&exp, &out.dead_ranks));
         assert!(psnr > 0.0, "{method:?}: PSNR {psnr}");
     }
     // Eleven methods, each with a kill: far under one deadline each,
@@ -276,7 +295,7 @@ fn killed_partner_leaves_survivor_half_exact() {
         "coverage {}",
         out.coverage
     );
-    let survivors = exp.survivor_reference(&[1]);
+    let survivors = survivor_reference(&exp, &[1]);
     // Every covered pixel matches the survivor reference; the dead
     // half stays blank.
     let mut covered = 0usize;
@@ -414,7 +433,7 @@ fn killed_tile_producer_leaves_holes_only_at_its_tiles_and_never_hangs() {
         let out = exp.run(Method::TileStream);
         assert_eq!(out.dead_ranks, vec![victim], "after_ops={after_ops}");
         assert!(out.is_degraded());
-        let survivor = exp.survivor_reference(&[victim]);
+        let survivor = survivor_reference(&exp, &[victim]);
         // Per-tile trichotomy: a tile's pixels equal the full reference
         // (victim's runs arrived), the survivor reference (hole at the
         // victim's contribution), or stay blank (the victim owned the

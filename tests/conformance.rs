@@ -25,8 +25,8 @@ use slsvr::compositing::conformance::{
     CostKind, Workload,
 };
 use slsvr::compositing::{
-    composite, virtual_completion, CompCost, CompositeResult, Method, MethodStats, OwnedPiece,
-    StageStat,
+    composite, virtual_completion, CompCost, CompositeError, CompositeResult, Method, MethodStats,
+    OwnedPiece, StageStat,
 };
 use slsvr::image::checksum::fnv1a;
 use slsvr::system::{CompTiming, Experiment, ExperimentConfig, Outcome, RenderPool};
@@ -1068,8 +1068,9 @@ fn late_kill_case(reliable: bool) -> ConformanceCase {
 }
 
 /// The tolerant gather skips the dead rank's stale stage message: raw
-/// and reliable delivery lose the same piece, in `run_case` and in the
-/// system's `collect`.
+/// and reliable delivery lose the same piece, in `run_case` and through
+/// `Experiment::run`, which both run the one frame runner
+/// (`slsvr_core::runner`) and differ only in what they report.
 #[test]
 fn late_kill_loses_one_piece_on_the_raw_wire_as_on_the_reliable_one() {
     let mut outcomes = Vec::new();
@@ -1195,6 +1196,46 @@ fn transport_cases_through_the_pipeline_are_pinned() {
     }
     let got = fnv_words(words);
     assert_eq!(got, GOLDEN, "pipeline frames moved: 0x{got:016x}");
+}
+
+/// A reliable BSBRC frame at P = 4 whose drops (60 %, past what the
+/// eight retransmissions can heal) leave rank 2 waiting out its receive
+/// deadline in a stage: a `Comm` failure, not a kill.
+fn failing_rank_case() -> ConformanceCase {
+    ConformanceCase {
+        reliable: true,
+        cost: CostKind::Sp2,
+        faults: Some("drop=0.6,seed=39".parse().expect("valid fault spec")),
+        ..ConformanceCase::new(Method::Bsbrc, 4, Workload::Sparse, 7)
+    }
+}
+
+/// A rank's failure is data in the runner's result. `run_case` reports
+/// the rank's typed error; the rank closes at once rather than lingering
+/// on its reliable links, so the root's gather finds it gone and
+/// assembles every other piece. Through `Experiment::run` the same
+/// frame re-raises that error as its typed panic payload.
+#[test]
+fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
+    let case = failing_rank_case();
+    let out = run_case(&case);
+    let [(rank, error)] = &out.failures[..] else {
+        panic!("one failed rank expected, got {:?}", out.failures);
+    };
+    assert_eq!(*rank, 2);
+    assert!(matches!(error, CompositeError::Comm { .. }), "{error}");
+    assert!(out.dead_ranks.is_empty());
+    assert!(out.image.is_some(), "the root assembles the other pieces");
+    assert_eq!(out.missing_ranks, vec![2]);
+    assert!(out.coverage > 0.0 && out.coverage < 1.0, "{}", out.coverage);
+
+    let payload = std::panic::catch_unwind(|| pipeline_frame(&case))
+        .err()
+        .expect("the pipeline re-raises the failure");
+    let raised = payload
+        .downcast::<CompositeError>()
+        .expect("a typed CompositeError payload");
+    assert_eq!(raised.to_string(), error.to_string());
 }
 
 fn corpus_dir() -> std::path::PathBuf {
