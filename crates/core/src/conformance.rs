@@ -192,7 +192,7 @@ impl ConformanceCase {
     }
 
     /// The group options this case runs under.
-    pub fn group_options(&self) -> GroupOptions {
+    fn group_options(&self) -> GroupOptions {
         GroupOptions {
             cost: self.cost.model(),
             faults: self.faults,
