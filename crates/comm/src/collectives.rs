@@ -78,9 +78,10 @@ pub fn gather_tolerant(
     } else {
         match ep.send(root, tag, payload) {
             Ok(()) => Ok(None),
-            // A dead root cannot collect; nothing for this rank to do.
+            // A dead root cannot collect, and a closed link to it has
+            // already told it this piece is lost; nothing left to do.
             Err(SendError {
-                kind: SendErrorKind::Disconnected | SendErrorKind::RetryBudgetExhausted { .. },
+                kind: SendErrorKind::Disconnected,
                 ..
             }) => Ok(None),
             Err(e) => Err(e.into()),

@@ -104,14 +104,9 @@ pub struct SendError {
 /// Why a send failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendErrorKind {
-    /// The destination's endpoint was dropped (it exited or died).
+    /// The destination's endpoint was dropped (it exited or died), or a
+    /// reliable send to it gave up and closed the link.
     Disconnected,
-    /// Reliable delivery gave up after exhausting its retransmissions
-    /// without an acknowledgement.
-    RetryBudgetExhausted {
-        /// Total transmissions attempted (initial send + retries).
-        attempts: u32,
-    },
     /// This rank itself was killed by fault injection; nothing was sent.
     Killed,
 }
@@ -120,13 +115,8 @@ impl std::fmt::Display for SendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
             SendErrorKind::Disconnected => {
-                write!(f, "rank {} mailbox closed (peer exited early)", self.to)
+                write!(f, "link to rank {} closed", self.to)
             }
-            SendErrorKind::RetryBudgetExhausted { attempts } => write!(
-                f,
-                "no ack from rank {} after {attempts} transmissions (retry budget exhausted)",
-                self.to
-            ),
             SendErrorKind::Killed => {
                 write!(f, "send to rank {} aborted: this rank was killed", self.to)
             }
@@ -180,17 +170,6 @@ impl CommError {
                 ..
             }) | CommError::Recv(RecvError::Killed { .. })
         )
-    }
-
-    /// The peer rank involved, when the error names one.
-    pub fn peer(&self) -> Option<usize> {
-        match self {
-            CommError::Send(e) => Some(e.to),
-            CommError::Recv(RecvError::Timeout { from, .. })
-            | CommError::Recv(RecvError::TagMismatch { from, .. })
-            | CommError::Recv(RecvError::Disconnected { from }) => Some(*from),
-            CommError::Recv(RecvError::Killed { .. }) => None,
-        }
     }
 }
 
@@ -324,9 +303,11 @@ impl Endpoint {
     /// Sends `payload` to `dst` with `tag`.
     ///
     /// In raw mode this never blocks; in reliable mode it blocks until
-    /// the frame is acknowledged (retransmitting on timeout) and fails
-    /// with [`SendErrorKind::RetryBudgetExhausted`] when the peer stays
-    /// silent through the whole retry budget.
+    /// the frame is acknowledged (retransmitting on timeout). A send that
+    /// gives up — the peer gone, or silent through the whole retry
+    /// budget — closes the link and fails with
+    /// [`SendErrorKind::Disconnected`]; the peer, once it has taken what
+    /// arrived, sees this rank disconnected.
     pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), SendError> {
         assert!(
             dst < self.size,
@@ -342,7 +323,7 @@ impl Endpoint {
         self.stats.on_send(payload.len());
         let msg = Message { tag, payload };
         self.links
-            .send(&self.net, &mut self.stats, dst, msg)
+            .send(&mut self.net, &mut self.stats, dst, msg)
             .map_err(|kind| SendError { to: dst, kind })
     }
 
@@ -398,9 +379,13 @@ impl Endpoint {
         if !self.consume_op() {
             return Err(RecvError::Killed { rank: self.rank });
         }
-        let (src, msg) =
-            self.links
-                .recv_any(&self.net, &mut self.stats, await_from, self.recv_deadline)?;
+        let (src, msg) = self.links.recv_any(
+            &self.net,
+            &mut self.stats,
+            |src| await_from[src],
+            None,
+            self.recv_deadline,
+        )?;
         let (payload, charged) = self.deliver(src, tag, msg)?;
         Ok((src, payload, charged))
     }
@@ -701,7 +686,7 @@ mod tests {
     fn silent_peer_exhausts_retry_budget() {
         // Every data frame from 0 to 1 is dropped; rank 1 stays alive
         // (pumping inside its own recv) but never sees anything, so the
-        // sender burns its whole retry budget.
+        // sender burns its whole retry budget and the link closes.
         let faults = FaultConfig {
             drop: 1.0,
             ..Default::default()
@@ -721,24 +706,20 @@ mod tests {
         };
         let out = run_group_with(2, options, |ep| {
             if ep.rank() == 0 {
-                match ep.send(1, 0, Bytes::from_static(b"lost")) {
-                    Err(SendError {
-                        kind: SendErrorKind::RetryBudgetExhausted { attempts },
-                        ..
-                    }) => attempts as usize,
-                    other => panic!("expected retry exhaustion, got {other:?}"),
-                }
+                ep.send(1, 0, Bytes::from_static(b"lost")).err()
             } else {
-                // The sender gives up long before our deadline and
-                // exits, so we observe either its disconnect or (rarely,
-                // under scheduler delay) our own timeout.
-                match ep.recv(0, 0) {
-                    Err(RecvError::Timeout { .. } | RecvError::Disconnected { .. }) => usize::MAX,
-                    other => panic!("expected timeout/disconnect, got {other:?}"),
-                }
+                // The link closes long before our deadline: rank 1 sees
+                // a hang-up, never a timeout.
+                assert_eq!(ep.recv(0, 0), Err(RecvError::Disconnected { from: 0 }));
+                None
             }
         });
-        assert_eq!(out.results[0], 4, "initial send + 3 retries");
+        let closed = SendError {
+            to: 1,
+            kind: SendErrorKind::Disconnected,
+        };
+        assert_eq!(out.results[0], Some(closed));
+        // Initial send + 3 retries.
         assert_eq!(out.stats[0].retransmits, 3);
         assert_eq!(out.stats[0].ack_timeouts, 4);
     }

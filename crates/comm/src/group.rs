@@ -75,13 +75,6 @@ pub struct GroupRun<R> {
     pub schedule: Option<ScheduleTrace>,
 }
 
-impl<R> GroupRun<R> {
-    /// True when fault injection killed at least one rank.
-    pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty()
-    }
-}
-
 /// Runs `f` on `size` simulated processors and collects results.
 ///
 /// Every rank has a private [`Endpoint`] and shares nothing else with
@@ -392,7 +385,6 @@ mod tests {
         assert_eq!(out.results, vec![1]);
         assert_eq!(out.stats.len(), 1);
         assert!(out.dead_ranks.is_empty());
-        assert!(!out.is_degraded());
     }
 
     #[test]

@@ -8,21 +8,23 @@
 //!   receive is one blocking receive on that source.
 //! * **Reliable**: every message is wrapped in a sequence-numbered,
 //!   CRC-protected frame and delivered by stop-and-wait: the sender
-//!   retransmits on ack timeout with bounded exponential backoff until
-//!   the retry budget is exhausted; the receiver CRC-checks,
-//!   deduplicates by sequence number and acks every accepted or
-//!   duplicate frame. Every wait pumps *all* incoming links, so acks and
-//!   frames of other conversations keep moving — what makes ring and
-//!   exchange schedules deadlock-free under ARQ.
+//!   retransmits on ack timeout with bounded exponential backoff. A send
+//!   that gives up — its retry budget spent, or the peer gone — closes
+//!   its link (`Transport::close_link`), so both ends see `Disconnected`,
+//!   as for a dead peer. The receiver CRC-checks, deduplicates by
+//!   sequence number and acks every accepted or duplicate frame. Every
+//!   wait pumps *all* incoming links, so acks and frames of other
+//!   conversations keep moving — what makes ring and exchange schedules
+//!   deadlock-free under ARQ.
 //!
-//! Each wait loop here (`Links`' `await_ack`, `recv_reliable`,
-//! `recv_any`, `linger_until_group_done`) is written once, against the
-//! transport's clock, `drain` and `wait_any`; none of them knows whether
-//! time is real or virtual. The byte layout and integrity check live in
-//! the shared codec ([`crate::frame`]); this module pins down the
-//! reliable link's closed kind set ([`FRAME_DATA`] / [`FRAME_ACK`]) and
-//! the retry policy. Acks carry the sequence number they acknowledge and
-//! an empty payload.
+//! Each wait loop here (`Links`' `await_ack`, `recv_any` — which a
+//! reliable `recv` runs too — and `linger_until_group_done`) is written
+//! once, against the transport's clock, `drain` and `wait_any`; none of
+//! them knows whether time is real or virtual. The byte layout and
+//! integrity check live in the shared codec ([`crate::frame`]); this
+//! module pins down the reliable link's closed kind set ([`FRAME_DATA`]
+//! / [`FRAME_ACK`]) and the retry policy. Acks carry the sequence number
+//! they acknowledge and an empty payload.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -65,10 +67,10 @@ pub struct ReliabilityConfig {
     pub enabled: bool,
     /// How long the sender waits for an ack before the first retransmit.
     pub ack_timeout: Duration,
-    /// Retransmissions attempted before giving up on the peer
-    /// ([`SendErrorKind::RetryBudgetExhausted`]).
+    /// Retransmissions attempted before the link to the peer closes and
+    /// the send fails with [`SendErrorKind::Disconnected`].
     ///
-    /// [`SendErrorKind::RetryBudgetExhausted`]: crate::SendErrorKind::RetryBudgetExhausted
+    /// [`SendErrorKind::Disconnected`]: crate::SendErrorKind::Disconnected
     pub max_retries: u32,
     /// Multiplier applied to the ack timeout after each failed attempt.
     pub backoff: f64,
@@ -176,7 +178,7 @@ impl Links {
     /// Reliable: blocks until the frame is acknowledged.
     pub(crate) fn send(
         &mut self,
-        net: &Transport,
+        net: &mut Transport,
         stats: &mut TrafficStats,
         dst: usize,
         msg: Message,
@@ -207,10 +209,10 @@ impl Links {
     }
 
     /// Stop-and-wait reliable send: frame, transmit, await ack, retry
-    /// with exponential backoff.
+    /// with exponential backoff. A send that gives up closes the link.
     fn send_reliable(
         &mut self,
-        net: &Transport,
+        net: &mut Transport,
         stats: &mut TrafficStats,
         dst: usize,
         msg: Message,
@@ -232,21 +234,25 @@ impl Links {
                 .transmit(net, dst, frame.clone(), StreamClass::Data, key)
                 .is_err()
             {
-                return Err(SendErrorKind::Disconnected);
+                break;
             }
             match self.await_ack(net, stats, dst, seq, attempt) {
                 AckWait::Acked => return Ok(()),
-                // The wire is drained and the peer is gone: the ack can
-                // never arrive.
-                AckWait::PeerClosed => return Err(SendErrorKind::Disconnected),
+                // The peer has hung up: the ack can never arrive.
+                AckWait::PeerClosed => break,
                 AckWait::TimedOut => {}
             }
             stats.ack_timeouts += 1;
             attempt += 1;
             if attempt > self.config.max_retries {
-                return Err(SendErrorKind::RetryBudgetExhausted { attempts: attempt });
+                break;
             }
         }
+        // Given up — the peer is gone or has hung up, or the retry
+        // budget ran out. The link closes, so a live peer learns it as
+        // it would learn of this rank's death, not at its own deadline.
+        net.close_link(dst);
+        Err(SendErrorKind::Disconnected)
     }
 
     /// Waits for an ack of `seq` from `dst` through one retry window,
@@ -363,13 +369,15 @@ impl Links {
         src: usize,
         wait: Duration,
     ) -> Result<Message, RecvError> {
-        // An earlier pump (a `recv_any`, or an ack wait) may already have
-        // taken this source's messages off the wire.
+        if self.config.enabled {
+            let only_src = |s| s == src;
+            let got = self.recv_any(net, stats, only_src, Some(src), wait);
+            return got.map(|(_, msg)| msg);
+        }
+        // An earlier pump (a `recv_any`) may already have taken this
+        // source's messages off the wire.
         if let Some(msg) = self.peers[src].pending.pop_front() {
             return Ok(msg);
-        }
-        if self.config.enabled {
-            return self.recv_reliable(net, stats, src, wait);
         }
         // Raw: park on this one source — a single blocking receive, no
         // sweep of the other links.
@@ -382,76 +390,45 @@ impl Links {
         })
     }
 
-    /// Reliable-mode receive: waits on this link's queue, pumping all
-    /// links meanwhile.
-    fn recv_reliable(
-        &mut self,
-        net: &Transport,
-        stats: &mut TrafficStats,
-        src: usize,
-        wait: Duration,
-    ) -> Result<Message, RecvError> {
-        let deadline = net.now() + wait.as_secs_f64();
-        loop {
-            self.pump(net, stats);
-            if let Some(msg) = self.peers[src].pending.pop_front() {
-                return Ok(msg);
-            }
-            if self.peers[src].peer_closed {
-                return Err(RecvError::Disconnected { from: src });
-            }
-            if net.now() >= deadline {
-                return Err(RecvError::Timeout {
-                    from: src,
-                    waited: wait,
-                });
-            }
-            net.wait_any(Some(src), deadline);
-        }
-    }
-
-    /// The next message from any source whose `await_from` slot is true
-    /// (lowest rank first among those with one queued; arrival order
-    /// within a source). Messages from other sources stay queued for
-    /// later receives. An awaited peer that closed with nothing queued
+    /// The next message from any source `awaited` accepts (lowest rank
+    /// first among those with one queued; arrival order within a
+    /// source), pumping every link meanwhile; the wait also wakes when
+    /// `watch` hangs up. Messages from other sources stay queued for
+    /// later receives. An awaited peer that hung up with nothing queued
     /// is reported only when no awaited source has a message.
     pub(crate) fn recv_any(
         &mut self,
         net: &Transport,
         stats: &mut TrafficStats,
-        await_from: &[bool],
+        awaited: impl Fn(usize) -> bool,
+        watch: Option<usize>,
         wait: Duration,
     ) -> Result<(usize, Message), RecvError> {
-        if let Some(found) = self.pop_any_pending(await_from) {
+        if let Some(found) = self.pop_any_pending(&awaited) {
             return Ok(found);
         }
         let deadline = net.now() + wait.as_secs_f64();
         loop {
             self.pump(net, stats);
-            if let Some(found) = self.pop_any_pending(await_from) {
+            if let Some(found) = self.pop_any_pending(&awaited) {
                 return Ok(found);
             }
-            let closed = |src: &usize| await_from[*src] && self.peers[*src].peer_closed;
+            let closed = |src: &usize| awaited(*src) && self.peers[*src].peer_closed;
             if let Some(from) = (0..self.peers.len()).find(closed) {
                 return Err(RecvError::Disconnected { from });
             }
             if net.now() >= deadline {
-                let from = await_from.iter().position(|&w| w).unwrap_or(0);
+                let from = (0..self.peers.len()).find(|&src| awaited(src)).unwrap_or(0);
                 return Err(RecvError::Timeout { from, waited: wait });
             }
-            net.wait_any(None, deadline);
+            net.wait_any(watch, deadline);
         }
     }
 
-    fn pop_any_pending(&mut self, await_from: &[bool]) -> Option<(usize, Message)> {
-        for (src, (peer, &wanted)) in self.peers.iter_mut().zip(await_from).enumerate() {
-            if wanted {
-                if let Some(msg) = peer.pending.pop_front() {
-                    return Some((src, msg));
-                }
-            }
-        }
-        None
+    fn pop_any_pending(&mut self, awaited: &impl Fn(usize) -> bool) -> Option<(usize, Message)> {
+        let src =
+            (0..self.peers.len()).find(|&s| awaited(s) && !self.peers[s].pending.is_empty())?;
+        Some((src, self.peers[src].pending.pop_front()?))
     }
 
     /// Keeps the link layer responsive after this rank's work is done:

@@ -76,11 +76,21 @@ impl Transport {
     /// latency the message carries under virtual time (a fault `delay`,
     /// see [`Transport::hold`]); real channels ignore it, because the
     /// stall already happened in real time. `Err` means `dst` has
-    /// closed.
+    /// closed, or this rank closed its link to `dst`.
     pub(crate) fn send(&self, dst: usize, msg: Message, extra_secs: f64) -> Result<(), ()> {
         match self {
             Transport::Channels(ch) => ch.to[dst].send(msg).map_err(|_| ()),
             Transport::Sim { net, rank } => net.send(*rank, dst, msg, extra_secs),
+        }
+    }
+
+    /// Closes this rank's link to `dst` for good: `dst` takes what
+    /// arrived, then sees this rank disconnected, and later sends on it
+    /// fail (a real channel's sender is swapped for one with no receiver).
+    pub(crate) fn close_link(&mut self, dst: usize) {
+        match self {
+            Transport::Channels(ch) => ch.to[dst] = channel().0,
+            Transport::Sim { net, rank } => net.close_link(*rank, dst),
         }
     }
 

@@ -152,17 +152,6 @@ pub enum VRecvError {
     Disconnected,
 }
 
-/// Outcome of [`SimNet::wait_any`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// At least one frame is waiting in some inbox.
-    Frames,
-    /// The virtual deadline passed first.
-    Timeout,
-    /// The watched peer closed with nothing in flight from it.
-    PeerClosed,
-}
-
 /// Outcome of [`SimNet::linger`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum LingerOutcome {
@@ -199,6 +188,10 @@ struct SimState {
     /// Rank's endpoint has been dropped since the last quiescent point;
     /// the others see it at the next one (see [`SimNet::close_rank`]).
     closing: Vec<bool>,
+    /// `link_closed[src][dst]`: `src` closed its link to `dst`, as `dst`
+    /// sees it; `link_closing` holds the closes not yet published.
+    link_closed: Vec<Vec<bool>>,
+    link_closing: Vec<(usize, usize)>,
     /// Ranks whose group closure has returned.
     finished: usize,
     spec: ScheduleSpec,
@@ -238,6 +231,8 @@ impl SimNet {
                 fired: vec![false; size],
                 closed: vec![false; size],
                 closing: vec![false; size],
+                link_closed: vec![vec![false; size]; size],
+                link_closing: Vec::new(),
                 finished: 0,
                 spec,
                 choices_taken: 0,
@@ -263,13 +258,13 @@ impl SimNet {
     /// Queues one message on the `src → dst` link. Non-blocking (sends
     /// are buffered, as in raw channel mode). `extra_delay` is
     /// additional virtual latency (fault injection). `Err` means the
-    /// destination endpoint is already closed.
+    /// destination endpoint is already closed, or this link is.
     // Unit error mirrors the raw channel-send convention in `Endpoint`;
     // "peer closed" is the only failure and carries no extra detail.
     #[allow(clippy::result_unit_err)]
     pub fn send(&self, src: usize, dst: usize, msg: Message, extra_delay: f64) -> Result<(), ()> {
         let mut st = self.lock();
-        if st.closed[dst] {
+        if st.closed[dst] || st.link_closed[src][dst] || st.link_closing.contains(&(src, dst)) {
             return Err(());
         }
         let latency = self.cost.message_seconds(msg.payload.len()) + extra_delay;
@@ -294,7 +289,7 @@ impl SimNet {
             if st.fired[rank] {
                 return Some(Err(VRecvError::Timeout));
             }
-            if st.closed[src] && st.queues[src][rank].is_empty() {
+            if Self::hung_up(st, src, rank) {
                 return Some(Err(VRecvError::Disconnected));
             }
             None
@@ -303,9 +298,9 @@ impl SimNet {
 
     /// Drains every delivered message for `rank` (all sources, FIFO per
     /// source, sources in ascending order), advancing the rank's clock
-    /// to the latest arrival. The second return lists sources that are
-    /// closed with nothing left in flight — the virtual analogue of a
-    /// drained, disconnected channel.
+    /// to the latest arrival. The second return flags each source that
+    /// hung up on `rank` (it, or its link to `rank`, closed and nothing
+    /// is left in flight): a drained, disconnected channel's analogue.
     pub fn drain(&self, rank: usize) -> (Vec<(usize, Message)>, Vec<bool>) {
         let mut st = self.lock();
         let mut msgs = Vec::new();
@@ -318,34 +313,18 @@ impl SimNet {
         }
         st.clock[rank] = t;
         let dead = (0..st.size)
-            .map(|src| {
-                st.closed[src] && st.queues[src][rank].is_empty() && st.inbox[rank][src].is_empty()
-            })
+            .map(|src| Self::hung_up(&st, src, rank))
             .collect();
         (msgs, dead)
     }
 
     /// Parks until any frame arrives for `rank`, the absolute virtual
-    /// `deadline` passes, or the watched peer's link goes dead.
-    pub fn wait_any(
-        &self,
-        rank: usize,
-        watch: Option<usize>,
-        deadline: Option<f64>,
-    ) -> WaitOutcome {
+    /// `deadline` passes, or the watched peer hangs up on `rank`.
+    pub fn wait_any(&self, rank: usize, watch: Option<usize>, deadline: Option<f64>) {
         self.park(rank, Waiter::AnyFrame { watch, deadline }, move |st| {
-            if (0..st.size).any(|src| !st.inbox[rank][src].is_empty()) {
-                return Some(WaitOutcome::Frames);
-            }
-            if st.fired[rank] {
-                return Some(WaitOutcome::Timeout);
-            }
-            if let Some(w) = watch {
-                if st.closed[w] && st.queues[w][rank].is_empty() && st.inbox[rank][w].is_empty() {
-                    return Some(WaitOutcome::PeerClosed);
-                }
-            }
-            None
+            let frames = (0..st.size).any(|src| !st.inbox[rank][src].is_empty());
+            let hung_up = watch.is_some_and(|w| Self::hung_up(st, w, rank));
+            (frames || st.fired[rank] || hung_up).then_some(())
         })
     }
 
@@ -393,6 +372,21 @@ impl SimNet {
         }
         drop(st);
         self.cv.notify_all();
+    }
+
+    /// Closes the link `src → dst` for good: `src`'s later sends on it
+    /// fail, and from the next quiescent point (as with `close_rank`)
+    /// `dst` takes what `src` already sent and then sees it hung up.
+    pub fn close_link(&self, src: usize, dst: usize) {
+        self.lock().link_closing.push((src, dst));
+    }
+
+    /// Whether `src` has hung up on `dst`: it closed, or closed its link
+    /// to `dst`, and nothing it sent is left in flight or unread.
+    fn hung_up(st: &SimState, src: usize, dst: usize) -> bool {
+        (st.closed[src] || st.link_closed[src][dst])
+            && st.queues[src][dst].is_empty()
+            && st.inbox[dst][src].is_empty()
     }
 
     /// Extracts the finished trace (final virtual clock included).
@@ -456,18 +450,12 @@ impl SimNet {
         match st.waiters[rank] {
             Waiter::Running | Waiter::Done => false,
             Waiter::RecvFrom { src, .. } => {
-                !st.inbox[rank][src].is_empty()
-                    || st.fired[rank]
-                    || (st.closed[src] && st.queues[src][rank].is_empty())
+                !st.inbox[rank][src].is_empty() || st.fired[rank] || Self::hung_up(st, src, rank)
             }
             Waiter::AnyFrame { watch, .. } => {
                 (0..st.size).any(|src| !st.inbox[rank][src].is_empty())
                     || st.fired[rank]
-                    || watch.is_some_and(|w| {
-                        st.closed[w]
-                            && st.queues[w][rank].is_empty()
-                            && st.inbox[rank][w].is_empty()
-                    })
+                    || watch.is_some_and(|w| Self::hung_up(st, w, rank))
             }
             Waiter::Linger => {
                 (0..st.size).any(|src| !st.inbox[rank][src].is_empty()) || st.finished >= st.size
@@ -476,7 +464,8 @@ impl SimNet {
     }
 
     /// The discrete-event loop, entered only at quiescence (`running ==
-    /// 0`): publishes the closes made since the last quiescent point,
+    /// 0`): publishes the rank and link closes made since the last
+    /// quiescent point,
     /// then fires events in virtual-time order — the seeded controller
     /// breaking same-instant ties — until some parked rank can wake.
     fn schedule(st: &mut SimState) {
@@ -488,6 +477,9 @@ impl SimNet {
                     st.inbox[rank][src].clear();
                 }
             }
+        }
+        for (src, dst) in std::mem::take(&mut st.link_closing) {
+            st.link_closed[src][dst] = true;
         }
         if st.failure.is_some() {
             return;

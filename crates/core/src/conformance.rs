@@ -225,6 +225,8 @@ pub struct ConformanceOutcome {
     pub missing_ranks: Vec<usize>,
     /// Ranks killed by fault injection.
     pub dead_ranks: Vec<usize>,
+    /// [`FrameRun::lost_partners`](crate::FrameRun::lost_partners).
+    pub lost_partners: Vec<Vec<usize>>,
     /// Ranks whose composite or gather failed with anything but
     /// `Killed`, each with its typed error, earliest first
     /// ([`FrameRun::failures`](crate::FrameRun::failures)).
@@ -262,6 +264,7 @@ pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
         coverage,
         missing_ranks,
         dead_ranks: run.dead_ranks,
+        lost_partners: run.lost_partners,
         failures: run.failures,
         per_rank: run.per_rank,
         traffic: run.traffic,

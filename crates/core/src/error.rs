@@ -1,9 +1,11 @@
 //! Degraded-mode error handling for compositing runs.
 //!
 //! Under fault injection a rank can die mid-schedule. The methods treat a
-//! *dead peer* as survivable: the survivor keeps its own partial image
-//! and the dead rank's contribution becomes a transparent hole in the
-//! final image (reported by the tolerant gather). Three conditions remain
+//! *dead peer* as survivable — and a reliable link that gave up is one:
+//! vr-comm closes it, so both ends see `Disconnected`. The survivor
+//! keeps its own partial image and the dead rank's contribution becomes
+//! a transparent hole in the final image (each rank's `dead_partners`,
+//! and the tolerant gather's missing pieces). Three conditions remain
 //! hard errors: *this* rank being killed (it must stop participating),
 //! protocol-level failures such as receive timeouts or tag mismatches,
 //! which indicate a broken schedule rather than a dead peer, and a
@@ -17,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use vr_comm::{CommError, Endpoint, RecvError, SendError, SendErrorKind, Tag};
+use vr_comm::{CommError, Endpoint, RecvError, SendErrorKind, Tag};
 
 /// Why a compositing run could not produce this rank's piece.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,9 +77,9 @@ impl Malformed {
 
 impl CompositeError {
     /// True when a retry with a fresh fault-seed could plausibly
-    /// succeed. `Comm` failures (timeouts, retry-budget exhaustion,
-    /// tag mismatches under fault storms) re-draw their fault decisions
-    /// on the next attempt, and so does the corruption behind a
+    /// succeed. `Comm` failures (timeouts and tag mismatches under
+    /// fault storms) re-draw their fault decisions on the next
+    /// attempt, and so does the corruption behind a
     /// `Malformed` payload; a `Killed` rank is structural — the kill
     /// spec fires deterministically regardless of seed, so retrying
     /// replays the same death.
@@ -114,9 +116,9 @@ impl std::error::Error for CompositeError {
 /// Sends `payload` to `peer`, tolerating a dead peer.
 ///
 /// Returns `Ok(true)` if the message was handed to the transport,
-/// `Ok(false)` if the peer is (or just turned out to be) dead — the
-/// caller should skip that peer's slot. Errors only when this rank
-/// itself was killed.
+/// `Ok(false)` if the peer is (or just turned out to be) dead, or the
+/// link to it gave up — the caller should skip that peer's slot. Errors
+/// only when this rank itself was killed.
 pub(crate) fn try_send(
     ep: &mut Endpoint,
     peer: usize,
@@ -129,13 +131,12 @@ pub(crate) fn try_send(
     }
     match ep.send(peer, tag, payload) {
         Ok(()) => Ok(true),
-        Err(SendError {
-            kind: SendErrorKind::Killed,
-            ..
-        }) => Err(CompositeError::Killed { rank: ep.rank() }),
-        Err(SendError { to, .. }) => {
-            // Disconnected or retry budget exhausted: the peer is gone.
-            dead.insert(to);
+        Err(e) if e.kind == SendErrorKind::Killed => {
+            Err(CompositeError::Killed { rank: ep.rank() })
+        }
+        // Disconnected: the peer is gone, or the link to it gave up.
+        Err(_) => {
+            dead.insert(peer);
             Ok(false)
         }
     }

@@ -128,17 +128,11 @@ pub struct CompositeResult {
     pub piece: OwnedPiece,
     /// Cost breakdown for this rank.
     pub stats: MethodStats,
-    /// Peers this rank found dead during the schedule (ascending). Empty
-    /// in a healthy run; non-empty means the owned piece may contain
-    /// transparent holes where the dead peers' pixels belonged.
+    /// Peers this rank found dead, or whose link to it gave up, during
+    /// the schedule (ascending). Empty in a healthy run; non-empty means
+    /// the owned piece may contain transparent holes where those peers'
+    /// pixels belonged.
     pub dead_partners: Vec<usize>,
-}
-
-impl CompositeResult {
-    /// True when at least one peer died mid-schedule.
-    pub fn is_degraded(&self) -> bool {
-        !self.dead_partners.is_empty()
-    }
 }
 
 /// Runs `method` over this rank's subimage. On return, the pixels of the

@@ -7,9 +7,9 @@
 //! A rank failure other than `Killed` is data, not a panic: the rank
 //! closes at once, as a panicking rank does, its typed error lands in
 //! [`FrameRun::failures`], and the root still assembles every other
-//! piece. The `W×H` frame a rank body composites in is leased, not
-//! allocated: `WorkingFrame` below is where such frames live between
-//! frames.
+//! piece; each rank's `dead_partners` land in [`FrameRun::lost_partners`].
+//! The `W×H` frame a rank body composites in is leased, not allocated:
+//! `WorkingFrame` below is where such frames live between frames.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -121,6 +121,8 @@ pub struct RankFrame {
     stats: Option<MethodStats>,
     /// The assembled frame; `Some` at a surviving gather root only.
     gathered: Option<GatheredImage>,
+    /// The composite's `dead_partners`.
+    lost_partners: Vec<usize>,
     /// The rank's clock and error when its composite or gather failed
     /// with anything but `Killed`.
     failure: Option<(f64, CompositeError)>,
@@ -139,6 +141,7 @@ impl RankFrame {
         let mut frame = RankFrame::default();
         let gathered = composited.and_then(|result| {
             frame.stats = Some(result.stats);
+            frame.lost_partners = result.dead_partners;
             gather_image_tolerant(ep, image, &result.piece, 0)
         });
         match gathered {
@@ -167,6 +170,9 @@ pub struct FrameRun<X> {
     pub traffic: Vec<TrafficStats>,
     /// Ranks killed by fault injection (ascending).
     pub dead_ranks: Vec<usize>,
+    /// Each rank's `dead_partners`: whose contribution it composited
+    /// without (empty if its composite never finished), by rank.
+    pub lost_partners: Vec<Vec<usize>>,
     /// Every rank whose composite or gather failed with anything but
     /// `Killed`, with its error: the earliest first on the transport's
     /// clock (virtual under a schedule seed), the lower rank on a tie —
@@ -186,10 +192,11 @@ pub fn run_frame<X: Send>(
 ) -> FrameRun<X> {
     let run = run_group_with(ranks, options, body);
     let (mut per_rank, mut extras, mut gathered) = (Vec::new(), Vec::new(), None);
-    let mut failures = Vec::new();
+    let (mut lost_partners, mut failures) = (Vec::new(), Vec::new());
     for (rank, (frame, extra)) in run.results.into_iter().enumerate() {
         per_rank.push(frame.stats);
         extras.push(extra);
+        lost_partners.push(frame.lost_partners);
         gathered = gathered.or(frame.gathered);
         failures.extend(frame.failure.map(|(at, error)| (at, rank, error)));
     }
@@ -200,6 +207,7 @@ pub fn run_frame<X: Send>(
         gathered,
         traffic: run.stats,
         dead_ranks: run.dead_ranks,
+        lost_partners,
         failures: failures.into_iter().map(|(_, r, e)| (r, e)).collect(),
         schedule: run.schedule,
     }

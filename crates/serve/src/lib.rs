@@ -35,11 +35,12 @@
 //!   under exactly the config its key digests, and a request's failures
 //!   are its own — no other request is refused for them.
 //! * **Bounded retries** — transient failures (receive timeouts,
-//!   reliable-delivery budget exhaustion) retry up to
+//!   malformed payloads) retry up to
 //!   [`ServeConfig::max_retries`] times, never past the job's deadline;
 //!   each retry re-salts the fault and schedule seeds so it re-draws the
 //!   faults instead of replaying them.
-//! * **Degraded-frame policy** — a frame with dead-rank holes is scored
+//! * **Degraded-frame policy** — a degraded frame (a dead rank, a missing
+//!   piece, or a partner lost to a dead rank or closed link) is scored
 //!   by PSNR against the fault-free reference composite and served
 //!   tagged [`ServeSource::Degraded`], retried, or rejected per the
 //!   configured floor ([`DegradedFramePolicy`]).

@@ -4,20 +4,21 @@
 //! machine is unit-testable without threads or rendering. The worker
 //! pool consults it between attempts:
 //!
-//! 1. A **clean** attempt (no dead ranks, full coverage) is served
-//!    immediately.
-//! 2. A **degraded** attempt (holes from dead ranks or lost pieces) is
-//!    scored by PSNR against the sequential reference composite of the
-//!    same prepared subimages. At or above
+//! 1. A **clean** attempt (no dead rank, missing piece or lost partner)
+//!    is served immediately.
+//! 2. A **degraded** attempt (holes from dead ranks, lost pieces, or
+//!    partners lost to a dead rank or a closed link) is scored by PSNR
+//!    against the sequential reference composite of the same prepared
+//!    subimages. At or above
 //!    [`DegradedFramePolicy::psnr_floor_db`] the frame is served tagged
 //!    [`ServeSource::Degraded`](crate::ServeSource::Degraded); below the
 //!    floor the service retries — with a fresh fault-seed salt, so the
 //!    retry re-draws transmission faults instead of replaying the
 //!    failure — until [`ServeConfig::max_retries`](crate::ServeConfig::max_retries)
 //!    or the request deadline runs out, then rejects explicitly.
-//! 3. A **crashed** attempt (the distributed run panicked: receive
-//!    timeout, retry-budget exhaustion) retries if the failure is
-//!    transient, else rejects immediately.
+//! 3. A **crashed** attempt (a rank failed: a receive timeout, a
+//!    malformed payload) retries if the failure is transient, else
+//!    rejects immediately.
 //!
 //! A retry starts as soon as the attempt before it ends. Every attempt
 //! runs a fresh rank group whose fault decisions are seeded hashes, so

@@ -119,8 +119,8 @@ pub enum ServeSource {
     /// Superseded by a newer same-session request; answered with that
     /// newer frame.
     Coalesced,
-    /// Rendered under faults with holes from dead ranks, served because
-    /// its quality cleared [`DegradedFramePolicy::psnr_floor_db`].
+    /// Degraded by faults (`Outcome::is_degraded`), served because its
+    /// quality cleared [`DegradedFramePolicy::psnr_floor_db`].
     /// Degraded frames are never cached.
     Degraded {
         /// PSNR (dB) against the fault-free reference composite.
@@ -511,9 +511,9 @@ struct Attempt {
     degraded: Option<(f64, f64)>,
 }
 
-/// Renders one attempt through the exact batch path, catching panics
-/// from the distributed run (receive timeouts, reliable-delivery budget
-/// exhaustion) so a fault storm can never kill the worker.
+/// Renders one attempt through the exact batch path, catching the typed
+/// failure a rank raises (a receive timeout, a malformed payload) so a
+/// fault storm can never kill the worker.
 fn run_attempt(
     cfg: &ExperimentConfig,
     dataset: &Arc<Dataset>,

@@ -174,6 +174,10 @@ fn faults_disabled_is_bit_identical_to_batch() {
     assert_eq!(stats.completed_degraded, 0);
 }
 
+/// A frame the faults degraded is served above the floor, tagged, and
+/// never cached — whether a killed rank left a hole, or a reliable link
+/// ran out of retries and closed, so that rank 0 composited without rank
+/// 1's half (`drop=0.5,seed=1`: coverage stays 1, the pixels do not).
 #[test]
 fn degraded_frame_is_served_above_floor_and_never_cached() {
     let floor = 1.0;
@@ -191,32 +195,45 @@ fn degraded_frame_is_served_above_floor_and_never_cached() {
         faults: Some(kill_rank_1(3)),
         ..base()
     };
-    for round in 0..2 {
-        match answer(&session.request(killed)) {
-            FrameResponse::Frame(reply) => match reply.source {
-                ServeSource::Degraded { psnr_db, coverage } => {
-                    assert!(
-                        psnr_db >= floor,
-                        "round {round}: served PSNR {psnr_db} below the floor {floor}"
-                    );
-                    assert!(
-                        coverage < 1.0,
-                        "round {round}: a killed rank must leave a hole"
-                    );
-                    assert!(reply.frame.record.dead_ranks >= 1);
-                }
-                other => panic!("round {round}: expected Degraded, got {other:?}"),
-            },
-            other => panic!("round {round}: expected a frame, got {other:?}"),
+    let closed_link = ExperimentConfig {
+        faults: Some(FaultConfig {
+            seed: 1,
+            drop: 0.5,
+            ..Default::default()
+        }),
+        reliability: ReliabilityConfig::on(),
+        ..base()
+    };
+    for (name, config) in [("kill", killed), ("closed link", closed_link)] {
+        for round in 0..2 {
+            match answer(&session.request(config)) {
+                FrameResponse::Frame(reply) => match reply.source {
+                    ServeSource::Degraded { psnr_db, coverage } => {
+                        assert!(
+                            psnr_db >= floor,
+                            "{name} {round}: served PSNR {psnr_db} below the floor {floor}"
+                        );
+                        if name == "kill" {
+                            assert!(
+                                coverage < 1.0,
+                                "{name} {round}: a killed rank leaves a hole"
+                            );
+                            assert!(reply.frame.record.dead_ranks >= 1);
+                        }
+                    }
+                    other => panic!("{name} {round}: expected Degraded, got {other:?}"),
+                },
+                other => panic!("{name} {round}: expected a frame, got {other:?}"),
+            }
         }
     }
     let stats = service.shutdown();
-    assert_eq!(stats.completed_degraded, 2);
+    assert_eq!(stats.completed_degraded, 4);
     assert_eq!(
         stats.completed_cached, 0,
         "degraded frames must never be served from the cache"
     );
-    assert_eq!(stats.rendered_frames, 2, "each request re-renders");
+    assert_eq!(stats.rendered_frames, 4, "each request re-renders");
     assert!(stats.min_degraded_psnr_db >= floor);
     assert!(stats.min_degraded_psnr_db.is_finite());
 }

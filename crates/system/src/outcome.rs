@@ -29,6 +29,9 @@ pub struct Outcome {
     pub dead_ranks: Vec<usize>,
     /// Ranks whose owned piece never reached the gather root.
     pub missing_ranks: Vec<usize>,
+    /// Per rank, the partners (dead, or behind a closed link) whose
+    /// contribution it composited without ([`FrameRun::lost_partners`]).
+    pub lost_partners: Vec<Vec<usize>>,
     /// Fraction of image pixels covered by gathered pieces, in `[0, 1]`
     /// (1.0 on a healthy run).
     pub coverage: f64,
@@ -41,10 +44,13 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// True when fault injection degraded this run (dead ranks or
-    /// image holes).
+    /// True when faults degraded this frame: a dead rank, a missing
+    /// piece, or a lost partner (which may leave coverage at 1).
     pub fn is_degraded(&self) -> bool {
-        !self.dead_ranks.is_empty() || !self.missing_ranks.is_empty() || self.coverage < 1.0
+        !self.dead_ranks.is_empty()
+            || !self.missing_ranks.is_empty()
+            || self.coverage < 1.0
+            || self.lost_partners.iter().any(|lost| !lost.is_empty())
     }
 
     /// Peak signal-to-noise ratio of the final image against a
@@ -78,17 +84,18 @@ impl Outcome {
 }
 
 /// Folds a frame run into the [`Outcome`]. The run's earliest failure
-/// is re-raised as a panic whose payload is the *typed*
-/// [`CompositeError`](slsvr_core::CompositeError), so a supervising
-/// caller (the frame service worker) can `catch_unwind`, downcast and
-/// classify it as transient or structural. Otherwise every rank's
+/// is re-raised as an unwind whose payload is the *typed*
+/// [`CompositeError`](slsvr_core::CompositeError) (`resume_unwind`: no
+/// panic report is printed), so a caller (the CLI, the frame service
+/// worker) can `catch_unwind`, downcast, classify it as transient or
+/// structural and report it in its own words. Otherwise every rank's
 /// `T_comp` is resolved per `comp_timing` (a killed rank reports
 /// all-zero stats), and the root's gathered image, holes and coverage
 /// are taken (a dead root gathers nothing: a fully blank frame at
 /// coverage 0).
 pub(crate) fn collect<X>(config: &ExperimentConfig, run: FrameRun<X>) -> (Outcome, Vec<X>) {
     if let Some((_, error)) = run.failures.into_iter().next() {
-        std::panic::panic_any(error);
+        std::panic::resume_unwind(Box::new(error));
     }
     let per_rank = run
         .per_rank
@@ -116,6 +123,7 @@ pub(crate) fn collect<X>(config: &ExperimentConfig, run: FrameRun<X>) -> (Outcom
         image,
         dead_ranks: run.dead_ranks,
         missing_ranks,
+        lost_partners: run.lost_partners,
         coverage,
         render_seconds: Vec::new(),
         partition_bytes: 0,

@@ -20,11 +20,12 @@
 
 use std::cell::RefCell;
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, resume_unwind};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use slsvr::compositing::Method;
+use slsvr::compositing::{CompositeError, Method};
 use slsvr::serve::{
     run_load, wire, Daemon, DaemonConfig, DegradedFramePolicy, LoadConfig, LoadReport, ServeConfig,
     StatsReply,
@@ -41,7 +42,8 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
+    // A frame's typed failure is the command's error line.
+    let result = catch_unwind(|| match cmd.as_str() {
         "render" => cmd_render(rest),
         "compare" => cmd_compare(rest),
         "serve" => cmd_serve(rest),
@@ -54,7 +56,11 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
+    })
+    .unwrap_or_else(|payload| match payload.downcast::<CompositeError>() {
+        Ok(error) => Err(error.to_string()),
+        Err(payload) => resume_unwind(payload),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -391,10 +397,11 @@ fn report_render(
     }
     if out.is_degraded() {
         println!(
-            "DEGRADED: dead ranks {:?} · missing pieces {:?} · coverage {:.1}% · \
-             PSNR vs reference {:.1} dB",
+            "DEGRADED: dead ranks {:?} · missing pieces {:?} · lost partners {:?} · \
+             coverage {:.1}% · PSNR vs reference {:.1} dB",
             out.dead_ranks,
             out.missing_ranks,
+            out.lost_partners,
             out.coverage * 100.0,
             out.psnr_vs(&reference()),
         );

@@ -194,6 +194,45 @@ fn compare_runs_all_methods() {
     assert!(!stdout.contains('✗'));
 }
 
+/// A frame whose rank fails — here a raw-link corruption that rank 3
+/// refuses as malformed in a BSBRC stage — ends `render` and `compare`
+/// with the typed error as the one line on stderr and exit code 1, not
+/// a panic. The frame runs on virtual time, so no deadline is waited out.
+#[test]
+fn a_failed_frame_is_one_error_line() {
+    let dir = std::env::temp_dir().join("slsvr_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let frame = [
+        "--dataset",
+        "engine_high",
+        "--size",
+        "64",
+        "--procs",
+        "4",
+        "--schedule-seed",
+        "7",
+        "--faults",
+        "corrupt=0.3,seed=1",
+    ];
+    let out_path = dir.join("failed_frame.pgm");
+    let render = [
+        &["render", "--method", "bsbrc", "--out"][..],
+        &[out_path.to_str().unwrap()],
+    ]
+    .concat();
+    for args in [render, vec!["compare"]] {
+        let out = slsvr().args(&args).args(frame).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{}", args[0]);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: malformed payload from rank 3 during BSBRC stage\n",
+            "{}",
+            args[0]
+        );
+    }
+    assert!(!out_path.exists());
+}
+
 /// `render --verbose` prints one row per compositing stage, summed over
 /// ranks. Binary swap sends half of a dense frame at stage 1 and halves
 /// it every stage after: P · 16 · A / 2^k bytes, with A = 64² pixels of

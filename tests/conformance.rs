@@ -25,8 +25,8 @@ use slsvr::compositing::conformance::{
     CostKind, Workload,
 };
 use slsvr::compositing::{
-    composite, virtual_completion, CompCost, CompositeError, CompositeResult, Method, MethodStats,
-    OwnedPiece, StageStat,
+    composite, reference_composite, virtual_completion, CompCost, CompositeError, CompositeResult,
+    Method, MethodStats, OwnedPiece, StageStat,
 };
 use slsvr::image::checksum::fnv1a;
 use slsvr::system::{CompTiming, Experiment, ExperimentConfig, Outcome, RenderPool};
@@ -1198,23 +1198,22 @@ fn transport_cases_through_the_pipeline_are_pinned() {
     assert_eq!(got, GOLDEN, "pipeline frames moved: 0x{got:016x}");
 }
 
-/// A reliable BSBRC frame at P = 4 whose drops (60 %, past what the
-/// eight retransmissions can heal) leave rank 2 waiting out its receive
-/// deadline in a stage: a `Comm` failure, not a kill.
+/// A raw BSBRC frame at P = 4 whose corruptions (30 %) damage the
+/// header of a stage message from rank 2 to rank 3, which refuses it:
+/// a `Malformed` failure, not a kill.
 fn failing_rank_case() -> ConformanceCase {
     ConformanceCase {
-        reliable: true,
         cost: CostKind::Sp2,
-        faults: Some("drop=0.6,seed=39".parse().expect("valid fault spec")),
+        faults: Some("corrupt=0.3,seed=18".parse().expect("valid fault spec")),
         ..ConformanceCase::new(Method::Bsbrc, 4, Workload::Sparse, 7)
     }
 }
 
 /// A rank's failure is data in the runner's result. `run_case` reports
-/// the rank's typed error; the rank closes at once rather than lingering
-/// on its reliable links, so the root's gather finds it gone and
-/// assembles every other piece. Through `Experiment::run` the same
-/// frame re-raises that error as its typed panic payload.
+/// the rank's typed error; the rank closes at once rather than lingering,
+/// so the root's gather finds it gone and assembles every other piece.
+/// Through `Experiment::run` the same frame re-raises that error as its
+/// typed panic payload.
 #[test]
 fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
     let case = failing_rank_case();
@@ -1222,11 +1221,14 @@ fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
     let [(rank, error)] = &out.failures[..] else {
         panic!("one failed rank expected, got {:?}", out.failures);
     };
-    assert_eq!(*rank, 2);
-    assert!(matches!(error, CompositeError::Comm { .. }), "{error}");
+    assert_eq!(*rank, 3);
+    assert!(
+        matches!(error, CompositeError::Malformed { from: 2, .. }),
+        "{error}"
+    );
     assert!(out.dead_ranks.is_empty());
     assert!(out.image.is_some(), "the root assembles the other pieces");
-    assert_eq!(out.missing_ranks, vec![2]);
+    assert_eq!(out.missing_ranks, vec![3]);
     assert!(out.coverage > 0.0 && out.coverage < 1.0, "{}", out.coverage);
 
     let payload = std::panic::catch_unwind(|| pipeline_frame(&case))
@@ -1415,4 +1417,73 @@ fn regenerate_corpus() {
     let case = late_kill_case(false);
     let line = CorpusEntry::from_run(&case, Some(LATE_KILL), &run_case(&case));
     println!("{line}");
+}
+
+/// The grid on which a reliable link running out of retries used to
+/// cost frames: every method at P = 4, sparse, reliable, `sp2`, schedule
+/// seed 7, 50–70 % drops, fault seeds 0–11 — 252 cases, including the
+/// exhaustion `drop=0.6,seed=39`, where rank 0's send to rank 2 gives up.
+fn exhaustion_grid() -> Vec<ConformanceCase> {
+    let mut cases = Vec::new();
+    for method in Method::all() {
+        for drop in ["0.5", "0.6", "0.7"] {
+            for seed in 0..12 {
+                let spec = format!("drop={drop},seed={seed}");
+                cases.push(ConformanceCase {
+                    reliable: true,
+                    cost: CostKind::Sp2,
+                    faults: Some(spec.parse().expect("valid fault spec")),
+                    ..ConformanceCase::new(method, 4, Workload::Sparse, 7)
+                });
+            }
+        }
+    }
+    cases
+}
+
+/// A link that gives up is a closed link: its receiver sees the sender
+/// hang up, as it would a dead peer, instead of waiting out its deadline,
+/// and the frame reports the partner it composited without. So on the
+/// exhaustion grid, through `run_case` and through `Experiment::run`,
+/// every frame has an image and no failed rank, and is either right
+/// (within `TOLERANCE` of the reference) or reports its loss: a
+/// non-empty lost-partner list, and `is_degraded`.
+#[test]
+fn a_link_that_gives_up_costs_a_hole_not_the_frame() {
+    let mut wrong = Vec::new();
+    for case in exhaustion_grid() {
+        let faults = case.faults.expect("a fault plan");
+        let name = format!(
+            "{} drop={},seed={}",
+            case.method.name(),
+            faults.drop,
+            faults.seed
+        );
+        let out = run_case(&case);
+        let lost = |lists: &[Vec<usize>]| lists.iter().any(|l| !l.is_empty());
+        if !out.failures.is_empty() || out.image.is_none() {
+            wrong.push(format!("{name}: run_case failed {:?}", out.failures));
+        } else if out.max_diff > TOLERANCE && !lost(&out.lost_partners) {
+            wrong.push(format!(
+                "{name}: run_case off by {} unreported",
+                out.max_diff
+            ));
+        }
+        let frame = std::panic::catch_unwind(|| pipeline_frame(&case));
+        let Ok(frame) = frame else {
+            wrong.push(format!("{name}: Experiment::run raised"));
+            continue;
+        };
+        let reference = reference_composite(&case.images(), &case.depth);
+        let diff = frame.image.max_abs_diff(&reference);
+        if diff > TOLERANCE && !(lost(&frame.lost_partners) && frame.is_degraded()) {
+            wrong.push(format!("{name}: Experiment::run off by {diff} unreported"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} cases:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
 }
