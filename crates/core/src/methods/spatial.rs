@@ -388,6 +388,40 @@ mod tests {
         }
     }
 
+    /// A BS merge writes only where content can be, so a rank's extent
+    /// after the composite stays within the union of the inputs' extents
+    /// (not the whole kept half): the next reset of its working frame
+    /// (`WorkingFrame::copy_of`) blanks content, not the half.
+    #[test]
+    fn bs_extents_stay_within_the_inputs_extents() {
+        for p in [2usize, 4, 8] {
+            let images: Vec<Image> = (0..p as u16)
+                .map(|r| {
+                    let mut img = Image::blank(64, 64);
+                    for (x, y) in Rect::new(6 + 3 * r, 9 + 2 * r, 14 + 3 * r, 15 + 2 * r).iter() {
+                        img.set(x, y, Pixel::gray(0.5, 0.25 + 0.05 * r as f32));
+                    }
+                    img
+                })
+                .collect();
+            let inputs = images
+                .iter()
+                .fold(Rect::EMPTY, |u, img| u.union(&img.extent()));
+            let depth = DepthOrder::identity(p);
+            let extents = run_group(p, CostModel::free(), |ep| {
+                let mut img = images[ep.rank()].clone();
+                composite(Method::Bs, ep, &mut img, &depth).unwrap();
+                img.extent()
+            });
+            for (rank, extent) in extents.results.iter().enumerate() {
+                assert!(
+                    inputs.contains_rect(extent),
+                    "P = {p}, rank {rank}: {extent:?} outside {inputs:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn final_regions_partition_image() {
         assert_eq!(owned_area(Method::Bs, 8, 32, 32), 32 * 32);

@@ -22,7 +22,7 @@
 //! into [`CompositeError::Malformed`](crate::CompositeError::Malformed).
 
 use bytes::{Buf, BufMut, Bytes};
-use vr_image::body::{put_pixels, read_body};
+use vr_image::body::{put_pixels, read_body, write_pixels};
 use vr_image::{Image, MaskRle, Pixel, Rect, BYTES_PER_PIXEL};
 
 use crate::error::{Checked, Malformed};
@@ -73,17 +73,30 @@ impl MsgWriter {
         &mut self.buf
     }
 
-    /// Appends the pixels of `rect`, row by row, straight from the
-    /// image's rows: the bytes `put_pixels(&image.extract_rect(rect))`
-    /// would write, without the dense intermediate buffer.
+    /// Appends the pixels of `rect`, dense and row-major: the bytes
+    /// `put_pixels(&image.extract_rect(rect))` would write, without the
+    /// dense intermediate buffer. The payload grows once, zero-filled,
+    /// and only the rows and columns of `rect ∩ image.extent()` are
+    /// copied: outside the extent every pixel is bitwise `Pixel::BLANK`,
+    /// whose wire form is 16 zero bytes. The bytes are Equation (2)'s;
+    /// the work follows the content.
     pub fn put_image_rect(&mut self, image: &Image, rect: &Rect) {
-        if rect.is_empty() {
-            return;
-        }
-        self.buf.reserve(rect.area() * vr_image::BYTES_PER_PIXEL);
-        let w = rect.width() as usize;
-        for y in rect.y0..rect.y1 {
-            self.put_pixels(image.row_span(rect.x0, y, w));
+        assert!(
+            image.full_rect().contains_rect(rect),
+            "{rect:?} leaves the frame"
+        );
+        let start = self.buf.len();
+        self.buf.resize(start + rect.area() * BYTES_PER_PIXEL, 0);
+        let within = rect.intersect(&image.extent());
+        let n = within.width() as usize;
+        for y in within.y0..within.y1 {
+            let offset =
+                (y - rect.y0) as usize * rect.width() as usize + (within.x0 - rect.x0) as usize;
+            let at = start + offset * BYTES_PER_PIXEL;
+            write_pixels(
+                &mut self.buf[at..at + n * BYTES_PER_PIXEL],
+                image.row_span(within.x0, y, n),
+            );
         }
     }
 
@@ -275,27 +288,50 @@ mod tests {
 
     #[test]
     fn put_image_rect_writes_what_extract_then_put_pixels_wrote() {
-        let img = Image::from_fn(13, 9, |x, y| Pixel::new(x as f32, y as f32, -0.0, 0.5));
-        for rect in [
-            Rect::EMPTY,
-            Rect::new(4, 2, 4, 7),   // no columns
-            Rect::new(4, 2, 9, 2),   // no rows
-            Rect::new(5, 0, 6, 9),   // one column, full height
-            Rect::new(0, 4, 13, 5),  // one row, full width
-            Rect::new(0, 0, 13, 9),  // the full frame
-            Rect::new(0, 0, 3, 3),   // top-left corner
-            Rect::new(12, 0, 13, 9), // right edge
-            Rect::new(6, 3, 13, 9),  // bottom-right corner
-            Rect::new(2, 3, 7, 6),   // interior
-        ] {
-            let mut direct = MsgWriter::new();
-            direct.put_u32(7); // appends; never overwrites
-            direct.put_image_rect(&img, &rect);
-            let mut staged = MsgWriter::new();
-            staged.put_u32(7);
-            staged.put_pixels(&img.extract_rect(&rect));
-            assert_eq!(direct.len(), 4 + rect.area() * 16, "{rect:?}");
-            assert_eq!(direct.freeze(), staged.freeze(), "{rect:?}");
+        let dense = Image::from_fn(13, 9, |x, y| Pixel::new(x as f32, y as f32, -0.0, 0.5));
+        // Content in the box (3, 2)..(10, 7) only, with `-0.0` pixels on
+        // its edge: not blank, so the extent is the box and they are sent.
+        let mut sparse = Image::blank(13, 9);
+        let content = Rect::new(3, 2, 10, 7);
+        for (x, y) in content.iter() {
+            let edge = x == 3 || x == 9 || y == 2 || y == 6;
+            let p = if edge {
+                Pixel::new(-0.0, 0.0, -0.0, 0.0)
+            } else {
+                Pixel::new(x as f32, y as f32, 0.25, 0.5)
+            };
+            sparse.set(x, y, p);
+        }
+        assert_eq!(sparse.extent(), content);
+        for img in [&dense, &sparse] {
+            for rect in [
+                Rect::EMPTY,
+                Rect::new(4, 2, 4, 7),   // no columns
+                Rect::new(4, 2, 9, 2),   // no rows
+                Rect::new(5, 0, 6, 9),   // one column, full height
+                Rect::new(0, 4, 13, 5),  // one row, full width
+                Rect::new(0, 0, 13, 9),  // the full frame
+                Rect::new(0, 0, 3, 3),   // top-left corner
+                Rect::new(12, 0, 13, 9), // right edge
+                Rect::new(6, 3, 13, 9),  // bottom-right corner
+                Rect::new(2, 3, 7, 6),   // interior
+                Rect::new(1, 1, 12, 8),  // contains the sparse extent
+                Rect::new(3, 2, 10, 7),  // is it
+                Rect::new(4, 3, 9, 6),   // lies inside it
+                Rect::new(0, 0, 6, 4),   // crosses its top-left corner
+                Rect::new(8, 0, 11, 9),  // crosses its right edge
+                Rect::new(10, 0, 13, 9), // misses it to the right
+                Rect::new(0, 7, 13, 9),  // misses it below
+            ] {
+                let mut direct = MsgWriter::new();
+                direct.put_u32(7); // appends; never overwrites
+                direct.put_image_rect(img, &rect);
+                let mut staged = MsgWriter::new();
+                staged.put_u32(7);
+                staged.put_pixels(&img.extract_rect(&rect));
+                assert_eq!(direct.len(), 4 + rect.area() * 16, "{rect:?}");
+                assert_eq!(direct.freeze(), staged.freeze(), "{rect:?}");
+            }
         }
     }
 

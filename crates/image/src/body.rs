@@ -103,14 +103,26 @@ pub fn put_pixels(w: &mut Vec<u8>, pixels: &[Pixel]) {
     put_le(w, pixels, |p| p.to_le_bytes());
 }
 
+/// Writes pixels over `slots`, which must be exactly `16 · pixels.len()`
+/// bytes: [`put_pixels`] into a payload already sized.
+pub fn write_pixels(slots: &mut [u8], pixels: &[Pixel]) {
+    assert_eq!(slots.len(), pixels.len() * BYTES_PER_PIXEL);
+    write_le(slots, pixels, |p| p.to_le_bytes());
+}
+
 /// Appends `items`, `N` little-endian bytes each: the buffer grows once
-/// and every item is serialised in place. (Fixed-size slots keep the
-/// loop a plain vectorisable copy; an `extend` over a flattened iterator
-/// writes byte by byte.)
+/// and every item is serialised in place.
 fn put_le<T, const N: usize>(w: &mut Vec<u8>, items: &[T], to_le: impl Fn(&T) -> [u8; N]) {
     let start = w.len();
     w.resize(start + items.len() * N, 0);
-    for (slot, item) in w[start..].chunks_exact_mut(N).zip(items) {
+    write_le(&mut w[start..], items, to_le);
+}
+
+/// Serialises `items` into consecutive `N`-byte slots. (Fixed-size slots
+/// keep the loop a plain vectorisable copy; an `extend` over a flattened
+/// iterator writes byte by byte.)
+fn write_le<T, const N: usize>(slots: &mut [u8], items: &[T], to_le: impl Fn(&T) -> [u8; N]) {
+    for (slot, item) in slots.chunks_exact_mut(N).zip(items) {
         slot.copy_from_slice(&to_le(item));
     }
 }

@@ -30,16 +30,15 @@ pub fn fnv1a_bytes(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 pub fn fnv1a(img: &Image) -> u64 {
     let mut h: u64 = FNV_OFFSET;
     for p in img.pixels() {
-        let bytes = p.to_le_bytes();
         // A zero byte's step is `(h ^ 0) * p`, so the sixteen zero bytes of
-        // a blank pixel are one wrapping multiply by `p^16` instead of
-        // sixteen dependent ones. Same digest by associativity of wrapping
-        // multiplication.
-        if bytes == [0; 16] {
+        // a blank pixel (bitwise `Pixel::BLANK`) are one wrapping multiply
+        // by `p^16` instead of sixteen dependent ones. Same digest by
+        // associativity of wrapping multiplication.
+        if p.is_blank() {
             h = h.wrapping_mul(FNV_PRIME_POW_16);
             continue;
         }
-        h = fnv1a_bytes(h, bytes);
+        h = fnv1a_bytes(h, p.to_le_bytes());
     }
     h
 }

@@ -27,7 +27,12 @@ use crate::rle::RunSet;
 /// a panic half way through a merge included. It is what lets a frame
 /// be reused: [`Image::clear`] and [`Clone::clone_from`] touch the rows
 /// of the extent, not the `W×H` frame, and a scan for bounds after the
-/// hint died never leaves it.
+/// hint died never leaves it. It is also what keeps a dense body's local
+/// work to the content: its encoder copies only the extent's pixels of a
+/// rect (the rest are 16 zero bytes each on the wire), and
+/// [`Image::composite_rect_over_wire`] / [`Image::composite_rect_under_wire`]
+/// write outside the extent only where an incoming pixel is non-blank —
+/// the wire bytes stay Equation (2)'s, every pixel of the rect.
 #[derive(Debug)]
 pub struct Image {
     width: u16,
@@ -250,13 +255,19 @@ impl Image {
     /// later use of this buffer, so it is refused here.
     #[inline]
     fn touch(&mut self, rect: &Rect) {
+        self.assert_in_frame(rect);
+        self.extent = self.extent.union(rect);
+    }
+
+    /// Refuses a write to `rect` that would leave the frame.
+    #[inline]
+    fn assert_in_frame(&self, rect: &Rect) {
         assert!(
             self.full_rect().contains_rect(rect),
             "write to {rect:?} leaves the {}x{} frame",
             self.width,
             self.height
         );
-        self.extent = self.extent.union(rect);
     }
 
     /// [`Image::touch`] for one pixel.
@@ -268,7 +279,9 @@ impl Image {
 
     /// The rectangle outside which every pixel is [`Pixel::BLANK`] — a
     /// superset of the tight bounds, equal to them after [`Image::blank`],
-    /// [`Image::from_fn`] and [`Image::assert_bounds`].
+    /// [`Image::from_fn`] and [`Image::assert_bounds`]. The wire merges
+    /// grow it only over what they write, so after a dense merge it lies
+    /// within the old extent and the incoming non-blank pixels' bounds.
     #[inline]
     pub fn extent(&self) -> Rect {
         self.extent
@@ -448,35 +461,67 @@ impl Image {
     }
 
     /// [`Image::composite_rect_over`] with `front` in wire form: each
-    /// received pixel is decoded and composited in one pass.
+    /// received pixel is decoded and composited in one pass, over the
+    /// spans `composite_rect_wire` picks.
     pub fn composite_rect_over_wire(&mut self, rect: &Rect, front: &[u8]) -> usize {
-        self.for_rows_wire(rect, front, |local, wire| {
+        self.composite_rect_wire(rect, front, |local, wire| {
             kernel::over_slice_wire(wire, local)
-        });
-        rect.area()
+        })
     }
 
     /// Composites `back` (wire-form pixels of `rect`) **under** `self`,
     /// i.e. the local image stays in front.
     pub fn composite_rect_under_wire(&mut self, rect: &Rect, back: &[u8]) -> usize {
-        self.for_rows_wire(rect, back, kernel::under_slice_wire);
-        rect.area()
+        self.composite_rect_wire(rect, back, kernel::under_slice_wire)
     }
 
-    /// Applies `op(image row, that row's wire bytes)` to every row of
-    /// `rect`; `wire` must hold exactly `rect`'s pixels.
-    fn for_rows_wire(&mut self, rect: &Rect, wire: &[u8], op: impl Fn(&mut [Pixel], &[u8])) {
+    /// Applies the merge `op(image span, that span's wire bytes)` over
+    /// `rect`, whose pixels `wire` holds exactly, and returns the paper's
+    /// `over` count, `rect.area()`.
+    ///
+    /// The local work follows the content, not the rectangle. Each row
+    /// splits at the extent as it was before the merge. The span inside
+    /// it goes through `op` whole: there a blank incoming pixel over a
+    /// local `-0.0` component yields `+0.0`, so nothing may be skipped.
+    /// Outside it every local pixel is [`Pixel::BLANK`], and `op` of two
+    /// blank pixels is exactly blank, so `op` runs only on the incoming
+    /// non-blank runs ([`kernel::for_each_run_wire`]) — never a copy,
+    /// since `f over BLANK` is not `f` bitwise when `f` has a `-0.0`
+    /// component. The extent grows over those runs only.
+    fn composite_rect_wire(
+        &mut self,
+        rect: &Rect,
+        wire: &[u8],
+        op: impl Fn(&mut [Pixel], &[u8]),
+    ) -> usize {
         assert_eq!(wire.len(), rect.area() * BYTES_PER_PIXEL);
-        self.touch(rect);
+        self.assert_in_frame(rect);
         self.bounds_hint = None;
+        let extent = self.extent;
         let w = rect.width() as usize;
-        for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
-            let dst = self.index(rect.x0, y);
-            op(
-                &mut self.pixels[dst..dst + w],
-                &wire[row_idx * w * BYTES_PER_PIXEL..][..w * BYTES_PER_PIXEL],
-            );
+        for (row, y) in (rect.y0..rect.y1).enumerate() {
+            let wire = &wire[row * w * BYTES_PER_PIXEL..][..w * BYTES_PER_PIXEL];
+            // Columns [x0, x1) of this row lie inside the extent.
+            let (x0, x1) = if (extent.y0..extent.y1).contains(&y) {
+                let x0 = extent.x0.clamp(rect.x0, rect.x1);
+                (x0, extent.x1.clamp(x0, rect.x1))
+            } else {
+                (rect.x1, rect.x1)
+            };
+            let (left, rest) = wire.split_at((x0 - rect.x0) as usize * BYTES_PER_PIXEL);
+            let (inside, right) = rest.split_at((x1 - x0) as usize * BYTES_PER_PIXEL);
+            if x0 < x1 {
+                let i = self.index(x0, y);
+                op(&mut self.pixels[i..i + (x1 - x0) as usize], inside);
+            }
+            for (x, outside) in [(rect.x0, left), (x1, right)] {
+                kernel::for_each_run_wire(outside, |start, len| {
+                    let incoming = &outside[start * BYTES_PER_PIXEL..][..len * BYTES_PER_PIXEL];
+                    op(self.row_span_mut(x + start as u16, y, len), incoming);
+                });
+            }
         }
+        rect.area()
     }
 
     /// Maximum per-channel absolute difference over all pixels.

@@ -101,6 +101,41 @@ pub fn under_slice_wire(local: &mut [Pixel], back: &[u8]) {
     }
 }
 
+/// Calls `f(start, len)` for each maximal run of non-blank pixels of a
+/// wire-form span, in order, positions in pixels. Each pixel is
+/// classified by [`Pixel::is_blank`] after [`decode`]: the one blank
+/// rule, applied to received bytes.
+#[inline]
+pub fn for_each_run_wire(wire: &[u8], mut f: impl FnMut(usize, usize)) {
+    let mut at = 0usize;
+    let mut rest = wire;
+    while let Some(skip) = first_non_blank_wire(rest) {
+        rest = &rest[skip * BYTES_PER_PIXEL..];
+        let len = decode(rest)
+            .position(|p| p.is_blank())
+            .unwrap_or(rest.len() / BYTES_PER_PIXEL);
+        f(at + skip, len);
+        at += skip + len;
+        rest = &rest[len * BYTES_PER_PIXEL..];
+    }
+}
+
+/// The position of the first non-blank pixel of a wire-form span. A
+/// chunk of blank pixels is skipped whole: its test is one branch-free
+/// fold that vectorises.
+#[inline]
+fn first_non_blank_wire(wire: &[u8]) -> Option<usize> {
+    const CHUNK: usize = 16;
+    let mut at = 0usize;
+    for chunk in wire.chunks(CHUNK * BYTES_PER_PIXEL) {
+        if decode(chunk).fold(false, |lit, p| lit | !p.is_blank()) {
+            return decode(chunk).position(|p| !p.is_blank()).map(|i| at + i);
+        }
+        at += CHUNK;
+    }
+    None
+}
+
 /// Stores a wire-form span: `dst[i] = decode(src)[i]`.
 #[inline]
 pub fn copy_slice_wire(dst: &mut [Pixel], src: &[u8]) {
@@ -184,6 +219,33 @@ mod tests {
                 expect.push(5 + s, i - s);
             }
             assert_eq!(table, expect, "seed {seed} density {density}");
+        }
+    }
+
+    #[test]
+    fn wire_runs_match_the_pixel_scan() {
+        let neg_zero = Pixel::new(0.0, 0.0, -0.0, 0.0);
+        for (seed, density) in [(1u32, 0), (2, 15), (3, 55), (4, 100), (5, 97)] {
+            for len in [0usize, 1, 15, 16, 17, 40, 777] {
+                let span: Vec<Pixel> = (0..len as u32)
+                    .map(
+                        |i| match i.wrapping_mul(2_654_435_761).wrapping_add(seed * 97) % 100 {
+                            d if d >= density => Pixel::BLANK,
+                            d if d % 7 == 0 => neg_zero,
+                            _ => px(i as usize + 1),
+                        },
+                    )
+                    .collect();
+                let wire: Vec<u8> = span.iter().flat_map(|p| p.to_le_bytes()).collect();
+                let mut got = RunSet::new();
+                for_each_run_wire(&wire, |start, len| {
+                    assert!(len > 0);
+                    got.push(start, len);
+                });
+                let mut expect = RunSet::new();
+                scan_runs_into(&span, 0, &mut expect);
+                assert_eq!(got, expect, "seed {seed} density {density} len {len}");
+            }
         }
     }
 

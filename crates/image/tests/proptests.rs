@@ -41,6 +41,18 @@ fn arb_raw_pixel() -> impl Strategy<Value = Pixel> {
         .prop_map(|(r, g, b, a)| Pixel::new(r, g, b, a))
 }
 
+/// A pixel at the merge's edge cases: blank, a `-0.0` component (not
+/// blank, and `+0.0` after most `over`s), NaN, or any raw pixel.
+fn arb_merge_pixel() -> impl Strategy<Value = Pixel> {
+    prop_oneof![
+        4 => Just(Pixel::BLANK),
+        1 => Just(Pixel::new(0.0, -0.0, 0.0, 0.0)),
+        1 => Just(Pixel::new(-0.0, -0.0, -0.0, -0.0)),
+        1 => Just(Pixel::new(0.0, 0.0, 0.0, f32::NAN)),
+        3 => arb_raw_pixel(),
+    ]
+}
+
 /// Bit equality, two NaNs counting as equal whatever their payload
 /// (which operand's payload survives `NaN + NaN` is the compiler's
 /// choice and may differ between two copies of one expression).
@@ -514,6 +526,56 @@ proptest! {
         got.write_runs_wire(&rect, [(0, rect.area())], &wire);
         prop_assert!(same_bits(want.pixels(), got.pixels()));
         prop_assert_eq!(got.bounds_hint(), None);
+    }
+
+    /// The wire merges over a base whose extent is part of the frame:
+    /// inside it they match a full-rect kernel loop bit for bit (local
+    /// `-0.0` components included), outside it only the incoming
+    /// non-blank runs land, and the extent grows over nothing else.
+    #[test]
+    fn wire_rect_merges_follow_the_extent(
+        local in proptest::collection::vec(arb_merge_pixel(), 15 * 11),
+        incoming in proptest::collection::vec(arb_merge_pixel(), 15 * 11),
+        extent in arb_rect(16).prop_map(|r| r.intersect(&Rect::of_size(15, 11))),
+        rect in arb_rect(16).prop_map(|r| r.intersect(&Rect::of_size(15, 11))),
+    ) {
+        let mut base = Image::blank(15, 11);
+        for (x, y) in extent.iter() {
+            base.set(x, y, local[y as usize * 15 + x as usize]);
+        }
+        prop_assert_eq!(base.extent(), extent);
+        let dense = &incoming[..rect.area()];
+        let wire = to_wire(dense);
+        let mut reach = extent;
+        for ((x, y), p) in rect.iter().zip(dense) {
+            if !p.is_blank() {
+                reach.include(x, y);
+            }
+        }
+
+        let w = rect.width() as usize;
+        for front in [true, false] {
+            let mut want = base.pixels().to_vec();
+            for (row, y) in (rect.y0..rect.y1).enumerate() {
+                let at = y as usize * 15 + rect.x0 as usize;
+                let (local, wire) = (&mut want[at..at + w], &wire[row * w * 16..][..w * 16]);
+                if front {
+                    kernel::over_slice_wire(wire, local);
+                } else {
+                    kernel::under_slice_wire(local, wire);
+                }
+            }
+            let mut got = base.clone();
+            let ops = if front {
+                got.composite_rect_over_wire(&rect, &wire)
+            } else {
+                got.composite_rect_under_wire(&rect, &wire)
+            };
+            prop_assert_eq!(ops, rect.area());
+            prop_assert!(same_bits(got.pixels(), &want), "front {}", front);
+            prop_assert!(reach.contains_rect(&got.extent()), "{:?} beyond {:?}", got.extent(), reach);
+            assert_extent_holds(&got);
+        }
     }
 
     /// Rect run scans over random frames of raw components (`-0.0` and
