@@ -32,6 +32,9 @@ fn fold_image(mut h: u64, image: &Image) -> u64 {
     h = fold(h, [fnv1a(image)]);
     h = fold(h, rect_words(image.bounding_rect()));
     h = fold(h, rect_words(image.extent()));
+    // A rendered clip's hint is its extent, so folding `[1] ++ extent`
+    // in its place keeps the digest.
+    assert_eq!(image.bounds_hint(), Some(image.extent()));
     match image.bounds_hint() {
         Some(hint) => fold(h, [1].into_iter().chain(rect_words(hint))),
         None => fold(h, [0]),
