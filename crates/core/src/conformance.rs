@@ -15,8 +15,10 @@
 //!   from the ranks' non-blank masks alone, the exact per-stage byte
 //!   counts the four paper methods (plus BSRL) must put on the wire —
 //!   bounding rectangles evolve by pure rectangle algebra and non-blank
-//!   masks by exact `OR` (the `over` operator never blanks a non-blank
-//!   pixel, and never un-blanks a blank one);
+//!   masks by `OR`. That `OR`, like BSLC's `kept ∪ recv`, is the paper's
+//!   accounting, which execution and the oracle share; it is not an exact
+//!   record of the merged bits (a blank pixel over a `(-0.0, 0, 0, 0)`
+//!   one is `Pixel::BLANK`);
 //! * [`CorpusEntry`] round-trips a failing `(case, seed, prefix)` into
 //!   one line of a checked-in regression corpus that replays the exact
 //!   schedule and asserts the exact image hash.

@@ -43,8 +43,10 @@ pub(crate) struct InterleavedRuns {
     /// Run table of `seq`, before the latest received runs are merged in.
     kept: RunSet,
     /// The runs received since the last split (none from a dead
-    /// partner). `over` never blanks a non-blank pixel, so `kept ∪ recv`
-    /// is the exact run table of the merged sequence — no rescan.
+    /// partner). `kept ∪ recv` is the merged sequence's run table as the
+    /// paper accounts it, shared by execution and `expected_traffic`,
+    /// with no rescan. It is not an exact record of the merged bits: a
+    /// blank pixel over a `(-0.0, 0, 0, 0)` one is `Pixel::BLANK`.
     recv: RunSet,
     /// Scratch: the merged table.
     merged: RunSet,
@@ -60,8 +62,13 @@ impl StageCodec for InterleavedRuns {
         InterleavedRuns {
             seq: StridedSeq::dense(image.area()),
             send: StridedSeq::dense(0),
-            // The one pixel scan; the table is never rescanned.
-            kept: run.encode.time(|| sequence_mask(image)),
+            // The one pixel scan, over the extent's rows; positions are
+            // row-major in the full frame. The table is never rescanned.
+            kept: run.encode.time(|| {
+                let mut table = RunSet::new();
+                image.runs_into(&image.full_rect(), &mut table);
+                table
+            }),
             recv: RunSet::new(),
             merged: RunSet::new(),
             sent: RunBody::default(),
@@ -134,25 +141,6 @@ impl StageCodec for InterleavedRuns {
     fn piece(&self) -> OwnedPiece {
         OwnedPiece::Seq(self.seq)
     }
-}
-
-/// The blank/non-blank run table of the image's full pixel sequence,
-/// scanned only inside its bounding rectangle (`O(1)` to obtain when the
-/// bounds hint is armed; positions outside are blank by definition), so
-/// a sparse image pays `O(bounds.area())` instead of `O(A)`.
-fn sequence_mask(image: &Image) -> RunSet {
-    let b = image.bounding_rect();
-    let w = image.width() as usize;
-    let pixels = image.pixels();
-    // `RunSet::push` (inside the scanner) coalesces runs touching across
-    // the row seam.
-    let mut table = RunSet::new();
-    for y in b.y0..b.y1 {
-        let start = y as usize * w + b.x0 as usize;
-        let end = y as usize * w + b.x1 as usize;
-        kernel::scan_runs_into(&pixels[start..end], start, &mut table);
-    }
-    table
 }
 
 #[cfg(test)]

@@ -422,6 +422,87 @@ mod tests {
         }
     }
 
+    /// `over` can blank a non-blank pixel: a blank pixel in front of a
+    /// `(-0.0, 0, 0, 0)` one gives `Pixel::BLANK`. The fold merges rank
+    /// 1's image under rank 0's, so rank 0's merged bounds can be tighter
+    /// than the union of the two inputs' bounds, and its first stage must
+    /// start from the scanned rectangle that Equation (4) charges.
+    #[test]
+    fn the_fold_result_is_bounded_by_a_scan() {
+        use super::super::testutil::gather_exact;
+        use crate::reference::reference_composite;
+        use crate::schedule::{fold_into_pow2, VirtualTopology};
+        use crate::timer::Stopwatch;
+
+        let lit = Pixel::gray(0.5, 0.5);
+        let brute_bounds = |img: &Image| {
+            let mut bounds = Rect::EMPTY;
+            for (x, y) in img.full_rect().iter() {
+                if !img.get(x, y).is_blank() {
+                    bounds.include(x, y);
+                }
+            }
+            bounds
+        };
+        // (P, where rank 1's lit pixel lies): its `-0.0` pixel lies at
+        // (6, 6), where rank 0's frame is blank.
+        for (p, (gx, gy)) in [(3, (2, 2)), (5, (5, 2))] {
+            let images: Vec<Image> = (0..p)
+                .map(|rank| {
+                    let mut img = Image::blank(8, 8);
+                    match rank {
+                        0 => img.set(1, 1, lit),
+                        1 => {
+                            img.set(gx, gy, lit);
+                            img.set(6, 6, Pixel::new(-0.0, 0.0, 0.0, 0.0));
+                        }
+                        _ => {}
+                    }
+                    img
+                })
+                .collect();
+            let depth = DepthOrder::identity(p);
+
+            let folded = run_group(p, CostModel::free(), |ep| {
+                let mut img = images[ep.rank()].clone();
+                let topo = VirtualTopology::from_depth(ep.rank(), &depth);
+                let (mut comp, mut stages) = (Stopwatch::new(), Vec::new());
+                fold_into_pow2(
+                    ep,
+                    &mut img,
+                    &topo,
+                    &mut comp,
+                    &mut stages,
+                    &mut Default::default(),
+                )
+                .unwrap();
+                img
+            });
+            let tight = brute_bounds(&folded.results[0]);
+            assert_eq!(tight, Rect::new(1, 1, gx + 1, gy + 1), "P = {p}");
+            assert_eq!(folded.results[0].bounding_rect(), tight, "P = {p}");
+
+            let expect = reference_composite(&images, &depth);
+            for method in [Method::Bsbr, Method::Bsbrc] {
+                let out = run_group(p, CostModel::free(), |ep| {
+                    let mut img = images[ep.rank()].clone();
+                    let result = composite(method, ep, &mut img, &depth).unwrap();
+                    (result.stats, gather_exact(ep, &img, &result.piece, 0))
+                });
+                let (stats, gathered) = &out.results[0];
+                let diff = gathered.as_ref().unwrap().max_abs_diff(&expect);
+                assert!(diff < 2e-4, "{method:?} P = {p}: diff {diff}");
+                if method == Method::Bsbr {
+                    // Stage 0 is the fold; in the first swap stage rank 0
+                    // (virtual 0) keeps part 0 and sends part 1.
+                    let send = tight.intersect(&strip(expect.full_rect(), 2, 0, 1));
+                    let want = (BYTES_PER_RECT + PX * send.area()) as u64;
+                    assert_eq!(stats.stages[1].sent_bytes, want, "P = {p}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn final_regions_partition_image() {
         assert_eq!(owned_area(Method::Bs, 8, 32, 32), 32 * 32);

@@ -282,12 +282,12 @@ mod tests {
         for _ in 0..4 {
             let mut frame = WorkingFrame::copy_of(&src);
             assert_eq!(frame.0, src);
-            assert_eq!(frame.0.bounds_hint(), Some(Rect::new(3, 4, 4, 5)));
-            frame.0.pixels_mut().fill(lit); // whole-frame extent, dead hint
+            assert_eq!(frame.0.extent(), Rect::new(3, 4, 4, 5));
+            frame.0.pixels_mut().fill(lit); // whole-frame extent
             drop(frame);
             let blank = WorkingFrame::copy_of(&empty);
             assert_eq!(blank.0.non_blank_count(), 0);
-            assert_eq!(blank.0.bounds_hint(), Some(Rect::EMPTY));
+            assert_eq!(blank.0.extent(), Rect::EMPTY);
         }
     }
 

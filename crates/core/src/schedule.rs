@@ -158,17 +158,7 @@ pub fn fold_into_pow2(
             comp.time(|| {
                 let (rect, wire) = parse_rect(payload, &image.full_rect())?;
                 stat.recv_rect_empty = rect.is_empty();
-                if !rect.is_empty() {
-                    // The merged bounds are the union of ours and the
-                    // arriving (tight) rectangle: `over` on non-negative
-                    // premultiplied pixels never blanks a non-blank pixel,
-                    // so no rescan is needed to keep the fast path armed.
-                    let prior = image.bounds_hint();
-                    stat.composite_ops = composite_rect(image, &rect, &wire, false);
-                    if let Some(h) = prior {
-                        image.assert_bounds(h.union(&rect));
-                    }
-                }
+                stat.composite_ops = composite_rect(image, &rect, &wire, false);
                 Ok(())
             })
             .map_err(|m: Malformed| m.at("fold", behind))?;

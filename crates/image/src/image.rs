@@ -11,43 +11,34 @@ use crate::rle::RunSet;
 /// mostly blank; the compositing methods never copy more than the active
 /// region thanks to bounding rectangles and run-length encoding.
 ///
-/// The image maintains an incremental *bounds hint*: the exact tight
-/// bounding rectangle of its non-blank pixels, kept up to date through
-/// [`Image::set`] during local rendering and invalidated by raw mutable
-/// access. When the hint is live, [`Image::bounding_rect`] is `O(1)` —
-/// the BSBR/BSLC/BSBRC stage setup becomes `O(runs)` instead of
-/// `O(W×H)`.
-/// [`Clone`] uses it too: a sparse image's copy is a blank frame plus
-/// the rows of the hint.
-///
-/// Beside the hint the image keeps an *extent*: a rectangle outside
-/// which every pixel is bitwise [`Pixel::BLANK`]. Unlike the hint it is
-/// conservative and never dies — every mutator grows it to cover what
-/// it is about to write *before* writing, so it holds at every step,
-/// a panic half way through a merge included. It is what lets a frame
-/// be reused: [`Image::clear`] and [`Clone::clone_from`] touch the rows
-/// of the extent, not the `W×H` frame, and a scan for bounds after the
-/// hint died never leaves it. It is also what keeps a dense body's local
-/// work to the content: its encoder copies only the extent's pixels of a
-/// rect (the rest are 16 zero bytes each on the wire), and
-/// [`Image::composite_rect_over_wire`] / [`Image::composite_rect_under_wire`]
-/// write outside the extent only where an incoming pixel is non-blank —
-/// the wire bytes stay Equation (2)'s, every pixel of the rect.
+/// The image keeps one record of where its content is, the *extent*: a
+/// rectangle outside which every pixel is bitwise [`Pixel::BLANK`]. It is
+/// conservative and always true — every mutator grows it to cover what
+/// it is about to write *before* writing, so it holds at every step, a
+/// panic half way through a merge included — and after [`Image::blank`],
+/// [`Image::from_fn`] and a render it is exactly the tight bounds. It is
+/// what lets a frame be reused: [`Image::clear`], [`Clone::clone`] and
+/// [`Clone::clone_from`] touch the rows of the extent, not the `W×H`
+/// frame, and [`Image::bounding_rect`] (`T_bound`) and
+/// [`Image::runs_into`] never scan past it. It is also what keeps a dense
+/// body's local work to the content: its encoder copies only the
+/// extent's pixels of a rect (the rest are 16 zero bytes each on the
+/// wire), and [`Image::composite_rect_over_wire`] /
+/// [`Image::composite_rect_under_wire`] write outside the extent only
+/// where an incoming pixel is non-blank — the wire bytes stay Equation
+/// (2)'s, every pixel of the rect.
 #[derive(Debug)]
 pub struct Image {
     width: u16,
     height: u16,
     pixels: Vec<Pixel>,
-    /// `Some(r)` ⇒ `r` is *exactly* the tight bounding rectangle of the
-    /// non-blank pixels. `None` ⇒ unknown; fall back to scanning.
-    bounds_hint: Option<Rect>,
-    /// Every pixel outside is bitwise [`Pixel::BLANK`]; a live hint lies
-    /// inside. Always within the frame.
+    /// Every pixel outside is bitwise [`Pixel::BLANK`]. Always within the
+    /// frame.
     extent: Rect,
 }
 
-/// Equality is over the pixel grid only; the bounds hint and the extent
-/// are bookkeeping, and two images differing only in them compare equal.
+/// Equality is over the pixel grid only; the extent is bookkeeping, and
+/// two images differing only in it compare equal.
 impl PartialEq for Image {
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width && self.height == other.height && self.pixels == other.pixels
@@ -55,36 +46,30 @@ impl PartialEq for Image {
 }
 
 /// A rank's working copy of its subimage is a clone, and a sort-last
-/// subimage is mostly blank: when the hint is live and covers less than
-/// half the frame, only its rows are read (the rest of the copy is
-/// written as [`Pixel::BLANK`], which is what lies outside an exact
-/// hint). Denser or unhinted images take the plain copy, which is
-/// cheaper than fill-then-copy once most of the frame is live.
+/// subimage is mostly blank: when the extent covers less than half the
+/// frame, only its rows are read (the rest of the copy is written as
+/// [`Pixel::BLANK`], which is what lies outside the extent). Denser
+/// images take the plain copy, which is cheaper than fill-then-copy once
+/// most of the frame is live.
 ///
 /// `clone_from` is how a working frame is *reset* to a subimage: with
 /// equal dimensions it blanks the rows the previous use touched, copies
-/// the rows `src` can hold anything in and adopts `src`'s extent and
-/// hint — `O(both extents)`, no allocation, and the same image (pixel
-/// bits, hint, extent) a fresh clone would be.
+/// the rows of `src`'s extent and adopts that extent — `O(both
+/// extents)`, no allocation, and the same image (pixel bits and extent)
+/// a fresh clone would be.
 impl Clone for Image {
     fn clone(&self) -> Self {
-        let pixels = match self.bounds_hint {
-            Some(h) if h.area() * 2 < self.pixels.len() => {
-                let mut pixels = vec![Pixel::BLANK; self.pixels.len()];
-                let w = h.width() as usize;
-                for y in h.y0..h.y1 {
-                    let i = self.index(h.x0, y);
-                    pixels[i..i + w].copy_from_slice(&self.pixels[i..i + w]);
-                }
-                pixels
-            }
-            _ => self.pixels.clone(),
+        let pixels = if self.extent.area() * 2 < self.pixels.len() {
+            let mut pixels = vec![Pixel::BLANK; self.pixels.len()];
+            self.copy_extent_rows(&mut pixels);
+            pixels
+        } else {
+            self.pixels.clone()
         };
         Image {
             width: self.width,
             height: self.height,
             pixels,
-            bounds_hint: self.bounds_hint,
             extent: self.extent,
         }
     }
@@ -97,12 +82,7 @@ impl Clone for Image {
         self.clear();
         // Grown first, like every write: the invariant holds throughout.
         self.extent = src.extent;
-        let w = src.extent.width() as usize;
-        for y in src.extent.y0..src.extent.y1 {
-            let i = self.index(src.extent.x0, y);
-            self.pixels[i..i + w].copy_from_slice(&src.pixels[i..i + w]);
-        }
-        self.bounds_hint = src.bounds_hint;
+        src.copy_extent_rows(&mut self.pixels);
     }
 }
 
@@ -113,7 +93,6 @@ impl Image {
             width,
             height,
             pixels: vec![Pixel::BLANK; width as usize * height as usize],
-            bounds_hint: Some(Rect::EMPTY),
             extent: Rect::EMPTY,
         }
     }
@@ -135,7 +114,6 @@ impl Image {
             width,
             height,
             pixels,
-            bounds_hint: Some(bounds),
             extent: bounds,
         }
     }
@@ -147,7 +125,6 @@ impl Image {
             width,
             height,
             pixels,
-            bounds_hint: None,
             extent: Rect::of_size(width, height),
         }
     }
@@ -189,30 +166,19 @@ impl Image {
         self.pixels[self.index(x, y)]
     }
 
-    /// Mutable pixel access. Invalidates the bounds hint (the write is
-    /// not observable).
+    /// Mutable pixel access; the extent grows over the pixel.
     #[inline]
     pub fn get_mut(&mut self, x: u16, y: u16) -> &mut Pixel {
         let i = self.index(x, y);
         self.touch_pixel(x, y);
-        self.bounds_hint = None;
         &mut self.pixels[i]
     }
 
-    /// Sets a pixel, keeping the bounds hint exact: a non-blank write
-    /// grows the hint; blanking a previously non-blank pixel may shrink
-    /// the true bounds, so the hint is dropped.
+    /// Sets a pixel; the extent grows over it.
     #[inline]
     pub fn set(&mut self, x: u16, y: u16, p: Pixel) {
         let i = self.index(x, y);
         self.touch_pixel(x, y);
-        if !p.is_blank() {
-            if let Some(h) = &mut self.bounds_hint {
-                h.include(x, y);
-            }
-        } else if !self.pixels[i].is_blank() {
-            self.bounds_hint = None;
-        }
         self.pixels[i] = p;
     }
 
@@ -222,12 +188,11 @@ impl Image {
         &self.pixels
     }
 
-    /// Flat mutable pixel slice (row-major). Invalidates the bounds hint
-    /// and widens the extent to the whole frame.
+    /// Flat mutable pixel slice (row-major). Widens the extent to the
+    /// whole frame.
     #[inline]
     pub fn pixels_mut(&mut self) -> &mut [Pixel] {
         self.extent = self.full_rect();
-        self.bounds_hint = None;
         &mut self.pixels
     }
 
@@ -239,14 +204,13 @@ impl Image {
         &self.pixels[i..i + len]
     }
 
-    /// Mutable row span. Invalidates the bounds hint.
+    /// Mutable row span; the extent grows over it.
     #[inline]
     pub fn row_span_mut(&mut self, x: u16, y: u16, len: usize) -> &mut [Pixel] {
         let i = self.index(x, y);
         let end = x as usize + len;
         assert!(end <= self.width as usize, "row span leaves the frame");
         self.touch(&Rect::new(x, y, end as u16, y + 1));
-        self.bounds_hint = None;
         &mut self.pixels[i..i + len]
     }
 
@@ -278,8 +242,8 @@ impl Image {
     }
 
     /// The rectangle outside which every pixel is [`Pixel::BLANK`] — a
-    /// superset of the tight bounds, equal to them after [`Image::blank`],
-    /// [`Image::from_fn`] and [`Image::assert_bounds`]. The wire merges
+    /// superset of the tight bounds, equal to them after [`Image::blank`]
+    /// and [`Image::from_fn`]. The wire merges
     /// grow it only over what they write, so after a dense merge it lies
     /// within the old extent and the incoming non-blank pixels' bounds.
     #[inline]
@@ -296,36 +260,16 @@ impl Image {
             self.pixels[i..i + w].fill(Pixel::BLANK);
         }
         self.extent = Rect::EMPTY;
-        self.bounds_hint = Some(Rect::EMPTY);
     }
 
-    /// The current bounds hint, when live (exact tight bounds).
-    #[inline]
-    pub fn bounds_hint(&self) -> Option<Rect> {
-        self.bounds_hint
-    }
-
-    /// Asserts a known-exact bounding rectangle, re-arming the `O(1)`
-    /// [`Image::bounding_rect`] fast path after a merge whose output
-    /// bounds the caller derived incrementally (union of the inputs).
-    ///
-    /// The extent shrinks to `bounds` too — this is how a frame written
-    /// through [`Image::pixels_mut`] gets its sparsity back: outside
-    /// `bounds` every pixel is [`Pixel::BLANK`].
-    ///
-    /// Debug builds verify the claim against a full scan.
-    pub fn assert_bounds(&mut self, bounds: Rect) {
-        assert!(
-            self.full_rect().contains_rect(&bounds),
-            "asserted bounds leave the frame"
-        );
-        debug_assert_eq!(
-            bounds,
-            self.scan_bounds(&self.full_rect()),
-            "asserted bounds hint must match the scanned tight bounds"
-        );
-        self.bounds_hint = Some(bounds);
-        self.extent = bounds;
+    /// Copies the rows of the extent into the same places of `dst`, a
+    /// pixel buffer of this image's size.
+    fn copy_extent_rows(&self, dst: &mut [Pixel]) {
+        let w = self.extent.width() as usize;
+        for y in self.extent.y0..self.extent.y1 {
+            let i = self.index(self.extent.x0, y);
+            dst[i..i + w].copy_from_slice(&self.pixels[i..i + w]);
+        }
     }
 
     /// Replaces `runs` with the runs of `rect`'s non-blank pixels
@@ -364,32 +308,20 @@ impl Image {
             .count()
     }
 
-    /// Bounding rectangle of all non-blank pixels — `O(1)` when the
-    /// incremental hint is live, otherwise the `O(A)` scan the paper
-    /// charges as `T_bound` in the first BSBR/BSBRC stage (over the
-    /// extent: nothing outside it can be non-blank).
+    /// Bounding rectangle of all non-blank pixels: the `O(A)` row scan
+    /// the paper charges as `T_bound` in the first BSBR/BSBRC stage, over
+    /// the extent only (nothing outside it can be non-blank).
     pub fn bounding_rect(&self) -> Rect {
-        match self.bounds_hint {
-            Some(h) => h,
-            None => self.scan_bounds(&self.extent),
-        }
-    }
-
-    /// The row-scan bounds search over `within`.
-    fn scan_bounds(&self, within: &Rect) -> Rect {
-        if within.is_empty() {
-            return Rect::EMPTY;
-        }
+        let e = self.extent;
         let mut bounds = Rect::EMPTY;
-        for y in within.y0..within.y1 {
-            let row = &self.pixels
-                [self.index(within.x0, y)..self.index(within.x0, y) + within.width() as usize];
+        for y in e.y0..e.y1 {
+            let row = self.row_span(e.x0, y, e.width() as usize);
             // Scan from both ends of the row to touch as few pixels as
             // possible once some bounds are known.
             if let Some(first) = row.iter().position(|p| !p.is_blank()) {
                 let last = row.iter().rposition(|p| !p.is_blank()).unwrap();
-                bounds.include(within.x0 + first as u16, y);
-                bounds.include(within.x0 + last as u16, y);
+                bounds.include(e.x0 + first as u16, y);
+                bounds.include(e.x0 + last as u16, y);
             }
         }
         bounds
@@ -417,7 +349,6 @@ impl Image {
     pub fn write_rect(&mut self, rect: &Rect, data: &[Pixel]) {
         assert_eq!(data.len(), rect.area());
         self.touch(rect);
-        self.bounds_hint = None;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
             let dst = self.index(rect.x0, y);
             let src = row_idx * rect.width() as usize;
@@ -432,7 +363,6 @@ impl Image {
     pub fn composite_rect_over(&mut self, rect: &Rect, front: &[Pixel]) -> usize {
         assert_eq!(front.len(), rect.area());
         self.touch(rect);
-        self.bounds_hint = None;
         let w = rect.width() as usize;
         for (row_idx, y) in (rect.y0..rect.y1).enumerate() {
             let dst = self.index(rect.x0, y);
@@ -496,7 +426,6 @@ impl Image {
     ) -> usize {
         assert_eq!(wire.len(), rect.area() * BYTES_PER_PIXEL);
         self.assert_in_frame(rect);
-        self.bounds_hint = None;
         let extent = self.extent;
         let w = rect.width() as usize;
         for (row, y) in (rect.y0..rect.y1).enumerate() {
@@ -565,51 +494,37 @@ mod tests {
     }
 
     #[test]
-    fn hint_tracks_set_and_survives_clone() {
+    fn extent_tracks_set_and_survives_clone() {
         let mut img = Image::blank(20, 10);
-        assert_eq!(img.bounds_hint(), Some(Rect::EMPTY));
+        assert_eq!(img.extent(), Rect::EMPTY);
         img.set(3, 2, Pixel::gray(1.0, 1.0));
         img.set(15, 7, Pixel::gray(1.0, 1.0));
-        assert_eq!(img.bounds_hint(), Some(Rect::new(3, 2, 16, 8)));
+        assert_eq!(img.extent(), Rect::new(3, 2, 16, 8));
         let cloned = img.clone();
-        assert_eq!(cloned.bounds_hint(), img.bounds_hint());
-        // Blank writes over blank pixels keep the hint...
-        img.set(0, 0, Pixel::BLANK);
-        assert!(img.bounds_hint().is_some());
-        // ...but blanking a non-blank pixel drops it, and the scan takes
-        // over with the correct (shrunk) answer.
+        assert_eq!(cloned.extent(), img.extent());
+        // Blanking a non-blank pixel keeps the extent (it is a superset
+        // of the bounds), and the scan finds the shrunk bounds.
         img.set(15, 7, Pixel::BLANK);
-        assert_eq!(img.bounds_hint(), None);
+        assert_eq!(img.extent(), Rect::new(3, 2, 16, 8));
         assert_eq!(img.bounding_rect(), Rect::new(3, 2, 4, 3));
     }
 
     #[test]
-    fn hint_matches_scan_for_from_fn() {
+    fn scan_matches_from_fn_through_any_extent() {
         let img = checker(13, 7);
-        let hinted = img.bounding_rect();
-        let mut unhinted = Image::from_pixels(13, 7, img.pixels().to_vec());
-        assert_eq!(unhinted.bounds_hint(), None);
-        assert_eq!(unhinted.bounding_rect(), hinted);
-        // Raw mutable access invalidates.
-        let img2 = {
-            let mut i = checker(13, 7);
-            i.pixels_mut();
-            i
-        };
-        assert_eq!(img2.bounds_hint(), None);
-        unhinted.get_mut(0, 0);
-        assert_eq!(unhinted.bounds_hint(), None);
-    }
-
-    #[test]
-    fn assert_bounds_rearms_fast_path() {
-        let mut img = checker(8, 8);
         let bounds = img.bounding_rect();
-        img.pixels_mut(); // invalidate
-        assert_eq!(img.bounds_hint(), None);
-        img.assert_bounds(bounds);
-        assert_eq!(img.bounds_hint(), Some(bounds));
-        assert_eq!(img.bounding_rect(), bounds);
+        assert_eq!(img.extent(), bounds);
+        let mut whole = Image::from_pixels(13, 7, img.pixels().to_vec());
+        assert_eq!(whole.extent(), whole.full_rect());
+        assert_eq!(whole.bounding_rect(), bounds);
+        // Raw mutable access widens the extent; a single pixel grows it.
+        let mut img2 = Image::blank(13, 7);
+        img2.get_mut(4, 5);
+        assert_eq!(img2.extent(), Rect::new(4, 5, 5, 6));
+        img2.pixels_mut();
+        assert_eq!(img2.extent(), img2.full_rect());
+        whole.clear();
+        assert_eq!(whole.extent(), Rect::EMPTY);
     }
 
     #[test]
@@ -659,7 +574,6 @@ mod tests {
         assert_eq!(img.row_span(1, 2, 4), &img.pixels()[13..17]);
         let mut m = checker(6, 4);
         m.row_span_mut(0, 0, 6).fill(Pixel::BLANK);
-        assert_eq!(m.bounds_hint(), None);
         assert_eq!(m.non_blank_count_in(&Rect::new(0, 0, 6, 1)), 0);
     }
 

@@ -70,7 +70,7 @@ impl Pixel {
     /// components `+0.0`. A `-0.0` or NaN component is not blank.
     ///
     /// This is the one blank rule. Every scan classifies by it — the
-    /// renderer's pixel write, the bounds scan and hint, the extent, the
+    /// renderer's pixel write, the bounds scan, the extent, the
     /// run codecs of the stages, tiles, gather and served frame — so
     /// whatever a scan skips can be restored as `Pixel::BLANK` without
     /// changing a bit of the image.

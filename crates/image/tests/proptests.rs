@@ -86,7 +86,7 @@ fn arb_frame_rect() -> impl Strategy<Value = Rect> {
 
 /// How many mutators [`mutate`] knows: every public `&mut self` method
 /// of `Image`.
-const MUTATORS: u8 = 15;
+const MUTATORS: u8 = 14;
 
 /// One mutator call: which, where, and the non-blank pixel it writes.
 type Mutation = (u8, Rect, Pixel);
@@ -107,8 +107,8 @@ fn dotted(lit: Pixel) -> Image {
     })
 }
 
-/// The same frame with a dead hint and a whole-frame extent.
-fn dotted_unhinted(lit: Pixel) -> Image {
+/// The same frame with a whole-frame extent.
+fn dotted_whole(lit: Pixel) -> Image {
     Image::from_pixels(W, H, dotted(lit).pixels().to_vec())
 }
 
@@ -134,12 +134,11 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
         7 => drop(img.composite_rect_over(&rect, &data)),
         8 => drop(img.composite_rect_over_wire(&rect, &wire)),
         9 => drop(img.composite_rect_under_wire(&rect, &wire)),
-        10 => img.assert_bounds(brute_bounds(img)),
-        11 => img.clear(),
-        12 => img.clone_from(&dotted(lit)),
-        13 => img.clone_from(&dotted_unhinted(lit)),
+        10 => img.clear(),
+        11 => img.clone_from(&dotted(lit)),
+        12 => img.clone_from(&dotted_whole(lit)),
         // Every other pixel of the rect, as runs of one.
-        14 => img.write_runs_wire(
+        13 => img.write_runs_wire(
             &rect,
             (0..rect.area()).step_by(2).map(|i| (i, 1)),
             &to_wire(&vec![lit; rect.area().div_ceil(2)]),
@@ -160,9 +159,9 @@ fn brute_bounds(img: &Image) -> Rect {
 }
 
 /// The extent invariant, and what rests on it: outside the extent every
-/// pixel is `Pixel::BLANK` bit for bit, the tight bounds and a live
-/// hint lie inside it, and the bounds query agrees with a pixel-by-pixel
-/// search whether it answers from the hint or scans.
+/// pixel is `Pixel::BLANK` bit for bit, the tight bounds lie inside it,
+/// and the bounds query, which scans only the extent, agrees with a
+/// pixel-by-pixel search.
 fn assert_extent_holds(img: &Image) {
     let extent = img.extent();
     assert!(img.full_rect().contains_rect(&extent), "{extent:?}");
@@ -175,21 +174,17 @@ fn assert_extent_holds(img: &Image) {
     }
     let tight = brute_bounds(img);
     assert!(extent.contains_rect(&tight), "{tight:?} outside {extent:?}");
-    if let Some(hint) = img.bounds_hint() {
-        assert_eq!(hint, tight, "a live hint is exact");
-    }
     assert_eq!(img.bounding_rect(), tight);
 }
 
 /// `dst.clone_from(src)` leaves what `src.clone()` builds: dimensions,
-/// pixel bits, hint and extent.
+/// pixel bits and extent.
 fn assert_clone_from_is_clone(mut dst: Image, src: &Image) {
     let fresh = src.clone();
     dst.clone_from(src);
     assert_eq!((dst.width(), dst.height()), (fresh.width(), fresh.height()));
     assert!(same_bits(dst.pixels(), fresh.pixels()));
     assert!(same_bits(dst.pixels(), src.pixels()));
-    assert_eq!(dst.bounds_hint(), fresh.bounds_hint());
     assert_eq!(dst.extent(), fresh.extent());
 }
 
@@ -199,7 +194,7 @@ fn mutated(start: u8, mutations: &[Mutation]) -> Image {
     let mut img = match start % 3 {
         0 => Image::blank(W, H),
         1 => dotted(lit),
-        _ => dotted_unhinted(lit),
+        _ => dotted_whole(lit),
     };
     for &mutation in mutations {
         mutate(&mut img, mutation);
@@ -525,7 +520,6 @@ proptest! {
         want.write_rect(&rect, dense);
         got.write_runs_wire(&rect, [(0, rect.area())], &wire);
         prop_assert!(same_bits(want.pixels(), got.pixels()));
-        prop_assert_eq!(got.bounds_hint(), None);
     }
 
     /// The wire merges over a base whose extent is part of the frame:
@@ -632,8 +626,9 @@ proptest! {
 }
 
 proptest! {
-    // Sixteen mutators in sequences of up to twelve: more cases than the
-    // default 32 to reach the pairs that matter (a dead hint, then a scan).
+    // Fourteen mutators in sequences of up to twelve: more cases than the
+    // default 32 to reach the pairs that matter (a blanking write, then a
+    // scan).
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
@@ -726,16 +721,16 @@ fn empty_image_has_empty_bounds_everywhere() {
     assert_eq!(out.non_blank_count(), 0);
 }
 
-/// `Image::clone` picks its copy from the bounds hint; whichever it
-/// picks, the result is the field-wise copy: same pixel bits, same hint.
+/// `Image::clone` picks its copy from the extent; whichever it picks,
+/// the result is the field-wise copy: same pixel bits, same extent.
 #[test]
-fn clone_equals_field_wise_copy_on_both_sides_of_the_hint_threshold() {
+fn clone_equals_field_wise_copy_on_both_sides_of_the_sparse_threshold() {
     const W: u16 = 16;
-    const H: u16 = 8; // 128 pixels: the sparse copy serves hints under 64
+    const H: u16 = 8; // 128 pixels: the sparse copy serves extents under 64
     let lit = Pixel::new(0.25, -0.0, 0.5, 1.0);
     // Non-blank at two opposite corners of `r` and along its diagonal,
-    // so the maintained hint is exactly `r`.
-    let with_hint = |r: Rect| {
+    // so the extent is exactly `r`.
+    let with_extent = |r: Rect| {
         let mut img = Image::blank(W, H);
         for (x, y) in r.iter() {
             let on_diagonal = (x - r.x0) * r.height() / r.width() == y - r.y0;
@@ -743,37 +738,55 @@ fn clone_equals_field_wise_copy_on_both_sides_of_the_hint_threshold() {
                 img.set(x, y, lit);
             }
         }
-        assert_eq!(img.bounds_hint(), Some(r));
+        assert_eq!(img.extent(), r);
+        img
+    };
+    // An extent wider than the content: a blank write grows it.
+    let wider = |r: Rect, (x, y): (u16, u16)| {
+        let mut img = with_extent(r);
+        img.set(x, y, Pixel::BLANK);
+        assert_eq!(img.bounding_rect(), r);
         img
     };
     let mut cases = vec![
-        ("no hint", {
-            let mut img = with_hint(Rect::new(2, 1, 5, 4));
+        ("whole-frame extent", {
+            let mut img = with_extent(Rect::new(2, 1, 5, 4));
             img.pixels_mut()[100] = Pixel::new(-0.0, 0.0, -0.0, 0.0);
-            assert_eq!(img.bounds_hint(), None);
             img
         }),
-        ("empty hint", Image::blank(W, H)),
-        ("just under half", with_hint(Rect::new(3, 1, 12, 8))), // 9 x 7 = 63
-        ("exactly half", with_hint(Rect::new(8, 0, 16, 8))),    // 8 x 8 = 64
-        ("just over half", with_hint(Rect::new(2, 2, 15, 7))),  // 13 x 5 = 65
-        ("whole frame", with_hint(Rect::new(0, 0, W, H))),
+        ("empty extent", Image::blank(W, H)),
+        (
+            "sparse, wider than the content",
+            wider(Rect::new(2, 1, 5, 4), (8, 5)),
+        ),
+        (
+            "dense, wider than the content",
+            wider(Rect::new(2, 1, 5, 4), (14, 6)),
+        ),
+        ("just under half", with_extent(Rect::new(3, 1, 12, 8))), // 9 x 7 = 63
+        ("exactly half", with_extent(Rect::new(8, 0, 16, 8))),    // 8 x 8 = 64
+        ("just over half", with_extent(Rect::new(2, 2, 15, 7))),  // 13 x 5 = 65
+        ("whole frame", with_extent(Rect::new(0, 0, W, H))),
     ];
     for (x, y) in [(0, 0), (W - 1, 0), (0, H - 1), (W - 1, H - 1)] {
-        cases.push(("one corner pixel", with_hint(Rect::new(x, y, x + 1, y + 1))));
+        cases.push((
+            "one corner pixel",
+            with_extent(Rect::new(x, y, x + 1, y + 1)),
+        ));
     }
     for (name, img) in &cases {
         let copy = img.clone();
         assert_eq!((copy.width(), copy.height()), (W, H), "{name}");
         assert!(same_bits(copy.pixels(), img.pixels()), "{name}: pixels");
-        assert_eq!(copy.bounds_hint(), img.bounds_hint(), "{name}: hint");
+        assert_eq!(copy.extent(), img.extent(), "{name}: extent");
     }
 }
 
 /// The same equivalence with the prior state enumerated, not drawn: a
 /// frame holding a block, then dirtied by each mutator in turn, reset to
-/// a source in each hint/extent state (empty, sparse and exact, dense,
-/// dead hint, whole-frame extent, unknown).
+/// a source in each extent state (empty, sparse and exact, dense, wider
+/// than the content, whole-frame after a raw write, whole-frame from
+/// `from_pixels`).
 #[test]
 fn clone_from_resets_a_frame_dirtied_by_each_mutator() {
     let lit = Pixel::gray(0.125, 0.75);
@@ -788,7 +801,13 @@ fn clone_from_resets_a_frame_dirtied_by_each_mutator() {
             ],
         ),
         dotted(lit),
-        mutated(1, &[(2, Rect::new(4, 4, 5, 5), lit)]),
+        mutated(
+            0,
+            &[
+                (0, Rect::new(3, 2, 4, 3), lit),
+                (1, Rect::new(11, 7, 12, 8), lit),
+            ],
+        ),
         mutated(
             0,
             &[
@@ -798,8 +817,9 @@ fn clone_from_resets_a_frame_dirtied_by_each_mutator() {
         ),
         mutated(2, &[]),
     ];
-    assert_eq!(sources[1].bounds_hint(), Some(Rect::new(3, 2, 10, 7)));
-    assert_eq!(sources[3].bounds_hint(), None);
+    assert_eq!(sources[1].extent(), Rect::new(3, 2, 10, 7));
+    assert_eq!(sources[3].extent(), Rect::new(3, 2, 12, 8));
+    assert_eq!(sources[3].bounding_rect(), Rect::new(3, 2, 4, 3));
     assert_eq!(sources[4].extent(), sources[4].full_rect());
     for src in &sources {
         for kind in 0..MUTATORS {

@@ -444,8 +444,8 @@ pub fn render_clips(
         .collect();
 
     // Each clip's image and seconds. An item sets its rect's non-blank
-    // pixels into its clip's image as it finishes, so the bounds hint and
-    // the extent grow exactly as they do in a sequential render.
+    // pixels into its clip's image as it finishes, so the extent grows
+    // exactly as it does in a sequential render.
     let images: Vec<Mutex<(Image, f64)>> = seconds
         .into_iter()
         .map(|s| Mutex::new((Image::blank(camera.width, camera.height), s)))

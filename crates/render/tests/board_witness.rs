@@ -1,11 +1,10 @@
 //! One digest over what `render_clips` hands back per clip: the pixel
-//! bits (`fnv1a`), the tight bounds, the extent and the bounds hint. It
+//! bits (`fnv1a`), the tight bounds and the extent. It
 //! covers the `kd_partition` blocks of two datasets for P ∈ {1, 3, 5},
 //! the naive integrator and the macrocell path with tile culling off
 //! and at 32-px tiles, each on a render pool 1, 2, 3 and 8 threads wide.
-//! `render_golden` pins the pixels of whole frames but neither the extent
-//! nor the hint, which decide how much of a subimage later copies and
-//! scans touch.
+//! `render_golden` pins the pixels of whole frames but not the extent,
+//! which decides how much of a subimage later copies and scans touch.
 
 use std::sync::Arc;
 
@@ -32,13 +31,9 @@ fn fold_image(mut h: u64, image: &Image) -> u64 {
     h = fold(h, [fnv1a(image)]);
     h = fold(h, rect_words(image.bounding_rect()));
     h = fold(h, rect_words(image.extent()));
-    // A rendered clip's hint is its extent, so folding `[1] ++ extent`
-    // in its place keeps the digest.
-    assert_eq!(image.bounds_hint(), Some(image.extent()));
-    match image.bounds_hint() {
-        Some(hint) => fold(h, [1].into_iter().chain(rect_words(hint))),
-        None => fold(h, [0]),
-    }
+    // `[1] ++ extent` where the digest once folded the bounds hint, which
+    // for every rendered clip was `Some(extent)`: the pin stands.
+    fold(h, [1].into_iter().chain(rect_words(image.extent())))
 }
 
 #[test]

@@ -350,7 +350,7 @@ impl Wire for Magic {
 /// Blank is [`Pixel::is_blank`] ([`Image::runs_into`]): only a
 /// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels and
 /// the decoded frame is the sent one bit for bit. The bytes are a
-/// function of the pixels alone, whatever the extent or bounds hint.
+/// function of the pixels alone, whatever the extent.
 /// [`read_body`] checks the codes against the frame and the pixels
 /// present before anything proportional to the claimed dimensions is
 /// allocated.
@@ -1559,8 +1559,7 @@ mod proptests {
     }
 
     /// Checks every codec property of one frame: the bytes equal the
-    /// per-field reference and are the same for a hinted, tight-extent
-    /// copy; the decoded image is the sent one bit for bit and encodes
+    /// per-field reference and are the same for a tight-extent copy; the decoded image is the sent one bit for bit and encodes
     /// to the same bytes; no frame is larger than the dense one of its
     /// size.
     fn check_frame(
@@ -1569,13 +1568,13 @@ mod proptests {
         height: u16,
         pixels: Vec<Pixel>,
     ) -> Result<(), TestCaseError> {
-        let hinted = Image::from_fn(width, height, |x, y| {
+        let tight = Image::from_fn(width, height, |x, y| {
             pixels[y as usize * width as usize + x as usize]
         });
         let reply = cached_reply(Image::from_pixels(width, height, pixels));
         let wire = encode_response(id, &FrameResponse::Frame(reply.clone()));
         prop_assert_eq!(&wire, &per_field_encoding(id, &reply));
-        prop_assert_eq!(&wire, &encoded(id, hinted));
+        prop_assert_eq!(&wire, &encoded(id, tight));
         let (got_id, got) = decode_response(&wire).unwrap();
         prop_assert_eq!(got_id, id);
         let WireResponse::Frame(frame) = got else {

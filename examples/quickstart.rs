@@ -43,7 +43,7 @@ fn main() {
     let record = outcome.record();
     println!("\ncompositing with {}:", config.method.name());
     println!(
-        "  T_comp  = {:>8.2} ms (measured, scaled to the SP2 machine model)",
+        "  T_comp  = {:>8.2} ms (modeled from operation counts)",
         record.t_comp_ms
     );
     println!(

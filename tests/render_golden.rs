@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use slsvr::compositing::Method;
 use slsvr::image::checksum::fnv1a;
-use slsvr::image::Image;
+use slsvr::image::{Image, Rect};
 use slsvr::system::{Experiment, ExperimentConfig, RenderPool};
 use slsvr::volume::{Dataset, DatasetKind};
 
@@ -185,13 +185,14 @@ fn cube_pixels_are_pinned() {
     );
 }
 
-/// `Image::clone` copies only the rows of the bounds hint when the hint
+/// `Image::clone` copies only the rows of the extent when the extent
 /// covers less than half the frame. That is exact only while every
-/// producer of a hint keeps it exact, so check it on what the renderer
-/// really produces: the copy has the subimage's bits and its hint.
+/// writer keeps the extent true, so check it on what the renderer really
+/// produces: the copy has the subimage's bits and its extent, and the
+/// extent is the tight bounds, found pixel by pixel.
 ///
 /// A rank's working copy is the subimage `clone_from`-ed into a leased
-/// frame, which copies only the rows of the *extent* and is held to the
+/// frame, which copies the rows of the extent too and is held to the
 /// same: each subimage also goes into one frame that still holds the
 /// previous subimage (another rank's block, elsewhere on screen; another
 /// size when the dataset changes), and must come out as the fresh clone.
@@ -231,19 +232,23 @@ fn working_copies_are_bit_identical_to_rendered_subimages() {
                                 .eq(img.pixels().iter().map(bits)),
                             "{at}"
                         );
-                        assert_eq!(copy.bounds_hint(), img.bounds_hint(), "{at}");
                         assert_eq!(copy.extent(), img.extent(), "{at}");
                     }
-                    // A rendered subimage is as sparse as its hint says.
-                    assert_eq!(Some(img.extent()), img.bounds_hint());
-                    sparse +=
-                        usize::from(img.bounds_hint().is_some_and(|h| h.area() * 2 < img.area()));
+                    // A rendered subimage is as sparse as its extent says.
+                    let mut tight = Rect::EMPTY;
+                    for (x, y) in img.full_rect().iter() {
+                        if !img.get(x, y).is_blank() {
+                            tight.include(x, y);
+                        }
+                    }
+                    assert_eq!(img.extent(), tight);
+                    sparse += usize::from(img.extent().area() * 2 < img.area());
                 }
             }
         }
     }
-    // The hinted copy ran (the other one is a plain `Vec` clone).
-    assert!(sparse > 0, "no subimage took the hinted copy");
+    // The sparse copy ran (the other one is a plain `Vec` clone).
+    assert!(sparse > 0, "no subimage took the sparse copy");
 }
 
 /// The same pin at the sizes the repo benchmark renders: paper
