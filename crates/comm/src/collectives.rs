@@ -41,11 +41,13 @@ pub fn scatter(
     }
 }
 
-/// Gathers every rank's payload at `root`: `Some(slots)` (indexed by
-/// rank) at the root, `None` elsewhere. A contributor that died or
-/// disconnected yields `None` in its slot instead of failing the whole
-/// gather. Only `Killed` (this rank is dead) and a timeout remain hard
-/// errors.
+/// Gathers every rank's payload at `root`, handing each slot to
+/// `slot(rank, payload)` in rank order as it arrives, so the root can
+/// consume a piece while later ones are still on the way. A contributor
+/// that died or disconnected yields `None` in its slot instead of
+/// failing the whole gather; only the root sees slots. Only `Killed`
+/// (this rank is dead) and a timeout remain hard errors, and end the
+/// gather at that slot.
 ///
 /// A message with another tag ahead of a source's contribution is
 /// discarded and the source read again: on the raw wire a rank killed
@@ -57,33 +59,35 @@ pub fn gather_tolerant(
     root: usize,
     tag: Tag,
     payload: Bytes,
-) -> Result<Option<Vec<Option<Bytes>>>, CommError> {
+    mut slot: impl FnMut(usize, Option<Bytes>),
+) -> Result<(), CommError> {
     if ep.rank() == root {
-        let mut all: Vec<Option<Bytes>> = Vec::with_capacity(ep.size());
+        let mut own = Some(payload);
         for src in 0..ep.size() {
             if src == ep.rank() {
-                all.push(Some(payload.clone()));
-            } else {
-                all.push(loop {
-                    match ep.recv(src, tag) {
-                        Ok(bytes) => break Some(bytes),
-                        Err(RecvError::Disconnected { .. }) => break None,
-                        Err(RecvError::TagMismatch { .. }) => continue,
-                        Err(e) => return Err(e.into()),
-                    }
-                });
+                slot(src, own.take());
+                continue;
             }
+            let got = loop {
+                match ep.recv(src, tag) {
+                    Ok(bytes) => break Some(bytes),
+                    Err(RecvError::Disconnected { .. }) => break None,
+                    Err(RecvError::TagMismatch { .. }) => continue,
+                    Err(e) => return Err(e.into()),
+                }
+            };
+            slot(src, got);
         }
-        Ok(Some(all))
+        Ok(())
     } else {
         match ep.send(root, tag, payload) {
-            Ok(()) => Ok(None),
+            Ok(()) => Ok(()),
             // A dead root cannot collect, and a closed link to it has
             // already told it this piece is lost; nothing left to do.
             Err(SendError {
                 kind: SendErrorKind::Disconnected,
                 ..
-            }) => Ok(None),
+            }) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -131,11 +135,24 @@ mod tests {
     use crate::group::{run_group, run_group_with, GroupOptions};
     use std::time::Duration;
 
+    /// The slots [`gather_tolerant`] hands the root, collected by rank:
+    /// `Some` at the root, `None` elsewhere.
+    fn gather_slots(
+        ep: &mut Endpoint,
+        root: usize,
+        tag: Tag,
+        payload: Bytes,
+    ) -> Result<Option<Vec<Option<Bytes>>>, CommError> {
+        let mut slots = Vec::new();
+        gather_tolerant(ep, root, tag, payload, |_, slot| slots.push(slot))?;
+        Ok((ep.rank() == root).then_some(slots))
+    }
+
     #[test]
     fn gather_collects_at_root() {
         let out = run_group(4, CostModel::free(), |ep| {
             let payload = Bytes::from(vec![ep.rank() as u8 * 10]);
-            gather_tolerant(ep, 2, 5, payload).unwrap()
+            gather_slots(ep, 2, 5, payload).unwrap()
         });
         for (rank, res) in out.results.iter().enumerate() {
             if rank == 2 {
@@ -165,7 +182,7 @@ mod tests {
         };
         let out = run_group_with(3, options, |ep| {
             let payload = Bytes::from(vec![ep.rank() as u8]);
-            gather_tolerant(ep, 0, 4, payload)
+            gather_slots(ep, 0, 4, payload)
         });
         let root = out.results[0].as_ref().unwrap().as_ref().unwrap();
         assert_eq!(root.len(), 3);
@@ -196,7 +213,7 @@ mod tests {
             if ep.rank() == 1 {
                 ep.send(0, 9, Bytes::from_static(b"stage")).unwrap();
             }
-            gather_tolerant(ep, 0, 4, Bytes::from(vec![ep.rank() as u8]))
+            gather_slots(ep, 0, 4, Bytes::from(vec![ep.rank() as u8]))
         });
         let root = out.results[0].as_ref().unwrap().as_ref().unwrap();
         assert_eq!(root[0].as_ref().unwrap()[0], 0);

@@ -37,10 +37,14 @@ proptest! {
                     .collect::<Vec<_>>()
             });
             let mine = scatter(ep, 0, 2, payloads).unwrap();
-            gather_tolerant(ep, 0, 3, mine).unwrap()
+            let mut all = Vec::new();
+            gather_tolerant(ep, 0, 3, mine, |rank, part| all.push((rank, part))).unwrap();
+            all
         });
-        let all = out.results[0].as_ref().unwrap();
-        for (r, part) in all.iter().enumerate() {
+        let all = &out.results[0];
+        prop_assert_eq!(all.len(), p);
+        for (i, &(r, ref part)) in all.iter().enumerate() {
+            prop_assert_eq!(i, r);
             let part = part.as_ref().expect("no rank dies");
             prop_assert_eq!(part.len(), r % 7 + 1);
             prop_assert!(part.iter().all(|&b| b == seed.wrapping_add(r as u8)));

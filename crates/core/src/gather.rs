@@ -14,9 +14,10 @@
 //! [`kernel::scan_runs_into`] pixel by pixel for a sequence): only a
 //! bitwise [`Pixel::BLANK`] stays behind, so a `-0.0`, NaN-payload or
 //! subnormal pixel travels and the gathered frame is the composited one
-//! bit for bit. The root starts from a blank frame and writes only the
-//! runs, so its extent covers only the rows that received pixels; it
-//! still counts a piece's whole domain as covered.
+//! bit for bit. The root starts from a blank frame, made before the
+//! gather, and writes each piece as it arrives, only its runs, so the
+//! frame's extent covers only the rows that received pixels; it still
+//! counts a piece's whole domain as covered.
 //!
 //! [`MaskRle`]: vr_image::MaskRle
 //! [`Pixel::BLANK`]: vr_image::Pixel::BLANK
@@ -180,43 +181,62 @@ impl GatheredImage {
     }
 }
 
-/// The root's side of the gather: a blank frame, every piece that
-/// arrived written into it, the pixels those pieces covered and the
-/// ranks whose slot is empty.
-fn assemble(
-    frame: &Image,
-    slots: impl IntoIterator<Item = Option<bytes::Bytes>>,
-) -> Result<GatheredImage, CompositeError> {
-    let mut gathered = GatheredImage {
-        image: Image::blank(frame.width(), frame.height()),
-        missing_ranks: Vec::new(),
-        covered_pixels: 0,
-    };
-    for (rank, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(bytes) => {
-                gathered.covered_pixels +=
-                    apply_piece(&mut gathered.image, bytes).map_err(|m| m.at("gather", rank))?;
-            }
-            None => gathered.missing_ranks.push(rank),
-        }
-    }
-    Ok(gathered)
-}
-
 /// Sends this rank's owned piece to `root` and, at the root, assembles
 /// the final image from every piece that arrived; a dead contributor
 /// leaves a hole, reported in [`GatheredImage::missing_ranks`] and
 /// [`GatheredImage::coverage`]. Returns `Some` only at the root; a dead
-/// root means nobody assembles (`Ok(None)` everywhere).
+/// root means nobody assembles (`Ok(None)` everywhere). The root makes
+/// its blank frame before its first receive.
 pub fn gather_image_tolerant(
     ep: &mut Endpoint,
     image: &Image,
     piece: &OwnedPiece,
     root: usize,
 ) -> Result<Option<GatheredImage>, CompositeError> {
+    gather_into(ep, image, piece, root, None)
+}
+
+/// [`gather_image_tolerant`] into `out`, a blank frame of `image`'s size
+/// the root made earlier (one is made here if it passes none). The root
+/// writes each piece into it as it arrives, in rank order. A receive
+/// error beats a malformed piece: after the first malformed piece the
+/// rest are still received, so every rank's traffic is what a clean
+/// gather's is, but no longer written.
+pub(crate) fn gather_into(
+    ep: &mut Endpoint,
+    image: &Image,
+    piece: &OwnedPiece,
+    root: usize,
+    out: Option<Image>,
+) -> Result<Option<GatheredImage>, CompositeError> {
     let payload = encode_piece(image, piece);
-    let all = gather_tolerant(ep, root, tags::GATHER, payload).map_err(|e| {
+    let mut gathered = (ep.rank() == root).then(|| {
+        let frame = out.unwrap_or_else(|| Image::blank(image.width(), image.height()));
+        assert!(
+            (frame.width(), frame.height()) == (image.width(), image.height())
+                && frame.extent().is_empty(),
+            "the root assembles into a blank frame of the image's size"
+        );
+        GatheredImage {
+            image: frame,
+            missing_ranks: Vec::new(),
+            covered_pixels: 0,
+        }
+    });
+    let mut malformed = None;
+    let slot = |rank: usize, slot: Option<Bytes>| {
+        let Some(gathered) = gathered.as_mut().filter(|_| malformed.is_none()) else {
+            return;
+        };
+        match slot {
+            Some(bytes) => match apply_piece(&mut gathered.image, bytes) {
+                Ok(covered) => gathered.covered_pixels += covered,
+                Err(m) => malformed = Some(m.at("gather", rank)),
+            },
+            None => gathered.missing_ranks.push(rank),
+        }
+    };
+    gather_tolerant(ep, root, tags::GATHER, payload, slot).map_err(|e| {
         if e.is_self_killed() {
             CompositeError::Killed { rank: ep.rank() }
         } else {
@@ -226,7 +246,10 @@ pub fn gather_image_tolerant(
             }
         }
     })?;
-    all.map(|slots| assemble(image, slots)).transpose()
+    match malformed {
+        Some(error) => Err(error),
+        None => Ok(gathered),
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +355,102 @@ mod tests {
         assert_eq!(got.image.get(3, 3), Pixel::gray(0.5, 1.0));
         assert_eq!(got.image.get(3, 4), Pixel::BLANK);
         assert_eq!(got.image.get(3, 6), Pixel::gray(0.5, 1.0));
+    }
+
+    /// The streamed assembly is the schedule's to reorder, not to change:
+    /// a BSBRC frame at P = 6, clean and with rank 3 killed before it
+    /// sends anything, gives one image, hole list, coverage and traffic
+    /// under the real clock and under five schedule seeds.
+    #[test]
+    fn a_streamed_frame_is_the_same_under_every_schedule() {
+        use crate::methods::testutil::test_images;
+        use crate::methods::Method;
+        use crate::runner::composite_frame;
+        use vr_comm::{GroupOptions, ScheduleSpec};
+        use vr_image::checksum::fnv1a;
+        use vr_volume::DepthOrder;
+
+        let images = test_images(6, 24, 20);
+        let depth = DepthOrder::identity(6);
+        for kill in [None, Some("kill=3@0")] {
+            let outcome = |schedule: Option<ScheduleSpec>| {
+                let options = GroupOptions {
+                    cost: CostModel::free(),
+                    faults: kill.map(|k| k.parse().unwrap()),
+                    schedule,
+                    ..Default::default()
+                };
+                let run = composite_frame(Method::Bsbrc, &images, &depth, options);
+                let got = run.gathered.expect("the root assembles");
+                let image = fnv1a(&got.image);
+                (image, got.missing_ranks, got.covered_pixels, run.traffic)
+            };
+            let real = outcome(None);
+            let holes: &[usize] = if kill.is_some() { &[3] } else { &[] };
+            assert_eq!(real.1, holes);
+            for seed in 1..=5 {
+                let seeded = outcome(Some(ScheduleSpec::seeded(seed)));
+                assert_eq!(seeded, real, "{kill:?} seed {seed}");
+            }
+        }
+    }
+
+    /// A receive error beats a malformed piece, and a malformed piece
+    /// stops no receive. Rank 1 sends a piece of no known kind; rank 2
+    /// then either sends an honest piece — the gather reports rank 1's
+    /// piece, after reading both — or stays alive and silent past the
+    /// root's deadline, and the gather reports the timeout.
+    #[test]
+    fn a_timeout_after_a_malformed_piece_is_the_gathers_error() {
+        use vr_comm::{CommError, GroupOptions, RecvError, ScheduleSpec};
+        let frame = Image::blank(8, 8);
+        let unknown_kind = Bytes::from_static(&[9, 0, 0, 0]);
+        for silent in [false, true] {
+            let options = GroupOptions {
+                cost: CostModel::free(),
+                recv_deadline: std::time::Duration::from_millis(50),
+                schedule: Some(ScheduleSpec::seeded(3)),
+                ..Default::default()
+            };
+            let out = vr_comm::run_group_with(3, options, |ep| match ep.rank() {
+                0 => gather_image_tolerant(ep, &frame, &OwnedPiece::Nothing, 0).map(|_| ()),
+                1 => {
+                    ep.send(0, tags::GATHER, unknown_kind.clone()).unwrap();
+                    Ok(())
+                }
+                _ if silent => {
+                    // Two deadlines: alive until the root's has passed.
+                    for _ in 0..2 {
+                        ep.recv(0, tags::GATHER).ok();
+                    }
+                    Ok(())
+                }
+                _ => {
+                    let piece = OwnedPiece::Rect(Rect::new(0, 0, 8, 8));
+                    gather_image_tolerant(ep, &frame, &piece, 0).map(|_| ())
+                }
+            });
+            let root = &out.results[0];
+            if silent {
+                assert!(
+                    matches!(
+                        root,
+                        Err(CompositeError::Comm {
+                            during: "gather",
+                            source: CommError::Recv(RecvError::Timeout { from: 2, .. }),
+                        })
+                    ),
+                    "{root:?}"
+                );
+            } else {
+                let malformed = CompositeError::Malformed {
+                    during: "gather",
+                    from: 1,
+                };
+                assert_eq!(root, &Err(malformed));
+                assert_eq!(out.stats[0].recv_messages, 2, "both pieces are read");
+            }
+        }
     }
 
     /// A gathered frame is the sent one bit for bit, through every piece

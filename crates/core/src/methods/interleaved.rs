@@ -121,19 +121,18 @@ impl StageCodec for InterleavedRuns {
         r.finish()?;
         self.recv.assign_from_runs(rle.non_blank_runs());
         // Each pixel is decoded as it is composited, in payload order, so
-        // arithmetic order is unchanged.
+        // arithmetic order is unchanged; the extent grows over the runs
+        // written, not over the frame.
         let mut incoming = kernel::decode(&wire);
-        let pixels = image.pixels_mut();
-        for &(start, len) in self.recv.runs() {
-            for (i, incoming) in (start..start + len).zip(&mut incoming) {
-                let local = &mut pixels[self.seq.index(i)];
-                *local = if front {
-                    incoming.over(*local)
-                } else {
-                    local.over(incoming)
-                };
-            }
-        }
+        let runs = self.recv.runs().iter().copied();
+        image.update_seq_runs(&self.seq, runs, |local| {
+            let incoming = incoming.next().expect("one wire pixel per run position");
+            *local = if front {
+                incoming.over(*local)
+            } else {
+                local.over(incoming)
+            };
+        });
         stat.composite_ops += total as u64;
         Ok(())
     }
@@ -201,6 +200,43 @@ mod tests {
                     "stage {k}"
                 );
             }
+        }
+    }
+
+    /// A BSLC merge grows the extent over the runs it writes, not over
+    /// the frame: after the composite each rank's extent lies within the
+    /// union of the inputs' extents, as the spatial methods' do, so its
+    /// next lease reset blanks content, not `W×H`.
+    #[test]
+    fn bslc_extents_stay_within_the_inputs_extents() {
+        use crate::methods::composite;
+        use vr_comm::{run_group, CostModel};
+        use vr_image::Rect;
+        let p = 4;
+        let images: Vec<Image> = (0..p as u16)
+            .map(|r| {
+                let mut img = Image::blank(64, 64);
+                for (x, y) in Rect::new(6 + 3 * r, 9 + 2 * r, 14 + 3 * r, 15 + 2 * r).iter() {
+                    img.set(x, y, Pixel::gray(0.5, 0.25 + 0.05 * r as f32));
+                }
+                img
+            })
+            .collect();
+        let inputs = images
+            .iter()
+            .fold(Rect::EMPTY, |u, img| u.union(&img.extent()));
+        assert_eq!(inputs.area(), 204);
+        let depth = DepthOrder::identity(p);
+        let extents = run_group(p, CostModel::free(), |ep| {
+            let mut img = images[ep.rank()].clone();
+            composite(Method::Bslc, ep, &mut img, &depth).unwrap();
+            img.extent()
+        });
+        for (rank, extent) in extents.results.iter().enumerate() {
+            assert!(
+                inputs.contains_rect(extent) && extent.area() >= 48,
+                "rank {rank}: {extent:?} outside {inputs:?}"
+            );
         }
     }
 

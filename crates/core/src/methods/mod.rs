@@ -20,6 +20,7 @@ use vr_image::{Image, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
 use crate::error::CompositeError;
+use crate::runner::Canvas;
 use crate::stats::{MethodStats, StageStat};
 use crate::timer::Stopwatch;
 
@@ -170,20 +171,33 @@ pub fn composite(
     image: &mut Image,
     depth: &DepthOrder,
 ) -> Result<CompositeResult, CompositeError> {
+    composite_on(method, ep, &mut Canvas::InPlace(image), depth)
+}
+
+/// [`composite`] over a [`Canvas`]: the one dispatch of method → driver,
+/// for the caller's image in place and for a prepared subimage read in
+/// place and composited in a leased working frame.
+pub(crate) fn composite_on(
+    method: Method,
+    ep: &mut Endpoint,
+    canvas: &mut Canvas,
+    depth: &DepthOrder,
+) -> Result<CompositeResult, CompositeError> {
     assert_eq!(
         depth.front_to_back().len(),
         ep.size(),
         "depth order must cover exactly the group"
     );
     use swap::{run, Rounds::*};
+    let c = canvas;
     match method {
-        Method::Bs => run::<Spatial<Headless<Dense>>>(ep, image, depth, Swap, "BS stage"),
-        Method::Bsbr => run::<Spatial<Headed<Dense>>>(ep, image, depth, Swap, "BSBR stage"),
-        Method::Bslc => run::<InterleavedRuns>(ep, image, depth, Swap, "BSLC stage"),
-        Method::Bsbrc => run::<Spatial<Headed<Runs>>>(ep, image, depth, Swap, "BSBRC stage"),
-        Method::Bsrl => run::<Spatial<Headless<Runs>>>(ep, image, depth, Swap, "BSRL stage"),
-        Method::RadixK => run::<Spatial<Headed<Dense>>>(ep, image, depth, RadixK, "RADIXK round"),
-        Method::TileStream => tile_stream::run(ep, image, depth),
+        Method::Bs => run::<Spatial<Headless<Dense>>>(ep, c, depth, Swap, "BS stage"),
+        Method::Bsbr => run::<Spatial<Headed<Dense>>>(ep, c, depth, Swap, "BSBR stage"),
+        Method::Bslc => run::<InterleavedRuns>(ep, c, depth, Swap, "BSLC stage"),
+        Method::Bsbrc => run::<Spatial<Headed<Runs>>>(ep, c, depth, Swap, "BSBRC stage"),
+        Method::Bsrl => run::<Spatial<Headless<Runs>>>(ep, c, depth, Swap, "BSRL stage"),
+        Method::RadixK => run::<Spatial<Headed<Dense>>>(ep, c, depth, RadixK, "RADIXK round"),
+        Method::TileStream => tile_stream::run(ep, c.frame(), depth),
     }
 }
 

@@ -94,6 +94,12 @@ impl<H: HalfCodec> StageCodec for Spatial<H> {
         self.bounds = self.bounds.intersect(&self.region);
     }
 
+    /// The kept strip: later rounds split, encode and merge inside it,
+    /// and the gather reads a part of it.
+    fn kept(&self, _image: &Image) -> Rect {
+        self.region
+    }
+
     fn encode(&mut self, image: &Image, part: usize, stat: &mut StageStat) -> Bytes {
         // The strip divides the local bounding rectangle into the new
         // local and the sending bounding rectangles.
@@ -391,7 +397,7 @@ mod tests {
     /// A BS merge writes only where content can be, so a rank's extent
     /// after the composite stays within the union of the inputs' extents
     /// (not the whole kept half): the next reset of its working frame
-    /// (`WorkingFrame::copy_of`) blanks content, not the half.
+    /// (`WorkingFrame::lease`) blanks content, not the half.
     #[test]
     fn bs_extents_stay_within_the_inputs_extents() {
         for p in [2usize, 4, 8] {

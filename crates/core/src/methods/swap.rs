@@ -26,11 +26,12 @@
 
 use bytes::Bytes;
 use vr_comm::Endpoint;
-use vr_image::Image;
+use vr_image::{Image, Rect};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv, try_send, Checked, CompositeError};
-use crate::schedule::{fold_into_pow2, tags, FoldOutcome, VirtualTopology};
+use crate::runner::Canvas;
+use crate::schedule::{fold_on, tags, FoldOutcome, VirtualTopology};
 use crate::stats::StageStat;
 use crate::timer::Stopwatch;
 
@@ -57,6 +58,13 @@ pub(crate) trait StageCodec: Sized {
     /// Cuts what this rank owns into `radix` parts for round `round` and
     /// keeps part `digit`.
     fn split(&mut self, round: usize, radix: usize, digit: usize);
+
+    /// The rectangle that holds every pixel this rank reads or writes
+    /// after the latest split: the working frame copies only this much of
+    /// the subimage. The whole frame unless the codec knows better.
+    fn kept(&self, image: &Image) -> Rect {
+        image.full_rect()
+    }
 
     /// The wire bytes of part `part` of the latest split, never the kept
     /// one; adds to `encoded_pixels` and `run_codes`.
@@ -106,9 +114,13 @@ pub(crate) fn round_radices(mut p: usize) -> Vec<usize> {
 
 /// Runs codec `C` over the round vector `rounds`; `during` names a round
 /// in errors (`"BSBR stage"`).
+///
+/// The canvas's subimage is read in place until the first round's parts
+/// are sent; only then is the working frame made, holding the part the
+/// codec kept ([`StageCodec::kept`]), and the first merge writes it.
 pub(crate) fn run<C: StageCodec>(
     ep: &mut Endpoint,
-    image: &mut Image,
+    canvas: &mut Canvas,
     depth: &DepthOrder,
     rounds: Rounds,
     during: &'static str,
@@ -117,9 +129,9 @@ pub(crate) fn run<C: StageCodec>(
     let topo = VirtualTopology::from_depth(ep.rank(), depth);
     let (topo, radices) = match rounds {
         Rounds::Swap => {
-            let folded = fold_into_pow2(
+            let folded = fold_on(
                 ep,
-                image,
+                canvas,
                 &topo,
                 &mut run.comp,
                 &mut run.stages,
@@ -137,11 +149,12 @@ pub(crate) fn run<C: StageCodec>(
         }
     };
 
-    let mut codec = C::begin(image, &mut run);
+    let mut codec = C::begin(canvas.image(), &mut run);
     let v = topo.vrank();
     // After round `j` a rank's partial covers a contiguous block of
     // `stride` virtual ranks, so digit order is depth order.
     let mut stride = 1;
+    let mut outgoing: Vec<(usize, Bytes)> = Vec::new();
     let mut arrivals: Vec<(usize, Bytes)> = Vec::new();
     for (round, &radix) in radices.iter().enumerate() {
         let digit = (v / stride) % radix;
@@ -153,15 +166,25 @@ pub(crate) fn run<C: StageCodec>(
             peer: (radix == 2).then(|| peer(1 - digit) as u16),
             ..Default::default()
         };
-        C::CHARGE(&mut run).time(|| codec.split(round, radix, digit));
+        // The round's send side is one section: a stopwatch read is a
+        // system call.
+        let image = canvas.image();
+        C::CHARGE(&mut run).time(|| {
+            codec.split(round, radix, digit);
+            for d in foreign.clone() {
+                outgoing.push((d, codec.encode(image, d, &mut stat)));
+            }
+        });
 
         // Every part is sent (an empty one is still a header) before any
         // is read; a dead peer contributes nothing and leaves a hole.
-        for d in foreign.clone() {
-            let payload = C::CHARGE(&mut run).time(|| codec.encode(image, d, &mut stat));
+        for (d, payload) in outgoing.drain(..) {
             stat.sent_bytes += payload.len() as u64;
             try_send(ep, peer(d), tag, payload, &mut run.dead)?;
         }
+        // Past the first round's encodes the rank reads only what it
+        // kept: the working frame is made of that (once).
+        canvas.keep(&codec.kept(canvas.image()));
         for d in foreign {
             match try_recv(ep, peer(d), tag, &mut run.dead, during)? {
                 Some(received) => {
@@ -178,6 +201,7 @@ pub(crate) fn run<C: StageCodec>(
         let fronts = arrivals.partition_point(|&(d, _)| d < digit);
         arrivals[..fronts].reverse();
         arrivals.rotate_left(fronts);
+        let image = canvas.frame();
         for (d, received) in arrivals.drain(..) {
             run.comp
                 .time(|| codec.merge(image, received, d < digit, &mut stat))

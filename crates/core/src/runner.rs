@@ -8,18 +8,20 @@
 //! closes at once, as a panicking rank does, its typed error lands in
 //! [`FrameRun::failures`], and the root still assembles every other
 //! piece; each rank's `dead_partners` land in [`FrameRun::lost_partners`].
-//! The `W×H` frame a rank body composites in is leased, not allocated:
-//! `WorkingFrame` below is where such frames live between frames.
+//! The `W×H` frame a rank body composites in is leased, not allocated,
+//! and holds only the part of the subimage the rank keeps: `Canvas` and
+//! `WorkingFrame` below. The root's output frame is the one frame a
+//! frame allocates, on the calling thread, while the other ranks work.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vr_comm::{run_group_with, Endpoint, GroupOptions, ScheduleTrace, TrafficStats};
-use vr_image::Image;
+use vr_image::{Image, Rect};
 use vr_volume::DepthOrder;
 
 use crate::error::CompositeError;
-use crate::gather::{gather_image_tolerant, GatheredImage};
-use crate::methods::{composite, CompositeResult, Method};
+use crate::gather::{gather_into, GatheredImage};
+use crate::methods::{composite_on, CompositeResult, Method};
 use crate::stats::MethodStats;
 
 /// Bytes of pixel storage the parked frames may hold together. A frame
@@ -88,28 +90,101 @@ fn parked() -> MutexGuard<'static, Parked> {
 /// writes at every step. Resetting a leased frame costs the rows its
 /// last user touched, so a rank's per-frame cost follows its rectangle
 /// rather than the frame size; no allocation, zero-fill or free.
-struct WorkingFrame(Image);
+pub(crate) struct WorkingFrame(Image);
 
 impl WorkingFrame {
-    /// A working copy of `src`: what `src.clone()` would be, and exactly
-    /// that when no frame of its size is parked.
-    fn copy_of(src: &Image) -> WorkingFrame {
+    /// A cleared frame holding `src`'s pixels inside `part` and blank
+    /// everywhere else ([`Image::copy_part_from`]); allocated only when
+    /// no frame of its size is parked.
+    fn lease(src: &Image, part: &Rect) -> WorkingFrame {
         // The lock is released before the frame is reset or allocated.
         let leased = parked().take(src.width(), src.height());
-        WorkingFrame(match leased {
-            Some(mut frame) => {
-                frame.clone_from(src);
-                frame
-            }
-            None => src.clone(),
-        })
+        let mut frame = leased.unwrap_or_else(|| Image::blank(src.width(), src.height()));
+        frame.copy_part_from(src, part);
+        WorkingFrame(frame)
     }
 }
 
 impl Drop for WorkingFrame {
     fn drop(&mut self) {
         let frame = std::mem::replace(&mut self.0, Image::blank(0, 0));
+        // A write that did not grow the extent first would leak a stale
+        // pixel into a later lease; a failed check frees the frame.
+        #[cfg(debug_assertions)]
+        if !std::thread::panicking() {
+            assert!(
+                blank_outside_extent(&frame),
+                "a working frame holds a pixel outside its extent {:?}",
+                frame.extent()
+            );
+        }
         parked().park(frame);
+    }
+}
+
+/// Whether every pixel outside `frame`'s extent is `Pixel::BLANK`: the
+/// whole-frame scan the debug build runs on every returned lease.
+#[cfg(debug_assertions)]
+fn blank_outside_extent(frame: &Image) -> bool {
+    let e = frame.extent();
+    let rows = frame.pixels().chunks(frame.width().max(1) as usize);
+    rows.zip(0u16..).all(|(row, y)| {
+        let (x0, x1) = if (e.y0..e.y1).contains(&y) {
+            (e.x0 as usize, e.x1 as usize)
+        } else {
+            (0, 0)
+        };
+        row[..x0].iter().chain(&row[x1..]).all(|p| p.is_blank())
+    })
+}
+
+/// The image a rank composites in. A rank body starts from its prepared
+/// subimage, read-only: the scans a method pays once and its first
+/// round's encodes read it there. Before the rank first writes, the
+/// working frame is leased and takes only the part of the subimage the
+/// rank still reads ([`Canvas::keep`]) — the swap family's kept strip of
+/// round 1, since the rest was sent away; the whole extent for every
+/// other writer ([`Canvas::frame`]). The public `composite` passes its
+/// image `InPlace`: source and working frame at once, nothing copied.
+pub(crate) enum Canvas<'a> {
+    /// The caller's image, read and written in place.
+    InPlace(&'a mut Image),
+    /// The prepared subimage, before the rank has written anything.
+    Source(&'a Image),
+    /// The working frame, once made.
+    Leased(WorkingFrame),
+}
+
+impl Canvas<'_> {
+    /// What the rank reads: the subimage until the working frame is
+    /// made, then the working frame.
+    pub(crate) fn image(&self) -> &Image {
+        match self {
+            Canvas::InPlace(image) => image,
+            Canvas::Source(source) => source,
+            Canvas::Leased(frame) => &frame.0,
+        }
+    }
+
+    /// Makes the working frame from the subimage's pixels inside `part`,
+    /// if it is not made yet; every later read of this rank lies inside
+    /// `part`.
+    pub(crate) fn keep(&mut self, part: &Rect) {
+        if let Canvas::Source(source) = *self {
+            *self = Canvas::Leased(WorkingFrame::lease(source, part));
+        }
+    }
+
+    /// The working frame, made from the whole subimage if no part was
+    /// kept before.
+    pub(crate) fn frame(&mut self) -> &mut Image {
+        let whole = self.image().full_rect();
+        self.keep(&whole);
+        match self {
+            Canvas::InPlace(image) => image,
+            Canvas::Leased(frame) => &mut frame.0,
+            Canvas::Source(_) => unreachable!("`keep` made the working frame"),
+        }
     }
 }
 
@@ -129,20 +204,31 @@ pub struct RankFrame {
 }
 
 impl RankFrame {
+    /// The blank `width × height` frame the gather root assembles into:
+    /// `Some` at rank 0, `None` elsewhere. Rank 0 runs on the calling
+    /// thread, so a body that makes it early — while the other ranks
+    /// still work — allocates it on the thread that later frees it, off
+    /// the frame's serial tail.
+    pub fn root_frame(ep: &Endpoint, width: u16, height: u16) -> Option<Image> {
+        (ep.rank() == 0).then(|| Image::blank(width, height))
+    }
+
     /// The tail of every rank body: gathers the composited piece of
-    /// `image` at rank 0. A `Killed` rank contributes nothing further;
-    /// any other error gives up ([`Endpoint::give_up`]) and is kept,
-    /// with the rank's clock, for [`FrameRun::failures`].
+    /// `image` at rank 0, into `out` there ([`RankFrame::root_frame`]).
+    /// A `Killed` rank contributes nothing further; any other error gives
+    /// up ([`Endpoint::give_up`]) and is kept, with the rank's clock, for
+    /// [`FrameRun::failures`].
     pub fn finish(
         ep: &mut Endpoint,
         image: &Image,
         composited: Result<CompositeResult, CompositeError>,
+        out: Option<Image>,
     ) -> RankFrame {
         let mut frame = RankFrame::default();
         let gathered = composited.and_then(|result| {
             frame.stats = Some(result.stats);
             frame.lost_partners = result.dead_partners;
-            gather_image_tolerant(ep, image, &result.piece, 0)
+            gather_into(ep, image, &result.piece, 0, out)
         });
         match gathered {
             Ok(gathered) => frame.gathered = gathered,
@@ -213,9 +299,11 @@ pub fn run_frame<X: Send>(
     }
 }
 
-/// The two-phase frame: each rank composites a working copy of its
-/// prepared subimage `subimages[rank]` with `method` in `depth` order,
-/// then gathers its piece at rank 0.
+/// The two-phase frame: each rank composites its prepared subimage
+/// `subimages[rank]` with `method` in `depth` order — reading it in
+/// place and writing a leased working frame that holds only what the
+/// rank keeps (`Canvas`) — then gathers its piece at rank 0, which
+/// makes its output frame first.
 pub fn composite_frame(
     method: Method,
     subimages: &[Image],
@@ -223,9 +311,11 @@ pub fn composite_frame(
     options: GroupOptions,
 ) -> FrameRun<()> {
     run_frame(subimages.len(), options, |ep| {
-        let mut frame = WorkingFrame::copy_of(&subimages[ep.rank()]);
-        let composited = composite(method, ep, &mut frame.0, depth);
-        (RankFrame::finish(ep, &frame.0, composited), ())
+        let source = &subimages[ep.rank()];
+        let out = RankFrame::root_frame(ep, source.width(), source.height());
+        let mut canvas = Canvas::Source(source);
+        let composited = composite_on(method, ep, &mut canvas, depth);
+        (RankFrame::finish(ep, canvas.image(), composited, out), ())
     })
 }
 
@@ -279,15 +369,23 @@ mod tests {
         let empty = Image::blank(24, 20);
         let mut src = empty.clone();
         src.set(3, 4, lit);
+        src.set(20, 15, lit);
         for _ in 0..4 {
-            let mut frame = WorkingFrame::copy_of(&src);
+            let mut frame = WorkingFrame::lease(&src, &src.full_rect());
             assert_eq!(frame.0, src);
-            assert_eq!(frame.0.extent(), Rect::new(3, 4, 4, 5));
+            assert_eq!(frame.0.extent(), Rect::new(3, 4, 21, 16));
             frame.0.pixels_mut().fill(lit); // whole-frame extent
             drop(frame);
-            let blank = WorkingFrame::copy_of(&empty);
+            let blank = WorkingFrame::lease(&empty, &empty.full_rect());
             assert_eq!(blank.0.non_blank_count(), 0);
             assert_eq!(blank.0.extent(), Rect::EMPTY);
+            drop(blank);
+            // A kept part: only the source's pixels inside it, and an
+            // extent no wider than it.
+            let part = WorkingFrame::lease(&src, &Rect::new(0, 0, 12, 20));
+            assert_eq!(part.0.non_blank_count(), 1);
+            assert_eq!(part.0.get(3, 4), lit);
+            assert_eq!(part.0.extent(), Rect::new(3, 4, 12, 16));
         }
     }
 
@@ -296,7 +394,7 @@ mod tests {
         let lit = Pixel::gray(0.25, 1.0);
         let empty = Image::blank(24, 20);
         let unwound = std::panic::catch_unwind(|| {
-            let mut frame = WorkingFrame::copy_of(&empty);
+            let mut frame = WorkingFrame::lease(&empty, &empty.full_rect());
             frame
                 .0
                 .write_rect(&Rect::new(2, 2, 20, 18), &vec![lit; 18 * 16]);
@@ -306,6 +404,139 @@ mod tests {
                 .write_rect(&Rect::new(10, 10, 30, 18), &vec![lit; 20 * 8]);
         });
         assert!(unwound.is_err());
-        assert_eq!(WorkingFrame::copy_of(&empty).0.non_blank_count(), 0);
+        let next = WorkingFrame::lease(&empty, &empty.full_rect());
+        assert_eq!(next.0.non_blank_count(), 0);
+    }
+
+    /// `p` subimages of `w × h`, blank but for a block at each rank's own
+    /// offset, so every extent is a part of the frame. The blocks mix
+    /// ordinary pixels with `-0.0` components and NaN payloads, which
+    /// only a bit-exact path keeps.
+    fn odd_subimages(p: usize, w: u16, h: u16) -> Vec<Image> {
+        let odd = [
+            Pixel::gray(0.5, 0.75),
+            Pixel::new(-0.0, 0.0, 0.0, 0.0),
+            Pixel::new(0.25, -0.0, 0.5, 0.5),
+            Pixel::new(f32::from_bits(0x7fc0_1234), 0.0, 0.0, 0.5),
+            Pixel::new(0.1, 0.2, 0.3, f32::from_bits(0xffa0_0001)),
+            Pixel::gray(0.2, 0.3),
+            Pixel::BLANK,
+        ];
+        (0..p)
+            .map(|r| {
+                let (x0, y0) = ((r * 5) as u16 % (w / 2), (r * 3) as u16 % (h / 2));
+                let block = Rect::new(x0, y0, x0 + w / 3, y0 + h / 3);
+                let mut img = Image::blank(w, h);
+                for (i, (x, y)) in block.iter().enumerate() {
+                    img.set(x, y, odd[(i * 3 + r) % odd.len()]);
+                }
+                img
+            })
+            .collect()
+    }
+
+    /// A depth order of `p` ranks shuffled by `seed` (Fisher–Yates over
+    /// an xorshift stream).
+    fn shuffled(p: usize, seed: u64) -> DepthOrder {
+        let mut order: Vec<usize> = (0..p).collect();
+        let mut x = seed | 1;
+        for i in (1..p).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        DepthOrder::from_sequence(order)
+    }
+
+    /// The stats fields that do not depend on the host's clock.
+    fn exact(stats: &MethodStats) -> MethodStats {
+        MethodStats {
+            comp_seconds: 0.0,
+            bound_seconds: 0.0,
+            encode_seconds: 0.0,
+            ..stats.clone()
+        }
+    }
+
+    const SWAP_FAMILY: [Method; 5] = [
+        Method::Bs,
+        Method::Bsbr,
+        Method::Bsrl,
+        Method::Bsbrc,
+        Method::RadixK,
+    ];
+
+    /// A frame composited from the subimages in place, with working
+    /// frames that hold only the kept parts, is the frame of full clones
+    /// composited and gathered: the image bit for bit, every rank's
+    /// counters and every rank's traffic.
+    #[test]
+    fn kept_parts_composite_what_full_clones_composite() {
+        use crate::methods::composite;
+        use vr_image::checksum::fnv1a;
+        for (m, method) in SWAP_FAMILY.into_iter().enumerate() {
+            for p in [2, 3, 4, 5, 8, 16] {
+                let images = odd_subimages(p, 40, 28);
+                let depth = shuffled(p, (p * 31 + m) as u64);
+                let run = composite_frame(method, &images, &depth, GroupOptions::default());
+                let clones = run_group_with(p, GroupOptions::default(), |ep| {
+                    let mut img = images[ep.rank()].clone();
+                    let result = composite(method, ep, &mut img, &depth).unwrap();
+                    let gathered = crate::gather_image_tolerant(ep, &img, &result.piece, 0);
+                    (result.stats, gathered.unwrap().map(|g| fnv1a(&g.image)))
+                });
+                let what = format!("{method:?} P = {p} depth {:?}", depth.front_to_back());
+                assert!(run.failures.is_empty(), "{what}");
+                let gathered = run.gathered.expect("the root assembles");
+                assert_eq!(Some(fnv1a(&gathered.image)), clones.results[0].1, "{what}");
+                for (rank, stats) in run.per_rank.iter().enumerate() {
+                    let want = exact(&clones.results[rank].0);
+                    assert_eq!(stats.as_ref().map(exact), Some(want), "{what} rank {rank}");
+                }
+                assert_eq!(run.traffic, clones.stats, "{what}");
+            }
+        }
+    }
+
+    /// Every rank of a power-of-two swap-family frame leases a working
+    /// frame, and what it parks afterwards lies inside the region it
+    /// kept in the first round: nothing it sent away was copied.
+    #[test]
+    fn a_swap_rank_parks_no_more_than_its_first_kept_region() {
+        use crate::methods::{composite_on, swap::round_radices};
+        use crate::schedule::strip;
+        use vr_comm::{run_group, CostModel};
+        for method in SWAP_FAMILY {
+            for p in [2, 4, 8, 16] {
+                let images = odd_subimages(p, 40, 28);
+                let depth = shuffled(p, 7 * p as u64);
+                let out = run_group(p, CostModel::free(), |ep| {
+                    let mut canvas = Canvas::Source(&images[ep.rank()]);
+                    composite_on(method, ep, &mut canvas, &depth).unwrap();
+                    match canvas {
+                        Canvas::Leased(frame) => frame.0.extent(),
+                        _ => panic!("{method:?} P = {p}: rank {} leased nothing", ep.rank()),
+                    }
+                });
+                let radix = match method {
+                    Method::RadixK => round_radices(p)[0],
+                    _ => 2,
+                };
+                let order = depth.front_to_back();
+                for (rank, extent) in out.results.iter().enumerate() {
+                    let v = order.iter().position(|&r| r == rank).unwrap();
+                    let kept = strip(images[rank].full_rect(), radix, 0, v % radix);
+                    assert!(
+                        kept.contains_rect(extent),
+                        "{method:?} P = {p} rank {rank}: {extent:?} outside {kept:?}"
+                    );
+                }
+                assert!(
+                    out.results.iter().any(|e| !e.is_empty()),
+                    "{method:?} P = {p}"
+                );
+            }
+        }
     }
 }

@@ -9,6 +9,7 @@ use vr_volume::DepthOrder;
 
 use crate::error::{try_recv, try_send, CompositeError, Malformed};
 use crate::methods::spatial::{composite_rect, encode_rect, parse_rect};
+use crate::runner::Canvas;
 use crate::stats::StageStat;
 use crate::timer::Stopwatch;
 
@@ -120,6 +121,20 @@ pub fn fold_into_pow2(
     stages: &mut Vec<StageStat>,
     dead: &mut BTreeSet<usize>,
 ) -> Result<FoldOutcome, CompositeError> {
+    fold_on(ep, &mut Canvas::InPlace(image), topo, comp, stages, dead)
+}
+
+/// [`fold_into_pow2`] over a [`Canvas`]: a rank that folds out only
+/// reads its subimage, and a receiver makes its working frame from the
+/// whole subimage once a payload has arrived.
+pub(crate) fn fold_on(
+    ep: &mut Endpoint,
+    canvas: &mut Canvas,
+    topo: &VirtualTopology,
+    comp: &mut Stopwatch,
+    stages: &mut Vec<StageStat>,
+    dead: &mut BTreeSet<usize>,
+) -> Result<FoldOutcome, CompositeError> {
     let p = topo.vsize();
     let q = if p.is_power_of_two() {
         p
@@ -138,6 +153,7 @@ pub fn fold_into_pow2(
             // Fold out: ship bounding rectangle + pixels to the partner
             // in front (virtual v−1), then retire. If that partner is
             // dead the image is lost (a hole); this rank retires anyway.
+            let image = canvas.image();
             let payload = comp.time(|| encode_rect(image, &image.bounding_rect()));
             stat.sent_bytes = payload.len() as u64;
             stat.sent_msgs = 1;
@@ -155,6 +171,7 @@ pub fn fold_into_pow2(
         if let Some(payload) = try_recv(ep, behind, tags::FOLD, dead, "fold")? {
             stat.recv_bytes = payload.len() as u64;
             stat.recv_msgs = 1;
+            let image = canvas.frame();
             comp.time(|| {
                 let (rect, wire) = parse_rect(payload, &image.full_rect())?;
                 stat.recv_rect_empty = rect.is_empty();

@@ -1,5 +1,6 @@
 //! Row-major pixel image buffers.
 
+use crate::interleave::StridedSeq;
 use crate::kernel;
 use crate::pixel::{Pixel, BYTES_PER_PIXEL};
 use crate::rect::Rect;
@@ -17,9 +18,9 @@ use crate::rle::RunSet;
 /// it is about to write *before* writing, so it holds at every step, a
 /// panic half way through a merge included — and after [`Image::blank`],
 /// [`Image::from_fn`] and a render it is exactly the tight bounds. It is
-/// what lets a frame be reused: [`Image::clear`], [`Clone::clone`] and
-/// [`Clone::clone_from`] touch the rows of the extent, not the `W×H`
-/// frame, and [`Image::bounding_rect`] (`T_bound`) and
+/// what lets a frame be reused: [`Image::clear`], [`Clone::clone`],
+/// [`Clone::clone_from`] and [`Image::copy_part_from`] touch the rows of
+/// the extent, not the `W×H` frame, and [`Image::bounding_rect`] (`T_bound`) and
 /// [`Image::runs_into`] never scan past it. It is also what keeps a dense
 /// body's local work to the content: its encoder copies only the
 /// extent's pixels of a rect (the rest are 16 zero bytes each on the
@@ -52,7 +53,7 @@ impl PartialEq for Image {
 /// images take the plain copy, which is cheaper than fill-then-copy once
 /// most of the frame is live.
 ///
-/// `clone_from` is how a working frame is *reset* to a subimage: with
+/// `clone_from` is [`Image::copy_part_from`] over the whole frame: with
 /// equal dimensions it blanks the rows the previous use touched, copies
 /// the rows of `src`'s extent and adopts that extent — `O(both
 /// extents)`, no allocation, and the same image (pixel bits and extent)
@@ -61,7 +62,7 @@ impl Clone for Image {
     fn clone(&self) -> Self {
         let pixels = if self.extent.area() * 2 < self.pixels.len() {
             let mut pixels = vec![Pixel::BLANK; self.pixels.len()];
-            self.copy_extent_rows(&mut pixels);
+            self.copy_rows(&self.extent, &mut pixels);
             pixels
         } else {
             self.pixels.clone()
@@ -79,10 +80,7 @@ impl Clone for Image {
             *self = src.clone();
             return;
         }
-        self.clear();
-        // Grown first, like every write: the invariant holds throughout.
-        self.extent = src.extent;
-        src.copy_extent_rows(&mut self.pixels);
+        self.copy_part_from(src, &src.full_rect());
     }
 }
 
@@ -262,12 +260,30 @@ impl Image {
         self.extent = Rect::EMPTY;
     }
 
-    /// Copies the rows of the extent into the same places of `dst`, a
-    /// pixel buffer of this image's size.
-    fn copy_extent_rows(&self, dst: &mut [Pixel]) {
-        let w = self.extent.width() as usize;
-        for y in self.extent.y0..self.extent.y1 {
-            let i = self.index(self.extent.x0, y);
+    /// Resets to `src`'s pixels inside `part` and [`Pixel::BLANK`]
+    /// everywhere else, adopting `src.extent() ∩ part` as the extent: it
+    /// blanks the rows the previous use touched and copies the rows of
+    /// the kept extent — `O(last use + kept part)`, no allocation. This is
+    /// how a rank's working frame takes only the part of its subimage it
+    /// keeps. Panics unless the dimensions match.
+    pub fn copy_part_from(&mut self, src: &Image, part: &Rect) {
+        assert_eq!(
+            (self.width, self.height),
+            (src.width, src.height),
+            "a part is copied between frames of one size"
+        );
+        self.clear();
+        // Grown first, like every write: the invariant holds throughout.
+        self.extent = src.extent.intersect(part);
+        src.copy_rows(&self.extent, &mut self.pixels);
+    }
+
+    /// Copies the rows of `rect`, which lies in the frame, into the same
+    /// places of `dst`, a pixel buffer of this image's size.
+    fn copy_rows(&self, rect: &Rect, dst: &mut [Pixel]) {
+        let w = rect.width() as usize;
+        for y in rect.y0..rect.y1 {
+            let i = self.index(rect.x0, y);
             dst[i..i + w].copy_from_slice(&self.pixels[i..i + w]);
         }
     }
@@ -388,6 +404,39 @@ impl Image {
             rest = tail;
         });
         assert!(rest.is_empty(), "wire pixels left over after the runs");
+    }
+
+    /// Applies `f` to the pixels at the `(start, len)` runs of positions
+    /// of `seq`, in order, one pixel at a time: the writer whose pixels
+    /// are not a rectangle's rows (BSLC's interleaved halves). Before a
+    /// run is written the extent grows over its bounding rectangle — its
+    /// own columns when the run stays on one row, the whole width when it
+    /// wraps — so a merge widens the extent over what it writes, not
+    /// over the frame.
+    pub fn update_seq_runs(
+        &mut self,
+        seq: &StridedSeq,
+        runs: impl IntoIterator<Item = (usize, usize)>,
+        mut f: impl FnMut(&mut Pixel),
+    ) {
+        let width = self.width as usize;
+        for (start, len) in runs {
+            if len == 0 {
+                continue;
+            }
+            let (first, last) = (seq.index(start), seq.index(start + len - 1));
+            assert!(last < self.pixels.len(), "a run leaves the frame");
+            let (y0, y1) = (first / width, last / width);
+            let (x0, x1) = if y0 == y1 {
+                (first % width, last % width + 1)
+            } else {
+                (0, width)
+            };
+            self.touch(&Rect::new(x0 as u16, y0 as u16, x1 as u16, y1 as u16 + 1));
+            for i in start..start + len {
+                f(&mut self.pixels[seq.index(i)]);
+            }
+        }
     }
 
     /// [`Image::composite_rect_over`] with `front` in wire form: each

@@ -86,7 +86,7 @@ fn arb_frame_rect() -> impl Strategy<Value = Rect> {
 
 /// How many mutators [`mutate`] knows: every public `&mut self` method
 /// of `Image`.
-const MUTATORS: u8 = 14;
+const MUTATORS: u8 = 16;
 
 /// One mutator call: which, where, and the non-blank pixel it writes.
 type Mutation = (u8, Rect, Pixel);
@@ -143,6 +143,23 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
             (0..rect.area()).step_by(2).map(|i| (i, 1)),
             &to_wire(&vec![lit; rect.area().div_ceil(2)]),
         ),
+        // The part of a dotted frame inside the rect.
+        14 => img.copy_part_from(&dotted(lit), &rect),
+        // Runs of up to three positions of a sequence from the corner,
+        // at a stride of the rect's height plus one: runs on one row and
+        // runs that wrap.
+        15 => {
+            let start = y as usize * W as usize + x as usize;
+            let stride = rect.height() as usize + 1;
+            let count = (W as usize * H as usize - 1 - start) / stride + 1;
+            let seq = StridedSeq {
+                start,
+                stride,
+                count,
+            };
+            let runs = (0..count).step_by(4).map(|i| (i, 3.min(count - i)));
+            img.update_seq_runs(&seq, runs, |p| *p = lit);
+        }
         _ => unreachable!("MUTATORS counts the arms above"),
     }
 }
@@ -626,7 +643,7 @@ proptest! {
 }
 
 proptest! {
-    // Fourteen mutators in sequences of up to twelve: more cases than the
+    // Sixteen mutators in sequences of up to twelve: more cases than the
     // default 32 to reach the pairs that matter (a blanking write, then a
     // scan).
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -675,6 +692,27 @@ proptest! {
             mutated(dst_start, &dirt)
         };
         assert_clone_from_is_clone(dst, &src);
+    }
+
+    /// `copy_part_from` leaves `src`'s pixels inside the part, bit for
+    /// bit, blank everywhere else and `src.extent() ∩ part` as the
+    /// extent, whatever the frame held before.
+    #[test]
+    fn copy_part_from_keeps_the_part_and_blanks_the_rest(
+        (dst_start, src_start) in (0u8..3, 0u8..3),
+        dirt in proptest::collection::vec(arb_mutation(), 0..8),
+        content in proptest::collection::vec(arb_mutation(), 0..8),
+        part in arb_frame_rect(),
+    ) {
+        let src = mutated(src_start, &content);
+        let mut dst = mutated(dst_start, &dirt);
+        dst.copy_part_from(&src, &part);
+        prop_assert_eq!(dst.extent(), src.extent().intersect(&part));
+        assert_extent_holds(&dst);
+        for (x, y) in dst.full_rect().iter() {
+            let want = if part.contains(x, y) { src.get(x, y) } else { Pixel::BLANK };
+            prop_assert!(same_bits(&[dst.get(x, y)], &[want]), "({}, {})", x, y);
+        }
     }
 }
 

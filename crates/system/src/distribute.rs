@@ -91,6 +91,9 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
             .collect();
         let (order, interiors) = words.split_at(p);
         let depth = DepthOrder::from_sequence(order.to_vec());
+        // The gather root's output frame, made once its sends are out and
+        // while the other ranks render.
+        let out = RankFrame::root_frame(ep, camera.width, camera.height);
 
         // ---- Phase 2: rendering (local data only) ------------------
         // The received placement is the ghost-expanded box; rays
@@ -131,7 +134,7 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
 
         // ---- Phase 3: compositing + gather --------------------------
         let composited = composite(config.method, ep, &mut image, &depth);
-        let frame = RankFrame::finish(ep, &image, composited);
+        let frame = RankFrame::finish(ep, &image, composited, out);
         (frame, (render_seconds, partition_bytes))
     });
     let (outcome, extras) = collect(config, run);
