@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::endpoint::{CommError, Endpoint, RecvError, SendError, SendErrorKind, Tag};
+use crate::endpoint::{CommError, Endpoint, Tag};
 
 /// Scatters one payload per rank from `root`; returns this rank's
 /// payload. The root sends `P−1` messages directly (the natural pattern
@@ -37,7 +37,7 @@ pub fn scatter(
         }
         Ok(own.expect("root keeps its own payload"))
     } else {
-        Ok(ep.recv(root, tag)?)
+        ep.recv(root, tag)
     }
 }
 
@@ -71,9 +71,9 @@ pub fn gather_tolerant(
             let got = loop {
                 match ep.recv(src, tag) {
                     Ok(bytes) => break Some(bytes),
-                    Err(RecvError::Disconnected { .. }) => break None,
-                    Err(RecvError::TagMismatch { .. }) => continue,
-                    Err(e) => return Err(e.into()),
+                    Err(CommError::Disconnected { .. }) => break None,
+                    Err(CommError::TagMismatch { .. }) => continue,
+                    Err(e) => return Err(e),
                 }
             };
             slot(src, got);
@@ -81,14 +81,10 @@ pub fn gather_tolerant(
         Ok(())
     } else {
         match ep.send(root, tag, payload) {
-            Ok(()) => Ok(()),
             // A dead root cannot collect, and a closed link to it has
             // already told it this piece is lost; nothing left to do.
-            Err(SendError {
-                kind: SendErrorKind::Disconnected,
-                ..
-            }) => Ok(()),
-            Err(e) => Err(e.into()),
+            Ok(()) | Err(CommError::Disconnected { .. }) => Ok(()),
+            Err(e) => Err(e),
         }
     }
 }

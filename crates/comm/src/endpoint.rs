@@ -41,137 +41,50 @@ pub struct Message {
     pub payload: Bytes,
 }
 
-/// Error from a receive operation.
+/// Why a send, a receive or a collective failed: the transport's one
+/// error, whichever call raised it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvError {
-    /// No message arrived before the deadline — almost always a protocol
-    /// deadlock in the compositing schedule.
+pub enum CommError {
+    /// This rank itself was killed by fault injection; the operation was
+    /// not performed.
+    Killed { rank: usize },
+    /// The link to `peer` is closed: its endpoint was dropped (the rank
+    /// returned, died or gave up), or a reliable send to it gave up. A
+    /// receive reports it only once what `peer` sent has been taken.
+    Disconnected { peer: usize },
+    /// No message arrived from `from` within `waited` — almost always a
+    /// protocol deadlock in the compositing schedule.
     Timeout { from: usize, waited: Duration },
-    /// A message arrived with an unexpected tag.
+    /// A message from `from` arrived with an unexpected tag.
     TagMismatch {
         from: usize,
         expected: Tag,
         got: Tag,
     },
-    /// The peer's endpoint was dropped (its rank function returned or
-    /// panicked before sending).
-    Disconnected { from: usize },
-    /// This rank itself was killed by fault injection; the operation was
-    /// not performed.
-    Killed { rank: usize },
-}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::Timeout { from, waited } => {
-                write!(
-                    f,
-                    "timed out after {waited:?} waiting for a message from rank {from}"
-                )
-            }
-            RecvError::TagMismatch {
-                from,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "tag mismatch from rank {from}: expected {expected}, got {got}"
-                )
-            }
-            RecvError::Disconnected { from } => {
-                write!(f, "rank {from} disconnected before sending")
-            }
-            RecvError::Killed { rank } => {
-                write!(f, "rank {rank} was killed by fault injection")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
-
-/// Error from a send operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SendError {
-    /// The destination rank.
-    pub to: usize,
-    /// Why the send failed.
-    pub kind: SendErrorKind,
-}
-
-/// Why a send failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendErrorKind {
-    /// The destination's endpoint was dropped (it exited or died), or a
-    /// reliable send to it gave up and closed the link.
-    Disconnected,
-    /// This rank itself was killed by fault injection; nothing was sent.
-    Killed,
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            SendErrorKind::Disconnected => {
-                write!(f, "link to rank {} closed", self.to)
-            }
-            SendErrorKind::Killed => {
-                write!(f, "send to rank {} aborted: this rank was killed", self.to)
-            }
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
-
-/// Error from a combined send+receive operation ([`Endpoint::exchange`],
-/// the [collectives](crate::collectives)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommError {
-    /// The sending half failed.
-    Send(SendError),
-    /// The receiving half failed.
-    Recv(RecvError),
-}
-
-impl From<SendError> for CommError {
-    fn from(e: SendError) -> Self {
-        CommError::Send(e)
-    }
-}
-
-impl From<RecvError> for CommError {
-    fn from(e: RecvError) -> Self {
-        CommError::Recv(e)
-    }
 }
 
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Send(e) => e.fmt(f),
-            CommError::Recv(e) => e.fmt(f),
+            CommError::Killed { rank } => write!(f, "rank {rank} was killed by fault injection"),
+            CommError::Disconnected { peer } => write!(f, "link to rank {peer} closed"),
+            CommError::Timeout { from, waited } => write!(
+                f,
+                "timed out after {waited:?} waiting for a message from rank {from}"
+            ),
+            CommError::TagMismatch {
+                from,
+                expected,
+                got,
+            } => write!(
+                f,
+                "tag mismatch from rank {from}: expected {expected}, got {got}"
+            ),
         }
     }
 }
 
 impl std::error::Error for CommError {}
-
-impl CommError {
-    /// True when *this* rank was killed by fault injection and must stop
-    /// participating.
-    pub fn is_self_killed(&self) -> bool {
-        matches!(
-            self,
-            CommError::Send(SendError {
-                kind: SendErrorKind::Killed,
-                ..
-            }) | CommError::Recv(RecvError::Killed { .. })
-        )
-    }
-}
 
 /// Default deadline a blocking receive waits before declaring a deadlock.
 pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(60);
@@ -306,40 +219,35 @@ impl Endpoint {
     /// the frame is acknowledged (retransmitting on timeout). A send that
     /// gives up — the peer gone, or silent through the whole retry
     /// budget — closes the link and fails with
-    /// [`SendErrorKind::Disconnected`]; the peer, once it has taken what
+    /// [`CommError::Disconnected`]; the peer, once it has taken what
     /// arrived, sees this rank disconnected.
-    pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), SendError> {
+    pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) -> Result<(), CommError> {
         assert!(
             dst < self.size,
             "send to rank {dst} out of range (size {})",
             self.size
         );
         if !self.consume_op() {
-            return Err(SendError {
-                to: dst,
-                kind: SendErrorKind::Killed,
-            });
+            return Err(CommError::Killed { rank: self.rank });
         }
         self.stats.on_send(payload.len());
         let msg = Message { tag, payload };
-        self.links
-            .send(&mut self.net, &mut self.stats, dst, msg)
-            .map_err(|kind| SendError { to: dst, kind })
+        self.links.send(&mut self.net, &mut self.stats, dst, msg)
     }
 
     /// Receives the next message from `src`, requiring `tag`.
     ///
     /// Blocks up to the group's receive deadline, then returns
-    /// [`RecvError::Timeout`] so schedule deadlocks surface as test
+    /// [`CommError::Timeout`] so schedule deadlocks surface as test
     /// failures instead of hangs.
-    pub fn recv(&mut self, src: usize, tag: Tag) -> Result<Bytes, RecvError> {
+    pub fn recv(&mut self, src: usize, tag: Tag) -> Result<Bytes, CommError> {
         assert!(
             src < self.size,
             "recv from rank {src} out of range (size {})",
             self.size
         );
         if !self.consume_op() {
-            return Err(RecvError::Killed { rank: self.rank });
+            return Err(CommError::Killed { rank: self.rank });
         }
         let msg = self
             .links
@@ -358,7 +266,7 @@ impl Endpoint {
     /// one, whose frames are charged as they land. A caller that must
     /// not depend on arrival order sums these per source. When an
     /// awaited peer disconnects (and its frames are drained), the error
-    /// names that peer via [`RecvError::Disconnected`] so the caller can
+    /// names that peer via [`CommError::Disconnected`] so the caller can
     /// mark it dead, clear its slot and keep receiving from the others —
     /// a dead producer never hangs the receiver. Messages arriving from
     /// non-awaited sources are buffered and served to later receives.
@@ -366,7 +274,7 @@ impl Endpoint {
         &mut self,
         await_from: &[bool],
         tag: Tag,
-    ) -> Result<(usize, Bytes, f64), RecvError> {
+    ) -> Result<(usize, Bytes, f64), CommError> {
         assert_eq!(
             await_from.len(),
             self.size,
@@ -377,7 +285,7 @@ impl Endpoint {
             "recv_any needs at least one awaited source"
         );
         if !self.consume_op() {
-            return Err(RecvError::Killed { rank: self.rank });
+            return Err(CommError::Killed { rank: self.rank });
         }
         let (src, msg) = self.links.recv_any(
             &self.net,
@@ -392,9 +300,9 @@ impl Endpoint {
 
     /// Tag-checks and accounts one application message; returns its
     /// payload and the modeled seconds charged for it.
-    fn deliver(&mut self, src: usize, tag: Tag, msg: Message) -> Result<(Bytes, f64), RecvError> {
+    fn deliver(&mut self, src: usize, tag: Tag, msg: Message) -> Result<(Bytes, f64), CommError> {
         if msg.tag != tag {
-            return Err(RecvError::TagMismatch {
+            return Err(CommError::TagMismatch {
                 from: src,
                 expected: tag,
                 got: msg.tag,
@@ -409,16 +317,6 @@ impl Endpoint {
         };
         self.stats.on_recv(msg.payload.len(), modeled);
         Ok((msg.payload, modeled))
-    }
-
-    /// Full-duplex exchange with `peer`: buffered send, then blocking
-    /// receive. Deadlock-free for any pairing where both sides call it.
-    ///
-    /// This is the binary-swap primitive: "each PE sends the half subimage
-    /// it keeps to PE'; each PE receives the half subimage from PE'".
-    pub fn exchange(&mut self, peer: usize, tag: Tag, payload: Bytes) -> Result<Bytes, CommError> {
-        self.send(peer, tag, payload)?;
-        Ok(self.recv(peer, tag)?)
     }
 }
 
@@ -447,12 +345,41 @@ mod tests {
     fn exchange_swaps_payloads() {
         let out = run_group(2, CostModel::free(), |ep| {
             let peer = 1 - ep.rank();
-            let got = ep
-                .exchange(peer, 0, Bytes::from(vec![ep.rank() as u8; 3]))
+            ep.send(peer, 0, Bytes::from(vec![ep.rank() as u8; 3]))
                 .unwrap();
-            got[0]
+            ep.recv(peer, 0).unwrap()[0]
         });
         assert_eq!(out.results, vec![1, 0]);
+    }
+
+    /// Each variant's text, as a failed frame's error line quotes it.
+    #[test]
+    fn each_error_reads_as_one_line() {
+        let cases = [
+            (
+                CommError::Killed { rank: 2 },
+                "rank 2 was killed by fault injection",
+            ),
+            (CommError::Disconnected { peer: 3 }, "link to rank 3 closed"),
+            (
+                CommError::Timeout {
+                    from: 1,
+                    waited: Duration::from_millis(250),
+                },
+                "timed out after 250ms waiting for a message from rank 1",
+            ),
+            (
+                CommError::TagMismatch {
+                    from: 0,
+                    expected: 7,
+                    got: 9,
+                },
+                "tag mismatch from rank 0: expected 7, got 9",
+            ),
+        ];
+        for (error, text) in cases {
+            assert_eq!(error.to_string(), text);
+        }
     }
 
     #[test]
@@ -460,7 +387,7 @@ mod tests {
         let out = run_group(2, CostModel::free(), |ep| {
             let peer = 1 - ep.rank();
             ep.send(peer, 1, Bytes::new()).unwrap();
-            matches!(ep.recv(peer, 2), Err(RecvError::TagMismatch { .. }))
+            matches!(ep.recv(peer, 2), Err(CommError::TagMismatch { .. }))
         });
         assert!(out.results.iter().all(|&ok| ok));
     }
@@ -473,7 +400,8 @@ mod tests {
         };
         let out = run_group(2, cost, |ep| {
             let peer = 1 - ep.rank();
-            let _ = ep.exchange(peer, 0, Bytes::from(vec![0u8; 1000])).unwrap();
+            ep.send(peer, 0, Bytes::from(vec![0u8; 1000])).unwrap();
+            ep.recv(peer, 0).unwrap();
         });
         for s in &out.stats {
             assert_eq!(s.sent_bytes, 1000);
@@ -503,10 +431,7 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 match ep.send(1, 0, Bytes::from_static(b"x")) {
-                    Err(SendError {
-                        to: 1,
-                        kind: SendErrorKind::Disconnected,
-                    }) => return true,
+                    Err(CommError::Disconnected { peer: 1 }) => return true,
                     Ok(()) => {
                         if Instant::now() > deadline {
                             return false;
@@ -517,7 +442,7 @@ mod tests {
                 }
             }
         });
-        assert!(out.results.iter().all(|&ok| ok), "expected SendError");
+        assert!(out.results.iter().all(|&ok| ok), "expected Disconnected");
     }
 
     #[test]
@@ -539,7 +464,7 @@ mod tests {
         });
         assert_eq!(
             out.results[0],
-            Some(Err(RecvError::Timeout {
+            Some(Err(CommError::Timeout {
                 from: 1,
                 waited: Duration::from_millis(100),
             }))
@@ -710,15 +635,11 @@ mod tests {
             } else {
                 // The link closes long before our deadline: rank 1 sees
                 // a hang-up, never a timeout.
-                assert_eq!(ep.recv(0, 0), Err(RecvError::Disconnected { from: 0 }));
+                assert_eq!(ep.recv(0, 0), Err(CommError::Disconnected { peer: 0 }));
                 None
             }
         });
-        let closed = SendError {
-            to: 1,
-            kind: SendErrorKind::Disconnected,
-        };
-        assert_eq!(out.results[0], Some(closed));
+        assert_eq!(out.results[0], Some(CommError::Disconnected { peer: 1 }));
         // Initial send + 3 retries.
         assert_eq!(out.stats[0].retransmits, 3);
         assert_eq!(out.stats[0].ack_timeouts, 4);
@@ -745,14 +666,8 @@ mod tests {
                 ep.send(1, 0, Bytes::from_static(b"last words")).unwrap();
                 let first = ep.recv(1, 0);
                 let second = ep.send(1, 0, Bytes::new());
-                assert_eq!(first, Err(RecvError::Killed { rank: 0 }));
-                assert_eq!(
-                    second,
-                    Err(SendError {
-                        to: 1,
-                        kind: SendErrorKind::Killed
-                    })
-                );
+                assert_eq!(first, Err(CommError::Killed { rank: 0 }));
+                assert_eq!(second, Err(CommError::Killed { rank: 0 }));
                 assert!(ep.is_dead());
                 0
             } else {
@@ -762,7 +677,7 @@ mod tests {
                 // ...and once its endpoint drops, we observe disconnect
                 // rather than hanging.
                 match ep.recv(0, 0) {
-                    Err(RecvError::Disconnected { from: 0 }) => 1,
+                    Err(CommError::Disconnected { peer: 0 }) => 1,
                     other => panic!("expected disconnect, got {other:?}"),
                 }
             }
@@ -864,7 +779,7 @@ mod tests {
         while got.len() < n {
             match ep.recv_any(&awaiting, tag) {
                 Ok((src, bytes, _)) => got.push((src, bytes[0])),
-                Err(RecvError::Disconnected { from }) => awaiting[from] = false,
+                Err(CommError::Disconnected { peer }) => awaiting[peer] = false,
                 Err(e) => panic!("unexpected recv_any error: {e:?}"),
             }
         }
@@ -1019,7 +934,7 @@ mod tests {
                 let (src, _, _) = ep.recv_any(&awaiting, 4).unwrap();
                 let disc = matches!(
                     ep.recv_any(&awaiting, 4),
-                    Err(RecvError::Disconnected { from: 1 })
+                    Err(CommError::Disconnected { peer: 1 })
                 );
                 (src, disc)
             });
@@ -1054,7 +969,7 @@ mod tests {
                                 awaiting[src] = false;
                                 any.push(src);
                             }
-                            Err(RecvError::Disconnected { from }) => awaiting[from] = false,
+                            Err(CommError::Disconnected { peer }) => awaiting[peer] = false,
                             Err(e) => panic!("unexpected: {e:?}"),
                         }
                     }

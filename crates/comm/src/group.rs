@@ -425,7 +425,7 @@ mod tests {
                 }
                 // Rank 0 waits on the dying rank; it must not hang.
                 let got = ep.recv(1, 0);
-                assert_eq!(got, Err(crate::RecvError::Disconnected { from: 1 }));
+                assert_eq!(got, Err(crate::CommError::Disconnected { peer: 1 }));
             })
         });
         let elapsed = started.elapsed();
@@ -591,9 +591,9 @@ mod tests {
             ..Default::default()
         };
         let out = run_group_with(2, options, |ep| {
-            ep.exchange(1 - ep.rank(), 0, Bytes::from_static(b"ok"))
-                .unwrap()
-                .len()
+            let peer = 1 - ep.rank();
+            ep.send(peer, 0, Bytes::from_static(b"ok")).unwrap();
+            ep.recv(peer, 0).unwrap().len()
         });
         assert_eq!(out.results, vec![2, 2]);
         assert!(out.dead_ranks.is_empty());

@@ -31,9 +31,7 @@ pub mod vclock;
 
 pub use collectives::{broadcast, gather_tolerant, scatter};
 pub use cost::CostModel;
-pub use endpoint::{
-    CommError, Endpoint, Message, RecvError, SendError, SendErrorKind, Tag, DEFAULT_RECV_DEADLINE,
-};
+pub use endpoint::{CommError, Endpoint, Message, Tag, DEFAULT_RECV_DEADLINE};
 pub use fault::{
     splitmix64, FaultAction, FaultConfig, FaultPlan, KillSpec, StreamClass, TargetedFault,
 };

@@ -32,12 +32,12 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::cost::CostModel;
-use crate::endpoint::{Message, RecvError, SendErrorKind, Tag};
+use crate::endpoint::{CommError, Message, Tag};
 use crate::fault::{FaultPlan, StreamClass};
 pub use crate::frame::{crc32, encode_frame, Frame, FrameError, HEADER_LEN};
 use crate::stats::TrafficStats;
 use crate::transport::Transport;
-use crate::vclock::{LingerOutcome, VRecvError};
+use crate::vclock::LingerOutcome;
 
 /// Application data frame.
 pub const FRAME_DATA: u8 = 1;
@@ -68,9 +68,7 @@ pub struct ReliabilityConfig {
     /// How long the sender waits for an ack before the first retransmit.
     pub ack_timeout: Duration,
     /// Retransmissions attempted before the link to the peer closes and
-    /// the send fails with [`SendErrorKind::Disconnected`].
-    ///
-    /// [`SendErrorKind::Disconnected`]: crate::SendErrorKind::Disconnected
+    /// the send fails with [`CommError::Disconnected`].
     pub max_retries: u32,
     /// Multiplier applied to the ack timeout after each failed attempt.
     pub backoff: f64,
@@ -182,14 +180,14 @@ impl Links {
         stats: &mut TrafficStats,
         dst: usize,
         msg: Message,
-    ) -> Result<(), SendErrorKind> {
+    ) -> Result<(), CommError> {
         if self.config.enabled {
             return self.send_reliable(net, stats, dst, msg);
         }
         let index = self.peers[dst].raw_index;
         self.peers[dst].raw_index += 1;
         self.transmit(net, dst, msg, StreamClass::Raw, index)
-            .map_err(|()| SendErrorKind::Disconnected)
+            .map_err(|()| CommError::Disconnected { peer: dst })
     }
 
     /// Pushes one physical transmission onto the wire through the fault
@@ -216,7 +214,7 @@ impl Links {
         stats: &mut TrafficStats,
         dst: usize,
         msg: Message,
-    ) -> Result<(), SendErrorKind> {
+    ) -> Result<(), CommError> {
         let seq = self.peers[dst].next_seq;
         self.peers[dst].next_seq = seq.wrapping_add(1);
         let frame = Message {
@@ -252,7 +250,7 @@ impl Links {
         // budget ran out. The link closes, so a live peer learns it as
         // it would learn of this rank's death, not at its own deadline.
         net.close_link(dst);
-        Err(SendErrorKind::Disconnected)
+        Err(CommError::Disconnected { peer: dst })
     }
 
     /// Waits for an ack of `seq` from `dst` through one retry window,
@@ -368,7 +366,7 @@ impl Links {
         stats: &mut TrafficStats,
         src: usize,
         wait: Duration,
-    ) -> Result<Message, RecvError> {
+    ) -> Result<Message, CommError> {
         if self.config.enabled {
             let only_src = |s| s == src;
             let got = self.recv_any(net, stats, only_src, Some(src), wait);
@@ -381,13 +379,7 @@ impl Links {
         }
         // Raw: park on this one source — a single blocking receive, no
         // sweep of the other links.
-        net.recv_from(src, wait).map_err(|e| match e {
-            VRecvError::Timeout => RecvError::Timeout {
-                from: src,
-                waited: wait,
-            },
-            VRecvError::Disconnected => RecvError::Disconnected { from: src },
-        })
+        net.recv_from(src, wait)
     }
 
     /// The next message from any source `awaited` accepts (lowest rank
@@ -403,7 +395,7 @@ impl Links {
         awaited: impl Fn(usize) -> bool,
         watch: Option<usize>,
         wait: Duration,
-    ) -> Result<(usize, Message), RecvError> {
+    ) -> Result<(usize, Message), CommError> {
         if let Some(found) = self.pop_any_pending(&awaited) {
             return Ok(found);
         }
@@ -414,12 +406,12 @@ impl Links {
                 return Ok(found);
             }
             let closed = |src: &usize| awaited(*src) && self.peers[*src].peer_closed;
-            if let Some(from) = (0..self.peers.len()).find(closed) {
-                return Err(RecvError::Disconnected { from });
+            if let Some(peer) = (0..self.peers.len()).find(closed) {
+                return Err(CommError::Disconnected { peer });
             }
             if net.now() >= deadline {
                 let from = (0..self.peers.len()).find(|&src| awaited(src)).unwrap_or(0);
-                return Err(RecvError::Timeout { from, waited: wait });
+                return Err(CommError::Timeout { from, waited: wait });
             }
             net.wait_any(watch, deadline);
         }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
-use crate::endpoint::Message;
-use crate::vclock::{LingerOutcome, ScheduleSpec, SimNet, VRecvError};
+use crate::endpoint::{CommError, Message};
+use crate::vclock::{LingerOutcome, ScheduleSpec, SimNet};
 
 /// How long the channel transport sleeps when a wait loop polls it with
 /// nothing to deliver.
@@ -108,16 +108,16 @@ impl Transport {
     }
 
     /// Blocks for the next message from `src`, at most `timeout`.
-    pub(crate) fn recv_from(&self, src: usize, timeout: Duration) -> Result<Message, VRecvError> {
+    pub(crate) fn recv_from(&self, src: usize, timeout: Duration) -> Result<Message, CommError> {
         match self {
             Transport::Channels(ch) => ch.from[src].recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => VRecvError::Timeout,
-                RecvTimeoutError::Disconnected => VRecvError::Disconnected,
+                RecvTimeoutError::Timeout => CommError::Timeout {
+                    from: src,
+                    waited: timeout,
+                },
+                RecvTimeoutError::Disconnected => CommError::Disconnected { peer: src },
             }),
-            Transport::Sim { net, rank } => {
-                let deadline = net.now(*rank) + timeout.as_secs_f64();
-                net.recv_from(*rank, src, deadline)
-            }
+            Transport::Sim { net, rank } => net.recv_from(*rank, src, timeout),
         }
     }
 
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(closed, vec![false, true]);
         assert_eq!(
             a.recv_from(1, Duration::from_secs(5)).err(),
-            Some(VRecvError::Disconnected)
+            Some(CommError::Disconnected { peer: 1 })
         );
         assert!(a.send(1, msg(3), 0.0).is_err(), "peer's mailbox is gone");
     }

@@ -36,9 +36,10 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::cost::CostModel;
-use crate::endpoint::Message;
+use crate::endpoint::{CommError, Message};
 use crate::fault::splitmix64;
 
 /// A seed plus an optional forced prefix of choices: the complete
@@ -141,15 +142,6 @@ struct Arrived {
     msg: Message,
     /// Virtual delivery instant (advances the receiver's clock).
     at: f64,
-}
-
-/// Outcome of a blocking virtual receive.
-#[derive(Debug, PartialEq, Eq)]
-pub enum VRecvError {
-    /// The virtual deadline passed with no message.
-    Timeout,
-    /// The peer closed and nothing is (or ever will be) in flight.
-    Disconnected,
 }
 
 /// Outcome of [`SimNet::linger`].
@@ -278,19 +270,23 @@ impl SimNet {
         Ok(())
     }
 
-    /// Blocking selective receive from `src` with an absolute virtual
-    /// `deadline` (seconds).
-    pub fn recv_from(&self, rank: usize, src: usize, deadline: f64) -> Result<Message, VRecvError> {
+    /// Blocking selective receive from `src`, waiting at most `wait` of
+    /// `rank`'s virtual time.
+    pub fn recv_from(&self, rank: usize, src: usize, wait: Duration) -> Result<Message, CommError> {
+        let deadline = self.now(rank) + wait.as_secs_f64();
         self.park(rank, Waiter::RecvFrom { src, deadline }, move |st| {
             if let Some(arr) = st.inbox[rank][src].pop_front() {
                 st.clock[rank] = st.clock[rank].max(arr.at);
                 return Some(Ok(arr.msg));
             }
             if st.fired[rank] {
-                return Some(Err(VRecvError::Timeout));
+                return Some(Err(CommError::Timeout {
+                    from: src,
+                    waited: wait,
+                }));
             }
             if Self::hung_up(st, src, rank) {
-                return Some(Err(VRecvError::Disconnected));
+                return Some(Err(CommError::Disconnected { peer: src }));
             }
             None
         })
@@ -643,6 +639,8 @@ mod tests {
     use bytes::Bytes;
     use std::time::Instant;
 
+    const SIXTY_SECONDS: Duration = Duration::from_secs(60);
+
     fn msg(tag: u32, byte: u8) -> Message {
         Message {
             tag,
@@ -691,7 +689,7 @@ mod tests {
                 sim.send(0, 1, msg(0, 7), 0.0).unwrap();
                 sim.now(0)
             } else {
-                let got = sim.recv_from(1, 0, 60.0).unwrap();
+                let got = sim.recv_from(1, 0, SIXTY_SECONDS).unwrap();
                 assert_eq!(got.payload[0], 7);
                 sim.now(1)
             }
@@ -715,18 +713,22 @@ mod tests {
             |rank, sim| {
                 if rank == 0 {
                     // A 60-virtual-second deadline with nothing in flight.
-                    let r = sim.recv_from(0, 1, 60.0);
+                    let r = sim.recv_from(0, 1, SIXTY_SECONDS);
                     (r.err(), sim.now(0))
                 } else {
                     // Stay parked past rank 0's deadline so its timeout
                     // (not our endpoint closing) fires first; once rank 0
                     // closes, this wait resolves as a disconnect.
-                    let r = sim.recv_from(1, 0, 120.0);
+                    let r = sim.recv_from(1, 0, 2 * SIXTY_SECONDS);
                     (r.err(), 0.0)
                 }
             },
         );
-        assert_eq!(out[0].0, Some(VRecvError::Timeout));
+        let timeout = CommError::Timeout {
+            from: 1,
+            waited: SIXTY_SECONDS,
+        };
+        assert_eq!(out[0].0, Some(timeout));
         assert_eq!(out[0].1, 60.0, "the clock jumped to the deadline");
         assert!(
             wall.elapsed().as_secs() < 30,
@@ -746,11 +748,11 @@ mod tests {
                     0
                 } else {
                     // The buffered message survives the sender's exit...
-                    let got = sim.recv_from(1, 0, 60.0).unwrap();
+                    let got = sim.recv_from(1, 0, SIXTY_SECONDS).unwrap();
                     assert_eq!(got.payload[0], 9);
                     // ...and only then does the link read as dead.
-                    match sim.recv_from(1, 0, 60.0) {
-                        Err(VRecvError::Disconnected) => 1,
+                    match sim.recv_from(1, 0, SIXTY_SECONDS) {
+                        Err(CommError::Disconnected { peer: 0 }) => 1,
                         other => panic!("expected disconnect, got {other:?}"),
                     }
                 }
@@ -881,8 +883,8 @@ mod tests {
                         sim.send(0, 1, msg(0, 2), 0.0).unwrap();
                         Vec::new()
                     } else {
-                        let a = sim.recv_from(1, 0, 60.0).unwrap();
-                        let b = sim.recv_from(1, 0, 60.0).unwrap();
+                        let a = sim.recv_from(1, 0, SIXTY_SECONDS).unwrap();
+                        let b = sim.recv_from(1, 0, SIXTY_SECONDS).unwrap();
                         vec![a.payload[0], b.payload[0]]
                     }
                 },

@@ -63,9 +63,9 @@ proptest! {
                 // Fixed involution pairing (r ^ 1); an odd tail rank idles.
                 let peer = ep.rank() ^ 1;
                 if peer < ep.size() {
-                    let _ = ep
-                        .exchange(peer, round as u32, Bytes::from(vec![0u8; round * 10]))
-                        .unwrap();
+                    let tag = round as u32;
+                    ep.send(peer, tag, Bytes::from(vec![0u8; round * 10])).unwrap();
+                    ep.recv(peer, tag).unwrap();
                 }
             }
         });

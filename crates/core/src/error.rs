@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use vr_comm::{CommError, Endpoint, RecvError, SendErrorKind, Tag};
+use vr_comm::{CommError, Endpoint, Tag};
 
 /// Why a compositing run could not produce this rank's piece.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,6 +86,15 @@ impl CompositeError {
     pub fn is_transient(&self) -> bool {
         !matches!(self, CompositeError::Killed { .. })
     }
+
+    /// The frame error for a transport failure `during` a step: this
+    /// rank's death is `Killed`, anything else `Comm`.
+    pub fn from_comm(during: &'static str, source: CommError) -> CompositeError {
+        match source {
+            CommError::Killed { rank } => CompositeError::Killed { rank },
+            source => CompositeError::Comm { during, source },
+        }
+    }
 }
 
 impl std::fmt::Display for CompositeError {
@@ -131,9 +140,7 @@ pub(crate) fn try_send(
     }
     match ep.send(peer, tag, payload) {
         Ok(()) => Ok(true),
-        Err(e) if e.kind == SendErrorKind::Killed => {
-            Err(CompositeError::Killed { rank: ep.rank() })
-        }
+        Err(CommError::Killed { rank }) => Err(CompositeError::Killed { rank }),
         // Disconnected: the peer is gone, or the link to it gave up.
         Err(_) => {
             dead.insert(peer);
@@ -163,15 +170,11 @@ pub(crate) fn try_recv_any(
 ) -> Result<AnyRecv, CompositeError> {
     match ep.recv_any(await_from, tag) {
         Ok((src, bytes, charged)) => Ok(AnyRecv::Message(src, bytes, charged)),
-        Err(RecvError::Killed { rank }) => Err(CompositeError::Killed { rank }),
-        Err(RecvError::Disconnected { from }) => {
-            dead.insert(from);
-            Ok(AnyRecv::PeerDied(from))
+        Err(CommError::Disconnected { peer }) => {
+            dead.insert(peer);
+            Ok(AnyRecv::PeerDied(peer))
         }
-        Err(e) => Err(CompositeError::Comm {
-            during,
-            source: e.into(),
-        }),
+        Err(e) => Err(CompositeError::from_comm(during, e)),
     }
 }
 
@@ -192,15 +195,11 @@ pub(crate) fn try_recv(
     }
     match ep.recv(peer, tag) {
         Ok(bytes) => Ok(Some(bytes)),
-        Err(RecvError::Killed { rank }) => Err(CompositeError::Killed { rank }),
-        Err(RecvError::Disconnected { from }) => {
-            dead.insert(from);
+        Err(CommError::Disconnected { peer }) => {
+            dead.insert(peer);
             Ok(None)
         }
-        Err(e) => Err(CompositeError::Comm {
-            during,
-            source: e.into(),
-        }),
+        Err(e) => Err(CompositeError::from_comm(during, e)),
     }
 }
 
@@ -213,7 +212,7 @@ mod tests {
     fn display_names_the_step() {
         let e = CompositeError::Comm {
             during: "fold",
-            source: CommError::Recv(RecvError::Disconnected { from: 3 }),
+            source: CommError::Disconnected { peer: 3 },
         };
         let msg = format!("{e}");
         assert!(msg.contains("fold"), "{msg}");
@@ -225,7 +224,7 @@ mod tests {
     fn comm_is_transient_killed_is_structural() {
         let comm = CompositeError::Comm {
             during: "bs stage",
-            source: CommError::Recv(RecvError::Disconnected { from: 1 }),
+            source: CommError::Disconnected { peer: 1 },
         };
         assert!(comm.is_transient());
         assert!(!CompositeError::Killed { rank: 0 }.is_transient());

@@ -236,16 +236,8 @@ pub(crate) fn gather_into(
             None => gathered.missing_ranks.push(rank),
         }
     };
-    gather_tolerant(ep, root, tags::GATHER, payload, slot).map_err(|e| {
-        if e.is_self_killed() {
-            CompositeError::Killed { rank: ep.rank() }
-        } else {
-            CompositeError::Comm {
-                during: "gather",
-                source: e,
-            }
-        }
-    })?;
+    gather_tolerant(ep, root, tags::GATHER, payload, slot)
+        .map_err(|e| CompositeError::from_comm("gather", e))?;
     match malformed {
         Some(error) => Err(error),
         None => Ok(gathered),
@@ -402,7 +394,7 @@ mod tests {
     /// root's deadline, and the gather reports the timeout.
     #[test]
     fn a_timeout_after_a_malformed_piece_is_the_gathers_error() {
-        use vr_comm::{CommError, GroupOptions, RecvError, ScheduleSpec};
+        use vr_comm::{CommError, GroupOptions, ScheduleSpec};
         let frame = Image::blank(8, 8);
         let unknown_kind = Bytes::from_static(&[9, 0, 0, 0]);
         for silent in [false, true] {
@@ -437,7 +429,7 @@ mod tests {
                         root,
                         Err(CompositeError::Comm {
                             during: "gather",
-                            source: CommError::Recv(RecvError::Timeout { from: 2, .. }),
+                            source: CommError::Timeout { from: 2, .. },
                         })
                     ),
                     "{root:?}"

@@ -16,7 +16,7 @@
 //! Panic safety: a panicking work item poisons nothing. The first panic
 //! payload is kept, the remaining unclaimed items are cancelled, and the
 //! payload is re-raised *typed* (`resume_unwind`) on the calling thread
-//! once in-flight items drain — so a `CompositeError` panicking out of a
+//! once in-flight items drain — so a typed payload panicking out of a
 //! render thread reaches a supervising `catch_unwind` (e.g. the serve
 //! layer's) exactly as it would single-threaded.
 
@@ -102,8 +102,8 @@ mod tests {
     use std::collections::HashSet;
     use std::time::{Duration, Instant};
 
-    /// A typed panic payload standing in for `CompositeError`: the pool
-    /// must carry it across threads without flattening it to a string.
+    /// A typed panic payload: the pool must carry it across threads
+    /// without flattening it to a string.
     #[derive(Debug)]
     struct TypedFailure(&'static str);
 

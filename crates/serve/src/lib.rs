@@ -34,8 +34,9 @@
 //!   on the wire); the service adds none of its own, so a frame renders
 //!   under exactly the config its key digests, and a request's failures
 //!   are its own — no other request is refused for them.
-//! * **Bounded retries** — transient failures (receive timeouts,
-//!   malformed payloads) retry up to
+//! * **Bounded retries** — a rank's typed failure is a value in the
+//!   frame's outcome (`Outcome::failures`); transient ones (receive
+//!   timeouts, malformed payloads) retry up to
 //!   [`ServeConfig::max_retries`] times, never past the job's deadline;
 //!   each retry re-salts the fault and schedule seeds so it re-draws the
 //!   faults instead of replaying them.
@@ -44,8 +45,8 @@
 //!   by PSNR against the fault-free reference composite and served
 //!   tagged [`ServeSource::Degraded`], retried, or rejected per the
 //!   configured floor ([`DegradedFramePolicy`]).
-//! * **Panic safety** — a crashing distributed run is caught
-//!   (`catch_unwind`); its waiters get an explicit
+//! * **Panic safety** — a run that really panics is caught
+//!   (`catch_unwind`) and never retried; its waiters get an explicit
 //!   [`FrameResponse::Rejected`] and the worker survives.
 //! * **Session lifecycle** — resident datasets idle past
 //!   [`ServeConfig::session_ttl`] are evicted (never while referenced).

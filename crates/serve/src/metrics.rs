@@ -41,9 +41,10 @@ pub struct ServiceStats {
     pub rejected_shutdown: u64,
     /// Retry attempts performed beyond each job's first attempt.
     pub frame_retries: u64,
-    /// Panics from distributed runs caught by the worker pool (each one
-    /// answered explicitly instead of hanging its waiters).
-    pub panics_caught: u64,
+    /// Render attempts that ended in a failure: a rank's typed error
+    /// (retried when transient) or a caught panic. Each failed job is
+    /// answered explicitly instead of hanging its waiters.
+    pub failed_attempts: u64,
     /// Resident datasets evicted after their idle TTL.
     pub datasets_evicted: u64,
     /// Worst PSNR (dB) of any degraded frame actually served
@@ -71,7 +72,7 @@ impl Default for ServiceStats {
             rejected_failed: 0,
             rejected_shutdown: 0,
             frame_retries: 0,
-            panics_caught: 0,
+            failed_attempts: 0,
             datasets_evicted: 0,
             min_degraded_psnr_db: f64::INFINITY,
             rendered_frames: 0,
@@ -160,7 +161,7 @@ impl ServiceStats {
         self.rejected_failed += other.rejected_failed;
         self.rejected_shutdown += other.rejected_shutdown;
         self.frame_retries += other.frame_retries;
-        self.panics_caught += other.panics_caught;
+        self.failed_attempts += other.failed_attempts;
         self.datasets_evicted += other.datasets_evicted;
         self.min_degraded_psnr_db = self.min_degraded_psnr_db.min(other.min_degraded_psnr_db);
         self.rendered_frames += other.rendered_frames;

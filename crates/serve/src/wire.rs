@@ -834,7 +834,7 @@ wire_struct!(ServiceStats {
     rejected_failed,
     rejected_shutdown,
     frame_retries,
-    panics_caught,
+    failed_attempts,
     datasets_evicted,
     min_degraded_psnr_db,
     rendered_frames,

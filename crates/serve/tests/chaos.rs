@@ -47,7 +47,7 @@ fn kill_rank_1(seed: u64) -> FaultConfig {
 }
 
 /// A total blackout: every transmission dropped, no reliability layer —
-/// the first receive times out and the run panics with a transient
+/// the first receive times out and the run fails with a transient
 /// `CompositeError::Comm`.
 fn blackout(seed: u64) -> FaultConfig {
     FaultConfig {
@@ -170,7 +170,7 @@ fn faults_disabled_is_bit_identical_to_batch() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.frame_retries, 0, "healthy runs must not retry");
-    assert_eq!(stats.panics_caught, 0);
+    assert_eq!(stats.failed_attempts, 0);
     assert_eq!(stats.completed_degraded, 0);
 }
 
@@ -321,7 +321,7 @@ fn malformed_payload_is_retried_like_any_transient_fault() {
             other => panic!("seed {seed}: unexpected answer {other:?}"),
         }
         let stats = service.shutdown();
-        if stats.panics_caught > 0 {
+        if stats.failed_attempts > 0 {
             damaged += 1;
             assert!(
                 stats.frame_retries >= 1,
@@ -374,7 +374,7 @@ fn one_sessions_fault_plan_never_refuses_another_sessions_frame() {
 
 #[test]
 fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
-    // One worker: if the blackout panic killed it, the follow-up healthy
+    // One worker: if the blackout failure killed it, the follow-up healthy
     // request would hang forever (recv_timeout turns that into a fail).
     let service = FrameService::start(ServeConfig {
         workers: 1,
@@ -392,7 +392,7 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
                 RejectReason::Failed { error } => {
                     assert!(
                         error.contains("communication failed"),
-                        "the typed panic payload must survive: {error}"
+                        "the typed failure must survive: {error}"
                     );
                 }
                 other => panic!("expected Failed, got {other:?}"),
@@ -407,8 +407,8 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
     }
     let stats = service.shutdown();
     assert!(
-        stats.panics_caught >= 1,
-        "the blackout panic must be caught: {stats:?}"
+        stats.failed_attempts >= 1,
+        "the blackout failure must be counted: {stats:?}"
     );
     assert_eq!(stats.answered(), stats.submitted);
 }
@@ -416,8 +416,8 @@ fn poisoned_job_answers_its_waiter_and_the_worker_survives() {
 #[test]
 fn threaded_render_survives_chaos_and_stays_bit_identical() {
     // The worker's render pool must ride out a poisoned job:
-    // the blackout panic is caught at the serve layer with its typed
-    // payload intact, the pool is not left hung or poisoned, and the
+    // the blackout failure reaches the serve layer with its typed
+    // error intact, the pool is not left hung or poisoned, and the
     // follow-up healthy frame — rendered across the pool with lane
     // batching on — hashes equal to the scalar single-threaded batch run.
     let service = FrameService::start(ServeConfig {
@@ -438,7 +438,7 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
             match reason {
                 RejectReason::Failed { error } => assert!(
                     error.contains("communication failed"),
-                    "the typed panic payload must survive the pool: {error}"
+                    "the typed failure must survive the pool: {error}"
                 ),
                 other => panic!("expected Failed, got {other:?}"),
             }
@@ -472,8 +472,8 @@ fn threaded_render_survives_chaos_and_stays_bit_identical() {
     );
     let stats = service.shutdown();
     assert!(
-        stats.panics_caught >= 1,
-        "the blackout panic must be caught: {stats:?}"
+        stats.failed_attempts >= 1,
+        "the blackout failure must be counted: {stats:?}"
     );
     assert_eq!(stats.answered(), stats.submitted);
 }

@@ -230,7 +230,7 @@ fn shard_stats(base: u64) -> ServiceStats {
         rejected_failed: base + 8,
         rejected_shutdown: base + 10,
         frame_retries: base + 11,
-        panics_caught: base + 12,
+        failed_attempts: base + 12,
         datasets_evicted: base + 13,
         min_degraded_psnr_db: 29.5 + base as f64,
         rendered_frames: base + 14,

@@ -13,8 +13,9 @@
 
 use bytes::Bytes;
 
-use slsvr_core::{composite, run_frame, RankFrame};
+use slsvr_core::{composite, run_frame, CompositeError, RankFrame};
 use vr_comm::{broadcast, scatter};
+use vr_image::Image;
 use vr_render::{render_clips, RenderAccel};
 use vr_volume::io::{decode_block, encode_block};
 use vr_volume::{Dataset, DepthOrder, MacrocellGrid, Subvolume};
@@ -82,9 +83,19 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
         } else {
             (None, None)
         };
-        let my_block = scatter(ep, 0, TAG_SCATTER, blocks).expect("block scatter");
+        // A rank whose partitioning fails has nothing to render: its
+        // error is the frame's, as a compositing failure is.
+        let received = scatter(ep, 0, TAG_SCATTER, blocks)
+            .and_then(|block| Ok((block, broadcast(ep, 0, TAG_LAYOUT, layout)?)));
+        let (my_block, layout) = match received {
+            Ok(received) => received,
+            Err(e) => {
+                let failed = Err(CompositeError::from_comm("partitioning", e));
+                let blank = Image::blank(camera.width, camera.height);
+                return (RankFrame::finish(ep, &blank, failed, None), (0.0, 0));
+            }
+        };
         let partition_bytes = my_block.len() as u64;
-        let layout = broadcast(ep, 0, TAG_LAYOUT, layout).expect("layout broadcast");
         let words: Vec<usize> = layout
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as usize)

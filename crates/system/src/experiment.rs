@@ -105,7 +105,8 @@ impl Experiment {
     ///
     /// With faults configured, a killed rank contributes empty stats
     /// and its image region stays blank; the outcome reports the dead
-    /// rank set, the gather holes and the residual coverage.
+    /// rank set, the gather holes and the residual coverage. A rank that
+    /// fails otherwise is reported in [`Outcome::failures`], not raised.
     pub fn run(&self, method: Method) -> Outcome {
         let run = composite_frame(
             method,
