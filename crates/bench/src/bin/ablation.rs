@@ -33,6 +33,11 @@ fn main() {
     radix_tradeoff(scale);
 }
 
+/// One fault-free frame; a rank failure here is a bug, so it panics.
+fn frame(exp: &Experiment, method: Method) -> vr_system::Outcome {
+    exp.run(method).into_result().expect("a fault-free frame")
+}
+
 /// Radix-k vs binary swap: rounds, messages and bytes per rank — the
 /// T_s-vs-bandwidth trade-off that motivates higher radices on modern
 /// networks (and lower ones on the latency-bound SP2).
@@ -45,7 +50,7 @@ fn radix_tradeoff(scale: Scale) {
     for p in [8usize, 16, 64] {
         let exp = prepare_cell(DatasetKind::EngineHigh, 384, p, scale);
         for method in [Method::Bs, Method::Bsbr, Method::RadixK] {
-            let out = exp.run(method);
+            let out = frame(&exp, method);
             let rounds = out.per_rank[0].stages.len();
             let msgs: u64 = out.traffic[0].sent_messages;
             let record = out.record();
@@ -76,9 +81,9 @@ fn bslc_ingredient_ablation(scale: Scale) {
     );
     for dataset in DatasetKind::all() {
         let exp = prepare_cell(dataset, 384, 16, scale);
-        let bsrl = exp.run(Method::Bsrl);
-        let bslc = exp.run(Method::Bslc);
-        let bsbrc = exp.run(Method::Bsbrc);
+        let bsrl = frame(&exp, Method::Bsrl);
+        let bslc = frame(&exp, Method::Bslc);
+        let bsbrc = frame(&exp, Method::Bsbrc);
         let enc = |out: &vr_system::Outcome| -> u64 {
             out.per_rank
                 .iter()
@@ -147,8 +152,8 @@ fn density_sweep() {
             ..config
         };
         let exp = Experiment::from_subimages(config, images, vr_volume::DepthOrder::identity(2));
-        let bsbr = exp.run(Method::Bsbr).record().total_bytes;
-        let bsbrc = exp.run(Method::Bsbrc).record().total_bytes;
+        let bsbr = frame(&exp, Method::Bsbr).record().total_bytes;
+        let bsbrc = frame(&exp, Method::Bsbrc).record().total_bytes;
         println!(
             "{:>7}% {:>12} {:>12} {:>8.2}",
             percent,
@@ -238,7 +243,7 @@ fn rotation_sweep(scale: Scale) {
         config.rot_x_deg = rx;
         config.rot_y_deg = ry;
         let exp = Experiment::prepare(&config);
-        let out = exp.run(Method::Bsbrc);
+        let out = frame(&exp, Method::Bsbrc);
         let max_empty = out
             .per_rank
             .iter()

@@ -16,7 +16,10 @@ fn main() {
     for dataset in paper_datasets() {
         let config = cell_config(dataset, 384, 8, scale);
         let exp = Experiment::prepare(&config);
-        let out = exp.run(Method::Bsbrc);
+        let out = exp
+            .run(Method::Bsbrc)
+            .into_result()
+            .expect("a fault-free frame");
         let path = format!("gallery/{}.pgm", dataset.name());
         vr_image::pgm::save_pgm(&out.image, &path).expect("write PGM");
         let bounds = out.image.bounding_rect();

@@ -89,6 +89,7 @@ pub fn sweep(
         verify,
     }
     .run()
+    .expect("a fault-free sweep")
 }
 
 #[cfg(test)]

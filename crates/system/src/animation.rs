@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use slsvr_core::Method;
+use slsvr_core::{CompositeError, Method};
 use vr_volume::Dataset;
 
 use crate::config::ExperimentConfig;
@@ -56,12 +56,13 @@ impl Animation {
     }
 
     /// Runs all frames with `method`, returning each frame's outcome in
-    /// [`Animation::frame_configs`] order.
+    /// [`Animation::frame_configs`] order, or the first failed frame's
+    /// earliest rank error.
     ///
     /// The dataset is built once; rendering is re-done per frame because
     /// the view changes — exactly the interactive-exploration workload
     /// the paper targets.
-    pub fn run(&self, method: Method) -> Vec<Outcome> {
+    pub fn run(&self, method: Method) -> Result<Vec<Outcome>, CompositeError> {
         let dataset = Arc::new(Dataset::with_dims(
             self.base.dataset,
             self.base.resolved_dims(),
@@ -69,7 +70,9 @@ impl Animation {
         self.frame_configs(method)
             .iter()
             .map(|config| {
-                Experiment::prepare_with_dataset(config, Arc::clone(&dataset)).run(method)
+                Experiment::prepare_with_dataset(config, Arc::clone(&dataset))
+                    .run(method)
+                    .into_result()
             })
             .collect()
     }
@@ -102,7 +105,7 @@ mod tests {
 
     #[test]
     fn animation_produces_one_stat_per_frame() {
-        let frames = anim(4).run(Method::Bsbrc);
+        let frames = anim(4).run(Method::Bsbrc).unwrap();
         assert_eq!(frames.len(), 4);
         for f in &frames {
             assert!(f.record().t_total_ms > 0.0);
@@ -115,7 +118,7 @@ mod tests {
 
     #[test]
     fn fps_is_positive_and_finite() {
-        let frames = anim(3).run(Method::Bsbrc);
+        let frames = anim(3).run(Method::Bsbrc).unwrap();
         let fps = Animation::compositing_fps(&frames);
         assert!(fps.is_finite() && fps > 0.0);
     }
@@ -123,8 +126,8 @@ mod tests {
     #[test]
     fn sparse_methods_sustain_higher_fps_than_bs() {
         let a = anim(2);
-        let bs = Animation::compositing_fps(&a.run(Method::Bs));
-        let bsbrc = Animation::compositing_fps(&a.run(Method::Bsbrc));
+        let bs = Animation::compositing_fps(&a.run(Method::Bs).unwrap());
+        let bsbrc = Animation::compositing_fps(&a.run(Method::Bsbrc).unwrap());
         assert!(
             bsbrc > bs,
             "BSBRC fps {bsbrc:.2} should beat BS fps {bs:.2}"
@@ -133,7 +136,7 @@ mod tests {
 
     #[test]
     fn single_frame_animation_is_valid() {
-        let frames = anim(1).run(Method::Bsbrc);
+        let frames = anim(1).run(Method::Bsbrc).unwrap();
         assert_eq!(frames.len(), 1);
         assert!(frames[0].record().t_total_ms > 0.0);
     }
@@ -191,7 +194,7 @@ mod tests {
     fn run_follows_frame_configs_sequencing() {
         let a = anim(3);
         let configs = a.frame_configs(Method::Bsbrc);
-        let frames = a.run(Method::Bsbrc);
+        let frames = a.run(Method::Bsbrc).unwrap();
         assert_eq!(frames.len(), configs.len());
         for (f, c) in frames.iter().zip(&configs) {
             let alone = Experiment::prepare(c).run(Method::Bsbrc);

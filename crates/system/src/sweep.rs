@@ -1,7 +1,7 @@
 //! Parameter sweeps with CSV export — the workhorse behind custom
 //! evaluations beyond the paper's fixed tables.
 
-use slsvr_core::Method;
+use slsvr_core::{CompositeError, Method};
 use vr_volume::DatasetKind;
 
 use crate::config::ExperimentConfig;
@@ -46,8 +46,9 @@ pub struct SweepBuilder {
 
 impl SweepBuilder {
     /// Runs every cell, rendering once per (dataset, P); cells come out
-    /// dataset-major, then by processor count, then by method.
-    pub fn run(&self) -> Vec<SweepCell> {
+    /// dataset-major, then by processor count, then by method. The first
+    /// cell whose frame fails ends the sweep with that rank's error.
+    pub fn run(&self) -> Result<Vec<SweepCell>, CompositeError> {
         let mut cells = Vec::new();
         for &dataset in &self.datasets {
             for &processors in &self.processor_counts {
@@ -59,7 +60,7 @@ impl SweepBuilder {
                 let exp = Experiment::prepare(&config);
                 let reference = self.verify.then(|| exp.reference());
                 for &method in &self.methods {
-                    let out = exp.run(method);
+                    let out = exp.run(method).into_result()?;
                     if let Some(expect) = &reference {
                         let diff = out.image.max_abs_diff(expect);
                         assert!(
@@ -78,7 +79,7 @@ impl SweepBuilder {
                 }
             }
         }
-        cells
+        Ok(cells)
     }
 }
 
@@ -133,7 +134,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_cartesian_product() {
-        let cells = small_sweep().run();
+        let cells = small_sweep().run().unwrap();
         assert_eq!(cells.len(), 2 * 2 * 2);
         assert!(cells.iter().any(|c| c.dataset == DatasetKind::Cube
             && c.processors == 4
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let cells = small_sweep().run();
+        let cells = small_sweep().run().unwrap();
         let csv = to_csv(&cells);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), cells.len() + 1);

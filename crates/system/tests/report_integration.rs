@@ -16,6 +16,7 @@ fn rows() -> Vec<SweepCell> {
         verify: false,
     }
     .run()
+    .unwrap()
 }
 
 #[test]

@@ -38,7 +38,7 @@ fn main() {
         "method", "avg T_total(ms)", "compositing fps"
     );
     for method in [Method::Bs, Method::Bsbr, Method::Bslc, Method::Bsbrc] {
-        let frames = animation.run(method);
+        let frames = animation.run(method).expect("a fault-free frame");
         let avg_ms =
             frames.iter().map(|f| f.record().t_total_ms).sum::<f64>() / frames.len() as f64;
         let fps = Animation::compositing_fps(&frames);

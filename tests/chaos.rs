@@ -241,6 +241,7 @@ fn killed_rank_degrades_without_stalling_any_method() {
         let images = test_images(p, 20, 20);
         let exp = Experiment::from_subimages(config, images, DepthOrder::identity(p));
         let out = exp.run(method);
+        assert!(out.failures.is_empty(), "{method:?}: {:?}", out.failures);
         assert_eq!(out.dead_ranks, vec![3], "{method:?} must report the kill");
         assert!(out.is_degraded(), "{method:?} must be degraded");
         assert!(
@@ -289,6 +290,7 @@ fn killed_partner_leaves_survivor_half_exact() {
     };
     let exp = Experiment::from_subimages(config, images, depth);
     let out = exp.run(Method::Bs);
+    assert!(out.failures.is_empty(), "{:?}", out.failures);
     assert_eq!(out.dead_ranks, vec![1]);
     assert!(
         (out.coverage - 0.5).abs() < 1e-9,
@@ -330,6 +332,7 @@ fn dead_root_yields_blank_frame_not_a_panic() {
     };
     let exp = Experiment::from_subimages(config, images, DepthOrder::identity(p));
     let out = exp.run(Method::Bsbrc);
+    assert!(out.failures.is_empty(), "{:?}", out.failures);
     assert_eq!(out.dead_ranks, vec![0]);
     assert_eq!(out.coverage, 0.0);
     assert_eq!(out.image.non_blank_count(), 0);
@@ -431,6 +434,11 @@ fn killed_tile_producer_leaves_holes_only_at_its_tiles_and_never_hangs() {
         };
         let exp = Experiment::from_subimages(config, images.clone(), depth.clone());
         let out = exp.run(Method::TileStream);
+        assert!(
+            out.failures.is_empty(),
+            "after_ops={after_ops}: {:?}",
+            out.failures
+        );
         assert_eq!(out.dead_ranks, vec![victim], "after_ops={after_ops}");
         assert!(out.is_degraded());
         let survivor = survivor_reference(&exp, &[victim]);
