@@ -21,8 +21,8 @@ use slsvr::comm::{
     TrafficStats,
 };
 use slsvr::compositing::conformance::{
-    expected_traffic, non_blank_masks, parse_corpus, run_case, ConformanceCase, CorpusEntry,
-    CostKind, Workload,
+    expected_traffic, non_blank_masks, parse_corpus, run_case, ConformanceCase, ConformanceOutcome,
+    CorpusEntry, CostKind, Workload,
 };
 use slsvr::compositing::{
     composite, reference_composite, virtual_completion, CompCost, CompositeError, CompositeResult,
@@ -1068,30 +1068,18 @@ fn late_kill_case(reliable: bool) -> ConformanceCase {
 }
 
 /// The tolerant gather skips the dead rank's stale stage message: raw
-/// and reliable delivery lose the same piece, in `run_case` and through
-/// `Experiment::run`, which both run the one frame runner
-/// (`slsvr_core::runner`) and differ only in what they report.
+/// and reliable delivery lose the same piece. `Experiment::run` reports
+/// the same frame ([`a_link_that_gives_up_costs_a_hole_not_the_frame`]).
 #[test]
 fn late_kill_loses_one_piece_on_the_raw_wire_as_on_the_reliable_one() {
-    let mut outcomes = Vec::new();
     for reliable in [false, true] {
         let case = late_kill_case(reliable);
         let out = run_case(&case);
         assert_eq!(out.dead_ranks, vec![2], "reliable={reliable}");
         assert_eq!(out.missing_ranks, vec![2], "reliable={reliable}");
         assert_eq!(out.coverage, 0.75, "reliable={reliable}");
-
-        let collected = pipeline_frame(&case);
-        assert_eq!(fnv1a(&collected.image), out.image_hash);
-        assert!(collected.is_degraded());
-        outcomes.push((
-            collected.dead_ranks,
-            collected.missing_ranks,
-            collected.coverage,
-        ));
+        assert!(pipeline_frame(&case).is_degraded(), "reliable={reliable}");
     }
-    assert_eq!(outcomes[0], outcomes[1]);
-    assert_eq!(outcomes[0], (vec![2], vec![2], 0.75));
 }
 
 /// The pipeline's config for `case`: its rank count, cost model,
@@ -1212,7 +1200,8 @@ fn failing_rank_case() -> ConformanceCase {
 /// A rank's failure is data in the runner's result. `run_case` reports
 /// the rank's typed error; the rank closes at once rather than lingering,
 /// so the root's gather finds it gone and assembles every other piece.
-/// Through `Experiment::run` the outcome carries the same failure.
+/// `Experiment::run` reports the same frame
+/// ([`a_link_that_gives_up_costs_a_hole_not_the_frame`]).
 #[test]
 fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
     let case = failing_rank_case();
@@ -1229,10 +1218,6 @@ fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
     assert!(out.image.is_some(), "the root assembles the other pieces");
     assert_eq!(out.missing_ranks, vec![3]);
     assert!(out.coverage > 0.0 && out.coverage < 1.0, "{}", out.coverage);
-
-    let frame = pipeline_frame(&case);
-    assert_eq!(frame.failures, out.failures);
-    assert_eq!(frame.missing_ranks, vec![3]);
 }
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -1436,25 +1421,103 @@ fn exhaustion_grid() -> Vec<ConformanceCase> {
     cases
 }
 
+/// A dead root: BSBRC at P = 4 whose rank 0 dies at its first
+/// operation, so nobody assembles the frame.
+fn dead_root_case() -> ConformanceCase {
+    ConformanceCase {
+        cost: CostKind::Sp2,
+        faults: Some("kill=0@0,seed=0".parse().expect("valid fault spec")),
+        ..ConformanceCase::new(Method::Bsbrc, 4, Workload::Sparse, 7)
+    }
+}
+
+/// A rank's stats with its compute timers zeroed: `Experiment::run`
+/// models them from the counts, `run_case` measures them.
+fn counts(stats: Option<&MethodStats>) -> MethodStats {
+    MethodStats {
+        comp_seconds: 0.0,
+        bound_seconds: 0.0,
+        encode_seconds: 0.0,
+        ..stats.cloned().unwrap_or_default()
+    }
+}
+
+/// The facts on which one frame's two reports disagree: `run_case`'s
+/// and `Experiment::run`'s. Compared are the image (FNV-1a), the
+/// coverage bits, the dead and missing ranks, the lost partners, the
+/// failures, the traffic and each rank's [`counts`].
+fn disagreements(out: &ConformanceOutcome, frame: &Outcome) -> Vec<&'static str> {
+    let out_counts: Vec<_> = out.per_rank.iter().map(|s| counts(s.as_ref())).collect();
+    let frame_counts: Vec<_> = frame.per_rank.iter().map(|s| counts(Some(s))).collect();
+    let facts = [
+        (
+            "image",
+            out.image.as_ref().map(fnv1a) == Some(fnv1a(&frame.image)),
+        ),
+        (
+            "coverage",
+            out.coverage.to_bits() == frame.coverage.to_bits(),
+        ),
+        ("dead_ranks", out.dead_ranks == frame.dead_ranks),
+        ("missing_ranks", out.missing_ranks == frame.missing_ranks),
+        ("lost_partners", out.lost_partners == frame.lost_partners),
+        ("failures", out.failures == frame.failures),
+        ("traffic", out.traffic == frame.traffic),
+        ("per_rank", out_counts == frame_counts),
+    ];
+    facts
+        .into_iter()
+        .filter(|&(_, agree)| !agree)
+        .map(|(fact, _)| fact)
+        .collect()
+}
+
 /// A link that gives up is a closed link: its receiver sees the sender
 /// hang up, as it would a dead peer, instead of waiting out its deadline,
 /// and the frame reports the partner it composited without. So on the
-/// exhaustion grid, through `run_case` and through `Experiment::run`,
-/// every frame has an image and no failed rank, and is either right
-/// (within `TOLERANCE` of the reference) or reports its loss: a
-/// non-empty lost-partner list, and `is_degraded`.
+/// exhaustion grid every frame has an image and no failed rank, and is
+/// either right (within `TOLERANCE` of the reference) or reports its
+/// loss: a non-empty lost-partner list, and `is_degraded`.
+///
+/// The same loop is the witness that `run_case` and `Experiment::run`
+/// report one frame alike ([`disagreements`]): over the grid, every
+/// [`transport_cases`] case, both [`late_kill_case`]s,
+/// [`failing_rank_case`] and [`dead_root_case`]. The lost root is the
+/// one known difference.
 #[test]
 fn a_link_that_gives_up_costs_a_hole_not_the_frame() {
-    let mut wrong = Vec::new();
-    for case in exhaustion_grid() {
+    let grid = exhaustion_grid().into_iter().map(|case| {
         let faults = case.faults.expect("a fault plan");
+        let spec = format!("drop={},seed={}", faults.drop, faults.seed);
+        (case, spec, true)
+    });
+    let others = transport_cases()
+        .into_iter()
+        .map(|(case, spec)| (case, spec.unwrap_or("-").to_string()))
+        .chain([
+            (late_kill_case(false), LATE_KILL.to_string()),
+            (late_kill_case(true), LATE_KILL.to_string()),
+            (failing_rank_case(), "corrupt=0.3,seed=18".to_string()),
+            (dead_root_case(), "kill=0@0,seed=0".to_string()),
+        ])
+        .map(|(case, spec)| (case, spec, false));
+    let (mut wrong, mut differences) = (Vec::new(), Vec::new());
+    for (case, spec, on_grid) in grid.chain(others) {
         let name = format!(
-            "{} drop={},seed={}",
+            "{} P={} reliable={} {spec}",
             case.method.name(),
-            faults.drop,
-            faults.seed
+            case.p,
+            case.reliable
         );
         let out = run_case(&case);
+        let frame = pipeline_frame(&case);
+        let differ = disagreements(&out, &frame);
+        if !differ.is_empty() {
+            differences.push(format!("{name}: {}", differ.join(", ")));
+        }
+        if !on_grid {
+            continue;
+        }
         let lost = |lists: &[Vec<usize>]| lists.iter().any(|l| !l.is_empty());
         if !out.failures.is_empty() || out.image.is_none() {
             wrong.push(format!("{name}: run_case failed {:?}", out.failures));
@@ -1464,7 +1527,6 @@ fn a_link_that_gives_up_costs_a_hole_not_the_frame() {
                 out.max_diff
             ));
         }
-        let frame = pipeline_frame(&case);
         if !frame.failures.is_empty() {
             wrong.push(format!(
                 "{name}: Experiment::run failed {:?}",
@@ -1478,6 +1540,11 @@ fn a_link_that_gives_up_costs_a_hole_not_the_frame() {
             wrong.push(format!("{name}: Experiment::run off by {diff} unreported"));
         }
     }
+    assert_eq!(
+        differences,
+        ["BSBRC P=4 reliable=false kill=0@0,seed=0: image, missing_ranks"],
+        "the two reports of one frame"
+    );
     assert!(
         wrong.is_empty(),
         "{} cases:\n{}",
