@@ -51,7 +51,7 @@ fn radix_tradeoff(scale: Scale) {
         let exp = prepare_cell(DatasetKind::EngineHigh, 384, p, scale);
         for method in [Method::Bs, Method::Bsbr, Method::RadixK] {
             let out = frame(&exp, method);
-            let rounds = out.per_rank[0].stages.len();
+            let rounds = out.per_rank[0].as_ref().map_or(0, |s| s.stages.len());
             let msgs: u64 = out.traffic[0].sent_messages;
             let record = out.record();
             println!(
@@ -87,6 +87,7 @@ fn bslc_ingredient_ablation(scale: Scale) {
         let enc = |out: &vr_system::Outcome| -> u64 {
             out.per_rank
                 .iter()
+                .flatten()
                 .map(|s| s.stages.iter().map(|st| st.encoded_pixels).sum::<u64>())
                 .sum()
         };
@@ -247,6 +248,7 @@ fn rotation_sweep(scale: Scale) {
         let max_empty = out
             .per_rank
             .iter()
+            .flatten()
             .map(|s| s.empty_recv_rects())
             .max()
             .unwrap_or(0);

@@ -28,16 +28,14 @@ use std::str::FromStr;
 
 use vr_comm::{
     CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec, ScheduleTrace,
-    TrafficStats,
 };
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
 use crate::analysis::message_bytes;
-use crate::error::CompositeError;
 use crate::methods::Method;
 use crate::reference::reference_composite;
-use crate::runner::composite_frame;
+use crate::runner::{composite_frame, Outcome};
 use crate::schedule::strip;
 use crate::stats::{MethodStats, StageStat};
 
@@ -209,37 +207,19 @@ impl ConformanceCase {
     }
 }
 
-/// What one conformance run produced.
+/// What one conformance run produced: the frame's one record and what
+/// the oracle reads off its image.
 #[derive(Clone, Debug)]
 pub struct ConformanceOutcome {
-    /// The image gathered at rank 0 (`None` when rank 0 died).
-    pub image: Option<Image>,
-    /// FNV-1a hash of the gathered image bytes (0 when absent) — the
-    /// bit-exactness witness used for schedule-independence and corpus
-    /// replay.
+    /// The frame, as every pipeline reports it.
+    pub frame: Outcome,
+    /// FNV-1a hash of the gathered image bytes (0 when the root was
+    /// lost) — the bit-exactness witness used for schedule-independence
+    /// and corpus replay.
     pub image_hash: u64,
     /// Maximum absolute channel difference against the sequential
-    /// reference (`f32::INFINITY` when no image was gathered).
+    /// reference (`f32::INFINITY` when the root was lost).
     pub max_diff: f32,
-    /// Fraction of pixels covered by surviving pieces.
-    pub coverage: f64,
-    /// Ranks whose pieces never reached the gather root.
-    pub missing_ranks: Vec<usize>,
-    /// Ranks killed by fault injection.
-    pub dead_ranks: Vec<usize>,
-    /// [`FrameRun::lost_partners`](crate::FrameRun::lost_partners).
-    pub lost_partners: Vec<Vec<usize>>,
-    /// Ranks whose composite or gather failed with anything but
-    /// `Killed`, each with its typed error, earliest first
-    /// ([`FrameRun::failures`](crate::FrameRun::failures)).
-    pub failures: Vec<(usize, CompositeError)>,
-    /// Per-rank method statistics (`None` for ranks whose composite
-    /// errored out, e.g. killed ranks).
-    pub per_rank: Vec<Option<MethodStats>>,
-    /// Per-rank transport counters (compositing and gather), by rank.
-    pub traffic: Vec<TrafficStats>,
-    /// The schedule the run took, when it ran under virtual time.
-    pub schedule: Option<ScheduleTrace>,
 }
 
 /// Runs one conformance case through the pipeline's frame runner: the
@@ -247,30 +227,21 @@ pub struct ConformanceOutcome {
 /// under the case's transport options, schedule prefix included.
 pub fn run_case(case: &ConformanceCase) -> ConformanceOutcome {
     let images = case.images();
-    let run = composite_frame(case.method, &images, &case.depth, case.group_options());
-    let (image, coverage, missing_ranks) = match run.gathered {
-        Some(g) => {
-            let coverage = g.coverage();
-            (Some(g.image), coverage, g.missing_ranks)
-        }
-        None => (None, 0.0, (0..case.p).collect()),
+    let frame = composite_frame(case.method, &images, &case.depth, case.group_options());
+    // The root's own piece is missing only when the root was lost.
+    let (image_hash, max_diff) = if frame.missing_ranks.contains(&0) {
+        (0, f32::INFINITY)
+    } else {
+        let reference = reference_composite(&images, &case.depth);
+        (
+            vr_image::checksum::fnv1a(&frame.image),
+            frame.image.max_abs_diff(&reference),
+        )
     };
-    let image_hash = image.as_ref().map_or(0, vr_image::checksum::fnv1a);
-    let max_diff = image.as_ref().map_or(f32::INFINITY, |img| {
-        img.max_abs_diff(&reference_composite(&images, &case.depth))
-    });
     ConformanceOutcome {
-        image,
+        frame,
         image_hash,
         max_diff,
-        coverage,
-        missing_ranks,
-        dead_ranks: run.dead_ranks,
-        lost_partners: run.lost_partners,
-        failures: run.failures,
-        per_rank: run.per_rank,
-        traffic: run.traffic,
-        schedule: run.schedule,
     }
 }
 
@@ -510,7 +481,7 @@ impl CorpusEntry {
             },
             faults: faults_spec.map(str::to_owned),
             expect_image: out.image_hash,
-            expect_decisions: out.schedule.as_ref().map_or(0, ScheduleTrace::digest),
+            expect_decisions: out.frame.schedule.as_ref().map_or(0, ScheduleTrace::digest),
         }
     }
 
@@ -518,7 +489,7 @@ impl CorpusEntry {
     /// image bytes and the exact schedule path were reproduced.
     pub fn verify(&self) -> Result<(), String> {
         let out = run_case(&self.case);
-        let decisions = out.schedule.as_ref().map_or(0, ScheduleTrace::digest);
+        let decisions = out.frame.schedule.as_ref().map_or(0, ScheduleTrace::digest);
         if out.image_hash != self.expect_image {
             return Err(format!(
                 "image hash {:016x} != expected {:016x} for `{self}`",
@@ -686,9 +657,9 @@ mod tests {
         let case = ConformanceCase::new(Method::Bsbrc, 4, Workload::Sparse, 1);
         let out = run_case(&case);
         assert!(out.max_diff < 2e-4, "diff {}", out.max_diff);
-        assert_eq!(out.coverage, 1.0);
-        assert!(out.dead_ranks.is_empty());
-        assert!(out.schedule.is_some());
+        assert_eq!(out.frame.coverage, 1.0);
+        assert!(out.frame.dead_ranks.is_empty());
+        assert!(out.frame.schedule.is_some());
         assert_ne!(out.image_hash, 0);
     }
 
@@ -721,7 +692,7 @@ mod tests {
                     expected_traffic(method, &masks, case.width, &case.depth, case.cost.model())
                         .unwrap();
                 let out = run_case(&case);
-                for (rank, stats) in out.per_rank.iter().enumerate() {
+                for (rank, stats) in out.frame.per_rank.iter().enumerate() {
                     let bytes = |s: &MethodStats| -> Vec<(u64, u64)> {
                         s.stages
                             .iter()

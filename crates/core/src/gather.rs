@@ -373,9 +373,13 @@ mod tests {
                     ..Default::default()
                 };
                 let run = composite_frame(Method::Bsbrc, &images, &depth, options);
-                let got = run.gathered.expect("the root assembles");
-                let image = fnv1a(&got.image);
-                (image, got.missing_ranks, got.covered_pixels, run.traffic)
+                let image = fnv1a(&run.image);
+                (
+                    image,
+                    run.missing_ranks,
+                    run.coverage.to_bits(),
+                    run.traffic,
+                )
             };
             let real = outcome(None);
             let holes: &[usize] = if kill.is_some() { &[3] } else { &[] };

@@ -56,7 +56,7 @@ pub use error::CompositeError;
 pub use gather::{gather_image_tolerant, GatheredImage};
 pub use methods::{composite, CompositeResult, Method, OwnedPiece};
 pub use reference::reference_composite;
-pub use runner::{composite_frame, run_frame, FrameRun, RankFrame};
+pub use runner::{composite_frame, run_frame, FrameRecord, Outcome, RankFrame};
 pub use schedule::{fold_into_pow2, FoldOutcome, VirtualTopology};
 pub use stats::{CompCost, MethodStats, StageStat};
 pub use timer::Stopwatch;

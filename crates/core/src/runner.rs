@@ -1,13 +1,15 @@
 //! The one frame runner. Every compositing frame — `slsvr render`, the
 //! daemon, the benchmark, the conformance corpus and the pins — is a
 //! [`run_frame`]: a group run of a rank body ending in
-//! [`RankFrame::finish`], folded into one [`FrameRun`].
-//! [`composite_frame`] is the two-phase body over prepared subimages.
+//! [`RankFrame::finish`], folded once into the frame's one record, the
+//! [`Outcome`], which [`Outcome::record`] summarises as a
+//! [`FrameRecord`]. [`composite_frame`] is the two-phase body over
+//! prepared subimages.
 //!
 //! A rank failure other than `Killed` is data, not a panic: the rank
 //! closes at once, as a panicking rank does, its typed error lands in
-//! [`FrameRun::failures`], and the root still assembles every other
-//! piece; each rank's `dead_partners` land in [`FrameRun::lost_partners`].
+//! [`Outcome::failures`], and the root still assembles every other
+//! piece; each rank's `dead_partners` land in [`Outcome::lost_partners`].
 //! The `W×H` frame a rank body composites in is leased, not allocated,
 //! and holds only the part of the subimage the rank keeps: `Canvas` and
 //! `WorkingFrame` below. The root's output frame is the one frame a
@@ -217,7 +219,7 @@ impl RankFrame {
     /// `image` at rank 0, into `out` there ([`RankFrame::root_frame`]).
     /// A `Killed` rank contributes nothing further; any other error gives
     /// up ([`Endpoint::give_up`]) and is kept, with the rank's clock, for
-    /// [`FrameRun::failures`].
+    /// [`Outcome::failures`].
     pub fn finish(
         ep: &mut Endpoint,
         image: &Image,
@@ -242,40 +244,143 @@ impl RankFrame {
     }
 }
 
-/// One frame, rank by rank, as the runner folds it.
-pub struct FrameRun<X> {
-    /// Per-rank method statistics; `None` for a rank killed, or failed,
-    /// before its composite finished.
-    pub per_rank: Vec<Option<MethodStats>>,
-    /// Whatever else each rank's body measured, by rank.
-    pub extras: Vec<X>,
-    /// The frame assembled at rank 0; `None` when the root died or
-    /// failed.
-    pub gathered: Option<GatheredImage>,
-    /// Per-rank transport counters (every phase the body ran).
-    pub traffic: Vec<TrafficStats>,
+/// One frame's facts, folded once by [`run_frame`]: the record every
+/// caller reads — both pipelines, [`run_case`](crate::run_case), `slsvr`,
+/// the daemon and the benchmark.
+///
+/// A lost root — rank 0 killed, or failed before its gather assembled
+/// the frame — has one answer: a blank image, coverage 0 and every rank
+/// in `missing_ranks`.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// The frame assembled at rank 0: blank where pieces are missing,
+    /// wholly blank when the root was lost.
+    pub image: Image,
+    /// Ranks whose owned piece never reached the gather root; every rank
+    /// when the root was lost.
+    pub missing_ranks: Vec<usize>,
+    /// Fraction of image pixels covered by gathered pieces, in `[0, 1]`
+    /// (1.0 on a healthy run, 0 when the root was lost).
+    pub coverage: f64,
     /// Ranks killed by fault injection (ascending).
     pub dead_ranks: Vec<usize>,
-    /// Each rank's `dead_partners`: whose contribution it composited
-    /// without (empty if its composite never finished), by rank.
+    /// Each rank's `dead_partners`: whose contribution (a dead partner,
+    /// or one behind a closed link) it composited without, empty if its
+    /// composite never finished; by rank.
     pub lost_partners: Vec<Vec<usize>>,
     /// Every rank whose composite or gather failed with anything but
     /// `Killed`, with its error: the earliest first on the transport's
     /// clock (virtual under a schedule seed), the lower rank on a tie —
-    /// the order in which the group re-raises panics.
+    /// the order in which the group re-raises panics. Non-empty means
+    /// the frame failed: its image holds only what the root assembled.
     pub failures: Vec<(usize, CompositeError)>,
+    /// Per-rank transport counters (every phase the body ran).
+    pub traffic: Vec<TrafficStats>,
+    /// Per-rank method statistics; `None` for a rank killed, or failed,
+    /// before its composite finished.
+    pub per_rank: Vec<Option<MethodStats>>,
     /// The schedule the run took, when it ran under virtual time.
     pub schedule: Option<ScheduleTrace>,
+    /// Per-rank rendering wall time, seconds, where the pipeline rendered
+    /// (informational: the paper's tables cover compositing only).
+    pub render_seconds: Vec<f64>,
+    /// Bytes of volume data scattered while partitioning (the distributed
+    /// pipeline only, else 0).
+    pub partition_bytes: u64,
 }
 
-/// Runs `body` on `ranks` ranks under `options` and folds the frame.
-/// The body's second value is whatever else the pipeline measures per
-/// rank; it comes back indexed by rank in [`FrameRun::extras`].
+impl Outcome {
+    /// True when faults degraded this frame: a dead rank, a missing
+    /// piece, or a lost partner (which may leave coverage at 1).
+    pub fn is_degraded(&self) -> bool {
+        !self.dead_ranks.is_empty()
+            || !self.missing_ranks.is_empty()
+            || self.coverage < 1.0
+            || self.lost_partners.iter().any(|lost| !lost.is_empty())
+    }
+
+    /// The frame, or its earliest rank failure as the error — how a
+    /// caller with no use for a failed frame's partial image reads it.
+    pub fn into_result(mut self) -> Result<Outcome, CompositeError> {
+        if self.failures.is_empty() {
+            Ok(self)
+        } else {
+            Err(self.failures.swap_remove(0).1)
+        }
+    }
+
+    /// Peak signal-to-noise ratio of the final image against a
+    /// reference (infinite when identical) — the degraded-quality
+    /// metric reported alongside coverage.
+    pub fn psnr_vs(&self, reference: &Image) -> f64 {
+        vr_image::stats::psnr(&self.image, reference)
+    }
+
+    /// The frame's summary, the numbers the paper tabulates: maxima over
+    /// ranks of each timer, `M_max` over the *compositing* stages only
+    /// (gather excluded, as in Section 4), and the bytes all ranks sent.
+    /// A rank without stats counts as zero.
+    pub fn record(&self) -> FrameRecord {
+        let ranks = || self.per_rank.iter().flatten();
+        let max = |f: fn(&MethodStats) -> f64| ranks().map(f).fold(0.0, f64::max);
+        let (t_comp, t_comm) = (max(|s| s.comp_seconds), max(|s| s.comm_seconds));
+        FrameRecord {
+            t_comp_ms: t_comp * 1e3,
+            t_comm_ms: t_comm * 1e3,
+            // Summed in seconds: `t_comp_ms + t_comm_ms` rounds differently.
+            t_total_ms: (t_comp + t_comm) * 1e3,
+            t_bound_ms: max(|s| s.bound_seconds) * 1e3,
+            t_encode_ms: max(|s| s.encode_seconds) * 1e3,
+            render_max_ms: self.render_seconds.iter().copied().fold(0.0, f64::max) * 1e3,
+            m_max: ranks().map(MethodStats::recv_bytes).max().unwrap_or(0),
+            total_bytes: ranks().map(MethodStats::sent_bytes).sum(),
+            coverage: self.coverage,
+            dead_ranks: self.dead_ranks.len(),
+        }
+    }
+}
+
+/// The one summary of a composited frame, produced by
+/// [`Outcome::record`]: the paper's timings broken down by phase and the
+/// traffic maxima. vr-system's tables, the sweep CSV and the serving
+/// layer's replies all read it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FrameRecord {
+    /// Max computation time over ranks, ms (the paper's `T_comp`).
+    pub t_comp_ms: f64,
+    /// Max modeled communication time over ranks, ms (`T_comm`).
+    pub t_comm_ms: f64,
+    /// `T_comp + T_comm`, ms (the tables' `T_total`).
+    pub t_total_ms: f64,
+    /// Max bounding-rectangle scan time over ranks, ms (`T_bound`).
+    pub t_bound_ms: f64,
+    /// Max run-length-encoding time over ranks, ms (`T_encode`).
+    pub t_encode_ms: f64,
+    /// The slowest rank's render time, ms (0 when rendering was
+    /// skipped): in the two-phase pipeline the summed wall time of the
+    /// rank's tiles on the frame's shared board, in the distributed one
+    /// the rank's own render, accelerator build included.
+    pub render_max_ms: f64,
+    /// Maximum received bytes over ranks (the paper's `M_max`).
+    pub m_max: u64,
+    /// Total bytes sent by all ranks.
+    pub total_bytes: u64,
+    /// Fraction of image pixels covered by gathered pieces (1.0 healthy).
+    pub coverage: f64,
+    /// Ranks killed by fault injection.
+    pub dead_ranks: usize,
+}
+
+/// Runs `body` on `ranks` ranks under `options` and folds the frame, a
+/// `width × height` image, into its [`Outcome`]. The body's second value
+/// is whatever else the pipeline measures per rank; it comes back
+/// indexed by rank beside the outcome.
 pub fn run_frame<X: Send>(
     ranks: usize,
+    (width, height): (u16, u16),
     options: GroupOptions,
     body: impl Fn(&mut Endpoint) -> (RankFrame, X) + Sync,
-) -> FrameRun<X> {
+) -> (Outcome, Vec<X>) {
     let run = run_group_with(ranks, options, body);
     let (mut per_rank, mut extras, mut gathered) = (Vec::new(), Vec::new(), None);
     let (mut lost_partners, mut failures) = (Vec::new(), Vec::new());
@@ -287,16 +392,27 @@ pub fn run_frame<X: Send>(
         failures.extend(frame.failure.map(|(at, error)| (at, rank, error)));
     }
     failures.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    FrameRun {
-        per_rank,
-        extras,
-        gathered,
-        traffic: run.stats,
+    let (image, missing_ranks, coverage) = match gathered {
+        Some(g) => {
+            let coverage = g.coverage();
+            (g.image, g.missing_ranks, coverage)
+        }
+        None => (Image::blank(width, height), (0..ranks).collect(), 0.0),
+    };
+    let outcome = Outcome {
+        image,
+        missing_ranks,
+        coverage,
         dead_ranks: run.dead_ranks,
         lost_partners,
         failures: failures.into_iter().map(|(_, r, e)| (r, e)).collect(),
+        traffic: run.stats,
+        per_rank,
         schedule: run.schedule,
-    }
+        render_seconds: Vec::new(),
+        partition_bytes: 0,
+    };
+    (outcome, extras)
 }
 
 /// The two-phase frame: each rank composites its prepared subimage
@@ -309,14 +425,16 @@ pub fn composite_frame(
     subimages: &[Image],
     depth: &DepthOrder,
     options: GroupOptions,
-) -> FrameRun<()> {
-    run_frame(subimages.len(), options, |ep| {
+) -> Outcome {
+    let size = (subimages[0].width(), subimages[0].height());
+    let (outcome, _) = run_frame(subimages.len(), size, options, |ep| {
         let source = &subimages[ep.rank()];
         let out = RankFrame::root_frame(ep, source.width(), source.height());
         let mut canvas = Canvas::Source(source);
         let composited = composite_on(method, ep, &mut canvas, depth);
         (RankFrame::finish(ep, canvas.image(), composited, out), ())
-    })
+    });
+    outcome
 }
 
 #[cfg(test)]
@@ -487,9 +605,11 @@ mod tests {
                     (result.stats, gathered.unwrap().map(|g| fnv1a(&g.image)))
                 });
                 let what = format!("{method:?} P = {p} depth {:?}", depth.front_to_back());
-                assert!(run.failures.is_empty(), "{what}");
-                let gathered = run.gathered.expect("the root assembles");
-                assert_eq!(Some(fnv1a(&gathered.image)), clones.results[0].1, "{what}");
+                assert!(
+                    run.failures.is_empty() && run.missing_ranks.is_empty(),
+                    "{what}"
+                );
+                assert_eq!(Some(fnv1a(&run.image)), clones.results[0].1, "{what}");
                 for (rank, stats) in run.per_rank.iter().enumerate() {
                     let want = exact(&clones.results[rank].0);
                     assert_eq!(stats.as_ref().map(exact), Some(want), "{what} rank {rank}");

@@ -143,8 +143,12 @@ pub struct FrameReply {
 /// Why a request was rejected by the robustness layer.
 #[derive(Clone, Debug)]
 pub enum RejectReason {
-    /// Every attempt crashed (receive timeout, reliable-delivery budget
-    /// exhausted, worker panic); the last error is reported.
+    /// Every attempt failed: a rank's `CompositeError` other than
+    /// `Killed`, read through `Outcome::into_result` (a communication
+    /// error such as a receive timeout, or a malformed payload), or a
+    /// caught worker panic. A reliable link that spends its retry budget
+    /// closes and degrades the frame instead of failing it. The last
+    /// error is reported.
     Failed {
         /// Human-readable description of the final failure.
         error: String,

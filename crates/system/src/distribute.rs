@@ -21,7 +21,7 @@ use vr_volume::io::{decode_block, encode_block};
 use vr_volume::{Dataset, DepthOrder, MacrocellGrid, Subvolume};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{collect, Outcome};
+use crate::outcome::{resolve_timing, Outcome};
 use crate::scene::Scene;
 
 /// Tags for the pipeline's own phases (distinct from compositing tags).
@@ -47,7 +47,8 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
     let p = config.processors;
     let transfer = config.dataset.transfer();
 
-    let run = run_frame(p, config.group_options(), |ep| {
+    let size = (camera.width, camera.height);
+    let (mut outcome, extras) = run_frame(p, size, config.group_options(), |ep| {
         // ---- Phase 1: partitioning --------------------------------
         // Rank 0 builds the dataset, partitions it as `Scene` does and
         // scatters the encoded blocks; everyone receives theirs. The
@@ -148,13 +149,10 @@ pub fn run_distributed(config: &ExperimentConfig) -> Outcome {
         let frame = RankFrame::finish(ep, &image, composited, out);
         (frame, (render_seconds, partition_bytes))
     });
-    let (outcome, extras) = collect(config, run);
-
-    Outcome {
-        partition_bytes: extras.iter().map(|&(_, bytes)| bytes).sum(),
-        render_seconds: extras.into_iter().map(|(seconds, _)| seconds).collect(),
-        ..outcome
-    }
+    resolve_timing(config, &mut outcome);
+    outcome.partition_bytes = extras.iter().map(|&(_, bytes)| bytes).sum();
+    outcome.render_seconds = extras.into_iter().map(|(seconds, _)| seconds).collect();
+    outcome
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use vr_render::{resolve_threads, RenderPool};
 use vr_volume::{Dataset, DepthOrder};
 
 use crate::config::ExperimentConfig;
-use crate::outcome::{collect, Outcome};
+use crate::outcome::{resolve_timing, Outcome};
 use crate::scene::Scene;
 
 /// A prepared workload: a [`Scene`] with every rank's subimage rendered.
@@ -108,17 +108,15 @@ impl Experiment {
     /// rank set, the gather holes and the residual coverage. A rank that
     /// fails otherwise is reported in [`Outcome::failures`], not raised.
     pub fn run(&self, method: Method) -> Outcome {
-        let run = composite_frame(
+        let mut outcome = composite_frame(
             method,
             &self.subimages,
             &self.depth,
             self.config.group_options(),
         );
-        let (outcome, _) = collect(&self.config, run);
-        Outcome {
-            render_seconds: self.render_seconds.clone(),
-            ..outcome
-        }
+        resolve_timing(&self.config, &mut outcome);
+        outcome.render_seconds = self.render_seconds.clone();
+        outcome
     }
 
     /// The sequential reference composite of the prepared subimages.
@@ -196,7 +194,8 @@ mod tests {
         let exp = Experiment::prepare(&config);
         let critical_path = |method| {
             let out = exp.run(method);
-            let path = virtual_completion(&out.per_rank, &config.cost, &comp)
+            let per_rank: Vec<_> = out.per_rank.iter().flatten().cloned().collect();
+            let path = virtual_completion(&per_rank, &config.cost, &comp)
                 .map(|vt| vt.into_iter().fold(0.0, f64::max));
             (path, out.record())
         };

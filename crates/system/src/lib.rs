@@ -6,9 +6,9 @@
 //! depth order, render parameters) feeds one of two per-rank bodies —
 //! two-phase ([`Experiment`]: render every subimage, then composite with
 //! any method, TSTREAM included) or distributed ([`run_distributed`]:
-//! rank 0 scatters the volume first) — and every body's results are
-//! collected into the same [`Outcome`], which [`Outcome::record`]
-//! summarises as one [`FrameRecord`].
+//! rank 0 scatters the volume first) — and both run through slsvr-core's
+//! one frame runner, which folds every frame into the same [`Outcome`];
+//! [`Outcome::record`] summarises it as one [`FrameRecord`].
 //!
 //! ```no_run
 //! use vr_system::{Experiment, ExperimentConfig};
@@ -40,8 +40,8 @@ pub use animation::Animation;
 pub use config::{CompTiming, ExperimentConfig};
 pub use distribute::run_distributed;
 pub use experiment::Experiment;
-pub use outcome::Outcome;
-pub use report::{format_figure_series, format_paper_table, format_stage_timeline, FrameRecord};
+pub use outcome::{FrameRecord, Outcome};
+pub use report::{format_figure_series, format_paper_table, format_stage_timeline};
 pub use scene::Scene;
 pub use stream::StreamExperiment;
 pub use sweep::{to_csv, SweepBuilder, SweepCell};

@@ -1,48 +1,19 @@
-//! The per-frame record, and the table and figure formatting matching
-//! the paper's presentation.
+//! The table and figure formatting matching the paper's presentation,
+//! read off each frame's [`FrameRecord`](crate::FrameRecord).
 
-use slsvr_core::Method;
+use slsvr_core::{Method, MethodStats};
 
 use crate::sweep::{rows, SweepCell};
-
-/// The one summary of a composited frame, produced by
-/// [`Outcome::record`](crate::Outcome::record): the paper's timings
-/// broken down by phase and the traffic maxima. The tables below, the
-/// sweep CSV and the serving layer's replies all read it.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FrameRecord {
-    /// Max computation time over ranks, ms (the paper's `T_comp`).
-    pub t_comp_ms: f64,
-    /// Max modeled communication time over ranks, ms (`T_comm`).
-    pub t_comm_ms: f64,
-    /// `T_comp + T_comm`, ms (the tables' `T_total`).
-    pub t_total_ms: f64,
-    /// Max bounding-rectangle scan time over ranks, ms (`T_bound`).
-    pub t_bound_ms: f64,
-    /// Max run-length-encoding time over ranks, ms (`T_encode`).
-    pub t_encode_ms: f64,
-    /// The slowest rank's render time, ms (0 when rendering was
-    /// skipped): in the two-phase pipeline the summed wall time of the
-    /// rank's tiles on the frame's shared board, in the distributed one
-    /// the rank's own render, accelerator build included.
-    pub render_max_ms: f64,
-    /// Maximum received bytes over ranks (the paper's `M_max`).
-    pub m_max: u64,
-    /// Total bytes sent by all ranks.
-    pub total_bytes: u64,
-    /// Fraction of image pixels covered by gathered pieces (1.0 healthy).
-    pub coverage: f64,
-    /// Ranks killed by fault injection.
-    pub dead_ranks: usize,
-}
 
 /// Formats the per-stage traffic timeline: one row per compositing
 /// stage with message and byte counters aggregated over ranks. For the
 /// paper's tree methods stage `k` is the `k`-th exchange round;
 /// tile-stream has a single stage carrying all streamed tile messages
-/// plus the DONE barrier. Printed by the CLI under `--verbose`.
-pub fn format_stage_timeline(per_rank: &[slsvr_core::MethodStats]) -> String {
-    let stages = per_rank.iter().map(|s| s.stages.len()).max().unwrap_or(0);
+/// plus the DONE barrier. A rank without stats adds nothing. Printed by
+/// the CLI under `--verbose`.
+pub fn format_stage_timeline(per_rank: &[Option<MethodStats>]) -> String {
+    let per_rank = || per_rank.iter().flatten();
+    let stages = per_rank().map(|s| s.stages.len()).max().unwrap_or(0);
     let mut out = String::new();
     out.push_str(&format!(
         "{:>6} {:>10} {:>12} {:>10} {:>12}\n",
@@ -51,7 +22,7 @@ pub fn format_stage_timeline(per_rank: &[slsvr_core::MethodStats]) -> String {
     let mut totals = (0u64, 0u64, 0u64, 0u64);
     for k in 0..stages {
         let mut row = (0u64, 0u64, 0u64, 0u64);
-        for s in per_rank {
+        for s in per_rank() {
             if let Some(st) = s.stages.get(k) {
                 row.0 += st.sent_msgs;
                 row.1 += st.sent_bytes;
@@ -194,6 +165,7 @@ mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
     use crate::experiment::Experiment;
+    use crate::FrameRecord;
     use vr_volume::DatasetKind;
 
     fn cell(method: Method, comp_ms: f64, comm_ms: f64, m_max: u64) -> SweepCell {
@@ -272,7 +244,12 @@ mod tests {
         assert!(record.render_max_ms > 0.0);
         assert_eq!(
             record.m_max,
-            out.per_rank.iter().map(|s| s.recv_bytes()).max().unwrap()
+            out.per_rank
+                .iter()
+                .flatten()
+                .map(|s| s.recv_bytes())
+                .max()
+                .unwrap()
         );
         assert_eq!(record.coverage, 1.0);
         assert_eq!(record.dead_ranks, 0);
@@ -286,8 +263,8 @@ mod tests {
         for (name, out) in [("two-phase", &two_phase), ("distributed", &distributed)] {
             let record = out.record();
             assert!(record.t_comp_ms > 0.0 && record.t_comm_ms > 0.0, "{name}");
-            let max = |f: fn(&slsvr_core::MethodStats) -> f64| {
-                out.per_rank.iter().map(f).fold(0.0, f64::max)
+            let max = |f: fn(&MethodStats) -> f64| {
+                out.per_rank.iter().flatten().map(f).fold(0.0, f64::max)
             };
             assert_eq!(
                 record.t_total_ms,
@@ -310,7 +287,7 @@ mod tests {
         assert!(timeline.contains("total"), "{timeline}");
         // A binary-swap over 4 ranks has log2(4) = 2 exchange stages.
         assert!(timeline.contains("\n     2 "), "{timeline}");
-        let sent: u64 = out.per_rank.iter().map(|s| s.sent_msgs()).sum();
+        let sent: u64 = out.per_rank.iter().flatten().map(|s| s.sent_msgs()).sum();
         assert!(sent > 0);
         assert!(timeline.contains(&sent.to_string()), "{timeline}");
     }

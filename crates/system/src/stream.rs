@@ -31,7 +31,11 @@ impl StreamExperiment {
         let exp = Experiment::prepare_with_dataset(&self.0, Arc::clone(&self.1));
         let rendered = start.elapsed().as_secs_f64();
         let out = exp.run(Method::TileStream);
-        let first = out.per_rank.iter().filter_map(|s| s.first_tile_seconds);
+        let first = out
+            .per_rank
+            .iter()
+            .flatten()
+            .filter_map(|s| s.first_tile_seconds);
         StreamTimes {
             total_seconds: start.elapsed().as_secs_f64(),
             first_tile_seconds: first.reduce(f64::min).map(|t| rendered + t),

@@ -6,7 +6,7 @@ use vr_volume::DatasetKind;
 
 use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;
-use crate::report::FrameRecord;
+use crate::outcome::FrameRecord;
 
 /// One sweep cell: what one method did on one (dataset, P) workload.
 /// The CSV and the paper-style tables are views of these.
@@ -73,7 +73,12 @@ impl SweepBuilder {
                         image_size: config.image_size,
                         processors,
                         method,
-                        composite_ops: out.per_rank.iter().map(|s| s.composite_ops()).sum(),
+                        composite_ops: out
+                            .per_rank
+                            .iter()
+                            .flatten()
+                            .map(|s| s.composite_ops())
+                            .sum(),
                         record: out.record(),
                     });
                 }

@@ -122,7 +122,7 @@ fn different_methods_share_one_prepared_frame_without_interference() {
 #[derive(Debug, PartialEq)]
 struct Observed {
     image: u64,
-    per_rank: Vec<MethodStats>,
+    per_rank: Vec<Option<MethodStats>>,
     traffic: Vec<TrafficStats>,
     dead_ranks: Vec<usize>,
 }
@@ -130,13 +130,13 @@ struct Observed {
 impl Observed {
     fn new(
         image: &Image,
-        mut per_rank: Vec<MethodStats>,
+        mut per_rank: Vec<Option<MethodStats>>,
         traffic: Vec<TrafficStats>,
         dead_ranks: Vec<usize>,
     ) -> Observed {
         // Tile-stream's two wall-clock readings: the only fields that
         // differ between two runs of one frame on one schedule.
-        for stats in &mut per_rank {
+        for stats in per_rank.iter_mut().flatten() {
             stats.first_tile_seconds = None;
             stats.last_tile_seconds = None;
         }
@@ -179,9 +179,10 @@ fn pool_free(exp: &Experiment, config: &ExperimentConfig, method: Method) -> Obs
     });
     let mut image = Image::blank(config.image_size, config.image_size);
     let mut per_rank = Vec::new();
-    for (stats, gathered) in run.results {
-        let mut stats = stats.unwrap_or_default();
-        config.comp_timing.apply(&mut stats);
+    for (mut stats, gathered) in run.results {
+        if let Some(stats) = &mut stats {
+            config.comp_timing.apply(stats);
+        }
         per_rank.push(stats);
         if let Some(gathered) = gathered {
             image = gathered.image;

@@ -46,6 +46,7 @@ fn main() {
         let nonempty: Vec<usize> = out
             .per_rank
             .iter()
+            .flatten()
             .map(|s| stages - s.empty_recv_rects())
             .collect();
         let max = nonempty.iter().max().unwrap();

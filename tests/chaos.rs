@@ -334,6 +334,7 @@ fn dead_root_yields_blank_frame_not_a_panic() {
     let out = exp.run(Method::Bsbrc);
     assert!(out.failures.is_empty(), "{:?}", out.failures);
     assert_eq!(out.dead_ranks, vec![0]);
+    assert_eq!(out.missing_ranks, vec![0, 1, 2, 3]);
     assert_eq!(out.coverage, 0.0);
     assert_eq!(out.image.non_blank_count(), 0);
 }

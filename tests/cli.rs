@@ -563,6 +563,42 @@ fn degraded_line_has_one_format_in_both_shared_volume_runners() {
     }
 }
 
+/// A dead root assembles nothing, and the frame says which pieces that
+/// cost: every one, at 0 % coverage.
+#[test]
+fn a_dead_root_reports_every_piece_missing() {
+    let dir = std::env::temp_dir().join("slsvr_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("dead_root.pgm");
+    let out = slsvr()
+        .args([
+            "render",
+            "--dataset",
+            "cube",
+            "--size",
+            "32",
+            "--procs",
+            "4",
+        ])
+        .args(["--method", "bsbrc", "--schedule-seed", "7"])
+        .args(["--faults", "kill=0@0,seed=0", "--out"])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let line = line_with(&stdout, "DEGRADED");
+    assert!(
+        line.starts_with("DEGRADED: dead ranks [0] · missing pieces [0, 1, 2, 3] · lost partners "),
+        "{line}"
+    );
+    assert!(line.contains(" · coverage 0.0% · "), "{line}");
+}
+
 /// A flag no command reads is refused by name before any work starts:
 /// a typo (`--proc` for `--procs`), the fused runner's retired switch,
 /// `render --max-retries` (the frame retries of `serve` and `daemon`; a

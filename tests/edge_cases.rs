@@ -190,11 +190,11 @@ fn stats_are_internally_consistent() {
     for method in Method::all() {
         let out = exp.run(method);
         // Conservation: total sent == total received across the group.
-        let sent: u64 = out.per_rank.iter().map(|s| s.sent_bytes()).sum();
-        let recvd: u64 = out.per_rank.iter().map(|s| s.recv_bytes()).sum();
+        let sent: u64 = out.per_rank.iter().flatten().map(|s| s.sent_bytes()).sum();
+        let recvd: u64 = out.per_rank.iter().flatten().map(|s| s.recv_bytes()).sum();
         assert_eq!(sent, recvd, "{method:?} lost bytes in flight");
         // comm time is nonneg and monotone in bytes.
-        for s in &out.per_rank {
+        for s in out.per_rank.iter().flatten() {
             assert!(s.comm_seconds >= 0.0);
             assert!(s.comp_seconds >= 0.0);
         }

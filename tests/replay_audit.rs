@@ -53,12 +53,13 @@ impl Replayed {
     fn new(out: ConformanceOutcome) -> Replayed {
         Replayed {
             image: out.image_hash,
-            coverage: out.coverage.to_bits(),
-            per_rank: out.per_rank.into_iter().map(counted).collect(),
-            traffic: out.traffic,
-            dead_ranks: out.dead_ranks,
-            missing_ranks: out.missing_ranks,
+            coverage: out.frame.coverage.to_bits(),
+            per_rank: out.frame.per_rank.into_iter().map(counted).collect(),
+            traffic: out.frame.traffic,
+            dead_ranks: out.frame.dead_ranks,
+            missing_ranks: out.frame.missing_ranks,
             schedule: out
+                .frame
                 .schedule
                 .map(|t| (t.digest(), t.events, t.virtual_seconds.to_bits())),
         }
@@ -151,6 +152,7 @@ type Counted = (u64, Vec<[u64; 10]>, Vec<Option<(u64, Vec<[u64; 7]>)>>);
 
 fn counters(out: ConformanceOutcome) -> Counted {
     let traffic = out
+        .frame
         .traffic
         .iter()
         .map(|t| {
@@ -169,6 +171,7 @@ fn counters(out: ConformanceOutcome) -> Counted {
         })
         .collect();
     let per_rank = out
+        .frame
         .per_rank
         .iter()
         .map(|stats| {

@@ -25,6 +25,7 @@ fn nonempty_rects(rot_x: f32, rot_y: f32) -> (usize, f64) {
     let nonempty: Vec<usize> = out
         .per_rank
         .iter()
+        .flatten()
         .map(|s| stages - s.empty_recv_rects())
         .collect();
     let max = *nonempty.iter().max().unwrap();
@@ -72,7 +73,7 @@ fn empty_rectangles_never_exceed_stage_count() {
         let exp = Experiment::prepare(&config);
         for method in [Method::Bsbr, Method::Bsbrc, Method::RadixK] {
             let out = exp.run(method);
-            for s in &out.per_rank {
+            for s in out.per_rank.iter().flatten() {
                 assert!(
                     s.empty_recv_rects() <= 4,
                     "{method:?}: more empties than stages"
