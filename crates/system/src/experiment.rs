@@ -103,7 +103,7 @@ impl Experiment {
     /// Runs the compositing phase with `method` on working copies of
     /// the prepared subimages and gathers the final image at rank 0.
     ///
-    /// With faults configured, a killed rank contributes empty stats
+    /// With faults configured, a killed rank contributes no stats
     /// and its image region stays blank; the outcome reports the dead
     /// rank set, the gather holes and the residual coverage. A rank that
     /// fails otherwise is reported in [`Outcome::failures`], not raised.

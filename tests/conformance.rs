@@ -1245,10 +1245,7 @@ fn a_failed_rank_is_reported_and_the_root_assembles_the_rest() {
         "{error}"
     );
     assert!(out.frame.dead_ranks.is_empty());
-    assert!(
-        !out.frame.missing_ranks.contains(&0),
-        "the root assembles the other pieces"
-    );
+    // The root assembles every other piece.
     assert_eq!(out.frame.missing_ranks, vec![3]);
     assert!(
         out.frame.coverage > 0.0 && out.frame.coverage < 1.0,
