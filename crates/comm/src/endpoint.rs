@@ -24,7 +24,7 @@ use bytes::Bytes;
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
-use crate::reliable::{Links, ReliabilityConfig};
+use crate::reliable::Links;
 use crate::stats::TrafficStats;
 use crate::transport::Transport;
 
@@ -93,7 +93,7 @@ pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(60);
 pub(crate) struct EndpointConfig {
     pub cost: CostModel,
     pub recv_deadline: Duration,
-    pub reliability: ReliabilityConfig,
+    pub reliable: bool,
     pub faults: Option<FaultPlan>,
     pub kill_at: Option<u64>,
 }
@@ -113,7 +113,6 @@ pub struct Endpoint {
     links: Links,
     cost: CostModel,
     stats: TrafficStats,
-    recv_deadline: Duration,
     /// Application-level operations (sends + receives) completed.
     ops: u64,
     /// Op count at which this rank dies, if the fault plan kills it.
@@ -130,10 +129,16 @@ impl Endpoint {
             rank,
             size,
             net,
-            links: Links::new(rank, size, config.reliability, config.faults, config.cost),
+            links: Links::new(
+                rank,
+                size,
+                config.reliable,
+                config.recv_deadline,
+                config.faults,
+                config.cost,
+            ),
             cost: config.cost,
             stats: TrafficStats::default(),
-            recv_deadline: config.recv_deadline,
             ops: 0,
             kill_at: config.kill_at,
             dead: false,
@@ -249,9 +254,7 @@ impl Endpoint {
         if !self.consume_op() {
             return Err(CommError::Killed { rank: self.rank });
         }
-        let msg = self
-            .links
-            .recv(&self.net, &mut self.stats, src, self.recv_deadline)?;
+        let msg = self.links.recv(&self.net, &mut self.stats, src)?;
         self.deliver(src, tag, msg).map(|(payload, _)| payload)
     }
 
@@ -287,13 +290,9 @@ impl Endpoint {
         if !self.consume_op() {
             return Err(CommError::Killed { rank: self.rank });
         }
-        let (src, msg) = self.links.recv_any(
-            &self.net,
-            &mut self.stats,
-            |src| await_from[src],
-            None,
-            self.recv_deadline,
-        )?;
+        let (src, msg) =
+            self.links
+                .recv_any(&self.net, &mut self.stats, |src| await_from[src], None)?;
         let (payload, charged) = self.deliver(src, tag, msg)?;
         Ok((src, payload, charged))
     }
@@ -325,7 +324,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultConfig, KillSpec, StreamClass, TargetedFault};
     use crate::group::{run_group, run_group_with, GroupOptions};
-    use crate::reliable::HEADER_LEN;
+    use crate::reliable::{HEADER_LEN, RETRANSMITS};
     use std::time::Instant;
 
     #[test]
@@ -479,7 +478,7 @@ mod tests {
     fn reliable_mode_delivers_like_raw() {
         let options = GroupOptions {
             cost: CostModel::free(),
-            reliability: ReliabilityConfig::on(),
+            reliable: true,
             ..Default::default()
         };
         let out = run_group_with(4, options, |ep| {
@@ -516,11 +515,7 @@ mod tests {
         };
         let options = GroupOptions {
             cost: CostModel::free(),
-            reliability: ReliabilityConfig {
-                enabled: true,
-                ack_timeout: Duration::from_millis(2),
-                ..Default::default()
-            },
+            reliable: true,
             faults: Some(faults),
             ..Default::default()
         };
@@ -552,11 +547,7 @@ mod tests {
         };
         let options = GroupOptions {
             cost: CostModel::free(),
-            reliability: ReliabilityConfig {
-                enabled: true,
-                ack_timeout: Duration::from_millis(2),
-                ..Default::default()
-            },
+            reliable: true,
             faults: Some(faults),
             ..Default::default()
         };
@@ -587,7 +578,7 @@ mod tests {
         };
         let options = GroupOptions {
             cost: CostModel::free(),
-            reliability: ReliabilityConfig::on(),
+            reliable: true,
             faults: Some(faults),
             ..Default::default()
         };
@@ -619,13 +610,7 @@ mod tests {
         let options = GroupOptions {
             cost: CostModel::free(),
             recv_deadline: Duration::from_millis(500),
-            reliability: ReliabilityConfig {
-                enabled: true,
-                ack_timeout: Duration::from_millis(1),
-                max_retries: 3,
-                backoff: 2.0,
-                max_backoff: Duration::from_millis(4),
-            },
+            reliable: true,
             faults: Some(faults),
             ..Default::default()
         };
@@ -633,16 +618,16 @@ mod tests {
             if ep.rank() == 0 {
                 ep.send(1, 0, Bytes::from_static(b"lost")).err()
             } else {
-                // The link closes long before our deadline: rank 1 sees
-                // a hang-up, never a timeout.
+                // The retry schedule spends at most half of the 500 ms
+                // deadline: rank 1 sees a hang-up, never a timeout.
                 assert_eq!(ep.recv(0, 0), Err(CommError::Disconnected { peer: 0 }));
                 None
             }
         });
         assert_eq!(out.results[0], Some(CommError::Disconnected { peer: 1 }));
-        // Initial send + 3 retries.
-        assert_eq!(out.stats[0].retransmits, 3);
-        assert_eq!(out.stats[0].ack_timeouts, 4);
+        // The initial send and every retransmit time out.
+        assert_eq!(out.stats[0].retransmits, u64::from(RETRANSMITS));
+        assert_eq!(out.stats[0].ack_timeouts, u64::from(RETRANSMITS) + 1);
     }
 
     #[test]
@@ -744,11 +729,7 @@ mod tests {
             ..Default::default()
         };
         let options = GroupOptions {
-            reliability: ReliabilityConfig {
-                enabled: true,
-                ack_timeout: Duration::from_millis(5),
-                ..ReliabilityConfig::on()
-            },
+            reliable: true,
             recv_deadline: Duration::from_secs(2),
             faults: Some(faults),
             ..Default::default()
@@ -889,10 +870,7 @@ mod tests {
         for reliable in [false, true] {
             let options = GroupOptions {
                 cost: CostModel::sp2(),
-                reliability: ReliabilityConfig {
-                    enabled: reliable,
-                    ..Default::default()
-                },
+                reliable,
                 ..Default::default()
             };
             let out = run_group_with(2, options, |ep| {

@@ -25,24 +25,26 @@ use std::time::Duration;
 use crate::cost::CostModel;
 use crate::endpoint::{Endpoint, EndpointConfig, DEFAULT_RECV_DEADLINE};
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::reliable::ReliabilityConfig;
 use crate::stats::TrafficStats;
 use crate::transport::Transport;
 use crate::vclock::{ScheduleSpec, ScheduleTrace};
 
 /// Group-wide knobs for a run: cost model, receive deadline, fault
-/// injection, the reliable-delivery policy, and (optionally) a
-/// deterministic virtual-time schedule.
+/// injection, reliable delivery, and (optionally) a deterministic
+/// virtual-time schedule.
 #[derive(Clone, Debug)]
 pub struct GroupOptions {
     /// Communication cost model applied to every received message.
     pub cost: CostModel,
     /// How long a blocking receive waits before declaring a deadlock.
+    /// A reliable link's retry schedule is fitted to half of it.
     pub recv_deadline: Duration,
     /// Fault-injection campaign, if any.
     pub faults: Option<FaultConfig>,
-    /// Reliable-delivery (framing + ack/retransmit) policy.
-    pub reliability: ReliabilityConfig,
+    /// Frame, acknowledge and retransmit every message (stop-and-wait
+    /// ARQ, see [`crate::reliable`]); off, a message is one unframed
+    /// transmission.
+    pub reliable: bool,
     /// When set, the run executes under the discrete-event virtual clock
     /// (see [`crate::vclock`]): timeouts become virtual, delivery order
     /// is permuted deterministically by the spec's seed, and the whole
@@ -56,7 +58,7 @@ impl Default for GroupOptions {
             cost: CostModel::sp2(),
             recv_deadline: DEFAULT_RECV_DEADLINE,
             faults: None,
-            reliability: ReliabilityConfig::default(),
+            reliable: false,
             schedule: None,
         }
     }
@@ -186,7 +188,7 @@ where
             let config = EndpointConfig {
                 cost: options.cost,
                 recv_deadline: options.recv_deadline,
-                reliability: options.reliability,
+                reliable: options.reliable,
                 faults: plan,
                 kill_at: plan.and_then(|p| p.kill_threshold(rank)),
             };
@@ -510,7 +512,7 @@ mod tests {
             };
             let options = GroupOptions {
                 cost: CostModel::free(),
-                reliability: ReliabilityConfig::on(),
+                reliable: true,
                 faults: Some(faults),
                 schedule: Some(ScheduleSpec::seeded(5)),
                 ..Default::default()

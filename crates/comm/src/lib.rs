@@ -37,6 +37,5 @@ pub use fault::{
 };
 pub use frame::{crc32, read_frame, write_frame, Frame, FrameError, StreamError, HEADER_LEN};
 pub use group::{run_group, run_group_with, GroupOptions, GroupRun};
-pub use reliable::ReliabilityConfig;
 pub use stats::TrafficStats;
 pub use vclock::{explore_schedules, ChoicePoint, ScheduleSpec, ScheduleTrace, SimNet};

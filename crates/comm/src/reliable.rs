@@ -8,10 +8,10 @@
 //!   receive is one blocking receive on that source.
 //! * **Reliable**: every message is wrapped in a sequence-numbered,
 //!   CRC-protected frame and delivered by stop-and-wait: the sender
-//!   retransmits on ack timeout with bounded exponential backoff. A send
-//!   that gives up — its retry budget spent, or the peer gone — closes
-//!   its link (`Transport::close_link`), so both ends see `Disconnected`,
-//!   as for a dead peer. The receiver CRC-checks, deduplicates by
+//!   retransmits on ack timeout on one schedule, fitted to the receive
+//!   deadline (`retry_wait`). A send that gives up — its retry budget
+//!   spent, or the peer gone — closes its link (`Transport::close_link`),
+//!   so both ends see `Disconnected`, as for a dead peer. The receiver CRC-checks, deduplicates by
 //!   sequence number and acks every accepted or duplicate frame. Every
 //!   wait pumps *all* incoming links, so acks and frames of other
 //!   conversations keep moving — what makes ring and exchange schedules
@@ -56,53 +56,35 @@ pub fn decode_frame(raw: &Bytes) -> Result<Frame, FrameError> {
     Ok(frame)
 }
 
-/// Retry policy of the stop-and-wait ARQ.
+/// First ack wait of a reliable send; each retransmission doubles it.
+const FIRST_WAIT: Duration = Duration::from_millis(10);
+/// Ceiling on one ack wait.
+const LONGEST_WAIT: Duration = Duration::from_millis(200);
+/// Retransmissions a reliable send makes before it gives up, closes its
+/// link and fails with [`CommError::Disconnected`].
+pub(crate) const RETRANSMITS: u32 = 8;
+/// The whole schedule at full length: 10 + 20 + 40 + 80 + 160 + 4 × 200 ms.
+const FULL_SCHEDULE: Duration = Duration::from_millis(1110);
+
+/// How long a reliable send waits for an ack after transmission
+/// `attempt` (0 = the first send, then each of the [`RETRANSMITS`]).
 ///
-/// Disabled by default: the endpoint then sends unframed messages with
-/// zero per-message overhead, byte-identical to a build without the
-/// reliability layer at all.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Whether framing/ack/retransmit is active.
-    pub enabled: bool,
-    /// How long the sender waits for an ack before the first retransmit.
-    pub ack_timeout: Duration,
-    /// Retransmissions attempted before the link to the peer closes and
-    /// the send fails with [`CommError::Disconnected`].
-    pub max_retries: u32,
-    /// Multiplier applied to the ack timeout after each failed attempt.
-    pub backoff: f64,
-    /// Ceiling on the backed-off wait between retransmits.
-    pub max_backoff: Duration,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            ack_timeout: Duration::from_millis(10),
-            max_retries: 8,
-            backoff: 2.0,
-            max_backoff: Duration::from_millis(200),
-        }
+/// The one time budget is the receive deadline. The full schedule
+/// (10 ms, doubling, capped at 200 ms) is scaled by `min(1, (deadline /
+/// 2) / 1.11 s)`, rounded down to the nanosecond, so it takes at most half
+/// the deadline: a link that gives up closes before any receiver's
+/// deadline can expire, even a receive that outlasts two of its sender's
+/// sends. Every deadline of 2.22 s or more keeps the full schedule; a
+/// zero deadline waits zero every time, so a send to a silent peer makes
+/// its nine transmissions and then closes the link.
+pub(crate) fn retry_wait(attempt: u32, recv_deadline: Duration) -> Duration {
+    let full = (FIRST_WAIT * (1 << attempt.min(5))).min(LONGEST_WAIT);
+    let budget = recv_deadline / 2;
+    if budget >= FULL_SCHEDULE {
+        return full;
     }
-}
-
-impl ReliabilityConfig {
-    /// The default policy with reliability switched on.
-    pub fn on() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// How long to wait for an ack on retransmission `attempt`
-    /// (0 = the initial send): exponential backoff, capped.
-    pub fn retry_delay(&self, attempt: u32) -> Duration {
-        let base = self.ack_timeout.as_secs_f64() * self.backoff.powi(attempt.min(32) as i32);
-        Duration::from_secs_f64(base.min(self.max_backoff.as_secs_f64()))
-    }
+    let nanos = full.as_nanos() * budget.as_nanos() / FULL_SCHEDULE.as_nanos();
+    Duration::from_nanos(nanos as u64)
 }
 
 /// Per-peer link state.
@@ -144,7 +126,10 @@ enum AckWait {
 /// and its [`TrafficStats`]; the protocol costs land in the latter.
 pub(crate) struct Links {
     rank: usize,
-    config: ReliabilityConfig,
+    /// Whether messages travel framed and acknowledged.
+    reliable: bool,
+    /// How long a receive waits; the retry schedule is fitted to it.
+    recv_deadline: Duration,
     faults: Option<FaultPlan>,
     cost: CostModel,
     peers: Vec<Link>,
@@ -154,13 +139,15 @@ impl Links {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        config: ReliabilityConfig,
+        reliable: bool,
+        recv_deadline: Duration,
         faults: Option<FaultPlan>,
         cost: CostModel,
     ) -> Self {
         Links {
             rank,
-            config,
+            reliable,
+            recv_deadline,
             faults,
             cost,
             peers: (0..size).map(|_| Link::default()).collect(),
@@ -169,7 +156,7 @@ impl Links {
 
     /// Whether messages travel framed and acknowledged.
     pub(crate) fn is_reliable(&self) -> bool {
-        self.config.enabled
+        self.reliable
     }
 
     /// Sends one message to `dst`. Raw: a single buffered transmission.
@@ -181,7 +168,7 @@ impl Links {
         dst: usize,
         msg: Message,
     ) -> Result<(), CommError> {
-        if self.config.enabled {
+        if self.reliable {
             return self.send_reliable(net, stats, dst, msg);
         }
         let index = self.peers[dst].raw_index;
@@ -206,8 +193,9 @@ impl Links {
         }
     }
 
-    /// Stop-and-wait reliable send: frame, transmit, await ack, retry
-    /// with exponential backoff. A send that gives up closes the link.
+    /// Stop-and-wait reliable send: frame, transmit, await ack, retry on
+    /// the schedule of [`retry_wait`]. A send that gives up closes the
+    /// link.
     fn send_reliable(
         &mut self,
         net: &mut Transport,
@@ -242,7 +230,7 @@ impl Links {
             }
             stats.ack_timeouts += 1;
             attempt += 1;
-            if attempt > self.config.max_retries {
+            if attempt > RETRANSMITS {
                 break;
             }
         }
@@ -263,7 +251,8 @@ impl Links {
         seq: u32,
         attempt: u32,
     ) -> AckWait {
-        let deadline = net.now() + self.config.retry_delay(attempt).as_secs_f64();
+        let wait = retry_wait(attempt, self.recv_deadline);
+        let deadline = net.now() + wait.as_secs_f64();
         loop {
             self.pump(net, stats);
             if self.peers[dst].acked.is_some_and(|a| a >= seq) {
@@ -285,7 +274,7 @@ impl Links {
     fn pump(&mut self, net: &Transport, stats: &mut TrafficStats) {
         let (arrived, closed) = net.drain();
         for (src, msg) in arrived {
-            if self.config.enabled {
+            if self.reliable {
                 self.process_frame(net, stats, src, msg);
             } else {
                 self.peers[src].pending.push_back(msg);
@@ -359,17 +348,17 @@ impl Links {
         let _ = self.transmit(net, src, ack, StreamClass::Ack, key);
     }
 
-    /// The next message from `src`, waiting at most `wait`.
+    /// The next message from `src`, waiting at most the receive
+    /// deadline.
     pub(crate) fn recv(
         &mut self,
         net: &Transport,
         stats: &mut TrafficStats,
         src: usize,
-        wait: Duration,
     ) -> Result<Message, CommError> {
-        if self.config.enabled {
+        if self.reliable {
             let only_src = |s| s == src;
-            let got = self.recv_any(net, stats, only_src, Some(src), wait);
+            let got = self.recv_any(net, stats, only_src, Some(src));
             return got.map(|(_, msg)| msg);
         }
         // An earlier pump (a `recv_any`) may already have taken this
@@ -379,12 +368,13 @@ impl Links {
         }
         // Raw: park on this one source — a single blocking receive, no
         // sweep of the other links.
-        net.recv_from(src, wait)
+        net.recv_from(src, self.recv_deadline)
     }
 
     /// The next message from any source `awaited` accepts (lowest rank
     /// first among those with one queued; arrival order within a
-    /// source), pumping every link meanwhile; the wait also wakes when
+    /// source), waiting at most the receive deadline and pumping every
+    /// link meanwhile; the wait also wakes when
     /// `watch` hangs up. Messages from other sources stay queued for
     /// later receives. An awaited peer that hung up with nothing queued
     /// is reported only when no awaited source has a message.
@@ -394,11 +384,11 @@ impl Links {
         stats: &mut TrafficStats,
         awaited: impl Fn(usize) -> bool,
         watch: Option<usize>,
-        wait: Duration,
     ) -> Result<(usize, Message), CommError> {
         if let Some(found) = self.pop_any_pending(&awaited) {
             return Ok(found);
         }
+        let wait = self.recv_deadline;
         let deadline = net.now() + wait.as_secs_f64();
         loop {
             self.pump(net, stats);
@@ -432,7 +422,7 @@ impl Links {
     /// died — a healthy transport's protocol state outlives the
     /// application's last receive. No-op in raw mode.
     pub(crate) fn linger_until_group_done(&mut self, net: &Transport, stats: &mut TrafficStats) {
-        if !self.config.enabled {
+        if !self.reliable {
             return;
         }
         loop {
@@ -498,12 +488,35 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_and_caps() {
-        let cfg = ReliabilityConfig::on();
-        assert_eq!(cfg.retry_delay(0), Duration::from_millis(10));
-        assert_eq!(cfg.retry_delay(1), Duration::from_millis(20));
-        assert_eq!(cfg.retry_delay(2), Duration::from_millis(40));
-        assert_eq!(cfg.retry_delay(10), cfg.max_backoff);
-        assert_eq!(cfg.retry_delay(1_000_000), cfg.max_backoff);
+    fn the_retry_schedule_fits_half_the_receive_deadline() {
+        let schedule = |deadline: Duration| -> Vec<Duration> {
+            (0..=RETRANSMITS).map(|a| retry_wait(a, deadline)).collect()
+        };
+        let full: Vec<Duration> = [10, 20, 40, 80, 160, 200, 200, 200, 200]
+            .map(Duration::from_millis)
+            .to_vec();
+        assert_eq!(full.iter().sum::<Duration>(), FULL_SCHEDULE);
+        for deadline in [2_220, 2_221, 5_000, 60_000, u32::MAX as u64] {
+            assert_eq!(schedule(Duration::from_millis(deadline)), full);
+        }
+        // Every wait zero: nine transmissions, then the link closes.
+        assert_eq!(schedule(Duration::ZERO), vec![Duration::ZERO; 9]);
+        let mut last = schedule(Duration::from_millis(1));
+        for ms in 1..=60_000u64 {
+            let deadline = Duration::from_millis(ms);
+            let waits = schedule(deadline);
+            let total: Duration = waits.iter().sum();
+            assert!(total <= deadline / 2, "{ms} ms: waits {total:?}");
+            assert!(
+                last.iter()
+                    .zip(&waits)
+                    .all(|(shorter, longer)| shorter <= longer),
+                "{ms} ms: a wait is shorter than at {} ms",
+                ms - 1
+            );
+            last = waits;
+        }
+        let below = schedule(Duration::from_millis(2_220) - Duration::from_nanos(2));
+        assert!(below.iter().zip(&full).all(|(a, b)| a < b));
     }
 }

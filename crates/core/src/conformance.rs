@@ -26,9 +26,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use vr_comm::{
-    CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec, ScheduleTrace,
-};
+use vr_comm::{CostModel, FaultConfig, GroupOptions, ScheduleSpec, ScheduleTrace};
 use vr_image::{Image, MaskRle, Pixel, Rect, StridedSeq};
 use vr_volume::DepthOrder;
 
@@ -196,11 +194,7 @@ impl ConformanceCase {
         GroupOptions {
             cost: self.cost.model(),
             faults: self.faults,
-            reliability: if self.reliable {
-                ReliabilityConfig::on()
-            } else {
-                ReliabilityConfig::default()
-            },
+            reliable: self.reliable,
             schedule: self.schedule.clone(),
             ..Default::default()
         }

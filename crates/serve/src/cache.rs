@@ -212,7 +212,7 @@ mod tests {
             |c| c.ghost_voxels += 1,
             |c| c.comp_timing = CompTiming::Measured { slowdown: 1.0 },
             |c| c.faults = Some(Default::default()),
-            |c| c.reliability.max_retries += 1,
+            |c| c.reliable = true,
             |c| c.recv_deadline = Some(Duration::from_millis(250)),
             |c| c.schedule_seed = Some(0),
             |c| c.macrocell += 1,

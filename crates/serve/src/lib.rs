@@ -30,7 +30,7 @@
 //!
 //! * **The request is the frame's only settings** — a seeded fault plan,
 //!   reliable delivery and the receive deadline are request fields
-//!   (`ExperimentConfig::faults` / `reliability` / `recv_deadline`, all
+//!   (`ExperimentConfig::faults` / `reliable` / `recv_deadline`, all
 //!   on the wire); the service adds none of its own, so a frame renders
 //!   under exactly the config its key digests, and a request's failures
 //!   are its own — no other request is refused for them.

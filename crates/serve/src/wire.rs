@@ -40,7 +40,7 @@ use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use vr_comm::{
-    CostModel, FaultAction, FaultConfig, KillSpec, ReliabilityConfig, StreamClass, TargetedFault,
+    CostModel, FaultAction, FaultConfig, KillSpec, StreamClass, TargetedFault,
     DEFAULT_RECV_DEADLINE,
 };
 use vr_image::body::{read_body, BodyError, RunBody};
@@ -63,8 +63,9 @@ use crate::CacheCounters;
 /// travels as mask-RLE codes plus its non-blank pixels, not as every
 /// pixel. 7: reject reason tag 2, an admission shed, is retired, and so
 /// is its stats counter. 8: a frame record no longer carries the pixel
-/// staging watermark.
-pub const WIRE_VERSION: u16 = 8;
+/// staging watermark. 9: a request's reliable delivery is one `bool`;
+/// its retry schedule follows `recv_deadline`.
+pub const WIRE_VERSION: u16 = 9;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -122,13 +123,11 @@ pub const MAX_GHOST_VOXELS: usize = 16;
 /// The ray sampling steps a request may name, in voxels. Zero, a
 /// negative or a non-finite step would march a ray forever.
 pub const STEP_RANGE: RangeInclusive<f32> = (1.0 / 64.0)..=64.0;
-/// Longest wait a request may name: its `recv_deadline`, its ARQ's
-/// `ack_timeout` and `max_backoff`, and (as `delay_ms`) a delay fault's
-/// sleep. A delay fault sleeps the sending rank, and rank 0 runs on the
-/// serve worker's own thread, so an unbounded one would stall the shard.
+/// Longest wait a request may name: its `recv_deadline` and (as
+/// `delay_ms`) a delay fault's sleep. A delay fault sleeps the sending
+/// rank, and rank 0 runs on the serve worker's own thread, so an
+/// unbounded one would stall the shard.
 pub const MAX_WAIT: Duration = DEFAULT_RECV_DEADLINE;
-/// Largest `reliability.max_retries` a request may name.
-pub const MAX_RETRANSMITS: u32 = 64;
 
 /// Client → server handshake.
 pub const KIND_HELLO: u8 = 0x10;
@@ -575,14 +574,6 @@ wire_struct!(FaultConfig {
     kill,
     target,
 });
-// A backoff below 1 (or NaN) would shrink or poison the retry delay.
-wire_struct!(ReliabilityConfig {
-    enabled,
-    ack_timeout if within(Duration::ZERO..=MAX_WAIT),
-    max_retries if within(0..=MAX_RETRANSMITS),
-    backoff if within(1.0..=f64::MAX),
-    max_backoff if within(Duration::ZERO..=MAX_WAIT),
-});
 // Field order matches the struct declaration. The bounds are what a
 // daemon refuses before it opens a session: each one names a value that
 // would otherwise panic, hang or exhaust the shard that received it. The
@@ -603,7 +594,7 @@ wire_struct!(ExperimentConfig {
     ghost_voxels if within(0..=MAX_GHOST_VOXELS),
     comp_timing,
     faults,
-    reliability,
+    reliable,
     recv_deadline if no_longer_than_max_wait,
     schedule_seed,
     macrocell if within(0..=MAX_ACCEL_EDGE),
@@ -909,7 +900,7 @@ mod tests {
             }),
             ..Default::default()
         });
-        c.reliability = ReliabilityConfig::on();
+        c.reliable = true;
         c.recv_deadline = Some(Duration::from_millis(250));
         c.schedule_seed = Some(11);
         c.perspective_distance = Some(2.5);
@@ -1238,7 +1229,7 @@ mod tests {
     #[test]
     fn out_of_range_values_are_refused_by_name() {
         type Edit = fn(&mut ExperimentConfig);
-        let hostile: [(&str, Edit); 32] = [
+        let hostile: [(&str, Edit); 25] = [
             ("image_size", |c| c.image_size = 0),
             ("image_size", |c| c.image_size = MAX_IMAGE_SIZE + 1),
             ("processors", |c| c.processors = 0),
@@ -1270,7 +1261,7 @@ mod tests {
             ("tile", |c| c.tile = MAX_ACCEL_EDGE + 1),
             ("tile", |c| c.tile = usize::MAX),
             // A delay fault sleeps the sending rank, and rank 0 runs on
-            // the worker's thread; a backoff below 1 panics the ARQ.
+            // the worker's thread.
             ("delay_ms", |c| c.faults.as_mut().unwrap().delay_ms = 60_001),
             ("delay_ms", |c| {
                 c.faults.as_mut().unwrap().delay_ms = u64::MAX
@@ -1279,19 +1270,6 @@ mod tests {
                 c.recv_deadline = Some(MAX_WAIT + Duration::from_nanos(1))
             }),
             ("recv_deadline", |c| c.recv_deadline = Some(Duration::MAX)),
-            ("ack_timeout", |c| {
-                c.reliability.ack_timeout = MAX_WAIT + Duration::from_nanos(1)
-            }),
-            ("max_backoff", |c| {
-                c.reliability.max_backoff = MAX_WAIT + Duration::from_nanos(1)
-            }),
-            ("max_retries", |c| c.reliability.max_retries = 65),
-            ("max_retries", |c| c.reliability.max_retries = u32::MAX),
-            ("backoff", |c| {
-                c.reliability.backoff = 1.0 - f64::EPSILON / 2.0
-            }),
-            ("backoff", |c| c.reliability.backoff = -1.0),
-            ("backoff", |c| c.reliability.backoff = f64::INFINITY),
         ];
         for (what, edit) in hostile {
             let mut config = sample_config();
@@ -1318,13 +1296,7 @@ mod tests {
                 delay_ms: 60_000,
                 ..Default::default()
             }),
-            reliability: ReliabilityConfig {
-                enabled: true,
-                ack_timeout: MAX_WAIT,
-                max_retries: MAX_RETRANSMITS,
-                backoff: 1.0,
-                max_backoff: MAX_WAIT,
-            },
+            reliable: true,
             recv_deadline: Some(MAX_WAIT),
             ..Default::default()
         };
@@ -1431,10 +1403,6 @@ mod proptests {
             (f64) => {
                 f64::from_bits(word())
             };
-            // Non-negative floats are ordered as their bit patterns.
-            (f64 in $lo:expr, $hi:expr) => {
-                f64::from_bits($lo.to_bits() + word() % ($hi.to_bits() - $lo.to_bits() + 1))
-            };
             (bool) => {
                 word() & 1 == 1
             };
@@ -1505,13 +1473,7 @@ mod proptests {
                     ][draw!(usize in 0, 4)],
                 }),
             }),
-            reliability: ReliabilityConfig {
-                enabled: draw!(bool),
-                ack_timeout: draw!(Duration),
-                max_retries: draw!(usize in 0, MAX_RETRANSMITS as usize) as u32,
-                backoff: draw!(f64 in 1.0f64, f64::MAX),
-                max_backoff: draw!(Duration),
-            },
+            reliable: draw!(bool),
             recv_deadline: draw!(Option draw!(Duration)),
             schedule_seed: draw!(Option word()),
             macrocell: draw!(usize in 0, MAX_ACCEL_EDGE),

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use slsvr_core::stats::CompCost;
 use slsvr_core::Method;
-use vr_comm::{CostModel, FaultConfig, GroupOptions, ReliabilityConfig, ScheduleSpec};
+use vr_comm::{CostModel, FaultConfig, GroupOptions, ScheduleSpec};
 use vr_volume::DatasetKind;
 
 /// Everything needed to run one paper experiment cell.
@@ -54,11 +54,12 @@ pub struct ExperimentConfig {
     /// Fault-injection campaign applied to the compositing group
     /// (`None` = the paper's perfect network, zero overhead).
     pub faults: Option<FaultConfig>,
-    /// Reliable-delivery (framing + ack/retransmit) policy. Disabled by
-    /// default so healthy runs stay byte-identical to the paper model.
-    pub reliability: ReliabilityConfig,
+    /// Reliable delivery (framing + ack/retransmit). Off by default so
+    /// healthy runs stay byte-identical to the paper model.
+    pub reliable: bool,
     /// How long a blocking receive waits before declaring the group
-    /// stuck (`None` = the transport default of 60 s).
+    /// stuck (`None` = the transport default of 60 s). A reliable link's
+    /// retry schedule is fitted to half of it.
     pub recv_deadline: Option<Duration>,
     /// When set, the compositing group runs under the deterministic
     /// virtual clock with this schedule seed: timeouts and fault delays
@@ -136,7 +137,7 @@ impl Default for ExperimentConfig {
             ghost_voxels: 0,
             comp_timing: CompTiming::Modeled(CompCost::power2()),
             faults: None,
-            reliability: ReliabilityConfig::default(),
+            reliable: false,
             recv_deadline: None,
             schedule_seed: None,
             macrocell: vr_volume::DEFAULT_CELL_SIZE,
@@ -196,7 +197,7 @@ impl ExperimentConfig {
         let mut options = GroupOptions {
             cost: self.cost,
             faults: self.faults,
-            reliability: self.reliability,
+            reliable: self.reliable,
             schedule: self.schedule_seed.map(ScheduleSpec::seeded),
             ..Default::default()
         };

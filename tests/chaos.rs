@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use slsvr::comm::{
     run_group, run_group_with, CostModel, Endpoint, FaultConfig, GroupOptions, KillSpec,
-    ReliabilityConfig, ScheduleSpec,
+    ScheduleSpec,
 };
 use slsvr::compositing::{
     composite, gather_image_tolerant, reference_composite, Method, OwnedPiece,
@@ -95,13 +95,7 @@ fn reliable_options(faults: FaultConfig) -> GroupOptions {
         cost: CostModel::free(),
         recv_deadline: Duration::from_secs(5),
         faults: Some(faults),
-        reliability: ReliabilityConfig {
-            enabled: true,
-            ack_timeout: Duration::from_millis(5),
-            max_retries: 20,
-            backoff: 2.0,
-            max_backoff: Duration::from_millis(50),
-        },
+        reliable: true,
         ..Default::default()
     }
 }

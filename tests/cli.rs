@@ -602,15 +602,17 @@ fn a_dead_root_reports_every_piece_missing() {
 /// A flag no command reads is refused by name before any work starts:
 /// a typo (`--proc` for `--procs`), the fused runner's retired switch,
 /// `render --max-retries` (the frame retries of `serve` and `daemon`; a
-/// reliable render keeps the transport's default retransmit budget),
-/// `daemon --simd-lanes` and `--faults`, which each request now carries,
-/// and the retired service-side fault plan, retry backoff and
-/// per-dataset admission shed, alike.
+/// reliable link's retry schedule follows the receive deadline), the
+/// retired ack timeout of that schedule, `daemon --simd-lanes` and
+/// `--faults`, which each request now carries, and the retired
+/// service-side fault plan, retry backoff and per-dataset admission
+/// shed, alike.
 #[test]
 fn unknown_flags_are_refused_by_name() {
     let retired = concat!("--", "stream");
     let service_faults = concat!("--", "serve-faults");
     let backoff = concat!("--", "retry-backoff-ms");
+    let ack_timeout = concat!("--", "ack-timeout");
     let shed_threshold = concat!("--", "brea", "ker-threshold");
     let shed_cooldown = concat!("--", "brea", "ker-cooldown-ms");
     for (args, flag) in [
@@ -620,6 +622,8 @@ fn unknown_flags_are_refused_by_name() {
         ),
         (&["render", "--size", "64", retired][..], retired),
         (&["render", "--max-retries", "3"][..], "--max-retries"),
+        (&["render", "--reliable", ack_timeout, "5"][..], ack_timeout),
+        (&["serve", "--reliable", ack_timeout, "5"][..], ack_timeout),
         (&["compare", "--sized", "32"][..], "--sized"),
         (&["info", "--verbose"][..], "--verbose"),
         (&["daemon", "--simd-lanes", "2"][..], "--simd-lanes"),
