@@ -27,7 +27,7 @@ use bytes::Bytes;
 use vr_comm::{gather_tolerant, Endpoint};
 use vr_image::body::RunBody;
 use vr_image::rect::BYTES_PER_RECT;
-use vr_image::{kernel, Image, MaskRle, Rect, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, PixelLayout, Rect, StridedSeq};
 
 use crate::error::{Checked, CompositeError, Malformed};
 use crate::methods::spatial::read_rect;
@@ -83,7 +83,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
     let size = 4 * head.len()
         + bodies
             .iter()
-            .map(|body| BYTES_PER_RECT + body.wire_len())
+            .map(|body| BYTES_PER_RECT + body.wire_len(PixelLayout::Rgba))
             .sum::<usize>();
     let mut w = MsgWriter::with_capacity(size);
     for &word in head {
@@ -91,7 +91,7 @@ fn encode_rects(image: &Image, head: &[u32], rects: &[Rect]) -> Bytes {
     }
     for (rect, body) in rects.iter().zip(&bodies) {
         w.put_rect(*rect);
-        body.put_rect(w.payload(), image, rect);
+        body.put_rect(w.payload(), image, rect, PixelLayout::Rgba);
     }
     debug_assert_eq!(w.len(), size, "gather piece size must be exact");
     w.freeze()
@@ -116,7 +116,7 @@ fn apply_piece(out: &mut Image, bytes: Bytes) -> Checked<usize> {
     r.finish()?;
     let mut covered = 0;
     for (rect, rle, wire) in domains {
-        out.write_runs_wire(&rect, rle.non_blank_runs(), &wire);
+        out.write_runs_wire(&rect, rle.non_blank_runs(), &wire, PixelLayout::Rgba);
         covered += rect.area();
     }
     Ok(covered)

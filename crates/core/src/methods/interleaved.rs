@@ -25,7 +25,7 @@
 
 use bytes::Bytes;
 use vr_image::body::RunBody;
-use vr_image::{kernel, Image, RunSet, StridedSeq};
+use vr_image::{kernel, Image, PixelLayout, RunSet, StridedSeq};
 
 use crate::error::Checked;
 use crate::stats::StageStat;
@@ -98,7 +98,7 @@ impl StageCodec for InterleavedRuns {
         // The run codes come straight from the parity split; the
         // non-blank pixels are read from the image at the send half's
         // stride.
-        let mut w = MsgWriter::with_capacity(self.sent.wire_len());
+        let mut w = MsgWriter::with_capacity(self.sent.wire_len(PixelLayout::Rgba));
         self.sent.put_seq(w.payload(), image.pixels(), self.send);
         stat.encoded_pixels += self.send.count as u64;
         stat.run_codes += self.sent.codes() as u64;

@@ -26,7 +26,7 @@
 use bytes::Bytes;
 use vr_image::body::RunBody;
 use vr_image::rect::BYTES_PER_RECT;
-use vr_image::{kernel, Image, Rect, BYTES_PER_PIXEL as PX};
+use vr_image::{kernel, Image, PixelLayout, Rect, BYTES_PER_PIXEL as PX};
 
 use crate::error::{Checked, Malformed};
 use crate::schedule::strip;
@@ -327,7 +327,7 @@ impl Body for Runs {
     }
 
     fn put(&self, w: &mut MsgWriter, image: &Image, rect: &Rect) {
-        self.0.put_rect(w.payload(), image, rect);
+        self.0.put_rect(w.payload(), image, rect, PixelLayout::Rgba);
     }
 
     fn merge(image: &mut Image, rect: &Rect, r: &mut MsgReader, front: bool) -> Checked<u64> {

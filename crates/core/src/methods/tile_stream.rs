@@ -43,7 +43,7 @@
 use bytes::Bytes;
 use vr_comm::Endpoint;
 use vr_image::body::RunBody;
-use vr_image::{kernel, Image, MaskRle, Pixel, Rect};
+use vr_image::{kernel, Image, MaskRle, Pixel, PixelLayout, Rect};
 use vr_volume::DepthOrder;
 
 use crate::error::{try_recv_any, try_send, AnyRecv, Checked, CompositeError, Malformed};
@@ -92,7 +92,7 @@ fn tile_message(body: &mut RunBody, image: &Image, t: usize, rect: &Rect) -> Opt
     }
     let mut w = MsgWriter::with_capacity(4 + len);
     w.put_u32(t as u32);
-    body.put_rect(w.payload(), image, rect);
+    body.put_rect(w.payload(), image, rect, PixelLayout::Rgba);
     Some(w.freeze())
 }
 
@@ -447,11 +447,11 @@ mod tests {
                 continue;
             };
             sent += 1;
-            assert_eq!(payload.len(), 4 + body.wire_len());
+            assert_eq!(payload.len(), 4 + body.wire_len(PixelLayout::Rgba));
             let (index, mask, pixels) = decode(payload, rect.area());
             assert_eq!(index, t as u32);
             let mut restored = Image::blank(40, 20);
-            restored.write_runs_wire(rect, mask.non_blank_runs(), &pixels);
+            restored.write_runs_wire(rect, mask.non_blank_runs(), &pixels, PixelLayout::Rgba);
             for (x, y) in rect.iter() {
                 let (want, got) = (img.get(x, y), restored.get(x, y));
                 assert_eq!(got.to_le_bytes(), want.to_le_bytes(), "({x}, {y})");

@@ -23,7 +23,7 @@
 
 use bytes::{Buf, BufMut, Bytes};
 use vr_image::body::{put_pixels, read_body, write_pixels};
-use vr_image::{Image, MaskRle, Pixel, Rect, BYTES_PER_PIXEL};
+use vr_image::{Image, MaskRle, Pixel, PixelLayout, Rect, BYTES_PER_PIXEL};
 
 use crate::error::{Checked, Malformed};
 
@@ -164,7 +164,8 @@ impl MsgReader {
     /// through the one checked reader, [`read_body`]: its runs, and the
     /// number of non-blank pixels, all present, that follow.
     pub fn get_body(&mut self, domain: usize) -> Checked<(MaskRle, usize)> {
-        let header = read_body(self.buf.chunk(), domain).map_err(|_| Malformed)?;
+        let header =
+            read_body(self.buf.chunk(), domain, PixelLayout::Rgba).map_err(|_| Malformed)?;
         self.buf.advance(header.len);
         Ok((header.runs, header.non_blank))
     }

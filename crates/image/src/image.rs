@@ -2,7 +2,7 @@
 
 use crate::interleave::StridedSeq;
 use crate::kernel;
-use crate::pixel::{Pixel, BYTES_PER_PIXEL};
+use crate::pixel::{Pixel, PixelLayout, BYTES_PER_PIXEL};
 use crate::rect::Rect;
 use crate::rle::RunSet;
 
@@ -387,20 +387,21 @@ impl Image {
         rect.area()
     }
 
-    /// Stores wire-form pixels at runs of `rect` — `(start, len)`
-    /// positions, row-major inside it, in order — each row segment
-    /// decoded straight into its image row. `wire` holds exactly the
-    /// runs' pixels; nothing else of the image is touched.
+    /// Stores wire-form pixels, laid out as `layout`, at runs of `rect`
+    /// — `(start, len)` positions, row-major inside it, in order — each
+    /// row segment decoded straight into its image row. `wire` holds
+    /// exactly the runs' pixels; nothing else of the image is touched.
     pub fn write_runs_wire(
         &mut self,
         rect: &Rect,
         runs: impl IntoIterator<Item = (usize, usize)>,
         wire: &[u8],
+        layout: PixelLayout,
     ) {
         let mut rest = wire;
         rect.for_row_segments(runs, |x, y, n| {
-            let (run, tail) = rest.split_at(n * BYTES_PER_PIXEL);
-            kernel::copy_slice_wire(self.row_span_mut(x, y, n), run);
+            let (run, tail) = rest.split_at(n * layout.bytes());
+            kernel::copy_slice_wire(self.row_span_mut(x, y, n), run, layout);
             rest = tail;
         });
         assert!(rest.is_empty(), "wire pixels left over after the runs");

@@ -20,7 +20,7 @@
 //! goes through the same expression in the same order, so they are
 //! bit-identical to decode-then-`*_slice` by construction.
 
-use crate::pixel::{Pixel, BYTES_PER_PIXEL};
+use crate::pixel::{Pixel, PixelLayout, BYTES_PER_PIXEL};
 use crate::rle::RunSet;
 
 /// Appends the non-blank runs of one contiguous pixel span to `table`,
@@ -136,12 +136,23 @@ fn first_non_blank_wire(wire: &[u8]) -> Option<usize> {
     None
 }
 
-/// Stores a wire-form span: `dst[i] = decode(src)[i]`.
+/// Stores a wire-form span laid out as `layout`: `dst[i] =
+/// decode(src)[i]`, a gray pixel's intensity and opacity expanded to
+/// [`Pixel::gray`].
 #[inline]
-pub fn copy_slice_wire(dst: &mut [Pixel], src: &[u8]) {
-    assert_eq!(src.len(), dst.len() * BYTES_PER_PIXEL);
-    for (d, p) in dst.iter_mut().zip(decode(src)) {
-        *d = p;
+pub fn copy_slice_wire(dst: &mut [Pixel], src: &[u8], layout: PixelLayout) {
+    assert_eq!(src.len(), dst.len() * layout.bytes());
+    match layout {
+        PixelLayout::Rgba => dst.iter_mut().zip(decode(src)).for_each(|(d, p)| *d = p),
+        PixelLayout::Gray => {
+            for (d, raw) in dst
+                .iter_mut()
+                .zip(src.chunks_exact(PixelLayout::Gray.bytes()))
+            {
+                *d =
+                    Pixel::from_gray_le_bytes(raw.try_into().expect("chunks_exact yields 8 bytes"));
+            }
+        }
     }
 }
 

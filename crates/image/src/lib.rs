@@ -26,7 +26,7 @@ pub mod stats;
 
 pub use crate::image::Image;
 pub use crate::interleave::StridedSeq;
-pub use crate::pixel::{Pixel, BYTES_PER_PIXEL};
+pub use crate::pixel::{Pixel, PixelLayout, BYTES_PER_PIXEL};
 pub use crate::rect::Rect;
 pub use crate::rle::{MaskRle, RunSet, ValueRle, BYTES_PER_RUN_CODE};
 pub use crate::run_image::RunImage;

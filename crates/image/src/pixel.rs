@@ -8,6 +8,29 @@
 /// Size of one pixel on the wire, in bytes (four little-endian `f32`s).
 pub const BYTES_PER_PIXEL: usize = 16;
 
+/// How a run of pixels is laid out on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PixelLayout {
+    /// The whole pixel, 16 bytes ([`Pixel::to_le_bytes`]): every stage
+    /// message and the gather.
+    Rgba,
+    /// A gray pixel ([`Pixel::is_gray`]) as the paper's intensity and
+    /// opacity, 8 bytes ([`Pixel::to_gray_le_bytes`]): the served frame
+    /// when every non-blank pixel of it is gray.
+    Gray,
+}
+
+impl PixelLayout {
+    /// Bytes of one pixel in this layout.
+    #[inline]
+    pub const fn bytes(self) -> usize {
+        match self {
+            PixelLayout::Rgba => BYTES_PER_PIXEL,
+            PixelLayout::Gray => BYTES_PER_PIXEL / 2,
+        }
+    }
+}
+
 /// A premultiplied-alpha RGBA pixel.
 ///
 /// The color channels are *premultiplied* by opacity, which is the natural
@@ -79,6 +102,17 @@ impl Pixel {
         (self.r.to_bits() | self.g.to_bits() | self.b.to_bits() | self.a.to_bits()) == 0
     }
 
+    /// Whether this pixel is gray: red, green and blue have equal bits
+    /// (a NaN equals only the same payload, and `-0.0` is not `+0.0`).
+    ///
+    /// This is the one channel-equality test. A gray pixel is exactly
+    /// its intensity and opacity, so [`Pixel::to_gray_le_bytes`] keeps
+    /// every bit of it.
+    #[inline]
+    pub fn is_gray(&self) -> bool {
+        self.r.to_bits() == self.g.to_bits() && self.g.to_bits() == self.b.to_bits()
+    }
+
     /// The `over` operator with `self` in *front* of `back`.
     ///
     /// With premultiplied colors: `out = front + (1 − αf) · back` for every
@@ -123,6 +157,24 @@ impl Pixel {
             b: f(8),
             a: f(12),
         }
+    }
+
+    /// Serializes a gray pixel as its intensity then its opacity, 8
+    /// little-endian bytes ([`PixelLayout::Gray`]). Only a pixel that
+    /// [`Pixel::is_gray`] reads back bit for bit.
+    #[inline]
+    pub fn to_gray_le_bytes(self) -> [u8; 8] {
+        let mut out = [0u8; 8];
+        out[0..4].copy_from_slice(&self.r.to_le_bytes());
+        out[4..8].copy_from_slice(&self.a.to_le_bytes());
+        out
+    }
+
+    /// Deserializes [`Pixel::to_gray_le_bytes`]: `Pixel::gray(v, a)`.
+    #[inline]
+    pub fn from_gray_le_bytes(bytes: [u8; 8]) -> Self {
+        let f = |i: usize| f32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+        Pixel::gray(f(0), f(4))
     }
 
     /// Component-wise maximum absolute difference, used by the correctness
@@ -196,6 +248,29 @@ mod tests {
     fn bytes_round_trip() {
         let p = Pixel::new(0.125, -1.5, 3.25, 0.75);
         assert_eq!(Pixel::from_le_bytes(p.to_le_bytes()), p);
+    }
+
+    #[test]
+    fn gray_is_bitwise_and_round_trips_in_eight_bytes() {
+        let nan = f32::from_bits(0x7fc0_1234);
+        for p in [
+            Pixel::BLANK,
+            Pixel::gray(0.5, 0.25),
+            Pixel::gray(-0.0, 1.0),
+            Pixel::gray(nan, f32::from_bits(1)),
+        ] {
+            assert!(p.is_gray(), "{p:?}");
+            let back = Pixel::from_gray_le_bytes(p.to_gray_le_bytes());
+            assert_eq!(back.to_le_bytes(), p.to_le_bytes());
+        }
+        for p in [
+            Pixel::new(0.0, -0.0, 0.0, 1.0),
+            Pixel::new(nan, f32::from_bits(0x7fc0_1235), nan, 1.0),
+            Pixel::new(0.5, 0.5, 0.25, 1.0),
+        ] {
+            assert!(!p.is_gray(), "{p:?}");
+        }
+        assert_eq!(PixelLayout::Gray.bytes() * 2, PixelLayout::Rgba.bytes());
     }
 
     #[test]

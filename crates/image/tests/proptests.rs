@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vr_image::rle::ValueRle;
-use vr_image::{kernel, Image, MaskRle, Pixel, Rect, RunImage, RunSet, StridedSeq};
+use vr_image::{kernel, Image, MaskRle, Pixel, PixelLayout, Rect, RunImage, RunSet, StridedSeq};
 
 fn arb_pixel() -> impl Strategy<Value = Pixel> {
     (0.0f32..=1.0, 0.0f32..=1.0).prop_map(|(v, a)| Pixel::gray(v * a, a))
@@ -130,7 +130,7 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
         4 => img.row_span_mut(x, y, rect.width() as usize).fill(lit),
         5 => img.write_rect(&rect, &data),
         // The whole rect as one run.
-        6 => img.write_runs_wire(&rect, [(0, rect.area())], &wire),
+        6 => img.write_runs_wire(&rect, [(0, rect.area())], &wire, PixelLayout::Rgba),
         7 => drop(img.composite_rect_over(&rect, &data)),
         8 => drop(img.composite_rect_over_wire(&rect, &wire)),
         9 => drop(img.composite_rect_under_wire(&rect, &wire)),
@@ -142,6 +142,7 @@ fn mutate(img: &mut Image, (kind, rect, lit): Mutation) {
             &rect,
             (0..rect.area()).step_by(2).map(|i| (i, 1)),
             &to_wire(&vec![lit; rect.area().div_ceil(2)]),
+            PixelLayout::Rgba,
         ),
         // The part of a dotted frame inside the rect.
         14 => img.copy_part_from(&dotted(lit), &rect),
@@ -453,7 +454,7 @@ proptest! {
         prop_assert!(same_bits(&want, &got), "under: {want:?} != {got:?}");
 
         let mut got = local;
-        kernel::copy_slice_wire(&mut got, &wire);
+        kernel::copy_slice_wire(&mut got, &wire, PixelLayout::Rgba);
         prop_assert!(same_bits(&incoming, &got), "copy: {incoming:?} != {got:?}");
     }
 
@@ -535,7 +536,7 @@ proptest! {
 
         let (mut want, mut got) = (base.clone(), base);
         want.write_rect(&rect, dense);
-        got.write_runs_wire(&rect, [(0, rect.area())], &wire);
+        got.write_runs_wire(&rect, [(0, rect.area())], &wire, PixelLayout::Rgba);
         prop_assert!(same_bits(want.pixels(), got.pixels()));
     }
 

@@ -13,7 +13,8 @@
 //!    one [`KIND_RESPONSE`] carrying the same `id` — a frame or a typed
 //!    rejection. A frame travels sparse, as in the paper's BSLC/BSBRC
 //!    messages: 2-byte blank/non-blank run codes over the whole image,
-//!    then only its non-blank pixels. Responses may arrive out of
+//!    then only its non-blank pixels — as the paper's intensity and
+//!    opacity when every one of them is gray. Responses may arrive out of
 //!    submission order (requests hash to different shards); the `id` is
 //!    the correlation key.
 //! 4. [`KIND_STATS`] polls per-shard [`ServiceStats`] plus the
@@ -44,7 +45,7 @@ use vr_comm::{
     DEFAULT_RECV_DEADLINE,
 };
 use vr_image::body::{read_body, BodyError, RunBody};
-use vr_image::{Image, BYTES_PER_PIXEL};
+use vr_image::{Image, PixelLayout, BYTES_PER_PIXEL};
 use vr_system::{CompTiming, ExperimentConfig, FrameRecord};
 use vr_volume::DatasetKind;
 
@@ -64,8 +65,10 @@ use crate::CacheCounters;
 /// pixel. 7: reject reason tag 2, an admission shed, is retired, and so
 /// is its stats counter. 8: a frame record no longer carries the pixel
 /// staging watermark. 9: a request's reliable delivery is one `bool`;
-/// its retry schedule follows `recv_deadline`.
-pub const WIRE_VERSION: u16 = 9;
+/// its retry schedule follows `recv_deadline`. 10: a frame's image
+/// section names its pixel layout, and a frame whose non-blank pixels
+/// are all gray sends each as its intensity and opacity, 8 bytes.
+pub const WIRE_VERSION: u16 = 10;
 /// Handshake magic ("SLVW" = sort-last volume wire).
 pub const MAGIC: [u8; 4] = *b"SLVW";
 /// Ceiling on a single wire frame (length prefix included): a 768×768
@@ -73,18 +76,19 @@ pub const MAGIC: [u8; 4] = *b"SLVW";
 /// a corrupt prefix drive allocation.
 pub const MAX_WIRE_FRAME: u32 = 64 << 20;
 
-/// Upper bound on the bytes of a frame reply that are neither pixels nor
-/// run codes: the frame header, the id, both tags, the degraded-source
-/// pair, the wait, the hash, the record, the image dimensions and the
-/// code count.
+/// Upper bound on the bytes of a frame reply in front of its image
+/// section's layout byte: the frame header, the id, both tags, the
+/// degraded-source pair, the wait, the hash, the record and the image
+/// dimensions.
 const FRAME_REPLY_OVERHEAD: usize = 256;
-/// The largest image section of an `area`-pixel frame, less its
-/// dimensions and code count: the fully dense frame. Its one non-blank
-/// run follows a zero-length blank run and is cut every `u16::MAX`
-/// pixels by another, so it costs 4 code bytes per started `u16::MAX`
-/// pixels on top of every pixel.
+/// The largest image section of an `area`-pixel frame past its
+/// dimensions: the fully dense frame with a pixel that is not gray. The
+/// layout byte and the code count come first; the one non-blank run
+/// follows a zero-length blank run and is cut every `u16::MAX` pixels by
+/// another, so it costs 4 code bytes per started `u16::MAX` pixels on
+/// top of every pixel at 16 bytes.
 const fn dense_image_bytes(area: usize) -> usize {
-    4 * area.div_ceil(u16::MAX as usize) + BYTES_PER_PIXEL * area
+    1 + 4 + 4 * area.div_ceil(u16::MAX as usize) + BYTES_PER_PIXEL * area
 }
 /// Largest `image_size` a request may name: the side of the largest
 /// square frame whose reply still fits [`MAX_WIRE_FRAME`] when no pixel
@@ -341,21 +345,26 @@ impl Wire for Magic {
     }
 }
 
-/// Width and height as `u16`, then the paper's sparse body over the
-/// row-major frame ([`RunBody`], the one every compositing message
-/// shares): a `u32` code count, the run codes, then the non-blank pixels
-/// in order, 16 bytes each.
+/// Width and height as `u16`, the pixel layout's tag, then the paper's
+/// sparse body over the row-major frame ([`RunBody`], the one every
+/// compositing message shares): a `u32` code count, the run codes, then
+/// the non-blank pixels in order. When every non-blank pixel is gray
+/// ([`Pixel::is_gray`]) the layout is [`PixelLayout::Gray`] and each
+/// travels as its intensity and opacity, 8 bytes; otherwise it is
+/// [`PixelLayout::Rgba`], 16 bytes. The decoder expands a gray pixel to
+/// `Pixel::gray(v, a)`, so either way the decoded frame is the sent one
+/// bit for bit.
 ///
 /// Blank is [`Pixel::is_blank`] ([`Image::runs_into`]): only a
-/// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels and
-/// the decoded frame is the sent one bit for bit. The bytes are a
-/// function of the pixels alone, whatever the extent.
+/// bitwise [`Pixel::BLANK`] is skipped, so a `-0.0` component travels.
+/// The bytes are a function of the pixels alone, whatever the extent.
 /// [`read_body`] checks the codes against the frame and the pixels
-/// present before anything proportional to the claimed dimensions is
-/// allocated.
+/// present at the layout's width before anything proportional to the
+/// claimed dimensions is allocated.
 ///
 /// [`Pixel::BLANK`]: vr_image::Pixel::BLANK
 /// [`Pixel::is_blank`]: vr_image::Pixel::is_blank
+/// [`Pixel::is_gray`]: vr_image::Pixel::is_gray
 impl Wire for Image {
     fn put(&self, w: &mut Vec<u8>) {
         self.width().put(w);
@@ -363,23 +372,26 @@ impl Wire for Image {
         let frame = self.full_rect();
         let mut body = RunBody::default();
         body.scan(self.area(), |runs| self.runs_into(&frame, runs));
-        body.put_rect(w, self, &frame);
+        let layout = body.layout_of(self, &frame);
+        layout.put(w);
+        body.put_rect(w, self, &frame, layout);
     }
     fn get(r: &mut Reader) -> Result<Self, DecodeError> {
         let (width, height) = (u16::get(r)?, u16::get(r)?);
         if width > MAX_IMAGE_SIZE || height > MAX_IMAGE_SIZE {
             return Err(DecodeError::OutOfRange { what: "image" });
         }
+        let layout = PixelLayout::get(r)?;
         let area = width as usize * height as usize;
-        let header = read_body(r.0, area).map_err(|e| match e {
+        let header = read_body(r.0, area, layout).map_err(|e| match e {
             BodyError::CountCut => DecodeError::Truncated,
             BodyError::BadLength => DecodeError::BadLength,
         })?;
         r.take(header.len)?;
-        let pixels = r.take(header.non_blank * BYTES_PER_PIXEL)?;
+        let pixels = r.take(header.non_blank * layout.bytes())?;
         let mut image = Image::blank(width, height);
         let frame = image.full_rect();
-        image.write_runs_wire(&frame, header.runs.non_blank_runs(), pixels);
+        image.write_runs_wire(&frame, header.runs.non_blank_runs(), pixels, layout);
         Ok(image)
     }
 }
@@ -525,6 +537,11 @@ fn volume_fits(dims: &Option<[usize; 3]>) -> bool {
 // ---- The request: an id, then the configuration ----
 
 wire_enum!(bool, "bool", [false, true]);
+wire_enum!(
+    PixelLayout,
+    "pixel layout",
+    [PixelLayout::Rgba, PixelLayout::Gray]
+);
 wire_enum!(DatasetKind, "dataset", DatasetKind::all());
 wire_enum!(Method, "method", Method::all());
 wire_enum!(
@@ -1118,27 +1135,33 @@ mod tests {
     #[test]
     fn frame_cut_at_every_length_is_typed_never_panics() {
         // Blank margins and interior gaps: codes `[1, 3, 2, 3, 2, 3]`,
-        // nine non-blank pixels.
-        let image = Image::from_fn(5, 3, |x, y| {
+        // nine non-blank pixels, all gray or one not.
+        let gray = Image::from_fn(5, 3, |x, y| {
             if (1..4).contains(&x) {
                 Pixel::gray(x as f32 + 0.5, y as f32 + 0.25)
             } else {
                 Pixel::BLANK
             }
         });
-        let resp = FrameResponse::Frame(cached_reply(image));
-        let wire = encode_response(2, &resp);
-        let codes_start = wire.len() - 6 * BYTES_PER_RUN_CODE - 9 * BYTES_PER_PIXEL;
-        for cut in 0..wire.len() {
-            match decode_response(&wire[..cut]) {
-                // Inside the codes or the pixels the code count and the
-                // codes disagree with the bytes present.
-                Err(DecodeError::BadLength) => assert!(cut >= codes_start, "cut {cut}"),
-                Err(DecodeError::Truncated) => assert!(cut < codes_start, "cut {cut}"),
-                other => panic!("cut at {cut}: expected BadLength/Truncated, got {other:?}"),
+        let mut rgba = gray.clone();
+        rgba.set(2, 1, Pixel::new(0.5, 0.25, 0.5, 1.0));
+        for (image, layout, tag) in [(gray, PixelLayout::Gray, 1), (rgba, PixelLayout::Rgba, 0)] {
+            let resp = FrameResponse::Frame(cached_reply(image));
+            let wire = encode_response(2, &resp);
+            let codes_start = wire.len() - 6 * BYTES_PER_RUN_CODE - 9 * layout.bytes();
+            // The layout's tag sits in front of the code count.
+            assert_eq!(wire[codes_start - 5], tag);
+            for cut in 0..wire.len() {
+                match decode_response(&wire[..cut]) {
+                    // Inside the codes or the pixels the code count and
+                    // the codes disagree with the bytes present.
+                    Err(DecodeError::BadLength) => assert!(cut >= codes_start, "cut {cut}"),
+                    Err(DecodeError::Truncated) => assert!(cut < codes_start, "cut {cut}"),
+                    other => panic!("cut at {cut}: expected BadLength/Truncated, got {other:?}"),
+                }
             }
+            assert!(decode_response(&wire).is_ok());
         }
-        assert!(decode_response(&wire).is_ok());
     }
 
     /// A frame reply whose image section is `image`, written field by
@@ -1172,32 +1195,45 @@ mod tests {
     fn hostile_image_sections_are_bad_lengths() {
         let pixel = [0x3fu8; BYTES_PER_PIXEL];
         let (w, h) = (4u16, 3u16);
-        let cases: [(&str, Vec<u8>); 5] = [
+        let (rgba, gray) = (&PixelLayout::Rgba, &PixelLayout::Gray);
+        let cases: [(&str, Vec<u8>); 7] = [
             // Runs covering 13 pixels of a 12-pixel frame.
             (
                 "codes overrun",
-                hostile_frame(&[&w, &h, &2u32, &12u16, &1u16]),
+                hostile_frame(&[&w, &h, rgba, &2u32, &12u16, &1u16]),
             ),
             // One u16 split too many: blank 65535, non-blank 0, blank 1.
             (
                 "split codes overrun",
-                hostile_frame(&[&w, &h, &3u32, &u16::MAX, &0u16, &1u16]),
+                hostile_frame(&[&w, &h, gray, &3u32, &u16::MAX, &0u16, &1u16]),
             ),
             // A code count of u32::MAX with four code bytes behind it.
             (
                 "code count",
-                hostile_frame(&[&w, &h, &u32::MAX, &0u16, &1u16]),
+                hostile_frame(&[&w, &h, rgba, &u32::MAX, &0u16, &1u16]),
             ),
             // One run of 2 pixels, one pixel present.
             ("pixels missing", {
-                let mut wire = hostile_frame(&[&w, &h, &2u32, &0u16, &2u16]);
+                let mut wire = hostile_frame(&[&w, &h, rgba, &2u32, &0u16, &2u16]);
                 wire.extend_from_slice(&pixel);
                 wire
             }),
             // One run of 1 pixel, one byte short.
             ("pixel cut", {
-                let mut wire = hostile_frame(&[&w, &h, &2u32, &0u16, &1u16]);
+                let mut wire = hostile_frame(&[&w, &h, rgba, &2u32, &0u16, &1u16]);
                 wire.extend_from_slice(&pixel[1..]);
+                wire
+            }),
+            // A gray body one pixel short: a run of 3, two 8-byte pixels.
+            ("gray pixel missing", {
+                let mut wire = hostile_frame(&[&w, &h, gray, &2u32, &0u16, &3u16]);
+                wire.extend_from_slice(&pixel);
+                wire
+            }),
+            // One gray run of 1 pixel, one byte short.
+            ("gray pixel cut", {
+                let mut wire = hostile_frame(&[&w, &h, gray, &2u32, &0u16, &1u16]);
+                wire.extend_from_slice(&pixel[..7]);
                 wire
             }),
         ];
@@ -1208,19 +1244,39 @@ mod tests {
                 "{what}"
             );
         }
-        // Zero-length codes are legal, and a byte past the pixels is not.
-        let mut wire = hostile_frame(&[&w, &h, &4u32, &0u16, &0u16, &3u16, &1u16]);
+        // A layout past the two is refused by its tag, before the body
+        // is read, at the largest admitted frame too.
+        let side = MAX_IMAGE_SIZE;
+        let mut wire = hostile_frame(&[&side, &side, &2u8, &2u32, &0u16, &1u16]);
         wire.extend_from_slice(&pixel);
-        let (_, WireResponse::Frame(frame)) = decode_response(&wire).unwrap() else {
-            panic!("expected a frame");
-        };
-        assert_eq!(frame.image.get(3, 0), Pixel::from_le_bytes(pixel));
-        assert_eq!(frame.image.non_blank_count(), 1);
-        wire.push(0);
         assert_eq!(
             decode_response(&wire).err(),
-            Some(DecodeError::Trailing { extra: 1 })
+            Some(DecodeError::BadTag {
+                what: "pixel layout",
+                tag: 2
+            })
         );
+        // Zero-length codes are legal, and a byte past the pixels is not;
+        // the same 16 bytes are one RGBA pixel or two gray ones.
+        let v = f32::from_bits(0x3f3f_3f3f);
+        for (layout, run, want) in [
+            (rgba, 1u16, vec![Pixel::from_le_bytes(pixel)]),
+            (gray, 2u16, vec![Pixel::gray(v, v); 2]),
+        ] {
+            let mut wire = hostile_frame(&[&w, &h, layout, &4u32, &0u16, &0u16, &3u16, &run]);
+            wire.extend_from_slice(&pixel);
+            let (_, WireResponse::Frame(frame)) = decode_response(&wire).unwrap() else {
+                panic!("expected a frame");
+            };
+            let pixels = frame.image.pixels();
+            assert_eq!(pixels[3..3 + want.len()], want[..]);
+            assert_eq!(frame.image.non_blank_count(), want.len());
+            wire.push(0);
+            assert_eq!(
+                decode_response(&wire).err(),
+                Some(DecodeError::Trailing { extra: 1 })
+            );
+        }
     }
 
     /// Values that would panic `FrameService::open_session`, hang a
@@ -1327,8 +1383,8 @@ mod tests {
     #[test]
     fn the_largest_admitted_frame_fits_one_wire_frame() {
         assert_eq!(MAX_IMAGE_SIZE, 2047);
-        // Everything in a frame reply that is neither a pixel nor a run
-        // code, at its widest (a degraded source), plus the frame header.
+        // Everything in a frame reply in front of its layout byte, at its
+        // widest (a degraded source), plus the frame header.
         let reply = |image| {
             let mut reply = cached_reply(image);
             reply.source = ServeSource::Degraded {
@@ -1337,27 +1393,31 @@ mod tests {
             };
             encode_response(u64::MAX, &FrameResponse::Frame(reply)).len()
         };
-        let overhead = reply(Image::blank(0, 0)) + vr_comm::HEADER_LEN;
+        // An empty frame's image section past its dimensions is the
+        // layout byte and a zero code count.
+        let front = reply(Image::blank(0, 0)) - 1 - 4;
+        let overhead = front + vr_comm::HEADER_LEN;
         assert!(overhead <= FRAME_REPLY_OVERHEAD, "{overhead}");
-        // A fully dense A-pixel frame is 16·A + 4 + 4·⌈A/65535⌉ bytes
-        // past the dimensions: the code count, then a zero-length blank
-        // run and the non-blank run cut every 65535 pixels.
-        let dense = |area: usize| 16 * area + 4 + 4 * area.div_ceil(65535);
+        // A fully dense A-pixel frame is 1 + 4 + 4·⌈A/65535⌉ + 16·A
+        // bytes past the dimensions when a pixel of it is not gray: the
+        // layout byte, the code count, then a zero-length blank run and
+        // the non-blank run cut every 65535 pixels. A gray one is the
+        // same with 8·A.
+        let dense = |area: usize, px: usize| 1 + 4 + 4 * area.div_ceil(65535) + px * area;
         for (w, h) in [(1, 1), (7, 3), (65535, 1), (256, 256), (300, 300)] {
-            let image = Image::from_fn(w, h, |x, y| Pixel::gray(0.5, (x ^ y) as f32));
             let area = w as usize * h as usize;
-            assert_eq!(
-                reply(image),
-                reply(Image::blank(0, 0)) - 4 + dense(area),
-                "{w}×{h}"
-            );
-            assert_eq!(dense(area), 4 + dense_image_bytes(area));
+            let rgba = Image::from_fn(w, h, |x, y| Pixel::new(0.5, 0.25, 0.5, (x ^ y) as f32));
+            assert_eq!(reply(rgba), front + dense(area, 16), "{w}×{h}");
+            let gray = Image::from_fn(w, h, |x, y| Pixel::gray(0.5, (x ^ y) as f32));
+            assert_eq!(reply(gray), front + dense(area, 8), "{w}×{h} gray");
+            assert_eq!(dense(area, 16), dense_image_bytes(area));
         }
-        // At the largest side that is 260 B over the pixels alone, and
-        // the whole reply still fits one wire frame.
+        // At the largest side that is 261 B over the pixels alone, and
+        // the whole reply still fits one wire frame: the layout byte
+        // leaves `MAX_IMAGE_SIZE` where it was.
         let area = MAX_IMAGE_SIZE as usize * MAX_IMAGE_SIZE as usize;
-        assert_eq!(dense(area) - 16 * area, 260);
-        assert!(FRAME_REPLY_OVERHEAD - 4 + dense(area) <= MAX_WIRE_FRAME as usize);
+        assert_eq!(dense(area, 16) - 16 * area, 261);
+        assert!(FRAME_REPLY_OVERHEAD + dense(area, 16) <= MAX_WIRE_FRAME as usize);
     }
 }
 
@@ -1487,14 +1547,17 @@ mod proptests {
         [p.r, p.g, p.b, p.a].iter().any(|c| c.to_bits() != 0)
     }
 
-    /// The frame response spelled out one scalar at a time — codes from
-    /// the naive bit-mask encoder, then every non-blank pixel component
-    /// by component: the encoding the run scanner and the bulk pixel
-    /// writer must reproduce byte for byte.
+    /// The frame response spelled out one scalar at a time — the layout
+    /// tag (1 when every non-blank pixel is gray, else 0), codes from the
+    /// naive bit-mask encoder, then every non-blank pixel component by
+    /// component (intensity and opacity when gray): the encoding the run
+    /// scanner and the bulk pixel writer must reproduce byte for byte.
     fn per_field_encoding(id: u64, reply: &FrameReply) -> Vec<u8> {
         let frame = &reply.frame;
         let image = &frame.image;
         let rle = MaskRle::encode_mask(image.pixels().iter().map(has_bits));
+        let lit = || image.pixels().iter().filter(|p| has_bits(p));
+        let gray = lit().all(Pixel::is_gray);
         let mut w = encode(&[
             &id,
             &FRAME,
@@ -1504,13 +1567,17 @@ mod proptests {
             &frame.record,
             &image.width(),
             &image.height(),
+            &(gray as u8),
             &(rle.num_codes() as u32),
         ]);
         rle.codes().iter().for_each(|code| code.put(&mut w));
-        for p in image.pixels().iter().filter(|p| has_bits(p)) {
-            for component in [p.r, p.g, p.b, p.a] {
-                component.put(&mut w);
-            }
+        for p in lit() {
+            let components = if gray {
+                &[p.r, p.a][..]
+            } else {
+                &[p.r, p.g, p.b, p.a][..]
+            };
+            components.iter().for_each(|c| c.put(&mut w));
         }
         w
     }
@@ -1521,9 +1588,10 @@ mod proptests {
     }
 
     /// Checks every codec property of one frame: the bytes equal the
-    /// per-field reference and are the same for a tight-extent copy; the decoded image is the sent one bit for bit and encodes
-    /// to the same bytes; no frame is larger than the dense one of its
-    /// size.
+    /// per-field reference and are the same for a tight-extent copy; the
+    /// decoded image is the sent one bit for bit and encodes to the same
+    /// bytes; no frame is larger than the dense one of its size with a
+    /// pixel that is not gray.
     fn check_frame(
         id: u64,
         width: u16,
@@ -1550,9 +1618,16 @@ mod proptests {
         };
         prop_assert_eq!(bits(&frame.image), bits(&reply.frame.image));
         prop_assert_eq!(encode(&[&id, &WireResponse::Frame(frame)]), wire);
-        let dense = Image::from_fn(width, height, |_, _| Pixel::gray(1.0, 1.0));
+        let dense = Image::from_fn(width, height, |_, _| Pixel::new(1.0, 0.5, 1.0, 1.0));
         prop_assert!(wire.len() <= encoded(id, dense).len());
         Ok(())
+    }
+
+    /// The frame's bytes past what an all-blank frame of its size sends:
+    /// 2 per run code and `px` per non-blank pixel.
+    fn body_growth(pixels: &[Pixel], px: usize) -> usize {
+        let codes = MaskRle::encode_mask(pixels.iter().map(has_bits)).num_codes();
+        2 * codes + px * pixels.iter().filter(|p| has_bits(p)).count()
     }
 
     /// Component bit patterns a frame must carry exactly: both zeros,
@@ -1566,6 +1641,15 @@ mod proptests {
                 .prop_map(|(m, neg)| f32::from_bits(m | (neg as u32) << 31)),
             1 => any::<u32>().prop_map(|b| f32::from_bits(b | 0x7f80_0001)),
             2 => any::<u32>().prop_map(f32::from_bits),
+        ]
+    }
+
+    /// A gray pixel, bitwise blank one time in three: `-0.0`, subnormal
+    /// and NaN-payload intensities and opacities included.
+    fn arb_gray_pixel() -> impl Strategy<Value = Pixel> {
+        prop_oneof![
+            1 => Just(Pixel::BLANK),
+            2 => (arb_component(), arb_component()).prop_map(|(v, a)| Pixel::gray(v, a)),
         ]
     }
 
@@ -1626,6 +1710,31 @@ mod proptests {
         ) {
             let pixels = shape(fill, &pixels, width as usize * height as usize);
             check_frame(id, width, height, pixels)?;
+        }
+
+        #[test]
+        fn gray_frames_travel_in_eight_bytes_a_pixel(
+            id in any::<u64>(),
+            (width, height) in arb_size(),
+            pixels in proptest::collection::vec(arb_gray_pixel(), 300),
+            at in any::<usize>(),
+            (v, flip, a) in (arb_component(), 1u32..=u32::MAX, arb_component()),
+        ) {
+            let area = width as usize * height as usize;
+            let gray = pixels[..area].to_vec();
+            let blank = encoded(id, Image::blank(width, height)).len();
+            let wire = encoded(id, Image::from_pixels(width, height, gray.clone()));
+            prop_assert_eq!(wire.len(), blank + body_growth(&gray, 8));
+            check_frame(id, width, height, gray.clone())?;
+            if area > 0 {
+                // One pixel whose green differs from its red in some bit
+                // sends the whole frame in RGBA.
+                let mut one = gray;
+                one[at % area] = Pixel::new(v, f32::from_bits(v.to_bits() ^ flip), v, a);
+                let wire = encoded(id, Image::from_pixels(width, height, one.clone()));
+                prop_assert_eq!(wire.len(), blank + body_growth(&one, 16));
+                check_frame(id, width, height, one)?;
+            }
         }
 
         #[test]

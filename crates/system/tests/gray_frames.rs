@@ -6,7 +6,8 @@
 //! renderer's tint is white) and `over` keeps equal channels equal, so
 //! the served frame can travel as intensity + opacity, 8 bytes a pixel
 //! instead of 16. This test pins that premise over every dataset, a few
-//! poses and two group sizes: a colour feature must fail here instead of
+//! poses and two group sizes ([`vr_image::Pixel::is_gray`], the one
+//! channel-equality test): a colour feature must fail here instead of
 //! silently doubling the served bytes.
 
 use std::sync::Arc;
@@ -14,11 +15,6 @@ use std::sync::Arc;
 use slsvr_core::Method;
 use vr_system::{Experiment, ExperimentConfig};
 use vr_volume::{Dataset, DatasetKind};
-
-/// Whether every channel of `p` has the bits of its red channel.
-fn gray(p: &vr_image::Pixel) -> bool {
-    p.r.to_bits() == p.g.to_bits() && p.g.to_bits() == p.b.to_bits()
-}
 
 #[test]
 fn every_rendered_frame_is_gray() {
@@ -42,7 +38,7 @@ fn every_rendered_frame_is_gray() {
                 let what = format!("{dataset:?} P = {processors} at ({rot_x_deg}, {rot_y_deg})");
                 let lit: Vec<_> = image.pixels().iter().filter(|p| !p.is_blank()).collect();
                 assert!(lit.len() > 64, "{what}: {} non-blank pixels", lit.len());
-                if let Some(p) = lit.iter().find(|p| !gray(p)) {
+                if let Some(p) = lit.iter().find(|p| !p.is_gray()) {
                     panic!("{what}: {p:?} is not gray");
                 }
             }
