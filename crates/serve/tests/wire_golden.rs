@@ -9,8 +9,8 @@
 //! frame key that moves silently invalidates every cache. `HELLO`,
 //! `WELCOME` and `ERROR` carry the version: they were re-recorded for
 //! `WIRE_VERSION = 2` (the `Method` tags after BSBM, BSMR, BTREE and
-//! PIPE were deleted), `3` (after direct send was), `4`, `5`, `6`, `7`
-//! `8` and `9`, and nothing else in them moved. Version 4 dropped the request's
+//! PIPE were deleted), `3` (after direct send was), `4`, `5`, `6`, `7`,
+//! `8`, `9` and `10`, and nothing else in them moved. Version 4 dropped the request's
 //! streamed-tile edge and the frame record's two tile latencies with the
 //! fused runner, so `REQUEST`, the three `KEY_*` and the four
 //! `RESPONSE_FRAME_*` were re-recorded with it; every other
@@ -34,6 +34,14 @@
 //! (its retry schedule follows `recv_deadline`), so `REQUEST` (28 bytes
 //! shorter) and the three `KEY_*` were re-recorded with it; every
 //! `RESPONSE_*`, `STATS_REPLY` and every tag table stayed unchanged.
+//! Version 10 puts a pixel-layout byte after a frame's width and height
+//! and sends a frame whose non-blank pixels are all gray as intensity +
+//! opacity, 8 bytes a pixel, so the five `RESPONSE_FRAME_*` (none of
+//! them gray, each reply one byte longer) were re-recorded with it and
+//! `RESPONSE_FRAME_GRAY` (the sparse sample's pattern in gray, which
+//! pins the gray layout) was added; `REQUEST`, the three `KEY_*`,
+//! `STATS_REPLY`, every other `RESPONSE_*` and every tag table stayed
+//! unchanged.
 //!
 //! Every sample fills each field with a distinct value, so two fields
 //! of one type swapping places moves the digest too.
@@ -56,11 +64,11 @@ use vr_volume::DatasetKind;
 
 // One golden constant per message kind (CI greps for each of these
 // names, so an emptied table fails like an emptied corpus).
-const HELLO: u64 = 0xe7f2bb5eb6659490;
-const WELCOME: u64 = 0x016aee81c28a717c;
-const ERROR: u64 = 0xfad5835df2734d84;
+const HELLO: u64 = 0xe7fced5eb66e3e0b;
+const WELCOME: u64 = 0x5e5b439ce3584fdf;
+const ERROR: u64 = 0xc784f5b7cad02de5;
 const REQUEST: u64 = 0xfae99e16aa4c0159;
-const RESPONSE_FRAME_DEGRADED: u64 = 0xe0a8baafcf494dc3;
+const RESPONSE_FRAME_DEGRADED: u64 = 0xbc2b9915302b4bb7;
 const RESPONSE_OVERLOADED: u64 = 0x300bbfc292e4845a;
 const RESPONSE_SHED: u64 = 0xed789ee0dd63fa6f;
 const RESPONSE_REJECTED: u64 = 0x8aea2ffbc682f7ad;
@@ -68,10 +76,11 @@ const STATS_REPLY: u64 = 0xbaa6a4a18e94ea0d;
 
 // The remaining tag bytes of a response: every serve source and every
 // reject reason.
-const RESPONSE_FRAME_FRESH: u64 = 0x68c6d5fb929a4ec4;
-const RESPONSE_FRAME_CACHE: u64 = 0xff67252e03f1d407;
-const RESPONSE_FRAME_COALESCED: u64 = 0xc18a64b10f0dc1ae;
-const RESPONSE_FRAME_SPARSE: u64 = 0x3d3ae89345a3035a;
+const RESPONSE_FRAME_FRESH: u64 = 0x7eda446302d66b56;
+const RESPONSE_FRAME_CACHE: u64 = 0xc9da2a88b00e66a3;
+const RESPONSE_FRAME_COALESCED: u64 = 0x6553287063b11644;
+const RESPONSE_FRAME_SPARSE: u64 = 0xde6d253491be0ea0;
+const RESPONSE_FRAME_GRAY: u64 = 0xb4051635e6eb6f26;
 const RESPONSE_REJECTED_QUALITY: u64 = 0xbf941919b2965da8;
 const RESPONSE_REJECTED_SHUTDOWN: u64 = 0x292ddd8905b8d17b;
 
@@ -188,6 +197,22 @@ fn sparse_frame_response() -> FrameResponse {
         (4, 1) => Pixel::new(0.0, -0.0, 0.0, 0.0),
         (1, 2) => Pixel::new(1.5, 2.5, 3.5, 4.5),
         (4, 2) => Pixel::new(f32::from_bits(0x7fc0_1234), 0.0625, 0.03125, 0.75),
+        _ => Pixel::BLANK,
+    });
+    frame_of(image, ServeSource::Cache)
+}
+
+/// [`sparse_frame_response`]'s blank pattern with every pixel gray, at
+/// bit patterns only the bits tell apart (`-0.0`, a subnormal, a NaN
+/// with a payload): the sample that travels in the gray layout, each
+/// non-blank pixel as its intensity and opacity.
+fn gray_frame_response() -> FrameResponse {
+    let image = Image::from_fn(6, 4, |x, y| match (x, y) {
+        (1, 1) => Pixel::gray(0.125, 0.5),
+        (2, 1) => Pixel::gray(0.625, 1.0),
+        (4, 1) => Pixel::gray(-0.0, 0.0),
+        (1, 2) => Pixel::gray(f32::from_bits(1), 4.5),
+        (4, 2) => Pixel::gray(f32::from_bits(0x7fc0_1234), 0.75),
         _ => Pixel::BLANK,
     });
     frame_of(image, ServeSource::Cache)
@@ -314,6 +339,7 @@ fn every_response_shape_is_pinned() {
             sparse_frame_response(),
             RESPONSE_FRAME_SPARSE,
         ),
+        ("frame/gray", gray_frame_response(), RESPONSE_FRAME_GRAY),
         (
             "rejected/quality",
             rejected(quality),
@@ -331,10 +357,11 @@ fn every_response_shape_is_pinned() {
 }
 
 /// The wire size of a real frame, exactly: one Head 256² P = 4 BSBRC
-/// frame at a fixed pose, rendered in process. Its reply is the fixed
-/// fields, 2 B per run code and 16 B per non-blank pixel, with codes and
-/// pixels counted from the batch image's bit mask, and at most a quarter
-/// of the dense form version 5 sent.
+/// frame at a fixed pose, rendered in process. Every non-blank pixel of
+/// it is gray, so its reply is the fixed fields, 2 B per run code and
+/// 8 B per non-blank pixel, with codes and pixels counted from the batch
+/// image's bit mask, and at most an eighth of the dense form version 5
+/// sent.
 #[test]
 fn a_head_frame_travels_as_its_runs_and_non_blank_pixels() {
     let config = ExperimentConfig {
@@ -353,13 +380,14 @@ fn a_head_frame_travels_as_its_runs_and_non_blank_pixels() {
         .collect();
     let codes = MaskRle::encode_mask(mask.iter().copied()).num_codes();
     let non_blank = mask.iter().filter(|&&m| m).count();
+    assert!(image.pixels().iter().all(Pixel::is_gray));
     // The id, two tags, the wait, the hash, the record's ten 8-byte
-    // fields, the width and height, and the code count.
-    let fixed = 8 + 1 + 1 + 8 + 8 + 10 * 8 + 2 * 2 + 4;
+    // fields, the width and height, the layout and the code count.
+    let fixed = 8 + 1 + 1 + 8 + 8 + 10 * 8 + 2 * 2 + 1 + 4;
     let len = wire::encode_response(1, &frame_of(image, ServeSource::Cache)).len();
-    assert_eq!(len, fixed + 2 * codes + 16 * non_blank);
-    let dense = fixed - 4 + 256 * 256 * 16;
-    assert!(4 * len <= dense, "{len} B against {dense} B dense");
+    assert_eq!(len, fixed + 2 * codes + 8 * non_blank);
+    let dense = fixed - 1 - 4 + 256 * 256 * 16;
+    assert!(8 * len <= dense, "{len} B against {dense} B dense");
 }
 
 #[test]
