@@ -327,20 +327,69 @@ impl Image {
     /// Bounding rectangle of all non-blank pixels: the `O(A)` row scan
     /// the paper charges as `T_bound` in the first BSBR/BSBRC stage, over
     /// the extent only (nothing outside it can be non-blank).
+    ///
+    /// It reads only what can still move a bound. The first and the
+    /// last lit rows are found from the extent's top and bottom, each
+    /// read from both ends. A row between them can only widen the
+    /// columns found so far, so it is read only left and right of them,
+    /// and not at all once they reach the extent's sides. When the top
+    /// and bottom rows of the extent are both lit — a render's extent is
+    /// its bounds — one walk down each side column of the extent usually
+    /// settles that side at once; a side column that holds nothing is
+    /// then skipped by the row reads. Every pixel read is one the plain
+    /// row-by-row scan reads too, and a loose extent (a fold result's)
+    /// takes no column walk.
     pub fn bounding_rect(&self) -> Rect {
         let e = self.extent;
-        let mut bounds = Rect::EMPTY;
-        for y in e.y0..e.y1 {
-            let row = self.row_span(e.x0, y, e.width() as usize);
-            // Scan from both ends of the row to touch as few pixels as
-            // possible once some bounds are known.
-            if let Some(first) = row.iter().position(|p| !p.is_blank()) {
-                let last = row.iter().rposition(|p| !p.is_blank()).unwrap();
-                bounds.include(e.x0 + first as u16, y);
-                bounds.include(e.x0 + last as u16, y);
+        let w = e.width() as usize;
+        let row = |y: u16| self.row_span(e.x0, y, w);
+        let lit = |p: &Pixel| !p.is_blank();
+        // A row's first and last lit columns, read from both ends.
+        let ends = |y: u16| {
+            let r = row(y);
+            let first = r.iter().position(lit)?;
+            Some((y, first, r.iter().rposition(lit).expect("a lit pixel") + 1))
+        };
+        let Some((top, x0, x1)) = (e.y0..e.y1).find_map(ends) else {
+            return Rect::EMPTY;
+        };
+        let (bottom, b0, b1) = (top + 1..e.y1)
+            .rev()
+            .find_map(ends)
+            .unwrap_or((top, x0, x1));
+        let (mut x0, mut x1) = (x0.min(b0), x1.max(b1));
+        // Columns [from, to) of the rows between may still be lit.
+        let (mut from, mut to) = (0, w);
+        let inner = top + 1..bottom;
+        if (top, bottom + 1) == (e.y0, e.y1) {
+            if x0 > 0 {
+                if inner.clone().any(|y| lit(&row(y)[0])) {
+                    x0 = 0;
+                } else {
+                    from = 1;
+                }
+            }
+            if x1 < w {
+                if inner.clone().any(|y| lit(&row(y)[w - 1])) {
+                    x1 = w;
+                } else {
+                    to = w - 1;
+                }
             }
         }
-        bounds
+        for y in inner {
+            if x0 == from && x1 == to {
+                break;
+            }
+            let r = row(y);
+            if let Some(i) = r[from..x0].iter().position(lit) {
+                x0 = from + i;
+            }
+            if let Some(i) = r[x1..to].iter().rposition(lit) {
+                x1 += i + 1;
+            }
+        }
+        Rect::new(e.x0 + x0 as u16, top, e.x0 + x1 as u16, bottom + 1)
     }
 
     /// Copies the pixels of `rect` into a dense row-major buffer (BSBR's

@@ -643,6 +643,83 @@ proptest! {
     }
 }
 
+/// The bounds scan as it was first written: every row of the extent,
+/// read from both ends. [`Image::bounding_rect`] must return its `Rect`
+/// exactly.
+fn row_scan_bounds(img: &Image) -> Rect {
+    let e = img.extent();
+    let mut bounds = Rect::EMPTY;
+    for y in e.y0..e.y1 {
+        let row = img.row_span(e.x0, y, e.width() as usize);
+        if let Some(first) = row.iter().position(|p| !p.is_blank()) {
+            let last = row.iter().rposition(|p| !p.is_blank()).unwrap();
+            bounds.include(e.x0 + first as u16, y);
+            bounds.include(e.x0 + last as u16, y);
+        }
+    }
+    bounds
+}
+
+/// A pixel that is blank most of the time, else lit only by its bits:
+/// `-0.0`, NaN payloads, subnormals or any pattern.
+fn arb_bounds_pixel() -> impl Strategy<Value = Pixel> {
+    prop_oneof![
+        5 => Just(Pixel::BLANK),
+        1 => arb_rule_component().prop_map(|c| Pixel::new(0.0, c, 0.0, 0.0)),
+        1 => (arb_rule_component(), arb_rule_component())
+            .prop_map(|(v, a)| Pixel::new(v, v, v, a)),
+    ]
+}
+
+proptest! {
+    // Small frames, so many cases: the column walks need an extent whose
+    // first and last rows are lit, which only some draws give.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The bounds scan that reads only what can still move a bound
+    /// returns the row scan's `Rect` over any extent: tight (`from_fn`,
+    /// a render's), loose (a region written whole, blank pixels and all,
+    /// as a fold leaves it; or loose only in x, its first and last rows
+    /// lit), the whole frame, or nothing lit at all.
+    #[test]
+    fn bounding_rect_matches_the_row_scan_over_any_extent(
+        (w, h) in (1u16..24, 1u16..24),
+        pixels in proptest::collection::vec(arb_bounds_pixel(), 24 * 24),
+        (ex, ey, ew, eh) in (0u16..24, 0u16..24, 0u16..25, 0u16..25),
+        (shape, rim) in (0u8..4, any::<bool>()),
+    ) {
+        let x0 = ex % w;
+        let y0 = ey % h;
+        let region = Rect::new(x0, y0, x0 + ew % (w - x0 + 1), y0 + eh % (h - y0 + 1));
+        let mid = (region.x0 + region.x1) / 2;
+        let at = |x: u16, y: u16| {
+            if rim && x == mid && (y == region.y0 || y + 1 == region.y1) {
+                Pixel::gray(0.5, 1.0)
+            } else {
+                pixels[y as usize * 24 + x as usize]
+            }
+        };
+        let lit = |x, y| if region.contains(x, y) { at(x, y) } else { Pixel::BLANK };
+        let img = match shape {
+            0 => Image::from_fn(w, h, lit),
+            1 => {
+                let mut img = Image::blank(w, h);
+                for y in region.y0..region.y1 {
+                    let span = img.row_span_mut(region.x0, y, region.width() as usize);
+                    for (x, p) in (region.x0..).zip(span) {
+                        *p = at(x, y);
+                    }
+                }
+                img
+            }
+            2 => Image::from_pixels(w, h, Image::from_fn(w, h, lit).pixels().to_vec()),
+            _ => Image::from_pixels(w, h, vec![Pixel::BLANK; w as usize * h as usize]),
+        };
+        prop_assert_eq!(img.bounding_rect(), row_scan_bounds(&img));
+        prop_assert_eq!(img.bounding_rect(), brute_bounds(&img));
+    }
+}
+
 proptest! {
     // Sixteen mutators in sequences of up to twelve: more cases than the
     // default 32 to reach the pairs that matter (a blanking write, then a
